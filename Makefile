@@ -41,10 +41,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Hot-path benchmarks for the estimator (training epoch, expert forward,
-# end-to-end predict on both the eval-tape and the compiled tape-free engine,
-# plus the 64-client concurrent serving path with p99 and the 16-tenant
-# fleet serving path), recorded as BENCH_estimator.json, plus the ingestion path (bounded Record, cached vs
+# Hot-path benchmarks for the estimator (one GRU kernel step at the repo
+# benchmark's widths, training epoch, expert forward, end-to-end predict on
+# both the eval-tape and the compiled tape-free engine — at toy width and,
+# InferPredictSocial128, at the paper's — plus the 64-client concurrent
+# serving path with p99 and the 16-tenant fleet serving path), recorded as
+# BENCH_estimator.json, plus the ingestion path (bounded Record, cached vs
 # uncached feature reads, zero-alloc extraction, warm vs cold /v1/estimate),
 # recorded as BENCH_ingest.json, plus the topology path (generate, DSL
 # parse/encode, simulate at 30/100/300 components), recorded as
@@ -54,7 +56,8 @@ test-race:
 # day), recorded as BENCH_autoscale.json — all for regression tracking
 # across PRs.
 bench:
-	{ $(GO) test -run='^$$' -bench=. -benchmem ./internal/estimator/... ; \
+	{ $(GO) test -run='^$$' -bench='GRUKernelStep' -benchmem ./internal/nn/ad ; \
+	  $(GO) test -run='^$$' -bench=. -benchmem ./internal/estimator/... ; \
 	  $(GO) test -run='^$$' -bench='EstimateConcurrent' -benchmem ./internal/service ; \
 	  $(GO) test -run='^$$' -bench='FleetEstimate' -benchmem ./internal/fleet ; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_estimator.json

@@ -18,10 +18,13 @@ import (
 	"strings"
 )
 
-// benchResult is one parsed benchmark line.
+// benchResult is one parsed benchmark line. Procs is the GOMAXPROCS the
+// benchmark ran at: the -N suffix go test appends to the name, which it
+// omits at 1.
 type benchResult struct {
 	Name        string             `json:"name"`
 	Pkg         string             `json:"pkg,omitempty"`
+	Procs       int                `json:"procs"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -89,23 +92,24 @@ func main() {
 //
 //	BenchmarkTrainEpoch-8  3830  336440 ns/op  174984 B/op  55 allocs/op
 //
+// The -8 becomes Procs, so runs at different GOMAXPROCS stay distinguishable.
 // Unknown "value unit" pairs (custom b.ReportMetric units) land in Metrics.
 func parseBenchLine(line string) (benchResult, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 {
 		return benchResult{}, false
 	}
-	name := strings.TrimPrefix(f[0], "Benchmark")
+	name, procs := strings.TrimPrefix(f[0], "Benchmark"), 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // strip the GOMAXPROCS suffix
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return benchResult{}, false
 	}
-	b := benchResult{Name: name, Iterations: iters}
+	b := benchResult{Name: name, Procs: procs, Iterations: iters}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {

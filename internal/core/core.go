@@ -88,12 +88,18 @@ type System struct {
 }
 
 // compileEngine snapshots the trained model into the serving engine; on
-// refusal the system keeps serving through the tape path.
+// refusal the system keeps serving through the tape path, which costs
+// several times the engine's time per estimate — so the refusal is counted
+// and logged where an operator at the default level sees it.
 func (s *System) compileEngine() {
+	failures := s.opts.Metrics.Counter("deeprest_infer_compile_failures_total",
+		"Generations whose inference-engine compile was refused and that serve through the slower tape path.")
 	eng, err := infer.Compile(s.model)
 	if err != nil {
+		failures.Inc()
 		if s.opts.Logger != nil {
-			s.opts.Logger.Debug("inference engine compile failed; serving via tape path", "err", err)
+			s.opts.Logger.Warn("inference engine compile failed; serving via tape path",
+				"pairs", len(s.model.Pairs), "err", err)
 		}
 		return
 	}

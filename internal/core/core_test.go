@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"log/slog"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/estimator"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
@@ -348,5 +350,30 @@ func TestEstimateTrafficBatchMatchesSingle(t *testing.T) {
 
 	if out, err := sys.EstimateTrafficBatch(nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: got %v, %v", out, err)
+	}
+}
+
+// TestCompileRefusalIsCountedAndWarned: a generation the inference engine
+// refuses keeps serving through the tape path, but the refusal shows at the
+// daemon's default log level and in /metrics rather than only as latency.
+func TestCompileRefusalIsCountedAndWarned(t *testing.T) {
+	var logBuf bytes.Buffer
+	opts := testOptions()
+	opts.Metrics = obs.NewRegistry()
+	opts.Logger = slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelWarn}))
+
+	sys := Restore(&estimator.Model{}, nil, opts) // no experts: Compile refuses
+	if sys.Engine() != nil {
+		t.Fatal("engine compiled from an empty model")
+	}
+	var scrape bytes.Buffer
+	if err := opts.Metrics.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "deeprest_infer_compile_failures_total 1\n") {
+		t.Errorf("refusal not counted:\n%s", scrape.String())
+	}
+	if line := logBuf.String(); !strings.Contains(line, "level=WARN") || !strings.Contains(line, "pairs=0") {
+		t.Errorf("refusal not logged at Warn with the pair count: %q", line)
 	}
 }

@@ -14,10 +14,11 @@ import (
 )
 
 // goldenConfig is the fixed training configuration behind the determinism
-// goldens. Any change here invalidates the recorded hashes.
-func goldenConfig() Config {
+// goldens at the given GRU width. Any change here invalidates the recorded
+// hashes.
+func goldenConfig(hidden int) Config {
 	cfg := DefaultConfig()
-	cfg.Hidden = 4
+	cfg.Hidden = hidden
 	cfg.Epochs = 3
 	cfg.AttentionEpochs = 2
 	cfg.ChunkLen = 24
@@ -72,14 +73,14 @@ func hashFloats(vals []float64) uint64 {
 	return h.Sum64()
 }
 
-// goldenRun trains the golden model and returns the per-expert epoch-loss
-// series and per-pair prediction hashes.
-func goldenRun(t *testing.T) (map[string][]float64, map[string]uint64) {
+// goldenRun trains the golden model at the given GRU width and returns the
+// per-expert epoch-loss series and per-pair prediction hashes.
+func goldenRun(t *testing.T, hidden int) (map[string][]float64, map[string]uint64) {
 	t.Helper()
 	_, _, run := testutil.ToyTelemetry(t, 2, 30, 12)
 	usage := testutil.FocusPairs(run.Usage, goldenPairs()...)
 	rec := newLossRecorder()
-	cfg := goldenConfig()
+	cfg := goldenConfig(hidden)
 	cfg.Progress = rec.hook
 	m, err := Train(run.Windows, usage, cfg)
 	if err != nil {
@@ -105,29 +106,32 @@ func TestGoldenDeterminismCapture(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("capture helper; run with -v to print goldens")
 	}
-	losses, preds := goldenRun(t)
-	keys := make([]string, 0, len(losses))
-	for k := range losses {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		line := fmt.Sprintf("%q: {", k)
-		for i, v := range losses[k] {
-			if i > 0 {
-				line += ", "
-			}
-			line += fmt.Sprintf("0x%016x", math.Float64bits(v))
+	for _, hidden := range []int{4, 7} {
+		t.Logf("Hidden=%d", hidden)
+		losses, preds := goldenRun(t, hidden)
+		keys := make([]string, 0, len(losses))
+		for k := range losses {
+			keys = append(keys, k)
 		}
-		t.Logf("%s},", line)
-	}
-	pk := make([]string, 0, len(preds))
-	for k := range preds {
-		pk = append(pk, k)
-	}
-	sort.Strings(pk)
-	for _, k := range pk {
-		t.Logf("%q: 0x%016x,", k, preds[k])
+		sort.Strings(keys)
+		for _, k := range keys {
+			line := fmt.Sprintf("%q: {", k)
+			for i, v := range losses[k] {
+				if i > 0 {
+					line += ", "
+				}
+				line += fmt.Sprintf("0x%016x", math.Float64bits(v))
+			}
+			t.Logf("%s},", line)
+		}
+		pk := make([]string, 0, len(preds))
+		for k := range preds {
+			pk = append(pk, k)
+		}
+		sort.Strings(pk)
+		for _, k := range pk {
+			t.Logf("%q: 0x%016x,", k, preds[k])
+		}
 	}
 }
 
@@ -167,12 +171,54 @@ var goldenPredictions = map[string]uint64{
 // seed yields bit-identical epoch losses and predictions to the
 // straight-line implementation this test's goldens were captured from.
 func TestGoldenDeterminism(t *testing.T) {
-	losses, preds := goldenRun(t)
+	checkGolden(t, 4, goldenLosses, goldenPredictions)
+}
+
+// goldenLossesHidden7 and goldenPredictionsHidden7 are the same run at
+// Hidden=7 — one full four-row panel plus a three-row remainder in every
+// GRU mat-vec — captured at the commit before the row-panel kernels
+// landed, so they pin the blocked forward to the one-row-at-a-time code it
+// replaced rather than to itself.
+var goldenLossesHidden7 = map[string][]uint64{
+	"DB/cpu|attention":        {0x3fa3bd22779c5069, 0x3fa6870e72404097},
+	"DB/cpu|train":            {0x3fc87b2f611a58de, 0x3fafbb51e18b4226, 0x3fa9ab8b5fc6b2fb},
+	"DB/disk_usage|attention": {0x3fc9d9684a5ee74a, 0x3fc84a2e9cef8946},
+	"DB/disk_usage|train":     {0x3fda134c64b9b6f6, 0x3fd0af92a4e3be25, 0x3fccc272499d3f14},
+	"DB/write_iops|attention": {0x3fc38eb7a09f3d78, 0x3fc1f5b85b21408e},
+	"DB/write_iops|train":     {0x3fdc208d18c3e107, 0x3fc8389c273b95c0, 0x3fc5dc4ff2181911},
+	"Service/cpu|attention":   {0x3fb12afde0f575e6, 0x3facd1c92c38cda6},
+	"Service/cpu|train":       {0x3fd2cbb04520c348, 0x3fbb5f49c053c518, 0x3fb785bc1007d48a},
+}
+
+var goldenPredictionsHidden7 = map[string]uint64{
+	"DB/cpu|exp":        0x3876b718f6cc4afe,
+	"DB/cpu|low":        0x496cf81f29df8e54,
+	"DB/cpu|up":         0x4130c92c7ca980af,
+	"DB/disk_usage|exp": 0xb6b461706de7b46a,
+	"DB/disk_usage|low": 0xaa50c91ea5ff68a4,
+	"DB/disk_usage|up":  0x429aea0e128dc7d7,
+	"DB/write_iops|exp": 0x2414472856730e80,
+	"DB/write_iops|low": 0x174471003d4f6b7a,
+	"DB/write_iops|up":  0x5881d2d218f93cbb,
+	"Service/cpu|exp":   0xca34c50822829968,
+	"Service/cpu|low":   0x83f011b8e9cb16ea,
+	"Service/cpu|up":    0x1a9219168073c224,
+}
+
+// TestGoldenDeterminismHidden7 is TestGoldenDeterminism at a width the
+// four-row blocking does not divide.
+func TestGoldenDeterminismHidden7(t *testing.T) {
+	checkGolden(t, 7, goldenLossesHidden7, goldenPredictionsHidden7)
+}
+
+func checkGolden(t *testing.T, hidden int, goldenLosses map[string][]uint64, goldenPredictions map[string]uint64) {
+	t.Helper()
+	losses, preds := goldenRun(t, hidden)
 
 	// Two runs in one process must agree bitwise regardless of platform:
 	// tape pooling, expert parallelism, and buffer reuse may not leak
 	// state between runs.
-	losses2, preds2 := goldenRun(t)
+	losses2, preds2 := goldenRun(t, hidden)
 	for k, want := range losses {
 		got := losses2[k]
 		if len(got) != len(want) {

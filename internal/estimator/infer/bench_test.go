@@ -54,6 +54,33 @@ func BenchmarkInferPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkInferPredictSocial128 is BenchmarkInferPredict at the paper's
+// width rather than the toy's: the social network (76 experts, 67 features)
+// with a 128-unit GRU per expert, one 12-window read, expert passes inline
+// on the calling goroutine (SetPool(nil)) so ns/op is CPU per request — the
+// shape of the repo benchmark's miss-social128 workload, where the dense
+// recurrent mat-vecs are nearly all of the work.
+func BenchmarkInferPredictSocial128(b *testing.B) {
+	m, day := trainOnWidth(b, "social", 128)
+	eng, err := infer.Compile(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.SetPool(nil)
+	series := day[:12]
+	out := make(map[app.Pair]estimator.Estimate, len(m.Pairs))
+	if err := eng.PredictInto(series, out); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.PredictInto(series, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkInferBatched measures one coalesced engine pass over 8 day-long
 // requests — what the estimate batcher dispatches for a concurrent burst —
 // and reports the effective per-request cost.

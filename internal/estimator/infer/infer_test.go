@@ -19,6 +19,12 @@ import (
 // attention, bypass all on), and returns it with the day's feature series.
 func trainOn(t *testing.T, arg string) (*estimator.Model, []features.Vector) {
 	t.Helper()
+	return trainOnWidth(t, arg, estimator.DefaultConfig().Hidden)
+}
+
+// trainOnWidth is trainOn with the GRU width chosen by the caller.
+func trainOnWidth(t testing.TB, arg string, hidden int) (*estimator.Model, []features.Vector) {
+	t.Helper()
 	spec, mix, err := topo.Resolve(arg)
 	if err != nil {
 		t.Fatalf("Resolve(%s): %v", arg, err)
@@ -34,6 +40,7 @@ func trainOn(t *testing.T, arg string) (*estimator.Model, []features.Vector) {
 		t.Fatalf("Run(%s): %v", arg, err)
 	}
 	cfg := estimator.DefaultConfig()
+	cfg.Hidden = hidden
 	cfg.Epochs = 1
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24

@@ -268,21 +268,55 @@ func (t *Tape) MatVec(w, x *Value) *Value {
 		panic(fmt.Sprintf("ad: MatVec shape mismatch: %dx%d · %dx%d", w.Rows, w.Cols, x.Rows, x.Cols))
 	}
 	out := t.newValue(w.Rows, 1)
-	for i := 0; i < w.Rows; i++ {
-		out.Data[i] = dot(w.Data[i*w.Cols:(i+1)*w.Cols], x.Data)
-	}
+	matVec(out.Data, w.Data, x.Data)
 	out.op, out.a, out.b = opMatVec, w, x
 	return t.record(out)
 }
 
-// dot is the row·vector kernel shared by MatVec and the fused GRU step; a
-// single definition keeps their rounding behaviour identical.
+// dot is the one definition of a row sum: a single accumulator that starts
+// at +0 and adds row[j]*x[j] in ascending j. Every dense product in the
+// package — MatVec, the GRU forward, the tape-free kernel — yields exactly
+// this value per row; dot4 only computes four of them at once.
 func dot(row, x []float64) float64 {
 	s := 0.0
 	for j, r := range row {
 		s += r * x[j]
 	}
 	return s
+}
+
+// dot4 returns dot(row, x) for each of the four consecutive rows of the
+// row-major panel w (len(w) = 4·len(x)). Rows are blocked, columns never are:
+// each accumulator sums its own row in dot's column order, so every result
+// is Float64bits-equal to dot's, while the four add chains are independent
+// and the processor overlaps them instead of waiting out one chain's
+// latency. The multiply-add is written as in dot (s += r * x[j]) so targets
+// that contract it to a fused multiply-add contract both alike.
+func dot4(w, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	// Each row is re-sliced to len(x) so the loop carries no bounds checks.
+	r0, r1, r2, r3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
+	for j, xj := range x {
+		s0 += r0[j] * xj
+		s1 += r1[j] * xj
+		s2 += r2[j] * xj
+		s3 += r3[j] * xj
+	}
+	return s0, s1, s2, s3
+}
+
+// matVec writes dst[i] = dot(w[i*cols:(i+1)*cols], x) for the len(dst)
+// rows of the row-major matrix w, four rows per pass through dot4 and the
+// len(dst)%4 remainder rows through dot.
+func matVec(dst, w, x []float64) {
+	cols := len(x)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(w[i*cols:(i+4)*cols], x)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = dot(w[i*cols:(i+1)*cols], x)
+	}
 }
 
 // Add computes a + b element-wise; shapes must match.

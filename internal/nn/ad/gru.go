@@ -1,9 +1,6 @@
 package ad
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // GRUParams bundles the nine parameter tensors of one GRU cell (paper
 // Equation 2) for the fused step kernel: W· act on the input, U· on the
@@ -16,6 +13,18 @@ type GRUParams struct {
 	Wh, Uh, Bh *Param
 }
 
+// Kernel returns the tape-free view of the parameters. The returned slices
+// alias the live parameter Data — snapshotting callers (the inference
+// engine) must copy them into their own slabs.
+func (g *GRUParams) Kernel() GRUKernel {
+	return GRUKernel{
+		In: g.Wz.Cols, Hidden: g.Wz.Rows,
+		Wz: g.Wz.Data, Uz: g.Uz.Data, Bz: g.Bz.Data,
+		Wk: g.Wk.Data, Uk: g.Uk.Data, Bk: g.Bk.Data,
+		Wh: g.Wh.Data, Uh: g.Uh.Data, Bh: g.Bh.Data,
+	}
+}
+
 // GRUStep advances a GRU cell one time step as a single fused tape op:
 //
 //	z = σ(Wz·x + Uz·h + bz)
@@ -25,10 +34,11 @@ type GRUParams struct {
 //
 // It replaces the ~28-node chain of MatVec/Add/Mul/Sigmoid/Tanh primitives
 // a composed implementation records, with one node and a hand-written
-// backward. Forward and backward perform the same float64 operations in
-// the same order as the composed chain (see gruBackward), so losses and
-// gradients are bit-identical to it on targets without fused multiply-add
-// contraction.
+// backward. The forward is GRUKernel.forward, the body the tape-free
+// serving kernel runs too; it and the backward perform the same float64
+// operations in the same order as the composed chain (see gruBackward), so
+// losses and gradients are bit-identical to it on targets without fused
+// multiply-add contraction.
 func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
 	in, hid := g.Wz.Cols, g.Wz.Rows
 	if x.Rows != in || x.Cols != 1 || hPrev.Rows != hid || hPrev.Cols != 1 {
@@ -40,30 +50,8 @@ func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
 	// c, and the reset-gated state kh = k ⊙ hPrev.
 	aux := t.alloc(4 * hid)
 	z, k, c, kh := aux[:hid], aux[hid:2*hid], aux[2*hid:3*hid], aux[3*hid:]
-	xd, hd := x.Data, hPrev.Data
-	for i := 0; i < hid; i++ {
-		wzx := dot(g.Wz.Data[i*in:(i+1)*in], xd)
-		uzh := dot(g.Uz.Data[i*hid:(i+1)*hid], hd)
-		z[i] = stableSigmoid((wzx + uzh) + g.Bz.Data[i])
-		wkx := dot(g.Wk.Data[i*in:(i+1)*in], xd)
-		ukh := dot(g.Uk.Data[i*hid:(i+1)*hid], hd)
-		k[i] = stableSigmoid((wkx + ukh) + g.Bk.Data[i])
-	}
-	for i := 0; i < hid; i++ {
-		kh[i] = k[i] * hd[i]
-	}
-	for i := 0; i < hid; i++ {
-		whx := dot(g.Wh.Data[i*in:(i+1)*in], xd)
-		uhkh := dot(g.Uh.Data[i*hid:(i+1)*hid], kh)
-		c[i] = math.Tanh((whx + uhkh) + g.Bh.Data[i])
-	}
-	for i := 0; i < hid; i++ {
-		// h' = z⊙h + (1−z)⊙c with the same intermediate roundings as the
-		// Mul/OneMinus/Mul/Add chain.
-		zh := z[i] * hd[i]
-		oc := (1 - z[i]) * c[i]
-		out.Data[i] = zh + oc
-	}
+	kern := g.Kernel()
+	kern.forward(x.Data, hPrev.Data, z, k, kh, c, out.Data)
 	if t.grad {
 		out.op, out.a, out.b, out.aux, out.gru = opGRUStep, x, hPrev, aux, g
 	}

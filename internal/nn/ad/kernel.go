@@ -5,23 +5,23 @@ import "math"
 // This file exports the fused-kernel math for the tape-free inference
 // engine (internal/estimator/infer). The engine snapshots trained
 // parameters into flat slabs and replays the forward pass without
-// recording tape nodes; sharing dot and stableSigmoid with the tape ops
-// keeps the two paths' rounding behaviour identical, so engine output is
-// bit-for-bit the eval-tape output (absent FMA contraction).
+// recording tape nodes; sharing dot, stableSigmoid and the GRU forward body
+// with the tape ops keeps the two paths' rounding behaviour identical, so
+// engine output is bit-for-bit the eval-tape output (absent FMA
+// contraction).
 
-// Dot exposes the row·vector kernel shared by MatVec and GRUStep. Callers
-// computing dense layers outside the tape must use it (rather than a local
-// loop) so both paths accumulate in the same order.
+// Dot exposes the row·vector kernel shared by MatVec and the GRU forward.
+// Callers computing dense layers outside the tape must use it (rather than
+// a local loop) so both paths accumulate in the same order.
 func Dot(row, x []float64) float64 { return dot(row, x) }
 
 // Logistic exposes the numerically-stable sigmoid the tape's Sigmoid op
 // applies element-wise.
 func Logistic(x float64) float64 { return stableSigmoid(x) }
 
-// GRUKernel is the tape-free twin of GRUStep: the nine parameter tensors of
-// one GRU cell as flat row-major slices. The slices may alias live Params
-// (see layers.GRUCell.Kernel) or a snapshot slab; the kernel only reads
-// them.
+// GRUKernel is the tape-free form of a GRU cell: the nine parameter tensors
+// as flat row-major slices. The slices may alias live Params (see
+// GRUParams.Kernel) or a snapshot slab; the kernel only reads them.
 type GRUKernel struct {
 	// In and Hidden are the input and state dimensions.
 	In, Hidden int
@@ -35,36 +35,66 @@ type GRUKernel struct {
 // ScratchLen returns the workspace length Step requires.
 func (g *GRUKernel) ScratchLen() int { return 3 * g.Hidden }
 
-// Step advances the cell one time step: hOut = GRU(x, hPrev). It performs
-// the same float64 operations in the same order as the tape's GRUStep
-// (which in turn matches the primitive MatVec/Add/Mul/Sigmoid/Tanh chain),
-// so the hidden trajectory is bit-identical to the eval-tape recurrence.
-// hOut must not alias hPrev; scratch needs ScratchLen floats and is
-// clobbered.
+// Step advances the cell one time step: hOut = GRU(x, hPrev). It runs the
+// same forward body as the tape's GRUStep, so the hidden trajectory is
+// bit-identical to the eval-tape recurrence. hOut must not alias hPrev;
+// scratch needs ScratchLen floats and is clobbered.
 func (g *GRUKernel) Step(x, hPrev, hOut, scratch []float64) {
-	in, hid := g.In, g.Hidden
-	z, k, kh := scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid]
-	for i := 0; i < hid; i++ {
-		wzx := dot(g.Wz[i*in:(i+1)*in], x)
-		uzh := dot(g.Uz[i*hid:(i+1)*hid], hPrev)
-		z[i] = stableSigmoid((wzx + uzh) + g.Bz[i])
-		wkx := dot(g.Wk[i*in:(i+1)*in], x)
-		ukh := dot(g.Uk[i*hid:(i+1)*hid], hPrev)
-		k[i] = stableSigmoid((wkx + ukh) + g.Bk[i])
+	hid := g.Hidden
+	// The candidate is written into hOut and blended in place.
+	g.forward(x, hPrev, scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid], hOut, hOut)
+}
+
+// forward is the one GRU forward body, shared by Step and Tape.GRUStep:
+//
+//	z = σ(Wz·x + Uz·h + bz)
+//	k = σ(Wk·x + Uk·h + bk)
+//	c = tanh(Wh·x + Uh·(k ⊙ h) + bh)
+//	h' = z ⊙ h + (1 − z) ⊙ c
+//
+// It fills z, k, kh = k ⊙ h and c (which the tape retains for its backward
+// pass) and writes h' to out. Every float64 operation and its order match
+// the primitive MatVec/Add/Mul/Sigmoid/Tanh chain. out may alias c; nothing
+// else may alias.
+func (g *GRUKernel) forward(x, h, z, k, kh, c, out []float64) {
+	x, h = x[:g.In], h[:g.Hidden]
+	gatePre(z, g.Wz, x, g.Uz, h, g.Bz)
+	gatePre(k, g.Wk, x, g.Uk, h, g.Bk)
+	for i := range kh {
+		z[i] = stableSigmoid(z[i])
+		k[i] = stableSigmoid(k[i])
+		kh[i] = k[i] * h[i]
 	}
-	for i := 0; i < hid; i++ {
-		kh[i] = k[i] * hPrev[i]
+	gatePre(c, g.Wh, x, g.Uh, kh, g.Bh)
+	for i := range out {
+		// The same intermediate roundings as the Mul/OneMinus/Mul/Add
+		// chain.
+		ci := math.Tanh(c[i])
+		c[i] = ci
+		zh := z[i] * h[i]
+		oc := (1 - z[i]) * ci
+		out[i] = zh + oc
 	}
-	for i := 0; i < hid; i++ {
-		whx := dot(g.Wh[i*in:(i+1)*in], x)
-		uhkh := dot(g.Uh[i*hid:(i+1)*hid], kh)
-		hOut[i] = math.Tanh((whx + uhkh) + g.Bh[i])
+}
+
+// gatePre writes a gate's pre-activation dst[i] = (W[i]·x + U[i]·h) + b[i]:
+// the two row sums are formed separately and then added, as the MatVec/Add
+// chain does. Rows go four at a time through dot4; the len(dst)%4
+// remainder goes through dot.
+func gatePre(dst, w, x, u, h, b []float64) {
+	in, hid := len(x), len(h)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		w0, w1, w2, w3 := dot4(w[i*in:(i+4)*in], x)
+		u0, u1, u2, u3 := dot4(u[i*hid:(i+4)*hid], h)
+		dst[i] = (w0 + u0) + b[i]
+		dst[i+1] = (w1 + u1) + b[i+1]
+		dst[i+2] = (w2 + u2) + b[i+2]
+		dst[i+3] = (w3 + u3) + b[i+3]
 	}
-	for i := 0; i < hid; i++ {
-		// h' = z⊙h + (1−z)⊙c with the same intermediate roundings as the
-		// fused tape op (and the Mul/OneMinus/Mul/Add chain it replaced).
-		zh := z[i] * hPrev[i]
-		oc := (1 - z[i]) * hOut[i]
-		hOut[i] = zh + oc
+	for ; i < len(dst); i++ {
+		wx := dot(w[i*in:(i+1)*in], x)
+		uh := dot(u[i*hid:(i+1)*hid], h)
+		dst[i] = (wx + uh) + b[i]
 	}
 }

@@ -156,14 +156,7 @@ func (g *GRUCell) Step(t *ad.Tape, x, hPrev *ad.Value) *ad.Value {
 // Kernel returns the cell's parameters as a tape-free ad.GRUKernel. The
 // returned slices alias the live parameter Data — snapshotting callers
 // (the inference engine) must copy them into their own slabs.
-func (g *GRUCell) Kernel() ad.GRUKernel {
-	return ad.GRUKernel{
-		In: g.In, Hidden: g.Hidden,
-		Wz: g.Wz.Data, Uz: g.Uz.Data, Bz: g.Bz.Data,
-		Wk: g.Wk.Data, Uk: g.Uk.Data, Bk: g.Bk.Data,
-		Wh: g.Wh.Data, Uh: g.Uh.Data, Bh: g.Bh.Data,
-	}
-}
+func (g *GRUCell) Kernel() ad.GRUKernel { return g.fused.Kernel() }
 
 // StepReference is the original composition of Step from primitive tape
 // ops. It computes the same mathematics as Step node by node and exists as

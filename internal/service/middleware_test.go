@@ -79,6 +79,7 @@ func TestMetricsScrape(t *testing.T) {
 		"deeprest_quality_windows_scored_total",
 		`deeprest_quality_smape{component="Service",resource="cpu"}`,
 		"deeprest_quality_coverage{",
+		"deeprest_infer_compile_failures_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape is missing %q", want)
