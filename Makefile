@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race check cover fuzz bench bench-all experiments experiments-quick examples clean
+.PHONY: all build vet test test-race check cover loc fuzz bench bench-all experiments experiments-quick examples clean
 
 all: build vet test
 
@@ -16,6 +16,12 @@ check: vet test-race cover
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
+
+# ROADMAP aim 2's number: non-test Go lines outside bench/ (the repo
+# benchmark harness is its own module and frozen between benchmark issues).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | \
+		xargs -0 cat | wc -l
 
 # Short-budget native fuzzing smoke over the decoders that accept external
 # bytes and the fault-spec parser. `go test -fuzz` takes one target per

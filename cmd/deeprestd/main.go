@@ -10,7 +10,6 @@
 //	          [-hidden N] [-epochs N]
 //	          [-retrain-every D] [-window N] [-retention N] [-checkpoint-dir DIR]
 //	          [-history N] [-max-inflight N] [-request-timeout D] [-fault-spec SPEC]
-//	          [-predict-batch-window D] [-predict-workers N]
 //	          [-quality-horizon D] [-quality-retrain-threshold PCT]
 //	          [-log-level L] [-log-format text|json] [-pprof] [-debug-addr A]
 //
@@ -102,7 +101,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/estimator/infer"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -135,8 +133,6 @@ func main() {
 	history := flag.Int("history", 0, "model generations to retain (0 = default)")
 	maxInflight := flag.Int("max-inflight", 0, "admission bound: concurrent API requests before shedding with 503 (0 = unbounded)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline propagated through handler contexts (0 = none)")
-	predictBatchWindow := flag.Duration("predict-batch-window", 0, "bounded wait to grow an estimate micro-batch before one coalesced inference pass (e.g. 2ms; 0 = dispatch immediately, coalescing only requests arriving mid-pass)")
-	predictWorkers := flag.Int("predict-workers", 0, "shared inference worker-pool size for engine predictions (0 = GOMAXPROCS)")
 	faultSpec := flag.String("fault-spec", "", "deterministic control-plane fault scenario, e.g. \"seed=1;retrainfail:prob=0.3\" (see internal/faults; for resilience drills)")
 	qualityHorizon := flag.Duration("quality-horizon", 24*time.Hour, "longest rolling shadow-scoring horizon served at /v1/quality")
 	qualityThreshold := flag.Float64("quality-retrain-threshold", 0, "aggregate sMAPE (percent) that, sustained over 8 scored windows, triggers an early retrain (0 = observe only)")
@@ -195,9 +191,6 @@ func main() {
 		logger.Warn("fault injection armed — this daemon will deliberately fail", "spec", *faultSpec)
 	}
 
-	if *predictWorkers > 0 {
-		infer.SetDefaultWorkers(*predictWorkers)
-	}
 	if *qualityThreshold > 0 {
 		logger.Info("quality-regression retrain gate armed",
 			"smape_threshold_pct", *qualityThreshold, "horizon", *qualityHorizon)
@@ -232,18 +225,17 @@ func main() {
 			fatal("fleet manifest rejected", "path", *fleetPath, "error", err)
 		}
 		fl := fleet.New(fleet.Config{
-			Opts:               opts,
-			Pipeline:           pcfg,
-			MaxTenants:         *maxTenants,
-			TrainWorkers:       *trainWorkers,
-			MaxInflight:        *maxInflight,
-			IngestRate:         *ingestRate,
-			IngestBurst:        *ingestBurst,
-			RequestTimeout:     *requestTimeout,
-			Retention:          resolvedRetention,
-			PredictBatchWindow: *predictBatchWindow,
-			QualityHorizon:     *qualityHorizon,
-			QualityThreshold:   *qualityThreshold,
+			Opts:             opts,
+			Pipeline:         pcfg,
+			MaxTenants:       *maxTenants,
+			TrainWorkers:     *trainWorkers,
+			MaxInflight:      *maxInflight,
+			IngestRate:       *ingestRate,
+			IngestBurst:      *ingestBurst,
+			RequestTimeout:   *requestTimeout,
+			Retention:        resolvedRetention,
+			QualityHorizon:   *qualityHorizon,
+			QualityThreshold: *qualityThreshold,
 		})
 		// -app alongside -fleet adds a tenant named "default" from that
 		// spec, created first so the legacy routes alias it.
@@ -289,7 +281,6 @@ func main() {
 		svc.EnablePprof = *pprofOn
 		svc.MaxInflight = *maxInflight
 		svc.RequestTimeout = *requestTimeout
-		svc.PredictBatchWindow = *predictBatchWindow
 		svc.QualityHorizon = *qualityHorizon
 		svc.QualityThreshold = *qualityThreshold
 		svc.Retention = resolvedRetention

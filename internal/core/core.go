@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync/atomic"
 
 	"repro/internal/anomaly"
 	"repro/internal/app"
@@ -81,40 +80,36 @@ type System struct {
 	// engine is the tape-free inference snapshot of model
 	// (internal/estimator/infer), compiled when the system is built — i.e.
 	// once per published generation, so serving reads never observe a
-	// mixed-generation snapshot. Nil (compile refused the model's shape, or
-	// the generation was retired) falls back to the eval-tape path, which
-	// produces bit-identical results.
-	engine atomic.Pointer[infer.Engine]
+	// mixed-generation snapshot. When the compile was refused engine is nil,
+	// engineErr says why, and every query returns that error.
+	engine    *infer.Engine
+	engineErr error
 }
 
-// compileEngine snapshots the trained model into the serving engine; on
-// refusal the system keeps serving through the tape path, which costs
-// several times the engine's time per estimate — so the refusal is counted
-// and logged where an operator at the default level sees it.
+// compileEngine snapshots the trained model into the serving engine. A
+// refusal is counted and logged where an operator at the default level sees
+// it; the registry then refuses to activate the system (see EngineErr).
 func (s *System) compileEngine() {
 	failures := s.opts.Metrics.Counter("deeprest_infer_compile_failures_total",
-		"Generations whose inference-engine compile was refused and that serve through the slower tape path.")
-	eng, err := infer.Compile(s.model)
-	if err != nil {
+		"Generations whose inference-engine compile was refused; they are never activated.")
+	s.engine, s.engineErr = infer.Compile(s.model)
+	if s.engineErr != nil {
 		failures.Inc()
 		if s.opts.Logger != nil {
-			s.opts.Logger.Warn("inference engine compile failed; serving via tape path",
-				"pairs", len(s.model.Pairs), "err", err)
+			s.opts.Logger.Warn("inference engine compile failed; the system cannot serve",
+				"pairs", len(s.model.Pairs), "err", s.engineErr)
 		}
-		return
 	}
-	s.engine.Store(eng)
 }
 
-// Engine returns the compiled inference engine, or nil when the system
-// serves through the tape path.
-func (s *System) Engine() *infer.Engine { return s.engine.Load() }
+// Engine returns the compiled inference engine, or nil when the compile was
+// refused.
+func (s *System) Engine() *infer.Engine { return s.engine }
 
-// ReleaseEngine drops the inference snapshot — called when a generation is
-// retired from the registry, so the parameter slabs are reclaimed even
-// while a slow reader still holds the generation. Requests racing the
-// release simply finish on the tape path.
-func (s *System) ReleaseEngine() { s.engine.Store(nil) }
+// EngineErr reports why the engine compile was refused (nil when it was
+// not). estimator.Train and Load output always compiles — every expert they
+// build has the uniform shape infer.Compile checks.
+func (s *System) EngineErr() error { return s.engineErr }
 
 // Learn runs the application learning phase over windows [from, to) of the
 // telemetry server: it builds the invocation-path feature space, learns
@@ -261,14 +256,14 @@ func (s *System) EstimateTraffic(t *workload.Traffic) (map[app.Pair]estimator.Es
 }
 
 // EstimateTrafficBatch runs Mode-1 queries for several hypothetical
-// traffics as one coalesced engine pass: the closed-loop autoscaler asks
-// "what will utilization be?" once per scheduling interval over a slightly
-// different hybrid traffic (realized-so-far plus projected-remainder), and
-// batching those forecasts amortises the per-pass weight traffic. With no
-// compiled engine (or when the engine refuses a series shape) every series
-// falls back to the tape path; both paths are bit-identical to calling
-// EstimateTraffic per traffic.
+// traffics as one engine pass: the closed-loop autoscaler asks "what will
+// utilization be?" once per scheduling interval over a slightly different
+// hybrid traffic (realized-so-far plus projected-remainder). The result is
+// bit-identical to calling EstimateTraffic per traffic.
 func (s *System) EstimateTrafficBatch(ts []*workload.Traffic) ([]map[app.Pair]estimator.Estimate, error) {
+	if s.engineErr != nil {
+		return nil, s.engineErr
+	}
 	batch := make([][]features.Vector, len(ts))
 	for i, t := range ts {
 		series, err := s.SynthesizeFeatures(t)
@@ -277,26 +272,11 @@ func (s *System) EstimateTrafficBatch(ts []*workload.Traffic) ([]map[app.Pair]es
 		}
 		batch[i] = series
 	}
-	if eng := s.engine.Load(); eng != nil {
-		if out, err := eng.PredictBatch(batch); err == nil {
-			return out, nil
-		}
-	}
-	out := make([]map[app.Pair]estimator.Estimate, len(batch))
-	for i, series := range batch {
-		est, err := s.model.PredictVectors(series)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = est
-	}
-	return out, nil
+	return s.engine.PredictBatch(batch)
 }
 
 // SynthesizeFeatures runs the front half of a Mode-1 query: anonymisation,
-// trace synthesis, and feature extraction. The request batcher uses it to
-// prepare several requests' series before fanning them through the engine
-// as one coalesced pass.
+// trace synthesis, and feature extraction.
 func (s *System) SynthesizeFeatures(t *workload.Traffic) ([]features.Vector, error) {
 	qt := t
 	if s.hasher != nil {
@@ -309,16 +289,12 @@ func (s *System) SynthesizeFeatures(t *workload.Traffic) ([]features.Vector, err
 	return s.model.Space.ExtractSeries(windows), nil
 }
 
-// predictSeries routes a feature series through the tape-free engine when
-// one is compiled, falling back to the eval-tape path otherwise (or when
-// the engine refuses the series shape). Both paths are bit-identical.
+// predictSeries runs a feature series through the compiled engine.
 func (s *System) predictSeries(series []features.Vector) (map[app.Pair]estimator.Estimate, error) {
-	if eng := s.engine.Load(); eng != nil {
-		if est, err := eng.Predict(series); err == nil {
-			return est, nil
-		}
+	if s.engineErr != nil {
+		return nil, s.engineErr
 	}
-	return s.model.PredictVectors(series)
+	return s.engine.Predict(series)
 }
 
 func hashTrafficAPIs(h *trace.Hasher, t *workload.Traffic) *workload.Traffic {

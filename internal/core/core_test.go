@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"log/slog"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,7 +10,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/estimator"
 	"repro/internal/eval"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
@@ -305,9 +304,9 @@ func TestAnonymizationIsLossless(t *testing.T) {
 }
 
 // TestEstimateTrafficBatchMatchesSingle pins the batch entry point's
-// bit-identity contract on both serving paths: a coalesced engine pass and
-// the tape fallback must each return exactly what per-traffic
-// EstimateTraffic calls would.
+// bit-identity contract: one engine pass over several traffics returns
+// exactly what per-traffic EstimateTraffic calls return, and both equal the
+// eval tape (Model.PredictVectors), which stays the oracle.
 func TestEstimateTrafficBatchMatchesSingle(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 2, 30, 5)
 	p := app.Pair{Component: "DB", Resource: app.CPU}
@@ -315,65 +314,54 @@ func TestEstimateTrafficBatchMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sys.Engine() == nil {
+		t.Fatalf("no compiled inference engine after LearnFromData: %v", sys.EngineErr())
+	}
 	queries := []*workload.Traffic{
 		testutil.ToyProgram(1, 40, 6).Generate(),
 		testutil.ToyProgram(1, 55, 7).Generate(),
 		testutil.ToyProgram(1, 25, 8).Generate(),
 	}
-	check := func(path string) {
-		batch, err := sys.EstimateTrafficBatch(queries)
+	batch, err := sys.EstimateTrafficBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != len(queries) {
+		t.Fatalf("%d results for %d queries", len(batch), len(queries))
+	}
+	same := func(what string, q int, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("query %d %s: %d windows, want %d", q, what, len(got), len(want))
+		}
+		for w := range want {
+			if math.Float64bits(got[w]) != math.Float64bits(want[w]) {
+				t.Fatalf("query %d window %d %s: %.17g != %.17g", q, w, what, got[w], want[w])
+			}
+		}
+	}
+	for i, q := range queries {
+		single, err := sys.EstimateTraffic(q)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			t.Fatal(err)
 		}
-		if len(batch) != len(queries) {
-			t.Fatalf("%s: %d results for %d queries", path, len(batch), len(queries))
+		series, err := sys.SynthesizeFeatures(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, q := range queries {
-			single, err := sys.EstimateTraffic(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for w := range single[p].Exp {
-				if batch[i][p].Exp[w] != single[p].Exp[w] || batch[i][p].Up[w] != single[p].Up[w] {
-					t.Fatalf("%s: query %d window %d: batch (%.12f,%.12f) != single (%.12f,%.12f)",
-						path, i, w, batch[i][p].Exp[w], batch[i][p].Up[w], single[p].Exp[w], single[p].Up[w])
-				}
-			}
+		tape, err := sys.Model().PredictVectors(series)
+		if err != nil {
+			t.Fatal(err)
 		}
+		same("batch vs single exp", i, batch[i][p].Exp, single[p].Exp)
+		same("batch vs single low", i, batch[i][p].Low, single[p].Low)
+		same("batch vs single up", i, batch[i][p].Up, single[p].Up)
+		same("batch vs tape exp", i, batch[i][p].Exp, tape[p].Exp)
+		same("batch vs tape low", i, batch[i][p].Low, tape[p].Low)
+		same("batch vs tape up", i, batch[i][p].Up, tape[p].Up)
 	}
-	if sys.Engine() == nil {
-		t.Fatal("expected a compiled inference engine after LearnFromData")
-	}
-	check("engine")
-	sys.ReleaseEngine()
-	check("tape")
 
 	if out, err := sys.EstimateTrafficBatch(nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: got %v, %v", out, err)
-	}
-}
-
-// TestCompileRefusalIsCountedAndWarned: a generation the inference engine
-// refuses keeps serving through the tape path, but the refusal shows at the
-// daemon's default log level and in /metrics rather than only as latency.
-func TestCompileRefusalIsCountedAndWarned(t *testing.T) {
-	var logBuf bytes.Buffer
-	opts := testOptions()
-	opts.Metrics = obs.NewRegistry()
-	opts.Logger = slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelWarn}))
-
-	sys := Restore(&estimator.Model{}, nil, opts) // no experts: Compile refuses
-	if sys.Engine() != nil {
-		t.Fatal("engine compiled from an empty model")
-	}
-	var scrape bytes.Buffer
-	if err := opts.Metrics.WritePrometheus(&scrape); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(scrape.String(), "deeprest_infer_compile_failures_total 1\n") {
-		t.Errorf("refusal not counted:\n%s", scrape.String())
-	}
-	if line := logBuf.String(); !strings.Contains(line, "level=WARN") || !strings.Contains(line, "pairs=0") {
-		t.Errorf("refusal not logged at Warn with the pair count: %q", line)
 	}
 }

@@ -78,17 +78,21 @@ func NewDetector() *Detector {
 // measurement. The returned Signal has Drifted/Reason filled in per the
 // detector thresholds.
 func (d *Detector) Measure(m *estimator.Model, windows [][]trace.Batch, actual map[app.Pair][]float64) (Signal, error) {
-	return d.MeasureVectors(m, m.Space.ExtractSeries(windows), actual)
+	series := m.Space.ExtractSeries(windows)
+	est, err := m.PredictVectors(series)
+	if err != nil {
+		return Signal{}, fmt.Errorf("drift: predict: %w", err)
+	}
+	return d.MeasureVectors(series, est, m.Pairs, actual)
 }
 
-// MeasureVectors is Measure over pre-extracted feature vectors — the
-// telemetry store caches them per window (extracted once at Record time), so
-// the continuous-learning pipeline's periodic drift checks stop re-walking
-// the same trace trees. The vectors must come from m.Space; extraction and
-// prediction each happen exactly once here, where Measure previously
-// extracted the series twice (once for the unknown tally, once inside
-// Predict).
-func (d *Detector) MeasureVectors(m *estimator.Model, series []features.Vector, actual map[app.Pair][]float64) (Signal, error) {
+// MeasureVectors is the scoring half of Measure, over pre-extracted feature
+// vectors and the estimates some model produced for them — the continuous-
+// learning pipeline reads the vectors from the telemetry store's per-window
+// cache and the estimates from the serving engine, so its periodic drift
+// checks neither re-walk trace trees nor replay the eval tape. pairs lists
+// the pairs to score, in the model's order.
+func (d *Detector) MeasureVectors(series []features.Vector, est map[app.Pair]estimator.Estimate, pairs []app.Pair, actual map[app.Pair][]float64) (Signal, error) {
 	sig := Signal{Windows: len(series), PairMAPE: make(map[app.Pair]float64)}
 	if len(series) == 0 {
 		return sig, fmt.Errorf("drift: no windows to measure")
@@ -107,12 +111,8 @@ func (d *Detector) MeasureVectors(m *estimator.Model, series []features.Vector, 
 	}
 
 	// Concept drift: estimation error and interval coverage.
-	est, err := m.PredictVectors(series)
-	if err != nil {
-		return sig, fmt.Errorf("drift: predict: %w", err)
-	}
 	var covered, observations int
-	for _, p := range m.Pairs {
+	for _, p := range pairs {
 		measured, ok := actual[p]
 		if !ok || len(measured) != len(series) || p.Resource == app.DiskUsage {
 			continue

@@ -15,7 +15,7 @@ import (
 // configuration, one day of windows) so ns/op and allocs/op are directly
 // comparable: ModelPredict is the eval-tape baseline, InferPredict is the
 // compiled tape-free engine on the identical computation, InferBatched is
-// the coalesced multi-request pass the service batcher dispatches.
+// the multi-series pass core.EstimateTrafficBatch runs for offline forecasts.
 
 func benchEngine(b *testing.B) (*infer.Engine, []features.Vector, int) {
 	b.Helper()
@@ -81,8 +81,8 @@ func BenchmarkInferPredictSocial128(b *testing.B) {
 	}
 }
 
-// BenchmarkInferBatched measures one coalesced engine pass over 8 day-long
-// requests — what the estimate batcher dispatches for a concurrent burst —
+// BenchmarkInferBatched measures one engine pass over 8 day-long series —
+// what core.EstimateTrafficBatch runs for the control loop's forecasts —
 // and reports the effective per-request cost.
 func BenchmarkInferBatched(b *testing.B) {
 	eng, day, _ := benchEngine(b)

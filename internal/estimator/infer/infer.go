@@ -68,10 +68,10 @@ type predictScratch struct {
 	triples [][3]float64 // P×T scaled output triples
 }
 
-// Compile snapshots m into an engine. It fails (and the caller falls back
-// to the tape path) when the model's shape is not the uniform architecture
-// the slab layout assumes — e.g. hand-assembled experts with mismatched
-// dimensions or unresolvable attention peers.
+// Compile snapshots m into an engine. It fails when the model's shape is
+// not the uniform architecture the slab layout assumes — e.g. hand-assembled
+// experts with mismatched dimensions or unresolvable attention peers —
+// which estimator.Train and Load output never is.
 func Compile(m *estimator.Model) (*Engine, error) {
 	if m == nil || len(m.Pairs) == 0 {
 		return nil, fmt.Errorf("infer: no trained experts to compile")
@@ -358,8 +358,10 @@ func (e *Engine) PredictInto(series []features.Vector, out map[app.Pair]estimato
 
 // PredictBatch runs several independent feature series through the engine
 // as one fanned pass: all (series, expert) tasks of the batch share one
-// trip through the worker pool, so a coalesced micro-batch of concurrent
-// requests costs two pool dispatches total instead of two per request.
+// trip through the worker pool — two pool dispatches total instead of two
+// per series. Each result is bit-identical to Predict on that series. The
+// tasks share no weights, so a series costs no less inside a batch than
+// alone; the caller is core.EstimateTrafficBatch (offline forecasts).
 func (e *Engine) PredictBatch(batch [][]features.Vector) ([]map[app.Pair]estimator.Estimate, error) {
 	B, P := len(batch), len(e.experts)
 	if B == 0 {

@@ -95,33 +95,12 @@ func (p *Pool) Run(n int, fn func(int)) {
 	j.wg.Wait()
 }
 
-// The process-shared serving pool. Engines use it by default so generation
-// swaps never leak worker goroutines; its size is configurable once at
-// startup (deeprestd -predict-workers) before the first predict.
-var (
-	defaultMu      sync.Mutex
-	defaultPool    *Pool
-	defaultWorkers int
-)
-
-// SetDefaultWorkers fixes the size of the shared serving pool. It must be
-// called before the first prediction; once the pool exists the call is
-// ignored.
-func SetDefaultWorkers(n int) {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultPool == nil {
-		defaultWorkers = n
-	}
-}
+// The process-shared serving pool, one worker per GOMAXPROCS. Engines use
+// it by default so generation swaps never leak worker goroutines. Callers
+// of Run always participate, so the pool size never bounds how many
+// predictions run at once — only how many helpers they can borrow.
+var sharedPool = sync.OnceValue(func() *Pool { return NewPool(0) })
 
 // SharedPool returns the process-wide serving pool, creating it on first
 // use.
-func SharedPool() *Pool {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultPool == nil {
-		defaultPool = NewPool(defaultWorkers)
-	}
-	return defaultPool
-}
+func SharedPool() *Pool { return sharedPool() }

@@ -10,7 +10,7 @@
 //
 //   - each Tenant wraps one service.Server, which owns its telemetry ring,
 //     per-generation feature cache, model registry, shadow scorer, estimate
-//     cache, and batcher; no per-tenant state is reachable from another
+//     cache, and singleflight; no per-tenant state is reachable from another
 //     tenant, so retiring a tenant can never free a neighbour's rings or
 //     inference engine;
 //   - shared process-wide resources are explicitly label-partitioned: the
@@ -76,15 +76,14 @@ type Config struct {
 	// Retry-After. Rate 0 disables. Burst 0 defaults to max(2*rate, 4).
 	IngestRate  float64
 	IngestBurst int
-	// RequestTimeout, Retention, EstimateCache, PredictBatchWindow,
-	// QualityHorizon, QualityThreshold mirror the service.Server fields and
-	// apply to every tenant (Retention overridable per TenantSpec).
-	RequestTimeout     time.Duration
-	Retention          int
-	EstimateCache      int
-	PredictBatchWindow time.Duration
-	QualityHorizon     time.Duration
-	QualityThreshold   float64
+	// RequestTimeout, Retention, EstimateCache, QualityHorizon,
+	// QualityThreshold mirror the service.Server fields and apply to every
+	// tenant (Retention overridable per TenantSpec).
+	RequestTimeout   time.Duration
+	Retention        int
+	EstimateCache    int
+	QualityHorizon   time.Duration
+	QualityThreshold float64
 }
 
 // TenantSpec declares one tenant — the POST /v1/tenants body and the fleet
@@ -271,7 +270,6 @@ func (f *Fleet) build(ts TenantSpec) (*Tenant, error) {
 		srv.Retention = ts.Retention
 	}
 	srv.EstimateCache = f.cfg.EstimateCache
-	srv.PredictBatchWindow = f.cfg.PredictBatchWindow
 	srv.QualityHorizon = f.cfg.QualityHorizon
 	srv.QualityThreshold = f.cfg.QualityThreshold
 
@@ -345,10 +343,10 @@ func (f *Fleet) Tenants() []*Tenant {
 	return out
 }
 
-// Retire removes a tenant. Its inference engines are released immediately
-// (in-flight requests finish on the tape path, bit-identically); everything
-// else the tenant owned becomes unreachable and is reclaimed by GC. Other
-// tenants are untouched — they own their state outright.
+// Retire removes a tenant. In-flight requests finish on the generation they
+// hold; everything the tenant owned — inference engines included — becomes
+// unreachable and is reclaimed by GC. Other tenants are untouched — they own
+// their state outright.
 func (f *Fleet) Retire(id string) error {
 	f.mu.Lock()
 	t, ok := f.tenants[id]
@@ -370,9 +368,6 @@ func (f *Fleet) Retire(id string) error {
 	f.tenantsGauge.Set(float64(len(f.tenants)))
 	f.mu.Unlock()
 	t.retired.Store(true)
-	for _, g := range t.srv.Pipeline().Registry().Generations() {
-		g.System.ReleaseEngine()
-	}
 	f.tenantOps.With("retire", "ok").Inc()
 	return nil
 }

@@ -717,21 +717,28 @@ func (p *Pipeline) checkDrift() bool {
 	if err != nil {
 		return false
 	}
-	var sig drift.Signal
+	// Retention-aware stores serve the cached per-window vectors instead of
+	// re-walking every trace tree on every drift tick; either way the
+	// series comes from the generation's own extractor (anonymisation
+	// included) and the estimates from its serving engine.
+	extract := g.System.Extractor()
+	var series []features.Vector
 	if fs, ok := src.(FeatureSource); ok {
-		// Retention-aware store: score the cached per-window vectors
-		// instead of re-walking every trace tree on every drift tick.
-		series, ferr := fs.Features(g.Version, g.System.Extractor(), from, n)
-		if ferr != nil {
-			return false
-		}
-		sig, err = p.det.MeasureVectors(g.Model(), series, usage)
+		series, err = fs.Features(g.Version, extract, from, n)
 	} else {
 		var windows [][]trace.Batch
-		if windows, err = src.Traces(from, n); err != nil {
-			return false
+		windows, err = src.Traces(from, n)
+		for _, w := range windows {
+			series = append(series, extract(w))
 		}
-		sig, err = p.det.Measure(g.Model(), windows, usage)
+	}
+	if err != nil {
+		return false
+	}
+	var sig drift.Signal
+	est, err := g.System.ExpectedUtilizationVectors(series)
+	if err == nil {
+		sig, err = p.det.MeasureVectors(series, est, g.System.Pairs(), usage)
 	}
 	if err != nil {
 		p.mu.Lock()

@@ -112,8 +112,13 @@ func (r *Registry) Active() *Generation { return r.active.Load() }
 
 // Publish assigns the next version to g, checkpoints it, appends it to the
 // history (evicting the oldest non-active generation beyond the bound), and
-// atomically makes it the serving generation.
+// atomically makes it the serving generation. A generation whose inference
+// engine did not compile cannot answer queries and is refused; the active
+// generation keeps serving.
 func (r *Registry) Publish(ctx context.Context, g *Generation) (*Generation, error) {
+	if err := g.System.EngineErr(); err != nil {
+		return nil, fmt.Errorf("pipeline: generation not servable: %w", err)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g.Version = r.next
@@ -158,10 +163,6 @@ func (r *Registry) evictLocked() {
 		}
 		g := r.gens[victim]
 		r.gens = append(r.gens[:victim], r.gens[victim+1:]...)
-		// Retired generations drop their inference snapshot immediately:
-		// the parameter slabs are reclaimed even if a slow reader still
-		// holds the generation pointer (it finishes on the tape path).
-		g.System.ReleaseEngine()
 		if r.dir != "" {
 			_ = os.Remove(r.checkpointPath(g.Version))
 		}
@@ -318,9 +319,13 @@ func readCheckpoint(path string, rebuild func(*estimator.Model) *core.System) (*
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: %w", filepath.Base(path), err)
 	}
+	sys := rebuild(model)
+	if err := sys.EngineErr(); err != nil {
+		return nil, fmt.Errorf("pipeline: checkpoint %s not servable: %w", filepath.Base(path), err)
+	}
 	return &Generation{
 		Version: ck.Version, Trigger: "recovered", From: ck.From, To: ck.To,
-		Warm: ck.Warm, TrainedAt: ck.TrainedAt, System: rebuild(model),
+		Warm: ck.Warm, TrainedAt: ck.TrainedAt, System: sys,
 	}, nil
 }
 

@@ -4,94 +4,56 @@ import (
 	"context"
 	"encoding/json"
 	"sync"
-	"time"
 
-	"repro/internal/app"
-	"repro/internal/estimator"
-	"repro/internal/features"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
-// estBatcher coalesces concurrent /v1/estimate cache misses into group
-// commits. Two mechanisms stack:
-//
-//   - Singleflight dedup: an arriving request identical to one already in
-//     flight (same generation, same canonical body) joins that call instead
-//     of computing independently — under a thundering herd of identical
-//     queries only the first one pays.
-//   - Micro-batching: distinct requests arriving while a pass is executing
-//     (plus, optionally, a bounded wait window) are dispatched as ONE
-//     engine pass whose (request, expert) tasks fan across the shared
-//     bounded worker pool — instead of every request spawning its own
-//     per-expert goroutines.
-//
-// Each call pins its generation at submit time, so a batch that straddles a
-// model swap simply splits into per-generation groups; a response can never
-// mix experts from two generations.
-type estBatcher struct {
-	window   time.Duration // bounded extra wait to grow a batch (0: dispatch immediately)
-	maxBatch int           // cap on requests per engine pass
+// estFlights is the singleflight in front of /v1/estimate cache misses: an
+// arriving request identical to one already computing (same generation,
+// same canonical body) joins that flight instead of computing again, so a
+// thundering herd of identical queries pays once. Distinct requests each
+// run gen.System.EstimateTraffic on a goroutine of their own and fan their
+// expert passes straight onto the shared inference pool. A flight is pinned
+// to the generation its first caller read, so a response can never mix
+// experts from two generations.
+type estFlights struct {
+	mu    sync.Mutex
+	calls map[uint64]*estCall
 
-	mu       sync.Mutex
-	pending  []*estCall
-	inflight bool
-	calls    map[uint64]*estCall // in-flight singleflight index
-
-	dedupHits   *obs.Counter
-	batches     *obs.Counter
-	batchedReqs *obs.Counter
+	cache     *predCache // filled once per flight, on completion; nil = caching off
+	dedupHits *obs.Counter
 }
 
-// estCall is one coalesced computation; waiters block on done.
+// estCall is one in-flight computation; waiters block on done.
 type estCall struct {
-	key     uint64
-	canon   string
-	gen     *pipeline.Generation
-	traffic *workload.Traffic
-	done    chan struct{}
-	body    []byte // marshaled response (with trailing newline) on success
-	err     error
+	canon string
+	gen   *pipeline.Generation
+	done  chan struct{}
+	body  []byte // marshaled response (with trailing newline) on success
+	err   error
 }
 
-func newEstBatcher(window time.Duration, maxBatch int) *estBatcher {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	return &estBatcher{window: window, maxBatch: maxBatch, calls: make(map[uint64]*estCall)}
-}
-
-// instrument attaches the batcher's counters (nil-safe no-ops otherwise).
-func (b *estBatcher) instrument(dedup, batches, batched *obs.Counter) {
-	b.dedupHits, b.batches, b.batchedReqs = dedup, batches, batched
+func newEstFlights(cache *predCache, dedupHits *obs.Counter) *estFlights {
+	return &estFlights{calls: make(map[uint64]*estCall), cache: cache, dedupHits: dedupHits}
 }
 
 // do computes (or joins) the estimate for one request and returns the
-// marshaled response body. ctx bounds only this caller's wait: an abandoned
-// call still completes so joiners and the response cache get their result.
-func (b *estBatcher) do(ctx context.Context, gen *pipeline.Generation, traffic *workload.Traffic, key uint64, canon []byte) ([]byte, error) {
-	b.mu.Lock()
-	if c, ok := b.calls[key]; ok && c.canon == string(canon) && c.gen == gen {
-		b.dedupHits.Inc()
-		b.mu.Unlock()
-		return c.wait(ctx)
+// marshaled response body. ctx bounds only this caller's wait: a flight
+// every caller has abandoned still completes, so joiners and the response
+// cache get their result.
+func (f *estFlights) do(ctx context.Context, gen *pipeline.Generation, traffic *workload.Traffic, key uint64, canon []byte) ([]byte, error) {
+	f.mu.Lock()
+	c, ok := f.calls[key]
+	if ok && c.canon == string(canon) && c.gen == gen {
+		f.dedupHits.Inc()
+	} else {
+		c = &estCall{canon: string(canon), gen: gen, done: make(chan struct{})}
+		f.calls[key] = c
+		go f.run(c, key, traffic)
 	}
-	c := &estCall{key: key, canon: string(canon), gen: gen, traffic: traffic, done: make(chan struct{})}
-	b.calls[key] = c
-	b.pending = append(b.pending, c)
-	start := !b.inflight
-	if start {
-		b.inflight = true
-	}
-	b.mu.Unlock()
-	if start {
-		go b.loop()
-	}
-	return c.wait(ctx)
-}
-
-func (c *estCall) wait(ctx context.Context) ([]byte, error) {
+	f.mu.Unlock()
 	select {
 	case <-c.done:
 		return c.body, c.err
@@ -100,104 +62,24 @@ func (c *estCall) wait(ctx context.Context) ([]byte, error) {
 	}
 }
 
-// loop is the group-commit dispatcher: it drains pending in batches until
-// none remain, then exits. With window == 0 the first request of a burst
-// dispatches immediately and followers coalesce behind the executing pass.
-func (b *estBatcher) loop() {
-	for {
-		if b.window > 0 {
-			time.Sleep(b.window)
-		}
-		b.mu.Lock()
-		n := len(b.pending)
-		if n == 0 {
-			b.inflight = false
-			b.mu.Unlock()
-			return
-		}
-		if n > b.maxBatch {
-			n = b.maxBatch
-		}
-		batch := make([]*estCall, n)
-		copy(batch, b.pending)
-		rest := copy(b.pending, b.pending[n:])
-		for i := rest; i < len(b.pending); i++ {
-			b.pending[i] = nil
-		}
-		b.pending = b.pending[:rest]
-		b.mu.Unlock()
-		b.exec(batch)
-	}
-}
-
-func (b *estBatcher) exec(batch []*estCall) {
-	b.batches.Inc()
-	b.batchedReqs.Add(uint64(len(batch)))
-	// A swap mid-burst splits the batch per pinned generation.
-	groups := make(map[*pipeline.Generation][]*estCall, 1)
-	for _, c := range batch {
-		groups[c.gen] = append(groups[c.gen], c)
-	}
-	for gen, group := range groups {
-		b.execGroup(gen, group)
-	}
-}
-
-func (b *estBatcher) execGroup(gen *pipeline.Generation, group []*estCall) {
-	eng := gen.System.Engine()
-	if eng == nil {
-		// Tape-path generation (engine compile refused, or the snapshot was
-		// released on retire): no batched pass, but dedup still applied.
-		for _, c := range group {
-			est, err := gen.System.EstimateTraffic(c.traffic)
-			b.finish(c, est, err)
-		}
-		return
-	}
-	series := make([][]features.Vector, 0, len(group))
-	ok := make([]*estCall, 0, len(group))
-	for _, c := range group {
-		sv, err := gen.System.SynthesizeFeatures(c.traffic)
-		if err != nil {
-			b.finish(c, nil, err)
-			continue
-		}
-		series = append(series, sv)
-		ok = append(ok, c)
-	}
-	if len(ok) == 0 {
-		return
-	}
-	ests, err := eng.PredictBatch(series)
-	if err != nil {
-		for _, c := range ok {
-			est, err := gen.System.EstimateTraffic(c.traffic)
-			b.finish(c, est, err)
-		}
-		return
-	}
-	for i, c := range ok {
-		b.finish(c, ests[i], nil)
-	}
-}
-
-// finish marshals the result, retires the singleflight entry, and releases
-// every waiter.
-func (b *estBatcher) finish(c *estCall, est map[app.Pair]estimator.Estimate, err error) {
-	if err != nil {
-		c.err = err
-	} else {
-		body, merr := json.Marshal(toEstimateResponse(c.gen.Version, est))
-		if merr != nil {
-			c.err = merr
-		} else {
+// run computes the flight's estimate, caches the marshaled body, retires
+// the singleflight entry and releases every waiter.
+func (f *estFlights) run(c *estCall, key uint64, traffic *workload.Traffic) {
+	est, err := c.gen.System.EstimateTraffic(traffic)
+	if err == nil {
+		var body []byte
+		if body, err = json.Marshal(toEstimateResponse(c.gen.Version, est)); err == nil {
 			c.body = append(body, '\n')
+			if f.cache != nil {
+				f.cache.put(key, c.canon, c.body)
+			}
 		}
 	}
-	b.mu.Lock()
-	if b.calls[c.key] == c {
-		delete(b.calls, c.key)
+	c.err = err
+	f.mu.Lock()
+	if f.calls[key] == c {
+		delete(f.calls, key)
 	}
-	b.mu.Unlock()
+	f.mu.Unlock()
 	close(c.done)
 }

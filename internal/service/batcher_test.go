@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +16,17 @@ import (
 	"repro/internal/workload"
 )
 
-// learnedBatcherFixture trains one generation and returns the server with an
-// instrumented batcher, ready for direct do()/exec() calls.
-func learnedBatcherFixture(t *testing.T, window time.Duration) (*Server, *pipeline.Generation, *estBatcher) {
+// learnedFlightFixture trains one generation on an instrumented server and
+// returns it with its handler, ready for HTTP requests or direct
+// s.flights.do calls.
+func learnedFlightFixture(t *testing.T) (*Server, http.Handler, *pipeline.Generation) {
 	t.Helper()
-	s := newTestService()
+	opts := quickServiceOpts()
+	opts.Metrics = obs.NewRegistry()
+	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := s.Handler()
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 7)); rec.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
@@ -31,14 +38,7 @@ func learnedBatcherFixture(t *testing.T, window time.Duration) (*Server, *pipeli
 	if gen == nil {
 		t.Fatal("no active generation after learn")
 	}
-	reg := obs.NewRegistry()
-	b := newEstBatcher(window, 64)
-	b.instrument(
-		reg.Counter("dedup", "test"),
-		reg.Counter("batches", "test"),
-		reg.Counter("batched", "test"),
-	)
-	return s, gen, b
+	return s, h, gen
 }
 
 func testTraffic(readRPS int) *workload.Traffic {
@@ -50,7 +50,7 @@ func testTraffic(readRPS int) *workload.Traffic {
 }
 
 // wantBody is what the handler would serve for the traffic: the generation's
-// own estimate, marshaled the same way the batcher marshals.
+// own estimate, marshaled the same way a flight marshals.
 func wantBody(t *testing.T, gen *pipeline.Generation, traffic *workload.Traffic) []byte {
 	t.Helper()
 	est, err := gen.System.EstimateTraffic(traffic)
@@ -64,46 +64,65 @@ func wantBody(t *testing.T, gen *pipeline.Generation, traffic *workload.Traffic)
 	return append(body, '\n')
 }
 
+// waitRetired blocks until the flight registered under key, if any, has
+// completed (a flight leaves the index before it releases its waiters).
+func waitRetired(t *testing.T, f *estFlights, key uint64) {
+	t.Helper()
+	f.mu.Lock()
+	c := f.calls[key]
+	f.mu.Unlock()
+	if c == nil {
+		return
+	}
+	select {
+	case <-c.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("abandoned flight never completed")
+	}
+}
+
 // TestBatcherDedupJoinsInflightCall pins singleflight: a request identical
 // to one already in flight joins it (counted as a dedup hit) instead of
-// queueing a second computation.
+// starting a second computation.
 func TestBatcherDedupJoinsInflightCall(t *testing.T) {
-	_, gen, b := learnedBatcherFixture(t, 0)
+	s, _, gen := learnedFlightFixture(t)
+	f := s.flights
 	canon := []byte(`{"windows":[{"/read":10}]}`)
 	key := predKey(gen.Version, canon)
 
 	// Plant an in-flight call by hand so the join is deterministic, then
 	// release it from another goroutine.
-	c := &estCall{key: key, canon: string(canon), gen: gen, done: make(chan struct{})}
-	b.mu.Lock()
-	b.calls[key] = c
-	b.mu.Unlock()
+	c := &estCall{canon: string(canon), gen: gen, done: make(chan struct{})}
+	f.mu.Lock()
+	f.calls[key] = c
+	f.mu.Unlock()
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		c.body = []byte("joined")
 		close(c.done)
 	}()
 
-	body, err := b.do(context.Background(), gen, testTraffic(10), key, canon)
+	body, err := f.do(context.Background(), gen, testTraffic(10), key, canon)
 	if err != nil {
 		t.Fatalf("do: %v", err)
 	}
 	if string(body) != "joined" {
 		t.Fatalf("joined call returned %q, want the in-flight result", body)
 	}
-	if got := b.dedupHits.Value(); got != 1 {
+	if got := f.dedupHits.Value(); got != 1 {
 		t.Fatalf("dedup hits = %d, want 1", got)
 	}
-	if got := b.batches.Value(); got != 0 {
-		t.Fatalf("joining must not dispatch a pass, got %d batches", got)
+	if s.estCache.len() != 0 {
+		t.Fatal("a joiner filled the cache; only the flight's completion may")
 	}
 }
 
-// TestBatcherCoalescesDistinctRequests checks that distinct concurrent
-// requests land in ONE batched inference pass and each still gets exactly
-// the body the sequential path would have produced.
-func TestBatcherCoalescesDistinctRequests(t *testing.T) {
-	_, gen, b := learnedBatcherFixture(t, 100*time.Millisecond)
+// TestBatcherDistinctMissesRunIndependently (successor of
+// TestBatcherCoalescesDistinctRequests): N concurrent distinct misses each
+// get exactly the body the sequential path produces, and none joins another.
+func TestBatcherDistinctMissesRunIndependently(t *testing.T) {
+	s, _, gen := learnedFlightFixture(t)
+	f := s.flights
 	const n = 4
 	bodies := make([][]byte, n)
 	errs := make([]error, n)
@@ -112,9 +131,8 @@ func TestBatcherCoalescesDistinctRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			traffic := testTraffic(10 + i)
 			canon := []byte(fmt.Sprintf(`{"windows":[{"/read":%d}]}`, 10+i))
-			bodies[i], errs[i] = b.do(context.Background(), gen, traffic, predKey(gen.Version, canon), canon)
+			bodies[i], errs[i] = f.do(context.Background(), gen, testTraffic(10+i), predKey(gen.Version, canon), canon)
 		}(i)
 	}
 	wg.Wait()
@@ -123,25 +141,22 @@ func TestBatcherCoalescesDistinctRequests(t *testing.T) {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
 		if want := wantBody(t, gen, testTraffic(10+i)); !bytes.Equal(bodies[i], want) {
-			t.Fatalf("request %d: coalesced body diverges from the sequential path", i)
+			t.Fatalf("request %d: concurrent body diverges from the sequential path", i)
 		}
 	}
-	// All four submitted within the 100ms grow window of the first dispatch.
-	if got := b.batches.Value(); got != 1 {
-		t.Fatalf("dispatched %d passes for %d concurrent requests, want 1", got, n)
-	}
-	if got := b.batchedReqs.Value(); got != n {
-		t.Fatalf("batched %d requests, want %d", got, n)
-	}
-	if got := b.dedupHits.Value(); got != 0 {
+	if got := f.dedupHits.Value(); got != 0 {
 		t.Fatalf("distinct requests counted %d dedup hits", got)
+	}
+	if got := s.estCache.len(); got != n {
+		t.Fatalf("%d cache entries after %d distinct flights", got, n)
 	}
 }
 
-// TestBatcherSplitsGenerations checks a batch straddling a model swap never
-// mixes generations: each call is answered by the generation it pinned.
-func TestBatcherSplitsGenerations(t *testing.T) {
-	s, gen1, b := learnedBatcherFixture(t, 0)
+// TestBatcherGenerationsNeverJoin (successor of TestBatcherSplitsGenerations):
+// the same canonical body pinned to two generations runs as two flights, and
+// each body carries the version of the generation it pinned.
+func TestBatcherGenerationsNeverJoin(t *testing.T) {
+	s, _, gen1 := learnedFlightFixture(t)
 	gen2, err := s.Pipeline().TrainOnce(0, 0, nil, "manual")
 	if err != nil {
 		t.Fatalf("second generation: %v", err)
@@ -149,53 +164,109 @@ func TestBatcherSplitsGenerations(t *testing.T) {
 	if gen1.Version == gen2.Version {
 		t.Fatal("expected two distinct generations")
 	}
-	calls := make([]*estCall, 2)
-	for i, gen := range []*pipeline.Generation{gen1, gen2} {
-		canon := []byte(`{"windows":[{"/read":10}]}`)
-		calls[i] = &estCall{
-			key: predKey(gen.Version, canon), canon: string(canon), gen: gen,
-			traffic: testTraffic(10), done: make(chan struct{}),
-		}
+	f := s.flights
+	canon := []byte(`{"windows":[{"/read":10}]}`)
+	gens := []*pipeline.Generation{gen1, gen2}
+	bodies := make([][]byte, len(gens))
+	errs := make([]error, len(gens))
+	var wg sync.WaitGroup
+	for i, gen := range gens {
+		wg.Add(1)
+		go func(i int, gen *pipeline.Generation) {
+			defer wg.Done()
+			bodies[i], errs[i] = f.do(context.Background(), gen, testTraffic(10), predKey(gen.Version, canon), canon)
+		}(i, gen)
 	}
-	b.exec(calls)
-	for i, want := range []int{gen1.Version, gen2.Version} {
-		<-calls[i].done
-		if calls[i].err != nil {
-			t.Fatalf("call %d: %v", i, calls[i].err)
+	wg.Wait()
+	for i, gen := range gens {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
 		}
 		var resp estimateResponse
-		if err := json.Unmarshal(calls[i].body, &resp); err != nil {
+		if err := json.Unmarshal(bodies[i], &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Version != want {
-			t.Fatalf("call %d answered by version %d, want %d", i, resp.Version, want)
+		if resp.Version != gen.Version {
+			t.Fatalf("call %d answered by version %d, want %d", i, resp.Version, gen.Version)
 		}
+	}
+	if got := f.dedupHits.Value(); got != 0 {
+		t.Fatalf("flights of different generations joined (%d dedup hits)", got)
 	}
 }
 
+// abandonAttempts bounds how often the two tests below retry (with a fresh
+// body) until a pre-cancelled caller observes its context first: when the
+// flight finishes before the caller reaches its select, Go picks between the
+// two ready cases at random and a 200 is as legitimate as a 504. The long
+// day makes that rare; the retry makes the tests deterministic.
+const abandonAttempts = 20
+
+// longDay is a distinct many-window request per attempt.
+func longDay(attempt int) estimateRequest {
+	req := estimateRequest{Windows: make([]map[string]int, 400)}
+	for w := range req.Windows {
+		req.Windows[w] = map[string]int{"/read": 10 + attempt + w%50, "/write": 4}
+	}
+	return req
+}
+
 // TestBatcherWaiterHonorsContext checks an abandoned caller unblocks on its
-// deadline while the computation itself still completes for joiners.
+// own context while the flight itself still completes.
 func TestBatcherWaiterHonorsContext(t *testing.T) {
-	_, gen, b := learnedBatcherFixture(t, 50*time.Millisecond)
+	s, _, gen := learnedFlightFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	canon := []byte(`{"windows":[{"/read":10}]}`)
-	key := predKey(gen.Version, canon)
-	if _, err := b.do(ctx, gen, testTraffic(10), key, canon); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// The abandoned call still finishes and retires its singleflight slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		_, inflight := b.calls[key]
-		b.mu.Unlock()
-		if !inflight {
-			break
+	for attempt := 0; attempt < abandonAttempts; attempt++ {
+		req := longDay(attempt)
+		canon, _ := json.Marshal(req)
+		key := predKey(gen.Version, canon)
+		traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: 60, WindowsPerDay: len(req.Windows)}
+		_, err := s.flights.do(ctx, gen, traffic, key, canon)
+		waitRetired(t, s.flights, key)
+		if err == context.Canceled {
+			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned call never completed")
+		if err != nil {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	t.Fatalf("a cancelled caller never saw context.Canceled in %d attempts", abandonAttempts)
+}
+
+// TestAbandonedEstimateFillsCache: when the only caller of a miss gives up
+// (504), the detached flight still caches its result, so the retry is a hit
+// and the whole episode cost exactly one miss.
+func TestAbandonedEstimateFillsCache(t *testing.T) {
+	s, h, gen := learnedFlightFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for attempt := 0; attempt < abandonAttempts; attempt++ {
+		canon, _ := json.Marshal(longDay(attempt))
+		missesBefore := s.estCacheMisses.Value()
+
+		req := httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(canon)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code == http.StatusOK {
+			continue // the flight won the race; nobody was abandoned
+		}
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("abandoned estimate = %d, want 504: %s", rec.Code, rec.Body)
+		}
+		waitRetired(t, s.flights, predKey(gen.Version, canon))
+
+		retry := do(t, h, "POST", "/v1/estimate", bytes.NewBuffer(canon))
+		if retry.Code != http.StatusOK {
+			t.Fatalf("retry = %d: %s", retry.Code, retry.Body)
+		}
+		if got := retry.Header().Get("X-DeepRest-Cache"); got != "hit" {
+			t.Fatalf("retry after an abandoned flight not served from cache (header %q)", got)
+		}
+		if got := s.estCacheMisses.Value() - missesBefore; got != 1 {
+			t.Fatalf("cache misses rose by %d, want exactly 1", got)
+		}
+		return
+	}
+	t.Fatalf("a cancelled request never got 504 in %d attempts", abandonAttempts)
 }

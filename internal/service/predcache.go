@@ -33,20 +33,14 @@ func newPredCache(capacity int) *predCache {
 }
 
 // predKey hashes a generation version and a canonical (re-marshaled)
-// request body. It is shared by the response cache and the singleflight
-// batcher so the two layers agree on request identity.
+// request body. It is shared by the response cache and the singleflight in
+// front of cache misses so the two layers agree on request identity.
 func predKey(version int, req []byte) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(strconv.Itoa(version)))
 	h.Write([]byte{0})
 	h.Write(req)
 	return h.Sum64()
-}
-
-// key hashes the generation version and the canonical (re-marshaled)
-// request body.
-func (c *predCache) key(version int, req []byte) uint64 {
-	return predKey(version, req)
 }
 
 // get returns the cached response body for the key, verifying the stored
@@ -63,19 +57,17 @@ func (c *predCache) get(key uint64, req []byte) ([]byte, bool) {
 
 // put stores a response body, evicting the oldest entry once capacity is
 // reached.
-func (c *predCache) put(key uint64, req, body []byte) {
+func (c *predCache) put(key uint64, req string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		c.entries[key] = predEntry{req: string(req), body: body}
-		return
+	if _, ok := c.entries[key]; !ok {
+		for len(c.entries) >= c.cap && len(c.order) > 0 {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+		}
+		c.order = append(c.order, key)
 	}
-	for len(c.entries) >= c.cap && len(c.order) > 0 {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.entries[key] = predEntry{req: string(req), body: body}
-	c.order = append(c.order, key)
+	c.entries[key] = predEntry{req: req, body: body}
 }
 
 // len reports the number of cached responses.

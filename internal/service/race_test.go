@@ -70,11 +70,11 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 		}
 	}()
 
-	// Readers: HTTP predictions (cache → batcher → compiled engine), direct
-	// model reads, and direct engine-path estimates, concurrently with the
-	// swaps above. The rotating request bodies defeat the response cache so
-	// the batcher and engine stay on the hot path across generation flips,
-	// and retiring generations release their engine snapshots mid-read.
+	// Readers: HTTP predictions (cache → singleflight → compiled engine),
+	// direct model reads, and direct engine-path estimates, concurrently
+	// with the swaps above. The rotating request bodies defeat the response
+	// cache so the miss path and engine stay hot across generation flips
+	// while generations retire from the registry mid-read.
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -116,9 +116,9 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 						return
 					}
 				default:
-					// Engine path: EstimateTraffic prefers the generation's
+					// Engine path: EstimateTraffic runs on the generation's
 					// compiled snapshot and must keep answering through
-					// activates, retirements (engine released), and swaps.
+					// activates, retirements, and swaps.
 					gen := s.Pipeline().Active()
 					if gen == nil {
 						t.Error("active generation vanished")

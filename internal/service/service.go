@@ -117,15 +117,6 @@ type Server struct {
 	// first Handler call.
 	EstimateCache int
 
-	// PredictBatchWindow bounds the extra wait the estimate batcher spends
-	// growing a micro-batch before dispatching one coalesced engine pass
-	// (typically 1–2ms; 0 dispatches immediately, coalescing only the
-	// requests that arrive while a pass is already executing).
-	// PredictBatchMax caps requests per pass (0 = 64). Set before the first
-	// Handler call.
-	PredictBatchWindow time.Duration
-	PredictBatchMax    int
-
 	// ExternalScheduler marks the pipeline as driven by an external
 	// scheduler (a fleet's shared training worker pool): the
 	// /v1/pipeline/start and /v1/pipeline/stop endpoints refuse with 409
@@ -151,14 +142,10 @@ type Server struct {
 	quality *quality.Scorer
 
 	estCache       *predCache
+	flights        *estFlights
 	estCacheHits   *obs.Counter
 	estCacheMisses *obs.Counter
-
-	batcher        *estBatcher
-	batcherOnce    sync.Once
 	estDedupHits   *obs.Counter
-	estBatches     *obs.Counter
-	estBatchedReqs *obs.Counter
 
 	// Observability (all nil-safe no-ops when opts.Metrics / opts.Logger
 	// are nil; see withObservability).
@@ -206,10 +193,6 @@ func NewWithConfig(opts core.Options, pcfg pipeline.Config) (*Server, error) {
 			"Estimate requests that had to run the full synthesize-extract-predict path.")
 		s.estDedupHits = m.Counter("deeprest_estimate_cache_dedup_hits_total",
 			"Estimate requests answered by joining an identical in-flight computation (singleflight dedup).")
-		s.estBatches = m.Counter("deeprest_estimate_batches_total",
-			"Coalesced inference passes dispatched by the estimate batcher.")
-		s.estBatchedReqs = m.Counter("deeprest_estimate_batched_requests_total",
-			"Estimate requests executed through coalesced batcher passes (divide by batches for mean batch size).")
 	}
 	buildinfo.Register(opts.Metrics)
 	// The shadow-scoring regression gate feeds the pipeline's early-retrain
@@ -251,17 +234,6 @@ func (s *Server) ShedInc() { s.httpShed.Inc() }
 // plus fleet-issued 429s).
 func (s *Server) ShedCount() uint64 { return s.httpShed.Value() }
 
-// estBatcher lazily builds the estimate coalescer from the Server's tuning
-// fields; the Once makes direct handler invocation (tests) race-free with
-// Handler construction.
-func (s *Server) estBatcher() *estBatcher {
-	s.batcherOnce.Do(func() {
-		s.batcher = newEstBatcher(s.PredictBatchWindow, s.PredictBatchMax)
-		s.batcher.instrument(s.estDedupHits, s.estBatches, s.estBatchedReqs)
-	})
-	return s.batcher
-}
-
 // telemetrySource adapts the lazily created store for the pipeline.
 func (s *Server) telemetrySource() pipeline.Source {
 	s.mu.RLock()
@@ -281,7 +253,9 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.estCache = newPredCache(size)
 	}
-	s.estBatcher()
+	if s.flights == nil {
+		s.flights = newEstFlights(s.estCache, s.estDedupHits)
+	}
 	s.initQuality()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/telemetry", s.handleTelemetry)
@@ -530,8 +504,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// identical request against the same model version can be answered
 	// from the marshaled response of the first one. The canonical
 	// re-marshal of the decoded request normalises field order and
-	// whitespace; the same (version, canon) identity keys singleflight
-	// dedup in the batcher below, so it is derived even with caching off.
+	// whitespace; the same (version, canon) identity keys the singleflight
+	// below, so it is derived even with caching off.
 	canon, _ := json.Marshal(req)
 	key := predKey(gen.Version, canon)
 	if s.estCache != nil {
@@ -557,10 +531,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: ws, WindowsPerDay: wpd}
 
-	// Cache misses go through the batcher: identical in-flight requests are
-	// deduplicated, distinct concurrent ones coalesce into one batched
-	// engine pass over the shared worker pool.
-	body, err := s.estBatcher().do(r.Context(), gen, traffic, key, canon)
+	// A miss is one EstimateTraffic call; identical in-flight requests join
+	// it, and its completion — not this caller — fills the cache.
+	body, err := s.flights.do(r.Context(), gen, traffic, key, canon)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		writeErr(w, http.StatusGatewayTimeout, "estimate: %v", err)
@@ -568,9 +541,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeErr(w, http.StatusUnprocessableEntity, "estimate: %v", err)
 		return
-	}
-	if s.estCache != nil {
-		s.estCache.put(key, canon, body)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(body)
