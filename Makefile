@@ -24,7 +24,8 @@ loc:
 		xargs -0 cat | wc -l
 
 # Short-budget native fuzzing smoke over the decoders that accept external
-# bytes and the fault-spec parser. `go test -fuzz` takes one target per
+# bytes, the fault-spec parser and the dense kernels (every implementation
+# against the one-row Go loop). `go test -fuzz` takes one target per
 # invocation, so this runs the high-value targets back to back. Raise
 # FUZZTIME for a longer hunt.
 FUZZTIME ?= 10s
@@ -34,6 +35,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzImportJSON -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzParseTopology -fuzztime=$(FUZZTIME) ./internal/topo
 	$(GO) test -run='^$$' -fuzz=FuzzFleetManifest -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzKernelsMatchScalar -fuzztime=$(FUZZTIME) ./internal/nn/ad
 
 build:
 	$(GO) build ./...
@@ -47,8 +49,10 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Hot-path benchmarks for the estimator (one GRU kernel step at the repo
-# benchmark's widths, training epoch, expert forward, end-to-end predict on
+# Hot-path benchmarks for the estimator (one GRU kernel step and one
+# request's attention peer sums at the repo benchmark's widths, each on the
+# Go loops and on the AVX2 kernels, training epoch, expert forward,
+# end-to-end predict on
 # both the eval-tape and the compiled tape-free engine — at toy width and,
 # InferPredictSocial128, at the paper's — plus the 64-client concurrent
 # serving path with p99 and the 16-tenant fleet serving path), recorded as
@@ -62,7 +66,7 @@ test-race:
 # day), recorded as BENCH_autoscale.json — all for regression tracking
 # across PRs.
 bench:
-	{ $(GO) test -run='^$$' -bench='GRUKernelStep' -benchmem ./internal/nn/ad ; \
+	{ $(GO) test -run='^$$' -bench='GRUKernelStep|PeerSum' -benchmem ./internal/nn/ad ; \
 	  $(GO) test -run='^$$' -bench=. -benchmem ./internal/estimator/... ; \
 	  $(GO) test -run='^$$' -bench='EstimateConcurrent' -benchmem ./internal/service ; \
 	  $(GO) test -run='^$$' -bench='FleetEstimate' -benchmem ./internal/fleet ; } | \

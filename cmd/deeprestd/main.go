@@ -103,6 +103,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
+	"repro/internal/nn/ad"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/service"
@@ -326,7 +327,7 @@ func main() {
 	}
 	go func() {
 		logger.Info("listening", "addr", *addr, "version", buildinfo.String(),
-			"anonymize", *anonymize, "pprof", *pprofOn)
+			"kernels", ad.KernelImpl(), "anonymize", *anonymize, "pprof", *pprofOn)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal("listener failed", "error", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 
+	"repro/internal/nn/ad"
 	"repro/internal/obs"
 )
 
@@ -44,7 +45,8 @@ func String() string {
 
 // Register publishes the deeprest_build_info gauge: constant 1 with the
 // build identity in labels, the standard Prometheus idiom for joining
-// version metadata onto any other series. Nil registry is a no-op;
+// version metadata onto any other series — and beside it, in the same
+// idiom, deeprest_kernel_info. Nil registry is a no-op;
 // registration is idempotent like the rest of internal/obs.
 func Register(reg *obs.Registry) {
 	if reg == nil {
@@ -57,4 +59,11 @@ func Register(reg *obs.Registry) {
 		"Build identity of the running deeprest binary (constant 1; the labels carry the information).",
 		"version", "go_version").
 		With(Version, GoVersion()).Set(1)
+	// Which dense kernels this process selected at start-up: a host that
+	// runs the portable loops (no AVX2, or YMM state not enabled by the OS)
+	// spends 1.5–2× the CPU per estimate and must be visible, not silent.
+	reg.GaugeVec("deeprest_kernel_info",
+		"Implementation of the estimator's dense kernels selected at start-up, avx2 or go (constant 1; the label carries the information).",
+		"impl").
+		With(ad.KernelImpl()).Set(1)
 }

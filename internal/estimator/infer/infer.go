@@ -294,22 +294,17 @@ func (e *Engine) outputs(i, T int, sc *predictScratch) {
 	attn := ws[dim+3*hid : dim+4*hid]
 	cat := ws[dim+4*hid : dim+6*hid]
 	useAttn := e.attnActive && len(ex.peerIdx) > 0
+	if !useAttn {
+		clear(attn) // the context stays zero; the scratch is recycled
+	}
 	for t := 0; t < T; t++ {
 		row := sc.x[t*dim : (t+1)*dim]
 		in := ex.maskedInput(row, xt)
-		for j := range attn {
-			attn[j] = 0
-		}
 		if useAttn {
 			// Σ_k α_k · h_t^{(k)}, accumulated in peer order like the
-			// tape's WeightedSumConst.
-			for k, pi := range ex.peerIdx {
-				a := ex.alpha[k]
-				ph := sc.traj[(pi*T+t)*hid : (pi*T+t+1)*hid]
-				for j, x := range ph {
-					attn[j] += a * x
-				}
-			}
+			// tape's WeightedSumConst: peer k's state at t sits T·hid
+			// floats per expert into the trajectories.
+			ad.PeerSum(attn, ex.alpha, ex.peerIdx, sc.traj[t*hid:], T*hid)
 		}
 		copy(cat[:hid], attn)
 		copy(cat[hid:], sc.traj[(i*T+t)*hid:(i*T+t+1)*hid])

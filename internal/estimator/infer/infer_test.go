@@ -202,3 +202,66 @@ func TestEngineRejectsMismatchedSeries(t *testing.T) {
 		t.Fatal("expected error for mismatched feature dimensionality")
 	}
 }
+
+// TestEngineEdgeShapes walks the engine through the shapes that sit on the
+// boundaries of the assembly kernels, each against the eval tape bit for
+// bit: GRU widths below, at and between the 4- and 16-row rungs (the toy's
+// 4, the fleet smoke's 6, the golden's 7, 20 = 16 + 4), and a one-expert
+// model, whose attention is off and whose context stays zero. An empty
+// series must come back as empty estimates, not reach a kernel.
+func TestEngineEdgeShapes(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
+	var first app.Pair
+	for p := range run.Usage {
+		if first == (app.Pair{}) || p.String() < first.String() {
+			first = p
+		}
+	}
+	one := map[app.Pair][]float64{first: run.Usage[first]}
+	for _, c := range []struct {
+		name   string
+		hidden int
+		usage  map[app.Pair][]float64
+	}{
+		{"hidden=4", 4, run.Usage},
+		{"hidden=6", 6, run.Usage},
+		{"hidden=7", 7, run.Usage},
+		{"hidden=20", 20, run.Usage},
+		{"one-expert", 16, one},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := estimator.DefaultConfig()
+			cfg.Hidden = c.hidden
+			cfg.Epochs = 1
+			cfg.AttentionEpochs = 1
+			cfg.ChunkLen = 24
+			m, err := estimator.Train(run.Windows, c.usage, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := infer.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			series := m.Space.ExtractSeries(run.Windows[:testutil.ToyDay])
+			want, err := m.PredictVectors(series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make(map[app.Pair]estimator.Estimate, len(m.Pairs))
+			if err := eng.PredictInto(series, out); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, c.name, want, out)
+
+			if err := eng.PredictInto(nil, out); err != nil {
+				t.Fatalf("empty series: %v", err)
+			}
+			for p, est := range out {
+				if len(est.Exp)+len(est.Low)+len(est.Up) != 0 {
+					t.Fatalf("empty series: %s has %d/%d/%d samples", p, len(est.Exp), len(est.Low), len(est.Up))
+				}
+			}
+		})
+	}
+}

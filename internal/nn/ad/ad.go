@@ -306,11 +306,25 @@ func dot4(w, x []float64) (s0, s1, s2, s3 float64) {
 }
 
 // matVec writes dst[i] = dot(w[i*cols:(i+1)*cols], x) for the len(dst)
-// rows of the row-major matrix w, four rows per pass through dot4 and the
-// len(dst)%4 remainder rows through dot.
+// rows of the row-major matrix w. Rows go down a 16/4/1 ladder: with AVX2,
+// sixteen and then four per call of the row-lane kernels; without, four per
+// pass through dot4; the len(dst)%4 remainder rows through dot either way.
+// Every rung sums a row in dot's column order, so which rung a row lands on
+// never shows in its bits.
 func matVec(dst, w, x []float64) {
 	cols := len(x)
 	i := 0
+	// The assembly takes bare pointers: an empty x must not reach it, and a
+	// w too short for len(dst) rows must panic here.
+	if useAVX2 && cols > 0 {
+		w = w[:len(dst)*cols]
+		for ; i+16 <= len(dst); i += 16 {
+			rowDots16AVX2(&dst[i], &w[i*cols], &x[0], cols)
+		}
+		for ; i+4 <= len(dst); i += 4 {
+			rowDots4AVX2(&dst[i], &w[i*cols], &x[0], cols)
+		}
+	}
 	for ; i+4 <= len(dst); i += 4 {
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(w[i*cols:(i+4)*cols], x)
 	}

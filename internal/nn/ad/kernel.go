@@ -79,11 +79,25 @@ func (g *GRUKernel) forward(x, h, z, k, kh, c, out []float64) {
 
 // gatePre writes a gate's pre-activation dst[i] = (W[i]·x + U[i]·h) + b[i]:
 // the two row sums are formed separately and then added, as the MatVec/Add
-// chain does. Rows go four at a time through dot4; the len(dst)%4
-// remainder goes through dot.
+// chain does. With AVX2 the whole four-row panels go through matVec's
+// assembly rungs, up to sixteen rows at a time with the two partial products
+// held on the stack; otherwise rows go four at a time through dot4. The
+// len(dst)%4 remainder goes through dot either way.
 func gatePre(dst, w, x, u, h, b []float64) {
 	in, hid := len(x), len(h)
 	i := 0
+	if useAVX2 {
+		var wx, uh [16]float64
+		for i+4 <= len(dst) {
+			n := min(len(wx), (len(dst)-i)&^3)
+			matVec(wx[:n], w[i*in:(i+n)*in], x)
+			matVec(uh[:n], u[i*hid:(i+n)*hid], h)
+			for r, bi := range b[i : i+n] {
+				dst[i+r] = (wx[r] + uh[r]) + bi
+			}
+			i += n
+		}
+	}
 	for ; i+4 <= len(dst); i += 4 {
 		w0, w1, w2, w3 := dot4(w[i*in:(i+4)*in], x)
 		u0, u1, u2, u3 := dot4(u[i*hid:(i+4)*hid], h)

@@ -7,13 +7,35 @@ import (
 	"testing"
 )
 
+// impls lists the kernel implementations this machine can run: the Go
+// loops always, the AVX2 assembly where the selector found it.
+func impls() []string {
+	if haveAVX2() {
+		return []string{"go", "avx2"}
+	}
+	return []string{"go"}
+}
+
+// setImpl flips the package's kernel selector for the rest of the test.
+func setImpl(tb testing.TB, impl string) {
+	tb.Helper()
+	prev := useAVX2
+	tb.Cleanup(func() { useAVX2 = prev })
+	useAVX2 = impl == "avx2"
+	if KernelImpl() != impl {
+		tb.Fatalf("KernelImpl() = %q after selecting %q", KernelImpl(), impl)
+	}
+}
+
 // TestGRUKernelMatchesTapeStep drives the tape-free kernel and the fused
 // tape op through the same multi-step recurrence and requires bit-identical
 // hidden states at every step — the contract the inference engine's
-// snapshot path is built on. The widths walk the row-panel remainder
-// (5, 6, 7 = one panel plus 1, 2, 3 rows) and the paper's 128.
+// snapshot path is built on — once per kernel implementation, each against
+// the trajectory the tape records on the Go loops. The widths walk the row
+// ladder (4 = one four-row panel, 5, 6, 7 = a panel plus 1, 2, 3 rows,
+// 37 = 2×16 + 4 + 1) and the paper's 128.
 func TestGRUKernelMatchesTapeStep(t *testing.T) {
-	for _, hid := range []int{5, 6, 7, 128} {
+	for _, hid := range []int{4, 5, 6, 7, 37, 128} {
 		t.Run(fmt.Sprintf("hidden=%d", hid), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			in := 9
@@ -28,26 +50,102 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 					xs[i][j] = rng.NormFloat64()
 				}
 			}
+			tapeRun := func() [][]float64 {
+				tape := NewEvalTape()
+				h := make([]float64, hid)
+				out := make([][]float64, steps)
+				for s, x := range xs {
+					copy(h, tape.GRUStep(p, tape.Const(x), tape.Const(h)).Data)
+					tape.Reset()
+					out[s] = append([]float64(nil), h...)
+				}
+				return out
+			}
+			setImpl(t, "go")
+			want := tapeRun()
 
-			tape := NewEvalTape()
-			tapeH := make([]float64, hid)
-			kernH := make([]float64, hid)
-			kernNext := make([]float64, hid)
-			scratch := make([]float64, k.ScratchLen())
-			for s, x := range xs {
-				h := tape.Const(tapeH)
-				xt := tape.Const(x)
-				h = tape.GRUStep(p, xt, h)
-				copy(tapeH, h.Data)
-				tape.Reset()
+			for _, impl := range impls() {
+				t.Run(impl, func(t *testing.T) {
+					setImpl(t, impl)
+					tapeH := tapeRun()
+					kernH := make([]float64, hid)
+					kernNext := make([]float64, hid)
+					scratch := make([]float64, k.ScratchLen())
+					for s, x := range xs {
+						k.Step(x, kernH, kernNext, scratch)
+						kernH, kernNext = kernNext, kernH
+						for i := range want[s] {
+							w := math.Float64bits(want[s][i])
+							if math.Float64bits(tapeH[s][i]) != w || math.Float64bits(kernH[i]) != w {
+								t.Fatalf("step %d: h[%d] diverged: go tape %x, %s tape %x kernel %x", s, i,
+									w, impl, math.Float64bits(tapeH[s][i]), math.Float64bits(kernH[i]))
+							}
+						}
+					}
+				})
+			}
+		})
+	}
+}
 
-				k.Step(x, kernH, kernNext, scratch)
-				kernH, kernNext = kernNext, kernH
-
-				for i := range tapeH {
-					if math.Float64bits(tapeH[i]) != math.Float64bits(kernH[i]) {
-						t.Fatalf("step %d: h[%d] diverged: tape %x kernel %x", s, i,
-							math.Float64bits(tapeH[i]), math.Float64bits(kernH[i]))
+// TestFusedStepMatchesChain holds the fused GRUStep to the chain of
+// primitive ops it replaces (layers.GRUCell.StepReference, spelled out here
+// because only this package can flip the selector): hidden state and every
+// parameter gradient bit-equal, once per kernel implementation, at a width
+// that crosses all three rungs of the row ladder.
+func TestFusedStepMatchesChain(t *testing.T) {
+	const in, hid, steps = 5, 37, 4
+	rng := rand.New(rand.NewSource(42))
+	g := newTestGRU(in, hid, rng)
+	params := []*Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh}
+	xs := make([][]float64, steps)
+	for i := range xs {
+		xs[i] = make([]float64, in)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
+		}
+	}
+	tgt := make([]float64, hid)
+	for i := range tgt {
+		tgt[i] = rng.NormFloat64()
+	}
+	chain := func(t *Tape, x, h *Value) *Value {
+		gate := func(w, u, b *Param, h *Value) *Value {
+			return t.Add(t.Add(t.MatVec(t.Use(w), x), t.MatVec(t.Use(u), h)), t.Use(b))
+		}
+		z := t.Sigmoid(gate(g.Wz, g.Uz, g.Bz, h))
+		k := t.Sigmoid(gate(g.Wk, g.Uk, g.Bk, h))
+		c := t.Tanh(gate(g.Wh, g.Uh, g.Bh, t.Mul(k, h)))
+		return t.Add(t.Mul(z, h), t.Mul(t.OneMinus(z), c))
+	}
+	fused := func(t *Tape, x, h *Value) *Value { return t.GRUStep(g, x, h) }
+	run := func(step func(t *Tape, x, h *Value) *Value) []float64 {
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+		tape := NewTape()
+		h := tape.Const(make([]float64, hid))
+		var losses []*Value
+		for _, x := range xs {
+			h = step(tape, tape.Const(x), h)
+			losses = append(losses, tape.SquaredError(h, tgt))
+		}
+		tape.Backward(tape.ScaleConst(tape.SumScalars(losses...), 1.0/steps))
+		out := append([]float64(nil), h.Data...)
+		for _, p := range params {
+			out = append(out, p.Grad...)
+		}
+		return out
+	}
+	setImpl(t, "go")
+	want := run(chain)
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			for name, step := range map[string]func(t *Tape, x, h *Value) *Value{"chain": chain, "fused": fused} {
+				for i, v := range run(step) {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: value %d: %x, want %x", name, i, math.Float64bits(v), math.Float64bits(want[i]))
 					}
 				}
 			}
@@ -55,102 +153,235 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 	}
 }
 
-// TestMatVecMatchesRowDots is the independent oracle for the row-panel
-// kernels: engine-vs-tape and fused-vs-reference comparisons share dot4 on
+// sameFloat is bit equality with NaN compared as a class: when two NaNs
+// meet in an add the hardware keeps one operand's sign and payload, IEEE 754
+// leaves which one open, and the compiler orders the operands per loop — no
+// Go source can pin it.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// edgeSets are the value classes whose sums are order- and sign-sensitive.
+// Each set replaces a random share (one draw in oneIn) of the normal draws:
+// signed zeros and subnormals often (sums stay finite, so signs of zero and
+// gradual underflow are compared exactly), non-finite values rarely (so most
+// sums still end finite or ±Inf beside the ones that go NaN).
+var edgeSets = []struct {
+	vals  []float64
+	oneIn int
+}{
+	{nil, 0},
+	{[]float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1040}, 2},
+	{[]float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, 0, math.Copysign(0, -1)}, 24},
+}
+
+// fillAt returns n floats drawn from rng (edge values mixed in as edgeSets
+// describes) that start off elements into their backing array, so the
+// assembly's loads are not 32-byte aligned.
+func fillAt(n, off int, rng *rand.Rand, vals []float64, oneIn int) []float64 {
+	v := make([]float64, off+n)[off:]
+	for i := range v {
+		if oneIn > 0 && rng.Intn(oneIn) == 0 {
+			v[i] = vals[rng.Intn(len(vals))]
+		} else {
+			v[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// checkRowKernels holds matVec and gatePre, on the selected implementation,
+// to a plain per-row dot loop, bit for bit.
+func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []float64, oneIn int) {
+	t.Helper()
+	w := fillAt(rows*cols, off, rng, vals, oneIn)
+	u := fillAt(rows*rows, off+1, rng, vals, oneIn)
+	x := fillAt(cols, off+2, rng, vals, oneIn)
+	h := fillAt(rows, off, rng, vals, oneIn)
+	b := fillAt(rows, off+1, rng, nil, 0)
+	got := make([]float64, off+rows)[off:]
+
+	matVec(got, w, x)
+	for i := range got {
+		if want := dot(w[i*cols:(i+1)*cols], x); !sameFloat(got[i], want) {
+			t.Fatalf("%s matVec %dx%d+%d row %d: %x, want %x", KernelImpl(), rows, cols, off, i,
+				math.Float64bits(got[i]), math.Float64bits(want))
+		}
+	}
+	gatePre(got, w, x, u, h, b)
+	for i := range got {
+		want := (dot(w[i*cols:(i+1)*cols], x) + dot(u[i*rows:(i+1)*rows], h)) + b[i]
+		if !sameFloat(got[i], want) {
+			t.Fatalf("%s gatePre %dx%d+%d row %d: %x, want %x", KernelImpl(), rows, cols, off, i,
+				math.Float64bits(got[i]), math.Float64bits(want))
+		}
+	}
+}
+
+// TestMatVecMatchesRowDots is the independent oracle for the row kernels:
+// engine-vs-tape and fused-vs-reference comparisons run the same kernel on
 // both sides, so this one pins matVec and gatePre to a plain per-row dot
-// loop, bit for bit, across panel counts, remainders and the edge values
-// whose sums are order- and sign-sensitive. NaN is compared as a class:
-// when two NaNs meet in an add the hardware keeps one operand's sign and
-// payload, IEEE 754 leaves which one open, and the compiler orders the
-// operands per loop — no Go source can pin it.
+// loop, bit for bit, on every implementation: across every rung of the row
+// ladder and its remainders, column counts on both sides of the assembly's
+// four-column block (and none at all, which must stay in Go), operands that
+// start at odd elements, and the edge values.
 func TestMatVecMatchesRowDots(t *testing.T) {
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-	}
-	// Each edge set replaces a random share of the normal draws: signed
-	// zeros and subnormals often (sums stay finite, so signs of zero and
-	// gradual underflow are compared exactly), non-finite values rarely
-	// (so most rows still end finite or ±Inf beside the ones that go NaN).
-	edges := []struct {
-		vals  []float64
-		oneIn int
-	}{
-		{nil, 0},
-		{[]float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1040}, 2},
-		{[]float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, 0, math.Copysign(0, -1)}, 24},
-	}
-	fill := func(v []float64, rng *rand.Rand, vals []float64, oneIn int) {
-		for i := range v {
-			if oneIn > 0 && rng.Intn(oneIn) == 0 {
-				v[i] = vals[rng.Intn(len(vals))]
-			} else {
-				v[i] = rng.NormFloat64()
-			}
-		}
-	}
-	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 16, 128} {
-		for _, cols := range []int{1, 2, 67, 128, 257} {
-			for set, e := range edges {
-				rng := rand.New(rand.NewSource(int64(rows*1000 + cols)))
-				w := make([]float64, rows*cols)
-				u := make([]float64, rows*rows)
-				x := make([]float64, cols)
-				h := make([]float64, rows)
-				b := make([]float64, rows)
-				fill(w, rng, e.vals, e.oneIn)
-				fill(u, rng, e.vals, e.oneIn)
-				fill(x, rng, e.vals, e.oneIn)
-				fill(h, rng, e.vals, e.oneIn)
-				fill(b, rng, nil, 0)
-
-				got := make([]float64, rows)
-				matVec(got, w, x)
-				for i := range got {
-					want := dot(w[i*cols:(i+1)*cols], x)
-					if !same(got[i], want) {
-						t.Fatalf("matVec %dx%d edges=%d row %d: %x, want %x", rows, cols, set, i,
-							math.Float64bits(got[i]), math.Float64bits(want))
-					}
-				}
-
-				gatePre(got, w, x, u, h, b)
-				for i := range got {
-					want := (dot(w[i*cols:(i+1)*cols], x) + dot(u[i*rows:(i+1)*rows], h)) + b[i]
-					if !same(got[i], want) {
-						t.Fatalf("gatePre %dx%d edges=%d row %d: %x, want %x", rows, cols, set, i,
-							math.Float64bits(got[i]), math.Float64bits(want))
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 20, 31, 32, 33, 128} {
+				for _, cols := range []int{0, 1, 2, 3, 4, 5, 67, 128, 257} {
+					for set, e := range edgeSets {
+						rng := rand.New(rand.NewSource(int64(rows*1000 + cols)))
+						checkRowKernels(t, rows, cols, 1+2*set, rng, e.vals, e.oneIn)
 					}
 				}
 			}
+		})
+	}
+}
+
+// FuzzKernelsMatchScalar lets the fuzzer pick the shape, the operands'
+// offset into their arrays and the values' seed, and holds every
+// implementation to dot.
+func FuzzKernelsMatchScalar(f *testing.F) {
+	f.Add(uint8(16), uint16(67), uint8(1), int64(1))
+	f.Add(uint8(37), uint16(5), uint8(3), int64(2))
+	f.Add(uint8(4), uint16(0), uint8(0), int64(3))
+	f.Fuzz(func(t *testing.T, rows uint8, cols uint16, off uint8, seed int64) {
+		for _, impl := range impls() {
+			setImpl(t, impl)
+			e := edgeSets[uint64(seed)%uint64(len(edgeSets))]
+			checkRowKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
 		}
+	})
+}
+
+// TestPeerSumMatchesLoop holds PeerSum, on every implementation, to the loop
+// it replaced in the engine's attention context: zero the context, then for
+// each peer in idx order add alpha·h column by column. Shapes are peers ×
+// windows × width: the two the repo benchmark runs, the toy's, and widths
+// that leave a Go remainder beside the assembly's four-column block (6, 7)
+// or never reach it (3).
+func TestPeerSumMatchesLoop(t *testing.T) {
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			for _, d := range []struct{ P, T, hid int }{{76, 12, 128}, {399, 6, 16}, {3, 2, 4}, {5, 3, 6}, {5, 3, 7}, {4, 2, 3}, {9, 2, 37}} {
+				for set, e := range edgeSets {
+					rng := rand.New(rand.NewSource(int64(d.P*100 + d.hid)))
+					traj := fillAt(d.P*d.T*d.hid, 1+2*set, rng, e.vals, e.oneIn)
+					alpha := fillAt(d.P, 2, rng, e.vals, e.oneIn)
+					all := rng.Perm(d.P)
+					// Every expert in a permuted order, a sparse subset, one
+					// peer, none.
+					for _, idx := range [][]int{all, all[:(d.P+1)/2], all[:1], nil} {
+						t1 := d.T - 1
+						got := fillAt(d.hid, 3, rng, nil, 0) // stale values PeerSum must overwrite
+						PeerSum(got, alpha[:len(idx)], idx, traj[t1*d.hid:], d.T*d.hid)
+						want := make([]float64, d.hid)
+						for k, p := range idx {
+							for j, x := range traj[(p*d.T+t1)*d.hid:][:d.hid] {
+								want[j] += alpha[k] * x
+							}
+						}
+						for j := range want {
+							if !sameFloat(got[j], want[j]) {
+								t.Fatalf("%dx%dx%d edges=%d peers=%d col %d: %x, want %x", d.P, d.T, d.hid, set, len(idx), j,
+									math.Float64bits(got[j]), math.Float64bits(want[j]))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPeerSumRejectsBadIndex: a peer index whose vector would not fit in
+// base must panic on every implementation, never read past the slice.
+func TestPeerSumRejectsBadIndex(t *testing.T) {
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			base := make([]float64, 3*16)
+			for _, idx := range [][]int{{0, 3}, {-1}, {1, 2, 1 << 40}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("PeerSum(idx=%v) over 3 peers did not panic", idx)
+						}
+					}()
+					PeerSum(make([]float64, 16), make([]float64, len(idx)), idx, base, 16)
+				}()
+			}
+		})
 	}
 }
 
 var benchSink float64
 
-// BenchmarkGRUKernelStep times one recurrence step at the widths the repo
-// benchmark runs: social at the paper's width (67 features, 128 hidden),
-// the generated 150-component topology (257 features, 16 hidden) and the
-// toy fixture.
+// BenchmarkGRUKernelStep times one recurrence step, on each implementation,
+// at the widths the repo benchmark runs: social at the paper's width (67
+// features, 128 hidden), the generated 150-component topology (257
+// features, 16 hidden) and the toy fixture.
 func BenchmarkGRUKernelStep(b *testing.B) {
 	for _, dim := range []struct{ in, hid int }{{67, 128}, {257, 16}, {9, 4}} {
-		b.Run(fmt.Sprintf("%dx%d", dim.in, dim.hid), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			k := newTestGRU(dim.in, dim.hid, rng).Kernel()
-			x := make([]float64, dim.in)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			h := make([]float64, dim.hid)
-			next := make([]float64, dim.hid)
-			scratch := make([]float64, k.ScratchLen())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.Step(x, h, next, scratch)
-				h, next = next, h
-			}
-			benchSink = h[0]
-		})
+		for _, impl := range impls() {
+			b.Run(fmt.Sprintf("%dx%d/%s", dim.in, dim.hid, impl), func(b *testing.B) {
+				setImpl(b, impl)
+				rng := rand.New(rand.NewSource(1))
+				k := newTestGRU(dim.in, dim.hid, rng).Kernel()
+				x := make([]float64, dim.in)
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				h := make([]float64, dim.hid)
+				next := make([]float64, dim.hid)
+				scratch := make([]float64, k.ScratchLen())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.Step(x, h, next, scratch)
+					h, next = next, h
+				}
+				benchSink = h[0]
+			})
+		}
+	}
+}
+
+// BenchmarkPeerSum times every attention context of one request — each of P
+// experts over its P−1 peers at each of T windows — on each implementation,
+// at the two shapes the repo benchmark runs (experts × windows × hidden).
+func BenchmarkPeerSum(b *testing.B) {
+	for _, d := range []struct{ P, T, hid int }{{76, 12, 128}, {399, 6, 16}} {
+		for _, impl := range impls() {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.P, d.T, d.hid, impl), func(b *testing.B) {
+				setImpl(b, impl)
+				rng := rand.New(rand.NewSource(1))
+				traj := fillAt(d.P*d.T*d.hid, 0, rng, nil, 0)
+				alpha := fillAt(d.P-1, 0, rng, nil, 0)
+				peers := make([][]int, d.P)
+				for i := range peers {
+					for p := 0; p < d.P; p++ {
+						if p != i {
+							peers[i] = append(peers[i], p)
+						}
+					}
+				}
+				dst := make([]float64, d.hid)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					for _, idx := range peers {
+						for t := 0; t < d.T; t++ {
+							PeerSum(dst, alpha, idx, traj[t*d.hid:], d.T*d.hid)
+						}
+					}
+				}
+				benchSink = dst[0]
+			})
+		}
 	}
 }

@@ -1,0 +1,35 @@
+package ad
+
+// Implemented in simd_amd64.s.
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func rowDots16AVX2(dst, w, x *float64, cols int)
+
+//go:noescape
+func rowDots4AVX2(dst, w, x *float64, cols int)
+
+//go:noescape
+func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
+
+// haveAVX2 reports whether the processor implements AVX2 and the operating
+// system saves the YMM registers across context switches.
+func haveAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	// XCR0 bits 1 and 2: XMM and YMM state enabled.
+	if lo, _ := xgetbv(); lo&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}

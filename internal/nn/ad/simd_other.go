@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package ad
+
+func haveAVX2() bool { return false }
+
+// The AVX2 entry points exist only on amd64; useAVX2 is never true here.
+
+func rowDots16AVX2(dst, w, x *float64, cols int) { panic("ad: no AVX2 kernels on this platform") }
+func rowDots4AVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kernels on this platform") }
+func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool {
+	panic("ad: no AVX2 kernels on this platform")
+}

@@ -13,9 +13,18 @@ import (
 // identical multi-step forward+backward round and compares outputs and
 // parameter gradients. On amd64 (no FMA contraction by the Go compiler)
 // the comparison is exact-bit; elsewhere a tight epsilon guards against
-// architecture-specific expression contraction.
+// architecture-specific expression contraction. Width 7 stays on the
+// kernels' Go remainder rows; 37 = 2×16 + 4 + 1 crosses every rung of the
+// row ladder on whichever implementation ad selected (ad's own
+// TestFusedStepMatchesChain repeats this once per implementation).
 func TestFusedStepMatchesReference(t *testing.T) {
-	const in, hid, steps = 5, 7, 6
+	for _, hid := range []int{7, 37} {
+		fusedStepMatchesReference(t, hid)
+	}
+}
+
+func fusedStepMatchesReference(t *testing.T, hid int) {
+	const in, steps = 5, 6
 	rng := rand.New(rand.NewSource(42))
 	g := NewGRUCell("equiv", in, hid, rng)
 	xs := make([][]float64, steps)

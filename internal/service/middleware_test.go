@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/nn/ad"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -76,6 +77,7 @@ func TestMetricsScrape(t *testing.T) {
 		"deeprest_telemetry_windows_total",
 		"deeprest_telemetry_spans_total",
 		`deeprest_build_info{version=`,
+		`deeprest_kernel_info{impl="` + ad.KernelImpl() + `"} 1`,
 		"deeprest_quality_windows_scored_total",
 		`deeprest_quality_smape{component="Service",resource="cpu"}`,
 		"deeprest_quality_coverage{",
