@@ -13,42 +13,51 @@
 //	          [-quality-horizon D] [-quality-retrain-threshold PCT]
 //	          [-log-level L] [-log-format text|json] [-pprof] [-debug-addr A]
 //
-// With -app the daemon bootstraps its telemetry store from a simulated
-// deployment of the named application before listening — APP is
-// social|hotel|media, @FILE (a topology DSL document), or
-// gen:seed=N,components=N for a generated topology — so `deeprestd -app
-// gen:seed=7,components=60 -retrain-every 15m` is a self-contained demo of
-// the full service against a production-scale topology.
+// Every daemon is a fleet (internal/fleet): one tenant per application, each
+// with its own telemetry store, model generations, and quality scoreboard,
+// addressed at /v1/t/{app}/... Without -fleet there is one tenant, named
+// "default"; the un-prefixed routes below alias the first tenant created, so
+// single-app clients never see the prefix. With -app that tenant bootstraps
+// its telemetry store from a simulated deployment of the named application
+// before listening — APP is social|hotel|media, @FILE (a topology DSL
+// document), or gen:seed=N,components=N for a generated topology — so
+// `deeprestd -app gen:seed=7,components=60 -retrain-every 15m` is a
+// self-contained demo of the full service against a production-scale
+// topology; without it the tenant waits for pushed telemetry. -fleet adds
+// the tenants its manifest declares (and then "default" exists only if -app
+// asks for it). Tenants can also be created and retired at runtime via
+// POST /v1/tenants and DELETE /v1/tenants/{app}; GET /v1/fleet reports
+// per-tenant status.
 //
-// Endpoints (see internal/service):
+// Tenant endpoints (see internal/service):
 //
 //	POST /v1/telemetry  POST /v1/learn  GET /v1/status
 //	POST /v1/estimate   POST /v1/sanity GET /v1/influence  GET /v1/model
-//	POST /v1/pipeline/start  POST /v1/pipeline/stop  GET /v1/pipeline/status
+//	GET  /v1/pipeline/status
 //	GET  /v1/models     POST /v1/models/{version}/activate
 //	GET  /v1/quality    (shadow-scoring scoreboard: rolling error + calibration)
-//	GET  /v1/version    GET /metrics (Prometheus text format; always on)
+//	GET  /v1/autoscale/plan  GET /v1/version
+//	GET  /metrics       (Prometheus text format; always on; one scrape covers
+//	                    every tenant, each series labelled app="...")
 //
-// With -fleet the daemon serves many applications at once (internal/fleet):
-// the manifest declares one tenant per application, each with its own
-// telemetry store, model generations, and quality scoreboard, addressed at
-// /v1/t/{app}/... (the un-prefixed routes above alias the default tenant,
-// so single-app clients keep working). Tenants can also be created and
-// retired at runtime via POST /v1/tenants and DELETE /v1/tenants/{app};
-// GET /v1/fleet reports per-tenant status. Training is shared: one bounded
-// worker pool (-train-workers) driven by a fair round-robin scheduler
-// replaces per-tenant retrain loops, -ingest-rate/-ingest-burst shed a
-// flooding tenant's telemetry with 429 + Retry-After, and -max-inflight
-// bounds each tenant's concurrent requests (503). Checkpoints nest per
-// tenant under -checkpoint-dir, and every metric series and stage span
-// carries an app="..." label.
+// Training is shared: one bounded worker pool (-train-workers) driven by a
+// fair round-robin scheduler runs every tenant's retrain and drift ticks,
+// -ingest-rate/-ingest-burst shed a flooding tenant's telemetry with 429 +
+// Retry-After, and -max-inflight bounds each tenant's concurrent requests
+// (503). Checkpoints nest per tenant under -checkpoint-dir
+// (DIR/<tenant>/gen-*.ckpt, "default" included; a DIR that still holds
+// un-nested gen-*.ckpt files from an older single-app daemon is refused at
+// start-up with the mv to run), and every stage span carries the tenant.
 //
-// With -retrain-every the continuous-learning loop starts automatically:
-// the daemon retrains on fresh telemetry at that cadence (and early when
-// drift is detected), publishing each generation atomically while queries
-// keep serving the previous one. With -checkpoint-dir every generation is
-// checkpointed to disk and recovered at the next boot, so a restart comes
-// back serving the exact model it went down with.
+// -retrain-every arms that scheduler (GET /v1/fleet reports
+// scheduler_running): every tenant retrains on fresh telemetry at that
+// cadence (and early when drift is detected), publishing each generation
+// atomically while queries keep serving the previous one. With
+// -checkpoint-dir every generation is checkpointed to disk and recovered at
+// the next boot, so a restart comes back serving the exact model it went
+// down with (a push-only tenant's telemetry is volatile: it answers Mode-2
+// and status queries at once, Mode-1 estimates once telemetry is pushed
+// again).
 //
 // Resilience: -max-inflight bounds admitted requests (excess is shed with
 // 503 + Retry-After), -request-timeout puts a deadline on every request's
@@ -68,13 +77,13 @@
 // serves the registry at GET /metrics on the main listener. Stage spans
 // around ingest, extraction, scoring, training, checkpointing, and serving
 // swaps are recorded in a fixed in-process ring and served at
-// GET /debug/spans. -pprof additionally mounts net/http/pprof under
-// /debug/pprof/ (plus /debug/spans) on the main listener; -debug-addr
-// starts a second, operator-only listener carrying /metrics, /debug/spans,
-// and /debug/pprof/ so profiling never has to face application clients. Logs
-// are structured (log/slog) on stderr; -log-level and -log-format pick
-// severity and text/json rendering. SIGINT or SIGTERM shut the daemon down
-// gracefully: the retraining loop drains, then the listeners stop.
+// GET /debug/spans beside net/http/pprof under /debug/pprof/: -pprof mounts
+// both on the main listener; -debug-addr starts a second, operator-only
+// listener carrying them and /metrics, so profiling never has to face
+// application clients. Logs are structured (log/slog) on stderr; -log-level
+// and -log-format pick severity and text/json rendering. SIGINT or SIGTERM
+// shut the daemon down gracefully: the training scheduler drains, then the
+// listeners stop.
 //
 // A quick demo against a simulated deployment:
 //
@@ -106,41 +115,37 @@ import (
 	"repro/internal/nn/ad"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/service"
-	"repro/internal/sim"
-	"repro/internal/topo"
-	"repro/internal/workload"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	appArg := flag.String("app", "",
-		"bootstrap the telemetry store from a simulated application before listening: social|hotel|media, @spec.json, or gen:seed=N,components=N (empty = start with no telemetry)")
+		"bootstrap the default tenant's telemetry store from a simulated application before listening: social|hotel|media, @spec.json, or gen:seed=N,components=N (empty = start with no telemetry)")
 	bootstrapDays := flag.Int("bootstrap-days", 2, "days of simulated telemetry to bootstrap with (-app only)")
 	anonymize := flag.Bool("anonymize", false, "hash component/operation/API names before learning")
 	salt := flag.String("salt", "", "anonymisation salt")
 	hidden := flag.Int("hidden", 0, "GRU width override (0 = default)")
 	epochs := flag.Int("epochs", 0, "training epochs override (0 = default)")
 	fleetPath := flag.String("fleet", "",
-		"fleet manifest (JSON, see internal/fleet): boot multi-tenant, one application per manifest entry, served at /v1/t/{app}/... (empty = single-app mode)")
-	trainWorkers := flag.Int("train-workers", 0, "fleet mode: shared training worker-pool size (0 = 2)")
-	maxTenants := flag.Int("max-tenants", 0, "fleet mode: resident tenant bound (0 = 64)")
-	ingestRate := flag.Float64("ingest-rate", 0, "fleet mode: per-tenant sustained telemetry ingests per second before shedding with 429 (0 = unbounded)")
-	ingestBurst := flag.Int("ingest-burst", 0, "fleet mode: per-tenant ingest burst allowance (0 = max(2*rate, 4))")
-	retrainEvery := flag.Duration("retrain-every", 0, "background retrain cadence (0 = loop not started)")
+		"fleet manifest (JSON, see internal/fleet): one tenant per manifest entry, served at /v1/t/{app}/... (empty = the single tenant \"default\")")
+	trainWorkers := flag.Int("train-workers", 0, "shared training worker-pool size (0 = 2)")
+	maxTenants := flag.Int("max-tenants", 0, "resident tenant bound (0 = 64)")
+	ingestRate := flag.Float64("ingest-rate", 0, "per-tenant sustained telemetry ingests per second before shedding with 429 (0 = unbounded)")
+	ingestBurst := flag.Int("ingest-burst", 0, "per-tenant ingest burst allowance (0 = max(2*rate, 4))")
+	retrainEvery := flag.Duration("retrain-every", 0, "background retrain cadence (0 = training scheduler not started)")
 	window := flag.Int("window", 0, "sliding window: train on the last N telemetry windows (0 = all)")
 	retention := flag.Int("retention", 0, "telemetry retention horizon in windows: the store is a ring buffer evicting the oldest window past this bound (0 = 2x -window when -window is set, else unbounded; negative = unbounded)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for model checkpoints (empty = in-memory only)")
+	checkpointDir := flag.String("checkpoint-dir", "", "directory for model checkpoints, one sub-directory per tenant (empty = in-memory only)")
 	history := flag.Int("history", 0, "model generations to retain (0 = default)")
-	maxInflight := flag.Int("max-inflight", 0, "admission bound: concurrent API requests before shedding with 503 (0 = unbounded)")
+	maxInflight := flag.Int("max-inflight", 0, "per-tenant admission bound: concurrent API requests before shedding with 503 (0 = unbounded)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline propagated through handler contexts (0 = none)")
 	faultSpec := flag.String("fault-spec", "", "deterministic control-plane fault scenario, e.g. \"seed=1;retrainfail:prob=0.3\" (see internal/faults; for resilience drills)")
 	qualityHorizon := flag.Duration("quality-horizon", 24*time.Hour, "longest rolling shadow-scoring horizon served at /v1/quality")
 	qualityThreshold := flag.Float64("quality-retrain-threshold", 0, "aggregate sMAPE (percent) that, sustained over 8 scored windows, triggers an early retrain (0 = observe only)")
 	logLevel := flag.String("log-level", "info", "log severity: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", "log rendering: text or json")
-	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/ on the main listener")
-	debugAddr := flag.String("debug-addr", "", "separate operator listener for /metrics and /debug/pprof/ (empty = off)")
+	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/ and /debug/spans on the main listener")
+	debugAddr := flag.String("debug-addr", "", "separate operator listener for /metrics, /debug/spans and /debug/pprof/ (empty = off)")
 	flag.Parse()
 
 	logger, err := buildLogger(*logLevel, *logFormat)
@@ -214,110 +219,54 @@ func main() {
 		logger.Info("telemetry retention armed", "windows", resolvedRetention)
 	}
 
-	var handler http.Handler
-	var stopTraining func()
+	// Every daemon is a fleet. Without -fleet its one tenant is "default"
+	// (bootstrapped from -app, or push-only); the manifest only adds
+	// tenants. "default" is created first, so the un-prefixed routes alias it.
+	var tenants []fleet.TenantSpec
+	if *fleetPath == "" || *appArg != "" {
+		tenants = append(tenants, fleet.TenantSpec{
+			App: "default", Spec: *appArg, BootstrapDays: *bootstrapDays,
+		})
+	}
 	if *fleetPath != "" {
-		// Fleet mode: the manifest declares the tenants; each gets its own
-		// service instance (telemetry ring, model registry, quality board)
-		// behind /v1/t/{app}/..., while training shares one bounded worker
-		// pool. Legacy un-prefixed routes alias the default tenant.
 		manifest, err := fleet.LoadManifest(*fleetPath)
 		if err != nil {
 			fatal("fleet manifest rejected", "path", *fleetPath, "error", err)
 		}
-		fl := fleet.New(fleet.Config{
-			Opts:             opts,
-			Pipeline:         pcfg,
-			MaxTenants:       *maxTenants,
-			TrainWorkers:     *trainWorkers,
-			MaxInflight:      *maxInflight,
-			IngestRate:       *ingestRate,
-			IngestBurst:      *ingestBurst,
-			RequestTimeout:   *requestTimeout,
-			Retention:        resolvedRetention,
-			QualityHorizon:   *qualityHorizon,
-			QualityThreshold: *qualityThreshold,
-		})
-		// -app alongside -fleet adds a tenant named "default" from that
-		// spec, created first so the legacy routes alias it.
-		if *appArg != "" {
-			if _, err := fl.Create(fleet.TenantSpec{
-				App: "default", Spec: *appArg, BootstrapDays: *bootstrapDays,
-			}); err != nil {
-				fatal("default tenant failed", "app", *appArg, "error", err)
-			}
-		}
-		for _, ts := range manifest.Tenants {
-			t, err := fl.Create(ts)
-			if err != nil {
-				fatal("tenant creation failed", "tenant", ts.App, "error", err)
-			}
-			logger.Info("tenant resident", "app", t.ID, "spec", t.Spec,
-				"windows", t.Server().Windows())
-		}
-		if *retrainEvery > 0 {
-			fl.StartScheduler()
-			logger.Info("fleet training scheduler started",
-				"tenants", len(fl.Tenants()), "train_workers", fl.TrainWorkers(),
-				"retrain_every", pcfg.Interval)
-		}
-		handler = fl.Handler()
-		if *pprofOn {
-			mux := http.NewServeMux()
-			mux.Handle("/", handler)
-			mux.Handle("GET /debug/spans", tracer.Handler())
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-			handler = mux
-		}
-		stopTraining = fl.Close
-	} else {
-		svc, err := service.NewWithConfig(opts, pcfg)
+		tenants = append(tenants, manifest.Tenants...)
+	}
+	fl := fleet.New(fleet.Config{
+		Opts:             opts,
+		Pipeline:         pcfg,
+		MaxTenants:       *maxTenants,
+		TrainWorkers:     *trainWorkers,
+		MaxInflight:      *maxInflight,
+		IngestRate:       *ingestRate,
+		IngestBurst:      *ingestBurst,
+		RequestTimeout:   *requestTimeout,
+		Retention:        resolvedRetention,
+		QualityHorizon:   *qualityHorizon,
+		QualityThreshold: *qualityThreshold,
+	})
+	for _, ts := range tenants {
+		t, err := fl.Create(ts)
 		if err != nil {
-			fatal("service construction failed", "error", err)
+			fatal("tenant creation failed", "tenant", ts.App, "error", err)
 		}
-		svc.EnablePprof = *pprofOn
-		svc.MaxInflight = *maxInflight
-		svc.RequestTimeout = *requestTimeout
-		svc.QualityHorizon = *qualityHorizon
-		svc.QualityThreshold = *qualityThreshold
-		svc.Retention = resolvedRetention
-		pipe := svc.Pipeline()
-		if *checkpointDir != "" {
-			n, err := pipe.Recover()
-			if err != nil {
-				fatal("checkpoint recovery failed", "dir", *checkpointDir, "error", err)
-			}
-			if n > 0 {
-				logger.Info("recovered model generations",
-					"generations", n, "serving_version", pipe.Active().Version)
-			}
-		}
-		// Bootstrap after checkpoint recovery so the store picks up the
-		// recovered generation's feature extractor on adoption.
-		if *appArg != "" {
-			run, err := bootstrapRun(*appArg, *bootstrapDays)
-			if err != nil {
-				fatal("bootstrap simulation failed", "app", *appArg, "error", err)
-			}
-			if err := svc.Bootstrap(run); err != nil {
-				fatal("bootstrap ingest failed", "app", *appArg, "error", err)
-			}
-			logger.Info("telemetry store bootstrapped from simulation",
-				"app", *appArg, "days", *bootstrapDays, "windows", len(run.Windows))
-		}
-		if *retrainEvery > 0 {
-			if err := pipe.Start(); err != nil {
-				fatal("continuous-learning loop failed to start", "error", err)
-			}
-			logger.Info("continuous learning started",
-				"retrain_every", pcfg.Interval, "drift_check_every", pipe.DriftEvery())
-		}
-		handler = svc.Handler()
-		stopTraining = pipe.Stop
+		st := t.Server().Pipeline().Status()
+		logger.Info("tenant resident", "app", t.ID, "spec", t.Spec,
+			"windows", t.Server().Windows(),
+			"generations", st.Generations, "serving_version", st.ActiveVersion)
+	}
+	if *retrainEvery > 0 {
+		fl.StartScheduler()
+		logger.Info("training scheduler started",
+			"tenants", len(tenants), "train_workers", fl.TrainWorkers(),
+			"retrain_every", pcfg.Interval)
+	}
+	handler := fl.Handler()
+	if *pprofOn {
+		handler = debugMux(handler, tracer)
 	}
 
 	srv := &http.Server{
@@ -335,9 +284,11 @@ func main() {
 
 	var dbg *http.Server
 	if *debugAddr != "" {
+		metricsOnly := http.NewServeMux()
+		metricsOnly.Handle("GET /metrics", metrics.Handler())
 		dbg = &http.Server{
 			Addr:              *debugAddr,
-			Handler:           debugMux(metrics, tracer),
+			Handler:           debugMux(metricsOnly, tracer),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go func() {
@@ -354,7 +305,7 @@ func main() {
 	defer stop()
 	<-ctx.Done()
 	logger.Info("shutting down")
-	stopTraining() // waits for in-flight training; checkpoints are on disk
+	fl.Close() // waits for in-flight training; checkpoints are on disk
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
@@ -365,28 +316,6 @@ func main() {
 			logger.Warn("debug shutdown incomplete", "error", err)
 		}
 	}
-}
-
-// bootstrapRun simulates a learning period for the -app flag: diurnal
-// traffic over the requested days against the resolved application, with
-// the same window geometry the CLI's quick mode uses.
-func bootstrapRun(appArg string, days int) (*sim.Run, error) {
-	if days < 1 {
-		days = 1
-	}
-	spec, mix, err := topo.Resolve(appArg)
-	if err != nil {
-		return nil, err
-	}
-	cluster, err := sim.NewCluster(spec, 101)
-	if err != nil {
-		return nil, err
-	}
-	prog := workload.Uniform(days, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 30})
-	prog.WindowsPerDay = 48
-	prog.WindowSeconds = 60
-	prog.Seed = 301
-	return cluster.Run(prog.Generate())
 }
 
 // buildLogger assembles the daemon's structured logger from the -log-level
@@ -406,12 +335,13 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
 }
 
-// debugMux is the operator-only listener: metrics, stage spans, and the
-// full pprof surface, kept off the application-facing mux unless -pprof
-// asks for it.
-func debugMux(metrics *obs.Registry, tracer *obs.SpanTracer) http.Handler {
+// debugMux puts the operator surface — stage spans and the full pprof set —
+// in front of next. It is the one place they are mounted: -pprof wraps the
+// fleet handler with it on the main listener, -debug-addr serves it over
+// /metrics alone.
+func debugMux(next http.Handler, tracer *obs.SpanTracer) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", metrics.Handler())
+	mux.Handle("/", next)
 	mux.Handle("GET /debug/spans", tracer.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

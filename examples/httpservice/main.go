@@ -18,6 +18,7 @@ import (
 
 	deeprest "repro"
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/service"
 )
 
@@ -30,7 +31,11 @@ func main() {
 		{Component: "ComposePostService", Resource: deeprest.CPU},
 		{Component: "PostStorageMongoDB", Resource: deeprest.WriteIOps},
 	}
-	ts := httptest.NewServer(service.New(opts).Handler())
+	svc, err := service.NewWithConfig(opts, pipeline.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	base := ts.URL
 	fmt.Printf("deeprest service at %s (anonymized)\n\n", base)

@@ -20,8 +20,9 @@
 //     <dir>/<tenant>/ with tenant ids validated against path traversal;
 //   - training is funnelled through one bounded worker pool driven by a
 //     fair round-robin scheduler (see scheduler.go) instead of N background
-//     retrain goroutines, and per-tenant admission tokens shed a flooding
-//     tenant with 429/503 while quiet tenants keep their cadence.
+//     retrain goroutines, and each tenant's own admission middleware
+//     (service.Config: ingest token bucket → 429, in-flight bound → 503)
+//     sheds a flooding tenant while quiet tenants keep their cadence.
 //
 // Locking model: Fleet.mu guards only the tenant table (create, lookup,
 // retire); it is never held across training, bootstrap simulation, or
@@ -33,7 +34,6 @@ package fleet
 
 import (
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -57,8 +57,10 @@ type Config struct {
 	// per-tenant re-scoped; everything else applies to every tenant.
 	Opts core.Options
 	// Pipeline is the per-tenant continuous-learning template. A non-empty
-	// CheckpointDir is the fleet base directory: tenant checkpoints land in
-	// CheckpointDir/<tenant>/gen-*.ckpt.
+	// CheckpointDir is the fleet base directory: every tenant's checkpoints
+	// land in CheckpointDir/<tenant>/gen-*.ckpt, and a base directory that
+	// holds gen-*.ckpt files itself (the layout of a pre-fleet single-app
+	// daemon) is refused at tenant creation.
 	Pipeline pipeline.Config
 	// MaxTenants bounds resident tenants (0 = 64). Creation beyond the
 	// bound is refused with 503.
@@ -76,12 +78,11 @@ type Config struct {
 	// Retry-After. Rate 0 disables. Burst 0 defaults to max(2*rate, 4).
 	IngestRate  float64
 	IngestBurst int
-	// RequestTimeout, Retention, EstimateCache, QualityHorizon,
-	// QualityThreshold mirror the service.Server fields and apply to every
-	// tenant (Retention overridable per TenantSpec).
+	// RequestTimeout, Retention, QualityHorizon, QualityThreshold mirror the
+	// service.Config fields and apply to every tenant (Retention overridable
+	// per TenantSpec).
 	RequestTimeout   time.Duration
 	Retention        int
-	EstimateCache    int
 	QualityHorizon   time.Duration
 	QualityThreshold float64
 }
@@ -108,7 +109,7 @@ type TenantSpec struct {
 }
 
 // Tenant is one resident application: its service instance plus the fleet's
-// admission and scheduling state for it.
+// scheduling state for it.
 type Tenant struct {
 	// ID is the validated tenant id.
 	ID string
@@ -118,9 +119,7 @@ type Tenant struct {
 	// CreatedAt stamps tenant creation.
 	CreatedAt time.Time
 
-	srv     *service.Server
-	handler http.Handler
-	bucket  *tokenBucket
+	srv *service.Server
 
 	retired atomic.Bool
 	// trainPending is the atomic claim guaranteeing at most one queued or
@@ -139,13 +138,13 @@ func (t *Tenant) Server() *service.Server { return t.srv }
 type Fleet struct {
 	cfg Config
 
-	mu       sync.RWMutex
-	tenants  map[string]*Tenant
-	order    []*Tenant // creation order, drives round-robin fairness
-	pending  map[string]bool
-	deflt    string // tenant aliased by legacy un-prefixed routes
-	closed   bool
-	sched    *scheduler
+	mu      sync.RWMutex
+	tenants map[string]*Tenant
+	order   []*Tenant // creation order, drives round-robin fairness
+	pending map[string]bool
+	deflt   string // tenant aliased by legacy un-prefixed routes
+	closed  bool
+	sched   *scheduler
 
 	tenantsGauge *obs.Gauge
 	tenantOps    *obs.CounterVec
@@ -183,7 +182,11 @@ func New(cfg Config) *Fleet {
 // never held across the (slow) bootstrap simulation: the id is reserved
 // first, so concurrent creates of the same id fail fast with ErrDuplicate.
 func (f *Fleet) Create(ts TenantSpec) (*Tenant, error) {
-	if err := ValidateID(ts.App); err != nil {
+	err := ValidateID(ts.App)
+	if err == nil {
+		err = validateSpecBounds(&ts)
+	}
+	if err != nil {
 		f.tenantOps.With("create", "error").Inc()
 		return nil, err
 	}
@@ -239,7 +242,7 @@ func (f *Fleet) reserve(id string) error {
 }
 
 // build constructs the tenant's service instance: re-scoped observability,
-// nested checkpoint dir, checkpoint recovery, optional simulated bootstrap.
+// nested checkpoint dir, optional simulated bootstrap, checkpoint recovery.
 func (f *Fleet) build(ts TenantSpec) (*Tenant, error) {
 	opts := f.cfg.Opts
 	if opts.Metrics != nil {
@@ -250,58 +253,56 @@ func (f *Fleet) build(ts TenantSpec) (*Tenant, error) {
 		opts.Logger = opts.Logger.With("app", ts.App)
 	}
 	pcfg := f.cfg.Pipeline
-	if pcfg.CheckpointDir != "" {
+	if root := pcfg.CheckpointDir; root != "" {
+		// Checkpoints written straight into the root belong to no tenant;
+		// starting cold beside them would silently drop a trained model.
+		glob := filepath.Join(root, "gen-*.ckpt")
+		if stray, _ := filepath.Glob(glob); len(stray) > 0 {
+			adopt := filepath.Join(root, "default")
+			return nil, fmt.Errorf("fleet: checkpoint dir %s holds %d un-nested gen-*.ckpt file(s) (the single-app layout); "+
+				"tenants checkpoint under <dir>/<tenant>/ — move them first: mkdir -p %s && mv %s %s/",
+				root, len(stray), adopt, glob, adopt)
+		}
 		// ValidateID excluded separators and dots, so this join can never
 		// escape the fleet's checkpoint root.
-		pcfg.CheckpointDir = filepath.Join(pcfg.CheckpointDir, ts.App)
+		pcfg.CheckpointDir = filepath.Join(root, ts.App)
 	}
-	srv, err := service.NewWithConfig(opts, pcfg)
+	scfg := service.Config{
+		MaxInflight:      f.cfg.MaxInflight,
+		IngestRate:       f.cfg.IngestRate,
+		IngestBurst:      f.cfg.IngestBurst,
+		RequestTimeout:   f.cfg.RequestTimeout,
+		Retention:        f.cfg.Retention,
+		QualityHorizon:   f.cfg.QualityHorizon,
+		QualityThreshold: f.cfg.QualityThreshold,
+	}
+	if ts.MaxInflight > 0 {
+		scfg.MaxInflight = ts.MaxInflight
+	}
+	if ts.Retention > 0 {
+		scfg.Retention = ts.Retention
+	}
+	srv, err := service.New(opts, pcfg, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %q: %w", ts.App, err)
 	}
-	srv.ExternalScheduler = true
-	srv.MaxInflight = f.cfg.MaxInflight
-	if ts.MaxInflight > 0 {
-		srv.MaxInflight = ts.MaxInflight
-	}
-	srv.RequestTimeout = f.cfg.RequestTimeout
-	srv.Retention = f.cfg.Retention
-	if ts.Retention > 0 {
-		srv.Retention = ts.Retention
-	}
-	srv.EstimateCache = f.cfg.EstimateCache
-	srv.QualityHorizon = f.cfg.QualityHorizon
-	srv.QualityThreshold = f.cfg.QualityThreshold
-
-	if pcfg.CheckpointDir != "" {
-		if _, err := srv.Pipeline().Recover(); err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q: recover: %w", ts.App, err)
-		}
-	}
+	// Bootstrap before recovery: a recovered model's trace synthesizer is
+	// re-learned from the windows the store holds at that moment.
 	if ts.Spec != "" {
 		run, err := BootstrapRun(ts.Spec, ts.BootstrapDays)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: tenant %q: bootstrap: %w", ts.App, err)
 		}
 		if err := srv.Bootstrap(run); err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q: bootstrap: %w", ts.App, err)
+			return nil, fmt.Errorf("fleet: tenant %q: %w", ts.App, err)
 		}
 	}
-	t := &Tenant{
-		ID: ts.App, Spec: ts.Spec, CreatedAt: time.Now(),
-		srv: srv, handler: srv.Handler(),
-	}
-	if f.cfg.IngestRate > 0 {
-		burst := f.cfg.IngestBurst
-		if burst <= 0 {
-			burst = int(2 * f.cfg.IngestRate)
-			if burst < 4 {
-				burst = 4
-			}
+	if pcfg.CheckpointDir != "" {
+		if _, err := srv.Pipeline().Recover(); err != nil {
+			return nil, fmt.Errorf("fleet: tenant %q: recover: %w", ts.App, err)
 		}
-		t.bucket = newTokenBucket(f.cfg.IngestRate, float64(burst))
 	}
-	return t, nil
+	return &Tenant{ID: ts.App, Spec: ts.Spec, CreatedAt: time.Now(), srv: srv}, nil
 }
 
 // Get returns a resident tenant.
@@ -388,9 +389,9 @@ func (f *Fleet) Close() {
 
 // BootstrapRun simulates a learning period for a tenant bootstrap: diurnal
 // two-peak traffic over the requested days against the resolved topology,
-// with the same window geometry and seeds for every tenant, so a fleet
-// tenant bootstrapped from spec S holds bit-identical telemetry to a
-// single-tenant daemon bootstrapped from S.
+// with the same window geometry and seeds for every tenant, so a tenant
+// bootstrapped from spec S holds bit-identical telemetry in every fleet and
+// across restarts.
 func BootstrapRun(spec string, days int) (*sim.Run, error) {
 	if days < 1 {
 		days = 1

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -339,5 +341,69 @@ func TestValidateID(t *testing.T) {
 		if err := ValidateID(bad); err == nil {
 			t.Errorf("ValidateID(%q) accepted", bad)
 		}
+	}
+}
+
+// TestRestartServesIdenticalEstimates: a tenant with a spec that is trained,
+// checkpointed and created again over the same checkpoint dir (a daemon
+// restart) answers /v1/estimate byte for byte as before — the recovered
+// model's synthesizer is re-learned from the bootstrap telemetry, which
+// therefore has to be in the store before recovery runs.
+func TestRestartServesIdenticalEstimates(t *testing.T) {
+	pcfg := pipeline.DefaultConfig()
+	pcfg.CheckpointDir = t.TempDir()
+	boot := func() (*Fleet, http.Handler) {
+		fl := New(Config{Opts: quickOpts(), Pipeline: pcfg})
+		t.Cleanup(fl.Close)
+		if _, err := fl.Create(TenantSpec{App: "shop", Spec: "social"}); err != nil {
+			t.Fatal(err)
+		}
+		return fl, fl.Handler()
+	}
+	_, h := boot()
+	if rec := do(t, h, "POST", "/v1/t/shop/v1/learn", bytes.NewBufferString(`{"pairs":["UserService/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+	before := do(t, h, "POST", "/v1/t/shop/v1/estimate", estimateBody(t, "social"))
+	if before.Code != http.StatusOK {
+		t.Fatalf("estimate = %d: %s", before.Code, before.Body)
+	}
+
+	fl2, h2 := boot()
+	tn, _ := fl2.Get("shop")
+	if got := tn.Server().Pipeline().Status().ActiveVersion; got != 1 {
+		t.Fatalf("recovered version = %d, want 1", got)
+	}
+	after := do(t, h2, "POST", "/v1/t/shop/v1/estimate", estimateBody(t, "social"))
+	if after.Code != http.StatusOK {
+		t.Fatalf("estimate after restart = %d: %s", after.Code, after.Body)
+	}
+	if !bytes.Equal(before.Body.Bytes(), after.Body.Bytes()) {
+		t.Error("estimate after restart differs from the one before it")
+	}
+}
+
+// TestCreateRefusesStrayCheckpointsAndBadBounds: Create itself enforces the
+// spec bounds, and refuses a checkpoint root that holds un-nested
+// checkpoints (the pre-fleet single-app layout) instead of starting cold
+// beside them.
+func TestCreateRefusesStrayCheckpointsAndBadBounds(t *testing.T) {
+	dir := t.TempDir()
+	pcfg := pipeline.DefaultConfig()
+	pcfg.CheckpointDir = dir
+	fl := New(Config{Opts: quickOpts(), Pipeline: pcfg})
+	t.Cleanup(fl.Close)
+	if _, err := fl.Create(TenantSpec{App: "a", Spec: "social", BootstrapDays: 1000}); err == nil {
+		t.Error("Create accepted bootstrap_days 1000")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "gen-000001.ckpt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := fl.Create(TenantSpec{App: "default"})
+	if err == nil || !strings.Contains(err.Error(), "mv "+filepath.Join(dir, "gen-*.ckpt")) {
+		t.Errorf("Create over a root with a stray checkpoint: err = %v, want a refusal naming the mv", err)
+	}
+	if len(fl.Tenants()) != 0 {
+		t.Errorf("a refused create left %d tenant(s) resident", len(fl.Tenants()))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -18,11 +17,9 @@ import (
 //	ANY    /...                 legacy single-app routes, aliased to the
 //	                            default tenant so pre-fleet clients keep working
 //
-// Admission runs at this layer, before the tenant's own handler: the
-// per-tenant ingest token bucket sheds flooding telemetry writers with 429 +
-// Retry-After (the tenant's MaxInflight bound inside service.Server sheds
-// concurrency overload with 503). Both count into the tenant's labelled
-// deeprest_http_shed_total.
+// This layer only routes. Admission (ingest token bucket → 429, in-flight
+// bound → 503) is the tenant's own middleware inside service.Server, counted
+// in that tenant's deeprest_http_shed_total{app,reason}.
 
 type fleetError struct {
 	Error string `json:"error"`
@@ -57,7 +54,7 @@ func (f *Fleet) Handler() http.Handler {
 }
 
 // handleTenant routes /v1/t/{app}/... into the tenant's own service handler
-// with the prefix stripped, after fleet-level admission.
+// with the prefix stripped.
 func (f *Fleet) handleTenant(w http.ResponseWriter, r *http.Request) {
 	app := r.PathValue("app")
 	t, ok := f.Get(app)
@@ -85,22 +82,8 @@ func (f *Fleet) serveTenant(t *Tenant, prefix string, w http.ResponseWriter, r *
 		writeErr(w, http.StatusNotFound, "tenant %q retired", t.ID)
 		return
 	}
-	if t.bucket != nil && r.Method == http.MethodPost &&
-		r.URL.Path == prefix+"/v1/telemetry" {
-		if ok, retry := t.bucket.take(time.Now()); !ok {
-			secs := int(retry/time.Second) + 1
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			t.srv.ShedInc()
-			writeErr(w, http.StatusTooManyRequests,
-				"tenant %q ingest rate exceeded, retry in %ds", t.ID, secs)
-			return
-		}
-	}
-	if prefix == "" {
-		t.handler.ServeHTTP(w, r)
-		return
-	}
-	http.StripPrefix(prefix, t.handler).ServeHTTP(w, r)
+	// StripPrefix with an empty prefix serves the request unchanged.
+	http.StripPrefix(prefix, t.srv.Handler()).ServeHTTP(w, r)
 }
 
 // handleCreate registers a tenant from a TenantSpec body. The decoder is as
@@ -111,10 +94,6 @@ func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var ts TenantSpec
 	if err := dec.Decode(&ts); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode tenant spec: %v", err)
-		return
-	}
-	if err := validateSpecBounds(&ts); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	t, err := f.Create(ts)
@@ -195,8 +174,9 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// validateSpecBounds applies the shared sanity bounds on a TenantSpec
-// (ParseManifest applies the same bounds to manifest entries).
+// validateSpecBounds applies the sanity bounds on a TenantSpec. Create
+// enforces them for every caller; ParseManifest applies them too, so a bad
+// manifest is refused before any tenant is built.
 func validateSpecBounds(ts *TenantSpec) error {
 	if ts.BootstrapDays < 0 || ts.BootstrapDays > 14 {
 		return fmt.Errorf("fleet: tenant %q: bootstrap_days %d out of range [0,14]", ts.App, ts.BootstrapDays)

@@ -10,14 +10,14 @@ import (
 
 // Fleet training scheduler: N tenants, one bounded worker pool.
 //
-// The single-app daemon runs pipeline.Start, a per-instance goroutine with
-// retrain and drift tickers. Naively replicating that per tenant gives N
-// background loops that can all decide to train at once — N concurrent
-// gradient descents is exactly the unbounded-concurrency failure the
-// inference pool (internal/estimator/infer) was built to avoid. The fleet
-// instead disables per-tenant loops (service.Server.ExternalScheduler) and
-// drives every tenant's pipeline through ticks dispatched onto TrainWorkers
-// persistent workers.
+// A goroutine with retrain and drift tickers per tenant gives N background
+// loops that can all decide to train at once — N concurrent gradient
+// descents is exactly the unbounded-concurrency failure the inference pool
+// (internal/estimator/infer) was built to avoid. So a pipeline owns no
+// goroutine: this scheduler is the only retrain driver, a daemon with one
+// tenant included, and it dispatches every tenant's ticks onto TrainWorkers
+// persistent workers at the cadence that tenant's pipeline resolved
+// (Pipeline.Interval and Pipeline.DriftEvery).
 //
 // Fairness is structural, not best-effort:
 //
@@ -33,14 +33,11 @@ import (
 //     is actually enqueued, so no cadence is silently skipped.
 //
 // A flooding tenant therefore costs its neighbours at most one queued job's
-// latency, and its telemetry flood is already shed upstream by the ingest
-// bucket (admission.go).
+// latency, and its telemetry flood is already shed upstream by its ingest
+// bucket (service.Config.IngestRate).
 type scheduler struct {
-	f          *Fleet
-	interval   time.Duration // per-tenant scheduled-retrain cadence
-	driftEvery time.Duration // per-tenant drift-check cadence
-	sweep      time.Duration // scheduler sweep period
-	rr         int           // rotating round-robin offset
+	f  *Fleet
+	rr int // rotating round-robin offset
 
 	jobs   chan schedJob
 	cancel context.CancelFunc
@@ -60,33 +57,11 @@ func (f *Fleet) StartScheduler() {
 	if f.sched != nil || f.closed {
 		return
 	}
-	interval := f.cfg.Pipeline.Interval
-	if interval <= 0 {
-		interval = 15 * time.Minute
-	}
-	driftEvery := f.cfg.Pipeline.DriftEvery
-	if driftEvery <= 0 {
-		driftEvery = interval / 4
-	}
-	finest := interval
-	if driftEvery < finest {
-		finest = driftEvery
-	}
-	sweep := finest / 2
-	if sweep < time.Millisecond {
-		sweep = time.Millisecond
-	}
-	if sweep > 30*time.Second {
-		sweep = 30 * time.Second
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &scheduler{
-		f:          f,
-		interval:   interval,
-		driftEvery: driftEvery,
-		sweep:      sweep,
-		jobs:       make(chan schedJob, f.cfg.TrainWorkers*2),
-		cancel:     cancel,
+		f:      f,
+		jobs:   make(chan schedJob, f.cfg.TrainWorkers*2),
+		cancel: cancel,
 	}
 	for i := 0; i < f.cfg.TrainWorkers; i++ {
 		s.wg.Add(1)
@@ -109,34 +84,46 @@ func (s *scheduler) stop() {
 	s.wg.Wait()
 }
 
+// Sweep period bounds: half the finest cadence of any resident tenant,
+// within these limits (maxSweep alone while the fleet is empty).
+const (
+	minSweep = time.Millisecond
+	maxSweep = 30 * time.Second
+)
+
 // loop sweeps the tenant table on a cadence finer than the drift check and
 // enqueues due ticks in rotating round-robin order.
 func (s *scheduler) loop(ctx context.Context) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.sweep)
-	defer ticker.Stop()
+	timer := time.NewTimer(minSweep)
+	defer timer.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-ticker.C:
-			s.sweepOnce(time.Now())
+		case <-timer.C:
+			timer.Reset(s.sweepOnce(time.Now()))
 		}
 	}
 }
 
-func (s *scheduler) sweepOnce(now time.Time) {
+// sweepOnce enqueues every tick due at now and returns the wait until the
+// next sweep.
+func (s *scheduler) sweepOnce(now time.Time) time.Duration {
 	tenants := s.f.Tenants()
 	n := len(tenants)
 	if n == 0 {
-		return
+		return maxSweep
 	}
+	next := maxSweep
 	s.rr = (s.rr + 1) % n
 	for i := 0; i < n; i++ {
 		t := tenants[(s.rr+i)%n]
 		if t.retired.Load() {
 			continue
 		}
+		p := t.srv.Pipeline()
+		next = max(minSweep, min(next, p.Interval()/2, p.DriftEvery()/2))
 		kind, commit := s.due(t, now)
 		if kind == "" {
 			continue
@@ -155,27 +142,29 @@ func (s *scheduler) sweepOnce(now time.Time) {
 			t.trainPending.Store(false)
 		}
 	}
+	return next
 }
 
-// due decides whether a tenant owes a tick at now. Deadlines advance only
-// via the returned commit (called once the tick is actually enqueued). Only
-// the scheduler goroutine touches the deadline fields.
+// due decides whether a tenant owes a tick at now, at the cadence its own
+// pipeline resolved. Deadlines advance only via the returned commit (called
+// once the tick is actually enqueued). Only the scheduler goroutine touches
+// the deadline fields.
 func (s *scheduler) due(t *Tenant, now time.Time) (kind string, commit func()) {
-	if t.nextRetrain.IsZero() {
-		// First sighting: phase the tenant in like the per-instance loop's
-		// tickers did — first retrain one interval from now.
-		t.nextRetrain = now.Add(s.interval)
-		t.nextDrift = now.Add(s.driftEvery)
+	p := t.srv.Pipeline()
+	rearm := func() {
+		t.nextRetrain = now.Add(p.Interval())
+		t.nextDrift = now.Add(p.DriftEvery())
+	}
+	switch {
+	case t.nextRetrain.IsZero():
+		// First sighting: phase the tenant in, first retrain one interval
+		// from now.
+		rearm()
 		return "", nil
-	}
-	if !now.Before(t.nextRetrain) {
-		return "scheduled", func() {
-			t.nextRetrain = now.Add(s.interval)
-			t.nextDrift = now.Add(s.driftEvery)
-		}
-	}
-	if !now.Before(t.nextDrift) {
-		return "drift", func() { t.nextDrift = now.Add(s.driftEvery) }
+	case !now.Before(t.nextRetrain):
+		return "scheduled", rearm
+	case !now.Before(t.nextDrift):
+		return "drift", func() { t.nextDrift = now.Add(p.DriftEvery()) }
 	}
 	return "", nil
 }
@@ -203,7 +192,7 @@ func (s *scheduler) runTick(ctx context.Context, j schedJob) {
 
 // worker executes ticks from the shared queue. The tick runs the tenant's
 // own pipeline machinery (drift check, quality check, retrain with retries,
-// checkpoint, atomic swap) exactly as its in-process loop would have.
+// checkpoint, atomic swap).
 func (s *scheduler) worker(ctx context.Context) {
 	defer s.wg.Done()
 	for {

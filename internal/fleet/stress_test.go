@@ -112,9 +112,8 @@ func TestFleetConcurrentStress(t *testing.T) {
 // offset (the bug this test exists to catch) would hand every slot to the
 // same tenant.
 func TestSchedulerFairRotation(t *testing.T) {
-	fl, _ := newToyFleet(t, Config{}, "a", "b", "c")
-	s := &scheduler{f: fl, interval: time.Minute, driftEvery: time.Hour,
-		jobs: make(chan schedJob, 1)}
+	fl, _ := newToyFleet(t, Config{Pipeline: pipeline.Config{Interval: time.Minute, DriftEvery: time.Hour}}, "a", "b", "c")
+	s := &scheduler{f: fl, jobs: make(chan schedJob, 1)}
 	base := time.Unix(0, 0)
 	s.sweepOnce(base) // first sighting: deadlines initialised, nothing due
 
@@ -153,9 +152,8 @@ func TestSchedulerFairRotation(t *testing.T) {
 // TestSchedulerClaim: a tenant whose tick is already queued or running is
 // never enqueued twice, however many sweeps pass.
 func TestSchedulerClaim(t *testing.T) {
-	fl, _ := newToyFleet(t, Config{}, "a")
-	s := &scheduler{f: fl, interval: time.Minute, driftEvery: time.Hour,
-		jobs: make(chan schedJob, 8)}
+	fl, _ := newToyFleet(t, Config{Pipeline: pipeline.Config{Interval: time.Minute, DriftEvery: time.Hour}}, "a")
+	s := &scheduler{f: fl, jobs: make(chan schedJob, 8)}
 	base := time.Unix(0, 0)
 	s.sweepOnce(base)
 	for i := 1; i <= 5; i++ {
@@ -263,7 +261,7 @@ func TestFleetFairnessUnderFlood(t *testing.T) {
 
 	// The shed shows up per-tenant in the shared exposition.
 	rec := do(t, h, "GET", "/metrics", nil)
-	if !bytes.Contains(rec.Body.Bytes(), []byte(`deeprest_http_shed_total{app="flood"}`)) {
+	if !bytes.Contains(rec.Body.Bytes(), []byte(`deeprest_http_shed_total{app="flood",reason="ingest_rate"}`)) {
 		t.Error("metrics carry no per-tenant shed series for the flooding tenant")
 	}
 }
@@ -289,16 +287,39 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached before timeout")
 }
 
-// TestExternalSchedulerDisablesPerTenantLoops: fleet tenants refuse the
-// per-tenant pipeline start/stop endpoints — training belongs to the shared
-// scheduler.
-func TestExternalSchedulerDisablesPerTenantLoops(t *testing.T) {
-	_, h := newToyFleet(t, Config{}, "a")
-	if rec := do(t, h, "POST", "/v1/t/a/v1/pipeline/start", bytes.NewBufferString(`{}`)); rec.Code != http.StatusConflict {
-		t.Fatalf("pipeline start under fleet = %d, want 409", rec.Code)
+// TestSchedulerUsesPipelineCadence: the scheduler has no cadence of its own.
+// A tenant whose pipeline.Config left DriftEvery zero is drift-ticked at the
+// Interval/4 its pipeline resolved, and retrained at Interval.
+func TestSchedulerUsesPipelineCadence(t *testing.T) {
+	fl, _ := newToyFleet(t, Config{Pipeline: pipeline.Config{Interval: 40 * time.Second}}, "a")
+	tn, _ := fl.Get("a")
+	if got := tn.Server().Pipeline().DriftEvery(); got != 10*time.Second {
+		t.Fatalf("resolved DriftEvery = %v, want Interval/4 = 10s", got)
 	}
-	if rec := do(t, h, "POST", "/v1/t/a/v1/pipeline/stop", nil); rec.Code != http.StatusConflict {
-		t.Fatalf("pipeline stop under fleet = %d, want 409", rec.Code)
+	s := &scheduler{f: fl, jobs: make(chan schedJob, 1)}
+	base := time.Unix(0, 0)
+	if next := s.sweepOnce(base); next != 5*time.Second {
+		t.Errorf("sweep period = %v, want half the drift cadence (5s)", next)
+	}
+	// One sweep a second: the kinds of the ticks enqueued, by second.
+	got := map[int]string{}
+	for sec := 1; sec <= 40; sec++ {
+		s.sweepOnce(base.Add(time.Duration(sec) * time.Second))
+		select {
+		case j := <-s.jobs:
+			got[sec] = j.kind
+			j.t.trainPending.Store(false)
+		default:
+		}
+	}
+	want := map[int]string{10: "drift", 20: "drift", 30: "drift", 40: "scheduled"}
+	if len(got) != len(want) {
+		t.Fatalf("ticks by second = %v, want %v", got, want)
+	}
+	for sec, kind := range want {
+		if got[sec] != kind {
+			t.Fatalf("ticks by second = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -5,20 +5,21 @@
 //
 // The pipeline owns the model lifecycle end to end:
 //
-//   - a background loop retrains on a configurable cadence over a sliding
-//     window of the most recent telemetry, warm-starting each generation
-//     from the previous one (internal/estimator transfer machinery);
-//   - a drift detector (internal/drift) is evaluated on the telemetry that
-//     arrived since the last training run and triggers an early retrain when
-//     the model's estimates stop explaining the measurements;
+//   - TickScheduled retrains over a sliding window of the most recent
+//     telemetry, warm-starting each generation from the previous one
+//     (internal/estimator transfer machinery);
+//   - TickDrift evaluates a drift detector (internal/drift) on the telemetry
+//     that arrived since the last training run and retrains early when the
+//     model's estimates stop explaining the measurements;
 //   - every trained generation is published into a versioned Registry with
 //     bounded history, optional checkpoints on disk, and rollback;
 //   - serving reads go through Registry.Active — an RCU-style atomic
 //     snapshot — so estimate and sanity queries never block on training and
 //     never observe a half-swapped model.
 //
-// The loop is context-cancellable: Stop cancels in-flight waits and joins
-// the background goroutine before returning.
+// The pipeline owns no goroutine: a scheduler (internal/fleet) calls the two
+// ticks at the cadence Interval and DriftEvery report, from a bounded worker
+// pool shared by every tenant, and cancels their context to stop them.
 package pipeline
 
 import (
@@ -86,7 +87,7 @@ func oldestWindow(src Source) int {
 	return 0
 }
 
-// Config tunes the continuous-learning loop. Start from DefaultConfig.
+// Config tunes continuous learning. Start from DefaultConfig.
 type Config struct {
 	// Interval is the scheduled retraining cadence.
 	Interval time.Duration
@@ -109,7 +110,7 @@ type Config struct {
 	// CheckpointDir enables on-disk checkpoints when non-empty.
 	CheckpointDir string
 	// MaxRetries bounds how many times a failed scheduled/drift retrain is
-	// retried before the loop gives up until the next tick (default 2).
+	// retried before the tick gives up until the next one (default 2).
 	// Manual TrainOnce calls are never retried: the caller gets the error.
 	MaxRetries int
 	// RetryBackoff is the initial delay before the first retry; it doubles
@@ -185,9 +186,6 @@ type Pipeline struct {
 	lastQuality string // reason of the last quality-gate regression
 	attempts    int    // lifetime training attempts, feeds the retrainfail injector
 	consecFails int    // training failures since the last successful publish
-	running     bool
-	cancel      context.CancelFunc
-	done        chan struct{}
 }
 
 // New builds a pipeline over a telemetry source. The source getter is
@@ -274,7 +272,6 @@ func (p *Pipeline) Active() *Generation { return p.reg.Active() }
 
 // Status is a point-in-time snapshot of the pipeline state.
 type Status struct {
-	Running       bool          `json:"running"`
 	InFlight      bool          `json:"training_in_flight"`
 	ActiveVersion int           `json:"active_version,omitempty"`
 	Generations   int           `json:"generations"`
@@ -298,7 +295,6 @@ func (p *Pipeline) Status() Status {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Status{
-		Running:             p.running,
 		InFlight:            p.inFlight,
 		Generations:         len(p.reg.Generations()),
 		TrainedTo:           p.trainedTo,
@@ -326,13 +322,6 @@ func (p *Pipeline) Degraded() bool {
 // DriftEvery reports the resolved drift-check cadence (useful when the
 // config left it to be derived from the retrain interval).
 func (p *Pipeline) DriftEvery() time.Duration { return p.cfg.DriftEvery }
-
-// Running reports whether the background loop is live.
-func (p *Pipeline) Running() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.running
-}
 
 // TrainOnce trains and publishes one generation over store windows
 // [from, to); to <= 0 means "up to the newest window". A "manual" trigger
@@ -532,70 +521,14 @@ func (p *Pipeline) Recover() (int, error) {
 	return n, nil
 }
 
-// Start launches the background retraining loop. It fails if the loop is
-// already running. Stop (or cancelling the daemon's context) shuts it down
-// cleanly.
-func (p *Pipeline) Start() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.running {
-		return fmt.Errorf("pipeline: already running")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	p.running = true
-	p.cancel = cancel
-	p.done = make(chan struct{})
-	go p.loop(ctx, p.done)
-	return nil
-}
-
-// Stop cancels the background loop and waits for it to exit. Idempotent.
-// An in-flight training generation finishes (training is not preemptible
-// mid-epoch) but no further generation is scheduled.
-func (p *Pipeline) Stop() {
-	p.mu.Lock()
-	if !p.running {
-		p.mu.Unlock()
-		return
-	}
-	cancel, done := p.cancel, p.done
-	p.mu.Unlock()
-	cancel()
-	<-done
-	p.mu.Lock()
-	p.running = false
-	p.cancel, p.done = nil, nil
-	p.mu.Unlock()
-}
-
-func (p *Pipeline) loop(ctx context.Context, done chan struct{}) {
-	defer close(done)
-	retrain := time.NewTicker(p.cfg.Interval)
-	defer retrain.Stop()
-	driftTick := time.NewTicker(p.cfg.DriftEvery)
-	defer driftTick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-retrain.C:
-			p.TickScheduled(ctx)
-		case <-driftTick.C:
-			p.TickDrift(ctx)
-		}
-	}
-}
-
 // TickScheduled runs one scheduled-retrain check: retrain over the sliding
-// window if enough fresh telemetry arrived, else do nothing. It is the body
-// of the internal loop's retrain tick, exported so an external scheduler
-// (internal/fleet) can drive N pipelines from one bounded worker pool
-// instead of N background loops.
+// window if enough fresh telemetry arrived, else do nothing. The fleet
+// scheduler calls it every Interval, driving N pipelines from one bounded
+// worker pool.
 func (p *Pipeline) TickScheduled(ctx context.Context) { p.scheduledRetrain(ctx, "scheduled") }
 
 // TickDrift runs one drift/quality check, retraining early when either gate
-// fires — the body of the internal loop's drift tick, exported for external
-// schedulers like TickScheduled.
+// fires; the scheduler calls it every DriftEvery.
 func (p *Pipeline) TickDrift(ctx context.Context) {
 	if p.checkDrift() {
 		p.scheduledRetrain(ctx, "drift")
@@ -605,15 +538,15 @@ func (p *Pipeline) TickDrift(ctx context.Context) {
 }
 
 // Interval reports the resolved scheduled-retrain cadence, the companion of
-// DriftEvery for external schedulers.
+// DriftEvery.
 func (p *Pipeline) Interval() time.Duration { return p.cfg.Interval }
 
 // rebaseTrainedTo returns the high-water mark of trained windows, clamped
 // to the store size. After a restart the recovered mark can exceed the
 // rebuilt (re-ingested) store, whose window indices restart at zero; without
-// the clamp the loop would wait for the old count to be passed again and
+// the clamp the ticks would wait for the old count to be passed again and
 // silently stall. Clamping treats the re-ingested history as already
-// covered, so the next genuinely fresh window re-arms the loop.
+// covered, so the next genuinely fresh window re-arms them.
 func (p *Pipeline) rebaseTrainedTo(n int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -625,7 +558,7 @@ func (p *Pipeline) rebaseTrainedTo(n int) int {
 
 // scheduledRetrain retrains over the sliding window when enough fresh
 // telemetry has arrived. Errors (including a manual learn holding the
-// training slot) are recorded in Status, never fatal to the loop. A failed
+// training slot) are recorded in Status, never fatal to the caller. A failed
 // attempt is retried up to MaxRetries times with doubling backoff; while
 // failures persist the pipeline is degraded — queries keep being served
 // from the last good generation.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -152,49 +153,43 @@ func TestRollbackActivatesPriorVersion(t *testing.T) {
 	}
 }
 
+// TestBackgroundLoopRetrains drives the scheduled tick the way the fleet
+// scheduler does: every TickScheduled with MinNewWindows 0 publishes one
+// warm-started "scheduled" generation.
 func TestBackgroundLoopRetrains(t *testing.T) {
 	store := toyStore(t, 1, 84)
 	cfg := DefaultConfig()
-	cfg.Interval = 20 * time.Millisecond
-	cfg.DriftEvery = time.Hour // isolate the scheduled path
-	cfg.MinNewWindows = 0      // every tick retrains, no fresh data needed
+	cfg.MinNewWindows = 0 // every tick retrains, no fresh data needed
 	cfg.MaxHistory = 8
 	p, err := New(quickOpts(), cfg, sourceOf(store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed the pair restriction so the loop trains a single expert.
+	// Seed the pair restriction so the ticks train a single expert.
 	if _, err := p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err == nil {
-		t.Fatal("double Start did not error")
-	}
-	waitFor(t, "3 generations", func() bool { return p.Status().Generations >= 3 })
-	p.Stop()
-	p.Stop() // idempotent
-	if p.Running() {
-		t.Fatal("still running after Stop")
+	for i := 0; i < 2; i++ {
+		p.TickScheduled(context.Background())
 	}
 	gens := p.Registry().Generations()
-	if len(gens) < 3 {
-		t.Fatalf("generations = %d", len(gens))
+	if len(gens) != 3 {
+		t.Fatalf("generations = %d, want 3", len(gens))
 	}
 	for _, g := range gens[1:] {
 		if g.Trigger != "scheduled" {
-			t.Fatalf("background generation trigger = %q", g.Trigger)
+			t.Fatalf("scheduled-tick generation trigger = %q", g.Trigger)
 		}
 		if !g.Warm {
-			t.Fatal("background generation did not warm-start")
+			t.Fatal("scheduled-tick generation did not warm-start")
 		}
 	}
-	n := p.Status().Generations
-	time.Sleep(60 * time.Millisecond)
-	if p.Status().Generations != n {
-		t.Fatal("generations kept appearing after Stop")
+	// A cancelled tick trains nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.TickScheduled(ctx)
+	if got := p.Status().Generations; got != 3 {
+		t.Fatalf("generations after a cancelled tick = %d, want 3", got)
 	}
 }
 
@@ -204,8 +199,6 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 	store.RecordRun(run)
 
 	cfg := DefaultConfig()
-	cfg.Interval = time.Hour // the scheduled path must not fire
-	cfg.DriftEvery = 10 * time.Millisecond
 	cfg.MinDriftWindows = 8
 	p, err := New(quickOpts(), cfg, sourceOf(store))
 	if err != nil {
@@ -214,13 +207,11 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 	if _, err := p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop()
 
-	// No drift on quiet telemetry: give the checker a couple of ticks.
-	time.Sleep(50 * time.Millisecond)
+	// No drift on quiet telemetry: a couple of drift ticks change nothing.
+	for i := 0; i < 2; i++ {
+		p.TickDrift(context.Background())
+	}
 	if got := p.Status().Generations; got != 1 {
 		t.Fatalf("retrained without fresh telemetry: %d generations", got)
 	}
@@ -235,14 +226,12 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 		}
 		store.Record(sim.WindowResult{Batches: run.Windows[w], Usage: usage})
 	}
-	waitFor(t, "drift-triggered generation", func() bool {
-		for _, g := range p.Registry().Generations() {
-			if g.Trigger == "drift" {
-				return true
-			}
-		}
-		return false
-	})
+	p.TickDrift(context.Background())
+	gens := p.Registry().Generations()
+	if last := gens[len(gens)-1]; len(gens) != 2 || last.Trigger != "drift" {
+		t.Fatalf("generations after the drift tick = %d (last trigger %q), want a second one triggered by drift",
+			len(gens), last.Trigger)
+	}
 	st := p.Status()
 	if st.TrainedTo != store.NumWindows() {
 		t.Fatalf("drift retrain covered up to %d, want %d", st.TrainedTo, store.NumWindows())

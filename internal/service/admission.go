@@ -1,4 +1,4 @@
-package fleet
+package service
 
 import (
 	"math"
@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// tokenBucket is the per-tenant ingest admission meter: a classic leaky
-// bucket refilled continuously at rate tokens/sec up to burst. It exists so
-// one tenant flooding POST /v1/telemetry cannot monopolise the shared
-// training pool's input or the HTTP server's goroutine budget — the flood
-// is shed at the door with 429 while other tenants' admission state is
-// untouched (each tenant owns its own bucket).
+// tokenBucket is the ingest admission meter: a classic leaky bucket refilled
+// continuously at rate tokens/sec up to burst. It exists so one tenant
+// flooding POST /v1/telemetry cannot monopolise the shared training pool's
+// input or the HTTP server's goroutine budget — the flood is shed at the
+// door with 429 while other tenants' admission state is untouched (each
+// server owns its own bucket).
 //
 // Implemented locally rather than importing a limiter because the repo is
 // stdlib-only; the math is the standard refill-on-read formulation.

@@ -22,7 +22,7 @@ type estFlights struct {
 	mu    sync.Mutex
 	calls map[uint64]*estCall
 
-	cache     *predCache // filled once per flight, on completion; nil = caching off
+	cache     *predCache // filled once per flight, on completion
 	dedupHits *obs.Counter
 }
 
@@ -70,9 +70,7 @@ func (f *estFlights) run(c *estCall, key uint64, traffic *workload.Traffic) {
 		var body []byte
 		if body, err = json.Marshal(toEstimateResponse(c.gen.Version, est)); err == nil {
 			c.body = append(body, '\n')
-			if f.cache != nil {
-				f.cache.put(key, c.canon, c.body)
-			}
+			f.cache.put(key, c.canon, c.body)
 		}
 	}
 	c.err = err

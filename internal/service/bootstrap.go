@@ -9,11 +9,9 @@ import (
 )
 
 // Bootstrap seeds the service's telemetry store from a simulation run before
-// any listener is up — the daemon's -app mode, where the service boots with
-// a learnable history instead of waiting for telemetry adapters to push one.
-// It follows the same adoption path as POST /v1/telemetry: the first source
-// creates the store (arming retention, metrics, and the active generation's
-// feature extractor), later ones must agree on the window duration.
+// any listener is up — a tenant created with a spec boots with a learnable
+// history instead of waiting for telemetry adapters to push one. It enters
+// through the same ingest path as POST /v1/telemetry.
 func (s *Server) Bootstrap(run *sim.Run) error {
 	if run == nil || len(run.Windows) == 0 {
 		return fmt.Errorf("bootstrap: empty run")
@@ -23,43 +21,8 @@ func (s *Server) Bootstrap(run *sim.Run) error {
 	defer span.End()
 	in := telemetry.NewServer(run.WindowSeconds)
 	in.RecordRun(run)
-
-	s.mu.Lock()
-	if s.store == nil {
-		s.adoptStore(in)
-	} else {
-		if s.store.WindowSeconds() != run.WindowSeconds {
-			have := s.store.WindowSeconds()
-			s.mu.Unlock()
-			return fmt.Errorf("bootstrap: window duration %vs does not match existing store (%vs)",
-				run.WindowSeconds, have)
-		}
-		n := in.NumWindows()
-		traces, _ := in.Traces(0, n)
-		metrics, _ := in.Metrics(0, n)
-		for i := 0; i < n; i++ {
-			s.store.Record(windowResult(traces[i], metrics, i))
-		}
+	if _, err := s.ingest(ctx, in); err != nil {
+		return fmt.Errorf("bootstrap: %w", err)
 	}
-	s.mu.Unlock()
-	s.qualityCatchUp(ctx)
 	return nil
-}
-
-// adoptStore installs a freshly imported telemetry server as the service's
-// store. Callers must hold s.mu.
-func (s *Server) adoptStore(in *telemetry.Server) {
-	s.store = in
-	if s.Retention > 0 {
-		s.store.SetRetention(s.Retention)
-	}
-	// Back-counts the imported windows, so ingestion metrics cover the
-	// stream that created the store too.
-	s.store.Instrument(s.opts.Metrics)
-	s.store.SetTracer(s.opts.Tracer)
-	// A recovered generation may predate the store: arm its extractor so
-	// Record-time feature extraction starts with the first window.
-	if gen := s.pipe.Active(); gen != nil {
-		s.store.SetExtractor(gen.Version, gen.System.Extractor())
-	}
 }

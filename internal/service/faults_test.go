@@ -14,9 +14,9 @@ import (
 	"repro/internal/pipeline"
 )
 
-func newFaultService(t *testing.T, pcfg pipeline.Config) *Server {
+func newFaultService(t *testing.T, pcfg pipeline.Config, cfg Config) *Server {
 	t.Helper()
-	s, err := NewWithConfig(quickServiceOpts(), pcfg)
+	s, err := New(quickServiceOpts(), pcfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDegradedServingDuringInjectedRetrainFailure(t *testing.T) {
 			once.Do(func() { <-hold })
 		}
 	}
-	s := newFaultService(t, pcfg)
+	s := newFaultService(t, pcfg, Config{})
 	h := s.Handler()
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 61)); rec.Code != http.StatusOK {
@@ -123,8 +123,7 @@ func TestAdmissionControlShedsAtCapacity(t *testing.T) {
 			<-release
 		})
 	}
-	s := newFaultService(t, pcfg)
-	s.MaxInflight = 1
+	s := newFaultService(t, pcfg, Config{MaxInflight: 1})
 	h := s.Handler()
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 62)); rec.Code != http.StatusOK {
@@ -164,8 +163,7 @@ func TestRequestDeadlineAbortsTraining(t *testing.T) {
 	pcfg.BeforeTrain = func() {
 		once.Do(func() { time.Sleep(600 * time.Millisecond) }) // outlive the deadline once
 	}
-	s := newFaultService(t, pcfg)
-	s.RequestTimeout = 300 * time.Millisecond
+	s := newFaultService(t, pcfg, Config{RequestTimeout: 300 * time.Millisecond})
 	h := s.Handler()
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 63)); rec.Code != http.StatusOK {

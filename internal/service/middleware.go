@@ -50,15 +50,12 @@ func endpointLabel(r *http.Request) string {
 	switch p {
 	case "/v1/telemetry", "/v1/learn", "/v1/status", "/v1/estimate",
 		"/v1/predict", "/v1/sanity", "/v1/influence", "/v1/model",
-		"/v1/pipeline/start", "/v1/pipeline/stop", "/v1/pipeline/status",
-		"/v1/models", "/v1/quality", "/v1/version", "/metrics", "/debug/spans":
+		"/v1/pipeline/status", "/v1/models", "/v1/quality",
+		"/v1/autoscale/plan", "/v1/version", "/metrics":
 		return p
 	}
 	if strings.HasPrefix(p, "/v1/models/") && strings.HasSuffix(p, "/activate") {
 		return "/v1/models/{version}/activate"
-	}
-	if strings.HasPrefix(p, "/debug/pprof") {
-		return "/debug/pprof/"
 	}
 	return "other"
 }
@@ -78,36 +75,47 @@ func (s *Server) nextRequestID() string {
 	return s.reqPrefix + "-" + strconv.FormatUint(s.reqSeq.Add(1), 16)
 }
 
-// operatorPath reports whether a path serves operator tooling that must stay
-// reachable even when the service sheds API load.
-func operatorPath(p string) bool {
-	return p == "/metrics" || p == "/debug/spans" || strings.HasPrefix(p, "/debug/pprof")
-}
-
-// withAdmission is the bounded-admission middleware: at most MaxInflight
-// requests are in the handler stack at once, and requests beyond the bound
-// are shed immediately with 503 + Retry-After. Shedding beats unbounded
-// queueing: a saturated estimator answering late is indistinguishable from
-// an outage to its callers, while a fast 503 lets them back off and retry.
+// withAdmission is the one admission middleware, inside withObservability so
+// a shed request is counted and logged like any other response. Telemetry
+// pushes first spend a token from the ingest bucket (429 + Retry-After when
+// it is empty, so a flooding writer is turned away before it takes an
+// in-flight slot); then at most MaxInflight requests are in the handler
+// stack at once and the rest are shed with 503 + Retry-After. Shedding beats
+// unbounded queueing: a saturated estimator answering late is
+// indistinguishable from an outage to its callers, while a fast refusal
+// lets them back off and retry. GET /metrics is exempt, so the service stays
+// observable under overload.
 func (s *Server) withAdmission(next http.Handler) http.Handler {
-	if s.MaxInflight <= 0 {
+	if s.admit == nil && s.bucket == nil {
 		return next
 	}
-	admit := make(chan struct{}, s.MaxInflight)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if operatorPath(r.URL.Path) {
+		if r.URL.Path == "/metrics" {
+			next.ServeHTTP(w, r)
+			return
+		}
+		if s.bucket != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/telemetry" {
+			if ok, retry := s.bucket.take(time.Now()); !ok {
+				secs := int(retry/time.Second) + 1
+				s.shedRate.Inc()
+				w.Header().Set("Retry-After", strconv.Itoa(secs))
+				writeErr(w, http.StatusTooManyRequests, "ingest rate exceeded, retry in %ds", secs)
+				return
+			}
+		}
+		if s.admit == nil {
 			next.ServeHTTP(w, r)
 			return
 		}
 		select {
-		case admit <- struct{}{}:
-			defer func() { <-admit }()
+		case s.admit <- struct{}{}:
+			defer func() { <-s.admit }()
 			next.ServeHTTP(w, r)
 		default:
-			s.httpShed.Inc()
+			s.shedInflight.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeErr(w, http.StatusServiceUnavailable,
-				"at capacity (%d requests in flight); retry later", s.MaxInflight)
+				"at capacity (%d requests in flight); retry later", s.cfg.MaxInflight)
 		}
 	})
 }
@@ -116,11 +124,11 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 // context. Handlers observe it wherever they block or cross a phase
 // boundary (training checks it before fetch and before publish).
 func (s *Server) withDeadline(next http.Handler) http.Handler {
-	if s.RequestTimeout <= 0 {
+	if s.cfg.RequestTimeout <= 0 {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})

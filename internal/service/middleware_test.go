@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,25 +18,39 @@ import (
 
 // instrumentedService builds a quick service wired to a fresh metrics
 // registry and a JSON access log captured in logBuf.
-func instrumentedService(t *testing.T, cfg pipeline.Config) (*Server, *obs.Registry, *bytes.Buffer) {
+func instrumentedService(t *testing.T, pcfg pipeline.Config, cfg Config) (*Server, *obs.Registry, *bytes.Buffer) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	logBuf := &bytes.Buffer{}
 	opts := quickServiceOpts()
 	opts.Metrics = reg
 	opts.Logger = slog.New(slog.NewJSONHandler(logBuf, nil))
-	s, err := NewWithConfig(opts, cfg)
+	s, err := New(opts, pcfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s, reg, logBuf
 }
 
+// gateFirstTrain makes the first training run close enter and then block
+// until release is closed, so a test can hold a request in flight.
+func gateFirstTrain(pcfg *pipeline.Config) (enter, release chan struct{}) {
+	enter, release = make(chan struct{}), make(chan struct{})
+	var gate sync.Once
+	pcfg.BeforeTrain = func() {
+		gate.Do(func() {
+			close(enter)
+			<-release
+		})
+	}
+	return enter, release
+}
+
 // TestMetricsScrape drives the service through ingest + learn and validates
 // the full /metrics exposition against the Prometheus text-format grammar,
 // then checks the promised series are all present.
 func TestMetricsScrape(t *testing.T) {
-	s, _, _ := instrumentedService(t, pipeline.DefaultConfig())
+	s, _, _ := instrumentedService(t, pipeline.DefaultConfig(), Config{})
 	h := s.Handler()
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 61)); rec.Code != http.StatusOK {
@@ -92,7 +107,7 @@ func TestMetricsScrape(t *testing.T) {
 // TestRequestIDs: every response carries an X-Request-ID, ids are unique,
 // an inbound id is propagated, and the access log links ids to statuses.
 func TestRequestIDs(t *testing.T) {
-	s, _, logBuf := instrumentedService(t, pipeline.DefaultConfig())
+	s, _, logBuf := instrumentedService(t, pipeline.DefaultConfig(), Config{})
 	h := s.Handler()
 
 	r1 := do(t, h, "GET", "/v1/status", nil)
@@ -143,15 +158,8 @@ func TestRequestIDs(t *testing.T) {
 // error, and the 409 returned to a learn racing an in-flight generation.
 func TestMiddlewareRecordsStatuses(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
-	enter, release := make(chan struct{}), make(chan struct{})
-	var gate sync.Once
-	cfg.BeforeTrain = func() {
-		gate.Do(func() {
-			close(enter)
-			<-release
-		})
-	}
-	s, reg, _ := instrumentedService(t, cfg)
+	enter, release := gateFirstTrain(&cfg)
+	s, reg, _ := instrumentedService(t, cfg, Config{})
 	h := s.Handler()
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 62)); rec.Code != http.StatusOK {
@@ -198,23 +206,99 @@ func TestMiddlewareRecordsStatuses(t *testing.T) {
 	}
 }
 
-// TestPprofGating: the profiling mux is mounted only when EnablePprof is set.
-func TestPprofGating(t *testing.T) {
-	off, err := NewWithConfig(quickServiceOpts(), pipeline.DefaultConfig())
+// TestAdmissionSharedAcrossHandlerCalls: the in-flight bound belongs to the
+// server, not to a Handler() value — two handlers of one server (the fleet
+// router and the bench trace both take one) share the single slot.
+func TestAdmissionSharedAcrossHandlerCalls(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	enter, release := gateFirstTrain(&cfg)
+	s, err := New(quickServiceOpts(), cfg, Config{MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, off.Handler(), "GET", "/debug/pprof/cmdline", nil); rec.Code != http.StatusNotFound {
-		t.Fatalf("pprof while disabled = %d, want 404", rec.Code)
+	h1, h2 := s.Handler(), s.Handler()
+	if rec := do(t, h1, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 65)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	learnDone := make(chan int, 1)
+	go func() {
+		learnDone <- do(t, h1, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)).Code
+	}()
+	<-enter // h1 holds the server's only slot
+	if rec := do(t, h2, "GET", "/v1/status", nil); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("second handler admitted a request past the bound: %d, want 503", rec.Code)
+	}
+	close(release)
+	if code := <-learnDone; code != http.StatusOK {
+		t.Fatalf("held learn = %d", code)
+	}
+}
+
+// TestShedsAreCountedLikeAnyResponse: both admission refusals pass through
+// the observability middleware — they land in requests_total under their
+// endpoint and status, in the access log, and in shed_total under their
+// reason. /v1/autoscale/plan has an endpoint label of its own.
+func TestShedsAreCountedLikeAnyResponse(t *testing.T) {
+	pcfg := pipeline.DefaultConfig()
+	enter, release := gateFirstTrain(&pcfg)
+	// One token, refilled far slower than the test runs: the second push is
+	// refused.
+	s, _, logBuf := instrumentedService(t, pcfg, Config{MaxInflight: 1, IngestRate: 1e-3, IngestBurst: 1})
+	h := s.Handler()
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 66)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 67))
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("push past the bucket = %d (Retry-After %q), want 429 with Retry-After",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	learnDone := make(chan int, 1)
+	go func() {
+		learnDone <- do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)).Code
+	}()
+	<-enter
+	if rec := do(t, h, "GET", "/v1/autoscale/plan", nil); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request over capacity = %d, want 503", rec.Code)
+	}
+	close(release)
+	if code := <-learnDone; code != http.StatusOK {
+		t.Fatalf("held learn = %d", code)
+	}
+	if got := s.ShedCount(); got != 2 {
+		t.Errorf("ShedCount = %d, want 2", got)
 	}
 
-	on, err := NewWithConfig(quickServiceOpts(), pipeline.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	body := do(t, h, "GET", "/metrics", nil).Body.String()
+	if err := obs.Lint(strings.NewReader(body)); err != nil {
+		t.Fatalf("exposition fails Prometheus grammar: %v", err)
 	}
-	on.EnablePprof = true
-	if rec := do(t, on.Handler(), "GET", "/debug/pprof/cmdline", nil); rec.Code != http.StatusOK {
-		t.Fatalf("pprof while enabled = %d, want 200", rec.Code)
+	for _, want := range []string{
+		`deeprest_http_shed_total{reason="ingest_rate"} 1`,
+		`deeprest_http_shed_total{reason="inflight"} 1`,
+		`deeprest_http_requests_total{endpoint="/v1/telemetry",code="429"} 1`,
+		`deeprest_http_requests_total{endpoint="/v1/autoscale/plan",code="503"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("scrape is missing %q", want)
+		}
+	}
+	if !strings.Contains(logBuf.String(), `"status":429`) || !strings.Contains(logBuf.String(), `"status":503`) {
+		t.Errorf("access log carries no line for the shed requests:\n%s", logBuf)
+	}
+}
+
+// TestConfigRejectsNegativeSettings: the settings are validated once, at
+// construction.
+func TestConfigRejectsNegativeSettings(t *testing.T) {
+	for _, cfg := range []Config{
+		{MaxInflight: -1}, {IngestRate: -1}, {IngestBurst: -1}, {RequestTimeout: -1},
+		{Retention: -1}, {QualityHorizon: -1}, {QualityThreshold: -1}, {QualitySustain: -1},
+		{IngestRate: math.NaN()}, {QualityThreshold: math.Inf(1)},
+	} {
+		if _, err := New(quickServiceOpts(), pipeline.DefaultConfig(), cfg); err == nil {
+			t.Errorf("New accepted %+v", cfg)
+		}
 	}
 }
 

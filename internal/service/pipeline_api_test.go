@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -139,43 +140,55 @@ func TestModelsListAndActivate(t *testing.T) {
 	}
 }
 
-// TestPipelineStartStopStatus drives the loop-control endpoints.
+// TestPipelineStartStopStatus: a server owns no retrain loop — the start/stop
+// endpoints are gone and a scheduler drives the ticks — and
+// /v1/pipeline/status reports what those ticks did.
 func TestPipelineStartStopStatus(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
-	cfg.Interval = time.Hour // control endpoints only; no actual retrain
+	cfg.DriftEvery = time.Hour // keep drift checks out of the scheduled tick's way
 	s, err := NewWithConfig(quickServiceOpts(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
 
-	rec := do(t, h, "GET", "/v1/pipeline/status", nil)
-	var st pipeline.Status
-	_ = json.Unmarshal(rec.Body.Bytes(), &st)
-	if st.Running {
-		t.Fatal("pipeline reported running before start")
-	}
-	if rec := do(t, h, "POST", "/v1/pipeline/start", nil); rec.Code != http.StatusOK {
-		t.Fatalf("start = %d: %s", rec.Code, rec.Body)
-	}
-	if rec := do(t, h, "POST", "/v1/pipeline/start", nil); rec.Code != http.StatusConflict {
-		t.Fatalf("double start = %d", rec.Code)
-	}
-	rec = do(t, h, "GET", "/v1/pipeline/status", nil)
-	_ = json.Unmarshal(rec.Body.Bytes(), &st)
-	if !st.Running {
-		t.Fatal("pipeline not running after start")
-	}
-	// Stop is idempotent and reports a quiesced loop.
-	for i := 0; i < 2; i++ {
-		rec = do(t, h, "POST", "/v1/pipeline/stop", nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("stop %d = %d", i, rec.Code)
+	for _, verb := range []string{"start", "stop"} {
+		if rec := do(t, h, "POST", "/v1/pipeline/"+verb, nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("POST /v1/pipeline/%s = %d, want 404", verb, rec.Code)
 		}
 	}
-	_ = json.Unmarshal(rec.Body.Bytes(), &st)
-	if st.Running {
-		t.Fatal("pipeline still running after stop")
+	status := func() pipeline.Status {
+		t.Helper()
+		rec := do(t, h, "GET", "/v1/pipeline/status", nil)
+		var st pipeline.Status
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("pipeline status: %v: %s", err, rec.Body)
+		}
+		return st
+	}
+	// A tick before any telemetry does nothing.
+	s.Pipeline().TickScheduled(context.Background())
+	if st := status(); st.Generations != 0 || st.InFlight {
+		t.Fatalf("status after an empty tick = %+v", st)
+	}
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 72)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+	// No fresh windows: the scheduled tick holds. With them: it retrains up
+	// to the newest window.
+	s.Pipeline().TickScheduled(context.Background())
+	if st := status(); st.Generations != 1 {
+		t.Fatalf("tick without fresh telemetry retrained: %+v", st)
+	}
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 73)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	s.Pipeline().TickScheduled(context.Background())
+	if st := status(); st.Generations != 2 || st.ActiveVersion != 2 || st.TrainedTo != s.Windows() {
+		t.Fatalf("status after a scheduled tick = %+v (store holds %d windows)", st, s.Windows())
 	}
 }
 

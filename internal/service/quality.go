@@ -73,18 +73,13 @@ func qualityHorizons(max time.Duration) []time.Duration {
 	return append(hs, max)
 }
 
-// initQuality builds the shadow scorer. Called once from Handler, after the
-// operator-tunable fields (QualityHorizon, QualityThreshold, Retention) are
-// final.
-func (s *Server) initQuality() {
-	if s.quality != nil {
-		return
-	}
-	s.quality = quality.New(quality.Config{
-		Horizons:       qualityHorizons(s.QualityHorizon),
-		Retention:      s.Retention,
-		SMAPEThreshold: s.QualityThreshold,
-		SustainWindows: s.QualitySustain,
+// newScorer builds the shadow scorer over the server's store and pipeline.
+func (s *Server) newScorer() *quality.Scorer {
+	return quality.New(quality.Config{
+		Horizons:       qualityHorizons(s.cfg.QualityHorizon),
+		Retention:      s.cfg.Retention,
+		SMAPEThreshold: s.cfg.QualityThreshold,
+		SustainWindows: s.cfg.QualitySustain,
 	}, quality.Deps{
 		Source: storeSource{s},
 		Active: func() (int, *core.System) {
@@ -100,22 +95,10 @@ func (s *Server) initQuality() {
 	})
 }
 
-// qualityCatchUp scores any pending complete chunks. Callers must NOT hold
-// s.mu: the scorer reads the store through storeSource, which takes the
-// read lock itself.
-func (s *Server) qualityCatchUp(ctx context.Context) {
-	if s.quality != nil {
-		s.quality.CatchUp(ctx)
-	}
-}
-
 // qualityRegressed is the pipeline's QualityCheck hook: advance the
 // scoreboard, then report the sustained-regression gate. Returning true
 // makes the pipeline schedule an early retrain with trigger "quality".
 func (s *Server) qualityRegressed() (bool, string) {
-	if s.quality == nil {
-		return false, ""
-	}
 	s.quality.CatchUp(context.Background())
 	return s.quality.Regressed()
 }
@@ -124,10 +107,6 @@ func (s *Server) qualityRegressed() (bool, string) {
 // refreshed first, so the response always covers every complete chunk of
 // ingested telemetry.
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	if s.quality == nil {
-		writeErr(w, http.StatusServiceUnavailable, "quality scoring not initialised")
-		return
-	}
 	s.quality.CatchUp(r.Context())
 	writeJSON(w, s.quality.Report())
 }

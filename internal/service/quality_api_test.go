@@ -2,13 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/pipeline"
@@ -204,16 +204,12 @@ func TestActivateQuarantinedVersion404(t *testing.T) {
 // scoreboard and schedules an early retrain with trigger "quality".
 func TestQualityRegressionTriggersRetrain(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
-	cfg.Interval = time.Hour // scheduled retrains out of the picture
-	cfg.DriftEvery = 5 * time.Millisecond
 	cfg.MinDriftWindows = 1 << 30 // drift never fires; only quality can
-	s, err := NewWithConfig(quickServiceOpts(), cfg)
+	// Any nonzero error regresses immediately: threshold ~0, one bad window.
+	s, err := New(quickServiceOpts(), cfg, Config{QualityThreshold: 1e-9, QualitySustain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Any nonzero error regresses immediately: threshold ~0, one bad window.
-	s.QualityThreshold = 1e-9
-	s.QualitySustain = 1
 	h := s.Handler()
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 85)); rec.Code != http.StatusOK {
@@ -226,30 +222,24 @@ func TestQualityRegressionTriggersRetrain(t *testing.T) {
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 60, 86)); rec.Code != http.StatusOK {
 		t.Fatalf("shifted ingest = %d", rec.Code)
 	}
-	if rec := do(t, h, "POST", "/v1/pipeline/start", nil); rec.Code != http.StatusOK {
-		t.Fatalf("start = %d: %s", rec.Code, rec.Body)
-	}
-	defer do(t, h, "POST", "/v1/pipeline/stop", nil)
+	// One drift tick, as the fleet scheduler would deliver it.
+	s.Pipeline().TickDrift(context.Background())
 
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		rec := do(t, h, "GET", "/v1/models", nil)
-		var list struct {
-			Models []modelInfo `json:"models"`
-		}
-		_ = json.Unmarshal(rec.Body.Bytes(), &list)
-		for _, m := range list.Models {
-			if m.Trigger == "quality" {
-				rec = do(t, h, "GET", "/v1/pipeline/status", nil)
-				var st pipeline.Status
-				_ = json.Unmarshal(rec.Body.Bytes(), &st)
-				if st.LastQuality == "" {
-					t.Fatalf("quality retrain published but status carries no reason: %+v", st)
-				}
-				return
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+	rec := do(t, h, "GET", "/v1/models", nil)
+	var list struct {
+		Models []modelInfo `json:"models"`
 	}
-	t.Fatal("no quality-triggered generation within deadline")
+	_ = json.Unmarshal(rec.Body.Bytes(), &list)
+	for _, m := range list.Models {
+		if m.Trigger == "quality" {
+			rec = do(t, h, "GET", "/v1/pipeline/status", nil)
+			var st pipeline.Status
+			_ = json.Unmarshal(rec.Body.Bytes(), &st)
+			if st.LastQuality == "" {
+				t.Fatalf("quality retrain published but status carries no reason: %+v", st)
+			}
+			return
+		}
+	}
+	t.Fatalf("the drift tick published no quality-triggered generation: %s", rec.Body)
 }

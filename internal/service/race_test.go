@@ -26,7 +26,7 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 	pcfg := pipeline.DefaultConfig()
 	// Roughly every other training attempt fails, deterministically.
 	pcfg.Faults = faults.NewSchedule(faults.MustParse("seed=17;retrainfail:prob=0.5,from=2"))
-	s := newFaultService(t, pcfg)
+	s := newFaultService(t, pcfg, Config{})
 	h := s.Handler()
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 64)); rec.Code != http.StatusOK {

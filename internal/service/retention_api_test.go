@@ -75,31 +75,6 @@ func TestEstimateCacheHit(t *testing.T) {
 	}
 }
 
-func TestEstimateCacheDisabled(t *testing.T) {
-	s, err := NewWithConfig(quickServiceOpts(), pipeline.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.EstimateCache = -1
-	h := s.Handler()
-	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 82)); rec.Code != http.StatusOK {
-		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
-	}
-	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{}`)); rec.Code != http.StatusOK {
-		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
-	}
-	body := `{"windows":[{"/read":10}]}`
-	for i := 0; i < 2; i++ {
-		rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(body))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("estimate %d = %d: %s", i, rec.Code, rec.Body)
-		}
-		if rec.Header().Get("X-DeepRest-Cache") == "hit" {
-			t.Fatal("disabled cache served a hit")
-		}
-	}
-}
-
 // TestRetentionBitIdenticalEstimates is the acceptance proof for bounded
 // ingestion: a retention-bounded service and an unbounded one ingest the
 // same telemetry, learn over the same absolute window range (the bounded
@@ -110,12 +85,13 @@ func TestRetentionBitIdenticalEstimates(t *testing.T) {
 	const retention = 30
 	build := func(bounded bool) (*Server, http.Handler) {
 		t.Helper()
-		s, err := NewWithConfig(quickServiceOpts(), pipeline.DefaultConfig())
+		var cfg Config
+		if bounded {
+			cfg.Retention = retention
+		}
+		s, err := New(quickServiceOpts(), pipeline.DefaultConfig(), cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if bounded {
-			s.Retention = retention
 		}
 		h := s.Handler()
 		if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 83)); rec.Code != http.StatusOK {

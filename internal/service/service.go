@@ -13,11 +13,11 @@
 //	GET  /v1/model            download the serialized active model
 //	GET  /v1/autoscale/plan   read-only scaling schedule from recent telemetry
 //
-// Continuous learning (internal/pipeline):
+// Continuous learning (internal/pipeline; retraining is driven by the
+// fleet's scheduler, internal/fleet, which the daemon arms with
+// -retrain-every):
 //
-//	POST /v1/pipeline/start   start the background retraining loop
-//	POST /v1/pipeline/stop    stop it (waits for an in-flight generation)
-//	GET  /v1/pipeline/status  loop state, drift signal, last error
+//	GET  /v1/pipeline/status  training state, drift signal, last error
 //	GET  /v1/models           list retained model generations
 //	POST /v1/models/{version}/activate  roll back (or forward) the serving model
 //
@@ -25,7 +25,6 @@
 //
 //	GET  /metrics             Prometheus text-format metrics (mounted when
 //	                          core.Options.Metrics is non-nil)
-//	GET  /debug/pprof/        net/http/pprof profiles (only with EnablePprof)
 //
 // Every response carries an X-Request-ID header (propagated from the request
 // when the caller set one), and with a configured Logger each request emits
@@ -42,10 +41,12 @@
 // training run is in flight fails fast with 409 Conflict instead of queueing
 // behind (or racing with) the running generation.
 //
-// Overload and failure behavior: with MaxInflight set, requests beyond the
-// bound are shed with 503 + Retry-After rather than queueing without bound;
-// with RequestTimeout set, each request carries a context deadline that
-// long-running handlers observe. When retraining fails (including injected
+// Overload and failure behavior: with Config.IngestRate set, telemetry
+// pushes beyond the token bucket are shed with 429 + Retry-After; with
+// Config.MaxInflight set, requests beyond the bound are shed with 503 +
+// Retry-After rather than queueing without bound; with Config.RequestTimeout
+// set, each request carries a context deadline that long-running handlers
+// observe. When retraining fails (including injected
 // failures from a fault schedule), queries keep being served from the last
 // good generation and /v1/status reports degraded=true — graceful
 // degradation rather than an outage.
@@ -60,9 +61,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,57 +85,69 @@ import (
 	"repro/internal/workload"
 )
 
-// Server is the HTTP facade over one DeepRest instance.
-type Server struct {
-	opts core.Options
-
-	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the service
-	// handler. Off by default — profiling endpoints are operator-facing and
-	// should not ship on the public listener unless explicitly requested.
-	// Set it before the first Handler call.
-	EnablePprof bool
-
-	// MaxInflight bounds concurrently admitted API requests. Once the bound
-	// is reached further requests are shed immediately with 503 and a
-	// Retry-After header instead of queueing without bound. 0 disables
-	// admission control. Operator endpoints (/metrics, /debug/pprof) are
-	// exempt so the service stays observable under overload. Set before the
-	// first Handler call.
+// Config holds one server's operator settings. It is validated and frozen by
+// New; the zero value means no admission bounds, no request deadline,
+// unbounded retention and observe-only quality scoring.
+type Config struct {
+	// MaxInflight bounds concurrently admitted API requests; further
+	// requests are shed immediately with 503 + Retry-After instead of
+	// queueing without bound. 0 disables the bound. GET /metrics is exempt
+	// so the service stays observable under overload.
 	MaxInflight int
-
+	// IngestRate and IngestBurst arm the ingest token bucket: at most
+	// IngestRate POST /v1/telemetry requests per second sustained,
+	// IngestBurst in a burst, beyond which ingest is shed with 429 +
+	// Retry-After. Rate 0 disables; burst 0 means max(2*rate, 4).
+	IngestRate  float64
+	IngestBurst int
 	// RequestTimeout bounds each request's wall-clock handling time via its
 	// context; long-running handlers (training) observe the deadline at
-	// phase boundaries and abandon work cleanly. 0 disables per-request
-	// deadlines. Set before the first Handler call.
+	// phase boundaries and abandon work cleanly. 0 disables it.
 	RequestTimeout time.Duration
-
 	// Retention bounds the telemetry store to the most recent N windows
 	// (ring-buffer eviction; see telemetry.Server.SetRetention). 0 keeps
-	// every window forever. Set before the first ingest.
+	// every window forever.
 	Retention int
-
-	// EstimateCache sizes the /v1/estimate response cache (entries).
-	// 0 uses the default (512); negative disables caching. Set before the
-	// first Handler call.
-	EstimateCache int
-
-	// ExternalScheduler marks the pipeline as driven by an external
-	// scheduler (a fleet's shared training worker pool): the
-	// /v1/pipeline/start and /v1/pipeline/stop endpoints refuse with 409
-	// instead of spawning a per-tenant background loop that would race the
-	// fleet's. Set before the first Handler call.
-	ExternalScheduler bool
-
 	// QualityHorizon is the longest shadow-scoring report horizon (see
 	// internal/quality); 0 means 24h. QualityThreshold arms the
-	// quality-regression retrain gate: a sustained aggregate sMAPE above
-	// it (percent, over QualitySustain consecutive windows, default 8)
-	// makes the pipeline schedule an early retrain. 0 disables the gate —
-	// scoring still runs and /v1/quality still reports. Set before the
-	// first Handler call.
+	// quality-regression retrain gate: a sustained aggregate sMAPE above it
+	// (percent, over QualitySustain consecutive windows, 0 = 8) makes the
+	// pipeline schedule an early retrain. Threshold 0 disables the gate —
+	// scoring still runs and /v1/quality still reports.
 	QualityHorizon   time.Duration
 	QualityThreshold float64
 	QualitySustain   int
+}
+
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MaxInflight", float64(c.MaxInflight)},
+		{"IngestRate", c.IngestRate},
+		{"IngestBurst", float64(c.IngestBurst)},
+		{"RequestTimeout", float64(c.RequestTimeout)},
+		{"Retention", float64(c.Retention)},
+		{"QualityHorizon", float64(c.QualityHorizon)},
+		{"QualityThreshold", c.QualityThreshold},
+		{"QualitySustain", float64(c.QualitySustain)},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("service: config: %s %v is not a finite value >= 0", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// estimateCacheSize bounds the /v1/estimate response cache (entries).
+const estimateCacheSize = 512
+
+// Server is the HTTP facade over one DeepRest instance.
+type Server struct {
+	opts    core.Options
+	cfg     Config
+	handler http.Handler
 
 	mu    sync.RWMutex
 	store *telemetry.Server
@@ -147,35 +161,39 @@ type Server struct {
 	estCacheMisses *obs.Counter
 	estDedupHits   *obs.Counter
 
+	// Admission state (see withAdmission): owned by the server, so every
+	// caller of Handler shares one bound.
+	admit  chan struct{} // in-flight semaphore; nil = unbounded
+	bucket *tokenBucket  // ingest meter; nil = unmetered
+
 	// Observability (all nil-safe no-ops when opts.Metrics / opts.Logger
 	// are nil; see withObservability).
 	log          *slog.Logger
 	httpReqs     *obs.CounterVec
 	httpDur      *obs.HistogramVec
 	httpInFlight *obs.Gauge
-	httpShed     *obs.Counter
+	shedRate     *obs.Counter // deeprest_http_shed_total{reason="ingest_rate"}
+	shedInflight *obs.Counter // deeprest_http_shed_total{reason="inflight"}
 	reqPrefix    string
 	reqSeq       atomic.Uint64
 }
 
-// New returns a service with the given learning options and the default
-// continuous-learning configuration. The telemetry store is created on
-// first ingest (its window duration comes from the stream header).
-func New(opts core.Options) *Server {
-	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
-	if err != nil {
-		// Unreachable: the default pipeline config has no checkpoint
-		// directory, the only fallible part of construction.
-		panic(err)
-	}
-	return s
+// NewWithConfig is New with the zero Config: no admission bounds, no request
+// deadline, unbounded retention.
+func NewWithConfig(opts core.Options, pcfg pipeline.Config) (*Server, error) {
+	return New(opts, pcfg, Config{})
 }
 
-// NewWithConfig returns a service with an explicit continuous-learning
+// New returns a service with the given learning options, continuous-learning
 // configuration (checkpoint directory, retrain cadence, drift thresholds,
-// registry bound).
-func NewWithConfig(opts core.Options, pcfg pipeline.Config) (*Server, error) {
-	s := &Server{opts: opts, log: opts.Logger, reqPrefix: newRequestPrefix()}
+// registry bound) and server settings. The telemetry store is created on
+// first ingest (its window duration comes from the stream header).
+func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	s := &Server{opts: opts, cfg: cfg, log: opts.Logger, reqPrefix: newRequestPrefix(),
+		estCache: newPredCache(estimateCacheSize)}
 	if m := opts.Metrics; m != nil {
 		s.httpReqs = m.CounterVec("deeprest_http_requests_total",
 			"HTTP requests served, by endpoint pattern and status code.",
@@ -185,8 +203,10 @@ func NewWithConfig(opts core.Options, pcfg pipeline.Config) (*Server, error) {
 			obs.DefBuckets, "endpoint")
 		s.httpInFlight = m.Gauge("deeprest_http_in_flight_requests",
 			"Requests currently being served.")
-		s.httpShed = m.Counter("deeprest_http_shed_total",
-			"Requests shed with 503 (admission bound reached) or 429 (per-tenant ingest rate exceeded).")
+		shed := m.CounterVec("deeprest_http_shed_total",
+			"Requests shed at admission, by reason: ingest_rate (429, ingest token bucket empty) or inflight (503, in-flight bound reached).",
+			"reason")
+		s.shedRate, s.shedInflight = shed.With("ingest_rate"), shed.With("inflight")
 		s.estCacheHits = m.Counter("deeprest_estimate_cache_hits_total",
 			"Estimate requests answered from the prediction cache.")
 		s.estCacheMisses = m.Counter("deeprest_estimate_cache_misses_total",
@@ -195,6 +215,17 @@ func NewWithConfig(opts core.Options, pcfg pipeline.Config) (*Server, error) {
 			"Estimate requests answered by joining an identical in-flight computation (singleflight dedup).")
 	}
 	buildinfo.Register(opts.Metrics)
+	s.flights = newEstFlights(s.estCache, s.estDedupHits)
+	if cfg.MaxInflight > 0 {
+		s.admit = make(chan struct{}, cfg.MaxInflight)
+	}
+	if cfg.IngestRate > 0 {
+		burst := float64(cfg.IngestBurst)
+		if burst == 0 {
+			burst = math.Max(math.Floor(2*cfg.IngestRate), 4)
+		}
+		s.bucket = newTokenBucket(cfg.IngestRate, burst)
+	}
 	// The shadow-scoring regression gate feeds the pipeline's early-retrain
 	// decision; the hook indirection keeps quality and pipeline decoupled.
 	if pcfg.QualityCheck == nil {
@@ -205,11 +236,14 @@ func NewWithConfig(opts core.Options, pcfg pipeline.Config) (*Server, error) {
 		return nil, err
 	}
 	s.pipe = p
+	s.quality = s.newScorer()
+	s.handler = s.routes()
 	return s, nil
 }
 
-// Pipeline exposes the continuous-learning orchestrator, e.g. for the
-// daemon to auto-start the loop or recover checkpoints at boot.
+// Pipeline exposes the continuous-learning orchestrator: the fleet recovers
+// checkpoints through it at tenant creation and its scheduler drives the
+// retrain and drift ticks.
 func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
 
 // Windows reports the total ingested telemetry window count (0 before the
@@ -224,15 +258,9 @@ func (s *Server) Windows() int {
 	return s.store.NumWindows()
 }
 
-// ShedInc counts one shed request against this server's
-// deeprest_http_shed_total series. The fleet's per-tenant admission layer
-// uses it so 429s it issues on a tenant's behalf land on that tenant's
-// counter.
-func (s *Server) ShedInc() { s.httpShed.Inc() }
-
-// ShedCount reports how many requests have been shed (503 admission bound
-// plus fleet-issued 429s).
-func (s *Server) ShedCount() uint64 { return s.httpShed.Value() }
+// ShedCount reports how many requests have been shed at admission, 429s and
+// 503s together.
+func (s *Server) ShedCount() uint64 { return s.shedRate.Value() + s.shedInflight.Value() }
 
 // telemetrySource adapts the lazily created store for the pipeline.
 func (s *Server) telemetrySource() pipeline.Source {
@@ -244,19 +272,10 @@ func (s *Server) telemetrySource() pipeline.Source {
 	return s.store
 }
 
-// Handler returns the routed HTTP handler.
-func (s *Server) Handler() http.Handler {
-	if s.estCache == nil && s.EstimateCache >= 0 {
-		size := s.EstimateCache
-		if size == 0 {
-			size = 512
-		}
-		s.estCache = newPredCache(size)
-	}
-	if s.flights == nil {
-		s.flights = newEstFlights(s.estCache, s.estDedupHits)
-	}
-	s.initQuality()
+// Handler returns the routed HTTP handler, built once at construction.
+func (s *Server) Handler() http.Handler { return s.handler }
+
+func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/telemetry", s.handleTelemetry)
 	mux.HandleFunc("POST /v1/learn", s.handleLearn)
@@ -266,8 +285,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sanity", s.handleSanity)
 	mux.HandleFunc("GET /v1/influence", s.handleInfluence)
 	mux.HandleFunc("GET /v1/model", s.handleModel)
-	mux.HandleFunc("POST /v1/pipeline/start", s.handlePipelineStart)
-	mux.HandleFunc("POST /v1/pipeline/stop", s.handlePipelineStop)
 	mux.HandleFunc("GET /v1/pipeline/status", s.handlePipelineStatus)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("POST /v1/models/{version}/activate", s.handleActivate)
@@ -277,22 +294,7 @@ func (s *Server) Handler() http.Handler {
 	if s.opts.Metrics != nil {
 		mux.Handle("GET /metrics", s.opts.Metrics.Handler())
 	}
-	if s.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-		// Stage tracing is operator-facing like pprof: mounted only on
-		// explicit opt-in, and only when a tracer is configured.
-		if s.opts.Tracer != nil {
-			mux.Handle("GET /debug/spans", s.opts.Tracer.Handler())
-		}
-	}
-	var h http.Handler = mux
-	h = s.withDeadline(h)
-	h = s.withAdmission(h)
-	return s.withObservability(h)
+	return s.withObservability(s.withAdmission(s.withDeadline(mux)))
 }
 
 // httpError is the uniform error body.
@@ -323,18 +325,41 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.SetWindows(in.NumWindows())
+	total, err := s.ingest(ctx, in)
+	if err != nil {
+		writeErr(w, http.StatusConflict, "%v", err)
+		return
+	}
+	writeJSON(w, map[string]int{"windows": total})
+}
 
+// ingest is the one way telemetry enters the service (pushed streams and the
+// simulated bootstrap alike): the first stream becomes the store, later ones
+// must agree on the window duration and are appended window by window. It
+// returns the store's total window count.
+func (s *Server) ingest(ctx context.Context, in *telemetry.Server) (int, error) {
 	s.mu.Lock()
-	if s.store == nil {
-		s.adoptStore(in)
-	} else {
-		if s.store.WindowSeconds() != in.WindowSeconds() {
-			ws, have := in.WindowSeconds(), s.store.WindowSeconds()
-			s.mu.Unlock()
-			writeErr(w, http.StatusConflict, "window duration %vs does not match existing store (%vs)",
-				ws, have)
-			return
+	switch {
+	case s.store == nil:
+		s.store = in
+		if s.cfg.Retention > 0 {
+			s.store.SetRetention(s.cfg.Retention)
 		}
+		// Back-counts the imported windows, so ingestion metrics cover the
+		// stream that created the store too.
+		s.store.Instrument(s.opts.Metrics)
+		s.store.SetTracer(s.opts.Tracer)
+		// A recovered generation may predate the store: arm its extractor so
+		// Record-time feature extraction starts with the first window.
+		if gen := s.pipe.Active(); gen != nil {
+			s.store.SetExtractor(gen.Version, gen.System.Extractor())
+		}
+	case s.store.WindowSeconds() != in.WindowSeconds():
+		have := s.store.WindowSeconds()
+		s.mu.Unlock()
+		return 0, fmt.Errorf("window duration %vs does not match existing store (%vs)",
+			in.WindowSeconds(), have)
+	default:
 		n := in.NumWindows()
 		traces, _ := in.Traces(0, n)
 		metrics, _ := in.Metrics(0, n)
@@ -346,9 +371,9 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	// Shadow-score the fresh windows against the active generation (the
-	// scorer takes the store's own lock, so s.mu must be released first).
-	s.qualityCatchUp(ctx)
-	writeJSON(w, map[string]int{"windows": total})
+	// scorer reads the store through storeSource, which takes s.mu itself).
+	s.quality.CatchUp(ctx)
+	return total, nil
 }
 
 // learnRequest controls one training generation.
@@ -505,19 +530,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// from the marshaled response of the first one. The canonical
 	// re-marshal of the decoded request normalises field order and
 	// whitespace; the same (version, canon) identity keys the singleflight
-	// below, so it is derived even with caching off.
+	// below.
 	canon, _ := json.Marshal(req)
 	key := predKey(gen.Version, canon)
-	if s.estCache != nil {
-		if body, ok := s.estCache.get(key, canon); ok {
-			s.estCacheHits.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-DeepRest-Cache", "hit")
-			_, _ = w.Write(body)
-			return
-		}
-		s.estCacheMisses.Inc()
+	if body, ok := s.estCache.get(key, canon); ok {
+		s.estCacheHits.Inc()
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-DeepRest-Cache", "hit")
+		_, _ = w.Write(body)
+		return
 	}
+	s.estCacheMisses.Inc()
 
 	s.mu.RLock()
 	var ws float64
@@ -694,29 +717,6 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 
 // --- continuous-learning endpoints ---
 
-func (s *Server) handlePipelineStart(w http.ResponseWriter, _ *http.Request) {
-	if s.ExternalScheduler {
-		writeErr(w, http.StatusConflict, "retraining is driven by the fleet scheduler; per-tenant loops are disabled")
-		return
-	}
-	if err := s.pipe.Start(); err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	writeJSON(w, s.pipe.Status())
-}
-
-// handlePipelineStop stops the loop; it waits for an in-flight generation
-// to finish, so the response means "no further training will happen".
-func (s *Server) handlePipelineStop(w http.ResponseWriter, _ *http.Request) {
-	if s.ExternalScheduler {
-		writeErr(w, http.StatusConflict, "retraining is driven by the fleet scheduler; per-tenant loops are disabled")
-		return
-	}
-	s.pipe.Stop()
-	writeJSON(w, s.pipe.Status())
-}
-
 func (s *Server) handlePipelineStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.pipe.Status())
 }
@@ -799,7 +799,7 @@ func windowResult(batches []trace.Batch, metrics map[app.Pair][]float64, i int) 
 // zero value.
 func decodeBody(r *http.Request, v interface{}) error {
 	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil && err.Error() != "EOF" {
+	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("decode request: %w", err)
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
 )
@@ -22,7 +23,11 @@ func newTestService() *Server {
 	opts.Estimator.Epochs = 8
 	opts.Estimator.AttentionEpochs = 1
 	opts.Estimator.ChunkLen = 24
-	return New(opts)
+	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // telemetryBody serialises a toy run into the interchange format.
@@ -266,7 +271,11 @@ func TestServiceAnonymizedMode(t *testing.T) {
 	opts.Estimator.ChunkLen = 24
 	opts.Anonymize = true
 	opts.HashSalt = "svc"
-	h := New(opts).Handler()
+	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 25, 56)); rec.Code != http.StatusOK {
 		t.Fatal("ingest failed")
 	}
