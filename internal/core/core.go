@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/app"
@@ -86,13 +87,35 @@ type System struct {
 	engineErr error
 }
 
-// compileEngine snapshots the trained model into the serving engine. A
-// refusal is counted and logged where an operator at the default level sees
-// it; the registry then refuses to activate the system (see EngineErr).
-func (s *System) compileEngine() {
+// trainStages times the stages of a learn — the estimator's three
+// (estimator.StageTrunks, StagePeerStates, StageAttention) and the engine
+// compile — as child spans of the span ctx carries and as one histogram, so
+// "where did that generation's time go" reads off /debug/spans and /metrics.
+// The returned function starts a stage and returns its end.
+func trainStages(ctx context.Context, opts Options) func(span, phase string) (end func()) {
+	seconds := opts.Metrics.HistogramVec("deeprest_train_phase_seconds",
+		"Wall-clock duration of one stage of building a generation: trunks (phase A over all experts), peer_states (frozen hidden trajectories), attention (phase B), compile (inference-engine snapshot).",
+		obs.DurationBuckets, "phase")
+	return func(span, phase string) func() {
+		_, sp := opts.Tracer.Start(ctx, span)
+		start := time.Now()
+		return func() {
+			sp.End()
+			seconds.With(phase).Observe(time.Since(start).Seconds())
+		}
+	}
+}
+
+// compileEngine snapshots the trained model into the serving engine, as the
+// stage "compile" under ctx's span. A refusal is counted and logged where an
+// operator at the default level sees it; the registry then refuses to
+// activate the system (see EngineErr).
+func (s *System) compileEngine(ctx context.Context) {
 	failures := s.opts.Metrics.Counter("deeprest_infer_compile_failures_total",
 		"Generations whose inference-engine compile was refused; they are never activated.")
+	end := trainStages(ctx, s.opts)("infer.compile", "compile")
 	s.engine, s.engineErr = infer.Compile(s.model)
+	end()
 	if s.engineErr != nil {
 		failures.Inc()
 		if s.opts.Logger != nil {
@@ -165,16 +188,20 @@ func LearnFromDataWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, op
 		windows = anonymizeWindows(s.hasher, windows)
 	}
 	s.synth = synth.Learn(windows)
-	_, span := opts.Tracer.Start(context.Background(), "core.learn")
+	ctx, span := opts.Tracer.Start(context.Background(), "core.learn")
+	defer span.End()
 	span.SetWindows(len(windows))
+	if opts.Estimator.Stage == nil {
+		stage := trainStages(ctx, opts)
+		opts.Estimator.Stage = func(name string) func() { return stage("estimator."+name, name) }
+	}
 	model, err := estimator.TrainWarm(windows, usage, opts.Estimator, warm)
 	span.SetErr(err)
-	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: train estimator: %w", err)
 	}
 	s.model = model
-	s.compileEngine()
+	s.compileEngine(ctx)
 	return s, nil
 }
 
@@ -191,7 +218,7 @@ func Restore(model *estimator.Model, windows [][]trace.Batch, opts Options) *Sys
 		windows = anonymizeWindows(s.hasher, windows)
 	}
 	s.synth = synth.Learn(windows)
-	s.compileEngine()
+	s.compileEngine(context.Background())
 	return s
 }
 

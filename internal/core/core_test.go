@@ -10,6 +10,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/estimator"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
@@ -363,5 +364,58 @@ func TestEstimateTrafficBatchMatchesSingle(t *testing.T) {
 
 	if out, err := sys.EstimateTrafficBatch(nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: got %v, %v", out, err)
+	}
+}
+
+// TestLearnStagesAreSpansAndOneHistogram: a learn records its four stages as
+// children of core.learn — in the order they ran, inside the parent's
+// interval — and observes each once in deeprest_train_phase_seconds.
+func TestLearnStagesAreSpansAndOneHistogram(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 7)
+	opts := testOptions()
+	opts.Estimator.Epochs = 2
+	opts.Tracer = obs.NewSpanTracer(64, 1)
+	opts.Metrics = obs.NewRegistry()
+	pairs := []app.Pair{{Component: "Service", Resource: app.CPU}, {Component: "DB", Resource: app.CPU}}
+	if _, err := LearnFromData(run.Windows, testutil.FocusPairs(run.Usage, pairs...), opts); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := opts.Tracer.Snapshot()
+	var learn obs.Span
+	for _, s := range spans {
+		if s.Name == "core.learn" {
+			learn = s
+		}
+	}
+	if learn.ID == 0 {
+		t.Fatalf("no core.learn span in %+v", spans)
+	}
+	var got []string
+	for _, s := range spans { // completion order
+		if s.Parent != learn.ID {
+			continue
+		}
+		got = append(got, s.Name)
+		if s.Start.Before(learn.Start) || s.Start.Add(s.Duration).After(learn.Start.Add(learn.Duration)) {
+			t.Errorf("%s [%v +%v] is not inside core.learn [%v +%v]", s.Name, s.Start, s.Duration, learn.Start, learn.Duration)
+		}
+	}
+	want := []string{"estimator.trunks", "estimator.peer_states", "estimator.attention", "infer.compile"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("children of core.learn = %v, want %v", got, want)
+	}
+
+	var scrape bytes.Buffer
+	if err := opts.Metrics.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Lint(bytes.NewReader(scrape.Bytes())); err != nil {
+		t.Fatalf("exposition fails lint: %v", err)
+	}
+	for _, phase := range []string{"trunks", "peer_states", "attention", "compile"} {
+		if line := `deeprest_train_phase_seconds_count{phase="` + phase + `"} 1`; !strings.Contains(scrape.String(), line) {
+			t.Errorf("scrape is missing %q", line)
+		}
 	}
 }

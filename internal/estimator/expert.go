@@ -104,55 +104,65 @@ func (e *Expert) stepOutput(t *ad.Tape, xt, h, attn *ad.Value) *ad.Value {
 }
 
 // HiddenStates runs the recurrence over a scaled feature series and returns
-// the hidden-state trajectory [T][Hidden]. It runs on a gradient-free eval
-// tape; this feeds the detached peer states consumed by other experts'
-// attention.
+// the hidden-state trajectory [T][Hidden].
 func (e *Expert) HiddenStates(x [][]float64) [][]float64 {
-	t := ad.NewEvalTape()
-	// Reset recycles all tape memory each step, so the recurrent state is
-	// carried across steps in a buffer the tape does not own.
-	hbuf := make([]float64, e.Hidden)
+	flat := make([]float64, len(x)*e.Hidden)
+	e.hiddenInto(ad.NewEvalTape(), x, flat)
 	out := make([][]float64, len(x))
-	for i, row := range x {
-		h := t.Const(hbuf)
-		xt := e.maskedInput(t, row)
-		h = e.Cell.Step(t, xt, h)
-		cp := make([]float64, e.Hidden)
-		copy(cp, h.Data)
-		out[i] = cp
-		copy(hbuf, h.Data)
-		t.Reset()
+	for i := range out {
+		out[i] = flat[i*e.Hidden : (i+1)*e.Hidden]
 	}
 	return out
 }
 
-// Forward runs the full forward pass over a scaled feature series and
-// returns the (expected, lower, upper) triple per step, in scaled target
-// units. peerHidden[t] holds the detached hidden states of the peer experts
-// at step t, aligned with e.Attn.Peers; nil runs with a zero attention
-// context (used for attention-free models and for occlusion probes).
-func (e *Expert) Forward(x [][]float64, peerHidden [][][]float64) ([][3]float64, error) {
-	if peerHidden != nil && len(peerHidden) != len(x) {
-		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, len(peerHidden), len(x))
+// hiddenInto runs the recurrence over x on the gradient-free tape t and
+// writes the trajectory, step-major, into dst (len(x)·Hidden floats); this
+// feeds the detached peer states consumed by other experts' attention. Reset
+// recycles all tape memory each step, so the recurrent state is carried
+// across steps in dst, which the tape does not own.
+func (e *Expert) hiddenInto(t *ad.Tape, x [][]float64, dst []float64) {
+	hPrev := make([]float64, e.Hidden)
+	for i, row := range x {
+		t.Reset()
+		h := t.Const(hPrev)
+		h = e.Cell.Step(t, e.maskedInput(t, row), h)
+		hPrev = dst[i*e.Hidden : (i+1)*e.Hidden]
+		copy(hPrev, h.Data)
 	}
-	t := ad.NewEvalTape()
+}
+
+// Forward runs the full forward pass over a scaled feature series with a
+// zero attention context (attention-free models, occlusion probes) and
+// returns the (expected, lower, upper) triple per step, in scaled target
+// units.
+func (e *Expert) Forward(x [][]float64) ([][3]float64, error) {
+	return e.forward(ad.NewEvalTape(), x, nil)
+}
+
+// forward is Forward on the caller's gradient-free tape, with the attention
+// context drawn from peers — the detached hidden states of the peer experts
+// over the same series — when it is not nil.
+func (e *Expert) forward(t *ad.Tape, x [][]float64, peers *peerStates) ([][3]float64, error) {
+	if peers != nil && peers.steps != len(x) {
+		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, peers.steps, len(x))
+	}
 	hbuf := make([]float64, e.Hidden)
 	zeroAttn := make([]float64, e.Hidden)
 	out := make([][3]float64, len(x))
 	for i, row := range x {
+		t.Reset()
 		h := t.Const(hbuf)
 		xt := e.maskedInput(t, row)
 		h = e.Cell.Step(t, xt, h)
 		var attn *ad.Value
-		if e.UseAttention && len(e.Attn.Peers) > 0 && peerHidden != nil {
-			attn = e.Attn.Apply(t, peerHidden[i])
+		if e.UseAttention && len(e.Attn.Peers) > 0 && peers != nil {
+			attn = peers.attend(t, e.Attn, i)
 		} else {
 			attn = t.Const(zeroAttn)
 		}
 		y := e.stepOutput(t, xt, h, attn)
 		out[i] = [3]float64{y.Data[0], y.Data[1], y.Data[2]}
 		copy(hbuf, h.Data)
-		t.Reset()
 	}
 	return out, nil
 }

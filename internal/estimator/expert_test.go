@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/nn/ad"
 	"repro/internal/testutil"
 )
 
@@ -53,8 +54,8 @@ func TestExpertForwardZeroAttentionFallback(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, []string{"peer"})
-	// nil peer states run with a zero attention context.
-	out, err := e.Forward(seriesOf(4, 6), nil)
+	// Without peer states the attention context is zero.
+	out, err := e.Forward(seriesOf(4, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +68,8 @@ func TestExpertForwardPeerMismatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, []string{"peer"})
-	peers := make([][][]float64, 2) // wrong step count for 6 inputs
-	if _, err := e.Forward(seriesOf(4, 6), peers); err == nil {
+	peers := &peerStates{hiddenSlab: &hiddenSlab{steps: 2}} // wrong step count for 6 inputs
+	if _, err := e.forward(ad.NewEvalTape(), seriesOf(4, 6), peers); err == nil {
 		t.Fatal("mismatched peer states must fail")
 	}
 }
@@ -82,11 +83,11 @@ func TestExpertMaskGatesInput(t *testing.T) {
 	for i := range e.Mask.M.Data {
 		e.Mask.M.Data[i] = -50 // σ ≈ 0
 	}
-	a, err := e.Forward([][]float64{{1, 1, 1}}, nil)
+	a, err := e.Forward([][]float64{{1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Forward([][]float64{{100, 100, 100}}, nil)
+	b, err := e.Forward([][]float64{{100, 100, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}

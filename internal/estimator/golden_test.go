@@ -106,7 +106,7 @@ func TestGoldenDeterminismCapture(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("capture helper; run with -v to print goldens")
 	}
-	for _, hidden := range []int{4, 7} {
+	for _, hidden := range []int{4, 7, 20} {
 		t.Logf("Hidden=%d", hidden)
 		losses, preds := goldenRun(t, hidden)
 		keys := make([]string, 0, len(losses))
@@ -209,6 +209,45 @@ var goldenPredictionsHidden7 = map[string]uint64{
 // four-row blocking does not divide.
 func TestGoldenDeterminismHidden7(t *testing.T) {
 	checkGolden(t, 7, goldenLossesHidden7, goldenPredictionsHidden7)
+}
+
+// goldenLossesHidden20 and goldenPredictionsHidden20 are the same run at
+// Hidden=20 — one sixteen-column and one four-column pass of the backward
+// kernels' column ladder in every recurrent sweep, a row panel and a
+// sixteen-row rung in the forward — captured at the commit before the
+// backward, attention-adjoint and Adam kernels landed (and before phase B
+// read its states from the trajectory slab), so they pin the whole of
+// training, optimizer included, to the scalar loops it ran until then.
+var goldenLossesHidden20 = map[string][]uint64{
+	"DB/cpu|attention":        {0x3fa973fc67685999, 0x3fa3f640942a3d35},
+	"DB/cpu|train":            {0x3fd1021c67d61c8a, 0x3fad457a920a84a8, 0x3fae81f017ebd874},
+	"DB/disk_usage|attention": {0x3fc7fbe37075e789, 0x3fc68b9f28d6f26a},
+	"DB/disk_usage|train":     {0x3fd9b3b44c63bdcc, 0x3fc976ffd87951f2, 0x3fc89352e3a263af},
+	"DB/write_iops|attention": {0x3fc067918d245a44, 0x3fbd48ef762f2cfc},
+	"DB/write_iops|train":     {0x3fd75ad9d328f048, 0x3fc5eb50b44cdd6e, 0x3fc4cf7cc927526c},
+	"Service/cpu|attention":   {0x3fa77e2317e5452a, 0x3fa731514efb1b94},
+	"Service/cpu|train":       {0x3fd7323137dd911f, 0x3fbb0ccf1630ea5b, 0x3fb28c96c3070247},
+}
+
+var goldenPredictionsHidden20 = map[string]uint64{
+	"DB/cpu|exp":        0xa6d513288b0bb6ad,
+	"DB/cpu|low":        0x2939e407c8ddcbc7,
+	"DB/cpu|up":         0x198bf436f91c10d0,
+	"DB/disk_usage|exp": 0xd6466bc090411bea,
+	"DB/disk_usage|low": 0x2a963b5d2a9a3c31,
+	"DB/disk_usage|up":  0x46f929c3f728a9cf,
+	"DB/write_iops|exp": 0x6f42e088e0f537f5,
+	"DB/write_iops|low": 0x1001042542e60df2,
+	"DB/write_iops|up":  0x9c14f53ffcdd9ad5,
+	"Service/cpu|exp":   0x2628521f117df460,
+	"Service/cpu|low":   0x1fec7a9f7dd71d05,
+	"Service/cpu|up":    0x8b4eafcdc2823a41,
+}
+
+// TestGoldenDeterminismHidden20 is TestGoldenDeterminism at a width that
+// takes both vector rungs of the column-lane backward kernels.
+func TestGoldenDeterminismHidden20(t *testing.T) {
+	checkGolden(t, 20, goldenLossesHidden20, goldenPredictionsHidden20)
 }
 
 func checkGolden(t *testing.T, hidden int, goldenLosses map[string][]uint64, goldenPredictions map[string]uint64) {

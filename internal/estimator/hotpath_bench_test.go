@@ -5,7 +5,10 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/nn/loss"
+	"repro/internal/sim"
 	"repro/internal/testutil"
+	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 // Hot-path benchmarks tracked in BENCH_estimator.json by `make bench`. They
@@ -36,10 +39,11 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	p := app.Pair{Component: "Service", Resource: app.CPU}
 	m, x, targets, cfg := benchExpertSetup(b, p)
 	q := loss.Quantiles(cfg.Delta)
+	ws := newWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := trainExpert(m.Experts[p], x, targets[p], nil, cfg, 1, q[:], cfg.Seed); err != nil {
+		if err := trainExpert(ws, m.Experts[p], x, targets[p], cfg, 1, q[:], cfg.Seed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +64,7 @@ func BenchmarkExpertForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Experts[p].Forward(day, nil); err != nil {
+		if _, err := m.Experts[p].Forward(day); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,6 +101,39 @@ func BenchmarkModelPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Predict(day); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainSocial128 is one cold learn at the shape of the repo
+// benchmark's miss-social128 set-up: the social network (76 experts, 67
+// features) at the paper's width, 48 windows, three phase-A epochs and the
+// default six of phase B — both phases, the peer-state pass between them and
+// the per-worker workspaces, so ns/op moves with `learn_cpu_s` (divide by
+// GOMAXPROCS for the wall share). Not in BENCH_estimator.json.
+func BenchmarkTrainSocial128(b *testing.B) {
+	spec, mix, err := topo.Resolve("social")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 30})
+	prog.WindowsPerDay = 48
+	c, err := sim.NewCluster(spec, 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run, err := c.Run(prog.Generate())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Hidden = 128
+	cfg.Epochs = 3
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(run.Windows, run.Usage, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,7 +61,7 @@ func (m *Model) APIInfluence(pair app.Pair, windows [][]trace.Batch) (map[string
 		return nil, fmt.Errorf("estimator: no expert for %s", pair)
 	}
 	x := m.FeatScaler.Apply(features.Matrix(m.Space.ExtractSeries(windows)))
-	base, err := e.Forward(x, nil)
+	base, err := e.Forward(x)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func (m *Model) APIInfluence(pair app.Pair, windows [][]trace.Batch) (map[string
 	max := 0.0
 	for root, idxs := range cols {
 		occluded := occlude(x, idxs)
-		probe, err := e.Forward(occluded, nil)
+		probe, err := e.Forward(occluded)
 		if err != nil {
 			return nil, err
 		}

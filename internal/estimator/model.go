@@ -13,6 +13,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/features"
 	"repro/internal/nn/ad"
+	"repro/internal/nn/layers"
 	"repro/internal/nn/loss"
 	"repro/internal/nn/opt"
 	"repro/internal/trace"
@@ -84,6 +85,11 @@ type Config struct {
 	// be cheap. The continuous-learning pipeline uses it to export per-epoch
 	// loss and duration metrics.
 	Progress func(ProgressEvent)
+	// Stage, when non-nil, is called on the training goroutine as each stage
+	// of a run starts — StageTrunks, StagePeerStates, StageAttention — and
+	// returns the function to call when that stage ends. The learning
+	// pipeline hangs its spans and the per-stage duration histogram on it.
+	Stage func(stage string) (end func())
 }
 
 // Training phases reported through Config.Progress.
@@ -94,6 +100,17 @@ const (
 	// PhaseAttention is phase B: fitting attention weights and the output
 	// head over frozen recurrent trunks.
 	PhaseAttention = "attention"
+)
+
+// Training stages reported through Config.Stage, in the order they run.
+const (
+	// StageTrunks is phase A over every expert.
+	StageTrunks = "trunks"
+	// StagePeerStates computes the frozen trunks' hidden trajectories that
+	// phase B attends over.
+	StagePeerStates = "peer_states"
+	// StageAttention is phase B over every expert.
+	StageAttention = "attention"
 )
 
 // ProgressEvent describes one completed training epoch of one expert.
@@ -226,31 +243,6 @@ type Model struct {
 	Experts map[app.Pair]*Expert
 	// TargetScales holds the per-pair descaling information.
 	TargetScales map[app.Pair]*TargetScale
-
-	// peerKeys caches, per pair, the attention peer-key list (every other
-	// pair's string form, in training order). It is derived once from
-	// Pairs at build/load time instead of re-deriving — and re-stringing
-	// every pair — on each gatherPeers call.
-	peerKeys map[app.Pair][]string
-}
-
-// initPeerKeys populates the peerKeys cache from Pairs. Call after Pairs is
-// final (model build or snapshot load).
-func (m *Model) initPeerKeys() {
-	m.peerKeys = make(map[app.Pair][]string, len(m.Pairs))
-	names := make([]string, len(m.Pairs))
-	for i, p := range m.Pairs {
-		names[i] = p.String()
-	}
-	for i, p := range m.Pairs {
-		keys := make([]string, 0, len(m.Pairs)-1)
-		for j := range m.Pairs {
-			if j != i {
-				keys = append(keys, names[j])
-			}
-		}
-		m.peerKeys[p] = keys
-	}
 }
 
 // Train learns a DeepRest model from application-learning telemetry: the
@@ -302,12 +294,17 @@ func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Confi
 		TargetScales: make(map[app.Pair]*TargetScale, len(pairs)),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m.initPeerKeys()
+	names := make([]string, len(pairs))
+	for i, p := range pairs {
+		names[i] = p.String()
+	}
 	targets := make(map[app.Pair][]float64, len(pairs))
-	for _, p := range pairs {
+	for i, p := range pairs {
 		m.TargetScales[p] = fitTargetScale(p, usage[p])
 		targets[p] = m.TargetScales[p].scaled(usage[p])
-		m.Experts[p] = newExpert(p, space.Dim(), cfg.Hidden, m.peerKeys[p], cfg, rng)
+		// An expert attends to every other expert, in training order.
+		peers := append(append(make([]string, 0, len(pairs)-1), names[:i]...), names[i+1:]...)
+		m.Experts[p] = newExpert(p, space.Dim(), cfg.Hidden, peers, cfg, rng)
 	}
 
 	return m, x, targets, nil
@@ -316,15 +313,28 @@ func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Confi
 // trainAll runs the two training phases over a freshly built (or
 // warm-started) model.
 func (m *Model) trainAll(x [][]float64, targets map[app.Pair][]float64, cfg Config) error {
+	return m.trainPhases(x, targets, cfg, cfg.Epochs, cfg.Seed, cfg.Seed+1000)
+}
+
+// trainPhases runs phase A for the given number of epochs and then phase B
+// for cfg.AttentionEpochs; expert i draws its chunk order from seedA+i and
+// seedB+i.
+func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg Config, epochs int, seedA, seedB int64) error {
 	quant := loss.Quantiles(cfg.Delta)
 	q := quant[:]
+	stage := cfg.Stage
+	if stage == nil {
+		stage = func(string) func() { return func() {} }
+	}
 
 	// Phase A: train every expert independently with attention disabled.
 	logf(cfg.Log, "phase A: training %d experts (%d epochs, dim=%d, hidden=%d)",
-		len(m.Pairs), cfg.Epochs, m.Space.Dim(), cfg.Hidden)
-	err := m.forEachExpert(func(i int, p app.Pair) error {
-		return trainExpert(m.Experts[p], x, targets[p], nil, cfg, cfg.Epochs, q, cfg.Seed+int64(i))
+		len(m.Pairs), epochs, m.Space.Dim(), cfg.Hidden)
+	end := stage(StageTrunks)
+	err := m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+		return trainExpert(ws, m.Experts[p], x, targets[p], cfg, epochs, q, seedA+int64(i))
 	})
+	end()
 	if err != nil {
 		return err
 	}
@@ -337,14 +347,17 @@ func (m *Model) trainAll(x [][]float64, targets map[app.Pair][]float64, cfg Conf
 	// would invalidate the peer states the attention was fitted to.)
 	if cfg.UseAttention && cfg.AttentionEpochs > 0 && len(m.Pairs) > 1 {
 		logf(cfg.Log, "phase B: attention (%d epochs over frozen trunks)", cfg.AttentionEpochs)
+		end = stage(StagePeerStates)
 		hidden, err := m.allHiddenStates(x)
+		end()
 		if err != nil {
 			return err
 		}
-		err = m.forEachExpert(func(i int, p app.Pair) error {
-			peerStates := m.gatherPeers(p, hidden)
-			return trainExpertHead(m.Experts[p], x, targets[p], peerStates, cfg, cfg.AttentionEpochs, q, cfg.Seed+1000+int64(i))
+		end = stage(StageAttention)
+		err = m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+			return trainExpertHead(ws, m.Experts[p], x, targets[p], hidden.peersOf(i), cfg, cfg.AttentionEpochs, q, seedB+int64(i))
 		})
+		end()
 		if err != nil {
 			return err
 		}
@@ -358,10 +371,33 @@ func logf(w io.Writer, format string, args ...interface{}) {
 	}
 }
 
+// workspace is what one forEachExpert worker carries from expert to expert:
+// tapes whose arenas have already grown to an expert's size and one Adam
+// whose moment buffer is re-zeroed per expert. A generation has 76–399
+// experts of one shape; without it each of them allocated, page-faulted and
+// dropped its own copy (1.2 MB of moments at the paper's width).
+type workspace struct {
+	tape *ad.Tape // training tape
+	eval *ad.Tape // gradient-free tape
+	adam *opt.Adam
+}
+
+func newWorkspace() *workspace {
+	return &workspace{tape: ad.NewTape(), eval: ad.NewEvalTape(), adam: opt.NewAdam(nil, 0)}
+}
+
+// adamFor returns the workspace's Adam restarted over params: zero moments
+// and step count, the state opt.NewAdam would hand out.
+func (ws *workspace) adamFor(params []*ad.Param, cfg Config) *opt.Adam {
+	ws.adam.Reset(params)
+	ws.adam.LR, ws.adam.ClipNorm = cfg.LR, cfg.ClipNorm
+	return ws.adam
+}
+
 // forEachExpert runs fn for every pair with bounded parallelism; fn
 // receives the pair's index in training order (the basis of its
-// deterministic per-expert seed).
-func (m *Model) forEachExpert(fn func(i int, p app.Pair) error) error {
+// deterministic per-expert seed) and the calling worker's workspace.
+func (m *Model) forEachExpert(fn func(i int, p app.Pair, ws *workspace) error) error {
 	par := m.Cfg.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -370,8 +406,9 @@ func (m *Model) forEachExpert(fn func(i int, p app.Pair) error) error {
 		par = len(m.Pairs)
 	}
 	if par <= 1 {
+		ws := newWorkspace()
 		for i, p := range m.Pairs {
-			if err := fn(i, p); err != nil {
+			if err := fn(i, p, ws); err != nil {
 				return err
 			}
 		}
@@ -381,7 +418,8 @@ func (m *Model) forEachExpert(fn func(i int, p app.Pair) error) error {
 	// 300-component generated topology that is par goroutines total instead
 	// of one per (component, resource) pair churning through a semaphore.
 	// Results stay deterministic regardless of which worker takes which
-	// pair: the per-expert seed is derived from the training-order index.
+	// pair: the per-expert seed is derived from the training-order index,
+	// and a workspace hands every expert the same zeroed state.
 	idx := make(chan int, len(m.Pairs))
 	for i := range m.Pairs {
 		idx <- i
@@ -394,8 +432,9 @@ func (m *Model) forEachExpert(fn func(i int, p app.Pair) error) error {
 	for w := 0; w < par; w++ {
 		go func() {
 			defer wg.Done()
+			ws := newWorkspace()
 			for i := range idx {
-				if err := fn(i, m.Pairs[i]); err != nil {
+				if err := fn(i, m.Pairs[i], ws); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -409,56 +448,65 @@ func (m *Model) forEachExpert(fn func(i int, p app.Pair) error) error {
 	return firstErr
 }
 
-// allHiddenStates computes every expert's hidden trajectory in parallel,
-// keyed by pair string.
-func (m *Model) allHiddenStates(x [][]float64) (map[string][][]float64, error) {
-	out := make(map[string][][]float64, len(m.Pairs))
-	var mu sync.Mutex
-	err := m.forEachExpert(func(_ int, p app.Pair) error {
-		hs := m.Experts[p].HiddenStates(x)
-		mu.Lock()
-		out[p.String()] = hs
-		mu.Unlock()
-		return nil
-	})
-	return out, err
+// hiddenSlab holds every expert's hidden trajectory over one input series in
+// one allocation, expert-major: expert i's state at step t is the hid floats
+// at (i*steps+t)*hid. It is the layout the inference engine's scratch uses,
+// so at any step the experts' states lie steps*hid floats apart and the
+// attention sum (ad.PeerSum) and its adjoint read the peers in place.
+type hiddenSlab struct {
+	data                []float64
+	experts, steps, hid int
 }
 
-// gatherPeers assembles, per time step, the peer hidden states of expert p
-// in the order of its attention peer list (precomputed in peerKeys).
-func (m *Model) gatherPeers(p app.Pair, hidden map[string][][]float64) [][][]float64 {
-	peerKeys, cached := m.peerKeys[p]
-	if !cached {
-		// Hand-assembled model (tests) or a pair absent from the cache:
-		// derive locally without touching the cache — gatherPeers runs
-		// concurrently across experts. Falling back on a missing entry (not
-		// just a nil map) keeps a stale or partial cache from silently
-		// zeroing the attention peers.
-		for _, q := range m.Pairs {
-			if q != p {
-				peerKeys = append(peerKeys, q.String())
-			}
+// state returns expert i's hidden state at step t.
+func (s *hiddenSlab) state(i, t int) []float64 {
+	return s.data[(i*s.steps+t)*s.hid:][:s.hid]
+}
+
+// peerStates is one expert's view of a hiddenSlab: its own row and its
+// peers' rows, the latter aligned with Attn.Alpha.
+type peerStates struct {
+	*hiddenSlab
+	self int
+	idx  []int
+}
+
+// peersOf returns expert i's view: it attends to every other expert, in
+// training order — the order its Attn.Peers were named in.
+func (s *hiddenSlab) peersOf(i int) *peerStates {
+	idx := make([]int, 0, s.experts-1)
+	for j := 0; j < s.experts; j++ {
+		if j != i {
+			idx = append(idx, j)
 		}
 	}
-	if len(peerKeys) == 0 {
+	return &peerStates{hiddenSlab: s, self: i, idx: idx}
+}
+
+// attend records the attention context of step t on the tape.
+func (ps *peerStates) attend(t *ad.Tape, a *layers.Attention, step int) *ad.Value {
+	return a.Apply(t, ps.idx, ps.data[step*ps.hid:], ps.steps*ps.hid, ps.hid)
+}
+
+// allHiddenStates computes every expert's hidden trajectory over x, in
+// parallel, each into its own rows of one slab.
+func (m *Model) allHiddenStates(x [][]float64) (*hiddenSlab, error) {
+	hid := m.Cfg.Hidden
+	s := &hiddenSlab{data: make([]float64, len(m.Pairs)*len(x)*hid), experts: len(m.Pairs), steps: len(x), hid: hid}
+	err := m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+		e := m.Experts[p]
+		if e.Hidden != hid {
+			return fmt.Errorf("estimator: %s: hidden width %d in a %d-wide model", p, e.Hidden, hid)
+		}
+		e.hiddenInto(ws.eval, x, s.data[i*len(x)*hid:(i+1)*len(x)*hid])
 		return nil
-	}
-	steps := len(hidden[peerKeys[0]])
-	out := make([][][]float64, steps)
-	for t := 0; t < steps; t++ {
-		rows := make([][]float64, len(peerKeys))
-		for k, key := range peerKeys {
-			rows[k] = hidden[key][t]
-		}
-		out[t] = rows
-	}
-	return out
+	})
+	return s, err
 }
 
 // trainExpert runs truncated-BPTT training of one expert for the given
-// number of epochs. peerStates enables the attention term; nil trains with
-// a zero context.
-func trainExpert(e *Expert, x [][]float64, target []float64, peerStates [][][]float64, cfg Config, epochs int, q []float64, seed int64) error {
+// number of epochs, with a zero attention context (phase A).
+func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg Config, epochs int, q []float64, seed int64) error {
 	if len(x) != len(target) {
 		return fmt.Errorf("estimator: %s: %d inputs vs %d targets", e.Pair, len(x), len(target))
 	}
@@ -466,9 +514,7 @@ func trainExpert(e *Expert, x [][]float64, target []float64, peerStates [][][]fl
 	var optimizer opt.Optimizer
 	switch cfg.Optimizer {
 	case "", "adam":
-		a := opt.NewAdam(params, cfg.LR)
-		a.ClipNorm = cfg.ClipNorm
-		optimizer = a
+		optimizer = ws.adamFor(params, cfg)
 	case "sgd":
 		s := opt.NewSGD(params, cfg.LR)
 		s.Momentum = cfg.Momentum
@@ -488,7 +534,7 @@ func trainExpert(e *Expert, x [][]float64, target []float64, peerStates [][][]fl
 	for i := range order {
 		order[i] = i
 	}
-	tape := ad.NewTape()
+	tape := ws.tape
 	zeroAttn := make([]float64, e.Hidden)
 	zeroH := make([]float64, e.Hidden)
 	// The target triple and per-chunk loss list are reused across chunks
@@ -496,7 +542,6 @@ func trainExpert(e *Expert, x [][]float64, target []float64, peerStates [][][]fl
 	// SumScalars operand slice is only read up to Backward below.
 	tgt := make([]float64, len(q))
 	losses := make([]*ad.Value, 0, cfg.ChunkLen)
-	useAttn := peerStates != nil && e.UseAttention && len(e.Attn.Peers) > 0
 
 	for ep := 0; ep < epochs; ep++ {
 		epochStart := time.Now()
@@ -514,13 +559,7 @@ func trainExpert(e *Expert, x [][]float64, target []float64, peerStates [][][]fl
 			for t := from; t < to; t++ {
 				xt := e.maskedInput(tape, x[t])
 				h = e.Cell.Step(tape, xt, h)
-				var attn *ad.Value
-				if useAttn {
-					attn = e.Attn.Apply(tape, peerStates[t])
-				} else {
-					attn = tape.Const(zeroAttn)
-				}
-				y := e.stepOutput(tape, xt, h, attn)
+				y := e.stepOutput(tape, xt, h, tape.Const(zeroAttn))
 				for j := range tgt {
 					tgt[j] = target[t]
 				}
@@ -528,6 +567,9 @@ func trainExpert(e *Expert, x [][]float64, target []float64, peerStates [][][]fl
 			}
 			total := tape.SumScalars(losses...)
 			mean := tape.ScaleConst(total, 1/float64(to-from))
+			if err := finiteLoss(e, mean, ep); err != nil {
+				return err
+			}
 			tape.Backward(mean)
 			epochLoss += mean.Data[0]
 			e.addRegularizationGrads(cfg)
@@ -545,31 +587,40 @@ func trainExpert(e *Expert, x [][]float64, target []float64, peerStates [][][]fl
 	return nil
 }
 
+// finiteLoss refuses a chunk whose mean loss is NaN or ±Inf, before it is
+// differentiated: one such step writes NaN into every parameter the
+// optimizer touches, and a generation of NaN weights cannot even be
+// JSON-encoded by /v1/estimate. Failing the expert fails the generation, so
+// the previous one keeps serving.
+func finiteLoss(e *Expert, mean *ad.Value, epoch int) error {
+	// l−l is 0 for every finite l and NaN for NaN and ±Inf.
+	if l := mean.Data[0]; l-l != 0 {
+		return fmt.Errorf("estimator: %s: non-finite training loss %v in epoch %d (non-finite telemetry or diverged weights)", e.Pair, l, epoch+1)
+	}
+	return nil
+}
+
 // trainExpertHead runs phase B for one expert: with the recurrent trunk,
 // mask, and bypass frozen, it fits only the attention weights α and the
 // output head V against the (now fixed) own and peer hidden states.
-func trainExpertHead(e *Expert, x [][]float64, target []float64, peerStates [][][]float64, cfg Config, epochs int, q []float64, seed int64) error {
-	if !e.UseAttention || len(e.Attn.Peers) == 0 || peerStates == nil {
+func trainExpertHead(ws *workspace, e *Expert, x [][]float64, target []float64, peers *peerStates, cfg Config, epochs int, q []float64, seed int64) error {
+	if !e.UseAttention || len(e.Attn.Peers) == 0 || peers == nil {
 		return nil
 	}
-	// Precompute the frozen parts per step: own hidden state and the
-	// bypass contribution. Both are pure forward passes, so they run on
-	// gradient-free eval tapes.
-	own := e.HiddenStates(x)
-	bypass := make([][]float64, len(x))
+	// The bypass contribution is frozen, so it is computed once per step —
+	// a pure forward pass on the gradient-free tape. The other frozen part,
+	// the expert's own hidden trajectory, is already in the slab.
+	var bypass []float64
 	if e.UseBypass {
-		t := ad.NewEvalTape()
+		bypass = make([]float64, 3*len(x))
+		t := ws.eval
 		for i, row := range x {
-			xt := e.maskedInput(t, row)
-			out := e.Bypass.Apply(t, xt)
-			bypass[i] = append([]float64(nil), out.Data...)
 			t.Reset()
+			copy(bypass[3*i:], e.Bypass.Apply(t, e.maskedInput(t, row)).Data)
 		}
 	}
 
-	params := append(e.Head.Params(), e.Attn.Params()...)
-	a := opt.NewAdam(params, cfg.LR)
-	a.ClipNorm = cfg.ClipNorm
+	a := ws.adamFor(append(e.Head.Params(), e.Attn.Params()...), cfg)
 
 	rng := rand.New(rand.NewSource(seed))
 	nChunks := (len(x) + cfg.ChunkLen - 1) / cfg.ChunkLen
@@ -577,7 +628,7 @@ func trainExpertHead(e *Expert, x [][]float64, target []float64, peerStates [][]
 	for i := range order {
 		order[i] = i
 	}
-	tape := ad.NewTape()
+	tape := ws.tape
 	tgt := make([]float64, len(q))
 	losses := make([]*ad.Value, 0, cfg.ChunkLen)
 	for ep := 0; ep < epochs; ep++ {
@@ -593,11 +644,11 @@ func trainExpertHead(e *Expert, x [][]float64, target []float64, peerStates [][]
 			tape.Reset()
 			losses = losses[:0]
 			for t := from; t < to; t++ {
-				h := tape.Const(own[t])
-				attn := e.Attn.Apply(tape, peerStates[t])
+				h := tape.Const(peers.state(peers.self, t))
+				attn := peers.attend(tape, e.Attn, t)
 				y := e.Head.Apply(tape, tape.Concat(attn, h))
 				if e.UseBypass {
-					y = tape.Add(y, tape.Const(bypass[t]))
+					y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
 				}
 				for j := range tgt {
 					tgt[j] = target[t]
@@ -606,6 +657,9 @@ func trainExpertHead(e *Expert, x [][]float64, target []float64, peerStates [][]
 			}
 			total := tape.SumScalars(losses...)
 			mean := tape.ScaleConst(total, 1/float64(to-from))
+			if err := finiteLoss(e, mean, ep); err != nil {
+				return err
+			}
 			tape.Backward(mean)
 			epochLoss += mean.Data[0]
 			a.Step()
@@ -691,7 +745,7 @@ func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate,
 }
 
 func (m *Model) predictScaledInput(x [][]float64) (map[app.Pair]Estimate, error) {
-	var hidden map[string][][]float64
+	var hidden *hiddenSlab
 	if m.Cfg.UseAttention && len(m.Pairs) > 1 {
 		var err error
 		hidden, err = m.allHiddenStates(x)
@@ -701,12 +755,12 @@ func (m *Model) predictScaledInput(x [][]float64) (map[app.Pair]Estimate, error)
 	}
 	out := make(map[app.Pair]Estimate, len(m.Pairs))
 	var mu sync.Mutex
-	err := m.forEachExpert(func(_ int, p app.Pair) error {
-		var peers [][][]float64
+	err := m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+		var peers *peerStates
 		if hidden != nil {
-			peers = m.gatherPeers(p, hidden)
+			peers = hidden.peersOf(i)
 		}
-		triples, err := m.Experts[p].Forward(x, peers)
+		triples, err := m.Experts[p].forward(ws.eval, x, peers)
 		if err != nil {
 			return err
 		}

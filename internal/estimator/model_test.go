@@ -2,10 +2,15 @@ package estimator
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/eval"
+	"repro/internal/nn/ad"
+	"repro/internal/nn/layers"
+	"repro/internal/nn/loss"
 	"repro/internal/synth"
 	"repro/internal/testutil"
 )
@@ -331,58 +336,83 @@ func TestLRSchedules(t *testing.T) {
 	}
 }
 
-// TestGatherPeersMissingCacheEntry pins the fallback in gatherPeers: a
-// non-nil peerKeys cache that lacks an entry for the queried pair (stale or
-// partial cache, hand-assembled model) must still derive the peer list from
-// Pairs instead of silently dropping the attention context.
-func TestGatherPeersMissingCacheEntry(t *testing.T) {
-	a := app.Pair{Component: "a", Resource: app.CPU}
-	b := app.Pair{Component: "b", Resource: app.CPU}
-	c := app.Pair{Component: "c", Resource: app.CPU}
-	m := &Model{Pairs: []app.Pair{a, b, c}}
-	hidden := map[string][][]float64{
-		a.String(): {{1}, {10}},
-		b.String(): {{2}, {20}},
-		c.String(): {{3}, {30}},
-	}
-	want := [][][]float64{{{2}, {3}}, {{20}, {30}}}
-
-	check := func(label string, got [][][]float64) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d steps, want %d", label, len(got), len(want))
+// TestPeerStatesReadSlabInTrainingOrder pins what the attention reads: expert
+// i's peers are every other expert in training order — there is no cache to
+// go stale, the list is derived from the slab's expert count — and peer k's
+// state at step t is the slab row the (base, stride) pair handed to
+// WeightedSumConst addresses.
+func TestPeerStatesReadSlabInTrainingOrder(t *testing.T) {
+	// Three experts a, b, c × two steps × one hidden unit.
+	slab := &hiddenSlab{data: []float64{1, 10, 2, 20, 3, 30}, experts: 3, steps: 2, hid: 1}
+	for _, tc := range []struct {
+		self int
+		want [][]float64 // [step][peer]
+	}{
+		{0, [][]float64{{2, 3}, {20, 30}}},
+		{1, [][]float64{{1, 3}, {10, 30}}},
+		{2, [][]float64{{1, 2}, {10, 20}}},
+	} {
+		ps := slab.peersOf(tc.self)
+		if ps.self != tc.self || len(ps.idx) != 2 {
+			t.Fatalf("expert %d: self %d, peers %v", tc.self, ps.self, ps.idx)
 		}
-		for ts := range want {
-			if len(got[ts]) != len(want[ts]) {
-				t.Fatalf("%s: step %d has %d peers, want %d", label, ts, len(got[ts]), len(want[ts]))
-			}
-			for k := range want[ts] {
-				if got[ts][k][0] != want[ts][k][0] {
-					t.Fatalf("%s: step %d peer %d = %v, want %v", label, ts, k, got[ts][k], want[ts][k])
+		if own := ps.state(ps.self, 1)[0]; own != slab.data[tc.self*2+1] {
+			t.Fatalf("expert %d: own state at step 1 = %v", tc.self, own)
+		}
+		attn := layers.NewAttention("x", []string{"p", "q"})
+		for step, want := range tc.want {
+			for k := range want {
+				// A one-hot α picks peer k's state out of the context.
+				attn.Alpha.Data[0], attn.Alpha.Data[1] = 0, 0
+				attn.Alpha.Data[k] = 1
+				if got := ps.attend(ad.NewEvalTape(), attn, step).Data[0]; got != want[k] {
+					t.Fatalf("expert %d step %d peer %d = %v, want %v", tc.self, step, k, got, want[k])
 				}
 			}
 		}
 	}
+}
 
-	// Nil cache: the historical fallback path.
-	check("nil cache", m.gatherPeers(a, hidden))
-
-	// Non-nil cache missing the entry for a: the regression — this used to
-	// yield no peers at all because only the nil-map case fell back.
-	m.peerKeys = map[app.Pair][]string{b: {a.String(), c.String()}}
-	check("partial cache", m.gatherPeers(a, hidden))
-	if got := m.gatherPeers(a, hidden); got == nil {
-		t.Fatal("partial cache: gatherPeers returned nil (fallback only honoured a nil map)")
+// TestTrainRefusesNonFiniteLoss: a NaN or ±Inf utilization sample reaches the
+// expert's loss (the target scale ignores it — NaN loses every comparison —
+// and Inf scales to Inf/Inf), and Train must fail naming the pair instead of
+// returning a model whose weights are NaN. Phase B has the same guard: a
+// non-finite peer state stops the head fit.
+func TestTrainRefusesNonFiniteLoss(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 3)
+	good := app.Pair{Component: "Service", Resource: app.CPU}
+	bad := app.Pair{Component: "DB", Resource: app.CPU}
+	cfg := testConfig()
+	cfg.Epochs = 2
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		usage := testutil.FocusPairs(run.Usage, good, bad)
+		series := append([]float64(nil), usage[bad]...)
+		series[7] = v
+		usage[bad] = series
+		m, err := Train(run.Windows, usage, cfg)
+		if err == nil || !strings.Contains(err.Error(), bad.String()) || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("Train with a %v sample: model %v, err %v; want a non-finite loss naming %s", v, m != nil, err, bad)
+		}
 	}
 
-	// A cached entry, when present, is used verbatim (b attends to a then c).
-	gotB := m.gatherPeers(b, hidden)
-	wantB := [][][]float64{{{1}, {3}}, {{10}, {30}}}
-	for ts := range wantB {
-		for k := range wantB[ts] {
-			if gotB[ts][k][0] != wantB[ts][k][0] {
-				t.Fatalf("cached entry: step %d peer %d = %v, want %v", ts, k, gotB[ts][k], wantB[ts][k])
-			}
+	m, x, targets, err := buildModel(run.Windows, testutil.FocusPairs(run.Usage, good, bad), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden, err := m.allHiddenStates(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden.state(1, 3)[0] = math.NaN() // expert 1 is expert 0's only peer
+	q := loss.Quantiles(cfg.Delta)
+	before := append([]float64(nil), m.Experts[m.Pairs[0]].Head.W.Data...)
+	err = trainExpertHead(newWorkspace(), m.Experts[m.Pairs[0]], x, targets[m.Pairs[0]], hidden.peersOf(0), cfg, 1, q[:], 1)
+	if err == nil || !strings.Contains(err.Error(), m.Pairs[0].String()) {
+		t.Fatalf("phase B over a NaN peer state: err = %v", err)
+	}
+	for i, w := range m.Experts[m.Pairs[0]].Head.W.Data {
+		if w != before[i] {
+			t.Fatalf("head weight %d moved (%v → %v) on a refused chunk", i, before[i], w)
 		}
 	}
 }

@@ -150,7 +150,6 @@ func Load(r io.Reader) (*Model, error) {
 			Base:  g.Scales[i].Base,
 		}
 	}
-	m.initPeerKeys()
 	return m, nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/features"
-	"repro/internal/nn/loss"
 	"repro/internal/trace"
 )
 
@@ -121,28 +120,7 @@ func (m *Model) Update(windows [][]trace.Batch, usage map[app.Pair][]float64, ep
 		}
 	}
 
-	cfg := m.Cfg
-	quant := loss.Quantiles(cfg.Delta)
-	q := quant[:]
-	err = m.forEachExpert(func(i int, p app.Pair) error {
-		return trainExpert(m.Experts[p], x, targets[p], nil, cfg, epochs, q, cfg.Seed+7777+int64(i))
-	})
-	if err != nil {
-		return unknownPaths, err
-	}
-	// Refresh the attention stage against the updated trunks.
-	if cfg.UseAttention && cfg.AttentionEpochs > 0 && len(m.Pairs) > 1 {
-		hidden, err := m.allHiddenStates(x)
-		if err != nil {
-			return unknownPaths, err
-		}
-		err = m.forEachExpert(func(i int, p app.Pair) error {
-			peers := m.gatherPeers(p, hidden)
-			return trainExpertHead(m.Experts[p], x, targets[p], peers, cfg, cfg.AttentionEpochs, q, cfg.Seed+8888+int64(i))
-		})
-		if err != nil {
-			return unknownPaths, err
-		}
-	}
-	return unknownPaths, nil
+	// Continue phase A on the fresh data, then refresh the attention stage
+	// against the updated trunks.
+	return unknownPaths, m.trainPhases(x, targets, m.Cfg, epochs, m.Cfg.Seed+7777, m.Cfg.Seed+8888)
 }

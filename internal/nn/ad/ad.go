@@ -116,10 +116,12 @@ type Value struct {
 	op   opcode
 	a, b *Value    // operand nodes
 	sc   float64   // ScaleConst factor
-	aux  []float64 // arena-owned payload (loss targets∥quantiles, GRU gates)
+	aux  []float64 // payload: loss targets∥quantiles and GRU gates (arena-owned), WeightedSumConst base (caller's)
 	args []*Value  // SumScalars operands (caller slice; stable until Backward)
-	rows [][]float64
+	idx  []int     // WeightedSumConst peer rows in aux, stride floats apart
 	gru  *GRUParams
+
+	stride int
 }
 
 // Len returns the number of scalar elements.
@@ -430,26 +432,22 @@ func (t *Tape) Concat(a, b *Value) *Value {
 	return t.record(out)
 }
 
-// WeightedSumConst computes Σ_k alpha[k] · rows[k] for constant row vectors
-// (the cross-component attention over detached peer hidden states). alpha is
-// a K-vector; all rows must share one length. The rows slices are retained
+// WeightedSumConst computes Σ_k alpha[k] · h_k for constant vectors h_k (the
+// cross-component attention over detached peer hidden states): h_k is the
+// out-length run of base that starts at idx[k]*stride, which is how one
+// step's peer states sit in a model's hidden-trajectory slab. alpha is a
+// len(idx)-vector; the result has hidden floats. idx and base are retained
 // until the next Reset and must not be mutated before Backward.
-func (t *Tape) WeightedSumConst(alpha *Value, rows [][]float64) *Value {
-	if alpha.Cols != 1 || alpha.Rows != len(rows) {
-		panic(fmt.Sprintf("ad: WeightedSumConst wants %d weights, got %d", len(rows), alpha.Rows))
+func (t *Tape) WeightedSumConst(alpha *Value, idx []int, base []float64, stride, hidden int) *Value {
+	if alpha.Cols != 1 || alpha.Rows != len(idx) {
+		panic(fmt.Sprintf("ad: WeightedSumConst wants %d weights, got %d", len(idx), alpha.Rows))
 	}
-	if len(rows) == 0 {
+	if len(idx) == 0 {
 		panic("ad: WeightedSumConst with no rows")
 	}
-	h := len(rows[0])
-	out := t.newValue(h, 1)
-	for k, row := range rows {
-		a := alpha.Data[k]
-		for i, x := range row {
-			out.Data[i] += a * x
-		}
-	}
-	out.op, out.a, out.rows = opWeightedSumConst, alpha, rows
+	out := t.newValue(hidden, 1)
+	PeerSum(out.Data, alpha.Data, idx, base, stride)
+	out.op, out.a, out.idx, out.aux, out.stride = opWeightedSumConst, alpha, idx, base, stride
 	return t.record(out)
 }
 
@@ -540,18 +538,7 @@ func (t *Tape) backstep(v *Value) {
 	case opLeaf:
 	case opMatVec:
 		w, x := v.a, v.b
-		for i := 0; i < w.Rows; i++ {
-			g := v.Grad[i]
-			if g == 0 {
-				continue
-			}
-			wrow := w.Data[i*w.Cols : (i+1)*w.Cols]
-			grow := w.Grad[i*w.Cols : (i+1)*w.Cols]
-			for j := range wrow {
-				grow[j] += g * x.Data[j]
-				x.Grad[j] += g * wrow[j]
-			}
-		}
+		matVecAdjoint(w.Grad, x.Grad, w.Data, x.Data, v.Grad)
 	case opAdd:
 		a, b := v.a, v.b
 		for i, g := range v.Grad {
@@ -608,14 +595,7 @@ func (t *Tape) backstep(v *Value) {
 			b.Grad[i] += v.Grad[a.Rows+i]
 		}
 	case opWeightedSumConst:
-		alpha := v.a
-		for k, row := range v.rows {
-			s := 0.0
-			for i, x := range row {
-				s += v.Grad[i] * x
-			}
-			alpha.Grad[k] += s
-		}
+		peerDots(v.a.Grad, v.Grad, v.idx, v.aux, v.stride)
 	case opPinball:
 		pred := v.a
 		n := len(v.aux) / 2

@@ -92,9 +92,9 @@ func TestConcatGradient(t *testing.T) {
 func TestWeightedSumConstGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	alpha := NewParamInit("alpha", 3, 1, rng)
-	rows := [][]float64{{1, 2}, {0.5, -1}, {-0.3, 0.8}}
+	rows := []float64{1, 2, 0.5, -1, -0.3, 0.8} // three peers, two floats each
 	checkGrads(t, []*Param{alpha}, func(tp *Tape) *Value {
-		v := tp.WeightedSumConst(tp.Use(alpha), rows)
+		v := tp.WeightedSumConst(tp.Use(alpha), []int{0, 1, 2}, rows, 2, 2)
 		return tp.SquaredError(v, []float64{0.2, -0.5})
 	})
 }

@@ -1,0 +1,378 @@
+package ad
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The loops below are the ones the tape and the optimizer ran before the
+// column-lane kernels, kept here verbatim as the oracle every implementation
+// is held to.
+
+func matVecAdjointLoop(wGrad, xGrad, w, x, g []float64) {
+	cols := len(x)
+	for i := range g {
+		gi := g[i]
+		if gi == 0 {
+			continue
+		}
+		wrow := w[i*cols : (i+1)*cols]
+		grow := wGrad[i*cols : (i+1)*cols]
+		for j := range wrow {
+			grow[j] += gi * x[j]
+			xGrad[j] += gi * wrow[j]
+		}
+	}
+}
+
+func weightedSumLoop(out, alpha []float64, rows [][]float64) {
+	for k, row := range rows {
+		a := alpha[k]
+		for i, x := range row {
+			out[i] += a * x
+		}
+	}
+}
+
+func weightedSumAdjointLoop(alphaGrad, g []float64, rows [][]float64) {
+	for k, row := range rows {
+		s := 0.0
+		for i, x := range row {
+			s += g[i] * x
+		}
+		alphaGrad[k] += s
+	}
+}
+
+func adamLoop(data, grad, m, v []float64, beta1, beta2, lr, eps float64, step int) {
+	c1 := 1 - math.Pow(beta1, float64(step))
+	c2 := 1 - math.Pow(beta2, float64(step))
+	for j, g := range grad {
+		m[j] = beta1*m[j] + (1-beta1)*g
+		v[j] = beta2*v[j] + (1-beta2)*g*g
+		mh := m[j] / c1
+		vh := v[j] / c2
+		data[j] -= lr * mh / (math.Sqrt(vh) + eps)
+	}
+	for j := range grad {
+		grad[j] = 0
+	}
+}
+
+// cloneAt copies v into a fresh array at the same odd offset, so the kernel
+// under test and the oracle start from equal, equally misaligned operands.
+func cloneAt(v []float64, off int) []float64 {
+	c := make([]float64, off+len(v))[off:]
+	copy(c, v)
+	return c
+}
+
+func requireSame(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if !sameFloat(got[i], want[i]) {
+			t.Fatalf("%s %s[%d]: %x, want %x", KernelImpl(), what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkColumnKernels holds the three column-lane kernels, on the selected
+// implementation, to the loops above over one rows×cols shape: matVecAdjoint
+// with every third δ exactly zero (so skipped rows sit beside whatever edge
+// values the operands hold — a ±Inf in x or w would make the skipped addend
+// NaN), peerDots with rows peers of cols floats strided as in a trajectory
+// slab, and AdamUpdate over rows·cols parameters.
+func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []float64, oneIn int) {
+	t.Helper()
+	what := fmt.Sprintf("%dx%d+%d", rows, cols, off)
+
+	w := fillAt(rows*cols, off, rng, vals, oneIn)
+	x := fillAt(cols, off+2, rng, vals, oneIn)
+	g := fillAt(rows, off+1, rng, vals, oneIn)
+	for i := 0; i < rows; i += 3 {
+		g[i] = 0
+	}
+	wGrad, xGrad := fillAt(rows*cols, off+1, rng, nil, 0), fillAt(cols, off, rng, nil, 0)
+	wantW, wantX := cloneAt(wGrad, 0), cloneAt(xGrad, 0)
+	matVecAdjoint(wGrad, xGrad, w, x, g)
+	matVecAdjointLoop(wantW, wantX, w, x, g)
+	requireSame(t, what+" wGrad", wGrad, wantW)
+	requireSame(t, what+" xGrad", xGrad, wantX)
+
+	if rows > 0 && cols > 0 {
+		const steps = 3 // the slab holds three steps per peer; read the last
+		slab := fillAt(rows*steps*cols, off, rng, vals, oneIn)
+		idx := rng.Perm(rows)
+		peers := make([][]float64, rows)
+		for k, p := range idx {
+			peers[k] = slab[(p*steps+steps-1)*cols:][:cols]
+		}
+		dy := fillAt(cols, off+1, rng, vals, oneIn)
+		alphaGrad := fillAt(rows, off+2, rng, nil, 0)
+		want := cloneAt(alphaGrad, 0)
+		peerDots(alphaGrad, dy, idx, slab[(steps-1)*cols:], steps*cols)
+		weightedSumAdjointLoop(want, dy, peers)
+		requireSame(t, what+" alphaGrad", alphaGrad, want)
+	}
+
+	n := rows * cols
+	data, grad := fillAt(n, off, rng, nil, 0), fillAt(n, off+1, rng, vals, oneIn)
+	m, v := fillAt(n, off+2, rng, nil, 0), fillAt(n, off+3, rng, nil, 0)
+	for j := range v {
+		v[j] *= v[j] // second moments are sums of squares
+	}
+	wd, wg, wm, wv := cloneAt(data, 1), cloneAt(grad, 0), cloneAt(m, 3), cloneAt(v, 2)
+	AdamUpdate(data, grad, m, v, AdamHyper{Beta1: 0.9, Beta2: 0.999, C1: 1 - math.Pow(0.9, 2), C2: 1 - math.Pow(0.999, 2), LR: 0.01, Eps: 1e-8})
+	adamLoop(wd, wg, wm, wv, 0.9, 0.999, 0.01, 1e-8, 2)
+	requireSame(t, what+" adam data", data, wd)
+	requireSame(t, what+" adam m", m, wm)
+	requireSame(t, what+" adam v", v, wv)
+	requireSame(t, what+" adam grad", grad, wg)
+}
+
+// gruGrads runs one GRUStep forward and its hand-written backward from the
+// upstream gradient gh and returns every gradient the step produces: the
+// nine parameter tensors', x's and hPrev's. Parameter Data and Grad start at
+// odd elements of their arrays.
+func gruGrads(in, hid int, seed int64, xEdge float64, gh []float64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	p := newTestGRU(in, hid, rng)
+	params := []*Param{p.Wz, p.Uz, p.Bz, p.Wk, p.Uk, p.Bk, p.Wh, p.Uh, p.Bh}
+	for i, q := range params {
+		q.Data = cloneAt(q.Data, 1+2*(i%3))
+		q.Grad = cloneAt(q.Grad, 1+2*((i+1)%3))
+	}
+	x := fillAt(in, 1, rng, nil, 0)
+	if xEdge != 0 {
+		x[in/2] = xEdge
+	}
+	h := fillAt(hid, 3, rng, nil, 0)
+
+	tape := NewTape()
+	tape.Const([]float64{1}) // shift the arena so node vectors start odd too
+	xv, hv := tape.Const(x), tape.Const(h)
+	out := tape.GRUStep(p, xv, hv)
+	copy(out.Grad, gh)
+	tape.gruBackward(out)
+
+	var all []float64
+	for _, q := range params {
+		all = append(all, q.Grad...)
+	}
+	all = append(all, xv.Grad...)
+	return append(all, hv.Grad...)
+}
+
+// TestGRUBackwardMatchesGoLoops holds the GRU adjoint on every
+// implementation to the Go loops: first each row sweep against the verbatim
+// loop it replaced (checkColumnKernels: every rung of the 16/4/1 column
+// ladder, odd offsets, edge values, zero-δ rows), then the whole step —
+// all nine parameter gradients, x.Grad and hPrev.Grad — against what the Go
+// implementation leaves, across input widths on both sides of the ladder's
+// rungs and hidden widths on both sides of the forward's, with a third of
+// the upstream gradient exactly zero, and once more with a ±Inf input, which
+// saturates every gate so every δ is zero: the row skip must then leave
+// every weight gradient +0 where 0·Inf would have written NaN.
+func TestGRUBackwardMatchesGoLoops(t *testing.T) {
+	ins, hids := []int{1, 3, 4, 5, 67, 257}, []int{4, 5, 7, 16, 37, 128}
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			for _, in := range ins {
+				for _, hid := range hids {
+					for set, e := range edgeSets {
+						rng := rand.New(rand.NewSource(int64(in*1000 + hid)))
+						checkColumnKernels(t, hid, in, 1+2*set, rng, e.vals, e.oneIn)
+					}
+					gh := fillAt(hid, 0, rand.New(rand.NewSource(int64(in+hid))), nil, 0)
+					for i := 0; i < hid; i += 3 {
+						gh[i] = 0
+					}
+					for _, xEdge := range []float64{0, math.Inf(1), math.Inf(-1)} {
+						setImpl(t, "go")
+						want := gruGrads(in, hid, 11, xEdge, gh)
+						setImpl(t, impl)
+						got := gruGrads(in, hid, 11, xEdge, gh)
+						requireSame(t, fmt.Sprintf("%d→%d x=%v gradient", in, hid, xEdge), got, want)
+						if xEdge == 0 {
+							continue
+						}
+						// Saturated gates: no δ survives, so no weight
+						// gradient may have moved off +0.
+						for i, g := range got[:len(got)-in-hid] {
+							if math.Float64bits(g) != 0 {
+								t.Fatalf("%d→%d x=%v: parameter gradient %d = %v, want +0 (a zero-δ row was not skipped)", in, hid, xEdge, i, g)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAdamStepMatchesScalar drives AdamUpdate and the scalar loop it replaced
+// through three consecutive steps from zero moments — so steps 2 and 3 start
+// from the moments step 1 left — and requires parameters, both moments and
+// the zeroed gradient bit-equal after each, over lengths on both sides of the
+// four-lane block, with zero, subnormal and 1e150 gradients beside normal
+// ones (1e150 squares to within a few orders of overflow), and with the
+// gradient first scaled the way ClipGradNorm scales it ("clipping on") or
+// left alone.
+func TestAdamStepMatchesScalar(t *testing.T) {
+	grads := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1040, 1e150, -1e150}
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			for _, n := range []int{1, 3, 4, 5, 67, 8576} {
+				for _, clip := range []float64{0, 5} {
+					rng := rand.New(rand.NewSource(int64(n)))
+					data, m, v := fillAt(n, 1, rng, nil, 0), make([]float64, n+3)[3:], make([]float64, n+1)[1:]
+					wd, wm, wv := cloneAt(data, 2), make([]float64, n), make([]float64, n)
+					for step := 1; step <= 3; step++ {
+						grad := fillAt(n, 2, rng, grads, 3)
+						if clip > 0 {
+							total := 0.0
+							for _, g := range grad {
+								total += g * g
+							}
+							if norm := math.Sqrt(total); norm > clip {
+								for i := range grad {
+									grad[i] *= clip / norm
+								}
+							}
+						}
+						wg := cloneAt(grad, 0)
+						AdamUpdate(data, grad, m, v, AdamHyper{
+							Beta1: 0.9, Beta2: 0.999,
+							C1: 1 - math.Pow(0.9, float64(step)), C2: 1 - math.Pow(0.999, float64(step)),
+							LR: 0.01, Eps: 1e-8,
+						})
+						adamLoop(wd, wg, wm, wv, 0.9, 0.999, 0.01, 1e-8, step)
+						what := fmt.Sprintf("n=%d clip=%v step %d", n, clip, step)
+						requireSame(t, what+" data", data, wd)
+						requireSame(t, what+" m", m, wm)
+						requireSame(t, what+" v", v, wv)
+						requireSame(t, what+" grad", grad, wg)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWeightedSumConstMatchesLoop holds the tape's attention op — forward and
+// adjoint — to the loops over [][]float64 rows it ran before it read a slab:
+// the two shapes the repo benchmark trains (peers × hidden), the toy's, and
+// one where neither the peer count nor the width divides by four. Peers are
+// read at the last of three steps of a slab, every expert but one, as the
+// estimator does.
+func TestWeightedSumConstMatchesLoop(t *testing.T) {
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			for _, d := range []struct{ peers, hid int }{{76, 128}, {399, 16}, {3, 4}, {5, 7}} {
+				for set, e := range edgeSets {
+					const steps = 3
+					rng := rand.New(rand.NewSource(int64(d.peers*100 + d.hid)))
+					experts := d.peers + 1
+					slab := fillAt(experts*steps*d.hid, 1+2*set, rng, e.vals, e.oneIn)
+					self := experts / 2
+					var idx []int
+					var rows [][]float64
+					for p := 0; p < experts; p++ {
+						if p != self {
+							idx = append(idx, p)
+							rows = append(rows, slab[(p*steps+steps-1)*d.hid:][:d.hid])
+						}
+					}
+					alpha := &Param{Rows: d.peers, Cols: 1,
+						Data: fillAt(d.peers, 1, rng, e.vals, e.oneIn), Grad: fillAt(d.peers, 3, rng, nil, 0)}
+					wantGrad := cloneAt(alpha.Grad, 0)
+
+					tape := NewTape()
+					out := tape.WeightedSumConst(tape.Use(alpha), idx, slab[(steps-1)*d.hid:], steps*d.hid, d.hid)
+					want := make([]float64, d.hid)
+					weightedSumLoop(want, alpha.Data, rows)
+					what := fmt.Sprintf("%dx%d edges=%d", d.peers, d.hid, set)
+					requireSame(t, what+" forward", out.Data, want)
+
+					copy(out.Grad, fillAt(d.hid, 0, rng, e.vals, e.oneIn))
+					tape.backstep(out)
+					weightedSumAdjointLoop(wantGrad, out.Grad, rows)
+					requireSame(t, what+" alpha.Grad", alpha.Grad, wantGrad)
+				}
+			}
+		})
+	}
+}
+
+// TestWeightedSumConstRejectsBadIndex: the adjoint, like the forward, must
+// panic on a peer row that does not fit in the slab, on every implementation.
+func TestWeightedSumConstRejectsBadIndex(t *testing.T) {
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			base := make([]float64, 5*8)
+			for _, idx := range [][]int{{0, 1, 2, 5}, {0, -1, 1, 2}, {1, 2, 3, 1 << 40}, {9}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("peerDots(idx=%v) over 5 peers did not panic", idx)
+						}
+					}()
+					peerDots(make([]float64, len(idx)), make([]float64, 8), idx, base, 8)
+				}()
+			}
+		})
+	}
+}
+
+// BenchmarkGRUBackward times one step's hand-written adjoint, on each
+// implementation, at the widths BenchmarkGRUKernelStep times the forward.
+func BenchmarkGRUBackward(b *testing.B) {
+	for _, dim := range []struct{ in, hid int }{{67, 128}, {257, 16}, {9, 4}} {
+		for _, impl := range impls() {
+			b.Run(fmt.Sprintf("%dx%d/%s", dim.in, dim.hid, impl), func(b *testing.B) {
+				setImpl(b, impl)
+				rng := rand.New(rand.NewSource(1))
+				p := newTestGRU(dim.in, dim.hid, rng)
+				tape := NewTape()
+				out := tape.GRUStep(p, tape.Const(fillAt(dim.in, 0, rng, nil, 0)), tape.Const(fillAt(dim.hid, 0, rng, nil, 0)))
+				copy(out.Grad, fillAt(dim.hid, 0, rng, nil, 0))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tape.gruBackward(out)
+				}
+				benchSink = p.Wz.Grad[0]
+			})
+		}
+	}
+}
+
+// BenchmarkAdamStep times one update of a social-width expert's 76,029
+// parameters on each implementation.
+func BenchmarkAdamStep(b *testing.B) {
+	const n = 3*(128*67+128*128+128) + 67 + 75 + 3*256 + 3 + 3*67 + 3
+	for _, impl := range impls() {
+		b.Run(impl, func(b *testing.B) {
+			setImpl(b, impl)
+			rng := rand.New(rand.NewSource(1))
+			data, grad := fillAt(n, 0, rng, nil, 0), make([]float64, n)
+			m, v := make([]float64, n), make([]float64, n)
+			h := AdamHyper{Beta1: 0.9, Beta2: 0.999, C1: 0.1, C2: 0.001, LR: 0.01, Eps: 1e-8}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range grad {
+					grad[j] = data[j]
+				}
+				AdamUpdate(data, grad, m, v, h)
+			}
+			benchSink = data[0]
+		})
+	}
+}

@@ -67,7 +67,7 @@ func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
 // unfused engine bit for bit (absent FMA contraction).
 func (t *Tape) gruBackward(v *Value) {
 	g, x, hPrev := v.gru, v.a, v.b
-	in, hid := g.Wz.Cols, g.Wz.Rows
+	hid := g.Wz.Rows
 	z, k, c, kh := v.aux[:hid], v.aux[hid:2*hid], v.aux[2*hid:3*hid], v.aux[3*hid:]
 	gh := v.Grad
 	xd, hd := x.Data, hPrev.Data
@@ -93,18 +93,7 @@ func (t *Tape) gruBackward(v *Value) {
 	}
 	// MatVec(Uh, kh): weight grad and reset-gated-state grad.
 	clear(khg)
-	for i := 0; i < hid; i++ {
-		gg := s6g[i]
-		if gg == 0 {
-			continue
-		}
-		urow := g.Uh.Data[i*hid : (i+1)*hid]
-		grow := g.Uh.Grad[i*hid : (i+1)*hid]
-		for j := range urow {
-			grow[j] += gg * kh[j]
-			khg[j] += gg * urow[j]
-		}
-	}
+	matVecAdjoint(g.Uh.Grad, khg, g.Uh.Data, kh, s6g)
 	// Mul(k, hPrev): reset-gate grad (khg becomes kg in place) and the
 	// second hPrev term.
 	for i := 0; i < hid; i++ {
@@ -112,77 +101,21 @@ func (t *Tape) gruBackward(v *Value) {
 		hPrev.Grad[i] += gg * k[i]
 		khg[i] = gg * hd[i]
 	}
-	// MatVec(Wh, x).
-	for i := 0; i < hid; i++ {
-		gg := s6g[i]
-		if gg == 0 {
-			continue
-		}
-		wrow := g.Wh.Data[i*in : (i+1)*in]
-		grow := g.Wh.Grad[i*in : (i+1)*in]
-		for j := range wrow {
-			grow[j] += gg * xd[j]
-			x.Grad[j] += gg * wrow[j]
-		}
-	}
+	matVecAdjoint(g.Wh.Grad, x.Grad, g.Wh.Data, xd, s6g)
 	// Reset-gate sigmoid chain: σ′, bias, U sweep, W sweep.
 	for i := 0; i < hid; i++ {
 		s4 := khg[i] * k[i] * (1 - k[i])
 		s4g[i] = s4
 		g.Bk.Grad[i] += s4
 	}
-	for i := 0; i < hid; i++ {
-		gg := s4g[i]
-		if gg == 0 {
-			continue
-		}
-		urow := g.Uk.Data[i*hid : (i+1)*hid]
-		grow := g.Uk.Grad[i*hid : (i+1)*hid]
-		for j := range urow {
-			grow[j] += gg * hd[j]
-			hPrev.Grad[j] += gg * urow[j]
-		}
-	}
-	for i := 0; i < hid; i++ {
-		gg := s4g[i]
-		if gg == 0 {
-			continue
-		}
-		wrow := g.Wk.Data[i*in : (i+1)*in]
-		grow := g.Wk.Grad[i*in : (i+1)*in]
-		for j := range wrow {
-			grow[j] += gg * xd[j]
-			x.Grad[j] += gg * wrow[j]
-		}
-	}
+	matVecAdjoint(g.Uk.Grad, hPrev.Grad, g.Uk.Data, hd, s4g)
+	matVecAdjoint(g.Wk.Grad, x.Grad, g.Wk.Data, xd, s4g)
 	// Update-gate sigmoid chain.
 	for i := 0; i < hid; i++ {
 		s2 := s2g[i] * z[i] * (1 - z[i])
 		s2g[i] = s2
 		g.Bz.Grad[i] += s2
 	}
-	for i := 0; i < hid; i++ {
-		gg := s2g[i]
-		if gg == 0 {
-			continue
-		}
-		urow := g.Uz.Data[i*hid : (i+1)*hid]
-		grow := g.Uz.Grad[i*hid : (i+1)*hid]
-		for j := range urow {
-			grow[j] += gg * hd[j]
-			hPrev.Grad[j] += gg * urow[j]
-		}
-	}
-	for i := 0; i < hid; i++ {
-		gg := s2g[i]
-		if gg == 0 {
-			continue
-		}
-		wrow := g.Wz.Data[i*in : (i+1)*in]
-		grow := g.Wz.Grad[i*in : (i+1)*in]
-		for j := range wrow {
-			grow[j] += gg * xd[j]
-			x.Grad[j] += gg * wrow[j]
-		}
-	}
+	matVecAdjoint(g.Uz.Grad, hPrev.Grad, g.Uz.Data, hd, s2g)
+	matVecAdjoint(g.Wz.Grad, x.Grad, g.Wz.Data, xd, s2g)
 }

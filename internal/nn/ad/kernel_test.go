@@ -243,7 +243,8 @@ func TestMatVecMatchesRowDots(t *testing.T) {
 
 // FuzzKernelsMatchScalar lets the fuzzer pick the shape, the operands'
 // offset into their arrays and the values' seed, and holds every
-// implementation to dot.
+// implementation to dot — and, for the backward, attention-adjoint and Adam
+// kernels, to the loops in adjoint_test.go.
 func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(uint8(16), uint16(67), uint8(1), int64(1))
 	f.Add(uint8(37), uint16(5), uint8(3), int64(2))
@@ -253,6 +254,7 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 			setImpl(t, impl)
 			e := edgeSets[uint64(seed)%uint64(len(edgeSets))]
 			checkRowKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
+			checkColumnKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
 		}
 	})
 }

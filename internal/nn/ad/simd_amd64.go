@@ -14,6 +14,15 @@ func rowDots4AVX2(dst, w, x *float64, cols int)
 //go:noescape
 func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
 
+//go:noescape
+func axpy2AVX2(grow, acc, x, wrow *float64, a float64, n int)
+
+//go:noescape
+func peerDotsAVX2(dst, dy *float64, n int, idx *int, peers int, base *float64, stride, limit int) bool
+
+//go:noescape
+func adamAVX2(data, grad, m, v *float64, n int, h *[8]float64)
+
 // haveAVX2 reports whether the processor implements AVX2 and the operating
 // system saves the YMM registers across context switches.
 func haveAVX2() bool {

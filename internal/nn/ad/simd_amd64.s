@@ -258,3 +258,265 @@ badPeer:
 	MOVB $0, ret+64(FP)
 	VZEROUPPER
 	RET
+
+// Backward and optimizer kernels. Here every lane is a column — one memory
+// location of the destination — and every location receives exactly the
+// addend the Go loop gives it, so there is no order to keep inside a call;
+// the order *between* calls (rows ascending within a sweep, sweeps and time
+// steps in Backward's order) is the caller's and is unchanged.
+
+// func axpy2AVX2(grow, acc, x, wrow *float64, a float64, n int)
+//
+// grow[j] += a·x[j]; acc[j] += a·wrow[j] for j in [0,n): sixteen columns per
+// pass, then four, then one (the same two operations on the low lane).
+TEXT ·axpy2AVX2(SB), NOSPLIT, $0-48
+	MOVQ grow+0(FP), DI
+	MOVQ acc+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ wrow+24(FP), R8
+	VBROADCASTSD a+32(FP), Y0
+	MOVQ n+40(FP), CX
+
+axpy16:
+	CMPQ CX, $16
+	JLT  axpy4
+	VMULPD (DX), Y0, Y1
+	VMULPD 32(DX), Y0, Y2
+	VMULPD 64(DX), Y0, Y3
+	VMULPD 96(DX), Y0, Y4
+	VMULPD (R8), Y0, Y5
+	VMULPD 32(R8), Y0, Y6
+	VMULPD 64(R8), Y0, Y7
+	VMULPD 96(R8), Y0, Y8
+	VMOVUPD (DI), Y9
+	VMOVUPD 32(DI), Y10
+	VMOVUPD 64(DI), Y11
+	VMOVUPD 96(DI), Y12
+	VADDPD Y1, Y9, Y9
+	VADDPD Y2, Y10, Y10
+	VADDPD Y3, Y11, Y11
+	VADDPD Y4, Y12, Y12
+	VMOVUPD Y9, (DI)
+	VMOVUPD Y10, 32(DI)
+	VMOVUPD Y11, 64(DI)
+	VMOVUPD Y12, 96(DI)
+	VMOVUPD (SI), Y9
+	VMOVUPD 32(SI), Y10
+	VMOVUPD 64(SI), Y11
+	VMOVUPD 96(SI), Y12
+	VADDPD Y5, Y9, Y9
+	VADDPD Y6, Y10, Y10
+	VADDPD Y7, Y11, Y11
+	VADDPD Y8, Y12, Y12
+	VMOVUPD Y9, (SI)
+	VMOVUPD Y10, 32(SI)
+	VMOVUPD Y11, 64(SI)
+	VMOVUPD Y12, 96(SI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $128, R8
+	SUBQ $16, CX
+	JMP  axpy16
+
+axpy4:
+	CMPQ CX, $4
+	JLT  axpy1
+	VMULPD (DX), Y0, Y1
+	VMULPD (R8), Y0, Y5
+	VMOVUPD (DI), Y9
+	VMOVUPD (SI), Y10
+	VADDPD Y1, Y9, Y9
+	VADDPD Y5, Y10, Y10
+	VMOVUPD Y9, (DI)
+	VMOVUPD Y10, (SI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, R8
+	SUBQ $4, CX
+	JMP  axpy4
+
+axpy1:
+	TESTQ CX, CX
+	JZ   axpyDone
+	VMULSD (DX), X0, X1
+	VMULSD (R8), X0, X5
+	VMOVSD (DI), X9
+	VMOVSD (SI), X10
+	VADDSD X1, X9, X9
+	VADDSD X5, X10, X10
+	VMOVSD X9, (DI)
+	VMOVSD X10, (SI)
+	ADDQ $8, DI
+	ADDQ $8, SI
+	ADDQ $8, DX
+	ADDQ $8, R8
+	DECQ CX
+	JMP  axpy1
+
+axpyDone:
+	VZEROUPPER
+	RET
+
+// func peerDotsAVX2(dst, dy *float64, n int, idx *int, peers int, base *float64, stride, limit int) bool
+//
+// dst[k] += Σ_j dy[j]·base[idx[k]*stride+j] for k in [0,peers), peers a
+// multiple of four, j in [0,n): the adjoint of peerSumAVX2. Lanes are four
+// peers — the row kernels' transposition over four arbitrary row offsets
+// (AX, BX, R13, R14 from R15) instead of one stride — so each lane is one
+// peer's accumulator, starts at +0 and adds its products in ascending j like
+// the Go loop; the sum is then added to dst[k]. An idx[k] outside [0,limit]
+// ends the call with false before its group stores anything.
+TEXT ·peerDotsAVX2(SB), NOSPLIT, $0-65
+	MOVQ dst+0(FP), DI
+	MOVQ dy+8(FP), SI
+	MOVQ idx+24(FP), R8
+	MOVQ peers+32(FP), R9
+	MOVQ base+40(FP), R10
+	MOVQ stride+48(FP), R11
+	MOVQ limit+56(FP), R12
+	SHLQ $3, R11
+
+dotsGroup:
+	MOVQ (R8), AX
+	MOVQ 8(R8), BX
+	MOVQ 16(R8), R13
+	MOVQ 24(R8), R14
+	CMPQ AX, R12
+	JHI  dotsBad
+	CMPQ BX, R12
+	JHI  dotsBad
+	CMPQ R13, R12
+	JHI  dotsBad
+	CMPQ R14, R12
+	JHI  dotsBad
+	IMULQ R11, AX
+	IMULQ R11, BX
+	IMULQ R11, R13
+	IMULQ R11, R14
+	MOVQ R10, R15
+	MOVQ SI, DX
+	VXORPD Y0, Y0, Y0
+	MOVQ n+16(FP), CX
+	SHRQ $2, CX
+	JZ   dotsTail
+
+dotsBlock:
+	VBROADCASTSD (DX), Y4
+	VBROADCASTSD 8(DX), Y5
+	VBROADCASTSD 16(DX), Y6
+	VBROADCASTSD 24(DX), Y7
+	VMOVUPD (R15)(AX*1), X8
+	VMOVUPD (R15)(BX*1), X9
+	VMOVUPD 16(R15)(AX*1), X10
+	VMOVUPD 16(R15)(BX*1), X11
+	VINSERTF128 $1, (R15)(R13*1), Y8, Y8
+	VINSERTF128 $1, (R15)(R14*1), Y9, Y9
+	VINSERTF128 $1, 16(R15)(R13*1), Y10, Y10
+	VINSERTF128 $1, 16(R15)(R14*1), Y11, Y11
+	VUNPCKLPD Y9, Y8, Y12
+	VUNPCKHPD Y9, Y8, Y13
+	VUNPCKLPD Y11, Y10, Y14
+	VUNPCKHPD Y11, Y10, Y15
+	VMULPD Y4, Y12, Y12
+	VMULPD Y5, Y13, Y13
+	VMULPD Y6, Y14, Y14
+	VMULPD Y7, Y15, Y15
+	VADDPD Y12, Y0, Y0
+	VADDPD Y13, Y0, Y0
+	VADDPD Y14, Y0, Y0
+	VADDPD Y15, Y0, Y0
+	ADDQ $32, R15
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  dotsBlock
+
+dotsTail:
+	MOVQ n+16(FP), CX
+	ANDQ $3, CX
+	JZ   dotsStore
+
+dotsCol:
+	VBROADCASTSD (DX), Y4
+	VMOVSD (R15)(AX*1), X8
+	VMOVSD (R15)(R13*1), X9
+	VMOVHPD (R15)(BX*1), X8, X8
+	VMOVHPD (R15)(R14*1), X9, X9
+	VINSERTF128 $1, X9, Y8, Y8
+	VMULPD Y4, Y8, Y8
+	VADDPD Y8, Y0, Y0
+	ADDQ $8, R15
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  dotsCol
+
+dotsStore:
+	VMOVUPD (DI), Y1
+	VADDPD Y0, Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, DI
+	ADDQ $32, R8
+	SUBQ $4, R9
+	JNZ  dotsGroup
+	MOVB $1, ret+64(FP)
+	VZEROUPPER
+	RET
+
+dotsBad:
+	MOVB $0, ret+64(FP)
+	VZEROUPPER
+	RET
+
+// func adamAVX2(data, grad, m, v *float64, n int, h *[8]float64)
+//
+// One Adam update of n parameters, n a multiple of four, with h = {β1, 1−β1,
+// β2, 1−β2, c1, c2, lr, ε}: the operations of the Go loop in AdamUpdate, one
+// VMULPD/VADDPD/VDIVPD/VSQRTPD (each correctly rounded, like its scalar
+// form) per Go operator, in the Go expression's order; grad is zeroed.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-48
+	MOVQ data+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), DX
+	MOVQ v+24(FP), R8
+	MOVQ n+32(FP), CX
+	MOVQ h+40(FP), AX
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y15
+	VXORPD Y7, Y7, Y7
+
+adamLoop:
+	VMOVUPD (SI), Y0           // g
+	VMULPD (DX), Y8, Y1        // β1·m
+	VMULPD Y0, Y9, Y2          // (1−β1)·g
+	VADDPD Y2, Y1, Y1          // m'
+	VMOVUPD Y1, (DX)
+	VMULPD (R8), Y10, Y2       // β2·v
+	VMULPD Y0, Y11, Y3         // (1−β2)·g
+	VMULPD Y0, Y3, Y3          // ·g
+	VADDPD Y3, Y2, Y2          // v'
+	VMOVUPD Y2, (R8)
+	VDIVPD Y12, Y1, Y1         // m̂ = m'/c1
+	VDIVPD Y13, Y2, Y2         // v̂ = v'/c2
+	VSQRTPD Y2, Y2
+	VADDPD Y15, Y2, Y2         // √v̂ + ε
+	VMULPD Y1, Y14, Y1         // lr·m̂
+	VDIVPD Y2, Y1, Y1
+	VMOVUPD (DI), Y3
+	VSUBPD Y1, Y3, Y3
+	VMOVUPD Y3, (DI)
+	VMOVUPD Y7, (SI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, R8
+	SUBQ $4, CX
+	JNZ  adamLoop
+	VZEROUPPER
+	RET

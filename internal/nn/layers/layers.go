@@ -204,9 +204,11 @@ func NewAttention(name string, peers []string) *Attention {
 func (a *Attention) Params() []*ad.Param { return []*ad.Param{a.Alpha} }
 
 // Apply computes the context vector a_t = Σ_k α_k · h_t^{(k)} over the
-// peers' (detached) hidden states at one time step.
-func (a *Attention) Apply(t *ad.Tape, peerHidden [][]float64) *ad.Value {
-	return t.WeightedSumConst(t.Use(a.Alpha), peerHidden)
+// peers' (detached) hidden states at one time step: peer k's state is the
+// hidden floats of base that start at idx[k]*stride (see
+// ad.Tape.WeightedSumConst).
+func (a *Attention) Apply(t *ad.Tape, idx []int, base []float64, stride, hidden int) *ad.Value {
+	return t.WeightedSumConst(t.Use(a.Alpha), idx, base, stride, hidden)
 }
 
 // TopPeers returns the indices of the n peers with the largest |α|.

@@ -134,7 +134,7 @@ func TestAttentionApplyAndTopPeers(t *testing.T) {
 	a.Alpha.Data[1] = -2
 	a.Alpha.Data[2] = 0.5
 	tape := ad.NewTape()
-	v := a.Apply(tape, [][]float64{{1, 0}, {0, 1}, {1, 1}})
+	v := a.Apply(tape, []int{0, 1, 2}, []float64{1, 0, 0, 1, 1, 1}, 2, 2)
 	want := []float64{0.1 + 0.5, -2 + 0.5}
 	for i := range want {
 		if math.Abs(v.Data[i]-want[i]) > 1e-12 {

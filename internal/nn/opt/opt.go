@@ -98,44 +98,62 @@ type Adam struct {
 	// ClipNorm bounds the global gradient norm per step; 0 disables.
 	ClipNorm float64
 
-	params []*ad.Param
-	m, v   [][]float64
-	step   int
+	params  []*ad.Param
+	moments []float64   // every m, then every v, in params order
+	m, v    [][]float64 // per-parameter views of moments
+	step    int
 }
 
 // NewAdam returns an Adam optimizer over params with standard defaults.
 func NewAdam(params []*ad.Param, lr float64) *Adam {
-	a := &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		params: params,
-		m:      make([][]float64, len(params)),
-		v:      make([][]float64, len(params)),
-	}
-	for i, p := range params {
-		a.m[i] = make([]float64, p.Size())
-		a.v[i] = make([]float64, p.Size())
-	}
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	a.Reset(params)
 	return a
+}
+
+// Reset points the optimizer at params and restarts it — step count zero,
+// both moment estimates +0, exactly the state NewAdam returns — reusing the
+// moment buffer when it is large enough. A trainer that fits many parameter
+// sets in turn keeps one Adam and resets it, instead of allocating (and
+// page-faulting) fresh moments for each. Hyperparameters are left alone.
+func (o *Adam) Reset(params []*ad.Param) {
+	total := 0
+	for _, p := range params {
+		total += p.Size()
+	}
+	if cap(o.moments) < 2*total {
+		o.moments = make([]float64, 2*total)
+	} else {
+		o.moments = o.moments[:2*total]
+		clear(o.moments)
+	}
+	o.params, o.step = params, 0
+	o.m, o.v = o.m[:0], o.v[:0]
+	off := 0
+	for _, p := range params {
+		n := p.Size()
+		o.m = append(o.m, o.moments[off:off+n:off+n])
+		o.v = append(o.v, o.moments[total+off:total+off+n:total+off+n])
+		off += n
+	}
 }
 
 // Params implements Optimizer.
 func (o *Adam) Params() []*ad.Param { return o.params }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The update itself is ad.AdamUpdate — the
+// arithmetic of Kingma & Ba's Algorithm 1 with both bias corrections — which
+// also zeroes the gradients.
 func (o *Adam) Step() {
 	ClipGradNorm(o.params, o.ClipNorm)
 	o.step++
-	c1 := 1 - math.Pow(o.Beta1, float64(o.step))
-	c2 := 1 - math.Pow(o.Beta2, float64(o.step))
+	h := ad.AdamHyper{
+		Beta1: o.Beta1, Beta2: o.Beta2,
+		C1: 1 - math.Pow(o.Beta1, float64(o.step)),
+		C2: 1 - math.Pow(o.Beta2, float64(o.step)),
+		LR: o.LR, Eps: o.Eps,
+	}
 	for i, p := range o.params {
-		m, v := o.m[i], o.v[i]
-		for j, g := range p.Grad {
-			m[j] = o.Beta1*m[j] + (1-o.Beta1)*g
-			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
-			mh := m[j] / c1
-			vh := v[j] / c2
-			p.Data[j] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
-		}
-		p.ZeroGrad()
+		ad.AdamUpdate(p.Data, p.Grad, o.m[i], o.v[i], h)
 	}
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -106,4 +108,59 @@ func TestUninstrumentedPipelineIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.checkDrift()
+}
+
+// nanSource is a telemetry store one of whose utilization samples is NaN —
+// what a scraper writes when a component's exporter is down.
+type nanSource struct {
+	Source
+	pair app.Pair
+}
+
+func (s nanSource) Metrics(from, to int) (map[app.Pair][]float64, error) {
+	usage, err := s.Source.Metrics(from, to)
+	if err == nil {
+		series := append([]float64(nil), usage[s.pair]...)
+		series[len(series)/2] = math.NaN()
+		usage[s.pair] = series
+	}
+	return usage, err
+}
+
+// TestNonFiniteLossFailsTheGeneration: telemetry that drives an expert's loss
+// to NaN fails the generation, naming the pair; the failure is counted, and
+// the generation serving before it keeps serving — NaN weights are never
+// published.
+func TestNonFiniteLossFailsTheGeneration(t *testing.T) {
+	store := toyStore(t, 1, 93)
+	reg := obs.NewRegistry()
+	opts := quickOpts()
+	opts.Metrics = reg
+	var src Source = store
+	p, err := New(opts, DefaultConfig(), func() Source { return src })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual"); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Registry().Active()
+
+	src = nanSource{Source: store, pair: cpuPair}
+	_, err = p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual")
+	if err == nil || !strings.Contains(err.Error(), cpuPair.String()) || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("TrainOnce over NaN telemetry: err = %v, want a non-finite loss naming %s", err, cpuPair)
+	}
+	if got := p.Registry().Active(); got != before || got.Version != 1 {
+		t.Fatalf("active generation changed to %+v after a failed train", got)
+	}
+	gens := reg.CounterVec("deeprest_pipeline_generations_total",
+		"Training generations by trigger (manual, scheduled, drift) and result (ok, error).",
+		"trigger", "result")
+	if ok, bad := gens.With("manual", "ok").Value(), gens.With("manual", "error").Value(); ok != 1 || bad != 1 {
+		t.Fatalf("generations_total ok=%d error=%d, want 1 and 1", ok, bad)
+	}
+	if st := p.Status(); !strings.Contains(st.LastError, "non-finite") {
+		t.Fatalf("status.LastError = %q", st.LastError)
+	}
 }

@@ -85,6 +85,9 @@ func TestMetricsScrape(t *testing.T) {
 		"deeprest_http_in_flight_requests 1", // the scrape itself is in flight
 		`deeprest_train_epochs_total{phase="train"}`,
 		"deeprest_train_epoch_loss{",
+		// One expert: phase B (peer_states, attention) has nothing to run.
+		`deeprest_train_phase_seconds_count{phase="trunks"} 1`,
+		`deeprest_train_phase_seconds_count{phase="compile"} 1`,
 		`deeprest_pipeline_generation_seconds_count{trigger="manual"} 1`,
 		`deeprest_pipeline_generations_total{trigger="manual",result="ok"} 1`,
 		"deeprest_drift_score 0",
