@@ -24,10 +24,11 @@ loc:
 		xargs -0 cat | wc -l
 
 # Short-budget native fuzzing smoke over the decoders that accept external
-# bytes, the fault-spec parser and the dense kernels (every implementation
-# against the one-row Go loop). `go test -fuzz` takes one target per
-# invocation, so this runs the high-value targets back to back. Raise
-# FUZZTIME for a longer hunt.
+# bytes (the model loader among them: its seeds are whole model streams, so
+# minimising each interesting one is capped or it would eat the budget), the
+# fault-spec parser and the dense kernels (every implementation against the
+# one-row Go loop). `go test -fuzz` takes one target per invocation, so this
+# runs the high-value targets back to back. Raise FUZZTIME for a longer hunt.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults
@@ -36,6 +37,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTopology -fuzztime=$(FUZZTIME) ./internal/topo
 	$(GO) test -run='^$$' -fuzz=FuzzFleetManifest -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzKernelsMatchScalar -fuzztime=$(FUZZTIME) ./internal/nn/ad
+	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/estimator
 
 build:
 	$(GO) build ./...

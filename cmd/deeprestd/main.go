@@ -160,6 +160,7 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	buildinfo.Register(metrics)
+	obs.RegisterRuntime(metrics)
 	tracer := obs.NewSpanTracer(512, 1)
 	opts := core.DefaultOptions()
 	opts.Anonymize = *anonymize

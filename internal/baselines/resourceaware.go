@@ -132,6 +132,8 @@ func trainRAExpert(p app.Pair, series []float64, wpd int, cfg RAConfig, seed int
 	e.cell = layers.NewGRUCell(p.String()+".ra", 3, cfg.Hidden, rng)
 	e.head = layers.NewDense(p.String()+".ra.head", cfg.Hidden, 1, rng)
 	params := append(e.cell.Params(), e.head.Params()...)
+	ad.BindGrads(nil, params)
+	defer ad.UnbindGrads(params)
 	optimizer := opt.NewAdam(params, cfg.LR)
 	optimizer.ClipNorm = cfg.ClipNorm
 

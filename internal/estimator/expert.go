@@ -48,7 +48,7 @@ type Expert struct {
 // newExpert builds an expert for pair with the given dimensions and peers.
 func newExpert(pair app.Pair, inDim, hidden int, peers []string, cfg Config, rng *rand.Rand) *Expert {
 	name := pair.String()
-	return &Expert{
+	e := &Expert{
 		Pair:   pair,
 		InDim:  inDim,
 		Hidden: hidden,
@@ -62,6 +62,8 @@ func newExpert(pair app.Pair, inDim, hidden int, peers []string, cfg Config, rng
 		UseAttention: cfg.UseAttention,
 		UseBypass:    cfg.LinearBypass,
 	}
+	ad.Pack(e.Params())
+	return e
 }
 
 // Params returns every trainable parameter of the expert.

@@ -106,6 +106,27 @@ func BenchmarkModelPredict(b *testing.B) {
 	}
 }
 
+// socialDay simulates one 48-window day of the social network (76 pairs, 67
+// features), the application of the repo benchmark's miss-social128.
+func socialDay(tb testing.TB) *sim.Run {
+	tb.Helper()
+	spec, mix, err := topo.Resolve("social")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 30})
+	prog.WindowsPerDay = 48
+	c, err := sim.NewCluster(spec, 17)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run, err := c.Run(prog.Generate())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return run
+}
+
 // BenchmarkTrainSocial128 is one cold learn at the shape of the repo
 // benchmark's miss-social128 set-up: the social network (76 experts, 67
 // features) at the paper's width, 48 windows, three phase-A epochs and the
@@ -113,20 +134,7 @@ func BenchmarkModelPredict(b *testing.B) {
 // the per-worker workspaces, so ns/op moves with `learn_cpu_s` (divide by
 // GOMAXPROCS for the wall share). Not in BENCH_estimator.json.
 func BenchmarkTrainSocial128(b *testing.B) {
-	spec, mix, err := topo.Resolve("social")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 30})
-	prog.WindowsPerDay = 48
-	c, err := sim.NewCluster(spec, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run, err := c.Run(prog.Generate())
-	if err != nil {
-		b.Fatal(err)
-	}
+	run := socialDay(b)
 	cfg := DefaultConfig()
 	cfg.Hidden = 128
 	cfg.Epochs = 3

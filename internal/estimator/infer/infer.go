@@ -1,24 +1,27 @@
-// Package infer is the serving-side inference engine: it snapshots a
-// trained estimator.Model into flat, contiguous parameter slabs and runs a
+// Package infer is the serving-side inference engine: it indexes a trained
+// estimator.Model's parameters as flat kernel operands and runs a
 // closed-form forward pass — fused GRU recurrence, cross-component
-// attention over the snapshot's own hidden trajectories, mask and bypass
-// heads — without recording a single AD-tape node.
+// attention over its own hidden trajectories, mask and bypass heads —
+// without recording a single AD-tape node.
 //
 // The engine exists because serving replayed training machinery: every
 // /v1/estimate walked each expert through the gradient-capable tape,
 // rebuilding node, hidden-state, and peer buffers per request (~1.9 ms and
 // ~1,300 allocations per predict at toy scale). Here the parameters are
-// read-only slabs, all per-call state lives in sync.Pool-recycled scratch,
-// and expert passes fan out over a shared bounded worker Pool — a warm
-// predict is near-zero-alloc and orders of magnitude faster.
+// read in place — the kernels' slices are the model's Param.Data, a
+// published generation holds its weights once — all per-call state lives
+// in sync.Pool-recycled scratch, and expert passes fan out over a shared
+// bounded worker Pool — a warm predict is near-zero-alloc and orders of
+// magnitude faster.
 //
 // Correctness contract: the engine performs the same float64 operations in
 // the same order as the eval-tape path (Expert.Forward/HiddenStates), via
-// the shared ad.Dot / ad.Logistic / ad.GRUKernel primitives and the shared
+// the shared ad.Dot / ad.Logistic / ad.GRUParams.Step primitives and the shared
 // TargetScale.DescaleInto epilogue, so its output is bit-identical to the
 // tape's (absent FMA contraction). An Engine is immutable after Compile and
-// safe for concurrent use; each model generation compiles its own engine,
-// so a served prediction can never mix parameters from two generations.
+// safe for concurrent use because the model it reads is (see
+// estimator.Model); each model generation compiles its own engine, so a
+// served prediction can never mix parameters from two generations.
 package infer
 
 import (
@@ -31,24 +34,24 @@ import (
 	"repro/internal/nn/ad"
 )
 
-// Engine is a compiled, read-only snapshot of one trained model.
+// Engine is the compiled, read-only view of one trained model.
 type Engine struct {
 	pairs      []app.Pair
-	dim        int // feature-space dimensionality
-	hidden     int // GRU width, uniform across experts
+	dim        int  // feature-space dimensionality
+	hidden     int  // GRU width, uniform across experts
 	attnActive bool // model-wide: attention trained and >1 expert
 	scalerMax  []float64
-	experts    []expertSlab
-	slab       []float64 // backing storage for every expert's parameters
+	experts    []expertView
 
 	pool    *Pool
 	scratch sync.Pool // *predictScratch
 }
 
-// expertSlab is one expert's parameters, as sub-slices of Engine.slab.
-type expertSlab struct {
-	mask    []float64 // precomputed σ(m) gate; nil when the mask is off
-	gru     ad.GRUKernel
+// expertView is one expert's kernel operands. Every slice but mask is the
+// Data of one of the expert's Params.
+type expertView struct {
+	mask    []float64 // σ(m) gate, derived and so engine-owned; nil when the mask is off
+	gru     *ad.GRUParams
 	alpha   []float64 // attention weights, aligned with peerIdx
 	peerIdx []int     // peer expert indices in engine order
 	headW   []float64 // 3 × 2·hidden
@@ -68,10 +71,11 @@ type predictScratch struct {
 	triples [][3]float64 // P×T scaled output triples
 }
 
-// Compile snapshots m into an engine. It fails when the model's shape is
-// not the uniform architecture the slab layout assumes — e.g. hand-assembled
-// experts with mismatched dimensions or unresolvable attention peers —
-// which estimator.Train and Load output never is.
+// Compile builds the engine over m, which must not change afterwards. It
+// fails when the model's shape is not the uniform architecture the kernels
+// assume — e.g. hand-assembled experts with mismatched dimensions or
+// unresolvable attention peers — which estimator.Train and Load output
+// never is.
 func Compile(m *estimator.Model) (*Engine, error) {
 	if m == nil || len(m.Pairs) == 0 {
 		return nil, fmt.Errorf("infer: no trained experts to compile")
@@ -93,15 +97,17 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		dim:        dim,
 		attnActive: m.Cfg.UseAttention && len(m.Pairs) > 1,
 		scalerMax:  append([]float64(nil), m.FeatScaler.Max...),
-		experts:    make([]expertSlab, len(m.Pairs)),
+		experts:    make([]expertView, len(m.Pairs)),
 		pool:       SharedPool(),
 	}
 	e.scratch.New = func() any { return new(predictScratch) }
 
-	// First pass: validate shapes and size the slab.
-	total := 0
+	// Per expert: check its shape, then point the kernels at its parameters.
+	// Nothing is copied — a compiled model is immutable, so there is nothing
+	// to decouple from; only the σ(m) gate is a new value.
 	for i, p := range m.Pairs {
 		ex := m.Experts[p]
+		view := &e.experts[i]
 		ts := m.TargetScales[p]
 		if ex == nil || ts == nil {
 			return nil, fmt.Errorf("infer: %s: missing expert or target scale", p)
@@ -118,82 +124,38 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		if ex.Head == nil || ex.Head.In != 2*e.hidden || ex.Head.Out != 3 {
 			return nil, fmt.Errorf("infer: %s: unexpected head shape", p)
 		}
-		total += 3*(e.hidden*dim) + 3*(e.hidden*e.hidden) + 3*e.hidden // GRU
-		total += 3*2*e.hidden + 3                                     // head
 		if ex.UseMask {
 			if ex.Mask == nil || len(ex.Mask.M.Data) != dim {
 				return nil, fmt.Errorf("infer: %s: unexpected mask shape", p)
 			}
-			total += dim
+			view.mask = make([]float64, dim)
+			for j, v := range ex.Mask.M.Data {
+				// The tape recomputes σ(m) every step; the values are
+				// identical, so computing the gate once is bit-safe.
+				view.mask[j] = ad.Logistic(v)
+			}
 		}
 		if ex.UseBypass {
 			if ex.Bypass == nil || ex.Bypass.In != dim || ex.Bypass.Out != 3 {
 				return nil, fmt.Errorf("infer: %s: unexpected bypass shape", p)
 			}
-			total += 3*dim + 3
+			view.bypW, view.bypB = ex.Bypass.W.Data, ex.Bypass.B.Data
 		}
+		view.scale = *ts
+		view.gru = &ex.Cell.GRUParams
+		view.headW, view.headB = ex.Head.W.Data, ex.Head.B.Data
 		if e.attnActive && ex.UseAttention {
 			if ex.Attn == nil || len(ex.Attn.Alpha.Data) != len(ex.Attn.Peers) {
 				return nil, fmt.Errorf("infer: %s: attention weights misaligned with peers", p)
 			}
-			for _, peer := range ex.Attn.Peers {
+			view.alpha = ex.Attn.Alpha.Data
+			view.peerIdx = make([]int, len(ex.Attn.Peers))
+			for k, peer := range ex.Attn.Peers {
 				j, ok := idx[peer]
 				if !ok || j == i {
 					return nil, fmt.Errorf("infer: %s: unresolvable attention peer %q", p, peer)
 				}
-			}
-			total += len(ex.Attn.Peers)
-		}
-	}
-
-	// Second pass: copy every parameter into one contiguous slab.
-	e.slab = make([]float64, total)
-	off := 0
-	take := func(n int) []float64 {
-		s := e.slab[off : off+n : off+n]
-		off += n
-		return s
-	}
-	copyInto := func(dst, src []float64) []float64 {
-		copy(dst, src)
-		return dst
-	}
-	for i, p := range m.Pairs {
-		ex := m.Experts[p]
-		slab := &e.experts[i]
-		slab.scale = *m.TargetScales[p]
-		if ex.UseMask {
-			slab.mask = take(dim)
-			for j, v := range ex.Mask.M.Data {
-				// The tape recomputes σ(m) every step; the values are
-				// identical, so snapshotting the gate once is bit-safe.
-				slab.mask[j] = ad.Logistic(v)
-			}
-		}
-		k := ex.Cell.Kernel()
-		slab.gru = ad.GRUKernel{
-			In: dim, Hidden: e.hidden,
-			Wz: copyInto(take(e.hidden*dim), k.Wz),
-			Uz: copyInto(take(e.hidden*e.hidden), k.Uz),
-			Bz: copyInto(take(e.hidden), k.Bz),
-			Wk: copyInto(take(e.hidden*dim), k.Wk),
-			Uk: copyInto(take(e.hidden*e.hidden), k.Uk),
-			Bk: copyInto(take(e.hidden), k.Bk),
-			Wh: copyInto(take(e.hidden*dim), k.Wh),
-			Uh: copyInto(take(e.hidden*e.hidden), k.Uh),
-			Bh: copyInto(take(e.hidden), k.Bh),
-		}
-		slab.headW = copyInto(take(3*2*e.hidden), ex.Head.W.Data)
-		slab.headB = copyInto(take(3), ex.Head.B.Data)
-		if ex.UseBypass {
-			slab.bypW = copyInto(take(3*dim), ex.Bypass.W.Data)
-			slab.bypB = copyInto(take(3), ex.Bypass.B.Data)
-		}
-		if e.attnActive && ex.UseAttention && len(ex.Attn.Peers) > 0 {
-			slab.alpha = copyInto(take(len(ex.Attn.Peers)), ex.Attn.Alpha.Data)
-			slab.peerIdx = make([]int, len(ex.Attn.Peers))
-			for k, peer := range ex.Attn.Peers {
-				slab.peerIdx[k] = idx[peer]
+				view.peerIdx[k] = j
 			}
 		}
 	}
@@ -255,7 +217,7 @@ func (e *Engine) scaleInput(series []features.Vector, sc *predictScratch) error 
 
 // maskedInput gates the scaled feature row, returning either the xt buffer
 // or (mask off) the row itself.
-func (ex *expertSlab) maskedInput(row, xt []float64) []float64 {
+func (ex *expertView) maskedInput(row, xt []float64) []float64 {
 	if ex.mask == nil {
 		return row
 	}

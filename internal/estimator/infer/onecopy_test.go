@@ -1,0 +1,63 @@
+package infer
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/estimator"
+	"repro/internal/testutil"
+)
+
+// TestEngineHoldsOneCopyOfWeights: every slice the kernels read is the Data
+// of one of the model's parameters — same first element, same length — for a
+// trained model and for a loaded one, and no parameter of either carries a
+// gradient. Only the σ(mask) gate is the engine's own.
+func TestEngineHoldsOneCopyOfWeights(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 5)
+	cfg := estimator.DefaultConfig()
+	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 2, 1, 24
+	trained, err := estimator.Train(run.Windows, run.Usage, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trained.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := estimator.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*estimator.Model{"trained": trained, "loaded": loaded} {
+		eng, err := Compile(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, p := range m.Pairs {
+			ex, view := m.Experts[p], &eng.experts[i]
+			for _, par := range ex.Params() {
+				if par.Grad != nil {
+					t.Errorf("%s %s: parameter %s carries a gradient", name, p, par.Name)
+				}
+			}
+			if view.gru != &ex.Cell.GRUParams {
+				t.Errorf("%s %s: the engine steps a GRU that is not the expert's", name, p)
+			}
+			for what, pair := range map[string][2][]float64{
+				"head W":   {view.headW, ex.Head.W.Data},
+				"head b":   {view.headB, ex.Head.B.Data},
+				"bypass W": {view.bypW, ex.Bypass.W.Data},
+				"bypass b": {view.bypB, ex.Bypass.B.Data},
+				"alpha":    {view.alpha, ex.Attn.Alpha.Data},
+			} {
+				got, want := pair[0], pair[1]
+				if len(got) != len(want) || len(got) == 0 || &got[0] != &want[0] {
+					t.Errorf("%s %s: %s is a copy of the parameter, or not it at all", name, p, what)
+				}
+			}
+			if len(view.mask) != len(ex.Mask.M.Data) || &view.mask[0] == &ex.Mask.M.Data[0] {
+				t.Errorf("%s %s: the σ(mask) gate must be the engine's own %d floats", name, p, len(ex.Mask.M.Data))
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package estimator
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -229,6 +228,12 @@ type Estimate struct {
 }
 
 // Model is a trained DeepRest instance for one application.
+//
+// A model that has been compiled (infer.Compile) is immutable: the engine
+// reads the experts' Param.Data in place, so that a published generation
+// holds its weights once, and serves them lock-free. Whatever changes
+// weights — training, Update — works on a model nobody has compiled; a
+// retrain builds a new model and warm-starts it by copying (FromModel).
 type Model struct {
 	// Cfg is the training configuration.
 	Cfg Config
@@ -243,6 +248,16 @@ type Model struct {
 	Experts map[app.Pair]*Expert
 	// TargetScales holds the per-pair descaling information.
 	TargetScales map[app.Pair]*TargetScale
+}
+
+// WeightBytes returns the size of the model's parameters, 8 bytes per
+// scalar over every expert.
+func (m *Model) WeightBytes() int {
+	n := 0
+	for _, e := range m.Experts {
+		n += e.NumParams()
+	}
+	return 8 * n
 }
 
 // Train learns a DeepRest model from application-learning telemetry: the
@@ -372,18 +387,29 @@ func logf(w io.Writer, format string, args ...interface{}) {
 }
 
 // workspace is what one forEachExpert worker carries from expert to expert:
-// tapes whose arenas have already grown to an expert's size and one Adam
-// whose moment buffer is re-zeroed per expert. A generation has 76–399
+// tapes whose arenas have already grown to an expert's size, one Adam whose
+// moment buffer is re-zeroed per expert, and the one gradient buffer the
+// worker lends to whichever expert it is training. A generation has 76–399
 // experts of one shape; without it each of them allocated, page-faulted and
-// dropped its own copy (1.2 MB of moments at the paper's width).
+// dropped its own copy (1.2 MB of moments at the paper's width), and kept a
+// gradient as large as its weights for as long as the model lived.
 type workspace struct {
 	tape *ad.Tape // training tape
 	eval *ad.Tape // gradient-free tape
 	adam *opt.Adam
+	grad []float64 // backs the Grad of the params being trained
 }
 
 func newWorkspace() *workspace {
 	return &workspace{tape: ad.NewTape(), eval: ad.NewEvalTape(), adam: opt.NewAdam(nil, 0)}
+}
+
+// bindGrads lends params zeroed gradients out of the workspace's buffer for
+// the length of one expert's training, and returns the function that takes
+// them back: outside it no parameter of a model carries a gradient.
+func (ws *workspace) bindGrads(params []*ad.Param) (unbind func()) {
+	ws.grad = ad.BindGrads(ws.grad, params)
+	return func() { ad.UnbindGrads(params) }
 }
 
 // adamFor returns the workspace's Adam restarted over params: zero moments
@@ -511,6 +537,7 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 		return fmt.Errorf("estimator: %s: %d inputs vs %d targets", e.Pair, len(x), len(target))
 	}
 	params := e.Params()
+	defer ws.bindGrads(params)()
 	var optimizer opt.Optimizer
 	switch cfg.Optimizer {
 	case "", "adam":
@@ -593,12 +620,15 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 // JSON-encoded by /v1/estimate. Failing the expert fails the generation, so
 // the previous one keeps serving.
 func finiteLoss(e *Expert, mean *ad.Value, epoch int) error {
-	// l−l is 0 for every finite l and NaN for NaN and ±Inf.
-	if l := mean.Data[0]; l-l != 0 {
+	if l := mean.Data[0]; !finite(l) {
 		return fmt.Errorf("estimator: %s: non-finite training loss %v in epoch %d (non-finite telemetry or diverged weights)", e.Pair, l, epoch+1)
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf: v−v is 0 for every
+// finite v and NaN otherwise.
+func finite(v float64) bool { return v-v == 0 }
 
 // trainExpertHead runs phase B for one expert: with the recurrent trunk,
 // mask, and bypass frozen, it fits only the attention weights α and the
@@ -620,7 +650,9 @@ func trainExpertHead(ws *workspace, e *Expert, x [][]float64, target []float64, 
 		}
 	}
 
-	a := ws.adamFor(append(e.Head.Params(), e.Attn.Params()...), cfg)
+	params := append(e.Head.Params(), e.Attn.Params()...)
+	defer ws.bindGrads(params)()
+	a := ws.adamFor(params, cfg)
 
 	rng := rand.New(rand.NewSource(seed))
 	nChunks := (len(x) + cfg.ChunkLen - 1) / cfg.ChunkLen
@@ -701,7 +733,7 @@ func (e *Expert) addRegularizationGrads(cfg Config) {
 	if cfg.MaskL1 > 0 && e.UseMask {
 		m := e.Mask.M
 		for i, v := range m.Data {
-			s := sigmoid(v)
+			s := ad.Logistic(v)
 			m.Grad[i] += cfg.MaskL1 * s * (1 - s)
 		}
 	}
@@ -716,15 +748,6 @@ func (e *Expert) addRegularizationGrads(cfg Config) {
 			}
 		}
 	}
-}
-
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	return z / (1 + z)
 }
 
 // Predict estimates the utilization of every pair for the given windows of

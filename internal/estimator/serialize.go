@@ -11,10 +11,13 @@ import (
 	"repro/internal/nn/layers"
 )
 
-// The on-disk format is an explicit snapshot rather than the live object
+// The serialized form is an explicit snapshot rather than the live object
 // graph: it pins the layout (so refactoring internals never silently breaks
-// saved models), drops volatile state (gradients, loggers), and rebuilds
-// the expert wiring on load.
+// saved models), drops volatile state (loggers, training knobs), and
+// rebuilds the expert wiring on load. It is a stream of gob values on one
+// encoder — a modelHeader, then one expertGob per pair in header order — so
+// neither side ever holds more than one expert's encoding, and a reader that
+// was cut short knows it: the header states how many experts follow.
 
 type paramGob struct {
 	Name       string
@@ -38,7 +41,7 @@ type targetScaleGob struct {
 	Base  float64
 }
 
-type modelGob struct {
+type modelHeader struct {
 	Version      int
 	Hidden       int
 	Delta        float64
@@ -48,16 +51,17 @@ type modelGob struct {
 	Paths        []string
 	ScalerMax    []float64
 	Pairs        []app.Pair
-	Experts      []expertGob
 	Scales       []targetScaleGob
 }
 
-// snapshotVersion guards the serialized layout.
-const snapshotVersion = 1
+// snapshotVersion guards the serialized layout. Version 1 was one gob value
+// holding every expert; its header fields decode here, so a v1 stream is
+// refused by number.
+const snapshotVersion = 2
 
-// Save writes the trained model to w in gob format.
+// Save writes the trained model to w as a gob stream, one expert at a time.
 func (m *Model) Save(w io.Writer) error {
-	g := modelGob{
+	h := modelHeader{
 		Version:      snapshotVersion,
 		Hidden:       m.Cfg.Hidden,
 		Delta:        m.Cfg.Delta,
@@ -69,95 +73,179 @@ func (m *Model) Save(w io.Writer) error {
 		Pairs:        m.Pairs,
 	}
 	for _, p := range m.Pairs {
+		ts := m.TargetScales[p]
+		h.Scales = append(h.Scales, targetScaleGob{Kind: int(ts.Kind), Scale: ts.Scale, Base: ts.Base})
+	}
+	enc := gob.NewEncoder(w)
+	if err := enc.Encode(h); err != nil {
+		return fmt.Errorf("estimator: encode model header: %w", err)
+	}
+	var params []paramGob
+	for _, p := range m.Pairs {
 		e := m.Experts[p]
-		eg := expertGob{
+		params = params[:0]
+		for _, par := range e.Params() {
+			params = append(params, paramGob{Name: par.Name, Rows: par.Rows, Cols: par.Cols, Data: par.Data})
+		}
+		err := enc.Encode(expertGob{
 			Pair:         e.Pair,
 			InDim:        e.InDim,
 			Hidden:       e.Hidden,
 			Peers:        e.Attn.Peers,
+			Params:       params,
 			UseMask:      e.UseMask,
 			UseAttention: e.UseAttention,
 			UseBypass:    e.UseBypass,
+		})
+		if err != nil {
+			return fmt.Errorf("estimator: encode expert %s: %w", p, err)
 		}
-		for _, par := range e.Params() {
-			eg.Params = append(eg.Params, paramGob{
-				Name: par.Name, Rows: par.Rows, Cols: par.Cols, Data: par.Data,
-			})
-		}
-		g.Experts = append(g.Experts, eg)
-		ts := m.TargetScales[p]
-		g.Scales = append(g.Scales, targetScaleGob{Kind: int(ts.Kind), Scale: ts.Scale, Base: ts.Base})
 	}
-	return gob.NewEncoder(w).Encode(g)
+	return nil
 }
 
-// Load reads a model previously written by Save.
+// Load reads a model previously written by Save. It reads checkpoint files
+// and downloaded bodies, so it trusts nothing: a stream that ends before
+// the header's last expert, an expert whose shape is not the header's, a
+// peer list that is not "every other pair, in order", a non-finite weight
+// or scale are all errors — what Load returns compiles (infer.Compile) and
+// predicts the same on the tape and the engine. Nothing is sized from a
+// number the header states: every parameter is the slice gob decoded — which
+// gob bounds by the bytes actually present — checked against the header's
+// shape before the expert is built around it, so a header claiming more than
+// the stream holds is refused at its first expert.
 func Load(r io.Reader) (*Model, error) {
-	var g modelGob
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
+	dec := gob.NewDecoder(r)
+	var h modelHeader
+	if err := dec.Decode(&h); err != nil {
 		return nil, fmt.Errorf("estimator: decode model: %w", err)
 	}
-	if g.Version != snapshotVersion {
-		return nil, fmt.Errorf("estimator: unsupported model version %d (want %d)", g.Version, snapshotVersion)
+	if h.Version != snapshotVersion {
+		return nil, fmt.Errorf("estimator: unsupported model version %d (want %d)", h.Version, snapshotVersion)
 	}
-	if len(g.Experts) != len(g.Pairs) || len(g.Scales) != len(g.Pairs) {
-		return nil, fmt.Errorf("estimator: corrupt snapshot: %d pairs, %d experts, %d scales",
-			len(g.Pairs), len(g.Experts), len(g.Scales))
+	space := features.RestoreSpace(h.Paths)
+	dim := space.Dim()
+	if len(h.Pairs) == 0 || len(h.Scales) != len(h.Pairs) || h.Hidden <= 0 ||
+		dim == 0 || dim != len(h.Paths) || len(h.ScalerMax) != dim {
+		return nil, fmt.Errorf("estimator: corrupt snapshot: %d pairs, %d scales, hidden %d, %d paths (%d distinct), %d scaler maxima",
+			len(h.Pairs), len(h.Scales), h.Hidden, len(h.Paths), dim, len(h.ScalerMax))
 	}
-	cfg := DefaultConfig()
-	cfg.Hidden = g.Hidden
-	cfg.Delta = g.Delta
-	cfg.UseMask = g.UseMask
-	cfg.UseAttention = g.UseAttention
-	cfg.LinearBypass = g.LinearBypass
+	for _, v := range h.ScalerMax {
+		if !(v > 0 && finite(v)) {
+			return nil, fmt.Errorf("estimator: corrupt snapshot: feature maximum %v", v)
+		}
+	}
+	names := make([]string, len(h.Pairs))
+	for i, p := range h.Pairs {
+		names[i] = p.String()
+	}
 
+	cfg := DefaultConfig()
+	cfg.Hidden = h.Hidden
+	cfg.Delta = h.Delta
+	cfg.UseMask = h.UseMask
+	cfg.UseAttention = h.UseAttention
+	cfg.LinearBypass = h.LinearBypass
 	m := &Model{
 		Cfg:          cfg,
-		Space:        features.RestoreSpace(g.Paths),
-		FeatScaler:   &features.Scaler{Max: g.ScalerMax},
-		Pairs:        g.Pairs,
-		Experts:      make(map[app.Pair]*Expert, len(g.Pairs)),
-		TargetScales: make(map[app.Pair]*TargetScale, len(g.Pairs)),
+		Space:        space,
+		FeatScaler:   &features.Scaler{Max: h.ScalerMax},
+		Pairs:        h.Pairs,
+		Experts:      make(map[app.Pair]*Expert, len(h.Pairs)),
+		TargetScales: make(map[app.Pair]*TargetScale, len(h.Pairs)),
 	}
-	for i, eg := range g.Experts {
-		e := &Expert{
-			Pair:         eg.Pair,
-			InDim:        eg.InDim,
-			Hidden:       eg.Hidden,
-			Mask:         layers.NewAPIMask(eg.Pair.String(), eg.InDim),
-			Cell:         layers.NewGRUCellZero(eg.Pair.String(), eg.InDim, eg.Hidden),
-			Attn:         layers.NewAttention(eg.Pair.String(), eg.Peers),
-			Head:         layers.NewDenseZero(eg.Pair.String()+".V", 2*eg.Hidden, 3),
-			Bypass:       layers.NewDenseZero(eg.Pair.String()+".S", eg.InDim, 3),
-			UseMask:      eg.UseMask,
-			UseAttention: eg.UseAttention,
-			UseBypass:    eg.UseBypass,
+	for i, p := range h.Pairs {
+		if _, dup := m.Experts[p]; dup {
+			return nil, fmt.Errorf("estimator: corrupt snapshot: pair %s listed twice", p)
 		}
-		params := e.Params()
-		if len(params) != len(eg.Params) {
-			return nil, fmt.Errorf("estimator: expert %s: snapshot has %d params, expected %d",
-				eg.Pair, len(eg.Params), len(params))
+		sc := h.Scales[i]
+		if (sc.Kind != int(kindLevel) && sc.Kind != int(kindDelta)) || !(sc.Scale > 0 && finite(sc.Scale) && finite(sc.Base)) {
+			return nil, fmt.Errorf("estimator: corrupt snapshot: %s: target scale %+v", p, sc)
 		}
-		for j, pg := range eg.Params {
-			if err := restoreParam(params[j], pg); err != nil {
-				return nil, fmt.Errorf("estimator: expert %s: %w", eg.Pair, err)
+		// A fresh value per expert: gob decodes into a slice that has room,
+		// and two experts must not share parameter memory.
+		var eg expertGob
+		if err := dec.Decode(&eg); err != nil {
+			return nil, fmt.Errorf("estimator: decode expert %d of %d: %w", i+1, len(h.Pairs), err)
+		}
+		if eg.Pair != p || eg.InDim != dim || eg.Hidden != h.Hidden {
+			return nil, fmt.Errorf("estimator: corrupt snapshot: expert %d is %s (%d→%d), header says %s (%d→%d)",
+				i+1, eg.Pair, eg.InDim, eg.Hidden, p, dim, h.Hidden)
+		}
+		if len(eg.Peers) != len(names)-1 {
+			return nil, fmt.Errorf("estimator: expert %s: %d peers among %d experts", p, len(eg.Peers), len(names))
+		}
+		for k, peer := range eg.Peers {
+			want := names[k]
+			if k >= i {
+				want = names[k+1]
 			}
+			if peer != want {
+				return nil, fmt.Errorf("estimator: expert %s: peer %d is %q, want %q", p, k, peer, want)
+			}
+			eg.Peers[k] = want // one copy of each name per model, not one per expert
 		}
-		m.Experts[eg.Pair] = e
-		m.TargetScales[eg.Pair] = &TargetScale{
-			Kind:  targetKind(g.Scales[i].Kind),
-			Scale: g.Scales[i].Scale,
-			Base:  g.Scales[i].Base,
+		e, err := eg.expert()
+		if err != nil {
+			return nil, fmt.Errorf("estimator: expert %s: %w", p, err)
 		}
+		m.Experts[p] = e
+		m.TargetScales[p] = &TargetScale{Kind: targetKind(sc.Kind), Scale: sc.Scale, Base: sc.Base}
 	}
 	return m, nil
 }
 
-func restoreParam(dst *ad.Param, src paramGob) error {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		return fmt.Errorf("param %s: shape %dx%d in snapshot, expected %dx%d",
-			src.Name, src.Rows, src.Cols, dst.Rows, dst.Cols)
+// fills reports whether n values fill a rows×cols matrix, without forming
+// the product of two dimensions read from the stream.
+func fills(n, rows, cols int) bool {
+	if rows <= 0 || cols <= 0 {
+		return n == 0 && rows >= 0 && cols >= 0
 	}
-	copy(dst.Data, src.Data)
-	return nil
+	return n%rows == 0 && n/rows == cols
+}
+
+// expert rebuilds the expert from the decoded parameter slices, each checked
+// against the shape an expert of these dimensions has.
+func (eg *expertGob) expert() (*Expert, error) {
+	in, hid := eg.InDim, eg.Hidden
+	shapes := [...][2]int{
+		{in, 1},                         // mask
+		{hid, in}, {hid, hid}, {hid, 1}, // z
+		{hid, in}, {hid, hid}, {hid, 1}, // k
+		{hid, in}, {hid, hid}, {hid, 1}, // h̃
+		{len(eg.Peers), 1},   // α
+		{3, 2 * hid}, {3, 1}, // head
+		{3, in}, {3, 1}, // bypass
+	}
+	if len(eg.Params) != len(shapes) {
+		return nil, fmt.Errorf("snapshot has %d params, expected %d", len(eg.Params), len(shapes))
+	}
+	ps := make([]*ad.Param, len(shapes))
+	for j, pg := range eg.Params {
+		rows, cols := shapes[j][0], shapes[j][1]
+		if pg.Rows != rows || pg.Cols != cols || !fills(len(pg.Data), rows, cols) {
+			return nil, fmt.Errorf("param %s: shape %dx%d with %d values in snapshot, expected %dx%d",
+				pg.Name, pg.Rows, pg.Cols, len(pg.Data), rows, cols)
+		}
+		for _, v := range pg.Data {
+			if !finite(v) {
+				return nil, fmt.Errorf("param %s: non-finite value %v", pg.Name, v)
+			}
+		}
+		ps[j] = &ad.Param{Name: pg.Name, Rows: rows, Cols: cols, Data: pg.Data}
+	}
+	ad.Pack(ps) // as newExpert does; the decoded slices are garbage an expert at a time
+	return &Expert{
+		Pair:         eg.Pair,
+		InDim:        in,
+		Hidden:       hid,
+		Mask:         &layers.APIMask{M: ps[0]},
+		Cell:         layers.GRUCellOf(in, hid, ps[1:10]),
+		Attn:         &layers.Attention{Alpha: ps[10], Peers: eg.Peers},
+		Head:         &layers.Dense{In: 2 * hid, Out: 3, W: ps[11], B: ps[12]},
+		Bypass:       &layers.Dense{In: in, Out: 3, W: ps[13], B: ps[14]},
+		UseMask:      eg.UseMask,
+		UseAttention: eg.UseAttention,
+		UseBypass:    eg.UseBypass,
+	}, nil
 }

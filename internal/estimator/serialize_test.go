@@ -1,0 +1,205 @@
+package estimator
+
+import (
+	"bytes"
+	"encoding/gob"
+	"io"
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/app"
+	"repro/internal/testutil"
+)
+
+// toyStream trains a small three-expert model (a level target, a rate and
+// the delta-kind disk counter, attention on) and returns it with its
+// serialized stream.
+func toyStream(tb testing.TB) (*Model, []byte) {
+	tb.Helper()
+	_, _, run := testutil.ToyTelemetry(tb, 1, 30, 4)
+	usage := testutil.FocusPairs(run.Usage,
+		app.Pair{Component: "Service", Resource: app.CPU},
+		app.Pair{Component: "DB", Resource: app.WriteIOps},
+		app.Pair{Component: "DB", Resource: app.DiskUsage},
+	)
+	cfg := DefaultConfig()
+	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 2, 1, 24
+	m, err := Train(run.Windows, usage, cfg)
+	if err != nil {
+		tb.Fatalf("Train: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatalf("Save: %v", err)
+	}
+	return m, buf.Bytes()
+}
+
+// messageSizes records the size of every Write: gob sends one message per
+// Write, so the largest is the largest expert's encoding.
+type messageSizes []int
+
+func (s *messageSizes) Write(p []byte) (int, error) {
+	*s = append(*s, len(p))
+	return len(p), nil
+}
+
+func (s messageSizes) largest() int {
+	m := 0
+	for _, n := range s {
+		m = max(m, n)
+	}
+	return m
+}
+
+// TestSaveLoadSaveIsByteIdentical: the stream is a function of the model —
+// what Load rebuilds saves to the same bytes, so a checkpoint, a download
+// and a re-upload of one generation are one file.
+func TestSaveLoadSaveIsByteIdentical(t *testing.T) {
+	m, first := toyStream(t)
+	loaded, err := Load(bytes.NewReader(first))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var second bytes.Buffer
+	if err := loaded.Save(&second); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if !bytes.Equal(first, second.Bytes()) {
+		t.Fatalf("Save → Load → Save changed the stream (%d vs %d bytes)", len(first), second.Len())
+	}
+	for _, mm := range []*Model{m, loaded} {
+		for _, p := range mm.Pairs {
+			for _, par := range mm.Experts[p].Params() {
+				if par.Grad != nil {
+					t.Fatalf("%s: parameter %s carries a gradient outside training", p, par.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadRefusesEveryProperPrefix: the header states how many experts
+// follow, so a stream cut anywhere — a dropped connection, a torn file — is
+// an error, never a smaller model.
+func TestLoadRefusesEveryProperPrefix(t *testing.T) {
+	_, stream := toyStream(t)
+	for n := 0; n < len(stream); n++ {
+		if m, err := Load(bytes.NewReader(stream[:n])); err == nil {
+			t.Fatalf("Load accepted the first %d of %d bytes as a model of %d experts", n, len(stream), len(m.Pairs))
+		}
+	}
+}
+
+// TestLoadRefusesVersion1 pins the migration story: a stream in the old
+// one-value layout is refused by its version number.
+func TestLoadRefusesVersion1(t *testing.T) {
+	type modelGobV1 struct {
+		Version int
+		Hidden  int
+		Paths   []string
+		Pairs   []app.Pair
+		Experts []expertGob
+	}
+	var buf bytes.Buffer
+	v1 := modelGobV1{Version: 1, Hidden: 4, Paths: []string{"a"}, Pairs: []app.Pair{{Component: "c", Resource: app.CPU}}, Experts: make([]expertGob, 1)}
+	if err := gob.NewEncoder(&buf).Encode(v1); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	if err == nil || !strings.Contains(err.Error(), "unsupported model version 1 (want 2)") {
+		t.Fatalf("Load of a v1 stream: %v", err)
+	}
+}
+
+// reheader re-encodes a serialized model with an edited header and the
+// experts it had.
+func reheader(tb testing.TB, stream []byte, edit func(*modelHeader)) []byte {
+	tb.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(stream))
+	var h modelHeader
+	if err := dec.Decode(&h); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&h)
+	var out bytes.Buffer
+	enc := gob.NewEncoder(&out)
+	if err := enc.Encode(h); err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		var eg expertGob
+		if err := dec.Decode(&eg); err == io.EOF {
+			return out.Bytes()
+		} else if err != nil {
+			tb.Fatal(err)
+		}
+		if err := enc.Encode(eg); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestLoadRefusesHeaderLargerThanStream: a header may claim any width and
+// any number of paths; Load sizes nothing from it, so the claim is refused
+// at the first expert for the price of that expert, not of the claim.
+func TestLoadRefusesHeaderLargerThanStream(t *testing.T) {
+	_, stream := toyStream(t)
+	for name, edit := range map[string]func(*modelHeader){
+		"hidden":       func(h *modelHeader) { h.Hidden = 1 << 40 },
+		"hidden wraps": func(h *modelHeader) { h.Hidden = math.MaxInt },
+		"more experts": func(h *modelHeader) {
+			h.Pairs = append(h.Pairs, app.Pair{Component: "X", Resource: app.CPU})
+			h.Scales = append(h.Scales, h.Scales[0])
+		},
+		"scaler length": func(h *modelHeader) { h.ScalerMax = h.ScalerMax[:1] },
+	} {
+		bad := reheader(t, stream, edit)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Load(bytes.NewReader(bad))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: Load accepted the stream (%d experts)", name, len(m.Pairs))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(stream)) {
+			t.Errorf("%s: Load allocated %d bytes refusing a %d-byte stream", name, grew, len(stream))
+		}
+	}
+}
+
+// TestSaveAllocatesPerExpertNotPerModel is the encoder's memory wall: Save
+// streams one expert at a time, so what it allocates is bounded by the
+// largest expert's encoding, not by the model's (76 of them here). The
+// factor is gob's: its message buffer grows by append, whose 1.25× steps sum
+// to five times the final size, once per stream (4.9× measured).
+func TestSaveAllocatesPerExpertNotPerModel(t *testing.T) {
+	run := socialDay(t)
+	cfg := DefaultConfig()
+	cfg.Hidden, cfg.Epochs, cfg.AttentionEpochs = 32, 0, 0
+	m, err := Train(run.Windows, run.Usage, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes messageSizes
+	if err := m.Save(&sizes); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	grew, bound := after.TotalAlloc-before.TotalAlloc, 6*uint64(sizes.largest())
+	t.Logf("Save allocated %d bytes for a %d-byte stream of %d experts; largest message %d bytes", grew, total, len(m.Pairs), sizes.largest())
+	if grew > bound {
+		t.Fatalf("Save allocated %d bytes, more than 6 × the largest expert's %d", grew, sizes.largest())
+	}
+}

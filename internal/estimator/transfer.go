@@ -91,7 +91,8 @@ func copyExpertParams(src, dst *Expert) error {
 // extracts features with the existing space and scalers and continues
 // training every expert for the given number of epochs. Invocation paths
 // unseen during the original learning phase are reported so the caller can
-// decide when drift warrants a full re-learn.
+// decide when drift warrants a full re-learn. It trains in place, so only
+// on a model no engine has been compiled over (see Model).
 func (m *Model) Update(windows [][]trace.Batch, usage map[app.Pair][]float64, epochs int) (unknownPaths float64, err error) {
 	if epochs <= 0 {
 		return 0, fmt.Errorf("estimator: Update epochs must be positive")

@@ -133,6 +133,12 @@ func TestUpdateAdaptsToDrift(t *testing.T) {
 	if after > 12 {
 		t.Errorf("post-update MAPE %.2f%% too high", after)
 	}
+	// Update borrowed its gradients from the training workers, like Train.
+	for _, par := range m.Experts[p].Params() {
+		if par.Grad != nil {
+			t.Errorf("parameter %s still carries a gradient after Update", par.Name)
+		}
+	}
 }
 
 func TestUpdateValidation(t *testing.T) {

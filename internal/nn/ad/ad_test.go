@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // numericGrad estimates dLoss/dParam[i] by central differences.
@@ -23,6 +24,7 @@ func numericGrad(p *Param, i int, loss func() float64) float64 {
 // element of every parameter.
 func checkGrads(t *testing.T, params []*Param, build func(tp *Tape) *Value) {
 	t.Helper()
+	BindGrads(nil, params)
 	tape := NewTape()
 	root := build(tape)
 	tape.Backward(root)
@@ -136,6 +138,7 @@ func TestPinballQuantileConvergence(t *testing.T) {
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		p := NewParam("c", 1, 1)
+		BindGrads(nil, []*Param{p})
 		p.Data[0] = 0.5
 		lr := 0.01
 		for epoch := 0; epoch < 60; epoch++ {
@@ -173,6 +176,10 @@ func TestSumScalars(t *testing.T) {
 
 func TestUseAliasesParam(t *testing.T) {
 	p := NewParam("p", 2, 1)
+	if p.Grad != nil {
+		t.Fatalf("a fresh parameter owns a gradient of %d floats", len(p.Grad))
+	}
+	BindGrads(nil, []*Param{p})
 	p.Data[0], p.Data[1] = 1, 2
 	tape := NewTape()
 	v := tape.Use(p)
@@ -271,5 +278,59 @@ func TestAddSubRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBindGradsLendsOneBuffer: gradients are lent, zeroed, out of one buffer
+// that is reused when large enough, and taken back; a training tape refuses a
+// parameter that has none.
+func TestBindGradsLendsOneBuffer(t *testing.T) {
+	a, b := NewParam("a", 2, 3), NewParam("b", 4, 1)
+	params := []*Param{a, b}
+	buf := BindGrads(nil, params)
+	if len(buf) != 10 || len(a.Grad) != 6 || len(b.Grad) != 4 || &a.Grad[0] != &buf[0] || &b.Grad[0] != &buf[6] {
+		t.Fatalf("gradients are not consecutive runs of one %d-float buffer", len(buf))
+	}
+	a.Grad[5], b.Grad[0] = 1, 2
+	if cap(a.Grad) != 6 {
+		t.Errorf("a.Grad can grow into b.Grad: cap %d", cap(a.Grad))
+	}
+	small := []*Param{b}
+	if again := BindGrads(buf, small); &again[0] != &buf[0] || b.Grad[0] != 0 {
+		t.Errorf("a large enough buffer was not reused zeroed: %v", b.Grad)
+	}
+	UnbindGrads(params)
+	if a.Grad != nil || b.Grad != nil {
+		t.Fatal("UnbindGrads left a gradient behind")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a training tape used a parameter without a gradient")
+		}
+	}()
+	NewTape().Use(a)
+}
+
+// TestPackKeepsValuesInOneAllocation: packing changes where the values live,
+// not what they are; afterwards they are consecutive and cannot grow into
+// one another.
+func TestPackKeepsValuesInOneAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a, b, empty := NewParamInit("a", 3, 5, rng), NewParamInit("b", 7, 1, rng), NewParam("e", 0, 1)
+	wantA, wantB := append([]float64(nil), a.Data...), append([]float64(nil), b.Data...)
+	Pack([]*Param{a, empty, b})
+	for i, v := range wantA {
+		if a.Data[i] != v {
+			t.Fatalf("a[%d] = %v after Pack, want %v", i, a.Data[i], v)
+		}
+	}
+	for i, v := range wantB {
+		if b.Data[i] != v {
+			t.Fatalf("b[%d] = %v after Pack, want %v", i, b.Data[i], v)
+		}
+	}
+	if len(a.Data) != 15 || cap(a.Data) != 15 || len(empty.Data) != 0 ||
+		uintptr(unsafe.Pointer(&b.Data[0]))-uintptr(unsafe.Pointer(&a.Data[0])) != 15*8 {
+		t.Fatalf("packed values are not consecutive runs of one allocation (len %d cap %d)", len(a.Data), cap(a.Data))
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// newTestGRU builds a small randomly initialised GRU parameter bundle.
+// newTestGRU builds a small randomly initialised GRU parameter bundle with
+// gradients bound, as a trainer would hold it.
 func newTestGRU(in, hid int, rng *rand.Rand) *GRUParams {
-	return &GRUParams{
+	g := &GRUParams{
 		Wz: NewParamInit("Wz", hid, in, rng),
 		Uz: NewParamInit("Uz", hid, hid, rng),
 		Bz: NewParamInit("bz", hid, 1, rng),
@@ -19,6 +20,8 @@ func newTestGRU(in, hid int, rng *rand.Rand) *GRUParams {
 		Uh: NewParamInit("Uh", hid, hid, rng),
 		Bh: NewParamInit("bh", hid, 1, rng),
 	}
+	BindGrads(nil, []*Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh})
+	return g
 }
 
 func TestGRUStepGradients(t *testing.T) {

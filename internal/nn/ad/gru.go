@@ -3,26 +3,16 @@ package ad
 import "fmt"
 
 // GRUParams bundles the nine parameter tensors of one GRU cell (paper
-// Equation 2) for the fused step kernel: W· act on the input, U· on the
-// previous state, B· are biases, for the update gate z, reset gate k, and
-// candidate h̃. Build one per cell and reuse it; the kernel reads Data and
-// accumulates into Grad directly, so no Use nodes are recorded.
+// Equation 2): W· act on the input (Hidden×In), U· on the previous state
+// (Hidden×Hidden), B· are biases (Hidden), for the update gate z, reset gate
+// k, and candidate h̃. It is the one representation of a cell's weights: the
+// fused tape op reads Data and accumulates into Grad directly, so no Use
+// nodes are recorded, and the tape-free Step (kernel.go) reads the same Data
+// where it lies.
 type GRUParams struct {
 	Wz, Uz, Bz *Param
 	Wk, Uk, Bk *Param
 	Wh, Uh, Bh *Param
-}
-
-// Kernel returns the tape-free view of the parameters. The returned slices
-// alias the live parameter Data — snapshotting callers (the inference
-// engine) must copy them into their own slabs.
-func (g *GRUParams) Kernel() GRUKernel {
-	return GRUKernel{
-		In: g.Wz.Cols, Hidden: g.Wz.Rows,
-		Wz: g.Wz.Data, Uz: g.Uz.Data, Bz: g.Bz.Data,
-		Wk: g.Wk.Data, Uk: g.Uk.Data, Bk: g.Bk.Data,
-		Wh: g.Wh.Data, Uh: g.Uh.Data, Bh: g.Bh.Data,
-	}
 }
 
 // GRUStep advances a GRU cell one time step as a single fused tape op:
@@ -34,8 +24,8 @@ func (g *GRUParams) Kernel() GRUKernel {
 //
 // It replaces the ~28-node chain of MatVec/Add/Mul/Sigmoid/Tanh primitives
 // a composed implementation records, with one node and a hand-written
-// backward. The forward is GRUKernel.forward, the body the tape-free
-// serving kernel runs too; it and the backward perform the same float64
+// backward. The forward is GRUParams.forward, the body the tape-free
+// serving step runs too; it and the backward perform the same float64
 // operations in the same order as the composed chain (see gruBackward), so
 // losses and gradients are bit-identical to it on targets without fused
 // multiply-add contraction.
@@ -50,9 +40,11 @@ func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
 	// c, and the reset-gated state kh = k ⊙ hPrev.
 	aux := t.alloc(4 * hid)
 	z, k, c, kh := aux[:hid], aux[hid:2*hid], aux[2*hid:3*hid], aux[3*hid:]
-	kern := g.Kernel()
-	kern.forward(x.Data, hPrev.Data, z, k, kh, c, out.Data)
+	g.forward(x.Data, hPrev.Data, z, k, kh, c, out.Data)
 	if t.grad {
+		if len(g.Wz.Grad) != len(g.Wz.Data) {
+			panic("ad: GRUStep on a training tape without bound gradients (see BindGrads)")
+		}
 		out.op, out.a, out.b, out.aux, out.gru = opGRUStep, x, hPrev, aux, g
 	}
 	return t.record(out)

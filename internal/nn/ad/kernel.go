@@ -3,12 +3,11 @@ package ad
 import "math"
 
 // This file exports the fused-kernel math for the tape-free inference
-// engine (internal/estimator/infer). The engine snapshots trained
-// parameters into flat slabs and replays the forward pass without
-// recording tape nodes; sharing dot, stableSigmoid and the GRU forward body
-// with the tape ops keeps the two paths' rounding behaviour identical, so
-// engine output is bit-for-bit the eval-tape output (absent FMA
-// contraction).
+// engine (internal/estimator/infer). The engine replays the forward pass
+// over a trained model's parameters without recording tape nodes; sharing
+// dot, stableSigmoid and the GRU forward body with the tape ops keeps the
+// two paths' rounding behaviour identical, so engine output is bit-for-bit
+// the eval-tape output (absent FMA contraction).
 
 // Dot exposes the row·vector kernel shared by MatVec and the GRU forward.
 // Callers computing dense layers outside the tape must use it (rather than
@@ -19,28 +18,15 @@ func Dot(row, x []float64) float64 { return dot(row, x) }
 // applies element-wise.
 func Logistic(x float64) float64 { return stableSigmoid(x) }
 
-// GRUKernel is the tape-free form of a GRU cell: the nine parameter tensors
-// as flat row-major slices. The slices may alias live Params (see
-// GRUParams.Kernel) or a snapshot slab; the kernel only reads them.
-type GRUKernel struct {
-	// In and Hidden are the input and state dimensions.
-	In, Hidden int
-	// W· act on the input (Hidden×In), U· on the previous state
-	// (Hidden×Hidden), B· are biases (Hidden).
-	Wz, Uz, Bz []float64
-	Wk, Uk, Bk []float64
-	Wh, Uh, Bh []float64
-}
-
 // ScratchLen returns the workspace length Step requires.
-func (g *GRUKernel) ScratchLen() int { return 3 * g.Hidden }
+func (g *GRUParams) ScratchLen() int { return 3 * g.Wz.Rows }
 
-// Step advances the cell one time step: hOut = GRU(x, hPrev). It runs the
-// same forward body as the tape's GRUStep, so the hidden trajectory is
-// bit-identical to the eval-tape recurrence. hOut must not alias hPrev;
-// scratch needs ScratchLen floats and is clobbered.
-func (g *GRUKernel) Step(x, hPrev, hOut, scratch []float64) {
-	hid := g.Hidden
+// Step advances the cell one time step without a tape: hOut = GRU(x, hPrev).
+// It runs the same forward body as the tape's GRUStep, so the hidden
+// trajectory is bit-identical to the eval-tape recurrence. hOut must not
+// alias hPrev; scratch needs ScratchLen floats and is clobbered.
+func (g *GRUParams) Step(x, hPrev, hOut, scratch []float64) {
+	hid := g.Wz.Rows
 	// The candidate is written into hOut and blended in place.
 	g.forward(x, hPrev, scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid], hOut, hOut)
 }
@@ -56,16 +42,16 @@ func (g *GRUKernel) Step(x, hPrev, hOut, scratch []float64) {
 // pass) and writes h' to out. Every float64 operation and its order match
 // the primitive MatVec/Add/Mul/Sigmoid/Tanh chain. out may alias c; nothing
 // else may alias.
-func (g *GRUKernel) forward(x, h, z, k, kh, c, out []float64) {
-	x, h = x[:g.In], h[:g.Hidden]
-	gatePre(z, g.Wz, x, g.Uz, h, g.Bz)
-	gatePre(k, g.Wk, x, g.Uk, h, g.Bk)
+func (g *GRUParams) forward(x, h, z, k, kh, c, out []float64) {
+	x, h = x[:g.Wz.Cols], h[:g.Wz.Rows]
+	gatePre(z, g.Wz.Data, x, g.Uz.Data, h, g.Bz.Data)
+	gatePre(k, g.Wk.Data, x, g.Uk.Data, h, g.Bk.Data)
 	for i := range kh {
 		z[i] = stableSigmoid(z[i])
 		k[i] = stableSigmoid(k[i])
 		kh[i] = k[i] * h[i]
 	}
-	gatePre(c, g.Wh, x, g.Uh, kh, g.Bh)
+	gatePre(c, g.Wh.Data, x, g.Uh.Data, kh, g.Bh.Data)
 	for i := range out {
 		// The same intermediate roundings as the Mul/OneMinus/Mul/Add
 		// chain.

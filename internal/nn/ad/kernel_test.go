@@ -40,7 +40,6 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			in := 9
 			p := newTestGRU(in, hid, rng)
-			k := p.Kernel()
 
 			const steps = 12
 			xs := make([][]float64, steps)
@@ -70,9 +69,9 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 					tapeH := tapeRun()
 					kernH := make([]float64, hid)
 					kernNext := make([]float64, hid)
-					scratch := make([]float64, k.ScratchLen())
+					scratch := make([]float64, p.ScratchLen())
 					for s, x := range xs {
-						k.Step(x, kernH, kernNext, scratch)
+						p.Step(x, kernH, kernNext, scratch)
 						kernH, kernNext = kernNext, kernH
 						for i := range want[s] {
 							w := math.Float64bits(want[s][i])
@@ -333,7 +332,7 @@ func BenchmarkGRUKernelStep(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%d/%s", dim.in, dim.hid, impl), func(b *testing.B) {
 				setImpl(b, impl)
 				rng := rand.New(rand.NewSource(1))
-				k := newTestGRU(dim.in, dim.hid, rng).Kernel()
+				k := newTestGRU(dim.in, dim.hid, rng)
 				x := make([]float64, dim.in)
 				for i := range x {
 					x[i] = rng.NormFloat64()

@@ -27,6 +27,7 @@ func fusedStepMatchesReference(t *testing.T, hid int) {
 	const in, steps = 5, 6
 	rng := rand.New(rand.NewSource(42))
 	g := NewGRUCell("equiv", in, hid, rng)
+	ad.BindGrads(nil, g.Params())
 	xs := make([][]float64, steps)
 	for i := range xs {
 		row := make([]float64, in)
@@ -88,6 +89,7 @@ func fusedStepMatchesReference(t *testing.T, hid int) {
 func TestFusedStepNodeCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewGRUCell("count", 3, 4, rng)
+	ad.BindGrads(nil, g.Params())
 
 	count := func(step func(t *ad.Tape, x, h *ad.Value) *ad.Value) int {
 		tape := ad.NewTape()

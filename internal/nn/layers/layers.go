@@ -8,7 +8,6 @@ import (
 	"math/rand"
 
 	"repro/internal/nn/ad"
-	"repro/internal/nn/tensor"
 )
 
 // Dense is a fully connected layer y = W·x + b.
@@ -24,16 +23,6 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 	return &Dense{
 		In: in, Out: out,
 		W: ad.NewParamInit(name+".W", out, in, rng),
-		B: ad.NewParam(name+".b", out, 1),
-	}
-}
-
-// NewDenseZero returns a zero-initialised dense layer, used as a shell when
-// deserialising trained weights.
-func NewDenseZero(name string, in, out int) *Dense {
-	return &Dense{
-		In: in, Out: out,
-		W: ad.NewParam(name+".W", out, in),
 		B: ad.NewParam(name+".b", out, 1),
 	}
 }
@@ -74,7 +63,7 @@ func (m *APIMask) Apply(t *ad.Tape, x *ad.Value) *ad.Value {
 func (m *APIMask) Weights() []float64 {
 	out := make([]float64, len(m.M.Data))
 	for i, x := range m.M.Data {
-		out[i] = tensor.Sigmoid(x)
+		out[i] = ad.Logistic(x)
 	}
 	return out
 }
@@ -86,20 +75,14 @@ type GRUCell struct {
 	// In and Hidden are the input and state dimensions.
 	In, Hidden int
 	// Gate parameters: W· act on the input, U· on the previous state,
-	// B· are biases.
-	Wz, Uz, Bz *ad.Param
-	Wk, Uk, Bk *ad.Param
-	Wh, Uh, Bh *ad.Param
-
-	// fused bundles the parameters for the single-node ad.GRUStep kernel;
-	// it is built once per cell so Step records no per-call garbage.
-	fused ad.GRUParams
+	// B· are biases. The embedded bundle is what the fused tape op
+	// (ad.GRUStep) and the tape-free step (GRUParams.Step) both read.
+	ad.GRUParams
 }
 
 // NewGRUCell returns a Glorot-initialised GRU cell.
 func NewGRUCell(name string, in, hidden int, rng *rand.Rand) *GRUCell {
-	g := &GRUCell{
-		In: in, Hidden: hidden,
+	return &GRUCell{In: in, Hidden: hidden, GRUParams: ad.GRUParams{
 		Wz: ad.NewParamInit(name+".Wz", hidden, in, rng),
 		Uz: ad.NewParamInit(name+".Uz", hidden, hidden, rng),
 		Bz: ad.NewParam(name+".bz", hidden, 1),
@@ -109,36 +92,18 @@ func NewGRUCell(name string, in, hidden int, rng *rand.Rand) *GRUCell {
 		Wh: ad.NewParamInit(name+".Wh", hidden, in, rng),
 		Uh: ad.NewParamInit(name+".Uh", hidden, hidden, rng),
 		Bh: ad.NewParam(name+".bh", hidden, 1),
-	}
-	g.initFused()
-	return g
+	}}
 }
 
-// NewGRUCellZero returns a zero-initialised GRU cell, used as a shell when
-// deserialising trained weights.
-func NewGRUCellZero(name string, in, hidden int) *GRUCell {
-	g := &GRUCell{
-		In: in, Hidden: hidden,
-		Wz: ad.NewParam(name+".Wz", hidden, in),
-		Uz: ad.NewParam(name+".Uz", hidden, hidden),
-		Bz: ad.NewParam(name+".bz", hidden, 1),
-		Wk: ad.NewParam(name+".Wk", hidden, in),
-		Uk: ad.NewParam(name+".Uk", hidden, hidden),
-		Bk: ad.NewParam(name+".bk", hidden, 1),
-		Wh: ad.NewParam(name+".Wh", hidden, in),
-		Uh: ad.NewParam(name+".Uh", hidden, hidden),
-		Bh: ad.NewParam(name+".bh", hidden, 1),
-	}
-	g.initFused()
-	return g
-}
-
-func (g *GRUCell) initFused() {
-	g.fused = ad.GRUParams{
-		Wz: g.Wz, Uz: g.Uz, Bz: g.Bz,
-		Wk: g.Wk, Uk: g.Uk, Bk: g.Bk,
-		Wh: g.Wh, Uh: g.Uh, Bh: g.Bh,
-	}
+// GRUCellOf returns the cell over nine existing parameters, in Params
+// order — how a deserialised cell adopts its decoded weights. The caller has
+// checked their shapes: W· hidden×in, U· hidden×hidden, B· hidden×1.
+func GRUCellOf(in, hidden int, p []*ad.Param) *GRUCell {
+	return &GRUCell{In: in, Hidden: hidden, GRUParams: ad.GRUParams{
+		Wz: p[0], Uz: p[1], Bz: p[2],
+		Wk: p[3], Uk: p[4], Bk: p[5],
+		Wh: p[6], Uh: p[7], Bh: p[8],
+	}}
 }
 
 // Params returns the trainable parameters.
@@ -150,13 +115,8 @@ func (g *GRUCell) Params() []*ad.Param {
 // previous hidden state h_{t−1}, it returns h_t. It records a single fused
 // tape op; StepReference is the equivalent primitive-op chain.
 func (g *GRUCell) Step(t *ad.Tape, x, hPrev *ad.Value) *ad.Value {
-	return t.GRUStep(&g.fused, x, hPrev)
+	return t.GRUStep(&g.GRUParams, x, hPrev)
 }
-
-// Kernel returns the cell's parameters as a tape-free ad.GRUKernel. The
-// returned slices alias the live parameter Data — snapshotting callers
-// (the inference engine) must copy them into their own slabs.
-func (g *GRUCell) Kernel() ad.GRUKernel { return g.fused.Kernel() }
 
 // StepReference is the original composition of Step from primitive tape
 // ops. It computes the same mathematics as Step node by node and exists as

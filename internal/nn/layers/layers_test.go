@@ -15,7 +15,7 @@ func TestDenseShapesAndParams(t *testing.T) {
 	if got := len(d.Params()); got != 2 {
 		t.Fatalf("Params = %d, want 2", got)
 	}
-	tape := ad.NewTape()
+	tape := ad.NewEvalTape()
 	y := d.Apply(tape, tape.Const([]float64{1, 2, 3, 4}))
 	if y.Len() != 3 {
 		t.Fatalf("output len = %d, want 3", y.Len())
@@ -23,8 +23,8 @@ func TestDenseShapesAndParams(t *testing.T) {
 }
 
 func TestDenseZeroIsZero(t *testing.T) {
-	d := NewDenseZero("d", 3, 2)
-	tape := ad.NewTape()
+	d := &Dense{In: 3, Out: 2, W: ad.NewParam("d.W", 2, 3), B: ad.NewParam("d.b", 2, 1)}
+	tape := ad.NewEvalTape()
 	y := d.Apply(tape, tape.Const([]float64{1, 2, 3}))
 	for _, v := range y.Data {
 		if v != 0 {
@@ -35,7 +35,7 @@ func TestDenseZeroIsZero(t *testing.T) {
 
 func TestAPIMaskInitialGate(t *testing.T) {
 	m := NewAPIMask("m", 4)
-	tape := ad.NewTape()
+	tape := ad.NewEvalTape()
 	x := tape.Const([]float64{2, 4, 6, 8})
 	y := m.Apply(tape, x)
 	for i, v := range y.Data {
@@ -57,7 +57,7 @@ func TestGRUStepShapeAndBounds(t *testing.T) {
 	if got := len(g.Params()); got != 9 {
 		t.Fatalf("GRU params = %d, want 9", got)
 	}
-	tape := ad.NewTape()
+	tape := ad.NewEvalTape()
 	h := tape.Const(make([]float64, 5))
 	for i := 0; i < 10; i++ {
 		h = g.Step(tape, tape.Const([]float64{1, -0.5, 2}), h)
@@ -76,8 +76,12 @@ func TestGRUStepShapeAndBounds(t *testing.T) {
 // TestGRUZeroInputFixedPoint: with zero weights, the candidate is tanh(0)=0
 // and the gates are 0.5, so the hidden state halves each step.
 func TestGRUZeroWeightsDecay(t *testing.T) {
-	g := NewGRUCellZero("g", 2, 3)
-	tape := ad.NewTape()
+	var ps []*ad.Param
+	for i := 0; i < 3; i++ {
+		ps = append(ps, ad.NewParam("W", 3, 2), ad.NewParam("U", 3, 3), ad.NewParam("b", 3, 1))
+	}
+	g := GRUCellOf(2, 3, ps)
+	tape := ad.NewEvalTape()
 	h := tape.Const([]float64{1, 1, 1})
 	h = g.Step(tape, tape.Const([]float64{5, 5}), h)
 	for _, v := range h.Data {
@@ -95,6 +99,7 @@ func TestGRULearnsMovingAverage(t *testing.T) {
 	g := NewGRUCell("g", 1, 4, rng)
 	head := NewDense("head", 4, 1, rng)
 	params := append(g.Params(), head.Params()...)
+	ad.BindGrads(nil, params)
 	optimizer := opt.NewAdam(params, 0.02)
 	optimizer.ClipNorm = 5
 
@@ -133,7 +138,7 @@ func TestAttentionApplyAndTopPeers(t *testing.T) {
 	a.Alpha.Data[0] = 0.1
 	a.Alpha.Data[1] = -2
 	a.Alpha.Data[2] = 0.5
-	tape := ad.NewTape()
+	tape := ad.NewEvalTape()
 	v := a.Apply(tape, []int{0, 1, 2}, []float64{1, 0, 0, 1, 1, 1}, 2, 2)
 	want := []float64{0.1 + 0.5, -2 + 0.5}
 	for i := range want {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/nn/ad"
 )
 
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients and zeroes the gradients afterwards.
+// Optimizer updates a fixed set of parameters from the gradients their
+// trainer has bound to them (ad.BindGrads) and zeroes those afterwards.
 type Optimizer interface {
 	// Step applies one update and clears gradients.
 	Step()

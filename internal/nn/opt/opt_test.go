@@ -14,8 +14,15 @@ func quadraticGrad(p *ad.Param, target float64) {
 	}
 }
 
+// boundParam is an n-vector with a gradient bound, as a trainer holds it.
+func boundParam(n int) *ad.Param {
+	p := ad.NewParam("p", n, 1)
+	ad.BindGrads(nil, []*ad.Param{p})
+	return p
+}
+
 func TestSGDConverges(t *testing.T) {
-	p := ad.NewParam("p", 3, 1)
+	p := boundParam(3)
 	p.Data[0], p.Data[1], p.Data[2] = 5, -3, 0.5
 	o := NewSGD([]*ad.Param{p}, 0.1)
 	for i := 0; i < 200; i++ {
@@ -30,7 +37,7 @@ func TestSGDConverges(t *testing.T) {
 }
 
 func TestSGDMomentumConverges(t *testing.T) {
-	p := ad.NewParam("p", 2, 1)
+	p := boundParam(2)
 	p.Data[0], p.Data[1] = 10, -10
 	o := NewSGD([]*ad.Param{p}, 0.05)
 	o.Momentum = 0.9
@@ -46,7 +53,7 @@ func TestSGDMomentumConverges(t *testing.T) {
 }
 
 func TestAdamConverges(t *testing.T) {
-	p := ad.NewParam("p", 4, 1)
+	p := boundParam(4)
 	for i := range p.Data {
 		p.Data[i] = float64(i) * 3
 	}
@@ -63,7 +70,7 @@ func TestAdamConverges(t *testing.T) {
 }
 
 func TestStepZeroesGradients(t *testing.T) {
-	p := ad.NewParam("p", 2, 1)
+	p := boundParam(2)
 	p.Grad[0], p.Grad[1] = 1, 2
 	NewSGD([]*ad.Param{p}, 0.1).Step()
 	if p.Grad[0] != 0 || p.Grad[1] != 0 {
@@ -78,7 +85,7 @@ func TestStepZeroesGradients(t *testing.T) {
 }
 
 func TestClipGradNorm(t *testing.T) {
-	p := ad.NewParam("p", 2, 1)
+	p := boundParam(2)
 	p.Grad[0], p.Grad[1] = 3, 4 // norm 5
 	pre := ClipGradNorm([]*ad.Param{p}, 1)
 	if pre != 5 {
@@ -101,7 +108,7 @@ func TestClipGradNorm(t *testing.T) {
 }
 
 func TestOptimizerParamsAccessor(t *testing.T) {
-	p := ad.NewParam("p", 1, 1)
+	p := boundParam(1)
 	if got := NewSGD([]*ad.Param{p}, 0.1).Params(); len(got) != 1 || got[0] != p {
 		t.Fatal("SGD.Params mismatch")
 	}
@@ -113,7 +120,7 @@ func TestOptimizerParamsAccessor(t *testing.T) {
 // TestAdamScaleInvariance: Adam's per-parameter normalisation makes early
 // steps roughly equal to ±LR regardless of gradient magnitude.
 func TestAdamFirstStepSize(t *testing.T) {
-	p := ad.NewParam("p", 1, 1)
+	p := boundParam(1)
 	p.Grad[0] = 1e6
 	o := NewAdam([]*ad.Param{p}, 0.01)
 	o.Step()
@@ -159,7 +166,7 @@ func (o *adamReference) Step(params []*ad.Param) {
 func testParams(sizes ...int) []*ad.Param {
 	ps := make([]*ad.Param, len(sizes))
 	for i, n := range sizes {
-		ps[i] = ad.NewParam("p", n, 1)
+		ps[i] = boundParam(n)
 		for j := range ps[i].Data {
 			ps[i].Data[j] = float64(i+1) * math.Sin(float64(j+1))
 		}

@@ -59,7 +59,7 @@ func TestWarmup(t *testing.T) {
 }
 
 func TestScheduledOptimizer(t *testing.T) {
-	p := ad.NewParam("p", 1, 1)
+	p := boundParam(1)
 	p.Data[0] = 10
 	inner := NewSGD([]*ad.Param{p}, 999) // overridden by the schedule
 	s := WithSchedule(inner, StepDecay{Base: 0.1, Factor: 0.5, Every: 1})
@@ -83,7 +83,7 @@ func TestScheduledOptimizer(t *testing.T) {
 }
 
 func TestScheduledAdam(t *testing.T) {
-	p := ad.NewParam("p", 1, 1)
+	p := boundParam(1)
 	s := WithSchedule(NewAdam([]*ad.Param{p}, 1), Constant(0.02))
 	p.Grad[0] = 5
 	s.Step()

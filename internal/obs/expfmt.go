@@ -33,6 +33,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	st := r.state
 	st.mu.RLock()
+	rt := st.runtime
+	st.mu.RUnlock()
+	if rt != nil {
+		rt.collect()
+	}
+	st.mu.RLock()
 	fams := make([]*family, 0, len(st.families))
 	for _, f := range st.families {
 		fams = append(fams, f)

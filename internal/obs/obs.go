@@ -99,6 +99,7 @@ type Registry struct {
 type regState struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	runtime  *runtimeCollector // refreshed at every scrape; nil until RegisterRuntime
 }
 
 // labelPair is one constant name/value pair carried by a registry view.

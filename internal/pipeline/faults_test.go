@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -11,36 +12,9 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/estimator"
 	"repro/internal/faults"
 )
-
-func readCheckpointGob(t *testing.T, path string) *checkpointGob {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var g checkpointGob
-	if err := gob.NewDecoder(f).Decode(&g); err != nil {
-		t.Fatal(err)
-	}
-	return &g
-}
-
-func writeCheckpointGob(t *testing.T, path string, g *checkpointGob) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestInjectedRetrainFailureKeepsLastGood is the graceful-degradation
 // contract: while the retrainfail injector makes training attempts fail, the
@@ -213,8 +187,8 @@ func TestCheckpointCorruptionQuarantineAndFallback(t *testing.T) {
 	}
 }
 
-// TestChecksumCatchesModelByteRot: corruption confined to the model bytes
-// decodes as perfectly valid gob; only the checksum catches it.
+// TestChecksumCatchesModelByteRot: a flipped weight bit decodes as a
+// perfectly valid model; only the checksum catches it.
 func TestChecksumCatchesModelByteRot(t *testing.T) {
 	store := toyStore(t, 1, 90)
 	dir := t.TempDir()
@@ -227,10 +201,7 @@ func TestChecksumCatchesModelByteRot(t *testing.T) {
 	if _, err := p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual"); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "gen-000001.ckpt")
-	// Re-encode the checkpoint with flipped model bytes but everything else
-	// intact — gob-valid, semantically rotten.
-	rotModelBytes(t, path)
+	rotModelBytes(t, filepath.Join(dir, "gen-000001.ckpt"))
 
 	p2, err := New(quickOpts(), cfg, sourceOf(store))
 	if err != nil {
@@ -240,16 +211,35 @@ func TestChecksumCatchesModelByteRot(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "corrupt checkpoint") {
 		t.Fatalf("checksum mismatch not reported: n=%d err=%v", n, err)
 	}
+	if _, err := readCheckpoint(filepath.Join(dir, "gen-000001.ckpt.corrupt"), nil); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("the rot was caught by something other than the checksum: %v", err)
+	}
 }
 
-// rotModelBytes flips a byte inside the encoded Model field while keeping
-// the checkpoint gob-decodable, then rewrites the file.
+// rotModelBytes flips one bit of the checkpoint's model stream where the
+// stream stays a model estimator.Load accepts — gob-valid, semantically
+// rotten — and rewrites the file.
 func rotModelBytes(t *testing.T, path string) {
 	t.Helper()
-	g := readCheckpointGob(t, path)
-	if len(g.Model) == 0 {
-		t.Fatal("checkpoint has no model bytes")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.Model[len(g.Model)/2] ^= 0x01
-	writeCheckpointGob(t, path, g)
+	r := bytes.NewReader(data)
+	var meta checkpointMeta
+	if err := gob.NewDecoder(r).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	start := len(data) - r.Len()
+	for i := len(data) - 64; i > start; i-- {
+		data[i] ^= 0x01
+		if _, err := estimator.Load(bytes.NewReader(data[start:])); err == nil {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		data[i] ^= 0x01
+	}
+	t.Fatal("no bit of the model stream flips into a loadable model")
 }

@@ -1,11 +1,13 @@
 package pipeline
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"encoding/gob"
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,8 +59,9 @@ type Registry struct {
 	active atomic.Pointer[Generation]
 
 	// Nil-safe instrumentation handles (see instrument).
-	activeGen *obs.Gauge
-	ckptOps   *obs.CounterVec
+	activeGen   *obs.Gauge
+	weightBytes *obs.Gauge
+	ckptOps     *obs.CounterVec
 
 	mu          sync.Mutex
 	gens        []*Generation // ascending by version
@@ -84,6 +87,8 @@ func (r *Registry) instrument(m *obs.Registry) {
 	}
 	r.activeGen = m.Gauge("deeprest_active_generation",
 		"Version of the model generation currently serving queries (0 before the first publish).")
+	r.weightBytes = m.Gauge("deeprest_model_weight_bytes",
+		"Size of the serving generation's parameters, 8 bytes per weight — the floor of what a tenant costs in memory.")
 	r.ckptOps = m.CounterVec("deeprest_checkpoint_ops_total",
 		"Model checkpoint operations by kind (write, recover) and result (ok, error).",
 		"op", "result")
@@ -109,6 +114,13 @@ func NewRegistry(maxHistory int, dir string) (*Registry, error) {
 // This is the RCU read side: a single atomic load, never blocked by
 // training or publication.
 func (r *Registry) Active() *Generation { return r.active.Load() }
+
+// setActive makes g the serving generation. Callers hold r.mu.
+func (r *Registry) setActive(g *Generation) {
+	r.active.Store(g)
+	r.activeGen.Set(float64(g.Version))
+	r.weightBytes.Set(float64(g.Model().WeightBytes()))
+}
 
 // Publish assigns the next version to g, checkpoints it, appends it to the
 // history (evicting the oldest non-active generation beyond the bound), and
@@ -139,8 +151,7 @@ func (r *Registry) Publish(ctx context.Context, g *Generation) (*Generation, err
 	_, swapSpan := r.tracer.Start(ctx, "pipeline.swap")
 	r.next++
 	r.gens = append(r.gens, g)
-	r.active.Store(g)
-	r.activeGen.Set(float64(g.Version))
+	r.setActive(g)
 	r.evictLocked()
 	swapSpan.End()
 	return g, nil
@@ -178,8 +189,7 @@ func (r *Registry) Activate(version int) (*Generation, error) {
 	for _, g := range r.gens {
 		if g.Version == version {
 			_, span := r.tracer.Start(context.Background(), "pipeline.swap")
-			r.active.Store(g)
-			r.activeGen.Set(float64(g.Version))
+			r.setActive(g)
 			span.End()
 			return g, nil
 		}
@@ -218,29 +228,46 @@ func (r *Registry) versionsLocked() []int {
 
 // --- checkpointing ---
 
-// checkpointGob is the on-disk layout: generation metadata plus the
-// estimator snapshot as produced by Model.Save. The model bytes are nested
-// rather than streamed so the metadata and model decode independently.
-// Checksum guards the model bytes against silent disk corruption that gob
-// would happily decode into a garbage model; Checksummed distinguishes a
-// real zero checksum from a pre-checksum checkpoint (verification is
-// skipped for those legacy files).
-type checkpointGob struct {
-	Version     int
-	Trigger     string
-	From, To    int
-	Warm        bool
-	TrainedAt   time.Time
-	Model       []byte
-	Checksum    uint64
-	Checksummed bool
+// A checkpoint file is a stream: a checkpointMeta gob value, the estimator
+// snapshot exactly as Model.Save streams it (a header, then one value per
+// expert), and a trailing gob uint64 — the FNV-64a digest of every byte
+// before it, which guards against silent disk corruption that gob would
+// happily decode into a garbage model. Writer and reader hash what passes
+// through them, so neither ever holds a serialized model.
+type checkpointMeta struct {
+	// Format is checkpointFormat. Files from before it existed (one gob
+	// value with the model nested as bytes) decode as 0 and are refused.
+	Format    int
+	Version   int
+	Trigger   string
+	From, To  int
+	Warm      bool
+	TrainedAt time.Time
 }
 
-// modelChecksum is the FNV-64a digest of the serialized model bytes.
-func modelChecksum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+// checkpointFormat guards the file layout above.
+const checkpointFormat = 2
+
+// sumReader hashes what is read through it. It is an io.ByteReader so that
+// a gob.Decoder reads it directly, message by message: the decoders that
+// share one checkpoint stream must not buffer past the values they decode.
+type sumReader struct {
+	r *bufio.Reader
+	h hash.Hash64
+}
+
+func (s *sumReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.h.Write(p[:n])
+	return n, err
+}
+
+func (s *sumReader) ReadByte() (byte, error) {
+	b, err := s.r.ReadByte()
+	if err == nil {
+		s.h.Write([]byte{b})
+	}
+	return b, err
 }
 
 func (r *Registry) checkpointPath(version int) string {
@@ -251,25 +278,16 @@ func (r *Registry) checkpointPath(version int) string {
 // so a crash mid-write never leaves a half-written checkpoint behind under
 // the final name.
 func (r *Registry) writeCheckpoint(g *Generation) error {
-	var model bytes.Buffer
-	if err := g.Model().Save(&model); err != nil {
-		return fmt.Errorf("pipeline: serialize generation %d: %w", g.Version, err)
-	}
-	ck := checkpointGob{
-		Version: g.Version, Trigger: g.Trigger, From: g.From, To: g.To,
-		Warm: g.Warm, TrainedAt: g.TrainedAt, Model: model.Bytes(),
-		Checksum: modelChecksum(model.Bytes()), Checksummed: true,
-	}
 	tmp, err := os.CreateTemp(r.dir, "ckpt-*")
 	if err != nil {
 		return fmt.Errorf("pipeline: checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(ck); err != nil {
-		tmp.Close()
-		return fmt.Errorf("pipeline: checkpoint generation %d: %w", g.Version, err)
+	err = streamCheckpoint(tmp, g)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("pipeline: checkpoint generation %d: %w", g.Version, err)
 	}
 	if err := os.Rename(tmp.Name(), r.checkpointPath(g.Version)); err != nil {
@@ -282,6 +300,27 @@ func (r *Registry) writeCheckpoint(g *Generation) error {
 		r.rotCheckpoint(g.Version)
 	}
 	return nil
+}
+
+// streamCheckpoint writes g's checkpoint stream to w.
+func streamCheckpoint(w io.Writer, g *Generation) error {
+	out := bufio.NewWriter(w)
+	sum := fnv.New64a()
+	hashed := io.MultiWriter(out, sum)
+	meta := checkpointMeta{
+		Format: checkpointFormat, Version: g.Version, Trigger: g.Trigger,
+		From: g.From, To: g.To, Warm: g.Warm, TrainedAt: g.TrainedAt,
+	}
+	if err := gob.NewEncoder(hashed).Encode(meta); err != nil {
+		return err
+	}
+	if err := g.Model().Save(hashed); err != nil {
+		return err
+	}
+	if err := gob.NewEncoder(out).Encode(sum.Sum64()); err != nil {
+		return err
+	}
+	return out.Flush()
 }
 
 // rotCheckpoint flips bytes in the middle of a checkpoint file, simulating
@@ -308,20 +347,33 @@ func readCheckpoint(path string, rebuild func(*estimator.Model) *core.System) (*
 		return nil, fmt.Errorf("pipeline: open checkpoint: %w", err)
 	}
 	defer f.Close()
-	var ck checkpointGob
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: %w", filepath.Base(path), err)
+	name := filepath.Base(path)
+	in := &sumReader{r: bufio.NewReader(f), h: fnv.New64a()}
+	var ck checkpointMeta
+	if err := gob.NewDecoder(in).Decode(&ck); err != nil {
+		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: %w", name, err)
 	}
-	if ck.Checksummed && modelChecksum(ck.Model) != ck.Checksum {
-		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: model checksum mismatch", filepath.Base(path))
+	if ck.Format != checkpointFormat {
+		// A file from before the field existed is format 1.
+		return nil, fmt.Errorf("pipeline: checkpoint %s has format %d, this build reads format %d: retrain, or delete the file",
+			name, max(ck.Format, 1), checkpointFormat)
 	}
-	model, err := estimator.Load(bytes.NewReader(ck.Model))
+	model, err := estimator.Load(in)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: %w", name, err)
+	}
+	// The digest is read past the hash, and checked before the model is
+	// handed to anyone.
+	var want uint64
+	if err := gob.NewDecoder(in.r).Decode(&want); err != nil {
+		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: checksum: %w", name, err)
+	}
+	if got := in.h.Sum64(); got != want {
+		return nil, fmt.Errorf("pipeline: corrupt checkpoint %s: checksum mismatch", name)
 	}
 	sys := rebuild(model)
 	if err := sys.EngineErr(); err != nil {
-		return nil, fmt.Errorf("pipeline: checkpoint %s not servable: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("pipeline: checkpoint %s not servable: %w", name, err)
 	}
 	return &Generation{
 		Version: ck.Version, Trigger: "recovered", From: ck.From, To: ck.To,
@@ -333,10 +385,10 @@ func readCheckpoint(path string, rebuild func(*estimator.Model) *core.System) (*
 // real process restart), retaining up to the history bound and activating
 // the newest generation. It returns the number of generations recovered.
 //
-// Corrupt checkpoints (truncated gob, model checksum mismatch, undecodable
-// model) are quarantined — renamed to <name>.corrupt so the next recovery
-// does not trip over them again — and recovery falls back to the remaining
-// valid generations. Corruption is still loud: the quarantined files are
+// Corrupt checkpoints (truncated stream, checksum mismatch, undecodable
+// model, a format this build does not read) are quarantined — renamed to
+// <name>.corrupt so the next recovery does not trip over them again — and
+// recovery falls back to the remaining valid generations. Corruption is still loud: the quarantined files are
 // listed via Quarantined, and if *no* valid checkpoint survives, Recover
 // fails with an error naming the corrupt files rather than silently
 // starting empty.
@@ -388,8 +440,7 @@ func (r *Registry) Recover(rebuild func(*estimator.Model) *core.System) (int, er
 	}
 	r.gens = gens
 	newest := gens[len(gens)-1]
-	r.active.Store(newest)
-	r.activeGen.Set(float64(newest.Version))
+	r.setActive(newest)
 	if newest.Version >= r.next {
 		r.next = newest.Version + 1
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
@@ -241,6 +242,18 @@ func TestCorruptCheckpointFailsLoudly(t *testing.T) {
 			}
 		})
 	})
+	t.Run("trailing checksum", func(t *testing.T) {
+		corrupt(t, func(path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0x01 // the model before it is intact
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 	t.Run("truncated", func(t *testing.T) {
 		corrupt(t, func(path string) {
 			data, err := os.ReadFile(path)
@@ -252,4 +265,32 @@ func TestCorruptCheckpointFailsLoudly(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestFormat1CheckpointRefusedByName pins the migration story: a checkpoint
+// in the old layout — one gob value with the model nested as bytes — is
+// refused with an error that names its format, not as generic corruption.
+func TestFormat1CheckpointRefusedByName(t *testing.T) {
+	type checkpointV1 struct {
+		Version     int
+		Trigger     string
+		Model       []byte
+		Checksum    uint64
+		Checksummed bool
+	}
+	path := filepath.Join(t.TempDir(), "gen-000001.ckpt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(checkpointV1{Version: 1, Trigger: "manual", Model: make([]byte, 4096), Checksummed: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = readCheckpoint(path, nil)
+	if err == nil || !strings.Contains(err.Error(), "gen-000001.ckpt has format 1, this build reads format 2") {
+		t.Fatalf("a format-1 checkpoint: %v", err)
+	}
 }

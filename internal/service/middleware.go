@@ -149,20 +149,25 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		s.httpInFlight.Add(1)
 		start := time.Now()
+		// Deferred, so a handler that aborts its connection
+		// (http.ErrAbortHandler) is still counted, logged and taken off the
+		// in-flight gauge on its way out.
+		defer func() {
+			elapsed := time.Since(start)
+			s.httpInFlight.Add(-1)
+			if sw.code == 0 {
+				sw.code = http.StatusOK
+			}
+			ep := endpointLabel(r)
+			s.httpReqs.With(ep, strconv.Itoa(sw.code)).Inc()
+			s.httpDur.With(ep).Observe(elapsed.Seconds())
+			if s.log != nil {
+				s.log.Info("http request",
+					"method", r.Method, "path", r.URL.Path, "status", sw.code,
+					"bytes", sw.bytes, "duration", elapsed,
+					"request_id", id, "remote", r.RemoteAddr)
+			}
+		}()
 		next.ServeHTTP(sw, r)
-		elapsed := time.Since(start)
-		s.httpInFlight.Add(-1)
-		if sw.code == 0 {
-			sw.code = http.StatusOK
-		}
-		ep := endpointLabel(r)
-		s.httpReqs.With(ep, strconv.Itoa(sw.code)).Inc()
-		s.httpDur.With(ep).Observe(elapsed.Seconds())
-		if s.log != nil {
-			s.log.Info("http request",
-				"method", r.Method, "path", r.URL.Path, "status", sw.code,
-				"bytes", sw.bytes, "duration", elapsed,
-				"request_id", id, "remote", r.RemoteAddr)
-		}
 	})
 }

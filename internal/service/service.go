@@ -161,6 +161,8 @@ type Server struct {
 	estCacheMisses *obs.Counter
 	estDedupHits   *obs.Counter
 
+	modelDownloadFails *obs.Counter
+
 	// Admission state (see withAdmission): owned by the server, so every
 	// caller of Handler shares one bound.
 	admit  chan struct{} // in-flight semaphore; nil = unbounded
@@ -213,8 +215,13 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 			"Estimate requests that had to run the full synthesize-extract-predict path.")
 		s.estDedupHits = m.Counter("deeprest_estimate_cache_dedup_hits_total",
 			"Estimate requests answered by joining an identical in-flight computation (singleflight dedup).")
+		// One counter per process (root view), whichever tenant's download
+		// failed; the warning in the log names the generation.
+		s.modelDownloadFails = m.Root().Counter("deeprest_model_download_failures_total",
+			"GET /v1/model responses that failed mid-stream; the connection is aborted so the client sees an error, not a short model.")
 	}
 	buildinfo.Register(opts.Metrics)
+	obs.RegisterRuntime(opts.Metrics)
 	s.flights = newEstFlights(s.estCache, s.estDedupHits)
 	if cfg.MaxInflight > 0 {
 		s.admit = make(chan struct{}, cfg.MaxInflight)
@@ -710,8 +717,15 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-DeepRest-Model-Version", strconv.Itoa(gen.Version))
 	if err := gen.System.Save(w); err != nil {
-		// Headers are already out; nothing more we can do.
-		return
+		// The status line is out and the body is chunked: returning would
+		// end it cleanly, and the client could not tell the short stream
+		// from a whole one. Aborting the connection is the one error left
+		// to send.
+		s.modelDownloadFails.Inc()
+		if s.log != nil {
+			s.log.Warn("model download aborted mid-stream", "version", gen.Version, "err", err)
+		}
+		panic(http.ErrAbortHandler)
 	}
 }
 
