@@ -51,39 +51,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Hot-path benchmarks for the estimator (one GRU kernel step and one
-# request's attention peer sums at the repo benchmark's widths, each on the
-# Go loops and on the AVX2 kernels, training epoch, expert forward,
-# end-to-end predict on
-# both the eval-tape and the compiled tape-free engine — at toy width and,
-# InferPredictSocial128, at the paper's — plus the 64-client concurrent
-# serving path with p99 and the 16-tenant fleet serving path), recorded as
-# BENCH_estimator.json, plus the ingestion path (bounded Record, cached vs
-# uncached feature reads, zero-alloc extraction, warm vs cold /v1/estimate),
-# recorded as BENCH_ingest.json, plus the topology path (generate, DSL
-# parse/encode, simulate at 30/100/300 components), recorded as
-# BENCH_topo.json, plus the shadow-scoring path (chunk scoring catch-up,
-# scoreboard rendering), recorded as BENCH_quality.json, plus the autoscale
-# control loop (O(log n) allocation lookup, offline planner, one closed-loop
-# day), recorded as BENCH_autoscale.json — all for regression tracking
-# across PRs.
+# The repo benchmark (BENCHMARK.json): a real deeprestd over a real socket,
+# open-loop load, end-to-end metrics gated against the parent commit.
 bench:
-	{ $(GO) test -run='^$$' -bench='GRUKernelStep|PeerSum' -benchmem ./internal/nn/ad ; \
-	  $(GO) test -run='^$$' -bench=. -benchmem ./internal/estimator/... ; \
-	  $(GO) test -run='^$$' -bench='EstimateConcurrent' -benchmem ./internal/service ; \
-	  $(GO) test -run='^$$' -bench='FleetEstimate' -benchmem ./internal/fleet ; } | \
-		$(GO) run ./cmd/benchjson -out BENCH_estimator.json
-	$(GO) test -run='^$$' -bench='Record|Features|Extract|EstimateWarm|EstimateCold' -benchmem \
-		./internal/telemetry ./internal/features ./internal/service | \
-		$(GO) run ./cmd/benchjson -out BENCH_ingest.json
-	$(GO) test -run='^$$' -bench='Topo' -benchmem ./internal/topo | \
-		$(GO) run ./cmd/benchjson -out BENCH_topo.json
-	$(GO) test -run='^$$' -bench='Scorer' -benchmem ./internal/quality | \
-		$(GO) run ./cmd/benchjson -out BENCH_quality.json
-	$(GO) test -run='^$$' -bench='AllocationAt|PlanSeries|CtrlLoop' -benchmem \
-		./internal/autoscale ./internal/ctrl | \
-		$(GO) run ./cmd/benchjson -out BENCH_autoscale.json
+	bash bench/run.sh
 
+# Every microbenchmark, as plain go test output; nothing is recorded.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/topo"
@@ -65,14 +64,9 @@ func main() {
 
 	switch *format {
 	case "csv":
-		fmt.Printf("window,%s\n", strings.Join(traffic.APIs, ","))
-		for w, counts := range traffic.Windows {
-			row := make([]string, len(traffic.APIs)+1)
-			row[0] = fmt.Sprint(w)
-			for i, api := range traffic.APIs {
-				row[i+1] = fmt.Sprint(counts[api])
-			}
-			fmt.Println(strings.Join(row, ","))
+		if err := traffic.WriteCSV(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+			os.Exit(1)
 		}
 	case "summary":
 		fmt.Printf("%d days x %d windows (%gs each), shape=%s, peak=%.0f rps, total=%d requests\n",

@@ -11,11 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Hot-path benchmarks tracked in BENCH_estimator.json by `make bench`. They
-// measure the three loops everything sits on: one truncated-BPTT training
-// epoch of a single expert, a gradient-free forward pass, and end-to-end
-// multi-expert prediction. ReportAllocs makes the allocation trajectory part
-// of the recorded perf history.
+// Hot-path benchmarks of the three loops everything sits on: one
+// truncated-BPTT training epoch of a single expert, a gradient-free forward
+// pass, and end-to-end multi-expert prediction.
 
 func benchFixture(b *testing.B, pairs ...app.Pair) (*Model, [][]float64, map[app.Pair][]float64) {
 	b.Helper()
@@ -132,7 +130,7 @@ func socialDay(tb testing.TB) *sim.Run {
 // features) at the paper's width, 48 windows, three phase-A epochs and the
 // default six of phase B — both phases, the peer-state pass between them and
 // the per-worker workspaces, so ns/op moves with `learn_cpu_s` (divide by
-// GOMAXPROCS for the wall share). Not in BENCH_estimator.json.
+// GOMAXPROCS for the wall share).
 func BenchmarkTrainSocial128(b *testing.B) {
 	run := socialDay(b)
 	cfg := DefaultConfig()

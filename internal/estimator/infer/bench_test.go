@@ -10,9 +10,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// Serving-path benchmarks tracked in BENCH_estimator.json by `make bench`.
-// They share BenchmarkModelPredict's fixture (same telemetry, same training
-// configuration, one day of windows) so ns/op and allocs/op are directly
+// Serving-path benchmarks. They share BenchmarkModelPredict's fixture (same
+// telemetry, same training configuration, one day of windows) so ns/op and allocs/op are directly
 // comparable: ModelPredict is the eval-tape baseline, InferPredict is the
 // compiled tape-free engine on the identical computation, InferBatched is
 // the multi-series pass core.EstimateTrafficBatch runs for offline forecasts.

@@ -38,13 +38,8 @@ type Config struct {
 	AttentionEpochs int
 	// ChunkLen is the truncated-BPTT segment length in windows.
 	ChunkLen int
-	// LR is the learning rate.
+	// LR is the Adam learning rate, held constant over the run.
 	LR float64
-	// Optimizer selects "adam" (default) or "sgd" (the paper's choice;
-	// slower to converge at equal epochs).
-	Optimizer string
-	// Momentum applies to the sgd optimizer.
-	Momentum float64
 	// ClipNorm bounds the per-step global gradient norm.
 	ClipNorm float64
 	// Seed drives parameter initialisation and chunk shuffling.
@@ -67,13 +62,6 @@ type Config struct {
 	// BypassL1 penalises the linear bypass weights (λ·Σ|S|), for the
 	// same attribution reason.
 	BypassL1 float64
-	// LRSchedule selects the learning-rate schedule: "" or "constant"
-	// holds LR (the default — it reproduces the paper's evaluation shape
-	// best at full scale), "cosine" anneals to LR/10 over the training
-	// run, "step" halves the rate every third of the run. The annealed
-	// schedules include a short linear warmup and converge more robustly
-	// on very short runs.
-	LRSchedule string
 	// Parallelism bounds concurrent expert training; 0 means GOMAXPROCS.
 	Parallelism int
 	// Log, when non-nil, receives one line per epoch phase.
@@ -136,7 +124,6 @@ func DefaultConfig() Config {
 		AttentionEpochs: 6,
 		ChunkLen:        64,
 		LR:              0.01,
-		Optimizer:       "adam",
 		ClipNorm:        5,
 		Seed:            1,
 		UseMask:         true,
@@ -412,14 +399,6 @@ func (ws *workspace) bindGrads(params []*ad.Param) (unbind func()) {
 	return func() { ad.UnbindGrads(params) }
 }
 
-// adamFor returns the workspace's Adam restarted over params: zero moments
-// and step count, the state opt.NewAdam would hand out.
-func (ws *workspace) adamFor(params []*ad.Param, cfg Config) *opt.Adam {
-	ws.adam.Reset(params)
-	ws.adam.LR, ws.adam.ClipNorm = cfg.LR, cfg.ClipNorm
-	return ws.adam
-}
-
 // forEachExpert runs fn for every pair with bounded parallelism; fn
 // receives the pair's index in training order (the basis of its
 // deterministic per-expert seed) and the calling worker's workspace.
@@ -536,34 +515,42 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 	if len(x) != len(target) {
 		return fmt.Errorf("estimator: %s: %d inputs vs %d targets", e.Pair, len(x), len(target))
 	}
-	params := e.Params()
+	zeroAttn := make([]float64, e.Hidden)
+	zeroH := make([]float64, e.Hidden)
+	var h *ad.Value
+	return trainChunks(ws, e, PhaseTrain, e.Params(), target, cfg, epochs, q, seed,
+		func(tape *ad.Tape, t int, first bool) *ad.Value {
+			if first {
+				h = tape.Const(zeroH)
+			}
+			xt := e.maskedInput(tape, x[t])
+			h = e.Cell.Step(tape, xt, h)
+			return e.stepOutput(tape, xt, h, tape.Const(zeroAttn))
+		},
+		func() { e.addRegularizationGrads(cfg) })
+}
+
+// trainChunks is the training loop both phases share: epochs passes over the
+// series in ChunkLen-window chunks, visited in an order shuffled from seed
+// (one Shuffle per epoch is the only draw), each chunk's mean pinball loss
+// over step's outputs refused if non-finite, differentiated, handed to
+// afterBackward and stepped with the workspace's Adam over params; one
+// ProgressEvent per epoch. step records the expert's output for window t on
+// the tape; first marks a chunk's first window, where recurrent state
+// restarts.
+func trainChunks(ws *workspace, e *Expert, phase string, params []*ad.Param, target []float64, cfg Config, epochs int, q []float64, seed int64,
+	step func(tape *ad.Tape, t int, first bool) *ad.Value, afterBackward func()) error {
 	defer ws.bindGrads(params)()
-	var optimizer opt.Optimizer
-	switch cfg.Optimizer {
-	case "", "adam":
-		optimizer = ws.adamFor(params, cfg)
-	case "sgd":
-		s := opt.NewSGD(params, cfg.LR)
-		s.Momentum = cfg.Momentum
-		s.ClipNorm = cfg.ClipNorm
-		optimizer = s
-	default:
-		return fmt.Errorf("estimator: unknown optimizer %q", cfg.Optimizer)
-	}
+	ws.adam.Reset(params)
+	ws.adam.LR, ws.adam.ClipNorm = cfg.LR, cfg.ClipNorm
 
 	rng := rand.New(rand.NewSource(seed))
-	nChunks := (len(x) + cfg.ChunkLen - 1) / cfg.ChunkLen
-	optimizer, err2 := scheduledOptimizer(optimizer, cfg, epochs*nChunks)
-	if err2 != nil {
-		return err2
-	}
+	nChunks := (len(target) + cfg.ChunkLen - 1) / cfg.ChunkLen
 	order := make([]int, nChunks)
 	for i := range order {
 		order[i] = i
 	}
 	tape := ws.tape
-	zeroAttn := make([]float64, e.Hidden)
-	zeroH := make([]float64, e.Hidden)
 	// The target triple and per-chunk loss list are reused across chunks
 	// and epochs: Pinball copies the targets onto the tape, and the
 	// SumScalars operand slice is only read up to Backward below.
@@ -577,16 +564,13 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 		for _, ci := range order {
 			from := ci * cfg.ChunkLen
 			to := from + cfg.ChunkLen
-			if to > len(x) {
-				to = len(x)
+			if to > len(target) {
+				to = len(target)
 			}
 			tape.Reset()
-			h := tape.Const(zeroH)
 			losses = losses[:0]
 			for t := from; t < to; t++ {
-				xt := e.maskedInput(tape, x[t])
-				h = e.Cell.Step(tape, xt, h)
-				y := e.stepOutput(tape, xt, h, tape.Const(zeroAttn))
+				y := step(tape, t, t == from)
 				for j := range tgt {
 					tgt[j] = target[t]
 				}
@@ -599,12 +583,12 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 			}
 			tape.Backward(mean)
 			epochLoss += mean.Data[0]
-			e.addRegularizationGrads(cfg)
-			optimizer.Step()
+			afterBackward()
+			ws.adam.Step()
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(ProgressEvent{
-				Pair: e.Pair.String(), Phase: PhaseTrain,
+				Pair: e.Pair.String(), Phase: phase,
 				Epoch: ep + 1, Epochs: epochs,
 				Loss:     epochLoss / float64(nChunks),
 				Duration: time.Since(epochStart),
@@ -649,82 +633,17 @@ func trainExpertHead(ws *workspace, e *Expert, x [][]float64, target []float64, 
 			copy(bypass[3*i:], e.Bypass.Apply(t, e.maskedInput(t, row)).Data)
 		}
 	}
-
-	params := append(e.Head.Params(), e.Attn.Params()...)
-	defer ws.bindGrads(params)()
-	a := ws.adamFor(params, cfg)
-
-	rng := rand.New(rand.NewSource(seed))
-	nChunks := (len(x) + cfg.ChunkLen - 1) / cfg.ChunkLen
-	order := make([]int, nChunks)
-	for i := range order {
-		order[i] = i
-	}
-	tape := ws.tape
-	tgt := make([]float64, len(q))
-	losses := make([]*ad.Value, 0, cfg.ChunkLen)
-	for ep := 0; ep < epochs; ep++ {
-		epochStart := time.Now()
-		epochLoss := 0.0
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, ci := range order {
-			from := ci * cfg.ChunkLen
-			to := from + cfg.ChunkLen
-			if to > len(x) {
-				to = len(x)
+	return trainChunks(ws, e, PhaseAttention, append(e.Head.Params(), e.Attn.Params()...), target, cfg, epochs, q, seed,
+		func(tape *ad.Tape, t int, _ bool) *ad.Value {
+			h := tape.Const(peers.state(peers.self, t))
+			attn := peers.attend(tape, e.Attn, t)
+			y := e.Head.Apply(tape, tape.Concat(attn, h))
+			if e.UseBypass {
+				y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
 			}
-			tape.Reset()
-			losses = losses[:0]
-			for t := from; t < to; t++ {
-				h := tape.Const(peers.state(peers.self, t))
-				attn := peers.attend(tape, e.Attn, t)
-				y := e.Head.Apply(tape, tape.Concat(attn, h))
-				if e.UseBypass {
-					y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
-				}
-				for j := range tgt {
-					tgt[j] = target[t]
-				}
-				losses = append(losses, tape.Pinball(y, tgt, q))
-			}
-			total := tape.SumScalars(losses...)
-			mean := tape.ScaleConst(total, 1/float64(to-from))
-			if err := finiteLoss(e, mean, ep); err != nil {
-				return err
-			}
-			tape.Backward(mean)
-			epochLoss += mean.Data[0]
-			a.Step()
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(ProgressEvent{
-				Pair: e.Pair.String(), Phase: PhaseAttention,
-				Epoch: ep + 1, Epochs: epochs,
-				Loss:     epochLoss / float64(nChunks),
-				Duration: time.Since(epochStart),
-			})
-		}
-	}
-	return nil
-}
-
-// scheduledOptimizer wraps the optimizer with the configured learning-rate
-// schedule; totalSteps sizes annealing horizons.
-func scheduledOptimizer(o opt.Optimizer, cfg Config, totalSteps int) (opt.Optimizer, error) {
-	if totalSteps < 1 {
-		totalSteps = 1
-	}
-	warm := totalSteps / 20
-	switch cfg.LRSchedule {
-	case "", "constant":
-		return o, nil
-	case "cosine":
-		return opt.WithSchedule(o, opt.Warmup{Steps: warm, Inner: opt.Cosine{Base: cfg.LR, Min: cfg.LR / 10, Period: totalSteps}}), nil
-	case "step":
-		return opt.WithSchedule(o, opt.Warmup{Steps: warm, Inner: opt.StepDecay{Base: cfg.LR, Factor: 0.5, Every: (totalSteps + 2) / 3}}), nil
-	default:
-		return nil, fmt.Errorf("estimator: unknown LR schedule %q", cfg.LRSchedule)
-	}
+			return y
+		},
+		func() {})
 }
 
 // addRegularizationGrads adds the L1 attribution penalties' gradients on

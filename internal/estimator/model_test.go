@@ -194,12 +194,6 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(run.Windows, run.Usage, badCfg); err == nil {
 		t.Error("Train with zero hidden should fail")
 	}
-	badOpt := cfg
-	badOpt.Optimizer = "lbfgs"
-	usage := testutil.FocusPairs(run.Usage, app.Pair{Component: "Service", Resource: app.CPU})
-	if _, err := Train(run.Windows, usage, badOpt); err == nil {
-		t.Error("Train with unknown optimizer should fail")
-	}
 }
 
 // TestMaskInterpretation checks that the learned API-aware mask attributes
@@ -299,40 +293,6 @@ func TestVariableDurationQueries(t *testing.T) {
 		if mape > 20 {
 			t.Errorf("%v-day query MAPE %.2f%% too high", days, mape)
 		}
-	}
-}
-
-// TestLRSchedules trains under each learning-rate schedule and checks all
-// reach a usable in-sample fit (and that unknown names are rejected).
-func TestLRSchedules(t *testing.T) {
-	_, _, run := testutil.ToyTelemetry(t, 2, 30, 13)
-	p := app.Pair{Component: "Service", Resource: app.CPU}
-	usage := testutil.FocusPairs(run.Usage, p)
-	for _, sched := range []string{"", "constant", "cosine", "step"} {
-		cfg := testConfig()
-		cfg.LRSchedule = sched
-		m, err := Train(run.Windows, usage, cfg)
-		if err != nil {
-			t.Fatalf("schedule %q: %v", sched, err)
-		}
-		est, err := m.Predict(run.Windows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mape := eval.MAPE(est[p].Exp, usage[p])
-		t.Logf("schedule %q: in-sample MAPE=%.2f%%", sched, mape)
-		// Constant LR can stall on short runs (that is why cosine is
-		// the default); only the annealed schedules carry a bound.
-		if sched == "cosine" || sched == "step" {
-			if mape > 15 {
-				t.Errorf("schedule %q: MAPE %.2f%% too high", sched, mape)
-			}
-		}
-	}
-	cfg := testConfig()
-	cfg.LRSchedule = "bogus"
-	if _, err := Train(run.Windows, usage, cfg); err == nil {
-		t.Error("unknown schedule must fail")
 	}
 }
 

@@ -50,7 +50,7 @@ func sweepFocusPairs(spec *app.Spec, k int) []app.Pair {
 // GenSweep trains DeepRest on generated topologies of increasing size and
 // reports Mode-1 estimation error at an unseen 2x traffic scale — the
 // accuracy half of the EXPERIMENTS.md topology-size sweep (the wall-clock
-// half lives in BENCH_topo.json). Unlike the paper-figure labs it trains
+// half is `go test -bench Topo ./internal/topo`). Unlike the paper-figure labs it trains
 // only DeepRest, on a fixed-size focus set of CPU experts, so the sweep
 // isolates how estimation quality holds up as the topology grows rather
 // than how long full provisioning takes. The app list defaults to

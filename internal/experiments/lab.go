@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/app"
 	"repro/internal/baselines"
@@ -421,16 +420,6 @@ func cpuPairs(components ...string) []app.Pair {
 	for i, c := range components {
 		out[i] = app.Pair{Component: c, Resource: app.CPU}
 	}
-	return out
-}
-
-// sortedPairs returns pairs in deterministic order.
-func sortedPairs(m map[app.Pair][]float64) []app.Pair {
-	out := make([]app.Pair, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 

@@ -313,23 +313,13 @@ func (f *Fleet) Get(id string) (*Tenant, bool) {
 	return t, ok
 }
 
-// Default returns the tenant aliased by legacy un-prefixed routes (the
-// first created, unless SetDefault changed it); nil when none.
+// Default returns the tenant aliased by legacy un-prefixed routes: the
+// first created, and after that one is retired the next one created; nil
+// when none.
 func (f *Fleet) Default() *Tenant {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.tenants[f.deflt]
-}
-
-// SetDefault re-points the legacy alias at a resident tenant.
-func (f *Fleet) SetDefault(id string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.tenants[id]; !ok {
-		return fmt.Errorf("fleet: no tenant %q", id)
-	}
-	f.deflt = id
-	return nil
 }
 
 // TrainWorkers reports the resolved size of the shared training pool.

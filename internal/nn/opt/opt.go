@@ -1,6 +1,6 @@
-// Package opt implements first-order optimizers over ad.Param sets: plain
-// SGD (the paper's choice, §5.1), SGD with momentum, and Adam, plus global
-// gradient-norm clipping for stable recurrent training.
+// Package opt implements the optimizer every model here trains with — Adam
+// over an ad.Param set — plus global gradient-norm clipping for stable
+// recurrent training.
 package opt
 
 import (
@@ -8,15 +8,6 @@ import (
 
 	"repro/internal/nn/ad"
 )
-
-// Optimizer updates a fixed set of parameters from the gradients their
-// trainer has bound to them (ad.BindGrads) and zeroes those afterwards.
-type Optimizer interface {
-	// Step applies one update and clears gradients.
-	Step()
-	// Params returns the parameter set being optimized.
-	Params() []*ad.Param
-}
 
 // ClipGradNorm scales all gradients so their global L2 norm does not exceed
 // maxNorm, and returns the pre-clip norm. A non-positive maxNorm is a no-op.
@@ -40,54 +31,9 @@ func ClipGradNorm(params []*ad.Param, maxNorm float64) float64 {
 	return norm
 }
 
-// SGD is stochastic gradient descent with optional momentum and gradient
-// clipping.
-type SGD struct {
-	// LR is the learning rate.
-	LR float64
-	// Momentum in [0, 1); zero yields plain SGD.
-	Momentum float64
-	// ClipNorm bounds the global gradient norm per step; 0 disables.
-	ClipNorm float64
-
-	params   []*ad.Param
-	velocity [][]float64
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(params []*ad.Param, lr float64) *SGD {
-	return &SGD{LR: lr, params: params}
-}
-
-// Params implements Optimizer.
-func (o *SGD) Params() []*ad.Param { return o.params }
-
-// Step implements Optimizer.
-func (o *SGD) Step() {
-	ClipGradNorm(o.params, o.ClipNorm)
-	if o.Momentum > 0 && o.velocity == nil {
-		o.velocity = make([][]float64, len(o.params))
-		for i, p := range o.params {
-			o.velocity[i] = make([]float64, p.Size())
-		}
-	}
-	for i, p := range o.params {
-		if o.Momentum > 0 {
-			v := o.velocity[i]
-			for j := range p.Data {
-				v[j] = o.Momentum*v[j] + p.Grad[j]
-				p.Data[j] -= o.LR * v[j]
-			}
-		} else {
-			for j := range p.Data {
-				p.Data[j] -= o.LR * p.Grad[j]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
+// Adam is the Adam optimizer (Kingma & Ba) with bias correction. It updates
+// a fixed set of parameters from the gradients their trainer has bound to
+// them (ad.BindGrads) and zeroes those afterwards.
 type Adam struct {
 	// LR is the learning rate.
 	LR float64
@@ -138,10 +84,7 @@ func (o *Adam) Reset(params []*ad.Param) {
 	}
 }
 
-// Params implements Optimizer.
-func (o *Adam) Params() []*ad.Param { return o.params }
-
-// Step implements Optimizer. The update itself is ad.AdamUpdate — the
+// Step applies one update. The update itself is ad.AdamUpdate — the
 // arithmetic of Kingma & Ba's Algorithm 1 with both bias corrections — which
 // also zeroes the gradients.
 func (o *Adam) Step() {

@@ -225,24 +225,3 @@ func (m *LatencyModel) SLOViolations(windows []map[string]int, windowSeconds, sl
 	}
 	return violations, nil
 }
-
-// InflationViolations counts windows where any API's mean latency exceeds
-// maxInflation × its zero-load latency (or a component saturates) — a
-// scale-free queueing SLO that is meaningful regardless of the absolute
-// service-time scale of the deployment.
-func (m *LatencyModel) InflationViolations(windows []map[string]int, windowSeconds, maxInflation float64) (int, error) {
-	violations := 0
-	for _, reqs := range windows {
-		_, lats, err := m.Evaluate(reqs, windowSeconds)
-		if err != nil {
-			return 0, err
-		}
-		for _, lat := range lats {
-			if lat.Saturated || (lat.NoQueueMs > 0 && lat.MeanMs > maxInflation*lat.NoQueueMs) {
-				violations++
-				break
-			}
-		}
-	}
-	return violations, nil
-}

@@ -59,7 +59,7 @@ func BenchmarkRecord(b *testing.B) {
 }
 
 // BenchmarkRecordUnbounded is the same ingest without retention or an
-// extractor — the seed store's behaviour — for comparison in BENCH_ingest.
+// extractor — the seed store's behaviour — for comparison.
 func BenchmarkRecordUnbounded(b *testing.B) {
 	s := NewServer(60)
 	w := benchWindow()
