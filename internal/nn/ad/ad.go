@@ -134,7 +134,8 @@ func (p *Param) ZeroGrad() {
 type opcode uint8
 
 const (
-	opLeaf opcode = iota // Const / Use: nothing to do
+	opLeaf opcode = iota // Const: nothing to do
+	opUse                // nothing to do: Grad is the parameter's own
 	opMatVec
 	opAdd
 	opSub
@@ -211,6 +212,11 @@ type Tape struct {
 	nodeOff  int
 
 	scratch []float64 // fused-op backward workspace
+
+	// The GRU steps whose weight gradients Backward has yet to form, and
+	// flushGRU's table (gru.go).
+	gruSteps []*Value
+	terms    []outer
 }
 
 // NewTape returns an empty training tape: operations record gradients and
@@ -229,6 +235,7 @@ func (t *Tape) Reset() {
 	t.nodes = t.nodes[:0]
 	t.slab, t.slabOff = 0, 0
 	t.nodeIdx, t.nodeOff = 0, 0
+	t.gruSteps = t.gruSteps[:0]
 }
 
 // NumNodes returns the number of recorded graph nodes.
@@ -315,6 +322,7 @@ func (t *Tape) Use(p *Param) *Value {
 	v := t.newNode()
 	v.Data, v.Grad = p.Data, p.Grad
 	v.Rows, v.Cols = p.Rows, p.Cols
+	v.op = opUse
 	return t.record(v)
 }
 
@@ -582,6 +590,7 @@ func (t *Tape) Backward(root *Value) {
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		t.backstep(t.nodes[i])
 	}
+	t.flushGRU()
 }
 
 // backstep applies one node's backward rule. Each case reproduces, float
@@ -589,10 +598,11 @@ func (t *Tape) Backward(root *Value) {
 // closure-based engine, so results are bit-identical.
 func (t *Tape) backstep(v *Value) {
 	switch v.op {
-	case opLeaf:
+	case opLeaf, opUse:
 	case opMatVec:
 		w, x := v.a, v.b
-		matVecAdjoint(w.Grad, x.Grad, w.Data, x.Data, v.Grad)
+		colSums(x.Grad, w.Data, v.Grad)
+		outerSums(w.Grad, []outer{{delta: v.Grad, x: x.Data}})
 	case opAdd:
 		a, b := v.a, v.b
 		for i, g := range v.Grad {

@@ -2,38 +2,71 @@ package ad
 
 import "math"
 
-// The training half of the dense kernels: the adjoint of a mat-vec, the
-// adjoint of the attention peer sum, and the Adam update. Each is the Go loop
-// the tape and the optimizer always ran, with an AVX2 rung in front of it
-// whose lanes are columns of the destination (see simd_amd64.s): a memory
-// location receives the same addends in the same order either way.
-
-// matVecAdjoint is the backward rule of y = W·x given g = ∂loss/∂y, for the
-// len(g) rows of the row-major w: for every row i whose g[i] is not zero, in
-// ascending i,
+// The training half of the dense kernels: the two products of a mat-vec
+// adjoint, the adjoint of the attention peer sum, and the Adam update. Each is
+// the Go loop the tape and the optimizer always ran, with an AVX2 rung in
+// front of it whose lanes are columns of the destination (see simd_amd64.s):
+// a memory location receives the same addends in the same order either way.
 //
-//	wGrad[i,j] += g[i]·x[j]    xGrad[j] += g[i]·w[i,j]
+// The backward rule of y = W·x given δ = ∂loss/∂y is, for every row i whose
+// δ[i] is not zero, in ascending i,
 //
-// A zero g[i] skips its row, as the MatVec adjoint always has: the skipped
+//	xGrad[j] += δ[i]·w[i,j]    wGrad[i,j] += δ[i]·x[j]
+//
+// A zero δ[i] skips its row, as the MatVec adjoint always has: the skipped
 // addends are ±0 unless x or w holds a non-finite value, and then skipping
-// is what keeps a dead row from turning the gradient into NaN.
-func matVecAdjoint(wGrad, xGrad, w, x, g []float64) {
-	cols := len(x)
-	xGrad = xGrad[:cols]
+// is what keeps a dead row from turning the gradient into NaN. The two
+// updates touch different memory, so they are two kernels: colSums is needed
+// at once (the recurrence consumes xGrad), outerSums can wait for every
+// product into the same W the caller has collected.
+
+// colSums adds the transposed product to xGrad: xGrad[j] += Σ_i g[i]·w[i,j]
+// over the len(g) rows of the row-major w, i ascending, zero g[i] skipped.
+func colSums(xGrad, w, g []float64) {
+	cols := len(xGrad)
+	w = w[:len(g)*cols]
+	// The assembly takes bare pointers: an empty matrix must not reach it.
+	if useAVX2 && len(w) > 0 {
+		colSumsAVX2(&xGrad[0], &w[0], &g[0], len(g), cols)
+		return
+	}
 	for i, gi := range g {
-		if gi == 0 {
-			continue
+		if gi != 0 {
+			for j, wij := range w[i*cols:][:len(xGrad)] {
+				xGrad[j] += gi * wij
+			}
 		}
-		wrow := w[i*cols : (i+1)*cols]
+	}
+}
+
+// outer is one addend δ·xᵀ of a weight gradient. The assembly reads the two
+// data pointers where a slice header keeps them.
+type outer struct{ delta, x []float64 }
+
+// outerSums adds the terms' outer products to the row-major wGrad:
+// wGrad[i,j] += Σ_t δ_t[i]·x_t[j], t in terms order, zero δ_t[i] skipped —
+// per location what one mat-vec adjoint after another adds, with (in the
+// assembly) the location loaded and stored once instead of once per term.
+func outerSums(wGrad []float64, terms []outer) {
+	rows, cols := len(terms[0].delta), len(terms[0].x)
+	wGrad = wGrad[:rows*cols]
+	for t := range terms {
+		if len(terms[t].delta) != rows || len(terms[t].x) != cols {
+			panic("ad: outerSums terms of different shapes")
+		}
+	}
+	if useAVX2 && len(wGrad) > 0 {
+		outerSumsAVX2(&wGrad[0], rows, cols, &terms[0], len(terms))
+		return
+	}
+	for i := 0; i < rows; i++ {
 		grow := wGrad[i*cols : (i+1)*cols]
-		// The assembly takes bare pointers: an empty row must not reach it.
-		if useAVX2 && cols > 0 {
-			axpy2AVX2(&grow[0], &xGrad[0], &x[0], &wrow[0], gi, cols)
-			continue
-		}
-		for j := range wrow {
-			grow[j] += gi * x[j]
-			xGrad[j] += gi * wrow[j]
+		for t := range terms {
+			if d := terms[t].delta[i]; d != 0 {
+				for j, xj := range terms[t].x[:len(grow)] {
+					grow[j] += d * xj
+				}
+			}
 		}
 	}
 }

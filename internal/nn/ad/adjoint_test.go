@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -78,8 +79,10 @@ func requireSame(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// checkColumnKernels holds the three column-lane kernels, on the selected
-// implementation, to the loops above over one rows×cols shape: matVecAdjoint
+// checkColumnKernels holds the column-lane kernels, on the selected
+// implementation, to the loops above over one rows×cols shape: colSums and
+// outerSums — first as the one mat-vec adjoint they replace, then outerSums
+// over three products into one gradient against three adjoints in turn —
 // with every third δ exactly zero (so skipped rows sit beside whatever edge
 // values the operands hold — a ±Inf in x or w would make the skipped addend
 // NaN), peerDots with rows peers of cols floats strided as in a trajectory
@@ -89,17 +92,32 @@ func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals 
 	what := fmt.Sprintf("%dx%d+%d", rows, cols, off)
 
 	w := fillAt(rows*cols, off, rng, vals, oneIn)
-	x := fillAt(cols, off+2, rng, vals, oneIn)
-	g := fillAt(rows, off+1, rng, vals, oneIn)
-	for i := 0; i < rows; i += 3 {
-		g[i] = 0
-	}
 	wGrad, xGrad := fillAt(rows*cols, off+1, rng, nil, 0), fillAt(cols, off, rng, nil, 0)
 	wantW, wantX := cloneAt(wGrad, 0), cloneAt(xGrad, 0)
-	matVecAdjoint(wGrad, xGrad, w, x, g)
-	matVecAdjointLoop(wantW, wantX, w, x, g)
-	requireSame(t, what+" wGrad", wGrad, wantW)
-	requireSame(t, what+" xGrad", xGrad, wantX)
+	var terms []outer
+	for s := 0; s < 3 && rows > 0; s++ {
+		x := fillAt(cols, off+2+s, rng, vals, oneIn)
+		g := fillAt(rows, off+1+s, rng, vals, oneIn)
+		for i := s; i < rows; i += 3 {
+			g[i] = 0
+		}
+		terms = append(terms, outer{delta: g, x: x})
+		if s > 0 {
+			continue
+		}
+		colSums(xGrad, w, g)
+		outerSums(wGrad, terms)
+		matVecAdjointLoop(wantW, wantX, w, x, g)
+		requireSame(t, what+" wGrad", wGrad, wantW)
+		requireSame(t, what+" xGrad", xGrad, wantX)
+	}
+	if rows > 0 {
+		outerSums(wGrad, terms)
+		for _, s := range terms {
+			matVecAdjointLoop(wantW, wantX, w, s.x, s.delta)
+		}
+		requireSame(t, what+" wGrad of three terms", wGrad, wantW)
+	}
 
 	if rows > 0 && cols > 0 {
 		const steps = 3 // the slab holds three steps per peer; read the last
@@ -132,51 +150,141 @@ func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals 
 	requireSame(t, what+" adam grad", grad, wg)
 }
 
-// gruGrads runs one GRUStep forward and its hand-written backward from the
-// upstream gradient gh and returns every gradient the step produces: the
-// nine parameter tensors', x's and hPrev's. Parameter Data and Grad start at
-// odd elements of their arrays.
-func gruGrads(in, hid int, seed int64, xEdge float64, gh []float64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	p := newTestGRU(in, hid, rng)
-	params := []*Param{p.Wz, p.Uz, p.Bz, p.Wk, p.Uk, p.Bk, p.Wh, p.Uh, p.Bh}
-	for i, q := range params {
-		q.Data = cloneAt(q.Data, 1+2*(i%3))
-		q.Grad = cloneAt(q.Grad, 1+2*((i+1)%3))
-	}
-	x := fillAt(in, 1, rng, nil, 0)
-	if xEdge != 0 {
-		x[in/2] = xEdge
-	}
-	h := fillAt(hid, 3, rng, nil, 0)
+// gruBackwardLoop is the GRU adjoint as it ran before the weight gradients
+// were deferred: every step forms all six of its own, through the loop above.
+func gruBackwardLoop(v *Value) {
+	g, x, hPrev := v.gru, v.a, v.b
+	hid := g.Wz.Rows
+	z, k, c, kh := v.aux[:hid], v.aux[hid:2*hid], v.aux[2*hid:3*hid], v.aux[3*hid:4*hid]
+	gh := v.Grad
+	xd, hd := x.Data, hPrev.Data
 
+	buf := make([]float64, 4*hid)
+	s2g, s6g, khg, s4g := buf[:hid], buf[hid:2*hid], buf[2*hid:3*hid], buf[3*hid:]
+
+	for i := 0; i < hid; i++ {
+		zg := 0.0
+		zg -= gh[i] * c[i]
+		zg += gh[i] * hd[i]
+		s2g[i] = zg
+		hPrev.Grad[i] += gh[i] * z[i]
+	}
+	for i := 0; i < hid; i++ {
+		cg := gh[i] * (1 - z[i])
+		s6 := cg * (1 - c[i]*c[i])
+		s6g[i] = s6
+		g.Bh.Grad[i] += s6
+	}
+	matVecAdjointLoop(g.Uh.Grad, khg, g.Uh.Data, kh, s6g)
+	for i := 0; i < hid; i++ {
+		gg := khg[i]
+		hPrev.Grad[i] += gg * k[i]
+		khg[i] = gg * hd[i]
+	}
+	matVecAdjointLoop(g.Wh.Grad, x.Grad, g.Wh.Data, xd, s6g)
+	for i := 0; i < hid; i++ {
+		s4 := khg[i] * k[i] * (1 - k[i])
+		s4g[i] = s4
+		g.Bk.Grad[i] += s4
+	}
+	matVecAdjointLoop(g.Uk.Grad, hPrev.Grad, g.Uk.Data, hd, s4g)
+	matVecAdjointLoop(g.Wk.Grad, x.Grad, g.Wk.Data, xd, s4g)
+	for i := 0; i < hid; i++ {
+		s2 := s2g[i] * z[i] * (1 - z[i])
+		s2g[i] = s2
+		g.Bz.Grad[i] += s2
+	}
+	matVecAdjointLoop(g.Uz.Grad, hPrev.Grad, g.Uz.Data, hd, s2g)
+	matVecAdjointLoop(g.Wz.Grad, x.Grad, g.Wz.Data, xd, s2g)
+}
+
+// backwardPerStep is Tape.Backward with gruBackwardLoop for the GRU steps:
+// the undeferred reference.
+func backwardPerStep(t *Tape, root *Value) {
+	root.Grad[0] += 1
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		if v := t.nodes[i]; v.op == opGRUStep {
+			gruBackwardLoop(v)
+		} else {
+			t.backstep(v)
+		}
+	}
+}
+
+// gruParams lists a cell's tensors in the order the tests compare them.
+func gruParams(g *GRUParams) []*Param {
+	return []*Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh}
+}
+
+// chunkGrads records one training chunk — two cells stepping side by side
+// over the same steps inputs on one tape, a squared-error loss on every
+// state whose target equals the state at every third unit, so those units'
+// loss gradient is exactly zero — runs backward over it twice without a
+// Reset in between, and returns every gradient the chunk produces: both
+// cells' nine tensors, every input's and both initial states'. Parameter Data
+// and Grad start at odd elements of their arrays.
+func chunkGrads(in, hid, steps int, xEdge float64, backward func(*Tape, *Value)) []float64 {
+	rng := rand.New(rand.NewSource(int64(in*1000 + hid)))
+	cells := []*GRUParams{newTestGRU(in, hid, rng), newTestGRU(in, hid, rng)}
+	for _, p := range cells {
+		for i, q := range gruParams(p) {
+			q.Data = cloneAt(q.Data, 1+2*(i%3))
+			q.Grad = cloneAt(q.Grad, 1+2*((i+1)%3))
+		}
+	}
 	tape := NewTape()
 	tape.Const([]float64{1}) // shift the arena so node vectors start odd too
-	xv, hv := tape.Const(x), tape.Const(h)
-	out := tape.GRUStep(p, xv, hv)
-	copy(out.Grad, gh)
-	tape.gruBackward(out)
+	hs := []*Value{tape.Const(fillAt(hid, 3, rng, nil, 0)), tape.Const(fillAt(hid, 1, rng, nil, 0))}
+	leaves := append([]*Value(nil), hs...)
+	var losses []*Value
+	for s := 0; s < steps; s++ {
+		x := fillAt(in, 1, rng, nil, 0)
+		if xEdge != 0 {
+			x[in/2] = xEdge
+		}
+		xv := tape.Const(x)
+		leaves = append(leaves, xv)
+		for c, p := range cells {
+			hs[c] = tape.GRUStep(p, xv, hs[c])
+			tgt := fillAt(hid, 0, rng, nil, 0)
+			for i := (s + c) % 3; i < hid; i += 3 {
+				tgt[i] = hs[c].Data[i]
+			}
+			losses = append(losses, tape.SquaredError(hs[c], tgt))
+		}
+	}
+	root := tape.ScaleConst(tape.SumScalars(losses...), 1/float64(steps))
+	backward(tape, root)
+	backward(tape, root)
 
 	var all []float64
-	for _, q := range params {
-		all = append(all, q.Grad...)
+	for _, p := range cells {
+		for _, q := range gruParams(p) {
+			all = append(all, q.Grad...)
+		}
 	}
-	all = append(all, xv.Grad...)
-	return append(all, hv.Grad...)
+	for _, v := range leaves {
+		all = append(all, v.Grad...)
+	}
+	return all
 }
 
 // TestGRUBackwardMatchesGoLoops holds the GRU adjoint on every
-// implementation to the Go loops: first each row sweep against the verbatim
-// loop it replaced (checkColumnKernels: every rung of the 16/4/1 column
-// ladder, odd offsets, edge values, zero-δ rows), then the whole step —
-// all nine parameter gradients, x.Grad and hPrev.Grad — against what the Go
-// implementation leaves, across input widths on both sides of the ladder's
-// rungs and hidden widths on both sides of the forward's, with a third of
-// the upstream gradient exactly zero, and once more with a ±Inf input, which
-// saturates every gate so every δ is zero: the row skip must then leave
-// every weight gradient +0 where 0·Inf would have written NaN.
+// implementation to the Go loops it replaced: first the two kernels against
+// the verbatim mat-vec adjoint loop (checkColumnKernels: every rung of the
+// 32/4/tail column ladder, odd offsets, edge values, zero-δ rows, one term
+// and several), then whole chunks of 1, 2, 5 and 48 steps through
+// Tape.Backward — per step only the transposed products, the weight
+// gradients formed once at the end — against the same chunk differentiated
+// step by step (backwardPerStep), across input widths on both sides of the
+// ladder's rungs and hidden widths on both sides of the forward's: all
+// eighteen parameter gradients of two cells sharing a tape, every x.Grad and
+// both initial states', after two backward passes. Once more with a ±Inf
+// input, which saturates every gate so every δ is zero: the skip must then
+// leave every weight gradient +0 where 0·Inf would have written NaN.
 func TestGRUBackwardMatchesGoLoops(t *testing.T) {
 	ins, hids := []int{1, 3, 4, 5, 67, 257}, []int{4, 5, 7, 16, 37, 128}
+	wants := map[string][]float64{}
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
 			setImpl(t, impl)
@@ -186,30 +294,107 @@ func TestGRUBackwardMatchesGoLoops(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(in*1000 + hid)))
 						checkColumnKernels(t, hid, in, 1+2*set, rng, e.vals, e.oneIn)
 					}
-					gh := fillAt(hid, 0, rand.New(rand.NewSource(int64(in+hid))), nil, 0)
-					for i := 0; i < hid; i += 3 {
-						gh[i] = 0
-					}
-					for _, xEdge := range []float64{0, math.Inf(1), math.Inf(-1)} {
-						setImpl(t, "go")
-						want := gruGrads(in, hid, 11, xEdge, gh)
-						setImpl(t, impl)
-						got := gruGrads(in, hid, 11, xEdge, gh)
-						requireSame(t, fmt.Sprintf("%d→%d x=%v gradient", in, hid, xEdge), got, want)
-						if xEdge == 0 {
+					for _, steps := range []int{1, 2, 5, 48} {
+						// The estimator's chunk length on four shapes that
+						// between them cross every rung.
+						if steps == 48 && !((in == 5 || in == 67) && (hid == 7 || hid == 128)) || steps == 5 && in*hid > 67*128 {
 							continue
 						}
-						// Saturated gates: no δ survives, so no weight
-						// gradient may have moved off +0.
-						for i, g := range got[:len(got)-in-hid] {
-							if math.Float64bits(g) != 0 {
-								t.Fatalf("%d→%d x=%v: parameter gradient %d = %v, want +0 (a zero-δ row was not skipped)", in, hid, xEdge, i, g)
+						for _, xEdge := range []float64{0, math.Inf(1), math.Inf(-1)} {
+							// The reference's bits do not depend on the
+							// implementation selected: form them once.
+							key := fmt.Sprint(in, hid, steps, xEdge)
+							want := wants[key]
+							if want == nil {
+								want = chunkGrads(in, hid, steps, xEdge, backwardPerStep)
+								wants[key] = want
+							}
+							got := chunkGrads(in, hid, steps, xEdge, (*Tape).Backward)
+							requireSame(t, fmt.Sprintf("%d→%d ×%d x=%v gradient", in, hid, steps, xEdge), got, want)
+							if xEdge == 0 {
+								continue
+							}
+							// Saturated gates: no δ survives, so no weight
+							// gradient may have moved off +0.
+							for i, g := range got[:2*(3*hid*(in+hid+1))] {
+								if math.Float64bits(g) != 0 {
+									t.Fatalf("%d→%d ×%d x=%v: parameter gradient %d = %v, want +0 (a zero δ was not skipped)", in, hid, steps, xEdge, i, g)
+								}
 							}
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestGRUStepRejectsComposedUse: deferring a cell's weight gradients to the
+// end of Backward is exact only while GRUStep is all that adds to them, so a
+// tape that also holds one of the cell's parameters as a Use node must be
+// refused by name — and a tape that composes the chain from Use nodes alone
+// (layers.StepReference's kind) must not be.
+func TestGRUStepRejectsComposedUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := newTestGRU(3, 4, rng)
+	x, h := fillAt(3, 0, rng, nil, 0), fillAt(4, 0, rng, nil, 0)
+	for _, p := range gruParams(g) {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "parameter "+p.Name+" ") {
+					t.Fatalf("Backward over GRUStep and Use(%s): recovered %v, want a panic naming the parameter", p.Name, r)
+				}
+			}()
+			tape := NewTape()
+			out := tape.GRUStep(g, tape.Const(x), tape.Const(h))
+			tape.Use(p)
+			tape.Backward(tape.SquaredError(out, h))
+		}()
+	}
+	tape := NewTape()
+	xv, hv := tape.Const(x), tape.Const(h)
+	pre := tape.Add(tape.Add(tape.MatVec(tape.Use(g.Wz), xv), tape.MatVec(tape.Use(g.Uz), hv)), tape.Use(g.Bz))
+	tape.Backward(tape.SquaredError(tape.Sigmoid(pre), h))
+}
+
+// TestResetDropsPendingGRUSteps: a step whose backward ran outside Backward
+// (or before a panic cut Backward short) is pending; Reset must forget it, or
+// the next chunk's flush would read the recycled arena.
+func TestResetDropsPendingGRUSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	g := newTestGRU(3, 4, rng)
+	chunk := func(tape *Tape) *Value {
+		out := tape.GRUStep(g, tape.Const([]float64{1, 2, 3}), tape.Const(make([]float64, 4)))
+		return tape.SquaredError(out, make([]float64, 4))
+	}
+	grads := func() (all []float64) {
+		for _, p := range gruParams(g) {
+			all = append(all, p.Grad...)
+			p.ZeroGrad()
+		}
+		return all
+	}
+	fresh := NewTape()
+	fresh.Backward(chunk(fresh))
+	want := grads()
+
+	tape := NewTape()
+	loss := chunk(tape)
+	loss.Grad[0] = 1
+	tape.backstep(loss)
+	tape.backstep(loss.a)
+	if len(tape.gruSteps) != 1 {
+		t.Fatalf("%d pending steps after one GRU backstep, want 1", len(tape.gruSteps))
+	}
+	grads()
+	tape.Reset()
+	if len(tape.gruSteps) != 0 {
+		t.Fatalf("%d pending steps survive Reset", len(tape.gruSteps))
+	}
+	tape.Backward(chunk(tape))
+	requireSame(t, "gradient after Reset", grads(), want)
+	if len(tape.gruSteps) != 0 {
+		t.Fatalf("%d pending steps survive Backward", len(tape.gruSteps))
 	}
 }
 
@@ -330,9 +515,12 @@ func TestWeightedSumConstRejectsBadIndex(t *testing.T) {
 	}
 }
 
-// BenchmarkGRUBackward times one step's hand-written adjoint, on each
+// BenchmarkGRUBackward times the backward pass of one 48-step training chunk
+// (the estimator's truncation length) — the steps' adjoints and the flush
+// that forms the weight gradients, which a lone step no longer does — on each
 // implementation, at the widths BenchmarkGRUKernelStep times the forward.
 func BenchmarkGRUBackward(b *testing.B) {
+	const steps = 48
 	for _, dim := range []struct{ in, hid int }{{67, 128}, {257, 16}, {9, 4}} {
 		for _, impl := range impls() {
 			b.Run(fmt.Sprintf("%dx%d/%s", dim.in, dim.hid, impl), func(b *testing.B) {
@@ -340,12 +528,22 @@ func BenchmarkGRUBackward(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				p := newTestGRU(dim.in, dim.hid, rng)
 				tape := NewTape()
-				out := tape.GRUStep(p, tape.Const(fillAt(dim.in, 0, rng, nil, 0)), tape.Const(fillAt(dim.hid, 0, rng, nil, 0)))
-				copy(out.Grad, fillAt(dim.hid, 0, rng, nil, 0))
+				h := tape.Const(make([]float64, dim.hid))
+				losses := make([]*Value, steps)
+				for s := range losses {
+					h = tape.GRUStep(p, tape.Const(fillAt(dim.in, 0, rng, nil, 0)), h)
+					losses[s] = tape.SquaredError(h, fillAt(dim.hid, 0, rng, nil, 0))
+				}
+				root := tape.ScaleConst(tape.SumScalars(losses...), 1.0/steps)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tape.gruBackward(out)
+					// Node gradients start at zero, as a fresh chunk's do:
+					// left to compound over passes they overflow.
+					for _, v := range tape.nodes {
+						clear(v.Grad)
+					}
+					tape.Backward(root)
 				}
 				benchSink = p.Wz.Grad[0]
 			})

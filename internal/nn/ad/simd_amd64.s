@@ -260,102 +260,278 @@ badPeer:
 	RET
 
 // Backward and optimizer kernels. Here every lane is a column — one memory
-// location of the destination — and every location receives exactly the
-// addend the Go loop gives it, so there is no order to keep inside a call;
-// the order *between* calls (rows ascending within a sweep, sweeps and time
-// steps in Backward's order) is the caller's and is unchanged.
+// location of the destination — whose accumulator is loaded once, receives
+// its addends in the Go loop's order (rows ascending in colSumsAVX2, terms in
+// table order in outerSumsAVX2) and is stored once; an addend whose scale is
+// ±0 is skipped, as the Go loops skip it. Columns go 32 to a pass, then four,
+// then the cols%4 tail through tailMask: a masked lane reads as zero, is
+// never stored, and touches no memory, so the tail never reads past a row.
 
-// func axpy2AVX2(grow, acc, x, wrow *float64, a float64, n int)
+DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+24(SB)/8, $0
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $48
+
+// TAILMASK leaves in Y14 a mask of the CX (1..3) low lanes; clobbers AX.
+#define TAILMASK \
+	LEAQ tailMask<>+24(SB), AX; \
+	SHLQ $3, CX; \
+	SUBQ CX, AX; \
+	VMOVDQU (AX), Y14
+
+#define LOAD8(P) \
+	VMOVUPD (P), Y0; \
+	VMOVUPD 32(P), Y1; \
+	VMOVUPD 64(P), Y2; \
+	VMOVUPD 96(P), Y3; \
+	VMOVUPD 128(P), Y4; \
+	VMOVUPD 160(P), Y5; \
+	VMOVUPD 192(P), Y6; \
+	VMOVUPD 224(P), Y7
+
+#define STORE8(P) \
+	VMOVUPD Y0, (P); \
+	VMOVUPD Y1, 32(P); \
+	VMOVUPD Y2, 64(P); \
+	VMOVUPD Y3, 96(P); \
+	VMOVUPD Y4, 128(P); \
+	VMOVUPD Y5, 160(P); \
+	VMOVUPD Y6, 192(P); \
+	VMOVUPD Y7, 224(P)
+
+// AXPY32 adds Y8·P[0..32) to the accumulators Y0..Y7: a VMULPD and a VADDPD
+// per lane group, the accumulator first, never fused.
+#define AXPY32(P) \
+	VMULPD (P), Y8, Y9; \
+	VMULPD 32(P), Y8, Y10; \
+	VMULPD 64(P), Y8, Y11; \
+	VMULPD 96(P), Y8, Y12; \
+	VADDPD Y9, Y0, Y0; \
+	VADDPD Y10, Y1, Y1; \
+	VADDPD Y11, Y2, Y2; \
+	VADDPD Y12, Y3, Y3; \
+	VMULPD 128(P), Y8, Y9; \
+	VMULPD 160(P), Y8, Y10; \
+	VMULPD 192(P), Y8, Y11; \
+	VMULPD 224(P), Y8, Y12; \
+	VADDPD Y9, Y4, Y4; \
+	VADDPD Y10, Y5, Y5; \
+	VADDPD Y11, Y6, Y6; \
+	VADDPD Y12, Y7, Y7
+
+// func colSumsAVX2(acc, w, d *float64, rows, cols int)
 //
-// grow[j] += a·x[j]; acc[j] += a·wrow[j] for j in [0,n): sixteen columns per
-// pass, then four, then one (the same two operations on the low lane).
-TEXT ·axpy2AVX2(SB), NOSPLIT, $0-48
-	MOVQ grow+0(FP), DI
-	MOVQ acc+8(FP), SI
-	MOVQ x+16(FP), DX
-	MOVQ wrow+24(FP), R8
-	VBROADCASTSD a+32(FP), Y0
-	MOVQ n+40(FP), CX
+// acc[j] += Σ_i d[i]·w[i*cols+j] for j in [0,cols), i ascending over the rows
+// whose d[i] is not ±0: the transposed product of a mat-vec adjoint. The
+// accumulators stay in registers down the rows of a column block.
+TEXT ·colSumsAVX2(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ d+16(FP), DX
+	MOVQ rows+24(FP), R8
+	MOVQ cols+32(FP), CX
+	MOVQ CX, R9
+	SHLQ $3, R9
 
-axpy16:
-	CMPQ CX, $16
-	JLT  axpy4
-	VMULPD (DX), Y0, Y1
-	VMULPD 32(DX), Y0, Y2
-	VMULPD 64(DX), Y0, Y3
-	VMULPD 96(DX), Y0, Y4
-	VMULPD (R8), Y0, Y5
-	VMULPD 32(R8), Y0, Y6
-	VMULPD 64(R8), Y0, Y7
-	VMULPD 96(R8), Y0, Y8
-	VMOVUPD (DI), Y9
-	VMOVUPD 32(DI), Y10
-	VMOVUPD 64(DI), Y11
-	VMOVUPD 96(DI), Y12
-	VADDPD Y1, Y9, Y9
-	VADDPD Y2, Y10, Y10
-	VADDPD Y3, Y11, Y11
-	VADDPD Y4, Y12, Y12
-	VMOVUPD Y9, (DI)
-	VMOVUPD Y10, 32(DI)
-	VMOVUPD Y11, 64(DI)
-	VMOVUPD Y12, 96(DI)
-	VMOVUPD (SI), Y9
-	VMOVUPD 32(SI), Y10
-	VMOVUPD 64(SI), Y11
-	VMOVUPD 96(SI), Y12
-	VADDPD Y5, Y9, Y9
-	VADDPD Y6, Y10, Y10
-	VADDPD Y7, Y11, Y11
-	VADDPD Y8, Y12, Y12
-	VMOVUPD Y9, (SI)
-	VMOVUPD Y10, 32(SI)
-	VMOVUPD Y11, 64(SI)
-	VMOVUPD Y12, 96(SI)
-	ADDQ $128, DI
-	ADDQ $128, SI
-	ADDQ $128, DX
-	ADDQ $128, R8
-	SUBQ $16, CX
-	JMP  axpy16
+cs32:
+	CMPQ CX, $32
+	JLT  cs4
+	LOAD8(DI)
+	MOVQ SI, R10
+	XORQ R11, R11
 
-axpy4:
+cs32row:
+	MOVQ (DX)(R11*8), AX
+	ADDQ AX, AX // the sign shifts out: zero iff d[i] is ±0
+	JZ   cs32next
+	VBROADCASTSD (DX)(R11*8), Y8
+	AXPY32(R10)
+
+cs32next:
+	ADDQ R9, R10
+	INCQ R11
+	CMPQ R11, R8
+	JLT  cs32row
+	STORE8(DI)
+	ADDQ $256, DI
+	ADDQ $256, SI
+	SUBQ $32, CX
+	JMP  cs32
+
+cs4:
 	CMPQ CX, $4
-	JLT  axpy1
-	VMULPD (DX), Y0, Y1
-	VMULPD (R8), Y0, Y5
-	VMOVUPD (DI), Y9
-	VMOVUPD (SI), Y10
-	VADDPD Y1, Y9, Y9
-	VADDPD Y5, Y10, Y10
-	VMOVUPD Y9, (DI)
-	VMOVUPD Y10, (SI)
+	JLT  csTail
+	VMOVUPD (DI), Y0
+	MOVQ SI, R10
+	XORQ R11, R11
+
+cs4row:
+	MOVQ (DX)(R11*8), AX
+	ADDQ AX, AX
+	JZ   cs4next
+	VBROADCASTSD (DX)(R11*8), Y8
+	VMULPD (R10), Y8, Y9
+	VADDPD Y9, Y0, Y0
+
+cs4next:
+	ADDQ R9, R10
+	INCQ R11
+	CMPQ R11, R8
+	JLT  cs4row
+	VMOVUPD Y0, (DI)
 	ADDQ $32, DI
 	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, R8
 	SUBQ $4, CX
-	JMP  axpy4
+	JMP  cs4
 
-axpy1:
+csTail:
 	TESTQ CX, CX
-	JZ   axpyDone
-	VMULSD (DX), X0, X1
-	VMULSD (R8), X0, X5
-	VMOVSD (DI), X9
-	VMOVSD (SI), X10
-	VADDSD X1, X9, X9
-	VADDSD X5, X10, X10
-	VMOVSD X9, (DI)
-	VMOVSD X10, (SI)
-	ADDQ $8, DI
-	ADDQ $8, SI
-	ADDQ $8, DX
-	ADDQ $8, R8
-	DECQ CX
-	JMP  axpy1
+	JZ   csDone
+	TAILMASK
+	VMASKMOVPD (DI), Y14, Y0
+	XORQ R11, R11
 
-axpyDone:
+csTailRow:
+	MOVQ (DX)(R11*8), AX
+	ADDQ AX, AX
+	JZ   csTailNext
+	VBROADCASTSD (DX)(R11*8), Y8
+	VMASKMOVPD (SI), Y14, Y9
+	VMULPD Y9, Y8, Y9
+	VADDPD Y9, Y0, Y0
+
+csTailNext:
+	ADDQ R9, SI
+	INCQ R11
+	CMPQ R11, R8
+	JLT  csTailRow
+	VMASKMOVPD Y0, Y14, (DI)
+
+csDone:
+	VZEROUPPER
+	RET
+
+// func outerSumsAVX2(grad *float64, rows, cols int, terms *outer, n int)
+//
+// grad[i*cols+j] += Σ_t δ_t[i]·x_t[j] over the n terms in table order,
+// skipping a term whose δ_t[i] is ±0: a weight gradient formed from all of a
+// chunk's steps at once. A term is an outer{delta, x []float64}: 48 bytes,
+// the data pointers at 0 and 24. BX is the column block's byte offset into a
+// row; each block walks the rows, each row the terms.
+TEXT ·outerSumsAVX2(SB), NOSPLIT, $0-40
+	MOVQ grad+0(FP), DI
+	MOVQ rows+8(FP), R8
+	MOVQ cols+16(FP), CX
+	MOVQ CX, R9
+	SHLQ $3, R9
+	XORQ BX, BX
+
+os32:
+	CMPQ CX, $32
+	JLT  os4
+	MOVQ DI, R10
+	XORQ R11, R11
+
+os32row:
+	LOAD8(R10)
+	MOVQ terms+24(FP), R12
+	MOVQ n+32(FP), R13
+
+os32term:
+	MOVQ (R12), SI
+	MOVQ (SI)(R11*8), AX
+	ADDQ AX, AX
+	JZ   os32next
+	VBROADCASTSD (SI)(R11*8), Y8
+	MOVQ 24(R12), DX
+	ADDQ BX, DX
+	AXPY32(DX)
+
+os32next:
+	ADDQ $48, R12
+	DECQ R13
+	JNZ  os32term
+	STORE8(R10)
+	ADDQ R9, R10
+	INCQ R11
+	CMPQ R11, R8
+	JLT  os32row
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $32, CX
+	JMP  os32
+
+os4:
+	CMPQ CX, $4
+	JLT  osTail
+	MOVQ DI, R10
+	XORQ R11, R11
+
+os4row:
+	VMOVUPD (R10), Y0
+	MOVQ terms+24(FP), R12
+	MOVQ n+32(FP), R13
+
+os4term:
+	MOVQ (R12), SI
+	MOVQ (SI)(R11*8), AX
+	ADDQ AX, AX
+	JZ   os4next
+	VBROADCASTSD (SI)(R11*8), Y8
+	MOVQ 24(R12), DX
+	VMULPD (DX)(BX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+
+os4next:
+	ADDQ $48, R12
+	DECQ R13
+	JNZ  os4term
+	VMOVUPD Y0, (R10)
+	ADDQ R9, R10
+	INCQ R11
+	CMPQ R11, R8
+	JLT  os4row
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JMP  os4
+
+osTail:
+	TESTQ CX, CX
+	JZ   osDone
+	TAILMASK
+	XORQ R11, R11
+
+osTailRow:
+	VMASKMOVPD (DI), Y14, Y0
+	MOVQ terms+24(FP), R12
+	MOVQ n+32(FP), R13
+
+osTailTerm:
+	MOVQ (R12), SI
+	MOVQ (SI)(R11*8), AX
+	ADDQ AX, AX
+	JZ   osTailNext
+	VBROADCASTSD (SI)(R11*8), Y8
+	MOVQ 24(R12), DX
+	VMASKMOVPD (DX)(BX*1), Y14, Y9
+	VMULPD Y9, Y8, Y9
+	VADDPD Y9, Y0, Y0
+
+osTailNext:
+	ADDQ $48, R12
+	DECQ R13
+	JNZ  osTailTerm
+	VMASKMOVPD Y0, Y14, (DI)
+	ADDQ R9, DI
+	INCQ R11
+	CMPQ R11, R8
+	JLT  osTailRow
+
+osDone:
 	VZEROUPPER
 	RET
 

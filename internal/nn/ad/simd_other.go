@@ -11,7 +11,10 @@ func rowDots4AVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kernels on
 func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool {
 	panic("ad: no AVX2 kernels on this platform")
 }
-func axpy2AVX2(grow, acc, x, wrow *float64, a float64, n int) {
+func colSumsAVX2(acc, w, d *float64, rows, cols int) {
+	panic("ad: no AVX2 kernels on this platform")
+}
+func outerSumsAVX2(grad *float64, rows, cols int, terms *outer, n int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
 func peerDotsAVX2(dst, dy *float64, n int, idx *int, peers int, base *float64, stride, limit int) bool {

@@ -111,36 +111,44 @@ type sample struct {
 	exp, low, up, act float64
 }
 
-// ring is a bounded FIFO of per-window values with O(1) append.
+// ring is a bounded FIFO of per-window values with O(1) append. Its buffer
+// grows with what was pushed, doubling up to limit, and wraps from there: a
+// board that has scored little holds little, however long its horizon.
 type ring[T any] struct {
-	buf  []T
+	buf   []T
+	limit int
+	// next is the slot the next push overwrites — the oldest entry — once
+	// the buffer is full; 0 until then.
 	next int
-	n    int
 }
 
 func newRing[T any](capacity int) *ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ring[T]{buf: make([]T, capacity)}
+	return &ring[T]{limit: max(capacity, 1)}
 }
 
 func (r *ring[T]) push(v T) {
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
+	if len(r.buf) == r.limit {
+		r.buf[r.next] = v
+		r.next = (r.next + 1) % r.limit
+		return
 	}
+	if len(r.buf) == cap(r.buf) {
+		grown := make([]T, len(r.buf), min(max(2*len(r.buf), 16), r.limit))
+		copy(grown, r.buf)
+		r.buf = grown
+	}
+	r.buf = append(r.buf, v)
 }
 
 // last visits the most recent min(k, n) entries, oldest of them first.
 func (r *ring[T]) last(k int, visit func(T)) int {
-	if k > r.n {
-		k = r.n
+	n := len(r.buf)
+	if k > n {
+		k = n
 	}
-	start := (r.next - k + len(r.buf)) % len(r.buf)
+	start := r.next - k + n
 	for i := 0; i < k; i++ {
-		visit(r.buf[(start+i)%len(r.buf)])
+		visit(r.buf[(start+i)%n])
 	}
 	return k
 }
