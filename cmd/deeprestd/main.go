@@ -56,8 +56,9 @@
 // -checkpoint-dir every generation is checkpointed to disk and recovered at
 // the next boot, so a restart comes back serving the exact model it went
 // down with (a push-only tenant's telemetry is volatile: it answers Mode-2
-// and status queries at once, Mode-1 estimates once telemetry is pushed
-// again).
+// and status queries at once, Mode-1 estimates once the next generation is
+// learned from re-pushed telemetry — /v1/learn, or the scheduler's next
+// tick).
 //
 // Resilience: -max-inflight bounds admitted requests (excess is shed with
 // 503 + Retry-After), -request-timeout puts a deadline on every request's

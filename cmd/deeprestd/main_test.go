@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // daemon is one deeprestd child process on a loopback port.
@@ -29,6 +31,19 @@ type daemon struct {
 func (d *daemon) stderr() string {
 	b, _ := os.ReadFile(d.logPath)
 	return string(b)
+}
+
+// buildDaemon compiles the daemon under test; -short skips the process tests.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and boots the real daemon")
+	}
+	bin := filepath.Join(t.TempDir(), "deeprestd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // startDaemon boots bin with args on a free loopback port. It does not wait
@@ -123,13 +138,7 @@ const estimateBody = `{"windows":[{"/composePost":50,"/readTimeline":200},{"/com
 // serves the byte-identical estimate. A checkpoint dir in the old un-nested
 // layout refuses to boot.
 func TestDaemonSingleTenantRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and boots the real daemon")
-	}
-	bin := filepath.Join(t.TempDir(), "deeprestd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 	ckpt := t.TempDir()
 	flags := []string{"-app", "social", "-bootstrap-days", "1", "-hidden", "4", "-epochs", "2",
 		"-checkpoint-dir", ckpt, "-log-level", "warn"}
@@ -218,4 +227,87 @@ func TestDaemonSingleTenantRestart(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatalf("daemon did not refuse a checkpoint dir holding %s\n%s", stray, d.stderr())
 	}
+}
+
+// TestDaemonPushOnlyRestart is the restart a push-only tenant goes through:
+// its telemetry is volatile, so the rebooted daemon serves the checkpointed
+// generation over an empty store — status, models and downloads at once,
+// Mode-1 422 because the recovered synthesizer saw no traces — and once the
+// adapters push again the scheduler, on its own, learns the next generation
+// from what they pushed, which answers Mode-1. The re-pushed windows stay
+// fewer than version 1 trained to: only Pipeline.rebaseTrainedTo, clamping
+// the recovered high-water mark to the restarted store, lets the scheduler
+// see them as fresh (without it this test times out waiting for version 2).
+func TestDaemonPushOnlyRestart(t *testing.T) {
+	bin := buildDaemon(t)
+	run, err := fleet.BootstrapRun("social", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(from, to int) string {
+		in := telemetry.NewServer(run.WindowSeconds)
+		in.RecordRun(run.Slice(from, to))
+		var buf strings.Builder
+		if err := in.ExportJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	flags := []string{"-hidden", "4", "-epochs", "2", "-checkpoint-dir", t.TempDir(), "-log-level", "warn"}
+
+	// First life, without a scheduler so version 1 is the manual learn's.
+	d := startDaemon(t, bin, flags...)
+	d.waitUp(t)
+	if code, body := d.call(t, "POST", "/v1/telemetry", stream(0, run.NumWindows())); code != http.StatusOK {
+		t.Fatalf("push = %d: %s", code, body)
+	}
+	if code, body := d.call(t, "POST", "/v1/learn", `{"pairs":["ComposePostService/cpu"]}`); code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", code, body)
+	}
+	if code, body := d.call(t, "POST", "/v1/estimate", estimateBody); code != http.StatusOK {
+		t.Fatalf("estimate = %d: %s", code, body)
+	}
+	d.terminate(t)
+
+	d = startDaemon(t, bin, append(flags, "-retrain-every", "200ms")...)
+	d.waitUp(t)
+	var st struct {
+		Version int `json:"version"`
+		Windows int `json:"windows"`
+	}
+	status := func() {
+		t.Helper()
+		_, body := d.call(t, "GET", "/v1/status", "")
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("status = %s: %v", body, err)
+		}
+	}
+	if status(); st.Version != 1 || st.Windows != 0 {
+		t.Fatalf("status after restart = %+v, want version 1 over an empty store", st)
+	}
+	if code, body := d.call(t, "GET", "/v1/models", ""); code != http.StatusOK || !bytes.Contains(body, []byte(`"active":true`)) {
+		t.Fatalf("models after restart = %d: %s", code, body)
+	}
+	if code, body := d.call(t, "POST", "/v1/estimate", estimateBody); code != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("never observed")) {
+		t.Fatalf("estimate over the empty store = %d: %s, want 422 API never observed", code, body)
+	}
+
+	// The adapters resume, a few windows at a time.
+	const chunk = 8
+	for at := 0; st.Version < 2 && at+chunk < run.NumWindows(); at += chunk {
+		if code, body := d.call(t, "POST", "/v1/telemetry", stream(at, at+chunk)); code != http.StatusOK {
+			t.Fatalf("re-push = %d: %s", code, body)
+		}
+		for deadline := time.Now().Add(2 * time.Second); st.Version < 2 && time.Now().Before(deadline); status() {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if st.Version < 2 {
+		t.Fatalf("no generation published from %d re-pushed windows (version 1 trained to %d): the scheduler is waiting for the old mark to be passed\n%s",
+			st.Windows, run.NumWindows(), d.stderr())
+	}
+	if code, body := d.call(t, "POST", "/v1/estimate", estimateBody); code != http.StatusOK {
+		t.Fatalf("estimate from the relearned generation = %d: %s", code, body)
+	}
+	d.terminate(t)
 }

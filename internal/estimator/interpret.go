@@ -60,6 +60,9 @@ func (m *Model) APIInfluence(pair app.Pair, windows [][]trace.Batch) (map[string
 	if !ok {
 		return nil, fmt.Errorf("estimator: no expert for %s", pair)
 	}
+	if len(windows) == 0 {
+		return nil, fmt.Errorf("estimator: no telemetry windows to measure influence over")
+	}
 	x := m.FeatScaler.Apply(features.Matrix(m.Space.ExtractSeries(windows)))
 	base, err := e.Forward(x)
 	if err != nil {

@@ -22,7 +22,12 @@ func TestMetricsScrapeFleet(t *testing.T) {
 	opts := quickOpts()
 	opts.Metrics = obs.NewRegistry()
 	opts.Tracer = obs.NewSpanTracer(128, 7)
-	_, h := newToyFleet(t, Config{Opts: opts, IngestRate: 1000}, "north", "south")
+	fl, h := newToyFleet(t, Config{Opts: opts, IngestRate: 1000}, "north", "south")
+	// A tenant nothing was ever pushed to: its store's series exist from
+	// creation, at 0.
+	if _, err := fl.Create(TenantSpec{App: "idle"}); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, id := range []string{"north", "south"} {
 		if rec := do(t, h, "POST", "/v1/t/"+id+"/v1/estimate", toyEstimate(t)); rec.Code != http.StatusOK {
@@ -55,9 +60,15 @@ func TestMetricsScrapeFleet(t *testing.T) {
 		`deeprest_train_epochs_total{app="south",phase="train"}`,
 		`deeprest_active_generation{app="north"} 1`,
 		`deeprest_quality_smape{app="south",component="Service",resource="cpu"}`,
+		`deeprest_telemetry_windows_total{app="idle"} 0`,
+		`deeprest_telemetry_spans_total{app="idle"} 0`,
+		`deeprest_telemetry_requests_total{app="idle"} 0`,
+		`deeprest_telemetry_evicted_total{app="idle"} 0`,
+		`deeprest_telemetry_resident_windows{app="idle"} 0`,
+		`deeprest_telemetry_feature_extractions_total{app="idle"} 0`,
 		// Fleet-level families.
-		"deeprest_fleet_tenants 2",
-		`deeprest_fleet_tenant_ops_total{op="create",result="ok"} 2`,
+		"deeprest_fleet_tenants 3",
+		`deeprest_fleet_tenant_ops_total{op="create",result="ok"} 3`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("fleet scrape is missing %q", want)

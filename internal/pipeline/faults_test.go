@@ -24,7 +24,7 @@ func TestInjectedRetrainFailureKeepsLastGood(t *testing.T) {
 	store := toyStore(t, 1, 95)
 	cfg := DefaultConfig()
 	cfg.Faults = faults.NewSchedule(faults.MustParse("retrainfail:from=2,to=4"))
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestScheduledRetrainRetriesWithBackoff(t *testing.T) {
 	cfg.Faults = faults.NewSchedule(faults.MustParse("retrainfail:from=1,to=2")) // only attempt 1 fails
 	cfg.MaxRetries = 1
 	cfg.RetryBackoff = time.Millisecond
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestScheduledRetrainExhaustsRetries(t *testing.T) {
 	cfg.Faults = faults.NewSchedule(faults.MustParse("retrainfail:from=1")) // open-ended: all fail
 	cfg.MaxRetries = 2
 	cfg.RetryBackoff = time.Millisecond
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestScheduledRetrainExhaustsRetries(t *testing.T) {
 // before any training work and never touches the serving model.
 func TestTrainOnceCtxCancelled(t *testing.T) {
 	store := toyStore(t, 1, 98)
-	p, err := New(quickOpts(), DefaultConfig(), sourceOf(store))
+	p, err := New(quickOpts(), DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCheckpointCorruptionQuarantineAndFallback(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
 	cfg.Faults = faults.NewSchedule(faults.MustParse("ckptcorrupt:from=2,to=3")) // version 2 rots
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCheckpointCorruptionQuarantineAndFallback(t *testing.T) {
 	// "Restart" with a clean config: recovery must fall back to version 1.
 	clean := cfg
 	clean.Faults = nil
-	p2, err := New(quickOpts(), clean, sourceOf(store))
+	p2, err := New(quickOpts(), clean, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestChecksumCatchesModelByteRot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestChecksumCatchesModelByteRot(t *testing.T) {
 	}
 	rotModelBytes(t, filepath.Join(dir, "gen-000001.ckpt"))
 
-	p2, err := New(quickOpts(), cfg, sourceOf(store))
+	p2, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestPublishedGenerationHoldsOneCopyOfWeights(t *testing.T) {
 	opts.Estimator.AttentionEpochs = 1
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = t.TempDir() // the checkpoint writer runs too
-	p, err := New(opts, cfg, sourceOf(store))
+	p, err := New(opts, cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}

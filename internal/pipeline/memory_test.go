@@ -36,7 +36,7 @@ func TestRecoveredGenerationHoldsOneCopyOfWeights(t *testing.T) {
 	store := toyStore(t, 1, 88)
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = t.TempDir()
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRecoveredGenerationHoldsOneCopyOfWeights(t *testing.T) {
 	}
 	requireNoGradients(t, "trained", g)
 
-	p2, err := New(quickOpts(), cfg, sourceOf(store))
+	p2, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCheckpointAllocatesPerExpertNotPerModel(t *testing.T) {
 	store := toyStore(t, 1, 89)
 	opts := quickOpts()
 	opts.Estimator.Hidden = 24 // experts large enough to dwarf the fixed costs
-	p, err := New(opts, DefaultConfig(), sourceOf(store))
+	p, err := New(opts, DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWarmRetrainLeavesServingGenerationUntouched(t *testing.T) {
 	store := toyStore(t, 1, 87)
 	opts := quickOpts()
 	opts.Estimator.AttentionEpochs = 1
-	p, err := New(opts, DefaultConfig(), sourceOf(store))
+	p, err := New(opts, DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestEveryFlippedByteOfACheckpointIsRefused(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestPipelineMetrics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
 	cfg.MinDriftWindows = 1
-	p, err := New(opts, cfg, sourceOf(store))
+	p, err := New(opts, cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPipelineMetrics(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	opts2 := quickOpts()
 	opts2.Metrics = reg2
-	p2, err := New(opts2, cfg, sourceOf(store))
+	p2, err := New(opts2, cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPipelineMetrics(t *testing.T) {
 
 func TestUninstrumentedPipelineIsNoOp(t *testing.T) {
 	store := toyStore(t, 1, 92)
-	p, err := New(quickOpts(), DefaultConfig(), sourceOf(store))
+	p, err := New(quickOpts(), DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +110,17 @@ func TestUninstrumentedPipelineIsNoOp(t *testing.T) {
 	p.checkDrift()
 }
 
-// nanSource is a telemetry store one of whose utilization samples is NaN —
-// what a scraper writes when a component's exporter is down.
+// nanSource is a telemetry store one of whose utilization samples is NaN,
+// once on is set — what a scraper writes when a component's exporter is down.
 type nanSource struct {
 	Source
 	pair app.Pair
+	on   bool
 }
 
-func (s nanSource) Metrics(from, to int) (map[app.Pair][]float64, error) {
+func (s *nanSource) Metrics(from, to int) (map[app.Pair][]float64, error) {
 	usage, err := s.Source.Metrics(from, to)
-	if err == nil {
+	if err == nil && s.on {
 		series := append([]float64(nil), usage[s.pair]...)
 		series[len(series)/2] = math.NaN()
 		usage[s.pair] = series
@@ -136,8 +137,8 @@ func TestNonFiniteLossFailsTheGeneration(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := quickOpts()
 	opts.Metrics = reg
-	var src Source = store
-	p, err := New(opts, DefaultConfig(), func() Source { return src })
+	src := &nanSource{Source: store, pair: cpuPair}
+	p, err := New(opts, DefaultConfig(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestNonFiniteLossFailsTheGeneration(t *testing.T) {
 	}
 	before := p.Registry().Active()
 
-	src = nanSource{Source: store, pair: cpuPair}
+	src.on = true
 	_, err = p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual")
 	if err == nil || !strings.Contains(err.Error(), cpuPair.String()) || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("TrainOnce over NaN telemetry: err = %v, want a non-finite loss naming %s", err, cpuPair)

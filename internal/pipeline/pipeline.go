@@ -51,40 +51,20 @@ var ErrTrainingInFlight = errors.New("pipeline: a training generation is already
 // Status.LastError) can tell an injected failure from an organic one.
 var ErrFaultInjected = errors.New("pipeline: training failure injected by fault schedule")
 
-// Source supplies telemetry to train and drift-check over.
-// *telemetry.Server satisfies it.
+// Source is the telemetry store the pipeline trains and drift-checks over —
+// the tenant's *telemetry.Server; an interface so a test can substitute a
+// fake. Windows [OldestWindow, NumWindows) are resident: training and drift
+// ranges are clamped to that floor, so a sliding window wider than the
+// retention horizon degrades to "all resident telemetry". Features serves
+// the per-window vector cache that SetExtractor keeps in the active
+// generation's space (see followActive).
 type Source interface {
 	NumWindows() int
+	OldestWindow() int
 	Traces(from, to int) ([][]trace.Batch, error)
 	Metrics(from, to int) (map[app.Pair][]float64, error)
-}
-
-// BoundedSource is an optional Source extension for retention-bounded
-// stores: OldestWindow is the first window index still resident. The
-// pipeline clamps training and drift ranges to it so a sliding window wider
-// than the retention horizon degrades to "all resident telemetry" instead
-// of erroring forever.
-type BoundedSource interface {
-	OldestWindow() int
-}
-
-// FeatureSource is an optional Source extension for stores that cache
-// per-window feature vectors (telemetry.Server). After every publish the
-// pipeline installs the new generation's extractor so ingestion extracts
-// each window exactly once, and drift checks read the cached vectors
-// instead of re-walking trace trees.
-type FeatureSource interface {
-	SetExtractor(gen int, fn func([]trace.Batch) features.Vector)
 	Features(gen int, fn func([]trace.Batch) features.Vector, from, to int) ([]features.Vector, error)
-}
-
-// oldestWindow returns the source's retention floor (0 for unbounded
-// stores).
-func oldestWindow(src Source) int {
-	if b, ok := src.(BoundedSource); ok {
-		return b.OldestWindow()
-	}
-	return 0
+	SetExtractor(gen int, fn func([]trace.Batch) features.Vector)
 }
 
 // Config tunes continuous learning. Start from DefaultConfig.
@@ -158,12 +138,12 @@ func DefaultConfig() Config {
 // Pipeline orchestrates training generations against a telemetry source
 // and publishes them into its Registry.
 type Pipeline struct {
-	opts   core.Options
-	cfg    Config
-	det    *drift.Detector
-	reg    *Registry
-	source func() Source
-	log    *slog.Logger // nil = no structured logging
+	opts core.Options
+	cfg  Config
+	det  *drift.Detector
+	reg  *Registry
+	src  Source
+	log  *slog.Logger // nil = no structured logging
 
 	// Self-instrumentation (all handles nil-safe no-ops when
 	// core.Options.Metrics is nil).
@@ -188,10 +168,9 @@ type Pipeline struct {
 	consecFails int    // training failures since the last successful publish
 }
 
-// New builds a pipeline over a telemetry source. The source getter is
-// called lazily (the telemetry store may not exist until first ingest) and
-// may return nil while no telemetry has arrived.
-func New(opts core.Options, cfg Config, source func() Source) (*Pipeline, error) {
+// New builds a pipeline over the tenant's telemetry store; "no telemetry
+// yet" is src.NumWindows() == 0.
+func New(opts core.Options, cfg Config, src Source) (*Pipeline, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultConfig().Interval
 	}
@@ -221,7 +200,7 @@ func New(opts core.Options, cfg Config, source func() Source) (*Pipeline, error)
 	reg.instrument(opts.Metrics)
 	reg.injected = cfg.Faults
 	reg.tracer = opts.Tracer
-	p := &Pipeline{opts: opts, cfg: cfg, det: det, reg: reg, source: source, log: opts.Logger}
+	p := &Pipeline{opts: opts, cfg: cfg, det: det, reg: reg, src: src, log: opts.Logger}
 	if m := opts.Metrics; m != nil {
 		p.genDur = m.HistogramVec("deeprest_pipeline_generation_seconds",
 			"Wall-clock duration of one training generation, train through publish.",
@@ -337,19 +316,17 @@ func (p *Pipeline) TrainOnce(from, to int, pairs []app.Pair, trigger string) (*G
 // cancelled request abandons the generation without publishing a
 // half-trained model. The serving generation is untouched on any failure.
 func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.Pair, trigger string) (*Generation, error) {
-	src := p.source()
-	if src == nil {
+	n := p.src.NumWindows()
+	if n == 0 {
 		return nil, fmt.Errorf("pipeline: no telemetry ingested")
 	}
 	if to <= 0 {
-		to = src.NumWindows()
+		to = n
 	}
 	// Clamp to the retention horizon: on a bounded store, "from the
 	// beginning" (and any sliding window wider than the horizon) means
 	// "from the oldest resident window".
-	if o := oldestWindow(src); from < o {
-		from = o
-	}
+	from = max(from, p.src.OldestWindow())
 
 	p.mu.Lock()
 	if p.inFlight {
@@ -377,7 +354,7 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 	start := time.Now()
 	tctx, span := p.opts.Tracer.Start(ctx, "pipeline.train")
 	span.SetWindows(to - from)
-	gen, err := p.train(tctx, src, from, to, pairs, trigger, warm, prevWarm, attempt)
+	gen, err := p.train(tctx, from, to, pairs, trigger, warm, prevWarm, attempt)
 	span.SetErr(err)
 	span.End()
 	elapsed := time.Since(start)
@@ -424,7 +401,7 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 }
 
 // train runs one training generation. The in-flight slot is already held.
-func (p *Pipeline) train(ctx context.Context, src Source, from, to int, pairs []app.Pair, trigger string, warm estimator.WarmStart, warmed bool, attempt int) (*Generation, error) {
+func (p *Pipeline) train(ctx context.Context, from, to int, pairs []app.Pair, trigger string, warm estimator.WarmStart, warmed bool, attempt int) (*Generation, error) {
 	if p.cfg.BeforeTrain != nil {
 		p.cfg.BeforeTrain()
 	}
@@ -434,11 +411,11 @@ func (p *Pipeline) train(ctx context.Context, src Source, from, to int, pairs []
 	if p.cfg.Faults.FailTraining(attempt) {
 		return nil, fmt.Errorf("%w (attempt %d)", ErrFaultInjected, attempt)
 	}
-	windows, err := src.Traces(from, to)
+	windows, err := p.src.Traces(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: fetch traces: %w", err)
 	}
-	usage, err := src.Metrics(from, to)
+	usage, err := p.src.Metrics(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: fetch metrics: %w", err)
 	}
@@ -465,13 +442,30 @@ func (p *Pipeline) train(ctx context.Context, src Source, from, to int, pairs []
 	if err != nil {
 		return nil, err
 	}
-	// Swap the ingestion-time feature extractor to the new generation's
-	// space: windows recorded from here on are extracted once, at Record
-	// time, and cached vectors of the old space lazily invalidate on read.
-	if fs, ok := src.(FeatureSource); ok {
-		fs.SetExtractor(pub.Version, pub.System.Extractor())
-	}
+	p.followActive()
 	return pub, nil
+}
+
+// followActive is the one place that decides the store extracts with the
+// active generation's feature space; publish, Recover and Activate end with
+// it. Windows recorded from here on are extracted once, at Record time, in
+// that space, and cached vectors of another generation invalidate lazily on
+// read.
+func (p *Pipeline) followActive() {
+	if g := p.reg.Active(); g != nil {
+		p.src.SetExtractor(g.Version, g.System.Extractor())
+	}
+}
+
+// Activate makes a retained generation the serving one (rollback or
+// roll-forward) and points the store's extraction at it.
+func (p *Pipeline) Activate(version int) (*Generation, error) {
+	g, err := p.reg.Activate(version)
+	if err != nil {
+		return nil, err
+	}
+	p.followActive()
+	return g, nil
 }
 
 // slidingFrom maps "train up to n" to the configured sliding-window start.
@@ -484,25 +478,19 @@ func (p *Pipeline) slidingFrom(n int) int {
 
 // Recover loads checkpointed generations from the configured directory
 // (process restart). Each recovered model is wrapped in a System whose
-// synthesizer is re-learned from whatever telemetry the source currently
-// holds; sanity-check serving works immediately, traffic queries once
-// telemetry for the relevant APIs is ingested again.
+// synthesizer is re-learned from whatever telemetry the store holds at this
+// moment and is immutable afterwards: over an empty store (a push-only
+// tenant) the recovered generation serves status, models and downloads at
+// once, and traffic queries only from the next generation learned on
+// re-pushed telemetry.
 func (p *Pipeline) Recover() (int, error) {
-	src := p.source()
-	var windows [][]trace.Batch
-	if src != nil {
-		if w, err := src.Traces(oldestWindow(src), src.NumWindows()); err == nil {
-			windows = w
-		}
-	}
+	// Recovery runs while the tenant is built, before anything can push: the
+	// resident range cannot move under the two reads.
+	windows, _ := p.src.Traces(p.src.OldestWindow(), p.src.NumWindows())
 	n, err := p.reg.Recover(func(m *estimator.Model) *core.System {
 		return core.Restore(m, windows, p.opts)
 	})
-	if g := p.reg.Active(); g != nil {
-		if fs, ok := src.(FeatureSource); ok {
-			fs.SetExtractor(g.Version, g.System.Extractor())
-		}
-	}
+	p.followActive()
 	if q := p.reg.Quarantined(); len(q) > 0 {
 		p.warn("corrupt checkpoints quarantined during recovery",
 			"files", q, "recovered", n)
@@ -563,11 +551,7 @@ func (p *Pipeline) rebaseTrainedTo(n int) int {
 // failures persist the pipeline is degraded — queries keep being served
 // from the last good generation.
 func (p *Pipeline) scheduledRetrain(ctx context.Context, trigger string) {
-	src := p.source()
-	if src == nil {
-		return
-	}
-	n := src.NumWindows()
+	n := p.src.NumWindows()
 	trainedTo := p.rebaseTrainedTo(n)
 	minNew := p.cfg.MinNewWindows
 	if trigger == "drift" || trigger == "quality" {
@@ -633,38 +617,23 @@ func (p *Pipeline) checkQuality() bool {
 // since the last training run and reports whether an early retrain should
 // fire.
 func (p *Pipeline) checkDrift() bool {
-	src := p.source()
 	g := p.reg.Active()
-	if src == nil || g == nil {
+	if g == nil {
 		return false
 	}
-	n := src.NumWindows()
-	from := p.rebaseTrainedTo(n)
-	if o := oldestWindow(src); from < o {
-		from = o
-	}
+	n := p.src.NumWindows()
+	from := max(p.rebaseTrainedTo(n), p.src.OldestWindow())
 	if n-from < p.cfg.MinDriftWindows {
 		return false
 	}
-	usage, err := src.Metrics(from, n)
+	usage, err := p.src.Metrics(from, n)
 	if err != nil {
 		return false
 	}
-	// Retention-aware stores serve the cached per-window vectors instead of
-	// re-walking every trace tree on every drift tick; either way the
-	// series comes from the generation's own extractor (anonymisation
-	// included) and the estimates from its serving engine.
-	extract := g.System.Extractor()
-	var series []features.Vector
-	if fs, ok := src.(FeatureSource); ok {
-		series, err = fs.Features(g.Version, extract, from, n)
-	} else {
-		var windows [][]trace.Batch
-		windows, err = src.Traces(from, n)
-		for _, w := range windows {
-			series = append(series, extract(w))
-		}
-	}
+	// The store's cached per-window vectors, not a walk of every trace tree
+	// on every drift tick: the series comes from the generation's own
+	// extractor (anonymisation included), the estimates from its engine.
+	series, err := p.src.Features(g.Version, g.System.Extractor(), from, n)
 	if err != nil {
 		return false
 	}

@@ -35,10 +35,6 @@ func toyStore(t *testing.T, days int, seed int64) *telemetry.Server {
 	return store
 }
 
-func sourceOf(store *telemetry.Server) func() Source {
-	return func() Source { return store }
-}
-
 // waitFor polls until cond holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -54,7 +50,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestTrainOncePublishesAndWarmStarts(t *testing.T) {
 	store := toyStore(t, 1, 81)
-	p, err := New(quickOpts(), DefaultConfig(), sourceOf(store))
+	p, err := New(quickOpts(), DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +91,7 @@ func TestTrainOnceConflict(t *testing.T) {
 			<-release
 		})
 	}
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +119,7 @@ func TestTrainOnceConflict(t *testing.T) {
 
 func TestRollbackActivatesPriorVersion(t *testing.T) {
 	store := toyStore(t, 1, 83)
-	p, err := New(quickOpts(), DefaultConfig(), sourceOf(store))
+	p, err := New(quickOpts(), DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +157,7 @@ func TestBackgroundLoopRetrains(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinNewWindows = 0 // every tick retrains, no fresh data needed
 	cfg.MaxHistory = 8
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +196,7 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.MinDriftWindows = 8
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +235,7 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 }
 
 func TestTrainOnceWithoutTelemetry(t *testing.T) {
-	p, err := New(quickOpts(), DefaultConfig(), func() Source { return nil })
+	p, err := New(quickOpts(), DefaultConfig(), telemetry.NewServer(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +246,7 @@ func TestTrainOnceWithoutTelemetry(t *testing.T) {
 	// With telemetry, an unknown pair restriction fails the generation and
 	// surfaces in the status, but leaves the pipeline usable.
 	store := toyStore(t, 1, 86)
-	p2, err := New(quickOpts(), DefaultConfig(), sourceOf(store))
+	p2, err := New(quickOpts(), DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,22 +261,14 @@ func TestTrainOnceWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// The telemetry store must satisfy the pipeline's optional source
-// extensions — a signature drift here fails the type assertions silently
-// (no extractor installed, drift checks on the slow path), so pin it at
-// compile time.
-var (
-	_ Source        = (*telemetry.Server)(nil)
-	_ BoundedSource = (*telemetry.Server)(nil)
-	_ FeatureSource = (*telemetry.Server)(nil)
-)
-
-// TestTrainInstallsExtractor: publishing a generation through the pipeline
-// must arm Record-time extraction on a real telemetry store, tagged with
-// the published version.
+// TestTrainInstallsExtractor: the store's Record-time extraction follows the
+// active generation — through publish, rollback and a restart's recovery —
+// tagged with that generation's version.
 func TestTrainInstallsExtractor(t *testing.T) {
 	store := toyStore(t, 1, 86)
-	p, err := New(quickOpts(), DefaultConfig(), sourceOf(store))
+	cfg := DefaultConfig()
+	cfg.CheckpointDir = t.TempDir()
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,5 +288,27 @@ func TestTrainInstallsExtractor(t *testing.T) {
 	}
 	if got := store.ExtractorGen(); got != g2.Version {
 		t.Fatalf("extractor generation after second publish = %d, want %d", got, g2.Version)
+	}
+	if _, err := p.Activate(g1.Version); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.ExtractorGen(); got != g1.Version {
+		t.Fatalf("extractor generation after rollback = %d, want %d", got, g1.Version)
+	}
+	if _, err := p.Activate(99); err == nil {
+		t.Fatal("Activate accepted a version the registry does not hold")
+	}
+
+	// A restart: a fresh store and pipeline over the same checkpoints.
+	store2 := toyStore(t, 1, 86)
+	p2, err := New(quickOpts(), cfg, store2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p2.Recover(); err != nil || n != 2 {
+		t.Fatalf("Recover = %d, %v, want both generations", n, err)
+	}
+	if got, want := store2.ExtractorGen(), p2.Active().Version; got != want {
+		t.Fatalf("extractor generation after recovery = %d, want the active version %d", got, want)
 	}
 }

@@ -18,7 +18,7 @@ func TestRegistryBoundedHistory(t *testing.T) {
 	store := toyStore(t, 1, 91)
 	cfg := DefaultConfig()
 	cfg.MaxHistory = 2
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCheckpointRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCheckpointRestartRoundTrip(t *testing.T) {
 	}
 
 	// "Restart": a brand-new pipeline over the same checkpoint dir.
-	p2, err := New(quickOpts(), cfg, sourceOf(store))
+	p2, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestScheduledRetrainAfterRebasedStore(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestScheduledRetrainAfterRebasedStore(t *testing.T) {
 	for w := 0; w < 20; w++ {
 		record(w)
 	}
-	p2, err := New(quickOpts(), cfg, sourceOf(small))
+	p2, err := New(quickOpts(), cfg, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestCorruptCheckpointFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
-	p, err := New(quickOpts(), cfg, sourceOf(store))
+	p, err := New(quickOpts(), cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCorruptCheckpointFailsLoudly(t *testing.T) {
 		}
 		defer os.WriteFile(paths[0], data, 0o644) // restore for the next case
 		mutate(paths[0])
-		p2, err := New(quickOpts(), cfg, sourceOf(store))
+		p2, err := New(quickOpts(), cfg, store)
 		if err != nil {
 			t.Fatal(err)
 		}

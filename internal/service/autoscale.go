@@ -60,14 +60,11 @@ func (s *Server) handleAutoscalePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	gen := s.pipe.Active()
-	s.mu.RLock()
-	store := s.store
-	s.mu.RUnlock()
-	if gen == nil || store == nil {
+	if gen == nil {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
-	sys := gen.System
+	sys, store := gen.System, s.store
 
 	to := store.NumWindows()
 	from := to - windows

@@ -8,9 +8,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestBootstrapSeedsStore checks Bootstrap adopts a simulated run as the
-// telemetry store, that later runs append, and that mismatched window
-// durations are rejected.
+// TestBootstrapSeedsStore checks Bootstrap appends a simulated run to the
+// telemetry store, that later runs append after it, and that a mismatched
+// window duration is rejected whole.
 func TestBootstrapSeedsStore(t *testing.T) {
 	svc := newTestService()
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 1)
@@ -50,6 +50,9 @@ func TestBootstrapSeedsStore(t *testing.T) {
 	badCopy.WindowSeconds = run.WindowSeconds * 2
 	if err := svc.Bootstrap(&badCopy); err == nil {
 		t.Fatal("Bootstrap accepted a mismatched window duration")
+	}
+	if got := svc.Windows(); got != st.Windows {
+		t.Fatalf("a refused bootstrap left %d windows, want %d", got, st.Windows)
 	}
 
 	if err := svc.Bootstrap(nil); err == nil {

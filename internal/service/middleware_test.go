@@ -46,12 +46,34 @@ func gateFirstTrain(pcfg *pipeline.Config) (enter, release chan struct{}) {
 	return enter, release
 }
 
+// telemetrySeries are the store's six series.
+var telemetrySeries = []string{
+	"deeprest_telemetry_windows_total",
+	"deeprest_telemetry_spans_total",
+	"deeprest_telemetry_requests_total",
+	"deeprest_telemetry_evicted_total",
+	"deeprest_telemetry_resident_windows",
+	"deeprest_telemetry_feature_extractions_total",
+}
+
 // TestMetricsScrape drives the service through ingest + learn and validates
 // the full /metrics exposition against the Prometheus text-format grammar,
 // then checks the promised series are all present.
 func TestMetricsScrape(t *testing.T) {
 	s, _, _ := instrumentedService(t, pipeline.DefaultConfig(), Config{})
 	h := s.Handler()
+
+	// The store is instrumented when the tenant is built: its series scrape
+	// as 0 before the first push instead of appearing with it.
+	fresh := do(t, h, "GET", "/metrics", nil).Body.String()
+	if err := obs.Lint(strings.NewReader(fresh)); err != nil {
+		t.Fatalf("fresh exposition fails Prometheus grammar: %v\n%s", err, fresh)
+	}
+	for _, name := range telemetrySeries {
+		if !strings.Contains(fresh, "\n"+name+" 0\n") {
+			t.Errorf("fresh scrape does not carry %s at 0", name)
+		}
+	}
 
 	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 61)); rec.Code != http.StatusOK {
 		t.Fatalf("ingest = %d", rec.Code)

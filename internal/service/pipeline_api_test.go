@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -111,9 +112,17 @@ func TestModelsListAndActivate(t *testing.T) {
 		t.Fatalf("second generation metadata = %+v", list.Models[1])
 	}
 
-	// Roll back to v1; status and estimates now report version 1.
+	if got := s.store.ExtractorGen(); got != 2 {
+		t.Fatalf("store extracts for generation %d after two publishes, want 2", got)
+	}
+
+	// Roll back to v1; status and estimates now report version 1, and the
+	// store extracts in its feature space.
 	if rec := do(t, h, "POST", "/v1/models/1/activate", nil); rec.Code != http.StatusOK {
 		t.Fatalf("activate = %d: %s", rec.Code, rec.Body)
+	}
+	if got := s.store.ExtractorGen(); got != 1 {
+		t.Fatalf("store extracts for generation %d after rollback, want 1", got)
 	}
 	var st statusResponse
 	rec = do(t, h, "GET", "/v1/status", nil)
@@ -138,6 +147,70 @@ func TestModelsListAndActivate(t *testing.T) {
 	if rec := do(t, h, "POST", "/v1/models/banana/activate", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("activate malformed = %d", rec.Code)
 	}
+}
+
+// TestRecoveredGenerationOverEmptyStore pins what a restarted push-only
+// tenant answers: the recovered generation is active at once, so nothing says
+// "not learned yet"; reads that need telemetry fail with the store's own
+// range error; Mode-1 is 422 — the recovered synthesizer was learned from
+// the empty store and is immutable — before and after telemetry is pushed
+// again, until the next generation is learned from it.
+func TestRecoveredGenerationOverEmptyStore(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	cfg.CheckpointDir = t.TempDir()
+	s1, err := NewWithConfig(quickServiceOpts(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s1.Handler(), "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 73)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	if rec := do(t, s1.Handler(), "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+
+	s2, err := NewWithConfig(quickServiceOpts(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s2.Pipeline().Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v", n, err)
+	}
+	h := s2.Handler()
+	const estimate = `{"windows":[{"/read":10}]}`
+	check := func(stage, method, path, body string, code int, say string) {
+		t.Helper()
+		rec := do(t, h, method, path, bytes.NewBufferString(body))
+		if rec.Code != code || !strings.Contains(rec.Body.String(), say) {
+			t.Errorf("%s: %s %s = %d %s, want %d mentioning %q", stage, method, path, rec.Code, rec.Body, code, say)
+		}
+	}
+	for _, c := range []struct {
+		method, path, body string
+		code               int
+		say                string
+	}{
+		{"GET", "/v1/status", "", 200, `"version":1`},
+		{"GET", "/v1/models", "", 200, `"active":true`},
+		{"GET", "/v1/model", "", 200, ""},
+		{"POST", "/v1/estimate", estimate, 422, "never observed"},
+		{"POST", "/v1/sanity", `{"from":0,"to":5}`, 400, "out of bounds (windows [0, 0) resident)"},
+		{"GET", "/v1/influence?pair=Service/cpu", "", 400, "influence:"},
+		{"GET", "/v1/autoscale/plan", "", 412, "no telemetry windows to plan from"},
+	} {
+		check("empty store", c.method, c.path, c.body, c.code, c.say)
+	}
+
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 73)); rec.Code != http.StatusOK {
+		t.Fatalf("re-push = %d", rec.Code)
+	}
+	check("re-pushed", "POST", "/v1/estimate", estimate, 422, "never observed")
+	check("re-pushed", "POST", "/v1/sanity", `{"from":0,"to":5}`, 200, `"version":1`)
+	check("re-pushed", "GET", "/v1/autoscale/plan", "", 200, `"version":1`)
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn after re-push = %d: %s", rec.Code, rec.Body)
+	}
+	check("relearned", "POST", "/v1/estimate", estimate, 200, `"version":2`)
 }
 
 // TestPipelineStartStopStatus: a server owns no retrain loop — the start/stop

@@ -5,57 +5,9 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/quality"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
-
-// storeSource adapts the lazily created telemetry store for the quality
-// scorer: before the first ingest every read reports an empty store, so the
-// scorer simply has nothing to score yet.
-type storeSource struct{ s *Server }
-
-func (ss storeSource) get() *telemetry.Server {
-	ss.s.mu.RLock()
-	defer ss.s.mu.RUnlock()
-	return ss.s.store
-}
-
-func (ss storeSource) WindowSeconds() float64 {
-	if st := ss.get(); st != nil {
-		return st.WindowSeconds()
-	}
-	return 0
-}
-
-func (ss storeSource) NumWindows() int {
-	if st := ss.get(); st != nil {
-		return st.NumWindows()
-	}
-	return 0
-}
-
-func (ss storeSource) OldestWindow() int {
-	if st := ss.get(); st != nil {
-		return st.OldestWindow()
-	}
-	return 0
-}
-
-func (ss storeSource) Traces(from, to int) ([][]trace.Batch, error) {
-	return ss.get().Traces(from, to)
-}
-
-func (ss storeSource) Metrics(from, to int) (map[app.Pair][]float64, error) {
-	return ss.get().Metrics(from, to)
-}
-
-func (ss storeSource) Features(gen int, fn func([]trace.Batch) features.Vector, from, to int) ([]features.Vector, error) {
-	return ss.get().Features(gen, fn, from, to)
-}
 
 // qualityHorizons derives the report horizons from the configured maximum:
 // the defaults (1h/6h/24h) clipped to max, with max itself always included
@@ -81,7 +33,7 @@ func (s *Server) newScorer() *quality.Scorer {
 		SMAPEThreshold: s.cfg.QualityThreshold,
 		SustainWindows: s.cfg.QualitySustain,
 	}, quality.Deps{
-		Source: storeSource{s},
+		Source: s.store,
 		Active: func() (int, *core.System) {
 			g := s.pipe.Active()
 			if g == nil {

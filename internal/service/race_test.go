@@ -6,12 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/faults"
 	"repro/internal/pipeline"
+	"repro/internal/telemetry"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -35,7 +39,7 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
 		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
 	}
-	store := s.telemetrySource()
+	store := s.store
 	windows, err := store.Traces(0, store.NumWindows())
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +66,7 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 				return
 			}
 			if gens := s.Pipeline().Registry().Generations(); len(gens) > 1 && i%3 == 2 {
-				if _, err := s.Pipeline().Registry().Activate(gens[0].Version); err != nil {
+				if _, err := s.Pipeline().Activate(gens[0].Version); err != nil {
 					t.Errorf("rollback: %v", err)
 					return
 				}
@@ -157,4 +161,100 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 
 func isInjected(err error) bool {
 	return errors.Is(err, pipeline.ErrFaultInjected)
+}
+
+// TestConcurrentStreamsLandContiguous: telemetry streams racing into one
+// tenant each land as one unbroken run of windows — the store is some
+// ordering of whole streams, never an interleaving — while estimate misses,
+// sanity checks and the quality scoreboard read the same store. Run under
+// -race it is also the proof that no reader needs a lock in front of the
+// store.
+func TestConcurrentStreamsLandContiguous(t *testing.T) {
+	s := newFaultService(t, pipeline.DefaultConfig(), Config{})
+	h := s.Handler()
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 64)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+
+	const streams = 6
+	cpu := app.Pair{Component: "Service", Resource: app.CPU}
+	bodies := make([]*bytes.Buffer, streams)
+	series := make([][]float64, streams)
+	for k := range bodies {
+		_, _, run := testutil.ToyTelemetry(t, 1, 30, int64(100+k))
+		in := telemetry.NewServer(run.WindowSeconds)
+		in.RecordRun(run)
+		bodies[k] = &bytes.Buffer{}
+		if err := in.ExportJSON(bodies[k]); err != nil {
+			t.Fatal(err)
+		}
+		series[k] = run.Usage[cpu]
+	}
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var code int
+				switch g {
+				case 0: // rotating bodies: every estimate is a miss
+					code = do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(
+						fmt.Sprintf(`{"windows":[{"/read":%d,"/write":4}]}`, 10+i))).Code
+				case 1:
+					code = do(t, h, "POST", "/v1/sanity", bytes.NewBufferString(
+						fmt.Sprintf(`{"from":0,"to":%d}`, testutil.ToyDay))).Code
+				default:
+					code = do(t, h, "GET", "/v1/quality", nil).Code
+				}
+				if code != http.StatusOK {
+					t.Errorf("reader %d: status %d", g, code)
+					return
+				}
+			}
+		}(g)
+	}
+	for k := range bodies {
+		writers.Add(1)
+		go func(k int) {
+			defer writers.Done()
+			if rec := do(t, h, "POST", "/v1/telemetry", bodies[k]); rec.Code != http.StatusOK {
+				t.Errorf("stream %d = %d: %s", k, rec.Code, rec.Body)
+			}
+		}(k)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	if got, want := s.store.NumWindows(), (1+streams)*testutil.ToyDay; got != want {
+		t.Fatalf("store holds %d windows, want %d", got, want)
+	}
+	landed := make(map[int]bool)
+	for at := testutil.ToyDay; at < s.store.NumWindows(); at += testutil.ToyDay {
+		got, err := s.store.Metric(cpu, at, at+testutil.ToyDay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := -1
+		for k := range series {
+			if !landed[k] && slices.Equal(got, series[k]) {
+				whole = k
+			}
+		}
+		if whole < 0 {
+			t.Fatalf("windows [%d, %d) are no one stream's: two streams interleaved", at, at+testutil.ToyDay)
+		}
+		landed[whole] = true
+	}
 }

@@ -67,7 +67,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -79,9 +78,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/quality"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -149,9 +146,9 @@ type Server struct {
 	cfg     Config
 	handler http.Handler
 
-	mu    sync.RWMutex
-	store *telemetry.Server
-
+	// store is the tenant's one telemetry store, created with the server and
+	// never replaced; it does its own locking.
+	store   *telemetry.Server
 	pipe    *pipeline.Pipeline
 	quality *quality.Scorer
 
@@ -188,14 +185,17 @@ func NewWithConfig(opts core.Options, pcfg pipeline.Config) (*Server, error) {
 
 // New returns a service with the given learning options, continuous-learning
 // configuration (checkpoint directory, retrain cadence, drift thresholds,
-// registry bound) and server settings. The telemetry store is created on
-// first ingest (its window duration comes from the stream header).
+// registry bound) and server settings. The telemetry store is created here,
+// empty; its window duration comes from the first stream's header.
 func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{opts: opts, cfg: cfg, log: opts.Logger, reqPrefix: newRequestPrefix(),
-		estCache: newPredCache(estimateCacheSize)}
+		estCache: newPredCache(estimateCacheSize), store: telemetry.NewServer(0)}
+	s.store.SetRetention(cfg.Retention)
+	s.store.Instrument(opts.Metrics)
+	s.store.SetTracer(opts.Tracer)
 	if m := opts.Metrics; m != nil {
 		s.httpReqs = m.CounterVec("deeprest_http_requests_total",
 			"HTTP requests served, by endpoint pattern and status code.",
@@ -238,7 +238,7 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 	if pcfg.QualityCheck == nil {
 		pcfg.QualityCheck = s.qualityRegressed
 	}
-	p, err := pipeline.New(opts, pcfg, s.telemetrySource)
+	p, err := pipeline.New(opts, pcfg, s.store)
 	if err != nil {
 		return nil, err
 	}
@@ -253,31 +253,13 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 // retrain and drift ticks.
 func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
 
-// Windows reports the total ingested telemetry window count (0 before the
-// first ingest) — the fleet status endpoint reads it without going through
-// the tenant's HTTP surface.
-func (s *Server) Windows() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.store == nil {
-		return 0
-	}
-	return s.store.NumWindows()
-}
+// Windows reports the total ingested telemetry window count — the fleet
+// status endpoint reads it without going through the tenant's HTTP surface.
+func (s *Server) Windows() int { return s.store.NumWindows() }
 
 // ShedCount reports how many requests have been shed at admission, 429s and
 // 503s together.
 func (s *Server) ShedCount() uint64 { return s.shedRate.Value() + s.shedInflight.Value() }
-
-// telemetrySource adapts the lazily created store for the pipeline.
-func (s *Server) telemetrySource() pipeline.Source {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.store == nil {
-		return nil
-	}
-	return s.store
-}
 
 // Handler returns the routed HTTP handler, built once at construction.
 func (s *Server) Handler() http.Handler { return s.handler }
@@ -341,46 +323,16 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingest is the one way telemetry enters the service (pushed streams and the
-// simulated bootstrap alike): the first stream becomes the store, later ones
-// must agree on the window duration and are appended window by window. It
-// returns the store's total window count.
+// simulated bootstrap alike): the parsed stream is appended whole, or — its
+// window duration disagreeing with the store's — not at all. It returns the
+// store's total window count.
 func (s *Server) ingest(ctx context.Context, in *telemetry.Server) (int, error) {
-	s.mu.Lock()
-	switch {
-	case s.store == nil:
-		s.store = in
-		if s.cfg.Retention > 0 {
-			s.store.SetRetention(s.cfg.Retention)
-		}
-		// Back-counts the imported windows, so ingestion metrics cover the
-		// stream that created the store too.
-		s.store.Instrument(s.opts.Metrics)
-		s.store.SetTracer(s.opts.Tracer)
-		// A recovered generation may predate the store: arm its extractor so
-		// Record-time feature extraction starts with the first window.
-		if gen := s.pipe.Active(); gen != nil {
-			s.store.SetExtractor(gen.Version, gen.System.Extractor())
-		}
-	case s.store.WindowSeconds() != in.WindowSeconds():
-		have := s.store.WindowSeconds()
-		s.mu.Unlock()
-		return 0, fmt.Errorf("window duration %vs does not match existing store (%vs)",
-			in.WindowSeconds(), have)
-	default:
-		n := in.NumWindows()
-		traces, _ := in.Traces(0, n)
-		metrics, _ := in.Metrics(0, n)
-		for i := 0; i < n; i++ {
-			s.store.Record(windowResult(traces[i], metrics, i))
-		}
+	if err := s.store.Append(in); err != nil {
+		return 0, err
 	}
-	total := s.store.NumWindows()
-	s.mu.Unlock()
-
-	// Shadow-score the fresh windows against the active generation (the
-	// scorer reads the store through storeSource, which takes s.mu itself).
+	// Shadow-score the fresh windows against the active generation.
 	s.quality.CatchUp(ctx)
-	return total, nil
+	return s.store.NumWindows(), nil
 }
 
 // learnRequest controls one training generation.
@@ -403,12 +355,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.mu.RLock()
-	windows := 0
-	if s.store != nil {
-		windows = s.store.NumWindows()
-	}
-	s.mu.RUnlock()
+	windows := s.store.NumWindows()
 	if windows == 0 {
 		writeErr(w, http.StatusPreconditionFailed, "no telemetry ingested")
 		return
@@ -470,14 +417,12 @@ type statusResponse struct {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	resp := statusResponse{ServerVersion: buildinfo.Version}
-	if s.store != nil {
-		resp.Windows = s.store.NumWindows()
-		resp.ResidentWindows = s.store.ResidentWindows()
-		resp.OldestWindow = s.store.OldestWindow()
+	resp := statusResponse{
+		ServerVersion:   buildinfo.Version,
+		Windows:         s.store.NumWindows(),
+		ResidentWindows: s.store.ResidentWindows(),
+		OldestWindow:    s.store.OldestWindow(),
 	}
-	s.mu.RUnlock()
 	if gen := s.pipe.Active(); gen != nil {
 		resp.Learned = true
 		resp.Version = gen.Version
@@ -549,17 +494,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.estCacheMisses.Inc()
 
-	s.mu.RLock()
-	var ws float64
-	if s.store != nil {
-		ws = s.store.WindowSeconds()
-	}
-	s.mu.RUnlock()
 	wpd := req.WindowsPerDay
 	if wpd == 0 {
 		wpd = len(req.Windows)
 	}
-	traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: ws, WindowsPerDay: wpd}
+	traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: s.store.WindowSeconds(), WindowsPerDay: wpd}
 
 	// A miss is one EstimateTraffic call; identical in-flight requests join
 	// it, and its completion — not this caller — fills the cache.
@@ -617,14 +556,11 @@ func (s *Server) handleSanity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gen := s.pipe.Active()
-	s.mu.RLock()
-	store := s.store
-	s.mu.RUnlock()
-	if gen == nil || store == nil {
+	if gen == nil {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
-	sys := gen.System
+	sys, store := gen.System, s.store
 	// Serve from the per-window feature cache: each window was extracted
 	// once at Record time (or on the first read after a generation swap),
 	// so the sanity check never re-walks the stored trace trees.
@@ -688,14 +624,11 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gen := s.pipe.Active()
-	s.mu.RLock()
-	store := s.store
-	s.mu.RUnlock()
-	if gen == nil || store == nil {
+	if gen == nil {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
-	windows, err := store.Traces(store.OldestWindow(), store.NumWindows())
+	windows, err := s.store.Traces(s.store.OldestWindow(), s.store.NumWindows())
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -775,18 +708,10 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "a training generation is in flight; retry after it publishes")
 		return
 	}
-	gen, err := s.pipe.Registry().Activate(version)
+	gen, err := s.pipe.Activate(version)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
-	}
-	// Rollback (or roll-forward) changes the serving feature space; point
-	// Record-time extraction at it so the cache follows the active model.
-	s.mu.RLock()
-	store := s.store
-	s.mu.RUnlock()
-	if store != nil {
-		store.SetExtractor(gen.Version, gen.System.Extractor())
 	}
 	writeJSON(w, map[string]int{"active": gen.Version})
 }
@@ -798,15 +723,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 		"revision":   buildinfo.Revision(),
 		"go_version": buildinfo.GoVersion(),
 	})
-}
-
-// windowResult reassembles one window of an imported store for appending.
-func windowResult(batches []trace.Batch, metrics map[app.Pair][]float64, i int) sim.WindowResult {
-	wr := sim.WindowResult{Batches: batches, Usage: make(sim.Usage, len(metrics))}
-	for p, series := range metrics {
-		wr.Usage[p] = series[i]
-	}
-	return wr
 }
 
 // decodeBody decodes a JSON request body, tolerating an empty body as the

@@ -209,6 +209,16 @@ func TestServiceIngestAppend(t *testing.T) {
 	if rec := do(t, h, "POST", "/v1/telemetry", &buf); rec.Code != http.StatusConflict {
 		t.Fatalf("mismatched ingest = %d", rec.Code)
 	}
+	// So is a stream that breaks off mid-window; neither appended anything.
+	whole := telemetryBody(t, 1, 30, 54).Bytes()
+	if rec := do(t, h, "POST", "/v1/telemetry", bytes.NewBuffer(whole[:len(whole)/2])); rec.Code != http.StatusBadRequest {
+		t.Fatalf("truncated ingest = %d", rec.Code)
+	}
+	var st statusResponse
+	_ = json.Unmarshal(do(t, h, "GET", "/v1/status", nil).Body.Bytes(), &st)
+	if st.Windows != 2*testutil.ToyDay {
+		t.Fatalf("windows after two refused streams = %d, want %d", st.Windows, 2*testutil.ToyDay)
+	}
 }
 
 func TestServiceErrorPaths(t *testing.T) {

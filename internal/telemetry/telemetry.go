@@ -45,10 +45,6 @@ import (
 // Extractor turns one window of trace batches into its feature vector. The
 // continuous-learning pipeline installs the active generation's extractor
 // (feature space plus optional anonymisation) via SetExtractor.
-//
-// It is an alias, not a defined type: pipeline.FeatureSource declares its
-// methods against the literal func type, and a defined type here would
-// make Server's method set silently fail that interface assertion.
 type Extractor = func([]trace.Batch) features.Vector
 
 // featEntry is the cached feature vector of one resident window.
@@ -120,13 +116,19 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		"Telemetry windows currently resident in the store.")
 	s.extractsTotal = reg.Counter("deeprest_telemetry_feature_extractions_total",
 		"Window feature extractions performed (Record-time plus cache fills).")
-	s.windowsTotal.Add(uint64(len(s.traces)))
-	for _, batches := range s.traces {
-		wr := sim.WindowResult{Batches: batches}
+	s.countLocked(s.traces)
+	s.residentGauge.Set(float64(len(s.traces)))
+}
+
+// countLocked adds windows to the ingestion-volume counters. Callers must
+// hold s.mu.
+func (s *Server) countLocked(windows [][]trace.Batch) {
+	s.windowsTotal.Add(uint64(len(windows)))
+	for _, w := range windows {
+		wr := sim.WindowResult{Batches: w}
 		s.spansTotal.Add(uint64(wr.NumSpans()))
 		s.requestsTotal.Add(uint64(wr.NumRequests()))
 	}
-	s.residentGauge.Set(float64(len(s.traces)))
 }
 
 // SetTracer installs the stage tracer recording feature-extraction spans.
@@ -137,7 +139,7 @@ func (s *Server) SetTracer(tr *obs.SpanTracer) {
 }
 
 // NewServer returns an empty, unbounded telemetry server with the given
-// scrape window duration in seconds.
+// scrape window duration in seconds; 0 leaves it to the first Append.
 func NewServer(windowSeconds float64) *Server {
 	return &Server{
 		windowSeconds: windowSeconds,
@@ -147,6 +149,8 @@ func NewServer(windowSeconds float64) *Server {
 
 // WindowSeconds returns the scrape window duration.
 func (s *Server) WindowSeconds() float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.windowSeconds
 }
 
@@ -194,76 +198,90 @@ func (s *Server) ExtractorGen() int {
 // O(window): appending is amortised O(1) and eviction drops at most one
 // window.
 func (s *Server) Record(wr sim.WindowResult) {
-	s.mu.RLock()
-	gen, fn, tr := s.extractorGen, s.extractor, s.tracer
-	s.mu.RUnlock()
-	fe := featEntry{}
-	if fn != nil {
-		_, span := tr.Start(context.Background(), "telemetry.extract")
-		span.SetWindows(1)
-		fe = featEntry{gen: gen, vec: fn(wr.Batches), ok: true}
-		span.End()
-		s.extractsTotal.Inc()
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := len(s.traces)
-	s.traces = append(s.traces, wr.Batches)
-	s.feats = append(s.feats, fe)
-	s.windowsTotal.Inc()
-	s.spansTotal.Add(uint64(wr.NumSpans()))
-	s.requestsTotal.Add(uint64(wr.NumRequests()))
-	for p, v := range wr.Usage {
-		series, ok := s.metrics[p]
-		if !ok {
-			series = make([]float64, idx)
+	var fe [1]featEntry
+	_ = s.appendWindows(0, [][]trace.Batch{wr.Batches}, fe[:], func(at int) {
+		for p, v := range wr.Usage {
+			s.extendLocked(p, at, v)
 		}
-		for len(series) < idx {
-			series = append(series, 0)
-		}
-		s.metrics[p] = append(series, v)
-	}
-	s.padMetricsLocked(idx + 1)
-	s.evictLocked()
+	})
 }
 
 // RecordRun appends every window of a simulation run.
 func (s *Server) RecordRun(r *sim.Run) {
+	_ = s.appendWindows(0, r.Windows, make([]featEntry, len(r.Windows)), func(at int) {
+		for p, vs := range r.Usage {
+			s.extendLocked(p, at, vs...)
+		}
+	})
+}
+
+// Append splices every resident window of in — a parsed stream, not s itself
+// — onto s in one step, so two concurrent streams never interleave. A store
+// built without a window duration adopts the first stream's; after that a
+// stream that disagrees is refused and nothing is appended.
+func (s *Server) Append(in *Server) error {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if in.windowSeconds <= 0 {
+		return fmt.Errorf("telemetry: invalid window duration %v", in.windowSeconds)
+	}
+	return s.appendWindows(in.windowSeconds, in.traces, make([]featEntry, len(in.traces)), func(at int) {
+		for p, vs := range in.metrics {
+			s.extendLocked(p, at, vs...)
+		}
+	})
+}
+
+// appendWindows is the one append body. Feature extraction runs first,
+// outside the lock, into fes (the caller's scratch, one entry per window, so
+// a lone Record allocates nothing but its vector); then one critical section
+// checks the window duration (0 = the caller states none), splices traces
+// and cache entries, lets usage extend each pair's series from resident
+// offset at, and pads and evicts.
+func (s *Server) appendWindows(windowSeconds float64, windows [][]trace.Batch, fes []featEntry, usage func(at int)) error {
 	s.mu.RLock()
 	gen, fn, tr := s.extractorGen, s.extractor, s.tracer
 	s.mu.RUnlock()
-	fes := make([]featEntry, len(r.Windows))
 	if fn != nil {
 		_, span := tr.Start(context.Background(), "telemetry.extract")
-		span.SetWindows(len(r.Windows))
-		for i, w := range r.Windows {
+		span.SetWindows(len(windows))
+		for i, w := range windows {
 			fes[i] = featEntry{gen: gen, vec: fn(w), ok: true}
 		}
 		span.End()
-		s.extractsTotal.Add(uint64(len(r.Windows)))
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	base := len(s.traces)
-	s.traces = append(s.traces, r.Windows...)
-	s.feats = append(s.feats, fes...)
-	s.windowsTotal.Add(uint64(len(r.Windows)))
-	s.spansTotal.Add(uint64(r.NumSpans()))
-	s.requestsTotal.Add(uint64(r.NumRequests()))
-	for p, vs := range r.Usage {
-		series, ok := s.metrics[p]
-		if !ok {
-			series = make([]float64, base)
-		}
-		for len(series) < base {
-			series = append(series, 0)
-		}
-		s.metrics[p] = append(series, vs...)
+	switch {
+	case windowSeconds == 0 || windowSeconds == s.windowSeconds:
+	case s.windowSeconds == 0:
+		s.windowSeconds = windowSeconds
+	default:
+		return fmt.Errorf("telemetry: window duration %vs does not match existing store (%vs)", windowSeconds, s.windowSeconds)
 	}
-	s.padMetricsLocked(base + len(r.Windows))
+	if fn != nil {
+		s.extractsTotal.Add(uint64(len(windows)))
+	}
+	at := len(s.traces)
+	s.traces = append(s.traces, windows...)
+	s.feats = append(s.feats, fes...)
+	s.countLocked(windows)
+	usage(at)
+	s.padMetricsLocked(at + len(windows))
 	s.evictLocked()
+	return nil
+}
+
+// extendLocked appends vs to p's series, the first of them at resident
+// offset at: a pair first seen now is zero-filled up to there. Callers must
+// hold s.mu.
+func (s *Server) extendLocked(p app.Pair, at int, vs ...float64) {
+	series := s.metrics[p]
+	for len(series) < at {
+		series = append(series, 0)
+	}
+	s.metrics[p] = append(series, vs...)
 }
 
 // padMetricsLocked zero-fills every metric series to n values so pairs

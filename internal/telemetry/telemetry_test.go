@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/features"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testutil"
 	"repro/internal/trace"
@@ -83,6 +86,96 @@ func TestRecordRunMatchesPerWindowRecord(t *testing.T) {
 	for i, v := range run.Series(p) {
 		if m[i] != v {
 			t.Fatalf("window %d: %v vs %v", i, m[i], v)
+		}
+	}
+}
+
+// TestAppendMatchesRecordRun: a store filled by Append of k streams is the
+// store one RecordRun of the whole run builds — the same export byte for
+// byte, the same ring position and eviction count under retention, every
+// cached vector in the installed generation, a pair first reported by a later
+// stream zero-filled — and a stream that disagrees on the window duration is
+// refused with nothing appended.
+func TestAppendMatchesRecordRun(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 20, 3)
+	n := run.NumWindows()
+	cuts := []int{0, n / 3, n / 3, n - 5, n} // one stream is empty
+	late := app.Pair{Component: "Late", Resource: app.CPU}
+	run.Usage[late] = make([]float64, n)
+	for i := cuts[3]; i < n; i++ {
+		run.Usage[late][i] = float64(i)
+	}
+	extract := func(w []trace.Batch) features.Vector {
+		return features.Vector{Counts: []float64{float64(trace.TotalRequests(w))}}
+	}
+	export := func(s *Server) []byte {
+		var buf bytes.Buffer
+		if err := s.ExportJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	for _, retention := range []int{0, n / 2} {
+		build := func(windowSeconds float64) (*Server, *obs.Registry) {
+			reg := obs.NewRegistry()
+			s := NewServer(windowSeconds)
+			s.SetRetention(retention)
+			s.Instrument(reg)
+			s.SetExtractor(7, extract)
+			return s, reg
+		}
+		want, wantReg := build(run.WindowSeconds)
+		want.RecordRun(run)
+
+		got, gotReg := build(0) // the first stream states the duration
+		for k := 0; k+1 < len(cuts); k++ {
+			chunk := run.Slice(cuts[k], cuts[k+1])
+			if k < 3 {
+				delete(chunk.Usage, late)
+			}
+			in := NewServer(run.WindowSeconds)
+			in.RecordRun(chunk)
+			if err := got.Append(in); err != nil {
+				t.Fatalf("retention %d: Append of stream %d: %v", retention, k, err)
+			}
+		}
+
+		if !bytes.Equal(export(got), export(want)) {
+			t.Fatalf("retention %d: appended store exports differently from the recorded one", retention)
+		}
+		if got.NumWindows() != n || got.OldestWindow() != want.OldestWindow() || got.WindowSeconds() != run.WindowSeconds {
+			t.Fatalf("retention %d: windows [%d, %d) at %vs, want [%d, %d) at %vs", retention,
+				got.OldestWindow(), got.NumWindows(), got.WindowSeconds(), want.OldestWindow(), n, run.WindowSeconds)
+		}
+		if g, w := evictedValue(gotReg), evictedValue(wantReg); g != w || (retention > 0) != (w > 0) {
+			t.Fatalf("retention %d: evicted %d windows, the recorded store %d", retention, g, w)
+		}
+		cached, err := got.Features(7, func([]trace.Batch) features.Vector {
+			t.Errorf("retention %d: a window appended under generation 7 was not cached in it", retention)
+			return features.Vector{}
+		}, got.OldestWindow(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, _ := got.Traces(got.OldestWindow(), n)
+		for i, v := range cached {
+			if v.Counts[0] != extract(traces[i]).Counts[0] {
+				t.Fatalf("retention %d: cached vector of window %d belongs to another window", retention, got.OldestWindow()+i)
+			}
+		}
+
+		before := export(got)
+		bad := NewServer(2 * run.WindowSeconds)
+		bad.RecordRun(run.Slice(0, 2))
+		if err := got.Append(bad); err == nil {
+			t.Fatalf("retention %d: Append took a stream of another window duration", retention)
+		}
+		if err := got.Append(NewServer(0)); err == nil {
+			t.Fatalf("retention %d: Append took a stream without a window duration", retention)
+		}
+		if !bytes.Equal(export(got), before) {
+			t.Fatalf("retention %d: a refused stream changed the store", retention)
 		}
 	}
 }
