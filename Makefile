@@ -32,7 +32,6 @@ loc:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults
-	$(GO) test -run='^$$' -fuzz=FuzzIngestSpans -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzImportJSON -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzParseTopology -fuzztime=$(FUZZTIME) ./internal/topo
 	$(GO) test -run='^$$' -fuzz=FuzzFleetManifest -fuzztime=$(FUZZTIME) ./internal/fleet
@@ -44,6 +43,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

@@ -10,8 +10,8 @@ import (
 // Example_capacityPlanning shows the Mode-1 flow: learn from telemetry,
 // then ask how many resources a 2x-traffic day would need. (The telemetry
 // here comes from the bundled simulator; in production it comes from your
-// tracing and metrics stack, e.g. via telemetry.ImportJaegerTraces and
-// telemetry.ImportPrometheusMatrix.)
+// tracing and metrics stack, converted to the telemetry interchange stream
+// that `deeprest learn -telemetry` and POST /v1/telemetry read.)
 func Example_capacityPlanning() {
 	cluster, err := deeprest.NewCluster(deeprest.SocialNetwork(), 1)
 	if err != nil {

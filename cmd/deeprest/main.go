@@ -7,11 +7,14 @@
 //
 //	learn     train a model from simulated or imported (-telemetry) telemetry
 //	estimate  load a model and estimate resources for hypothetical traffic (Mode 1),
-//	          either generated or read from a loadgen CSV (-traffic)
+//	          either generated or read from a `deeprest traffic` CSV (-traffic)
 //	sanity    run an application sanity check over an attacked period (Mode 2)
 //	synth     report trace-synthesizer statistics for hypothetical traffic
 //	export    dump simulated telemetry as a JSON interchange stream
 //	topology  emit the execution topology graph as Graphviz DOT (Figure 5)
+//	traffic   generate a traffic program — the Locust stand-in (paper §5.1) — as
+//	          a per-window CSV or a sparkline summary
+//	spec      validate, export or generate topology DSL documents
 //
 // All state flows through the model file, so `deeprest learn` followed by
 // `deeprest estimate` exercises serialization the way a real deployment
@@ -56,6 +59,8 @@ func main() {
 		err = cmdExport(os.Args[2:])
 	case "topology":
 		err = cmdTopology(os.Args[2:])
+	case "traffic":
+		err = cmdTraffic(os.Args[2:])
 	case "spec":
 		err = cmdSpec(os.Args[2:])
 	case "-h", "--help", "help":
@@ -72,17 +77,19 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: deeprest <learn|estimate|sanity|synth|spec> [flags]
+	fmt.Fprintln(os.Stderr, `usage: deeprest <learn|estimate|sanity|synth|export|topology|traffic|spec> [flags]
 
 APP is social|hotel|media, @FILE (a topology DSL document), or
 gen:seed=N,components=N[,apis=N,depth=N,fanout=N] (a generated topology).
 
   learn     -app APP -days N -model FILE [-seed N] [-quick]
-  estimate  -app APP -model FILE -scale F [-shape 2peak|flat] [-days N]
+  estimate  -app APP -model FILE -scale F [-shape 2peak|flat|1peak|high] [-traffic CSV]
   sanity    -app APP -attack ransomware|cryptojack|memleak [-quick]
   synth     -app APP [-quick]
   export    -app APP -o FILE [-quick]   (dump simulated telemetry as JSON)
   topology  -app APP [-o FILE] [-quick] (execution topology graph as Graphviz DOT)
+  traffic   -app APP [-days N] [-shape 2peak|flat|1peak|high] [-peak RPS] [-scale F]
+            [-wpd N] [-window S] [-format csv|summary] [-seed N]
   spec      validate FILE... | export -app APP [-o FILE] | generate -seed N -components N [-o FILE]
             (work with topology DSL documents; see examples/topologies/)`)
 }
@@ -115,10 +122,7 @@ func (lf *labFlags) spec() (*app.Spec, workload.Mix, error) {
 }
 
 func (lf *labFlags) geometry() (wpd int, windowSeconds float64, days int, peak float64) {
-	wpd, windowSeconds, days, peak = 96, 300, 7, 60
-	if lf.quick {
-		wpd, windowSeconds, days, peak = 48, 60, 3, 30
-	}
+	wpd, windowSeconds, days, peak = workload.Scale(lf.quick)
 	if lf.days > 0 {
 		days = lf.days
 	}
@@ -134,6 +138,32 @@ func (lf *labFlags) estConfig() estimator.Config {
 	return cfg
 }
 
+// program is days of one day specification on a window geometry.
+func program(days int, day workload.DaySpec, wpd int, windowSeconds float64, seed int64) workload.Program {
+	p := workload.Uniform(days, day)
+	p.WindowsPerDay = wpd
+	p.WindowSeconds = windowSeconds
+	p.Seed = seed
+	return p
+}
+
+// shapeFlag is a -shape flag: one name table (workload.ParseShape) for every
+// subcommand that takes one, and a bad name fails flag parsing (exit 2).
+type shapeFlag struct{ workload.Shape }
+
+func (f *shapeFlag) String() string { return "" }
+
+func (f *shapeFlag) Set(name string) (err error) {
+	f.Shape, err = workload.ParseShape(name)
+	return err
+}
+
+func addShapeFlag(fs *flag.FlagSet) *shapeFlag {
+	f := &shapeFlag{workload.TwoPeak{}}
+	fs.Var(f, "shape", "traffic shape: 2peak (default), flat, 1peak or high")
+	return f
+}
+
 // simulateLearning provisions a cluster, serves the learning traffic, and
 // returns the cluster plus a telemetry server holding the learning period.
 func simulateLearning(lf *labFlags) (*sim.Cluster, *telemetry.Server, *workload.Traffic, error) {
@@ -141,24 +171,15 @@ func simulateLearning(lf *labFlags) (*sim.Cluster, *telemetry.Server, *workload.
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	wpd, ws, days, peak := lf.geometry()
-	cluster, err := sim.NewCluster(spec, lf.seed+100)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	var sched *faults.Schedule
 	if lf.faultSpec != "" {
-		sched, err := faults.Compile(lf.faultSpec)
-		if err != nil {
+		if sched, err = faults.Compile(lf.faultSpec); err != nil {
 			return nil, nil, nil, fmt.Errorf("-fault-spec: %w", err)
 		}
-		cluster.SetFaults(sched)
 	}
-	prog := workload.Uniform(days, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: peak})
-	prog.WindowsPerDay = wpd
-	prog.WindowSeconds = ws
-	prog.Seed = lf.seed + 300
-	traffic := prog.Generate()
-	run, err := cluster.Run(traffic)
+	wpd, ws, days, peak := lf.geometry()
+	learn := workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: peak}
+	cluster, traffic, run, err := sim.Simulate(spec, program(days, learn, wpd, ws, lf.seed+300), lf.seed+100, sched)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -252,8 +273,8 @@ func cmdEstimate(args []string) error {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
 	lf := addLabFlags(fs)
 	scale := fs.Float64("scale", 2, "user-scale multiplier for the query day")
-	shape := fs.String("shape", "2peak", "query traffic shape: 2peak or flat")
-	trafficFile := fs.String("traffic", "", "query traffic from a loadgen-format CSV instead of generating it")
+	shape := addShapeFlag(fs)
+	trafficFile := fs.String("traffic", "", "query traffic from a `deeprest traffic -format csv` table instead of generating it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -284,10 +305,6 @@ func cmdEstimate(args []string) error {
 	syn := synth.Learn(windows)
 
 	wpd, ws, _, peak := lf.geometry()
-	var sh workload.Shape = workload.TwoPeak{}
-	if *shape == "flat" {
-		sh = workload.Flat{}
-	}
 	var query *workload.Traffic
 	if *trafficFile != "" {
 		tf, err := os.Open(*trafficFile)
@@ -300,11 +317,8 @@ func cmdEstimate(args []string) error {
 			return err
 		}
 	} else {
-		prog := workload.Uniform(1, workload.DaySpec{Shape: sh, Mix: mix, PeakRPS: peak * *scale})
-		prog.WindowsPerDay = wpd
-		prog.WindowSeconds = ws
-		prog.Seed = lf.seed + 900
-		query = prog.Generate()
+		day := workload.DaySpec{Shape: shape.Shape, Mix: mix, PeakRPS: peak * *scale}
+		query = program(1, day, wpd, ws, lf.seed+900).Generate()
 	}
 
 	synthetic, err := syn.Synthesize(query, lf.seed+11)
@@ -315,7 +329,7 @@ func cmdEstimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	label := fmt.Sprintf("%.1fx users, %s shape", *scale, sh.Name())
+	label := fmt.Sprintf("%.1fx users, %s shape", *scale, shape.Name())
 	if *trafficFile != "" {
 		label = "traffic from " + *trafficFile
 	}
@@ -374,11 +388,8 @@ func cmdSanity(args []string) error {
 		return err
 	}
 	wpd, ws, _, peak := lf.geometry()
-	prog := workload.Uniform(2, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mixFor, PeakRPS: peak})
-	prog.WindowsPerDay = wpd
-	prog.WindowSeconds = ws
-	prog.Seed = lf.seed + 950
-	check := prog.Generate()
+	day := workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mixFor, PeakRPS: peak}
+	check := program(2, day, wpd, ws, lf.seed+950).Generate()
 
 	victim := attackVictim(lf.app, spec)
 	if victim == "" {
@@ -485,4 +496,43 @@ func cmdSynth(args []string) error {
 		fmt.Println()
 	}
 	return nil
+}
+
+// cmdTraffic is the standalone workload generator: per scrape window, the
+// request count of every API endpoint of the resolved application's mix.
+func cmdTraffic(args []string) error {
+	fs := flag.NewFlagSet("traffic", flag.ExitOnError)
+	wpdFull, wsFull, _, peakFull := workload.Scale(false)
+	appName := fs.String("app", "social",
+		"application mix: social|hotel|media, @spec.json, or gen:seed=N,components=N")
+	days := fs.Int("days", 1, "number of days to generate")
+	shape := addShapeFlag(fs)
+	peak := fs.Float64("peak", peakFull, "peak total requests per second")
+	scale := fs.Float64("scale", 1, "user-scale multiplier")
+	wpd := fs.Int("wpd", wpdFull, "windows per day")
+	windowSec := fs.Float64("window", wsFull, "window duration in seconds")
+	format := fs.String("format", "summary", "output format: csv or summary")
+	seed := fs.Int64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	_, mix, err := topo.Resolve(*appName)
+	if err != nil {
+		return err
+	}
+	day := workload.DaySpec{Shape: shape.Shape, Mix: mix, PeakRPS: *peak * *scale}
+	traffic := program(*days, day, *wpd, *windowSec, *seed).Generate()
+	switch *format {
+	case "csv":
+		return traffic.WriteCSV(os.Stdout)
+	case "summary":
+		fmt.Printf("%d days x %d windows (%gs each), shape=%s, peak=%.0f rps, total=%d requests\n",
+			*days, *wpd, *windowSec, shape.Name(), *peak**scale, traffic.TotalRequests())
+		for _, api := range traffic.APIs {
+			s := traffic.Series(api)
+			fmt.Printf("  %-20s %s (%s req/window)\n", api, eval.Sparkline(s, 72), eval.SeriesSummary(s))
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown format %q (want csv or summary)", *format)
 }

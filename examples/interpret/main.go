@@ -76,7 +76,7 @@ func main() {
 		{Component: "PostStorageMongoDB", Resource: deeprest.WriteIOps},
 		{Component: "PostStorageMongoDB", Resource: deeprest.CPU},
 	} {
-		infl, err := model.APIInfluence(p, windows)
+		infl, err := model.APIInfluence(p, model.Space.ExtractSeries(windows))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -257,36 +257,3 @@ func Assess(allocs []Allocation, actual []float64) Report {
 	}
 	return rep
 }
-
-// AssessSchedule aggregates Assess over every pair of a schedule, averaging
-// the fractions (BeyondHorizon is summed). Pairs are visited in sorted
-// order, so a missing-measurement error is deterministic regardless of map
-// iteration order.
-func AssessSchedule(s Schedule, actual map[app.Pair][]float64) (Report, error) {
-	pairs := make([]app.Pair, 0, len(s))
-	for p := range s {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].String() < pairs[j].String() })
-	var agg Report
-	for _, p := range pairs {
-		series, ok := actual[p]
-		if !ok {
-			return Report{}, fmt.Errorf("autoscale: no measurements for %s", p)
-		}
-		r := Assess(s[p], series)
-		agg.ViolationFrac += r.ViolationFrac
-		agg.ViolationDepth += r.ViolationDepth
-		agg.WasteFrac += r.WasteFrac
-		agg.Changes += r.Changes
-		agg.BeyondHorizon += r.BeyondHorizon
-	}
-	if len(pairs) == 0 {
-		return agg, nil
-	}
-	n := float64(len(pairs))
-	agg.ViolationFrac /= n
-	agg.ViolationDepth /= n
-	agg.WasteFrac /= n
-	return agg, nil
-}

@@ -239,64 +239,6 @@ func TestAssess(t *testing.T) {
 	}
 }
 
-func TestAssessSchedule(t *testing.T) {
-	p := app.Pair{Component: "A", Resource: app.CPU}
-	q := app.Pair{Component: "B", Resource: app.CPU}
-	s := Schedule{
-		p: {{From: 0, To: 2, Amount: 10}},
-		q: {{From: 0, To: 2, Amount: 10}},
-	}
-	actual := map[app.Pair][]float64{
-		p: {5, 5},   // no violations
-		q: {20, 20}, // all violations
-	}
-	r, err := AssessSchedule(s, actual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ViolationFrac != 0.5 {
-		t.Errorf("mean ViolationFrac = %v", r.ViolationFrac)
-	}
-	delete(actual, q)
-	if _, err := AssessSchedule(s, actual); err == nil {
-		t.Error("missing measurements must fail")
-	}
-}
-
-func TestAssessScheduleEmpty(t *testing.T) {
-	r, err := AssessSchedule(Schedule{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != (Report{}) {
-		t.Errorf("empty schedule report = %+v, want zero", r)
-	}
-}
-
-// TestAssessScheduleDeterministicError: with several pairs missing from the
-// measurements, the reported pair must not depend on map iteration order.
-func TestAssessScheduleDeterministicError(t *testing.T) {
-	s := Schedule{}
-	for _, c := range []string{"Zeta", "Alpha", "Mid", "Beta"} {
-		s[app.Pair{Component: c, Resource: app.CPU}] = []Allocation{{From: 0, To: 2, Amount: 1}}
-	}
-	want := ""
-	for i := 0; i < 20; i++ {
-		_, err := AssessSchedule(s, map[app.Pair][]float64{})
-		if err == nil {
-			t.Fatal("missing measurements must fail")
-		}
-		if want == "" {
-			want = err.Error()
-		} else if err.Error() != want {
-			t.Fatalf("error changed across runs: %q vs %q", err.Error(), want)
-		}
-	}
-	if want != "autoscale: no measurements for Alpha/cpu" {
-		t.Errorf("error should name the lexicographically first missing pair, got %q", want)
-	}
-}
-
 // Property: per pair, the violating and non-violating window counts
 // partition the scored range exactly — ViolationFrac·scored + ok == scored,
 // with scored = len(actual) − BeyondHorizon.

@@ -189,9 +189,4 @@ func TestModelSummaryAndReports(t *testing.T) {
 			t.Fatal("TopFeatures not sorted by weight")
 		}
 	}
-	pairs := []app.Pair{{Component: "Z", Resource: app.CPU}, {Component: "A", Resource: app.Memory}, {Component: "A", Resource: app.CPU}}
-	SortPairs(pairs)
-	if pairs[0].Component != "A" || pairs[0].Resource != app.CPU || pairs[2].Component != "Z" {
-		t.Errorf("SortPairs = %v", pairs)
-	}
 }

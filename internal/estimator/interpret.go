@@ -2,12 +2,11 @@ package estimator
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/app"
 	"repro/internal/features"
-	"repro/internal/trace"
-	"sort"
-	"strings"
 )
 
 // MaskEntry is one feature's learned admission weight in an expert's
@@ -43,7 +42,8 @@ func (m *Model) MaskReport(pair app.Pair) []MaskEntry {
 }
 
 // APIInfluence measures, per API, how strongly the expert's estimate
-// depends on that API's traffic: the model is probed on the given windows
+// depends on that API's traffic: the model is probed on the given windows'
+// feature vectors (Space.ExtractSeries, or the telemetry store's cache)
 // with the API's invocation paths occluded (zeroed), and the influence is
 // the mean absolute change of the expected-utilization output, normalised
 // so the most influential API scores 1. This condenses the learned
@@ -55,15 +55,15 @@ func (m *Model) MaskReport(pair app.Pair) []MaskEntry {
 // the linear bypass. A path's API is identified by its root
 // (component:operation) token; in a hashed deployment the tokens are opaque
 // but still group correctly.
-func (m *Model) APIInfluence(pair app.Pair, windows [][]trace.Batch) (map[string]float64, error) {
+func (m *Model) APIInfluence(pair app.Pair, series []features.Vector) (map[string]float64, error) {
 	e, ok := m.Experts[pair]
 	if !ok {
 		return nil, fmt.Errorf("estimator: no expert for %s", pair)
 	}
-	if len(windows) == 0 {
+	if len(series) == 0 {
 		return nil, fmt.Errorf("estimator: no telemetry windows to measure influence over")
 	}
-	x := m.FeatScaler.Apply(features.Matrix(m.Space.ExtractSeries(windows)))
+	x := m.FeatScaler.Apply(features.Matrix(series))
 	base, err := e.Forward(x)
 	if err != nil {
 		return nil, err

@@ -210,7 +210,7 @@ func TestMaskInterpretation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	infl, err := m.APIInfluence(app.Pair{Component: "DB", Resource: app.WriteIOps}, run.Windows)
+	infl, err := m.APIInfluence(app.Pair{Component: "DB", Resource: app.WriteIOps}, m.Space.ExtractSeries(run.Windows))
 	if err != nil {
 		t.Fatalf("APIInfluence: %v", err)
 	}

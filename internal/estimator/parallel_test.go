@@ -81,8 +81,13 @@ func TestFromModelWarmStart(t *testing.T) {
 		}
 	}
 
-	// A nil source is a no-op, not a crash.
+	// A nil source is a no-op, not a crash; so is a source of another width
+	// (the pair starts cold).
 	if _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), c, FromModel(nil)); err != nil {
+		t.Fatal(err)
+	}
+	c.Hidden = 2 * cfg.Hidden
+	if _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), c, FromModel(src)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package estimator
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/app"
 )
@@ -58,14 +57,4 @@ func (m *Model) TopFeatures(pair app.Pair, n int) []MaskEntry {
 		entries = entries[:n]
 	}
 	return entries
-}
-
-// SortPairs orders pairs component-first; exported for presentation code.
-func SortPairs(pairs []app.Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Component != pairs[j].Component {
-			return pairs[i].Component < pairs[j].Component
-		}
-		return pairs[i].Resource < pairs[j].Resource
-	})
 }

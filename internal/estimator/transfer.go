@@ -37,19 +37,6 @@ func TrainWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config
 	return m, nil
 }
 
-// FromExpert returns a WarmStart that copies the source expert's recurrent
-// core, mask, head, and bypass into every new expert. Dimensions must
-// match (same feature space and hidden width).
-func FromExpert(src *Model, srcPair app.Pair) WarmStart {
-	return func(_ app.Pair, e *Expert) error {
-		se, ok := src.Experts[srcPair]
-		if !ok {
-			return fmt.Errorf("source model has no expert for %s", srcPair)
-		}
-		return copyExpertParams(se, e)
-	}
-}
-
 // FromModel returns a WarmStart that seeds every new expert from the source
 // model's expert for the same pair, when one exists with matching feature
 // and hidden dimensions. Pairs the source never learned — or whose shapes
@@ -66,25 +53,17 @@ func FromModel(src *Model) WarmStart {
 		if !ok || se.InDim != e.InDim || se.Hidden != e.Hidden {
 			return nil
 		}
-		return copyExpertParams(se, e)
-	}
-}
-
-func copyExpertParams(src, dst *Expert) error {
-	if src.InDim != dst.InDim || src.Hidden != dst.Hidden {
-		return fmt.Errorf("shape mismatch: source %dx%d, target %dx%d",
-			src.InDim, src.Hidden, dst.InDim, dst.Hidden)
-	}
-	sp, dp := src.Params(), dst.Params()
-	for i := range dp {
-		// The attention weight vectors may differ in peer count; skip
-		// any parameter whose size differs (attention is relearned).
-		if len(sp[i].Data) != len(dp[i].Data) {
-			continue
+		sp, dp := se.Params(), e.Params()
+		for i := range dp {
+			// The attention weight vectors may differ in peer count; skip
+			// any parameter whose size differs (attention is relearned).
+			if len(sp[i].Data) != len(dp[i].Data) {
+				continue
+			}
+			copy(dp[i].Data, sp[i].Data)
 		}
-		copy(dp[i].Data, sp[i].Data)
+		return nil
 	}
-	return nil
 }
 
 // Update adapts the model to fresh telemetry (concept drift, §6): it

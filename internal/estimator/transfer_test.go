@@ -37,7 +37,7 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, FromExpert(src, p))
+	warm, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, FromModel(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,26 +58,6 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 	}
 	if warmMAPE > 25 {
 		t.Errorf("warm start MAPE %.2f%% too high", warmMAPE)
-	}
-}
-
-func TestTransferShapeMismatch(t *testing.T) {
-	p := app.Pair{Component: "DB", Resource: app.CPU}
-	_, _, run := testutil.ToyTelemetry(t, 1, 30, 33)
-	cfgA := testConfig()
-	cfgA.Epochs = 1
-	src, err := Train(run.Windows, testutil.FocusPairs(run.Usage, p), cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgB := cfgA
-	cfgB.Hidden = cfgA.Hidden * 2
-	if _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), cfgB, FromExpert(src, p)); err == nil {
-		t.Error("hidden-width mismatch must fail")
-	}
-	if _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), cfgA,
-		FromExpert(src, app.Pair{Component: "ghost", Resource: app.CPU})); err == nil {
-		t.Error("unknown source pair must fail")
 	}
 }
 

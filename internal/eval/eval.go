@@ -8,7 +8,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/app"
@@ -23,15 +22,6 @@ const MAPEFloor = 1.0
 // the shared floor.
 func MAPE(pred, actual []float64) float64 {
 	return loss.MAPE(pred, actual, MAPEFloor)
-}
-
-// Cell is one heatmap cell: the error of one algorithm on one pair.
-type Cell struct {
-	// Pair is the estimation target.
-	Pair app.Pair
-	// MAPE is the error in percent; NaN marks inapplicable cells
-	// (storage resources of stateless components, black in the paper).
-	MAPE float64
 }
 
 // Heatmap is the estimation-quality matrix of Figure 12 for one algorithm:
@@ -267,19 +257,4 @@ func SeriesSummary(series []float64) string {
 		sum += v
 	}
 	return fmt.Sprintf("min=%.1f mean=%.1f max=%.1f", lo, sum/float64(len(series)), hi)
-}
-
-// RankAlgorithms orders algorithm names by ascending error.
-func RankAlgorithms(errs map[string]float64) []string {
-	names := make([]string, 0, len(errs))
-	for n := range errs {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if errs[names[i]] != errs[names[j]] {
-			return errs[names[i]] < errs[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

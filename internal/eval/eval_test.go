@@ -175,13 +175,6 @@ func TestSeriesSummary(t *testing.T) {
 	}
 }
 
-func TestRankAlgorithms(t *testing.T) {
-	got := RankAlgorithms(map[string]float64{"b": 2, "a": 5, "c": 1})
-	if got[0] != "c" || got[2] != "a" {
-		t.Errorf("RankAlgorithms = %v", got)
-	}
-}
-
 func TestMAPEDelegation(t *testing.T) {
 	// eval.MAPE must floor the denominator at MAPEFloor.
 	got := MAPE([]float64{1}, []float64{0.0001})

@@ -17,7 +17,7 @@ func TestDiagAttribution(t *testing.T) {
 		t.Skip("diagnostic; set DIAG=1")
 	}
 	p := Params{Out: io.Discard, Quick: true, Seed: 1, Reps: 1}
-	wpd, ws, days, peak := p.dims()
+	wpd, ws, days, peak := workload.Scale(p.Quick)
 	_ = ws
 	target := app.Pair{Component: "PostStorageMongoDB", Resource: app.WriteIOps}
 

@@ -142,20 +142,6 @@ func (r *Runner) Run(id string) (Result, error) {
 	return Result{}, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, List())
 }
 
-// RunAll executes every experiment in paper order and returns the results
-// keyed by ID.
-func (r *Runner) RunAll() (map[string]Result, error) {
-	out := make(map[string]Result, len(registry))
-	for _, d := range registry {
-		res, err := r.Run(d.id)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", d.id, err)
-		}
-		out[d.id] = res
-	}
-	return out, nil
-}
-
 // sortedMetricKeys renders metrics deterministically.
 func sortedMetricKeys(m map[string]float64) []string {
 	out := make([]string, 0, len(m))

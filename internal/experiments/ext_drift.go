@@ -28,14 +28,11 @@ func (r *Runner) ExtDrift() (Result, error) {
 
 	// The new version: every ComposePostService visit costs 1.4x CPU.
 	drifted := scaleComponentCPU(l.Spec, "ComposePostService", 1.4)
-	cluster, err := sim.NewCluster(drifted, l.P.Seed+100) // same seed → same streams
+	// Warm the drifted cluster through the (historical) learning phase —
+	// same seed, same streams — then serve two fresh days on the new
+	// version: one to adapt on, one to evaluate on.
+	cluster, _, _, err := sim.Simulate(drifted, l.learnProgram(), l.clusterSeed, nil)
 	if err != nil {
-		return Result{}, err
-	}
-	// Warm the drifted cluster through the (historical) learning phase,
-	// then serve two fresh days on the new version: one to adapt on, one
-	// to evaluate on.
-	if _, err := cluster.Run(l.LearnTraffic); err != nil {
 		return Result{}, err
 	}
 	freshDays := make([]workload.DaySpec, 2)

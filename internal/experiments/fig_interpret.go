@@ -153,7 +153,8 @@ func (r *Runner) Fig22() (Result, error) {
 	metrics := map[string]float64{}
 	correct := 0.0
 	checks := 0.0
-	memInfl, err := l.System.Model().APIInfluence(app.Pair{Component: "MediaMongoDB", Resource: app.Memory}, l.LearnRun.Windows)
+	series := l.System.Model().Space.ExtractSeries(l.LearnRun.Windows)
+	memInfl, err := l.System.Model().APIInfluence(app.Pair{Component: "MediaMongoDB", Resource: app.Memory}, series)
 	if err != nil {
 		return Result{}, err
 	}
@@ -161,7 +162,7 @@ func (r *Runner) Fig22() (Result, error) {
 	fmt.Fprintf(w, "  uploadMedia=%.2f getMedia=%.2f readTimeline=%.2f\n",
 		memInfl["MediaNGINX:uploadMedia"], memInfl["MediaNGINX:getMedia"], memInfl["FrontendNGINX:readTimeline"])
 	for _, target := range fig22Targets {
-		infl, err := l.System.Model().APIInfluence(target.pair, l.LearnRun.Windows)
+		infl, err := l.System.Model().APIInfluence(target.pair, series)
 		if err != nil {
 			return Result{}, err
 		}

@@ -64,7 +64,7 @@ func (r *Runner) GenSweep() (Result, error) {
 			apps = quickSweepApps
 		}
 	}
-	wpd, ws, days, peak := r.P.dims()
+	wpd, ws, days, peak := workload.Scale(r.P.Quick)
 	metrics := map[string]float64{}
 	fmt.Fprintf(r.P.Out, "  %-34s %10s %7s %12s %12s\n",
 		"app", "components", "experts", "mean MAPE", "worst MAPE")
@@ -85,12 +85,7 @@ func (r *Runner) GenSweep() (Result, error) {
 
 			clusterSeed: r.P.Seed + 700 + int64(i)*13,
 		}
-		cluster, err := sim.NewCluster(spec, l.clusterSeed)
-		if err != nil {
-			return Result{}, fmt.Errorf("gensweep: %s: %w", arg, err)
-		}
-		l.LearnTraffic = l.learnProgram().Generate()
-		l.LearnRun, err = cluster.Run(l.LearnTraffic)
+		_, l.LearnTraffic, l.LearnRun, err = sim.Simulate(spec, l.learnProgram(), l.clusterSeed, nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("gensweep: %s: learning-phase simulation: %w", arg, err)
 		}

@@ -59,14 +59,6 @@ func DefaultParams(w io.Writer) Params {
 	return Params{Out: w, Seed: 1, Reps: 3}
 }
 
-// dims returns the window geometry for the current scale.
-func (p Params) dims() (windowsPerDay int, windowSeconds float64, learnDays int, peakRPS float64) {
-	if p.Quick {
-		return 48, 60, 3, 30
-	}
-	return 96, 300, 7, 60
-}
-
 func (p Params) estimatorConfig() estimator.Config {
 	cfg := estimator.DefaultConfig()
 	cfg.Seed = p.Seed
@@ -137,7 +129,7 @@ type Lab struct {
 // shape (TwoPeak for most experiments, Flat for the reverse direction of
 // Figure 16).
 func NewSocialLab(p Params, shape workload.Shape) (*Lab, error) {
-	wpd, ws, days, peak := p.dims()
+	wpd, ws, days, peak := workload.Scale(p.Quick)
 	l := &Lab{
 		P:          p,
 		Spec:       app.SocialNetwork(),
@@ -156,7 +148,7 @@ func NewSocialLab(p Params, shape workload.Shape) (*Lab, error) {
 
 // NewHotelLab provisions the hotel-reservation lab for Figure 17.
 func NewHotelLab(p Params) (*Lab, error) {
-	wpd, ws, days, peak := p.dims()
+	wpd, ws, days, peak := workload.Scale(p.Quick)
 	l := &Lab{
 		P:          p,
 		Spec:       app.HotelReservation(),
@@ -204,12 +196,8 @@ func (l *Lab) learnProgram() workload.Program {
 }
 
 func (l *Lab) provision() error {
-	cluster, err := sim.NewCluster(l.Spec, l.clusterSeed)
-	if err != nil {
-		return err
-	}
-	l.LearnTraffic = l.learnProgram().Generate()
-	l.LearnRun, err = cluster.Run(l.LearnTraffic)
+	var err error
+	_, l.LearnTraffic, l.LearnRun, err = sim.Simulate(l.Spec, l.learnProgram(), l.clusterSeed, nil)
 	if err != nil {
 		return fmt.Errorf("experiments: learning-phase simulation: %w", err)
 	}
@@ -248,11 +236,7 @@ func (l *Lab) provision() error {
 // returning the query period's run. attacks, if any, are injected with
 // window indices relative to the start of the query period.
 func (l *Lab) GroundTruth(query *workload.Traffic, attacks ...sim.Attack) (*sim.Run, error) {
-	cluster, err := sim.NewCluster(l.Spec, l.clusterSeed)
-	if err != nil {
-		return nil, err
-	}
-	warm, err := cluster.Run(l.LearnTraffic)
+	cluster, _, warm, err := sim.Simulate(l.Spec, l.learnProgram(), l.clusterSeed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -356,15 +340,6 @@ func (l *Lab) Evaluate(query *workload.Traffic) (*Evaluation, error) {
 		ev.Series[MethodSeasonalAR][p] = ar
 	}
 	return ev, nil
-}
-
-// MAPE returns the per-method error on one pair.
-func (ev *Evaluation) MAPE(p app.Pair) map[string]float64 {
-	out := make(map[string]float64, len(ev.Series))
-	for m, byPair := range ev.Series {
-		out[m] = eval.MAPE(byPair[p], ev.Actual[p])
-	}
-	return out
 }
 
 // mapeTable prints a component-per-row table of per-method MAPEs.

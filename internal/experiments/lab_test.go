@@ -58,7 +58,7 @@ func TestScenarioMixesNormalise(t *testing.T) {
 
 func TestGroundTruthDeterministic(t *testing.T) {
 	l := quickLab(t)
-	q := l.QueryDay(workload.TwoPeak{}, l.Mix, 1.5, 901)
+	q := l.queryDay(workload.TwoPeak{}, l.Mix, 1.5*l.PeakRPS, 901)
 	a, err := l.GroundTruth(q)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestGroundTruthDeterministic(t *testing.T) {
 
 func TestEvaluateInvariants(t *testing.T) {
 	l := quickLab(t)
-	q := l.QueryDay(workload.TwoPeak{}, l.Mix, 1.2, 902)
+	q := l.queryDay(workload.TwoPeak{}, l.Mix, 1.2*l.PeakRPS, 902)
 	ev, err := l.Evaluate(q)
 	if err != nil {
 		t.Fatal(err)
@@ -105,18 +105,13 @@ func TestEvaluateInvariants(t *testing.T) {
 	if acc := l.SynthAccuracy(ev); acc < 90 {
 		t.Errorf("synthesis accuracy %.2f%% below 90%%", acc)
 	}
-	// The MAPE helper agrees with a direct computation.
-	mapes := ev.MAPE(pairComposeCPU)
-	if len(mapes) != len(Methods) {
-		t.Fatalf("MAPE methods = %d", len(mapes))
-	}
 }
 
 func TestAttackShifting(t *testing.T) {
 	l := quickLab(t)
 	// An attack specified relative to the query start must land inside
 	// the ground-truth run at the same relative offset.
-	q := l.QueryDay(workload.TwoPeak{}, l.Mix, 1, 903)
+	q := l.queryDay(workload.TwoPeak{}, l.Mix, l.PeakRPS, 903)
 	clean, err := l.GroundTruth(q)
 	if err != nil {
 		t.Fatal(err)

@@ -105,10 +105,3 @@ func (l *Lab) evaluateAll(queries []*workload.Traffic) ([]*Evaluation, error) {
 	}
 	return out, nil
 }
-
-// QueryDay builds a one-day query at scale × the lab's learning peak with
-// the given shape and mix — the entry point for external consumers (the
-// web demo) that compose their own scenarios.
-func (l *Lab) QueryDay(shape workload.Shape, mix workload.Mix, scale float64, seed int64) *workload.Traffic {
-	return l.queryDay(shape, mix, l.PeakRPS*scale, seed)
-}

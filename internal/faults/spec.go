@@ -39,7 +39,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -286,19 +285,4 @@ func (in Injector) String() string {
 		return string(in.Kind)
 	}
 	return string(in.Kind) + ":" + strings.Join(kv, ",")
-}
-
-// Kinds returns the sorted distinct injector kinds in the spec — handy for
-// logging what a scenario perturbs.
-func (s *Spec) Kinds() []string {
-	set := make(map[string]bool, len(s.Injectors))
-	for _, in := range s.Injectors {
-		set[string(in.Kind)] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

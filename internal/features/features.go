@@ -12,12 +12,7 @@
 // which the invocation path encodes.
 package features
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Space is the path-to-feature map M of Algorithm 1. It is immutable once
 // built: querying a window never adds dimensions, so vectors extracted at
@@ -37,15 +32,6 @@ func NewSpace(windows [][]trace.Batch) *Space {
 		for _, b := range w {
 			s.addTrace(b.Trace)
 		}
-	}
-	return s
-}
-
-// NewSpaceFromTraces constructs the feature space from individual traces.
-func NewSpaceFromTraces(traces []trace.Trace) *Space {
-	s := &Space{index: make(map[string]int)}
-	for _, t := range traces {
-		s.addTrace(t)
 	}
 	return s
 }
@@ -217,46 +203,6 @@ func (s *Scaler) Apply(m [][]float64) [][]float64 {
 			r[i] = v / s.Max[i]
 		}
 		out[t] = r
-	}
-	return out
-}
-
-// ApplyRow scales a single feature row in place.
-func (s *Scaler) ApplyRow(row []float64) {
-	for i := range row {
-		row[i] /= s.Max[i]
-	}
-}
-
-// TopPaths returns the n feature paths with the largest total count across
-// the series, useful for debugging which invocation paths dominate a
-// workload.
-func TopPaths(s *Space, series []Vector, n int) []string {
-	type pc struct {
-		path  string
-		count float64
-	}
-	totals := make([]pc, s.Dim())
-	for i := range totals {
-		totals[i].path = s.Path(i)
-	}
-	for _, v := range series {
-		for i, c := range v.Counts {
-			totals[i].count += c
-		}
-	}
-	sort.Slice(totals, func(i, j int) bool {
-		if totals[i].count != totals[j].count {
-			return totals[i].count > totals[j].count
-		}
-		return totals[i].path < totals[j].path
-	})
-	if n > len(totals) {
-		n = len(totals)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = fmt.Sprintf("%s (%.0f)", totals[i].path, totals[i].count)
 	}
 	return out
 }

@@ -106,10 +106,8 @@ func TestScaler(t *testing.T) {
 	// Scaling preserves ratios beyond the training max (3× traffic maps
 	// to values around 3), the property the estimator's extrapolation
 	// relies on.
-	row := []float64{12, 0}
-	s.ApplyRow(row)
-	if row[0] != 3 {
-		t.Errorf("ApplyRow = %v, want 3", row[0])
+	if row := s.Apply([][]float64{{12, 0}})[0]; row[0] != 3 {
+		t.Errorf("Apply beyond the max = %v, want 3", row[0])
 	}
 	if empty := FitScaler(nil); len(empty.Max) != 0 {
 		t.Error("FitScaler(nil) should be empty")
@@ -129,20 +127,6 @@ func TestRestoreSpaceRoundTrip(t *testing.T) {
 		if j, ok := r.Index(s.Path(i)); !ok || j != i {
 			t.Fatalf("index %d mismatch", i)
 		}
-	}
-}
-
-func TestTopPaths(t *testing.T) {
-	w := windows()
-	s := NewSpace(w)
-	series := s.ExtractSeries(w)
-	top := TopPaths(s, series, 2)
-	if len(top) != 2 {
-		t.Fatalf("TopPaths len = %d", len(top))
-	}
-	// Read chain (12 total) must outrank write chain (4 total).
-	if top[0] != "Frontend:read (12)" {
-		t.Errorf("top path = %q", top[0])
 	}
 }
 

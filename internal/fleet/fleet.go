@@ -378,10 +378,10 @@ func (f *Fleet) Close() {
 }
 
 // BootstrapRun simulates a learning period for a tenant bootstrap: diurnal
-// two-peak traffic over the requested days against the resolved topology,
-// with the same window geometry and seeds for every tenant, so a tenant
-// bootstrapped from spec S holds bit-identical telemetry in every fleet and
-// across restarts.
+// two-peak traffic over the requested days against the resolved topology, at
+// the quick scale with the same seeds for every tenant (those of `deeprest
+// export -quick -seed 1`), so a tenant bootstrapped from spec S holds
+// bit-identical telemetry in every fleet and across restarts.
 func BootstrapRun(spec string, days int) (*sim.Run, error) {
 	if days < 1 {
 		days = 1
@@ -390,13 +390,11 @@ func BootstrapRun(spec string, days int) (*sim.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := sim.NewCluster(appSpec, 101)
-	if err != nil {
-		return nil, err
-	}
-	prog := workload.Uniform(days, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 30})
-	prog.WindowsPerDay = 48
-	prog.WindowSeconds = 60
+	wpd, ws, _, peak := workload.Scale(true)
+	prog := workload.Uniform(days, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: peak})
+	prog.WindowsPerDay = wpd
+	prog.WindowSeconds = ws
 	prog.Seed = 301
-	return cluster.Run(prog.Generate())
+	_, _, run, err := sim.Simulate(appSpec, prog, 101, nil)
+	return run, err
 }

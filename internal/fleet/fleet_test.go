@@ -243,10 +243,14 @@ func TestFleetLifecycleHTTP(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create = %d: %s", rec.Code, rec.Body)
 	}
+	// Result() holds the headers as they went out with the status line.
+	if ct := rec.Result().Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("create Content-Type = %q, want application/json", ct)
+	}
 	if rec := do(t, h, "POST", "/v1/tenants", bytes.NewBufferString(`{"app":"beta"}`)); rec.Code != http.StatusConflict {
 		t.Fatalf("duplicate create = %d", rec.Code)
 	}
-	for _, bad := range []string{`{"app":"../evil"}`, `{"app":""}`, `{"app":"a/b"}`, `{"app":"x","nope":1}`} {
+	for _, bad := range []string{`{"app":"../evil"}`, `{"app":""}`, `{"app":"a/b"}`, `{"app":"x","nope":1}`, `{"app":"x"}{"app":"y"}`} {
 		if rec := do(t, h, "POST", "/v1/tenants", bytes.NewBufferString(bad)); rec.Code != http.StatusBadRequest {
 			t.Fatalf("bad create %s = %d", bad, rec.Code)
 		}

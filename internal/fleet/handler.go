@@ -26,13 +26,14 @@ type fleetError struct {
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(fleetError{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, fleetError{Error: fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
+// writeJSON sets the content type before the status line goes out: a header
+// set after WriteHeader is dropped.
+func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -96,6 +97,10 @@ func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "decode tenant spec: %v", err)
 		return
 	}
+	if dec.More() {
+		writeErr(w, http.StatusBadRequest, "decode tenant spec: trailing data after the spec")
+		return
+	}
 	t, err := f.Create(ts)
 	if err != nil {
 		switch {
@@ -109,8 +114,7 @@ func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, f.tenantStatus(t))
+	writeJSON(w, http.StatusCreated, f.tenantStatus(t))
 }
 
 // handleRetire removes a tenant.
@@ -120,7 +124,7 @@ func (f *Fleet) handleRetire(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]string{"retired": app})
+	writeJSON(w, http.StatusOK, map[string]string{"retired": app})
 }
 
 // TenantStatus is one tenant's row in the GET /v1/fleet document.
@@ -171,7 +175,7 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 	for _, t := range tenants {
 		out.Tenants = append(out.Tenants, f.tenantStatus(t))
 	}
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // validateSpecBounds applies the sanity bounds on a TenantSpec. Create

@@ -144,7 +144,6 @@ const (
 	opOneMinus
 	opSigmoid
 	opTanh
-	opReLU
 	opConcat
 	opWeightedSumConst
 	opPinball
@@ -470,18 +469,6 @@ func (t *Tape) Tanh(a *Value) *Value {
 	return t.record(out)
 }
 
-// ReLU applies max(0, x) element-wise.
-func (t *Tape) ReLU(a *Value) *Value {
-	out := t.newValue(a.Rows, a.Cols)
-	for i, x := range a.Data {
-		if x > 0 {
-			out.Data[i] = x
-		}
-	}
-	out.op, out.a = opReLU, a
-	return t.record(out)
-}
-
 // Concat stacks vectors a and b into one vector (the paper's a_t ∥ h_t).
 func (t *Tape) Concat(a, b *Value) *Value {
 	if a.Cols != 1 || b.Cols != 1 {
@@ -642,13 +629,6 @@ func (t *Tape) backstep(v *Value) {
 		for i, g := range v.Grad {
 			th := v.Data[i]
 			a.Grad[i] += g * (1 - th*th)
-		}
-	case opReLU:
-		a := v.a
-		for i, g := range v.Grad {
-			if a.Data[i] > 0 {
-				a.Grad[i] += g
-			}
 		}
 	case opConcat:
 		a, b := v.a, v.b

@@ -1,6 +1,6 @@
 // Package loss provides the scalar loss and error metrics used to train and
 // evaluate resource estimators: the quantile (pinball) loss of the paper's
-// Equation 5, plus the standard regression metrics.
+// Equation 5, plus the paper's headline error metric.
 package loss
 
 import "math"
@@ -18,31 +18,6 @@ func Pinball(delta, q float64) float64 {
 // tails ( (1−δ)/2 and δ+(1−δ)/2 ).
 func Quantiles(delta float64) [3]float64 {
 	return [3]float64{0.5, (1 - delta) / 2, delta + (1-delta)/2}
-}
-
-// MSE returns the mean squared error between two equal-length series.
-func MSE(pred, actual []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range pred {
-		d := p - actual[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(pred, actual []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range pred {
-		s += math.Abs(p - actual[i])
-	}
-	return s / float64(len(pred))
 }
 
 // MAPE returns the mean absolute percentage error in percent, the paper's
@@ -65,35 +40,4 @@ func MAPE(pred, actual []float64, floor float64) float64 {
 		s += math.Abs(p-actual[i]) / den
 	}
 	return 100 * s / float64(len(pred))
-}
-
-// SMAPE returns the symmetric mean absolute percentage error in percent.
-func SMAPE(pred, actual []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range pred {
-		den := (math.Abs(p) + math.Abs(actual[i])) / 2
-		if den == 0 {
-			continue
-		}
-		s += math.Abs(p-actual[i]) / den
-	}
-	return 100 * s / float64(len(pred))
-}
-
-// Coverage returns the fraction of actual values falling inside
-// [lower, upper] — how well a δ-confidence interval is calibrated.
-func Coverage(lower, upper, actual []float64) float64 {
-	if len(actual) == 0 {
-		return 0
-	}
-	n := 0
-	for i, y := range actual {
-		if y >= lower[i] && y <= upper[i] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(actual))
 }

@@ -49,20 +49,14 @@ func TestQuantiles(t *testing.T) {
 	}
 }
 
-func TestMSEMAEMAPE(t *testing.T) {
+func TestMAPE(t *testing.T) {
 	pred := []float64{2, 4}
 	act := []float64{1, 2}
-	if got := MSE(pred, act); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("MSE = %v, want 2.5", got)
-	}
-	if got := MAE(pred, act); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("MAE = %v, want 1.5", got)
-	}
 	// |1|/1 + |2|/2 → (1+1)/2 = 1 → 100%.
 	if got := MAPE(pred, act, 0.5); math.Abs(got-100) > 1e-9 {
 		t.Errorf("MAPE = %v, want 100", got)
 	}
-	if MSE(nil, nil) != 0 || MAE(nil, nil) != 0 || MAPE(nil, nil, 1) != 0 {
+	if MAPE(nil, nil, 1) != 0 {
 		t.Error("empty series must yield 0")
 	}
 }
@@ -75,29 +69,7 @@ func TestMAPEFloor(t *testing.T) {
 	}
 }
 
-func TestSMAPE(t *testing.T) {
-	got := SMAPE([]float64{3}, []float64{1})
-	if math.Abs(got-100) > 1e-9 {
-		t.Errorf("SMAPE = %v, want 100", got)
-	}
-	if got := SMAPE([]float64{0}, []float64{0}); got != 0 {
-		t.Errorf("SMAPE(0,0) = %v, want 0", got)
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	low := []float64{0, 0, 0, 0}
-	up := []float64{1, 1, 1, 1}
-	act := []float64{0.5, 2, -1, 1}
-	if got := Coverage(low, up, act); got != 0.5 {
-		t.Errorf("Coverage = %v, want 0.5", got)
-	}
-	if got := Coverage(nil, nil, nil); got != 0 {
-		t.Errorf("Coverage(empty) = %v, want 0", got)
-	}
-}
-
-// Property: perfect predictions yield zero MSE, MAE, MAPE.
+// Property: perfect predictions yield zero MAPE.
 func TestZeroErrorProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		vals := make([]float64, 0, len(raw))
@@ -106,7 +78,7 @@ func TestZeroErrorProperty(t *testing.T) {
 				vals = append(vals, v)
 			}
 		}
-		return MSE(vals, vals) == 0 && MAE(vals, vals) == 0 && MAPE(vals, vals, 1) == 0
+		return MAPE(vals, vals, 1) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

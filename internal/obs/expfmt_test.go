@@ -105,8 +105,8 @@ func TestLintRejectsMalformed(t *testing.T) {
 		"split family": "# TYPE m counter\nm{l=\"a\"} 1\n" +
 			"# TYPE other counter\nother 1\n" +
 			"# TYPE m counter\nm{l=\"b\"} 1\n",
-		"help after type":   "# TYPE m counter\n# HELP m text\nm 1\n",
-		"unknown type":      "# TYPE m banana\nm 1\n",
+		"help after type":    "# TYPE m counter\n# HELP m text\nm 1\n",
+		"unknown type":       "# TYPE m banana\nm 1\n",
 		"unterminated label": "# TYPE m counter\nm{l=\"x} 1\n",
 		"histogram without inf": "# TYPE h histogram\n" +
 			"h_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",

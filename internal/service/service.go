@@ -628,12 +628,15 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
-	windows, err := s.store.Traces(s.store.OldestWindow(), s.store.NumWindows())
+	// The store's cached vectors, like every other read: extracted once per
+	// window, and through the generation's own extractor, so an anonymised
+	// model is probed in the hashed space it was learned in.
+	series, err := s.store.Features(gen.Version, gen.System.Extractor(), s.store.OldestWindow(), s.store.NumWindows())
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	infl, err := gen.Model().APIInfluence(p, windows)
+	infl, err := gen.Model().APIInfluence(p, series)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "influence: %v", err)
 		return

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // newTestService spins up a service with a quick estimator configuration.
@@ -273,31 +276,55 @@ func TestServiceErrorPaths(t *testing.T) {
 	}
 }
 
+// TestServiceAnonymizedMode: an anonymised tenant leaks no plaintext name,
+// and still answers: the same telemetry learned plain and hashed gives the
+// same API influence once the plain keys are mapped through the hasher (the
+// handler used to probe the hashed model with raw traces, so every path was
+// unknown and every influence 0).
 func TestServiceAnonymizedMode(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Estimator.Hidden = 4
-	opts.Estimator.Epochs = 4
-	opts.Estimator.AttentionEpochs = 0
-	opts.Estimator.ChunkLen = 24
-	opts.Anonymize = true
-	opts.HashSalt = "svc"
-	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	influence := func(anonymize bool) map[string]float64 {
+		opts := core.DefaultOptions()
+		opts.Estimator.Hidden = 4
+		opts.Estimator.Epochs = 4
+		opts.Estimator.AttentionEpochs = 0
+		opts.Estimator.ChunkLen = 24
+		opts.Anonymize = anonymize
+		opts.HashSalt = "svc"
+		s, err := NewWithConfig(opts, pipeline.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 25, 56)); rec.Code != http.StatusOK {
+			t.Fatal("ingest failed")
+		}
+		if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["DB/cpu"]}`)); rec.Code != http.StatusOK {
+			t.Fatalf("learn = %d", rec.Code)
+		}
+		rec := do(t, h, "GET", "/v1/influence?pair=DB/cpu", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("influence = %d: %s", rec.Code, rec.Body)
+		}
+		if anonymize && strings.Contains(rec.Body.String(), "Gateway") {
+			t.Error("plaintext component name leaked in anonymized mode")
+		}
+		var resp struct {
+			Influence map[string]float64 `json:"influence"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Influence
 	}
-	h := s.Handler()
-	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 25, 56)); rec.Code != http.StatusOK {
-		t.Fatal("ingest failed")
+	plain, hashed := influence(false), influence(true)
+	hasher := trace.NewHasher("svc")
+	want, top := map[string]float64{}, 0.0
+	for key, v := range plain {
+		component, operation, _ := strings.Cut(key, ":")
+		want[hasher.Hash(component)+":"+hasher.Hash(operation)] = v
+		top = math.Max(top, v)
 	}
-	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["DB/cpu"]}`)); rec.Code != http.StatusOK {
-		t.Fatalf("learn = %d", rec.Code)
-	}
-	// Influence keys are hashed, not plaintext.
-	rec := do(t, h, "GET", "/v1/influence?pair=DB/cpu", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("influence = %d: %s", rec.Code, rec.Body)
-	}
-	if strings.Contains(rec.Body.String(), "Gateway") {
-		t.Error("plaintext component name leaked in anonymized mode")
+	if top != 1 || !reflect.DeepEqual(hashed, want) {
+		t.Errorf("anonymised influence = %v, want the plain one under hashed keys %v (from %v)", hashed, want, plain)
 	}
 }

@@ -32,10 +32,11 @@ func faultRun(t *testing.T, spec string) *Run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewCluster(app.Toy(), 7, WithFaults(sched))
+	cluster, err := NewCluster(app.Toy(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster.SetFaults(sched)
 	p := workload.Uniform(2, workload.DaySpec{
 		Shape:   workload.TwoPeak{},
 		Mix:     workload.Mix{"/read": 0.7, "/write": 0.3},
@@ -79,10 +80,11 @@ func TestCrashZeroesUsageAndFailsRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewCluster(app.Toy(), 3, WithFaults(sched), WithMeasurementNoise(0))
+	cluster, err := NewCluster(app.Toy(), 3, WithMeasurementNoise(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster.SetFaults(sched)
 	reqs := map[string]int{"/read": 100, "/write": 40}
 	for w := 0; w < 6; w++ {
 		wr, err := cluster.Step(reqs, 60)
@@ -120,10 +122,11 @@ func TestCrashRestartsCacheCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster, err := NewCluster(app.Toy(), 3, WithFaults(sched), WithMeasurementNoise(0))
+		cluster, err := NewCluster(app.Toy(), 3, WithMeasurementNoise(0))
 		if err != nil {
 			t.Fatal(err)
 		}
+		cluster.SetFaults(sched)
 		var mem []float64
 		for w := 0; w < 12; w++ {
 			wr, err := cluster.Step(map[string]int{"/read": 200}, 60)
@@ -157,10 +160,11 @@ func TestThrottleAndLatencyInflateCPU(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cluster, err := NewCluster(app.Toy(), 3, WithFaults(sched), WithMeasurementNoise(0))
+		cluster, err := NewCluster(app.Toy(), 3, WithMeasurementNoise(0))
 		if err != nil {
 			t.Fatal(err)
 		}
+		cluster.SetFaults(sched)
 		wr, err := cluster.Step(map[string]int{"/read": 300}, 60)
 		if err != nil {
 			t.Fatal(err)
@@ -187,10 +191,11 @@ func TestScrapeGapZeroesMetricsButKeepsTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewCluster(app.Toy(), 3, WithFaults(sched), WithMeasurementNoise(0))
+	cluster, err := NewCluster(app.Toy(), 3, WithMeasurementNoise(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster.SetFaults(sched)
 	for w := 0; w < 3; w++ {
 		wr, err := cluster.Step(map[string]int{"/read": 100}, 60)
 		if err != nil {
@@ -216,10 +221,11 @@ func TestCollectorDropAndDuplicate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster, err := NewCluster(app.Toy(), 3, WithFaults(sched))
+		cluster, err := NewCluster(app.Toy(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cluster.SetFaults(sched)
 		total := 0
 		for w := 0; w < 10; w++ {
 			wr, err := cluster.Step(map[string]int{"/read": 100}, 60)
@@ -249,10 +255,11 @@ func TestClockSkewDelaysTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewCluster(app.Toy(), 3, WithFaults(sched))
+	cluster, err := NewCluster(app.Toy(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster.SetFaults(sched)
 	var perWindow []int
 	var usage []float64
 	for w := 0; w < 5; w++ {
@@ -287,10 +294,11 @@ func TestClockSkewDelaysTraces(t *testing.T) {
 // pre-fault-subsystem behaviour (same rng consumption, same telemetry).
 func TestHealthyClusterUnchangedByNilSchedule(t *testing.T) {
 	run := func(s *faults.Schedule) *Run {
-		cluster, err := NewCluster(app.Toy(), 21, WithFaults(s))
+		cluster, err := NewCluster(app.Toy(), 21)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cluster.SetFaults(s)
 		p := workload.Uniform(1, workload.DaySpec{
 			Shape: workload.TwoPeak{}, Mix: workload.Mix{"/read": 1}, PeakRPS: 20,
 		})

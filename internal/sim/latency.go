@@ -205,23 +205,3 @@ func (m *LatencyModel) Evaluate(requests map[string]int, windowSeconds float64) 
 	}
 	return loads, lats, nil
 }
-
-// SLOViolations counts, over a traffic program's windows, how many windows
-// have any API whose p95 latency exceeds sloMs under the model's current
-// capacities.
-func (m *LatencyModel) SLOViolations(windows []map[string]int, windowSeconds, sloMs float64) (int, error) {
-	violations := 0
-	for _, reqs := range windows {
-		_, lats, err := m.Evaluate(reqs, windowSeconds)
-		if err != nil {
-			return 0, err
-		}
-		for _, lat := range lats {
-			if lat.Saturated || lat.P95Ms > sloMs {
-				violations++
-				break
-			}
-		}
-	}
-	return violations, nil
-}

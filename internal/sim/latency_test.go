@@ -130,34 +130,3 @@ func TestLatencyValidation(t *testing.T) {
 		t.Error("bad window must fail")
 	}
 }
-
-func TestSLOViolations(t *testing.T) {
-	m := toyLatencyModel(t)
-	// At 5 mcores a DB read visit takes 220 ms (μ = 4.55/s).
-	for _, c := range []string{"Gateway", "Service", "DB"} {
-		if err := m.SetCapacity(c, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	windows := []map[string]int{
-		{"/read": 30},    // light (0.5/s)
-		{"/read": 240},   // heavy (ρ≈0.88 at the DB)
-		{"/read": 60000}, // saturating (1000/s)
-	}
-	// A generous SLO is violated only by the saturating window; a tight
-	// one by more.
-	loose, err := m.SLOViolations(windows, 60, 1e7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose != 1 {
-		t.Errorf("loose SLO violations = %d, want 1 (saturated window)", loose)
-	}
-	tight, err := m.SLOViolations(windows, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight != 3 {
-		t.Errorf("tight SLO violations = %d, want 3", tight)
-	}
-}

@@ -94,15 +94,9 @@ func WithMeasurementNoise(cv float64) Option {
 	return func(c *Cluster) { c.noiseCV = cv }
 }
 
-// WithFaults arms a fault-injection schedule at deployment time. A nil
-// schedule leaves the cluster healthy.
-func WithFaults(s *faults.Schedule) Option {
-	return func(c *Cluster) { c.faults = s }
-}
-
-// SetFaults arms (or, with nil, disarms) a fault schedule mid-run. Fault
-// decisions are indexed by the cluster's global window counter, so a
-// schedule armed late still fires at its spec'd windows.
+// SetFaults arms (or, with nil, disarms) a fault schedule, at deployment or
+// mid-run. Fault decisions are indexed by the cluster's global window
+// counter, so a schedule armed late still fires at its spec'd windows.
 func (c *Cluster) SetFaults(s *faults.Schedule) { c.faults = s }
 
 // NewCluster deploys spec with the given random seed.
@@ -490,6 +484,25 @@ func (c *Cluster) Run(t *workload.Traffic) (*Run, error) {
 		}
 	}
 	return out, nil
+}
+
+// Simulate deploys spec at clusterSeed, arms sched (nil leaves the cluster
+// healthy), generates the program's traffic and serves it. It is the one way
+// simulated telemetry is made: experiments, daemon bootstraps, the CLI and
+// the test fixtures differ only in the program and the seeds they pass. The
+// cluster is returned warm, so a caller can keep serving on it.
+func Simulate(spec *app.Spec, prog workload.Program, clusterSeed int64, sched *faults.Schedule) (*Cluster, *workload.Traffic, *Run, error) {
+	c, err := NewCluster(spec, clusterSeed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	c.SetFaults(sched)
+	traffic := prog.Generate()
+	run, err := c.Run(traffic)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return c, traffic, run, nil
 }
 
 // NumWindows returns the number of simulated windows in the run.

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/testutil"
 )
 
-// Fuzz targets for every decoder that accepts external bytes: importers
+// Fuzz targets for the one decoder that accepts external bytes: ImportJSON
 // must reject malformed input with an error — never panic — and anything
-// they accept must re-export losslessly where applicable.
+// it accepts must re-export losslessly.
 
 func FuzzImportJSON(f *testing.F) {
 	f.Add(`{"format":"deeprest-telemetry","version":1,"window_seconds":60}
@@ -36,125 +35,6 @@ func FuzzImportJSON(f *testing.F) {
 		}
 		if s2.NumWindows() != s.NumWindows() {
 			t.Fatalf("round trip lost windows: %d vs %d", s2.NumWindows(), s.NumWindows())
-		}
-	})
-}
-
-func FuzzImportJaegerTraces(f *testing.F) {
-	f.Add(`{"data":[{"traceID":"t","spans":[{"spanID":"a","operationName":"x","startTime":1,"processID":"p","references":[]}],"processes":{"p":{"serviceName":"S"}}}]}`, int64(0))
-	f.Add(`{"data":[]}`, int64(5))
-	f.Add(`{`, int64(0))
-	f.Fuzz(func(t *testing.T, input string, startMicros int64) {
-		windows, err := ImportJaegerTraces(strings.NewReader(input), time.UnixMicro(startMicros), 60, 4)
-		if err != nil {
-			return
-		}
-		if len(windows) != 4 {
-			t.Fatalf("accepted dump produced %d windows, want 4", len(windows))
-		}
-		for _, batches := range windows {
-			for _, b := range batches {
-				if b.Count <= 0 || b.Trace.Root == nil {
-					t.Fatal("accepted dump produced an invalid batch")
-				}
-			}
-		}
-	})
-}
-
-// FuzzIngestSpans is the adversarial companion to FuzzImportJaegerTraces:
-// its seed corpus concentrates on the pathological span graphs a real
-// collector can emit — malformed parent references, duplicate span ids,
-// self-references and reference cycles, out-of-order and extreme
-// timestamps, unknown processes. None of it may panic or hang, and any
-// accepted dump must import deterministically (same batches, same order,
-// both times).
-func FuzzIngestSpans(f *testing.F) {
-	// Malformed parent reference: the only span points at an id that does
-	// not exist, which makes it the root by fallback.
-	f.Add(`{"data":[{"traceID":"t","spans":[
-		{"spanID":"a","operationName":"op","startTime":0,"processID":"p","references":[{"refType":"CHILD_OF","spanID":"ghost"}]}
-	],"processes":{"p":{"serviceName":"S"}}}]}`)
-	// Duplicate span ids: the second definition silently wins the node slot.
-	f.Add(`{"data":[{"traceID":"t","spans":[
-		{"spanID":"a","operationName":"x","startTime":0,"processID":"p"},
-		{"spanID":"a","operationName":"y","startTime":1,"processID":"p"}
-	],"processes":{"p":{"serviceName":"S"}}}]}`)
-	// Self-referencing span next to a legitimate root.
-	f.Add(`{"data":[{"traceID":"t","spans":[
-		{"spanID":"r","operationName":"root","startTime":0,"processID":"p"},
-		{"spanID":"a","operationName":"x","startTime":1,"processID":"p","references":[{"refType":"CHILD_OF","spanID":"a"}]}
-	],"processes":{"p":{"serviceName":"S"}}}]}`)
-	// Two-span reference cycle unreachable from the root.
-	f.Add(`{"data":[{"traceID":"t","spans":[
-		{"spanID":"r","operationName":"root","startTime":0,"processID":"p"},
-		{"spanID":"a","operationName":"x","startTime":1,"processID":"p","references":[{"refType":"CHILD_OF","spanID":"b"}]},
-		{"spanID":"b","operationName":"y","startTime":2,"processID":"p","references":[{"refType":"CHILD_OF","spanID":"a"}]}
-	],"processes":{"p":{"serviceName":"S"}}}]}`)
-	// Out-of-order and extreme timestamps (child starts before its parent).
-	f.Add(`{"data":[{"traceID":"t","spans":[
-		{"spanID":"a","operationName":"op","startTime":9999999999999999,"processID":"p"},
-		{"spanID":"b","operationName":"op2","startTime":-5,"processID":"p","references":[{"refType":"CHILD_OF","spanID":"a"}]}
-	],"processes":{"p":{"serviceName":"S"}}}]}`)
-	// Unknown process, empty span list, truncated JSON, empty input.
-	f.Add(`{"data":[{"traceID":"t","spans":[{"spanID":"a","operationName":"op","startTime":0,"processID":"nope"}],"processes":{}}]}`)
-	f.Add(`{"data":[{"traceID":"t","spans":[],"processes":{}}]}`)
-	f.Add(`{"data":[{"traceID":`)
-	f.Add(``)
-
-	start := time.UnixMicro(0)
-	f.Fuzz(func(t *testing.T, input string) {
-		const numWindows = 4
-		windows, err := ImportJaegerTraces(strings.NewReader(input), start, 1, numWindows)
-		if err != nil {
-			return // rejected loudly, which is fine
-		}
-		if len(windows) != numWindows {
-			t.Fatalf("accepted dump produced %d windows, want %d", len(windows), numWindows)
-		}
-		for w, batches := range windows {
-			for _, b := range batches {
-				if b.Count <= 0 {
-					t.Fatalf("window %d: batch with non-positive count %d", w, b.Count)
-				}
-				if b.Trace.Root == nil || b.Trace.Root.NumSpans() <= 0 {
-					t.Fatalf("window %d: batch with empty span tree", w)
-				}
-			}
-		}
-		// Determinism: re-importing the same dump yields the same batches
-		// in the same order (the importer sorts by window and signature).
-		again, err := ImportJaegerTraces(strings.NewReader(input), start, 1, numWindows)
-		if err != nil {
-			t.Fatalf("second import of accepted input failed: %v", err)
-		}
-		for w := range windows {
-			if len(again[w]) != len(windows[w]) {
-				t.Fatalf("window %d: %d batches vs %d on re-import", w, len(windows[w]), len(again[w]))
-			}
-			for i := range windows[w] {
-				if again[w][i].Count != windows[w][i].Count ||
-					again[w][i].Trace.API != windows[w][i].Trace.API {
-					t.Fatalf("window %d batch %d differs on re-import", w, i)
-				}
-			}
-		}
-	})
-}
-
-func FuzzImportPrometheusMatrix(f *testing.F) {
-	f.Add(`{"status":"success","data":{"resultType":"matrix","result":[{"metric":{"component":"A","resource":"cpu"},"values":[[5,"10"]]}]}}`)
-	f.Add(`{"status":"error"}`)
-	f.Add("")
-	f.Fuzz(func(t *testing.T, input string) {
-		usage, err := ImportPrometheusMatrix(strings.NewReader(input), time.Unix(0, 0), 60, 3, nil)
-		if err != nil {
-			return
-		}
-		for p, series := range usage {
-			if len(series) != 3 {
-				t.Fatalf("%s: series length %d, want 3", p, len(series))
-			}
 		}
 	})
 }

@@ -27,18 +27,7 @@ func benchWindow() sim.WindowResult {
 }
 
 func benchSpace() *features.Space {
-	w := benchWindow()
-	return NewSpaceFromWindow(w.Batches)
-}
-
-// NewSpaceFromWindow is a tiny helper so benchmarks build the space from a
-// window shape rather than repeating the conversion inline.
-func NewSpaceFromWindow(batches []trace.Batch) *features.Space {
-	traces := make([]trace.Trace, len(batches))
-	for i, b := range batches {
-		traces[i] = b.Trace
-	}
-	return features.NewSpaceFromTraces(traces)
+	return features.NewSpace([][]trace.Batch{benchWindow().Batches})
 }
 
 // BenchmarkRecord measures steady-state ingestion into a bounded store with

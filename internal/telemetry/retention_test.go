@@ -179,7 +179,7 @@ func TestRetentionBoundsMemory(t *testing.T) {
 }
 
 func TestFeatureCacheExtractsOncePerWindow(t *testing.T) {
-	sp := features.NewSpaceFromTraces([]trace.Trace{seqWindow(0).Batches[0].Trace})
+	sp := features.NewSpace([][]trace.Batch{seqWindow(0).Batches})
 	var calls atomic.Int64
 	counting := func(w []trace.Batch) features.Vector {
 		calls.Add(1)
@@ -242,7 +242,7 @@ func TestFeatureCacheExtractsOncePerWindow(t *testing.T) {
 // misaligned result.
 func TestConcurrentRecordReadEvict(t *testing.T) {
 	const horizon = 24
-	sp := features.NewSpaceFromTraces([]trace.Trace{seqWindow(0).Batches[0].Trace})
+	sp := features.NewSpace([][]trace.Batch{seqWindow(0).Batches})
 	fn := func(w []trace.Batch) features.Vector { return sp.Extract(w) }
 
 	s := NewServer(60)

@@ -34,14 +34,9 @@ func ToyProgram(days int, peakRPS float64, seed int64) workload.Program {
 // and the run.
 func ToyTelemetry(t testing.TB, days int, peakRPS float64, seed int64) (*sim.Cluster, *workload.Traffic, *sim.Run) {
 	t.Helper()
-	cluster, err := sim.NewCluster(app.Toy(), seed)
+	cluster, traffic, run, err := sim.Simulate(app.Toy(), ToyProgram(days, peakRPS, seed), seed, nil)
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	traffic := ToyProgram(days, peakRPS, seed).Generate()
-	run, err := cluster.Run(traffic)
-	if err != nil {
-		t.Fatalf("cluster.Run: %v", err)
+		t.Fatalf("sim.Simulate: %v", err)
 	}
 	return cluster, traffic, run
 }

@@ -275,11 +275,6 @@ func (g *Topology) Successors(id string) []string {
 	return out
 }
 
-// HasEdge reports whether an invocation edge from → to has been observed.
-func (g *Topology) HasEdge(from, to string) bool {
-	return g.edges[from][to]
-}
-
 // DOT renders the execution topology graph in Graphviz DOT format — the
 // visual of the paper's Figure 5. Entry-point nodes are drawn as boxes.
 func (g *Topology) DOT(name string) string {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,11 +175,11 @@ func TestTopology(t *testing.T) {
 	if roots := g.Roots(); len(roots) != 1 || roots[0] != "FrontendNGINX:readTimeline" {
 		t.Errorf("Roots = %v", roots)
 	}
-	if !g.HasEdge("UserTimelineService:readTimeline", "PostStorageMongoDB:find") == false {
+	if slices.Contains(g.Successors("UserTimelineService:readTimeline"), "PostStorageMongoDB:find") {
 		// Direct edge exists only via PostStorageService.
 		t.Error("unexpected transitive edge")
 	}
-	if !g.HasEdge("PostStorageService:getPosts", "PostStorageMongoDB:find") {
+	if !slices.Contains(g.Successors("PostStorageService:getPosts"), "PostStorageMongoDB:find") {
 		t.Error("missing direct edge")
 	}
 	succ := g.Successors("UserTimelineService:readTimeline")

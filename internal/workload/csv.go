@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// CSV interchange for traffic: the same table cmd/loadgen emits with
+// CSV interchange for traffic: the same table `deeprest traffic` emits with
 // -format csv — a header of "window,<api>,<api>,..." followed by one row of
 // integer request counts per scrape window. ReadCSV lets measured traffic
 // (exported from an API gateway's access logs, for example) drive Mode-1

@@ -144,6 +144,21 @@ func (s High) Intensity(_, _ int) float64 {
 	return s.Level
 }
 
+// ParseShape resolves a shape's command-line name, with default knobs.
+func ParseShape(name string) (Shape, error) {
+	switch name {
+	case "2peak":
+		return TwoPeak{}, nil
+	case "flat":
+		return Flat{}, nil
+	case "1peak":
+		return OnePeak{}, nil
+	case "high":
+		return High{}, nil
+	}
+	return nil, fmt.Errorf("unknown shape %q (want 2peak, flat, 1peak or high)", name)
+}
+
 // Mix is the API composition: relative weights per endpoint. Weights need
 // not sum to 1; they are normalised at generation time.
 type Mix map[string]float64
@@ -253,6 +268,18 @@ func Uniform(days int, spec DaySpec) Program {
 		NoiseCV:       0.06,
 		Seed:          1,
 	}
+}
+
+// Scale returns the window geometry, learning-period length and peak load
+// of the two scales every simulated deployment runs at: full (96 five-minute
+// windows a day, the paper's seven learning days, 60 req/s at peak) or quick
+// (48 one-minute windows, three days, 30 req/s — tests, -quick runs and
+// daemon bootstraps).
+func Scale(quick bool) (windowsPerDay int, windowSeconds float64, learnDays int, peakRPS float64) {
+	if quick {
+		return 48, 60, 3, 30
+	}
+	return 96, 300, 7, 60
 }
 
 func repeatDays(n int, spec DaySpec) []DaySpec {
