@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/app"
@@ -93,17 +92,9 @@ type System struct {
 // "where did that generation's time go" reads off /debug/spans and /metrics.
 // The returned function starts a stage and returns its end.
 func trainStages(ctx context.Context, opts Options) func(span, phase string) (end func()) {
-	seconds := opts.Metrics.HistogramVec("deeprest_train_phase_seconds",
+	return opts.Tracer.Stages(ctx, opts.Metrics.HistogramVec("deeprest_train_phase_seconds",
 		"Wall-clock duration of one stage of building a generation: trunks (phase A over all experts), peer_states (frozen hidden trajectories), attention (phase B), compile (inference-engine snapshot).",
-		obs.DurationBuckets, "phase")
-	return func(span, phase string) func() {
-		_, sp := opts.Tracer.Start(ctx, span)
-		start := time.Now()
-		return func() {
-			sp.End()
-			seconds.With(phase).Observe(time.Since(start).Seconds())
-		}
-	}
+		obs.DurationBuckets, "phase"))
 }
 
 // compileEngine snapshots the trained model into the serving engine, as the

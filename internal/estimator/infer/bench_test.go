@@ -60,13 +60,28 @@ func BenchmarkInferPredict(b *testing.B) {
 // shape of the repo benchmark's miss-social128 workload, where the dense
 // recurrent mat-vecs are nearly all of the work.
 func BenchmarkInferPredictSocial128(b *testing.B) {
-	m, day := trainOnWidth(b, "social", 128)
+	benchInlineRead(b, "social", 128, 12)
+}
+
+// BenchmarkInferPredictGen150 is the same read at the other end of the input
+// share: the generated 150-component topology (399 experts, 257 features)
+// with a 16-unit GRU, one 6-window read — the shape of the repo benchmark's
+// miss-gen150 workload, where 94 % of the gate multiply-adds are the input
+// products W·x and the recurrence little.
+func BenchmarkInferPredictGen150(b *testing.B) {
+	benchInlineRead(b, "gen:seed=7,components=150", 16, 6)
+}
+
+// benchInlineRead times warm reads of the first windows of the training day
+// on the calling goroutine alone.
+func benchInlineRead(b *testing.B, arg string, hidden, windows int) {
+	m, day := trainOnWidth(b, arg, hidden)
 	eng, err := infer.Compile(m)
 	if err != nil {
 		b.Fatal(err)
 	}
 	eng.SetPool(nil)
-	series := day[:12]
+	series := day[:windows]
 	out := make(map[app.Pair]estimator.Estimate, len(m.Pairs))
 	if err := eng.PredictInto(series, out); err != nil {
 		b.Fatal(err)

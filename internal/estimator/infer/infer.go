@@ -16,16 +16,19 @@
 //
 // Correctness contract: the engine performs the same float64 operations in
 // the same order as the eval-tape path (Expert.Forward/HiddenStates), via
-// the shared ad.Dot / ad.Logistic / ad.GRUParams.Step primitives and the shared
-// TargetScale.DescaleInto epilogue, so its output is bit-identical to the
-// tape's (absent FMA contraction). An Engine is immutable after Compile and
-// safe for concurrent use because the model it reads is (see
-// estimator.Model); each model generation compiles its own engine, so a
-// served prediction can never mix parameters from two generations.
+// the shared ad.Dot / ad.Logistic / ad.GRUParams.Step primitives — the input
+// products W·x and S·x through ad.WindowDots, which sums each as ad.Dot does —
+// and the shared TargetScale.DescaleInto epilogue, so its output is
+// bit-identical to the tape's (absent FMA contraction). An Engine is
+// immutable after Compile and safe for concurrent use because the model it
+// reads is (see estimator.Model); each model generation compiles its own
+// engine, so a served prediction can never mix parameters from two
+// generations.
 package infer
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/app"
@@ -45,6 +48,12 @@ type Engine struct {
 
 	pool    *Pool
 	scratch sync.Pool // *predictScratch
+	// work is a free list of trajectory work areas, twice GOMAXPROCS deep:
+	// more tasks than that are runnable only when requests overlap, and
+	// they allocate their own. A channel rather than a sync.Pool, which
+	// forgets at random under the race detector — one Get per task would
+	// make a warm predict's allocations a matter of luck there.
+	work chan *workArea
 }
 
 // expertView is one expert's kernel operands. Every slice but mask is the
@@ -64,11 +73,62 @@ type expertView struct {
 // predictScratch is the per-call mutable state, recycled through
 // Engine.scratch. Slices grow to the largest series seen and are reused.
 type predictScratch struct {
-	x       []float64    // T×dim scaled input, row-major
+	xT      []float64    // scaled input, time-minor, a block of windows after another (see blockWindows)
 	traj    []float64    // P×T×hidden hidden trajectories
-	ws      []float64    // per-expert work areas (masked input, GRU scratch, attention, concat)
+	byp     []float64    // P×3×lanes(T) bypass products S·x, blocked like xT
+	ws      []float64    // per-expert work areas (attention context, concat)
 	zero    []float64    // hidden-sized all-zero h₀
 	triples [][3]float64 // P×T scaled output triples
+}
+
+// blockWindows is how many windows' input products a trajectory forms at a
+// time: a series is cut into blocks of this many windows (the last one
+// shorter, and padded to the kernel's four lanes), so the work area of a
+// running task stays L2-sized however long a series a caller posts. Every
+// block before the one starting at window b0 is full, so in an array that
+// holds r rows per block (xT: dim, byp: 3) that block starts r·b0 floats in.
+const blockWindows = 48
+
+// lanes rounds a window count up to ad.WindowDots' four lanes.
+func lanes(n int) int { return (n + 3) &^ 3 }
+
+// block returns the length of the block that starts at window b0 of a
+// T-window series, and that length padded to the lanes.
+func block(b0, T int) (n, tp int) {
+	n = min(blockWindows, T-b0)
+	return n, lanes(n)
+}
+
+// workArea is what one running trajectory task needs beyond the request's
+// scratch; it comes from Engine.work, so there are as many as tasks in
+// flight, not as experts.
+type workArea struct {
+	xm []float64 // dim × lanes: the block's input gated by the expert's mask
+	wx []float64 // 3·hidden × lanes: Wz·x, Wk·x, Wh·x for the block
+	gs []float64 // 3·hidden: the step's gate scratch
+}
+
+// getWork takes a work area for a series of T windows off the free list, or
+// makes one; putWork returns it, or drops it when the list is full.
+func (e *Engine) getWork(T int) *workArea {
+	var wa *workArea
+	select {
+	case wa = <-e.work:
+	default:
+		wa = new(workArea)
+	}
+	_, tp := block(0, T) // the widest block of the series
+	wa.xm = growFloats(wa.xm, e.dim*tp)
+	wa.wx = growFloats(wa.wx, 3*e.hidden*tp)
+	wa.gs = growFloats(wa.gs, 3*e.hidden)
+	return wa
+}
+
+func (e *Engine) putWork(wa *workArea) {
+	select {
+	case e.work <- wa:
+	default:
+	}
 }
 
 // Compile builds the engine over m, which must not change afterwards. It
@@ -99,6 +159,7 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		scalerMax:  append([]float64(nil), m.FeatScaler.Max...),
 		experts:    make([]expertView, len(m.Pairs)),
 		pool:       SharedPool(),
+		work:       make(chan *workArea, 2*runtime.GOMAXPROCS(0)),
 	}
 	e.scratch.New = func() any { return new(predictScratch) }
 
@@ -171,15 +232,16 @@ func (e *Engine) Pairs() []app.Pair { return e.pairs }
 // parallelism.
 func (e *Engine) SetPool(p *Pool) { e.pool = p }
 
-// wsLen is the per-expert work-area length: masked input, GRU step
-// scratch, attention context, and the a_t ∥ h_t concat buffer.
-func (e *Engine) wsLen() int { return e.dim + 3*e.hidden + e.hidden + 2*e.hidden }
+// wsLen is the per-expert work-area length: attention context and the
+// a_t ∥ h_t concat buffer.
+func (e *Engine) wsLen() int { return e.hidden + 2*e.hidden }
 
 func (e *Engine) getScratch(T int) *predictScratch {
 	sc := e.scratch.Get().(*predictScratch)
 	P := len(e.experts)
-	sc.x = growFloats(sc.x, T*e.dim)
+	sc.xT = growFloats(sc.xT, e.dim*lanes(T))
 	sc.traj = growFloats(sc.traj, P*T*e.hidden)
+	sc.byp = growFloats(sc.byp, P*3*lanes(T))
 	sc.ws = growFloats(sc.ws, P*e.wsLen())
 	sc.zero = growFloats(sc.zero, e.hidden)
 	for i := range sc.zero {
@@ -200,68 +262,86 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// scaleInput normalises the feature series into sc.x with the snapshot's
-// per-dimension maxima — the same v / max[j] the tape path applies.
+// scaleInput normalises the feature series with the snapshot's per-dimension
+// maxima — the same v / max[j] the tape path applies — into sc.xT, transposed:
+// the block of windows starting at b0 holds feature k of window b0+t at
+// b0·dim + k·tp + t, tp the block's length padded to the lanes, the padding
+// zero. Every expert's input products read it as it lies.
 func (e *Engine) scaleInput(series []features.Vector, sc *predictScratch) error {
-	for t, v := range series {
-		if len(v.Counts) != e.dim {
-			return fmt.Errorf("infer: window %d has %d features for a %d-dim space", t, len(v.Counts), e.dim)
+	for b0 := 0; b0 < len(series); b0 += blockWindows {
+		n, tp := block(b0, len(series))
+		xb := sc.xT[b0*e.dim:][:e.dim*tp]
+		for t, v := range series[b0 : b0+n] {
+			if len(v.Counts) != e.dim {
+				return fmt.Errorf("infer: window %d has %d features for a %d-dim space", b0+t, len(v.Counts), e.dim)
+			}
+			for k, c := range v.Counts {
+				xb[k*tp+t] = c / e.scalerMax[k]
+			}
 		}
-		row := sc.x[t*e.dim : (t+1)*e.dim]
-		for j, c := range v.Counts {
-			row[j] = c / e.scalerMax[j]
+		for k := 0; n < tp && k < e.dim; k++ {
+			clear(xb[k*tp+n : (k+1)*tp])
 		}
 	}
 	return nil
 }
 
-// maskedInput gates the scaled feature row, returning either the xt buffer
-// or (mask off) the row itself.
-func (ex *expertView) maskedInput(row, xt []float64) []float64 {
-	if ex.mask == nil {
-		return row
-	}
-	for j, m := range ex.mask {
-		xt[j] = m * row[j]
-	}
-	return xt
-}
-
-// trajectory computes expert i's full hidden trajectory into sc.traj. Each
-// step writes out-of-place, so the previous step's row serves as h_{t−1}
-// without copying — bit-identical to the tape's carried-buffer recurrence.
+// trajectory computes expert i's full hidden trajectory into sc.traj, and its
+// bypass products into sc.byp. Nothing on the input side depends on the
+// hidden state, so per block of windows the input is gated once and each of
+// Wz, Wk, Wh and the bypass S is walked once, for all the block's windows
+// (ad.WindowDots); the steps that follow touch only U. Each step writes
+// out-of-place, so the previous step's row serves as h_{t−1} without copying
+// — bit-identical to the tape's carried-buffer recurrence.
 func (e *Engine) trajectory(i, T int, sc *predictScratch) {
 	ex := &e.experts[i]
-	ws := sc.ws[i*e.wsLen() : (i+1)*e.wsLen()]
-	xt := ws[:e.dim]
-	gs := ws[e.dim : e.dim+3*e.hidden]
+	dim, hid := e.dim, e.hidden
+	wa := e.getWork(T)
+	defer e.putWork(wa)
 	hPrev := sc.zero
-	base := i * T * e.hidden
-	for t := 0; t < T; t++ {
-		row := sc.x[t*e.dim : (t+1)*e.dim]
-		hOut := sc.traj[base+t*e.hidden : base+(t+1)*e.hidden]
-		ex.gru.Step(ex.maskedInput(row, xt), hPrev, hOut, gs)
-		hPrev = hOut
+	for b0 := 0; b0 < T; b0 += blockWindows {
+		n, tp := block(b0, T)
+		in := sc.xT[b0*dim:][:dim*tp]
+		if ex.mask != nil {
+			// σ(m) ⊙ x, the product the tape's mask forms per window.
+			xm := wa.xm[:dim*tp]
+			for k, m := range ex.mask {
+				row, gated := in[k*tp:(k+1)*tp], xm[k*tp:(k+1)*tp]
+				for t, x := range row {
+					gated[t] = m * x
+				}
+			}
+			in = xm
+		}
+		wx := wa.wx[:3*hid*tp]
+		for g, w := range [...]*ad.Param{ex.gru.Wz, ex.gru.Wk, ex.gru.Wh} {
+			ad.WindowDots(wx[g*hid*tp:], w.Data, in, hid, dim, tp)
+		}
+		if ex.bypW != nil {
+			ad.WindowDots(sc.byp[3*(i*lanes(T)+b0):], ex.bypW, in, 3, dim, tp)
+		}
+		for t := 0; t < n; t++ {
+			hOut := sc.traj[(i*T+b0+t)*hid:][:hid]
+			ex.gru.Step(wx, tp, t, hPrev, hOut, wa.gs)
+			hPrev = hOut
+		}
 	}
 }
 
 // outputs computes expert i's scaled output triples from the trajectories:
 // attention context over peer hidden states, head over a_t ∥ h_t, plus the
-// linear bypass — the same operation order as Expert.stepOutput.
+// linear bypass product trajectory left in sc.byp — the same operation order
+// as Expert.stepOutput.
 func (e *Engine) outputs(i, T int, sc *predictScratch) {
 	ex := &e.experts[i]
-	dim, hid := e.dim, e.hidden
+	hid := e.hidden
 	ws := sc.ws[i*e.wsLen() : (i+1)*e.wsLen()]
-	xt := ws[:dim]
-	attn := ws[dim+3*hid : dim+4*hid]
-	cat := ws[dim+4*hid : dim+6*hid]
+	attn, cat := ws[:hid], ws[hid:]
 	useAttn := e.attnActive && len(ex.peerIdx) > 0
 	if !useAttn {
 		clear(attn) // the context stays zero; the scratch is recycled
 	}
 	for t := 0; t < T; t++ {
-		row := sc.x[t*dim : (t+1)*dim]
-		in := ex.maskedInput(row, xt)
 		if useAttn {
 			// Σ_k α_k · h_t^{(k)}, accumulated in peer order like the
 			// tape's WeightedSumConst: peer k's state at t sits T·hid
@@ -270,11 +350,16 @@ func (e *Engine) outputs(i, T int, sc *predictScratch) {
 		}
 		copy(cat[:hid], attn)
 		copy(cat[hid:], sc.traj[(i*T+t)*hid:(i*T+t+1)*hid])
+		// Row j of the bypass product at window t, in the block starting at
+		// b0, tp windows wide.
+		b0 := t - t%blockWindows
+		_, tp := block(b0, T)
+		byp := sc.byp[3*(i*lanes(T)+b0)+t-b0:]
 		tr := &sc.triples[i*T+t]
 		for j := 0; j < 3; j++ {
 			y := ad.Dot(ex.headW[j*2*hid:(j+1)*2*hid], cat) + ex.headB[j]
 			if ex.bypW != nil {
-				y += ad.Dot(ex.bypW[j*dim:(j+1)*dim], in) + ex.bypB[j]
+				y += byp[j*tp] + ex.bypB[j]
 			}
 			tr[j] = y
 		}

@@ -1,6 +1,7 @@
 package infer_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -129,10 +130,15 @@ func TestEnginePredictBatchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := m.Space.ExtractSeries(run.Windows)
+	// Unequal lengths in one pass: a day, half of one, and series that leave
+	// padding lanes (3, 13, 1) or span two blocks of windows (50).
 	batch := [][]features.Vector{
 		full[:testutil.ToyDay],
 		full[testutil.ToyDay/2 : testutil.ToyDay],
 		full[:3],
+		full[:50],
+		full[5:18],
+		full[7:8],
 	}
 	got, err := eng.PredictBatch(batch)
 	if err != nil {
@@ -207,8 +213,10 @@ func TestEngineRejectsMismatchedSeries(t *testing.T) {
 // boundaries of the assembly kernels, each against the eval tape bit for
 // bit: GRU widths below, at and between the 4- and 16-row rungs (the toy's
 // 4, the fleet smoke's 6, the golden's 7, 20 = 16 + 4), and a one-expert
-// model, whose attention is off and whose context stays zero. An empty
-// series must come back as empty estimates, not reach a kernel.
+// model, whose attention is off and whose context stays zero — each over
+// series on the boundaries of the window kernel's lanes and the engine's
+// blocks. An empty series must come back as empty estimates, not reach a
+// kernel.
 func TestEngineEdgeShapes(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
 	var first app.Pair
@@ -222,16 +230,19 @@ func TestEngineEdgeShapes(t *testing.T) {
 		name   string
 		hidden int
 		usage  map[app.Pair][]float64
+		bare   bool // no mask, no bypass: the products read the request's input as it lies
 	}{
-		{"hidden=4", 4, run.Usage},
-		{"hidden=6", 6, run.Usage},
-		{"hidden=7", 7, run.Usage},
-		{"hidden=20", 20, run.Usage},
-		{"one-expert", 16, one},
+		{"hidden=4", 4, run.Usage, false},
+		{"hidden=6", 6, run.Usage, false},
+		{"hidden=7", 7, run.Usage, false},
+		{"hidden=20", 20, run.Usage, false},
+		{"one-expert", 16, one, false},
+		{"no-mask-no-bypass", 4, run.Usage, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := estimator.DefaultConfig()
 			cfg.Hidden = c.hidden
+			cfg.UseMask, cfg.LinearBypass = !c.bare, !c.bare
 			cfg.Epochs = 1
 			cfg.AttentionEpochs = 1
 			cfg.ChunkLen = 24
@@ -243,16 +254,23 @@ func TestEngineEdgeShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			series := m.Space.ExtractSeries(run.Windows[:testutil.ToyDay])
-			want, err := m.PredictVectors(series)
-			if err != nil {
-				t.Fatal(err)
-			}
+			day := m.Space.ExtractSeries(run.Windows[:testutil.ToyDay])
+			twice := append(append([]features.Vector(nil), day...), day...)
 			out := make(map[app.Pair]estimator.Estimate, len(m.Pairs))
-			if err := eng.PredictInto(series, out); err != nil {
-				t.Fatal(err)
+			// The day fills its lanes; 1, 5 and 13 windows leave padding
+			// lanes, 13 takes more than one pass of three lane groups, 50
+			// more than one block of windows.
+			for _, n := range []int{len(day), 1, 5, 13, 50} {
+				series := twice[:n]
+				want, err := m.PredictVectors(series)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.PredictInto(series, out); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("%s over %d windows", c.name, n), want, out)
 			}
-			sameBits(t, c.name, want, out)
 
 			if err := eng.PredictInto(nil, out); err != nil {
 				t.Fatalf("empty series: %v", err)

@@ -210,7 +210,7 @@ type Tape struct {
 	nodeIdx  int
 	nodeOff  int
 
-	scratch []float64 // fused-op backward workspace
+	scratch []float64 // fused-op workspace (GRUStep's input products, gruBackward's khg)
 
 	// The GRU steps whose weight gradients Backward has yet to form, and
 	// flushGRU's table (gru.go).

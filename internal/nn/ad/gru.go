@@ -49,7 +49,13 @@ func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
 	}
 	aux := t.alloc(n)
 	z, k, c, kh := aux[:hid], aux[hid:2*hid], aux[2*hid:3*hid], aux[3*hid:4*hid]
-	g.forward(x.Data, hPrev.Data, z, k, kh, c, out.Data)
+	// The tape forms its input products a step at a time; they are dead once
+	// the gates are, so they live in the tape's scratch, not in aux.
+	wx := t.scratchBuf(3 * hid)
+	matVec(wx[:hid], g.Wz.Data, x.Data)
+	matVec(wx[hid:2*hid], g.Wk.Data, x.Data)
+	matVec(wx[2*hid:], g.Wh.Data, x.Data)
+	g.forward(wx, 1, 0, hPrev.Data, z, k, kh, c, out.Data)
 	if t.grad {
 		if len(g.Wz.Grad) != len(g.Wz.Data) {
 			panic("ad: GRUStep on a training tape without bound gradients (see BindGrads)")

@@ -18,17 +18,17 @@ func Dot(row, x []float64) float64 { return dot(row, x) }
 // applies element-wise.
 func Logistic(x float64) float64 { return stableSigmoid(x) }
 
-// ScratchLen returns the workspace length Step requires.
-func (g *GRUParams) ScratchLen() int { return 3 * g.Wz.Rows }
-
-// Step advances the cell one time step without a tape: hOut = GRU(x, hPrev).
-// It runs the same forward body as the tape's GRUStep, so the hidden
-// trajectory is bit-identical to the eval-tape recurrence. hOut must not
-// alias hPrev; scratch needs ScratchLen floats and is clobbered.
-func (g *GRUParams) Step(x, hPrev, hOut, scratch []float64) {
+// Step advances the cell one time step without a tape, from input products
+// formed for a whole series at once: wx holds Wz·x, Wk·x and Wh·x, gate after
+// gate, each row stride floats long with step t's product at column t (the
+// layout WindowDots writes). It runs the same forward body as the tape's
+// GRUStep, so the hidden trajectory is bit-identical to the eval-tape
+// recurrence. hOut must not alias hPrev; scratch needs three times the hidden
+// width and is clobbered.
+func (g *GRUParams) Step(wx []float64, stride, t int, hPrev, hOut, scratch []float64) {
 	hid := g.Wz.Rows
 	// The candidate is written into hOut and blended in place.
-	g.forward(x, hPrev, scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid], hOut, hOut)
+	g.forward(wx, stride, t, hPrev, scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid], hOut, hOut)
 }
 
 // forward is the one GRU forward body, shared by Step and Tape.GRUStep:
@@ -38,20 +38,22 @@ func (g *GRUParams) Step(x, hPrev, hOut, scratch []float64) {
 //	c = tanh(Wh·x + Uh·(k ⊙ h) + bh)
 //	h' = z ⊙ h + (1 − z) ⊙ c
 //
-// It fills z, k, kh = k ⊙ h and c (which the tape retains for its backward
-// pass) and writes h' to out. Every float64 operation and its order match
-// the primitive MatVec/Add/Mul/Sigmoid/Tanh chain. out may alias c; nothing
-// else may alias.
-func (g *GRUParams) forward(x, h, z, k, kh, c, out []float64) {
-	x, h = x[:g.Wz.Cols], h[:g.Wz.Rows]
-	gatePre(z, g.Wz.Data, x, g.Uz.Data, h, g.Bz.Data)
-	gatePre(k, g.Wk.Data, x, g.Uk.Data, h, g.Bk.Data)
+// The three input products are the caller's: row i of gate g's is
+// wx[(g*hidden+i)*stride+col]. forward fills z, k, kh = k ⊙ h and c (which
+// the tape retains for its backward pass) and writes h' to out. Every float64
+// operation and its order match the primitive MatVec/Add/Mul/Sigmoid/Tanh
+// chain. out may alias c; nothing else may alias.
+func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out []float64) {
+	hid := g.Wz.Rows
+	h = h[:hid]
+	gatePre(z, wx[col:], stride, g.Uz.Data, h, g.Bz.Data)
+	gatePre(k, wx[hid*stride+col:], stride, g.Uk.Data, h, g.Bk.Data)
 	for i := range kh {
 		z[i] = stableSigmoid(z[i])
 		k[i] = stableSigmoid(k[i])
 		kh[i] = k[i] * h[i]
 	}
-	gatePre(c, g.Wh.Data, x, g.Uh.Data, kh, g.Bh.Data)
+	gatePre(c, wx[2*hid*stride+col:], stride, g.Uh.Data, kh, g.Bh.Data)
 	for i := range out {
 		// The same intermediate roundings as the Mul/OneMinus/Mul/Add
 		// chain.
@@ -63,38 +65,12 @@ func (g *GRUParams) forward(x, h, z, k, kh, c, out []float64) {
 	}
 }
 
-// gatePre writes a gate's pre-activation dst[i] = (W[i]·x + U[i]·h) + b[i]:
-// the two row sums are formed separately and then added, as the MatVec/Add
-// chain does. With AVX2 the whole four-row panels go through matVec's
-// assembly rungs, up to sixteen rows at a time with the two partial products
-// held on the stack; otherwise rows go four at a time through dot4. The
-// len(dst)%4 remainder goes through dot either way.
-func gatePre(dst, w, x, u, h, b []float64) {
-	in, hid := len(x), len(h)
-	i := 0
-	if useAVX2 {
-		var wx, uh [16]float64
-		for i+4 <= len(dst) {
-			n := min(len(wx), (len(dst)-i)&^3)
-			matVec(wx[:n], w[i*in:(i+n)*in], x)
-			matVec(uh[:n], u[i*hid:(i+n)*hid], h)
-			for r, bi := range b[i : i+n] {
-				dst[i+r] = (wx[r] + uh[r]) + bi
-			}
-			i += n
-		}
-	}
-	for ; i+4 <= len(dst); i += 4 {
-		w0, w1, w2, w3 := dot4(w[i*in:(i+4)*in], x)
-		u0, u1, u2, u3 := dot4(u[i*hid:(i+4)*hid], h)
-		dst[i] = (w0 + u0) + b[i]
-		dst[i+1] = (w1 + u1) + b[i+1]
-		dst[i+2] = (w2 + u2) + b[i+2]
-		dst[i+3] = (w3 + u3) + b[i+3]
-	}
-	for ; i < len(dst); i++ {
-		wx := dot(w[i*in:(i+1)*in], x)
-		uh := dot(u[i*hid:(i+1)*hid], h)
-		dst[i] = (wx + uh) + b[i]
+// gatePre writes a gate's pre-activation dst[i] = (wx[i*stride] + U[i]·h) +
+// b[i], wx[i*stride] being row i of the gate's input product: the two row
+// sums are formed separately and then added, as the MatVec/Add chain does.
+func gatePre(dst, wx []float64, stride int, u, h, b []float64) {
+	matVec(dst, u, h)
+	for i, bi := range b[:len(dst)] {
+		dst[i] = (wx[i*stride] + dst[i]) + bi
 	}
 }

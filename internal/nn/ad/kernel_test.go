@@ -69,9 +69,22 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 					tapeH := tapeRun()
 					kernH := make([]float64, hid)
 					kernNext := make([]float64, hid)
-					scratch := make([]float64, p.ScratchLen())
+					scratch := make([]float64, 3*hid)
+					// The kernel steps from the input products of all twelve
+					// windows, formed at once with windows in the lanes; the
+					// tape forms its own, a step at a time.
+					xT := make([]float64, in*steps)
 					for s, x := range xs {
-						p.Step(x, kernH, kernNext, scratch)
+						for k, v := range x {
+							xT[k*steps+s] = v
+						}
+					}
+					wx := make([]float64, 3*hid*steps)
+					for g, w := range []*Param{p.Wz, p.Wk, p.Wh} {
+						WindowDots(wx[g*hid*steps:], w.Data, xT, hid, in, steps)
+					}
+					for s := range xs {
+						p.Step(wx, steps, s, kernH, kernNext, scratch)
 						kernH, kernNext = kernNext, kernH
 						for i := range want[s] {
 							w := math.Float64bits(want[s][i])
@@ -189,9 +202,10 @@ func fillAt(n, off int, rng *rand.Rand, vals []float64, oneIn int) []float64 {
 	return v
 }
 
-// checkRowKernels holds matVec and gatePre, on the selected implementation,
-// to a plain per-row dot loop, bit for bit.
-func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []float64, oneIn int) {
+// checkRowKernels holds matVec, gatePre and — for each series length in
+// windows — WindowDots, on the selected implementation, to a plain per-row dot
+// loop, bit for bit.
+func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []float64, oneIn int, windows ...int) {
 	t.Helper()
 	w := fillAt(rows*cols, off, rng, vals, oneIn)
 	u := fillAt(rows*rows, off+1, rng, vals, oneIn)
@@ -207,7 +221,13 @@ func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []f
 				math.Float64bits(got[i]), math.Float64bits(want))
 		}
 	}
-	gatePre(got, w, x, u, h, b)
+	// The input product reaches gatePre as a strided column of a series'
+	// products: here every third float of wx.
+	wx := fillAt(3*rows, off+2, rng, nil, 0)
+	for i := 0; i < rows; i++ {
+		wx[3*i] = dot(w[i*cols:(i+1)*cols], x)
+	}
+	gatePre(got, wx, 3, u, h, b)
 	for i := range got {
 		want := (dot(w[i*cols:(i+1)*cols], x) + dot(u[i*rows:(i+1)*rows], h)) + b[i]
 		if !sameFloat(got[i], want) {
@@ -215,24 +235,77 @@ func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []f
 				math.Float64bits(got[i]), math.Float64bits(want))
 		}
 	}
+
+	for _, T := range windows {
+		what := fmt.Sprintf("%s WindowDots %dx%d+%d over %d windows", KernelImpl(), rows, cols, off, T)
+		tp := (T + 3) &^ 3
+		xT := fillAt(cols*tp, off+1, rng, vals, oneIn)
+		for k := 0; k < cols; k++ {
+			clear(xT[k*tp+T : (k+1)*tp]) // the padding windows
+		}
+		// dst holds stale values and sits between four guard floats a side.
+		buf := fillAt(rows*tp+8, off+2, rng, nil, 0)
+		stale := cloneAt(buf, 0)
+		dst := buf[4 : len(buf)-4]
+		WindowDots(dst, w, xT, rows, cols, tp)
+		xt := make([]float64, cols)
+		for s := 0; s < T; s++ {
+			for k := range xt {
+				xt[k] = xT[k*tp+s]
+			}
+			for r := 0; r < rows; r++ {
+				if want := dot(w[r*cols:(r+1)*cols], xt); !sameFloat(dst[r*tp+s], want) {
+					t.Fatalf("%s: row %d window %d: %x, want %x", what, r, s,
+						math.Float64bits(dst[r*tp+s]), math.Float64bits(want))
+				}
+			}
+		}
+		for i, g := range buf {
+			if (i < 4 || i >= len(buf)-4) && math.Float64bits(g) != math.Float64bits(stale[i]) {
+				t.Fatalf("%s: wrote outside its rows×tp floats (guard %d)", what, i)
+			}
+		}
+		// An operand whose array ends before the shape does, or windows not
+		// padded to the lanes, must panic in Go, whatever the implementation.
+		if len(dst) == 0 || cols == 0 {
+			continue
+		}
+		for name, call := range map[string]func(){
+			"short w":   func() { WindowDots(dst, w[:len(w)-1:len(w)-1], xT, rows, cols, tp) },
+			"short xT":  func() { WindowDots(dst, w, xT[:len(xT)-1:len(xT)-1], rows, cols, tp) },
+			"short dst": func() { WindowDots(dst[:len(dst)-1:len(dst)-1], w, xT, rows, cols, tp) },
+			"odd tp":    func() { WindowDots(dst, w, xT, rows, cols, tp-1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: %s did not panic", what, name)
+					}
+				}()
+				call()
+			}()
+		}
+	}
 }
 
 // TestMatVecMatchesRowDots is the independent oracle for the row kernels:
 // engine-vs-tape and fused-vs-reference comparisons run the same kernel on
-// both sides, so this one pins matVec and gatePre to a plain per-row dot
-// loop, bit for bit, on every implementation: across every rung of the row
-// ladder and its remainders, column counts on both sides of the assembly's
-// four-column block (and none at all, which must stay in Go), operands that
-// start at odd elements, and the edge values.
+// both sides, so this one pins matVec, gatePre and WindowDots to a plain
+// per-row dot loop, bit for bit, on every implementation: across every rung
+// of the row ladder and its remainders, column counts on both sides of the
+// assembly's four-column block (and none at all, which must stay in Go),
+// series that fill one, two and three lane groups, leave padding lanes (1, 3,
+// 5, 6, 13) or take more than one pass of three groups (13, 48), operands
+// that start at odd elements, and the edge values.
 func TestMatVecMatchesRowDots(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
 			setImpl(t, impl)
-			for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 20, 31, 32, 33, 128} {
-				for _, cols := range []int{0, 1, 2, 3, 4, 5, 67, 128, 257} {
+			for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 20, 31, 32, 33, 37, 128} {
+				for _, cols := range []int{0, 1, 2, 3, 4, 5, 9, 67, 128, 257} {
 					for set, e := range edgeSets {
 						rng := rand.New(rand.NewSource(int64(rows*1000 + cols)))
-						checkRowKernels(t, rows, cols, 1+2*set, rng, e.vals, e.oneIn)
+						checkRowKernels(t, rows, cols, 1+2*set, rng, e.vals, e.oneIn, 1, 3, 4, 5, 6, 12, 13, 48)
 					}
 				}
 			}
@@ -245,14 +318,15 @@ func TestMatVecMatchesRowDots(t *testing.T) {
 // implementation to dot — and, for the backward, attention-adjoint and Adam
 // kernels, to the loops in adjoint_test.go.
 func FuzzKernelsMatchScalar(f *testing.F) {
-	f.Add(uint8(16), uint16(67), uint8(1), int64(1))
-	f.Add(uint8(37), uint16(5), uint8(3), int64(2))
-	f.Add(uint8(4), uint16(0), uint8(0), int64(3))
-	f.Fuzz(func(t *testing.T, rows uint8, cols uint16, off uint8, seed int64) {
+	f.Add(uint8(16), uint16(67), uint8(12), uint8(1), int64(1))
+	f.Add(uint8(37), uint16(5), uint8(5), uint8(3), int64(2))
+	f.Add(uint8(4), uint16(0), uint8(0), uint8(0), int64(3))
+	f.Add(uint8(3), uint16(257), uint8(50), uint8(2), int64(4))
+	f.Fuzz(func(t *testing.T, rows uint8, cols uint16, windows, off uint8, seed int64) {
 		for _, impl := range impls() {
 			setImpl(t, impl)
 			e := edgeSets[uint64(seed)%uint64(len(edgeSets))]
-			checkRowKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
+			checkRowKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn, int(windows%64))
 			checkColumnKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
 		}
 	})
@@ -322,10 +396,11 @@ func TestPeerSumRejectsBadIndex(t *testing.T) {
 
 var benchSink float64
 
-// BenchmarkGRUKernelStep times one recurrence step, on each implementation,
-// at the widths the repo benchmark runs: social at the paper's width (67
-// features, 128 hidden), the generated 150-component topology (257
-// features, 16 hidden) and the toy fixture.
+// BenchmarkGRUKernelStep times one recurrence step from ready input products
+// — the three U·h products, the gates and the blend, which is what a serving
+// step is — on each implementation, at the widths the repo benchmark runs:
+// social at the paper's width (67 features, 128 hidden), the generated
+// 150-component topology (257 features, 16 hidden) and the toy fixture.
 func BenchmarkGRUKernelStep(b *testing.B) {
 	for _, dim := range []struct{ in, hid int }{{67, 128}, {257, 16}, {9, 4}} {
 		for _, impl := range impls() {
@@ -333,20 +408,43 @@ func BenchmarkGRUKernelStep(b *testing.B) {
 				setImpl(b, impl)
 				rng := rand.New(rand.NewSource(1))
 				k := newTestGRU(dim.in, dim.hid, rng)
-				x := make([]float64, dim.in)
-				for i := range x {
-					x[i] = rng.NormFloat64()
-				}
+				wx := fillAt(3*dim.hid, 0, rng, nil, 0)
 				h := make([]float64, dim.hid)
 				next := make([]float64, dim.hid)
-				scratch := make([]float64, k.ScratchLen())
+				scratch := make([]float64, 3*dim.hid)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					k.Step(x, h, next, scratch)
+					k.Step(wx, 1, 0, h, next, scratch)
 					h, next = next, h
 				}
 				benchSink = h[0]
+			})
+		}
+	}
+}
+
+// BenchmarkWindowDots times one matrix against a whole read's windows, on
+// each implementation, at the shapes the repo benchmark runs (rows × columns
+// × windows): a gate's W at the paper's width over a 12-window read, a gate's
+// W of the generated 150-component topology over a 6-window read (three such
+// products feed a read's steps), and that topology's three-row bypass.
+func BenchmarkWindowDots(b *testing.B) {
+	for _, d := range []struct{ rows, cols, T int }{{128, 67, 12}, {16, 257, 6}, {3, 257, 6}} {
+		for _, impl := range impls() {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.rows, d.cols, d.T, impl), func(b *testing.B) {
+				setImpl(b, impl)
+				rng := rand.New(rand.NewSource(1))
+				tp := (d.T + 3) &^ 3
+				w := fillAt(d.rows*d.cols, 0, rng, nil, 0)
+				xT := fillAt(d.cols*tp, 0, rng, nil, 0)
+				dst := make([]float64, d.rows*tp)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					WindowDots(dst, w, xT, d.rows, d.cols, tp)
+				}
+				benchSink = dst[0]
 			})
 		}
 	}

@@ -12,6 +12,9 @@ func rowDots16AVX2(dst, w, x *float64, cols int)
 func rowDots4AVX2(dst, w, x *float64, cols int)
 
 //go:noescape
+func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int)
+
+//go:noescape
 func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
 
 //go:noescape

@@ -173,6 +173,262 @@ done4:
 	VZEROUPPER
 	RET
 
+// Window kernel. Here a lane is a window, not a row: the input arrives
+// time-minor (xT[k*tp+t] = x_t[k]), so column k of four windows is one
+// aligned-or-not 32-byte load and the weight w[r][k] a broadcast — the matrix
+// is read where it lies, row-major, and nothing is transposed. ROWn adds one
+// weight's products to the accumulators of n lane groups (4n windows) whose
+// column starts at R11: the weight is the first source of the VMULPD, as r is
+// of dot's r*x[j], the accumulator the first source of the VADDPD.
+#define ROW1(W, A0) \
+	VBROADCASTSD W, Y12; \
+	VMULPD (R11), Y12, Y13; \
+	VADDPD Y13, A0, A0
+
+#define ROW2(W, A0, A1) \
+	VBROADCASTSD W, Y12; \
+	VMULPD (R11), Y12, Y13; \
+	VMULPD 32(R11), Y12, Y14; \
+	VADDPD Y13, A0, A0; \
+	VADDPD Y14, A1, A1
+
+#define ROW3(W, A0, A1, A2) \
+	VBROADCASTSD W, Y12; \
+	VMULPD (R11), Y12, Y13; \
+	VMULPD 32(R11), Y12, Y14; \
+	VMULPD 64(R11), Y12, Y15; \
+	VADDPD Y13, A0, A0; \
+	VADDPD Y14, A1, A1; \
+	VADDPD Y15, A2, A2
+
+// func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int)
+//
+// dst[r*tp+t] = dot(w[r*cols:(r+1)*cols], x_t) for r in [0,rows) and t in
+// [0,tp), tp a multiple of four, x_t[k] = xT[k*tp+t]: every (row, window)
+// accumulator starts at +0 and adds its products in ascending k. Rows go four
+// to a panel — four rows by three lane groups is twelve accumulators, plus
+// the broadcast and three products all sixteen registers — then one at a
+// time; a panel's lane groups go three, then two or one, to a pass down the
+// columns, so a series longer than twelve windows re-reads its panel from L1.
+// R8 and R9 are the byte strides of w and of xT/dst, R14 and R13 three times
+// them. While a panel is summed its pass prefetches the panel below it, 32
+// bytes a column, which is that panel's size exactly; below the last panel
+// lies whatever follows the matrix, which a prefetch may touch.
+TEXT ·windowDotsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ rows+24(FP), R12
+	MOVQ cols+32(FP), R8
+	MOVQ tp+40(FP), R9
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R14
+	LEAQ (R9)(R9*2), R13
+
+wdPanel:
+	CMPQ R12, $4
+	JLT  wdRow
+	MOVQ xT+16(FP), DX
+	MOVQ DI, AX
+	MOVQ tp+40(FP), BX
+	SHRQ $2, BX
+
+wdPanel3:
+	CMPQ BX, $3
+	JLT  wdPanel2
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	MOVQ SI, R10
+	MOVQ DX, R11
+	MOVQ cols+32(FP), CX
+	LEAQ (SI)(R8*4), R15
+
+wdPanel3k:
+	ROW3((R10), Y0, Y1, Y2)
+	ROW3((R10)(R8*1), Y3, Y4, Y5)
+	ROW3((R10)(R8*2), Y6, Y7, Y8)
+	ROW3((R10)(R14*1), Y9, Y10, Y11)
+	PREFETCHT0 (R15)
+	ADDQ $32, R15
+	ADDQ $8, R10
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  wdPanel3k
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, (AX)(R9*1)
+	VMOVUPD Y4, 32(AX)(R9*1)
+	VMOVUPD Y5, 64(AX)(R9*1)
+	VMOVUPD Y6, (AX)(R9*2)
+	VMOVUPD Y7, 32(AX)(R9*2)
+	VMOVUPD Y8, 64(AX)(R9*2)
+	VMOVUPD Y9, (AX)(R13*1)
+	VMOVUPD Y10, 32(AX)(R13*1)
+	VMOVUPD Y11, 64(AX)(R13*1)
+	ADDQ $96, DX
+	ADDQ $96, AX
+	SUBQ $3, BX
+	JMP  wdPanel3
+
+wdPanel2:
+	CMPQ BX, $2
+	JLT  wdPanel1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ SI, R10
+	MOVQ DX, R11
+	MOVQ cols+32(FP), CX
+	LEAQ (SI)(R8*4), R15
+
+wdPanel2k:
+	ROW2((R10), Y0, Y1)
+	ROW2((R10)(R8*1), Y2, Y3)
+	ROW2((R10)(R8*2), Y4, Y5)
+	ROW2((R10)(R14*1), Y6, Y7)
+	PREFETCHT0 (R15)
+	ADDQ $32, R15
+	ADDQ $8, R10
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  wdPanel2k
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, (AX)(R9*1)
+	VMOVUPD Y3, 32(AX)(R9*1)
+	VMOVUPD Y4, (AX)(R9*2)
+	VMOVUPD Y5, 32(AX)(R9*2)
+	VMOVUPD Y6, (AX)(R13*1)
+	VMOVUPD Y7, 32(AX)(R13*1)
+	JMP  wdPanelNext
+
+wdPanel1:
+	TESTQ BX, BX
+	JZ   wdPanelNext
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R10
+	MOVQ DX, R11
+	MOVQ cols+32(FP), CX
+	LEAQ (SI)(R8*4), R15
+
+wdPanel1k:
+	ROW1((R10), Y0)
+	ROW1((R10)(R8*1), Y1)
+	ROW1((R10)(R8*2), Y2)
+	ROW1((R10)(R14*1), Y3)
+	PREFETCHT0 (R15)
+	ADDQ $32, R15
+	ADDQ $8, R10
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  wdPanel1k
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, (AX)(R9*1)
+	VMOVUPD Y2, (AX)(R9*2)
+	VMOVUPD Y3, (AX)(R13*1)
+
+wdPanelNext:
+	LEAQ (SI)(R8*4), SI
+	LEAQ (DI)(R9*4), DI
+	SUBQ $4, R12
+	JMP  wdPanel
+
+wdRow:
+	TESTQ R12, R12
+	JZ   wdDone
+	MOVQ xT+16(FP), DX
+	MOVQ DI, AX
+	MOVQ tp+40(FP), BX
+	SHRQ $2, BX
+
+wdRow3:
+	CMPQ BX, $3
+	JLT  wdRow2
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	MOVQ SI, R10
+	MOVQ DX, R11
+	MOVQ cols+32(FP), CX
+
+wdRow3k:
+	ROW3((R10), Y0, Y1, Y2)
+	ADDQ $8, R10
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  wdRow3k
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	ADDQ $96, DX
+	ADDQ $96, AX
+	SUBQ $3, BX
+	JMP  wdRow3
+
+wdRow2:
+	CMPQ BX, $2
+	JLT  wdRow1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ SI, R10
+	MOVQ DX, R11
+	MOVQ cols+32(FP), CX
+
+wdRow2k:
+	ROW2((R10), Y0, Y1)
+	ADDQ $8, R10
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  wdRow2k
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	JMP  wdRowNext
+
+wdRow1:
+	TESTQ BX, BX
+	JZ   wdRowNext
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, R10
+	MOVQ DX, R11
+	MOVQ cols+32(FP), CX
+
+wdRow1k:
+	ROW1((R10), Y0)
+	ADDQ $8, R10
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  wdRow1k
+	VMOVUPD Y0, (AX)
+
+wdRowNext:
+	ADDQ R8, SI
+	ADDQ R9, DI
+	DECQ R12
+	JMP  wdRow
+
+wdDone:
+	VZEROUPPER
+	RET
+
 // func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
 //
 // dst[j] = Σ_k alpha[k]·base[idx[k]*stride+j] for j in [0,n), n a multiple

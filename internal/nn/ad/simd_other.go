@@ -8,6 +8,9 @@ func haveAVX2() bool { return false }
 
 func rowDots16AVX2(dst, w, x *float64, cols int) { panic("ad: no AVX2 kernels on this platform") }
 func rowDots4AVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kernels on this platform") }
+func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int) {
+	panic("ad: no AVX2 kernels on this platform")
+}
 func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool {
 	panic("ad: no AVX2 kernels on this platform")
 }

@@ -148,6 +148,22 @@ func (t *SpanTracer) Start(ctx context.Context, name string) (context.Context, *
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
+// Stages returns a function that starts one stage of the operation whose span
+// ctx carries — a child span named span — and returns the stage's end, which
+// completes the span and observes its duration into seconds under label: one
+// call site gives /debug/spans the tree and /metrics the histogram of the
+// same intervals. Tracer and histogram may each be nil.
+func (t *SpanTracer) Stages(ctx context.Context, seconds *HistogramVec) func(span, label string) (end func()) {
+	return func(span, label string) func() {
+		_, sp := t.Start(ctx, span)
+		start := time.Now()
+		return func() {
+			sp.End()
+			seconds.With(label).Observe(time.Since(start).Seconds())
+		}
+	}
+}
+
 // SpanID returns the ID of the span carried by ctx (0 when none) — the value
 // slog records embed to cross-link log lines to /debug/spans entries.
 func SpanID(ctx context.Context) uint64 {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sync"
 
+	"repro/internal/app"
+	"repro/internal/estimator"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -14,16 +16,20 @@ import (
 // arriving request identical to one already computing (same generation,
 // same canonical body) joins that flight instead of computing again, so a
 // thundering herd of identical queries pays once. Distinct requests each
-// run gen.System.EstimateTraffic on a goroutine of their own and fan their
-// expert passes straight onto the shared inference pool. A flight is pinned
-// to the generation its first caller read, so a response can never mix
-// experts from two generations.
+// compute on a goroutine of their own and fan their expert passes straight
+// onto the shared inference pool. A flight is pinned to the generation its
+// first caller read, so a response can never mix experts from two
+// generations.
 type estFlights struct {
 	mu    sync.Mutex
 	calls map[uint64]*estCall
 
 	cache     *predCache // filled once per flight, on completion
 	dedupHits *obs.Counter
+
+	// Where a miss's time goes (see run); both nil-safe.
+	tracer       *obs.SpanTracer
+	stageSeconds *obs.HistogramVec
 }
 
 // estCall is one in-flight computation; waiters block on done.
@@ -35,8 +41,11 @@ type estCall struct {
 	err   error
 }
 
-func newEstFlights(cache *predCache, dedupHits *obs.Counter) *estFlights {
-	return &estFlights{calls: make(map[uint64]*estCall), cache: cache, dedupHits: dedupHits}
+func newEstFlights(cache *predCache, dedupHits *obs.Counter, tracer *obs.SpanTracer, metrics *obs.Registry) *estFlights {
+	return &estFlights{calls: make(map[uint64]*estCall), cache: cache, dedupHits: dedupHits, tracer: tracer,
+		stageSeconds: metrics.HistogramVec("deeprest_estimate_stage_duration_seconds",
+			"Wall-clock duration of one stage of computing an estimate the cache did not hold: synthesize (trace synthesis and feature extraction), predict (the inference engine), encode (JSON response). Hits, joined flights and request decoding are not staged.",
+			obs.DurationBuckets, "stage")}
 }
 
 // do computes (or joins) the estimate for one request and returns the
@@ -51,7 +60,9 @@ func (f *estFlights) do(ctx context.Context, gen *pipeline.Generation, traffic *
 	} else {
 		c = &estCall{canon: string(canon), gen: gen, done: make(chan struct{})}
 		f.calls[key] = c
-		go f.run(c, key, traffic)
+		// The flight outlives a caller that gives up: it keeps the request's
+		// span lineage, not its cancellation.
+		go f.run(context.WithoutCancel(ctx), c, key, traffic)
 	}
 	f.mu.Unlock()
 	select {
@@ -63,17 +74,38 @@ func (f *estFlights) do(ctx context.Context, gen *pipeline.Generation, traffic *
 }
 
 // run computes the flight's estimate, caches the marshaled body, retires
-// the singleflight entry and releases every waiter.
-func (f *estFlights) run(c *estCall, key uint64, traffic *workload.Traffic) {
-	est, err := c.gen.System.EstimateTraffic(traffic)
+// the singleflight entry and releases every waiter. It is the one place a
+// miss is computed, so it is where a miss is timed: a service.estimate span
+// with one child per stage, each stage also observed into
+// deeprest_estimate_stage_duration_seconds (obs.SpanTracer.Stages, as a learn
+// does) — "why was that estimate slow" reads off /debug/spans and /metrics.
+func (f *estFlights) run(ctx context.Context, c *estCall, key uint64, traffic *workload.Traffic) {
+	ctx, span := f.tracer.Start(ctx, "service.estimate")
+	span.SetWindows(traffic.NumWindows())
+	stage := f.tracer.Stages(ctx, f.stageSeconds)
+	sys := c.gen.System
+	end := stage("core.synthesize_features", "synthesize")
+	series, err := sys.SynthesizeFeatures(traffic)
+	end()
+	var est map[app.Pair]estimator.Estimate
 	if err == nil {
+		end = stage("infer.predict", "predict")
+		est, err = sys.ExpectedUtilizationVectors(series)
+		end()
+	}
+	if err == nil {
+		end = stage("service.encode", "encode")
 		var body []byte
-		if body, err = json.Marshal(toEstimateResponse(c.gen.Version, est)); err == nil {
+		body, err = json.Marshal(toEstimateResponse(c.gen.Version, est))
+		end()
+		if err == nil {
 			c.body = append(body, '\n')
 			f.cache.put(key, c.canon, c.body)
 		}
 	}
 	c.err = err
+	span.SetErr(err)
+	span.End()
 	f.mu.Lock()
 	if f.calls[key] == c {
 		delete(f.calls, key)

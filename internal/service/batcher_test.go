@@ -23,6 +23,7 @@ func learnedFlightFixture(t *testing.T) (*Server, http.Handler, *pipeline.Genera
 	t.Helper()
 	opts := quickServiceOpts()
 	opts.Metrics = obs.NewRegistry()
+	opts.Tracer = obs.NewSpanTracer(256, 1)
 	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -269,4 +270,65 @@ func TestAbandonedEstimateFillsCache(t *testing.T) {
 		return
 	}
 	t.Fatalf("a cancelled request never got 504 in %d attempts", abandonAttempts)
+}
+
+// TestMissStagesAreSpansAndOneHistogram: one miss is one service.estimate
+// root in /debug/spans with a child per stage — in the order they ran, inside
+// the root's interval — and each stage observed once in
+// deeprest_estimate_stage_duration_seconds; the identical request again is a
+// hit and records nothing.
+func TestMissStagesAreSpansAndOneHistogram(t *testing.T) {
+	s, h, _ := learnedFlightFixture(t)
+	check := func(when string) {
+		t.Helper()
+		var page struct{ Spans []obs.Span }
+		rec := do(t, s.opts.Tracer.Handler(), "GET", "/debug/spans", nil)
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("%s: /debug/spans: %v", when, err)
+		}
+		var roots []obs.Span
+		for _, sp := range page.Spans {
+			if sp.Name == "service.estimate" {
+				roots = append(roots, sp)
+			}
+		}
+		if len(roots) != 1 || roots[0].Parent != 0 || roots[0].Windows != 2 || roots[0].Err != "" {
+			t.Fatalf("%s: service.estimate spans = %+v, want one clean root over 2 windows", when, roots)
+		}
+		root := roots[0]
+		var children []string
+		for _, sp := range page.Spans { // oldest first
+			if sp.Parent != root.ID {
+				continue
+			}
+			children = append(children, sp.Name)
+			if sp.Start.Before(root.Start) || sp.Start.Add(sp.Duration).After(root.Start.Add(root.Duration)) {
+				t.Errorf("%s: %s is not inside service.estimate", when, sp.Name)
+			}
+		}
+		if got, want := fmt.Sprint(children), "[core.synthesize_features infer.predict service.encode]"; got != want {
+			t.Errorf("%s: children of service.estimate = %s, want %s", when, got, want)
+		}
+		scrape := do(t, h, "GET", "/metrics", nil).Body.String()
+		if err := obs.Lint(bytes.NewBufferString(scrape)); err != nil {
+			t.Fatalf("%s: exposition fails lint: %v", when, err)
+		}
+		for _, stage := range []string{"synthesize", "predict", "encode"} {
+			if line := `deeprest_estimate_stage_duration_seconds_count{stage="` + stage + `"} 1`; !bytes.Contains([]byte(scrape), []byte(line)) {
+				t.Errorf("%s: scrape is missing %q", when, line)
+			}
+		}
+		if n := bytes.Count([]byte(scrape), []byte("deeprest_estimate_stage_duration_seconds_count{")); n != 3 {
+			t.Errorf("%s: %d stage series, want 3", when, n)
+		}
+	}
+	body, _ := json.Marshal(estimateRequest{Windows: testTraffic(10).Windows})
+	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBuffer(body)); rec.Code != http.StatusOK || rec.Header().Get("X-DeepRest-Cache") != "" {
+		t.Fatalf("first estimate = %d (cache %q), want a computed 200", rec.Code, rec.Header().Get("X-DeepRest-Cache"))
+	}
+	check("after the miss")
+	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBuffer(body)); rec.Code != http.StatusOK || rec.Header().Get("X-DeepRest-Cache") != "hit" {
+		t.Fatalf("second estimate = %d (cache %q), want a hit", rec.Code, rec.Header().Get("X-DeepRest-Cache"))
+	}
+	check("after the hit")
 }

@@ -222,7 +222,7 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 	}
 	buildinfo.Register(opts.Metrics)
 	obs.RegisterRuntime(opts.Metrics)
-	s.flights = newEstFlights(s.estCache, s.estDedupHits)
+	s.flights = newEstFlights(s.estCache, s.estDedupHits, opts.Tracer, opts.Metrics)
 	if cfg.MaxInflight > 0 {
 		s.admit = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -500,8 +500,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: s.store.WindowSeconds(), WindowsPerDay: wpd}
 
-	// A miss is one EstimateTraffic call; identical in-flight requests join
-	// it, and its completion — not this caller — fills the cache.
+	// A miss is one flight (synthesize, predict, encode); identical in-flight
+	// requests join it, and its completion — not this caller — fills the
+	// cache.
 	body, err := s.flights.do(r.Context(), gen, traffic, key, canon)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -729,11 +730,15 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 }
 
 // decodeBody decodes a JSON request body, tolerating an empty body as the
-// zero value.
+// zero value. The body is one JSON value: anything but whitespace behind it
+// is refused, not ignored.
 func decodeBody(r *http.Request, v interface{}) error {
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("decode request: %w", err)
+	}
+	if dec.More() {
+		return errors.New("decode request: trailing data after the request")
 	}
 	return nil
 }

@@ -276,6 +276,32 @@ func TestServiceErrorPaths(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRefused: a POST body is one JSON value. A second value or
+// junk behind it is a 400 on every route that decodes one — they used to
+// answer the first value and drop the rest — while whitespace behind it
+// still reaches the handler (412 on a server that has learned nothing).
+func TestTrailingDataRefused(t *testing.T) {
+	h := newTestService().Handler()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/estimate", `{"windows":[{"/read":1}]}`},
+		{"/v1/predict", `{"windows":[{"/read":1}]}`},
+		{"/v1/sanity", `{"from":0,"to":24}`},
+		{"/v1/learn", `{"to":24}`},
+	} {
+		for _, tail := range []string{c.body, " junk", "\n[]", "0"} {
+			rec := do(t, h, "POST", c.path, bytes.NewBufferString(c.body+tail))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "trailing data after the request") {
+				t.Errorf("%s with %q behind the request = %d %s, want 400 trailing data", c.path, tail, rec.Code, rec.Body)
+			}
+		}
+		for _, body := range []string{c.body, c.body + "\n", c.body + " \t\r\n"} {
+			if rec := do(t, h, "POST", c.path, bytes.NewBufferString(body)); rec.Code != http.StatusPreconditionFailed {
+				t.Errorf("%s with body %q = %d %s, want it decoded (412)", c.path, body, rec.Code, rec.Body)
+			}
+		}
+	}
+}
+
 // TestServiceAnonymizedMode: an anonymised tenant leaks no plaintext name,
 // and still answers: the same telemetry learned plain and hashed gives the
 // same API influence once the plain keys are mapped through the hasher (the
