@@ -27,7 +27,8 @@ type estFlights struct {
 	cache     *predCache // filled once per flight, on completion
 	dedupHits *obs.Counter
 
-	// Where a miss's time goes (see run); both nil-safe.
+	// Where a miss's time goes (see run); both nil-safe. The request-side
+	// stages of the same histogram are observed by handleEstimate.
 	tracer       *obs.SpanTracer
 	stageSeconds *obs.HistogramVec
 }
@@ -44,7 +45,7 @@ type estCall struct {
 func newEstFlights(cache *predCache, dedupHits *obs.Counter, tracer *obs.SpanTracer, metrics *obs.Registry) *estFlights {
 	return &estFlights{calls: make(map[uint64]*estCall), cache: cache, dedupHits: dedupHits, tracer: tracer,
 		stageSeconds: metrics.HistogramVec("deeprest_estimate_stage_duration_seconds",
-			"Wall-clock duration of one stage of computing an estimate the cache did not hold: synthesize (trace synthesis and feature extraction), predict (the inference engine), encode (JSON response). Hits, joined flights and request decoding are not staged.",
+			"Wall-clock duration of one stage of answering an estimate. Every request: read (the body) and lookup (the response cache, by the bytes as they arrived). A spelling the cache has not seen: decode (JSON decode, validation, canonical re-marshal) and wait (on the flight computing the answer, first caller or joined). Once per flight: synthesize (trace synthesis and feature extraction), predict (the inference engine), encode (JSON response).",
 			obs.DurationBuckets, "stage")}
 }
 

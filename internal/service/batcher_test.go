@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,11 +276,12 @@ func TestAbandonedEstimateFillsCache(t *testing.T) {
 // TestMissStagesAreSpansAndOneHistogram: one miss is one service.estimate
 // root in /debug/spans with a child per stage — in the order they ran, inside
 // the root's interval — and each stage observed once in
-// deeprest_estimate_stage_duration_seconds; the identical request again is a
-// hit and records nothing.
+// deeprest_estimate_stage_duration_seconds, beside the request-side stages
+// (read, lookup, decode, wait); the identical request again is a hit, which
+// observes read and lookup once more and records no span.
 func TestMissStagesAreSpansAndOneHistogram(t *testing.T) {
 	s, h, _ := learnedFlightFixture(t)
-	check := func(when string) {
+	check := func(when string, reads int) {
 		t.Helper()
 		var page struct{ Spans []obs.Span }
 		rec := do(t, s.opts.Tracer.Handler(), "GET", "/debug/spans", nil)
@@ -313,22 +315,22 @@ func TestMissStagesAreSpansAndOneHistogram(t *testing.T) {
 		if err := obs.Lint(bytes.NewBufferString(scrape)); err != nil {
 			t.Fatalf("%s: exposition fails lint: %v", when, err)
 		}
-		for _, stage := range []string{"synthesize", "predict", "encode"} {
-			if line := `deeprest_estimate_stage_duration_seconds_count{stage="` + stage + `"} 1`; !bytes.Contains([]byte(scrape), []byte(line)) {
+		for stage, n := range map[string]int{"read": reads, "lookup": reads, "decode": 1, "wait": 1, "synthesize": 1, "predict": 1, "encode": 1} {
+			if line := fmt.Sprintf("deeprest_estimate_stage_duration_seconds_count{stage=%q} %d\n", stage, n); !strings.Contains(scrape, line) {
 				t.Errorf("%s: scrape is missing %q", when, line)
 			}
 		}
-		if n := bytes.Count([]byte(scrape), []byte("deeprest_estimate_stage_duration_seconds_count{")); n != 3 {
-			t.Errorf("%s: %d stage series, want 3", when, n)
+		if n := strings.Count(scrape, "deeprest_estimate_stage_duration_seconds_count{"); n != 7 {
+			t.Errorf("%s: %d stage series, want 7", when, n)
 		}
 	}
 	body, _ := json.Marshal(estimateRequest{Windows: testTraffic(10).Windows})
 	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBuffer(body)); rec.Code != http.StatusOK || rec.Header().Get("X-DeepRest-Cache") != "" {
 		t.Fatalf("first estimate = %d (cache %q), want a computed 200", rec.Code, rec.Header().Get("X-DeepRest-Cache"))
 	}
-	check("after the miss")
+	check("after the miss", 1)
 	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBuffer(body)); rec.Code != http.StatusOK || rec.Header().Get("X-DeepRest-Cache") != "hit" {
 		t.Fatalf("second estimate = %d (cache %q), want a hit", rec.Code, rec.Header().Get("X-DeepRest-Cache"))
 	}
-	check("after the hit")
+	check("after the hit", 2)
 }

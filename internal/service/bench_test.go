@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -10,10 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/app"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
+	"repro/internal/workload"
 )
 
 // nopRW discards the response; the benchmark measures the middleware, not
@@ -181,5 +186,71 @@ func BenchmarkEstimateCold(b *testing.B) {
 		body := []byte(`{"windows":[{"/read":` + itoa(10+i%1000000) + `},{"/read":25}]}`)
 		req := httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(body))
 		h.ServeHTTP(w, req)
+	}
+}
+
+// socialHitFixture is the shape the repo benchmark's hot reads have: a
+// service over the social-network topology with every pair learned (a quick
+// model — a hit never touches it) and one canonical 12-window day as the
+// request body, already estimated once so the next read is a warm hit.
+func socialHitFixture(tb testing.TB, opts core.Options) (*Server, []byte) {
+	tb.Helper()
+	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	day := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: workload.SocialDefaultMix(), PeakRPS: 60})
+	day.WindowsPerDay, day.WindowSeconds = 48, 60
+	_, _, run, err := sim.Simulate(app.SocialNetwork(), day, 1, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Bootstrap(run); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.Pipeline().TrainOnce(0, 0, nil, "manual"); err != nil {
+		tb.Fatal(err)
+	}
+	day.WindowsPerDay, day.Seed = 12, 2
+	body, err := json.Marshal(estimateRequest{Windows: day.Generate().Windows, WindowsPerDay: 12})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("priming estimate = %d: %s", rec.Code, rec.Body)
+	}
+	return s, body
+}
+
+// BenchmarkEstimateHitSocial is a warm hit at the social tenant's shape —
+// a ~2 KB 12-window body, a ~50 KB response — through the whole handler
+// stack: what 98 % of the mixed-fleet workload's reads pay. metrics=off is
+// the same read with no registry, so the difference bounds what the
+// middleware's and the hit stages' observations cost together.
+func BenchmarkEstimateHitSocial(b *testing.B) {
+	for _, metrics := range []string{"on", "off"} {
+		b.Run("metrics="+metrics, func(b *testing.B) {
+			opts := quickServiceOpts()
+			if metrics == "on" {
+				opts.Metrics = obs.NewRegistry()
+			}
+			s, body := socialHitFixture(b, opts)
+			h := s.Handler()
+			w := nopRW{h: make(http.Header)}
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest("POST", "/v1/estimate", rd)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				h.ServeHTTP(w, req)
+			}
+			b.StopTimer()
+			if w.h.Get("X-DeepRest-Cache") != "hit" {
+				b.Fatal("the measured reads were not cache hits")
+			}
+		})
 	}
 }

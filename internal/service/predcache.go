@@ -1,19 +1,21 @@
 package service
 
 import (
-	"hash/fnv"
-	"strconv"
+	"hash/maphash"
 	"sync"
 )
 
 // predCache memoises marshaled /v1/estimate responses keyed by
-// (model generation, canonical request). Estimates are deterministic given
+// (model generation, request bytes). Estimates are deterministic given
 // a generation — trace synthesis is seeded and inference is pure — so
 // repeated identical queries (dashboards refreshing a capacity plan,
 // autoscalers polling the same traffic hypothesis) can short-circuit the
-// whole synthesize→extract→predict path. Keys embed the generation version,
-// so a publish or rollback naturally invalidates: stale entries stop being
-// referenced and age out of the FIFO.
+// whole synthesize→extract→predict path. A response is filed under its
+// request's canonical form and, for a client that spells the request
+// otherwise, under that spelling too — two entries, one body slice (see
+// handleEstimate). Keys embed the generation version, so a publish or
+// rollback naturally invalidates: stale entries stop being referenced and
+// age out of the FIFO.
 type predCache struct {
 	mu  sync.Mutex
 	cap int
@@ -32,15 +34,16 @@ func newPredCache(capacity int) *predCache {
 	return &predCache{cap: capacity, entries: make(map[uint64]predEntry, capacity)}
 }
 
-// predKey hashes a generation version and a canonical (re-marshaled)
-// request body. It is shared by the response cache and the singleflight in
-// front of cache misses so the two layers agree on request identity.
+// predSeed keys the hash for the life of the process; keys never leave it.
+var predSeed = maphash.MakeSeed()
+
+// predKey hashes a generation version and a request body — canonical, or as
+// it arrived (see handleEstimate). It is shared by the response cache and
+// the singleflight in front of cache misses so the two layers agree on
+// request identity. It runs on every read, hits included, so it allocates
+// nothing and hashes at memory speed.
 func predKey(version int, req []byte) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(strconv.Itoa(version)))
-	h.Write([]byte{0})
-	h.Write(req)
-	return h.Sum64()
+	return maphash.Bytes(predSeed, req) ^ uint64(version)*0x9e3779b97f4a7c15
 }
 
 // get returns the cached response body for the key, verifying the stored

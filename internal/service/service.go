@@ -57,6 +57,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -157,6 +158,9 @@ type Server struct {
 	estCacheHits   *obs.Counter
 	estCacheMisses *obs.Counter
 	estDedupHits   *obs.Counter
+	// The request-side stages of deeprest_estimate_stage_duration_seconds,
+	// resolved once so a hit pays no label lookup (see handleEstimate).
+	stageRead, stageLookup, stageDecode, stageWait *obs.Histogram
 
 	modelDownloadFails *obs.Counter
 
@@ -223,6 +227,8 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 	buildinfo.Register(opts.Metrics)
 	obs.RegisterRuntime(opts.Metrics)
 	s.flights = newEstFlights(s.estCache, s.estDedupHits, opts.Tracer, opts.Metrics)
+	stages := s.flights.stageSeconds
+	s.stageRead, s.stageLookup, s.stageDecode, s.stageWait = stages.With("read"), stages.With("lookup"), stages.With("decode"), stages.With("wait")
 	if cfg.MaxInflight > 0 {
 		s.admit = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -351,8 +357,7 @@ type learnRequest struct {
 // previous generation, and a concurrent learn gets 409 Conflict.
 func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	var req learnRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	windows := s.store.NumWindows()
@@ -460,37 +465,87 @@ type estimateSeries struct {
 	Unit string    `json:"unit"`
 }
 
+// validate refuses traffic the engine must not be asked to price: none, more
+// windows than maxEstimateWindows, or a negative request count (the
+// synthesizer would read it as zero and estimate nothing, confidently).
+func (req *estimateRequest) validate() error {
+	if len(req.Windows) == 0 {
+		return errors.New("empty traffic")
+	}
+	if len(req.Windows) > maxEstimateWindows {
+		return fmt.Errorf("%d windows in one estimate, at most %d (a week at 288 a day)", len(req.Windows), maxEstimateWindows)
+	}
+	for i, win := range req.Windows {
+		for api, n := range win {
+			if n < 0 {
+				return fmt.Errorf("window %d: API %q has a negative request count %d", i, api, n)
+			}
+		}
+	}
+	return nil
+}
+
+// handleEstimate answers a Mode-1 query. Estimates are deterministic per
+// generation, so the response cache is asked first, by the body's bytes as
+// they arrived: a repeated read is answered with no JSON work at all. Only
+// a spelling the cache has not seen is decoded, validated and re-marshaled
+// to its canonical form (field order, sorted keys, no whitespace) — the
+// identity the stored entry and the singleflight keep — and, where the
+// spelling is not itself canonical, remembered as a second key to the same
+// response bytes. An entry therefore exists only behind a body that decoded,
+// validated and computed: a hit never serves what a miss would refuse.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	raw, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	readDone := time.Now()
+	s.stageRead.Observe(readDone.Sub(start).Seconds())
+	// RCU read: one atomic load pins the generation for the whole query.
+	gen := s.pipe.Active()
+	var key uint64
+	if gen != nil {
+		key = predKey(gen.Version, raw)
+		body, ok := s.estCache.get(key, raw)
+		s.stageLookup.Observe(time.Since(readDone).Seconds())
+		if ok {
+			s.estCacheHits.Inc()
+			writeEstimate(w, body, true)
+			return
+		}
+	}
+
+	decoding := time.Now()
 	var req estimateRequest
-	if err := decodeBody(r, &req); err != nil {
+	var canon []byte
+	err := decodeJSON(raw, &req)
+	if err == nil {
+		err = req.validate()
+	}
+	if err == nil {
+		canon, _ = json.Marshal(req)
+	}
+	s.stageDecode.Observe(time.Since(decoding).Seconds())
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Windows) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty traffic")
-		return
-	}
-	// RCU read: one atomic load pins the generation for the whole query.
-	gen := s.pipe.Active()
 	if gen == nil {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
-
-	// Prediction cache: estimates are deterministic per generation, so an
-	// identical request against the same model version can be answered
-	// from the marshaled response of the first one. The canonical
-	// re-marshal of the decoded request normalises field order and
-	// whitespace; the same (version, canon) identity keys the singleflight
-	// below.
-	canon, _ := json.Marshal(req)
-	key := predKey(gen.Version, canon)
-	if body, ok := s.estCache.get(key, canon); ok {
-		s.estCacheHits.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-DeepRest-Cache", "hit")
-		_, _ = w.Write(body)
-		return
+	// A spelling that is not the canonical one becomes a second key to the
+	// same response: the same body slice, not a copy.
+	rawKey, respelled := key, !bytes.Equal(canon, raw)
+	if respelled {
+		key = predKey(gen.Version, canon)
+		if body, ok := s.estCache.get(key, canon); ok {
+			s.estCache.put(rawKey, string(raw), body)
+			s.estCacheHits.Inc()
+			writeEstimate(w, body, true)
+			return
+		}
 	}
 	s.estCacheMisses.Inc()
 
@@ -503,7 +558,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// A miss is one flight (synthesize, predict, encode); identical in-flight
 	// requests join it, and its completion — not this caller — fills the
 	// cache.
+	waiting := time.Now()
 	body, err := s.flights.do(r.Context(), gen, traffic, key, canon)
+	s.stageWait.Observe(time.Since(waiting).Seconds())
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		writeErr(w, http.StatusGatewayTimeout, "estimate: %v", err)
@@ -512,7 +569,21 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "estimate: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	if respelled {
+		s.estCache.put(rawKey, string(raw), body)
+	}
+	writeEstimate(w, body, false)
+}
+
+// writeEstimate sends a marshaled estimate. The length is stated, so a
+// 40-140 KB body goes out whole instead of chunk-framed.
+func writeEstimate(w http.ResponseWriter, body []byte, hit bool) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	if hit {
+		h.Set("X-DeepRest-Cache", "hit")
+	}
 	_, _ = w.Write(body)
 }
 
@@ -552,8 +623,7 @@ type sanityEvent struct {
 
 func (s *Server) handleSanity(w http.ResponseWriter, r *http.Request) {
 	var req sanityRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	gen := s.pipe.Active()
@@ -729,11 +799,58 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// decodeBody decodes a JSON request body, tolerating an empty body as the
-// zero value. The body is one JSON value: anything but whitespace behind it
-// is refused, not ignored.
-func decodeBody(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
+// Bounds on what one request may ask for. Constants, not flags: no deployment
+// of the repo needs another value.
+const (
+	// maxBodyBytes bounds a JSON request document (413 beyond it). The largest
+	// legitimate one, a week of windows over a hundred APIs, is a few MB.
+	// /v1/telemetry is not a document: it streams window by window into a
+	// store that retention bounds.
+	maxBodyBytes = 8 << 20
+	// maxEstimateWindows bounds one estimate's traffic to a week at the
+	// default 288 windows a day. The engine's trajectory scratch is
+	// pairs × windows × hidden floats, so without it a few MB of `{},` ask
+	// for tens of GB.
+	maxEstimateWindows = 7 * 288
+)
+
+// readBody reads a whole request document, at most maxBodyBytes of it; past
+// that, or on a failed read, it answers 413 or 400 and reports false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // the slack lets ReadFrom see EOF without growing
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "read request: %v", err)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// decodeBody reads a bounded request document and decodes it into v, or
+// answers the error and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	raw, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := decodeJSON(raw, v); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return false
+	}
+	return true
+}
+
+// decodeJSON decodes one JSON request, tolerating an empty document as the
+// zero value. The document is one JSON value: anything but whitespace behind
+// it is refused, not ignored.
+func decodeJSON(raw []byte, v interface{}) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("decode request: %w", err)
 	}
