@@ -278,7 +278,7 @@ func main() {
 	}
 	go func() {
 		logger.Info("listening", "addr", *addr, "version", buildinfo.String(),
-			"kernels", ad.KernelImpl(), "anonymize", *anonymize, "pprof", *pprofOn)
+			"kernels", ad.KernelImpl(), "gates", ad.GateImpl(), "anonymize", *anonymize, "pprof", *pprofOn)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal("listener failed", "error", err)
 		}

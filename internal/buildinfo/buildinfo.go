@@ -62,8 +62,10 @@ func Register(reg *obs.Registry) {
 	// Which dense kernels this process selected at start-up: a host that
 	// runs the portable loops (no AVX2, or YMM state not enabled by the OS)
 	// spends 1.5–2× the CPU per estimate and must be visible, not silent.
+	// So must one whose gate activations fell back to the scalar functions
+	// (no FMA, or a math.Exp whose bits the four-lane kernel no longer has).
 	reg.GaugeVec("deeprest_kernel_info",
-		"Implementation of the estimator's dense kernels selected at start-up, avx2 or go (constant 1; the label carries the information).",
-		"impl").
-		With(ad.KernelImpl()).Set(1)
+		"Implementations selected at start-up, avx2 or go each: impl the estimator's dense kernels, gates its sigmoid and tanh (constant 1; the labels carry the information).",
+		"impl", "gates").
+		With(ad.KernelImpl(), ad.GateImpl()).Set(1)
 }

@@ -372,18 +372,6 @@ func (s *System) ExpectedUtilizationVectors(series []features.Vector) (map[app.P
 	return s.predictSeries(series)
 }
 
-// SanityCheckVectors is SanityCheck over pre-extracted feature vectors.
-func (s *System) SanityCheckVectors(series []features.Vector, actual map[app.Pair][]float64, det *anomaly.Detector) ([]anomaly.Event, error) {
-	expected, err := s.ExpectedUtilizationVectors(series)
-	if err != nil {
-		return nil, err
-	}
-	if det == nil {
-		det = anomaly.NewDetector()
-	}
-	return det.Detect(actual, expected)
-}
-
 // SanityCheck is query Mode 2 end-to-end: it estimates the expected
 // utilization for the served traces, compares the actual measurements
 // against the expected intervals, and returns the anomalous events. det may

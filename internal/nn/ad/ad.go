@@ -452,9 +452,8 @@ func (t *Tape) OneMinus(a *Value) *Value {
 // Sigmoid applies the logistic function element-wise.
 func (t *Tape) Sigmoid(a *Value) *Value {
 	out := t.newValue(a.Rows, a.Cols)
-	for i, x := range a.Data {
-		out.Data[i] = stableSigmoid(x)
-	}
+	copy(out.Data, a.Data)
+	sigmoids(out.Data)
 	out.op, out.a = opSigmoid, a
 	return t.record(out)
 }
@@ -462,9 +461,8 @@ func (t *Tape) Sigmoid(a *Value) *Value {
 // Tanh applies the hyperbolic tangent element-wise.
 func (t *Tape) Tanh(a *Value) *Value {
 	out := t.newValue(a.Rows, a.Cols)
-	for i, x := range a.Data {
-		out.Data[i] = math.Tanh(x)
-	}
+	copy(out.Data, a.Data)
+	tanhs(out.Data)
 	out.op, out.a = opTanh, a
 	return t.record(out)
 }

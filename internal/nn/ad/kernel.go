@@ -1,7 +1,5 @@
 package ad
 
-import "math"
-
 // This file exports the fused-kernel math for the tape-free inference
 // engine (internal/estimator/infer). The engine replays the forward pass
 // over a trained model's parameters without recording tape nodes; sharing
@@ -48,19 +46,18 @@ func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out [
 	h = h[:hid]
 	gatePre(z, wx[col:], stride, g.Uz.Data, h, g.Bz.Data)
 	gatePre(k, wx[hid*stride+col:], stride, g.Uk.Data, h, g.Bk.Data)
+	sigmoids(z)
+	sigmoids(k)
 	for i := range kh {
-		z[i] = stableSigmoid(z[i])
-		k[i] = stableSigmoid(k[i])
 		kh[i] = k[i] * h[i]
 	}
 	gatePre(c, wx[2*hid*stride+col:], stride, g.Uh.Data, kh, g.Bh.Data)
+	tanhs(c)
 	for i := range out {
 		// The same intermediate roundings as the Mul/OneMinus/Mul/Add
 		// chain.
-		ci := math.Tanh(c[i])
-		c[i] = ci
 		zh := z[i] * h[i]
-		oc := (1 - z[i]) * ci
+		oc := (1 - z[i]) * c[i]
 		out[i] = zh + oc
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -16,12 +18,26 @@ func impls() []string {
 	return []string{"go"}
 }
 
-// setImpl flips the package's kernel selector for the rest of the test.
+// gatesAtStart is what the start-up probe decided, before any test flips it;
+// gatesExpected is what it has to decide on this host: the four-lane gates
+// wherever the processor fuses multiply-adds and no cpu.* GODEBUG setting can
+// have sent math.Exp down its other path.
+var (
+	gatesAtStart  = useAVX2Gates
+	gatesExpected = haveAVX2() && haveFMA() && !strings.Contains(os.Getenv("GODEBUG"), "cpu.")
+)
+
+// setImpl flips the package's kernel selectors for the rest of the test. The
+// four-lane gates go with "avx2" where the probe chose them — and where it
+// should have, so a kernel it rejects fails the wall by value instead of
+// passing on the fallback. Elsewhere (GODEBUG=cpu.fma=off) both
+// implementations run the scalar gates, as the daemon would.
 func setImpl(tb testing.TB, impl string) {
 	tb.Helper()
-	prev := useAVX2
-	tb.Cleanup(func() { useAVX2 = prev })
+	prev, prevGates := useAVX2, useAVX2Gates
+	tb.Cleanup(func() { useAVX2, useAVX2Gates = prev, prevGates })
 	useAVX2 = impl == "avx2"
+	useAVX2Gates = useAVX2 && (gatesAtStart || gatesExpected)
 	if KernelImpl() != impl {
 		tb.Fatalf("KernelImpl() = %q after selecting %q", KernelImpl(), impl)
 	}
@@ -315,19 +331,26 @@ func TestMatVecMatchesRowDots(t *testing.T) {
 
 // FuzzKernelsMatchScalar lets the fuzzer pick the shape, the operands'
 // offset into their arrays and the values' seed, and holds every
-// implementation to dot — and, for the backward, attention-adjoint and Adam
-// kernels, to the loops in adjoint_test.go.
+// implementation to dot — for the backward, attention-adjoint and Adam
+// kernels, to the loops in adjoint_test.go; for the gate activations, four
+// raw bit patterns included, to the scalar functions.
 func FuzzKernelsMatchScalar(f *testing.F) {
-	f.Add(uint8(16), uint16(67), uint8(12), uint8(1), int64(1))
-	f.Add(uint8(37), uint16(5), uint8(5), uint8(3), int64(2))
-	f.Add(uint8(4), uint16(0), uint8(0), uint8(0), int64(3))
-	f.Add(uint8(3), uint16(257), uint8(50), uint8(2), int64(4))
-	f.Fuzz(func(t *testing.T, rows uint8, cols uint16, windows, off uint8, seed int64) {
+	f.Add(uint8(16), uint16(67), uint8(12), uint8(1), int64(1), uint64(0), uint64(1)<<63, math.Float64bits(0.625), math.Float64bits(-700))
+	f.Add(uint8(37), uint16(5), uint8(5), uint8(3), int64(2), math.Float64bits(math.NaN()), math.Float64bits(44.1), math.Float64bits(math.Inf(-1)), uint64(1))
+	f.Add(uint8(4), uint16(0), uint8(0), uint8(0), int64(3), uint64(0x7ff0000000000001), math.Float64bits(-1e-200), math.Float64bits(700.5), math.Float64bits(3))
+	f.Add(uint8(3), uint16(257), uint8(50), uint8(2), int64(4), math.Float64bits(-37.4), math.Float64bits(0.6249), math.Float64bits(44.0148), math.Float64bits(-745))
+	f.Fuzz(func(t *testing.T, rows uint8, cols uint16, windows, off uint8, seed int64, g0, g1, g2, g3 uint64) {
 		for _, impl := range impls() {
 			setImpl(t, impl)
 			e := edgeSets[uint64(seed)%uint64(len(edgeSets))]
 			checkRowKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn, int(windows%64))
 			checkColumnKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
+			// The gates take the fuzzer's four bit patterns as they are,
+			// somewhere among rows ordinary arguments.
+			pre := gateDraws(int(rows%70), rand.New(rand.NewSource(seed)))
+			at := int(windows) % (len(pre) + 1)
+			raw := []float64{math.Float64frombits(g0), math.Float64frombits(g1), math.Float64frombits(g2), math.Float64frombits(g3)}
+			checkGates(t, append(pre[:at:at], append(raw, pre[at:]...)...), int(off%8))
 		}
 	})
 }

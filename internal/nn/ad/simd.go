@@ -1,10 +1,77 @@
 package ad
 
-// useAVX2 selects the hand-written amd64 kernels (simd_amd64.s) over the Go
-// loops. It is decided once, at start-up, from what the processor and the
-// operating system report; only the package's tests assign it afterwards, to
-// run both implementations against each other.
+import "math"
+
+// Two selectors, each decided once at start-up and assigned afterwards only
+// by the package's tests, to run both implementations against each other.
+//
+// useAVX2 selects the hand-written amd64 kernels (simd_amd64.s) for the dense
+// products over the Go loops, from what the processor and the operating
+// system report.
 var useAVX2 = haveAVX2()
+
+// useAVX2Gates selects the four-lane gate activations (sigmoidsAVX2,
+// tanhsAVX2) over the scalar loops. The kernels are math.Exp's FMA path and
+// math.Tanh's Go source instruction for instruction, so they stand on the
+// question math asks for itself — does the processor fuse multiply-adds — and
+// on a probe that the answer still yields math's bits: under
+// GODEBUG=cpu.fma=off math.Exp takes its other path, and a Go release that
+// rewrites either function must fall back here, visibly (GateImpl), rather
+// than publish different weights.
+var useAVX2Gates = useAVX2 && haveFMA() && gatesMatchMath()
+
+// gatesMatchMath runs both gate kernels over a few fixed arguments — the
+// negative ones have exponentials that differ in the last bit between
+// math.Exp's two paths — and reports whether every result has the scalar
+// function's bits.
+func gatesMatchMath() bool {
+	probe := [8]float64{-500.6342656215608, -300.375, -40.520833333333336, -5.104166666666667, -1.1041666666666667, 0.1, 0.7, 30}
+	s, t := probe, probe
+	if sigmoidsAVX2(&s[0], len(s)) != len(s) || tanhsAVX2(&t[0], len(t)) != len(t) {
+		return false
+	}
+	for i, x := range probe {
+		if math.Float64bits(s[i]) != math.Float64bits(stableSigmoid(x)) || math.Float64bits(t[i]) != math.Float64bits(math.Tanh(x)) {
+			return false
+		}
+	}
+	return true
+}
+
+// GateImpl names the implementation behind the gate activations in this
+// process, "avx2" or "go"; the daemon exports it beside KernelImpl.
+func GateImpl() string {
+	if useAVX2Gates {
+		return "avx2"
+	}
+	return "go"
+}
+
+// sigmoids replaces every x[i] with stableSigmoid(x[i]), tanhs with
+// math.Tanh(x[i]) — the scalar function's bits on either implementation.
+func sigmoids(x []float64) { gates(x, sigmoidsAVX2, stableSigmoid) }
+func tanhs(x []float64)    { gates(x, tanhsAVX2, math.Tanh) }
+
+// gates applies an activation in place: whole groups of four through the
+// assembly where it is selected, the len(x)%4 tail and everything else
+// through the scalar function. The assembly stops in front of a group it does
+// not cover (a NaN; for the sigmoid a magnitude above 700) and says how far
+// it came; that group goes through the scalar function and the assembly takes
+// over behind it.
+func gates(x []float64, avx2 func(*float64, int) int, scalar func(float64) float64) {
+	i := 0
+	if useAVX2Gates {
+		for n := len(x) &^ 3; i < n; {
+			i += avx2(&x[i], n-i)
+			for end := min(i+4, n); i < end; i++ {
+				x[i] = scalar(x[i])
+			}
+		}
+	}
+	for ; i < len(x); i++ {
+		x[i] = scalar(x[i])
+	}
+}
 
 // KernelImpl names the implementation behind the dense kernels in this
 // process: "avx2" or "go". The daemon exports it (deeprest_kernel_info), so

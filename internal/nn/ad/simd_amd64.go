@@ -29,6 +29,12 @@ func peerDotsAVX2(dst, dy *float64, n int, idx *int, peers int, base *float64, s
 //go:noescape
 func adamAVX2(data, grad, m, v *float64, n int, h *[8]float64)
 
+//go:noescape
+func sigmoidsAVX2(x *float64, n int) int
+
+//go:noescape
+func tanhsAVX2(x *float64, n int) int
+
 // haveAVX2 reports whether the processor implements AVX2 and the operating
 // system saves the YMM registers across context switches.
 func haveAVX2() bool {
@@ -47,4 +53,12 @@ func haveAVX2() bool {
 	const avx2 = 1 << 5
 	_, b, _, _ := cpuid(7, 0)
 	return b&avx2 != 0
+}
+
+// haveFMA reports whether the processor implements the fused multiply-add
+// instructions the gate kernels share with math.Exp.
+func haveFMA() bool {
+	const fma = 1 << 12
+	_, _, c, _ := cpuid(1, 0)
+	return c&fma != 0
 }

@@ -8,7 +8,9 @@
 // accumulator is the first source of every VADDPD, as it is of the ADDSD the
 // compiler emits for s += r*x. Callers never pass a zero-length operand, and
 // every routine ends in VZEROUPPER so the SSE code around it pays no
-// transition penalty.
+// transition penalty. The gate activations at the end of the file follow the
+// same rule from the other side: the scalar code they must equal, math.Exp,
+// fuses its multiply-adds, so they do too, instruction for instruction.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -951,4 +953,198 @@ adamLoop:
 	SUBQ $4, CX
 	JNZ  adamLoop
 	VZEROUPPER
+	RET
+
+// Gate activations. The constants, eight bytes each, are broadcast where they
+// are used; those of the exponential are math.archExp's (exp_amd64.s), those
+// of the hyperbolic tangent math.tanh's tanhP, tanhQ and 0.5·MAXLOG.
+DATA gatec<>+0(SB)/8, $1.4426950408889634073599246810018920 // LOG2E
+DATA gatec<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA gatec<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA gatec<>+24(SB)/8, $0.0625
+DATA gatec<>+32(SB)/8, $2.4801587301587301587e-5
+DATA gatec<>+40(SB)/8, $1.9841269841269841270e-4
+DATA gatec<>+48(SB)/8, $1.3888888888888888889e-3
+DATA gatec<>+56(SB)/8, $8.3333333333333333333e-3
+DATA gatec<>+64(SB)/8, $4.1666666666666666667e-2
+DATA gatec<>+72(SB)/8, $1.6666666666666666667e-1
+DATA gatec<>+80(SB)/8, $0.5
+DATA gatec<>+88(SB)/8, $1.0
+DATA gatec<>+96(SB)/8, $2.0
+DATA gatec<>+104(SB)/8, $0x3FF // exponent bias
+DATA gatec<>+112(SB)/8, $0x8000000000000000 // sign bit
+DATA gatec<>+120(SB)/8, $-700.0
+DATA gatec<>+128(SB)/8, $0.625
+DATA gatec<>+136(SB)/8, $44.014845965556527147994 // 0.5·MAXLOG
+DATA gatec<>+144(SB)/8, $-9.64399179425052238628e-1 // tanhP
+DATA gatec<>+152(SB)/8, $-9.92877231001918586564e1
+DATA gatec<>+160(SB)/8, $-1.61468768441708447952e3
+DATA gatec<>+168(SB)/8, $1.12811678491632931402e2 // tanhQ
+DATA gatec<>+176(SB)/8, $2.23548839060100448583e3
+DATA gatec<>+184(SB)/8, $4.84406305325125486048e3
+GLOBL gatec<>+0(SB), RODATA, $192
+
+// EXPCONSTS loads the constants EXP4 keeps in registers: Y8 = LN2U, Y9 =
+// LN2L, Y10..Y12 and Y15 = 1/7!, 1/6!, 1/5!, 1/4!, Y13 = 1, Y14 = 2.
+#define EXPCONSTS \
+	VBROADCASTSD gatec<>+8(SB), Y8; \
+	VBROADCASTSD gatec<>+16(SB), Y9; \
+	VBROADCASTSD gatec<>+40(SB), Y10; \
+	VBROADCASTSD gatec<>+48(SB), Y11; \
+	VBROADCASTSD gatec<>+56(SB), Y12; \
+	VBROADCASTSD gatec<>+88(SB), Y13; \
+	VBROADCASTSD gatec<>+96(SB), Y14; \
+	VBROADCASTSD gatec<>+64(SB), Y15
+
+// EXP4 replaces the four arguments in Y1 with their exponentials, clobbering
+// Y2, Y3 and Y7. It is the FMA path of math.archExp with a packed instruction
+// for each scalar one, same operands, same order: n = round(x·log2e) through
+// the int32 converts, r = (x − n·LN2U − n·LN2L)/16 by two fused
+// negate-multiply-adds, the eight-term Horner chain of fused multiply-adds,
+// four squarings r ← r·(r+2), the last fused with the +1, and the scaling by
+// 2ⁿ built in the exponent field. archExp's branches for a non-finite
+// argument, overflow and a subnormal result have no twin here: the caller
+// keeps every lane it uses inside [−708, 709].
+#define EXP4 \
+	VBROADCASTSD gatec<>+0(SB), Y2; \
+	VMULPD Y1, Y2, Y2; \
+	VCVTPD2DQY Y2, X3; \
+	VCVTDQ2PD X3, Y2; \
+	VFNMADD231PD Y8, Y2, Y1; \
+	VFNMADD231PD Y9, Y2, Y1; \
+	VBROADCASTSD gatec<>+24(SB), Y7; \
+	VMULPD Y7, Y1, Y1; \
+	VBROADCASTSD gatec<>+32(SB), Y2; \
+	VFMADD213PD Y10, Y1, Y2; \
+	VFMADD213PD Y11, Y1, Y2; \
+	VFMADD213PD Y12, Y1, Y2; \
+	VFMADD213PD Y15, Y1, Y2; \
+	VBROADCASTSD gatec<>+72(SB), Y7; \
+	VFMADD213PD Y7, Y1, Y2; \
+	VBROADCASTSD gatec<>+80(SB), Y7; \
+	VFMADD213PD Y7, Y1, Y2; \
+	VFMADD213PD Y13, Y1, Y2; \
+	VMULPD Y2, Y1, Y1; \
+	VADDPD Y14, Y1, Y2; \
+	VMULPD Y2, Y1, Y1; \
+	VADDPD Y14, Y1, Y2; \
+	VMULPD Y2, Y1, Y1; \
+	VADDPD Y14, Y1, Y2; \
+	VMULPD Y2, Y1, Y1; \
+	VADDPD Y14, Y1, Y2; \
+	VFMADD213PD Y13, Y2, Y1; \
+	VPMOVSXDQ X3, Y3; \
+	VPBROADCASTQ gatec<>+104(SB), Y7; \
+	VPADDQ Y7, Y3, Y3; \
+	VPSLLQ $52, Y3, Y3; \
+	VMULPD Y3, Y1, Y1
+
+// func sigmoidsAVX2(x *float64, n int) int
+//
+// Replaces x[i] with stableSigmoid(x[i]), four at a time, n a multiple of
+// four: z = exp(−|x|), then z/(1+z) where x is negative and 1/(1+z)
+// elsewhere, one division either way. It stops in front of the first four
+// that hold a NaN or a magnitude above 700 — exp(−|x|) would leave the
+// range EXP4 covers — and returns how many it replaced.
+TEXT ·sigmoidsAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	XORQ AX, AX
+	EXPCONSTS
+
+sigLoop:
+	VMOVUPD (SI)(AX*8), Y0
+	VBROADCASTSD gatec<>+112(SB), Y1
+	VORPD Y0, Y1, Y1           // −|x|
+	VBROADCASTSD gatec<>+120(SB), Y2
+	VCMPPD $0x09, Y2, Y1, Y2   // not −|x| ≥ −700: too large, or NaN
+	VMOVMSKPD Y2, DX
+	TESTL DX, DX
+	JNZ  sigDone
+	EXP4
+	VADDPD Y1, Y13, Y2         // 1 + z
+	// The sign bit of x picks the numerator; x = −0 takes z, which is 1.
+	VBLENDVPD Y0, Y1, Y13, Y3
+	VDIVPD Y2, Y3, Y3
+	VMOVUPD Y3, (SI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  sigLoop
+
+sigDone:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func tanhsAVX2(x *float64, n int) int
+//
+// Replaces x[i] with math.Tanh(x[i]), four at a time, n a multiple of four.
+// Every lane computes both of math.tanh's forms, each Go operator a separate
+// packed instruction in the expression's order — the compiler does not
+// contract them on amd64 — and then takes the one its |x| selects:
+// x + x·s·P(s)/Q(s) with s = x², 1 − 2/(exp(2|x|)+1) with the sign of x from
+// 0.625 upwards, ±1 above 0.5·MAXLOG, and x itself where x is ±0 (the
+// rational form would turn −0 into +0). A form computed outside its range
+// may be anything; it is not selected. It stops in front of the first four
+// that hold a NaN, whose payload no blend would carry, and returns how many
+// it replaced.
+TEXT ·tanhsAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	XORQ AX, AX
+	EXPCONSTS
+
+tanhLoop:
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD $3, Y0, Y0, Y1      // unordered with itself: NaN
+	VMOVMSKPD Y1, DX
+	TESTL DX, DX
+	JNZ  tanhDone
+	VBROADCASTSD gatec<>+112(SB), Y7
+	VANDNPD Y0, Y7, Y4         // |x|
+	VANDPD Y0, Y7, Y5          // the sign of x
+	VADDPD Y4, Y4, Y1          // 2|x|
+	EXP4
+	VADDPD Y13, Y1, Y1         // s + 1
+	VDIVPD Y1, Y14, Y1         // 2/(s+1)
+	VSUBPD Y1, Y13, Y1         // 1 − 2/(s+1)
+	VXORPD Y5, Y1, Y1          // negated where x < 0
+	VMULPD Y0, Y0, Y2          // s = x·x
+	VBROADCASTSD gatec<>+144(SB), Y3
+	VMULPD Y2, Y3, Y3          // P0·s
+	VBROADCASTSD gatec<>+152(SB), Y7
+	VADDPD Y7, Y3, Y3          // + P1
+	VMULPD Y2, Y3, Y3          // ·s
+	VBROADCASTSD gatec<>+160(SB), Y7
+	VADDPD Y7, Y3, Y3          // + P2
+	VBROADCASTSD gatec<>+168(SB), Y6
+	VADDPD Y6, Y2, Y6          // s + Q0
+	VMULPD Y2, Y6, Y6          // ·s
+	VBROADCASTSD gatec<>+176(SB), Y7
+	VADDPD Y7, Y6, Y6          // + Q1
+	VMULPD Y2, Y6, Y6          // ·s
+	VBROADCASTSD gatec<>+184(SB), Y7
+	VADDPD Y7, Y6, Y6          // + Q2
+	VMULPD Y2, Y0, Y2          // x·s
+	VMULPD Y3, Y2, Y2          // ·P(s)
+	VDIVPD Y6, Y2, Y2          // /Q(s)
+	VADDPD Y2, Y0, Y2          // x + …
+	VBROADCASTSD gatec<>+128(SB), Y7
+	VCMPPD $0x1D, Y7, Y4, Y3   // |x| ≥ 0.625
+	VBLENDVPD Y3, Y1, Y2, Y2
+	VBROADCASTSD gatec<>+136(SB), Y7
+	VCMPPD $0x1E, Y7, Y4, Y3   // |x| > 0.5·MAXLOG
+	VORPD Y5, Y13, Y1          // ±1
+	VBLENDVPD Y3, Y1, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VCMPPD $0, Y3, Y0, Y3      // x == 0
+	VBLENDVPD Y3, Y0, Y2, Y2
+	VMOVUPD Y2, (SI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  tanhLoop
+
+tanhDone:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
 	RET

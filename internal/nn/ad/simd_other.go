@@ -3,6 +3,7 @@
 package ad
 
 func haveAVX2() bool { return false }
+func haveFMA() bool  { return false }
 
 // The AVX2 entry points exist only on amd64; useAVX2 is never true here.
 
@@ -26,3 +27,5 @@ func peerDotsAVX2(dst, dy *float64, n int, idx *int, peers int, base *float64, s
 func adamAVX2(data, grad, m, v *float64, n int, h *[8]float64) {
 	panic("ad: no AVX2 kernels on this platform")
 }
+func sigmoidsAVX2(x *float64, n int) int { panic("ad: no AVX2 kernels on this platform") }
+func tanhsAVX2(x *float64, n int) int    { panic("ad: no AVX2 kernels on this platform") }

@@ -283,46 +283,15 @@ func TestMissStagesAreSpansAndOneHistogram(t *testing.T) {
 	s, h, _ := learnedFlightFixture(t)
 	check := func(when string, reads int) {
 		t.Helper()
-		var page struct{ Spans []obs.Span }
-		rec := do(t, s.opts.Tracer.Handler(), "GET", "/debug/spans", nil)
-		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
-			t.Fatalf("%s: /debug/spans: %v", when, err)
-		}
-		var roots []obs.Span
-		for _, sp := range page.Spans {
-			if sp.Name == "service.estimate" {
-				roots = append(roots, sp)
-			}
-		}
-		if len(roots) != 1 || roots[0].Parent != 0 || roots[0].Windows != 2 || roots[0].Err != "" {
-			t.Fatalf("%s: service.estimate spans = %+v, want one clean root over 2 windows", when, roots)
-		}
-		root := roots[0]
-		var children []string
-		for _, sp := range page.Spans { // oldest first
-			if sp.Parent != root.ID {
-				continue
-			}
-			children = append(children, sp.Name)
-			if sp.Start.Before(root.Start) || sp.Start.Add(sp.Duration).After(root.Start.Add(root.Duration)) {
-				t.Errorf("%s: %s is not inside service.estimate", when, sp.Name)
-			}
+		root, children := spanTree(t, s, when, "service.estimate")
+		if root.Windows != 2 {
+			t.Fatalf("%s: service.estimate covers %d windows, want 2", when, root.Windows)
 		}
 		if got, want := fmt.Sprint(children), "[core.synthesize_features infer.predict service.encode]"; got != want {
 			t.Errorf("%s: children of service.estimate = %s, want %s", when, got, want)
 		}
-		scrape := do(t, h, "GET", "/metrics", nil).Body.String()
-		if err := obs.Lint(bytes.NewBufferString(scrape)); err != nil {
-			t.Fatalf("%s: exposition fails lint: %v", when, err)
-		}
-		for stage, n := range map[string]int{"read": reads, "lookup": reads, "decode": 1, "wait": 1, "synthesize": 1, "predict": 1, "encode": 1} {
-			if line := fmt.Sprintf("deeprest_estimate_stage_duration_seconds_count{stage=%q} %d\n", stage, n); !strings.Contains(scrape, line) {
-				t.Errorf("%s: scrape is missing %q", when, line)
-			}
-		}
-		if n := strings.Count(scrape, "deeprest_estimate_stage_duration_seconds_count{"); n != 7 {
-			t.Errorf("%s: %d stage series, want 7", when, n)
-		}
+		stageCounts(t, h, when, "deeprest_estimate_stage_duration_seconds",
+			map[string]int{"read": reads, "lookup": reads, "decode": 1, "wait": 1, "synthesize": 1, "predict": 1, "encode": 1})
 	}
 	body, _ := json.Marshal(estimateRequest{Windows: testTraffic(10).Windows})
 	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBuffer(body)); rec.Code != http.StatusOK || rec.Header().Get("X-DeepRest-Cache") != "" {
@@ -333,4 +302,91 @@ func TestMissStagesAreSpansAndOneHistogram(t *testing.T) {
 		t.Fatalf("second estimate = %d (cache %q), want a hit", rec.Code, rec.Header().Get("X-DeepRest-Cache"))
 	}
 	check("after the hit", 2)
+}
+
+// spanTree reads /debug/spans and returns the one span named name — a clean
+// root — with the names of its children, oldest first, each of which must lie
+// inside it.
+func spanTree(t *testing.T, s *Server, when, name string) (obs.Span, []string) {
+	t.Helper()
+	var page struct{ Spans []obs.Span }
+	rec := do(t, s.opts.Tracer.Handler(), "GET", "/debug/spans", nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+		t.Fatalf("%s: /debug/spans: %v", when, err)
+	}
+	var roots []obs.Span
+	for _, sp := range page.Spans {
+		if sp.Name == name {
+			roots = append(roots, sp)
+		}
+	}
+	if len(roots) != 1 || roots[0].Parent != 0 || roots[0].Err != "" {
+		t.Fatalf("%s: %s spans = %+v, want one clean root", when, name, roots)
+	}
+	root := roots[0]
+	var children []string
+	for _, sp := range page.Spans { // oldest first
+		if sp.Parent != root.ID {
+			continue
+		}
+		children = append(children, sp.Name)
+		if sp.Start.Before(root.Start) || sp.Start.Add(sp.Duration).After(root.Start.Add(root.Duration)) {
+			t.Errorf("%s: %s is not inside %s", when, sp.Name, name)
+		}
+	}
+	return root, children
+}
+
+// stageCounts scrapes /metrics, lints it, and requires the stage histogram
+// family to hold exactly the given series, each with its observation count.
+func stageCounts(t *testing.T, h http.Handler, when, family string, want map[string]int) {
+	t.Helper()
+	scrape := do(t, h, "GET", "/metrics", nil).Body.String()
+	if err := obs.Lint(bytes.NewBufferString(scrape)); err != nil {
+		t.Fatalf("%s: exposition fails lint: %v", when, err)
+	}
+	for stage, n := range want {
+		if line := fmt.Sprintf("%s_count{stage=%q} %d\n", family, stage, n); !strings.Contains(scrape, line) {
+			t.Errorf("%s: scrape is missing %q", when, line)
+		}
+	}
+	if n := strings.Count(scrape, family+"_count{"); n != len(want) {
+		t.Errorf("%s: %d %s series, want %d", when, n, family, len(want))
+	}
+}
+
+// TestSanityStagesAreSpansAndOneHistogram: a sanity check is timed the way a
+// computed estimate is — a service.sanity root whose five children are its
+// stages in order, the same intervals in
+// deeprest_sanity_stage_duration_seconds (one series per stage, none before
+// the first check) — and a refused one leaves a root that says why.
+func TestSanityStagesAreSpansAndOneHistogram(t *testing.T) {
+	s, h, _ := learnedFlightFixture(t)
+	stageCounts(t, h, "before any check", "deeprest_sanity_stage_duration_seconds", nil)
+	if rec := do(t, h, "POST", "/v1/sanity", bytes.NewBufferString(`{"from":2,"to":14}`)); rec.Code != http.StatusOK {
+		t.Fatalf("sanity = %d: %s", rec.Code, rec.Body)
+	}
+	root, children := spanTree(t, s, "after the check", "service.sanity")
+	if root.Windows != 12 {
+		t.Errorf("service.sanity covers %d windows, want 12", root.Windows)
+	}
+	if got, want := fmt.Sprint(children), "[telemetry.features telemetry.metrics infer.predict anomaly.detect service.encode]"; got != want {
+		t.Errorf("children of service.sanity = %s, want %s", got, want)
+	}
+	stageCounts(t, h, "after the check", "deeprest_sanity_stage_duration_seconds",
+		map[string]int{"features": 1, "metrics": 1, "predict": 1, "detect": 1, "encode": 1})
+
+	if rec := do(t, h, "POST", "/v1/sanity", bytes.NewBufferString(`{"from":2,"to":1000}`)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("sanity past the store = %d: %s", rec.Code, rec.Body)
+	}
+	var page struct{ Spans []obs.Span }
+	rec := do(t, s.opts.Tracer.Handler(), "GET", "/debug/spans?name=service.sanity", nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Spans) != 2 || !strings.Contains(page.Spans[1].Err, "out of bounds") {
+		t.Errorf("service.sanity spans after a refused check = %+v, want a second one carrying the store's range error", page.Spans)
+	}
+	stageCounts(t, h, "after the refused check", "deeprest_sanity_stage_duration_seconds",
+		map[string]int{"features": 2, "metrics": 1, "predict": 1, "detect": 1, "encode": 1})
 }

@@ -173,12 +173,12 @@ func TestNewGenerationInvalidatesSpellings(t *testing.T) {
 
 // TestRequestCostIsBounded: a JSON document is read through one size bound
 // on every route that takes one (413), and an estimate prices at most
-// maxEstimateWindows windows (400 naming the bound) — checked before the
+// maxReadWindows windows (400 naming the bound) — checked before the
 // engine sizes anything from the request, learned or not.
 func TestRequestCostIsBounded(t *testing.T) {
 	oversize := strings.Repeat(" ", maxBodyBytes) + `{}`
-	week := `{"windows":[` + strings.Repeat(`{},`, maxEstimateWindows-1) + `{}]}`
-	tooLong := `{"windows":[` + strings.Repeat(`{},`, maxEstimateWindows) + `{}]}`
+	week := `{"windows":[` + strings.Repeat(`{},`, maxReadWindows-1) + `{}]}`
+	tooLong := `{"windows":[` + strings.Repeat(`{},`, maxReadWindows) + `{}]}`
 	h := newTestService().Handler()
 	for _, c := range []struct {
 		path, body string
@@ -189,9 +189,11 @@ func TestRequestCostIsBounded(t *testing.T) {
 		{"/v1/predict", oversize, http.StatusRequestEntityTooLarge, "request body too large"},
 		{"/v1/learn", oversize, http.StatusRequestEntityTooLarge, "request body too large"},
 		{"/v1/sanity", oversize, http.StatusRequestEntityTooLarge, "request body too large"},
-		{"/v1/estimate", tooLong, http.StatusBadRequest, fmt.Sprintf("at most %d", maxEstimateWindows)},
-		{"/v1/predict", tooLong, http.StatusBadRequest, fmt.Sprintf("at most %d", maxEstimateWindows)},
+		{"/v1/estimate", tooLong, http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
+		{"/v1/predict", tooLong, http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
 		{"/v1/estimate", week, http.StatusPreconditionFailed, "not learned yet"},
+		{"/v1/sanity", fmt.Sprintf(`{"from":3,"to":%d}`, maxReadWindows+4), http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
+		{"/v1/sanity", fmt.Sprintf(`{"from":3,"to":%d}`, maxReadWindows+3), http.StatusPreconditionFailed, "not learned yet"},
 	} {
 		rec := do(t, h, "POST", c.path, bytes.NewBufferString(c.body))
 		if rec.Code != c.code || !strings.Contains(rec.Body.String(), c.says) {

@@ -117,7 +117,7 @@ func TestMetricsScrape(t *testing.T) {
 		"deeprest_telemetry_windows_total",
 		"deeprest_telemetry_spans_total",
 		`deeprest_build_info{version=`,
-		`deeprest_kernel_info{impl="` + ad.KernelImpl() + `"} 1`,
+		`deeprest_kernel_info{impl="` + ad.KernelImpl() + `",gates="` + ad.GateImpl() + `"} 1`,
 		"deeprest_quality_windows_scored_total",
 		`deeprest_quality_smape{component="Service",resource="cpu"}`,
 		"deeprest_quality_coverage{",

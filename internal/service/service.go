@@ -161,6 +161,8 @@ type Server struct {
 	// The request-side stages of deeprest_estimate_stage_duration_seconds,
 	// resolved once so a hit pays no label lookup (see handleEstimate).
 	stageRead, stageLookup, stageDecode, stageWait *obs.Histogram
+	// The stages of a sanity check (see handleSanity); nil without metrics.
+	sanityStages *obs.HistogramVec
 
 	modelDownloadFails *obs.Counter
 
@@ -229,6 +231,9 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 	s.flights = newEstFlights(s.estCache, s.estDedupHits, opts.Tracer, opts.Metrics)
 	stages := s.flights.stageSeconds
 	s.stageRead, s.stageLookup, s.stageDecode, s.stageWait = stages.With("read"), stages.With("lookup"), stages.With("decode"), stages.With("wait")
+	s.sanityStages = opts.Metrics.HistogramVec("deeprest_sanity_stage_duration_seconds",
+		"Wall-clock duration of one stage of a sanity check: features (the range's cached feature vectors), metrics (its measured utilization), predict (the inference engine), detect (the anomaly detector), encode (JSON response).",
+		obs.DurationBuckets, "stage")
 	if cfg.MaxInflight > 0 {
 		s.admit = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -466,14 +471,14 @@ type estimateSeries struct {
 }
 
 // validate refuses traffic the engine must not be asked to price: none, more
-// windows than maxEstimateWindows, or a negative request count (the
+// windows than maxReadWindows, or a negative request count (the
 // synthesizer would read it as zero and estimate nothing, confidently).
 func (req *estimateRequest) validate() error {
 	if len(req.Windows) == 0 {
 		return errors.New("empty traffic")
 	}
-	if len(req.Windows) > maxEstimateWindows {
-		return fmt.Errorf("%d windows in one estimate, at most %d (a week at 288 a day)", len(req.Windows), maxEstimateWindows)
+	if len(req.Windows) > maxReadWindows {
+		return fmt.Errorf("%d windows in one estimate, at most %d (a week at 288 a day)", len(req.Windows), maxReadWindows)
 	}
 	for i, win := range req.Windows {
 		for api, n := range win {
@@ -621,9 +626,16 @@ type sanityEvent struct {
 	Deviations map[string]string `json:"deviations"`
 }
 
+// handleSanity answers a Mode-2 query. Like a computed estimate it is timed
+// where it is computed: a service.sanity span with one child per stage, each
+// stage also observed into deeprest_sanity_stage_duration_seconds.
 func (s *Server) handleSanity(w http.ResponseWriter, r *http.Request) {
 	var req sanityRequest
 	if !decodeBody(w, r, &req) {
+		return
+	}
+	if n := req.To - req.From; n > maxReadWindows {
+		writeErr(w, http.StatusBadRequest, "%d windows in one sanity check, at most %d (a week at 288 a day)", n, maxReadWindows)
 		return
 	}
 	gen := s.pipe.Active()
@@ -631,23 +643,43 @@ func (s *Server) handleSanity(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
+	ctx, span := s.opts.Tracer.Start(r.Context(), "service.sanity")
+	defer span.End()
+	span.SetWindows(req.To - req.From)
+	stage := s.opts.Tracer.Stages(ctx, s.sanityStages)
+	fail := func(code int, format string, err error) {
+		span.SetErr(err)
+		writeErr(w, code, format, err)
+	}
 	sys, store := gen.System, s.store
 	// Serve from the per-window feature cache: each window was extracted
 	// once at Record time (or on the first read after a generation swap),
 	// so the sanity check never re-walks the stored trace trees.
+	end := stage("telemetry.features", "features")
 	series, err := store.Features(gen.Version, sys.Extractor(), req.From, req.To)
+	end()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		fail(http.StatusBadRequest, "%v", err)
 		return
 	}
+	end = stage("telemetry.metrics", "metrics")
 	actual := make(map[app.Pair][]float64)
 	for _, p := range sys.Pairs() {
-		ms, err := store.Metric(p, req.From, req.To)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
+		if actual[p], err = store.Metric(p, req.From, req.To); err != nil {
+			break
 		}
-		actual[p] = ms
+	}
+	end()
+	if err != nil {
+		fail(http.StatusBadRequest, "%v", err)
+		return
+	}
+	end = stage("infer.predict", "predict")
+	expected, err := sys.ExpectedUtilizationVectors(series)
+	end()
+	if err != nil {
+		fail(http.StatusUnprocessableEntity, "sanity: %v", err)
+		return
 	}
 	det := anomaly.NewDetector()
 	if req.Threshold > 0 {
@@ -656,11 +688,14 @@ func (s *Server) handleSanity(w http.ResponseWriter, r *http.Request) {
 	if req.MinLen > 0 {
 		det.MinLen = req.MinLen
 	}
-	events, err := sys.SanityCheckVectors(series, actual, det)
+	end = stage("anomaly.detect", "detect")
+	events, err := det.Detect(actual, expected)
+	end()
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "sanity: %v", err)
+		fail(http.StatusUnprocessableEntity, "sanity: %v", err)
 		return
 	}
+	defer stage("service.encode", "encode")()
 	resp := sanityResponse{Version: gen.Version, Events: []sanityEvent{}}
 	for _, e := range events {
 		ev := sanityEvent{
@@ -807,11 +842,12 @@ const (
 	// /v1/telemetry is not a document: it streams window by window into a
 	// store that retention bounds.
 	maxBodyBytes = 8 << 20
-	// maxEstimateWindows bounds one estimate's traffic to a week at the
-	// default 288 windows a day. The engine's trajectory scratch is
-	// pairs × windows × hidden floats, so without it a few MB of `{},` ask
-	// for tens of GB.
-	maxEstimateWindows = 7 * 288
+	// maxReadWindows bounds one estimate's traffic, and the range of one
+	// sanity check, to a week at the default 288 windows a day. The engine's
+	// trajectory scratch is pairs × windows × hidden floats, so without it a
+	// few MB of `{},`, or `{"to":N}` over a store that retains everything,
+	// ask for tens of GB.
+	maxReadWindows = 7 * 288
 )
 
 // readBody reads a whole request document, at most maxBodyBytes of it; past
