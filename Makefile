@@ -17,11 +17,10 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
-# ROADMAP aim 2's number: non-test Go lines outside bench/ (the repo
-# benchmark harness is its own module and frozen between benchmark issues).
+# The tree's budgets (budgets_test.go): non-test Go lines outside bench/ and
+# the sizes of DESIGN, CHANGES, README and EXPERIMENTS, each beside its budget.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | \
-		xargs -0 cat | wc -l
+	$(GO) test -count=1 -run '^TestBudgets$$' -v .
 
 # Short-budget native fuzzing smoke over the decoders that accept external
 # bytes (the model loader among them: its seeds are whole model streams, so

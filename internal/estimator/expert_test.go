@@ -30,22 +30,29 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, nil)
-	hs := e.HiddenStates(seriesOf(4, 10))
-	if len(hs) != 10 {
-		t.Fatalf("steps = %d", len(hs))
+	x := seriesOf(4, 10)
+	// The trajectory is len(x)·Hidden floats, step-major: every step's row is
+	// written, and nothing past the last one.
+	hs := make([]float64, len(x)*3+1)
+	hs[len(hs)-1] = 42
+	e.hiddenInto(ad.NewEvalTape(), x, hs[:len(x)*3])
+	if hs[len(hs)-1] != 42 {
+		t.Fatal("hiddenInto wrote past len(x)·Hidden floats")
 	}
-	for _, h := range hs {
-		if len(h) != 3 {
-			t.Fatalf("hidden width = %d", len(h))
+	for step := range x {
+		row := hs[step*3 : (step+1)*3]
+		if row[0] == 0 && row[1] == 0 && row[2] == 0 {
+			t.Fatalf("step %d left unwritten", step)
 		}
 	}
-	// Deterministic.
-	hs2 := e.HiddenStates(seriesOf(4, 10))
-	for i := range hs {
-		for j := range hs[i] {
-			if hs[i][j] != hs2[i][j] {
-				t.Fatal("HiddenStates not deterministic")
-			}
+	// Deterministic, on a tape that has run before too.
+	tape := ad.NewEvalTape()
+	hs2 := make([]float64, len(x)*3)
+	e.hiddenInto(tape, seriesOf(4, 7), hs2[:7*3])
+	e.hiddenInto(tape, x, hs2)
+	for i := range hs2 {
+		if hs[i] != hs2[i] {
+			t.Fatal("hiddenInto not deterministic")
 		}
 	}
 }
@@ -55,7 +62,7 @@ func TestExpertForwardZeroAttentionFallback(t *testing.T) {
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, []string{"peer"})
 	// Without peer states the attention context is zero.
-	out, err := e.Forward(seriesOf(4, 6))
+	out, err := e.forward(ad.NewEvalTape(), seriesOf(4, 6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +90,11 @@ func TestExpertMaskGatesInput(t *testing.T) {
 	for i := range e.Mask.M.Data {
 		e.Mask.M.Data[i] = -50 // σ ≈ 0
 	}
-	a, err := e.Forward([][]float64{{1, 1, 1}})
+	a, err := e.forward(ad.NewEvalTape(), [][]float64{{1, 1, 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Forward([][]float64{{100, 100, 100}})
+	b, err := e.forward(ad.NewEvalTape(), [][]float64{{100, 100, 100}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func goldenRun(t *testing.T, hidden int) (map[string][]float64, map[string]uint6
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	est, err := m.Predict(run.Windows)
+	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/nn/ad"
 	"repro/internal/nn/loss"
 	"repro/internal/sim"
 	"repro/internal/testutil"
@@ -53,37 +54,43 @@ func benchExpertSetup(b *testing.B, p app.Pair) (*Model, [][]float64, map[app.Pa
 	return m, x, targets, m.Cfg
 }
 
-// BenchmarkExpertForward measures the gradient-free forward pass of one
-// expert over one day of windows — the per-expert core of /v1/estimate.
+// BenchmarkExpertForward measures the eval-tape forward pass of one expert
+// over one day of windows, with a zero attention context — one occlusion
+// probe of /v1/influence, and the per-expert core of the tape oracle.
 func BenchmarkExpertForward(b *testing.B) {
 	p := app.Pair{Component: "Service", Resource: app.CPU}
 	m, x, _, _ := benchExpertSetup(b, p)
 	day := x[:testutil.ToyDay]
+	tape := ad.NewEvalTape()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Experts[p].Forward(day); err != nil {
+		if _, err := m.Experts[p].forward(tape, day, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkExpertHiddenStates measures the detached recurrence used for
-// peer-state precompute (phase B and attention-enabled prediction).
+// peer-state precompute (phase B and the tape oracle's attention).
 func BenchmarkExpertHiddenStates(b *testing.B) {
 	p := app.Pair{Component: "Service", Resource: app.CPU}
 	m, x, _, _ := benchExpertSetup(b, p)
 	day := x[:testutil.ToyDay]
+	e := m.Experts[p]
+	tape := ad.NewEvalTape()
+	dst := make([]float64, len(day)*e.Hidden)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Experts[p].HiddenStates(day)
+		e.hiddenInto(tape, day, dst)
 	}
 }
 
-// BenchmarkModelPredict measures end-to-end prediction of the full
-// multi-expert toy model (attention enabled) over one day — the serving
-// path behind /v1/estimate and /v1/sanity.
+// BenchmarkModelPredict measures the tape oracle (Model.PredictVectors) over
+// the full multi-expert toy model (attention enabled) and one day of feature
+// vectors. Serving reads go through the compiled engine instead; the
+// BenchmarkInferPredict family in internal/estimator/infer times those.
 func BenchmarkModelPredict(b *testing.B) {
 	_, _, run := testutil.ToyTelemetry(b, 3, 40, 21)
 	cfg := DefaultConfig()
@@ -94,11 +101,11 @@ func BenchmarkModelPredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	day := run.Windows[:testutil.ToyDay]
+	day := m.Space.ExtractSeries(run.Windows[:testutil.ToyDay])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(day); err != nil {
+		if _, err := m.PredictVectors(day); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,7 +15,7 @@
 // magnitude faster.
 //
 // Correctness contract: the engine performs the same float64 operations in
-// the same order as the eval-tape path (Expert.Forward/HiddenStates), via
+// the same order as the eval-tape oracle (Model.PredictVectors), via
 // the shared ad.Dot / ad.Logistic / ad.GRUParams.Step primitives — the input
 // products W·x and S·x through ad.WindowDots, which sums each as ad.Dot does —
 // and the shared TargetScale.DescaleInto epilogue, so its output is

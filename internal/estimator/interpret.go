@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/features"
+	"repro/internal/nn/ad"
 )
 
 // MaskEntry is one feature's learned admission weight in an expert's
@@ -47,7 +48,9 @@ func (m *Model) MaskReport(pair app.Pair) []MaskEntry {
 // with the API's invocation paths occluded (zeroed), and the influence is
 // the mean absolute change of the expected-utilization output, normalised
 // so the most influential API scores 1. This condenses the learned
-// API→resource dependencies into the per-API bars of Figure 22.
+// API→resource dependencies into the per-API bars of Figure 22. Each probe
+// runs the expert alone on the eval tape, with a zero attention context: the
+// question is what the expert's own input path depends on.
 //
 // The paper reads the mask weights directly; occlusion probes the same
 // question — "which APIs does this expert rely on?" — but stays faithful
@@ -64,7 +67,8 @@ func (m *Model) APIInfluence(pair app.Pair, series []features.Vector) (map[strin
 		return nil, fmt.Errorf("estimator: no telemetry windows to measure influence over")
 	}
 	x := m.FeatScaler.Apply(features.Matrix(series))
-	base, err := e.Forward(x)
+	tape := ad.NewEvalTape()
+	base, err := e.forward(tape, x, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +84,7 @@ func (m *Model) APIInfluence(pair app.Pair, series []features.Vector) (map[strin
 	max := 0.0
 	for root, idxs := range cols {
 		occluded := occlude(x, idxs)
-		probe, err := e.Forward(occluded)
+		probe, err := e.forward(tape, occluded, nil)
 		if err != nil {
 			return nil, err
 		}

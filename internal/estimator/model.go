@@ -669,24 +669,15 @@ func (e *Expert) addRegularizationGrads(cfg Config) {
 	}
 }
 
-// Predict estimates the utilization of every pair for the given windows of
-// (real or synthetic) trace batches. The returned estimates are in raw
-// resource units; monotone counters resume from their TargetScale base.
-func (m *Model) Predict(windows [][]trace.Batch) (map[app.Pair]Estimate, error) {
-	return m.PredictVectors(m.Space.ExtractSeries(windows))
-}
-
-// PredictVectors is Predict for callers that already hold the windows'
-// feature vectors — e.g. the telemetry store's per-window extraction cache —
-// so the trace trees are not re-walked on every query. The vectors must have
-// been extracted against m.Space.
+// PredictVectors estimates the utilization of every pair for the windows'
+// feature vectors (extracted against m.Space), in raw resource units;
+// monotone counters resume from their TargetScale base. It runs the tape
+// forward training uses, and is the oracle the compiled engine
+// (internal/estimator/infer) is held to bit for bit: every estimate the repo
+// reports is read through that engine, never through this.
 func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate, error) {
 	raw := features.Matrix(series)
 	x := m.FeatScaler.Apply(raw)
-	return m.predictScaledInput(x)
-}
-
-func (m *Model) predictScaledInput(x [][]float64) (map[app.Pair]Estimate, error) {
 	var hidden *hiddenSlab
 	if m.Cfg.UseAttention && len(m.Pairs) > 1 {
 		var err error
@@ -706,7 +697,8 @@ func (m *Model) predictScaledInput(x [][]float64) (map[app.Pair]Estimate, error)
 		if err != nil {
 			return err
 		}
-		est := m.descale(p, triples)
+		var est Estimate
+		m.TargetScales[p].DescaleInto(triples, &est)
 		mu.Lock()
 		out[p] = est
 		mu.Unlock()
@@ -715,19 +707,12 @@ func (m *Model) predictScaledInput(x [][]float64) (map[app.Pair]Estimate, error)
 	return out, err
 }
 
-// descale converts scaled (exp, low, up) triples into raw resource units,
-// re-integrating delta-kind targets and repairing any quantile crossing.
-func (m *Model) descale(p app.Pair, triples [][3]float64) Estimate {
-	var est Estimate
-	m.TargetScales[p].DescaleInto(triples, &est)
-	return est
-}
-
 // DescaleInto is the buffer-reusing form of descaling: it writes the raw
 // resource units into est, growing est's slices only when their capacity is
-// insufficient. It is the single descale implementation — the tape path
-// above and the tape-free inference engine (internal/estimator/infer) both
-// run it, so their raw-unit outputs cannot diverge.
+// insufficient. It is the single descale implementation, re-integrating
+// delta-kind targets and repairing any quantile crossing — the tape oracle
+// above and the inference engine (internal/estimator/infer) both run it, so
+// their raw-unit outputs cannot diverge.
 func (ts *TargetScale) DescaleInto(triples [][3]float64, est *Estimate) {
 	n := len(triples)
 	est.Exp = resizeFloats(est.Exp, n)

@@ -51,7 +51,7 @@ func TestTrainPredictEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	est, err := m.Predict(synthetic)
+	est, err := m.PredictVectors(m.Space.ExtractSeries(synthetic))
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestIntervalOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	est, err := m.Predict(run.Windows)
+	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestIntervalCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	est, err := m.Predict(run.Windows)
+	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -151,11 +151,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	a, err := m.Predict(run.Windows)
+	a, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
 		t.Fatalf("Predict(a): %v", err)
 	}
-	b, err := m2.Predict(run.Windows)
+	b, err := m2.PredictVectors(m2.Space.ExtractSeries(run.Windows))
 	if err != nil {
 		t.Fatalf("Predict(b): %v", err)
 	}
@@ -252,7 +252,7 @@ func TestPredictRealTraces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	est, err := m.Predict(run.Windows)
+	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestVariableDurationQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := m.Predict(truth.Windows)
+		est, err := m.PredictVectors(m.Space.ExtractSeries(truth.Windows))
 		if err != nil {
 			t.Fatalf("Predict(%v days): %v", days, err)
 		}

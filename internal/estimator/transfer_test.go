@@ -42,11 +42,11 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coldEst, err := cold.Predict(tgtRun.Windows)
+	coldEst, err := cold.PredictVectors(cold.Space.ExtractSeries(tgtRun.Windows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmEst, err := warm.Predict(tgtRun.Windows)
+	warmEst, err := warm.PredictVectors(warm.Space.ExtractSeries(tgtRun.Windows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestUpdateAdaptsToDrift(t *testing.T) {
 	_, _, newRun := testutil.ToyTelemetry(t, 1, 40, 35)
 	newUsage := map[app.Pair][]float64{p: drift(newRun.Usage[p])}
 
-	est, err := m.Predict(newRun.Windows)
+	est, err := m.PredictVectors(m.Space.ExtractSeries(newRun.Windows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestUpdateAdaptsToDrift(t *testing.T) {
 	if unknown != 0 {
 		t.Errorf("unexpected unknown paths: %v", unknown)
 	}
-	est, err = m.Predict(newRun.Windows)
+	est, err = m.PredictVectors(m.Space.ExtractSeries(newRun.Windows))
 	if err != nil {
 		t.Fatal(err)
 	}

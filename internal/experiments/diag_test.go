@@ -47,7 +47,7 @@ func TestDiagAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		// in-sample
-		est, _ := l.System.Model().Predict(l.LearnRun.Windows)
+		est, _ := l.System.ExpectedUtilization(l.LearnRun.Windows)
 		insample := eval.MAPE(est[target].Exp, l.LearnRun.Usage[target])
 		// read-dominated query
 		q := l.queryDay(workload.TwoPeak{}, readDominatedMix(), l.PeakRPS*2, 440+1)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/drift"
 	"repro/internal/estimator"
+	"repro/internal/estimator/infer"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -62,9 +63,20 @@ func (r *Runner) ExtDrift() (Result, error) {
 		return Result{}, err
 	}
 
+	// Each measurement compiles its own engine: Update changes the weights
+	// (and a delta pair's base) under any engine compiled before it.
 	det := drift.NewDetector()
 	mapeOnEval := func() (map[app.Pair]float64, error) {
-		sig, err := det.Measure(model, evalRun.Windows, evalRun.Usage)
+		eng, err := infer.Compile(model)
+		if err != nil {
+			return nil, err
+		}
+		series := model.Space.ExtractSeries(evalRun.Windows)
+		est, err := eng.Predict(series)
+		if err != nil {
+			return nil, err
+		}
+		sig, err := det.MeasureVectors(series, est, model.Pairs, evalRun.Usage)
 		if err != nil {
 			return nil, err
 		}

@@ -115,7 +115,7 @@ func (r *Runner) GenSweep() (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("gensweep: %s: synthesize: %w", arg, err)
 		}
-		est, err := l.System.Model().Predict(synthetic)
+		est, err := l.System.ExpectedUtilization(synthetic)
 		if err != nil {
 			return Result{}, fmt.Errorf("gensweep: %s: predict: %w", arg, err)
 		}

@@ -310,7 +310,7 @@ func (l *Lab) Evaluate(query *workload.Traffic) (*Evaluation, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev.Estimates, err = l.System.Model().Predict(ev.Synthetic)
+	ev.Estimates, err = l.System.ExpectedUtilization(ev.Synthetic)
 	if err != nil {
 		return nil, err
 	}

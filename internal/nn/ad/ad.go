@@ -24,10 +24,11 @@
 //
 // Tapes come in two modes. NewTape records for training: every node gets a
 // gradient vector and a backward opcode. NewEvalTape is the gradient-free
-// inference lane: no gradient memory is allocated and no backward
-// bookkeeping is kept, making pure forward evaluation (serving, peer-state
-// precompute, drift checks) substantially cheaper. Backward on an eval
-// tape panics.
+// lane: no gradient memory is allocated and no backward bookkeeping is kept,
+// making pure forward evaluation (training's peer-state precompute,
+// occlusion probes, the oracle the compiled inference engine is held to)
+// substantially cheaper. Estimates are served by that engine, not by a tape.
+// Backward on an eval tape panics.
 package ad
 
 import (

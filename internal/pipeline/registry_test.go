@@ -56,8 +56,8 @@ func versions(gens []*Generation) []int {
 }
 
 // TestCheckpointRestartRoundTrip is the acceptance path: registry save →
-// process restart (fresh registry) → load → Predict produces byte-identical
-// estimates.
+// process restart (fresh registry) → load → the recovered generation serves
+// byte-identical estimates.
 func TestCheckpointRestartRoundTrip(t *testing.T) {
 	store := toyStore(t, 1, 92)
 	dir := t.TempDir()
@@ -78,7 +78,7 @@ func TestCheckpointRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := g2.Model().Predict(windows)
+	want, err := g2.System.ExpectedUtilization(windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCheckpointRestartRoundTrip(t *testing.T) {
 	if p2.Status().TrainedTo != store.NumWindows() {
 		t.Fatalf("trainedTo after recover = %d", p2.Status().TrainedTo)
 	}
-	got, err := act.Model().Predict(windows)
+	got, err := act.System.ExpectedUtilization(windows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/obs"
 )
 
@@ -199,6 +201,38 @@ func TestRequestCostIsBounded(t *testing.T) {
 		if rec.Code != c.code || !strings.Contains(rec.Body.String(), c.says) {
 			t.Errorf("%s with a %d-byte body = %d %s, want %d %q", c.path, len(c.body), rec.Code, rec.Body, c.code, c.says)
 		}
+	}
+}
+
+// TestInfluenceProbesTheLastWeek: /v1/influence probes the last
+// maxReadWindows resident windows, however many more the store holds (under
+// the default retention, every window ever ingested).
+func TestInfluenceProbesTheLastWeek(t *testing.T) {
+	s, h, gen := learnedFlightFixture(t)
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 43, 30, 8)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
+	}
+	n := s.store.NumWindows()
+	if n-s.store.OldestWindow() <= maxReadWindows {
+		t.Fatalf("%d windows resident, want more than %d", n-s.store.OldestWindow(), maxReadWindows)
+	}
+	series, err := s.store.Features(gen.Version, gen.System.Extractor(), n-maxReadWindows, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gen.Model().APIInfluence(app.Pair{Component: "Service", Resource: app.CPU}, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := do(t, h, "GET", "/v1/influence?pair=Service/cpu", nil)
+	var got struct {
+		Influence map[string]float64 `json:"influence"`
+	}
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
+		t.Fatalf("influence = %d: %s", rec.Code, rec.Body)
+	}
+	if !reflect.DeepEqual(got.Influence, want) {
+		t.Errorf("influence over %d resident windows = %v, want the last %d windows' %v", n-s.store.OldestWindow(), got.Influence, maxReadWindows, want)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 )
 
 // TestPredictRaceUnderGenerationSwaps is the race wall: many goroutines
-// hammer /v1/predict and the active Model.Predict directly while the
+// hammer /v1/predict and the active model's tape forward directly while the
 // pipeline publishes fresh generations — some succeeding, some failing from
 // an injected fault schedule — and rollbacks flip the active pointer. Run
 // under -race (make check does), this proves the RCU read side: queries
@@ -115,8 +115,9 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 						t.Error("active generation vanished")
 						return
 					}
-					if _, err := gen.Model().Predict(windows); err != nil {
-						t.Errorf("Predict: %v", err)
+					m := gen.Model()
+					if _, err := m.PredictVectors(m.Space.ExtractSeries(windows)); err != nil {
+						t.Errorf("PredictVectors: %v", err)
 						return
 					}
 				default:

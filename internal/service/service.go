@@ -737,7 +737,9 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	// The store's cached vectors, like every other read: extracted once per
 	// window, and through the generation's own extractor, so an anonymised
 	// model is probed in the hashed space it was learned in.
-	series, err := s.store.Features(gen.Version, gen.System.Extractor(), s.store.OldestWindow(), s.store.NumWindows())
+	to := s.store.NumWindows()
+	from := max(s.store.OldestWindow(), to-maxReadWindows)
+	series, err := s.store.Features(gen.Version, gen.System.Extractor(), from, to)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -846,7 +848,9 @@ const (
 	// sanity check, to a week at the default 288 windows a day. The engine's
 	// trajectory scratch is pairs × windows × hidden floats, so without it a
 	// few MB of `{},`, or `{"to":N}` over a store that retains everything,
-	// ask for tens of GB.
+	// ask for tens of GB. /v1/influence probes the last this many resident
+	// windows: each costs (APIs + 1) tape forwards and one input copy per
+	// API, and under the default -retention 0 the store holds every window.
 	maxReadWindows = 7 * 288
 )
 

@@ -222,3 +222,39 @@ func TestNoTestOnlySymbols(t *testing.T) {
 		t.Errorf("%s is referenced by no non-test code: delete it, or add it to testOnlyAllowed with a reason", name)
 	}
 }
+
+// TestTapeReadsAreOracles: every estimate the repo reports is read through
+// the compiled engine (internal/estimator/infer). The tape forward trains,
+// and its one exported read, estimator.Model.PredictVectors, is the oracle
+// the engine is held to bit for bit — so no non-test file outside
+// internal/estimator and bench/ selects it. Syntax only, like
+// TestNoTestOnlySymbols: any selector of that name counts.
+func TestTapeReadsAreOracles(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, entry fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch name := entry.Name(); {
+		case entry.IsDir() && path != "." && (name[0] == '.' || name == "testdata" ||
+			path == "bench" || filepath.ToSlash(path) == "internal/estimator"):
+			return filepath.SkipDir
+		case entry.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "PredictVectors" {
+				t.Errorf("%s reads a model through the tape oracle: read it through its compiled infer.Engine", fset.Position(sel.Sel.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
