@@ -106,6 +106,7 @@ type workArea struct {
 	xm []float64 // dim × lanes: the block's input gated by the expert's mask
 	wx []float64 // 3·hidden × lanes: Wz·x, Wk·x, Wh·x for the block
 	gs []float64 // 3·hidden: the step's gate scratch
+	up ad.Panels // 3·hidden²: the expert's U matrices, packed by its first step
 }
 
 // getWork takes a work area for a series of T windows off the free list, or
@@ -121,6 +122,7 @@ func (e *Engine) getWork(T int) *workArea {
 	wa.xm = growFloats(wa.xm, e.dim*tp)
 	wa.wx = growFloats(wa.wx, 3*e.hidden*tp)
 	wa.gs = growFloats(wa.gs, 3*e.hidden)
+	wa.up.Reset(e.hidden)
 	return wa
 }
 
@@ -290,9 +292,11 @@ func (e *Engine) scaleInput(series []features.Vector, sc *predictScratch) error 
 // bypass products into sc.byp. Nothing on the input side depends on the
 // hidden state, so per block of windows the input is gated once and each of
 // Wz, Wk, Wh and the bypass S is walked once, for all the block's windows
-// (ad.WindowDots); the steps that follow touch only U. Each step writes
-// out-of-place, so the previous step's row serves as h_{t−1} without copying
-// — bit-identical to the tape's carried-buffer recurrence.
+// (ad.WindowDots); the steps that follow touch only U. The first step
+// packs U into the work area's panels as it reads it, and every later one,
+// in this block or the next, reads the panels instead (ad.Panels). Each step
+// writes out-of-place, so the previous step's row serves as h_{t−1} without
+// copying — bit-identical to the tape's carried-buffer recurrence.
 func (e *Engine) trajectory(i, T int, sc *predictScratch) {
 	ex := &e.experts[i]
 	dim, hid := e.dim, e.hidden
@@ -322,7 +326,7 @@ func (e *Engine) trajectory(i, T int, sc *predictScratch) {
 		}
 		for t := 0; t < n; t++ {
 			hOut := sc.traj[(i*T+b0+t)*hid:][:hid]
-			ex.gru.Step(wx, tp, t, hPrev, hOut, wa.gs)
+			ex.gru.Step(wx, tp, t, hPrev, hOut, wa.gs, &wa.up)
 			hPrev = hOut
 		}
 	}

@@ -3,6 +3,7 @@ package infer_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/app"
@@ -158,33 +159,50 @@ func TestEnginePredictBatchMatchesSingle(t *testing.T) {
 
 // TestEngineWarmPredictAllocs enforces the near-zero-alloc contract of the
 // warm path in a regular test, so an allocation regression fails go test
-// instead of silently drifting a benchmark JSON.
+// instead of silently drifting a benchmark JSON: at the toy's width, and at
+// the paper's 128, where a trajectory's work area carries 3·128² floats of
+// U panels — a warm read must take its work areas off the free list, so it
+// allocates less than one panel buffer's bytes.
 func TestEngineWarmPredictAllocs(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
-	cfg := estimator.DefaultConfig()
-	cfg.Epochs = 1
-	cfg.AttentionEpochs = 1
-	cfg.ChunkLen = 24
-	m, err := estimator.Train(run.Windows, run.Usage, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := infer.Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := m.Space.ExtractSeries(run.Windows)
-	out := make(map[app.Pair]estimator.Estimate, len(m.Pairs))
-	if err := eng.PredictInto(series, out); err != nil { // warm the scratch pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := eng.PredictInto(series, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 10 {
-		t.Fatalf("warm PredictInto allocates %.1f/op, want <= 10", allocs)
+	for _, hidden := range []int{estimator.DefaultConfig().Hidden, 128} {
+		t.Run(fmt.Sprintf("hidden=%d", hidden), func(t *testing.T) {
+			cfg := estimator.DefaultConfig()
+			cfg.Hidden = hidden
+			cfg.Epochs = 1
+			cfg.AttentionEpochs = 1
+			cfg.ChunkLen = 24
+			m, err := estimator.Train(run.Windows, run.Usage, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := infer.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			series := m.Space.ExtractSeries(run.Windows)
+			out := make(map[app.Pair]estimator.Estimate, len(m.Pairs))
+			if err := eng.PredictInto(series, out); err != nil { // warm the scratch pool
+				t.Fatal(err)
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := eng.PredictInto(series, out); err != nil {
+					t.Fatal(err)
+				}
+			})
+			runtime.ReadMemStats(&after)
+			if allocs > 10 {
+				t.Fatalf("warm PredictInto allocates %.1f/op, want <= 10", allocs)
+			}
+			// AllocsPerRun makes one call more than it counts. At the toy's
+			// width the panels are smaller than a read's few small allocations.
+			if per, panels := (after.TotalAlloc-before.TotalAlloc)/(runs+1), uint64(3*hidden*hidden*8); hidden == 128 && per >= panels {
+				t.Fatalf("warm PredictInto allocates %d B/op, a work area's panels are %d B", per, panels)
+			}
+		})
 	}
 }
 
@@ -212,11 +230,13 @@ func TestEngineRejectsMismatchedSeries(t *testing.T) {
 // TestEngineEdgeShapes walks the engine through the shapes that sit on the
 // boundaries of the assembly kernels, each against the eval tape bit for
 // bit: GRU widths below, at and between the 4- and 16-row rungs (the toy's
-// 4, the fleet smoke's 6, the golden's 7, 20 = 16 + 4), and a one-expert
+// 4, the fleet smoke's 6, the golden's 7, 20 = 16 + 4, 39 = 2×16 + 4 + 3,
+// whose U has a column tail too) and the paper's 128, and a one-expert
 // model, whose attention is off and whose context stays zero — each over
 // series on the boundaries of the window kernel's lanes and the engine's
-// blocks. An empty series must come back as empty estimates, not reach a
-// kernel.
+// blocks: a one-window series packs U's panels and never reads them, a
+// 50-window one reads them across a block boundary. An empty series must
+// come back as empty estimates, not reach a kernel.
 func TestEngineEdgeShapes(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
 	var first app.Pair
@@ -236,6 +256,8 @@ func TestEngineEdgeShapes(t *testing.T) {
 		{"hidden=6", 6, run.Usage, false},
 		{"hidden=7", 7, run.Usage, false},
 		{"hidden=20", 20, run.Usage, false},
+		{"hidden=39", 39, run.Usage, false},
+		{"hidden=128", 128, run.Usage, false},
 		{"one-expert", 16, one, false},
 		{"no-mask-no-bypass", 4, run.Usage, true},
 	} {

@@ -375,18 +375,42 @@ func dot4(w, x []float64) (s0, s1, s2, s3 float64) {
 // pass through dot4; the len(dst)%4 remainder rows through dot either way.
 // Every rung sums a row in dot's column order, so which rung a row lands on
 // never shows in its bits.
-func matVec(dst, w, x []float64) {
+func matVec(dst, w, x []float64) { packedMatVec(dst, w, x, nil, false) }
+
+// packedMatVec is matVec with a panel buffer for the AVX2 rungs (see
+// Panels): with panel nil they read w; with packed false they read w and
+// also store their panels to panel; with packed true they read panel, which
+// an earlier call with the same w and the same row count filled. The Go loops
+// and the dot rows always read w.
+func packedMatVec(dst, w, x, panel []float64, packed bool) {
 	cols := len(x)
 	i := 0
 	// The assembly takes bare pointers: an empty x must not reach it, and a
-	// w too short for len(dst) rows must panic here.
+	// w or panel too short for len(dst) rows must panic here.
 	if useAVX2 && cols > 0 {
 		w = w[:len(dst)*cols]
+		if panel != nil {
+			panel = panel[:len(w)]
+		}
 		for ; i+16 <= len(dst); i += 16 {
-			rowDots16AVX2(&dst[i], &w[i*cols], &x[0], cols)
+			switch {
+			case panel == nil:
+				rowDots16AVX2(&dst[i], &w[i*cols], &x[0], cols)
+			case packed:
+				rowDots16PackedAVX2(&dst[i], &panel[i*cols], &x[0], cols)
+			default:
+				rowDots16PackAVX2(&dst[i], &w[i*cols], &x[0], cols, &panel[i*cols])
+			}
 		}
 		for ; i+4 <= len(dst); i += 4 {
-			rowDots4AVX2(&dst[i], &w[i*cols], &x[0], cols)
+			switch {
+			case panel == nil:
+				rowDots4AVX2(&dst[i], &w[i*cols], &x[0], cols)
+			case packed:
+				rowDots4PackedAVX2(&dst[i], &panel[i*cols], &x[0], cols)
+			default:
+				rowDots4PackAVX2(&dst[i], &w[i*cols], &x[0], cols, &panel[i*cols])
+			}
 		}
 	}
 	for ; i+4 <= len(dst); i += 4 {

@@ -55,7 +55,7 @@ func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
 	matVec(wx[:hid], g.Wz.Data, x.Data)
 	matVec(wx[hid:2*hid], g.Wk.Data, x.Data)
 	matVec(wx[2*hid:], g.Wh.Data, x.Data)
-	g.forward(wx, 1, 0, hPrev.Data, z, k, kh, c, out.Data)
+	g.forward(wx, 1, 0, hPrev.Data, z, k, kh, c, out.Data, nil)
 	if t.grad {
 		if len(g.Wz.Grad) != len(g.Wz.Data) {
 			panic("ad: GRUStep on a training tape without bound gradients (see BindGrads)")

@@ -16,17 +16,46 @@ func Dot(row, x []float64) float64 { return dot(row, x) }
 // applies element-wise.
 func Logistic(x float64) float64 { return stableSigmoid(x) }
 
+// Panels is a trajectory's transposed copy of its cell's three U matrices,
+// the operand the AVX2 row kernels read with plain loads instead of gathering
+// each 4×4 block of U afresh at every step. It is filled as a side effect of
+// a trajectory's first Step, from the columns that step gathers anyway, and
+// read by every later one. A Panels serves one cell between Resets; nothing
+// outlives the trajectory, so nothing needs invalidating. Only the AVX2 rungs
+// use it: the Go loops and the hidden%4 rows read U where it lies.
+type Panels struct {
+	buf    []float64 // Uz's panels, then Uk's, then Uh's, each hidden² floats
+	packed bool      // an earlier Step filled buf
+}
+
+// Reset readies p for a new trajectory of a cell hidden units wide: empty,
+// with room for 3·hidden² floats. Where the AVX2 kernels are not selected it
+// keeps no buffer, and Step reads U where it lies.
+func (p *Panels) Reset(hidden int) {
+	p.packed = false
+	if !useAVX2 {
+		p.buf = nil
+		return
+	}
+	if n := 3 * hidden * hidden; cap(p.buf) < n {
+		p.buf = make([]float64, n)
+	} else {
+		p.buf = p.buf[:n]
+	}
+}
+
 // Step advances the cell one time step without a tape, from input products
 // formed for a whole series at once: wx holds Wz·x, Wk·x and Wh·x, gate after
 // gate, each row stride floats long with step t's product at column t (the
 // layout WindowDots writes). It runs the same forward body as the tape's
 // GRUStep, so the hidden trajectory is bit-identical to the eval-tape
 // recurrence. hOut must not alias hPrev; scratch needs three times the hidden
-// width and is clobbered.
-func (g *GRUParams) Step(wx []float64, stride, t int, hPrev, hOut, scratch []float64) {
+// width and is clobbered. up, when not nil, is the trajectory's Panels: the
+// first Step after its Reset packs U into it, later ones read it.
+func (g *GRUParams) Step(wx []float64, stride, t int, hPrev, hOut, scratch []float64, up *Panels) {
 	hid := g.Wz.Rows
 	// The candidate is written into hOut and blended in place.
-	g.forward(wx, stride, t, hPrev, scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid], hOut, hOut)
+	g.forward(wx, stride, t, hPrev, scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid], hOut, hOut, up)
 }
 
 // forward is the one GRU forward body, shared by Step and Tape.GRUStep:
@@ -40,18 +69,26 @@ func (g *GRUParams) Step(wx []float64, stride, t int, hPrev, hOut, scratch []flo
 // wx[(g*hidden+i)*stride+col]. forward fills z, k, kh = k ⊙ h and c (which
 // the tape retains for its backward pass) and writes h' to out. Every float64
 // operation and its order match the primitive MatVec/Add/Mul/Sigmoid/Tanh
-// chain. out may alias c; nothing else may alias.
-func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out []float64) {
+// chain, whichever copy of U the products read. out may alias c; nothing else
+// may alias. up is Step's; the tape passes nil.
+func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out []float64, up *Panels) {
 	hid := g.Wz.Rows
 	h = h[:hid]
-	gatePre(z, wx[col:], stride, g.Uz.Data, h, g.Bz.Data)
-	gatePre(k, wx[hid*stride+col:], stride, g.Uk.Data, h, g.Bk.Data)
+	var pz, pk, ph []float64
+	packed := false
+	if up != nil && up.buf != nil && useAVX2 {
+		n := hid * hid
+		pz, pk, ph = up.buf[:n], up.buf[n:2*n], up.buf[2*n:3*n]
+		packed, up.packed = up.packed, true
+	}
+	gatePre(z, wx[col:], stride, g.Uz.Data, h, g.Bz.Data, pz, packed)
+	gatePre(k, wx[hid*stride+col:], stride, g.Uk.Data, h, g.Bk.Data, pk, packed)
 	sigmoids(z)
 	sigmoids(k)
 	for i := range kh {
 		kh[i] = k[i] * h[i]
 	}
-	gatePre(c, wx[2*hid*stride+col:], stride, g.Uh.Data, kh, g.Bh.Data)
+	gatePre(c, wx[2*hid*stride+col:], stride, g.Uh.Data, kh, g.Bh.Data, ph, packed)
 	tanhs(c)
 	for i := range out {
 		// The same intermediate roundings as the Mul/OneMinus/Mul/Add
@@ -65,8 +102,10 @@ func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out [
 // gatePre writes a gate's pre-activation dst[i] = (wx[i*stride] + U[i]·h) +
 // b[i], wx[i*stride] being row i of the gate's input product: the two row
 // sums are formed separately and then added, as the MatVec/Add chain does.
-func gatePre(dst, wx []float64, stride int, u, h, b []float64) {
-	matVec(dst, u, h)
+// panel and packed are packedMatVec's: U's panels, and whether they are
+// filled.
+func gatePre(dst, wx []float64, stride int, u, h, b, panel []float64, packed bool) {
+	packedMatVec(dst, u, h, panel, packed)
 	for i, bi := range b[:len(dst)] {
 		dst[i] = (wx[i*stride] + dst[i]) + bi
 	}

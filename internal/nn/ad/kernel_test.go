@@ -46,8 +46,9 @@ func setImpl(tb testing.TB, impl string) {
 // TestGRUKernelMatchesTapeStep drives the tape-free kernel and the fused
 // tape op through the same multi-step recurrence and requires bit-identical
 // hidden states at every step — the contract the inference engine's
-// snapshot path is built on — once per kernel implementation, each against
-// the trajectory the tape records on the Go loops. The widths walk the row
+// snapshot path is built on — once per kernel implementation, with and
+// without Panels, each against the trajectory the tape records on the Go
+// loops. The widths walk the row
 // ladder (4 = one four-row panel, 5, 6, 7 = a panel plus 1, 2, 3 rows,
 // 37 = 2×16 + 4 + 1) and the paper's 128.
 func TestGRUKernelMatchesTapeStep(t *testing.T) {
@@ -83,9 +84,6 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 				t.Run(impl, func(t *testing.T) {
 					setImpl(t, impl)
 					tapeH := tapeRun()
-					kernH := make([]float64, hid)
-					kernNext := make([]float64, hid)
-					scratch := make([]float64, 3*hid)
 					// The kernel steps from the input products of all twelve
 					// windows, formed at once with windows in the lanes; the
 					// tape forms its own, a step at a time.
@@ -99,14 +97,24 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 					for g, w := range []*Param{p.Wz, p.Wk, p.Wh} {
 						WindowDots(wx[g*hid*steps:], w.Data, xT, hid, in, steps)
 					}
-					for s := range xs {
-						p.Step(wx, steps, s, kernH, kernNext, scratch)
-						kernH, kernNext = kernNext, kernH
-						for i := range want[s] {
-							w := math.Float64bits(want[s][i])
-							if math.Float64bits(tapeH[s][i]) != w || math.Float64bits(kernH[i]) != w {
-								t.Fatalf("step %d: h[%d] diverged: go tape %x, %s tape %x kernel %x", s, i,
-									w, impl, math.Float64bits(tapeH[s][i]), math.Float64bits(kernH[i]))
+					// Without panels every step reads U where it lies; with
+					// them the first step packs U and the other eleven read it.
+					for _, up := range []*Panels{nil, new(Panels)} {
+						if up != nil {
+							up.Reset(hid)
+						}
+						kernH := make([]float64, hid)
+						kernNext := make([]float64, hid)
+						scratch := make([]float64, 3*hid)
+						for s := range xs {
+							p.Step(wx, steps, s, kernH, kernNext, scratch, up)
+							kernH, kernNext = kernNext, kernH
+							for i := range want[s] {
+								w := math.Float64bits(want[s][i])
+								if math.Float64bits(tapeH[s][i]) != w || math.Float64bits(kernH[i]) != w {
+									t.Fatalf("panels %t: step %d: h[%d] diverged: go tape %x, %s tape %x kernel %x", up != nil, s, i,
+										w, impl, math.Float64bits(tapeH[s][i]), math.Float64bits(kernH[i]))
+								}
 							}
 						}
 					}
@@ -237,13 +245,14 @@ func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []f
 				math.Float64bits(got[i]), math.Float64bits(want))
 		}
 	}
+	checkPanels(t, got, w, x, rows, cols, off, rng)
 	// The input product reaches gatePre as a strided column of a series'
 	// products: here every third float of wx.
 	wx := fillAt(3*rows, off+2, rng, nil, 0)
 	for i := 0; i < rows; i++ {
 		wx[3*i] = dot(w[i*cols:(i+1)*cols], x)
 	}
-	gatePre(got, wx, 3, u, h, b)
+	gatePre(got, wx, 3, u, h, b, nil, false)
 	for i := range got {
 		want := (dot(w[i*cols:(i+1)*cols], x) + dot(u[i*rows:(i+1)*rows], h)) + b[i]
 		if !sameFloat(got[i], want) {
@@ -301,6 +310,95 @@ func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []f
 				call()
 			}()
 		}
+	}
+}
+
+// refPanels is the panel layout the pack kernels store for the rungs of the
+// rows×cols matrix w (see simd_amd64.s): sixteen rows (four groups) a panel
+// while sixteen are left, then four (one group); per block of four columns
+// each group's four columns in turn, then per tail column each group's one
+// column. Rows below the last rung have no panel; their floats stay zero.
+func refPanels(w []float64, rows, cols int) []float64 {
+	p := make([]float64, rows*cols)
+	for i := 0; i+4 <= rows; {
+		groups := 1
+		if i+16 <= rows {
+			groups = 4
+		}
+		out := p[i*cols : i*cols]
+		column := func(g, j int) {
+			for r := 0; r < 4; r++ {
+				out = append(out, w[(i+4*g+r)*cols+j])
+			}
+		}
+		for j := 0; j+4 <= cols; j += 4 {
+			for g := 0; g < groups; g++ {
+				for c := j; c < j+4; c++ {
+					column(g, c)
+				}
+			}
+		}
+		for j := cols &^ 3; j < cols; j++ {
+			for g := 0; g < groups; g++ {
+				column(g, j)
+			}
+		}
+		i += 4 * groups
+	}
+	return p
+}
+
+// checkPanels holds packedMatVec's pack pass and packed pass to dot, bit for
+// bit: the pack pass reads w and stores exactly refPanels' floats and nothing
+// outside them — on the Go loops, nothing at all — and the packed pass reads
+// the rungs' rows from the panels alone, so it is handed a w whose rung rows
+// are poisoned wherever the assembly runs. A panel buffer shorter than the
+// matrix must panic in Go.
+func checkPanels(t *testing.T, got, w, x []float64, rows, cols, off int, rng *rand.Rand) {
+	t.Helper()
+	rungs := rows &^ 3
+	if !useAVX2 {
+		rungs = 0
+	}
+	buf := fillAt(rows*cols+8, off+3, rng, nil, 0)
+	stale := cloneAt(buf, 0)
+	panel := buf[4 : len(buf)-4]
+	ref := refPanels(w, rows, cols)
+	check := func(pass string) {
+		for i := range got {
+			if want := dot(w[i*cols:(i+1)*cols], x); !sameFloat(got[i], want) {
+				t.Fatalf("%s %s %dx%d+%d row %d: %x, want %x", KernelImpl(), pass, rows, cols, off, i,
+					math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+	}
+	packedMatVec(got, w, x, panel, false)
+	check("pack")
+	for i, v := range buf {
+		want := stale[i]
+		if i >= 4 && i < 4+rungs*cols {
+			want = ref[i-4]
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("%s pack %dx%d+%d: panel float %d is %x, want %x", KernelImpl(), rows, cols, off, i-4,
+				math.Float64bits(v), math.Float64bits(want))
+		}
+	}
+	wp := cloneAt(w, off)
+	for i := range wp[:rungs*cols] {
+		wp[i] = math.Float64frombits(0x7ff8dead0000beef)
+	}
+	packedMatVec(got, wp, x, panel, true)
+	check("packed")
+	if useAVX2 && rows > 0 && cols > 0 {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s %dx%d: a short panel buffer did not panic", KernelImpl(), rows, cols)
+				}
+			}()
+			packedMatVec(got, w, x, panel[:len(panel)-1:len(panel)-1], true)
+		}()
 	}
 }
 
@@ -423,22 +521,34 @@ var benchSink float64
 // — the three U·h products, the gates and the blend, which is what a serving
 // step is — on each implementation, at the widths the repo benchmark runs:
 // social at the paper's width (67 features, 128 hidden), the generated
-// 150-component topology (257 features, 16 hidden) and the toy fixture.
+// 150-component topology (257 features, 16 hidden) and the toy fixture. The
+// avx2-packed rows are a trajectory's steps after its first: U read from
+// packed panels (Panels).
 func BenchmarkGRUKernelStep(b *testing.B) {
+	names := impls()
+	if haveAVX2() {
+		names = append(names, "avx2-packed")
+	}
 	for _, dim := range []struct{ in, hid int }{{67, 128}, {257, 16}, {9, 4}} {
-		for _, impl := range impls() {
+		for _, impl := range names {
 			b.Run(fmt.Sprintf("%dx%d/%s", dim.in, dim.hid, impl), func(b *testing.B) {
-				setImpl(b, impl)
+				setImpl(b, strings.TrimSuffix(impl, "-packed"))
 				rng := rand.New(rand.NewSource(1))
 				k := newTestGRU(dim.in, dim.hid, rng)
 				wx := fillAt(3*dim.hid, 0, rng, nil, 0)
 				h := make([]float64, dim.hid)
 				next := make([]float64, dim.hid)
 				scratch := make([]float64, 3*dim.hid)
+				var up *Panels
+				if impl == "avx2-packed" {
+					up = new(Panels)
+					up.Reset(dim.hid)
+					k.Step(wx, 1, 0, h, next, scratch, up)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					k.Step(wx, 1, 0, h, next, scratch)
+					k.Step(wx, 1, 0, h, next, scratch, up)
 					h, next = next, h
 				}
 				benchSink = h[0]

@@ -12,6 +12,18 @@ func rowDots16AVX2(dst, w, x *float64, cols int)
 func rowDots4AVX2(dst, w, x *float64, cols int)
 
 //go:noescape
+func rowDots16PackAVX2(dst, w, x *float64, cols int, panel *float64)
+
+//go:noescape
+func rowDots4PackAVX2(dst, w, x *float64, cols int, panel *float64)
+
+//go:noescape
+func rowDots16PackedAVX2(dst, w, x *float64, cols int)
+
+//go:noescape
+func rowDots4PackedAVX2(dst, w, x *float64, cols int)
+
+//go:noescape
 func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int)
 
 //go:noescape

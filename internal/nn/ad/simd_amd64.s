@@ -34,13 +34,13 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // Row kernels. R8 holds the row stride in bytes, R9 three times it; Y4..Y7
 // hold x[j..j+3] broadcast; Y8..Y15 are temporaries.
 //
-// BLOCK4 advances four rows starting at P by four columns: it loads the 4×4
-// block as eight 128-bit halves (rows 0,2 and 1,3 paired through
-// VINSERTF128, which unlike a full-width permute does not need the shuffle
-// port), interleaves them so that Y12..Y15 are the block's columns — lane r
-// of Y12 is row r's element j — and adds the four products to ACC in
-// ascending column order.
-#define BLOCK4(P, ACC) \
+// GATHER4 loads the 4×4 block of the four rows starting at P, four columns
+// on, as eight 128-bit halves (rows 0,2 and 1,3 paired through VINSERTF128,
+// which unlike a full-width permute does not need the shuffle port) and
+// interleaves them so that Y12..Y15 are the block's columns — lane r of Y12
+// is row r's element j. MACC4 adds the four columns' products to ACC in
+// ascending column order; BLOCK4 is the two.
+#define GATHER4(P) \
 	VMOVUPD (P), X8; \
 	VMOVUPD (P)(R8*1), X9; \
 	VMOVUPD 16(P), X10; \
@@ -53,6 +53,9 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VUNPCKHPD Y9, Y8, Y13; \
 	VUNPCKLPD Y11, Y10, Y14; \
 	VUNPCKHPD Y11, Y10, Y15; \
+	ADDQ $32, P
+
+#define MACC4(ACC) \
 	VMULPD Y4, Y12, Y12; \
 	VMULPD Y5, Y13, Y13; \
 	VMULPD Y6, Y14, Y14; \
@@ -60,20 +63,88 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VADDPD Y12, ACC, ACC; \
 	VADDPD Y13, ACC, ACC; \
 	VADDPD Y14, ACC, ACC; \
-	VADDPD Y15, ACC, ACC; \
-	ADDQ $32, P
+	VADDPD Y15, ACC, ACC
 
-// COL1 advances four rows starting at P by one column (the cols%4 tail):
-// the column is gathered element by element, x[j] is in Y4.
-#define COL1(P, ACC) \
+#define BLOCK4(P, ACC) GATHER4(P); MACC4(ACC)
+
+// GATHER1 gathers one column of the four rows starting at P (the cols%4
+// tail) into Y8, element by element; MACC1 adds its product with x[j], in
+// Y4, to ACC; COL1 is the two.
+#define GATHER1(P) \
 	VMOVSD (P), X8; \
 	VMOVSD (P)(R8*2), X9; \
 	VMOVHPD (P)(R8*1), X8, X8; \
 	VMOVHPD (P)(R9*1), X9, X9; \
 	VINSERTF128 $1, X9, Y8, Y8; \
-	VMULPD Y4, Y8, Y8; \
-	VADDPD Y8, ACC, ACC; \
 	ADDQ $8, P
+
+#define MACC1(ACC) \
+	VMULPD Y4, Y8, Y8; \
+	VADDPD Y8, ACC, ACC
+
+#define COL1(P, ACC) GATHER1(P); MACC1(ACC)
+
+// Panels. A row kernel's gathered columns are a transposed copy of its rows:
+// the pack variants store them, as they form, to a panel at SI, and the
+// packed variants read them back from there with plain loads instead of
+// gathering. A panel of 4g rows (g = 4 or 1) holds, per block of four
+// columns, the g groups' Y12..Y15 in turn, then per tail column the g
+// groups' Y8 in turn — 4g·cols floats, the size of the rows it copies.
+#define STORE4 \
+	VMOVUPD Y12, (SI); \
+	VMOVUPD Y13, 32(SI); \
+	VMOVUPD Y14, 64(SI); \
+	VMOVUPD Y15, 96(SI); \
+	ADDQ $128, SI
+
+#define LOAD4 \
+	VMOVUPD (SI), Y12; \
+	VMOVUPD 32(SI), Y13; \
+	VMOVUPD 64(SI), Y14; \
+	VMOVUPD 96(SI), Y15; \
+	ADDQ $128, SI
+
+#define STORE1 \
+	VMOVUPD Y8, (SI); \
+	ADDQ $32, SI
+
+#define LOAD1 \
+	VMOVUPD (SI), Y8; \
+	ADDQ $32, SI
+
+// ROWS4 and ROWS16 set up a kernel over 4 or 16 rows at R10, cols (CX)
+// long — the arguments are loaded in each TEXT, where vet checks them: row
+// pointers, strides, zeroed accumulators, and AX the number of column blocks,
+// ZF set when there are none (nothing after the SHRQ writes the flags).
+#define ROWS4 \
+	MOVQ CX, R8; \
+	SHLQ $3, R8; \
+	LEAQ (R8)(R8*2), R9; \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	MOVQ CX, AX; \
+	SHRQ $2, AX
+
+#define ROWS16 \
+	ROWS4; \
+	LEAQ (R10)(R8*4), R11; \
+	LEAQ (R11)(R8*4), R12; \
+	LEAQ (R12)(R8*4), R13
+
+#define BROADCAST4 \
+	VBROADCASTSD (DX), Y4; \
+	VBROADCASTSD 8(DX), Y5; \
+	VBROADCASTSD 16(DX), Y6; \
+	VBROADCASTSD 24(DX), Y7
+
+#define END16 \
+	VMOVUPD Y0, (DI); \
+	VMOVUPD Y1, 32(DI); \
+	VMOVUPD Y2, 64(DI); \
+	VMOVUPD Y3, 96(DI); \
+	VZEROUPPER
 
 // func rowDots16AVX2(dst, w, x *float64, cols int)
 //
@@ -84,25 +155,11 @@ TEXT ·rowDots16AVX2(SB), NOSPLIT, $0-32
 	MOVQ w+8(FP), R10
 	MOVQ x+16(FP), DX
 	MOVQ cols+24(FP), CX
-	MOVQ CX, R8
-	SHLQ $3, R8
-	LEAQ (R8)(R8*2), R9
-	LEAQ (R10)(R8*4), R11
-	LEAQ (R11)(R8*4), R12
-	LEAQ (R12)(R8*4), R13
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ CX, AX
-	SHRQ $2, AX
+	ROWS16
 	JZ   tail16
 
 block16:
-	VBROADCASTSD (DX), Y4
-	VBROADCASTSD 8(DX), Y5
-	VBROADCASTSD 16(DX), Y6
-	VBROADCASTSD 24(DX), Y7
+	BROADCAST4
 	BLOCK4(R10, Y0)
 	BLOCK4(R11, Y1)
 	BLOCK4(R12, Y2)
@@ -126,11 +183,111 @@ col16:
 	JNZ  col16
 
 done16:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VZEROUPPER
+	END16
+	RET
+
+// func rowDots16PackAVX2(dst, w, x *float64, cols int, panel *float64)
+//
+// rowDots16AVX2, storing the sixteen rows' panel to panel as it goes.
+TEXT ·rowDots16PackAVX2(SB), NOSPLIT, $0-40
+	MOVQ panel+32(FP), SI
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), R10
+	MOVQ x+16(FP), DX
+	MOVQ cols+24(FP), CX
+	ROWS16
+	JZ   ptail16
+
+pblock16:
+	BROADCAST4
+	GATHER4(R10)
+	STORE4
+	MACC4(Y0)
+	GATHER4(R11)
+	STORE4
+	MACC4(Y1)
+	GATHER4(R12)
+	STORE4
+	MACC4(Y2)
+	GATHER4(R13)
+	STORE4
+	MACC4(Y3)
+	ADDQ $32, DX
+	DECQ AX
+	JNZ  pblock16
+
+ptail16:
+	ANDQ $3, CX
+	JZ   pdone16
+
+pcol16:
+	VBROADCASTSD (DX), Y4
+	GATHER1(R10)
+	STORE1
+	MACC1(Y0)
+	GATHER1(R11)
+	STORE1
+	MACC1(Y1)
+	GATHER1(R12)
+	STORE1
+	MACC1(Y2)
+	GATHER1(R13)
+	STORE1
+	MACC1(Y3)
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  pcol16
+
+pdone16:
+	END16
+	RET
+
+// func rowDots16PackedAVX2(dst, w, x *float64, cols int)
+//
+// rowDots16AVX2 over the panel rowDots16PackAVX2 stored, which w points at.
+TEXT ·rowDots16PackedAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), R10
+	MOVQ x+16(FP), DX
+	MOVQ cols+24(FP), CX
+	ROWS16
+	MOVQ R10, SI
+	JZ   qtail16
+
+qblock16:
+	BROADCAST4
+	LOAD4
+	MACC4(Y0)
+	LOAD4
+	MACC4(Y1)
+	LOAD4
+	MACC4(Y2)
+	LOAD4
+	MACC4(Y3)
+	ADDQ $32, DX
+	DECQ AX
+	JNZ  qblock16
+
+qtail16:
+	ANDQ $3, CX
+	JZ   qdone16
+
+qcol16:
+	VBROADCASTSD (DX), Y4
+	LOAD1
+	MACC1(Y0)
+	LOAD1
+	MACC1(Y1)
+	LOAD1
+	MACC1(Y2)
+	LOAD1
+	MACC1(Y3)
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  qcol16
+
+qdone16:
+	END16
 	RET
 
 // func rowDots4AVX2(dst, w, x *float64, cols int)
@@ -141,19 +298,11 @@ TEXT ·rowDots4AVX2(SB), NOSPLIT, $0-32
 	MOVQ w+8(FP), R10
 	MOVQ x+16(FP), DX
 	MOVQ cols+24(FP), CX
-	MOVQ CX, R8
-	SHLQ $3, R8
-	LEAQ (R8)(R8*2), R9
-	VXORPD Y0, Y0, Y0
-	MOVQ CX, AX
-	SHRQ $2, AX
+	ROWS4
 	JZ   tail4
 
 block4:
-	VBROADCASTSD (DX), Y4
-	VBROADCASTSD 8(DX), Y5
-	VBROADCASTSD 16(DX), Y6
-	VBROADCASTSD 24(DX), Y7
+	BROADCAST4
 	BLOCK4(R10, Y0)
 	ADDQ $32, DX
 	DECQ AX
@@ -171,6 +320,82 @@ col4:
 	JNZ  col4
 
 done4:
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func rowDots4PackAVX2(dst, w, x *float64, cols int, panel *float64)
+//
+// rowDots4AVX2, storing the four rows' panel to panel as it goes.
+TEXT ·rowDots4PackAVX2(SB), NOSPLIT, $0-40
+	MOVQ panel+32(FP), SI
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), R10
+	MOVQ x+16(FP), DX
+	MOVQ cols+24(FP), CX
+	ROWS4
+	JZ   ptail4
+
+pblock4:
+	BROADCAST4
+	GATHER4(R10)
+	STORE4
+	MACC4(Y0)
+	ADDQ $32, DX
+	DECQ AX
+	JNZ  pblock4
+
+ptail4:
+	ANDQ $3, CX
+	JZ   pdone4
+
+pcol4:
+	VBROADCASTSD (DX), Y4
+	GATHER1(R10)
+	STORE1
+	MACC1(Y0)
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  pcol4
+
+pdone4:
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func rowDots4PackedAVX2(dst, w, x *float64, cols int)
+//
+// rowDots4AVX2 over the panel rowDots4PackAVX2 stored, which w points at.
+TEXT ·rowDots4PackedAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), R10
+	MOVQ x+16(FP), DX
+	MOVQ cols+24(FP), CX
+	ROWS4
+	MOVQ R10, SI
+	JZ   qtail4
+
+qblock4:
+	BROADCAST4
+	LOAD4
+	MACC4(Y0)
+	ADDQ $32, DX
+	DECQ AX
+	JNZ  qblock4
+
+qtail4:
+	ANDQ $3, CX
+	JZ   qdone4
+
+qcol4:
+	VBROADCASTSD (DX), Y4
+	LOAD1
+	MACC1(Y0)
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  qcol4
+
+qdone4:
 	VMOVUPD Y0, (DI)
 	VZEROUPPER
 	RET

@@ -9,6 +9,14 @@ func haveFMA() bool  { return false }
 
 func rowDots16AVX2(dst, w, x *float64, cols int) { panic("ad: no AVX2 kernels on this platform") }
 func rowDots4AVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kernels on this platform") }
+func rowDots16PackAVX2(dst, w, x *float64, cols int, panel *float64) {
+	panic("ad: no AVX2 kernels on this platform")
+}
+func rowDots4PackAVX2(dst, w, x *float64, cols int, panel *float64) {
+	panic("ad: no AVX2 kernels on this platform")
+}
+func rowDots16PackedAVX2(dst, w, x *float64, cols int) { panic("ad: no AVX2 kernels on this platform") }
+func rowDots4PackedAVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kernels on this platform") }
 func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int) {
 	panic("ad: no AVX2 kernels on this platform")
 }

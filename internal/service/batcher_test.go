@@ -390,3 +390,39 @@ func TestSanityStagesAreSpansAndOneHistogram(t *testing.T) {
 	stageCounts(t, h, "after the refused check", "deeprest_sanity_stage_duration_seconds",
 		map[string]int{"features": 2, "metrics": 1, "predict": 1, "detect": 1, "encode": 1})
 }
+
+// TestInfluenceStagesAreSpansAndOneHistogram: an influence query is timed
+// like a sanity check — a service.influence root over the resident windows
+// whose three children are its stages in order, the same intervals in
+// deeprest_influence_stage_duration_seconds (none before the first query) —
+// and one the model refuses leaves a root that says why.
+func TestInfluenceStagesAreSpansAndOneHistogram(t *testing.T) {
+	s, h, _ := learnedFlightFixture(t)
+	stageCounts(t, h, "before any query", "deeprest_influence_stage_duration_seconds", nil)
+	if rec := do(t, h, "GET", "/v1/influence?pair=Service/cpu", nil); rec.Code != http.StatusOK {
+		t.Fatalf("influence = %d: %s", rec.Code, rec.Body)
+	}
+	root, children := spanTree(t, s, "after the query", "service.influence")
+	if want := s.store.NumWindows() - s.store.OldestWindow(); root.Windows != want {
+		t.Errorf("service.influence covers %d windows, want the %d resident", root.Windows, want)
+	}
+	if got, want := fmt.Sprint(children), "[telemetry.features estimator.probe service.encode]"; got != want {
+		t.Errorf("children of service.influence = %s, want %s", got, want)
+	}
+	stageCounts(t, h, "after the query", "deeprest_influence_stage_duration_seconds",
+		map[string]int{"features": 1, "probe": 1, "encode": 1})
+
+	if rec := do(t, h, "GET", "/v1/influence?pair=Nowhere/cpu", nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("influence of an unknown pair = %d: %s", rec.Code, rec.Body)
+	}
+	var page struct{ Spans []obs.Span }
+	rec := do(t, s.opts.Tracer.Handler(), "GET", "/debug/spans?name=service.influence", nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Spans) != 2 || page.Spans[1].Err == "" {
+		t.Errorf("service.influence spans after a refused query = %+v, want a second one carrying the model's error", page.Spans)
+	}
+	stageCounts(t, h, "after the refused query", "deeprest_influence_stage_duration_seconds",
+		map[string]int{"features": 2, "probe": 2, "encode": 1})
+}

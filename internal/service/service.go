@@ -161,8 +161,9 @@ type Server struct {
 	// The request-side stages of deeprest_estimate_stage_duration_seconds,
 	// resolved once so a hit pays no label lookup (see handleEstimate).
 	stageRead, stageLookup, stageDecode, stageWait *obs.Histogram
-	// The stages of a sanity check (see handleSanity); nil without metrics.
-	sanityStages *obs.HistogramVec
+	// The stages of a sanity check (see handleSanity) and of an influence
+	// probe (handleInfluence); nil without metrics.
+	sanityStages, influenceStages *obs.HistogramVec
 
 	modelDownloadFails *obs.Counter
 
@@ -233,6 +234,9 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 	s.stageRead, s.stageLookup, s.stageDecode, s.stageWait = stages.With("read"), stages.With("lookup"), stages.With("decode"), stages.With("wait")
 	s.sanityStages = opts.Metrics.HistogramVec("deeprest_sanity_stage_duration_seconds",
 		"Wall-clock duration of one stage of a sanity check: features (the range's cached feature vectors), metrics (its measured utilization), predict (the inference engine), detect (the anomaly detector), encode (JSON response).",
+		obs.DurationBuckets, "stage")
+	s.influenceStages = opts.Metrics.HistogramVec("deeprest_influence_stage_duration_seconds",
+		"Wall-clock duration of one stage of an influence query: features (the resident windows' cached feature vectors), probe (the occlusion probes on the model), encode (JSON response).",
 		obs.DurationBuckets, "stage")
 	if cfg.MaxInflight > 0 {
 		s.admit = make(chan struct{}, cfg.MaxInflight)
@@ -718,6 +722,9 @@ func (s *Server) handleSanity(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// handleInfluence answers which APIs drive a pair, timed like a sanity check:
+// a service.influence span with one child per stage, each stage also
+// observed into deeprest_influence_stage_duration_seconds.
 func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("pair")
 	if key == "" {
@@ -734,21 +741,32 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
+	ctx, span := s.opts.Tracer.Start(r.Context(), "service.influence")
+	defer span.End()
+	stage := s.opts.Tracer.Stages(ctx, s.influenceStages)
 	// The store's cached vectors, like every other read: extracted once per
 	// window, and through the generation's own extractor, so an anonymised
 	// model is probed in the hashed space it was learned in.
 	to := s.store.NumWindows()
 	from := max(s.store.OldestWindow(), to-maxReadWindows)
+	span.SetWindows(to - from)
+	end := stage("telemetry.features", "features")
 	series, err := s.store.Features(gen.Version, gen.System.Extractor(), from, to)
+	end()
 	if err != nil {
+		span.SetErr(err)
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	end = stage("estimator.probe", "probe")
 	infl, err := gen.Model().APIInfluence(p, series)
+	end()
 	if err != nil {
+		span.SetErr(err)
 		writeErr(w, http.StatusBadRequest, "influence: %v", err)
 		return
 	}
+	defer stage("service.encode", "encode")()
 	writeJSON(w, map[string]map[string]float64{"influence": infl})
 }
 
