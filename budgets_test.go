@@ -13,9 +13,9 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22914 // non-test Go lines outside bench/
-	designBytesBudget      = 101210
-	changesBytesBudget     = 61518
+	goLinesBudget          = 22897 // non-test Go lines outside bench/
+	designBytesBudget      = 40635
+	changesBytesBudget     = 31347
 	readmeBytesBudget      = 33717
 	experimentsBytesBudget = 23283
 )

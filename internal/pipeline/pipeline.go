@@ -83,8 +83,6 @@ type Config struct {
 	// MinDriftWindows is how many fresh windows the drift check needs
 	// before it produces a meaningful signal.
 	MinDriftWindows int
-	// WarmStart seeds each generation from the previous one's parameters.
-	WarmStart bool
 	// MaxHistory bounds the registry (minimum 2).
 	MaxHistory int
 	// CheckpointDir enables on-disk checkpoints when non-empty.
@@ -100,15 +98,10 @@ type Config struct {
 	// retrainfail makes training attempts fail, ckptcorrupt rots checkpoint
 	// files after a successful write. Nil disables injection.
 	Faults *faults.Schedule
-	// Drift overrides the drift detector thresholds; nil uses defaults.
-	Drift *drift.Detector
 	// BeforeTrain, when non-nil, runs after a training slot is acquired
 	// and before training starts — an observability hook, also used by
 	// tests to hold a generation in flight deterministically.
 	BeforeTrain func()
-	// OnGeneration, when non-nil, is called after each generation is
-	// published.
-	OnGeneration func(*Generation)
 	// QualityCheck, when non-nil, is polled on every drift tick after the
 	// drift verdict: returning true (with a human-readable reason)
 	// triggers an early retrain with trigger "quality". The service layer
@@ -120,7 +113,8 @@ type Config struct {
 
 // DefaultConfig returns the production defaults: retrain every 15 minutes
 // over the most recent day of one-minute windows, drift-check four times
-// per cadence, warm-start, keep 4 generations.
+// per cadence, keep 4 generations. A retrain warm-starts from the active
+// generation whenever there is one.
 func DefaultConfig() Config {
 	return Config{
 		Interval:        15 * time.Minute,
@@ -128,7 +122,6 @@ func DefaultConfig() Config {
 		Window:          0,
 		MinNewWindows:   1,
 		MinDriftWindows: 8,
-		WarmStart:       true,
 		MaxHistory:      4,
 		MaxRetries:      2,
 		RetryBackoff:    time.Second,
@@ -189,10 +182,6 @@ func New(opts core.Options, cfg Config, src Source) (*Pipeline, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultConfig().RetryBackoff
 	}
-	det := cfg.Drift
-	if det == nil {
-		det = drift.NewDetector()
-	}
 	reg, err := NewRegistry(cfg.MaxHistory, cfg.CheckpointDir)
 	if err != nil {
 		return nil, err
@@ -200,7 +189,7 @@ func New(opts core.Options, cfg Config, src Source) (*Pipeline, error) {
 	reg.instrument(opts.Metrics)
 	reg.injected = cfg.Faults
 	reg.tracer = opts.Tracer
-	p := &Pipeline{opts: opts, cfg: cfg, det: det, reg: reg, src: src, log: opts.Logger}
+	p := &Pipeline{opts: opts, cfg: cfg, det: drift.NewDetector(), reg: reg, src: src, log: opts.Logger}
 	if m := opts.Metrics; m != nil {
 		p.genDur = m.HistogramVec("deeprest_pipeline_generation_seconds",
 			"Wall-clock duration of one training generation, train through publish.",
@@ -342,19 +331,15 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 		pairs = p.pairs
 	}
 	var warm estimator.WarmStart
-	prevWarm := false
-	if p.cfg.WarmStart {
-		if g := p.reg.Active(); g != nil {
-			warm = estimator.FromModel(g.Model())
-			prevWarm = true
-		}
+	if g := p.reg.Active(); g != nil {
+		warm = estimator.FromModel(g.Model())
 	}
 	p.mu.Unlock()
 
 	start := time.Now()
 	tctx, span := p.opts.Tracer.Start(ctx, "pipeline.train")
 	span.SetWindows(to - from)
-	gen, err := p.train(tctx, from, to, pairs, trigger, warm, prevWarm, attempt)
+	gen, err := p.train(tctx, from, to, pairs, trigger, warm, attempt)
 	span.SetErr(err)
 	span.End()
 	elapsed := time.Since(start)
@@ -393,15 +378,11 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 			"warm_started", gen.Warm, "duration", elapsed,
 			"span_id", obs.SpanID(tctx))
 	}
-
-	if err == nil && p.cfg.OnGeneration != nil {
-		p.cfg.OnGeneration(gen)
-	}
 	return gen, err
 }
 
 // train runs one training generation. The in-flight slot is already held.
-func (p *Pipeline) train(ctx context.Context, from, to int, pairs []app.Pair, trigger string, warm estimator.WarmStart, warmed bool, attempt int) (*Generation, error) {
+func (p *Pipeline) train(ctx context.Context, from, to int, pairs []app.Pair, trigger string, warm estimator.WarmStart, attempt int) (*Generation, error) {
 	if p.cfg.BeforeTrain != nil {
 		p.cfg.BeforeTrain()
 	}
@@ -437,7 +418,7 @@ func (p *Pipeline) train(ctx context.Context, from, to int, pairs []app.Pair, tr
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: training cancelled before publish: %w", err)
 	}
-	g := &Generation{Trigger: trigger, From: from, To: to, Warm: warmed, System: sys}
+	g := &Generation{Trigger: trigger, From: from, To: to, Warm: warm != nil, System: sys}
 	pub, err := p.reg.Publish(ctx, g)
 	if err != nil {
 		return nil, err

@@ -20,11 +20,13 @@
 //	GET  /v1/pipeline/status  training state, drift signal, last error
 //	GET  /v1/models           list retained model generations
 //	POST /v1/models/{version}/activate  roll back (or forward) the serving model
+//	GET  /v1/quality          shadow-scoring report of the active generation
 //
 // Observability (see internal/obs):
 //
 //	GET  /metrics             Prometheus text-format metrics (mounted when
 //	                          core.Options.Metrics is non-nil)
+//	GET  /v1/version          build identity (version, VCS revision, Go release)
 //
 // Every response carries an X-Request-ID header (propagated from the request
 // when the caller set one), and with a configured Logger each request emits
