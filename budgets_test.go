@@ -13,10 +13,10 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22897 // non-test Go lines outside bench/
-	designBytesBudget      = 40635
+	goLinesBudget          = 22949 // non-test Go lines outside bench/
+	designBytesBudget      = 40917
 	changesBytesBudget     = 31347
-	readmeBytesBudget      = 33717
+	readmeBytesBudget      = 33715
 	experimentsBytesBudget = 23283
 )
 

@@ -147,25 +147,31 @@ func trainRAExpert(p app.Pair, series []float64, wpd int, cfg RAConfig, seed int
 		order[i] = i
 	}
 	tape := ad.NewTape()
+	var blk layers.GRUBlock
 	zeroH := make([]float64, cfg.Hidden)
 	tgt := make([]float64, 1)
 	losses := make([]*ad.Value, 0, cfg.ChunkLen)
+	rows := make([][]float64, 0, cfg.ChunkLen)
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, ci := range order {
 			from := start + ci*cfg.ChunkLen
-			to := from + cfg.ChunkLen
-			if to > len(e.scaled) {
-				to = len(e.scaled)
+			to := min(from+cfg.ChunkLen, len(e.scaled))
+			// A chunk is a block, formed under the weights the previous
+			// chunk's optimizer step left.
+			rows = rows[:0]
+			for t := from; t < to; t++ {
+				rows = append(rows, e.input(e.scaled, t))
 			}
+			blk.Panels.Reset(cfg.Hidden)
+			blk.Form(e.cell, nil, rows)
 			tape.Reset()
 			h := tape.Const(zeroH)
 			losses = losses[:0]
-			for t := from; t < to; t++ {
-				xt := tape.Const(e.input(t))
-				h = e.cell.Step(tape, xt, h)
+			for j, row := range rows {
+				h = blk.Step(tape, e.cell, j, tape.Const(row), h)
 				y := e.head.Apply(tape, h)
-				tgt[0] = e.scaled[t]
+				tgt[0] = e.scaled[from+j]
 				losses = append(losses, tape.SquaredError(y, tgt))
 			}
 			total := tape.SumScalars(losses...)
@@ -185,18 +191,12 @@ func diff(series []float64) []float64 {
 	return out
 }
 
-// wpd is stored on the expert for input construction.
-func (e *raExpert) input(t int) []float64 {
+// input builds the input of window t from the history buf holds, the
+// training series followed by the forecast so far: the value one day back
+// and the window's time of day.
+func (e *raExpert) input(buf []float64, t int) []float64 {
 	phase := 2 * math.Pi * float64(t%e.wpd) / float64(e.wpd)
-	return []float64{e.scaled[t-e.wpd], math.Sin(phase), math.Cos(phase)}
-}
-
-// forecastInput builds the input for forecast step t (0-based beyond the
-// training series), reading from the combined history buffer.
-func (e *raExpert) forecastInput(buf []float64, t int) []float64 {
-	abs := len(e.scaled) + t
-	ph := 2 * math.Pi * float64(abs%e.wpd) / float64(e.wpd)
-	return []float64{buf[abs-e.wpd], math.Sin(ph), math.Cos(ph)}
+	return []float64{buf[t-e.wpd], math.Sin(phase), math.Cos(phase)}
 }
 
 // forecast rolls the expert forward for `horizon` windows beyond its
@@ -208,39 +208,45 @@ func (e *raExpert) forecast(horizon int) []float64 {
 	tape := ad.NewEvalTape()
 	hbuf := make([]float64, e.cell.Hidden)
 	// Warm the hidden state over the tail of the training series (one
-	// day is plenty: the GRU's memory horizon is far shorter).
+	// day is plenty: the GRU's memory horizon is far shorter), then step on
+	// into the forecast.
 	warmFrom := e.wpd
 	if len(e.scaled)-warmFrom > 2*e.wpd {
 		warmFrom = len(e.scaled) - 2*e.wpd
 	}
-	for t := warmFrom; t < len(e.scaled); t++ {
-		h := tape.Const(hbuf)
-		xt := tape.Const(e.input(t))
-		h = e.cell.Step(tape, xt, h)
-		copy(hbuf, h.Data)
-		tape.Reset()
-	}
-	buf := append([]float64{}, e.scaled...)
+	n, end := len(e.scaled), len(e.scaled)+horizon
+	buf := append(make([]float64, 0, end), e.scaled...)
 	out := make([]float64, horizon)
 	acc := e.base
-	for t := 0; t < horizon; t++ {
-		h := tape.Const(hbuf)
-		xt := tape.Const(e.forecastInput(buf, t))
-		h = e.cell.Step(tape, xt, h)
-		y := e.head.Apply(tape, h)
-		pred := y.Data[0]
-		buf = append(buf, pred)
-		copy(hbuf, h.Data)
-		tape.Reset()
-		v := pred * e.scale
-		if e.delta {
-			acc += v
-			out[t] = acc
-		} else {
-			if v < 0 {
-				v = 0
+	var blk layers.GRUBlock
+	blk.Panels.Reset(e.cell.Hidden)
+	rows := make([][]float64, 0, e.wpd)
+	// A window's input reads the value one day back, so a day of windows has
+	// all its inputs before its first step: a block is a day.
+	for b0 := warmFrom; b0 < end; b0 += e.wpd {
+		rows = rows[:0]
+		for t := b0; t < min(b0+e.wpd, end); t++ {
+			rows = append(rows, e.input(buf, t))
+		}
+		blk.Form(e.cell, nil, rows)
+		for j, row := range rows {
+			h := blk.Step(tape, e.cell, j, tape.Const(row), tape.Const(hbuf))
+			copy(hbuf, h.Data)
+			if t := b0 + j; t >= n {
+				pred := e.head.Apply(tape, h).Data[0]
+				buf = append(buf, pred)
+				v := pred * e.scale
+				if e.delta {
+					acc += v
+					out[t-n] = acc
+				} else {
+					if v < 0 {
+						v = 0
+					}
+					out[t-n] = v
+				}
 			}
-			out[t] = v
+			tape.Reset()
 		}
 	}
 	return out

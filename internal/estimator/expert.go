@@ -95,6 +95,24 @@ func (e *Expert) maskedInput(t *ad.Tape, x []float64) *ad.Value {
 	return in
 }
 
+// formBlock forms e's step operands in the workspace for the block of
+// windows rows (layers.GRUBlock.Form, behind the mask when it is on).
+func (e *Expert) formBlock(ws *workspace, rows [][]float64) {
+	var mask *layers.APIMask
+	if e.UseMask {
+		mask = e.Mask
+	}
+	ws.blk.Form(e.Cell, mask, rows)
+}
+
+// step records e's GRU step on t for window col of the workspace's block,
+// whose input is row, from state h, and returns the new state and the
+// masked input.
+func (e *Expert) step(ws *workspace, t *ad.Tape, row []float64, col int, h *ad.Value) (hNext, xt *ad.Value) {
+	xt = e.maskedInput(t, row)
+	return ws.blk.Step(t, e.Cell, col, xt, h), xt
+}
+
 // stepOutput computes the output triple at one time step from the masked
 // input, the new hidden state, and the attention context.
 func (e *Expert) stepOutput(t *ad.Tape, xt, h, attn *ad.Value) *ad.Value {
@@ -105,40 +123,49 @@ func (e *Expert) stepOutput(t *ad.Tape, xt, h, attn *ad.Value) *ad.Value {
 	return out
 }
 
-// hiddenInto runs the recurrence over a scaled feature series x on the
-// gradient-free tape t and writes the trajectory, step-major, into dst
-// (len(x)·Hidden floats); this feeds the detached peer states consumed by
-// other experts' attention. Reset recycles all tape memory each step, so the
-// recurrent state is carried across steps in dst, which the tape does not
-// own.
-func (e *Expert) hiddenInto(t *ad.Tape, x [][]float64, dst []float64) {
+// evalBlock is how many windows walk forms step operands for at a time. Any
+// length gives the same bits; the default chunk's keeps one buffer size.
+const evalBlock = 64
+
+// walk runs e's recurrence over a scaled feature series x from a zero state
+// on the workspace's gradient-free tape and hands fn each window's index,
+// new state and masked input. The tape is Reset every step; the state is
+// carried in a buffer it does not own.
+func (e *Expert) walk(ws *workspace, x [][]float64, fn func(i int, h, xt *ad.Value)) {
+	t := ws.eval
 	hPrev := make([]float64, e.Hidden)
+	ws.blk.Panels.Reset(e.Hidden)
 	for i, row := range x {
+		if i%evalBlock == 0 {
+			e.formBlock(ws, x[i:min(i+evalBlock, len(x))])
+		}
 		t.Reset()
-		h := t.Const(hPrev)
-		h = e.Cell.Step(t, e.maskedInput(t, row), h)
-		hPrev = dst[i*e.Hidden : (i+1)*e.Hidden]
+		h, xt := e.step(ws, t, row, i%evalBlock, t.Const(hPrev))
+		fn(i, h, xt)
 		copy(hPrev, h.Data)
 	}
 }
 
+// hiddenInto writes e's trajectory over x, step-major, into dst
+// (len(x)·Hidden floats): the detached peer states other experts attend
+// over.
+func (e *Expert) hiddenInto(ws *workspace, x [][]float64, dst []float64) {
+	e.walk(ws, x, func(i int, h, _ *ad.Value) { copy(dst[i*e.Hidden:(i+1)*e.Hidden], h.Data) })
+}
+
 // forward runs the full forward pass over a scaled feature series on the
-// caller's gradient-free tape and returns the (expected, lower, upper) triple
-// per step, in scaled target units. The attention context is drawn from
-// peers — the detached hidden states of the peer experts over the same
+// workspace's gradient-free tape and returns the (expected, lower, upper)
+// triple per step, in scaled target units. The attention context is drawn
+// from peers — the detached hidden states of the peer experts over the same
 // series — and is zero when peers is nil (the occlusion probes).
-func (e *Expert) forward(t *ad.Tape, x [][]float64, peers *peerStates) ([][3]float64, error) {
+func (e *Expert) forward(ws *workspace, x [][]float64, peers *peerStates) ([][3]float64, error) {
 	if peers != nil && peers.steps != len(x) {
 		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, peers.steps, len(x))
 	}
-	hbuf := make([]float64, e.Hidden)
+	t := ws.eval
 	zeroAttn := make([]float64, e.Hidden)
 	out := make([][3]float64, len(x))
-	for i, row := range x {
-		t.Reset()
-		h := t.Const(hbuf)
-		xt := e.maskedInput(t, row)
-		h = e.Cell.Step(t, xt, h)
+	e.walk(ws, x, func(i int, h, xt *ad.Value) {
 		var attn *ad.Value
 		if e.UseAttention && len(e.Attn.Peers) > 0 && peers != nil {
 			attn = peers.attend(t, e.Attn, i)
@@ -147,7 +174,6 @@ func (e *Expert) forward(t *ad.Tape, x [][]float64, peers *peerStates) ([][3]flo
 		}
 		y := e.stepOutput(t, xt, h, attn)
 		out[i] = [3]float64{y.Data[0], y.Data[1], y.Data[2]}
-		copy(hbuf, h.Data)
-	}
+	})
 	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/app"
-	"repro/internal/nn/ad"
 	"repro/internal/testutil"
 )
 
@@ -35,7 +34,7 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 	// written, and nothing past the last one.
 	hs := make([]float64, len(x)*3+1)
 	hs[len(hs)-1] = 42
-	e.hiddenInto(ad.NewEvalTape(), x, hs[:len(x)*3])
+	e.hiddenInto(newWorkspace(), x, hs[:len(x)*3])
 	if hs[len(hs)-1] != 42 {
 		t.Fatal("hiddenInto wrote past len(x)·Hidden floats")
 	}
@@ -45,11 +44,11 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 			t.Fatalf("step %d left unwritten", step)
 		}
 	}
-	// Deterministic, on a tape that has run before too.
-	tape := ad.NewEvalTape()
+	// Deterministic, on a workspace that has run before too.
+	ws := newWorkspace()
 	hs2 := make([]float64, len(x)*3)
-	e.hiddenInto(tape, seriesOf(4, 7), hs2[:7*3])
-	e.hiddenInto(tape, x, hs2)
+	e.hiddenInto(ws, seriesOf(4, 7), hs2[:7*3])
+	e.hiddenInto(ws, x, hs2)
 	for i := range hs2 {
 		if hs[i] != hs2[i] {
 			t.Fatal("hiddenInto not deterministic")
@@ -62,7 +61,7 @@ func TestExpertForwardZeroAttentionFallback(t *testing.T) {
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, []string{"peer"})
 	// Without peer states the attention context is zero.
-	out, err := e.forward(ad.NewEvalTape(), seriesOf(4, 6), nil)
+	out, err := e.forward(newWorkspace(), seriesOf(4, 6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestExpertForwardPeerMismatch(t *testing.T) {
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, []string{"peer"})
 	peers := &peerStates{hiddenSlab: &hiddenSlab{steps: 2}} // wrong step count for 6 inputs
-	if _, err := e.forward(ad.NewEvalTape(), seriesOf(4, 6), peers); err == nil {
+	if _, err := e.forward(newWorkspace(), seriesOf(4, 6), peers); err == nil {
 		t.Fatal("mismatched peer states must fail")
 	}
 }
@@ -90,11 +89,11 @@ func TestExpertMaskGatesInput(t *testing.T) {
 	for i := range e.Mask.M.Data {
 		e.Mask.M.Data[i] = -50 // σ ≈ 0
 	}
-	a, err := e.forward(ad.NewEvalTape(), [][]float64{{1, 1, 1}}, nil)
+	a, err := e.forward(newWorkspace(), [][]float64{{1, 1, 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.forward(ad.NewEvalTape(), [][]float64{{100, 100, 100}}, nil)
+	b, err := e.forward(newWorkspace(), [][]float64{{100, 100, 100}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package estimator
 
 import (
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/app"
-	"repro/internal/nn/ad"
 	"repro/internal/nn/loss"
 	"repro/internal/sim"
 	"repro/internal/testutil"
@@ -61,11 +62,11 @@ func BenchmarkExpertForward(b *testing.B) {
 	p := app.Pair{Component: "Service", Resource: app.CPU}
 	m, x, _, _ := benchExpertSetup(b, p)
 	day := x[:testutil.ToyDay]
-	tape := ad.NewEvalTape()
+	ws := newWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Experts[p].forward(tape, day, nil); err != nil {
+		if _, err := m.Experts[p].forward(ws, day, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,12 +79,12 @@ func BenchmarkExpertHiddenStates(b *testing.B) {
 	m, x, _, _ := benchExpertSetup(b, p)
 	day := x[:testutil.ToyDay]
 	e := m.Experts[p]
-	tape := ad.NewEvalTape()
+	ws := newWorkspace()
 	dst := make([]float64, len(day)*e.Hidden)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.hiddenInto(tape, day, dst)
+		e.hiddenInto(ws, day, dst)
 	}
 }
 
@@ -113,14 +114,18 @@ func BenchmarkModelPredict(b *testing.B) {
 
 // socialDay simulates one 48-window day of the social network (76 pairs, 67
 // features), the application of the repo benchmark's miss-social128.
-func socialDay(tb testing.TB) *sim.Run {
+func socialDay(tb testing.TB) *sim.Run { return simDay(tb, "social", 48) }
+
+// simDay simulates one day of the application appArg names, cut into the
+// given number of windows.
+func simDay(tb testing.TB, appArg string, windows int) *sim.Run {
 	tb.Helper()
-	spec, mix, err := topo.Resolve("social")
+	spec, mix, err := topo.Resolve(appArg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	prog := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 30})
-	prog.WindowsPerDay = 48
+	prog.WindowsPerDay = windows
 	c, err := sim.NewCluster(spec, 17)
 	if err != nil {
 		tb.Fatal(err)
@@ -136,18 +141,45 @@ func socialDay(tb testing.TB) *sim.Run {
 // benchmark's miss-social128 set-up: the social network (76 experts, 67
 // features) at the paper's width, 48 windows, three phase-A epochs and the
 // default six of phase B — both phases, the peer-state pass between them and
-// the per-worker workspaces, so ns/op moves with `learn_cpu_s` (divide by
-// GOMAXPROCS for the wall share).
+// the per-worker workspaces.
 func BenchmarkTrainSocial128(b *testing.B) {
-	run := socialDay(b)
 	cfg := DefaultConfig()
 	cfg.Hidden = 128
 	cfg.Epochs = 3
+	benchTrain(b, socialDay(b), cfg)
+}
+
+// BenchmarkTrainGen150 is one cold learn at the shape of miss-gen150's
+// set-up: a generated 150-component topology (399 experts, 257 features) at
+// width 16, 24 windows, one phase-A epoch and the default six of phase B.
+func BenchmarkTrainGen150(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Hidden = 16
+	cfg.Epochs = 1
+	benchTrain(b, simDay(b, "gen:seed=7,components=150", 24), cfg)
+}
+
+// benchTrain times Train over run. Beside ns/op, which is wall time with
+// GOMAXPROCS workers training at once, it reports cpu-ms/op: the process's
+// user and system CPU per learn, which is what the repo benchmark's
+// learn_cpu_s counts in the daemon.
+func benchTrain(b *testing.B, run *sim.Run, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0 := processCPU()
 	for i := 0; i < b.N; i++ {
 		if _, err := Train(run.Windows, run.Usage, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(processCPU()-cpu0)/float64(b.N)/1e6, "cpu-ms/op")
+}
+
+// processCPU is the user and system CPU time this process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -305,28 +305,14 @@ func (e *Engine) trajectory(i, T int, sc *predictScratch) {
 	hPrev := sc.zero
 	for b0 := 0; b0 < T; b0 += blockWindows {
 		n, tp := block(b0, T)
-		in := sc.xT[b0*dim:][:dim*tp]
-		if ex.mask != nil {
-			// σ(m) ⊙ x, the product the tape's mask forms per window.
-			xm := wa.xm[:dim*tp]
-			for k, m := range ex.mask {
-				row, gated := in[k*tp:(k+1)*tp], xm[k*tp:(k+1)*tp]
-				for t, x := range row {
-					gated[t] = m * x
-				}
-			}
-			in = xm
-		}
-		wx := wa.wx[:3*hid*tp]
-		for g, w := range [...]*ad.Param{ex.gru.Wz, ex.gru.Wk, ex.gru.Wh} {
-			ad.WindowDots(wx[g*hid*tp:], w.Data, in, hid, dim, tp)
-		}
+		// σ(m) ⊙ x and the three input products over it, as the tape forms them.
+		in := ex.gru.InputProducts(wa.wx, wa.xm, sc.xT[b0*dim:][:dim*tp], ex.mask, tp)
 		if ex.bypW != nil {
 			ad.WindowDots(sc.byp[3*(i*lanes(T)+b0):], ex.bypW, in, 3, dim, tp)
 		}
 		for t := 0; t < n; t++ {
 			hOut := sc.traj[(i*T+b0+t)*hid:][:hid]
-			ex.gru.Step(wx, tp, t, hPrev, hOut, wa.gs, &wa.up)
+			ex.gru.Step(wa.wx, tp, t, hPrev, hOut, wa.gs, &wa.up)
 			hPrev = hOut
 		}
 	}

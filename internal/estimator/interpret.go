@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/features"
-	"repro/internal/nn/ad"
 )
 
 // MaskEntry is one feature's learned admission weight in an expert's
@@ -67,8 +66,8 @@ func (m *Model) APIInfluence(pair app.Pair, series []features.Vector) (map[strin
 		return nil, fmt.Errorf("estimator: no telemetry windows to measure influence over")
 	}
 	x := m.FeatScaler.Apply(features.Matrix(series))
-	tape := ad.NewEvalTape()
-	base, err := e.forward(tape, x, nil)
+	ws := newWorkspace()
+	base, err := e.forward(ws, x, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +83,7 @@ func (m *Model) APIInfluence(pair app.Pair, series []features.Vector) (map[strin
 	max := 0.0
 	for root, idxs := range cols {
 		occluded := occlude(x, idxs)
-		probe, err := e.forward(tape, occluded, nil)
+		probe, err := e.forward(ws, occluded, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -379,12 +379,14 @@ func logf(w io.Writer, format string, args ...interface{}) {
 // worker lends to whichever expert it is training. A generation has 76–399
 // experts of one shape; without it each of them allocated, page-faulted and
 // dropped its own copy (1.2 MB of moments at the paper's width), and kept a
-// gradient as large as its weights for as long as the model lived.
+// gradient as large as its weights for as long as the model lived. The GRU's
+// step operands (a block's input products, U's panels) are lent the same way.
 type workspace struct {
 	tape *ad.Tape // training tape
 	eval *ad.Tape // gradient-free tape
 	adam *opt.Adam
 	grad []float64 // backs the Grad of the params being trained
+	blk  layers.GRUBlock
 }
 
 func newWorkspace() *workspace {
@@ -503,7 +505,7 @@ func (m *Model) allHiddenStates(x [][]float64) (*hiddenSlab, error) {
 		if e.Hidden != hid {
 			return fmt.Errorf("estimator: %s: hidden width %d in a %d-wide model", p, e.Hidden, hid)
 		}
-		e.hiddenInto(ws.eval, x, s.data[i*len(x)*hid:(i+1)*len(x)*hid])
+		e.hiddenInto(ws, x, s.data[i*len(x)*hid:(i+1)*len(x)*hid])
 		return nil
 	})
 	return s, err
@@ -515,17 +517,20 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 	if len(x) != len(target) {
 		return fmt.Errorf("estimator: %s: %d inputs vs %d targets", e.Pair, len(x), len(target))
 	}
-	zeroAttn := make([]float64, e.Hidden)
-	zeroH := make([]float64, e.Hidden)
-	var h *ad.Value
+	zero := make([]float64, e.Hidden) // the state a chunk starts from, and the attention context
+	var h, xt *ad.Value
+	from := 0
 	return trainChunks(ws, e, PhaseTrain, e.Params(), target, cfg, epochs, q, seed,
 		func(tape *ad.Tape, t int, first bool) *ad.Value {
 			if first {
-				h = tape.Const(zeroH)
+				// A chunk is a block, formed under the weights the previous
+				// chunk's Adam step left.
+				h, from = tape.Const(zero), t
+				ws.blk.Panels.Reset(e.Hidden)
+				e.formBlock(ws, x[t:min(t+cfg.ChunkLen, len(x))])
 			}
-			xt := e.maskedInput(tape, x[t])
-			h = e.Cell.Step(tape, xt, h)
-			return e.stepOutput(tape, xt, h, tape.Const(zeroAttn))
+			h, xt = e.step(ws, tape, x[t], t-from, h)
+			return e.stepOutput(tape, xt, h, tape.Const(zero))
 		},
 		func() { e.addRegularizationGrads(cfg) })
 }
@@ -693,7 +698,7 @@ func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate,
 		if hidden != nil {
 			peers = hidden.peersOf(i)
 		}
-		triples, err := m.Experts[p].forward(ws.eval, x, peers)
+		triples, err := m.Experts[p].forward(ws, x, peers)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package estimator
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -374,5 +375,46 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 		if w != before[i] {
 			t.Fatalf("head weight %d moved (%v → %v) on a refused chunk", i, before[i], w)
 		}
+	}
+}
+
+// TestLearnAllocatesPerExpertNotPerChunk is a learn's memory wall: a worker's
+// workspace keeps its tapes, its Adam and its GRU step operands — a chunk's
+// input products, U's panels — from expert to expert, so a second expert's
+// training, frozen trajectory and forward on a warm workspace allocate
+// nothing hidden²-sized (one 64×64 matrix is 32 KB; the panels are three) or
+// chunk-sized (a chunk's input products are 37 KB here), per expert or per
+// chunk: what is left is the expert's chunk order, its seed's generator and a
+// few hidden-sized vectors.
+func TestLearnAllocatesPerExpertNotPerChunk(t *testing.T) {
+	run := socialDay(t)
+	cfg := DefaultConfig()
+	cfg.Hidden, cfg.ChunkLen = 64, 24
+	m, x, targets, err := buildModel(run.Windows, run.Usage, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := loss.Quantiles(cfg.Delta)
+	ws := newWorkspace()
+	traj := make([]float64, len(x)*cfg.Hidden)
+	learn := func(p app.Pair) {
+		e := m.Experts[p]
+		if err := trainExpert(ws, e, x, targets[p], cfg, 2, q[:], 1); err != nil {
+			t.Fatal(err)
+		}
+		e.hiddenInto(ws, x, traj)
+		if _, err := e.forward(ws, x, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	learn(m.Pairs[0])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	learn(m.Pairs[1])
+	runtime.ReadMemStats(&after)
+	grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*cfg.Hidden*cfg.Hidden)
+	t.Logf("a warm expert (%d chunks of %d windows, 2 epochs) allocated %d bytes", (len(x)+cfg.ChunkLen-1)/cfg.ChunkLen, cfg.ChunkLen, grew)
+	if grew > bound {
+		t.Fatalf("a warm expert allocated %d bytes, more than one %d×%d matrix (%d)", grew, cfg.Hidden, cfg.Hidden, bound)
 	}
 }

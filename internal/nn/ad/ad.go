@@ -211,7 +211,7 @@ type Tape struct {
 	nodeIdx  int
 	nodeOff  int
 
-	scratch []float64 // fused-op workspace (GRUStep's input products, gruBackward's khg)
+	scratch []float64 // fused-op workspace (gruBackward's khg)
 
 	// The GRU steps whose weight gradients Backward has yet to form, and
 	// flushGRU's table (gru.go).
@@ -370,45 +370,34 @@ func dot4(w, x []float64) (s0, s1, s2, s3 float64) {
 }
 
 // matVec writes dst[i] = dot(w[i*cols:(i+1)*cols], x) for the len(dst)
-// rows of the row-major matrix w. Rows go down a 16/4/1 ladder: with AVX2,
-// sixteen and then four per call of the row-lane kernels; without, four per
-// pass through dot4; the len(dst)%4 remainder rows through dot either way.
-// Every rung sums a row in dot's column order, so which rung a row lands on
-// never shows in its bits.
+// rows of the row-major matrix w on the Go loops (Tape.MatVec: the heads and
+// the bypass, three rows each).
 func matVec(dst, w, x []float64) { packedMatVec(dst, w, x, nil, false) }
 
-// packedMatVec is matVec with a panel buffer for the AVX2 rungs (see
-// Panels): with panel nil they read w; with packed false they read w and
-// also store their panels to panel; with packed true they read panel, which
-// an earlier call with the same w and the same row count filled. The Go loops
-// and the dot rows always read w.
+// packedMatVec is matVec with a panel (see Panels). With AVX2 rows go sixteen
+// and then four per call of the row kernels, which read w and store its
+// panel with packed false, and read the panel an earlier call filled with
+// packed true; without, four per pass through dot4. The len(dst)%4 remainder
+// goes through dot either way. Every rung sums a row in dot's column order,
+// so which rung a row lands on never shows in its bits.
 func packedMatVec(dst, w, x, panel []float64, packed bool) {
 	cols := len(x)
 	i := 0
 	// The assembly takes bare pointers: an empty x must not reach it, and a
 	// w or panel too short for len(dst) rows must panic here.
-	if useAVX2 && cols > 0 {
-		w = w[:len(dst)*cols]
-		if panel != nil {
-			panel = panel[:len(w)]
-		}
+	if useAVX2 && cols > 0 && panel != nil {
+		w, panel = w[:len(dst)*cols], panel[:len(dst)*cols]
 		for ; i+16 <= len(dst); i += 16 {
-			switch {
-			case panel == nil:
-				rowDots16AVX2(&dst[i], &w[i*cols], &x[0], cols)
-			case packed:
+			if packed {
 				rowDots16PackedAVX2(&dst[i], &panel[i*cols], &x[0], cols)
-			default:
+			} else {
 				rowDots16PackAVX2(&dst[i], &w[i*cols], &x[0], cols, &panel[i*cols])
 			}
 		}
 		for ; i+4 <= len(dst); i += 4 {
-			switch {
-			case panel == nil:
-				rowDots4AVX2(&dst[i], &w[i*cols], &x[0], cols)
-			case packed:
+			if packed {
 				rowDots4PackedAVX2(&dst[i], &panel[i*cols], &x[0], cols)
-			default:
+			} else {
 				rowDots4PackAVX2(&dst[i], &w[i*cols], &x[0], cols, &panel[i*cols])
 			}
 		}

@@ -24,6 +24,23 @@ func newTestGRU(in, hid int, rng *rand.Rand) *GRUParams {
 	return g
 }
 
+// stepPanels are GRUStep's; no test steps two tapes at once.
+var stepPanels Panels
+
+// GRUStep records g's step from x and hPrev on t as a trajectory of one
+// window: its input products formed here on the Go loops, in the tape's
+// scratch, and its panels packed by the step itself — the operands the
+// shipped trajectories form a block of windows at a time for GRUStepAt.
+func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
+	hid := g.Wz.Rows
+	wx := t.scratchBuf(3 * hid)
+	for i, w := range [...]*Param{g.Wz, g.Wk, g.Wh} {
+		matVec(wx[i*hid:(i+1)*hid], w.Data, x.Data)
+	}
+	stepPanels.Reset(hid)
+	return t.GRUStepAt(g, x, hPrev, wx, 1, 0, &stepPanels)
+}
+
 func TestGRUStepGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in, hid := 3, 4

@@ -18,7 +18,7 @@ type GRUParams struct {
 	Wh, Uh, Bh *Param
 }
 
-// GRUStep advances a GRU cell one time step as a single fused tape op:
+// GRUStepAt advances a GRU cell one time step as a single fused tape op:
 //
 //	z = σ(Wz·x + Uz·h + bz)
 //	k = σ(Wk·x + Uk·h + bk)
@@ -27,15 +27,18 @@ type GRUParams struct {
 //
 // It replaces the ~28-node chain of MatVec/Add/Mul/Sigmoid/Tanh primitives
 // a composed implementation records, with one node and a hand-written
-// backward. The forward is GRUParams.forward, the body the tape-free
-// serving step runs too; it and the backward perform the same float64
-// operations in the same order as the composed chain (see gruBackward), so
-// losses and gradients are bit-identical to it on targets without fused
-// multiply-add contraction.
-func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
+// backward. The forward is GRUParams.forward on the operands the engine's
+// Step gets: x's input products under the current W at column col of wx,
+// rows stride floats apart (see GRUParams.InputProducts), and the
+// trajectory's Panels; the backward still reads x, for its gradient and the
+// W gradients. Forward and backward perform the same float64 operations in
+// the same order as the composed chain (see gruBackward), so losses and
+// gradients are bit-identical to it on targets without fused multiply-add
+// contraction.
+func (t *Tape) GRUStepAt(g *GRUParams, x, hPrev *Value, wx []float64, stride, col int, up *Panels) *Value {
 	in, hid := g.Wz.Cols, g.Wz.Rows
 	if x.Rows != in || x.Cols != 1 || hPrev.Rows != hid || hPrev.Cols != 1 {
-		panic(fmt.Sprintf("ad: GRUStep shape mismatch: x %dx%d, h %dx%d for a %d→%d cell",
+		panic(fmt.Sprintf("ad: GRUStepAt shape mismatch: x %dx%d, h %dx%d for a %d→%d cell",
 			x.Rows, x.Cols, hPrev.Rows, hPrev.Cols, in, hid))
 	}
 	out := t.newValue(hid, 1)
@@ -49,23 +52,17 @@ func (t *Tape) GRUStep(g *GRUParams, x, hPrev *Value) *Value {
 	}
 	aux := t.alloc(n)
 	z, k, c, kh := aux[:hid], aux[hid:2*hid], aux[2*hid:3*hid], aux[3*hid:4*hid]
-	// The tape forms its input products a step at a time; they are dead once
-	// the gates are, so they live in the tape's scratch, not in aux.
-	wx := t.scratchBuf(3 * hid)
-	matVec(wx[:hid], g.Wz.Data, x.Data)
-	matVec(wx[hid:2*hid], g.Wk.Data, x.Data)
-	matVec(wx[2*hid:], g.Wh.Data, x.Data)
-	g.forward(wx, 1, 0, hPrev.Data, z, k, kh, c, out.Data, nil)
+	g.forward(wx, stride, col, hPrev.Data, z, k, kh, c, out.Data, up)
 	if t.grad {
 		if len(g.Wz.Grad) != len(g.Wz.Data) {
-			panic("ad: GRUStep on a training tape without bound gradients (see BindGrads)")
+			panic("ad: GRUStepAt on a training tape without bound gradients (see BindGrads)")
 		}
 		out.op, out.a, out.b, out.aux, out.gru = opGRUStep, x, hPrev, aux, g
 	}
 	return t.record(out)
 }
 
-// gruBackward is the hand-written adjoint of GRUStep, less the six weight
+// gruBackward is the hand-written adjoint of GRUStepAt, less the six weight
 // gradients. The composed chain accumulates gradients per memory location in
 // a fixed order as Backward walks its ~28 nodes in reverse; this function
 // performs the identical per-location accumulation sequence — hPrev.Grad
@@ -174,7 +171,7 @@ func (t *Tape) flushGRU() {
 // checkFused panics if one of g's parameters is also on the tape as a Use
 // node: the flush reorders a cell's weight gradients against anything else
 // that adds to the same Grad during Backward, and a cell whose parameters
-// only GRUStep touches has no such other.
+// only GRUStepAt touches has no such other.
 func (t *Tape) checkFused(g *GRUParams) {
 	for _, v := range t.nodes {
 		if v.op != opUse || len(v.Grad) == 0 {
@@ -182,7 +179,7 @@ func (t *Tape) checkFused(g *GRUParams) {
 		}
 		for _, p := range [...]*Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh} {
 			if len(p.Grad) > 0 && &p.Grad[0] == &v.Grad[0] {
-				panic(fmt.Sprintf("ad: parameter %s is used by GRUStep and through Use on one tape; its gradient would not be the composed chain's", p.Name))
+				panic(fmt.Sprintf("ad: parameter %s is used by GRUStepAt and through Use on one tape; its gradient would not be the composed chain's", p.Name))
 			}
 		}
 	}

@@ -17,12 +17,11 @@ func Dot(row, x []float64) float64 { return dot(row, x) }
 func Logistic(x float64) float64 { return stableSigmoid(x) }
 
 // Panels is a trajectory's transposed copy of its cell's three U matrices,
-// the operand the AVX2 row kernels read with plain loads instead of gathering
-// each 4×4 block of U afresh at every step. It is filled as a side effect of
-// a trajectory's first Step, from the columns that step gathers anyway, and
-// read by every later one. A Panels serves one cell between Resets; nothing
-// outlives the trajectory, so nothing needs invalidating. Only the AVX2 rungs
-// use it: the Go loops and the hidden%4 rows read U where it lies.
+// which the AVX2 row kernels read with plain loads instead of gathering each
+// 4×4 block of U at every step: the trajectory's first step (Step or
+// Tape.GRUStepAt) fills it from the columns it gathers anyway. A Panels
+// serves one cell between Resets, while U does not change. The Go loops and
+// the hidden%4 rows read U where it lies.
 type Panels struct {
 	buf    []float64 // Uz's panels, then Uk's, then Uh's, each hidden² floats
 	packed bool      // an earlier Step filled buf
@@ -44,21 +43,17 @@ func (p *Panels) Reset(hidden int) {
 	}
 }
 
-// Step advances the cell one time step without a tape, from input products
-// formed for a whole series at once: wx holds Wz·x, Wk·x and Wh·x, gate after
-// gate, each row stride floats long with step t's product at column t (the
-// layout WindowDots writes). It runs the same forward body as the tape's
-// GRUStep, so the hidden trajectory is bit-identical to the eval-tape
-// recurrence. hOut must not alias hPrev; scratch needs three times the hidden
-// width and is clobbered. up, when not nil, is the trajectory's Panels: the
-// first Step after its Reset packs U into it, later ones read it.
+// Step advances the cell one time step without a tape: Tape.GRUStepAt's
+// forward body on the same operands, so the trajectory is bit-identical to
+// the tape's. hOut must not alias hPrev; scratch needs three times the hidden
+// width and is clobbered.
 func (g *GRUParams) Step(wx []float64, stride, t int, hPrev, hOut, scratch []float64, up *Panels) {
 	hid := g.Wz.Rows
 	// The candidate is written into hOut and blended in place.
 	g.forward(wx, stride, t, hPrev, scratch[:hid], scratch[hid:2*hid], scratch[2*hid:3*hid], hOut, hOut, up)
 }
 
-// forward is the one GRU forward body, shared by Step and Tape.GRUStep:
+// forward is the one GRU forward body, shared by Step and Tape.GRUStepAt:
 //
 //	z = σ(Wz·x + Uz·h + bz)
 //	k = σ(Wk·x + Uk·h + bk)
@@ -70,7 +65,8 @@ func (g *GRUParams) Step(wx []float64, stride, t int, hPrev, hOut, scratch []flo
 // the tape retains for its backward pass) and writes h' to out. Every float64
 // operation and its order match the primitive MatVec/Add/Mul/Sigmoid/Tanh
 // chain, whichever copy of U the products read. out may alias c; nothing else
-// may alias. up is Step's; the tape passes nil.
+// may alias. up is the trajectory's Panels, or nil to read U where it lies on
+// the Go loops.
 func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out []float64, up *Panels) {
 	hid := g.Wz.Rows
 	h = h[:hid]
@@ -97,6 +93,27 @@ func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out [
 		oc := (1 - z[i]) * c[i]
 		out[i] = zh + oc
 	}
+}
+
+// InputProducts writes a block's input products Wz·x, Wk·x and Wh·x, gate
+// after gate, hidden rows of tp floats, to wx for the windows of xT (In rows
+// of tp, time-minor; see WindowDots), each gated first, x̃[k] = gate[k]·x[k]
+// (the mask's σ(m) ⊙ x), into xm when gate is not empty; xm may be xT. It
+// returns the input the products read.
+func (g *GRUParams) InputProducts(wx, xm, xT, gate []float64, tp int) []float64 {
+	hid, in := g.Wz.Rows, g.Wz.Cols
+	if len(gate) > 0 {
+		for k, m := range gate[:in] {
+			for t, x := range xT[k*tp : (k+1)*tp] {
+				xm[k*tp+t] = m * x
+			}
+		}
+		xT = xm[:in*tp]
+	}
+	for i, w := range [...]*Param{g.Wz, g.Wk, g.Wh} {
+		WindowDots(wx[i*hid*tp:], w.Data, xT, hid, in, tp)
+	}
+	return xT
 }
 
 // gatePre writes a gate's pre-activation dst[i] = (wx[i*stride] + U[i]·h) +

@@ -46,59 +46,78 @@ func setImpl(tb testing.TB, impl string) {
 // TestGRUKernelMatchesTapeStep drives the tape-free kernel and the fused
 // tape op through the same multi-step recurrence and requires bit-identical
 // hidden states at every step — the contract the inference engine's
-// snapshot path is built on — once per kernel implementation, with and
-// without Panels, each against the trajectory the tape records on the Go
-// loops. The widths walk the row
-// ladder (4 = one four-row panel, 5, 6, 7 = a panel plus 1, 2, 3 rows,
-// 37 = 2×16 + 4 + 1) and the paper's 128.
+// snapshot path is built on — once per kernel implementation, each against
+// the trajectory one-window tape steps (GRUStep, arena_test.go) record on
+// the Go loops. The kernel runs with and without Panels; the tape also runs
+// as a shipped trajectory does (GRUStepAt), from a block's gated input
+// products and its own panels. Eleven steps leave padding lanes in the
+// block. The widths walk the row ladder (4 = one four-row panel, 5, 6, 7 = a panel plus 1, 2, 3 rows,
+// 20 = 16 + 4, 37 = 2×16 + 4 + 1) and the paper's 128.
 func TestGRUKernelMatchesTapeStep(t *testing.T) {
-	for _, hid := range []int{4, 5, 6, 7, 37, 128} {
+	for _, hid := range []int{4, 5, 6, 7, 20, 37, 128} {
 		t.Run(fmt.Sprintf("hidden=%d", hid), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			in := 9
 			p := newTestGRU(in, hid, rng)
 
-			const steps = 12
-			xs := make([][]float64, steps)
-			for i := range xs {
-				xs[i] = make([]float64, in)
-				for j := range xs[i] {
-					xs[i][j] = rng.NormFloat64()
+			const steps, tp = 11, 12
+			gate := fillAt(in, 0, rng, nil, 0)
+			xs := make([][]float64, steps) // the gated inputs, gate[k]·x[k]
+			xT := make([]float64, in*tp)   // the raw inputs, time-minor
+			for s := range xs {
+				xs[s] = make([]float64, in)
+				for k := range xs[s] {
+					xT[k*tp+s] = rng.NormFloat64()
+					xs[s][k] = gate[k] * xT[k*tp+s]
 				}
 			}
-			tapeRun := func() [][]float64 {
+			tapeRun := func(block bool) [][]float64 {
 				tape := NewEvalTape()
+				var wx []float64
+				var up Panels
+				if block {
+					wx = make([]float64, 3*hid*tp)
+					p.InputProducts(wx, make([]float64, in*tp), xT, gate, tp)
+					up.Reset(hid)
+				}
 				h := make([]float64, hid)
 				out := make([][]float64, steps)
 				for s, x := range xs {
-					copy(h, tape.GRUStep(p, tape.Const(x), tape.Const(h)).Data)
+					if block {
+						copy(h, tape.GRUStepAt(p, tape.Const(x), tape.Const(h), wx, tp, s, &up).Data)
+					} else {
+						copy(h, tape.GRUStep(p, tape.Const(x), tape.Const(h)).Data)
+					}
 					tape.Reset()
 					out[s] = append([]float64(nil), h...)
 				}
 				return out
 			}
 			setImpl(t, "go")
-			want := tapeRun()
+			want := tapeRun(false)
 
 			for _, impl := range impls() {
 				t.Run(impl, func(t *testing.T) {
 					setImpl(t, impl)
-					tapeH := tapeRun()
-					// The kernel steps from the input products of all twelve
-					// windows, formed at once with windows in the lanes; the
-					// tape forms its own, a step at a time.
-					xT := make([]float64, in*steps)
-					for s, x := range xs {
-						for k, v := range x {
-							xT[k*steps+s] = v
+					check := func(what string, s int, got []float64) {
+						t.Helper()
+						for i := range want[s] {
+							if w := math.Float64bits(want[s][i]); math.Float64bits(got[i]) != w {
+								t.Fatalf("%s: step %d: h[%d] diverged: go tape %x, %s %x", what, s, i, w, impl, math.Float64bits(got[i]))
+							}
 						}
 					}
-					wx := make([]float64, 3*hid*steps)
-					for g, w := range []*Param{p.Wz, p.Wk, p.Wh} {
-						WindowDots(wx[g*hid*steps:], w.Data, xT, hid, in, steps)
+					for s, h := range tapeRun(false) {
+						check("lone-step tape", s, h)
 					}
-					// Without panels every step reads U where it lies; with
-					// them the first step packs U and the other eleven read it.
+					for s, h := range tapeRun(true) {
+						check("block tape", s, h)
+					}
+					// The kernel steps from the same block's products; without
+					// panels every step reads U where it lies, with them the
+					// first step packs U and the other ten read it.
+					wx := make([]float64, 3*hid*tp)
+					p.InputProducts(wx, make([]float64, in*tp), xT, gate, tp)
 					for _, up := range []*Panels{nil, new(Panels)} {
 						if up != nil {
 							up.Reset(hid)
@@ -107,14 +126,110 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 						kernNext := make([]float64, hid)
 						scratch := make([]float64, 3*hid)
 						for s := range xs {
-							p.Step(wx, steps, s, kernH, kernNext, scratch, up)
+							p.Step(wx, tp, s, kernH, kernNext, scratch, up)
 							kernH, kernNext = kernNext, kernH
-							for i := range want[s] {
-								w := math.Float64bits(want[s][i])
-								if math.Float64bits(tapeH[s][i]) != w || math.Float64bits(kernH[i]) != w {
-									t.Fatalf("panels %t: step %d: h[%d] diverged: go tape %x, %s tape %x kernel %x", up != nil, s, i,
-										w, impl, math.Float64bits(tapeH[s][i]), math.Float64bits(kernH[i]))
-								}
+							check(fmt.Sprintf("kernel, panels %t", up != nil), s, kernH)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestChunkStepMatchesChain holds a training chunk's steps (GRUStepAt, on a
+// block's input products and panels packed by the chunk's first step) to the
+// chain of primitive ops the fused op replaces, over two chunks of 11 and 6
+// windows with a parameter update between them — what the second chunk's
+// products and panels must see: the final state, every input's and every
+// parameter's gradient, bit for bit, once per kernel implementation, against
+// the chain on the Go loops.
+func TestChunkStepMatchesChain(t *testing.T) {
+	const in = 5
+	chunks := []int{11, 6}
+	for _, hid := range []int{7, 20, 128} {
+		t.Run(fmt.Sprintf("hidden=%d", hid), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			g := newTestGRU(in, hid, rng)
+			params := []*Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh}
+			var start [][]float64
+			for _, p := range params {
+				start = append(start, append([]float64(nil), p.Data...))
+			}
+			xs := make([][]float64, 17)
+			for i := range xs {
+				xs[i] = fillAt(in, 0, rng, nil, 0)
+			}
+			tgt := fillAt(hid, 0, rng, nil, 0)
+			chain := func(t *Tape, x, h *Value) *Value {
+				gate := func(w, u, b *Param, h *Value) *Value {
+					return t.Add(t.Add(t.MatVec(t.Use(w), x), t.MatVec(t.Use(u), h)), t.Use(b))
+				}
+				z := t.Sigmoid(gate(g.Wz, g.Uz, g.Bz, h))
+				k := t.Sigmoid(gate(g.Wk, g.Uk, g.Bk, h))
+				c := t.Tanh(gate(g.Wh, g.Uh, g.Bh, t.Mul(k, h)))
+				return t.Add(t.Mul(z, h), t.Mul(t.OneMinus(z), c))
+			}
+			run := func(block bool) []float64 {
+				for i, p := range params {
+					copy(p.Data, start[i])
+				}
+				var out []float64
+				var up Panels
+				from := 0
+				for _, n := range chunks {
+					rows := xs[from : from+n]
+					from += n
+					tp := (n + 3) &^ 3
+					wx := make([]float64, 3*hid*tp)
+					if block {
+						xT := make([]float64, in*tp)
+						for s, x := range rows {
+							for k, v := range x {
+								xT[k*tp+s] = v
+							}
+						}
+						g.InputProducts(wx, nil, xT, nil, tp)
+						up.Reset(hid)
+					}
+					for _, p := range params {
+						p.ZeroGrad()
+					}
+					tape := NewTape()
+					h := tape.Const(make([]float64, hid))
+					var xv, losses []*Value
+					for s, x := range rows {
+						xv = append(xv, tape.Const(x))
+						if block {
+							h = tape.GRUStepAt(g, xv[s], h, wx, tp, s, &up)
+						} else {
+							h = chain(tape, xv[s], h)
+						}
+						losses = append(losses, tape.SquaredError(h, tgt))
+					}
+					tape.Backward(tape.ScaleConst(tape.SumScalars(losses...), 1/float64(n)))
+					out = append(out, h.Data...)
+					for _, v := range xv {
+						out = append(out, v.Grad...)
+					}
+					for _, p := range params {
+						out = append(out, p.Grad...)
+						for i, gr := range p.Grad {
+							p.Data[i] -= 0.1 * gr
+						}
+					}
+				}
+				return out
+			}
+			setImpl(t, "go")
+			want := run(false)
+			for _, impl := range impls() {
+				t.Run(impl, func(t *testing.T) {
+					setImpl(t, impl)
+					for _, block := range []bool{false, true} {
+						for i, v := range run(block) {
+							if math.Float64bits(v) != math.Float64bits(want[i]) {
+								t.Fatalf("block %t: value %d: %x, want %x", block, i, math.Float64bits(v), math.Float64bits(want[i]))
 							}
 						}
 					}
@@ -226,9 +341,10 @@ func fillAt(n, off int, rng *rand.Rand, vals []float64, oneIn int) []float64 {
 	return v
 }
 
-// checkRowKernels holds matVec, gatePre and — for each series length in
-// windows — WindowDots, on the selected implementation, to a plain per-row dot
-// loop, bit for bit.
+// checkRowKernels holds matVec (the Go loops), packedMatVec's pack and
+// packed passes (the AVX2 row kernels where they are selected), gatePre on
+// either and — for each series length in windows — WindowDots, on the
+// selected implementation, to a plain per-row dot loop, bit for bit.
 func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []float64, oneIn int, windows ...int) {
 	t.Helper()
 	w := fillAt(rows*cols, off, rng, vals, oneIn)
@@ -247,17 +363,25 @@ func checkRowKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []f
 	}
 	checkPanels(t, got, w, x, rows, cols, off, rng)
 	// The input product reaches gatePre as a strided column of a series'
-	// products: here every third float of wx.
+	// products: here every third float of wx. U·h goes through the Go loops
+	// without a panel, and through the pack and then the packed rungs with
+	// one.
 	wx := fillAt(3*rows, off+2, rng, nil, 0)
 	for i := 0; i < rows; i++ {
 		wx[3*i] = dot(w[i*cols:(i+1)*cols], x)
 	}
-	gatePre(got, wx, 3, u, h, b, nil, false)
-	for i := range got {
-		want := (dot(w[i*cols:(i+1)*cols], x) + dot(u[i*rows:(i+1)*rows], h)) + b[i]
-		if !sameFloat(got[i], want) {
-			t.Fatalf("%s gatePre %dx%d+%d row %d: %x, want %x", KernelImpl(), rows, cols, off, i,
-				math.Float64bits(got[i]), math.Float64bits(want))
+	panel := make([]float64, off+rows*rows)[off:]
+	for pass, p := range []struct {
+		panel  []float64
+		packed bool
+	}{{nil, false}, {panel, false}, {panel, true}} {
+		gatePre(got, wx, 3, u, h, b, p.panel, p.packed)
+		for i := range got {
+			want := (dot(w[i*cols:(i+1)*cols], x) + dot(u[i*rows:(i+1)*rows], h)) + b[i]
+			if !sameFloat(got[i], want) {
+				t.Fatalf("%s gatePre pass %d %dx%d+%d row %d: %x, want %x", KernelImpl(), pass, rows, cols, off, i,
+					math.Float64bits(got[i]), math.Float64bits(want))
+			}
 		}
 	}
 
@@ -404,9 +528,9 @@ func checkPanels(t *testing.T, got, w, x []float64, rows, cols, off int, rng *ra
 
 // TestMatVecMatchesRowDots is the independent oracle for the row kernels:
 // engine-vs-tape and fused-vs-reference comparisons run the same kernel on
-// both sides, so this one pins matVec, gatePre and WindowDots to a plain
-// per-row dot loop, bit for bit, on every implementation: across every rung
-// of the row ladder and its remainders, column counts on both sides of the
+// both sides, so this one pins matVec, the pack/packed pair, gatePre and
+// WindowDots to a plain per-row dot loop, bit for bit, on every
+// implementation: across every rung of the row ladder and its remainders, column counts on both sides of the
 // assembly's four-column block (and none at all, which must stay in Go),
 // series that fill one, two and three lane groups, leave padding lanes (1, 3,
 // 5, 6, 13) or take more than one pass of three groups (13, 48), operands
@@ -522,33 +646,26 @@ var benchSink float64
 // step is — on each implementation, at the widths the repo benchmark runs:
 // social at the paper's width (67 features, 128 hidden), the generated
 // 150-component topology (257 features, 16 hidden) and the toy fixture. The
-// avx2-packed rows are a trajectory's steps after its first: U read from
-// packed panels (Panels).
+// steps are a trajectory's after its first: U read from packed panels
+// (Panels) on the AVX2 kernels, where it lies on the Go loops.
 func BenchmarkGRUKernelStep(b *testing.B) {
-	names := impls()
-	if haveAVX2() {
-		names = append(names, "avx2-packed")
-	}
 	for _, dim := range []struct{ in, hid int }{{67, 128}, {257, 16}, {9, 4}} {
-		for _, impl := range names {
+		for _, impl := range impls() {
 			b.Run(fmt.Sprintf("%dx%d/%s", dim.in, dim.hid, impl), func(b *testing.B) {
-				setImpl(b, strings.TrimSuffix(impl, "-packed"))
+				setImpl(b, impl)
 				rng := rand.New(rand.NewSource(1))
 				k := newTestGRU(dim.in, dim.hid, rng)
 				wx := fillAt(3*dim.hid, 0, rng, nil, 0)
 				h := make([]float64, dim.hid)
 				next := make([]float64, dim.hid)
 				scratch := make([]float64, 3*dim.hid)
-				var up *Panels
-				if impl == "avx2-packed" {
-					up = new(Panels)
-					up.Reset(dim.hid)
-					k.Step(wx, 1, 0, h, next, scratch, up)
-				}
+				var up Panels
+				up.Reset(dim.hid)
+				k.Step(wx, 1, 0, h, next, scratch, &up)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					k.Step(wx, 1, 0, h, next, scratch, up)
+					k.Step(wx, 1, 0, h, next, scratch, &up)
 					h, next = next, h
 				}
 				benchSink = h[0]

@@ -6,12 +6,6 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func rowDots16AVX2(dst, w, x *float64, cols int)
-
-//go:noescape
-func rowDots4AVX2(dst, w, x *float64, cols int)
-
-//go:noescape
 func rowDots16PackAVX2(dst, w, x *float64, cols int, panel *float64)
 
 //go:noescape

@@ -39,7 +39,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // which unlike a full-width permute does not need the shuffle port) and
 // interleaves them so that Y12..Y15 are the block's columns — lane r of Y12
 // is row r's element j. MACC4 adds the four columns' products to ACC in
-// ascending column order; BLOCK4 is the two.
+// ascending column order.
 #define GATHER4(P) \
 	VMOVUPD (P), X8; \
 	VMOVUPD (P)(R8*1), X9; \
@@ -65,11 +65,9 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VADDPD Y14, ACC, ACC; \
 	VADDPD Y15, ACC, ACC
 
-#define BLOCK4(P, ACC) GATHER4(P); MACC4(ACC)
-
 // GATHER1 gathers one column of the four rows starting at P (the cols%4
 // tail) into Y8, element by element; MACC1 adds its product with x[j], in
-// Y4, to ACC; COL1 is the two.
+// Y4, to ACC.
 #define GATHER1(P) \
 	VMOVSD (P), X8; \
 	VMOVSD (P)(R8*2), X9; \
@@ -82,12 +80,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMULPD Y4, Y8, Y8; \
 	VADDPD Y8, ACC, ACC
 
-#define COL1(P, ACC) GATHER1(P); MACC1(ACC)
-
 // Panels. A row kernel's gathered columns are a transposed copy of its rows:
-// the pack variants store them, as they form, to a panel at SI, and the
-// packed variants read them back from there with plain loads instead of
-// gathering. A panel of 4g rows (g = 4 or 1) holds, per block of four
+// the pack kernels store them, as they form, to a panel at SI, and the
+// packed kernels read them back from there with plain loads instead of
+// gathering. There is no gather-only kernel: every caller has a panel. A panel of 4g rows (g = 4 or 1) holds, per block of four
 // columns, the g groups' Y12..Y15 in turn, then per tail column the g
 // groups' Y8 in turn — 4g·cols floats, the size of the rows it copies.
 #define STORE4 \
@@ -146,49 +142,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMOVUPD Y3, 96(DI); \
 	VZEROUPPER
 
-// func rowDots16AVX2(dst, w, x *float64, cols int)
-//
-// dst[r] = dot(w[r*cols:(r+1)*cols], x[:cols]) for r in [0,16): four
-// accumulators of four rows each, so four add chains are in flight.
-TEXT ·rowDots16AVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ w+8(FP), R10
-	MOVQ x+16(FP), DX
-	MOVQ cols+24(FP), CX
-	ROWS16
-	JZ   tail16
-
-block16:
-	BROADCAST4
-	BLOCK4(R10, Y0)
-	BLOCK4(R11, Y1)
-	BLOCK4(R12, Y2)
-	BLOCK4(R13, Y3)
-	ADDQ $32, DX
-	DECQ AX
-	JNZ  block16
-
-tail16:
-	ANDQ $3, CX
-	JZ   done16
-
-col16:
-	VBROADCASTSD (DX), Y4
-	COL1(R10, Y0)
-	COL1(R11, Y1)
-	COL1(R12, Y2)
-	COL1(R13, Y3)
-	ADDQ $8, DX
-	DECQ CX
-	JNZ  col16
-
-done16:
-	END16
-	RET
-
 // func rowDots16PackAVX2(dst, w, x *float64, cols int, panel *float64)
 //
-// rowDots16AVX2, storing the sixteen rows' panel to panel as it goes.
+// dst[r] = dot(w[r*cols:(r+1)*cols], x[:cols]) for r in [0,16), storing the
+// sixteen rows' panel to panel as it goes: four accumulators of four rows
+// each, so four add chains are in flight.
 TEXT ·rowDots16PackAVX2(SB), NOSPLIT, $0-40
 	MOVQ panel+32(FP), SI
 	MOVQ dst+0(FP), DI
@@ -244,7 +202,7 @@ pdone16:
 
 // func rowDots16PackedAVX2(dst, w, x *float64, cols int)
 //
-// rowDots16AVX2 over the panel rowDots16PackAVX2 stored, which w points at.
+// The same sums over the panel rowDots16PackAVX2 stored, which w points at.
 TEXT ·rowDots16PackedAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ w+8(FP), R10
@@ -290,43 +248,9 @@ qdone16:
 	END16
 	RET
 
-// func rowDots4AVX2(dst, w, x *float64, cols int)
-//
-// The four-row tail of rowDots16AVX2: one accumulator.
-TEXT ·rowDots4AVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ w+8(FP), R10
-	MOVQ x+16(FP), DX
-	MOVQ cols+24(FP), CX
-	ROWS4
-	JZ   tail4
-
-block4:
-	BROADCAST4
-	BLOCK4(R10, Y0)
-	ADDQ $32, DX
-	DECQ AX
-	JNZ  block4
-
-tail4:
-	ANDQ $3, CX
-	JZ   done4
-
-col4:
-	VBROADCASTSD (DX), Y4
-	COL1(R10, Y0)
-	ADDQ $8, DX
-	DECQ CX
-	JNZ  col4
-
-done4:
-	VMOVUPD Y0, (DI)
-	VZEROUPPER
-	RET
-
 // func rowDots4PackAVX2(dst, w, x *float64, cols int, panel *float64)
 //
-// rowDots4AVX2, storing the four rows' panel to panel as it goes.
+// The four-row tail of rowDots16PackAVX2: one accumulator.
 TEXT ·rowDots4PackAVX2(SB), NOSPLIT, $0-40
 	MOVQ panel+32(FP), SI
 	MOVQ dst+0(FP), DI
@@ -365,7 +289,7 @@ pdone4:
 
 // func rowDots4PackedAVX2(dst, w, x *float64, cols int)
 //
-// rowDots4AVX2 over the panel rowDots4PackAVX2 stored, which w points at.
+// The same sums over the panel rowDots4PackAVX2 stored, which w points at.
 TEXT ·rowDots4PackedAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ w+8(FP), R10

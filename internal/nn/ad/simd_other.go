@@ -7,8 +7,6 @@ func haveFMA() bool  { return false }
 
 // The AVX2 entry points exist only on amd64; useAVX2 is never true here.
 
-func rowDots16AVX2(dst, w, x *float64, cols int) { panic("ad: no AVX2 kernels on this platform") }
-func rowDots4AVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kernels on this platform") }
 func rowDots16PackAVX2(dst, w, x *float64, cols int, panel *float64) {
 	panic("ad: no AVX2 kernels on this platform")
 }

@@ -9,6 +9,16 @@ import (
 	"repro/internal/nn/ad"
 )
 
+// Step records g's step from x and hPrev on t as a trajectory of one window:
+// a GRUBlock of its own, formed and with its panels reset here, as the
+// shipped trajectories do a block of windows at a time.
+func (g *GRUCell) Step(t *ad.Tape, x, hPrev *ad.Value) *ad.Value {
+	var b GRUBlock
+	b.Panels.Reset(g.Hidden)
+	b.Form(g, nil, [][]float64{x.Data})
+	return b.Step(t, g, 0, x, hPrev)
+}
+
 // TestFusedStepMatchesReference drives Step and StepReference through an
 // identical multi-step forward+backward round and compares outputs and
 // parameter gradients. On amd64 (no FMA contraction by the Go compiler)
@@ -105,5 +115,74 @@ func TestFusedStepNodeCount(t *testing.T) {
 	}
 	if n := count(g.StepReference); n < 5*count(g.Step) {
 		t.Errorf("reference chain records %d nodes; expected at least 5x the fused kernel", n)
+	}
+}
+
+// TestGRUBlockMatchesReference drives a GRUBlock — a masked trajectory's
+// input products formed a block of five windows at a time (blocks of 5, 5
+// and 1), U packed into panels by the first step — and StepReference through
+// the same eleven windows behind the same API mask, forward and backward, and
+// requires the final state and every gradient, the mask's included, to match
+// as TestFusedStepMatchesReference does.
+func TestGRUBlockMatchesReference(t *testing.T) {
+	for _, hid := range []int{7, 20, 128} {
+		const in, steps, block = 6, 11, 5
+		rng := rand.New(rand.NewSource(int64(hid)))
+		g := NewGRUCell("block", in, hid, rng)
+		mask := NewAPIMask("block", in)
+		for i := range mask.M.Data {
+			mask.M.Data[i] = rng.NormFloat64()
+		}
+		params := append(g.Params(), mask.Params()...)
+		ad.BindGrads(nil, params)
+		rows := make([][]float64, steps)
+		for i := range rows {
+			rows[i] = make([]float64, in)
+			for j := range rows[i] {
+				rows[i][j] = rng.NormFloat64()
+			}
+		}
+		tgt := make([]float64, hid)
+		for i := range tgt {
+			tgt[i] = rng.NormFloat64()
+		}
+		run := func(useBlock bool) (out []float64) {
+			for _, p := range params {
+				p.ZeroGrad()
+			}
+			var blk GRUBlock
+			blk.Panels.Reset(hid)
+			tape := ad.NewTape()
+			h := tape.Const(make([]float64, hid))
+			var losses []*ad.Value
+			for i, row := range rows {
+				x := mask.Apply(tape, tape.Const(row))
+				if useBlock {
+					if i%block == 0 {
+						blk.Form(g, mask, rows[i:min(i+block, len(rows))])
+					}
+					h = blk.Step(tape, g, i%block, x, h)
+				} else {
+					h = g.StepReference(tape, x, h)
+				}
+				losses = append(losses, tape.SquaredError(h, tgt))
+			}
+			tape.Backward(tape.ScaleConst(tape.SumScalars(losses...), 1.0/steps))
+			out = append(out, h.Data...)
+			for _, p := range params {
+				out = append(out, p.Grad...)
+			}
+			return out
+		}
+		ref, got := run(false), run(true)
+		for i := range ref {
+			if runtime.GOARCH == "amd64" {
+				if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("hidden %d: value %d: reference %x, block %x", hid, i, math.Float64bits(ref[i]), math.Float64bits(got[i]))
+				}
+			} else if diff := math.Abs(ref[i] - got[i]); diff > 1e-12*(1+math.Abs(ref[i])) {
+				t.Fatalf("hidden %d: value %d: reference %v, block %v", hid, i, ref[i], got[i])
+			}
+		}
 	}
 }

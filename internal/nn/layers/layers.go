@@ -6,6 +6,7 @@ package layers
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/nn/ad"
 )
@@ -76,7 +77,7 @@ type GRUCell struct {
 	In, Hidden int
 	// Gate parameters: W· act on the input, U· on the previous state,
 	// B· are biases. The embedded bundle is what the fused tape op
-	// (ad.GRUStep) and the tape-free step (GRUParams.Step) both read.
+	// (ad.GRUStepAt) and the tape-free step (GRUParams.Step) both read.
 	ad.GRUParams
 }
 
@@ -111,15 +112,49 @@ func (g *GRUCell) Params() []*ad.Param {
 	return []*ad.Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh}
 }
 
-// Step advances the cell one time step on the tape: given input x̃_t and the
-// previous hidden state h_{t−1}, it returns h_t. It records a single fused
-// tape op; StepReference is the equivalent primitive-op chain.
-func (g *GRUCell) Step(t *ad.Tape, x, hPrev *ad.Value) *ad.Value {
-	return t.GRUStep(&g.GRUParams, x, hPrev)
+// GRUBlock holds a GRU trajectory's step operands on the tape: the input
+// products of a block of its windows (ad.GRUParams.InputProducts) and U's
+// panels, which the caller Resets at the trajectory's start and after each
+// optimizer step.
+type GRUBlock struct {
+	xT, gate, wx []float64
+	tp           int // the block's length padded to WindowDots' lanes
+	Panels       ad.Panels
 }
 
-// StepReference is the original composition of Step from primitive tape
-// ops. It computes the same mathematics as Step node by node and exists as
+// Form forms g's input products for the block of windows rows under its
+// current weights, each window gated by σ(m) first when mask is not nil, as
+// APIMask.Apply gates it. The weights must not change before the block's
+// last Step.
+func (b *GRUBlock) Form(g *GRUCell, mask *APIMask, rows [][]float64) {
+	b.tp = (len(rows) + 3) &^ 3
+	b.xT = slices.Grow(b.xT[:0], g.In*b.tp)[:g.In*b.tp]
+	b.wx = slices.Grow(b.wx[:0], 3*g.Hidden*b.tp)[:3*g.Hidden*b.tp]
+	clear(b.xT)
+	for t, row := range rows {
+		for k, v := range row[:g.In] {
+			b.xT[k*b.tp+t] = v
+		}
+	}
+	b.gate = b.gate[:0]
+	if mask != nil {
+		for _, m := range mask.M.Data {
+			b.gate = append(b.gate, ad.Logistic(m))
+		}
+	}
+	g.InputProducts(b.wx, b.xT, b.xT, b.gate, b.tp)
+}
+
+// Step records g's step on t for window col of the block from x, the tape's
+// copy of that window's (gated) input, and hPrev, and returns h_t. It
+// records a single fused tape op; StepReference is the equivalent
+// primitive-op chain.
+func (b *GRUBlock) Step(t *ad.Tape, g *GRUCell, col int, x, hPrev *ad.Value) *ad.Value {
+	return t.GRUStepAt(&g.GRUParams, x, hPrev, b.wx, b.tp, col, &b.Panels)
+}
+
+// StepReference is the original composition of a step (GRUBlock.Step) from
+// primitive tape ops. It computes the same mathematics node by node and exists as
 // the readable specification the fused kernel is tested against
 // (bit-identical values and gradients).
 func (g *GRUCell) StepReference(t *ad.Tape, x, hPrev *ad.Value) *ad.Value {
