@@ -272,9 +272,9 @@ func renameOps(s *trace.Span, sfx string) {
 }
 
 // BenchmarkTrainParallelism compares serial and pooled per-expert training
-// (Config.Parallelism) over the full multi-expert toy model. Experts train
-// from per-expert deterministic seeds, so the worker count changes only the
-// wall-clock, never the resulting model (see
+// over the full multi-expert toy model: the pool has GOMAXPROCS workers.
+// Experts train from per-expert deterministic seeds, so the worker count
+// changes only the wall-clock, never the resulting model (see
 // estimator.TestTrainParallelismDeterministic).
 func BenchmarkTrainParallelism(b *testing.B) {
 	run := toyTelemetry(b, 2)
@@ -282,10 +282,11 @@ func BenchmarkTrainParallelism(b *testing.B) {
 	if pooled < 2 {
 		pooled = 2 // still exercise the pool on single-core machines
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, pooled} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			runtime.GOMAXPROCS(workers)
 			cfg := benchCfg()
-			cfg.Parallelism = workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := estimator.Train(run.Windows, run.Usage, cfg); err != nil {

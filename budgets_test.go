@@ -13,9 +13,9 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22949 // non-test Go lines outside bench/
+	goLinesBudget          = 22614 // non-test Go lines outside bench/
 	designBytesBudget      = 40917
-	changesBytesBudget     = 31347
+	changesBytesBudget     = 27267
 	readmeBytesBudget      = 33715
 	experimentsBytesBudget = 23283
 )

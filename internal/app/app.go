@@ -13,7 +13,6 @@ package app
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -183,12 +182,6 @@ func Node(component, operation string, cost Cost, children ...*PathNode) *PathNo
 	return &PathNode{Component: component, Operation: operation, Cost: cost, Children: children}
 }
 
-// Call appends a child node and returns the receiver for chaining.
-func (n *PathNode) Call(child *PathNode) *PathNode {
-	n.Children = append(n.Children, child)
-	return n
-}
-
 // Template is one possible invocation tree of an API endpoint, weighted by
 // the probability a request follows it. Different payloads exercising
 // different business logic (e.g. a post with or without media) are modelled
@@ -241,24 +234,6 @@ func (s *Spec) API(name string) (API, bool) {
 		}
 	}
 	return API{}, false
-}
-
-// APINames returns the endpoint names in declaration order.
-func (s *Spec) APINames() []string {
-	out := make([]string, len(s.APIs))
-	for i, a := range s.APIs {
-		out[i] = a.Name
-	}
-	return out
-}
-
-// ComponentNames returns the component names in declaration order.
-func (s *Spec) ComponentNames() []string {
-	out := make([]string, len(s.Components))
-	for i, c := range s.Components {
-		out[i] = c.Name
-	}
-	return out
 }
 
 // ResourcePairs enumerates every (component, resource) pair the telemetry
@@ -408,27 +383,4 @@ func (c Cost) negative() (field string, v float64, bad bool) {
 // isFinite reports whether v is neither NaN nor infinite.
 func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// TouchedComponents returns the sorted set of components any template of the
-// API can visit. This is ground truth used only by tests and by evaluation
-// reports — never by the estimator.
-func (a API) TouchedComponents() []string {
-	set := make(map[string]bool)
-	var rec func(n *PathNode)
-	rec = func(n *PathNode) {
-		set[n.Component] = true
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	for _, t := range a.Templates {
-		rec(t.Root)
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -31,7 +31,7 @@ func TestMediaGroundTruth(t *testing.T) {
 	s := MediaMicroservices()
 	compose, _ := s.API("/composeReview")
 	readPage, _ := s.API("/readMoviePage")
-	if !contains(compose.TouchedComponents(), "ReviewMongoDB") {
+	if !touches(compose, "ReviewMongoDB") {
 		t.Error("/composeReview must write ReviewMongoDB")
 	}
 	// Reading pages must never write the review store.

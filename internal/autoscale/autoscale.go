@@ -130,10 +130,6 @@ func (pl *Planner) Next(peak float64) float64 {
 	return amount
 }
 
-// Last returns the most recent allocation decision (0 before the first
-// Next call).
-func (pl *Planner) Last() float64 { return pl.prev }
-
 func planSeries(series []float64, cfg Config) []Allocation {
 	var out []Allocation
 	pl := &Planner{cfg: cfg}

@@ -100,8 +100,8 @@ func TestPlannerIncrementalMatchesPlanSeries(t *testing.T) {
 		if want := AllocationAt(allocs, from); got != want {
 			t.Errorf("interval at %d: Planner %.3f, PlanSeries %.3f", from, got, want)
 		}
-		if pl.Last() != got {
-			t.Errorf("Last() = %v after Next() = %v", pl.Last(), got)
+		if pl.prev != got {
+			t.Errorf("prev = %v after Next() = %v", pl.prev, got)
 		}
 	}
 	if _, err := NewPlanner(Config{Headroom: -1}); err == nil {

@@ -73,6 +73,15 @@ func TrainAR(usage map[app.Pair][]float64, windowsPerDay int, cfg ARConfig) (*AR
 	return a, nil
 }
 
+// diff returns the first differences of series, from a zero first window.
+func diff(series []float64) []float64 {
+	out := make([]float64, len(series))
+	for i := 1; i < len(series); i++ {
+		out[i] = series[i] - series[i-1]
+	}
+	return out
+}
+
 // seasonalDiff returns d_t = y_t − y_{t−period} for t ≥ period.
 func seasonalDiff(y []float64, period int) []float64 {
 	out := make([]float64, len(y)-period)

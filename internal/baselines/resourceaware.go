@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+	"slices"
+	"strings"
 
 	"repro/internal/app"
+	"repro/internal/estimator"
 	"repro/internal/nn/ad"
 	"repro/internal/nn/layers"
-	"repro/internal/nn/opt"
 )
 
 // RAConfig configures the resource-aware deep-learning baseline.
@@ -27,8 +27,6 @@ type RAConfig struct {
 	ClipNorm float64
 	// Seed drives initialisation and shuffling.
 	Seed int64
-	// Parallelism bounds concurrent per-pair training; 0 = GOMAXPROCS.
-	Parallelism int
 }
 
 // DefaultRAConfig returns the configuration used by the experiment drivers.
@@ -39,14 +37,13 @@ func DefaultRAConfig() RAConfig {
 // raExpert forecasts one pair's utilization from its own history: the input
 // at step t is the (scaled) value one day earlier plus a time-of-day
 // encoding, so the model captures exactly the recurring daily patterns that
-// prior work relies on — and nothing about API traffic.
+// prior work relies on — and nothing about API traffic. Its targets are
+// scaled as DeepRest's experts' are.
 type raExpert struct {
-	cell  *layers.GRUCell
-	head  *layers.Dense
-	scale float64
-	delta bool
-	base  float64
-	wpd   int
+	cell *layers.GRUCell
+	head *layers.Dense
+	ts   *estimator.TargetScale
+	wpd  int
 	// scaled is the full scaled training series, kept to warm the hidden
 	// state and seed the first forecast day.
 	scaled []float64
@@ -55,140 +52,79 @@ type raExpert struct {
 // ResourceAware is the paper's "resrc-aware DL" baseline: per-pair
 // next-day forecasting from historical utilization.
 type ResourceAware struct {
-	cfg     RAConfig
-	wpd     int
 	experts map[app.Pair]*raExpert
 }
 
-// TrainResourceAware fits one forecaster per pair on the training series.
-// windowsPerDay sets the seasonal period.
+// TrainResourceAware fits one forecaster per pair on the training series,
+// with DeepRest's training loop, worker pool and target scaling, so the two
+// differ only in what they read. windowsPerDay sets the seasonal period.
 func TrainResourceAware(usage map[app.Pair][]float64, windowsPerDay int, cfg RAConfig) (*ResourceAware, error) {
 	if windowsPerDay <= 0 {
 		return nil, fmt.Errorf("baselines: windowsPerDay must be positive")
 	}
+	pairs := make([]app.Pair, 0, len(usage))
 	for p, series := range usage {
 		if len(series) < 2*windowsPerDay {
 			return nil, fmt.Errorf("baselines: %s has %d samples; need at least two days (%d)", p, len(series), 2*windowsPerDay)
 		}
-	}
-	r := &ResourceAware{cfg: cfg, wpd: windowsPerDay, experts: make(map[app.Pair]*raExpert, len(usage))}
-
-	pairs := make([]app.Pair, 0, len(usage))
-	for p := range usage {
 		pairs = append(pairs, p)
 	}
-	// Deterministic order for reproducible seeding.
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && pairs[j].String() < pairs[j-1].String(); j-- {
-			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
-		}
+	// Pair i draws from cfg.Seed+i, in name order.
+	slices.SortFunc(pairs, func(a, b app.Pair) int { return strings.Compare(a.String(), b.String()) })
+	experts := make([]*raExpert, len(pairs))
+	err := layers.ForEach(len(pairs), func(i int, ws *layers.Workspace) (err error) {
+		experts[i], err = trainRAExpert(ws, pairs[i], usage[pairs[i]], windowsPerDay, cfg, cfg.Seed+int64(i))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	r := &ResourceAware{experts: make(map[app.Pair]*raExpert, len(pairs))}
 	for i, p := range pairs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p app.Pair) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			e := trainRAExpert(p, usage[p], windowsPerDay, cfg, cfg.Seed+int64(i))
-			mu.Lock()
-			r.experts[p] = e
-			mu.Unlock()
-		}(i, p)
+		r.experts[p] = experts[i]
 	}
-	wg.Wait()
 	return r, nil
 }
 
-func trainRAExpert(p app.Pair, series []float64, wpd int, cfg RAConfig, seed int64) *raExpert {
-	e := &raExpert{delta: p.Resource == app.DiskUsage, scale: 1, wpd: wpd}
-	raw := series
-	if e.delta {
-		e.base = series[len(series)-1]
-		raw = diff(series)
-	}
-	max := 0.0
-	for _, v := range raw {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	if max > 0 {
-		e.scale = max
-	}
-	e.scaled = make([]float64, len(raw))
-	for i, v := range raw {
-		e.scaled[i] = v / e.scale
-	}
-
+// trainRAExpert fits p's forecaster on ws. Its generator draws the weights
+// first, then the chunk orders.
+func trainRAExpert(ws *layers.Workspace, p app.Pair, series []float64, wpd int, cfg RAConfig, seed int64) (*raExpert, error) {
+	ts := estimator.FitTargetScale(p, series)
+	e := &raExpert{ts: ts, wpd: wpd, scaled: ts.Scaled(series)}
 	rng := rand.New(rand.NewSource(seed))
 	e.cell = layers.NewGRUCell(p.String()+".ra", 3, cfg.Hidden, rng)
 	e.head = layers.NewDense(p.String()+".ra.head", cfg.Hidden, 1, rng)
-	params := append(e.cell.Params(), e.head.Params()...)
-	ad.BindGrads(nil, params)
-	defer ad.UnbindGrads(params)
-	optimizer := opt.NewAdam(params, cfg.LR)
-	optimizer.ClipNorm = cfg.ClipNorm
 
-	// Training steps: t in [wpd, len) — the input needs the value one
+	// Training windows are t in [wpd, len): the input needs the value one
 	// day earlier.
-	start := wpd
-	n := len(e.scaled) - start
-	nChunks := (n + cfg.ChunkLen - 1) / cfg.ChunkLen
-	order := make([]int, nChunks)
-	for i := range order {
-		order[i] = i
-	}
-	tape := ad.NewTape()
-	var blk layers.GRUBlock
 	zeroH := make([]float64, cfg.Hidden)
 	tgt := make([]float64, 1)
-	losses := make([]*ad.Value, 0, cfg.ChunkLen)
 	rows := make([][]float64, 0, cfg.ChunkLen)
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, ci := range order {
-			from := start + ci*cfg.ChunkLen
-			to := min(from+cfg.ChunkLen, len(e.scaled))
-			// A chunk is a block, formed under the weights the previous
-			// chunk's optimizer step left.
-			rows = rows[:0]
-			for t := from; t < to; t++ {
-				rows = append(rows, e.input(e.scaled, t))
+	var h *ad.Value
+	from := 0
+	err := ws.Train(append(e.cell.Params(), e.head.Params()...), rng, layers.Chunks{
+		Windows: len(e.scaled) - wpd, Len: cfg.ChunkLen, Epochs: cfg.Epochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
+		Loss: func(tape *ad.Tape, t int, first bool) *ad.Value {
+			t += wpd
+			if first {
+				// A chunk is a block, formed under the weights the previous
+				// chunk's Adam step left.
+				h, from, rows = tape.Const(zeroH), t, rows[:0]
+				for u := t; u < min(t+cfg.ChunkLen, len(e.scaled)); u++ {
+					rows = append(rows, e.input(e.scaled, u))
+				}
+				ws.Block.Panels.Reset(cfg.Hidden)
+				ws.Block.Form(e.cell, nil, rows)
 			}
-			blk.Panels.Reset(cfg.Hidden)
-			blk.Form(e.cell, nil, rows)
-			tape.Reset()
-			h := tape.Const(zeroH)
-			losses = losses[:0]
-			for j, row := range rows {
-				h = blk.Step(tape, e.cell, j, tape.Const(row), h)
-				y := e.head.Apply(tape, h)
-				tgt[0] = e.scaled[from+j]
-				losses = append(losses, tape.SquaredError(y, tgt))
-			}
-			total := tape.SumScalars(losses...)
-			mean := tape.ScaleConst(total, 1/float64(to-from))
-			tape.Backward(mean)
-			optimizer.Step()
-		}
+			h = ws.Block.Step(tape, e.cell, t-from, tape.Const(rows[t-from]), h)
+			tgt[0] = e.scaled[t]
+			return tape.SquaredError(e.head.Apply(tape, h), tgt)
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("baselines: %s: %w", p, err)
 	}
-	return e
-}
-
-func diff(series []float64) []float64 {
-	out := make([]float64, len(series))
-	for i := 1; i < len(series); i++ {
-		out[i] = series[i] - series[i-1]
-	}
-	return out
+	return e, nil
 }
 
 // input builds the input of window t from the history buf holds, the
@@ -216,8 +152,6 @@ func (e *raExpert) forecast(horizon int) []float64 {
 	}
 	n, end := len(e.scaled), len(e.scaled)+horizon
 	buf := append(make([]float64, 0, end), e.scaled...)
-	out := make([]float64, horizon)
-	acc := e.base
 	var blk layers.GRUBlock
 	blk.Panels.Reset(e.cell.Hidden)
 	rows := make([][]float64, 0, e.wpd)
@@ -232,24 +166,20 @@ func (e *raExpert) forecast(horizon int) []float64 {
 		for j, row := range rows {
 			h := blk.Step(tape, e.cell, j, tape.Const(row), tape.Const(hbuf))
 			copy(hbuf, h.Data)
-			if t := b0 + j; t >= n {
-				pred := e.head.Apply(tape, h).Data[0]
-				buf = append(buf, pred)
-				v := pred * e.scale
-				if e.delta {
-					acc += v
-					out[t-n] = acc
-				} else {
-					if v < 0 {
-						v = 0
-					}
-					out[t-n] = v
-				}
+			if b0+j >= n {
+				buf = append(buf, e.head.Apply(tape, h).Data[0])
 			}
 			tape.Reset()
 		}
 	}
-	return out
+	// The forecast is every quantile of its triple.
+	triples := make([][3]float64, horizon)
+	for i, v := range buf[n:] {
+		triples[i] = [3]float64{v, v, v}
+	}
+	var est estimator.Estimate
+	e.ts.DescaleInto(triples, &est)
+	return est.Exp
 }
 
 // Forecast returns the baseline's forecast for pair p over the next

@@ -120,9 +120,6 @@ func (s *Shallow) Predict(x [][]float64) []float64 {
 	return out
 }
 
-// Kind returns the hypothesis class.
-func (s *Shallow) Kind() ShallowKind { return s.kind }
-
 // topCorrelated returns the indices of the k features with the largest
 // absolute Pearson correlation with y.
 func topCorrelated(x [][]float64, y []float64, k int) []int {

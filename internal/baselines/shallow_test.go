@@ -31,7 +31,7 @@ func TestShallowLinearRecoversLinearTarget(t *testing.T) {
 	if mape := eval.MAPE(pred, y); mape > 1 {
 		t.Errorf("linear in-sample MAPE = %.3f%%", mape)
 	}
-	if s.Kind() != ShallowLinear {
+	if s.kind != ShallowLinear {
 		t.Error("Kind mismatch")
 	}
 }

@@ -97,20 +97,20 @@ func (e *Expert) maskedInput(t *ad.Tape, x []float64) *ad.Value {
 
 // formBlock forms e's step operands in the workspace for the block of
 // windows rows (layers.GRUBlock.Form, behind the mask when it is on).
-func (e *Expert) formBlock(ws *workspace, rows [][]float64) {
+func (e *Expert) formBlock(ws *layers.Workspace, rows [][]float64) {
 	var mask *layers.APIMask
 	if e.UseMask {
 		mask = e.Mask
 	}
-	ws.blk.Form(e.Cell, mask, rows)
+	ws.Block.Form(e.Cell, mask, rows)
 }
 
 // step records e's GRU step on t for window col of the workspace's block,
 // whose input is row, from state h, and returns the new state and the
 // masked input.
-func (e *Expert) step(ws *workspace, t *ad.Tape, row []float64, col int, h *ad.Value) (hNext, xt *ad.Value) {
+func (e *Expert) step(ws *layers.Workspace, t *ad.Tape, row []float64, col int, h *ad.Value) (hNext, xt *ad.Value) {
 	xt = e.maskedInput(t, row)
-	return ws.blk.Step(t, e.Cell, col, xt, h), xt
+	return ws.Block.Step(t, e.Cell, col, xt, h), xt
 }
 
 // stepOutput computes the output triple at one time step from the masked
@@ -131,10 +131,10 @@ const evalBlock = 64
 // on the workspace's gradient-free tape and hands fn each window's index,
 // new state and masked input. The tape is Reset every step; the state is
 // carried in a buffer it does not own.
-func (e *Expert) walk(ws *workspace, x [][]float64, fn func(i int, h, xt *ad.Value)) {
-	t := ws.eval
+func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt *ad.Value)) {
+	t := ws.Eval
 	hPrev := make([]float64, e.Hidden)
-	ws.blk.Panels.Reset(e.Hidden)
+	ws.Block.Panels.Reset(e.Hidden)
 	for i, row := range x {
 		if i%evalBlock == 0 {
 			e.formBlock(ws, x[i:min(i+evalBlock, len(x))])
@@ -149,7 +149,7 @@ func (e *Expert) walk(ws *workspace, x [][]float64, fn func(i int, h, xt *ad.Val
 // hiddenInto writes e's trajectory over x, step-major, into dst
 // (len(x)·Hidden floats): the detached peer states other experts attend
 // over.
-func (e *Expert) hiddenInto(ws *workspace, x [][]float64, dst []float64) {
+func (e *Expert) hiddenInto(ws *layers.Workspace, x [][]float64, dst []float64) {
 	e.walk(ws, x, func(i int, h, _ *ad.Value) { copy(dst[i*e.Hidden:(i+1)*e.Hidden], h.Data) })
 }
 
@@ -158,11 +158,11 @@ func (e *Expert) hiddenInto(ws *workspace, x [][]float64, dst []float64) {
 // triple per step, in scaled target units. The attention context is drawn
 // from peers — the detached hidden states of the peer experts over the same
 // series — and is zero when peers is nil (the occlusion probes).
-func (e *Expert) forward(ws *workspace, x [][]float64, peers *peerStates) ([][3]float64, error) {
+func (e *Expert) forward(ws *layers.Workspace, x [][]float64, peers *peerStates) ([][3]float64, error) {
 	if peers != nil && peers.steps != len(x) {
 		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, peers.steps, len(x))
 	}
-	t := ws.eval
+	t := ws.Eval
 	zeroAttn := make([]float64, e.Hidden)
 	out := make([][3]float64, len(x))
 	e.walk(ws, x, func(i int, h, xt *ad.Value) {

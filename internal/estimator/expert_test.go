@@ -125,7 +125,7 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 func TestTargetScaleDeltaRoundTrip(t *testing.T) {
 	p := app.Pair{Component: "DB", Resource: app.DiskUsage}
 	series := []float64{100, 104, 110, 110, 123}
-	ts := fitTargetScale(p, series)
+	ts := FitTargetScale(p, series)
 	if ts.Kind != kindDelta {
 		t.Fatal("disk usage must be delta-kind")
 	}
@@ -136,7 +136,7 @@ func TestTargetScaleDeltaRoundTrip(t *testing.T) {
 	if ts.Scale != 13 {
 		t.Errorf("Scale = %v, want 13", ts.Scale)
 	}
-	scaled := ts.scaled(series)
+	scaled := ts.Scaled(series)
 	if scaled[0] != 0 || scaled[1] != 4.0/13 {
 		t.Errorf("scaled = %v", scaled)
 	}
@@ -144,12 +144,12 @@ func TestTargetScaleDeltaRoundTrip(t *testing.T) {
 
 func TestTargetScaleLevel(t *testing.T) {
 	p := app.Pair{Component: "C", Resource: app.CPU}
-	ts := fitTargetScale(p, []float64{2, 8, 4})
+	ts := FitTargetScale(p, []float64{2, 8, 4})
 	if ts.Kind != kindLevel || ts.Scale != 8 {
 		t.Errorf("level scale = %+v", ts)
 	}
 	// All-zero series must not divide by zero.
-	ts0 := fitTargetScale(p, []float64{0, 0})
+	ts0 := FitTargetScale(p, []float64{0, 0})
 	if ts0.Scale != 1 {
 		t.Errorf("zero-series scale = %v, want 1", ts0.Scale)
 	}
@@ -184,15 +184,6 @@ func TestModelSummaryAndReports(t *testing.T) {
 	for _, want := range []string{"2 experts", "Service/cpu", "DB/disk_usage", "growth", "mask"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("Summary missing %q:\n%s", want, out)
-		}
-	}
-	top := m.TopFeatures(app.Pair{Component: "Service", Resource: app.CPU}, 3)
-	if len(top) != 3 {
-		t.Fatalf("TopFeatures = %d entries", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Weight > top[i-1].Weight {
-			t.Fatal("TopFeatures not sorted by weight")
 		}
 	}
 }

@@ -225,10 +225,6 @@ func Compile(m *estimator.Model) (*Engine, error) {
 	return e, nil
 }
 
-// Pairs returns the estimation targets in training order. The slice is
-// shared; callers must not mutate it.
-func (e *Engine) Pairs() []app.Pair { return e.pairs }
-
 // SetPool overrides the worker pool (nil runs expert passes inline). Call
 // before the engine starts serving; benches and tests use it to pin
 // parallelism.
@@ -246,9 +242,7 @@ func (e *Engine) getScratch(T int) *predictScratch {
 	sc.byp = growFloats(sc.byp, P*3*lanes(T))
 	sc.ws = growFloats(sc.ws, P*e.wsLen())
 	sc.zero = growFloats(sc.zero, e.hidden)
-	for i := range sc.zero {
-		sc.zero[i] = 0
-	}
+	clear(sc.zero)
 	if cap(sc.triples) < P*T {
 		sc.triples = make([][3]float64, P*T)
 	} else {

@@ -58,10 +58,6 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// Close stops the workers once queued jobs finish. Run must not be called
-// after Close.
-func (p *Pool) Close() { close(p.jobs) }
-
 // Run executes fn(i) for every i in [0, n) and returns when all calls have
 // completed. Work is claimed dynamically, so uneven per-index cost balances
 // across workers. A nil pool runs inline.

@@ -19,7 +19,7 @@ func TestPoolRunCoversIndexSpace(t *testing.T) {
 				}
 			}
 		}
-		p.Close()
+		close(p.jobs)
 	}
 }
 
@@ -28,7 +28,7 @@ func TestPoolRunCoversIndexSpace(t *testing.T) {
 // free worker.
 func TestPoolNestedRun(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
+	defer close(p.jobs)
 	var total atomic.Int32
 	p.Run(8, func(int) {
 		p.Run(8, func(int) { total.Add(1) })
@@ -58,7 +58,7 @@ func TestNilPoolRunsInline(t *testing.T) {
 // over the same shared workers. Run under -race in CI.
 func TestPoolConcurrentRuns(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
+	defer close(p.jobs)
 	done := make(chan int32)
 	for g := 0; g < 16; g++ {
 		go func() {

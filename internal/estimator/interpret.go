@@ -9,38 +9,6 @@ import (
 	"repro/internal/features"
 )
 
-// MaskEntry is one feature's learned admission weight in an expert's
-// API-aware mask.
-type MaskEntry struct {
-	// Path is the invocation-path key of the feature.
-	Path string
-	// Weight is σ(m) for the feature, in [0, 1].
-	Weight float64
-}
-
-// MaskReport returns the expert's learned API-aware mask, sorted by
-// descending weight — the interpretability artifact of the paper's
-// Figure 22, revealing which APIs (through their invocation paths) influence
-// the resource.
-func (m *Model) MaskReport(pair app.Pair) []MaskEntry {
-	e, ok := m.Experts[pair]
-	if !ok {
-		return nil
-	}
-	ws := e.Mask.Weights()
-	out := make([]MaskEntry, len(ws))
-	for i, w := range ws {
-		out[i] = MaskEntry{Path: m.Space.Path(i), Weight: w}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].Path < out[j].Path
-	})
-	return out
-}
-
 // APIInfluence measures, per API, how strongly the expert's estimate
 // depends on that API's traffic: the model is probed on the given windows'
 // feature vectors (Space.ExtractSeries, or the telemetry store's cache)

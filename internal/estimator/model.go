@@ -3,8 +3,8 @@ package estimator
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +14,6 @@ import (
 	"repro/internal/nn/ad"
 	"repro/internal/nn/layers"
 	"repro/internal/nn/loss"
-	"repro/internal/nn/opt"
 	"repro/internal/trace"
 )
 
@@ -62,8 +61,6 @@ type Config struct {
 	// BypassL1 penalises the linear bypass weights (λ·Σ|S|), for the
 	// same attribution reason.
 	BypassL1 float64
-	// Parallelism bounds concurrent expert training; 0 means GOMAXPROCS.
-	Parallelism int
 	// Log, when non-nil, receives one line per epoch phase.
 	Log io.Writer
 	// Progress, when non-nil, receives one event per completed training
@@ -156,7 +153,11 @@ type TargetScale struct {
 	Base float64
 }
 
-func fitTargetScale(p app.Pair, series []float64) *TargetScale {
+// FitTargetScale fits p's scaling to its training series: a disk-usage
+// counter is modelled as per-window growth and resumes from its last value,
+// and the (differenced) series' largest magnitude maps to 1. The
+// resource-aware baseline scales its targets with it too.
+func FitTargetScale(p app.Pair, series []float64) *TargetScale {
 	ts := &TargetScale{Kind: kindLevel, Scale: 1}
 	if p.Resource == app.DiskUsage {
 		ts.Kind = kindDelta
@@ -164,44 +165,30 @@ func fitTargetScale(p app.Pair, series []float64) *TargetScale {
 			ts.Base = series[len(series)-1]
 		}
 	}
-	tr := ts.transform(series)
-	max := 0.0
-	for _, v := range tr {
-		if v > max {
-			max = v
-		} else if -v > max {
-			max = -v
+	peak := 0.0
+	for _, v := range ts.Scaled(series) { // at Scale 1, the differenced series
+		if a := math.Abs(v); a > peak { // a NaN sample is skipped
+			peak = a
 		}
 	}
-	if max > 0 {
-		ts.Scale = max
+	if peak > 0 {
+		ts.Scale = peak
 	}
 	return ts
 }
 
-// transform differences delta-kind series; level series pass through.
-func (ts *TargetScale) transform(series []float64) []float64 {
-	if ts.Kind == kindLevel {
-		out := make([]float64, len(series))
-		copy(out, series)
-		return out
-	}
+// Scaled returns series in unit scale, differenced first (from a zero first
+// window) when it is a counter: the training targets.
+func (ts *TargetScale) Scaled(series []float64) []float64 {
 	out := make([]float64, len(series))
-	for i := range series {
-		if i == 0 {
-			out[i] = 0
-			continue
+	for i, v := range series {
+		if ts.Kind == kindDelta {
+			v = 0
+			if i > 0 {
+				v = series[i] - series[i-1]
+			}
 		}
-		out[i] = series[i] - series[i-1]
-	}
-	return out
-}
-
-// scaled returns the training targets in unit scale.
-func (ts *TargetScale) scaled(series []float64) []float64 {
-	out := ts.transform(series)
-	for i := range out {
-		out[i] /= ts.Scale
+		out[i] = v / ts.Scale
 	}
 	return out
 }
@@ -302,8 +289,8 @@ func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Confi
 	}
 	targets := make(map[app.Pair][]float64, len(pairs))
 	for i, p := range pairs {
-		m.TargetScales[p] = fitTargetScale(p, usage[p])
-		targets[p] = m.TargetScales[p].scaled(usage[p])
+		m.TargetScales[p] = FitTargetScale(p, usage[p])
+		targets[p] = m.TargetScales[p].Scaled(usage[p])
 		// An expert attends to every other expert, in training order.
 		peers := append(append(make([]string, 0, len(pairs)-1), names[:i]...), names[i+1:]...)
 		m.Experts[p] = newExpert(p, space.Dim(), cfg.Hidden, peers, cfg, rng)
@@ -333,7 +320,8 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 	logf(cfg.Log, "phase A: training %d experts (%d epochs, dim=%d, hidden=%d)",
 		len(m.Pairs), epochs, m.Space.Dim(), cfg.Hidden)
 	end := stage(StageTrunks)
-	err := m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
+		p := m.Pairs[i]
 		return trainExpert(ws, m.Experts[p], x, targets[p], cfg, epochs, q, seedA+int64(i))
 	})
 	end()
@@ -356,7 +344,8 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 			return err
 		}
 		end = stage(StageAttention)
-		err = m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+		err = layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
+			p := m.Pairs[i]
 			return trainExpertHead(ws, m.Experts[p], x, targets[p], hidden.peersOf(i), cfg, cfg.AttentionEpochs, q, seedB+int64(i))
 		})
 		end()
@@ -373,87 +362,9 @@ func logf(w io.Writer, format string, args ...interface{}) {
 	}
 }
 
-// workspace is what one forEachExpert worker carries from expert to expert:
-// tapes whose arenas have already grown to an expert's size, one Adam whose
-// moment buffer is re-zeroed per expert, and the one gradient buffer the
-// worker lends to whichever expert it is training. A generation has 76–399
-// experts of one shape; without it each of them allocated, page-faulted and
-// dropped its own copy (1.2 MB of moments at the paper's width), and kept a
-// gradient as large as its weights for as long as the model lived. The GRU's
-// step operands (a block's input products, U's panels) are lent the same way.
-type workspace struct {
-	tape *ad.Tape // training tape
-	eval *ad.Tape // gradient-free tape
-	adam *opt.Adam
-	grad []float64 // backs the Grad of the params being trained
-	blk  layers.GRUBlock
-}
-
-func newWorkspace() *workspace {
-	return &workspace{tape: ad.NewTape(), eval: ad.NewEvalTape(), adam: opt.NewAdam(nil, 0)}
-}
-
-// bindGrads lends params zeroed gradients out of the workspace's buffer for
-// the length of one expert's training, and returns the function that takes
-// them back: outside it no parameter of a model carries a gradient.
-func (ws *workspace) bindGrads(params []*ad.Param) (unbind func()) {
-	ws.grad = ad.BindGrads(ws.grad, params)
-	return func() { ad.UnbindGrads(params) }
-}
-
-// forEachExpert runs fn for every pair with bounded parallelism; fn
-// receives the pair's index in training order (the basis of its
-// deterministic per-expert seed) and the calling worker's workspace.
-func (m *Model) forEachExpert(fn func(i int, p app.Pair, ws *workspace) error) error {
-	par := m.Cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(m.Pairs) {
-		par = len(m.Pairs)
-	}
-	if par <= 1 {
-		ws := newWorkspace()
-		for i, p := range m.Pairs {
-			if err := fn(i, p, ws); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// A fixed pool of par workers pulls pair indices from a channel — on a
-	// 300-component generated topology that is par goroutines total instead
-	// of one per (component, resource) pair churning through a semaphore.
-	// Results stay deterministic regardless of which worker takes which
-	// pair: the per-expert seed is derived from the training-order index,
-	// and a workspace hands every expert the same zeroed state.
-	idx := make(chan int, len(m.Pairs))
-	for i := range m.Pairs {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			ws := newWorkspace()
-			for i := range idx {
-				if err := fn(i, m.Pairs[i], ws); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
+// newWorkspace returns the workspace an expert pass runs on outside
+// layers.ForEach.
+var newWorkspace = layers.NewWorkspace
 
 // hiddenSlab holds every expert's hidden trajectory over one input series in
 // one allocation, expert-major: expert i's state at step t is the hid floats
@@ -500,7 +411,8 @@ func (ps *peerStates) attend(t *ad.Tape, a *layers.Attention, step int) *ad.Valu
 func (m *Model) allHiddenStates(x [][]float64) (*hiddenSlab, error) {
 	hid := m.Cfg.Hidden
 	s := &hiddenSlab{data: make([]float64, len(m.Pairs)*len(x)*hid), experts: len(m.Pairs), steps: len(x), hid: hid}
-	err := m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
+		p := m.Pairs[i]
 		e := m.Experts[p]
 		if e.Hidden != hid {
 			return fmt.Errorf("estimator: %s: hidden width %d in a %d-wide model", p, e.Hidden, hid)
@@ -513,7 +425,7 @@ func (m *Model) allHiddenStates(x [][]float64) (*hiddenSlab, error) {
 
 // trainExpert runs truncated-BPTT training of one expert for the given
 // number of epochs, with a zero attention context (phase A).
-func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg Config, epochs int, q []float64, seed int64) error {
+func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float64, cfg Config, epochs int, q []float64, seed int64) error {
 	if len(x) != len(target) {
 		return fmt.Errorf("estimator: %s: %d inputs vs %d targets", e.Pair, len(x), len(target))
 	}
@@ -526,7 +438,7 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 				// A chunk is a block, formed under the weights the previous
 				// chunk's Adam step left.
 				h, from = tape.Const(zero), t
-				ws.blk.Panels.Reset(e.Hidden)
+				ws.Block.Panels.Reset(e.Hidden)
 				e.formBlock(ws, x[t:min(t+cfg.ChunkLen, len(x))])
 			}
 			h, xt = e.step(ws, tape, x[t], t-from, h)
@@ -535,94 +447,46 @@ func trainExpert(ws *workspace, e *Expert, x [][]float64, target []float64, cfg 
 		func() { e.addRegularizationGrads(cfg) })
 }
 
-// trainChunks is the training loop both phases share: epochs passes over the
-// series in ChunkLen-window chunks, visited in an order shuffled from seed
-// (one Shuffle per epoch is the only draw), each chunk's mean pinball loss
-// over step's outputs refused if non-finite, differentiated, handed to
-// afterBackward and stepped with the workspace's Adam over params; one
-// ProgressEvent per epoch. step records the expert's output for window t on
-// the tape; first marks a chunk's first window, where recurrent state
-// restarts.
-func trainChunks(ws *workspace, e *Expert, phase string, params []*ad.Param, target []float64, cfg Config, epochs int, q []float64, seed int64,
-	step func(tape *ad.Tape, t int, first bool) *ad.Value, afterBackward func()) error {
-	defer ws.bindGrads(params)()
-	ws.adam.Reset(params)
-	ws.adam.LR, ws.adam.ClipNorm = cfg.LR, cfg.ClipNorm
-
-	rng := rand.New(rand.NewSource(seed))
-	nChunks := (len(target) + cfg.ChunkLen - 1) / cfg.ChunkLen
-	order := make([]int, nChunks)
-	for i := range order {
-		order[i] = i
-	}
-	tape := ws.tape
-	// The target triple and per-chunk loss list are reused across chunks
-	// and epochs: Pinball copies the targets onto the tape, and the
-	// SumScalars operand slice is only read up to Backward below.
+// trainChunks is how both phases train: the shared truncated-BPTT loop
+// (layers.Workspace.Train) over params, its chunk order drawn from seed, with
+// window t's loss the pinball loss of out's triple against target[t], one
+// ProgressEvent per epoch, and the refusal of a non-finite loss named after
+// the expert. Failing the expert fails the generation, so the previous one
+// keeps serving.
+func trainChunks(ws *layers.Workspace, e *Expert, phase string, params []*ad.Param, target []float64, cfg Config, epochs int, q []float64, seed int64,
+	out func(tape *ad.Tape, t int, first bool) *ad.Value, afterBackward func()) error {
+	// Pinball copies the targets onto the tape, so one triple serves.
 	tgt := make([]float64, len(q))
-	losses := make([]*ad.Value, 0, cfg.ChunkLen)
-
-	for ep := 0; ep < epochs; ep++ {
-		epochStart := time.Now()
-		epochLoss := 0.0
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, ci := range order {
-			from := ci * cfg.ChunkLen
-			to := from + cfg.ChunkLen
-			if to > len(target) {
-				to = len(target)
+	c := layers.Chunks{
+		Windows: len(target), Len: cfg.ChunkLen, Epochs: epochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
+		Loss: func(tape *ad.Tape, t int, first bool) *ad.Value {
+			y := out(tape, t, first)
+			for j := range tgt {
+				tgt[j] = target[t]
 			}
-			tape.Reset()
-			losses = losses[:0]
-			for t := from; t < to; t++ {
-				y := step(tape, t, t == from)
-				for j := range tgt {
-					tgt[j] = target[t]
-				}
-				losses = append(losses, tape.Pinball(y, tgt, q))
-			}
-			total := tape.SumScalars(losses...)
-			mean := tape.ScaleConst(total, 1/float64(to-from))
-			if err := finiteLoss(e, mean, ep); err != nil {
-				return err
-			}
-			tape.Backward(mean)
-			epochLoss += mean.Data[0]
-			afterBackward()
-			ws.adam.Step()
-		}
-		if cfg.Progress != nil {
+			return tape.Pinball(y, tgt, q)
+		},
+		AfterBackward: afterBackward,
+	}
+	if cfg.Progress != nil {
+		c.Epoch = func(epoch int, loss float64, took time.Duration) {
 			cfg.Progress(ProgressEvent{
 				Pair: e.Pair.String(), Phase: phase,
-				Epoch: ep + 1, Epochs: epochs,
-				Loss:     epochLoss / float64(nChunks),
-				Duration: time.Since(epochStart),
+				Epoch: epoch, Epochs: epochs,
+				Loss: loss, Duration: took,
 			})
 		}
 	}
-	return nil
-}
-
-// finiteLoss refuses a chunk whose mean loss is NaN or ±Inf, before it is
-// differentiated: one such step writes NaN into every parameter the
-// optimizer touches, and a generation of NaN weights cannot even be
-// JSON-encoded by /v1/estimate. Failing the expert fails the generation, so
-// the previous one keeps serving.
-func finiteLoss(e *Expert, mean *ad.Value, epoch int) error {
-	if l := mean.Data[0]; !finite(l) {
-		return fmt.Errorf("estimator: %s: non-finite training loss %v in epoch %d (non-finite telemetry or diverged weights)", e.Pair, l, epoch+1)
+	if err := ws.Train(params, rand.New(rand.NewSource(seed)), c); err != nil {
+		return fmt.Errorf("estimator: %s: %w", e.Pair, err)
 	}
 	return nil
 }
-
-// finite reports whether v is neither NaN nor ±Inf: v−v is 0 for every
-// finite v and NaN otherwise.
-func finite(v float64) bool { return v-v == 0 }
 
 // trainExpertHead runs phase B for one expert: with the recurrent trunk,
 // mask, and bypass frozen, it fits only the attention weights α and the
 // output head V against the (now fixed) own and peer hidden states.
-func trainExpertHead(ws *workspace, e *Expert, x [][]float64, target []float64, peers *peerStates, cfg Config, epochs int, q []float64, seed int64) error {
+func trainExpertHead(ws *layers.Workspace, e *Expert, x [][]float64, target []float64, peers *peerStates, cfg Config, epochs int, q []float64, seed int64) error {
 	if !e.UseAttention || len(e.Attn.Peers) == 0 || peers == nil {
 		return nil
 	}
@@ -632,7 +496,7 @@ func trainExpertHead(ws *workspace, e *Expert, x [][]float64, target []float64, 
 	var bypass []float64
 	if e.UseBypass {
 		bypass = make([]float64, 3*len(x))
-		t := ws.eval
+		t := ws.Eval
 		for i, row := range x {
 			t.Reset()
 			copy(bypass[3*i:], e.Bypass.Apply(t, e.maskedInput(t, row)).Data)
@@ -648,7 +512,7 @@ func trainExpertHead(ws *workspace, e *Expert, x [][]float64, target []float64, 
 			}
 			return y
 		},
-		func() {})
+		nil)
 }
 
 // addRegularizationGrads adds the L1 attribution penalties' gradients on
@@ -693,7 +557,8 @@ func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate,
 	}
 	out := make(map[app.Pair]Estimate, len(m.Pairs))
 	var mu sync.Mutex
-	err := m.forEachExpert(func(i int, p app.Pair, ws *workspace) error {
+	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
+		p := m.Pairs[i]
 		var peers *peerStates
 		if hidden != nil {
 			peers = hidden.peersOf(i)

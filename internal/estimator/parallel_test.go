@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/app"
@@ -10,8 +11,8 @@ import (
 
 // TestTrainParallelismDeterministic: the per-expert worker pool must not
 // change results. Every expert trains from its own deterministic seed
-// (cfg.Seed + pair index), so a 1-worker and an N-worker run produce
-// byte-identical models.
+// (cfg.Seed + pair index), so a run at GOMAXPROCS 1 (one worker) and one at
+// GOMAXPROCS 4 (four) produce byte-identical models.
 func TestTrainParallelismDeterministic(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 61)
 	usage := testutil.FocusPairs(run.Usage,
@@ -26,10 +27,10 @@ func TestTrainParallelismDeterministic(t *testing.T) {
 	cfg.ChunkLen = 24
 
 	snapshots := make([][]byte, 0, 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 4} {
-		c := cfg
-		c.Parallelism = par
-		m, err := Train(run.Windows, usage, c)
+		runtime.GOMAXPROCS(par)
+		m, err := Train(run.Windows, usage, cfg)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

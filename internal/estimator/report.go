@@ -3,8 +3,6 @@ package estimator
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/app"
 )
 
 // Summary writes a human-readable report of a trained model: the feature
@@ -46,15 +44,4 @@ func maskOpenness(e *Expert) (open, total int) {
 		}
 	}
 	return open, len(ws)
-}
-
-// TopFeatures returns, for one expert, the n features with the widest-open
-// mask gates together with their weights — the raw per-path view underneath
-// APIInfluence.
-func (m *Model) TopFeatures(pair app.Pair, n int) []MaskEntry {
-	entries := m.MaskReport(pair)
-	if n < len(entries) {
-		entries = entries[:n]
-	}
-	return entries
 }

@@ -249,3 +249,7 @@ func (eg *expertGob) expert() (*Expert, error) {
 		UseBypass:    eg.UseBypass,
 	}, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf: v−v is 0 for every
+// finite v and NaN otherwise.
+func finite(v float64) bool { return v-v == 0 }

@@ -93,7 +93,7 @@ func (m *Model) Update(windows [][]trace.Batch, usage map[app.Pair][]float64, ep
 			return unknownPaths, fmt.Errorf("estimator: Update %s has %d samples for %d windows", p, len(s), len(windows))
 		}
 		ts := m.TargetScales[p]
-		targets[p] = ts.scaled(s)
+		targets[p] = ts.Scaled(s)
 		if ts.Kind == kindDelta {
 			// Resume the monotone counter from the fresh data.
 			ts.Base = s[len(s)-1]

@@ -68,7 +68,7 @@ func TestGroundTruthDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range l.Pairs {
-		sa, sb := a.Series(p), b.Series(p)
+		sa, sb := a.Usage[p], b.Usage[p]
 		for i := range sa {
 			if sa[i] != sb[i] {
 				t.Fatalf("%s window %d: %v vs %v", p, i, sa[i], sb[i])
@@ -122,7 +122,7 @@ func TestAttackShifting(t *testing.T) {
 	}
 	p := pairPostCPU()
 	for w := 0; w < q.NumWindows(); w++ {
-		diff := attacked.Series(p)[w] - clean.Series(p)[w]
+		diff := attacked.Usage[p][w] - clean.Usage[p][w]
 		inAttack := w >= 10 && w < 20
 		if inAttack && diff < 400 {
 			t.Fatalf("window %d: attack not visible (diff %v)", w, diff)

@@ -34,16 +34,6 @@ func Compile(specText string) (*Schedule, error) {
 	return NewSchedule(spec), nil
 }
 
-// Spec returns a copy of the compiled spec.
-func (s *Schedule) Spec() Spec {
-	if s == nil {
-		return Spec{}
-	}
-	out := Spec{Seed: s.spec.Seed}
-	out.Injectors = append([]Injector(nil), s.spec.Injectors...)
-	return out
-}
-
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection on uint64.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

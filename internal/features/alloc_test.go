@@ -18,7 +18,7 @@ func referenceExtract(s *Space, window []trace.Batch) Vector {
 		}
 		n := float64(b.Count)
 		b.Trace.Root.Walk(func(_ *trace.Span, path []string) {
-			if i, ok := s.Index(trace.PathKey(path)); ok {
+			if i, ok := s.index[trace.PathKey(path)]; ok {
 				v.Counts[i] += n
 			} else {
 				v.Unknown += n

@@ -63,12 +63,6 @@ func RestoreSpace(paths []string) *Space {
 // Dim returns the dimensionality of the feature space.
 func (s *Space) Dim() int { return len(s.index) }
 
-// Index returns the feature index of a path key and whether it is known.
-func (s *Space) Index(key string) (int, bool) {
-	i, ok := s.index[key]
-	return i, ok
-}
-
 // Path returns the path key of feature dimension i.
 func (s *Space) Path(i int) string { return s.paths[i] }
 

@@ -39,10 +39,10 @@ func TestSpaceConstruction(t *testing.T) {
 	if s.Path(0) != "Frontend:read" {
 		t.Errorf("Path(0) = %q", s.Path(0))
 	}
-	if _, ok := s.Index("Frontend:read→Service:read→DB:find"); !ok {
+	if _, ok := s.index["Frontend:read→Service:read→DB:find"]; !ok {
 		t.Error("deep read path missing")
 	}
-	if _, ok := s.Index("nonexistent"); ok {
+	if _, ok := s.index["nonexistent"]; ok {
 		t.Error("unknown path should not resolve")
 	}
 }
@@ -52,9 +52,9 @@ func TestExtractCounts(t *testing.T) {
 	s := NewSpace(w)
 	v := s.Extract(w[0])
 	// Window 0: read ×10 and write ×4; every node on a chain counts.
-	iRead, _ := s.Index("Frontend:read")
-	iReadDeep, _ := s.Index("Frontend:read→Service:read→DB:find")
-	iWrite, _ := s.Index("Frontend:write")
+	iRead := s.index["Frontend:read"]
+	iReadDeep := s.index["Frontend:read→Service:read→DB:find"]
+	iWrite := s.index["Frontend:write"]
 	if v.Counts[iRead] != 10 || v.Counts[iReadDeep] != 10 {
 		t.Errorf("read counts wrong: %v", v.Counts)
 	}
@@ -124,7 +124,7 @@ func TestRestoreSpaceRoundTrip(t *testing.T) {
 		if r.Path(i) != s.Path(i) {
 			t.Fatalf("path %d mismatch: %q vs %q", i, r.Path(i), s.Path(i))
 		}
-		if j, ok := r.Index(s.Path(i)); !ok || j != i {
+		if j, ok := r.index[s.Path(i)]; !ok || j != i {
 			t.Fatalf("index %d mismatch", i)
 		}
 	}

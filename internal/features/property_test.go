@@ -72,7 +72,7 @@ func TestPropertyChildCountNeverExceedsParent(t *testing.T) {
 				continue // root path, no parent
 			}
 			parent := key[:cut]
-			pi, ok := s.Index(parent)
+			pi, ok := s.index[parent]
 			if !ok {
 				t.Fatalf("iter %d: child path %q known but parent %q is not", iter, key, parent)
 			}
@@ -150,7 +150,7 @@ func TestPropertySpaceOrderIndependentOfBatchOrder(t *testing.T) {
 			t.Fatalf("iter %d: dims differ: %d vs %d", iter, a.Dim(), b.Dim())
 		}
 		for _, p := range a.Paths() {
-			if _, ok := b.Index(p); !ok {
+			if _, ok := b.index[p]; !ok {
 				t.Fatalf("iter %d: path %q lost under permutation", iter, p)
 			}
 		}

@@ -72,13 +72,6 @@ func (f *Fleet) StartScheduler() {
 	f.sched = s
 }
 
-// SchedulerRunning reports whether the shared scheduler is live.
-func (f *Fleet) SchedulerRunning() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sched != nil
-}
-
 func (s *scheduler) stop() {
 	s.cancel()
 	s.wg.Wait()

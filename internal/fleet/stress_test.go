@@ -358,3 +358,10 @@ func TestFleetSchedulerEndToEnd(t *testing.T) {
 		t.Fatal("scheduler still running after close")
 	}
 }
+
+// SchedulerRunning reports whether the shared scheduler is live.
+func (f *Fleet) SchedulerRunning() bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.sched != nil
+}

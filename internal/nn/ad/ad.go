@@ -122,13 +122,6 @@ func NewParamInit(name string, rows, cols int, rng *rand.Rand) *Param {
 // Size returns the number of scalar elements.
 func (p *Param) Size() int { return len(p.Data) }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
-}
-
 // opcode selects a node's backward rule. Opcode dispatch (instead of a
 // closure per node) keeps recording allocation-free and lets Reset recycle
 // nodes wholesale.
@@ -139,7 +132,6 @@ const (
 	opUse                // nothing to do: Grad is the parameter's own
 	opMatVec
 	opAdd
-	opSub
 	opMul
 	opScaleConst
 	opOneMinus
@@ -177,14 +169,6 @@ type Value struct {
 
 // Len returns the number of scalar elements.
 func (v *Value) Len() int { return len(v.Data) }
-
-// Scalar returns the single element of a 1×1 value.
-func (v *Value) Scalar() float64 {
-	if len(v.Data) != 1 {
-		panic(fmt.Sprintf("ad: Scalar on value of length %d", len(v.Data)))
-	}
-	return v.Data[0]
-}
 
 // Arena growth quanta: float slabs hold Data/Grad vectors, node slabs hold
 // Value structs. Both grow on demand and are recycled by Reset.
@@ -267,11 +251,7 @@ func (t *Tape) alloc(n int) []float64 {
 			t.slabOff = 0
 			continue
 		}
-		size := slabFloats
-		if n > size {
-			size = n
-		}
-		t.slabs = append(t.slabs, make([]float64, size))
+		t.slabs = append(t.slabs, make([]float64, max(n, slabFloats)))
 	}
 }
 
@@ -418,17 +398,6 @@ func (t *Tape) Add(a, b *Value) *Value {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
 	out.op, out.a, out.b = opAdd, a, b
-	return t.record(out)
-}
-
-// Sub computes a - b element-wise; shapes must match.
-func (t *Tape) Sub(a, b *Value) *Value {
-	checkSameShape("Sub", a, b)
-	out := t.newValue(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	out.op, out.a, out.b = opSub, a, b
 	return t.record(out)
 }
 
@@ -607,12 +576,6 @@ func (t *Tape) backstep(v *Value) {
 		for i, g := range v.Grad {
 			a.Grad[i] += g
 			b.Grad[i] += g
-		}
-	case opSub:
-		a, b := v.a, v.b
-		for i, g := range v.Grad {
-			a.Grad[i] += g
-			b.Grad[i] -= g
 		}
 	case opMul:
 		a, b := v.a, v.b

@@ -30,7 +30,7 @@ func checkGrads(t *testing.T, params []*Param, build func(tp *Tape) *Value) {
 	tape.Backward(root)
 	loss := func() float64 {
 		tp := NewTape()
-		return build(tp).Scalar()
+		return build(tp).Data[0]
 	}
 	for _, p := range params {
 		for i := range p.Data {
@@ -40,7 +40,7 @@ func checkGrads(t *testing.T, params []*Param, build func(tp *Tape) *Value) {
 				t.Errorf("param %s[%d]: analytic %.8f vs numeric %.8f", p.Name, i, got, want)
 			}
 		}
-		p.ZeroGrad()
+		clear(p.Grad)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestElementwiseGradients(t *testing.T) {
 		av, bv := tp.Use(a), tp.Use(b)
 		sum := tp.Add(av, bv)
 		prod := tp.Mul(sum, tp.OneMinus(bv))
-		sub := tp.Sub(prod, av)
+		sub := tp.Add(prod, tp.ScaleConst(av, -1))
 		scaled := tp.ScaleConst(sub, 0.7)
 		return tp.SquaredError(scaled, []float64{0.1, 0.2, 0.3, -0.1, 0})
 	})
@@ -114,15 +114,15 @@ func TestPinballValue(t *testing.T) {
 	pred := tape.Const([]float64{2})
 	// target 5, q 0.9: Δ = 3 ≥ 0 → 0.9*3 = 2.7
 	l := tape.Pinball(pred, []float64{5}, []float64{0.9})
-	if math.Abs(l.Scalar()-2.7) > 1e-12 {
-		t.Errorf("pinball(2; 5, 0.9) = %v, want 2.7", l.Scalar())
+	if math.Abs(l.Data[0]-2.7) > 1e-12 {
+		t.Errorf("pinball(2; 5, 0.9) = %v, want 2.7", l.Data[0])
 	}
 	tape2 := NewTape()
 	pred2 := tape2.Const([]float64{7})
 	// Δ = -2 < 0 → (0.9-1)*(-2) = 0.2
 	l2 := tape2.Pinball(pred2, []float64{5}, []float64{0.9})
-	if math.Abs(l2.Scalar()-0.2) > 1e-12 {
-		t.Errorf("pinball(7; 5, 0.9) = %v, want 0.2", l2.Scalar())
+	if math.Abs(l2.Data[0]-0.2) > 1e-12 {
+		t.Errorf("pinball(7; 5, 0.9) = %v, want 0.2", l2.Data[0])
 	}
 }
 
@@ -146,7 +146,7 @@ func TestPinballQuantileConvergence(t *testing.T) {
 				l := tape.Pinball(tape.Use(p), []float64{y}, []float64{q})
 				tape.Backward(l)
 				p.Data[0] -= lr * p.Grad[0]
-				p.ZeroGrad()
+				clear(p.Grad)
 			}
 			lr *= 0.93
 		}
@@ -162,8 +162,8 @@ func TestSumScalars(t *testing.T) {
 	b := tape.Const([]float64{-0.5})
 	c := tape.Const([]float64{2})
 	s := tape.SumScalars(a, b, c)
-	if s.Scalar() != 3 {
-		t.Fatalf("SumScalars = %v, want 3", s.Scalar())
+	if s.Data[0] != 3 {
+		t.Fatalf("SumScalars = %v, want 3", s.Data[0])
 	}
 	tape.Backward(s)
 	for _, v := range []*Value{a, b, c} {
@@ -238,8 +238,8 @@ func TestActivationRangeProperty(t *testing.T) {
 		}
 		tape := NewTape()
 		v := tape.Const([]float64{x})
-		s := tape.Sigmoid(v).Scalar()
-		th := tape.Tanh(v).Scalar()
+		s := tape.Sigmoid(v).Data[0]
+		th := tape.Tanh(v).Data[0]
 		return s >= 0 && s <= 1 && th >= -1 && th <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -247,7 +247,8 @@ func TestActivationRangeProperty(t *testing.T) {
 	}
 }
 
-// Property: for any vectors a and b of equal length, Add then Sub returns a.
+// Property: for any vectors a and b of equal length, adding b and then −1·b
+// returns a.
 func TestAddSubRoundTripProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
@@ -267,7 +268,7 @@ func TestAddSubRoundTripProperty(t *testing.T) {
 		tape := NewTape()
 		av := tape.Const(a)
 		bv := tape.Const(b)
-		back := tape.Sub(tape.Add(av, bv), bv)
+		back := tape.Add(tape.Add(av, bv), tape.ScaleConst(bv, -1))
 		for i := range a {
 			if math.Abs(back.Data[i]-a[i]) > 1e-9*(1+math.Abs(a[i])) {
 				return false

@@ -370,7 +370,7 @@ func TestResetDropsPendingGRUSteps(t *testing.T) {
 	grads := func() (all []float64) {
 		for _, p := range gruParams(g) {
 			all = append(all, p.Grad...)
-			p.ZeroGrad()
+			clear(p.Grad)
 		}
 		return all
 	}

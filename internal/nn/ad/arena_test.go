@@ -88,7 +88,7 @@ func TestPooledTapeMatchesFresh(t *testing.T) {
 	// the tape for each round.
 	run := func(next func() *Tape) (outs [][]uint64, grads [][]uint64) {
 		for _, p := range params {
-			p.ZeroGrad()
+			clear(p.Grad)
 		}
 		zeroH := make([]float64, hid)
 		losses := make([]*Value, 0, steps)

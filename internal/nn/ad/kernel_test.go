@@ -193,7 +193,7 @@ func TestChunkStepMatchesChain(t *testing.T) {
 						up.Reset(hid)
 					}
 					for _, p := range params {
-						p.ZeroGrad()
+						clear(p.Grad)
 					}
 					tape := NewTape()
 					h := tape.Const(make([]float64, hid))
@@ -272,7 +272,7 @@ func TestFusedStepMatchesChain(t *testing.T) {
 	fused := func(t *Tape, x, h *Value) *Value { return t.GRUStep(g, x, h) }
 	run := func(step func(t *Tape, x, h *Value) *Value) []float64 {
 		for _, p := range params {
-			p.ZeroGrad()
+			clear(p.Grad)
 		}
 		tape := NewTape()
 		h := tape.Const(make([]float64, hid))

@@ -53,7 +53,7 @@ func fusedStepMatchesReference(t *testing.T, hid int) {
 
 	run := func(step func(t *ad.Tape, x, h *ad.Value) *ad.Value) (out []float64, grads []float64) {
 		for _, p := range g.Params() {
-			p.ZeroGrad()
+			clear(p.Grad)
 		}
 		tape := ad.NewTape()
 		h := tape.Const(make([]float64, hid))
@@ -148,7 +148,7 @@ func TestGRUBlockMatchesReference(t *testing.T) {
 		}
 		run := func(useBlock bool) (out []float64) {
 			for _, p := range params {
-				p.ZeroGrad()
+				clear(p.Grad)
 			}
 			var blk GRUBlock
 			blk.Panels.Reset(hid)

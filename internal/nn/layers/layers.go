@@ -1,7 +1,9 @@
 // Package layers provides the neural building blocks of the DeepRest
 // estimator: the learnable API-aware input mask, the GRU recurrent cell
 // (paper Equation 2), a fully connected layer, and the cross-component
-// attention weights (paper Equation 3).
+// attention weights (paper Equation 3); and the training machinery every
+// recurrent model here shares (train.go): the per-worker Workspace, the
+// ForEach fan-out and the truncated-BPTT chunk loop, Workspace.Train.
 package layers
 
 import (
@@ -204,32 +206,4 @@ func (a *Attention) Params() []*ad.Param { return []*ad.Param{a.Alpha} }
 // ad.Tape.WeightedSumConst).
 func (a *Attention) Apply(t *ad.Tape, idx []int, base []float64, stride, hidden int) *ad.Value {
 	return t.WeightedSumConst(t.Use(a.Alpha), idx, base, stride, hidden)
-}
-
-// TopPeers returns the indices of the n peers with the largest |α|.
-func (a *Attention) TopPeers(n int) []int {
-	type iw struct {
-		i int
-		w float64
-	}
-	ws := make([]iw, len(a.Alpha.Data))
-	for i, w := range a.Alpha.Data {
-		if w < 0 {
-			w = -w
-		}
-		ws[i] = iw{i, w}
-	}
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].w > ws[j-1].w; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
-	if n > len(ws) {
-		n = len(ws)
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = ws[i].i
-	}
-	return out
 }

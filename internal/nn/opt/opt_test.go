@@ -112,7 +112,7 @@ func (o *adamReference) Step(params []*ad.Param) {
 			vh := v[j] / c2
 			p.Data[j] -= o.lr * mh / (math.Sqrt(vh) + eps)
 		}
-		p.ZeroGrad()
+		clear(p.Grad)
 	}
 }
 

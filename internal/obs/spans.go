@@ -176,14 +176,6 @@ func SpanID(ctx context.Context) uint64 {
 	return 0
 }
 
-// ID returns the span's identity (0 on nil).
-func (s *ActiveSpan) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // SetWindows annotates the span with the telemetry-window count it covered.
 func (s *ActiveSpan) SetWindows(n int) {
 	if s != nil {

@@ -12,8 +12,8 @@ import (
 func TestSpanTracerHierarchyAndRing(t *testing.T) {
 	tr := NewSpanTracer(16, 42)
 	ctx, root := tr.Start(context.Background(), "pipeline.train")
-	if SpanID(ctx) != root.ID() || root.ID() == 0 {
-		t.Fatalf("context does not carry the root span: ctx=%d span=%d", SpanID(ctx), root.ID())
+	if SpanID(ctx) != root.id || root.id == 0 {
+		t.Fatalf("context does not carry the root span: ctx=%d span=%d", SpanID(ctx), root.id)
 	}
 	_, child := tr.Start(ctx, "pipeline.fetch")
 	child.SetWindows(96)
@@ -26,8 +26,8 @@ func TestSpanTracerHierarchyAndRing(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("snapshot = %d spans, want 2", len(spans))
 	}
-	if spans[0].Name != "pipeline.fetch" || spans[0].Parent != root.ID() {
-		t.Fatalf("child span = %+v, want parent %d", spans[0], root.ID())
+	if spans[0].Name != "pipeline.fetch" || spans[0].Parent != root.id {
+		t.Fatalf("child span = %+v, want parent %d", spans[0], root.id)
 	}
 	if spans[0].Windows != 96 {
 		t.Fatalf("child windows = %d", spans[0].Windows)
@@ -44,7 +44,7 @@ func TestSpanTracerDeterministicIDs(t *testing.T) {
 		ctx := context.Background()
 		for _, name := range []string{"a", "b", "c"} {
 			_, s := tr.Start(ctx, name)
-			ids = append(ids, s.ID())
+			ids = append(ids, s.id)
 			s.End()
 		}
 		return ids
@@ -61,7 +61,7 @@ func TestSpanTracerDeterministicIDs(t *testing.T) {
 	// A different seed must mint a different stream.
 	other := NewSpanTracer(16, 8)
 	_, s := other.Start(context.Background(), "a")
-	if s.ID() == a[0] {
+	if s.id == a[0] {
 		t.Fatalf("different seeds minted the same first ID %d", a[0])
 	}
 }

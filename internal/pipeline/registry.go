@@ -206,18 +206,6 @@ func (r *Registry) Generations() []*Generation {
 	return out
 }
 
-// Get returns the retained generation with the given version.
-func (r *Registry) Get(version int) (*Generation, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, g := range r.gens {
-		if g.Version == version {
-			return g, true
-		}
-	}
-	return nil, false
-}
-
 func (r *Registry) versionsLocked() []int {
 	out := make([]int, len(r.gens))
 	for i, g := range r.gens {

@@ -731,13 +731,3 @@ func trafficLight(rep Report) string {
 		return "yellow"
 	}
 }
-
-// ScoredWindows returns how many windows the current board has scored.
-func (s *Scorer) ScoredWindows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cur == nil {
-		return 0
-	}
-	return s.cur.scored
-}

@@ -306,7 +306,6 @@ func TestScorerRaceWithSwaps(t *testing.T) {
 			default:
 				_ = s.Report()
 				s.Regressed()
-				s.ScoredWindows()
 			}
 		}
 	}()

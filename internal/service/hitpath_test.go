@@ -275,3 +275,10 @@ func TestEstimateStatesItsLength(t *testing.T) {
 		}
 	}
 }
+
+// len reports the number of cached responses.
+func (c *predCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

@@ -72,10 +72,3 @@ func (c *predCache) put(key uint64, req string, body []byte) {
 	}
 	c.entries[key] = predEntry{req: req, body: body}
 }
-
-// len reports the number of cached responses.
-func (c *predCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

@@ -445,24 +445,6 @@ type Run struct {
 	WindowsPerDay int
 }
 
-// NumSpans returns the total spans across every window of the run.
-func (r *Run) NumSpans() int {
-	n := 0
-	for _, w := range r.Windows {
-		n += countSpans(w)
-	}
-	return n
-}
-
-// NumRequests returns the total requests across every window of the run.
-func (r *Run) NumRequests() int {
-	n := 0
-	for _, w := range r.Windows {
-		n += trace.TotalRequests(w)
-	}
-	return n
-}
-
 // Run simulates the full traffic program and collects its telemetry.
 func (c *Cluster) Run(t *workload.Traffic) (*Run, error) {
 	out := &Run{
@@ -507,9 +489,6 @@ func Simulate(spec *app.Spec, prog workload.Program, clusterSeed int64, sched *f
 
 // NumWindows returns the number of simulated windows in the run.
 func (r *Run) NumWindows() int { return len(r.Windows) }
-
-// Series returns the utilization series of one pair (nil if untracked).
-func (r *Run) Series(p app.Pair) []float64 { return r.Usage[p] }
 
 // Slice returns the run restricted to windows [from, to). The usage slices
 // share backing arrays with the original.

@@ -161,7 +161,7 @@ func TestRunAlignsSeries(t *testing.T) {
 		t.Fatalf("NumWindows = %d", run.NumWindows())
 	}
 	for _, p := range app.Toy().ResourcePairs() {
-		if got := len(run.Series(p)); got != 24 {
+		if got := len(run.Usage[p]); got != 24 {
 			t.Fatalf("%s series len = %d", p, got)
 		}
 	}
@@ -170,7 +170,7 @@ func TestRunAlignsSeries(t *testing.T) {
 		t.Fatal("Slice wrong size")
 	}
 	p := app.Pair{Component: "DB", Resource: app.CPU}
-	if sl.Series(p)[0] != run.Series(p)[6] {
+	if sl.Usage[p][0] != run.Usage[p][6] {
 		t.Fatal("Slice must align series with windows")
 	}
 }
@@ -186,8 +186,8 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, b := run(), run()
 	p := app.Pair{Component: "Service", Resource: app.CPU}
-	for i := range a.Series(p) {
-		if a.Series(p)[i] != b.Series(p)[i] {
+	for i := range a.Usage[p] {
+		if a.Usage[p][i] != b.Usage[p][i] {
 			t.Fatalf("non-deterministic at window %d", i)
 		}
 	}

@@ -167,13 +167,6 @@ func (s *Server) SetRetention(n int) {
 	s.evictLocked()
 }
 
-// Retention returns the configured retention horizon (0 = unbounded).
-func (s *Server) Retention() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.retention
-}
-
 // SetExtractor installs the feature extractor used for eager extraction at
 // Record time; gen identifies the feature space (model generation) so later
 // Features reads can tell cached vectors of an old generation from current
@@ -352,18 +345,6 @@ func (s *Server) ResidentWindows() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.traces)
-}
-
-// Pairs returns every (component, resource) pair with recorded metrics, in
-// unspecified order.
-func (s *Server) Pairs() []app.Pair {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]app.Pair, 0, len(s.metrics))
-	for p := range s.metrics {
-		out = append(out, p)
-	}
-	return out
 }
 
 // Traces returns the trace batches of windows [from, to).

@@ -46,11 +46,8 @@ func TestRecordAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all[p]) != 4 {
+	if len(all) != 1 || len(all[p]) != 4 {
 		t.Fatalf("Metrics = %v", all)
-	}
-	if got := s.Pairs(); len(got) != 1 || got[0] != p {
-		t.Fatalf("Pairs = %v", got)
 	}
 }
 
@@ -83,7 +80,7 @@ func TestRecordRunMatchesPerWindowRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range run.Series(p) {
+	for i, v := range run.Usage[p] {
 		if m[i] != v {
 			t.Fatalf("window %d: %v vs %v", i, m[i], v)
 		}

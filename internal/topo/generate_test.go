@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -72,7 +73,11 @@ func TestGenerateSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if run.NumRequests() == 0 {
+	requests := 0
+	for _, w := range run.Windows {
+		requests += trace.TotalRequests(w)
+	}
+	if requests == 0 {
 		t.Fatal("generated topology produced no traffic")
 	}
 }

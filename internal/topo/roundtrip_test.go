@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/app"
@@ -61,6 +64,26 @@ func TestBuiltinsRoundTripBitIdentical(t *testing.T) {
 				t.Fatalf("%s: fingerprint drifted through DSL round-trip: %s != %s", name, got, want)
 			}
 		})
+	}
+}
+
+// TestExampleTopologiesMatchBuiltins: the checked-in DSL documents of the
+// bundled applications are what exporting the Go-coded specs writes, byte
+// for byte, so the two cannot drift apart.
+func TestExampleTopologiesMatchBuiltins(t *testing.T) {
+	for name, file := range map[string]string{
+		"social": "social-network.json",
+		"hotel":  "hotel-reservation.json",
+		"media":  "media-microservices.json",
+	} {
+		b := builtins()[name]
+		got, err := os.ReadFile(filepath.Join("..", "..", "examples", "topologies", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Encode(FromSpec(b.spec, b.mix)); !bytes.Equal(got, want) {
+			t.Errorf("examples/topologies/%s differs from the %s app: regenerate it with `go run ./cmd/deeprest spec export -app %s -o examples/topologies/%s`", file, name, name, file)
+		}
 	}
 }
 

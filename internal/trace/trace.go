@@ -127,16 +127,6 @@ type Batch struct {
 	Count int
 }
 
-// Expand materialises the batch into Count individual traces. Intended for
-// tests and small examples; experiment drivers operate on batches directly.
-func (b Batch) Expand() []Trace {
-	out := make([]Trace, b.Count)
-	for i := range out {
-		out[i] = Trace{API: b.Trace.API, Root: b.Trace.Root.Clone()}
-	}
-	return out
-}
-
 // TotalRequests sums the request counts across a window's batches.
 func TotalRequests(batches []Batch) int {
 	n := 0

@@ -77,18 +77,6 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestBatchExpand(t *testing.T) {
-	b := Batch{Trace: sampleTrace(), Count: 3}
-	traces := b.Expand()
-	if len(traces) != 3 {
-		t.Fatalf("Expand len = %d", len(traces))
-	}
-	traces[0].Root.Operation = "mutated"
-	if traces[1].Root.Operation == "mutated" || b.Trace.Root.Operation == "mutated" {
-		t.Fatal("Expand must deep-copy each trace")
-	}
-}
-
 func TestTotalRequests(t *testing.T) {
 	batches := []Batch{
 		{Trace: sampleTrace(), Count: 3},
