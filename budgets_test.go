@@ -13,11 +13,11 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22614 // non-test Go lines outside bench/
-	designBytesBudget      = 40917
-	changesBytesBudget     = 27267
-	readmeBytesBudget      = 33715
-	experimentsBytesBudget = 23283
+	goLinesBudget          = 22457 // non-test Go lines outside bench/
+	designBytesBudget      = 41984
+	changesBytesBudget     = 26541
+	readmeBytesBudget      = 33712
+	experimentsBytesBudget = 23277
 )
 
 // TestBudgets holds the tree to the budgets above: the lines of non-test Go

@@ -51,7 +51,7 @@
 //
 // -retrain-every arms that scheduler (GET /v1/fleet reports
 // scheduler_running): every tenant retrains on fresh telemetry at that
-// cadence (and early when drift is detected), publishing each generation
+// cadence (and early when the quality verdict trips), publishing each generation
 // atomically while queries keep serving the previous one. With
 // -checkpoint-dir every generation is checkpointed to disk and recovered at
 // the next boot, so a restart comes back serving the exact model it went
@@ -66,13 +66,14 @@
 // (injected retrain failures, checkpoint corruption) for resilience drills —
 // while faults fire, queries keep serving the last good model generation.
 //
-// Prediction quality: the daemon continuously shadow-scores the active
-// model against arriving telemetry (internal/quality) and serves the
-// rolling scoreboard at GET /v1/quality plus deeprest_quality_* Prometheus
-// series. -quality-horizon caps the longest rolling report horizon;
-// -quality-retrain-threshold arms the feedback loop — when the aggregate
-// sMAPE stays above the threshold for 8 consecutive windows, the pipeline
-// schedules an early retrain (trigger "quality") just like drift does.
+// Prediction quality: the daemon shadow-scores the active model against
+// ingested telemetry (internal/quality) on every drift tick and every
+// GET /v1/quality, and serves the rolling scoreboard there plus
+// deeprest_quality_* Prometheus series. -quality-horizon caps the longest
+// rolling report horizon. The drift tick's verdict over the windows since
+// the last training run retrains early (trigger "drift") on unknown
+// invocation paths, collapsed interval coverage, or a mean sMAPE above
+// -quality-retrain-threshold.
 //
 // Observability: the daemon self-instruments through internal/obs and
 // serves the registry at GET /metrics on the main listener. Stage spans
@@ -116,6 +117,7 @@ import (
 	"repro/internal/nn/ad"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/quality"
 )
 
 func main() {
@@ -142,7 +144,7 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline propagated through handler contexts (0 = none)")
 	faultSpec := flag.String("fault-spec", "", "deterministic control-plane fault scenario, e.g. \"seed=1;retrainfail:prob=0.3\" (see internal/faults; for resilience drills)")
 	qualityHorizon := flag.Duration("quality-horizon", 24*time.Hour, "longest rolling shadow-scoring horizon served at /v1/quality")
-	qualityThreshold := flag.Float64("quality-retrain-threshold", 0, "aggregate sMAPE (percent) that, sustained over 8 scored windows, triggers an early retrain (0 = observe only)")
+	qualityThreshold := flag.Float64("quality-retrain-threshold", quality.DefaultSMAPEThreshold, "mean sMAPE (percent) over the windows since the last training run above which a drift tick retrains early")
 	logLevel := flag.String("log-level", "info", "log severity: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", "log rendering: text or json")
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/ and /debug/spans on the main listener")
@@ -199,10 +201,6 @@ func main() {
 		logger.Warn("fault injection armed — this daemon will deliberately fail", "spec", *faultSpec)
 	}
 
-	if *qualityThreshold > 0 {
-		logger.Info("quality-regression retrain gate armed",
-			"smape_threshold_pct", *qualityThreshold, "horizon", *qualityHorizon)
-	}
 	// The default horizon keeps the training window plus the same again as
 	// query slack, so scheduled retrains and recent-range sanity checks
 	// always find their telemetry resident.

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/app"
-	"repro/internal/drift"
 	"repro/internal/estimator"
 	"repro/internal/estimator/infer"
+	"repro/internal/eval"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -16,10 +16,6 @@ import (
 // The stale model mis-estimates the changed components; one day of
 // continued training on fresh telemetry (estimator.Model.Update) repairs
 // the estimates without a full re-learn.
-//
-// The drift measurement itself lives in internal/drift (the exported API
-// the continuous-learning pipeline consumes); this experiment is a thin
-// driver over it.
 func (r *Runner) ExtDrift() (Result, error) {
 	l, err := r.Social()
 	if err != nil {
@@ -65,24 +61,18 @@ func (r *Runner) ExtDrift() (Result, error) {
 
 	// Each measurement compiles its own engine: Update changes the weights
 	// (and a delta pair's base) under any engine compiled before it.
-	det := drift.NewDetector()
 	mapeOnEval := func() (map[app.Pair]float64, error) {
 		eng, err := infer.Compile(model)
 		if err != nil {
 			return nil, err
 		}
-		series := model.Space.ExtractSeries(evalRun.Windows)
-		est, err := eng.Predict(series)
-		if err != nil {
-			return nil, err
-		}
-		sig, err := det.MeasureVectors(series, est, model.Pairs, evalRun.Usage)
+		est, err := eng.Predict(model.Space.ExtractSeries(evalRun.Windows))
 		if err != nil {
 			return nil, err
 		}
 		out := map[app.Pair]float64{}
 		for _, p := range []app.Pair{target, control} {
-			out[p] = sig.PairMAPE[p]
+			out[p] = eval.MAPE(est[p].Exp, evalRun.Usage[p])
 		}
 		return out, nil
 	}

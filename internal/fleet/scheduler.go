@@ -184,7 +184,7 @@ func (s *scheduler) runTick(ctx context.Context, j schedJob) {
 }
 
 // worker executes ticks from the shared queue. The tick runs the tenant's
-// own pipeline machinery (drift check, quality check, retrain with retries,
+// own pipeline machinery (quality verdict, retrain with retries,
 // checkpoint, atomic swap).
 func (s *scheduler) worker(ctx context.Context) {
 	defer s.wg.Done()

@@ -1,13 +1,40 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/quality"
+	"repro/internal/telemetry"
 )
+
+// newScoredPipeline builds a pipeline whose drift tick takes its verdict
+// from a shadow scorer over store, wired the way the service wires them.
+func newScoredPipeline(t *testing.T, opts core.Options, cfg Config, store *telemetry.Server) *Pipeline {
+	t.Helper()
+	var p *Pipeline
+	scorer := quality.New(quality.Config{}, quality.Deps{Source: store, Metrics: opts.Metrics,
+		Active: func() (int, *core.System) {
+			if g := p.Active(); g != nil {
+				return g.Version, g.System
+			}
+			return 0, nil
+		}})
+	cfg.QualityCheck = func(ctx context.Context, trainedTo int) *quality.Verdict {
+		scorer.CatchUp(ctx)
+		return scorer.Verdict(trainedTo)
+	}
+	var err error
+	if p, err = New(opts, cfg, store); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func TestPipelineMetrics(t *testing.T) {
 	store := toyStore(t, 1, 91)
@@ -17,15 +44,11 @@ func TestPipelineMetrics(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.CheckpointDir = dir
-	cfg.MinDriftWindows = 1
-	p, err := New(opts, cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newScoredPipeline(t, opts, cfg, store)
 
-	// Train up to four windows short of the newest so the drift check below
-	// has fresh telemetry to measure against.
-	trainTo := store.NumWindows() - 4
+	// Train short of the newest windows so the drift tick below has just
+	// enough fresh telemetry for a verdict.
+	trainTo := store.NumWindows() - quality.MinVerdictWindows
 	if _, err := p.TrainOnce(0, trainTo, []app.Pair{cpuPair}, "manual"); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +76,22 @@ func TestPipelineMetrics(t *testing.T) {
 		t.Fatalf("checkpoint_ops_total{write,ok} = %d, want 1", got)
 	}
 
+	// The fresh windows are enough for a verdict: the tick either keeps it
+	// in the status with the gauge at 0, or trips it, sets the gauge and
+	// retrains under trigger "drift" (whose publish clears the status).
+	p.TickDrift(context.Background())
+	regressed := reg.Gauge("deeprest_quality_regressed",
+		"1 while the last early-retrain verdict on the active generation tripped, else 0.")
+	st := p.Status()
+	switch {
+	case st.LastDrift != nil:
+		if st.LastDrift.Windows != quality.MinVerdictWindows || st.LastDrift.Reason != "" || regressed.Value() != 0 {
+			t.Fatalf("verdict = %+v with deeprest_quality_regressed %v", st.LastDrift, regressed.Value())
+		}
+	case genOK.With("drift", "ok").Value() != 1 || regressed.Value() != 1:
+		t.Fatalf("no verdict in the status and no drift retrain (regressed gauge %v)", regressed.Value())
+	}
+
 	// A failing run (unknown pair) counts as an error, not a publish.
 	bad := app.Pair{Component: "NoSuch", Resource: app.CPU}
 	if _, err := p.TrainOnce(0, 0, []app.Pair{bad}, "manual"); err == nil {
@@ -60,16 +99,6 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 	if got := genOK.With("manual", "error").Value(); got != 1 {
 		t.Fatalf("generations_total{manual,error} = %d, want 1", got)
-	}
-
-	// The four windows beyond trainedTo are fresh telemetry: a drift check
-	// must run and, drifted or not, touch the counter and gauges.
-	p.checkDrift()
-	checks := reg.CounterVec("deeprest_drift_checks_total",
-		"Drift measurements of the active model against fresh telemetry, by verdict.",
-		"drifted")
-	if got := checks.With("true").Value() + checks.With("false").Value(); got != 1 {
-		t.Fatalf("drift_checks_total = %d, want 1", got)
 	}
 
 	// A restarted pipeline recovers the checkpoint and restores the gauge.
@@ -99,15 +128,12 @@ func TestPipelineMetrics(t *testing.T) {
 
 func TestUninstrumentedPipelineIsNoOp(t *testing.T) {
 	store := toyStore(t, 1, 92)
-	p, err := New(quickOpts(), DefaultConfig(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newScoredPipeline(t, quickOpts(), DefaultConfig(), store)
 	// Metrics nil: every handle is a nil no-op; nothing may panic.
-	if _, err := p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual"); err != nil {
+	if _, err := p.TrainOnce(0, store.NumWindows()-quality.MinVerdictWindows, []app.Pair{cpuPair}, "manual"); err != nil {
 		t.Fatal(err)
 	}
-	p.checkDrift()
+	p.TickDrift(context.Background())
 }
 
 // nanSource is a telemetry store one of whose utilization samples is NaN,

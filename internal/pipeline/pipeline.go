@@ -8,9 +8,9 @@
 //   - TickScheduled retrains over a sliding window of the most recent
 //     telemetry, warm-starting each generation from the previous one
 //     (internal/estimator transfer machinery);
-//   - TickDrift evaluates a drift detector (internal/drift) on the telemetry
-//     that arrived since the last training run and retrains early when the
-//     model's estimates stop explaining the measurements;
+//   - TickDrift asks the shadow scoreboard (internal/quality) for its verdict
+//     on the telemetry that arrived since the last training run and retrains
+//     early when the model's estimates stop explaining the measurements;
 //   - every trained generation is published into a versioned Registry with
 //     bounded history, optional checkpoints on disk, and rollback;
 //   - serving reads go through Registry.Active — an RCU-style atomic
@@ -27,17 +27,16 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/core"
-	"repro/internal/drift"
 	"repro/internal/estimator"
 	"repro/internal/faults"
 	"repro/internal/features"
 	"repro/internal/obs"
+	"repro/internal/quality"
 	"repro/internal/trace"
 )
 
@@ -51,19 +50,17 @@ var ErrTrainingInFlight = errors.New("pipeline: a training generation is already
 // Status.LastError) can tell an injected failure from an organic one.
 var ErrFaultInjected = errors.New("pipeline: training failure injected by fault schedule")
 
-// Source is the telemetry store the pipeline trains and drift-checks over —
-// the tenant's *telemetry.Server; an interface so a test can substitute a
-// fake. Windows [OldestWindow, NumWindows) are resident: training and drift
-// ranges are clamped to that floor, so a sliding window wider than the
-// retention horizon degrades to "all resident telemetry". Features serves
-// the per-window vector cache that SetExtractor keeps in the active
-// generation's space (see followActive).
+// Source is the telemetry store the pipeline trains over — the tenant's
+// *telemetry.Server; an interface so a test can substitute a fake. Windows
+// [OldestWindow, NumWindows) are resident: training ranges are clamped to
+// that floor, so a sliding window wider than the retention horizon degrades
+// to "all resident telemetry". SetExtractor keeps the store's per-window
+// feature cache in the active generation's space (see followActive).
 type Source interface {
 	NumWindows() int
 	OldestWindow() int
 	Traces(from, to int) ([][]trace.Batch, error)
 	Metrics(from, to int) (map[app.Pair][]float64, error)
-	Features(gen int, fn func([]trace.Batch) features.Vector, from, to int) ([]features.Vector, error)
 	SetExtractor(gen int, fn func([]trace.Batch) features.Vector)
 }
 
@@ -80,9 +77,6 @@ type Config struct {
 	// MinNewWindows is how many fresh telemetry windows must have arrived
 	// since the last training run before a scheduled retrain fires.
 	MinNewWindows int
-	// MinDriftWindows is how many fresh windows the drift check needs
-	// before it produces a meaningful signal.
-	MinDriftWindows int
 	// MaxHistory bounds the registry (minimum 2).
 	MaxHistory int
 	// CheckpointDir enables on-disk checkpoints when non-empty.
@@ -102,13 +96,13 @@ type Config struct {
 	// and before training starts — an observability hook, also used by
 	// tests to hold a generation in flight deterministically.
 	BeforeTrain func()
-	// QualityCheck, when non-nil, is polled on every drift tick after the
-	// drift verdict: returning true (with a human-readable reason)
-	// triggers an early retrain with trigger "quality". The service layer
-	// wires this to the shadow-scoring regression gate
-	// (internal/quality.Scorer.Regressed) — the hook indirection keeps
-	// quality from importing pipeline and vice versa.
-	QualityCheck func() (bool, string)
+	// QualityCheck, when non-nil, is the early-retrain decision every drift
+	// tick asks for: the shadow scoreboard's verdict over the windows at or
+	// after trainedTo, or nil while too few of them are scored. A verdict
+	// with a Reason retrains with trigger "drift". The service wires it to
+	// its scorer (quality.Scorer.CatchUp, then Verdict); the pipeline runs
+	// no engine itself.
+	QualityCheck func(ctx context.Context, trainedTo int) *quality.Verdict
 }
 
 // DefaultConfig returns the production defaults: retrain every 15 minutes
@@ -117,14 +111,13 @@ type Config struct {
 // generation whenever there is one.
 func DefaultConfig() Config {
 	return Config{
-		Interval:        15 * time.Minute,
-		DriftEvery:      0, // derived: Interval / 4
-		Window:          0,
-		MinNewWindows:   1,
-		MinDriftWindows: 8,
-		MaxHistory:      4,
-		MaxRetries:      2,
-		RetryBackoff:    time.Second,
+		Interval:      15 * time.Minute,
+		DriftEvery:    0, // derived: Interval / 4
+		Window:        0,
+		MinNewWindows: 1,
+		MaxHistory:    4,
+		MaxRetries:    2,
+		RetryBackoff:  time.Second,
 	}
 }
 
@@ -133,7 +126,6 @@ func DefaultConfig() Config {
 type Pipeline struct {
 	opts core.Options
 	cfg  Config
-	det  *drift.Detector
 	reg  *Registry
 	src  Source
 	log  *slog.Logger // nil = no structured logging
@@ -145,20 +137,15 @@ type Pipeline struct {
 	genRetries    *obs.CounterVec   // retrain retry attempts, by trigger
 	degradedGauge *obs.Gauge        // 1 while serving last-good through failures
 	consecFailsG  *obs.Gauge        // consecutive training failures
-	driftChecks   *obs.CounterVec   // drift measurements, by verdict
-	driftScore    *obs.Gauge        // mean MAPE of the last drift check
-	driftCoverage *obs.Gauge        // interval coverage of the last drift check
-	driftUnknown  *obs.Gauge        // unknown-path fraction of the last drift check
 
 	mu          sync.Mutex
 	inFlight    bool
 	pairs       []app.Pair // pair restriction of the last manual learn
 	trainedTo   int        // store index the latest generation trained up to
 	lastErr     string
-	lastDrift   *drift.Signal
-	lastQuality string // reason of the last quality-gate regression
-	attempts    int    // lifetime training attempts, feeds the retrainfail injector
-	consecFails int    // training failures since the last successful publish
+	lastDrift   *quality.Verdict // the last verdict since the latest publish
+	attempts    int              // lifetime training attempts, feeds the retrainfail injector
+	consecFails int              // training failures since the last successful publish
 }
 
 // New builds a pipeline over the tenant's telemetry store; "no telemetry
@@ -169,9 +156,6 @@ func New(opts core.Options, cfg Config, src Source) (*Pipeline, error) {
 	}
 	if cfg.DriftEvery <= 0 {
 		cfg.DriftEvery = cfg.Interval / 4
-	}
-	if cfg.MinDriftWindows <= 0 {
-		cfg.MinDriftWindows = DefaultConfig().MinDriftWindows
 	}
 	if cfg.MaxHistory <= 0 {
 		cfg.MaxHistory = DefaultConfig().MaxHistory
@@ -189,7 +173,7 @@ func New(opts core.Options, cfg Config, src Source) (*Pipeline, error) {
 	reg.instrument(opts.Metrics)
 	reg.injected = cfg.Faults
 	reg.tracer = opts.Tracer
-	p := &Pipeline{opts: opts, cfg: cfg, det: drift.NewDetector(), reg: reg, src: src, log: opts.Logger}
+	p := &Pipeline{opts: opts, cfg: cfg, reg: reg, src: src, log: opts.Logger}
 	if m := opts.Metrics; m != nil {
 		p.genDur = m.HistogramVec("deeprest_pipeline_generation_seconds",
 			"Wall-clock duration of one training generation, train through publish.",
@@ -204,15 +188,6 @@ func New(opts core.Options, cfg Config, src Source) (*Pipeline, error) {
 			"1 while the pipeline is degraded (training is failing and queries are served from the last good generation), else 0.")
 		p.consecFailsG = m.Gauge("deeprest_pipeline_consecutive_failures",
 			"Training failures since the last successfully published generation.")
-		p.driftChecks = m.CounterVec("deeprest_drift_checks_total",
-			"Drift measurements of the active model against fresh telemetry, by verdict.",
-			"drifted")
-		p.driftScore = m.Gauge("deeprest_drift_score",
-			"Mean MAPE (percent) of the active model on fresh telemetry at the last drift check.")
-		p.driftCoverage = m.Gauge("deeprest_drift_coverage",
-			"Fraction of fresh observations inside the model's confidence interval at the last drift check.")
-		p.driftUnknown = m.Gauge("deeprest_drift_unknown_path_frac",
-			"Fraction of span visits on invocation paths unknown to the model at the last drift check.")
 	}
 	return p, nil
 }
@@ -240,15 +215,14 @@ func (p *Pipeline) Active() *Generation { return p.reg.Active() }
 
 // Status is a point-in-time snapshot of the pipeline state.
 type Status struct {
-	InFlight      bool          `json:"training_in_flight"`
-	ActiveVersion int           `json:"active_version,omitempty"`
-	Generations   int           `json:"generations"`
-	TrainedTo     int           `json:"trained_to_window"`
-	LastError     string        `json:"last_error,omitempty"`
-	LastDrift     *drift.Signal `json:"last_drift,omitempty"`
-	// LastQuality carries the most recent shadow-scoring regression that
-	// triggered (or is about to trigger) an early retrain.
-	LastQuality string `json:"last_quality_regression,omitempty"`
+	InFlight      bool   `json:"training_in_flight"`
+	ActiveVersion int    `json:"active_version,omitempty"`
+	Generations   int    `json:"generations"`
+	TrainedTo     int    `json:"trained_to_window"`
+	LastError     string `json:"last_error,omitempty"`
+	// LastDrift is the last early-retrain verdict a drift tick took since
+	// the latest publish; a publish clears it.
+	LastDrift *quality.Verdict `json:"last_drift,omitempty"`
 	// ConsecutiveFailures counts training failures since the last
 	// successful publish; Degraded is true while that count is non-zero,
 	// meaning queries are being answered from the last good generation.
@@ -268,7 +242,6 @@ func (p *Pipeline) Status() Status {
 		TrainedTo:           p.trainedTo,
 		LastError:           p.lastErr,
 		LastDrift:           p.lastDrift,
-		LastQuality:         p.lastQuality,
 		ConsecutiveFailures: p.consecFails,
 		Degraded:            p.consecFails > 0,
 		Quarantined:         p.reg.Quarantined(),
@@ -352,7 +325,7 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 	} else {
 		p.lastErr = ""
 		p.trainedTo = to
-		p.lastDrift = nil // the new generation resets the drift signal
+		p.lastDrift = nil // the verdict described the generation before
 		p.consecFails = 0
 	}
 	degraded := p.consecFails
@@ -496,14 +469,27 @@ func (p *Pipeline) Recover() (int, error) {
 // worker pool.
 func (p *Pipeline) TickScheduled(ctx context.Context) { p.scheduledRetrain(ctx, "scheduled") }
 
-// TickDrift runs one drift/quality check, retraining early when either gate
-// fires; the scheduler calls it every DriftEvery.
+// TickDrift takes the early-retrain verdict on the telemetry since the last
+// training run (Config.QualityCheck) and retrains with trigger "drift" when
+// it trips; the scheduler calls it every DriftEvery.
 func (p *Pipeline) TickDrift(ctx context.Context) {
-	if p.checkDrift() {
-		p.scheduledRetrain(ctx, "drift")
-	} else if p.checkQuality() {
-		p.scheduledRetrain(ctx, "quality")
+	if p.cfg.QualityCheck == nil || p.reg.Active() == nil {
+		return
 	}
+	v := p.cfg.QualityCheck(ctx, p.rebaseTrainedTo(p.src.NumWindows()))
+	if v == nil {
+		return
+	}
+	p.mu.Lock()
+	p.lastDrift = v
+	p.mu.Unlock()
+	if v.Reason == "" {
+		return
+	}
+	p.warn("drift detected; scheduling early retrain",
+		"reason", v.Reason, "windows", v.Windows, "smape", v.SMAPE,
+		"coverage", v.Coverage, "unknown_path_frac", v.UnknownPathFrac)
+	p.scheduledRetrain(ctx, "drift")
 }
 
 // Interval reports the resolved scheduled-retrain cadence, the companion of
@@ -535,8 +521,8 @@ func (p *Pipeline) scheduledRetrain(ctx context.Context, trigger string) {
 	n := p.src.NumWindows()
 	trainedTo := p.rebaseTrainedTo(n)
 	minNew := p.cfg.MinNewWindows
-	if trigger == "drift" || trigger == "quality" {
-		minNew = 1 // the drift/quality gate already decided fresh data warrants it
+	if trigger == "drift" {
+		minNew = 1 // the verdict already decided fresh data warrants it
 	}
 	if n == 0 || (p.reg.Active() != nil && n-trainedTo < minNew) {
 		return
@@ -575,72 +561,4 @@ func (p *Pipeline) TrainingInFlight() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.inFlight
-}
-
-// checkQuality polls the shadow-scoring regression gate (when configured)
-// and reports whether a quality-triggered retrain should fire.
-func (p *Pipeline) checkQuality() bool {
-	if p.cfg.QualityCheck == nil || p.reg.Active() == nil {
-		return false
-	}
-	bad, reason := p.cfg.QualityCheck()
-	if !bad {
-		return false
-	}
-	p.mu.Lock()
-	p.lastQuality = reason
-	p.mu.Unlock()
-	p.warn("prediction quality regressed; scheduling early retrain", "reason", reason)
-	return true
-}
-
-// checkDrift measures the active model against the telemetry that arrived
-// since the last training run and reports whether an early retrain should
-// fire.
-func (p *Pipeline) checkDrift() bool {
-	g := p.reg.Active()
-	if g == nil {
-		return false
-	}
-	n := p.src.NumWindows()
-	from := max(p.rebaseTrainedTo(n), p.src.OldestWindow())
-	if n-from < p.cfg.MinDriftWindows {
-		return false
-	}
-	usage, err := p.src.Metrics(from, n)
-	if err != nil {
-		return false
-	}
-	// The store's cached per-window vectors, not a walk of every trace tree
-	// on every drift tick: the series comes from the generation's own
-	// extractor (anonymisation included), the estimates from its engine.
-	series, err := p.src.Features(g.Version, g.System.Extractor(), from, n)
-	if err != nil {
-		return false
-	}
-	var sig drift.Signal
-	est, err := g.System.ExpectedUtilizationVectors(series)
-	if err == nil {
-		sig, err = p.det.MeasureVectors(series, est, g.System.Pairs(), usage)
-	}
-	if err != nil {
-		p.mu.Lock()
-		p.lastErr = err.Error()
-		p.mu.Unlock()
-		return false
-	}
-	p.mu.Lock()
-	p.lastDrift = &sig
-	p.mu.Unlock()
-	p.driftChecks.With(strconv.FormatBool(sig.Drifted)).Inc()
-	p.driftScore.Set(sig.MeanMAPE)
-	p.driftCoverage.Set(sig.Coverage)
-	p.driftUnknown.Set(sig.UnknownPathFrac)
-	if sig.Drifted {
-		p.warn("drift detected; scheduling early retrain",
-			"reason", sig.Reason, "windows", sig.Windows,
-			"mean_mape", sig.MeanMAPE, "coverage", sig.Coverage,
-			"unknown_path_frac", sig.UnknownPathFrac)
-	}
-	return sig.Drifted
 }

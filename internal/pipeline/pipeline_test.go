@@ -189,31 +189,25 @@ func TestBackgroundLoopRetrains(t *testing.T) {
 	}
 }
 
+// TestDriftTriggersEarlyRetrain: the drift tick takes the scoreboard's
+// verdict on the windows since the last training run. With none of them
+// scored there is no verdict and no retrain; once a "new version" makes the
+// same traffic cost 6x CPU, one tick retrains with trigger "drift" through
+// the newest window.
 func TestDriftTriggersEarlyRetrain(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 85)
 	store := telemetry.NewServer(run.WindowSeconds)
 	store.RecordRun(run)
-
-	cfg := DefaultConfig()
-	cfg.MinDriftWindows = 8
-	p, err := New(quickOpts(), cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newScoredPipeline(t, quickOpts(), DefaultConfig(), store)
 	if _, err := p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual"); err != nil {
 		t.Fatal(err)
 	}
 
-	// No drift on quiet telemetry: a couple of drift ticks change nothing.
-	for i := 0; i < 2; i++ {
-		p.TickDrift(context.Background())
-	}
-	if got := p.Status().Generations; got != 1 {
-		t.Fatalf("retrained without fresh telemetry: %d generations", got)
+	p.TickDrift(context.Background())
+	if st := p.Status(); st.Generations != 1 || st.LastDrift != nil {
+		t.Fatalf("a tick with no fresh windows: %d generations, verdict %+v", st.Generations, st.LastDrift)
 	}
 
-	// A "new version" ships: the same traffic suddenly costs 6x CPU.
-	// Record 16 fresh windows the model will badly mis-estimate.
 	for i := 0; i < 16; i++ {
 		w := i % len(run.Windows)
 		usage := make(sim.Usage, len(run.Usage))
@@ -228,8 +222,7 @@ func TestDriftTriggersEarlyRetrain(t *testing.T) {
 		t.Fatalf("generations after the drift tick = %d (last trigger %q), want a second one triggered by drift",
 			len(gens), last.Trigger)
 	}
-	st := p.Status()
-	if st.TrainedTo != store.NumWindows() {
+	if st := p.Status(); st.TrainedTo != store.NumWindows() {
 		t.Fatalf("drift retrain covered up to %d, want %d", st.TrainedTo, store.NumWindows())
 	}
 }

@@ -9,16 +9,19 @@
 // utilization, maintaining rolling per-(component,resource) MAE/sMAPE over
 // sliding horizons (1h/6h/24h of windows by default), quantile-head
 // calibration (empirical interval coverage plus pinball loss for the upper
-// p-head), and per-API attributed error.
+// p-head), the fraction of span visits on invocation paths the model has
+// never seen, and per-API attributed error.
 //
-// Shadow-scoring semantics. Scoring is chunk-aligned: windows are grouped
-// into fixed chunks at absolute window indices (chunk k covers windows
-// [k·C, (k+1)·C)), the model's recurrent state is reset at each chunk start,
-// and only complete chunks are scored. Aligning on absolute indices makes
-// the scores a pure function of (telemetry, model generation) — independent
-// of how often CatchUp is called — which is what makes the golden
-// determinism test possible. The scoring lag is therefore bounded by one
-// chunk of windows.
+// Shadow-scoring semantics. Windows are grouped into fixed chunks at
+// absolute window indices (chunk k covers windows [k·C, (k+1)·C)), and the
+// model's recurrent state is reset at each chunk start. A pass scores
+// through the newest window: the last chunk may be incomplete, and the next
+// pass drops its samples and replays that chunk from its start. The engine
+// is causal, so a chunk's first windows estimate the same bits alone as
+// inside the whole chunk (TestChunkPrefixMatchesFullChunk); the scores are
+// therefore a pure function of (telemetry, model generation), independent
+// of how often CatchUp is called, which is what makes the golden
+// determinism test possible.
 //
 // Boards are keyed by model version: a serving swap finalizes the current
 // scoreboard into a compact summary (retained for before/after comparison)
@@ -26,10 +29,9 @@
 // bounded by the longest horizon and clamped to the telemetry retention
 // horizon, evicting in lockstep with the PR-5 ring buffer.
 //
-// The Scorer also closes the loop back into the pipeline: Regressed reports
-// when the aggregate sMAPE has stayed above a configurable threshold for N
-// consecutive scored windows, and internal/pipeline polls it on the drift
-// tick to trigger an early retrain alongside the drift signal.
+// The Scorer also closes the loop back into the pipeline: Verdict folds the
+// board's windows since the active generation's trained-to mark into the one
+// early-retrain decision, which internal/pipeline asks for on its drift tick.
 package quality
 
 import (
@@ -77,14 +79,22 @@ type Config struct {
 	// unbounded). Rings never retain more than this, so quality evicts in
 	// lockstep with telemetry.
 	Retention int
-	// SMAPEThreshold arms the regression gate: when > 0, an aggregate
-	// per-window sMAPE above it for SustainWindows consecutive scored
-	// windows makes Regressed report true. In percent.
+	// SMAPEThreshold is the verdict's error bound: a mean sMAPE above it
+	// (percent) trips the verdict. Zero means DefaultSMAPEThreshold.
 	SMAPEThreshold float64
-	// SustainWindows is how many consecutive bad windows trip the gate
-	// (default 8).
-	SustainWindows int
 }
+
+// The verdict's bounds (see Verdict). DefaultSMAPEThreshold sits between the
+// mean sMAPE of a quiet day and of a day whose costs grew 6× (DESIGN.md
+// "Early retrains").
+const (
+	DefaultSMAPEThreshold = 80
+	maxUnknownPathFrac    = 0.05
+	minCoverage           = 0.5
+	// MinVerdictWindows is how many scored windows since the trained-to
+	// mark a verdict needs.
+	MinVerdictWindows = 8
+)
 
 // Deps wires the scorer into the daemon. All fields but Source and Active
 // are optional.
@@ -111,15 +121,25 @@ type sample struct {
 	exp, low, up, act float64
 }
 
-// ring is a bounded FIFO of per-window values with O(1) append. Its buffer
-// grows with what was pushed, doubling up to limit, and wraps from there: a
-// board that has scored little holds little, however long its horizon.
+// window is one scored window's board-wide figures.
+type window struct {
+	// index is the window's absolute store index.
+	index int
+	// smape is the mean over pairs of the window's sMAPE; unknown the
+	// fraction of its span visits on invocation paths the model has never
+	// seen (topology drift).
+	smape, unknown float64
+}
+
+// ring is a bounded FIFO of per-window values with O(1) append and O(1)
+// removal of its newest entries. Its buffer grows with what was pushed,
+// doubling up to limit, and wraps from there: a board that has scored little
+// holds little, however long its horizon.
 type ring[T any] struct {
 	buf   []T
 	limit int
-	// next is the slot the next push overwrites — the oldest entry — once
-	// the buffer is full; 0 until then.
-	next int
+	// head is the slot of the oldest entry; n counts the entries held.
+	head, n int
 }
 
 func newRing[T any](capacity int) *ring[T] {
@@ -127,28 +147,33 @@ func newRing[T any](capacity int) *ring[T] {
 }
 
 func (r *ring[T]) push(v T) {
-	if len(r.buf) == r.limit {
-		r.buf[r.next] = v
-		r.next = (r.next + 1) % r.limit
+	if r.n == r.limit {
+		r.buf[r.head] = v
+		r.head = (r.head + 1) % r.limit
 		return
 	}
-	if len(r.buf) == cap(r.buf) {
-		grown := make([]T, len(r.buf), min(max(2*len(r.buf), 16), r.limit))
+	if r.n == len(r.buf) {
+		// head is still 0: it moves only once the buffer has reached limit.
+		grown := make([]T, min(max(2*r.n, 16), r.limit))
 		copy(grown, r.buf)
 		r.buf = grown
 	}
-	r.buf = append(r.buf, v)
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
 }
+
+// drop removes the newest min(k, n) entries. Dropping what a full ring's
+// pushes overwrote does not bring the overwritten entries back: the ring
+// then holds fewer than limit until k more pushes refill it, which replaying
+// the dropped windows does.
+func (r *ring[T]) drop(k int) { r.n -= min(k, r.n) }
 
 // last visits the most recent min(k, n) entries, oldest of them first.
 func (r *ring[T]) last(k int, visit func(T)) int {
-	n := len(r.buf)
-	if k > n {
-		k = n
-	}
-	start := r.next - k + n
+	k = min(k, r.n)
+	start := r.head + r.n - k
 	for i := 0; i < k; i++ {
-		visit(r.buf[(start+i)%n])
+		visit(r.buf[(start+i)%len(r.buf)])
 	}
 	return k
 }
@@ -171,21 +196,25 @@ type board struct {
 	byPair   map[app.Pair]*ring[sample]
 	apiNames []string
 	byAPI    map[string]*ring[apiSample]
-	// agg holds the per-window aggregate sMAPE (mean over pairs).
-	agg *ring[float64]
+	// agg holds one entry per scored window, in window order.
+	agg *ring[window]
 	// scored counts every window this board ever scored (not just
 	// resident ones); scoredTo is the absolute index one past the last.
 	scored   int
 	scoredTo int
+	// tail counts the windows of an incomplete last chunk, which end at
+	// scoredTo; tailAPI how many entries they pushed to each API ring. The
+	// next pass drops them and replays their chunk from its start.
+	tail    int
+	tailAPI map[string]int
 	// delta is the model's interval confidence level; qUp the upper
 	// quantile its Up head targets.
 	delta, qUp float64
-	// consecBad counts consecutive windows whose aggregate sMAPE exceeded
-	// the regression threshold.
-	consecBad int
 	// chunk is the effective scoring chunk length (config override or the
 	// model's ChunkLen).
 	chunk int
+	// verdict is the last one Verdict took on this board; nil before.
+	verdict *Verdict
 }
 
 // FinalSummary is the compact score a generation leaves behind at swap.
@@ -213,11 +242,14 @@ type HorizonReport struct {
 	Windows int    `json:"windows"`
 	// SMAPE is the aggregate symmetric error in percent; Coverage the
 	// empirical fraction of actuals inside [Low, Up] (target: the model's
-	// delta); PinballUp the mean pinball loss of the upper quantile head.
-	SMAPE     float64              `json:"smape"`
-	Coverage  float64              `json:"coverage"`
-	PinballUp float64              `json:"pinball_up"`
-	Pairs     map[string]PairScore `json:"pairs"`
+	// delta); PinballUp the mean pinball loss of the upper quantile head;
+	// UnknownPathFrac the mean fraction of span visits on invocation paths
+	// the model has never seen.
+	SMAPE           float64              `json:"smape"`
+	Coverage        float64              `json:"coverage"`
+	PinballUp       float64              `json:"pinball_up"`
+	UnknownPathFrac float64              `json:"unknown_path_frac"`
+	Pairs           map[string]PairScore `json:"pairs"`
 	// APIs is the per-API attributed sMAPE: each window's aggregate error
 	// split by traffic share.
 	APIs map[string]float64 `json:"apis,omitempty"`
@@ -236,13 +268,25 @@ type Report struct {
 	QUp   float64 `json:"q_up"`
 	// Summary is the traffic light: "green", "yellow", "red", or "empty"
 	// when nothing has been scored yet.
-	Summary       string          `json:"summary"`
-	Regressed     bool            `json:"regressed,omitempty"`
-	RegressReason string          `json:"regress_reason,omitempty"`
-	Horizons      []HorizonReport `json:"horizons"`
+	Summary string `json:"summary"`
+	// Verdict is the last early-retrain verdict taken on this board.
+	Verdict  *Verdict        `json:"verdict,omitempty"`
+	Horizons []HorizonReport `json:"horizons"`
 	// Previous is the predecessor generation's final score, for
 	// before/after comparison across a serving swap.
 	Previous *FinalSummary `json:"previous,omitempty"`
+}
+
+// Verdict is the early-retrain decision over the windows a generation has
+// not trained on. It trips (Reason non-empty) on the first of three bounds
+// that holds: an unknown-path fraction above 0.05 (topology drift), an
+// interval coverage below 0.5, or a mean sMAPE above Config.SMAPEThreshold.
+type Verdict struct {
+	Windows         int     `json:"windows"`
+	UnknownPathFrac float64 `json:"unknown_path_frac"`
+	Coverage        float64 `json:"coverage"`
+	SMAPE           float64 `json:"smape"`
+	Reason          string  `json:"reason,omitempty"`
 }
 
 // Scorer shadow-scores the active model generation against arriving
@@ -255,13 +299,13 @@ type Scorer struct {
 	mAggrS   *obs.GaugeVec
 	mCover   *obs.GaugeVec
 	mPinball *obs.GaugeVec
+	mUnknown *obs.GaugeVec
 	mScored  *obs.Counter
 	mRegr    *obs.Gauge
 
-	mu     sync.Mutex
-	cur    *board
-	prev   *FinalSummary
-	cursor int // next absolute window index eligible for scoring
+	mu   sync.Mutex
+	cur  *board
+	prev *FinalSummary
 }
 
 // New builds a Scorer. deps.Source and deps.Active must be non-nil.
@@ -270,8 +314,8 @@ func New(cfg Config, deps Deps) *Scorer {
 		cfg.Horizons = append([]time.Duration(nil), DefaultHorizons...)
 	}
 	sort.Slice(cfg.Horizons, func(i, j int) bool { return cfg.Horizons[i] < cfg.Horizons[j] })
-	if cfg.SustainWindows <= 0 {
-		cfg.SustainWindows = 8
+	if cfg.SMAPEThreshold <= 0 {
+		cfg.SMAPEThreshold = DefaultSMAPEThreshold
 	}
 	s := &Scorer{cfg: cfg, deps: deps}
 	if reg := deps.Metrics; reg != nil {
@@ -284,10 +328,12 @@ func New(cfg Config, deps Deps) *Scorer {
 			"Empirical confidence-interval coverage per horizon (target: model delta).", "horizon")
 		s.mPinball = reg.GaugeVec("deeprest_quality_pinball_up",
 			"Mean pinball loss of the upper quantile head per horizon.", "horizon")
+		s.mUnknown = reg.GaugeVec("deeprest_quality_unknown_path_frac",
+			"Mean fraction of span visits on invocation paths the active model has never seen, per horizon.", "horizon")
 		s.mScored = reg.Counter("deeprest_quality_windows_scored_total",
 			"Telemetry windows shadow-scored against the active model generation.")
 		s.mRegr = reg.Gauge("deeprest_quality_regressed",
-			"1 while the sustained-regression gate is tripped, else 0.")
+			"1 while the last early-retrain verdict on the active generation tripped, else 0.")
 	}
 	return s
 }
@@ -331,16 +377,14 @@ func (s *Scorer) newBoard(version int, sys *core.System, capacity int) *board {
 		version: version,
 		byPair:  map[app.Pair]*ring[sample]{},
 		byAPI:   map[string]*ring[apiSample]{},
-		agg:     newRing[float64](capacity),
+		agg:     newRing[window](capacity),
 		delta:   model.Cfg.Delta,
 		qUp:     loss.Quantiles(model.Cfg.Delta)[2],
 	}
 	for _, p := range model.Pairs {
 		if p.Resource == app.DiskUsage {
 			// Monotone counters: sMAPE against a cumulative series is
-			// dominated by the running total, not prediction skill, so
-			// they are excluded the same way drift detection excludes
-			// them.
+			// dominated by the running total, not prediction skill.
 			continue
 		}
 		b.pairs = append(b.pairs, p)
@@ -370,11 +414,12 @@ func (b *board) apiRing(name string, capacity int) *ring[apiSample] {
 	return r
 }
 
-// CatchUp scores every complete, still-resident chunk that has not been
-// scored yet and returns how many windows it scored. It is the single write
-// path: the ingest hook and the pipeline tick both call it, and passes
-// serialize on the scorer lock. A version change finalizes the current board
-// first, so scores never mix generations.
+// CatchUp scores every still-resident window that has not been scored yet,
+// through the newest, and returns how many windows it newly scored. It is
+// the single write path: the pipeline's drift tick and GET /v1/quality call
+// it, and passes serialize on the scorer lock. A version change finalizes
+// the current board first, so scores never mix generations; the new board
+// starts at the start of the chunk the old one stopped in.
 func (s *Scorer) CatchUp(ctx context.Context) int {
 	version, sys := s.deps.Active()
 	if sys == nil {
@@ -387,46 +432,47 @@ func (s *Scorer) CatchUp(ctx context.Context) int {
 	capacity := horizons[len(horizons)-1]
 
 	if s.cur == nil || s.cur.version != version {
+		from := 0
+		if s.cur != nil {
+			from = s.cur.scoredTo
+		}
 		s.finalizeLocked(horizons)
 		s.cur = s.newBoard(version, sys, capacity)
-		if s.mRegr != nil {
-			s.mRegr.Set(0)
+		s.cur.chunk = s.cfg.Chunk
+		if s.cur.chunk <= 0 {
+			s.cur.chunk = max(sys.Model().Cfg.ChunkLen, 1)
 		}
+		s.cur.scoredTo = from - from%s.cur.chunk
+		s.mRegr.Set(0)
 	}
 	b := s.cur
 	if len(b.pairs) == 0 {
 		return 0
 	}
-
-	chunk := s.cfg.Chunk
-	if chunk <= 0 {
-		chunk = sys.Model().Cfg.ChunkLen
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	b.chunk = chunk
-
+	chunk := b.chunk
 	n := s.deps.Source.NumWindows()
-	oldest := s.deps.Source.OldestWindow()
-	// Resume from the first chunk boundary at or after both the cursor and
-	// the retention floor; anything older is either scored or evicted.
-	from := s.cursor
-	if from < oldest {
-		from = oldest
+	// Replay the incomplete last chunk from its start. When that start has
+	// been evicted the chunk cannot be replayed: what was scored of it
+	// stays, and scoring resumes at the first chunk boundary at or after
+	// the retention floor.
+	lo := b.scoredTo - b.tail
+	if oldest := s.deps.Source.OldestWindow(); lo < oldest {
+		b.tail, b.tailAPI = 0, nil
+		lo = (max(b.scoredTo, oldest) + chunk - 1) / chunk * chunk
 	}
-	k := (from + chunk - 1) / chunk
-	if (k+1)*chunk > n {
+	if n <= b.scoredTo || lo >= n {
 		return 0
 	}
 
 	ctx, span := s.deps.Tracer.Start(ctx, "quality.score")
 	defer span.End()
 
-	scored := 0
-	for ; (k+1)*chunk <= n; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if err := s.scoreChunkLocked(ctx, b, sys, version, lo, hi, capacity); err != nil {
+	prevTo := b.scoredTo
+	b.dropTail()
+	fresh := 0
+	for ; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		if err := s.scoreChunkLocked(b, sys, version, lo, hi, capacity); err != nil {
 			span.SetErr(err)
 			if s.deps.Logger != nil {
 				s.deps.Logger.Warn("quality: scoring chunk failed",
@@ -434,25 +480,43 @@ func (s *Scorer) CatchUp(ctx context.Context) int {
 			}
 			break
 		}
-		scored += hi - lo
+		fresh += max(hi-max(lo, prevTo), 0)
 	}
-	if scored > 0 {
-		s.cursor = k * chunk
-		b.scoredTo = s.cursor
+	if fresh > 0 {
+		s.mScored.Add(uint64(fresh))
 		s.exportLocked(b, horizons)
 		if s.deps.Logger != nil {
 			s.deps.Logger.Debug("quality: scored",
-				"windows", scored, "scored_to", s.cursor, "version", version,
+				"windows", fresh, "scored_to", b.scoredTo, "version", version,
 				"span_id", obs.SpanID(ctx))
 		}
 	}
-	span.SetWindows(scored)
-	return scored
+	span.SetWindows(fresh)
+	return fresh
 }
 
-// scoreChunkLocked replays windows [lo, hi) through sys and appends one
-// sample per pair per window.
-func (s *Scorer) scoreChunkLocked(_ context.Context, b *board, sys *core.System, version int, lo, hi, capacity int) error {
+// dropTail removes the samples of an incomplete last chunk, so the pass that
+// follows can replay the chunk from its start.
+func (b *board) dropTail() {
+	if b.tail == 0 {
+		return
+	}
+	b.agg.drop(b.tail)
+	for _, p := range b.pairs {
+		b.byPair[p].drop(b.tail)
+	}
+	for name, k := range b.tailAPI {
+		b.byAPI[name].drop(k)
+	}
+	b.scored -= b.tail
+	b.scoredTo -= b.tail
+	b.tail, b.tailAPI = 0, nil
+}
+
+// scoreChunkLocked replays windows [lo, hi) of one chunk through sys, from
+// the chunk's start, and appends one sample per pair per window. A chunk
+// that ends short of its length becomes the board's tail.
+func (s *Scorer) scoreChunkLocked(b *board, sys *core.System, version int, lo, hi, capacity int) error {
 	series, err := s.deps.Source.Features(version, sys.Extractor(), lo, hi)
 	if err != nil {
 		return fmt.Errorf("features: %w", err)
@@ -468,6 +532,10 @@ func (s *Scorer) scoreChunkLocked(_ context.Context, b *board, sys *core.System,
 	est, err := sys.ExpectedUtilizationVectors(series)
 	if err != nil {
 		return fmt.Errorf("predict: %w", err)
+	}
+	var tailAPI map[string]int
+	if hi-lo < b.chunk {
+		tailAPI = map[string]int{}
 	}
 
 	for w := 0; w < hi-lo; w++ {
@@ -489,15 +557,19 @@ func (s *Scorer) scoreChunkLocked(_ context.Context, b *board, sys *core.System,
 				cnt++
 			}
 		}
-		wErr := 0.0
+		win := window{index: lo + w}
 		if cnt > 0 {
-			wErr = sum / float64(cnt)
+			win.smape = sum / float64(cnt)
 		}
-		b.agg.push(wErr)
+		visits := series[w].Unknown
+		for _, c := range series[w].Counts {
+			visits += c
+		}
+		if visits > 0 {
+			win.unknown = series[w].Unknown / visits
+		}
+		b.agg.push(win)
 		b.scored++
-		if s.mScored != nil {
-			s.mScored.Inc()
-		}
 
 		// Attribute the window's aggregate error to APIs by traffic share.
 		total := 0
@@ -514,18 +586,16 @@ func (s *Scorer) scoreChunkLocked(_ context.Context, b *board, sys *core.System,
 			sort.Strings(names)
 			for _, name := range names {
 				share := float64(shares[name]) / float64(total)
-				b.apiRing(name, capacity).push(apiSample{err: wErr * share, share: share})
+				b.apiRing(name, capacity).push(apiSample{err: win.smape * share, share: share})
+				if tailAPI != nil {
+					tailAPI[name]++
+				}
 			}
 		}
-
-		// Regression gate: consecutive windows above the sMAPE threshold.
-		if s.cfg.SMAPEThreshold > 0 {
-			if wErr > s.cfg.SMAPEThreshold {
-				b.consecBad++
-			} else {
-				b.consecBad = 0
-			}
-		}
+	}
+	b.scoredTo = hi
+	if tailAPI != nil {
+		b.tail, b.tailAPI = hi-lo, tailAPI
 	}
 	return nil
 }
@@ -547,13 +617,7 @@ func (s *Scorer) exportLocked(b *board, horizons []int) {
 		s.mAggrS.With(label).Set(agg.SMAPE)
 		s.mCover.With(label).Set(agg.Coverage)
 		s.mPinball.With(label).Set(agg.PinballUp)
-	}
-	if s.mRegr != nil {
-		if bad, _ := s.regressedLocked(); bad {
-			s.mRegr.Set(1)
-		} else {
-			s.mRegr.Set(0)
-		}
+		s.mUnknown.With(label).Set(agg.UnknownPathFrac)
 	}
 }
 
@@ -582,17 +646,17 @@ func pairScore(r *ring[sample], h int, qUp float64) PairScore {
 
 // aggregate is the cross-pair fold of one horizon.
 type aggregate struct {
-	Windows   int
-	SMAPE     float64
-	Coverage  float64
-	PinballUp float64
+	Windows         int
+	SMAPE           float64
+	Coverage        float64
+	PinballUp       float64
+	UnknownPathFrac float64
 }
 
 // aggregateLocked folds all pair rings over the last h windows.
 func (s *Scorer) aggregateLocked(b *board, h int) aggregate {
-	var smape float64
-	windows := 0
-	b.agg.last(h, func(v float64) { smape += v; windows++ })
+	var smape, unknown float64
+	windows := b.agg.last(h, func(w window) { smape += w.smape; unknown += w.unknown })
 	var pinball float64
 	covered, cnt := 0, 0
 	for _, p := range b.pairs {
@@ -607,6 +671,7 @@ func (s *Scorer) aggregateLocked(b *board, h int) aggregate {
 	out := aggregate{Windows: windows}
 	if windows > 0 {
 		out.SMAPE = smape / float64(windows)
+		out.UnknownPathFrac = unknown / float64(windows)
 	}
 	if cnt > 0 {
 		out.Coverage = float64(covered) / float64(cnt)
@@ -615,27 +680,45 @@ func (s *Scorer) aggregateLocked(b *board, h int) aggregate {
 	return out
 }
 
-// regressedLocked evaluates the sustained-regression gate.
-func (s *Scorer) regressedLocked() (bool, string) {
-	if s.cfg.SMAPEThreshold <= 0 || s.cur == nil {
-		return false, ""
-	}
-	if s.cur.consecBad >= s.cfg.SustainWindows {
-		return true, fmt.Sprintf("aggregate sMAPE > %.1f%% for %d consecutive windows",
-			s.cfg.SMAPEThreshold, s.cur.consecBad)
-	}
-	return false, ""
-}
-
-// Regressed reports whether the sustained-regression gate is tripped, with a
-// human-readable reason. internal/pipeline polls this on its drift tick.
-func (s *Scorer) Regressed() (bool, string) {
-	if s == nil {
-		return false, ""
-	}
+// Verdict decides whether the active generation still explains live
+// telemetry, over the board's windows at or after trainedTo — the windows
+// the generation has not trained on. It returns nil while fewer than
+// MinVerdictWindows of them are scored; otherwise the verdict, which also
+// sets deeprest_quality_regressed. internal/pipeline asks for it on its
+// drift tick, after a CatchUp.
+func (s *Scorer) Verdict(trainedTo int) *Verdict {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.regressedLocked()
+	b := s.cur
+	if b == nil {
+		return nil
+	}
+	k := 0
+	b.agg.last(b.agg.n, func(w window) {
+		if w.index >= trainedTo {
+			k++
+		}
+	})
+	if k < MinVerdictWindows {
+		return nil
+	}
+	agg := s.aggregateLocked(b, k)
+	v := &Verdict{Windows: k, UnknownPathFrac: agg.UnknownPathFrac, Coverage: agg.Coverage, SMAPE: agg.SMAPE}
+	switch {
+	case v.UnknownPathFrac > maxUnknownPathFrac:
+		v.Reason = fmt.Sprintf("unknown-path fraction %.3f exceeds %.3f (topology drift)", v.UnknownPathFrac, maxUnknownPathFrac)
+	case v.Coverage < minCoverage:
+		v.Reason = fmt.Sprintf("interval coverage %.2f below %.2f", v.Coverage, minCoverage)
+	case v.SMAPE > s.cfg.SMAPEThreshold:
+		v.Reason = fmt.Sprintf("mean sMAPE %.1f%% exceeds %.1f%%", v.SMAPE, s.cfg.SMAPEThreshold)
+	}
+	b.verdict = v
+	if v.Reason != "" {
+		s.mRegr.Set(1)
+	} else {
+		s.mRegr.Set(0)
+	}
+	return v
 }
 
 // finalizeLocked compacts the current board (if it scored anything) into the
@@ -687,6 +770,7 @@ func (s *Scorer) Report() Report {
 		hr.SMAPE = agg.SMAPE
 		hr.Coverage = agg.Coverage
 		hr.PinballUp = agg.PinballUp
+		hr.UnknownPathFrac = agg.UnknownPathFrac
 		for _, p := range b.pairs {
 			ps := pairScore(b.byPair[p], h, b.qUp)
 			ps.Unit = p.Resource.Unit()
@@ -705,14 +789,14 @@ func (s *Scorer) Report() Report {
 		rep.Horizons = append(rep.Horizons, hr)
 	}
 
-	rep.Regressed, rep.RegressReason = s.regressedLocked()
+	rep.Verdict = b.verdict
 	rep.Summary = trafficLight(rep)
 	return rep
 }
 
 // trafficLight folds the longest populated horizon into green/yellow/red.
 // Green: error low and the interval roughly holds its nominal coverage.
-// Red: the regression gate tripped, error is severe, or the interval has
+// Red: the last verdict tripped, error is severe, or the interval has
 // collapsed. Everything between is yellow.
 func trafficLight(rep Report) string {
 	if len(rep.Horizons) == 0 {
@@ -723,7 +807,7 @@ func trafficLight(rep Report) string {
 		return "empty"
 	}
 	switch {
-	case rep.Regressed || h.SMAPE >= 40 || h.Coverage < 0.5:
+	case rep.Verdict != nil && rep.Verdict.Reason != "" || h.SMAPE >= 40 || h.Coverage < 0.5:
 		return "red"
 	case h.SMAPE < 15 && h.Coverage >= rep.Delta-0.2:
 		return "green"

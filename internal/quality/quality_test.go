@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // quickOpts keeps training fast enough for race-enabled tests.
@@ -57,9 +59,9 @@ func TestScorerScoresAndReports(t *testing.T) {
 	s := New(Config{Chunk: 8}, Deps{Source: h.store, Active: h.active(1)})
 
 	scored := s.CatchUp(context.Background())
-	wantScored := (h.store.NumWindows() / 8) * 8
+	wantScored := h.store.NumWindows()
 	if scored != wantScored {
-		t.Fatalf("scored %d windows, want %d (chunk-aligned)", scored, wantScored)
+		t.Fatalf("scored %d windows, want %d (through the newest)", scored, wantScored)
 	}
 	if s.CatchUp(context.Background()) != 0 {
 		t.Fatal("second CatchUp rescored windows")
@@ -90,7 +92,7 @@ func TestScorerScoresAndReports(t *testing.T) {
 			t.Fatalf("pair %s missing unit", name)
 		}
 	}
-	// DiskUsage pairs are excluded like drift does.
+	// DiskUsage pairs are excluded.
 	for name := range long.Pairs {
 		if name == "DB/disk" || name == "DB/disk_usage" {
 			t.Fatalf("monotone pair %s scored", name)
@@ -179,42 +181,160 @@ func TestScorerVersionSwapStartsFreshBoard(t *testing.T) {
 	}
 }
 
+// TestScorerRegressionGate: the verdict folds the windows at or after the
+// trained-to mark, needs MinVerdictWindows of them, trips on the sMAPE bound,
+// shows in the report, and starts over with a serving swap.
 func TestScorerRegressionGate(t *testing.T) {
 	h := newHarness(t, 1, 1, 21)
+	n := h.store.NumWindows()
 
-	// An impossible threshold never trips.
-	calm := New(Config{Chunk: 8, SMAPEThreshold: 1e9, SustainWindows: 3},
-		Deps{Source: h.store, Active: h.active(1)})
+	calm := New(Config{Chunk: 8, SMAPEThreshold: 1e9}, Deps{Source: h.store, Active: h.active(1)})
 	calm.CatchUp(context.Background())
-	if bad, _ := calm.Regressed(); bad {
-		t.Fatal("gate tripped under an impossible threshold")
+	if v := calm.Verdict(n - MinVerdictWindows + 1); v != nil {
+		t.Fatalf("a verdict over %d windows: %+v", MinVerdictWindows-1, v)
+	}
+	v := calm.Verdict(n - MinVerdictWindows)
+	if v == nil || v.Windows != MinVerdictWindows {
+		t.Fatalf("verdict over the last %d windows = %+v", MinVerdictWindows, v)
+	}
+	if all := calm.Verdict(0); all.Windows != n || all.UnknownPathFrac != 0 || all.Reason != "" {
+		t.Fatalf("verdict on the training telemetry under an impossible bound = %+v", all)
 	}
 
-	// A zero threshold disables the gate entirely.
-	off := New(Config{Chunk: 8, SustainWindows: 1}, Deps{Source: h.store, Active: h.active(1)})
-	off.CatchUp(context.Background())
-	if bad, _ := off.Regressed(); bad {
-		t.Fatal("gate tripped while disabled")
-	}
-
-	// A near-zero threshold trips after SustainWindows consecutive windows.
-	hot := New(Config{Chunk: 8, SMAPEThreshold: 1e-9, SustainWindows: 3},
-		Deps{Source: h.store, Active: h.active(1)})
+	// A near-zero bound trips on error alone.
+	hot := New(Config{Chunk: 8, SMAPEThreshold: 1e-9}, Deps{Source: h.store, Active: h.active(1)})
 	hot.CatchUp(context.Background())
-	bad, reason := hot.Regressed()
-	if !bad || reason == "" {
-		t.Fatalf("gate did not trip: %v %q", bad, reason)
+	if v := hot.Verdict(0); v == nil || !strings.Contains(v.Reason, "sMAPE") {
+		t.Fatalf("verdict under a near-zero bound = %+v", v)
 	}
 	rep := hot.Report()
-	if !rep.Regressed || rep.Summary != "red" {
-		t.Fatalf("report = %q regressed=%v, want red/true", rep.Summary, rep.Regressed)
+	if rep.Verdict == nil || rep.Verdict.Reason == "" || rep.Summary != "red" {
+		t.Fatalf("report = %q verdict=%+v, want red with the verdict", rep.Summary, rep.Verdict)
 	}
 
-	// A swap resets the gate with the fresh board.
+	// A swap starts a fresh board: no verdict until one is taken on it.
 	hot.deps.Active = h.active(2)
 	hot.CatchUp(context.Background())
-	if bad, _ := hot.Regressed(); bad {
-		t.Fatal("gate survived a serving swap")
+	if rep := hot.Report(); rep.Verdict != nil {
+		t.Fatalf("verdict survived a serving swap: %+v", rep.Verdict)
+	}
+}
+
+// TestScorerFlagsUnknownPaths: a new version that renames every operation
+// puts every span visit on an unknown invocation path; the board reads a
+// fraction near 1 and the verdict names topology drift.
+func TestScorerFlagsUnknownPaths(t *testing.T) {
+	h := newHarness(t, 1, 1, 23)
+	store := telemetry.NewServer(h.run.WindowSeconds)
+	for i, batches := range h.run.Windows {
+		renamed := make([]trace.Batch, len(batches))
+		for j, b := range batches {
+			root := b.Trace.Root.Clone()
+			renameOps(root)
+			renamed[j] = trace.Batch{Trace: trace.Trace{API: b.Trace.API, Root: root}, Count: b.Count}
+		}
+		usage := sim.Usage{}
+		for p, vs := range h.run.Usage {
+			usage[p] = vs[i]
+		}
+		store.Record(sim.WindowResult{Batches: renamed, Usage: usage})
+	}
+	s := New(Config{Chunk: 8}, Deps{Source: store, Active: h.active(1)})
+	s.CatchUp(context.Background())
+	v := s.Verdict(0)
+	if v == nil || v.UnknownPathFrac < 0.9 || !strings.Contains(v.Reason, "topology") {
+		t.Fatalf("verdict on renamed operations = %+v, want an unknown-path fraction near 1", v)
+	}
+	if long := s.Report().Horizons[2]; long.UnknownPathFrac < 0.9 {
+		t.Fatalf("24h unknown-path fraction = %v", long.UnknownPathFrac)
+	}
+}
+
+// TestScorerFlagsInflatedCost: the same traffic costing 8x its trained
+// utilization falls outside the intervals; the verdict trips on coverage
+// with a mean sMAPE far above the default bound.
+func TestScorerFlagsInflatedCost(t *testing.T) {
+	h := newHarness(t, 1, 1, 23)
+	store := telemetry.NewServer(h.run.WindowSeconds)
+	for i, batches := range h.run.Windows {
+		usage := sim.Usage{}
+		for p, vs := range h.run.Usage {
+			usage[p] = 8 * vs[i]
+		}
+		store.Record(sim.WindowResult{Batches: batches, Usage: usage})
+	}
+	s := New(Config{Chunk: 8}, Deps{Source: store, Active: h.active(1)})
+	s.CatchUp(context.Background())
+	v := s.Verdict(0)
+	if v == nil || v.UnknownPathFrac != 0 || !strings.Contains(v.Reason, "coverage") || v.SMAPE < DefaultSMAPEThreshold {
+		t.Fatalf("verdict on 8x utilization = %+v, want a coverage trip with sMAPE above %v", v, DefaultSMAPEThreshold)
+	}
+}
+
+// TestVerdictWithoutWindows: with no telemetry, or none since the trained-to
+// mark, nothing is scored and there is no verdict.
+func TestVerdictWithoutWindows(t *testing.T) {
+	h := newHarness(t, 1, 1, 21)
+	empty := New(Config{Chunk: 8}, Deps{Source: telemetry.NewServer(h.run.WindowSeconds), Active: h.active(1)})
+	if n := empty.CatchUp(context.Background()); n != 0 {
+		t.Fatalf("scored %d windows of an empty store", n)
+	}
+	if v := empty.Verdict(0); v != nil {
+		t.Fatalf("verdict on no windows = %+v", v)
+	}
+	s := New(Config{Chunk: 8}, Deps{Source: h.store, Active: h.active(1)})
+	s.CatchUp(context.Background())
+	if v := s.Verdict(h.store.NumWindows()); v != nil {
+		t.Fatalf("verdict with no windows since the trained-to mark = %+v", v)
+	}
+}
+
+func renameOps(s *trace.Span) {
+	s.Operation += "_v2"
+	for _, c := range s.Children {
+		renameOps(c)
+	}
+}
+
+// TestChunkPrefixMatchesFullChunk is what lets a pass score an incomplete
+// chunk and a later pass replay it: the engine is causal, so a chunk's first
+// k windows estimate the same bits alone as inside the whole chunk.
+func TestChunkPrefixMatchesFullChunk(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 2, 30, 27)
+	store := telemetry.NewServer(run.WindowSeconds)
+	store.RecordRun(run)
+	for _, hidden := range []int{3, 20} {
+		opts := quickOpts()
+		opts.Estimator.Hidden = hidden
+		sys, err := core.Learn(store, 0, testutil.ToyDay, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const lo, C = testutil.ToyDay, 24
+		series, err := store.Features(1, sys.Extractor(), lo, lo+C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := sys.ExpectedUtilizationVectors(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k < C; k++ {
+			prefix, err := sys.ExpectedUtilizationVectors(series[:k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, want := range full {
+				got := prefix[p]
+				for w := 0; w < k; w++ {
+					for _, c := range [][2]float64{{got.Exp[w], want.Exp[w]}, {got.Low[w], want.Low[w]}, {got.Up[w], want.Up[w]}} {
+						if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+							t.Fatalf("hidden %d, %s, window %d of a %d-window prefix: %v, full chunk %v", hidden, p, w, k, c[0], c[1])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -269,7 +389,7 @@ func TestScorerRaceWithSwaps(t *testing.T) {
 	h := newHarness(t, 1, 1, 61)
 	var version atomic.Int64
 	version.Store(1)
-	s := New(Config{Chunk: 4, SMAPEThreshold: 50}, Deps{Source: h.store, Active: func() (int, *core.System) {
+	s := New(Config{Chunk: 4}, Deps{Source: h.store, Active: func() (int, *core.System) {
 		return int(version.Load()), h.sys
 	}})
 
@@ -305,7 +425,7 @@ func TestScorerRaceWithSwaps(t *testing.T) {
 				return
 			default:
 				_ = s.Report()
-				s.Regressed()
+				s.Verdict(0)
 			}
 		}
 	}()

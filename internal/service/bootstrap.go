@@ -16,12 +16,12 @@ func (s *Server) Bootstrap(run *sim.Run) error {
 	if run == nil || len(run.Windows) == 0 {
 		return fmt.Errorf("bootstrap: empty run")
 	}
-	ctx, span := s.opts.Tracer.Start(context.Background(), "service.ingest")
+	_, span := s.opts.Tracer.Start(context.Background(), "service.ingest")
 	span.SetWindows(len(run.Windows))
 	defer span.End()
 	in := telemetry.NewServer(run.WindowSeconds)
 	in.RecordRun(run)
-	if _, err := s.ingest(ctx, in); err != nil {
+	if _, err := s.ingest(in); err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
 	return nil

@@ -112,7 +112,8 @@ func TestMetricsScrape(t *testing.T) {
 		`deeprest_train_phase_seconds_count{phase="compile"} 1`,
 		`deeprest_pipeline_generation_seconds_count{trigger="manual"} 1`,
 		`deeprest_pipeline_generations_total{trigger="manual",result="ok"} 1`,
-		"deeprest_drift_score 0",
+		"deeprest_quality_regressed 0",
+		`deeprest_quality_unknown_path_frac{horizon="24h"} 0`,
 		"deeprest_active_generation 1",
 		"deeprest_telemetry_windows_total",
 		"deeprest_telemetry_spans_total",
@@ -318,7 +319,7 @@ func TestShedsAreCountedLikeAnyResponse(t *testing.T) {
 func TestConfigRejectsNegativeSettings(t *testing.T) {
 	for _, cfg := range []Config{
 		{MaxInflight: -1}, {IngestRate: -1}, {IngestBurst: -1}, {RequestTimeout: -1},
-		{Retention: -1}, {QualityHorizon: -1}, {QualityThreshold: -1}, {QualitySustain: -1},
+		{Retention: -1}, {QualityHorizon: -1}, {QualityThreshold: -1},
 		{IngestRate: math.NaN()}, {QualityThreshold: math.Inf(1)},
 	} {
 		if _, err := New(quickServiceOpts(), pipeline.DefaultConfig(), cfg); err == nil {

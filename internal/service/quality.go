@@ -31,7 +31,6 @@ func (s *Server) newScorer() *quality.Scorer {
 		Horizons:       qualityHorizons(s.cfg.QualityHorizon),
 		Retention:      s.cfg.Retention,
 		SMAPEThreshold: s.cfg.QualityThreshold,
-		SustainWindows: s.cfg.QualitySustain,
 	}, quality.Deps{
 		Source: s.store,
 		Active: func() (int, *core.System) {
@@ -47,17 +46,16 @@ func (s *Server) newScorer() *quality.Scorer {
 	})
 }
 
-// qualityRegressed is the pipeline's QualityCheck hook: advance the
-// scoreboard, then report the sustained-regression gate. Returning true
-// makes the pipeline schedule an early retrain with trigger "quality".
-func (s *Server) qualityRegressed() (bool, string) {
-	s.quality.CatchUp(context.Background())
-	return s.quality.Regressed()
+// qualityVerdict is the pipeline's QualityCheck hook: score through the
+// newest window, then take the verdict on the windows since trainedTo. A
+// verdict with a Reason makes the pipeline retrain with trigger "drift".
+func (s *Server) qualityVerdict(ctx context.Context, trainedTo int) *quality.Verdict {
+	s.quality.CatchUp(ctx)
+	return s.quality.Verdict(trainedTo)
 }
 
 // handleQuality serves the shadow-scoring scoreboard. The report is
-// refreshed first, so the response always covers every complete chunk of
-// ingested telemetry.
+// refreshed first, so the response covers every ingested window.
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	s.quality.CatchUp(r.Context())
 	writeJSON(w, s.quality.Report())

@@ -7,17 +7,22 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/buildinfo"
 	"repro/internal/pipeline"
 	"repro/internal/quality"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // TestQualityEndpointReportsScores: after ingest + learn, GET /v1/quality
 // serves a scoreboard with per-pair sMAPE and quantile coverage for every
-// complete chunk of ingested telemetry.
+// ingested window.
 func TestQualityEndpointReportsScores(t *testing.T) {
 	s, err := NewWithConfig(quickServiceOpts(), pipeline.DefaultConfig())
 	if err != nil {
@@ -78,6 +83,32 @@ func TestQualityEndpointReportsScores(t *testing.T) {
 	}
 	if len(long.APIs) == 0 {
 		t.Fatal("no per-API attribution")
+	}
+}
+
+// TestIngestDoesNotScore: scoring runs on the drift tick and on GET
+// /v1/quality, never on the ingest path, so a push while a generation is
+// active runs no engine.
+func TestIngestDoesNotScore(t *testing.T) {
+	s, reg, _ := instrumentedService(t, pipeline.DefaultConfig(), Config{})
+	h := s.Handler()
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 87)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+	scored := reg.Counter("deeprest_quality_windows_scored_total",
+		"Telemetry windows shadow-scored against the active model generation.")
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 88)); rec.Code != http.StatusOK {
+		t.Fatalf("second ingest = %d", rec.Code)
+	}
+	if got := scored.Value(); got != 0 {
+		t.Fatalf("an ingest scored %d windows", got)
+	}
+	do(t, h, "GET", "/v1/quality", nil)
+	if got, want := scored.Value(), uint64(s.Windows()); got != want {
+		t.Fatalf("GET /v1/quality scored %d windows, want %d", got, want)
 	}
 }
 
@@ -199,47 +230,99 @@ func TestActivateQuarantinedVersion404(t *testing.T) {
 	}
 }
 
-// TestQualityRegressionTriggersRetrain: with the regression gate armed at an
-// absurdly low threshold, the pipeline's drift tick consults the shadow
-// scoreboard and schedules an early retrain with trigger "quality".
-func TestQualityRegressionTriggersRetrain(t *testing.T) {
-	cfg := pipeline.DefaultConfig()
-	cfg.MinDriftWindows = 1 << 30 // drift never fires; only quality can
-	// Any nonzero error regresses immediately: threshold ~0, one bad window.
-	s, err := New(quickServiceOpts(), cfg, Config{QualityThreshold: 1e-9, QualitySustain: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-
-	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 85)); rec.Code != http.StatusOK {
-		t.Fatalf("ingest = %d", rec.Code)
-	}
-	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
-		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
-	}
-	// Fresh windows to score (and to satisfy MinNewWindows for the retrain).
-	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 60, 86)); rec.Code != http.StatusOK {
-		t.Fatalf("shifted ingest = %d", rec.Code)
-	}
-	// One drift tick, as the fleet scheduler would deliver it.
-	s.Pipeline().TickDrift(context.Background())
-
-	rec := do(t, h, "GET", "/v1/models", nil)
-	var list struct {
-		Models []modelInfo `json:"models"`
-	}
-	_ = json.Unmarshal(rec.Body.Bytes(), &list)
-	for _, m := range list.Models {
-		if m.Trigger == "quality" {
-			rec = do(t, h, "GET", "/v1/pipeline/status", nil)
-			var st pipeline.Status
-			_ = json.Unmarshal(rec.Body.Bytes(), &st)
-			if st.LastQuality == "" {
-				t.Fatalf("quality retrain published but status carries no reason: %+v", st)
-			}
-			return
+// TestEarlyRetrainVerdict drives the one early-retrain decision at the
+// default config: a model learned on one toy day, then a fresh day pushed and
+// one drift tick. A new version whose costs grew 6x and one that renamed its
+// operations retrain under trigger "drift"; an unchanged day does not. A
+// publish clears the verdict from the status.
+func TestEarlyRetrainVerdict(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 2, 30, 85)
+	var rename func(*trace.Span)
+	rename = func(s *trace.Span) {
+		s.Operation += "_v2"
+		for _, c := range s.Children {
+			rename(c)
 		}
 	}
-	t.Fatalf("the drift tick published no quality-triggered generation: %s", rec.Body)
+	for _, tc := range []struct {
+		name    string
+		cost    float64
+		renamed bool
+		reason  string // "" = no retrain
+	}{
+		{name: "6x cost", cost: 6, reason: "coverage"},
+		{name: "renamed operations", cost: 1, renamed: true, reason: "topology"},
+		{name: "quiet", cost: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s *Server
+			var atRetrain *quality.Verdict
+			cfg := pipeline.DefaultConfig()
+			cfg.BeforeTrain = func() { atRetrain = s.Pipeline().Status().LastDrift }
+			s, err := NewWithConfig(quickServiceOpts(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := s.Handler()
+			day := func(from int, cost float64, renamed bool) *bytes.Buffer {
+				store := telemetry.NewServer(run.WindowSeconds)
+				for w := from; w < from+testutil.ToyDay; w++ {
+					batches := run.Windows[w]
+					if renamed {
+						batches = make([]trace.Batch, len(run.Windows[w]))
+						for i, b := range run.Windows[w] {
+							root := b.Trace.Root.Clone()
+							rename(root)
+							batches[i] = trace.Batch{Trace: trace.Trace{API: b.Trace.API, Root: root}, Count: b.Count}
+						}
+					}
+					usage := sim.Usage{}
+					for p, series := range run.Usage {
+						usage[p] = cost * series[w]
+					}
+					store.Record(sim.WindowResult{Batches: batches, Usage: usage})
+				}
+				var buf bytes.Buffer
+				if err := store.ExportJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return &buf
+			}
+			if rec := do(t, h, "POST", "/v1/telemetry", day(0, 1, false)); rec.Code != http.StatusOK {
+				t.Fatalf("ingest = %d", rec.Code)
+			}
+			if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{}`)); rec.Code != http.StatusOK {
+				t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+			}
+			if rec := do(t, h, "POST", "/v1/telemetry", day(testutil.ToyDay, tc.cost, tc.renamed)); rec.Code != http.StatusOK {
+				t.Fatalf("fresh ingest = %d", rec.Code)
+			}
+			s.Pipeline().TickDrift(context.Background())
+
+			var st pipeline.Status
+			_ = json.Unmarshal(do(t, h, "GET", "/v1/pipeline/status", nil).Body.Bytes(), &st)
+			var list struct {
+				Models []modelInfo `json:"models"`
+			}
+			_ = json.Unmarshal(do(t, h, "GET", "/v1/models", nil).Body.Bytes(), &list)
+			if tc.reason == "" {
+				if len(list.Models) != 1 {
+					t.Fatalf("%d generations after the tick, want no retrain (verdict %+v)", len(list.Models), st.LastDrift)
+				}
+				if st.LastDrift == nil || st.LastDrift.Windows != testutil.ToyDay || st.LastDrift.Reason != "" {
+					t.Fatalf("status verdict = %+v, want a quiet one over the fresh day", st.LastDrift)
+				}
+				return
+			}
+			if len(list.Models) != 2 || list.Models[0].Trigger != "drift" && list.Models[1].Trigger != "drift" {
+				t.Fatalf("generations after the tick = %+v, want a retrain with trigger drift", list.Models)
+			}
+			if atRetrain == nil || !strings.Contains(atRetrain.Reason, tc.reason) {
+				t.Fatalf("verdict that retrained = %+v, want a reason naming %s", atRetrain, tc.reason)
+			}
+			if st.LastDrift != nil {
+				t.Fatalf("the publish left the verdict in the status: %+v", st.LastDrift)
+			}
+		})
+	}
 }

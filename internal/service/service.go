@@ -17,7 +17,7 @@
 // fleet's scheduler, internal/fleet, which the daemon arms with
 // -retrain-every):
 //
-//	GET  /v1/pipeline/status  training state, drift signal, last error
+//	GET  /v1/pipeline/status  training state, drift verdict, last error
 //	GET  /v1/models           list retained model generations
 //	POST /v1/models/{version}/activate  roll back (or forward) the serving model
 //	GET  /v1/quality          shadow-scoring report of the active generation
@@ -87,7 +87,7 @@ import (
 
 // Config holds one server's operator settings. It is validated and frozen by
 // New; the zero value means no admission bounds, no request deadline,
-// unbounded retention and observe-only quality scoring.
+// unbounded retention and the default early-retrain bound.
 type Config struct {
 	// MaxInflight bounds concurrently admitted API requests; further
 	// requests are shed immediately with 503 + Retry-After instead of
@@ -109,14 +109,12 @@ type Config struct {
 	// every window forever.
 	Retention int
 	// QualityHorizon is the longest shadow-scoring report horizon (see
-	// internal/quality); 0 means 24h. QualityThreshold arms the
-	// quality-regression retrain gate: a sustained aggregate sMAPE above it
-	// (percent, over QualitySustain consecutive windows, 0 = 8) makes the
-	// pipeline schedule an early retrain. Threshold 0 disables the gate —
-	// scoring still runs and /v1/quality still reports.
+	// internal/quality); 0 means 24h. QualityThreshold is the early-retrain
+	// verdict's error bound: a mean sMAPE above it (percent) over the
+	// windows since the last training run retrains with trigger "drift";
+	// 0 means quality.DefaultSMAPEThreshold.
 	QualityHorizon   time.Duration
 	QualityThreshold float64
-	QualitySustain   int
 }
 
 func (c Config) validate() error {
@@ -131,7 +129,6 @@ func (c Config) validate() error {
 		{"Retention", float64(c.Retention)},
 		{"QualityHorizon", float64(c.QualityHorizon)},
 		{"QualityThreshold", c.QualityThreshold},
-		{"QualitySustain", float64(c.QualitySustain)},
 	} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("service: config: %s %v is not a finite value >= 0", f.name, f.v)
@@ -250,10 +247,10 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 		}
 		s.bucket = newTokenBucket(cfg.IngestRate, burst)
 	}
-	// The shadow-scoring regression gate feeds the pipeline's early-retrain
-	// decision; the hook indirection keeps quality and pipeline decoupled.
+	// The shadow scorer's verdict is the pipeline's early-retrain decision;
+	// the scorer is the service's, over the same store and generation.
 	if pcfg.QualityCheck == nil {
-		pcfg.QualityCheck = s.qualityRegressed
+		pcfg.QualityCheck = s.qualityVerdict
 	}
 	p, err := pipeline.New(opts, pcfg, s.store)
 	if err != nil {
@@ -322,7 +319,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // handleTelemetry ingests a telemetry stream (the interchange format of
 // internal/telemetry) and appends its windows to the store.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	ctx, span := s.opts.Tracer.Start(r.Context(), "service.ingest")
+	_, span := s.opts.Tracer.Start(r.Context(), "service.ingest")
 	defer span.End()
 	in, err := telemetry.ImportJSON(r.Body)
 	if err != nil {
@@ -331,7 +328,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.SetWindows(in.NumWindows())
-	total, err := s.ingest(ctx, in)
+	total, err := s.ingest(in)
 	if err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
@@ -343,12 +340,10 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 // simulated bootstrap alike): the parsed stream is appended whole, or — its
 // window duration disagreeing with the store's — not at all. It returns the
 // store's total window count.
-func (s *Server) ingest(ctx context.Context, in *telemetry.Server) (int, error) {
+func (s *Server) ingest(in *telemetry.Server) (int, error) {
 	if err := s.store.Append(in); err != nil {
 		return 0, err
 	}
-	// Shadow-score the fresh windows against the active generation.
-	s.quality.CatchUp(ctx)
 	return s.store.NumWindows(), nil
 }
 
