@@ -96,13 +96,14 @@ func (e *Expert) maskedInput(t *ad.Tape, x []float64) *ad.Value {
 }
 
 // formBlock forms e's step operands in the workspace for the block of
-// windows rows (layers.GRUBlock.Form, behind the mask when it is on).
-func (e *Expert) formBlock(ws *layers.Workspace, rows [][]float64) {
+// windows rows (layers.GRUBlock.Form, behind the mask when it is on) and
+// returns the gated block they were formed from.
+func (e *Expert) formBlock(ws *layers.Workspace, rows [][]float64) []float64 {
 	var mask *layers.APIMask
 	if e.UseMask {
 		mask = e.Mask
 	}
-	ws.Block.Form(e.Cell, mask, rows)
+	return ws.Block.Form(e.Cell, mask, rows)
 }
 
 // step records e's GRU step on t for window col of the workspace's block,
@@ -123,8 +124,9 @@ func (e *Expert) stepOutput(t *ad.Tape, xt, h, attn *ad.Value) *ad.Value {
 	return out
 }
 
-// evalBlock is how many windows walk forms step operands for at a time. Any
-// length gives the same bits; the default chunk's keeps one buffer size.
+// evalBlock is how many windows walk and hiddenInto form operands for at a
+// time. Any length gives the same bits; the default chunk's keeps one buffer
+// size.
 const evalBlock = 64
 
 // walk runs e's recurrence over a scaled feature series x from a zero state
@@ -148,9 +150,33 @@ func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt 
 
 // hiddenInto writes e's trajectory over x, step-major, into dst
 // (len(x)·Hidden floats): the detached peer states other experts attend
-// over.
-func (e *Expert) hiddenInto(ws *layers.Workspace, x [][]float64, dst []float64) {
-	e.walk(ws, x, func(i int, h, _ *ad.Value) { copy(dst[i*e.Hidden:(i+1)*e.Hidden], h.Data) })
+// over; and, when bypass is not nil, its bypass S·x̃ + b, three floats a
+// window. As the inference engine does, it steps on the workspace's block
+// operands without a tape, and forms a block's bypass products in one
+// ad.WindowDots pass over the gated input the block's operands were formed
+// from: walk's states and Dense.Apply's outputs, bit for bit.
+func (e *Expert) hiddenInto(ws *layers.Workspace, x [][]float64, dst, bypass []float64) {
+	hPrev := make([]float64, e.Hidden)
+	prod := make([]float64, 3*evalBlock)
+	ws.Block.Panels.Reset(e.Hidden)
+	for b0 := 0; b0 < len(x); b0 += evalBlock {
+		rows := x[b0:min(b0+evalBlock, len(x))]
+		in := e.formBlock(ws, rows)
+		if bypass != nil {
+			tp := len(in) / e.InDim
+			ad.WindowDots(prod, e.Bypass.W.Data, in, 3, e.InDim, tp)
+			for t := range rows {
+				for j, b := range e.Bypass.B.Data {
+					bypass[3*(b0+t)+j] = prod[j*tp+t] + b
+				}
+			}
+		}
+		for t := range rows {
+			h := dst[(b0+t)*e.Hidden:][:e.Hidden]
+			ws.Block.Advance(e.Cell, t, hPrev, h)
+			hPrev = h
+		}
+	}
 }
 
 // forward runs the full forward pass over a scaled feature series on the

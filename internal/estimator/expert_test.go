@@ -2,10 +2,12 @@ package estimator
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/nn/ad"
 	"repro/internal/testutil"
 )
 
@@ -34,7 +36,7 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 	// written, and nothing past the last one.
 	hs := make([]float64, len(x)*3+1)
 	hs[len(hs)-1] = 42
-	e.hiddenInto(newWorkspace(), x, hs[:len(x)*3])
+	e.hiddenInto(newWorkspace(), x, hs[:len(x)*3], nil)
 	if hs[len(hs)-1] != 42 {
 		t.Fatal("hiddenInto wrote past len(x)·Hidden floats")
 	}
@@ -47,12 +49,46 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 	// Deterministic, on a workspace that has run before too.
 	ws := newWorkspace()
 	hs2 := make([]float64, len(x)*3)
-	e.hiddenInto(ws, seriesOf(4, 7), hs2[:7*3])
-	e.hiddenInto(ws, x, hs2)
+	e.hiddenInto(ws, seriesOf(4, 7), hs2[:7*3], nil)
+	e.hiddenInto(ws, x, hs2, nil)
 	for i := range hs2 {
 		if hs[i] != hs2[i] {
 			t.Fatal("hiddenInto not deterministic")
 		}
+	}
+}
+
+// TestFrozenPassesMatchTape: phase B's frozen inputs are formed without the
+// tape (hiddenInto) — the trajectory on the block's operands, the bypass for
+// a block of windows at once — and must keep the bits of the tape recurrence
+// walk records and of Dense.Apply on each masked input, with the mask on and
+// off, over a series that crosses a block boundary.
+func TestFrozenPassesMatchTape(t *testing.T) {
+	for _, useMask := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.Hidden, cfg.UseMask = 5, useMask
+		e := newTestExpert(cfg, 7, nil)
+		for i := range e.Mask.M.Data {
+			e.Mask.M.Data[i] = float64(i%3) - 1
+		}
+		copy(e.Bypass.B.Data, []float64{0.1, -0.2, 0.3})
+		x := seriesOf(7, evalBlock+6)
+		ws := newWorkspace()
+		traj, bypass := make([]float64, len(x)*cfg.Hidden), make([]float64, 3*len(x))
+		e.hiddenInto(ws, x, traj, bypass)
+		e.walk(ws, x, func(i int, h, xt *ad.Value) {
+			want := e.Bypass.Apply(ws.Eval, xt).Data
+			for j := range h.Data {
+				if math.Float64bits(traj[i*cfg.Hidden+j]) != math.Float64bits(h.Data[j]) {
+					t.Fatalf("mask %v window %d: state %d = %v, the tape's %v", useMask, i, j, traj[i*cfg.Hidden+j], h.Data[j])
+				}
+			}
+			for j := range want {
+				if math.Float64bits(bypass[3*i+j]) != math.Float64bits(want[j]) {
+					t.Fatalf("mask %v window %d: bypass %d = %v, Dense.Apply's %v", useMask, i, j, bypass[3*i+j], want[j])
+				}
+			}
+		})
 	}
 }
 

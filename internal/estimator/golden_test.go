@@ -73,12 +73,16 @@ func hashFloats(vals []float64) uint64 {
 	return h.Sum64()
 }
 
-// goldenRun trains the golden model at the given GRU width and returns the
-// per-expert epoch-loss series and per-pair prediction hashes.
-func goldenRun(t *testing.T, hidden int) (map[string][]float64, map[string]uint64) {
+// goldenRun trains the golden model over pairs (every pair of the toy app
+// when nil) at the given GRU width and returns the per-expert epoch-loss
+// series and per-pair prediction hashes.
+func goldenRun(t *testing.T, hidden int, pairs []app.Pair) (map[string][]float64, map[string]uint64) {
 	t.Helper()
 	_, _, run := testutil.ToyTelemetry(t, 2, 30, 12)
-	usage := testutil.FocusPairs(run.Usage, goldenPairs()...)
+	usage := run.Usage
+	if pairs != nil {
+		usage = testutil.FocusPairs(usage, pairs...)
+	}
 	rec := newLossRecorder()
 	cfg := goldenConfig(hidden)
 	cfg.Progress = rec.hook
@@ -106,9 +110,12 @@ func TestGoldenDeterminismCapture(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("capture helper; run with -v to print goldens")
 	}
-	for _, hidden := range []int{4, 7, 20} {
-		t.Logf("Hidden=%d", hidden)
-		losses, preds := goldenRun(t, hidden)
+	for _, g := range []struct {
+		hidden int
+		pairs  []app.Pair
+	}{{4, goldenPairs()}, {7, goldenPairs()}, {20, goldenPairs()}, {7, nil}} {
+		t.Logf("Hidden=%d, %d pairs (0: all)", g.hidden, len(g.pairs))
+		losses, preds := goldenRun(t, g.hidden, g.pairs)
 		keys := make([]string, 0, len(losses))
 		for k := range losses {
 			keys = append(keys, k)
@@ -171,7 +178,7 @@ var goldenPredictions = map[string]uint64{
 // seed yields bit-identical epoch losses and predictions to the
 // straight-line implementation this test's goldens were captured from.
 func TestGoldenDeterminism(t *testing.T) {
-	checkGolden(t, 4, goldenLosses, goldenPredictions)
+	checkGolden(t, 4, goldenPairs(), goldenLosses, goldenPredictions)
 }
 
 // goldenLossesHidden7 and goldenPredictionsHidden7 are the same run at
@@ -208,7 +215,7 @@ var goldenPredictionsHidden7 = map[string]uint64{
 // TestGoldenDeterminismHidden7 is TestGoldenDeterminism at a width the
 // four-row blocking does not divide.
 func TestGoldenDeterminismHidden7(t *testing.T) {
-	checkGolden(t, 7, goldenLossesHidden7, goldenPredictionsHidden7)
+	checkGolden(t, 7, goldenPairs(), goldenLossesHidden7, goldenPredictionsHidden7)
 }
 
 // goldenLossesHidden20 and goldenPredictionsHidden20 are the same run at
@@ -247,17 +254,79 @@ var goldenPredictionsHidden20 = map[string]uint64{
 // TestGoldenDeterminismHidden20 is TestGoldenDeterminism at a width that
 // takes both vector rungs of the column-lane backward kernels.
 func TestGoldenDeterminismHidden20(t *testing.T) {
-	checkGolden(t, 20, goldenLossesHidden20, goldenPredictionsHidden20)
+	checkGolden(t, 20, goldenPairs(), goldenLossesHidden20, goldenPredictionsHidden20)
 }
 
-func checkGolden(t *testing.T, hidden int, goldenLosses map[string][]uint64, goldenPredictions map[string]uint64) {
+// goldenLossesPeers and goldenPredictionsPeers are the toy app's every pair —
+// nine experts, so phase B's attention adjoint runs over eight peers, two
+// full lane groups with self inside one — over its 96 windows (four chunks
+// an epoch) at Hidden=7, captured at the commit before phase B deferred that
+// adjoint to one peer-minor pass per chunk.
+var goldenLossesPeers = map[string][]uint64{
+	"DB/cpu|attention":         {0x3fa285d88107dc28, 0x3fa4dc0fe0137c59},
+	"DB/cpu|train":             {0x3fc87b2f611a58de, 0x3fafbb51e18b4226, 0x3fa9ab8b5fc6b2fb},
+	"DB/disk_usage|attention":  {0x3fc6afe436428a7c, 0x3fc65dc3e5c2272d},
+	"DB/disk_usage|train":      {0x3fdbf29585f9e0e0, 0x3fcfd6fd45673008, 0x3fc785ab396326f1},
+	"DB/memory|attention":      {0x3fc1d30b5eec3bda, 0x3fbf02db88cbc95e},
+	"DB/memory|train":          {0x3fe6ace948c00dfc, 0x3fd3c31c24426af5, 0x3fc53956bff9598c},
+	"DB/write_iops|attention":  {0x3fbaa309f95aac3e, 0x3fb48bf3ee7bba80},
+	"DB/write_iops|train":      {0x3fd3cd5151857707, 0x3fc2307d05aab2a6, 0x3fc1128eef4c26df},
+	"DB/write_tput|attention":  {0x3fb01327e5573298, 0x3fa8bac3b48a6a2f},
+	"DB/write_tput|train":      {0x3fcd063925c726a1, 0x3fbbe10f7f9a5d6d, 0x3fb520834afd2f1a},
+	"Gateway/cpu|attention":    {0x3fc1f5493173f3ba, 0x3fb5e4f0c19739d6},
+	"Gateway/cpu|train":        {0x3fef3445339c796a, 0x3fe1b676758ef12e, 0x3fcf9b59c62b8fb2},
+	"Gateway/memory|attention": {0x3fab05f96ae6a616, 0x3fab914ca372a531},
+	"Gateway/memory|train":     {0x3fdb1d242857e10c, 0x3fbe02b7d5f7baf1, 0x3fac86593bff8d74},
+	"Service/cpu|attention":    {0x3fb255f09ff35883, 0x3faed55823faf000},
+	"Service/cpu|train":        {0x3fd45d46af31e1d9, 0x3fc251139a4e34dc, 0x3fb916976550dfb4},
+	"Service/memory|attention": {0x3fb8d341ecc20663, 0x3fb248db521757b3},
+	"Service/memory|train":     {0x3fd8ee1978e39677, 0x3fba8ba906fbd9e4, 0x3fba5c08f9263b0d},
+}
+
+var goldenPredictionsPeers = map[string]uint64{
+	"DB/cpu|exp":         0x648e0d51f7f6ee22,
+	"DB/cpu|low":         0x9a1cb9575e1b5e25,
+	"DB/cpu|up":          0x9eb3638663073eec,
+	"DB/disk_usage|exp":  0x42f8fae10769c9dc,
+	"DB/disk_usage|low":  0x9670b74174de8736,
+	"DB/disk_usage|up":   0x50ba38ce17b6d52f,
+	"DB/memory|exp":      0xf93634fe2b43dcd6,
+	"DB/memory|low":      0xb4cd5c4af61f4d04,
+	"DB/memory|up":       0x9eb7ccc28c3ff48e,
+	"DB/write_iops|exp":  0x37a42b5bcc3c1cb2,
+	"DB/write_iops|low":  0xa549a656038dac73,
+	"DB/write_iops|up":   0x48db084f57f0f808,
+	"DB/write_tput|exp":  0xa49d0a2dc54909a4,
+	"DB/write_tput|low":  0x7f5df80ed6658202,
+	"DB/write_tput|up":   0x9c9b4bfb5e311f22,
+	"Gateway/cpu|exp":    0xbf65cfc461ac43ce,
+	"Gateway/cpu|low":    0x7268d4556cf370e4,
+	"Gateway/cpu|up":     0x3cb3593018ac34c7,
+	"Gateway/memory|exp": 0xa98ef9e789766813,
+	"Gateway/memory|low": 0x85f7c7d4129757c6,
+	"Gateway/memory|up":  0x78354cf66139b420,
+	"Service/cpu|exp":    0x480042e8da94016c,
+	"Service/cpu|low":    0x62ef1e4a1a0ba9bc,
+	"Service/cpu|up":     0xc02f7f0175f65192,
+	"Service/memory|exp": 0xcf6dfceb450626f8,
+	"Service/memory|low": 0xdf73c4c0f81dfabe,
+	"Service/memory|up":  0xccf12a7f9c7df5b5,
+}
+
+// TestGoldenDeterminismPeers is TestGoldenDeterminism where the peers fill
+// more than one lane group of the attention kernels.
+func TestGoldenDeterminismPeers(t *testing.T) {
+	checkGolden(t, 7, nil, goldenLossesPeers, goldenPredictionsPeers)
+}
+
+func checkGolden(t *testing.T, hidden int, pairs []app.Pair, goldenLosses map[string][]uint64, goldenPredictions map[string]uint64) {
 	t.Helper()
-	losses, preds := goldenRun(t, hidden)
+	losses, preds := goldenRun(t, hidden, pairs)
 
 	// Two runs in one process must agree bitwise regardless of platform:
 	// tape pooling, expert parallelism, and buffer reuse may not leak
 	// state between runs.
-	losses2, preds2 := goldenRun(t, hidden)
+	losses2, preds2 := goldenRun(t, hidden, pairs)
 	for k, want := range losses {
 		got := losses2[k]
 		if len(got) != len(want) {

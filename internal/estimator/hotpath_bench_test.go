@@ -84,7 +84,7 @@ func BenchmarkExpertHiddenStates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.hiddenInto(ws, day, dst)
+		e.hiddenInto(ws, day, dst, nil)
 	}
 }
 

@@ -339,6 +339,9 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 		logf(cfg.Log, "phase B: attention (%d epochs over frozen trunks)", cfg.AttentionEpochs)
 		end = stage(StagePeerStates)
 		hidden, err := m.allHiddenStates(x)
+		if err == nil {
+			hidden.formChunks(cfg.ChunkLen)
+		}
 		end()
 		if err != nil {
 			return err
@@ -346,7 +349,7 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 		end = stage(StageAttention)
 		err = layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 			p := m.Pairs[i]
-			return trainExpertHead(ws, m.Experts[p], x, targets[p], hidden.peersOf(i), cfg, cfg.AttentionEpochs, q, seedB+int64(i))
+			return trainExpertHead(ws, m.Experts[p], targets[p], hidden.peersOf(i), cfg, cfg.AttentionEpochs, q, seedB+int64(i))
 		})
 		end()
 		if err != nil {
@@ -370,10 +373,32 @@ var newWorkspace = layers.NewWorkspace
 // one allocation, expert-major: expert i's state at step t is the hid floats
 // at (i*steps+t)*hid. It is the layout the inference engine's scratch uses,
 // so at any step the experts' states lie steps*hid floats apart and the
-// attention sum (ad.PeerSum) and its adjoint read the peers in place.
+// attention sum (ad.PeerSum) reads the peers in place. Phase B reads them a
+// training chunk at a time from chunks instead (formChunks). bypass holds
+// each expert's frozen bypass output, three floats a step, for those that
+// use one.
 type hiddenSlab struct {
-	data                []float64
-	experts, steps, hid int
+	data, chunks, bypass []float64
+	experts, steps, hid  int
+}
+
+// formChunks copies the slab into the window-minor blocks phase B attends a
+// chunk of chunkLen windows at a time: the chunk from step from holds, per
+// expert p, the hid×n block of its n windows' states, unit j of window t at
+// j*n+t, starting at from*experts*hid + p*hid*n of chunks.
+func (s *hiddenSlab) formChunks(chunkLen int) {
+	s.chunks = make([]float64, len(s.data))
+	for from := 0; from < s.steps; from += chunkLen {
+		n := min(chunkLen, s.steps-from)
+		c := s.chunks[from*s.experts*s.hid:]
+		for p := 0; p < s.experts; p++ {
+			for t := 0; t < n; t++ {
+				for j, x := range s.state(p, from+t) {
+					c[(p*s.hid+j)*n+t] = x
+				}
+			}
+		}
+	}
 }
 
 // state returns expert i's hidden state at step t.
@@ -403,21 +428,34 @@ func (s *hiddenSlab) peersOf(i int) *peerStates {
 
 // attend records the attention context of step t on the tape.
 func (ps *peerStates) attend(t *ad.Tape, a *layers.Attention, step int) *ad.Value {
-	return a.Apply(t, ps.idx, ps.data[step*ps.hid:], ps.steps*ps.hid, ps.hid)
+	return a.Apply(t, ps.idx, ps.data[step*ps.hid:], ps.steps*ps.hid, ps.hid, 1)
 }
 
-// allHiddenStates computes every expert's hidden trajectory over x, in
-// parallel, each into its own rows of one slab.
+// attendChunk records the attention contexts of the chunkLen-window training
+// chunk that starts at step from, as one hid×n block for its n windows (see
+// formChunks, which must have cut the slab at the same length).
+func (ps *peerStates) attendChunk(t *ad.Tape, a *layers.Attention, from, chunkLen int) *ad.Value {
+	n := min(chunkLen, ps.steps-from)
+	return a.Apply(t, ps.idx, ps.chunks[from*ps.experts*ps.hid:], ps.hid*n, ps.hid, n)
+}
+
+// allHiddenStates computes every expert's hidden trajectory and bypass
+// output over x, in parallel, each into its own rows of one slab.
 func (m *Model) allHiddenStates(x [][]float64) (*hiddenSlab, error) {
 	hid := m.Cfg.Hidden
-	s := &hiddenSlab{data: make([]float64, len(m.Pairs)*len(x)*hid), experts: len(m.Pairs), steps: len(x), hid: hid}
+	s := &hiddenSlab{data: make([]float64, len(m.Pairs)*len(x)*hid), bypass: make([]float64, len(m.Pairs)*len(x)*3),
+		experts: len(m.Pairs), steps: len(x), hid: hid}
 	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 		p := m.Pairs[i]
 		e := m.Experts[p]
 		if e.Hidden != hid {
 			return fmt.Errorf("estimator: %s: hidden width %d in a %d-wide model", p, e.Hidden, hid)
 		}
-		e.hiddenInto(ws, x, s.data[i*len(x)*hid:(i+1)*len(x)*hid])
+		var bypass []float64
+		if e.UseBypass {
+			bypass = s.bypass[i*len(x)*3 : (i+1)*len(x)*3]
+		}
+		e.hiddenInto(ws, x, s.data[i*len(x)*hid:(i+1)*len(x)*hid], bypass)
 		return nil
 	})
 	return s, err
@@ -486,27 +524,24 @@ func trainChunks(ws *layers.Workspace, e *Expert, phase string, params []*ad.Par
 // trainExpertHead runs phase B for one expert: with the recurrent trunk,
 // mask, and bypass frozen, it fits only the attention weights α and the
 // output head V against the (now fixed) own and peer hidden states.
-func trainExpertHead(ws *layers.Workspace, e *Expert, x [][]float64, target []float64, peers *peerStates, cfg Config, epochs int, q []float64, seed int64) error {
+func trainExpertHead(ws *layers.Workspace, e *Expert, target []float64, peers *peerStates, cfg Config, epochs int, q []float64, seed int64) error {
 	if !e.UseAttention || len(e.Attn.Peers) == 0 || peers == nil {
 		return nil
 	}
-	// The bypass contribution is frozen, so it is computed once per step —
-	// a pure forward pass on the gradient-free tape. The other frozen part,
-	// the expert's own hidden trajectory, is already in the slab.
-	var bypass []float64
-	if e.UseBypass {
-		bypass = make([]float64, 3*len(x))
-		t := ws.Eval
-		for i, row := range x {
-			t.Reset()
-			copy(bypass[3*i:], e.Bypass.Apply(t, e.maskedInput(t, row)).Data)
-		}
-	}
+	// The frozen parts, the expert's own hidden trajectory and bypass
+	// output, are already in the slab.
+	bypass := peers.bypass[peers.self*3*peers.steps:][:3*peers.steps]
+	var ctx *ad.Value
+	from := 0
 	return trainChunks(ws, e, PhaseAttention, append(e.Head.Params(), e.Attn.Params()...), target, cfg, epochs, q, seed,
-		func(tape *ad.Tape, t int, _ bool) *ad.Value {
+		func(tape *ad.Tape, t int, first bool) *ad.Value {
+			if first {
+				// One op forms the chunk's contexts, and its backward the
+				// gradient of α for all of them.
+				ctx, from = peers.attendChunk(tape, e.Attn, t, cfg.ChunkLen), t
+			}
 			h := tape.Const(peers.state(peers.self, t))
-			attn := peers.attend(tape, e.Attn, t)
-			y := e.Head.Apply(tape, tape.Concat(attn, h))
+			y := e.Head.Apply(tape, tape.Concat(tape.Column(ctx, t-from), h))
 			if e.UseBypass {
 				y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
 			}

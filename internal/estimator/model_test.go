@@ -365,9 +365,10 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	hidden.state(1, 3)[0] = math.NaN() // expert 1 is expert 0's only peer
+	hidden.formChunks(cfg.ChunkLen)
 	q := loss.Quantiles(cfg.Delta)
 	before := append([]float64(nil), m.Experts[m.Pairs[0]].Head.W.Data...)
-	err = trainExpertHead(newWorkspace(), m.Experts[m.Pairs[0]], x, targets[m.Pairs[0]], hidden.peersOf(0), cfg, 1, q[:], 1)
+	err = trainExpertHead(newWorkspace(), m.Experts[m.Pairs[0]], targets[m.Pairs[0]], hidden.peersOf(0), cfg, 1, q[:], 1)
 	if err == nil || !strings.Contains(err.Error(), m.Pairs[0].String()) {
 		t.Fatalf("phase B over a NaN peer state: err = %v", err)
 	}
@@ -396,13 +397,13 @@ func TestLearnAllocatesPerExpertNotPerChunk(t *testing.T) {
 	}
 	q := loss.Quantiles(cfg.Delta)
 	ws := newWorkspace()
-	traj := make([]float64, len(x)*cfg.Hidden)
+	traj, bypass := make([]float64, len(x)*cfg.Hidden), make([]float64, 3*len(x))
 	learn := func(p app.Pair) {
 		e := m.Experts[p]
 		if err := trainExpert(ws, e, x, targets[p], cfg, 2, q[:], 1); err != nil {
 			t.Fatal(err)
 		}
-		e.hiddenInto(ws, x, traj)
+		e.hiddenInto(ws, x, traj, bypass)
 		if _, err := e.forward(ws, x, nil); err != nil {
 			t.Fatal(err)
 		}

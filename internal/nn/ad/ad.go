@@ -138,6 +138,7 @@ const (
 	opSigmoid
 	opTanh
 	opConcat
+	opColumn
 	opWeightedSumConst
 	opPinball
 	opSquaredError
@@ -161,10 +162,10 @@ type Value struct {
 	sc   float64   // ScaleConst factor
 	aux  []float64 // payload: loss targets∥quantiles and GRU gates (arena-owned), WeightedSumConst base (caller's)
 	args []*Value  // SumScalars operands (caller slice; stable until Backward)
-	idx  []int     // WeightedSumConst peer rows in aux, stride floats apart
+	idx  []int     // WeightedSumConst peer blocks in aux, stride floats apart
 	gru  *GRUParams
 
-	stride int
+	stride int // WeightedSumConst: between peer blocks; Column: the column
 }
 
 // Len returns the number of scalar elements.
@@ -462,20 +463,42 @@ func (t *Tape) Concat(a, b *Value) *Value {
 	return t.record(out)
 }
 
-// WeightedSumConst computes Σ_k alpha[k] · h_k for constant vectors h_k (the
-// cross-component attention over detached peer hidden states): h_k is the
-// out-length run of base that starts at idx[k]*stride, which is how one
-// step's peer states sit in a model's hidden-trajectory slab. alpha is a
-// len(idx)-vector; the result has hidden floats. idx and base are retained
-// until the next Reset and must not be mutated before Backward.
-func (t *Tape) WeightedSumConst(alpha *Value, idx []int, base []float64, stride, hidden int) *Value {
+// Column returns column c of the matrix m as a vector: one window's context
+// out of WeightedSumConst's block.
+func (t *Tape) Column(m *Value, c int) *Value {
+	if c < 0 || c >= m.Cols {
+		panic(fmt.Sprintf("ad: Column %d of a %dx%d matrix", c, m.Rows, m.Cols))
+	}
+	out := t.newValue(m.Rows, 1)
+	for j := range out.Data {
+		out.Data[j] = m.Data[j*m.Cols+c]
+	}
+	out.op, out.a, out.stride = opColumn, m, c
+	return t.record(out)
+}
+
+// WeightedSumConst computes the cross-component attention over detached peer
+// hidden states for a block of consecutive windows at once: Σ_k alpha[k]·h_k
+// for constant hidden×windows blocks h_k, window-minor — unit j of window t at
+// j*windows+t — h_k starting at idx[k]*stride of base. With one window a block
+// is a state, and base and stride address one step's peer states in a
+// model's hidden-trajectory slab. alpha is a len(idx)-vector; the result is
+// the hidden×windows block of contexts (Column takes one out). idx and base
+// are retained until the next Reset and must not be mutated before Backward.
+//
+// Every window is its own sum: the adjoint adds to alpha's gradient one dot
+// per window, windows descending — the order in which Backward would visit
+// one-window ops recorded window by window — so a chunk's block has the
+// gradient bits of its windows' ops, and is formed in one pass over the
+// peers' blocks (peerDots) instead of one per window.
+func (t *Tape) WeightedSumConst(alpha *Value, idx []int, base []float64, stride, hidden, windows int) *Value {
 	if alpha.Cols != 1 || alpha.Rows != len(idx) {
 		panic(fmt.Sprintf("ad: WeightedSumConst wants %d weights, got %d", len(idx), alpha.Rows))
 	}
-	if len(idx) == 0 {
-		panic("ad: WeightedSumConst with no rows")
+	if len(idx) == 0 || windows <= 0 {
+		panic("ad: WeightedSumConst with no rows or no windows")
 	}
-	out := t.newValue(hidden, 1)
+	out := t.newValue(hidden, windows)
 	PeerSum(out.Data, alpha.Data, idx, base, stride)
 	out.op, out.a, out.idx, out.aux, out.stride = opWeightedSumConst, alpha, idx, base, stride
 	return t.record(out)
@@ -613,8 +636,16 @@ func (t *Tape) backstep(v *Value) {
 		for i := 0; i < b.Rows; i++ {
 			b.Grad[i] += v.Grad[a.Rows+i]
 		}
+	case opColumn:
+		m := v.a
+		for j, g := range v.Grad {
+			m.Grad[j*m.Cols+v.stride] += g
+		}
 	case opWeightedSumConst:
-		peerDots(v.a.Grad, v.Grad, v.idx, v.aux, v.stride)
+		n := v.Cols
+		dots := t.scratchBuf((len(v.idx) + 3) &^ 3 * n)
+		peerDots(dots, v.Grad, v.idx, v.aux, v.stride, n)
+		addDots(v.a.Grad[:len(v.idx)], dots, n)
 	case opPinball:
 		pred := v.a
 		n := len(v.aux) / 2

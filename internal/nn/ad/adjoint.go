@@ -71,27 +71,73 @@ func outerSums(wGrad []float64, terms []outer) {
 	}
 }
 
-// peerDots is the adjoint of PeerSum with respect to alpha, given g =
-// ∂loss/∂dst: alphaGrad[k] += Σ_j g[j]·base[idx[k]*stride+j], each sum a
-// single accumulator that starts at +0 and walks j upwards. With AVX2 whole
-// groups of four peers go through the assembly, one lane per peer; the
-// len(idx)%4 remainder runs the Go loop.
-func peerDots(alphaGrad, g []float64, idx []int, base []float64, stride int) {
-	alphaGrad = alphaGrad[:len(idx)]
-	k := 0
-	if useAVX2 && len(idx) >= 4 && len(g) > 0 && stride > 0 && len(base) >= len(g) {
-		k = len(idx) &^ 3
+// peerDots is the adjoint of PeerSum over a block of windows with respect to
+// the weights, before it is added: for every peer k and every window t of the
+// window-minor blocks (n windows a unit, len(g)/n units), dots[k*n+t] =
+// Σ_j g[j*n+t]·base[idx[k]*stride+j*n+t], each a single accumulator that
+// starts at +0 and walks the units upwards. dots has room for len(idx)
+// rounded up to four rows. With AVX2 the assembly (peerDotsAVX2) takes the
+// n&^3 windows of full lane groups, windows in the lanes, four peers at a
+// time, a last, short quad padded with its own last peer, whose extra rows
+// are scratch; the Go loop takes the other windows.
+func peerDots(dots, g []float64, idx []int, base []float64, stride, n int) {
+	hidden := len(g) / n
+	dots = dots[:(len(idx)+3)&^3*n]
+	w := 0
+	if useAVX2 && n >= 4 && hidden > 0 && stride > 0 && len(base) >= len(g) {
+		w = n &^ 3
 		limit := (len(base) - len(g)) / stride
-		if !peerDotsAVX2(&alphaGrad[0], &g[0], len(g), &idx[0], k, &base[0], stride, limit) {
+		q := len(idx) &^ 3
+		ok := q == 0 || peerDotsAVX2(&dots[0], &g[0], n, hidden, &idx[0], q, &base[0], stride, limit)
+		if q < len(idx) {
+			var quad [4]int
+			for i := range quad {
+				quad[i] = idx[min(q+i, len(idx)-1)]
+			}
+			ok = ok && peerDotsAVX2(&dots[q*n], &g[0], n, hidden, &quad[0], 4, &base[0], stride, limit)
+		}
+		if !ok {
 			panic("ad: WeightedSumConst: peer index out of range")
 		}
 	}
-	for ; k < len(idx); k++ {
-		s := 0.0
-		for j, x := range base[idx[k]*stride:][:len(g)] {
-			s += g[j] * x
+	if w == n {
+		return
+	}
+	for k, p := range idx {
+		d, h := dots[k*n+w:(k+1)*n], base[p*stride:][:len(g)]
+		clear(d)
+		for j := w; j < len(g); j += n {
+			for t, x := range h[j:][:len(d)] {
+				d[t] += g[j+t] * x
+			}
 		}
-		alphaGrad[k] += s
+	}
+}
+
+// addDots adds each weight's windows' dots to its gradient, one window at a
+// time, windows descending: grad[k] += dots[k*n+t] for t from n−1 down to 0 —
+// the order in which Backward would visit one-window ops recorded window by
+// window. The weights go four at a time, like dot4's rows: four independent
+// add chains, each in its own order.
+func addDots(grad, dots []float64, n int) {
+	k := 0
+	for ; k+4 <= len(grad); k += 4 {
+		s0, s1, s2, s3 := grad[k], grad[k+1], grad[k+2], grad[k+3]
+		d0, d1, d2, d3 := dots[k*n:][:n], dots[(k+1)*n:][:n], dots[(k+2)*n:][:n], dots[(k+3)*n:][:n]
+		for t := n - 1; t >= 0; t-- {
+			s0 += d0[t]
+			s1 += d1[t]
+			s2 += d2[t]
+			s3 += d3[t]
+		}
+		grad[k], grad[k+1], grad[k+2], grad[k+3] = s0, s1, s2, s3
+	}
+	for ; k < len(grad); k++ {
+		s := grad[k]
+		for t := n - 1; t >= 0; t-- {
+			s += dots[k*n+t]
+		}
+		grad[k] = s
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,8 +86,8 @@ func requireSame(t *testing.T, what string, got, want []float64) {
 // over three products into one gradient against three adjoints in turn —
 // with every third δ exactly zero (so skipped rows sit beside whatever edge
 // values the operands hold — a ±Inf in x or w would make the skipped addend
-// NaN), peerDots with rows peers of cols floats strided as in a trajectory
-// slab, and AdamUpdate over rows·cols parameters.
+// NaN), peerDots over rows peers' blocks of cols floats cut into every
+// window count that divides cols, and AdamUpdate over rows·cols parameters.
 func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []float64, oneIn int) {
 	t.Helper()
 	what := fmt.Sprintf("%dx%d+%d", rows, cols, off)
@@ -120,19 +121,30 @@ func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals 
 	}
 
 	if rows > 0 && cols > 0 {
-		const steps = 3 // the slab holds three steps per peer; read the last
-		slab := fillAt(rows*steps*cols, off, rng, vals, oneIn)
-		idx := rng.Perm(rows)
-		peers := make([][]float64, rows)
-		for k, p := range idx {
-			peers[k] = slab[(p*steps+steps-1)*cols:][:cols]
+		// rows peers' blocks of cols floats — units by windows, for each
+		// window count that divides cols — strided as in a chunk's copy
+		// of the trajectories, three in four of them in a random order.
+		idx := rng.Perm(rows)[rows/4:]
+		base := fillAt(rows*cols, off, rng, vals, oneIn)
+		g := fillAt(cols, off+1, rng, vals, oneIn)
+		for n := 1; n <= cols; n++ {
+			if cols%n != 0 {
+				continue
+			}
+			dots := fillAt((len(idx)+3)&^3*n, off+2, rng, nil, 0) // stale values peerDots must overwrite
+			peerDots(dots, g, idx, base, cols, n)
+			for k, p := range idx {
+				for w := 0; w < n; w++ {
+					var col, gw []float64
+					for j := w; j < cols; j += n {
+						col, gw = append(col, base[p*cols+j]), append(gw, g[j])
+					}
+					want := []float64{0}
+					weightedSumAdjointLoop(want, gw, [][]float64{col})
+					requireSame(t, fmt.Sprintf("%s peer dots ×%d windows, peer %d window %d", what, n, k, w), dots[k*n+w:][:1], want)
+				}
+			}
 		}
-		dy := fillAt(cols, off+1, rng, vals, oneIn)
-		alphaGrad := fillAt(rows, off+2, rng, nil, 0)
-		want := cloneAt(alphaGrad, 0)
-		peerDots(alphaGrad, dy, idx, slab[(steps-1)*cols:], steps*cols)
-		weightedSumAdjointLoop(want, dy, peers)
-		requireSame(t, what+" alphaGrad", alphaGrad, want)
 	}
 
 	n := rows * cols
@@ -448,68 +460,121 @@ func TestAdamStepMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestWeightedSumConstMatchesLoop holds the tape's attention op — forward and
-// adjoint — to the loops over [][]float64 rows it ran before it read a slab:
-// the two shapes the repo benchmark trains (peers × hidden), the toy's, and
-// one where neither the peer count nor the width divides by four. Peers are
-// read at the last of three steps of a slab, every expert but one, as the
-// estimator does.
+// TestWeightedSumConstMatchesLoop holds the tape's attention op, on every
+// implementation, to the loops over [][]float64 rows it stands for: one op
+// over a chunk's block of windows, each window's context taken out with
+// Column, must give every window the forward of weightedSumLoop and, through
+// Backward, the weights the gradient of weightedSumAdjointLoop applied window
+// by window, windows descending — what one-window ops recorded in window
+// order added. Chunks of 1, 3, 24 and 48 windows; peer counts of every
+// remainder mod 4 and the repo benchmark's two shapes; self at 0, at a quad
+// boundary and at P−1, then a permuted and a sparse peer list; every edge
+// set.
 func TestWeightedSumConstMatchesLoop(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
 			setImpl(t, impl)
-			for _, d := range []struct{ peers, hid int }{{76, 128}, {399, 16}, {3, 4}, {5, 7}} {
-				for set, e := range edgeSets {
-					const steps = 3
-					rng := rand.New(rand.NewSource(int64(d.peers*100 + d.hid)))
-					experts := d.peers + 1
-					slab := fillAt(experts*steps*d.hid, 1+2*set, rng, e.vals, e.oneIn)
-					self := experts / 2
-					var idx []int
-					var rows [][]float64
-					for p := 0; p < experts; p++ {
-						if p != self {
-							idx = append(idx, p)
-							rows = append(rows, slab[(p*steps+steps-1)*d.hid:][:d.hid])
+			for _, chunk := range []int{1, 3, 24, 48} {
+				for _, d := range []struct{ experts, hid int }{{5, 4}, {6, 7}, {7, 1}, {8, 3}, {18, 5}, {77, 128}, {400, 16}} {
+					rng := rand.New(rand.NewSource(int64(chunk*1000 + d.experts)))
+					var lists [][]int
+					for _, self := range []int{0, 4, d.experts - 1} {
+						lists = append(lists, slices.DeleteFunc(rng.Perm(d.experts), func(p int) bool { return p == self }))
+						slices.Sort(lists[len(lists)-1])
+					}
+					perm := rng.Perm(d.experts)
+					lists = append(lists, perm[1:], perm[:(d.experts+1)/2])
+					for set, e := range edgeSets {
+						// The chunk starts two steps into the slab.
+						slab := fillAt(d.experts*(2+chunk)*d.hid, 1+2*set, rng, e.vals, e.oneIn)
+						for l, idx := range lists {
+							what := fmt.Sprintf("%d windows, %dx%d, list %d, edges %d", chunk, d.experts, d.hid, l, set)
+							checkAttentionChunk(t, what, rng, slab, chunk, d.experts, d.hid, idx, e.vals, e.oneIn, 1+2*set)
 						}
 					}
-					alpha := &Param{Rows: d.peers, Cols: 1,
-						Data: fillAt(d.peers, 1, rng, e.vals, e.oneIn), Grad: fillAt(d.peers, 3, rng, nil, 0)}
-					wantGrad := cloneAt(alpha.Grad, 0)
-
-					tape := NewTape()
-					out := tape.WeightedSumConst(tape.Use(alpha), idx, slab[(steps-1)*d.hid:], steps*d.hid, d.hid)
-					want := make([]float64, d.hid)
-					weightedSumLoop(want, alpha.Data, rows)
-					what := fmt.Sprintf("%dx%d edges=%d", d.peers, d.hid, set)
-					requireSame(t, what+" forward", out.Data, want)
-
-					copy(out.Grad, fillAt(d.hid, 0, rng, e.vals, e.oneIn))
-					tape.backstep(out)
-					weightedSumAdjointLoop(wantGrad, out.Grad, rows)
-					requireSame(t, what+" alpha.Grad", alpha.Grad, wantGrad)
 				}
 			}
 		})
 	}
 }
 
+// checkAttentionChunk cuts the last chunk windows out of a slab of experts'
+// trajectories into window-minor blocks, records one WeightedSumConst over
+// idx and a Column per window, checks each window's context against
+// weightedSumLoop, differentiates Σ_t g_t·context_t for drawn g_t, and checks
+// the weights' gradient against weightedSumAdjointLoop window by window,
+// descending.
+func checkAttentionChunk(t *testing.T, what string, rng *rand.Rand, slab []float64, chunk, experts, hid int, idx []int, vals []float64, oneIn, off int) {
+	t.Helper()
+	steps := len(slab) / (experts * hid)
+	lead := steps - chunk
+	state := func(p, step int) []float64 { return slab[(p*steps+step)*hid:][:hid] }
+	blocks := make([]float64, off+experts*hid*chunk)[off:]
+	for p := 0; p < experts; p++ {
+		for c := 0; c < chunk; c++ {
+			for j, x := range state(p, lead+c) {
+				blocks[(p*hid+j)*chunk+c] = x
+			}
+		}
+	}
+	alpha := &Param{Rows: len(idx), Cols: 1,
+		Data: fillAt(len(idx), off, rng, vals, oneIn), Grad: fillAt(len(idx), off+1, rng, nil, 0)}
+	want := cloneAt(alpha.Grad, 0)
+
+	tape := NewTape()
+	ctx := tape.WeightedSumConst(tape.Use(alpha), idx, blocks, hid*chunk, hid, chunk)
+	terms := make([]*Value, chunk)
+	for c := range terms {
+		var rows [][]float64
+		for _, p := range idx {
+			rows = append(rows, state(p, lead+c))
+		}
+		fwd := make([]float64, hid)
+		weightedSumLoop(fwd, alpha.Data, rows)
+		col := tape.Column(ctx, c)
+		requireSame(t, what+" forward", col.Data, fwd)
+		// g_t as a 1×hid matrix: the product's adjoint hands the context
+		// +0 + 1·g_t.
+		g := tape.Const(fillAt(hid, off, rng, vals, oneIn))
+		g.Rows, g.Cols = 1, hid
+		terms[c] = tape.MatVec(g, col)
+	}
+	tape.Backward(tape.SumScalars(terms...))
+	for c := chunk - 1; c >= 0; c-- {
+		var rows [][]float64
+		for _, p := range idx {
+			rows = append(rows, state(p, lead+c))
+		}
+		g := make([]float64, hid)
+		for j := range g {
+			g[j] = ctx.Grad[j*chunk+c]
+		}
+		weightedSumAdjointLoop(want, g, rows)
+	}
+	requireSame(t, what+" alpha.Grad", alpha.Grad, want)
+}
+
 // TestWeightedSumConstRejectsBadIndex: the adjoint, like the forward, must
-// panic on a peer row that does not fit in the slab, on every implementation.
+// panic on a peer block that does not fit in base, on every implementation,
+// at 1, 4 and 32 windows.
 func TestWeightedSumConstRejectsBadIndex(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
 			setImpl(t, impl)
-			base := make([]float64, 5*8)
-			for _, idx := range [][]int{{0, 1, 2, 5}, {0, -1, 1, 2}, {1, 2, 3, 1 << 40}, {9}} {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("peerDots(idx=%v) over 5 peers did not panic", idx)
-						}
+			for _, windows := range []int{1, 4, 32} {
+				// Five peers' blocks of two units by windows.
+				block := 2 * windows
+				base := make([]float64, 5*block)
+				for _, idx := range [][]int{{0, 1, 2, 5}, {0, -1, 1, 2}, {1, 2, 3, 1 << 40}, {9}} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("peerDots(idx=%v) over 5 peers, %d windows, did not panic", idx, windows)
+							}
+						}()
+						peerDots(make([]float64, (len(idx)+3)&^3*windows), make([]float64, block), idx, base, block, windows)
 					}()
-					peerDots(make([]float64, len(idx)), make([]float64, 8), idx, base, 8)
-				}()
+				}
 			}
 		})
 	}
@@ -572,5 +637,43 @@ func BenchmarkAdamStep(b *testing.B) {
 			}
 			benchSink = data[0]
 		})
+	}
+}
+
+// BenchmarkPeerAdjoint times the attention adjoint of one all-expert epoch at
+// the two shapes the repo benchmark trains (experts × windows × hidden): each
+// of P experts fits α over its P−1 peers in one chunk of T windows, so an op
+// is the backward of P chunk-wide WeightedSumConst nodes, on each
+// implementation.
+func BenchmarkPeerAdjoint(b *testing.B) {
+	for _, d := range []struct{ P, T, hid int }{{399, 24, 16}, {76, 48, 128}} {
+		for _, impl := range impls() {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.P, d.T, d.hid, impl), func(b *testing.B) {
+				setImpl(b, impl)
+				rng := rand.New(rand.NewSource(1))
+				blocks := fillAt(d.P*d.hid*d.T, 0, rng, nil, 0)
+				tape := NewTape()
+				nodes := make([]*Value, d.P)
+				for i := range nodes {
+					var idx []int
+					for p := 0; p < d.P; p++ {
+						if p != i {
+							idx = append(idx, p)
+						}
+					}
+					alpha := &Param{Rows: d.P - 1, Cols: 1, Data: fillAt(d.P-1, 0, rng, nil, 0), Grad: make([]float64, d.P-1)}
+					nodes[i] = tape.WeightedSumConst(tape.Use(alpha), idx, blocks, d.hid*d.T, d.hid, d.T)
+					copy(nodes[i].Grad, fillAt(d.hid*d.T, 0, rng, nil, 0))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					for _, v := range nodes {
+						tape.backstep(v)
+					}
+				}
+				benchSink = nodes[0].a.Grad[0]
+			})
+		}
 	}
 }

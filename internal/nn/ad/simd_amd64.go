@@ -30,7 +30,7 @@ func colSumsAVX2(acc, w, d *float64, rows, cols int)
 func outerSumsAVX2(grad *float64, rows, cols int, terms *outer, n int)
 
 //go:noescape
-func peerDotsAVX2(dst, dy *float64, n int, idx *int, peers int, base *float64, stride, limit int) bool
+func peerDotsAVX2(dots, dy *float64, n, hidden int, idx *int, peers int, base *float64, stride, limit int) bool
 
 //go:noescape
 func adamAVX2(data, grad, m, v *float64, n int, h *[8]float64)

@@ -942,112 +942,149 @@ osDone:
 	VZEROUPPER
 	RET
 
-// func peerDotsAVX2(dst, dy *float64, n int, idx *int, peers int, base *float64, stride, limit int) bool
+// func peerDotsAVX2(dots, dy *float64, n, hidden int, idx *int, peers int, base *float64, stride, limit int) bool
 //
-// dst[k] += Σ_j dy[j]·base[idx[k]*stride+j] for k in [0,peers), peers a
-// multiple of four, j in [0,n): the adjoint of peerSumAVX2. Lanes are four
-// peers — the row kernels' transposition over four arbitrary row offsets
-// (AX, BX, R13, R14 from R15) instead of one stride — so each lane is one
-// peer's accumulator, starts at +0 and adds its products in ascending j like
-// the Go loop; the sum is then added to dst[k]. An idx[k] outside [0,limit]
-// ends the call with false before its group stores anything.
-TEXT ·peerDotsAVX2(SB), NOSPLIT, $0-65
-	MOVQ dst+0(FP), DI
+// dots[k*n+t] = Σ_j dy[j*n+t]·base[idx[k]*stride+j*n+t] for k in [0,peers),
+// peers a multiple of four, t in [0,n&^3), j in [0,hidden), hidden > 0: the
+// adjoint of peerSumAVX2 over a block of n windows, window-minor, before it
+// is added to the weights' gradient. Lanes are windows, as in the window
+// kernel, so every load is a plain one: each lane is one (peer, window)
+// accumulator that starts at +0 and adds its products in ascending j like the
+// Go loop. A pass takes four peers (AX, BX, R13, R14 point at their blocks)
+// by two lane groups — eight independent add chains, each dy load serving
+// all four peers — then by one; R11 walks the units, R8 bytes apart, from the
+// pass's first window (DX). An idx[k] outside [0,limit] ends the call with
+// false before its quad stores anything.
+TEXT ·peerDotsAVX2(SB), NOSPLIT, $0-73
+	MOVQ dots+0(FP), DI
 	MOVQ dy+8(FP), SI
-	MOVQ idx+24(FP), R8
-	MOVQ peers+32(FP), R9
-	MOVQ base+40(FP), R10
-	MOVQ stride+48(FP), R11
-	MOVQ limit+56(FP), R12
-	SHLQ $3, R11
+	MOVQ n+16(FP), R8
+	SHLQ $3, R8
+	MOVQ idx+32(FP), R15
+	MOVQ peers+40(FP), CX
 
-dotsGroup:
-	MOVQ (R8), AX
-	MOVQ 8(R8), BX
-	MOVQ 16(R8), R13
-	MOVQ 24(R8), R14
+pdQuad:
+	MOVQ limit+64(FP), R12
+	MOVQ (R15), AX
+	MOVQ 8(R15), BX
+	MOVQ 16(R15), R13
+	MOVQ 24(R15), R14
 	CMPQ AX, R12
-	JHI  dotsBad
+	JHI  pdBad
 	CMPQ BX, R12
-	JHI  dotsBad
+	JHI  pdBad
 	CMPQ R13, R12
-	JHI  dotsBad
+	JHI  pdBad
 	CMPQ R14, R12
-	JHI  dotsBad
-	IMULQ R11, AX
-	IMULQ R11, BX
-	IMULQ R11, R13
-	IMULQ R11, R14
-	MOVQ R10, R15
-	MOVQ SI, DX
+	JHI  pdBad
+	MOVQ stride+56(FP), R12
+	SHLQ $3, R12
+	IMULQ R12, AX
+	IMULQ R12, BX
+	IMULQ R12, R13
+	IMULQ R12, R14
+	MOVQ base+48(FP), R12
+	ADDQ R12, AX
+	ADDQ R12, BX
+	ADDQ R12, R13
+	ADDQ R12, R14
+	MOVQ n+16(FP), R10
+	ANDQ $-4, R10
+	SHLQ $3, R10
+	XORQ DX, DX
+
+pdPass8:
+	LEAQ 64(DX), R9
+	CMPQ R9, R10
+	JGT  pdPass4
 	VXORPD Y0, Y0, Y0
-	MOVQ n+16(FP), CX
-	SHRQ $2, CX
-	JZ   dotsTail
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ DX, R11
+	MOVQ hidden+24(FP), R12
 
-dotsBlock:
-	VBROADCASTSD (DX), Y4
-	VBROADCASTSD 8(DX), Y5
-	VBROADCASTSD 16(DX), Y6
-	VBROADCASTSD 24(DX), Y7
-	VMOVUPD (R15)(AX*1), X8
-	VMOVUPD (R15)(BX*1), X9
-	VMOVUPD 16(R15)(AX*1), X10
-	VMOVUPD 16(R15)(BX*1), X11
-	VINSERTF128 $1, (R15)(R13*1), Y8, Y8
-	VINSERTF128 $1, (R15)(R14*1), Y9, Y9
-	VINSERTF128 $1, 16(R15)(R13*1), Y10, Y10
-	VINSERTF128 $1, 16(R15)(R14*1), Y11, Y11
-	VUNPCKLPD Y9, Y8, Y12
-	VUNPCKHPD Y9, Y8, Y13
-	VUNPCKLPD Y11, Y10, Y14
-	VUNPCKHPD Y11, Y10, Y15
-	VMULPD Y4, Y12, Y12
-	VMULPD Y5, Y13, Y13
-	VMULPD Y6, Y14, Y14
-	VMULPD Y7, Y15, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y0, Y0
-	VADDPD Y14, Y0, Y0
-	VADDPD Y15, Y0, Y0
+pdUnit8:
+	VMOVUPD (SI)(R11*1), Y8
+	VMOVUPD 32(SI)(R11*1), Y9
+	VMULPD (AX)(R11*1), Y8, Y10
+	VMULPD 32(AX)(R11*1), Y9, Y11
+	VADDPD Y10, Y0, Y0
+	VADDPD Y11, Y1, Y1
+	VMULPD (BX)(R11*1), Y8, Y10
+	VMULPD 32(BX)(R11*1), Y9, Y11
+	VADDPD Y10, Y2, Y2
+	VADDPD Y11, Y3, Y3
+	VMULPD (R13)(R11*1), Y8, Y10
+	VMULPD 32(R13)(R11*1), Y9, Y11
+	VADDPD Y10, Y4, Y4
+	VADDPD Y11, Y5, Y5
+	VMULPD (R14)(R11*1), Y8, Y10
+	VMULPD 32(R14)(R11*1), Y9, Y11
+	VADDPD Y10, Y6, Y6
+	VADDPD Y11, Y7, Y7
+	ADDQ R8, R11
+	DECQ R12
+	JNZ  pdUnit8
+	LEAQ (DI)(DX*1), R9
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, 32(R9)
+	VMOVUPD Y2, (R9)(R8*1)
+	VMOVUPD Y3, 32(R9)(R8*1)
+	VMOVUPD Y4, (R9)(R8*2)
+	VMOVUPD Y5, 32(R9)(R8*2)
+	ADDQ R8, R9
+	VMOVUPD Y6, (R9)(R8*2)
+	VMOVUPD Y7, 32(R9)(R8*2)
+	ADDQ $64, DX
+	JMP  pdPass8
+
+pdPass4:
+	LEAQ 32(DX), R9
+	CMPQ R9, R10
+	JGT  pdNext
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ DX, R11
+	MOVQ hidden+24(FP), R12
+
+pdUnit4:
+	VMOVUPD (SI)(R11*1), Y8
+	VMULPD (AX)(R11*1), Y8, Y10
+	VADDPD Y10, Y0, Y0
+	VMULPD (BX)(R11*1), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD (R13)(R11*1), Y8, Y10
+	VADDPD Y10, Y2, Y2
+	VMULPD (R14)(R11*1), Y8, Y10
+	VADDPD Y10, Y3, Y3
+	ADDQ R8, R11
+	DECQ R12
+	JNZ  pdUnit4
+	LEAQ (DI)(DX*1), R9
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, (R9)(R8*1)
+	VMOVUPD Y2, (R9)(R8*2)
+	ADDQ R8, R9
+	VMOVUPD Y3, (R9)(R8*2)
+
+pdNext:
+	LEAQ (DI)(R8*4), DI
 	ADDQ $32, R15
-	ADDQ $32, DX
-	DECQ CX
-	JNZ  dotsBlock
-
-dotsTail:
-	MOVQ n+16(FP), CX
-	ANDQ $3, CX
-	JZ   dotsStore
-
-dotsCol:
-	VBROADCASTSD (DX), Y4
-	VMOVSD (R15)(AX*1), X8
-	VMOVSD (R15)(R13*1), X9
-	VMOVHPD (R15)(BX*1), X8, X8
-	VMOVHPD (R15)(R14*1), X9, X9
-	VINSERTF128 $1, X9, Y8, Y8
-	VMULPD Y4, Y8, Y8
-	VADDPD Y8, Y0, Y0
-	ADDQ $8, R15
-	ADDQ $8, DX
-	DECQ CX
-	JNZ  dotsCol
-
-dotsStore:
-	VMOVUPD (DI), Y1
-	VADDPD Y0, Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ $32, DI
-	ADDQ $32, R8
-	SUBQ $4, R9
-	JNZ  dotsGroup
-	MOVB $1, ret+64(FP)
+	SUBQ $4, CX
+	JNZ  pdQuad
+	MOVB $1, ret+72(FP)
 	VZEROUPPER
 	RET
 
-dotsBad:
-	MOVB $0, ret+64(FP)
+pdBad:
+	MOVB $0, ret+72(FP)
 	VZEROUPPER
 	RET
 

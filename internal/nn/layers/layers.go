@@ -114,21 +114,23 @@ func (g *GRUCell) Params() []*ad.Param {
 	return []*ad.Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh}
 }
 
-// GRUBlock holds a GRU trajectory's step operands on the tape: the input
-// products of a block of its windows (ad.GRUParams.InputProducts) and U's
-// panels, which the caller Resets at the trajectory's start and after each
-// optimizer step.
+// GRUBlock holds a GRU trajectory's step operands, on the tape (Step) or off
+// it (Advance): the input products of a block of its windows
+// (ad.GRUParams.InputProducts) and U's panels, which the caller Resets at the
+// trajectory's start and after each optimizer step.
 type GRUBlock struct {
-	xT, gate, wx []float64
-	tp           int // the block's length padded to WindowDots' lanes
-	Panels       ad.Panels
+	xT, gate, wx, gs []float64
+	tp               int // the block's length padded to WindowDots' lanes
+	Panels           ad.Panels
 }
 
 // Form forms g's input products for the block of windows rows under its
 // current weights, each window gated by σ(m) first when mask is not nil, as
 // APIMask.Apply gates it. The weights must not change before the block's
-// last Step.
-func (b *GRUBlock) Form(g *GRUCell, mask *APIMask, rows [][]float64) {
+// last Step. It returns the gated block the products read, as WindowDots
+// reads a series (feature k of window t at k*tp+t, tp = len/g.In, the
+// padding zero), which the next Form overwrites.
+func (b *GRUBlock) Form(g *GRUCell, mask *APIMask, rows [][]float64) []float64 {
 	b.tp = (len(rows) + 3) &^ 3
 	b.xT = slices.Grow(b.xT[:0], g.In*b.tp)[:g.In*b.tp]
 	b.wx = slices.Grow(b.wx[:0], 3*g.Hidden*b.tp)[:3*g.Hidden*b.tp]
@@ -144,7 +146,7 @@ func (b *GRUBlock) Form(g *GRUCell, mask *APIMask, rows [][]float64) {
 			b.gate = append(b.gate, ad.Logistic(m))
 		}
 	}
-	g.InputProducts(b.wx, b.xT, b.xT, b.gate, b.tp)
+	return g.InputProducts(b.wx, b.xT, b.xT, b.gate, b.tp)
 }
 
 // Step records g's step on t for window col of the block from x, the tape's
@@ -153,6 +155,14 @@ func (b *GRUBlock) Form(g *GRUCell, mask *APIMask, rows [][]float64) {
 // primitive-op chain.
 func (b *GRUBlock) Step(t *ad.Tape, g *GRUCell, col int, x, hPrev *ad.Value) *ad.Value {
 	return t.GRUStepAt(&g.GRUParams, x, hPrev, b.wx, b.tp, col, &b.Panels)
+}
+
+// Advance is Step without a tape: g's step for window col of the block from
+// hPrev into hOut, which must not alias it — the forward body Step records
+// (ad.GRUParams.Step) on the same operands, so the states have its bits.
+func (b *GRUBlock) Advance(g *GRUCell, col int, hPrev, hOut []float64) {
+	b.gs = slices.Grow(b.gs[:0], 3*g.Hidden)[:3*g.Hidden]
+	g.GRUParams.Step(b.wx, b.tp, col, hPrev, hOut, b.gs, &b.Panels)
 }
 
 // StepReference is the original composition of a step (GRUBlock.Step) from
@@ -200,10 +210,10 @@ func NewAttention(name string, peers []string) *Attention {
 // Params returns the trainable parameters.
 func (a *Attention) Params() []*ad.Param { return []*ad.Param{a.Alpha} }
 
-// Apply computes the context vector a_t = Σ_k α_k · h_t^{(k)} over the
-// peers' (detached) hidden states at one time step: peer k's state is the
-// hidden floats of base that start at idx[k]*stride (see
-// ad.Tape.WeightedSumConst).
-func (a *Attention) Apply(t *ad.Tape, idx []int, base []float64, stride, hidden int) *ad.Value {
-	return t.WeightedSumConst(t.Use(a.Alpha), idx, base, stride, hidden)
+// Apply computes the context vectors a_t = Σ_k α_k · h_t^{(k)} over the
+// peers' (detached) hidden states of a block of windows: peer k's states are
+// the hidden×windows block of base that starts at idx[k]*stride, window-minor
+// (see ad.Tape.WeightedSumConst). With one window it is one step's context.
+func (a *Attention) Apply(t *ad.Tape, idx []int, base []float64, stride, hidden, windows int) *ad.Value {
+	return t.WeightedSumConst(t.Use(a.Alpha), idx, base, stride, hidden, windows)
 }
