@@ -168,7 +168,6 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.Anonymize = *anonymize
 	opts.HashSalt = *salt
-	opts.Log = os.Stdout
 	opts.Metrics = metrics
 	opts.Logger = logger
 	opts.Tracer = tracer

@@ -25,11 +25,17 @@ type daemon struct {
 	cmd     *exec.Cmd
 	base    string
 	logPath string // the child's stderr, a file so it can be read while the child runs
+	outPath string // the child's stdout, likewise
 	exited  chan error
 }
 
 func (d *daemon) stderr() string {
 	b, _ := os.ReadFile(d.logPath)
+	return string(b)
+}
+
+func (d *daemon) stdout() string {
+	b, _ := os.ReadFile(d.outPath)
 	return string(b)
 }
 
@@ -57,14 +63,22 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	d := &daemon{base: "http://" + addr, logPath: filepath.Join(t.TempDir(), "stderr"), exited: make(chan error, 1)}
+	dir := t.TempDir()
+	d := &daemon{base: "http://" + addr, logPath: filepath.Join(dir, "stderr"), outPath: filepath.Join(dir, "stdout"),
+		exited: make(chan error, 1)}
 	logf, err := os.Create(d.logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer logf.Close() // the child holds its own descriptor
+	outf, err := os.Create(d.outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer outf.Close()
 	d.cmd = exec.Command(bin, append([]string{"-addr", addr}, args...)...)
 	d.cmd.Stderr = logf
+	d.cmd.Stdout = outf
 	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +187,11 @@ func TestDaemonSingleTenantRestart(t *testing.T) {
 
 	if code, body := d.call(t, "POST", "/v1/learn", `{"pairs":["ComposePostService/cpu"]}`); code != http.StatusOK {
 		t.Fatalf("learn = %d: %s", code, body)
+	}
+	// The daemon logs only through slog, on stderr: a learn writes nothing
+	// to stdout.
+	if out := d.stdout(); out != "" {
+		t.Errorf("daemon wrote to stdout during a learn:\n%s", out)
 	}
 	code, before := d.call(t, "POST", "/v1/estimate", estimateBody)
 	if code != http.StatusOK {

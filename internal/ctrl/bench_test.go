@@ -15,3 +15,19 @@ func BenchmarkCtrlLoop(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlan tracks the offline planner itself (one simulated month at
+// 5-minute windows, hourly reservations).
+func BenchmarkPlan(b *testing.B) {
+	series := make([]float64, 30*288)
+	for i := range series {
+		series[i] = 100 + 50*float64(i%288)/288
+	}
+	cfg := DefaultConfig()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Plan(series, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,9 +5,9 @@
 // projected traffic.
 //
 // The loop runs inside the simulator: each scheduling interval a Policy
-// proposes per-component demand targets, the shared autoscale.Planner turns
-// them into allocations (headroom + bounded hysteresis, identical semantics
-// to the offline planner), and the resulting capacities are actuated into
+// proposes per-component demand targets, the allocation rule (headroom +
+// bounded hysteresis, the rule Plan applies offline) turns them into
+// allocations, and the resulting capacities are actuated into
 // the queueing latency model after a configurable provisioning lag. Two
 // ledgers are charged every window:
 //
@@ -29,8 +29,6 @@ import (
 	"sort"
 
 	"repro/internal/app"
-	"repro/internal/autoscale"
-	"repro/internal/estimator"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -40,7 +38,7 @@ import (
 // Config tunes the control loop.
 type Config struct {
 	// IntervalWindows is the scheduling cadence: one capacity decision
-	// per this many windows.
+	// (one Plan allocation) per this many windows.
 	IntervalWindows int
 	// LagWindows is the actuation lag: a decision made at an interval
 	// boundary takes effect this many windows later, modeling the time
@@ -52,8 +50,9 @@ type Config struct {
 	// allocation / UtilTarget (the standard utilization-target rule;
 	// default 0.5).
 	UtilTarget float64
-	// Headroom and MinChange parameterize the shared autoscale.Planner
-	// (fractional margin above the demand target, hysteresis dead-band).
+	// Headroom and MinChange parameterize the allocation rule Run and
+	// Plan share (fractional margin above the demand target, hysteresis
+	// dead-band).
 	Headroom  float64
 	MinChange float64
 	// MaxInflation is the scale-free SLO: a window violates when any
@@ -87,8 +86,8 @@ func DefaultConfig() Config {
 }
 
 func (c Config) validate() error {
-	if c.IntervalWindows <= 0 {
-		return fmt.Errorf("ctrl: IntervalWindows must be positive")
+	if err := c.validatePlan(); err != nil {
+		return err
 	}
 	if c.LagWindows < 0 {
 		return fmt.Errorf("ctrl: negative LagWindows")
@@ -199,17 +198,14 @@ func Run(env Env, cfg Config, pol Policy) (Result, error) {
 		specCap[c.Name] = c.CPUCapacity
 	}
 	caps := make(map[string]float64, len(comps))
-	planners := make(map[string]*autoscale.Planner, len(comps))
-	plannerCfg := autoscale.Config{Headroom: cfg.Headroom, MinChange: cfg.MinChange}
+	planners := make(map[string]*planner, len(comps))
 	for _, comp := range comps {
 		base, ok := specCap[comp]
 		if !ok {
 			return Result{}, fmt.Errorf("ctrl: unknown component %q", comp)
 		}
 		caps[comp] = base
-		if planners[comp], err = autoscale.NewPlanner(plannerCfg); err != nil {
-			return Result{}, err
-		}
+		planners[comp] = &planner{headroom: cfg.Headroom, minChange: cfg.MinChange}
 	}
 
 	led := Ledger{ByAPI: make(map[string]float64)}
@@ -233,7 +229,7 @@ func Run(env Env, cfg Config, pol Policy) (Result, error) {
 				if !ok || math.IsNaN(t) || t < 0 {
 					continue // hold current capacity
 				}
-				c := planners[comp].Next(t) / cfg.UtilTarget
+				c := planners[comp].next(t) / cfg.UtilTarget
 				if c < cfg.MinCapacity {
 					c = cfg.MinCapacity
 				}
@@ -340,24 +336,4 @@ func Run(env Env, cfg Config, pol Policy) (Result, error) {
 	}
 
 	return Result{Policy: pol.Name(), Ledger: led, Demand: demand}, nil
-}
-
-// DemandForecast extracts the proactive policy's demand signal from
-// DeepRest interval estimates: per component, the upper confidence bound
-// of its CPU expert (falling back to the expected value when the model has
-// no interval), in millicores per window.
-func DemandForecast(est map[app.Pair]estimator.Estimate, components []string) map[string][]float64 {
-	out := make(map[string][]float64, len(components))
-	for _, comp := range components {
-		e, ok := est[app.Pair{Component: comp, Resource: app.CPU}]
-		if !ok {
-			continue
-		}
-		series := e.Exp
-		if len(e.Up) == len(e.Exp) {
-			series = e.Up
-		}
-		out[comp] = series
-	}
-	return out
 }

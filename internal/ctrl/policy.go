@@ -32,17 +32,7 @@ func (p *Proactive) Target(from, to int, _ Observed) map[string]float64 {
 		if from >= len(series) {
 			continue
 		}
-		hi := to
-		if hi > len(series) {
-			hi = len(series)
-		}
-		peak := 0.0
-		for _, v := range series[from:hi] {
-			if v > peak {
-				peak = v
-			}
-		}
-		out[comp] = peak
+		out[comp] = seriesPeak(series[from:min(to, len(series))])
 	}
 	return out
 }
@@ -125,16 +115,6 @@ func (r *Reactive) Target(from, to int, obs Observed) map[string]float64 {
 		}
 	}
 	return out
-}
-
-func seriesPeak(s []float64) float64 {
-	peak := 0.0
-	for _, v := range s {
-		if v > peak {
-			peak = v
-		}
-	}
-	return peak
 }
 
 // Static never scales: every component keeps the capacity it started with

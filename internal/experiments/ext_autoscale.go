@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/app"
-	"repro/internal/autoscale"
 	"repro/internal/ctrl"
-	"repro/internal/estimator"
 	"repro/internal/faults"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -18,7 +15,8 @@ import (
 // hour-scale interval, from each method's estimate of an unseen 2× day.
 // The score is the trade-off every operator cares about — windows where
 // demand exceeds the reservation (SLO risk) versus over-reservation
-// (cost) — plus provisioning churn.
+// (cost) — plus provisioning churn, and then the same plans actuated by
+// the closed loop, which charges their user impact to its SLO ledger.
 func (r *Runner) ExtAutoscale() (Result, error) {
 	l, err := r.Social()
 	if err != nil {
@@ -30,38 +28,47 @@ func (r *Runner) ExtAutoscale() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := autoscale.DefaultConfig()
+	cfg := ctrl.DefaultConfig()
 	cfg.IntervalWindows = l.WPD / 8 // 3-hour reservations
 
 	pairs := cpuPairs(fig14Components...)
+	// Each method's demand per pair: DeepRest plans against its upper
+	// confidence bound; point forecasters have no interval.
+	demand := make(map[string]map[app.Pair][]float64, len(Methods))
+	for _, m := range Methods {
+		demand[m] = make(map[app.Pair][]float64, len(pairs))
+		for _, p := range pairs {
+			if m == MethodDeepRest {
+				demand[m][p] = ctrl.Demand(ev.Estimates[p])
+			} else {
+				demand[m][p] = ev.Series[m][p]
+			}
+		}
+	}
 	fmt.Fprintf(w, "schedule-based autoscaling for an unseen 2x day (%d-window reservations, %.0f%% headroom)\n",
 		cfg.IntervalWindows, cfg.Headroom*100)
 	fmt.Fprintf(w, "  %-18s %14s %14s %10s\n", "plan source", "violations", "waste", "changes")
 
 	metrics := map[string]float64{}
-	for _, m := range Methods {
-		agg := autoscale.Report{}
+	// assess averages the per-pair scores of the plans built from series.
+	assess := func(series map[app.Pair][]float64) (ctrl.Report, error) {
+		agg := ctrl.Report{}
 		for _, p := range pairs {
-			var allocs []autoscale.Allocation
-			if m == MethodDeepRest {
-				// DeepRest plans against its upper confidence
-				// bound; point forecasters have no interval.
-				sched, err := autoscale.Plan(map[app.Pair]estimator.Estimate{p: ev.Estimates[p]}, cfg)
-				if err != nil {
-					return Result{}, err
-				}
-				allocs = sched[p]
-			} else {
-				var err error
-				allocs, err = autoscale.PlanSeries(ev.Series[m][p], cfg)
-				if err != nil {
-					return Result{}, err
-				}
+			allocs, err := ctrl.Plan(series[p], cfg)
+			if err != nil {
+				return agg, err
 			}
-			rep := autoscale.Assess(allocs, ev.Actual[p])
+			rep := ctrl.Assess(allocs, ev.Actual[p])
 			agg.ViolationFrac += rep.ViolationFrac / float64(len(pairs))
 			agg.WasteFrac += rep.WasteFrac / float64(len(pairs))
 			agg.Changes += rep.Changes
+		}
+		return agg, nil
+	}
+	for _, m := range Methods {
+		agg, err := assess(demand[m])
+		if err != nil {
+			return Result{}, err
 		}
 		fmt.Fprintf(w, "  %-18s %13.1f%% %13.1f%% %10d\n",
 			m, 100*agg.ViolationFrac, 100*agg.WasteFrac, agg.Changes)
@@ -71,54 +78,38 @@ func (r *Runner) ExtAutoscale() (Result, error) {
 
 	// An oracle planner (perfect demand knowledge) bounds the achievable
 	// waste at this scheduling granularity.
-	oracle := autoscale.Report{}
-	for _, p := range pairs {
-		allocs, err := autoscale.PlanSeries(ev.Actual[p], cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		rep := autoscale.Assess(allocs, ev.Actual[p])
-		oracle.ViolationFrac += rep.ViolationFrac / float64(len(pairs))
-		oracle.WasteFrac += rep.WasteFrac / float64(len(pairs))
+	oracle, err := assess(ev.Actual)
+	if err != nil {
+		return Result{}, err
 	}
 	fmt.Fprintf(w, "  %-18s %13.1f%% %13.1f%%\n", "oracle", 100*oracle.ViolationFrac, 100*oracle.WasteFrac)
 	metrics["violations_oracle"] = 100 * oracle.ViolationFrac
 	metrics["waste_oracle"] = 100 * oracle.WasteFrac
 
-	// User-visible consequence: feed each plan's reservations into the
-	// queueing model as the planned components' capacities (sized at a
-	// 50% utilization target, the standard rule) and count windows where
-	// a planned station's queueing delay exceeds twice its service time
-	// (ρ > 2/3) or saturates — the point where user latency degrades.
-	fmt.Fprintf(w, "  queueing SLO check (per-station wait <= 2x service) under each plan's reservations:\n")
+	// User-visible consequence: actuate each plan through the closed loop
+	// — a zero-lag proactive run on the method's demand is exactly its
+	// plan, sized at the utilization target — and charge the loop's SLO
+	// and cost ledgers.
+	planCfg := cfg
+	planCfg.LagWindows = 0
+	env := ctrl.Env{Spec: l.Spec, Traffic: q, Components: fig14Components}
+	fmt.Fprintf(w, "  each plan actuated by the closed loop (no lag, util target %.0f%%):\n", planCfg.UtilTarget*100)
+	fmt.Fprintf(w, "    %-18s %14s %12s\n", "plan source", "violation min", "core-hours")
 	for _, m := range Methods {
-		count, err := latencyViolations(l, ev, pairs, func(p app.Pair, wdw int) float64 {
-			const utilTarget = 0.5
-			if m == MethodDeepRest {
-				sched, err := autoscale.Plan(map[app.Pair]estimator.Estimate{p: ev.Estimates[p]}, cfg)
-				if err != nil {
-					return 0
-				}
-				// Hold-last past the planned horizon: a reservation
-				// becomes a provisioned capacity here, and capacity
-				// does not vanish when the plan runs out.
-				return autoscale.AllocationAtHold(sched[p], wdw) / utilTarget
-			}
-			allocs, err := autoscale.PlanSeries(ev.Series[m][p], cfg)
-			if err != nil {
-				return 0
-			}
-			return autoscale.AllocationAtHold(allocs, wdw) / utilTarget
-		})
+		fc := make(map[string][]float64, len(pairs))
+		for _, p := range pairs {
+			fc[p.Component] = demand[m][p]
+		}
+		res, err := ctrl.Run(env, planCfg, ctrl.NewProactive(m, fc))
 		if err != nil {
 			return Result{}, err
 		}
-		frac := 100 * float64(count) / float64(ev.Query.NumWindows())
-		fmt.Fprintf(w, "    %-18s %5.1f%% of windows violate\n", m, frac)
-		metrics["slo_violations_"+shortName(m)] = frac
+		fmt.Fprintf(w, "    %-18s %14.1f %12.3f\n", m, res.Ledger.ViolationMinutes, res.Ledger.ResourceHours)
+		metrics["plan_violation_min_"+shortName(m)] = res.Ledger.ViolationMinutes
+		metrics["plan_core_hours_"+shortName(m)] = res.Ledger.ResourceHours
 	}
 
-	if err := r.closedLoop(l, ev, q, cfg.IntervalWindows, metrics); err != nil {
+	if err := r.closedLoop(l, ev, q, cfg, metrics); err != nil {
 		return Result{}, err
 	}
 	return Result{ID: "autoscale", Metrics: metrics}, nil
@@ -129,8 +120,9 @@ func (r *Runner) ExtAutoscale() (Result, error) {
 // SLO and cost ledgers — and compares proactive (DeepRest), reactive
 // (threshold), static (as deployed), and oracle (perfect foresight)
 // policies on the same realized day, clean and under faults.
-func (r *Runner) closedLoop(l *Lab, ev *Evaluation, realized *workload.Traffic, interval int, metrics map[string]float64) error {
+func (r *Runner) closedLoop(l *Lab, ev *Evaluation, realized *workload.Traffic, cfg ctrl.Config, metrics map[string]float64) error {
 	w := r.P.Out
+	interval := cfg.IntervalWindows
 
 	// The operator's traffic projection: the same diurnal program the day
 	// actually follows, but an independent jitter/noise draw — plausible,
@@ -143,8 +135,6 @@ func (r *Runner) closedLoop(l *Lab, ev *Evaluation, realized *workload.Traffic, 
 		return err
 	}
 
-	cfg := ctrl.DefaultConfig()
-	cfg.IntervalWindows = interval
 	// Provisioning takes real time — half a scheduling interval here —
 	// which is the paper's §2 argument for schedule-based scaling: a
 	// backward-looking policy's purchases land after the need has moved
@@ -281,36 +271,4 @@ func closedLoopForecast(l *Lab, realized, projected *workload.Traffic, interval 
 		}
 	}
 	return forecast, nil
-}
-
-// latencyViolations counts query windows in which any *planned* station,
-// provisioned with the allocation-derived capacity, queues requests for
-// more than twice its service time (ρ > 2/3) or saturates.
-func latencyViolations(l *Lab, ev *Evaluation, pairs []app.Pair, capAt func(p app.Pair, w int) float64) (int, error) {
-	model, err := sim.NewLatencyModel(l.Spec)
-	if err != nil {
-		return 0, err
-	}
-	count := 0
-	for wdw, reqs := range ev.Query.Windows {
-		for _, p := range pairs {
-			if c := capAt(p, wdw); c > 0 {
-				if err := model.SetCapacity(p.Component, c); err != nil {
-					return 0, err
-				}
-			}
-		}
-		loads, _, err := model.Evaluate(reqs, l.WindowSec)
-		if err != nil {
-			return 0, err
-		}
-		for _, p := range pairs {
-			ld := loads[p.Component]
-			if ld.Utilization >= 1 || ld.WaitMs > 2*ld.ServiceMs {
-				count++
-				break
-			}
-		}
-	}
-	return count, nil
 }

@@ -1,10 +1,11 @@
 package service
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 
-	"repro/internal/autoscale"
+	"repro/internal/ctrl"
 )
 
 // planAllocation is one reservation of the returned schedule; window
@@ -27,11 +28,10 @@ type planResponse struct {
 
 // handleAutoscalePlan serves a read-only scaling schedule built from the
 // most recent telemetry: the active generation's expected utilization for
-// the trailing window range, planned with the shared autoscale rules
-// (interval peak of the upper confidence bound, plus headroom, with
-// hysteresis). It is advisory — the server actuates nothing — and rides the
-// per-window feature cache plus the tape-free engine like every other
-// serving read.
+// the trailing window range, planned with ctrl.Plan (interval peak of the
+// upper confidence bound, plus headroom, with hysteresis). It is advisory —
+// the server actuates nothing — and rides the per-window feature cache plus
+// the tape-free engine like every other serving read.
 //
 // Query parameters: windows (trailing range length, default 96), interval
 // (reservation granularity in windows, default 12), headroom (fractional
@@ -48,11 +48,11 @@ func (s *Server) handleAutoscalePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad interval parameter %q", q.Get("interval"))
 		return
 	}
-	cfg := autoscale.DefaultConfig()
+	cfg := ctrl.DefaultConfig()
 	cfg.IntervalWindows = interval
 	if h := q.Get("headroom"); h != "" {
 		v, err := strconv.ParseFloat(h, 64)
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			writeErr(w, http.StatusBadRequest, "bad headroom parameter %q", h)
 			return
 		}
@@ -85,11 +85,6 @@ func (s *Server) handleAutoscalePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "estimate: %v", err)
 		return
 	}
-	sched, err := autoscale.Plan(est, cfg)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 
 	resp := planResponse{
 		Version:         gen.Version,
@@ -97,11 +92,20 @@ func (s *Server) handleAutoscalePlan(w http.ResponseWriter, r *http.Request) {
 		ToWindow:        to,
 		IntervalWindows: cfg.IntervalWindows,
 		Headroom:        cfg.Headroom,
-		Plans:           make(map[string][]planAllocation, len(sched)),
+		Plans:           make(map[string][]planAllocation, len(est)),
 	}
-	for p, allocs := range sched {
+	for p, e := range est {
+		allocs, err := ctrl.Plan(ctrl.Demand(e), cfg)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
 		out := make([]planAllocation, len(allocs))
 		for i, a := range allocs {
+			if math.IsInf(a.Amount, 0) || math.IsNaN(a.Amount) {
+				writeErr(w, http.StatusBadRequest, "headroom %v overflows the plan for %s", cfg.Headroom, p)
+				return
+			}
 			out[i] = planAllocation{FromWindow: from + a.From, ToWindow: from + a.To, Amount: a.Amount}
 		}
 		resp.Plans[p.String()] = out

@@ -311,9 +311,16 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...interface{
 	_ = json.NewEncoder(w).Encode(httpError{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeJSON answers 200 with v, or 500 with the uniform error body when v
+// cannot be encoded (a NaN, say) — never an empty 200.
 func writeJSON(w http.ResponseWriter, v interface{}) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 // handleTelemetry ingests a telemetry stream (the interchange format of

@@ -244,8 +244,10 @@ func TestServiceErrorPaths(t *testing.T) {
 	if rec := do(t, h, "GET", "/v1/autoscale/plan?interval=-3", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("plan with bad interval = %d", rec.Code)
 	}
-	if rec := do(t, h, "GET", "/v1/autoscale/plan?headroom=-1", nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("plan with bad headroom = %d", rec.Code)
+	for _, hr := range []string{"-1", "NaN", "Inf"} {
+		if rec := do(t, h, "GET", "/v1/autoscale/plan?headroom="+hr, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("plan with headroom=%s = %d", hr, rec.Code)
+		}
 	}
 	if rec := do(t, h, "GET", "/v1/model", nil); rec.Code != http.StatusPreconditionFailed {
 		t.Errorf("model before learn = %d", rec.Code)
@@ -273,6 +275,25 @@ func TestServiceErrorPaths(t *testing.T) {
 	}
 	if rec := do(t, h, "POST", "/v1/sanity", bytes.NewBufferString(`{"from":-3,"to":1}`)); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad sanity range = %d", rec.Code)
+	}
+	// A headroom whose plan is not finite is refused, never an empty 200.
+	for _, hr := range []string{"NaN", "Inf", "1e308"} {
+		rec := do(t, h, "GET", "/v1/autoscale/plan?headroom="+hr, nil)
+		var e httpError
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+			t.Errorf("learned plan with headroom=%s = %d %q, want 400 with an error", hr, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot carry is a 500 with the
+// uniform error body, not an empty 200.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"x": math.NaN()})
+	var e httpError
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+		t.Fatalf("writeJSON(NaN) = %d %q, want 500 with an error field", rec.Code, rec.Body)
 	}
 }
 
