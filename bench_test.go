@@ -26,6 +26,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -321,13 +322,16 @@ func BenchmarkScalabilityModelSize(b *testing.B) {
 // BenchmarkSimulatorStep measures the substrate itself: one telemetry
 // window of the full social network at peak load.
 func BenchmarkSimulatorStep(b *testing.B) {
-	cluster, err := sim.NewCluster(app.SocialNetwork(), 1)
+	spec, mix, err := topo.Resolve("social")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster, err := sim.NewCluster(spec, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	reqs := map[string]int{}
-	mix := workload.SocialDefaultMix().Normalize()
-	for api, frac := range mix {
+	for api, frac := range mix.Normalize() {
 		reqs[api] = int(frac * 60 * 300)
 	}
 	b.ResetTimer()
@@ -463,9 +467,12 @@ func BenchmarkAblationAttention(b *testing.B) {
 // simulator pushing one simulated minute of peak social-network traffic
 // (events/second of simulation throughput).
 func BenchmarkDESSocialNetwork(b *testing.B) {
-	spec := app.SocialNetwork()
+	spec, mix, err := topo.Resolve("social")
+	if err != nil {
+		b.Fatal(err)
+	}
 	arrivals := map[string]float64{}
-	for api, frac := range workload.SocialDefaultMix().Normalize() {
+	for api, frac := range mix.Normalize() {
 		arrivals[api] = frac * 40
 	}
 	b.ResetTimer()

@@ -91,7 +91,7 @@ gen:seed=N,components=N[,apis=N,depth=N,fanout=N] (a generated topology).
   traffic   -app APP [-days N] [-shape 2peak|flat|1peak|high] [-peak RPS] [-scale F]
             [-wpd N] [-window S] [-format csv|summary] [-seed N]
   spec      validate FILE... | export -app APP [-o FILE] | generate -seed N -components N [-o FILE]
-            (work with topology DSL documents; see examples/topologies/)`)
+            (work with topology DSL documents; see internal/topo/apps/)`)
 }
 
 // labFlags bundles the options shared by subcommands.

@@ -162,15 +162,26 @@ func UniformProgram(days int, spec DaySpec) Program {
 
 // SocialNetwork returns the bundled DeathStarBench-style social network
 // application (29 components, 11 APIs).
-func SocialNetwork() *AppSpec { return app.SocialNetwork() }
+func SocialNetwork() *AppSpec { return bundledApp("social") }
 
 // HotelReservation returns the bundled hotel reservation application
 // (18 components, 4 APIs).
-func HotelReservation() *AppSpec { return app.HotelReservation() }
+func HotelReservation() *AppSpec { return bundledApp("hotel") }
 
 // MediaMicroservices returns the bundled movie-review application
 // (19 components, 6 APIs).
-func MediaMicroservices() *AppSpec { return app.MediaMicroservices() }
+func MediaMicroservices() *AppSpec { return bundledApp("media") }
+
+// bundledApp parses a bundled application's embedded topology document. The
+// documents are part of the build and tested to parse, so an error here is a
+// broken build, not bad input.
+func bundledApp(name string) *AppSpec {
+	spec, _, err := topo.Resolve(name)
+	if err != nil {
+		panic(err)
+	}
+	return spec
+}
 
 // NewCluster deploys an application spec in the simulator.
 func NewCluster(spec *AppSpec, seed int64) (*Cluster, error) {

@@ -384,3 +384,40 @@ func (c Cost) negative() (field string, v float64, bad bool) {
 func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
+
+// Toy returns a deliberately tiny three-component application used by unit
+// tests: a gateway, one service, and one database, with a read API and a
+// write API whose resource footprints are easy to reason about by hand. The
+// bundled applications are topology documents (internal/topo); Toy is Go so
+// that packages below topo can test against a spec.
+func Toy() *Spec {
+	s := &Spec{
+		Name: "toy",
+		Components: []Component{
+			{Name: "Gateway", BaseCPU: 5, BaseMemory: 50, CPUCapacity: 40},
+			{Name: "Service", BaseCPU: 5, BaseMemory: 80, CPUCapacity: 48},
+			{Name: "DB", Stateful: true, BaseCPU: 8, BaseMemory: 150, CPUCapacity: 60, CacheMax: 200, CacheDecay: 0.99},
+		},
+		APIs: []API{
+			{
+				Name:      "/read",
+				PayloadCV: 0.10,
+				Templates: []Template{
+					{Prob: 1.0, Root: Node("Gateway", "read", Cost{CPUms: 300, MemMiB: 0.08},
+						Node("Service", "read", Cost{CPUms: 900, MemMiB: 0.25},
+							Node("DB", "find", Cost{CPUms: 1100, MemMiB: 0.20, CacheMiB: 0.010})))},
+				},
+			},
+			{
+				Name:      "/write",
+				PayloadCV: 0.10,
+				Templates: []Template{
+					{Prob: 1.0, Root: Node("Gateway", "write", Cost{CPUms: 320, MemMiB: 0.08},
+						Node("Service", "write", Cost{CPUms: 1000, MemMiB: 0.28},
+							Node("DB", "insert", Cost{CPUms: 1400, MemMiB: 0.24, WriteOps: 5, WriteKiB: 10, DiskMiB: 0.008})))},
+				},
+			},
+		},
+	}
+	return s
+}

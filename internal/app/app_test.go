@@ -1,95 +1,17 @@
 package app
 
 import (
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestBundledSpecsValidate: the one Go-coded spec is deployable. The bundled
+// applications are topology documents, validated by topo.TestBundledApps.
 func TestBundledSpecsValidate(t *testing.T) {
-	for _, spec := range []*Spec{SocialNetwork(), HotelReservation(), Toy()} {
-		if err := spec.Validate(); err != nil {
-			t.Errorf("%s: %v", spec.Name, err)
-		}
+	if err := Toy().Validate(); err != nil {
+		t.Error(err)
 	}
-}
-
-func TestSocialNetworkShape(t *testing.T) {
-	s := SocialNetwork()
-	if got := len(s.Components); got != 29 {
-		t.Errorf("social components = %d, want 29 (paper §5.1)", got)
-	}
-	stateless, stateful := 0, 0
-	for _, c := range s.Components {
-		if c.Stateful {
-			stateful++
-		} else {
-			stateless++
-		}
-	}
-	if stateless != 23 || stateful != 6 {
-		t.Errorf("stateless/stateful = %d/%d, want 23/6", stateless, stateful)
-	}
-	if got := len(s.APIs); got != 11 {
-		t.Errorf("social APIs = %d, want 11", got)
-	}
-	if got := len(s.ResourcePairs()); got != 76 {
-		t.Errorf("resource pairs = %d, want 76 (paper §5.1)", got)
-	}
-}
-
-func TestHotelReservationShape(t *testing.T) {
-	s := HotelReservation()
-	if got := len(s.Components); got != 18 {
-		t.Errorf("hotel components = %d, want 18", got)
-	}
-	if got := len(s.APIs); got != 4 {
-		t.Errorf("hotel APIs = %d, want 4", got)
-	}
-	if got := len(s.ResourcePairs()); got != 54 {
-		t.Errorf("resource pairs = %d, want 54 (paper §5.1)", got)
-	}
-}
-
-func TestGroundTruthDependencies(t *testing.T) {
-	s := SocialNetwork()
-	compose, _ := s.API("/composePost")
-	read, _ := s.API("/readTimeline")
-	if !touches(compose, "ComposePostService") {
-		t.Error("/composePost must touch ComposePostService")
-	}
-	if touches(read, "ComposePostService") {
-		t.Error("/readTimeline must not touch ComposePostService (Figure 8)")
-	}
-	// /readTimeline reaches PostStorageMongoDB read path but must not
-	// issue writes there (paper §5.2 program analysis).
-	if !touches(read, "PostStorageMongoDB") {
-		t.Error("/readTimeline must read PostStorageMongoDB")
-	}
-	for _, tpl := range read.Templates {
-		assertNoWrites(t, tpl.Root, "PostStorageMongoDB")
-	}
-}
-
-func assertNoWrites(t *testing.T, n *PathNode, component string) {
-	t.Helper()
-	if n.Component == component && (n.Cost.WriteOps > 0 || n.Cost.WriteKiB > 0 || n.Cost.DiskMiB > 0) {
-		t.Errorf("unexpected write cost on %s", component)
-	}
-	for _, c := range n.Children {
-		assertNoWrites(t, c, component)
-	}
-}
-
-// touches reports whether any template of a can visit component: the
-// ground truth the dependency tests check the bundled apps against.
-func touches(a API, component string) bool {
-	var rec func(n *PathNode) bool
-	rec = func(n *PathNode) bool {
-		return n.Component == component || slices.ContainsFunc(n.Children, rec)
-	}
-	return slices.ContainsFunc(a.Templates, func(t Template) bool { return rec(t.Root) })
 }
 
 func TestResourceMetadata(t *testing.T) {

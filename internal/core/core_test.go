@@ -14,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
+	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
@@ -212,14 +213,17 @@ func TestDefaultsFilledIn(t *testing.T) {
 // "serve any hosted application" claim (§3): the same pipeline, untouched,
 // learns the media-microservices application.
 func TestLearnsThirdApplication(t *testing.T) {
-	spec := app.MediaMicroservices()
+	spec, mix, err := topo.Resolve("media")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cluster, err := sim.NewCluster(spec, 61)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := workload.Uniform(2, workload.DaySpec{
 		Shape:   workload.TwoPeak{},
-		Mix:     app.MediaDefaultMix(),
+		Mix:     mix,
 		PeakRPS: 30,
 	})
 	prog.WindowsPerDay = 48

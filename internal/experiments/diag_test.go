@@ -9,6 +9,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/estimator"
 	"repro/internal/eval"
+	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
@@ -20,6 +21,10 @@ func TestDiagAttribution(t *testing.T) {
 	wpd, ws, days, peak := workload.Scale(p.Quick)
 	_ = ws
 	target := app.Pair{Component: "PostStorageMongoDB", Resource: app.WriteIOps}
+	spec, mix, err := topo.Resolve("social")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -34,8 +39,8 @@ func TestDiagAttribution(t *testing.T) {
 		{"bypassOnlyIsh", func(c *estimator.Config) { c.Hidden = 4 }},
 	} {
 		l := &Lab{
-			P: p, Spec: app.SocialNetwork(), LearnShape: workload.TwoPeak{},
-			Mix: workload.SocialDefaultMix(), PeakRPS: peak, LearnDays: days,
+			P: p, Spec: spec, LearnShape: workload.TwoPeak{},
+			Mix: mix, PeakRPS: peak, LearnDays: days,
 			WPD: wpd, WindowSec: ws,
 			Pairs:       SocialFocusPairs(),
 			clusterSeed: 101,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/sim"
 	"repro/internal/synth"
+	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -129,12 +130,16 @@ type Lab struct {
 // shape (TwoPeak for most experiments, Flat for the reverse direction of
 // Figure 16).
 func NewSocialLab(p Params, shape workload.Shape) (*Lab, error) {
+	spec, mix, err := topo.Resolve("social")
+	if err != nil {
+		return nil, err
+	}
 	wpd, ws, days, peak := workload.Scale(p.Quick)
 	l := &Lab{
 		P:          p,
-		Spec:       app.SocialNetwork(),
+		Spec:       spec,
 		LearnShape: shape,
-		Mix:        workload.SocialDefaultMix(),
+		Mix:        mix,
 		PeakRPS:    peak,
 		LearnDays:  days,
 		WPD:        wpd,
@@ -148,12 +153,16 @@ func NewSocialLab(p Params, shape workload.Shape) (*Lab, error) {
 
 // NewHotelLab provisions the hotel-reservation lab for Figure 17.
 func NewHotelLab(p Params) (*Lab, error) {
+	spec, mix, err := topo.Resolve("hotel")
+	if err != nil {
+		return nil, err
+	}
 	wpd, ws, days, peak := workload.Scale(p.Quick)
 	l := &Lab{
 		P:          p,
-		Spec:       app.HotelReservation(),
+		Spec:       spec,
 		LearnShape: workload.TwoPeak{},
-		Mix:        workload.HotelDefaultMix(),
+		Mix:        mix,
 		PeakRPS:    peak * 0.7,
 		LearnDays:  days,
 		WPD:        wpd,

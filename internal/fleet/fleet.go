@@ -97,7 +97,9 @@ type TenantSpec struct {
 	App string `json:"app"`
 	// Spec optionally bootstraps the tenant's telemetry from a simulated
 	// deployment: social|hotel|media, @file.json, or gen:seed=N,components=N
-	// (topo.Resolve grammar). Empty creates the tenant with an empty store
+	// (topo.Resolve grammar). @file.json is for the operator's manifest and
+	// -app flag only: POST /v1/tenants refuses it with 400, as it would read
+	// the daemon host's files. Empty creates the tenant with an empty store
 	// awaiting pushed telemetry.
 	Spec string `json:"spec,omitempty"`
 	// BootstrapDays sizes the simulated bootstrap (Spec only; 0 = 1 day).

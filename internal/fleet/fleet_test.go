@@ -282,6 +282,41 @@ func TestFleetLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesOutsideInput: POST /v1/tenants reads no file on the
+// daemon's host (an @FILE spec is refused before anything is opened, so the
+// answer says nothing about the path), refuses gen: sizes past the
+// generator's bound, and answers 413 to a body past its bound.
+func TestCreateRefusesOutsideInput(t *testing.T) {
+	fl := New(Config{Opts: quickOpts()})
+	t.Cleanup(fl.Close)
+	h := fl.Handler()
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{`{"app":"a","spec":"@/nonexistent/x"}`, http.StatusBadRequest},
+		{`{"app":"a","spec":"@` + os.TempDir() + `"}`, http.StatusBadRequest},
+		{`{"app":"a","spec":"@fleet_test.go"}`, http.StatusBadRequest},
+		{`{"app":"a","spec":"gen:seed=1,components=30000"}`, http.StatusBadRequest},
+		{`{"app":"a","spec":"gen:components=10,apis=9223372036854775807"}`, http.StatusBadRequest},
+		{`{"app":"a","spec":"` + strings.Repeat("x", maxCreateBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{`{"app":"ok","spec":"gen:seed=8,components=10"}`, http.StatusCreated},
+	} {
+		rec := do(t, h, "POST", "/v1/tenants", bytes.NewBufferString(tc.body))
+		if rec.Code != tc.code {
+			t.Errorf("create %.60s = %d, want %d: %s", tc.body, rec.Code, tc.code, rec.Body)
+		}
+		for _, leak := range []string{"no such file", "is a directory", "invalid character"} {
+			if strings.Contains(rec.Body.String(), leak) {
+				t.Errorf("create %.60s answers %q: it read the host's file", tc.body, rec.Body)
+			}
+		}
+	}
+	if ts := fl.Tenants(); len(ts) != 1 || ts[0].ID != "ok" {
+		t.Errorf("%d tenant(s) resident, want only the valid one", len(ts))
+	}
+}
+
 // TestFleetCapacityBound: creation beyond MaxTenants is shed with 503 and a
 // Retry-After, and retiring a tenant frees the slot.
 func TestFleetCapacityBound(t *testing.T) {

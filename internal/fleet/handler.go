@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -87,18 +88,31 @@ func (f *Fleet) serveTenant(t *Tenant, prefix string, w http.ResponseWriter, r *
 	http.StripPrefix(prefix, t.srv.Handler()).ServeHTTP(w, r)
 }
 
+// maxCreateBytes bounds a POST /v1/tenants body (413 beyond it); a
+// TenantSpec is a handful of short fields.
+const maxCreateBytes = 64 << 10
+
 // handleCreate registers a tenant from a TenantSpec body. The decoder is as
-// strict as the manifest parser: unknown fields are rejected.
+// strict as the manifest parser: unknown fields are rejected. A remote client
+// may not name a file on the daemon's host, so an @FILE spec is refused.
 func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBytes))
 	dec.DisallowUnknownFields()
 	var ts TenantSpec
 	if err := dec.Decode(&ts); err != nil {
-		writeErr(w, http.StatusBadRequest, "decode tenant spec: %v", err)
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "decode tenant spec: %v", err)
 		return
 	}
 	if dec.More() {
 		writeErr(w, http.StatusBadRequest, "decode tenant spec: trailing data after the spec")
+		return
+	}
+	if strings.HasPrefix(ts.Spec, "@") {
+		writeErr(w, http.StatusBadRequest, "spec: @FILE is read only from the daemon's -fleet manifest or -app flag")
 		return
 	}
 	t, err := f.Create(ts)

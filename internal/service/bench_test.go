@@ -11,13 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
+	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
@@ -199,9 +199,13 @@ func socialHitFixture(tb testing.TB, opts core.Options) (*Server, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	day := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: workload.SocialDefaultMix(), PeakRPS: 60})
+	spec, mix, err := topo.Resolve("social")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	day := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 60})
 	day.WindowsPerDay, day.WindowSeconds = 48, 60
-	_, _, run, err := sim.Simulate(app.SocialNetwork(), day, 1, nil)
+	_, _, run, err := sim.Simulate(spec, day, 1, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/app"
+	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -269,7 +270,11 @@ func TestNonNegativeUsageProperty(t *testing.T) {
 func TestMultinomialSplitsSocial(t *testing.T) {
 	// composePost has three templates (0.5/0.3/0.2); with many requests
 	// all three should materialise and sum exactly.
-	c, err := NewCluster(app.SocialNetwork(), 3)
+	spec, _, err := topo.Resolve("social")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,12 @@ import (
 // undeployable state) and round-trips through the canonical encoding.
 func FuzzParseTopology(f *testing.F) {
 	f.Add([]byte(minimal))
-	for _, b := range builtins() {
-		f.Add(Encode(FromSpec(b.spec, b.mix)))
+	for _, file := range bundled {
+		data, err := apps.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	f.Add(Encode(Generate(Config{Seed: 7, Components: 20})))
 	f.Add([]byte(`{"name":"x","components":[],"apis":[]}`))

@@ -48,6 +48,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxGenSize bounds components and apis in a gen: argument. The argument is
+// outside input (POST /v1/tenants passes it through), and Generate's work
+// and memory grow with both; the largest topology the repo runs has 300
+// components.
+const maxGenSize = 1000
+
 // ParseGenArg decodes the flag form "seed=7,components=200[,apis=N]
 // [,depth=N][,fanout=N]" — the text after "gen:" in -app arguments.
 func ParseGenArg(s string) (Config, error) {
@@ -65,7 +71,11 @@ func ParseGenArg(s string) (Config, error) {
 		if err != nil || n < 0 {
 			return cfg, fmt.Errorf("topo: bad gen value %q for %q", val, key)
 		}
-		switch strings.TrimSpace(key) {
+		key = strings.TrimSpace(key)
+		if (key == "components" || key == "apis") && n > maxGenSize {
+			return cfg, fmt.Errorf("topo: gen %s=%d is over the limit of %d", key, n, maxGenSize)
+		}
+		switch key {
 		case "seed":
 			cfg.Seed = n
 		case "components":

@@ -124,9 +124,16 @@ func TestParseGenArg(t *testing.T) {
 	if cfg != want {
 		t.Fatalf("got %+v, want %+v", cfg, want)
 	}
-	for _, bad := range []string{"", "components", "components=x", "seed=1", "bogus=3,components=5", "components=-2"} {
+	for _, bad := range []string{"", "components", "components=x", "seed=1", "bogus=3,components=5", "components=-2",
+		"components=1001", "components=5,apis=1001", "components=9223372036854775807"} {
 		if _, err := ParseGenArg(bad); err == nil {
 			t.Fatalf("ParseGenArg(%q) accepted", bad)
+		}
+	}
+	// The bound admits its own value and the largest topology the repo runs.
+	for _, ok := range []string{"seed=7,components=300", "components=1000,apis=1000"} {
+		if _, err := ParseGenArg(ok); err != nil {
+			t.Fatalf("ParseGenArg(%q): %v", ok, err)
 		}
 	}
 }

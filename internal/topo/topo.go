@@ -10,9 +10,9 @@
 // also passes app.Spec.Validate — Parse never returns a spec the simulator
 // would refuse to deploy. Encoding is deterministic (fixed field order,
 // shortest round-trip floats, zero-valued optionals omitted), so the same
-// document always serialises to the same bytes and the three bundled
-// applications round-trip through the format to bit-identical simulation
-// fingerprints (see sim.Fingerprint).
+// document always serialises to the same bytes. The three bundled
+// applications are documents embedded from apps/ (see Resolve), each in
+// canonical form.
 //
 // The generator half (Generate) turns a Config — seed plus size knobs —
 // into a production-like topology: components in tiered layers (entry
@@ -136,7 +136,7 @@ func (d *Document) Mix() workload.Mix {
 
 // FromSpec lifts an application spec (and an optional traffic mix, stored
 // as per-API weights) into a document, the inverse of Document.Spec. It is
-// how the bundled Go-coded applications export to the DSL.
+// how `deeprest spec export` writes any resolved application to the DSL.
 func FromSpec(spec *app.Spec, mix workload.Mix) *Document {
 	d := &Document{Name: spec.Name}
 	for _, c := range spec.Components {

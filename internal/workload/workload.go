@@ -179,36 +179,6 @@ func (m Mix) Normalize() Mix {
 	return out
 }
 
-// SocialDefaultMix is the learning-phase composition for the social network:
-// read-heavy with a substantial compose share, matching Figure 9's three
-// dominant APIs plus background traffic on the remaining endpoints.
-func SocialDefaultMix() Mix {
-	return Mix{
-		"/composePost":      0.22,
-		"/readTimeline":     0.30,
-		"/readHomeTimeline": 0.14,
-		"/uploadMedia":      0.10,
-		"/getMedia":         0.08,
-		"/login":            0.05,
-		"/readPost":         0.05,
-		"/follow":           0.02,
-		"/unfollow":         0.01,
-		"/register":         0.01,
-		"/searchUser":       0.02,
-	}
-}
-
-// HotelDefaultMix is the learning-phase composition for the hotel
-// reservation application.
-func HotelDefaultMix() Mix {
-	return Mix{
-		"/search":    0.55,
-		"/recommend": 0.24,
-		"/reserve":   0.11,
-		"/user":      0.10,
-	}
-}
-
 // DaySpec describes one day of a traffic program. Programs are composed of
 // days so that experiments can mix shapes and compositions (e.g. the
 // sanity-check timeline where day 7 has a flat shape).

@@ -61,15 +61,6 @@ func TestMixNormalize(t *testing.T) {
 	}
 }
 
-func TestDefaultMixesCoverAPIs(t *testing.T) {
-	if got := len(SocialDefaultMix()); got != 11 {
-		t.Errorf("social mix has %d APIs, want 11", got)
-	}
-	if got := len(HotelDefaultMix()); got != 4 {
-		t.Errorf("hotel mix has %d APIs, want 4", got)
-	}
-}
-
 func testProgram(seed int64) Program {
 	p := Uniform(2, DaySpec{Shape: TwoPeak{}, Mix: Mix{"/a": 0.6, "/b": 0.4}, PeakRPS: 20})
 	p.WindowsPerDay = 48
