@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race check cover loc fuzz bench bench-all experiments experiments-quick examples clean
+.PHONY: all build vet test test-race check cover loc fuzz bench bench-all experiments experiments-quick seeds examples clean
 
 all: build vet test
 
@@ -66,6 +66,16 @@ experiments:
 # Reduced-scale reproduction (well under a minute).
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
+
+# The quick reproduction at seeds 1–8, each seed's metric block in turn, so a
+# result can be told from seed noise: count the seeds it holds at. IDS narrows
+# the run to the named experiments (make seeds IDS=drift).
+IDS ?=
+seeds:
+	@for n in 1 2 3 4 5 6 7 8; do \
+		out=$$($(GO) run ./cmd/experiments -quick -seed $$n $(IDS)) || exit 1; \
+		echo "== seed $$n"; echo "$$out" | grep '^  metric '; \
+	done
 
 examples:
 	$(GO) run ./examples/quickstart

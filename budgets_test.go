@@ -13,7 +13,7 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 21931 // non-test Go lines outside bench/
+	goLinesBudget          = 21846 // non-test Go lines outside bench/
 	designBytesBudget      = 41984
 	changesBytesBudget     = 26541
 	readmeBytesBudget      = 33712

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/app"
@@ -218,8 +219,11 @@ func cmdLearn(args []string) error {
 	}
 	opts := core.DefaultOptions()
 	opts.Estimator = lf.estConfig()
-	opts.Log = os.Stdout
-	sys, err := core.Learn(ts, 0, ts.NumWindows(), opts)
+	opts.Estimator.Stage = func(stage string) func() {
+		start := time.Now()
+		return func() { fmt.Printf("stage %s: %v\n", stage, time.Since(start).Round(time.Millisecond)) }
+	}
+	sys, err := core.Learn(ts, 0, ts.NumWindows(), opts, nil)
 	if err != nil {
 		return err
 	}
@@ -374,7 +378,7 @@ func cmdSanity(args []string) error {
 	}
 	opts := core.DefaultOptions()
 	opts.Estimator = lf.estConfig()
-	sys, err := core.Learn(ts, 0, ts.NumWindows(), opts)
+	sys, err := core.Learn(ts, 0, ts.NumWindows(), opts, nil)
 	if err != nil {
 		return err
 	}

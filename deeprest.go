@@ -110,7 +110,7 @@ func DefaultConfig() Config { return estimator.DefaultConfig() }
 // Learn runs the application learning phase over windows [from, to) of a
 // telemetry server.
 func Learn(ts *TelemetryServer, from, to int, opts Options) (*System, error) {
-	return core.Learn(ts, from, to, opts)
+	return core.Learn(ts, from, to, opts, nil)
 }
 
 // LearnFromData learns from in-memory telemetry: per-window trace batches

@@ -26,7 +26,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/obs"
 	"repro/internal/synth"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -37,8 +36,8 @@ type Options struct {
 	// filled from estimator.DefaultConfig.
 	Estimator estimator.Config
 	// Pairs optionally restricts learning to a subset of
-	// (component, resource) pairs; nil learns every pair the telemetry
-	// server recorded.
+	// (component, resource) pairs; empty learns every pair the telemetry
+	// recorded.
 	Pairs []app.Pair
 	// Anonymize, when true, hashes component, operation, and API names
 	// before they enter the model — the paper's privacy-preserving
@@ -48,8 +47,6 @@ type Options struct {
 	HashSalt string
 	// SynthSeed drives trace synthesis for Mode-1 queries.
 	SynthSeed int64
-	// Log receives training progress lines.
-	Log io.Writer
 	// Metrics, when non-nil, receives self-instrumentation: per-epoch
 	// training counters and loss/duration series here, plus pipeline,
 	// telemetry, and HTTP metrics in the layers that share these Options.
@@ -84,6 +81,10 @@ type System struct {
 	// engineErr says why, and every query returns that error.
 	engine    *infer.Engine
 	engineErr error
+
+	// warm is whether the learn seeded at least one expert from the
+	// previous model.
+	warm bool
 }
 
 // trainStages times the stages of a learn — the estimator's three
@@ -116,6 +117,10 @@ func (s *System) compileEngine(ctx context.Context) {
 	}
 }
 
+// Warm reports whether the learn that built s resumed at least one
+// expert from the previous model it was given.
+func (s *System) Warm() bool { return s.warm }
+
 // Engine returns the compiled inference engine, or nil when the compile was
 // refused.
 func (s *System) Engine() *infer.Engine { return s.engine }
@@ -125,50 +130,53 @@ func (s *System) Engine() *infer.Engine { return s.engine }
 // build has the uniform shape infer.Compile checks.
 func (s *System) EngineErr() error { return s.engineErr }
 
+// Telemetry is the store a learn reads: the trace batches and the
+// utilization series of a range of windows. *telemetry.Server is one.
+type Telemetry interface {
+	Traces(from, to int) ([][]trace.Batch, error)
+	Metrics(from, to int) (map[app.Pair][]float64, error)
+}
+
 // Learn runs the application learning phase over windows [from, to) of the
-// telemetry server: it builds the invocation-path feature space, learns
+// telemetry store: it builds the invocation-path feature space, learns
 // Prob(path | API) for the trace synthesizer, and trains one DNN expert per
-// (component, resource) pair.
-func Learn(ts *telemetry.Server, from, to int, opts Options) (*System, error) {
-	windows, err := ts.Traces(from, to)
+// (component, resource) pair. A non-nil prev is the model the new one
+// resumes from (estimator.TrainWarm): this is how the continuous-learning
+// pipeline retrains a generation over a sliding window.
+func Learn(src Telemetry, from, to int, opts Options, prev *estimator.Model) (*System, error) {
+	windows, err := src.Traces(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("core: fetch traces: %w", err)
 	}
-	var usage map[app.Pair][]float64
-	if opts.Pairs == nil {
-		usage, err = ts.Metrics(from, to)
-		if err != nil {
-			return nil, fmt.Errorf("core: fetch metrics: %w", err)
-		}
-	} else {
-		usage = make(map[app.Pair][]float64, len(opts.Pairs))
-		for _, p := range opts.Pairs {
-			s, err := ts.Metric(p, from, to)
-			if err != nil {
-				return nil, fmt.Errorf("core: fetch metrics: %w", err)
-			}
-			usage[p] = s
-		}
+	usage, err := src.Metrics(from, to)
+	if err != nil {
+		return nil, fmt.Errorf("core: fetch metrics: %w", err)
 	}
-	return LearnFromData(windows, usage, opts)
+	return learn(windows, usage, opts, prev)
 }
 
 // LearnFromData is Learn for callers that already hold the telemetry in
 // memory (tests, replay from files).
 func LearnFromData(windows [][]trace.Batch, usage map[app.Pair][]float64, opts Options) (*System, error) {
-	return LearnFromDataWarm(windows, usage, opts, nil)
+	return learn(windows, usage, opts, nil)
 }
 
-// LearnFromDataWarm is LearnFromData with a warm-start hook: every freshly
-// initialised expert is offered to the hook before training, letting the
-// continuous-learning pipeline resume a new generation from the previous
-// one's parameters. A nil hook trains from scratch.
-func LearnFromDataWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, opts Options, warm estimator.WarmStart) (*System, error) {
+// learn restricts usage to opts.Pairs and trains a system over it, warm from
+// prev when it is non-nil.
+func learn(windows [][]trace.Batch, usage map[app.Pair][]float64, opts Options, prev *estimator.Model) (*System, error) {
+	if len(opts.Pairs) > 0 {
+		sub := make(map[app.Pair][]float64, len(opts.Pairs))
+		for _, p := range opts.Pairs {
+			s, ok := usage[p]
+			if !ok {
+				return nil, fmt.Errorf("core: no metric recorded for %s", p)
+			}
+			sub[p] = s
+		}
+		usage = sub
+	}
 	if opts.Estimator.Hidden == 0 {
 		opts.Estimator = estimator.DefaultConfig()
-	}
-	if opts.Log != nil && opts.Estimator.Log == nil {
-		opts.Estimator.Log = opts.Log
 	}
 	if opts.Metrics != nil && opts.Estimator.Progress == nil {
 		opts.Estimator.Progress = trainProgress(opts.Metrics)
@@ -186,12 +194,12 @@ func LearnFromDataWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, op
 		stage := trainStages(ctx, opts)
 		opts.Estimator.Stage = func(name string) func() { return stage("estimator."+name, name) }
 	}
-	model, err := estimator.TrainWarm(windows, usage, opts.Estimator, warm)
+	model, seeded, err := estimator.TrainWarm(windows, usage, opts.Estimator, prev)
 	span.SetErr(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: train estimator: %w", err)
 	}
-	s.model = model
+	s.model, s.warm = model, seeded > 0
 	s.compileEngine(ctx)
 	return s, nil
 }

@@ -36,7 +36,7 @@ func TestLearnFromTelemetryServer(t *testing.T) {
 		{Component: "Service", Resource: app.CPU},
 		{Component: "DB", Resource: app.WriteIOps},
 	}
-	sys, err := Learn(ts, 0, ts.NumWindows(), opts)
+	sys, err := Learn(ts, 0, ts.NumWindows(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +48,45 @@ func TestLearnFromTelemetryServer(t *testing.T) {
 	}
 }
 
+// TestLearnFromDataHonoursPairs: Options.Pairs restricts an in-memory learn
+// as it does a learn over a store — the model is the one trained on the
+// restricted series alone, bit for bit — and a pair without a series fails.
+func TestLearnFromDataHonoursPairs(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 3)
+	pairs := []app.Pair{{Component: "Service", Resource: app.CPU}, {Component: "DB", Resource: app.WriteIOps}}
+	opts := testOptions()
+	opts.Estimator.Epochs = 2
+	saved := func(sys *System) []byte {
+		var buf bytes.Buffer
+		if err := sys.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	focused, err := LearnFromData(run.Windows, testutil.FocusPairs(run.Usage, pairs...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Pairs = pairs
+	restricted, err := LearnFromData(run.Windows, run.Usage, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(restricted.Pairs()); got != len(pairs) {
+		t.Fatalf("Pairs = %d, want %d", got, len(pairs))
+	}
+	if !bytes.Equal(saved(restricted), saved(focused)) {
+		t.Error("a learn restricted by Options.Pairs differs from one over the restricted series")
+	}
+	opts.Pairs = []app.Pair{{Component: "Nowhere", Resource: app.CPU}}
+	if _, err := LearnFromData(run.Windows, run.Usage, opts); err == nil || !strings.Contains(err.Error(), "Nowhere") {
+		t.Errorf("unrecorded pair: err = %v, want one naming it", err)
+	}
+}
+
 func TestLearnBadRange(t *testing.T) {
 	ts := telemetry.NewServer(60)
-	if _, err := Learn(ts, 0, 5, DefaultOptions()); err == nil {
+	if _, err := Learn(ts, 0, 5, DefaultOptions(), nil); err == nil {
 		t.Fatal("out-of-range learn must fail")
 	}
 }

@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -61,8 +60,6 @@ type Config struct {
 	// BypassL1 penalises the linear bypass weights (λ·Σ|S|), for the
 	// same attribution reason.
 	BypassL1 float64
-	// Log, when non-nil, receives one line per epoch phase.
-	Log io.Writer
 	// Progress, when non-nil, receives one event per completed training
 	// epoch per expert. Experts train in parallel, so the hook MUST be safe
 	// for concurrent use; it also runs inline on the training path and must
@@ -205,9 +202,9 @@ type Estimate struct {
 //
 // A model that has been compiled (infer.Compile) is immutable: the engine
 // reads the experts' Param.Data in place, so that a published generation
-// holds its weights once, and serves them lock-free. Whatever changes
-// weights — training, Update — works on a model nobody has compiled; a
-// retrain builds a new model and warm-starts it by copying (FromModel).
+// holds its weights once, and serves them lock-free. Training works on a
+// model nobody has compiled: a retrain builds a new model and warm-starts it
+// by copying (TrainWarm).
 type Model struct {
 	// Cfg is the training configuration.
 	Cfg Config
@@ -237,7 +234,8 @@ func (m *Model) WeightBytes() int {
 // Train learns a DeepRest model from application-learning telemetry: the
 // windows of trace batches and the aligned utilization series per pair.
 func Train(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config) (*Model, error) {
-	return TrainWarm(windows, usage, cfg, nil)
+	m, _, err := TrainWarm(windows, usage, cfg, nil)
+	return m, err
 }
 
 // buildModel constructs the feature space, scalers, and freshly initialised
@@ -299,16 +297,10 @@ func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Confi
 	return m, x, targets, nil
 }
 
-// trainAll runs the two training phases over a freshly built (or
-// warm-started) model.
-func (m *Model) trainAll(x [][]float64, targets map[app.Pair][]float64, cfg Config) error {
-	return m.trainPhases(x, targets, cfg, cfg.Epochs, cfg.Seed, cfg.Seed+1000)
-}
-
-// trainPhases runs phase A for the given number of epochs and then phase B
-// for cfg.AttentionEpochs; expert i draws its chunk order from seedA+i and
-// seedB+i.
-func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg Config, epochs int, seedA, seedB int64) error {
+// train runs the two training phases over a freshly built (or warm-started)
+// model: phase A for cfg.Epochs, then phase B for cfg.AttentionEpochs; expert
+// i draws its chunk order from cfg.Seed+i and cfg.Seed+1000+i.
+func (m *Model) train(x [][]float64, targets map[app.Pair][]float64, cfg Config) error {
 	quant := loss.Quantiles(cfg.Delta)
 	q := quant[:]
 	stage := cfg.Stage
@@ -317,12 +309,10 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 	}
 
 	// Phase A: train every expert independently with attention disabled.
-	logf(cfg.Log, "phase A: training %d experts (%d epochs, dim=%d, hidden=%d)",
-		len(m.Pairs), epochs, m.Space.Dim(), cfg.Hidden)
 	end := stage(StageTrunks)
 	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 		p := m.Pairs[i]
-		return trainExpert(ws, m.Experts[p], x, targets[p], cfg, epochs, q, seedA+int64(i))
+		return trainExpert(ws, m.Experts[p], x, targets[p], cfg, cfg.Epochs, q, cfg.Seed+int64(i))
 	})
 	end()
 	if err != nil {
@@ -336,7 +326,6 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 	// exactly what inference will see. (Fine-tuning the trunks here
 	// would invalidate the peer states the attention was fitted to.)
 	if cfg.UseAttention && cfg.AttentionEpochs > 0 && len(m.Pairs) > 1 {
-		logf(cfg.Log, "phase B: attention (%d epochs over frozen trunks)", cfg.AttentionEpochs)
 		end = stage(StagePeerStates)
 		hidden, err := m.allHiddenStates(x)
 		if err == nil {
@@ -349,7 +338,7 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 		end = stage(StageAttention)
 		err = layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 			p := m.Pairs[i]
-			return trainExpertHead(ws, m.Experts[p], targets[p], hidden.peersOf(i), cfg, cfg.AttentionEpochs, q, seedB+int64(i))
+			return trainExpertHead(ws, m.Experts[p], targets[p], hidden.peersOf(i), cfg, cfg.AttentionEpochs, q, cfg.Seed+1000+int64(i))
 		})
 		end()
 		if err != nil {
@@ -357,12 +346,6 @@ func (m *Model) trainPhases(x [][]float64, targets map[app.Pair][]float64, cfg C
 		}
 	}
 	return nil
-}
-
-func logf(w io.Writer, format string, args ...interface{}) {
-	if w != nil {
-		fmt.Fprintf(w, format+"\n", args...)
-	}
 }
 
 // newWorkspace returns the workspace an expert pass runs on outside

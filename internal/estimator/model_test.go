@@ -226,23 +226,6 @@ func TestMaskInterpretation(t *testing.T) {
 	}
 }
 
-// TestTrainLogOutput checks the progress log plumbing.
-func TestTrainLogOutput(t *testing.T) {
-	_, _, run := testutil.ToyTelemetry(t, 2, 20, 7)
-	usage := testutil.FocusPairs(run.Usage, app.Pair{Component: "Service", Resource: app.CPU})
-	cfg := testConfig()
-	cfg.Epochs = 1
-	cfg.AttentionEpochs = 0
-	var buf bytes.Buffer
-	cfg.Log = &buf
-	if _, err := Train(run.Windows, usage, cfg); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	if buf.Len() == 0 {
-		t.Error("expected training log output")
-	}
-}
-
 // TestPredictRealTraces checks sanity-check mode: predicting on the real
 // traces of the training period reproduces the training utilization.
 func TestPredictRealTraces(t *testing.T) {

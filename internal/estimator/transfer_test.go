@@ -6,7 +6,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/eval"
 	"repro/internal/testutil"
-	"repro/internal/trace"
 )
 
 // TestTransferAcceleratesConvergence reproduces the §6 transfer-learning
@@ -37,7 +36,7 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, FromModel(src))
+	warm, _, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +62,8 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 
 // TestUpdateAdaptsToDrift reproduces the §6 concept-drift scenario: the
 // application's per-request cost changes (a new version ships), the stale
-// model mis-estimates, and Update over one day of fresh telemetry repairs
-// it.
+// model mis-estimates, and a retrain over one day of fresh telemetry,
+// warm-started from the stale model, repairs it.
 func TestUpdateAdaptsToDrift(t *testing.T) {
 	p := app.Pair{Component: "Service", Resource: app.CPU}
 
@@ -94,76 +93,23 @@ func TestUpdateAdaptsToDrift(t *testing.T) {
 	}
 	before := eval.MAPE(est[p].Exp, newUsage[p])
 
-	unknown, err := m.Update(newRun.Windows, newUsage, 8)
+	adapted, seeded, err := TrainWarm(newRun.Windows, newUsage, cfg, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unknown != 0 {
-		t.Errorf("unexpected unknown paths: %v", unknown)
+	if seeded != 1 {
+		t.Errorf("seeded %d experts from the stale model, want 1", seeded)
 	}
-	est, err = m.PredictVectors(m.Space.ExtractSeries(newRun.Windows))
+	est, err = adapted.PredictVectors(adapted.Space.ExtractSeries(newRun.Windows))
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := eval.MAPE(est[p].Exp, newUsage[p])
 	t.Logf("drift MAPE before=%.2f%% after=%.2f%%", before, after)
 	if after >= before {
-		t.Errorf("Update did not adapt: %.2f%% -> %.2f%%", before, after)
+		t.Errorf("the warm retrain did not adapt: %.2f%% -> %.2f%%", before, after)
 	}
 	if after > 12 {
-		t.Errorf("post-update MAPE %.2f%% too high", after)
-	}
-	// Update borrowed its gradients from the training workers, like Train.
-	for _, par := range m.Experts[p].Params() {
-		if par.Grad != nil {
-			t.Errorf("parameter %s still carries a gradient after Update", par.Name)
-		}
-	}
-}
-
-func TestUpdateValidation(t *testing.T) {
-	p := app.Pair{Component: "Service", Resource: app.CPU}
-	_, _, run := testutil.ToyTelemetry(t, 1, 30, 36)
-	cfg := testConfig()
-	cfg.Epochs = 1
-	m, err := Train(run.Windows, testutil.FocusPairs(run.Usage, p), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Update(run.Windows, testutil.FocusPairs(run.Usage, p), 0); err == nil {
-		t.Error("zero epochs must fail")
-	}
-	if _, err := m.Update(run.Windows, map[app.Pair][]float64{}, 1); err == nil {
-		t.Error("missing series must fail")
-	}
-	short := map[app.Pair][]float64{p: {1, 2, 3}}
-	if _, err := m.Update(run.Windows, short, 1); err == nil {
-		t.Error("misaligned series must fail")
-	}
-}
-
-// TestUpdateReportsUnknownPaths: topology drift (a new component) surfaces
-// through the unknown-path counter.
-func TestUpdateReportsUnknownPaths(t *testing.T) {
-	p := app.Pair{Component: "Service", Resource: app.CPU}
-	_, _, run := testutil.ToyTelemetry(t, 1, 30, 37)
-	cfg := testConfig()
-	cfg.Epochs = 1
-	cfg.AttentionEpochs = 0
-	m, err := Train(run.Windows, testutil.FocusPairs(run.Usage, p), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Graft a novel component onto one window's traces.
-	windows := make([][]trace.Batch, len(run.Windows))
-	copy(windows, run.Windows)
-	novel := trace.Trace{API: "/v2", Root: trace.NewSpan("BrandNewService", "op")}
-	windows[0] = append(append([]trace.Batch{}, windows[0]...), trace.Batch{Trace: novel, Count: 7})
-	unknown, err := m.Update(windows, testutil.FocusPairs(run.Usage, p), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unknown != 7 {
-		t.Errorf("unknown paths = %v, want 7", unknown)
+		t.Errorf("post-retrain MAPE %.2f%% too high", after)
 	}
 }

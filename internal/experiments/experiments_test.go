@@ -217,11 +217,11 @@ func TestReproductionShape(t *testing.T) {
 		}
 	}
 
-	// Drift extension: one day of continued training repairs the stale
+	// Drift extension: a warm retrain over one fresh day repairs the stale
 	// model's error on the changed component.
 	md := res["drift"].Metrics
 	if md["ComposePostService_cpu_after"] >= md["ComposePostService_cpu_before"] {
-		t.Errorf("drift: Update did not improve (%.1f%% -> %.1f%%)",
+		t.Errorf("drift: the retrain did not improve (%.1f%% -> %.1f%%)",
 			md["ComposePostService_cpu_before"], md["ComposePostService_cpu_after"])
 	}
 }

@@ -4,18 +4,19 @@ import (
 	"fmt"
 
 	"repro/internal/app"
-	"repro/internal/estimator"
-	"repro/internal/estimator/infer"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // ExtDrift exercises the §6 adaptation story at experiment scale: a new
 // application version ships whose /composePost handler costs 40% more CPU.
-// The stale model mis-estimates the changed components; one day of
-// continued training on fresh telemetry (estimator.Model.Update) repairs
-// the estimates without a full re-learn.
+// The stale model mis-estimates the changed components; a retrain over one
+// day of fresh telemetry, warm-started from the stale model, repairs the
+// estimates. It is the retrain `deeprestd -window <one day>` runs on its
+// next tick: core.Learn over the store, with the lab's options.
 func (r *Runner) ExtDrift() (Result, error) {
 	l, err := r.Social()
 	if err != nil {
@@ -41,32 +42,23 @@ func (r *Runner) ExtDrift() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	adaptTo := l.WPD
-	adaptRun := run.Slice(0, adaptTo)
-	evalRun := run.Slice(adaptTo, run.NumWindows())
-
-	target := app.Pair{Component: "ComposePostService", Resource: app.CPU}
-	control := app.Pair{Component: "UserTimelineService", Resource: app.CPU}
-
-	// Update mutates the model, so retrain a private copy for this
-	// experiment and keep the shared lab's system pristine.
-	trainUsage := make(map[app.Pair][]float64, len(l.Pairs))
-	for _, p := range l.Pairs {
-		trainUsage[p] = l.LearnRun.Usage[p]
-	}
-	model, err := estimator.Train(l.LearnRun.Windows, trainUsage, l.P.estimatorConfig())
+	store := telemetry.NewServer(run.WindowSeconds)
+	store.RecordRun(run)
+	stale := l.System
+	adapted, err := core.Learn(store, 0, l.WPD, l.options(), stale.Model())
 	if err != nil {
 		return Result{}, err
 	}
+	var unknown float64
+	for _, v := range stale.Model().Space.ExtractSeries(run.Slice(0, l.WPD).Windows) {
+		unknown += v.Unknown
+	}
 
-	// Each measurement compiles its own engine: Update changes the weights
-	// (and a delta pair's base) under any engine compiled before it.
-	mapeOnEval := func() (map[app.Pair]float64, error) {
-		eng, err := infer.Compile(model)
-		if err != nil {
-			return nil, err
-		}
-		est, err := eng.Predict(model.Space.ExtractSeries(evalRun.Windows))
+	target := app.Pair{Component: "ComposePostService", Resource: app.CPU}
+	control := app.Pair{Component: "UserTimelineService", Resource: app.CPU}
+	evalRun := run.Slice(l.WPD, run.NumWindows())
+	mapeOnEval := func(sys *core.System) (map[app.Pair]float64, error) {
+		est, err := sys.ExpectedUtilization(evalRun.Windows)
 		if err != nil {
 			return nil, err
 		}
@@ -76,26 +68,17 @@ func (r *Runner) ExtDrift() (Result, error) {
 		}
 		return out, nil
 	}
-	before, err := mapeOnEval()
+	before, err := mapeOnEval(stale)
+	if err != nil {
+		return Result{}, err
+	}
+	after, err := mapeOnEval(adapted)
 	if err != nil {
 		return Result{}, err
 	}
 
-	usage := make(map[app.Pair][]float64, len(l.Pairs))
-	for _, p := range l.Pairs {
-		usage[p] = adaptRun.Usage[p]
-	}
-	unknown, err := model.Update(adaptRun.Windows, usage, 6)
-	if err != nil {
-		return Result{}, err
-	}
-	after, err := mapeOnEval()
-	if err != nil {
-		return Result{}, err
-	}
-
-	fmt.Fprintf(w, "concept drift: new version costs 1.4x CPU in ComposePostService (unknown paths: %.0f)\n", unknown)
-	fmt.Fprintf(w, "  %-30s %14s %14s\n", "pair", "stale model", "after Update")
+	fmt.Fprintf(w, "concept drift: new version costs 1.4x CPU in ComposePostService (unknown paths: %.0f; warm started: %v)\n", unknown, adapted.Warm())
+	fmt.Fprintf(w, "  %-30s %14s %14s\n", "pair", "stale model", "after retrain")
 	metrics := map[string]float64{"unknown_paths": unknown}
 	for _, p := range []app.Pair{target, control} {
 		fmt.Fprintf(w, "  %-30s %13.1f%% %13.1f%%\n", p, before[p], after[p])

@@ -204,6 +204,15 @@ func (l *Lab) learnProgram() workload.Program {
 	return l.program(days, l.P.Seed+300)
 }
 
+// options are the learning options of the lab's DeepRest system: the run's
+// estimator configuration over the lab's pairs.
+func (l *Lab) options() core.Options {
+	opts := core.DefaultOptions()
+	opts.Estimator = l.P.estimatorConfig()
+	opts.Pairs = l.Pairs
+	return opts
+}
+
 func (l *Lab) provision() error {
 	var err error
 	_, l.LearnTraffic, l.LearnRun, err = sim.Simulate(l.Spec, l.learnProgram(), l.clusterSeed, nil)
@@ -215,9 +224,7 @@ func (l *Lab) provision() error {
 	for _, p := range l.Pairs {
 		usage[p] = l.LearnRun.Usage[p]
 	}
-	opts := core.DefaultOptions()
-	opts.Estimator = l.P.estimatorConfig()
-	l.System, err = core.LearnFromData(l.LearnRun.Windows, usage, opts)
+	l.System, err = core.LearnFromData(l.LearnRun.Windows, usage, l.options())
 	if err != nil {
 		return fmt.Errorf("experiments: train DeepRest: %w", err)
 	}

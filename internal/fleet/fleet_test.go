@@ -235,7 +235,8 @@ func TestTenantEvictionIsolation(t *testing.T) {
 
 // TestFleetLifecycleHTTP covers the management surface: create via POST,
 // duplicate refused with 409, invalid id refused with 400, status document
-// listing every tenant, retire via DELETE, unknown tenant 404.
+// listing every tenant, retire via DELETE, unknown tenant 404, and the
+// retired route aliases 404.
 func TestFleetLifecycleHTTP(t *testing.T) {
 	_, h := newToyFleet(t, Config{}, "alpha")
 
@@ -269,6 +270,14 @@ func TestFleetLifecycleHTTP(t *testing.T) {
 	}
 	if st.Tenants[0].App != "alpha" || st.Tenants[0].ActiveVersion != 1 {
 		t.Fatalf("tenant row = %+v", st.Tenants[0])
+	}
+	// Each route has one path: the old aliases of /v1/fleet and /v1/estimate
+	// are gone, on the fleet and on the default tenant behind it.
+	if rec := do(t, h, "GET", "/v1/tenants", nil); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /v1/tenants = %d, want 404", rec.Code)
+	}
+	if rec := do(t, h, "POST", "/v1/predict", bytes.NewBufferString(`{"windows":[{"/read":1}]}`)); rec.Code != http.StatusNotFound {
+		t.Errorf("POST /v1/predict = %d, want 404", rec.Code)
 	}
 
 	if rec := do(t, h, "DELETE", "/v1/tenants/beta", nil); rec.Code != http.StatusOK {

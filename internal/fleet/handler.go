@@ -43,7 +43,6 @@ func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tenants", f.handleCreate)
 	mux.HandleFunc("GET /v1/fleet", f.handleStatus)
-	mux.HandleFunc("GET /v1/tenants", f.handleStatus)
 	mux.HandleFunc("DELETE /v1/tenants/{app}", f.handleRetire)
 	mux.HandleFunc("/v1/t/{app}/", f.handleTenant)
 	if m := f.cfg.Opts.Metrics; m != nil {

@@ -57,10 +57,9 @@ var ErrFaultInjected = errors.New("pipeline: training failure injected by fault 
 // to "all resident telemetry". SetExtractor keeps the store's per-window
 // feature cache in the active generation's space (see followActive).
 type Source interface {
+	core.Telemetry
 	NumWindows() int
 	OldestWindow() int
-	Traces(from, to int) ([][]trace.Batch, error)
-	Metrics(from, to int) (map[app.Pair][]float64, error)
 	SetExtractor(gen int, fn func([]trace.Batch) features.Vector)
 }
 
@@ -303,16 +302,16 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 	} else if pairs == nil {
 		pairs = p.pairs
 	}
-	var warm estimator.WarmStart
+	var prev *estimator.Model
 	if g := p.reg.Active(); g != nil {
-		warm = estimator.FromModel(g.Model())
+		prev = g.Model()
 	}
 	p.mu.Unlock()
 
 	start := time.Now()
 	tctx, span := p.opts.Tracer.Start(ctx, "pipeline.train")
 	span.SetWindows(to - from)
-	gen, err := p.train(tctx, from, to, pairs, trigger, warm, attempt)
+	gen, err := p.train(tctx, from, to, pairs, trigger, prev, attempt)
 	span.SetErr(err)
 	span.End()
 	elapsed := time.Since(start)
@@ -355,7 +354,7 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 }
 
 // train runs one training generation. The in-flight slot is already held.
-func (p *Pipeline) train(ctx context.Context, from, to int, pairs []app.Pair, trigger string, warm estimator.WarmStart, attempt int) (*Generation, error) {
+func (p *Pipeline) train(ctx context.Context, from, to int, pairs []app.Pair, trigger string, prev *estimator.Model, attempt int) (*Generation, error) {
 	if p.cfg.BeforeTrain != nil {
 		p.cfg.BeforeTrain()
 	}
@@ -365,33 +364,16 @@ func (p *Pipeline) train(ctx context.Context, from, to int, pairs []app.Pair, tr
 	if p.cfg.Faults.FailTraining(attempt) {
 		return nil, fmt.Errorf("%w (attempt %d)", ErrFaultInjected, attempt)
 	}
-	windows, err := p.src.Traces(from, to)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: fetch traces: %w", err)
-	}
-	usage, err := p.src.Metrics(from, to)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: fetch metrics: %w", err)
-	}
-	if len(pairs) > 0 {
-		sub := make(map[app.Pair][]float64, len(pairs))
-		for _, pr := range pairs {
-			s, ok := usage[pr]
-			if !ok {
-				return nil, fmt.Errorf("pipeline: no metric recorded for %s", pr)
-			}
-			sub[pr] = s
-		}
-		usage = sub
-	}
-	sys, err := core.LearnFromDataWarm(windows, usage, p.opts, warm)
+	opts := p.opts
+	opts.Pairs = pairs
+	sys, err := core.Learn(p.src, from, to, opts, prev)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: training cancelled before publish: %w", err)
 	}
-	g := &Generation{Trigger: trigger, From: from, To: to, Warm: warm != nil, System: sys}
+	g := &Generation{Trigger: trigger, From: from, To: to, Warm: sys.Warm(), System: sys}
 	pub, err := p.reg.Publish(ctx, g)
 	if err != nil {
 		return nil, err

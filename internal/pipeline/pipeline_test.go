@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 var cpuPair = app.Pair{Component: "Service", Resource: app.CPU}
@@ -77,6 +78,44 @@ func TestTrainOncePublishesAndWarmStarts(t *testing.T) {
 	}
 	if st := p.Status(); st.ActiveVersion != 2 || st.Generations != 2 || st.TrainedTo != store.NumWindows() {
 		t.Fatalf("status = %+v", st)
+	}
+}
+
+// TestRetrainOverOtherPathsStartsCold: a retrain whose window names other
+// invocation paths — here as many, the same telemetry under hashed names —
+// seeds no expert from the serving generation, and says so.
+func TestRetrainOverOtherPathsStartsCold(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 84)
+	hashed := *run
+	h := trace.NewHasher("other")
+	hashed.Windows = make([][]trace.Batch, len(run.Windows))
+	for w, batches := range run.Windows {
+		for _, b := range batches {
+			hashed.Windows[w] = append(hashed.Windows[w], trace.Batch{Trace: h.AnonymizeTrace(b.Trace), Count: b.Count})
+		}
+	}
+	store := telemetry.NewServer(run.WindowSeconds)
+	store.RecordRun(run)
+	store.RecordRun(&hashed)
+	p, err := New(quickOpts(), DefaultConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(run.Windows)
+	g1, err := p.TrainOnce(0, n, []app.Pair{cpuPair}, "manual")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := p.TrainOnce(n, 2*n, nil, "scheduled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, s2 := g1.Model().Space, g2.Model().Space
+	if s1.Dim() != s2.Dim() || s1.Path(0) == s2.Path(0) {
+		t.Fatalf("want equally many, differently named paths: %d %q vs %d %q", s1.Dim(), s1.Path(0), s2.Dim(), s2.Path(0))
+	}
+	if g2.Warm {
+		t.Error("generation 2 reports warm_started over another path set")
 	}
 }
 

@@ -34,8 +34,8 @@ type Generation struct {
 	Trigger string
 	// From and To bound the telemetry windows trained over, [From, To).
 	From, To int
-	// Warm reports whether the generation warm-started from its
-	// predecessor's parameters.
+	// Warm reports whether at least one of the generation's experts started
+	// from its predecessor's parameters.
 	Warm bool
 	// TrainedAt stamps the publication time.
 	TrainedAt time.Time

@@ -43,7 +43,7 @@ func newHarness(t testing.TB, days, trainDays int, seed int64) *harness {
 	_, _, run := testutil.ToyTelemetry(t, days, 30, seed)
 	store := telemetry.NewServer(run.WindowSeconds)
 	store.RecordRun(run)
-	sys, err := core.Learn(store, 0, trainDays*testutil.ToyDay, quickOpts())
+	sys, err := core.Learn(store, 0, trainDays*testutil.ToyDay, quickOpts(), nil)
 	if err != nil {
 		t.Fatalf("Learn: %v", err)
 	}
@@ -306,7 +306,7 @@ func TestChunkPrefixMatchesFullChunk(t *testing.T) {
 	for _, hidden := range []int{3, 20} {
 		opts := quickOpts()
 		opts.Estimator.Hidden = hidden
-		sys, err := core.Learn(store, 0, testutil.ToyDay, opts)
+		sys, err := core.Learn(store, 0, testutil.ToyDay, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func newFaultService(t *testing.T, pcfg pipeline.Config, cfg Config) *Server {
 const predictBody = `{"windows":[{"/read":10,"/write":4},{"/read":20,"/write":6}]}`
 
 // TestDegradedServingDuringInjectedRetrainFailure is the acceptance e2e:
-// while an injected retrain failure is in progress, /v1/predict keeps
+// while an injected retrain failure is in progress, /v1/estimate keeps
 // returning 200s from the last good generation, and /v1/status reports the
 // degraded state until a later retrain succeeds.
 func TestDegradedServingDuringInjectedRetrainFailure(t *testing.T) {
@@ -62,7 +62,7 @@ func TestDegradedServingDuringInjectedRetrainFailure(t *testing.T) {
 
 	// While the retrain is in progress, predictions serve from generation 1.
 	for i := 0; i < 5; i++ {
-		rec := do(t, h, "POST", "/v1/predict", bytes.NewBufferString(predictBody))
+		rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(predictBody))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("predict during retrain = %d: %s", rec.Code, rec.Body)
 		}
@@ -88,7 +88,7 @@ func TestDegradedServingDuringInjectedRetrainFailure(t *testing.T) {
 	if !st.Degraded || !st.Learned || st.Version != 1 {
 		t.Fatalf("status after injected failure = %+v", st)
 	}
-	if rec := do(t, h, "POST", "/v1/predict", bytes.NewBufferString(predictBody)); rec.Code != http.StatusOK {
+	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(predictBody)); rec.Code != http.StatusOK {
 		t.Fatalf("predict while degraded = %d", rec.Code)
 	}
 

@@ -188,11 +188,9 @@ func TestRequestCostIsBounded(t *testing.T) {
 		says       string
 	}{
 		{"/v1/estimate", oversize, http.StatusRequestEntityTooLarge, "request body too large"},
-		{"/v1/predict", oversize, http.StatusRequestEntityTooLarge, "request body too large"},
 		{"/v1/learn", oversize, http.StatusRequestEntityTooLarge, "request body too large"},
 		{"/v1/sanity", oversize, http.StatusRequestEntityTooLarge, "request body too large"},
 		{"/v1/estimate", tooLong, http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
-		{"/v1/predict", tooLong, http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
 		{"/v1/estimate", week, http.StatusPreconditionFailed, "not learned yet"},
 		{"/v1/sanity", fmt.Sprintf(`{"from":3,"to":%d}`, maxReadWindows+4), http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
 		{"/v1/sanity", fmt.Sprintf(`{"from":3,"to":%d}`, maxReadWindows+3), http.StatusPreconditionFailed, "not learned yet"},

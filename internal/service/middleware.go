@@ -49,7 +49,7 @@ func endpointLabel(r *http.Request) string {
 	p := r.URL.Path
 	switch p {
 	case "/v1/telemetry", "/v1/learn", "/v1/status", "/v1/estimate",
-		"/v1/predict", "/v1/sanity", "/v1/influence", "/v1/model",
+		"/v1/sanity", "/v1/influence", "/v1/model",
 		"/v1/pipeline/status", "/v1/models", "/v1/quality",
 		"/v1/autoscale/plan", "/v1/version", "/metrics":
 		return p

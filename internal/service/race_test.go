@@ -20,7 +20,7 @@ import (
 )
 
 // TestPredictRaceUnderGenerationSwaps is the race wall: many goroutines
-// hammer /v1/predict and the active model's tape forward directly while the
+// hammer /v1/estimate and the active model's tape forward directly while the
 // pipeline publishes fresh generations — some succeeding, some failing from
 // an injected fault schedule — and rollbacks flip the active pointer. Run
 // under -race (make check does), this proves the RCU read side: queries
@@ -95,7 +95,7 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 				case 0:
 					body := fmt.Sprintf(`{"windows":[{"/read":%d,"/write":4},{"/read":%d,"/write":6}]}`,
 						10+i%7, 20+i%7)
-					rec := do(t, h, "POST", "/v1/predict", bytes.NewBufferString(body))
+					rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(body))
 					if rec.Code != http.StatusOK {
 						t.Errorf("predict = %d: %s", rec.Code, rec.Body)
 						return

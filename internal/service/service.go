@@ -7,7 +7,6 @@
 //	POST /v1/learn            train and publish one model generation
 //	GET  /v1/status           learning state, window counts, expert inventory
 //	POST /v1/estimate         Mode 1: resources for hypothetical API traffic
-//	POST /v1/predict          alias for /v1/estimate
 //	POST /v1/sanity           Mode 2: sanity-check a served period
 //	GET  /v1/influence        learned API→resource dependencies for one pair
 //	GET  /v1/model            download the serialized active model
@@ -284,7 +283,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("POST /v1/learn", s.handleLearn)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
-	mux.HandleFunc("POST /v1/predict", s.handleEstimate) // alias
 	mux.HandleFunc("POST /v1/sanity", s.handleSanity)
 	mux.HandleFunc("GET /v1/influence", s.handleInfluence)
 	mux.HandleFunc("GET /v1/model", s.handleModel)

@@ -305,7 +305,6 @@ func TestTrailingDataRefused(t *testing.T) {
 	h := newTestService().Handler()
 	for _, c := range []struct{ path, body string }{
 		{"/v1/estimate", `{"windows":[{"/read":1}]}`},
-		{"/v1/predict", `{"windows":[{"/read":1}]}`},
 		{"/v1/sanity", `{"from":0,"to":24}`},
 		{"/v1/learn", `{"to":24}`},
 	} {
