@@ -12,14 +12,16 @@
 // published generation holds its weights once — all per-call state lives
 // in sync.Pool-recycled scratch, and expert passes fan out over a shared
 // bounded worker Pool — a warm predict is near-zero-alloc and orders of
-// magnitude faster.
+// magnitude faster. What the engine derives and owns is small: every
+// expert's σ(m) gate, in one slab, and the attention matrix, the size of the
+// peer-index table it replaces.
 //
 // Correctness contract: the engine performs the same float64 operations in
 // the same order as the eval-tape oracle (Model.PredictVectors), via
 // the shared ad.Dot / ad.Logistic / ad.GRUParams.Step primitives — the input
-// products W·x and S·x through ad.WindowDots, which sums each as ad.Dot does —
-// and the shared TargetScale.DescaleInto epilogue, so its output is
-// bit-identical to the tape's (absent FMA contraction). An Engine is
+// products W·x and S·x and the attention contexts through ad.WindowDots, which
+// sums each as ad.Dot does — and the shared TargetScale.DescaleInto epilogue,
+// so its output is bit-identical to the tape's (absent FMA contraction). An Engine is
 // immutable after Compile and safe for concurrent use because the model it
 // reads is (see estimator.Model); each model generation compiles its own
 // engine, so a served prediction can never mix parameters from two
@@ -28,6 +30,7 @@ package infer
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -39,12 +42,15 @@ import (
 
 // Engine is the compiled, read-only view of one trained model.
 type Engine struct {
-	pairs      []app.Pair
-	dim        int  // feature-space dimensionality
-	hidden     int  // GRU width, uniform across experts
-	attnActive bool // model-wide: attention trained and >1 expert
-	scalerMax  []float64
-	experts    []expertView
+	pairs     []app.Pair
+	dim       int // feature-space dimensionality
+	hidden    int // GRU width, uniform across experts
+	scalerMax []float64
+	experts   []expertView
+	// attn is the P×P attention matrix: row i holds expert i's α at its
+	// peers' columns and +0 everywhere else, its own column included; nil
+	// when no expert attends.
+	attn []float64
 
 	pool    *Pool
 	scratch sync.Pool // *predictScratch
@@ -59,10 +65,9 @@ type Engine struct {
 // expertView is one expert's kernel operands. Every slice but mask is the
 // Data of one of the expert's Params.
 type expertView struct {
-	mask    []float64 // σ(m) gate, derived and so engine-owned; nil when the mask is off
+	mask    []float64 // σ(m) gate, dim floats of one engine-owned slab; nil when the mask is off
 	gru     *ad.GRUParams
-	alpha   []float64 // attention weights, aligned with peerIdx
-	peerIdx []int     // peer expert indices in engine order
+	attends bool      // its row of Engine.attn is formed; otherwise its context stays +0
 	headW   []float64 // 3 × 2·hidden
 	headB   []float64 // 3
 	bypW    []float64 // 3 × dim; nil when the bypass is off
@@ -74,9 +79,8 @@ type expertView struct {
 // Engine.scratch. Slices grow to the largest series seen and are reused.
 type predictScratch struct {
 	xT      []float64    // scaled input, time-minor, a block of windows after another (see blockWindows)
-	traj    []float64    // P×T×hidden hidden trajectories
+	traj    []float64    // hidden trajectories, a block of windows after another (see trajBlock)
 	byp     []float64    // P×3×lanes(T) bypass products S·x, blocked like xT
-	ws      []float64    // per-expert work areas (attention context, concat)
 	zero    []float64    // hidden-sized all-zero h₀
 	triples [][3]float64 // P×T scaled output triples
 }
@@ -86,8 +90,14 @@ type predictScratch struct {
 // shorter, and padded to the kernel's four lanes), so the work area of a
 // running task stays L2-sized however long a series a caller posts. Every
 // block before the one starting at window b0 is full, so in an array that
-// holds r rows per block (xT: dim, byp: 3) that block starts r·b0 floats in.
+// holds r rows per block (xT: dim, byp: 3) that block starts r·b0 floats in;
+// in the trajectories (P·hidden rows of one window each) P·hidden·b0.
 const blockWindows = 48
+
+// panelExperts is how many experts' outputs one pass-two task computes: the
+// attention contexts of a panel are one ad.WindowDots product, whose kernel
+// takes the matrix's rows four at a time.
+const panelExperts = 4
 
 // lanes rounds a window count up to ad.WindowDots' four lanes.
 func lanes(n int) int { return (n + 3) &^ 3 }
@@ -99,31 +109,28 @@ func block(b0, T int) (n, tp int) {
 	return n, lanes(n)
 }
 
-// workArea is what one running trajectory task needs beyond the request's
-// scratch; it comes from Engine.work, so there are as many as tasks in
-// flight, not as experts.
+// workArea is what one running task needs beyond the request's scratch; it
+// comes from Engine.work, so there are as many as tasks in flight, not as
+// experts. A trajectory task uses the first four fields, a pass-two task the
+// last two.
 type workArea struct {
-	xm []float64 // dim × lanes: the block's input gated by the expert's mask
-	wx []float64 // 3·hidden × lanes: Wz·x, Wk·x, Wh·x for the block
-	gs []float64 // 3·hidden: the step's gate scratch
-	up ad.Panels // 3·hidden²: the expert's U matrices, packed by its first step
+	xm  []float64 // dim × lanes: the block's input gated by the expert's mask
+	wx  []float64 // 3·hidden × lanes: Wz·x, Wk·x, Wh·x for the block
+	gs  []float64 // 3·hidden: the step's gate scratch
+	up  ad.Panels // 3·hidden²: the expert's U matrices, packed by its first step
+	ctx []float64 // panelExperts × lanes·hidden: the panel's attention contexts for a block
+	cat []float64 // 2·hidden: a_t ∥ h_t
 }
 
-// getWork takes a work area for a series of T windows off the free list, or
-// makes one; putWork returns it, or drops it when the list is full.
-func (e *Engine) getWork(T int) *workArea {
-	var wa *workArea
+// getWork takes a work area off the free list, or makes one; putWork returns
+// it, or drops it when the list is full.
+func (e *Engine) getWork() *workArea {
 	select {
-	case wa = <-e.work:
+	case wa := <-e.work:
+		return wa
 	default:
-		wa = new(workArea)
+		return new(workArea)
 	}
-	_, tp := block(0, T) // the widest block of the series
-	wa.xm = growFloats(wa.xm, e.dim*tp)
-	wa.wx = growFloats(wa.wx, 3*e.hidden*tp)
-	wa.gs = growFloats(wa.gs, 3*e.hidden)
-	wa.up.Reset(e.hidden)
-	return wa
 }
 
 func (e *Engine) putWork(wa *workArea) {
@@ -135,8 +142,9 @@ func (e *Engine) putWork(wa *workArea) {
 
 // Compile builds the engine over m, which must not change afterwards. It
 // fails when the model's shape is not the uniform architecture the kernels
-// assume — e.g. hand-assembled experts with mismatched dimensions or
-// unresolvable attention peers — which estimator.Train and Load output
+// assume — e.g. hand-assembled experts with mismatched dimensions, or
+// attention peers that are not every other pair in Model.Pairs order, the
+// order the product adds them in — which estimator.Train and Load output
 // never is.
 func Compile(m *estimator.Model) (*Engine, error) {
 	if m == nil || len(m.Pairs) == 0 {
@@ -149,25 +157,28 @@ func Compile(m *estimator.Model) (*Engine, error) {
 	if len(m.FeatScaler.Max) != dim {
 		return nil, fmt.Errorf("infer: scaler covers %d of %d feature dims", len(m.FeatScaler.Max), dim)
 	}
-	idx := make(map[string]int, len(m.Pairs))
+	P := len(m.Pairs)
+	names := make([]string, P)
 	for i, p := range m.Pairs {
-		idx[p.String()] = i
+		names[i] = p.String()
 	}
+	attnActive := m.Cfg.UseAttention && P > 1
 
 	e := &Engine{
-		pairs:      append([]app.Pair(nil), m.Pairs...),
-		dim:        dim,
-		attnActive: m.Cfg.UseAttention && len(m.Pairs) > 1,
-		scalerMax:  append([]float64(nil), m.FeatScaler.Max...),
-		experts:    make([]expertView, len(m.Pairs)),
-		pool:       SharedPool(),
-		work:       make(chan *workArea, 2*runtime.GOMAXPROCS(0)),
+		pairs:     append([]app.Pair(nil), m.Pairs...),
+		dim:       dim,
+		scalerMax: append([]float64(nil), m.FeatScaler.Max...),
+		experts:   make([]expertView, P),
+		pool:      SharedPool(),
+		work:      make(chan *workArea, 2*runtime.GOMAXPROCS(0)),
 	}
 	e.scratch.New = func() any { return new(predictScratch) }
 
 	// Per expert: check its shape, then point the kernels at its parameters.
 	// Nothing is copied — a compiled model is immutable, so there is nothing
-	// to decouple from; only the σ(m) gate is a new value.
+	// to decouple from; only the σ(m) gates and the attention matrix are new
+	// values.
+	var masks []float64
 	for i, p := range m.Pairs {
 		ex := m.Experts[p]
 		view := &e.experts[i]
@@ -191,7 +202,10 @@ func Compile(m *estimator.Model) (*Engine, error) {
 			if ex.Mask == nil || len(ex.Mask.M.Data) != dim {
 				return nil, fmt.Errorf("infer: %s: unexpected mask shape", p)
 			}
-			view.mask = make([]float64, dim)
+			if masks == nil {
+				masks = make([]float64, P*dim)
+			}
+			view.mask = masks[i*dim : (i+1)*dim : (i+1)*dim]
 			for j, v := range ex.Mask.M.Data {
 				// The tape recomputes σ(m) every step; the values are
 				// identical, so computing the gate once is bit-safe.
@@ -207,19 +221,27 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		view.scale = *ts
 		view.gru = &ex.Cell.GRUParams
 		view.headW, view.headB = ex.Head.W.Data, ex.Head.B.Data
-		if e.attnActive && ex.UseAttention {
-			if ex.Attn == nil || len(ex.Attn.Alpha.Data) != len(ex.Attn.Peers) {
-				return nil, fmt.Errorf("infer: %s: attention weights misaligned with peers", p)
+		if attnActive && ex.UseAttention {
+			if ex.Attn == nil || len(ex.Attn.Peers) != P-1 || len(ex.Attn.Alpha.Data) != P-1 {
+				return nil, fmt.Errorf("infer: %s: attention weights are not one per other pair", p)
 			}
-			view.alpha = ex.Attn.Alpha.Data
-			view.peerIdx = make([]int, len(ex.Attn.Peers))
+			// The product adds every column in ascending order, +0·h_i for
+			// its own: the tape's sum over the listed peers only when they
+			// are every other pair, in order.
+			if e.attn == nil {
+				e.attn = make([]float64, P*P)
+			}
 			for k, peer := range ex.Attn.Peers {
-				j, ok := idx[peer]
-				if !ok || j == i {
-					return nil, fmt.Errorf("infer: %s: unresolvable attention peer %q", p, peer)
+				j := k
+				if k >= i {
+					j++
 				}
-				view.peerIdx[k] = j
+				if peer != names[j] {
+					return nil, fmt.Errorf("infer: %s: attention peer %d is %q, want %q (every other pair, in order)", p, k, peer, names[j])
+				}
+				e.attn[i*P+j] = ex.Attn.Alpha.Data[k]
 			}
+			view.attends = true
 		}
 	}
 	return e, nil
@@ -230,17 +252,13 @@ func Compile(m *estimator.Model) (*Engine, error) {
 // parallelism.
 func (e *Engine) SetPool(p *Pool) { e.pool = p }
 
-// wsLen is the per-expert work-area length: attention context and the
-// a_t ∥ h_t concat buffer.
-func (e *Engine) wsLen() int { return e.hidden + 2*e.hidden }
-
 func (e *Engine) getScratch(T int) *predictScratch {
 	sc := e.scratch.Get().(*predictScratch)
 	P := len(e.experts)
 	sc.xT = growFloats(sc.xT, e.dim*lanes(T))
-	sc.traj = growFloats(sc.traj, P*T*e.hidden)
+	last := max(T-1, 0) / blockWindows * blockWindows // where the last block starts
+	sc.traj = growFloats(sc.traj, P*(e.hidden*last+lanes((T-last)*e.hidden)))
 	sc.byp = growFloats(sc.byp, P*3*lanes(T))
-	sc.ws = growFloats(sc.ws, P*e.wsLen())
 	sc.zero = growFloats(sc.zero, e.hidden)
 	clear(sc.zero)
 	if cap(sc.triples) < P*T {
@@ -249,6 +267,16 @@ func (e *Engine) getScratch(T int) *predictScratch {
 		sc.triples = sc.triples[:P*T]
 	}
 	return sc
+}
+
+// trajBlock returns the trajectories of the block of windows that starts at
+// b0 — expert i's row at i·stride, its state at window b0+t at t·hidden in
+// it — and that stride, the block's states padded to ad.WindowDots' lanes,
+// so the block is the operand the attention product reads.
+func (e *Engine) trajBlock(traj []float64, b0, T int) ([]float64, int) {
+	n, _ := block(b0, T)
+	stride := lanes(n * e.hidden)
+	return traj[len(e.experts)*e.hidden*b0:][:len(e.experts)*stride], stride
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -262,7 +290,8 @@ func growFloats(s []float64, n int) []float64 {
 // maxima — the same v / max[j] the tape path applies — into sc.xT, transposed:
 // the block of windows starting at b0 holds feature k of window b0+t at
 // b0·dim + k·tp + t, tp the block's length padded to the lanes, the padding
-// zero. Every expert's input products read it as it lies.
+// zero. Every expert's input products read it as it lies. A non-finite
+// feature is refused: it would turn every estimate it reaches into NaN.
 func (e *Engine) scaleInput(series []features.Vector, sc *predictScratch) error {
 	for b0 := 0; b0 < len(series); b0 += blockWindows {
 		n, tp := block(b0, len(series))
@@ -272,6 +301,9 @@ func (e *Engine) scaleInput(series []features.Vector, sc *predictScratch) error 
 				return fmt.Errorf("infer: window %d has %d features for a %d-dim space", b0+t, len(v.Counts), e.dim)
 			}
 			for k, c := range v.Counts {
+				if math.IsNaN(c) || math.IsInf(c, 0) {
+					return fmt.Errorf("infer: window %d: feature %d is %v", b0+t, k, c)
+				}
 				xb[k*tp+t] = c / e.scalerMax[k]
 			}
 		}
@@ -282,20 +314,26 @@ func (e *Engine) scaleInput(series []features.Vector, sc *predictScratch) error 
 	return nil
 }
 
-// trajectory computes expert i's full hidden trajectory into sc.traj, and its
-// bypass products into sc.byp. Nothing on the input side depends on the
-// hidden state, so per block of windows the input is gated once and each of
-// Wz, Wk, Wh and the bypass S is walked once, for all the block's windows
-// (ad.WindowDots); the steps that follow touch only U. The first step
-// packs U into the work area's panels as it reads it, and every later one,
-// in this block or the next, reads the panels instead (ad.Panels). Each step
-// writes out-of-place, so the previous step's row serves as h_{t−1} without
-// copying — bit-identical to the tape's carried-buffer recurrence.
+// trajectory computes expert i's full hidden trajectory into its rows of
+// sc.traj, their padding lanes zero, and its bypass products into sc.byp.
+// Nothing on the input side depends on the hidden state, so per block of
+// windows the input is gated once and each of Wz, Wk, Wh and the bypass S is
+// walked once, for all the block's windows (ad.WindowDots); the steps that
+// follow touch only U. The first step packs U into the work area's panels as
+// it reads it, and every later one, in this block or the next, reads the
+// panels instead (ad.Panels). Each step writes out-of-place, so the previous
+// step's row serves as h_{t−1} without copying — bit-identical to the tape's
+// carried-buffer recurrence.
 func (e *Engine) trajectory(i, T int, sc *predictScratch) {
 	ex := &e.experts[i]
 	dim, hid := e.dim, e.hidden
-	wa := e.getWork(T)
+	wa := e.getWork()
 	defer e.putWork(wa)
+	_, tp := block(0, T) // the widest block of the series
+	wa.xm = growFloats(wa.xm, dim*tp)
+	wa.wx = growFloats(wa.wx, 3*hid*tp)
+	wa.gs = growFloats(wa.gs, 3*hid)
+	wa.up.Reset(hid)
 	hPrev := sc.zero
 	for b0 := 0; b0 < T; b0 += blockWindows {
 		n, tp := block(b0, T)
@@ -304,48 +342,71 @@ func (e *Engine) trajectory(i, T int, sc *predictScratch) {
 		if ex.bypW != nil {
 			ad.WindowDots(sc.byp[3*(i*lanes(T)+b0):], ex.bypW, in, 3, dim, tp)
 		}
+		blk, stride := e.trajBlock(sc.traj, b0, T)
+		row := blk[i*stride : (i+1)*stride]
+		clear(row[n*hid:])
 		for t := 0; t < n; t++ {
-			hOut := sc.traj[(i*T+b0+t)*hid:][:hid]
+			hOut := row[t*hid:][:hid]
 			ex.gru.Step(wa.wx, tp, t, hPrev, hOut, wa.gs, &wa.up)
 			hPrev = hOut
 		}
 	}
 }
 
-// outputs computes expert i's scaled output triples from the trajectories:
-// attention context over peer hidden states, head over a_t ∥ h_t, plus the
-// linear bypass product trajectory left in sc.byp — the same operation order
-// as Expert.stepOutput.
-func (e *Engine) outputs(i, T int, sc *predictScratch) {
-	ex := &e.experts[i]
-	hid := e.hidden
-	ws := sc.ws[i*e.wsLen() : (i+1)*e.wsLen()]
-	attn, cat := ws[:hid], ws[hid:]
-	useAttn := e.attnActive && len(ex.peerIdx) > 0
-	if !useAttn {
-		clear(attn) // the context stays zero; the scratch is recycled
-	}
-	for t := 0; t < T; t++ {
-		if useAttn {
-			// Σ_k α_k · h_t^{(k)}, accumulated in peer order like the
-			// tape's WeightedSumConst: peer k's state at t sits T·hid
-			// floats per expert into the trajectories.
-			ad.PeerSum(attn, ex.alpha, ex.peerIdx, sc.traj[t*hid:], T*hid)
-		}
-		copy(cat[:hid], attn)
-		copy(cat[hid:], sc.traj[(i*T+t)*hid:(i*T+t+1)*hid])
-		// Row j of the bypass product at window t, in the block starting at
-		// b0, tp windows wide.
-		b0 := t - t%blockWindows
-		_, tp := block(b0, T)
-		byp := sc.byp[3*(i*lanes(T)+b0)+t-b0:]
-		tr := &sc.triples[i*T+t]
-		for j := 0; j < 3; j++ {
-			y := ad.Dot(ex.headW[j*2*hid:(j+1)*2*hid], cat) + ex.headB[j]
-			if ex.bypW != nil {
-				y += byp[j*tp] + ex.bypB[j]
+// panels is how many pass-two tasks a series takes.
+func (e *Engine) panels() int { return (len(e.experts) + panelExperts - 1) / panelExperts }
+
+// outputs computes the scaled output triples of panel k's experts from the
+// trajectories, a block of windows at a time: the attention contexts of each
+// run of attending experts as one product of their rows of the attention
+// matrix with the block (ad.WindowDots, a lane per window and unit; each
+// context starts at +0 and adds the peers in order, the tape's
+// WeightedSumConst sum), then per window the head over a_t ∥ h_t plus the
+// linear bypass product trajectory left in sc.byp, in Expert.stepOutput's
+// operation order.
+func (e *Engine) outputs(k, T int, sc *predictScratch) {
+	P, hid := len(e.experts), e.hidden
+	i0, i1 := k*panelExperts, min((k+1)*panelExperts, P)
+	wa := e.getWork()
+	defer e.putWork(wa)
+	_, widest := block(0, T)
+	wa.ctx = growFloats(wa.ctx, panelExperts*widest*hid)
+	wa.cat = growFloats(wa.cat, 2*hid)
+	cat := wa.cat
+	for b0 := 0; b0 < T; b0 += blockWindows {
+		n, tp := block(b0, T)
+		blk, ts := e.trajBlock(sc.traj, b0, T)
+		for a := i0; a < i1; {
+			b := a
+			for b < i1 && e.experts[b].attends {
+				b++
 			}
-			tr[j] = y
+			if b > a {
+				ad.WindowDots(wa.ctx[(a-i0)*ts:], e.attn[a*P:], blk, b-a, P, ts)
+			}
+			a = b + 1
+		}
+		for i := i0; i < i1; i++ {
+			ex := &e.experts[i]
+			ctx, h := wa.ctx[(i-i0)*ts:], blk[i*ts:]
+			byp := sc.byp[3*(i*lanes(T)+b0):] // row j at window b0+t: byp[j*tp+t]
+			if !ex.attends {
+				clear(cat[:hid]) // the context stays zero
+			}
+			for t := 0; t < n; t++ {
+				if ex.attends {
+					copy(cat[:hid], ctx[t*hid:])
+				}
+				copy(cat[hid:], h[t*hid:])
+				tr := &sc.triples[i*T+b0+t]
+				for j := 0; j < 3; j++ {
+					y := ad.Dot(ex.headW[j*2*hid:(j+1)*2*hid], cat) + ex.headB[j]
+					if ex.bypW != nil {
+						y += byp[j*tp+t] + ex.bypB[j]
+					}
+					tr[j] = y
+				}
+			}
 		}
 	}
 }
@@ -373,7 +434,7 @@ func (e *Engine) PredictInto(series []features.Vector, out map[app.Pair]estimato
 	}
 	P := len(e.experts)
 	e.pool.Run(P, func(i int) { e.trajectory(i, T, sc) })
-	e.pool.Run(P, func(i int) { e.outputs(i, T, sc) })
+	e.pool.Run(e.panels(), func(k int) { e.outputs(k, T, sc) })
 	for i, p := range e.pairs {
 		est := out[p]
 		e.experts[i].scale.DescaleInto(sc.triples[i*T:(i+1)*T], &est)
@@ -404,7 +465,8 @@ func (e *Engine) PredictBatch(batch [][]features.Vector) ([]map[app.Pair]estimat
 		}
 	}
 	e.pool.Run(B*P, func(k int) { e.trajectory(k%P, len(batch[k/P]), scs[k/P]) })
-	e.pool.Run(B*P, func(k int) { e.outputs(k%P, len(batch[k/P]), scs[k/P]) })
+	np := e.panels()
+	e.pool.Run(B*np, func(k int) { e.outputs(k%np, len(batch[k/np]), scs[k/np]) })
 	out := make([]map[app.Pair]estimator.Estimate, B)
 	for b := range batch {
 		T := len(batch[b])

@@ -227,6 +227,115 @@ func TestEngineRejectsMismatchedSeries(t *testing.T) {
 	}
 }
 
+// TestCompileRefusesPeersOutOfOrder: the engine adds every expert's peers in
+// Model.Pairs order, so a hand-assembled model whose peer list is anything
+// else — two peers swapped with their weights, the expert itself named, a
+// peer missing — must not compile, as estimator.Load refuses to load it.
+// The model trained beside them compiles.
+func TestCompileRefusesPeersOutOfOrder(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
+	cfg := estimator.DefaultConfig()
+	cfg.Epochs, cfg.AttentionEpochs = 0, 0
+	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Pairs) < 3 {
+		t.Fatalf("need three experts, have %d", len(m.Pairs))
+	}
+	if _, err := infer.Compile(m); err != nil {
+		t.Fatalf("trained model: %v", err)
+	}
+	attn := m.Experts[m.Pairs[1]].Attn
+	peers, alpha := attn.Peers, attn.Alpha.Data
+	for name, edit := range map[string]func(p []string, a []float64) ([]string, []float64){
+		"swapped": func(p []string, a []float64) ([]string, []float64) {
+			p[0], p[1], a[0], a[1] = p[1], p[0], a[1], a[0]
+			return p, a
+		},
+		"self": func(p []string, a []float64) ([]string, []float64) {
+			p[1] = m.Pairs[1].String()
+			return p, a
+		},
+		"missing": func(p []string, a []float64) ([]string, []float64) { return p[1:], a[1:] },
+	} {
+		attn.Peers, attn.Alpha.Data = edit(append([]string(nil), peers...), append([]float64(nil), alpha...))
+		if _, err := infer.Compile(m); err == nil {
+			t.Errorf("%s peers %q: Compile accepted them", name, attn.Peers)
+		}
+	}
+	attn.Peers, attn.Alpha.Data = peers, alpha
+}
+
+// TestEngineMixedAttention: in a hand-assembled model where one expert does
+// not attend, that expert's context stays +0 beside panel neighbours whose
+// contexts are formed, and every float still equals the tape's.
+func TestEngineMixedAttention(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
+	cfg := estimator.DefaultConfig()
+	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 1, 1, 24
+	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Pairs) < 3 {
+		t.Fatalf("need three experts, have %d", len(m.Pairs))
+	}
+	m.Experts[m.Pairs[1]].UseAttention = false
+	eng, err := infer.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := m.Space.ExtractSeries(run.Windows[:testutil.ToyDay])
+	want, err := m.PredictVectors(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetPool(nil) // one work area serves every expert of the panel in turn
+	for i := 0; i < 2; i++ {
+		got, err := eng.Predict(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("mixed attention, read %d", i), want, got)
+	}
+}
+
+// TestEngineRefusesNonFiniteFeature: a NaN or infinite feature is an error
+// from Predict, PredictInto and PredictBatch alike, never an estimate.
+func TestEngineRefusesNonFiniteFeature(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
+	cfg := estimator.DefaultConfig()
+	cfg.Epochs, cfg.AttentionEpochs = 0, 0
+	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := infer.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := m.Space.ExtractSeries(run.Windows[:testutil.ToyDay])
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		series := append([]features.Vector(nil), day...)
+		bad := append([]float64(nil), series[3].Counts...)
+		bad[len(bad)-1] = v
+		series[3] = features.Vector{Counts: bad}
+		if _, err := eng.Predict(series); err == nil {
+			t.Errorf("Predict with a %v feature: no error", v)
+		}
+		if err := eng.PredictInto(series, map[app.Pair]estimator.Estimate{}); err == nil {
+			t.Errorf("PredictInto with a %v feature: no error", v)
+		}
+		if _, err := eng.PredictBatch([][]features.Vector{day, series}); err == nil {
+			t.Errorf("PredictBatch with a %v feature: no error", v)
+		}
+	}
+	if _, err := eng.Predict(day); err != nil {
+		t.Fatalf("the finite day: %v", err)
+	}
+}
+
 // TestEngineEdgeShapes walks the engine through the shapes that sit on the
 // boundaries of the assembly kernels, each against the eval tape bit for
 // bit: GRU widths below, at and between the 4- and 16-row rungs (the toy's

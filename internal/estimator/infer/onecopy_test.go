@@ -2,6 +2,7 @@ package infer
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/estimator"
@@ -11,7 +12,8 @@ import (
 // TestEngineHoldsOneCopyOfWeights: every slice the kernels read is the Data
 // of one of the model's parameters — same first element, same length — for a
 // trained model and for a loaded one, and no parameter of either carries a
-// gradient. Only the σ(mask) gate is the engine's own.
+// gradient. Only the σ(mask) gate and the attention matrix are the engine's
+// own.
 func TestEngineHoldsOneCopyOfWeights(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 5)
 	cfg := estimator.DefaultConfig()
@@ -48,11 +50,20 @@ func TestEngineHoldsOneCopyOfWeights(t *testing.T) {
 				"head b":   {view.headB, ex.Head.B.Data},
 				"bypass W": {view.bypW, ex.Bypass.W.Data},
 				"bypass b": {view.bypB, ex.Bypass.B.Data},
-				"alpha":    {view.alpha, ex.Attn.Alpha.Data},
 			} {
 				got, want := pair[0], pair[1]
 				if len(got) != len(want) || len(got) == 0 || &got[0] != &want[0] {
 					t.Errorf("%s %s: %s is a copy of the parameter, or not it at all", name, p, what)
+				}
+			}
+			// α is the engine's row of the attention matrix: the weights at
+			// the peers' columns, in order, and +0 at its own.
+			P := len(m.Pairs)
+			row := eng.attn[i*P : (i+1)*P]
+			want := append(append(append([]float64(nil), ex.Attn.Alpha.Data[:i]...), 0), ex.Attn.Alpha.Data[i:]...)
+			for j := range row {
+				if math.Float64bits(row[j]) != math.Float64bits(want[j]) {
+					t.Errorf("%s %s: attention matrix row %d column %d is %v, want %v", name, p, i, j, row[j], want[j])
 				}
 			}
 			if len(view.mask) != len(ex.Mask.M.Data) || &view.mask[0] == &ex.Mask.M.Data[0] {

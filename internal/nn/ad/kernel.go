@@ -98,16 +98,12 @@ func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out [
 // InputProducts writes a block's input products Wz·x, Wk·x and Wh·x, gate
 // after gate, hidden rows of tp floats, to wx for the windows of xT (In rows
 // of tp, time-minor; see WindowDots), each gated first, x̃[k] = gate[k]·x[k]
-// (the mask's σ(m) ⊙ x), into xm when gate is not empty; xm may be xT. It
-// returns the input the products read.
+// (the mask's σ(m) ⊙ x, gateRows), into xm when gate is not empty; xm may be
+// xT. tp must be a multiple of four. It returns the input the products read.
 func (g *GRUParams) InputProducts(wx, xm, xT, gate []float64, tp int) []float64 {
 	hid, in := g.Wz.Rows, g.Wz.Cols
 	if len(gate) > 0 {
-		for k, m := range gate[:in] {
-			for t, x := range xT[k*tp : (k+1)*tp] {
-				xm[k*tp+t] = m * x
-			}
-		}
+		gateRows(xm, gate[:in], xT, tp)
 		xT = xm[:in*tp]
 	}
 	for i, w := range [...]*Param{g.Wz, g.Wk, g.Wh} {

@@ -551,11 +551,77 @@ func TestMatVecMatchesRowDots(t *testing.T) {
 	}
 }
 
+// checkGateRows holds gateRows, on the selected implementation, to the loop
+// it replaced in GRUParams.InputProducts — x̃[k·tp+t] = gate[k]·x[k·tp+t] —
+// bit for bit, out of place and in place, over rows of T windows padded to
+// the lanes, and requires a window count off the lanes to panic.
+func checkGateRows(t *testing.T, rows, T, off int, rng *rand.Rand, vals []float64, oneIn int) {
+	t.Helper()
+	tp := (T + 3) &^ 3
+	gate := fillAt(rows, off, rng, vals, oneIn)
+	xT := fillAt(rows*tp, off+1, rng, vals, oneIn)
+	want := make([]float64, rows*tp)
+	for k, m := range gate {
+		for i, x := range xT[k*tp : (k+1)*tp] {
+			want[k*tp+i] = m * x
+		}
+	}
+	what := fmt.Sprintf("%s gateRows %d rows × %d windows +%d", KernelImpl(), rows, T, off)
+	// dst sits between four guard floats a side.
+	buf := fillAt(rows*tp+8, off+2, rng, nil, 0)
+	stale := cloneAt(buf, 0)
+	gateRows(buf[4:len(buf)-4], gate, xT, tp)
+	for i, g := range buf {
+		if i < 4 || i >= len(buf)-4 {
+			if math.Float64bits(g) != math.Float64bits(stale[i]) {
+				t.Fatalf("%s: wrote outside its rows×tp floats (guard %d)", what, i)
+			}
+		} else if !sameFloat(g, want[i-4]) {
+			t.Fatalf("%s: float %d: %x, want %x", what, i-4, math.Float64bits(g), math.Float64bits(want[i-4]))
+		}
+	}
+	gateRows(xT, gate, xT, tp)
+	for i, g := range xT {
+		if !sameFloat(g, want[i]) {
+			t.Fatalf("%s in place: float %d: %x, want %x", what, i, math.Float64bits(g), math.Float64bits(want[i]))
+		}
+	}
+	if rows == 0 {
+		return
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: a window count off the lanes did not panic", what)
+		}
+	}()
+	gateRows(xT, gate, xT, tp-1)
+}
+
+// TestGateRowsMatchesLoop runs checkGateRows on every implementation over
+// the feature widths the repo benchmark runs (67, 257), the toy's and a few
+// small ones, each over series that fill one lane group, leave padding lanes,
+// take more than one sixteen-window step, or a whole block.
+func TestGateRowsMatchesLoop(t *testing.T) {
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			for _, rows := range []int{0, 1, 2, 9, 67, 257} {
+				for _, T := range []int{1, 4, 5, 6, 12, 13, 16, 17, 48} {
+					for set, e := range edgeSets {
+						checkGateRows(t, rows, T, 1+2*set, rand.New(rand.NewSource(int64(rows*100+T))), e.vals, e.oneIn)
+					}
+				}
+			}
+		})
+	}
+}
+
 // FuzzKernelsMatchScalar lets the fuzzer pick the shape, the operands'
 // offset into their arrays and the values' seed, and holds every
 // implementation to dot — for the backward, attention-adjoint and Adam
-// kernels, to the loops in adjoint_test.go; for the gate activations, four
-// raw bit patterns included, to the scalar functions.
+// kernels, to the loops in adjoint_test.go; for the mask gate, to its loop;
+// for the gate activations, four raw bit patterns included, to the scalar
+// functions.
 func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(uint8(16), uint16(67), uint8(12), uint8(1), int64(1), uint64(0), uint64(1)<<63, math.Float64bits(0.625), math.Float64bits(-700))
 	f.Add(uint8(37), uint16(5), uint8(5), uint8(3), int64(2), math.Float64bits(math.NaN()), math.Float64bits(44.1), math.Float64bits(math.Inf(-1)), uint64(1))
@@ -567,6 +633,7 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 			e := edgeSets[uint64(seed)%uint64(len(edgeSets))]
 			checkRowKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn, int(windows%64))
 			checkColumnKernels(t, int(rows%70), int(cols%300), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
+			checkGateRows(t, int(cols%300), int(windows%64), int(off%8), rand.New(rand.NewSource(seed)), e.vals, e.oneIn)
 			// The gates take the fuzzer's four bit patterns as they are,
 			// somewhere among rows ordinary arguments.
 			pre := gateDraws(int(rows%70), rand.New(rand.NewSource(seed)))
@@ -678,9 +745,12 @@ func BenchmarkGRUKernelStep(b *testing.B) {
 // each implementation, at the shapes the repo benchmark runs (rows × columns
 // × windows): a gate's W at the paper's width over a 12-window read, a gate's
 // W of the generated 150-component topology over a 6-window read (three such
-// products feed a read's steps), and that topology's three-row bypass.
+// products feed a read's steps), and that topology's three-row bypass; then
+// every attention context of a read as the engine forms them, the P×P
+// attention matrix against the trajectories, a lane per (window, unit): 76
+// experts × 12 windows × 128 hidden, and 399 × 6 × 16.
 func BenchmarkWindowDots(b *testing.B) {
-	for _, d := range []struct{ rows, cols, T int }{{128, 67, 12}, {16, 257, 6}, {3, 257, 6}} {
+	for _, d := range []struct{ rows, cols, T int }{{128, 67, 12}, {16, 257, 6}, {3, 257, 6}, {76, 76, 1536}, {399, 399, 96}} {
 		for _, impl := range impls() {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.rows, d.cols, d.T, impl), func(b *testing.B) {
 				setImpl(b, impl)
@@ -700,16 +770,19 @@ func BenchmarkWindowDots(b *testing.B) {
 	}
 }
 
-// BenchmarkPeerSum times every attention context of one request — each of P
-// experts over its P−1 peers at each of T windows — on each implementation,
-// at the two shapes the repo benchmark runs (experts × windows × hidden).
+// BenchmarkPeerSum times PeerSum where it still runs, phase B of training:
+// each of P experts' attention context over its P−1 peers for one chunk of T
+// windows, hidden×T floats in one call (Tape.WeightedSumConst), on each
+// implementation, at the two shapes the repo benchmark trains (experts ×
+// windows × hidden; BenchmarkPeerAdjoint times the same nodes' backward).
+// Serving forms its contexts as one product (BenchmarkWindowDots).
 func BenchmarkPeerSum(b *testing.B) {
-	for _, d := range []struct{ P, T, hid int }{{76, 12, 128}, {399, 6, 16}} {
+	for _, d := range []struct{ P, T, hid int }{{399, 24, 16}, {76, 48, 128}} {
 		for _, impl := range impls() {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.P, d.T, d.hid, impl), func(b *testing.B) {
 				setImpl(b, impl)
 				rng := rand.New(rand.NewSource(1))
-				traj := fillAt(d.P*d.T*d.hid, 0, rng, nil, 0)
+				blocks := fillAt(d.P*d.hid*d.T, 0, rng, nil, 0)
 				alpha := fillAt(d.P-1, 0, rng, nil, 0)
 				peers := make([][]int, d.P)
 				for i := range peers {
@@ -719,15 +792,38 @@ func BenchmarkPeerSum(b *testing.B) {
 						}
 					}
 				}
-				dst := make([]float64, d.hid)
+				dst := make([]float64, d.hid*d.T)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
 					for _, idx := range peers {
-						for t := 0; t < d.T; t++ {
-							PeerSum(dst, alpha, idx, traj[t*d.hid:], d.T*d.hid)
-						}
+						PeerSum(dst, alpha, idx, blocks, d.hid*d.T)
 					}
+				}
+				benchSink = dst[0]
+			})
+		}
+	}
+}
+
+// BenchmarkGateRows times the mask gate σ(m) ⊙ x of one expert's block of
+// windows (features × windows), on each implementation: the paper-width
+// social model's 67 features over a 12-window read, and the generated
+// 150-component topology's 257 over a 6-window one.
+func BenchmarkGateRows(b *testing.B) {
+	for _, d := range []struct{ rows, T int }{{67, 12}, {257, 6}} {
+		for _, impl := range impls() {
+			b.Run(fmt.Sprintf("%dx%d/%s", d.rows, d.T, impl), func(b *testing.B) {
+				setImpl(b, impl)
+				rng := rand.New(rand.NewSource(1))
+				tp := (d.T + 3) &^ 3
+				gate := fillAt(d.rows, 0, rng, nil, 0)
+				xT := fillAt(d.rows*tp, 0, rng, nil, 0)
+				dst := make([]float64, d.rows*tp)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					gateRows(dst, gate, xT, tp)
 				}
 				benchSink = dst[0]
 			})

@@ -136,6 +136,27 @@ func WindowDots(dst, w, xT []float64, rows, cols, tp int) {
 	}
 }
 
+// gateRows writes dst[k*tp+t] = gate[k]·xT[k*tp+t] for every row k of gate:
+// the mask's σ(m) ⊙ x over a block of windows laid out as WindowDots reads
+// them, tp a multiple of four. dst may be xT. Each float is one product, so
+// the bits are the same on either implementation.
+func gateRows(dst, gate, xT []float64, tp int) {
+	if tp%4 != 0 {
+		panic("ad: gateRows: window count not padded to a multiple of four")
+	}
+	n := len(gate) * tp
+	dst, xT = dst[:n], xT[:n]
+	if useAVX2 && n > 0 {
+		gateRowsAVX2(&dst[0], &gate[0], &xT[0], len(gate), tp)
+		return
+	}
+	for k, m := range gate {
+		for t, x := range xT[k*tp : (k+1)*tp] {
+			dst[k*tp+t] = m * x
+		}
+	}
+}
+
 // PeerSum writes the attention context dst[j] = Σ_k alpha[k]·base[idx[k]*stride+j]:
 // peer k's vector is the len(dst) floats of base starting at idx[k]*stride.
 // Every dst[j] starts at +0 and adds its products in idx order — the order

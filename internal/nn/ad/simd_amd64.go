@@ -21,6 +21,9 @@ func rowDots4PackedAVX2(dst, w, x *float64, cols int)
 func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int)
 
 //go:noescape
+func gateRowsAVX2(dst, gate, xT *float64, rows, tp int)
+
+//go:noescape
 func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
 
 //go:noescape

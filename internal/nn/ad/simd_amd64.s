@@ -580,6 +580,58 @@ wdDone:
 	VZEROUPPER
 	RET
 
+// func gateRowsAVX2(dst, gate, xT *float64, rows, tp int)
+//
+// dst[r*tp+t] = gate[r]·xT[r*tp+t] for r in [0,rows) and t in [0,tp), tp a
+// multiple of four: the mask's σ(m) ⊙ x over a block of windows laid out as
+// the window kernel reads it. A row's gate is one broadcast and the first
+// source of the VMULPD, as m is of the Go loop's m*x; one rounding either
+// way. Sixteen windows a step, then four. dst may be xT: a step loads before
+// it stores.
+TEXT ·gateRowsAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ gate+8(FP), SI
+	MOVQ xT+16(FP), DX
+	MOVQ rows+24(FP), R8
+	MOVQ tp+32(FP), R9
+
+gateRow:
+	VBROADCASTSD (SI), Y0
+	MOVQ R9, CX
+
+gate16:
+	CMPQ CX, $16
+	JLT  gate4
+	VMULPD (DX), Y0, Y1
+	VMULPD 32(DX), Y0, Y2
+	VMULPD 64(DX), Y0, Y3
+	VMULPD 96(DX), Y0, Y4
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	ADDQ $128, DX
+	ADDQ $128, DI
+	SUBQ $16, CX
+	JMP  gate16
+
+gate4:
+	TESTQ CX, CX
+	JZ   gateNext
+	VMULPD (DX), Y0, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  gate4
+
+gateNext:
+	ADDQ $8, SI
+	DECQ R8
+	JNZ  gateRow
+	VZEROUPPER
+	RET
+
 // func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
 //
 // dst[j] = Σ_k alpha[k]·base[idx[k]*stride+j] for j in [0,n), n a multiple

@@ -18,6 +18,9 @@ func rowDots4PackedAVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kern
 func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
+func gateRowsAVX2(dst, gate, xT *float64, rows, tp int) {
+	panic("ad: no AVX2 kernels on this platform")
+}
 func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool {
 	panic("ad: no AVX2 kernels on this platform")
 }

@@ -258,3 +258,65 @@ func BenchmarkEstimateHitSocial(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEstimateMissGen150 is a miss at the repo benchmark's miss-gen150
+// shape through the whole handler: a service over the generated
+// 150-component topology (399 experts, hidden 16, one phase-A epoch) and a
+// distinct 6-window read every iteration, so each one decodes, synthesizes,
+// predicts and encodes a ~140 KB response.
+func BenchmarkEstimateMissGen150(b *testing.B) {
+	opts := quickServiceOpts()
+	opts.Estimator.Hidden, opts.Estimator.Epochs = 16, 1
+	opts.Estimator.AttentionEpochs = core.DefaultOptions().Estimator.AttentionEpochs
+	s, err := NewWithConfig(opts, pipeline.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, mix, err := topo.Resolve("gen:seed=7,components=150")
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := workload.Uniform(1, workload.DaySpec{Shape: workload.TwoPeak{}, Mix: mix, PeakRPS: 60})
+	day.WindowsPerDay, day.WindowSeconds = 24, 60
+	_, _, run, err := sim.Simulate(spec, day, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Bootstrap(run); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Pipeline().TrainOnce(0, 0, nil, "manual"); err != nil {
+		b.Fatal(err)
+	}
+	day.WindowsPerDay, day.Seed = 6, 2
+	windows := day.Generate().Windows
+	apis := make([]string, 0, len(windows[0]))
+	for api := range windows[0] {
+		apis = append(apis, api)
+	}
+	sort.Strings(apis)
+	read := func(i int) *http.Request {
+		windows[0][apis[0]] = i // every body distinct: every read a miss
+		body, err := json.Marshal(estimateRequest{Windows: windows, WindowsPerDay: 6})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(body))
+	}
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, read(0))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("first read = %d: %s", rec.Code, rec.Body)
+	}
+	w := nopRW{h: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, read(i+1))
+	}
+	b.StopTimer()
+	if w.h.Get("X-DeepRest-Cache") == "hit" {
+		b.Fatal("a measured read was a cache hit")
+	}
+}

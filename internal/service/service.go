@@ -76,7 +76,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/estimator"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/quality"
@@ -461,21 +460,6 @@ type estimateRequest struct {
 	WindowsPerDay int `json:"windows_per_day,omitempty"`
 }
 
-// estimateResponse maps "Component/resource" to the estimate series.
-// Version is the model generation that produced the estimates — a single
-// atomic snapshot, so the series never mix experts from two generations.
-type estimateResponse struct {
-	Version   int                       `json:"version"`
-	Estimates map[string]estimateSeries `json:"estimates"`
-}
-
-type estimateSeries struct {
-	Exp  []float64 `json:"exp"`
-	Low  []float64 `json:"low"`
-	Up   []float64 `json:"up"`
-	Unit string    `json:"unit"`
-}
-
 // validate refuses traffic the engine must not be asked to price: none, more
 // windows than maxReadWindows, or a negative request count (the
 // synthesizer would read it as zero and estimate nothing, confidently).
@@ -596,16 +580,6 @@ func writeEstimate(w http.ResponseWriter, body []byte, hit bool) {
 		h.Set("X-DeepRest-Cache", "hit")
 	}
 	_, _ = w.Write(body)
-}
-
-func toEstimateResponse(version int, est map[app.Pair]estimator.Estimate) estimateResponse {
-	resp := estimateResponse{Version: version, Estimates: make(map[string]estimateSeries, len(est))}
-	for p, e := range est {
-		resp.Estimates[p.String()] = estimateSeries{
-			Exp: e.Exp, Low: e.Low, Up: e.Up, Unit: p.Resource.Unit(),
-		}
-	}
-	return resp
 }
 
 // sanityRequest is a Mode-2 query over a previously ingested window range.
