@@ -148,57 +148,68 @@ func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt 
 	}
 }
 
-// hiddenInto writes e's trajectory over x, step-major, into dst
-// (len(x)·Hidden floats): the detached peer states other experts attend
-// over; and, when bypass is not nil, its bypass S·x̃ + b, three floats a
-// window. As the inference engine does, it steps on the workspace's block
-// operands without a tape, and forms a block's bypass products in one
-// ad.WindowDots pass over the gated input the block's operands were formed
-// from: walk's states and Dense.Apply's outputs, bit for bit.
-func (e *Expert) hiddenInto(ws *layers.Workspace, x [][]float64, dst, bypass []float64) {
-	hPrev := make([]float64, e.Hidden)
-	prod := make([]float64, 3*evalBlock)
+// hiddenInto writes e's trajectory over x into its rows of the slab, expert
+// ps.self's, and, when it uses one, its bypass S·x̃ + b, three floats a window.
+// As the inference engine does, it steps on the workspace's block operands
+// without a tape, a block of the slab's windows at a time, and forms a
+// block's bypass products in one ad.WindowDots pass over the gated input the
+// block's operands were formed from: walk's states and Dense.Apply's
+// outputs, bit for bit.
+func (e *Expert) hiddenInto(ws *layers.Workspace, x [][]float64, ps *peerStates) {
+	hPrev, hNext := make([]float64, e.Hidden), make([]float64, e.Hidden)
+	prod := make([]float64, 3*lanes(ps.blockLen))
+	bypass := ps.bypass[3*ps.self*ps.steps:][:3*ps.steps]
 	ws.Block.Panels.Reset(e.Hidden)
-	for b0 := 0; b0 < len(x); b0 += evalBlock {
-		rows := x[b0:min(b0+evalBlock, len(x))]
-		in := e.formBlock(ws, rows)
-		if bypass != nil {
+	for b0 := 0; b0 < len(x); b0 += ps.blockLen {
+		rows, n, stride := ps.block(b0)
+		row := rows[ps.self*stride:][:stride]
+		in := e.formBlock(ws, x[b0:b0+n])
+		if e.UseBypass {
 			tp := len(in) / e.InDim
 			ad.WindowDots(prod, e.Bypass.W.Data, in, 3, e.InDim, tp)
-			for t := range rows {
+			for t := 0; t < n; t++ {
 				for j, b := range e.Bypass.B.Data {
 					bypass[3*(b0+t)+j] = prod[j*tp+t] + b
 				}
 			}
 		}
-		for t := range rows {
-			h := dst[(b0+t)*e.Hidden:][:e.Hidden]
-			ws.Block.Advance(e.Cell, t, hPrev, h)
-			hPrev = h
+		for t := 0; t < n; t++ {
+			ws.Block.Advance(e.Cell, t, hPrev, hNext)
+			for j, v := range hNext {
+				row[j*n+t] = v
+			}
+			hPrev, hNext = hNext, hPrev
 		}
 	}
 }
 
 // forward runs the full forward pass over a scaled feature series on the
 // workspace's gradient-free tape and returns the (expected, lower, upper)
-// triple per step, in scaled target units. The attention context is drawn
-// from peers — the detached hidden states of the peer experts over the same
-// series — and is zero when peers is nil (the occlusion probes).
+// triple per step, in scaled target units. The attention contexts are formed
+// from peers — every expert's detached hidden states over the same series —
+// a block of the slab's windows at a time, as phase B forms a chunk's; they
+// are zero when peers is nil (the occlusion probes).
 func (e *Expert) forward(ws *layers.Workspace, x [][]float64, peers *peerStates) ([][3]float64, error) {
 	if peers != nil && peers.steps != len(x) {
 		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, peers.steps, len(x))
 	}
 	t := ws.Eval
-	zeroAttn := make([]float64, e.Hidden)
+	attn := make([]float64, e.Hidden) // a window's context; zero without peers
+	var ctx []float64                 // the contexts of every block, each laid out as the op forms it
+	if e.UseAttention && len(e.Attn.Peers) > 0 && peers != nil {
+		ctx = make([]float64, len(x)*e.Hidden)
+		for from := 0; from < len(x); from += peers.blockLen {
+			t.Reset()
+			copy(ctx[from*e.Hidden:], peers.attend(t, e.Attn, from).Data)
+		}
+	}
 	out := make([][3]float64, len(x))
 	e.walk(ws, x, func(i int, h, xt *ad.Value) {
-		var attn *ad.Value
-		if e.UseAttention && len(e.Attn.Peers) > 0 && peers != nil {
-			attn = peers.attend(t, e.Attn, i)
-		} else {
-			attn = t.Const(zeroAttn)
+		if ctx != nil {
+			from := i - i%peers.blockLen
+			column(attn, ctx[from*e.Hidden:], min(peers.blockLen, len(x)-from), i-from)
 		}
-		y := e.stepOutput(t, xt, h, attn)
+		y := e.stepOutput(t, xt, h, t.Const(attn))
 		out[i] = [3]float64{y.Data[0], y.Data[1], y.Data[2]}
 	})
 	return out, nil

@@ -32,27 +32,26 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, nil)
 	x := seriesOf(4, 10)
-	// The trajectory is len(x)·Hidden floats, step-major: every step's row is
-	// written, and nothing past the last one.
-	hs := make([]float64, len(x)*3+1)
-	hs[len(hs)-1] = 42
-	e.hiddenInto(newWorkspace(), x, hs[:len(x)*3], nil)
-	if hs[len(hs)-1] != 42 {
-		t.Fatal("hiddenInto wrote past len(x)·Hidden floats")
+	// The trajectory is every window's state, in rows of blocks of four
+	// windows (4, 4, 2): every window is written, and no padding lane.
+	s := &peerStates{newHiddenSlab(1, len(x), 3, 4), 0}
+	e.hiddenInto(newWorkspace(), x, s)
+	if len(s.data) != 12+12+8 || s.data[len(s.data)-2] != 0 || s.data[len(s.data)-1] != 0 {
+		t.Fatalf("slab of %d floats %v: want 32, the last two padding zeros", len(s.data), s.data)
 	}
+	h := make([]float64, 3)
 	for step := range x {
-		row := hs[step*3 : (step+1)*3]
-		if row[0] == 0 && row[1] == 0 && row[2] == 0 {
+		if s.state(h, 0, step); h[0] == 0 && h[1] == 0 && h[2] == 0 {
 			t.Fatalf("step %d left unwritten", step)
 		}
 	}
 	// Deterministic, on a workspace that has run before too.
 	ws := newWorkspace()
-	hs2 := make([]float64, len(x)*3)
-	e.hiddenInto(ws, seriesOf(4, 7), hs2[:7*3], nil)
-	e.hiddenInto(ws, x, hs2, nil)
-	for i := range hs2 {
-		if hs[i] != hs2[i] {
+	s2 := &peerStates{newHiddenSlab(1, len(x), 3, 4), 0}
+	e.hiddenInto(ws, seriesOf(4, 7), &peerStates{newHiddenSlab(1, 7, 3, 4), 0})
+	e.hiddenInto(ws, x, s2)
+	for i := range s2.data {
+		if s.data[i] != s2.data[i] {
 			t.Fatal("hiddenInto not deterministic")
 		}
 	}
@@ -74,13 +73,15 @@ func TestFrozenPassesMatchTape(t *testing.T) {
 		copy(e.Bypass.B.Data, []float64{0.1, -0.2, 0.3})
 		x := seriesOf(7, evalBlock+6)
 		ws := newWorkspace()
-		traj, bypass := make([]float64, len(x)*cfg.Hidden), make([]float64, 3*len(x))
-		e.hiddenInto(ws, x, traj, bypass)
+		s := &peerStates{newHiddenSlab(1, len(x), cfg.Hidden, evalBlock), 0}
+		e.hiddenInto(ws, x, s)
+		bypass, traj := s.bypass, make([]float64, cfg.Hidden)
 		e.walk(ws, x, func(i int, h, xt *ad.Value) {
 			want := e.Bypass.Apply(ws.Eval, xt).Data
+			s.state(traj, 0, i)
 			for j := range h.Data {
-				if math.Float64bits(traj[i*cfg.Hidden+j]) != math.Float64bits(h.Data[j]) {
-					t.Fatalf("mask %v window %d: state %d = %v, the tape's %v", useMask, i, j, traj[i*cfg.Hidden+j], h.Data[j])
+				if math.Float64bits(traj[j]) != math.Float64bits(h.Data[j]) {
+					t.Fatalf("mask %v window %d: state %d = %v, the tape's %v", useMask, i, j, traj[j], h.Data[j])
 				}
 			}
 			for j := range want {

@@ -80,11 +80,11 @@ func BenchmarkExpertHiddenStates(b *testing.B) {
 	day := x[:testutil.ToyDay]
 	e := m.Experts[p]
 	ws := newWorkspace()
-	dst := make([]float64, len(day)*e.Hidden)
+	slab := &peerStates{newHiddenSlab(1, len(day), e.Hidden, m.Cfg.ChunkLen), 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.hiddenInto(ws, day, dst, nil)
+		e.hiddenInto(ws, day, slab)
 	}
 }
 

@@ -226,11 +226,8 @@ func Compile(m *estimator.Model) (*Engine, error) {
 				return nil, fmt.Errorf("infer: %s: attention weights are not one per other pair", p)
 			}
 			// The product adds every column in ascending order, +0·h_i for
-			// its own: the tape's sum over the listed peers only when they
-			// are every other pair, in order.
-			if e.attn == nil {
-				e.attn = make([]float64, P*P)
-			}
+			// its own: the tape's sum only when the peers are every other
+			// pair, in order.
 			for k, peer := range ex.Attn.Peers {
 				j := k
 				if k >= i {
@@ -239,8 +236,11 @@ func Compile(m *estimator.Model) (*Engine, error) {
 				if peer != names[j] {
 					return nil, fmt.Errorf("infer: %s: attention peer %d is %q, want %q (every other pair, in order)", p, k, peer, names[j])
 				}
-				e.attn[i*P+j] = ex.Attn.Alpha.Data[k]
 			}
+			if e.attn == nil {
+				e.attn = make([]float64, P*P)
+			}
+			ad.AttentionRow(e.attn[i*P:(i+1)*P], ex.Attn.Alpha.Data, i)
 			view.attends = true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/estimator"
+	"repro/internal/nn/ad"
 	"repro/internal/testutil"
 )
 
@@ -68,6 +69,39 @@ func TestEngineHoldsOneCopyOfWeights(t *testing.T) {
 			}
 			if len(view.mask) != len(ex.Mask.M.Data) || &view.mask[0] == &ex.Mask.M.Data[0] {
 				t.Errorf("%s %s: the σ(mask) gate must be the engine's own %d floats", name, p, len(ex.Mask.M.Data))
+			}
+		}
+	}
+}
+
+// TestCompileRowsAreAttentionRows: the engine's attention matrix is
+// ad.AttentionRow's rows — the rule the tape's attention op reads too — for a
+// model whose weights are set by hand, a −0 among them.
+func TestCompileRowsAreAttentionRows(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 5)
+	cfg := estimator.DefaultConfig()
+	cfg.Epochs, cfg.AttentionEpochs = 0, 0
+	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	P := len(m.Pairs)
+	for i, p := range m.Pairs {
+		for k := range m.Experts[p].Attn.Alpha.Data {
+			m.Experts[p].Attn.Alpha.Data[k] = float64(100*i + k + 1)
+		}
+	}
+	m.Experts[m.Pairs[P-1]].Attn.Alpha.Data[0] = math.Copysign(0, -1)
+	eng, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, P)
+	for i, p := range m.Pairs {
+		ad.AttentionRow(want, m.Experts[p].Attn.Alpha.Data, i)
+		for j, w := range want {
+			if got := eng.attn[i*P+j]; math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("%s: matrix row %d column %d = %v, AttentionRow's %v", p, i, j, got, w)
 			}
 		}
 	}

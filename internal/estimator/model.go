@@ -327,10 +327,7 @@ func (m *Model) train(x [][]float64, targets map[app.Pair][]float64, cfg Config)
 	// would invalidate the peer states the attention was fitted to.)
 	if cfg.UseAttention && cfg.AttentionEpochs > 0 && len(m.Pairs) > 1 {
 		end = stage(StagePeerStates)
-		hidden, err := m.allHiddenStates(x)
-		if err == nil {
-			hidden.formChunks(cfg.ChunkLen)
-		}
+		hidden, err := m.allHiddenStates(x, cfg.ChunkLen)
 		end()
 		if err != nil {
 			return err
@@ -338,7 +335,7 @@ func (m *Model) train(x [][]float64, targets map[app.Pair][]float64, cfg Config)
 		end = stage(StageAttention)
 		err = layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 			p := m.Pairs[i]
-			return trainExpertHead(ws, m.Experts[p], targets[p], hidden.peersOf(i), cfg, cfg.AttentionEpochs, q, cfg.Seed+1000+int64(i))
+			return trainExpertHead(ws, m.Experts[p], targets[p], &peerStates{hidden, i}, cfg, cfg.AttentionEpochs, q, cfg.Seed+1000+int64(i))
 		})
 		end()
 		if err != nil {
@@ -352,93 +349,78 @@ func (m *Model) train(x [][]float64, targets map[app.Pair][]float64, cfg Config)
 // layers.ForEach.
 var newWorkspace = layers.NewWorkspace
 
-// hiddenSlab holds every expert's hidden trajectory over one input series in
-// one allocation, expert-major: expert i's state at step t is the hid floats
-// at (i*steps+t)*hid. It is the layout the inference engine's scratch uses,
-// so at any step the experts' states lie steps*hid floats apart and the
-// attention sum (ad.PeerSum) reads the peers in place. Phase B reads them a
-// training chunk at a time from chunks instead (formChunks). bypass holds
-// each expert's frozen bypass output, three floats a step, for those that
-// use one.
+// hiddenSlab holds every expert's frozen hidden trajectory over one input
+// series in one allocation, laid out as the attention sum reads it (see
+// ad.Tape.WeightedSumConst): the series is cut into blocks of blockLen
+// windows, the last one shorter, and a block of n windows holds each expert's
+// states as one row of lanes(hid·n) floats, window-minor — unit j of window t
+// at j·n+t, the padding zero — the experts' rows in training order. Phase B
+// cuts it at its chunk length, so a chunk's contexts are one sum over a
+// block. bypass holds each expert's frozen bypass output, three floats a
+// window, for those that use one.
 type hiddenSlab struct {
-	data, chunks, bypass []float64
-	experts, steps, hid  int
+	data, bypass                  []float64
+	experts, steps, hid, blockLen int
 }
 
-// formChunks copies the slab into the window-minor blocks phase B attends a
-// chunk of chunkLen windows at a time: the chunk from step from holds, per
-// expert p, the hid×n block of its n windows' states, unit j of window t at
-// j*n+t, starting at from*experts*hid + p*hid*n of chunks.
-func (s *hiddenSlab) formChunks(chunkLen int) {
-	s.chunks = make([]float64, len(s.data))
-	for from := 0; from < s.steps; from += chunkLen {
-		n := min(chunkLen, s.steps-from)
-		c := s.chunks[from*s.experts*s.hid:]
-		for p := 0; p < s.experts; p++ {
-			for t := 0; t < n; t++ {
-				for j, x := range s.state(p, from+t) {
-					c[(p*s.hid+j)*n+t] = x
-				}
-			}
-		}
+func newHiddenSlab(experts, steps, hid, blockLen int) *hiddenSlab {
+	s := &hiddenSlab{bypass: make([]float64, experts*steps*3), experts: experts, steps: steps, hid: hid, blockLen: blockLen}
+	last := max(steps-1, 0) / blockLen * blockLen // where the last block starts
+	s.data = make([]float64, last/blockLen*experts*lanes(hid*blockLen)+experts*lanes(hid*(steps-last)))
+	return s
+}
+
+// lanes rounds a float count up to ad.WindowDots' four lanes.
+func lanes(n int) int { return (n + 3) &^ 3 }
+
+// block returns the experts' rows of the block of windows that starts at
+// from, a multiple of blockLen, its window count and its row stride.
+func (s *hiddenSlab) block(from int) (rows []float64, n, stride int) {
+	n = min(s.blockLen, s.steps-from)
+	stride = lanes(s.hid * n)
+	return s.data[from/s.blockLen*s.experts*lanes(s.hid*s.blockLen):][:s.experts*stride], n, stride
+}
+
+// state gathers expert i's state at window t into h.
+func (s *hiddenSlab) state(h []float64, i, t int) {
+	rows, n, stride := s.block(t - t%s.blockLen)
+	column(h, rows[i*stride:], n, t%s.blockLen)
+}
+
+// column gathers window t of a window-minor block of n windows into dst.
+func column(dst, block []float64, n, t int) {
+	for j := range dst {
+		dst[j] = block[j*n+t]
 	}
 }
 
-// state returns expert i's hidden state at step t.
-func (s *hiddenSlab) state(i, t int) []float64 {
-	return s.data[(i*s.steps+t)*s.hid:][:s.hid]
-}
-
-// peerStates is one expert's view of a hiddenSlab: its own row and its
-// peers' rows, the latter aligned with Attn.Alpha.
+// peerStates is one expert's view of a hiddenSlab: every expert's rows, its
+// own among them.
 type peerStates struct {
 	*hiddenSlab
 	self int
-	idx  []int
 }
 
-// peersOf returns expert i's view: it attends to every other expert, in
-// training order — the order its Attn.Peers were named in.
-func (s *hiddenSlab) peersOf(i int) *peerStates {
-	idx := make([]int, 0, s.experts-1)
-	for j := 0; j < s.experts; j++ {
-		if j != i {
-			idx = append(idx, j)
-		}
-	}
-	return &peerStates{hiddenSlab: s, self: i, idx: idx}
-}
-
-// attend records the attention context of step t on the tape.
-func (ps *peerStates) attend(t *ad.Tape, a *layers.Attention, step int) *ad.Value {
-	return a.Apply(t, ps.idx, ps.data[step*ps.hid:], ps.steps*ps.hid, ps.hid, 1)
-}
-
-// attendChunk records the attention contexts of the chunkLen-window training
-// chunk that starts at step from, as one hid×n block for its n windows (see
-// formChunks, which must have cut the slab at the same length).
-func (ps *peerStates) attendChunk(t *ad.Tape, a *layers.Attention, from, chunkLen int) *ad.Value {
-	n := min(chunkLen, ps.steps-from)
-	return a.Apply(t, ps.idx, ps.chunks[from*ps.experts*ps.hid:], ps.hid*n, ps.hid, n)
+// attend records the attention contexts of the block of windows that starts
+// at from on the tape, as one hid×n block for its n windows.
+func (ps *peerStates) attend(t *ad.Tape, a *layers.Attention, from int) *ad.Value {
+	rows, n, stride := ps.block(from)
+	return a.Apply(t, ps.self, rows, stride, ps.hid, n)
 }
 
 // allHiddenStates computes every expert's hidden trajectory and bypass
-// output over x, in parallel, each into its own rows of one slab.
-func (m *Model) allHiddenStates(x [][]float64) (*hiddenSlab, error) {
+// output over x, in parallel, each into its own rows of one slab cut into
+// blocks of blockLen windows.
+func (m *Model) allHiddenStates(x [][]float64, blockLen int) (*hiddenSlab, error) {
 	hid := m.Cfg.Hidden
-	s := &hiddenSlab{data: make([]float64, len(m.Pairs)*len(x)*hid), bypass: make([]float64, len(m.Pairs)*len(x)*3),
-		experts: len(m.Pairs), steps: len(x), hid: hid}
+	s := newHiddenSlab(len(m.Pairs), len(x), hid, blockLen)
 	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 		p := m.Pairs[i]
 		e := m.Experts[p]
 		if e.Hidden != hid {
 			return fmt.Errorf("estimator: %s: hidden width %d in a %d-wide model", p, e.Hidden, hid)
 		}
-		var bypass []float64
-		if e.UseBypass {
-			bypass = s.bypass[i*len(x)*3 : (i+1)*len(x)*3]
-		}
-		e.hiddenInto(ws, x, s.data[i*len(x)*hid:(i+1)*len(x)*hid], bypass)
+		e.hiddenInto(ws, x, &peerStates{s, i})
 		return nil
 	})
 	return s, err
@@ -508,12 +490,13 @@ func trainChunks(ws *layers.Workspace, e *Expert, phase string, params []*ad.Par
 // mask, and bypass frozen, it fits only the attention weights α and the
 // output head V against the (now fixed) own and peer hidden states.
 func trainExpertHead(ws *layers.Workspace, e *Expert, target []float64, peers *peerStates, cfg Config, epochs int, q []float64, seed int64) error {
-	if !e.UseAttention || len(e.Attn.Peers) == 0 || peers == nil {
+	if !e.UseAttention || len(e.Attn.Peers) == 0 {
 		return nil
 	}
 	// The frozen parts, the expert's own hidden trajectory and bypass
-	// output, are already in the slab.
+	// output, are already in the slab, cut at the chunk length.
 	bypass := peers.bypass[peers.self*3*peers.steps:][:3*peers.steps]
+	h := make([]float64, e.Hidden)
 	var ctx *ad.Value
 	from := 0
 	return trainChunks(ws, e, PhaseAttention, append(e.Head.Params(), e.Attn.Params()...), target, cfg, epochs, q, seed,
@@ -521,10 +504,10 @@ func trainExpertHead(ws *layers.Workspace, e *Expert, target []float64, peers *p
 			if first {
 				// One op forms the chunk's contexts, and its backward the
 				// gradient of α for all of them.
-				ctx, from = peers.attendChunk(tape, e.Attn, t, cfg.ChunkLen), t
+				ctx, from = peers.attend(tape, e.Attn, t), t
 			}
-			h := tape.Const(peers.state(peers.self, t))
-			y := e.Head.Apply(tape, tape.Concat(tape.Column(ctx, t-from), h))
+			peers.state(h, peers.self, t)
+			y := e.Head.Apply(tape, tape.Concat(tape.Column(ctx, t-from), tape.Const(h)))
 			if e.UseBypass {
 				y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
 			}
@@ -568,7 +551,7 @@ func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate,
 	var hidden *hiddenSlab
 	if m.Cfg.UseAttention && len(m.Pairs) > 1 {
 		var err error
-		hidden, err = m.allHiddenStates(x)
+		hidden, err = m.allHiddenStates(x, evalBlock)
 		if err != nil {
 			return nil, err
 		}
@@ -579,7 +562,7 @@ func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate,
 		p := m.Pairs[i]
 		var peers *peerStates
 		if hidden != nil {
-			peers = hidden.peersOf(i)
+			peers = &peerStates{hidden, i}
 		}
 		triples, err := m.Experts[p].forward(ws, x, peers)
 		if err != nil {

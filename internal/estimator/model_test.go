@@ -281,13 +281,14 @@ func TestVariableDurationQueries(t *testing.T) {
 }
 
 // TestPeerStatesReadSlabInTrainingOrder pins what the attention reads: expert
-// i's peers are every other expert in training order — there is no cache to
-// go stale, the list is derived from the slab's expert count — and peer k's
-// state at step t is the slab row the (base, stride) pair handed to
-// WeightedSumConst addresses.
+// i's peers are every other expert in training order — there is no list to go
+// stale, the op skips its own row of the slab — and peer k's state at step t
+// is the slab row the block handed to WeightedSumConst holds.
 func TestPeerStatesReadSlabInTrainingOrder(t *testing.T) {
-	// Three experts a, b, c × two steps × one hidden unit.
-	slab := &hiddenSlab{data: []float64{1, 10, 2, 20, 3, 30}, experts: 3, steps: 2, hid: 1}
+	// Three experts a, b, c × two steps × one hidden unit, one block: each
+	// expert's row holds its two states and two padding lanes.
+	slab := newHiddenSlab(3, 2, 1, 2)
+	copy(slab.data, []float64{1, 10, 0, 0, 2, 20, 0, 0, 3, 30, 0, 0})
 	for _, tc := range []struct {
 		self int
 		want [][]float64 // [step][peer]
@@ -296,12 +297,10 @@ func TestPeerStatesReadSlabInTrainingOrder(t *testing.T) {
 		{1, [][]float64{{1, 3}, {10, 30}}},
 		{2, [][]float64{{1, 2}, {10, 20}}},
 	} {
-		ps := slab.peersOf(tc.self)
-		if ps.self != tc.self || len(ps.idx) != 2 {
-			t.Fatalf("expert %d: self %d, peers %v", tc.self, ps.self, ps.idx)
-		}
-		if own := ps.state(ps.self, 1)[0]; own != slab.data[tc.self*2+1] {
-			t.Fatalf("expert %d: own state at step 1 = %v", tc.self, own)
+		ps := &peerStates{slab, tc.self}
+		own := make([]float64, 1)
+		if ps.state(own, ps.self, 1); own[0] != slab.data[tc.self*4+1] {
+			t.Fatalf("expert %d: own state at step 1 = %v", tc.self, own[0])
 		}
 		attn := layers.NewAttention("x", []string{"p", "q"})
 		for step, want := range tc.want {
@@ -309,7 +308,7 @@ func TestPeerStatesReadSlabInTrainingOrder(t *testing.T) {
 				// A one-hot α picks peer k's state out of the context.
 				attn.Alpha.Data[0], attn.Alpha.Data[1] = 0, 0
 				attn.Alpha.Data[k] = 1
-				if got := ps.attend(ad.NewEvalTape(), attn, step).Data[0]; got != want[k] {
+				if got := ps.attend(ad.NewEvalTape(), attn, 0).Data[step]; got != want[k] {
 					t.Fatalf("expert %d step %d peer %d = %v, want %v", tc.self, step, k, got, want[k])
 				}
 			}
@@ -343,15 +342,15 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hidden, err := m.allHiddenStates(x)
+	hidden, err := m.allHiddenStates(x, cfg.ChunkLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hidden.state(1, 3)[0] = math.NaN() // expert 1 is expert 0's only peer
-	hidden.formChunks(cfg.ChunkLen)
+	rows, _, stride := hidden.block(0)
+	rows[stride+3] = math.NaN() // expert 1 is expert 0's only peer: its first unit at window 3
 	q := loss.Quantiles(cfg.Delta)
 	before := append([]float64(nil), m.Experts[m.Pairs[0]].Head.W.Data...)
-	err = trainExpertHead(newWorkspace(), m.Experts[m.Pairs[0]], targets[m.Pairs[0]], hidden.peersOf(0), cfg, 1, q[:], 1)
+	err = trainExpertHead(newWorkspace(), m.Experts[m.Pairs[0]], targets[m.Pairs[0]], &peerStates{hidden, 0}, cfg, 1, q[:], 1)
 	if err == nil || !strings.Contains(err.Error(), m.Pairs[0].String()) {
 		t.Fatalf("phase B over a NaN peer state: err = %v", err)
 	}
@@ -380,13 +379,13 @@ func TestLearnAllocatesPerExpertNotPerChunk(t *testing.T) {
 	}
 	q := loss.Quantiles(cfg.Delta)
 	ws := newWorkspace()
-	traj, bypass := make([]float64, len(x)*cfg.Hidden), make([]float64, 3*len(x))
+	slab := &peerStates{newHiddenSlab(1, len(x), cfg.Hidden, cfg.ChunkLen), 0}
 	learn := func(p app.Pair) {
 		e := m.Experts[p]
 		if err := trainExpert(ws, e, x, targets[p], cfg, 2, q[:], 1); err != nil {
 			t.Fatal(err)
 		}
-		e.hiddenInto(ws, x, traj, bypass)
+		e.hiddenInto(ws, x, slab)
 		if _, err := e.forward(ws, x, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -162,10 +162,10 @@ type Value struct {
 	sc   float64   // ScaleConst factor
 	aux  []float64 // payload: loss targets∥quantiles and GRU gates (arena-owned), WeightedSumConst base (caller's)
 	args []*Value  // SumScalars operands (caller slice; stable until Backward)
-	idx  []int     // WeightedSumConst peer blocks in aux, stride floats apart
 	gru  *GRUParams
 
-	stride int // WeightedSumConst: between peer blocks; Column: the column
+	stride int // WeightedSumConst: between the experts' rows of aux; Column: the column
+	self   int // WeightedSumConst: the expert's own row of aux
 }
 
 // Len returns the number of scalar elements.
@@ -477,30 +477,58 @@ func (t *Tape) Column(m *Value, c int) *Value {
 	return t.record(out)
 }
 
-// WeightedSumConst computes the cross-component attention over detached peer
-// hidden states for a block of consecutive windows at once: Σ_k alpha[k]·h_k
-// for constant hidden×windows blocks h_k, window-minor — unit j of window t at
-// j*windows+t — h_k starting at idx[k]*stride of base. With one window a block
-// is a state, and base and stride address one step's peer states in a
-// model's hidden-trajectory slab. alpha is a len(idx)-vector; the result is
-// the hidden×windows block of contexts (Column takes one out). idx and base
-// are retained until the next Reset and must not be mutated before Backward.
+// AttentionRow writes expert self's attention weights into row, its row of
+// the P×P attention matrix (P = len(alpha)+1): alpha in order at every column
+// but self's, +0 at self's. It is the one statement of the attention
+// relation — an expert attends to every other expert, in order — that the
+// serving engine's matrix and the tape's WeightedSumConst both read.
+func AttentionRow(row, alpha []float64, self int) {
+	row = row[:len(alpha)+1]
+	copy(row, alpha[:self])
+	row[self] = 0
+	copy(row[self+1:], alpha[self:])
+}
+
+// peerRows returns the rows·stride floats of base that hold the experts'
+// rows, and panics naming the attention op when base is shorter or a row
+// cannot hold a block of n floats padded to WindowDots' four lanes.
+func peerRows(base []float64, rows, stride, n int) []float64 {
+	if stride%4 != 0 || stride < n || len(base) < rows*stride {
+		panic(fmt.Sprintf("ad: WeightedSumConst: %d floats for %d rows of %d, each a block of %d padded to four lanes", len(base), rows, stride, n))
+	}
+	return base[:rows*stride]
+}
+
+// WeightedSumConst computes expert self's cross-component attention over
+// detached hidden states for a block of consecutive windows at once:
+// Σ_{k≠self} α_k·h_k for constant hidden×windows blocks h_k, window-minor —
+// unit j of window t at j*windows+t — expert k's block the row of base that
+// starts at k*stride, stride padded to four lanes. base holds all P =
+// alpha.Rows+1 experts' rows, self's included: the sum is AttentionRow's row
+// against them in one WindowDots, so every context starts at +0 and adds the
+// products in ascending k, +0·h_self among them — ±0 for a finite state,
+// which leaves a sum that started at +0 (and so is never −0) unchanged. The
+// result is the hidden×windows block of contexts (Column takes one out).
+// base is retained until the next Reset and must not be mutated before
+// Backward.
 //
 // Every window is its own sum: the adjoint adds to alpha's gradient one dot
 // per window, windows descending — the order in which Backward would visit
 // one-window ops recorded window by window — so a chunk's block has the
 // gradient bits of its windows' ops, and is formed in one pass over the
-// peers' blocks (peerDots) instead of one per window.
-func (t *Tape) WeightedSumConst(alpha *Value, idx []int, base []float64, stride, hidden, windows int) *Value {
-	if alpha.Cols != 1 || alpha.Rows != len(idx) {
-		panic(fmt.Sprintf("ad: WeightedSumConst wants %d weights, got %d", len(idx), alpha.Rows))
+// experts' rows (peerDots) instead of one per window.
+func (t *Tape) WeightedSumConst(alpha *Value, self int, base []float64, stride, hidden, windows int) *Value {
+	P := alpha.Rows + 1
+	if alpha.Cols != 1 || P < 2 || self < 0 || self >= P || hidden <= 0 || windows <= 0 {
+		panic(fmt.Sprintf("ad: WeightedSumConst: expert %d with %d weights, %d units × %d windows", self, alpha.Rows, hidden, windows))
 	}
-	if len(idx) == 0 || windows <= 0 {
-		panic("ad: WeightedSumConst with no rows or no windows")
-	}
+	base = peerRows(base, P, stride, hidden*windows)
 	out := t.newValue(hidden, windows)
-	PeerSum(out.Data, alpha.Data, idx, base, stride)
-	out.op, out.a, out.idx, out.aux, out.stride = opWeightedSumConst, alpha, idx, base, stride
+	buf := t.scratchBuf(P + stride) // the row, then the padded sums
+	AttentionRow(buf, alpha.Data, self)
+	WindowDots(buf[P:], buf[:P], base, 1, P, stride)
+	copy(out.Data, buf[P:])
+	out.op, out.a, out.aux, out.stride, out.self = opWeightedSumConst, alpha, base, stride, self
 	return t.record(out)
 }
 
@@ -642,10 +670,12 @@ func (t *Tape) backstep(v *Value) {
 			m.Grad[j*m.Cols+v.stride] += g
 		}
 	case opWeightedSumConst:
-		n := v.Cols
-		dots := t.scratchBuf((len(v.idx) + 3) &^ 3 * n)
-		peerDots(dots, v.Grad, v.idx, v.aux, v.stride, n)
-		addDots(v.a.Grad[:len(v.idx)], dots, n)
+		n, P := v.Cols, v.a.Rows+1
+		dots := t.scratchBuf(P * n)
+		peerDots(dots, v.Grad, v.aux, P, v.stride, n)
+		// Self's dot is formed with the others' and dropped.
+		addDots(v.a.Grad[:v.self], dots[:v.self*n], n)
+		addDots(v.a.Grad[v.self:], dots[(v.self+1)*n:], n)
 	case opPinball:
 		pred := v.a
 		n := len(v.aux) / 2

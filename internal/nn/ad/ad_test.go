@@ -93,16 +93,17 @@ func TestConcatGradient(t *testing.T) {
 func TestWeightedSumConstGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	alpha := NewParamInit("alpha", 3, 1, rng)
-	rows := []float64{1, 2, 0.5, -1, -0.3, 0.8} // three peers, two floats each
+	// Three peers of expert 3, two floats each, in rows padded to four lanes.
+	rows := []float64{1, 2, 0, 0, 0.5, -1, 0, 0, -0.3, 0.8, 0, 0, 9, 9, 9, 9}
 	checkGrads(t, []*Param{alpha}, func(tp *Tape) *Value {
-		v := tp.WeightedSumConst(tp.Use(alpha), []int{0, 1, 2}, rows, 2, 2, 1)
+		v := tp.WeightedSumConst(tp.Use(alpha), 3, rows, 4, 2, 1)
 		return tp.SquaredError(v, []float64{0.2, -0.5})
 	})
-	// Three peers' blocks of two units by two windows, each window's
-	// context taken out by Column.
-	blocks := []float64{1, 2, 0.5, -1, -0.3, 0.8, 0.1, 0.7, -2, 0.4, 1.5, -0.6}
+	// Three peers' blocks of two units by two windows around expert 1's,
+	// each window's context taken out by Column.
+	blocks := []float64{-2, 0.4, 1.5, -0.6, 9, 9, 9, 9, 1, 2, 0.5, -1, -0.3, 0.8, 0.1, 0.7}
 	checkGrads(t, []*Param{alpha}, func(tp *Tape) *Value {
-		v := tp.WeightedSumConst(tp.Use(alpha), []int{2, 0, 1}, blocks, 4, 2, 2)
+		v := tp.WeightedSumConst(tp.Use(alpha), 1, blocks, 4, 2, 2)
 		return tp.SumScalars(tp.SquaredError(tp.Column(v, 0), []float64{0.2, -0.5}), tp.SquaredError(tp.Column(v, 1), []float64{1, 0.3}))
 	})
 }

@@ -3,7 +3,7 @@ package ad
 import "math"
 
 // The training half of the dense kernels: the two products of a mat-vec
-// adjoint, the adjoint of the attention peer sum, and the Adam update. Each is
+// adjoint, the adjoint of the attention sum, and the Adam update. Each is
 // the Go loop the tape and the optimizer always ran, with an AVX2 rung in
 // front of it whose lanes are columns of the destination (see simd_amd64.s):
 // a memory location receives the same addends in the same order either way.
@@ -71,40 +71,33 @@ func outerSums(wGrad []float64, terms []outer) {
 	}
 }
 
-// peerDots is the adjoint of PeerSum over a block of windows with respect to
-// the weights, before it is added: for every peer k and every window t of the
-// window-minor blocks (n windows a unit, len(g)/n units), dots[k*n+t] =
-// Σ_j g[j*n+t]·base[idx[k]*stride+j*n+t], each a single accumulator that
-// starts at +0 and walks the units upwards. dots has room for len(idx)
-// rounded up to four rows. With AVX2 the assembly (peerDotsAVX2) takes the
-// n&^3 windows of full lane groups, windows in the lanes, four peers at a
-// time, a last, short quad padded with its own last peer, whose extra rows
-// are scratch; the Go loop takes the other windows.
-func peerDots(dots, g []float64, idx []int, base []float64, stride, n int) {
+// peerDots is the adjoint of WeightedSumConst's sum over a block of windows
+// with respect to its row, before it is added: for every one of the rows
+// rows of base, stride floats apart, and every window t of the window-minor
+// blocks (n windows a unit, len(g)/n units), dots[k*n+t] =
+// Σ_j g[j*n+t]·base[k*stride+j*n+t], each a single accumulator that starts at
+// +0 and walks the units upwards. With AVX2 the assembly (peerDotsAVX2) takes
+// the n&^3 windows of full lane groups, windows in the lanes, four rows at a
+// time, the last rows%4 as a quad that overlaps the one before it (whose dots
+// it forms again, the same bits); the Go loop takes the other windows, and
+// every window of fewer than four rows.
+func peerDots(dots, g, base []float64, rows, stride, n int) {
+	base = peerRows(base, rows, stride, len(g))
+	dots = dots[:rows*n]
 	hidden := len(g) / n
-	dots = dots[:(len(idx)+3)&^3*n]
 	w := 0
-	if useAVX2 && n >= 4 && hidden > 0 && stride > 0 && len(base) >= len(g) {
+	if useAVX2 && n >= 4 && rows >= 4 && hidden > 0 {
 		w = n &^ 3
-		limit := (len(base) - len(g)) / stride
-		q := len(idx) &^ 3
-		ok := q == 0 || peerDotsAVX2(&dots[0], &g[0], n, hidden, &idx[0], q, &base[0], stride, limit)
-		if q < len(idx) {
-			var quad [4]int
-			for i := range quad {
-				quad[i] = idx[min(q+i, len(idx)-1)]
-			}
-			ok = ok && peerDotsAVX2(&dots[q*n], &g[0], n, hidden, &quad[0], 4, &base[0], stride, limit)
-		}
-		if !ok {
-			panic("ad: WeightedSumConst: peer index out of range")
+		peerDotsAVX2(&dots[0], &g[0], n, hidden, rows&^3, &base[0], stride)
+		if r := rows - 4; rows%4 != 0 {
+			peerDotsAVX2(&dots[r*n], &g[0], n, hidden, 4, &base[r*stride], stride)
 		}
 	}
 	if w == n {
 		return
 	}
-	for k, p := range idx {
-		d, h := dots[k*n+w:(k+1)*n], base[p*stride:][:len(g)]
+	for k := range rows {
+		d, h := dots[k*n+w:(k+1)*n], base[k*stride:][:len(g)]
 		clear(d)
 		for j := w; j < len(g); j += n {
 			for t, x := range h[j:][:len(d)] {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -86,7 +85,7 @@ func requireSame(t *testing.T, what string, got, want []float64) {
 // over three products into one gradient against three adjoints in turn —
 // with every third δ exactly zero (so skipped rows sit beside whatever edge
 // values the operands hold — a ±Inf in x or w would make the skipped addend
-// NaN), peerDots over rows peers' blocks of cols floats cut into every
+// NaN), peerDots over rows experts' blocks of cols floats cut into every
 // window count that divides cols, and AdamUpdate over rows·cols parameters.
 func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals []float64, oneIn int) {
 	t.Helper()
@@ -121,27 +120,28 @@ func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals 
 	}
 
 	if rows > 0 && cols > 0 {
-		// rows peers' blocks of cols floats — units by windows, for each
-		// window count that divides cols — strided as in a chunk's copy
-		// of the trajectories, three in four of them in a random order.
-		idx := rng.Perm(rows)[rows/4:]
-		base := fillAt(rows*cols, off, rng, vals, oneIn)
+		// rows experts' blocks of cols floats — units by windows, for each
+		// window count that divides cols — in contiguous rows padded to four
+		// lanes, as phase B's slab holds them. peerDots forms every row's
+		// dots; the op drops its own expert's (TestWeightedSumConstMatchesLoop).
+		stride := (cols + 3) &^ 3
+		base := fillAt(rows*stride, off, rng, vals, oneIn)
 		g := fillAt(cols, off+1, rng, vals, oneIn)
 		for n := 1; n <= cols; n++ {
 			if cols%n != 0 {
 				continue
 			}
-			dots := fillAt((len(idx)+3)&^3*n, off+2, rng, nil, 0) // stale values peerDots must overwrite
-			peerDots(dots, g, idx, base, cols, n)
-			for k, p := range idx {
+			dots := fillAt(rows*n, off+2, rng, nil, 0) // stale values peerDots must overwrite
+			peerDots(dots, g, base, rows, stride, n)
+			for k := 0; k < rows; k++ {
 				for w := 0; w < n; w++ {
 					var col, gw []float64
 					for j := w; j < cols; j += n {
-						col, gw = append(col, base[p*cols+j]), append(gw, g[j])
+						col, gw = append(col, base[k*stride+j]), append(gw, g[j])
 					}
 					want := []float64{0}
 					weightedSumAdjointLoop(want, gw, [][]float64{col})
-					requireSame(t, fmt.Sprintf("%s peer dots ×%d windows, peer %d window %d", what, n, k, w), dots[k*n+w:][:1], want)
+					requireSame(t, fmt.Sprintf("%s row dots ×%d windows, row %d window %d", what, n, k, w), dots[k*n+w:][:1], want)
 				}
 			}
 		}
@@ -463,13 +463,12 @@ func TestAdamStepMatchesScalar(t *testing.T) {
 // TestWeightedSumConstMatchesLoop holds the tape's attention op, on every
 // implementation, to the loops over [][]float64 rows it stands for: one op
 // over a chunk's block of windows, each window's context taken out with
-// Column, must give every window the forward of weightedSumLoop and, through
-// Backward, the weights the gradient of weightedSumAdjointLoop applied window
-// by window, windows descending — what one-window ops recorded in window
-// order added. Chunks of 1, 3, 24 and 48 windows; peer counts of every
-// remainder mod 4 and the repo benchmark's two shapes; self at 0, at a quad
-// boundary and at P−1, then a permuted and a sparse peer list; every edge
-// set.
+// Column, must give every window the forward of weightedSumLoop over the
+// other experts in order and, through Backward, the weights the gradient of
+// weightedSumAdjointLoop applied window by window, windows descending — what
+// one-window ops recorded in window order added. Chunks of 1, 3, 24 and 48
+// windows; expert counts of every remainder mod 4 and the repo benchmark's
+// two shapes; self at 0, at a quad boundary and at P−1; every edge set.
 func TestWeightedSumConstMatchesLoop(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
@@ -477,19 +476,12 @@ func TestWeightedSumConstMatchesLoop(t *testing.T) {
 			for _, chunk := range []int{1, 3, 24, 48} {
 				for _, d := range []struct{ experts, hid int }{{5, 4}, {6, 7}, {7, 1}, {8, 3}, {18, 5}, {77, 128}, {400, 16}} {
 					rng := rand.New(rand.NewSource(int64(chunk*1000 + d.experts)))
-					var lists [][]int
-					for _, self := range []int{0, 4, d.experts - 1} {
-						lists = append(lists, slices.DeleteFunc(rng.Perm(d.experts), func(p int) bool { return p == self }))
-						slices.Sort(lists[len(lists)-1])
-					}
-					perm := rng.Perm(d.experts)
-					lists = append(lists, perm[1:], perm[:(d.experts+1)/2])
 					for set, e := range edgeSets {
 						// The chunk starts two steps into the slab.
 						slab := fillAt(d.experts*(2+chunk)*d.hid, 1+2*set, rng, e.vals, e.oneIn)
-						for l, idx := range lists {
-							what := fmt.Sprintf("%d windows, %dx%d, list %d, edges %d", chunk, d.experts, d.hid, l, set)
-							checkAttentionChunk(t, what, rng, slab, chunk, d.experts, d.hid, idx, e.vals, e.oneIn, 1+2*set)
+						for _, self := range []int{0, 4, d.experts - 1} {
+							what := fmt.Sprintf("%d windows, %dx%d, self %d, edges %d", chunk, d.experts, d.hid, self, set)
+							checkAttentionChunk(t, what, rng, slab, chunk, d.experts, d.hid, self, e.vals, e.oneIn, 1+2*set)
 						}
 					}
 				}
@@ -499,30 +491,38 @@ func TestWeightedSumConstMatchesLoop(t *testing.T) {
 }
 
 // checkAttentionChunk cuts the last chunk windows out of a slab of experts'
-// trajectories into window-minor blocks, records one WeightedSumConst over
-// idx and a Column per window, checks each window's context against
-// weightedSumLoop, differentiates Σ_t g_t·context_t for drawn g_t, and checks
-// the weights' gradient against weightedSumAdjointLoop window by window,
-// descending.
-func checkAttentionChunk(t *testing.T, what string, rng *rand.Rand, slab []float64, chunk, experts, hid int, idx []int, vals []float64, oneIn, off int) {
+// trajectories into window-minor rows padded to four lanes, records one
+// WeightedSumConst for expert self and a Column per window, checks each
+// window's context against weightedSumLoop over the other experts, in order,
+// differentiates Σ_t g_t·context_t for drawn g_t, and checks the weights'
+// gradient against weightedSumAdjointLoop window by window, descending.
+// Self's own row holds signed zeros and subnormals: the op adds +0·h_self,
+// and a non-finite own state makes the expert's output NaN on every path.
+func checkAttentionChunk(t *testing.T, what string, rng *rand.Rand, slab []float64, chunk, experts, hid, self int, vals []float64, oneIn, off int) {
 	t.Helper()
 	steps := len(slab) / (experts * hid)
 	lead := steps - chunk
 	state := func(p, step int) []float64 { return slab[(p*steps+step)*hid:][:hid] }
-	blocks := make([]float64, off+experts*hid*chunk)[off:]
+	stride := (hid*chunk + 3) &^ 3
+	blocks := make([]float64, off+experts*stride)[off:]
+	var idx []int
 	for p := 0; p < experts; p++ {
+		if p != self {
+			idx = append(idx, p)
+		}
 		for c := 0; c < chunk; c++ {
 			for j, x := range state(p, lead+c) {
-				blocks[(p*hid+j)*chunk+c] = x
+				blocks[p*stride+j*chunk+c] = x
 			}
 		}
 	}
+	copy(blocks[self*stride:], fillAt(hid*chunk, 0, rng, edgeSets[1].vals, edgeSets[1].oneIn))
 	alpha := &Param{Rows: len(idx), Cols: 1,
 		Data: fillAt(len(idx), off, rng, vals, oneIn), Grad: fillAt(len(idx), off+1, rng, nil, 0)}
 	want := cloneAt(alpha.Grad, 0)
 
 	tape := NewTape()
-	ctx := tape.WeightedSumConst(tape.Use(alpha), idx, blocks, hid*chunk, hid, chunk)
+	ctx := tape.WeightedSumConst(tape.Use(alpha), self, blocks, stride, hid, chunk)
 	terms := make([]*Value, chunk)
 	for c := range terms {
 		var rows [][]float64
@@ -554,25 +554,39 @@ func checkAttentionChunk(t *testing.T, what string, rng *rand.Rand, slab []float
 	requireSame(t, what+" alpha.Grad", alpha.Grad, want)
 }
 
-// TestWeightedSumConstRejectsBadIndex: the adjoint, like the forward, must
-// panic on a peer block that does not fit in base, on every implementation,
-// at 1, 4 and 32 windows.
-func TestWeightedSumConstRejectsBadIndex(t *testing.T) {
+// TestWeightedSumConstRejectsShortBase: base must hold all P experts' rows,
+// padded to four lanes. Forward and adjoint (peerDots) panic by the op's
+// name on one row too few, and the forward on an unpadded stride, on every
+// implementation, at 1, 4 and 32 windows —
+// the one bounds check left, since no index list can point outside.
+func TestWeightedSumConstRejectsShortBase(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
 			setImpl(t, impl)
 			for _, windows := range []int{1, 4, 32} {
-				// Five peers' blocks of two units by windows.
-				block := 2 * windows
-				base := make([]float64, 5*block)
-				for _, idx := range [][]int{{0, 1, 2, 5}, {0, -1, 1, 2}, {1, 2, 3, 1 << 40}, {9}} {
+				// Five experts' blocks of two units by windows.
+				stride := (2*windows + 3) &^ 3
+				alpha := &Param{Rows: 4, Cols: 1, Data: make([]float64, 4), Grad: make([]float64, 4)}
+				tape := NewTape()
+				for _, c := range []struct {
+					what string
+					call func()
+				}{
+					{"forward", func() { tape.WeightedSumConst(tape.Use(alpha), 2, make([]float64, 4*stride+3), stride, 2, windows) }},
+					{"forward over unpadded rows", func() {
+						tape.WeightedSumConst(tape.Use(alpha), 2, make([]float64, 5*(2*windows+1)), 2*windows+1, 2, windows)
+					}},
+					{"adjoint", func() {
+						peerDots(make([]float64, 5*windows), make([]float64, 2*windows), make([]float64, 4*stride+3), 5, stride, windows)
+					}},
+				} {
 					func() {
 						defer func() {
-							if recover() == nil {
-								t.Fatalf("peerDots(idx=%v) over 5 peers, %d windows, did not panic", idx, windows)
+							if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "WeightedSumConst") {
+								t.Fatalf("%s, 5 experts, %d windows: recovered %v", c.what, windows, r)
 							}
 						}()
-						peerDots(make([]float64, (len(idx)+3)&^3*windows), make([]float64, block), idx, base, block, windows)
+						c.call()
 					}()
 				}
 			}
@@ -644,7 +658,7 @@ func BenchmarkAdamStep(b *testing.B) {
 // the two shapes the repo benchmark trains (experts × windows × hidden): each
 // of P experts fits α over its P−1 peers in one chunk of T windows, so an op
 // is the backward of P chunk-wide WeightedSumConst nodes, on each
-// implementation.
+// implementation (BenchmarkPeerContexts times their forward).
 func BenchmarkPeerAdjoint(b *testing.B) {
 	for _, d := range []struct{ P, T, hid int }{{399, 24, 16}, {76, 48, 128}} {
 		for _, impl := range impls() {
@@ -655,14 +669,8 @@ func BenchmarkPeerAdjoint(b *testing.B) {
 				tape := NewTape()
 				nodes := make([]*Value, d.P)
 				for i := range nodes {
-					var idx []int
-					for p := 0; p < d.P; p++ {
-						if p != i {
-							idx = append(idx, p)
-						}
-					}
 					alpha := &Param{Rows: d.P - 1, Cols: 1, Data: fillAt(d.P-1, 0, rng, nil, 0), Grad: make([]float64, d.P-1)}
-					nodes[i] = tape.WeightedSumConst(tape.Use(alpha), idx, blocks, d.hid*d.T, d.hid, d.T)
+					nodes[i] = tape.WeightedSumConst(tape.Use(alpha), i, blocks, d.hid*d.T, d.hid, d.T)
 					copy(nodes[i].Grad, fillAt(d.hid*d.T, 0, rng, nil, 0))
 				}
 				b.ReportAllocs()

@@ -644,63 +644,81 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 	})
 }
 
-// TestPeerSumMatchesLoop holds PeerSum, on every implementation, to the loop
-// it replaced in the engine's attention context: zero the context, then for
-// each peer in idx order add alpha·h column by column. Shapes are peers ×
-// windows × width: the two the repo benchmark runs, the toy's, and widths
-// that leave a Go remainder beside the assembly's four-column block (6, 7)
-// or never reach it (3).
-func TestPeerSumMatchesLoop(t *testing.T) {
-	for _, impl := range impls() {
-		t.Run(impl, func(t *testing.T) {
-			setImpl(t, impl)
-			for _, d := range []struct{ P, T, hid int }{{76, 12, 128}, {399, 6, 16}, {3, 2, 4}, {5, 3, 6}, {5, 3, 7}, {4, 2, 3}, {9, 2, 37}} {
-				for set, e := range edgeSets {
-					rng := rand.New(rand.NewSource(int64(d.P*100 + d.hid)))
-					traj := fillAt(d.P*d.T*d.hid, 1+2*set, rng, e.vals, e.oneIn)
-					alpha := fillAt(d.P, 2, rng, e.vals, e.oneIn)
-					all := rng.Perm(d.P)
-					// Every expert in a permuted order, a sparse subset, one
-					// peer, none.
-					for _, idx := range [][]int{all, all[:(d.P+1)/2], all[:1], nil} {
-						t1 := d.T - 1
-						got := fillAt(d.hid, 3, rng, nil, 0) // stale values PeerSum must overwrite
-						PeerSum(got, alpha[:len(idx)], idx, traj[t1*d.hid:], d.T*d.hid)
-						want := make([]float64, d.hid)
-						for k, p := range idx {
-							for j, x := range traj[(p*d.T+t1)*d.hid:][:d.hid] {
-								want[j] += alpha[k] * x
-							}
-						}
-						for j := range want {
-							if !sameFloat(got[j], want[j]) {
-								t.Fatalf("%dx%dx%d edges=%d peers=%d col %d: %x, want %x", d.P, d.T, d.hid, set, len(idx), j,
-									math.Float64bits(got[j]), math.Float64bits(want[j]))
-							}
-						}
-					}
-				}
+// TestAttentionRow: the row builder puts expert self's P−1 weights at every
+// other column, in order, and +0 — not −0, not a stale value — at its own:
+// self at 0, at a quad boundary and at P−1.
+func TestAttentionRow(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	alpha := []float64{1, negZero, 3, 4, 5, 6}
+	for _, c := range []struct {
+		self int
+		want []float64
+	}{
+		{0, []float64{0, 1, negZero, 3, 4, 5, 6}},
+		{4, []float64{1, negZero, 3, 4, 0, 5, 6}},
+		{6, []float64{1, negZero, 3, 4, 5, 6, 0}},
+	} {
+		row := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), 42}
+		AttentionRow(row, alpha, c.self)
+		for j, w := range c.want {
+			if math.Float64bits(row[j]) != math.Float64bits(w) {
+				t.Fatalf("self %d: row %v, want %v", c.self, row[:7], c.want)
 			}
-		})
+		}
+		if row[7] != 42 {
+			t.Fatalf("self %d: AttentionRow wrote past its P columns", c.self)
+		}
 	}
 }
 
-// TestPeerSumRejectsBadIndex: a peer index whose vector would not fit in
-// base must panic on every implementation, never read past the slice.
-func TestPeerSumRejectsBadIndex(t *testing.T) {
+// TestAttentionRowMatchesLoop holds an expert's attention context as every
+// caller forms it — AttentionRow's row against all experts' trajectory rows
+// in one WindowDots — on every implementation, to the plain loop it stands
+// for: zero the context, then for each other expert in order add α·h column
+// by column. Every self of the small shapes, the first five,
+// the middle and the last two of the large; its own row holds signed zeros
+// and subnormals, which +0·h must leave out. Shapes are experts × windows ×
+// width: the two the repo benchmark reads and trains, the toy's, and rows of
+// windows·width floats that are padded to four lanes (5×3×7, 4×2×3, 9×5×7).
+func TestAttentionRowMatchesLoop(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
 			setImpl(t, impl)
-			base := make([]float64, 3*16)
-			for _, idx := range [][]int{{0, 3}, {-1}, {1, 2, 1 << 40}} {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("PeerSum(idx=%v) over 3 peers did not panic", idx)
+			for _, d := range []struct{ P, T, hid int }{{76, 12, 128}, {399, 6, 16}, {76, 48, 128}, {399, 24, 16}, {3, 2, 4}, {5, 3, 6}, {5, 3, 7}, {4, 2, 3}, {9, 5, 7}} {
+				for set, e := range edgeSets {
+					rng := rand.New(rand.NewSource(int64(d.P*100 + d.hid)))
+					stride := (d.T*d.hid + 3) &^ 3
+					traj := fillAt(d.P*stride, 1+2*set, rng, e.vals, e.oneIn)
+					alpha := fillAt(d.P-1, 2, rng, e.vals, e.oneIn)
+					row := make([]float64, d.P)
+					for self := 0; self < d.P; self++ {
+						if d.P > 9 && self > 4 && self != d.P/2 && self < d.P-2 {
+							continue
 						}
-					}()
-					PeerSum(make([]float64, 16), make([]float64, len(idx)), idx, base, 16)
-				}()
+						own := append([]float64(nil), traj[self*stride:][:stride]...)
+						copy(traj[self*stride:], fillAt(stride, 0, rng, edgeSets[1].vals, edgeSets[1].oneIn))
+						got := fillAt(stride, 3, rng, nil, 0) // stale values WindowDots must overwrite
+						AttentionRow(row, alpha, self)
+						WindowDots(got, row, traj, 1, d.P, stride)
+						want := make([]float64, d.T*d.hid)
+						for p, k := 0, 0; p < d.P; p++ {
+							if p == self {
+								continue
+							}
+							for j, x := range traj[p*stride:][:len(want)] {
+								want[j] += alpha[k] * x
+							}
+							k++
+						}
+						for j := range want {
+							if !sameFloat(got[j], want[j]) {
+								t.Fatalf("%dx%dx%d edges=%d self=%d col %d: %x, want %x", d.P, d.T, d.hid, set, self, j,
+									math.Float64bits(got[j]), math.Float64bits(want[j]))
+							}
+						}
+						copy(traj[self*stride:], own)
+					}
+				}
 			}
 		})
 	}
@@ -770,37 +788,35 @@ func BenchmarkWindowDots(b *testing.B) {
 	}
 }
 
-// BenchmarkPeerSum times PeerSum where it still runs, phase B of training:
-// each of P experts' attention context over its P−1 peers for one chunk of T
-// windows, hidden×T floats in one call (Tape.WeightedSumConst), on each
+// BenchmarkPeerContexts times phase B's chunk-wide attention contexts, the
+// forward of Tape.WeightedSumConst: each of P experts' contexts over its P−1
+// peers for one chunk of T windows, hidden×T floats in one op, on each
 // implementation, at the two shapes the repo benchmark trains (experts ×
 // windows × hidden; BenchmarkPeerAdjoint times the same nodes' backward).
-// Serving forms its contexts as one product (BenchmarkWindowDots).
-func BenchmarkPeerSum(b *testing.B) {
+// Serving forms every expert's contexts as one product (BenchmarkWindowDots).
+func BenchmarkPeerContexts(b *testing.B) {
 	for _, d := range []struct{ P, T, hid int }{{399, 24, 16}, {76, 48, 128}} {
 		for _, impl := range impls() {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.P, d.T, d.hid, impl), func(b *testing.B) {
 				setImpl(b, impl)
 				rng := rand.New(rand.NewSource(1))
 				blocks := fillAt(d.P*d.hid*d.T, 0, rng, nil, 0)
-				alpha := fillAt(d.P-1, 0, rng, nil, 0)
-				peers := make([][]int, d.P)
-				for i := range peers {
-					for p := 0; p < d.P; p++ {
-						if p != i {
-							peers[i] = append(peers[i], p)
-						}
+				alpha := &Param{Rows: d.P - 1, Cols: 1, Data: fillAt(d.P-1, 0, rng, nil, 0)}
+				tape := NewEvalTape()
+				var ctx *Value
+				epoch := func() {
+					tape.Reset()
+					for i := 0; i < d.P; i++ {
+						ctx = tape.WeightedSumConst(tape.Use(alpha), i, blocks, d.hid*d.T, d.hid, d.T)
 					}
 				}
-				dst := make([]float64, d.hid*d.T)
+				epoch() // grows the tape's arena
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					for _, idx := range peers {
-						PeerSum(dst, alpha, idx, blocks, d.hid*d.T)
-					}
+					epoch()
 				}
-				benchSink = dst[0]
+				benchSink = ctx.Data[0]
 			})
 		}
 	}

@@ -124,14 +124,18 @@ func WindowDots(dst, w, xT []float64, rows, cols, tp int) {
 			dst[r*tp+t], dst[(r+1)*tp+t], dst[(r+2)*tp+t], dst[(r+3)*tp+t] = s0, s1, s2, s3
 		}
 	}
+	// A last row goes four windows at a time: four chains, each its own.
 	for ; r < rows; r++ {
-		for t := 0; t < tp; t++ {
-			s := 0.0
-			x := xT[t:]
+		for t := 0; t < tp; t += 4 {
+			var s0, s1, s2, s3 float64
 			for k, wv := range w[r*cols : (r+1)*cols] {
-				s += wv * x[k*tp]
+				x := xT[k*tp+t:][:4]
+				s0 += wv * x[0]
+				s1 += wv * x[1]
+				s2 += wv * x[2]
+				s3 += wv * x[3]
 			}
-			dst[r*tp+t] = s
+			dst[r*tp+t], dst[r*tp+t+1], dst[r*tp+t+2], dst[r*tp+t+3] = s0, s1, s2, s3
 		}
 	}
 }
@@ -153,34 +157,6 @@ func gateRows(dst, gate, xT []float64, tp int) {
 	for k, m := range gate {
 		for t, x := range xT[k*tp : (k+1)*tp] {
 			dst[k*tp+t] = m * x
-		}
-	}
-}
-
-// PeerSum writes the attention context dst[j] = Σ_k alpha[k]·base[idx[k]*stride+j]:
-// peer k's vector is the len(dst) floats of base starting at idx[k]*stride.
-// Every dst[j] starts at +0 and adds its products in idx order — the order
-// the tape's WeightedSumConst uses — on either implementation.
-func PeerSum(dst, alpha []float64, idx []int, base []float64, stride int) {
-	alpha = alpha[:len(idx)]
-	// The assembly takes bare pointers: no peers or fewer than four columns
-	// stay in Go, and it is told the last index whose vector fits in base.
-	if useAVX2 && len(idx) > 0 && len(dst) >= 4 && stride > 0 && len(base) >= len(dst) {
-		n := len(dst) &^ 3
-		limit := (len(base) - len(dst)) / stride
-		if !peerSumAVX2(&dst[0], n, &alpha[0], &idx[0], len(idx), &base[0], stride, limit) {
-			panic("ad: PeerSum: peer index out of range")
-		}
-		if n == len(dst) {
-			return
-		}
-		dst, base = dst[n:], base[n:]
-	}
-	clear(dst)
-	for k, p := range idx {
-		a := alpha[k]
-		for j, x := range base[p*stride:][:len(dst)] {
-			dst[j] += a * x
 		}
 	}
 }

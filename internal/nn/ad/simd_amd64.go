@@ -24,16 +24,13 @@ func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int)
 func gateRowsAVX2(dst, gate, xT *float64, rows, tp int)
 
 //go:noescape
-func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
-
-//go:noescape
 func colSumsAVX2(acc, w, d *float64, rows, cols int)
 
 //go:noescape
 func outerSumsAVX2(grad *float64, rows, cols int, terms *outer, n int)
 
 //go:noescape
-func peerDotsAVX2(dots, dy *float64, n, hidden int, idx *int, peers int, base *float64, stride, limit int) bool
+func peerDotsAVX2(dots, dy *float64, n, hidden, rows int, base *float64, stride int)
 
 //go:noescape
 func adamAVX2(data, grad, m, v *float64, n int, h *[8]float64)

@@ -2,7 +2,7 @@
 
 // AVX2 kernels for the dense products of the estimator. Every lane owns one
 // output's accumulator and adds its products in the same order as the Go
-// loops (ad.dot, the peer loop of infer.outputs) with a separate VMULPD and
+// loops (ad.dot, WindowDots' and peerDots' loops) with a separate VMULPD and
 // VADDPD — never a fused multiply-add, which rounds once where the Go code
 // rounds twice — so results are Float64bits-equal to the Go path's. The
 // accumulator is the first source of every VADDPD, as it is of the ADDSD the
@@ -632,92 +632,6 @@ gateNext:
 	VZEROUPPER
 	RET
 
-// func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool
-//
-// dst[j] = Σ_k alpha[k]·base[idx[k]*stride+j] for j in [0,n), n a multiple
-// of four: lanes are columns, the accumulators start at +0 and stay in
-// registers while k walks idx in order. Sixteen columns per pass, then four.
-// An idx[k] outside [0,limit] ends the call with false before the pass that
-// met it stores anything.
-TEXT ·peerSumAVX2(SB), NOSPLIT, $0-65
-	MOVQ dst+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ alpha+16(FP), SI
-	MOVQ idx+24(FP), R8
-	MOVQ peers+32(FP), R9
-	MOVQ base+40(FP), R10
-	MOVQ stride+48(FP), R11
-	MOVQ limit+56(FP), R12
-	SHLQ $3, R11
-
-cols16:
-	CMPQ CX, $16
-	JLT  cols4
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ AX, AX
-
-peer16:
-	MOVQ (R8)(AX*8), BX
-	CMPQ BX, R12
-	JHI  badPeer
-	IMULQ R11, BX
-	VBROADCASTSD (SI)(AX*8), Y8
-	VMULPD (R10)(BX*1), Y8, Y9
-	VMULPD 32(R10)(BX*1), Y8, Y10
-	VMULPD 64(R10)(BX*1), Y8, Y11
-	VMULPD 96(R10)(BX*1), Y8, Y12
-	VADDPD Y9, Y0, Y0
-	VADDPD Y10, Y1, Y1
-	VADDPD Y11, Y2, Y2
-	VADDPD Y12, Y3, Y3
-	INCQ AX
-	CMPQ AX, R9
-	JLT  peer16
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, R10
-	SUBQ $16, CX
-	JMP  cols16
-
-cols4:
-	CMPQ CX, $4
-	JLT  donePeer
-	VXORPD Y0, Y0, Y0
-	XORQ AX, AX
-
-peer4:
-	MOVQ (R8)(AX*8), BX
-	CMPQ BX, R12
-	JHI  badPeer
-	IMULQ R11, BX
-	VBROADCASTSD (SI)(AX*8), Y8
-	VMULPD (R10)(BX*1), Y8, Y9
-	VADDPD Y9, Y0, Y0
-	INCQ AX
-	CMPQ AX, R9
-	JLT  peer4
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	ADDQ $32, R10
-	SUBQ $4, CX
-	JMP  cols4
-
-donePeer:
-	MOVB $1, ret+64(FP)
-	VZEROUPPER
-	RET
-
-badPeer:
-	MOVB $0, ret+64(FP)
-	VZEROUPPER
-	RET
-
 // Backward and optimizer kernels. Here every lane is a column — one memory
 // location of the destination — whose accumulator is loaded once, receives
 // its addends in the Go loop's order (rows ascending in colSumsAVX2, terms in
@@ -994,52 +908,34 @@ osDone:
 	VZEROUPPER
 	RET
 
-// func peerDotsAVX2(dots, dy *float64, n, hidden int, idx *int, peers int, base *float64, stride, limit int) bool
+// func peerDotsAVX2(dots, dy *float64, n, hidden, rows int, base *float64, stride int)
 //
-// dots[k*n+t] = Σ_j dy[j*n+t]·base[idx[k]*stride+j*n+t] for k in [0,peers),
-// peers a multiple of four, t in [0,n&^3), j in [0,hidden), hidden > 0: the
-// adjoint of peerSumAVX2 over a block of n windows, window-minor, before it
-// is added to the weights' gradient. Lanes are windows, as in the window
-// kernel, so every load is a plain one: each lane is one (peer, window)
+// dots[k*n+t] = Σ_j dy[j*n+t]·base[k*stride+j*n+t] for k in [0,rows), rows
+// a multiple of four, t in [0,n&^3), j in [0,hidden), hidden > 0: the
+// adjoint of the attention sum over a block of n windows, window-minor,
+// before it is added to the weights' gradient. Lanes are windows, as in the
+// window kernel, so every load is a plain one: each lane is one (row, window)
 // accumulator that starts at +0 and adds its products in ascending j like the
-// Go loop. A pass takes four peers (AX, BX, R13, R14 point at their blocks)
-// by two lane groups — eight independent add chains, each dy load serving
-// all four peers — then by one; R11 walks the units, R8 bytes apart, from the
-// pass's first window (DX). An idx[k] outside [0,limit] ends the call with
-// false before its quad stores anything.
-TEXT ·peerDotsAVX2(SB), NOSPLIT, $0-73
+// Go loop. A pass takes four consecutive rows (AX, BX, R13, R14 point at
+// them; R15 at the next four) by two lane groups — eight independent add
+// chains, each dy load serving all four rows — then by one; R11 walks the
+// units, R8 bytes apart, from the pass's first window (DX).
+TEXT ·peerDotsAVX2(SB), NOSPLIT, $0-56
 	MOVQ dots+0(FP), DI
 	MOVQ dy+8(FP), SI
 	MOVQ n+16(FP), R8
 	SHLQ $3, R8
-	MOVQ idx+32(FP), R15
-	MOVQ peers+40(FP), CX
+	MOVQ rows+32(FP), CX
+	MOVQ base+40(FP), R15
 
 pdQuad:
-	MOVQ limit+64(FP), R12
-	MOVQ (R15), AX
-	MOVQ 8(R15), BX
-	MOVQ 16(R15), R13
-	MOVQ 24(R15), R14
-	CMPQ AX, R12
-	JHI  pdBad
-	CMPQ BX, R12
-	JHI  pdBad
-	CMPQ R13, R12
-	JHI  pdBad
-	CMPQ R14, R12
-	JHI  pdBad
-	MOVQ stride+56(FP), R12
+	MOVQ stride+48(FP), R12
 	SHLQ $3, R12
-	IMULQ R12, AX
-	IMULQ R12, BX
-	IMULQ R12, R13
-	IMULQ R12, R14
-	MOVQ base+48(FP), R12
-	ADDQ R12, AX
-	ADDQ R12, BX
-	ADDQ R12, R13
-	ADDQ R12, R14
+	MOVQ R15, AX
+	LEAQ (AX)(R12*1), BX
+	LEAQ (BX)(R12*1), R13
+	LEAQ (R13)(R12*1), R14
+	LEAQ (R14)(R12*1), R15
 	MOVQ n+16(FP), R10
 	ANDQ $-4, R10
 	SHLQ $3, R10
@@ -1128,15 +1024,8 @@ pdUnit4:
 
 pdNext:
 	LEAQ (DI)(R8*4), DI
-	ADDQ $32, R15
 	SUBQ $4, CX
 	JNZ  pdQuad
-	MOVB $1, ret+72(FP)
-	VZEROUPPER
-	RET
-
-pdBad:
-	MOVB $0, ret+72(FP)
 	VZEROUPPER
 	RET
 

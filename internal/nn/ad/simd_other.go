@@ -21,16 +21,13 @@ func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int) {
 func gateRowsAVX2(dst, gate, xT *float64, rows, tp int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
-func peerSumAVX2(dst *float64, n int, alpha *float64, idx *int, peers int, base *float64, stride, limit int) bool {
-	panic("ad: no AVX2 kernels on this platform")
-}
 func colSumsAVX2(acc, w, d *float64, rows, cols int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
 func outerSumsAVX2(grad *float64, rows, cols int, terms *outer, n int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
-func peerDotsAVX2(dots, dy *float64, n, hidden int, idx *int, peers int, base *float64, stride, limit int) bool {
+func peerDotsAVX2(dots, dy *float64, n, hidden, rows int, base *float64, stride int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
 func adamAVX2(data, grad, m, v *float64, n int, h *[8]float64) {

@@ -210,10 +210,11 @@ func NewAttention(name string, peers []string) *Attention {
 // Params returns the trainable parameters.
 func (a *Attention) Params() []*ad.Param { return []*ad.Param{a.Alpha} }
 
-// Apply computes the context vectors a_t = Σ_k α_k · h_t^{(k)} over the
-// peers' (detached) hidden states of a block of windows: peer k's states are
-// the hidden×windows block of base that starts at idx[k]*stride, window-minor
-// (see ad.Tape.WeightedSumConst). With one window it is one step's context.
-func (a *Attention) Apply(t *ad.Tape, idx []int, base []float64, stride, hidden, windows int) *ad.Value {
-	return t.WeightedSumConst(t.Use(a.Alpha), idx, base, stride, hidden, windows)
+// Apply computes expert self's context vectors a_t = Σ_k α_k · h_t^{(k)} over
+// the other experts' (detached) hidden states for a block of windows: expert
+// k's states are the hidden×windows block of base that starts at k*stride,
+// window-minor, base holding every expert's, self's included (see
+// ad.Tape.WeightedSumConst).
+func (a *Attention) Apply(t *ad.Tape, self int, base []float64, stride, hidden, windows int) *ad.Value {
+	return t.WeightedSumConst(t.Use(a.Alpha), self, base, stride, hidden, windows)
 }

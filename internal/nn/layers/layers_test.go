@@ -139,7 +139,8 @@ func TestAttentionApply(t *testing.T) {
 	a.Alpha.Data[1] = -2
 	a.Alpha.Data[2] = 0.5
 	tape := ad.NewEvalTape()
-	v := a.Apply(tape, []int{0, 1, 2}, []float64{1, 0, 0, 1, 1, 1}, 2, 2, 1)
+	// Expert 3's three peers, then its own state, in rows padded to four lanes.
+	v := a.Apply(tape, 3, []float64{1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 7, 7, 0, 0}, 4, 2, 1)
 	want := []float64{0.1 + 0.5, -2 + 0.5}
 	for i := range want {
 		if math.Abs(v.Data[i]-want[i]) > 1e-12 {

@@ -27,7 +27,7 @@ func liveHeap() uint64 {
 // independent: learning the social network at Hidden 32 (76 experts, 67
 // features, 6.2 MB of weights) and publishing it grows the live heap by the
 // weights and a quarter — no gradients, no engine copy, no encoder buffer
-// survive the learn; what does, beside the weights, is the peer index and
+// survive the learn; what does, beside the weights, is the attention matrix and
 // name tables (P² entries each), the σ(mask) gates, the synthesizer, the
 // store's feature cache and allocator rounding. Built without -race: the
 // detector's shadow memory is heap too.

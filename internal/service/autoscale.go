@@ -43,6 +43,10 @@ func (s *Server) handleAutoscalePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad windows parameter %q", q.Get("windows"))
 		return
 	}
+	if windows > maxReadWindows {
+		writeErr(w, http.StatusBadRequest, "%d windows in one plan, at most %d (a week at 288 a day)", windows, maxReadWindows)
+		return
+	}
 	interval, err := intParam(q.Get("interval"), 12)
 	if err != nil || interval <= 0 {
 		writeErr(w, http.StatusBadRequest, "bad interval parameter %q", q.Get("interval"))

@@ -174,9 +174,9 @@ func TestNewGenerationInvalidatesSpellings(t *testing.T) {
 }
 
 // TestRequestCostIsBounded: a JSON document is read through one size bound
-// on every route that takes one (413), and an estimate prices at most
-// maxReadWindows windows (400 naming the bound) — checked before the
-// engine sizes anything from the request, learned or not.
+// on every route that takes one (413), and an estimate, a sanity check or a
+// plan prices at most maxReadWindows windows (400 naming the bound) — checked
+// before the engine sizes anything from the request, learned or not.
 func TestRequestCostIsBounded(t *testing.T) {
 	oversize := strings.Repeat(" ", maxBodyBytes) + `{}`
 	week := `{"windows":[` + strings.Repeat(`{},`, maxReadWindows-1) + `{}]}`
@@ -194,8 +194,14 @@ func TestRequestCostIsBounded(t *testing.T) {
 		{"/v1/estimate", week, http.StatusPreconditionFailed, "not learned yet"},
 		{"/v1/sanity", fmt.Sprintf(`{"from":3,"to":%d}`, maxReadWindows+4), http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
 		{"/v1/sanity", fmt.Sprintf(`{"from":3,"to":%d}`, maxReadWindows+3), http.StatusPreconditionFailed, "not learned yet"},
+		{fmt.Sprintf("/v1/autoscale/plan?windows=%d", maxReadWindows+1), "", http.StatusBadRequest, fmt.Sprintf("at most %d", maxReadWindows)},
+		{fmt.Sprintf("/v1/autoscale/plan?windows=%d", maxReadWindows), "", http.StatusPreconditionFailed, "not learned yet"},
 	} {
-		rec := do(t, h, "POST", c.path, bytes.NewBufferString(c.body))
+		method := "POST"
+		if c.body == "" {
+			method = "GET"
+		}
+		rec := do(t, h, method, c.path, bytes.NewBufferString(c.body))
 		if rec.Code != c.code || !strings.Contains(rec.Body.String(), c.says) {
 			t.Errorf("%s with a %d-byte body = %d %s, want %d %q", c.path, len(c.body), rec.Code, rec.Body, c.code, c.says)
 		}

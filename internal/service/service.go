@@ -839,12 +839,13 @@ const (
 	// store that retention bounds.
 	maxBodyBytes = 8 << 20
 	// maxReadWindows bounds one estimate's traffic, and the range of one
-	// sanity check, to a week at the default 288 windows a day. The engine's
-	// trajectory scratch is pairs × windows × hidden floats, so without it a
-	// few MB of `{},`, or `{"to":N}` over a store that retains everything,
-	// ask for tens of GB. /v1/influence probes the last this many resident
-	// windows: each costs (APIs + 1) tape forwards and one input copy per
-	// API, and under the default -retention 0 the store holds every window.
+	// sanity check or /v1/autoscale/plan, to a week at the default 288
+	// windows a day. The engine's trajectory scratch is pairs × windows ×
+	// hidden floats, so without it a few MB of `{},`, or `{"to":N}` or
+	// `?windows=N` over a store that retains everything, ask for tens of GB.
+	// /v1/influence probes the last this many resident windows: each costs
+	// (APIs + 1) tape forwards and one input copy per API, and under the
+	// default -retention 0 the store holds every window.
 	maxReadWindows = 7 * 288
 )
 
