@@ -13,10 +13,10 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 21990 // non-test Go lines outside bench/
-	designBytesBudget      = 43761
+	goLinesBudget          = 21969 // non-test Go lines outside bench/
+	designBytesBudget      = 43733
 	changesBytesBudget     = 26541
-	readmeBytesBudget      = 34770
+	readmeBytesBudget      = 34757
 	experimentsBytesBudget = 23277
 )
 

@@ -19,7 +19,8 @@ import (
 // is (or is a prefix of) a declared one, every `make target` is a Makefile
 // target, every /v1/ route is registered by the service or the fleet, every
 // back-ticked `pkg.Name` or `pkg.Type.Member` of a package of this module is
-// declared there, and every back-ticked `-flag` is one the three binaries
+// declared there, every back-ticked bare camelCase name (`allHiddenStates`,
+// `TrainWarm`) is a word of the module's Go, and every back-ticked `-flag` is one the three binaries
 // define (or a `go test` flag the docs use). Every citation of a DESIGN.md
 // title or §N in those documents or a Go comment names a ## heading or a
 // bold run-in title of DESIGN.md, and the service's package
@@ -29,6 +30,7 @@ import (
 func TestDocsNameWhatExists(t *testing.T) {
 	var goSrc, testSrc strings.Builder
 	goFiles := map[string]string{}
+	words := map[string]bool{} // of the module's Go; bench/ is a module of its own
 	err := filepath.WalkDir(".", func(path string, entry fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -41,6 +43,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		data, err := os.ReadFile(path)
 		goFiles[path] = string(data)
+		if !strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
+			for _, w := range regexp.MustCompile(`\w+`).FindAllString(string(data), -1) {
+				words[w] = true
+			}
+		}
 		if strings.HasSuffix(path, "_test.go") {
 			testSrc.Write(data)
 		} else {
@@ -113,6 +120,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		identRE  = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
 		flagRE   = regexp.MustCompile(`^-([a-z][\w-]*)`)
 		fileRE   = regexp.MustCompile(`^\.(?:go|s|md|json|jsonl)\b`)
+		bareRE   = regexp.MustCompile(`^(?:[A-Za-z]\w*)?[a-z][A-Z]\w*$`)
 	)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text := read(doc)
@@ -174,6 +182,9 @@ func TestDocsNameWhatExists(t *testing.T) {
 				} else if at[6] >= 0 && d.members[name] != nil && !d.members[name][span[at[6]:at[7]]] {
 					t.Errorf("%s names `%s.%s.%s`, which is neither a field nor a method of %s.%s", doc, pkg, name, span[at[6]:at[7]], pkg, name)
 				}
+			}
+			if bareRE.MatchString(span) && !words[span] {
+				t.Errorf("%s names `%s`, which is no word of the module's Go", doc, span)
 			}
 			if m := flagRE.FindStringSubmatch(span); m != nil && !slices.Contains(flags, m[1]) {
 				t.Errorf("%s names the flag -%s, which neither deeprestd, deeprest nor experiments defines", doc, m[1])

@@ -95,15 +95,12 @@ func (e *Expert) maskedInput(t *ad.Tape, x []float64) *ad.Value {
 	return in
 }
 
-// formBlock forms e's step operands in the workspace for the block of
-// windows rows (layers.GRUBlock.Form, behind the mask when it is on) and
-// returns the gated block they were formed from.
-func (e *Expert) formBlock(ws *layers.Workspace, rows [][]float64) []float64 {
-	var mask *layers.APIMask
+// mask returns e's API mask, nil when it is off.
+func (e *Expert) mask() *layers.APIMask {
 	if e.UseMask {
-		mask = e.Mask
+		return e.Mask
 	}
-	return ws.Block.Form(e.Cell, mask, rows)
+	return nil
 }
 
 // step records e's GRU step on t for window col of the workspace's block,
@@ -124,13 +121,9 @@ func (e *Expert) stepOutput(t *ad.Tape, xt, h, attn *ad.Value) *ad.Value {
 	return out
 }
 
-// evalBlock is how many windows walk and hiddenInto form operands for at a
-// time. Any length gives the same bits; the default chunk's keeps one buffer
-// size.
-const evalBlock = 64
-
 // walk runs e's recurrence over a scaled feature series x from a zero state
-// on the workspace's gradient-free tape and hands fn each window's index,
+// on the workspace's gradient-free tape, its operands formed a block of
+// layers.BlockWindows windows at a time, and hands fn each window's index,
 // new state and masked input. The tape is Reset every step; the state is
 // carried in a buffer it does not own.
 func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt *ad.Value)) {
@@ -138,49 +131,26 @@ func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt 
 	hPrev := make([]float64, e.Hidden)
 	ws.Block.Panels.Reset(e.Hidden)
 	for i, row := range x {
-		if i%evalBlock == 0 {
-			e.formBlock(ws, x[i:min(i+evalBlock, len(x))])
+		col := i % layers.BlockWindows
+		if col == 0 {
+			ws.Block.Form(e.Cell, e.mask(), x[i:min(i+layers.BlockWindows, len(x))])
 		}
 		t.Reset()
-		h, xt := e.step(ws, t, row, i%evalBlock, t.Const(hPrev))
+		h, xt := e.step(ws, t, row, col, t.Const(hPrev))
 		fn(i, h, xt)
 		copy(hPrev, h.Data)
 	}
 }
 
-// hiddenInto writes e's trajectory over x into its rows of the slab, expert
-// ps.self's, and, when it uses one, its bypass S·x̃ + b, three floats a window.
-// As the inference engine does, it steps on the workspace's block operands
-// without a tape, a block of the slab's windows at a time, and forms a
-// block's bypass products in one ad.WindowDots pass over the gated input the
-// block's operands were formed from: walk's states and Dense.Apply's
-// outputs, bit for bit.
-func (e *Expert) hiddenInto(ws *layers.Workspace, x [][]float64, ps *peerStates) {
-	hPrev, hNext := make([]float64, e.Hidden), make([]float64, e.Hidden)
-	prod := make([]float64, 3*lanes(ps.blockLen))
-	bypass := ps.bypass[3*ps.self*ps.steps:][:3*ps.steps]
-	ws.Block.Panels.Reset(e.Hidden)
-	for b0 := 0; b0 < len(x); b0 += ps.blockLen {
-		rows, n, stride := ps.block(b0)
-		row := rows[ps.self*stride:][:stride]
-		in := e.formBlock(ws, x[b0:b0+n])
-		if e.UseBypass {
-			tp := len(in) / e.InDim
-			ad.WindowDots(prod, e.Bypass.W.Data, in, 3, e.InDim, tp)
-			for t := 0; t < n; t++ {
-				for j, b := range e.Bypass.B.Data {
-					bypass[3*(b0+t)+j] = prod[j*tp+t] + b
-				}
-			}
-		}
-		for t := 0; t < n; t++ {
-			ws.Block.Advance(e.Cell, t, hPrev, hNext)
-			for j, v := range hNext {
-				row[j*n+t] = v
-			}
-			hPrev, hNext = hNext, hPrev
-		}
+// trajectory writes e's frozen trajectory over s's series into row i of s,
+// and its bypass output when it uses one (layers.GRUBlock.Trajectory):
+// walk's states and Dense.Apply's outputs, bit for bit.
+func (e *Expert) trajectory(ws *layers.Workspace, s *layers.Slab, i int) {
+	var bypass *layers.Dense
+	if e.UseBypass {
+		bypass = e.Bypass
 	}
+	ws.Block.Trajectory(s, i, e.Cell, ws.Block.Gate(e.mask()), bypass)
 }
 
 // forward runs the full forward pass over a scaled feature series on the
@@ -190,15 +160,15 @@ func (e *Expert) hiddenInto(ws *layers.Workspace, x [][]float64, ps *peerStates)
 // a block of the slab's windows at a time, as phase B forms a chunk's; they
 // are zero when peers is nil (the occlusion probes).
 func (e *Expert) forward(ws *layers.Workspace, x [][]float64, peers *peerStates) ([][3]float64, error) {
-	if peers != nil && peers.steps != len(x) {
-		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, peers.steps, len(x))
+	if peers != nil && peers.Steps != len(x) {
+		return nil, fmt.Errorf("estimator: expert %s: %d peer-state steps for %d inputs", e.Pair, peers.Steps, len(x))
 	}
 	t := ws.Eval
 	attn := make([]float64, e.Hidden) // a window's context; zero without peers
 	var ctx []float64                 // the contexts of every block, each laid out as the op forms it
 	if e.UseAttention && len(e.Attn.Peers) > 0 && peers != nil {
 		ctx = make([]float64, len(x)*e.Hidden)
-		for from := 0; from < len(x); from += peers.blockLen {
+		for from := 0; from < len(x); from += peers.BlockLen {
 			t.Reset()
 			copy(ctx[from*e.Hidden:], peers.attend(t, e.Attn, from).Data)
 		}
@@ -206,8 +176,8 @@ func (e *Expert) forward(ws *layers.Workspace, x [][]float64, peers *peerStates)
 	out := make([][3]float64, len(x))
 	e.walk(ws, x, func(i int, h, xt *ad.Value) {
 		if ctx != nil {
-			from := i - i%peers.blockLen
-			column(attn, ctx[from*e.Hidden:], min(peers.blockLen, len(x)-from), i-from)
+			from := i - i%peers.BlockLen
+			layers.Column(attn, ctx[from*e.Hidden:], min(peers.BlockLen, len(x)-from), i-from)
 		}
 		y := e.stepOutput(t, xt, h, t.Const(attn))
 		out[i] = [3]float64{y.Data[0], y.Data[1], y.Data[2]}

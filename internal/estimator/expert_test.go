@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/nn/ad"
+	"repro/internal/nn/layers"
 	"repro/internal/testutil"
 )
 
@@ -34,62 +35,75 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 	x := seriesOf(4, 10)
 	// The trajectory is every window's state, in rows of blocks of four
 	// windows (4, 4, 2): every window is written, and no padding lane.
-	s := &peerStates{newHiddenSlab(1, len(x), 3, 4), 0}
-	e.hiddenInto(newWorkspace(), x, s)
-	if len(s.data) != 12+12+8 || s.data[len(s.data)-2] != 0 || s.data[len(s.data)-1] != 0 {
-		t.Fatalf("slab of %d floats %v: want 32, the last two padding zeros", len(s.data), s.data)
+	s := newSlab(x, 1, 4, 3, 4)
+	e.trajectory(newWorkspace(), s, 0)
+	if rows, n, stride := s.Block(8); n != 2 || stride != 8 || rows[6] != 0 || rows[7] != 0 {
+		t.Fatalf("last block %v of %d windows, stride %d: want 2 and 8, the last two padding zeros", rows, n, stride)
 	}
 	h := make([]float64, 3)
 	for step := range x {
-		if s.state(h, 0, step); h[0] == 0 && h[1] == 0 && h[2] == 0 {
+		if s.State(h, 0, step); h[0] == 0 && h[1] == 0 && h[2] == 0 {
 			t.Fatalf("step %d left unwritten", step)
 		}
 	}
 	// Deterministic, on a workspace that has run before too.
 	ws := newWorkspace()
-	s2 := &peerStates{newHiddenSlab(1, len(x), 3, 4), 0}
-	e.hiddenInto(ws, seriesOf(4, 7), &peerStates{newHiddenSlab(1, 7, 3, 4), 0})
-	e.hiddenInto(ws, x, s2)
-	for i := range s2.data {
-		if s.data[i] != s2.data[i] {
-			t.Fatal("hiddenInto not deterministic")
+	s2 := newSlab(x, 1, 4, 3, 4)
+	e.trajectory(ws, newSlab(seriesOf(4, 7), 1, 4, 3, 4), 0)
+	e.trajectory(ws, s2, 0)
+	for b0 := 0; b0 < len(x); b0 += 4 {
+		rows, _, _ := s.Block(b0)
+		rows2, _, _ := s2.Block(b0)
+		for i := range rows {
+			if rows[i] != rows2[i] {
+				t.Fatal("trajectory not deterministic")
+			}
 		}
 	}
 }
 
-// TestFrozenPassesMatchTape: phase B's frozen inputs are formed without the
-// tape (hiddenInto) — the trajectory on the block's operands, the bypass for
-// a block of windows at once — and must keep the bits of the tape recurrence
-// walk records and of Dense.Apply on each masked input, with the mask on and
-// off, over a series that crosses a block boundary.
+// TestFrozenPassesMatchTape: the off-tape trajectory (Expert.trajectory, the
+// one pass the engine, phase B and the oracle's peer states run, each at its
+// own block length) must keep the bits of the tape recurrence walk records
+// and of Dense.Apply on each masked input — at every block length, with the
+// mask and the bypass each on and off, over a series that crosses the
+// boundaries of every block length but the longest.
 func TestFrozenPassesMatchTape(t *testing.T) {
+	x := seriesOf(7, 2*layers.BlockWindows+6)
+	blockLens := []int{1, 3, 4, layers.BlockWindows, DefaultConfig().ChunkLen, len(x), len(x) + 5}
 	for _, useMask := range []bool{true, false} {
-		cfg := DefaultConfig()
-		cfg.Hidden, cfg.UseMask = 5, useMask
-		e := newTestExpert(cfg, 7, nil)
-		for i := range e.Mask.M.Data {
-			e.Mask.M.Data[i] = float64(i%3) - 1
+		for _, useBypass := range []bool{true, false} {
+			cfg := DefaultConfig()
+			cfg.Hidden, cfg.UseMask, cfg.LinearBypass = 5, useMask, useBypass
+			e := newTestExpert(cfg, 7, nil)
+			for i := range e.Mask.M.Data {
+				e.Mask.M.Data[i] = float64(i%3) - 1
+			}
+			copy(e.Bypass.B.Data, []float64{0.1, -0.2, 0.3})
+			ws := newWorkspace()
+			for _, blockLen := range blockLens {
+				s := newSlab(x, 1, 7, cfg.Hidden, blockLen)
+				e.trajectory(ws, s, 0)
+				traj := make([]float64, cfg.Hidden)
+				e.walk(ws, x, func(i int, h, xt *ad.Value) {
+					s.State(traj, 0, i)
+					for j := range h.Data {
+						if math.Float64bits(traj[j]) != math.Float64bits(h.Data[j]) {
+							t.Fatalf("mask %v bypass %v blocks of %d, window %d: state %d = %v, the tape's %v", useMask, useBypass, blockLen, i, j, traj[j], h.Data[j])
+						}
+					}
+					if !useBypass {
+						return
+					}
+					want := e.Bypass.Apply(ws.Eval, xt).Data
+					for j, got := range s.Bypass(0)[3*i : 3*i+3] {
+						if math.Float64bits(got) != math.Float64bits(want[j]) {
+							t.Fatalf("mask %v blocks of %d, window %d: bypass %d = %v, Dense.Apply's %v", useMask, blockLen, i, j, got, want[j])
+						}
+					}
+				})
+			}
 		}
-		copy(e.Bypass.B.Data, []float64{0.1, -0.2, 0.3})
-		x := seriesOf(7, evalBlock+6)
-		ws := newWorkspace()
-		s := &peerStates{newHiddenSlab(1, len(x), cfg.Hidden, evalBlock), 0}
-		e.hiddenInto(ws, x, s)
-		bypass, traj := s.bypass, make([]float64, cfg.Hidden)
-		e.walk(ws, x, func(i int, h, xt *ad.Value) {
-			want := e.Bypass.Apply(ws.Eval, xt).Data
-			s.state(traj, 0, i)
-			for j := range h.Data {
-				if math.Float64bits(traj[j]) != math.Float64bits(h.Data[j]) {
-					t.Fatalf("mask %v window %d: state %d = %v, the tape's %v", useMask, i, j, traj[j], h.Data[j])
-				}
-			}
-			for j := range want {
-				if math.Float64bits(bypass[3*i+j]) != math.Float64bits(want[j]) {
-					t.Fatalf("mask %v window %d: bypass %d = %v, Dense.Apply's %v", useMask, i, j, bypass[3*i+j], want[j])
-				}
-			}
-		})
 	}
 }
 
@@ -111,7 +125,7 @@ func TestExpertForwardPeerMismatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hidden = 3
 	e := newTestExpert(cfg, 4, []string{"peer"})
-	peers := &peerStates{hiddenSlab: &hiddenSlab{steps: 2}} // wrong step count for 6 inputs
+	peers := &peerStates{Slab: &layers.Slab{Steps: 2}} // wrong step count for 6 inputs
 	if _, err := e.forward(newWorkspace(), seriesOf(4, 6), peers); err == nil {
 		t.Fatal("mismatched peer states must fail")
 	}

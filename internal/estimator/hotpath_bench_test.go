@@ -80,11 +80,11 @@ func BenchmarkExpertHiddenStates(b *testing.B) {
 	day := x[:testutil.ToyDay]
 	e := m.Experts[p]
 	ws := newWorkspace()
-	slab := &peerStates{newHiddenSlab(1, len(day), e.Hidden, m.Cfg.ChunkLen), 0}
+	slab := newSlab(day, 1, e.InDim, e.Hidden, m.Cfg.ChunkLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.hiddenInto(ws, day, slab)
+		e.trajectory(ws, slab, 0)
 	}
 }
 

@@ -17,11 +17,12 @@
 // peer-index table it replaces.
 //
 // Correctness contract: the engine performs the same float64 operations in
-// the same order as the eval-tape oracle (Model.PredictVectors), via
-// the shared ad.Dot / ad.Logistic / ad.GRUParams.Step primitives — the input
-// products W·x and S·x and the attention contexts through ad.WindowDots, which
-// sums each as ad.Dot does — and the shared TargetScale.DescaleInto epilogue,
-// so its output is bit-identical to the tape's (absent FMA contraction). An Engine is
+// the same order as the eval-tape oracle (Model.PredictVectors): its
+// trajectories are the one off-tape pass the oracle's peer states and phase
+// B's frozen states run (layers.GRUBlock.Trajectory), its attention contexts
+// and head go through ad.WindowDots, which sums as the tape's MatVec, and its
+// epilogue is the shared TargetScale.DescaleInto, so its output is
+// bit-identical to the tape's (absent FMA contraction). An Engine is
 // immutable after Compile and safe for concurrent use because the model it
 // reads is (see estimator.Model); each model generation compiles its own
 // engine, so a served prediction can never mix parameters from two
@@ -38,6 +39,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/features"
 	"repro/internal/nn/ad"
+	"repro/internal/nn/layers"
 )
 
 // Engine is the compiled, read-only view of one trained model.
@@ -62,64 +64,39 @@ type Engine struct {
 	work chan *workArea
 }
 
-// expertView is one expert's kernel operands. Every slice but mask is the
-// Data of one of the expert's Params.
+// expertView is one expert's kernel operands: all but mask are the expert's
+// own layers or the Data of its Params.
 type expertView struct {
 	mask    []float64 // σ(m) gate, dim floats of one engine-owned slab; nil when the mask is off
-	gru     *ad.GRUParams
-	attends bool      // its row of Engine.attn is formed; otherwise its context stays +0
-	headW   []float64 // 3 × 2·hidden
-	headB   []float64 // 3
-	bypW    []float64 // 3 × dim; nil when the bypass is off
-	bypB    []float64 // 3
+	cell    *layers.GRUCell
+	attends bool          // its row of Engine.attn is formed; otherwise its context stays +0
+	headW   []float64     // 3 × 2·hidden
+	headB   []float64     // 3
+	bypass  *layers.Dense // nil when the bypass is off
 	scale   estimator.TargetScale
 }
 
 // predictScratch is the per-call mutable state, recycled through
 // Engine.scratch. Slices grow to the largest series seen and are reused.
 type predictScratch struct {
-	xT      []float64    // scaled input, time-minor, a block of windows after another (see blockWindows)
-	traj    []float64    // hidden trajectories, a block of windows after another (see trajBlock)
-	byp     []float64    // P×3×lanes(T) bypass products S·x, blocked like xT
-	zero    []float64    // hidden-sized all-zero h₀
+	slab    layers.Slab  // the scaled input and every expert's trajectory, in blocks of layers.BlockWindows
 	triples [][3]float64 // P×T scaled output triples
 }
-
-// blockWindows is how many windows' input products a trajectory forms at a
-// time: a series is cut into blocks of this many windows (the last one
-// shorter, and padded to the kernel's four lanes), so the work area of a
-// running task stays L2-sized however long a series a caller posts. Every
-// block before the one starting at window b0 is full, so in an array that
-// holds r rows per block (xT: dim, byp: 3) that block starts r·b0 floats in;
-// in the trajectories (P·hidden rows of one window each) P·hidden·b0.
-const blockWindows = 48
 
 // panelExperts is how many experts' outputs one pass-two task computes: the
 // attention contexts of a panel are one ad.WindowDots product, whose kernel
 // takes the matrix's rows four at a time.
 const panelExperts = 4
 
-// lanes rounds a window count up to ad.WindowDots' four lanes.
-func lanes(n int) int { return (n + 3) &^ 3 }
-
-// block returns the length of the block that starts at window b0 of a
-// T-window series, and that length padded to the lanes.
-func block(b0, T int) (n, tp int) {
-	n = min(blockWindows, T-b0)
-	return n, lanes(n)
-}
-
 // workArea is what one running task needs beyond the request's scratch; it
 // comes from Engine.work, so there are as many as tasks in flight, not as
-// experts. A trajectory task uses the first four fields, a pass-two task the
-// last two.
+// experts. A trajectory task uses its block's operands, a pass-two task the
+// other fields.
 type workArea struct {
-	xm  []float64 // dim × lanes: the block's input gated by the expert's mask
-	wx  []float64 // 3·hidden × lanes: Wz·x, Wk·x, Wh·x for the block
-	gs  []float64 // 3·hidden: the step's gate scratch
-	up  ad.Panels // 3·hidden²: the expert's U matrices, packed by its first step
-	ctx []float64 // panelExperts × lanes·hidden: the panel's attention contexts for a block
-	cat []float64 // 2·hidden: a_t ∥ h_t
+	block layers.GRUBlock
+	ctx   []float64 // panelExperts rows of a block's stride: the panel's attention contexts
+	cat   []float64 // 2·hidden rows of a block's lanes: a_t ∥ h_t of its windows
+	head  []float64 // 3 rows of a block's lanes: the head's products
 }
 
 // getWork takes a work area off the free list, or makes one; putWork returns
@@ -216,10 +193,10 @@ func Compile(m *estimator.Model) (*Engine, error) {
 			if ex.Bypass == nil || ex.Bypass.In != dim || ex.Bypass.Out != 3 {
 				return nil, fmt.Errorf("infer: %s: unexpected bypass shape", p)
 			}
-			view.bypW, view.bypB = ex.Bypass.W.Data, ex.Bypass.B.Data
+			view.bypass = ex.Bypass
 		}
 		view.scale = *ts
-		view.gru = &ex.Cell.GRUParams
+		view.cell = ex.Cell
 		view.headW, view.headB = ex.Head.W.Data, ex.Head.B.Data
 		if attnActive && ex.UseAttention {
 			if ex.Attn == nil || len(ex.Attn.Peers) != P-1 || len(ex.Attn.Alpha.Data) != P-1 {
@@ -255,154 +232,97 @@ func (e *Engine) SetPool(p *Pool) { e.pool = p }
 func (e *Engine) getScratch(T int) *predictScratch {
 	sc := e.scratch.Get().(*predictScratch)
 	P := len(e.experts)
-	sc.xT = growFloats(sc.xT, e.dim*lanes(T))
-	last := max(T-1, 0) / blockWindows * blockWindows // where the last block starts
-	sc.traj = growFloats(sc.traj, P*(e.hidden*last+lanes((T-last)*e.hidden)))
-	sc.byp = growFloats(sc.byp, P*3*lanes(T))
-	sc.zero = growFloats(sc.zero, e.hidden)
-	clear(sc.zero)
-	if cap(sc.triples) < P*T {
-		sc.triples = make([][3]float64, P*T)
-	} else {
-		sc.triples = sc.triples[:P*T]
-	}
+	sc.slab.Reset(P, T, e.dim, e.hidden, layers.BlockWindows)
+	sc.triples = layers.Resize(sc.triples, P*T)
 	return sc
 }
 
-// trajBlock returns the trajectories of the block of windows that starts at
-// b0 — expert i's row at i·stride, its state at window b0+t at t·hidden in
-// it — and that stride, the block's states padded to ad.WindowDots' lanes,
-// so the block is the operand the attention product reads.
-func (e *Engine) trajBlock(traj []float64, b0, T int) ([]float64, int) {
-	n, _ := block(b0, T)
-	stride := lanes(n * e.hidden)
-	return traj[len(e.experts)*e.hidden*b0:][:len(e.experts)*stride], stride
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
 // scaleInput normalises the feature series with the snapshot's per-dimension
-// maxima — the same v / max[j] the tape path applies — into sc.xT, transposed:
-// the block of windows starting at b0 holds feature k of window b0+t at
-// b0·dim + k·tp + t, tp the block's length padded to the lanes, the padding
-// zero. Every expert's input products read it as it lies. A non-finite
-// feature is refused: it would turn every estimate it reaches into NaN.
+// maxima — the same v / max[j] the tape path applies — into the slab's input,
+// where every expert's input products read it. A non-finite feature is
+// refused: it would turn every estimate it reaches into NaN.
 func (e *Engine) scaleInput(series []features.Vector, sc *predictScratch) error {
-	for b0 := 0; b0 < len(series); b0 += blockWindows {
-		n, tp := block(b0, len(series))
-		xb := sc.xT[b0*e.dim:][:e.dim*tp]
-		for t, v := range series[b0 : b0+n] {
-			if len(v.Counts) != e.dim {
-				return fmt.Errorf("infer: window %d has %d features for a %d-dim space", b0+t, len(v.Counts), e.dim)
-			}
-			for k, c := range v.Counts {
-				if math.IsNaN(c) || math.IsInf(c, 0) {
-					return fmt.Errorf("infer: window %d: feature %d is %v", b0+t, k, c)
-				}
-				xb[k*tp+t] = c / e.scalerMax[k]
-			}
+	for t, v := range series {
+		if len(v.Counts) != e.dim {
+			return fmt.Errorf("infer: window %d has %d features for a %d-dim space", t, len(v.Counts), e.dim)
 		}
-		for k := 0; n < tp && k < e.dim; k++ {
-			clear(xb[k*tp+n : (k+1)*tp])
+		col, stride := sc.slab.Window(t)
+		for k, c := range v.Counts {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				return fmt.Errorf("infer: window %d: feature %d is %v", t, k, c)
+			}
+			col[k*stride] = c / e.scalerMax[k]
 		}
 	}
 	return nil
 }
 
-// trajectory computes expert i's full hidden trajectory into its rows of
-// sc.traj, their padding lanes zero, and its bypass products into sc.byp.
-// Nothing on the input side depends on the hidden state, so per block of
-// windows the input is gated once and each of Wz, Wk, Wh and the bypass S is
-// walked once, for all the block's windows (ad.WindowDots); the steps that
-// follow touch only U. The first step packs U into the work area's panels as
-// it reads it, and every later one, in this block or the next, reads the
-// panels instead (ad.Panels). Each step writes out-of-place, so the previous
-// step's row serves as h_{t−1} without copying — bit-identical to the tape's
-// carried-buffer recurrence.
-func (e *Engine) trajectory(i, T int, sc *predictScratch) {
+// trajectory computes expert i's hidden trajectory and bypass output into
+// its rows of the slab (layers.GRUBlock.Trajectory, on the work area's
+// operands), as phase B computes its frozen states.
+func (e *Engine) trajectory(i int, sc *predictScratch) {
 	ex := &e.experts[i]
-	dim, hid := e.dim, e.hidden
 	wa := e.getWork()
 	defer e.putWork(wa)
-	_, tp := block(0, T) // the widest block of the series
-	wa.xm = growFloats(wa.xm, dim*tp)
-	wa.wx = growFloats(wa.wx, 3*hid*tp)
-	wa.gs = growFloats(wa.gs, 3*hid)
-	wa.up.Reset(hid)
-	hPrev := sc.zero
-	for b0 := 0; b0 < T; b0 += blockWindows {
-		n, tp := block(b0, T)
-		// σ(m) ⊙ x and the three input products over it, as the tape forms them.
-		in := ex.gru.InputProducts(wa.wx, wa.xm, sc.xT[b0*dim:][:dim*tp], ex.mask, tp)
-		if ex.bypW != nil {
-			ad.WindowDots(sc.byp[3*(i*lanes(T)+b0):], ex.bypW, in, 3, dim, tp)
-		}
-		blk, stride := e.trajBlock(sc.traj, b0, T)
-		row := blk[i*stride : (i+1)*stride]
-		clear(row[n*hid:])
-		for t := 0; t < n; t++ {
-			hOut := row[t*hid:][:hid]
-			ex.gru.Step(wa.wx, tp, t, hPrev, hOut, wa.gs, &wa.up)
-			hPrev = hOut
-		}
-	}
+	wa.block.Trajectory(&sc.slab, i, ex.cell, ex.mask, ex.bypass)
 }
 
 // panels is how many pass-two tasks a series takes.
 func (e *Engine) panels() int { return (len(e.experts) + panelExperts - 1) / panelExperts }
 
 // outputs computes the scaled output triples of panel k's experts from the
-// trajectories, a block of windows at a time: the attention contexts of each
-// run of attending experts as one product of their rows of the attention
-// matrix with the block (ad.WindowDots, a lane per window and unit; each
+// slab, a block of windows at a time: the attention contexts of each run of
+// attending experts as one product of their rows of the attention matrix with
+// the block's trajectories (ad.WindowDots, a lane per window and unit; each
 // context starts at +0 and adds the peers in order, the tape's
-// WeightedSumConst sum), then per window the head over a_t ∥ h_t plus the
-// linear bypass product trajectory left in sc.byp, in Expert.stepOutput's
+// WeightedSumConst sum); then per expert its a_t ∥ h_t, copied row by row
+// from the window-minor blocks into a series as WindowDots reads one, and the
+// head over every window in one WindowDots, which sums each as the tape's
+// MatVec does; then the bias and the bypass output, in Expert.stepOutput's
 // operation order.
 func (e *Engine) outputs(k, T int, sc *predictScratch) {
 	P, hid := len(e.experts), e.hidden
 	i0, i1 := k*panelExperts, min((k+1)*panelExperts, P)
 	wa := e.getWork()
 	defer e.putWork(wa)
-	_, widest := block(0, T)
-	wa.ctx = growFloats(wa.ctx, panelExperts*widest*hid)
-	wa.cat = growFloats(wa.cat, 2*hid)
-	cat := wa.cat
-	for b0 := 0; b0 < T; b0 += blockWindows {
-		n, tp := block(b0, T)
-		blk, ts := e.trajBlock(sc.traj, b0, T)
+	_, widest, stride := sc.slab.Block(0)
+	wa.ctx = layers.Resize(wa.ctx, panelExperts*stride)
+	wa.cat = layers.Resize(wa.cat, 2*hid*layers.Lanes(widest))
+	wa.head = layers.Resize(wa.head, 3*layers.Lanes(widest))
+	for b0 := 0; b0 < T; b0 += sc.slab.BlockLen {
+		rows, n, ts := sc.slab.Block(b0)
 		for a := i0; a < i1; {
 			b := a
 			for b < i1 && e.experts[b].attends {
 				b++
 			}
 			if b > a {
-				ad.WindowDots(wa.ctx[(a-i0)*ts:], e.attn[a*P:], blk, b-a, P, ts)
+				ad.WindowDots(wa.ctx[(a-i0)*ts:], e.attn[a*P:], rows, b-a, P, ts)
 			}
 			a = b + 1
 		}
+		tp := layers.Lanes(n)
+		cat := wa.cat[:2*hid*tp] // unit u of a_t at u·tp+t, of h_t at (hid+u)·tp+t
+		clear(cat)               // the padding lanes stay zero
 		for i := i0; i < i1; i++ {
 			ex := &e.experts[i]
-			ctx, h := wa.ctx[(i-i0)*ts:], blk[i*ts:]
-			byp := sc.byp[3*(i*lanes(T)+b0):] // row j at window b0+t: byp[j*tp+t]
 			if !ex.attends {
-				clear(cat[:hid]) // the context stays zero
+				clear(cat[:hid*tp]) // the context stays +0
 			}
-			for t := 0; t < n; t++ {
+			for u := 0; u < hid; u++ {
 				if ex.attends {
-					copy(cat[:hid], ctx[t*hid:])
+					copy(cat[u*tp:][:n], wa.ctx[(i-i0)*ts+u*n:])
 				}
-				copy(cat[hid:], h[t*hid:])
+				copy(cat[(hid+u)*tp:][:n], rows[i*ts+u*n:])
+			}
+			ad.WindowDots(wa.head, ex.headW, cat, 3, 2*hid, tp)
+			byp := sc.slab.Bypass(i)[3*b0:]
+			for t := 0; t < n; t++ {
 				tr := &sc.triples[i*T+b0+t]
 				for j := 0; j < 3; j++ {
-					y := ad.Dot(ex.headW[j*2*hid:(j+1)*2*hid], cat) + ex.headB[j]
-					if ex.bypW != nil {
-						y += byp[j*tp+t] + ex.bypB[j]
+					y := wa.head[j*tp+t] + ex.headB[j]
+					if ex.bypass != nil {
+						y += byp[3*t+j]
 					}
 					tr[j] = y
 				}
@@ -433,7 +353,7 @@ func (e *Engine) PredictInto(series []features.Vector, out map[app.Pair]estimato
 		return err
 	}
 	P := len(e.experts)
-	e.pool.Run(P, func(i int) { e.trajectory(i, T, sc) })
+	e.pool.Run(P, func(i int) { e.trajectory(i, sc) })
 	e.pool.Run(e.panels(), func(k int) { e.outputs(k, T, sc) })
 	for i, p := range e.pairs {
 		est := out[p]
@@ -464,7 +384,7 @@ func (e *Engine) PredictBatch(batch [][]features.Vector) ([]map[app.Pair]estimat
 			return nil, err
 		}
 	}
-	e.pool.Run(B*P, func(k int) { e.trajectory(k%P, len(batch[k/P]), scs[k/P]) })
+	e.pool.Run(B*P, func(k int) { e.trajectory(k%P, scs[k/P]) })
 	np := e.panels()
 	e.pool.Run(B*np, func(k int) { e.outputs(k%np, len(batch[k/np]), scs[k/np]) })
 	out := make([]map[app.Pair]estimator.Estimate, B)

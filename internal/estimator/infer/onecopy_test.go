@@ -43,14 +43,14 @@ func TestEngineHoldsOneCopyOfWeights(t *testing.T) {
 					t.Errorf("%s %s: parameter %s carries a gradient", name, p, par.Name)
 				}
 			}
-			if view.gru != &ex.Cell.GRUParams {
+			if view.cell != ex.Cell {
 				t.Errorf("%s %s: the engine steps a GRU that is not the expert's", name, p)
 			}
 			for what, pair := range map[string][2][]float64{
 				"head W":   {view.headW, ex.Head.W.Data},
 				"head b":   {view.headB, ex.Head.B.Data},
-				"bypass W": {view.bypW, ex.Bypass.W.Data},
-				"bypass b": {view.bypB, ex.Bypass.B.Data},
+				"bypass W": {view.bypass.W.Data, ex.Bypass.W.Data},
+				"bypass b": {view.bypass.B.Data, ex.Bypass.B.Data},
 			} {
 				got, want := pair[0], pair[1]
 				if len(got) != len(want) || len(got) == 0 || &got[0] != &want[0] {

@@ -349,78 +349,48 @@ func (m *Model) train(x [][]float64, targets map[app.Pair][]float64, cfg Config)
 // layers.ForEach.
 var newWorkspace = layers.NewWorkspace
 
-// hiddenSlab holds every expert's frozen hidden trajectory over one input
-// series in one allocation, laid out as the attention sum reads it (see
-// ad.Tape.WeightedSumConst): the series is cut into blocks of blockLen
-// windows, the last one shorter, and a block of n windows holds each expert's
-// states as one row of lanes(hid·n) floats, window-minor — unit j of window t
-// at j·n+t, the padding zero — the experts' rows in training order. Phase B
-// cuts it at its chunk length, so a chunk's contexts are one sum over a
-// block. bypass holds each expert's frozen bypass output, three floats a
-// window, for those that use one.
-type hiddenSlab struct {
-	data, bypass                  []float64
-	experts, steps, hid, blockLen int
-}
-
-func newHiddenSlab(experts, steps, hid, blockLen int) *hiddenSlab {
-	s := &hiddenSlab{bypass: make([]float64, experts*steps*3), experts: experts, steps: steps, hid: hid, blockLen: blockLen}
-	last := max(steps-1, 0) / blockLen * blockLen // where the last block starts
-	s.data = make([]float64, last/blockLen*experts*lanes(hid*blockLen)+experts*lanes(hid*(steps-last)))
-	return s
-}
-
-// lanes rounds a float count up to ad.WindowDots' four lanes.
-func lanes(n int) int { return (n + 3) &^ 3 }
-
-// block returns the experts' rows of the block of windows that starts at
-// from, a multiple of blockLen, its window count and its row stride.
-func (s *hiddenSlab) block(from int) (rows []float64, n, stride int) {
-	n = min(s.blockLen, s.steps-from)
-	stride = lanes(s.hid * n)
-	return s.data[from/s.blockLen*s.experts*lanes(s.hid*s.blockLen):][:s.experts*stride], n, stride
-}
-
-// state gathers expert i's state at window t into h.
-func (s *hiddenSlab) state(h []float64, i, t int) {
-	rows, n, stride := s.block(t - t%s.blockLen)
-	column(h, rows[i*stride:], n, t%s.blockLen)
-}
-
-// column gathers window t of a window-minor block of n windows into dst.
-func column(dst, block []float64, n, t int) {
-	for j := range dst {
-		dst[j] = block[j*n+t]
-	}
-}
-
-// peerStates is one expert's view of a hiddenSlab: every expert's rows, its
-// own among them.
+// peerStates is one expert's view of a slab of every expert's frozen
+// trajectory: every expert's rows, its own among them.
 type peerStates struct {
-	*hiddenSlab
+	*layers.Slab
 	self int
 }
 
 // attend records the attention contexts of the block of windows that starts
 // at from on the tape, as one hid×n block for its n windows.
 func (ps *peerStates) attend(t *ad.Tape, a *layers.Attention, from int) *ad.Value {
-	rows, n, stride := ps.block(from)
-	return a.Apply(t, ps.self, rows, stride, ps.hid, n)
+	rows, n, stride := ps.Block(from)
+	return a.Apply(t, ps.self, rows, stride, ps.Hidden, n)
+}
+
+// newSlab returns a slab for experts trajectories hidden units wide over the
+// scaled series x of in features, which it transposes once, in blocks of
+// blockLen windows.
+func newSlab(x [][]float64, experts, in, hidden, blockLen int) *layers.Slab {
+	s := new(layers.Slab)
+	s.Reset(experts, len(x), in, hidden, blockLen)
+	for t, row := range x {
+		col, stride := s.Window(t)
+		for k, v := range row[:in] {
+			col[k*stride] = v
+		}
+	}
+	return s
 }
 
 // allHiddenStates computes every expert's hidden trajectory and bypass
 // output over x, in parallel, each into its own rows of one slab cut into
 // blocks of blockLen windows.
-func (m *Model) allHiddenStates(x [][]float64, blockLen int) (*hiddenSlab, error) {
-	hid := m.Cfg.Hidden
-	s := newHiddenSlab(len(m.Pairs), len(x), hid, blockLen)
+func (m *Model) allHiddenStates(x [][]float64, blockLen int) (*layers.Slab, error) {
+	in, hid := m.Experts[m.Pairs[0]].InDim, m.Cfg.Hidden
+	s := newSlab(x, len(m.Pairs), in, hid, blockLen)
 	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 		p := m.Pairs[i]
 		e := m.Experts[p]
-		if e.Hidden != hid {
-			return fmt.Errorf("estimator: %s: hidden width %d in a %d-wide model", p, e.Hidden, hid)
+		if e.Hidden != hid || e.InDim != in {
+			return fmt.Errorf("estimator: %s: %d→%d expert in a %d→%d model", p, e.InDim, e.Hidden, in, hid)
 		}
-		e.hiddenInto(ws, x, &peerStates{s, i})
+		e.trajectory(ws, s, i)
 		return nil
 	})
 	return s, err
@@ -442,7 +412,7 @@ func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float6
 				// chunk's Adam step left.
 				h, from = tape.Const(zero), t
 				ws.Block.Panels.Reset(e.Hidden)
-				e.formBlock(ws, x[t:min(t+cfg.ChunkLen, len(x))])
+				ws.Block.Form(e.Cell, e.mask(), x[t:min(t+cfg.ChunkLen, len(x))])
 			}
 			h, xt = e.step(ws, tape, x[t], t-from, h)
 			return e.stepOutput(tape, xt, h, tape.Const(zero))
@@ -495,7 +465,7 @@ func trainExpertHead(ws *layers.Workspace, e *Expert, target []float64, peers *p
 	}
 	// The frozen parts, the expert's own hidden trajectory and bypass
 	// output, are already in the slab, cut at the chunk length.
-	bypass := peers.bypass[peers.self*3*peers.steps:][:3*peers.steps]
+	bypass := peers.Bypass(peers.self)
 	h := make([]float64, e.Hidden)
 	var ctx *ad.Value
 	from := 0
@@ -506,7 +476,7 @@ func trainExpertHead(ws *layers.Workspace, e *Expert, target []float64, peers *p
 				// gradient of α for all of them.
 				ctx, from = peers.attend(tape, e.Attn, t), t
 			}
-			peers.state(h, peers.self, t)
+			peers.State(h, peers.self, t)
 			y := e.Head.Apply(tape, tape.Concat(tape.Column(ctx, t-from), tape.Const(h)))
 			if e.UseBypass {
 				y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
@@ -548,10 +518,10 @@ func (e *Expert) addRegularizationGrads(cfg Config) {
 func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate, error) {
 	raw := features.Matrix(series)
 	x := m.FeatScaler.Apply(raw)
-	var hidden *hiddenSlab
+	var hidden *layers.Slab
 	if m.Cfg.UseAttention && len(m.Pairs) > 1 {
 		var err error
-		hidden, err = m.allHiddenStates(x, evalBlock)
+		hidden, err = m.allHiddenStates(x, layers.BlockWindows)
 		if err != nil {
 			return nil, err
 		}
@@ -586,9 +556,9 @@ func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate,
 // their raw-unit outputs cannot diverge.
 func (ts *TargetScale) DescaleInto(triples [][3]float64, est *Estimate) {
 	n := len(triples)
-	est.Exp = resizeFloats(est.Exp, n)
-	est.Low = resizeFloats(est.Low, n)
-	est.Up = resizeFloats(est.Up, n)
+	est.Exp = layers.Resize(est.Exp, n)
+	est.Low = layers.Resize(est.Low, n)
+	est.Up = layers.Resize(est.Up, n)
 	if ts.Kind == kindDelta {
 		accE, accL, accU := ts.Base, ts.Base, ts.Base
 		for i, tr := range triples {
@@ -615,15 +585,6 @@ func (ts *TargetScale) DescaleInto(triples [][3]float64, est *Estimate) {
 			est.Up[i] = 0
 		}
 	}
-}
-
-// resizeFloats returns s resliced to length n, reallocating only when the
-// capacity is insufficient.
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // ordered repairs quantile crossing: low ≤ exp ≤ up.

@@ -287,8 +287,10 @@ func TestVariableDurationQueries(t *testing.T) {
 func TestPeerStatesReadSlabInTrainingOrder(t *testing.T) {
 	// Three experts a, b, c × two steps × one hidden unit, one block: each
 	// expert's row holds its two states and two padding lanes.
-	slab := newHiddenSlab(3, 2, 1, 2)
-	copy(slab.data, []float64{1, 10, 0, 0, 2, 20, 0, 0, 3, 30, 0, 0})
+	slab := new(layers.Slab)
+	slab.Reset(3, 2, 0, 1, 2)
+	rows, _, _ := slab.Block(0)
+	copy(rows, []float64{1, 10, 0, 0, 2, 20, 0, 0, 3, 30, 0, 0})
 	for _, tc := range []struct {
 		self int
 		want [][]float64 // [step][peer]
@@ -299,7 +301,7 @@ func TestPeerStatesReadSlabInTrainingOrder(t *testing.T) {
 	} {
 		ps := &peerStates{slab, tc.self}
 		own := make([]float64, 1)
-		if ps.state(own, ps.self, 1); own[0] != slab.data[tc.self*4+1] {
+		if ps.State(own, ps.self, 1); own[0] != rows[tc.self*4+1] {
 			t.Fatalf("expert %d: own state at step 1 = %v", tc.self, own[0])
 		}
 		attn := layers.NewAttention("x", []string{"p", "q"})
@@ -346,7 +348,7 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, stride := hidden.block(0)
+	rows, _, stride := hidden.Block(0)
 	rows[stride+3] = math.NaN() // expert 1 is expert 0's only peer: its first unit at window 3
 	q := loss.Quantiles(cfg.Delta)
 	before := append([]float64(nil), m.Experts[m.Pairs[0]].Head.W.Data...)
@@ -379,13 +381,13 @@ func TestLearnAllocatesPerExpertNotPerChunk(t *testing.T) {
 	}
 	q := loss.Quantiles(cfg.Delta)
 	ws := newWorkspace()
-	slab := &peerStates{newHiddenSlab(1, len(x), cfg.Hidden, cfg.ChunkLen), 0}
+	slab := newSlab(x, 1, m.Space.Dim(), cfg.Hidden, cfg.ChunkLen)
 	learn := func(p app.Pair) {
 		e := m.Experts[p]
 		if err := trainExpert(ws, e, x, targets[p], cfg, 2, q[:], 1); err != nil {
 			t.Fatal(err)
 		}
-		e.hiddenInto(ws, x, slab)
+		e.trajectory(ws, slab, 0)
 		if _, err := e.forward(ws, x, nil); err != nil {
 			t.Fatal(err)
 		}

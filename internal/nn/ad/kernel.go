@@ -3,14 +3,10 @@ package ad
 // This file exports the fused-kernel math for the tape-free inference
 // engine (internal/estimator/infer). The engine replays the forward pass
 // over a trained model's parameters without recording tape nodes; sharing
-// dot, stableSigmoid and the GRU forward body with the tape ops keeps the
-// two paths' rounding behaviour identical, so engine output is bit-for-bit
-// the eval-tape output (absent FMA contraction).
-
-// Dot exposes the row·vector kernel shared by MatVec and the GRU forward.
-// Callers computing dense layers outside the tape must use it (rather than
-// a local loop) so both paths accumulate in the same order.
-func Dot(row, x []float64) float64 { return dot(row, x) }
+// WindowDots (each sum in dot's order), stableSigmoid and the GRU forward
+// body with the tape ops keeps the two paths' rounding behaviour identical,
+// so engine output is bit-for-bit the eval-tape output (absent FMA
+// contraction).
 
 // Logistic exposes the numerically-stable sigmoid the tape's Sigmoid op
 // applies element-wise.

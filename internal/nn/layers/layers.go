@@ -1,14 +1,14 @@
 // Package layers provides the neural building blocks of the DeepRest
 // estimator: the learnable API-aware input mask, the GRU recurrent cell
 // (paper Equation 2), a fully connected layer, and the cross-component
-// attention weights (paper Equation 3); and the training machinery every
-// recurrent model here shares (train.go): the per-worker Workspace, the
-// ForEach fan-out and the truncated-BPTT chunk loop, Workspace.Train.
+// attention weights (paper Equation 3); the one off-tape trajectory
+// (GRUBlock.Trajectory) and the Slab it writes; and the training machinery
+// every recurrent model here shares (train.go): the per-worker Workspace,
+// the ForEach fan-out and the truncated-BPTT chunk loop, Workspace.Train.
 package layers
 
 import (
 	"math/rand"
-	"slices"
 
 	"repro/internal/nn/ad"
 )
@@ -114,14 +114,45 @@ func (g *GRUCell) Params() []*ad.Param {
 	return []*ad.Param{g.Wz, g.Uz, g.Bz, g.Wk, g.Uk, g.Bk, g.Wh, g.Uh, g.Bh}
 }
 
-// GRUBlock holds a GRU trajectory's step operands, on the tape (Step) or off
-// it (Advance): the input products of a block of its windows
+// GRUBlock holds a GRU trajectory's step operands, on the tape (Form, Step)
+// or off it (Trajectory): the input products of a block of its windows
 // (ad.GRUParams.InputProducts) and U's panels, which the caller Resets at the
 // trajectory's start and after each optimizer step.
 type GRUBlock struct {
-	xT, gate, wx, gs []float64
-	tp               int // the block's length padded to WindowDots' lanes
-	Panels           ad.Panels
+	xT, gate, wx, gs, prod, h []float64
+	tp                        int // the block's length padded to WindowDots' lanes
+	Panels                    ad.Panels
+}
+
+// BlockWindows is how many windows an off-tape trajectory outside training
+// forms operands for at a time, the engine's and the tape oracle's alike: a
+// series is cut into blocks of this many, so a running task's operands stay
+// L2-sized however long a series a caller posts. Any length gives the same
+// bits (TestFrozenPassesMatchTape).
+const BlockWindows = 48
+
+// Lanes rounds a count up to ad.WindowDots' four lanes.
+func Lanes(n int) int { return (n + 3) &^ 3 }
+
+// Resize returns s resliced to length n, reallocating only when its capacity
+// is short.
+func Resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// Gate returns σ(m) of mask, as APIMask.Apply gates, in b's buffer, or
+// nothing when mask is nil; the next Gate or Form overwrites it.
+func (b *GRUBlock) Gate(mask *APIMask) []float64 {
+	b.gate = b.gate[:0]
+	if mask != nil {
+		for _, m := range mask.M.Data {
+			b.gate = append(b.gate, ad.Logistic(m))
+		}
+	}
+	return b.gate
 }
 
 // Form forms g's input products for the block of windows rows under its
@@ -131,22 +162,16 @@ type GRUBlock struct {
 // reads a series (feature k of window t at k*tp+t, tp = len/g.In, the
 // padding zero), which the next Form overwrites.
 func (b *GRUBlock) Form(g *GRUCell, mask *APIMask, rows [][]float64) []float64 {
-	b.tp = (len(rows) + 3) &^ 3
-	b.xT = slices.Grow(b.xT[:0], g.In*b.tp)[:g.In*b.tp]
-	b.wx = slices.Grow(b.wx[:0], 3*g.Hidden*b.tp)[:3*g.Hidden*b.tp]
+	b.tp = Lanes(len(rows))
+	b.xT = Resize(b.xT, g.In*b.tp)
+	b.wx = Resize(b.wx, 3*g.Hidden*b.tp)
 	clear(b.xT)
 	for t, row := range rows {
 		for k, v := range row[:g.In] {
 			b.xT[k*b.tp+t] = v
 		}
 	}
-	b.gate = b.gate[:0]
-	if mask != nil {
-		for _, m := range mask.M.Data {
-			b.gate = append(b.gate, ad.Logistic(m))
-		}
-	}
-	return g.InputProducts(b.wx, b.xT, b.xT, b.gate, b.tp)
+	return g.InputProducts(b.wx, b.xT, b.xT, b.Gate(mask), b.tp)
 }
 
 // Step records g's step on t for window col of the block from x, the tape's
@@ -157,12 +182,113 @@ func (b *GRUBlock) Step(t *ad.Tape, g *GRUCell, col int, x, hPrev *ad.Value) *ad
 	return t.GRUStepAt(&g.GRUParams, x, hPrev, b.wx, b.tp, col, &b.Panels)
 }
 
-// Advance is Step without a tape: g's step for window col of the block from
-// hPrev into hOut, which must not alias it — the forward body Step records
-// (ad.GRUParams.Step) on the same operands, so the states have its bits.
-func (b *GRUBlock) Advance(g *GRUCell, col int, hPrev, hOut []float64) {
-	b.gs = slices.Grow(b.gs[:0], 3*g.Hidden)[:3*g.Hidden]
-	g.GRUParams.Step(b.wx, b.tp, col, hPrev, hOut, b.gs, &b.Panels)
+// Trajectory is the one off-tape trajectory: it writes the states of g over
+// s's series from a zero state into row i of s, and, when bypass is not nil,
+// the bypass output S·x̃ + b. Per block of s it gates the block's input by
+// gate (σ(m); empty when the mask is off) once, forms the three gates' input
+// products and the bypass products over it, one ad.WindowDots pass each, and
+// runs the block's steps with ad.GRUParams.Step, which touches only U: the
+// first step packs U into b's panels, later ones read them. Form and Step on
+// a tape give the same bits, window by window, at any block length.
+func (b *GRUBlock) Trajectory(s *Slab, i int, g *GRUCell, gate []float64, bypass *Dense) {
+	hid := g.Hidden
+	b.h = Resize(b.h, 2*hid)
+	b.gs = Resize(b.gs, 3*hid)
+	hPrev, hNext := b.h[:hid], b.h[hid:]
+	clear(hPrev)
+	b.Panels.Reset(hid)
+	for b0 := 0; b0 < s.Steps; b0 += s.BlockLen {
+		x, n, tp := s.input(b0)
+		b.xT = Resize(b.xT, g.In*tp)
+		b.wx = Resize(b.wx, 3*hid*tp)
+		in := g.InputProducts(b.wx, b.xT, x, gate, tp)
+		if bypass != nil {
+			b.prod = Resize(b.prod, 3*tp)
+			ad.WindowDots(b.prod, bypass.W.Data, in, 3, g.In, tp)
+			out := s.Bypass(i)[3*b0:]
+			for t := 0; t < n; t++ {
+				for j, bj := range bypass.B.Data {
+					out[3*t+j] = b.prod[j*tp+t] + bj
+				}
+			}
+		}
+		rows, _, stride := s.Block(b0)
+		row := rows[i*stride:][:stride]
+		clear(row[n*hid:])
+		for t := 0; t < n; t++ {
+			g.GRUParams.Step(b.wx, tp, t, hPrev, hNext, b.gs, &b.Panels)
+			for j, v := range hNext {
+				row[j*n+t] = v
+			}
+			hPrev, hNext = hNext, hPrev
+		}
+	}
+}
+
+// Slab is a scaled input series, transposed once, and the off-tape
+// trajectories of several GRUs of one shape over it, each its hidden states
+// and its bypass output. The series is cut into blocks of BlockLen windows,
+// the last one shorter. A block of n windows holds its input as In rows of
+// Lanes(n) floats — feature k of window t at k·Lanes(n)+t, as WindowDots
+// reads it — and each trajectory's states as one row of Lanes(Hidden·n)
+// floats, window-minor — unit j of window t at j·n+t — the rows in order,
+// every padding lane zero: the layout ad.Tape.WeightedSumConst and the
+// engine's attention product read. A bypass output is three floats a window.
+// Reset sets the fields.
+type Slab struct {
+	Experts, Steps, In, Hidden, BlockLen int
+	x, states, bypass                    []float64
+}
+
+// Reset shapes s for experts trajectories hidden units wide over a series of
+// steps windows of in features, in blocks of blockLen windows, reusing its
+// buffers, and zeroes the input.
+func (s *Slab) Reset(experts, steps, in, hidden, blockLen int) {
+	s.Experts, s.Steps, s.In, s.Hidden, s.BlockLen = experts, steps, in, hidden, blockLen
+	full, rest := steps/blockLen, steps%blockLen
+	s.x = Resize(s.x, full*in*Lanes(blockLen)+in*Lanes(rest))
+	clear(s.x)
+	s.states = Resize(s.states, full*experts*Lanes(hidden*blockLen)+experts*Lanes(hidden*rest))
+	s.bypass = Resize(s.bypass, 3*experts*steps)
+}
+
+// input returns the input of the block of windows that starts at b0, a
+// multiple of BlockLen, its window count and its padded length.
+func (s *Slab) input(b0 int) (x []float64, n, tp int) {
+	n = min(s.BlockLen, s.Steps-b0)
+	tp = Lanes(n)
+	return s.x[b0/s.BlockLen*s.In*Lanes(s.BlockLen):][:s.In*tp], n, tp
+}
+
+// Window returns where window t's input goes: feature k at col[k*stride].
+func (s *Slab) Window(t int) (col []float64, stride int) {
+	x, _, tp := s.input(t - t%s.BlockLen)
+	return x[t%s.BlockLen:], tp
+}
+
+// Block returns the trajectories' rows of the block of windows that starts
+// at b0, a multiple of BlockLen — row i at i·stride — its window count and
+// the row stride.
+func (s *Slab) Block(b0 int) (rows []float64, n, stride int) {
+	n = min(s.BlockLen, s.Steps-b0)
+	stride = Lanes(s.Hidden * n)
+	return s.states[b0/s.BlockLen*s.Experts*Lanes(s.Hidden*s.BlockLen):][:s.Experts*stride], n, stride
+}
+
+// State gathers trajectory i's state at window t into h.
+func (s *Slab) State(h []float64, i, t int) {
+	rows, n, stride := s.Block(t - t%s.BlockLen)
+	Column(h, rows[i*stride:], n, t%s.BlockLen)
+}
+
+// Bypass returns trajectory i's bypass output, three floats a window.
+func (s *Slab) Bypass(i int) []float64 { return s.bypass[3*i*s.Steps:][:3*s.Steps] }
+
+// Column gathers window t of a window-minor block of n windows into dst.
+func Column(dst, block []float64, n, t int) {
+	for j := range dst {
+		dst[j] = block[j*n+t]
+	}
 }
 
 // StepReference is the original composition of a step (GRUBlock.Step) from

@@ -195,7 +195,7 @@ func TestRecoveredGenerationOverEmptyStore(t *testing.T) {
 		{"GET", "/v1/model", "", 200, ""},
 		{"POST", "/v1/estimate", estimate, 422, "never observed"},
 		{"POST", "/v1/sanity", `{"from":0,"to":5}`, 400, "out of bounds (windows [0, 0) resident)"},
-		{"GET", "/v1/influence?pair=Service/cpu", "", 400, "influence:"},
+		{"GET", "/v1/influence?pair=Service/cpu", "", 412, "no telemetry windows to probe"},
 		{"GET", "/v1/autoscale/plan", "", 412, "no telemetry windows to plan from"},
 	} {
 		check("empty store", c.method, c.path, c.body, c.code, c.say)

@@ -717,14 +717,20 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 		return
 	}
+	// The store's cached vectors, like every other read: extracted once per
+	// window, and through the generation's own extractor, so an anonymised
+	// model is probed in the hashed space it was learned in. A store with no
+	// resident window (a push-only tenant after a restart) is a state, as
+	// for /v1/autoscale/plan, not a bad request.
+	to := s.store.NumWindows()
+	from := max(s.store.OldestWindow(), to-maxReadWindows)
+	if from >= to {
+		writeErr(w, http.StatusPreconditionFailed, "no telemetry windows to probe")
+		return
+	}
 	ctx, span := s.opts.Tracer.Start(r.Context(), "service.influence")
 	defer span.End()
 	stage := s.opts.Tracer.Stages(ctx, s.influenceStages)
-	// The store's cached vectors, like every other read: extracted once per
-	// window, and through the generation's own extractor, so an anonymised
-	// model is probed in the hashed space it was learned in.
-	to := s.store.NumWindows()
-	from := max(s.store.OldestWindow(), to-maxReadWindows)
 	span.SetWindows(to - from)
 	end := stage("telemetry.features", "features")
 	series, err := s.store.Features(gen.Version, gen.System.Extractor(), from, to)
