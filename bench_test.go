@@ -184,7 +184,7 @@ func BenchmarkScalabilityTrainExpert(b *testing.B) {
 	usage := map[app.Pair][]float64{p: run.Usage[p]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := estimator.Train(run.Windows, usage, benchCfg()); err != nil {
+		if _, _, err := estimator.TrainWarm(run.Windows, usage, benchCfg(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func BenchmarkScalabilityInference(b *testing.B) {
 	run := toyTelemetry(b, 3)
 	p := app.Pair{Component: "Service", Resource: app.CPU}
 	usage := map[app.Pair][]float64{p: run.Usage[p]}
-	m, err := estimator.Train(run.Windows, usage, benchCfg())
+	m, _, err := estimator.TrainWarm(run.Windows, usage, benchCfg(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func BenchmarkScalabilityInputDim(b *testing.B) {
 			usage := map[app.Pair][]float64{p: run.Usage[p]}
 			cfg := benchCfg()
 			cfg.Epochs = 2
-			m, err := estimator.Train(dim, usage, cfg)
+			m, _, err := estimator.TrainWarm(dim, usage, cfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -290,7 +290,7 @@ func BenchmarkTrainParallelism(b *testing.B) {
 			cfg := benchCfg()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := estimator.Train(run.Windows, run.Usage, cfg); err != nil {
+				if _, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,7 +310,7 @@ func BenchmarkScalabilityModelSize(b *testing.B) {
 	var m *estimator.Model
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, err = estimator.Train(run.Windows, usage, cfg)
+		m, _, err = estimator.TrainWarm(run.Windows, usage, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func benchAblation(b *testing.B, mod func(*estimator.Config)) {
 	var mape float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := estimator.Train(l.LearnRun.Windows, usage, cfg)
+		m, _, err := estimator.TrainWarm(l.LearnRun.Windows, usage, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func BenchmarkAblationAttention(b *testing.B) {
 			if attn {
 				cfg.AttentionEpochs = 3
 			}
-			m, err := estimator.Train(run.Windows, run.Usage, cfg)
+			m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -126,8 +126,8 @@ func (s *System) Warm() bool { return s.warm }
 func (s *System) Engine() *infer.Engine { return s.engine }
 
 // EngineErr reports why the engine compile was refused (nil when it was
-// not). estimator.Train and Load output always compiles — every expert they
-// build has the uniform shape infer.Compile checks.
+// not). estimator.TrainWarm and Load output always compiles — every expert
+// they build has the uniform shape infer.Compile checks.
 func (s *System) EngineErr() error { return s.engineErr }
 
 // Telemetry is the store a learn reads: the trace batches and the

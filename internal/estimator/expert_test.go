@@ -225,7 +225,7 @@ func TestModelSummaryAndReports(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 3
 	cfg.AttentionEpochs = 1
-	m, err := Train(run.Windows, usage, cfg)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,9 @@ func goldenRun(t *testing.T, hidden int, pairs []app.Pair) (map[string][]float64
 	rec := newLossRecorder()
 	cfg := goldenConfig(hidden)
 	cfg.Progress = rec.hook
-	m, err := Train(run.Windows, usage, cfg)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {

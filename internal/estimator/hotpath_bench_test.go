@@ -98,7 +98,7 @@ func BenchmarkModelPredict(b *testing.B) {
 	cfg.Epochs = 2
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24
-	m, err := Train(run.Windows, run.Usage, cfg)
+	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func benchTrain(b *testing.B, run *sim.Run, cfg Config) {
 	b.ResetTimer()
 	cpu0 := processCPU()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(run.Windows, run.Usage, cfg); err != nil {
+		if _, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -121,7 +121,7 @@ func (e *Engine) putWork(wa *workArea) {
 // fails when the model's shape is not the uniform architecture the kernels
 // assume — e.g. hand-assembled experts with mismatched dimensions, or
 // attention peers that are not every other pair in Model.Pairs order, the
-// order the product adds them in — which estimator.Train and Load output
+// order the product adds them in — which estimator.TrainWarm and Load output
 // never is.
 func Compile(m *estimator.Model) (*Engine, error) {
 	if m == nil || len(m.Pairs) == 0 {

@@ -46,9 +46,9 @@ func trainOnWidth(t testing.TB, arg string, hidden int) (*estimator.Model, []fea
 	cfg.Epochs = 1
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24
-	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
-		t.Fatalf("Train(%s): %v", arg, err)
+		t.Fatalf("TrainWarm(%s): %v", arg, err)
 	}
 	return m, m.Space.ExtractSeries(run.Windows)
 }
@@ -122,7 +122,7 @@ func TestEnginePredictBatchMatchesSingle(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24
-	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestEngineWarmPredictAllocs(t *testing.T) {
 			cfg.Epochs = 1
 			cfg.AttentionEpochs = 1
 			cfg.ChunkLen = 24
-			m, err := estimator.Train(run.Windows, run.Usage, cfg)
+			m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestEngineRejectsMismatchedSeries(t *testing.T) {
 	cfg := estimator.DefaultConfig()
 	cfg.Epochs = 0
 	cfg.AttentionEpochs = 0
-	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestCompileRefusesPeersOutOfOrder(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
 	cfg := estimator.DefaultConfig()
 	cfg.Epochs, cfg.AttentionEpochs = 0, 0
-	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestEngineMixedAttention(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
 	cfg := estimator.DefaultConfig()
 	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 1, 1, 24
-	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestEngineRefusesNonFiniteFeature(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
 	cfg := estimator.DefaultConfig()
 	cfg.Epochs, cfg.AttentionEpochs = 0, 0
-	m, err := estimator.Train(run.Windows, run.Usage, cfg)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestEngineEdgeShapes(t *testing.T) {
 			cfg.Epochs = 1
 			cfg.AttentionEpochs = 1
 			cfg.ChunkLen = 24
-			m, err := estimator.Train(run.Windows, c.usage, cfg)
+			m, _, err := estimator.TrainWarm(run.Windows, c.usage, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ func FuzzLoadModel(f *testing.F) {
 	)
 	cfg := estimator.DefaultConfig()
 	cfg.Hidden, cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 2, 1, 1, 24
-	m, err := estimator.Train(run.Windows, usage, cfg)
+	m, _, err := estimator.TrainWarm(run.Windows, usage, cfg, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -231,13 +231,6 @@ func (m *Model) WeightBytes() int {
 	return 8 * n
 }
 
-// Train learns a DeepRest model from application-learning telemetry: the
-// windows of trace batches and the aligned utilization series per pair.
-func Train(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config) (*Model, error) {
-	m, _, err := TrainWarm(windows, usage, cfg, nil)
-	return m, err
-}
-
 // buildModel constructs the feature space, scalers, and freshly initialised
 // experts, returning the scaled inputs and targets ready for training.
 func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config) (*Model, [][]float64, map[app.Pair][]float64, error) {

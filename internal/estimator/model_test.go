@@ -32,9 +32,9 @@ func testConfig() Config {
 func TestTrainPredictEndToEnd(t *testing.T) {
 	cluster, _, run := testutil.ToyTelemetry(t, 3, 40, 1)
 
-	m, err := Train(run.Windows, run.Usage, testConfig())
+	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 
 	// Query: one unseen day at 2× users. Ground truth: continue the same
@@ -83,9 +83,9 @@ func TestTrainPredictEndToEnd(t *testing.T) {
 // TestIntervalOrdering asserts low ≤ exp ≤ up everywhere.
 func TestIntervalOrdering(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 2, 30, 2)
-	m, err := Train(run.Windows, run.Usage, testConfig())
+	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
@@ -104,9 +104,9 @@ func TestIntervalOrdering(t *testing.T) {
 // measurements for a representative resource.
 func TestIntervalCoverage(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 3, 40, 3)
-	m, err := Train(run.Windows, run.Usage, testConfig())
+	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
@@ -140,9 +140,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 3
 	cfg.AttentionEpochs = 1
-	m, err := Train(run.Windows, usage, cfg)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -178,21 +178,21 @@ func TestTrainValidation(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 2, 20, 5)
 	cfg := testConfig()
 
-	if _, err := Train(nil, run.Usage, cfg); err == nil {
+	if _, _, err := TrainWarm(nil, run.Usage, cfg, nil); err == nil {
 		t.Error("Train with no windows should fail")
 	}
-	if _, err := Train(run.Windows, nil, cfg); err == nil {
+	if _, _, err := TrainWarm(run.Windows, nil, cfg, nil); err == nil {
 		t.Error("Train with no usage should fail")
 	}
 	bad := map[app.Pair][]float64{
 		{Component: "Service", Resource: app.CPU}: make([]float64, 3),
 	}
-	if _, err := Train(run.Windows, bad, cfg); err == nil {
+	if _, _, err := TrainWarm(run.Windows, bad, cfg, nil); err == nil {
 		t.Error("Train with misaligned series should fail")
 	}
 	badCfg := cfg
 	badCfg.Hidden = 0
-	if _, err := Train(run.Windows, run.Usage, badCfg); err == nil {
+	if _, _, err := TrainWarm(run.Windows, run.Usage, badCfg, nil); err == nil {
 		t.Error("Train with zero hidden should fail")
 	}
 }
@@ -207,9 +207,9 @@ func TestMaskInterpretation(t *testing.T) {
 	)
 	cfg := testConfig()
 	cfg.Epochs = 12
-	m, err := Train(run.Windows, usage, cfg)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 	infl, err := m.APIInfluence(app.Pair{Component: "DB", Resource: app.WriteIOps}, m.Space.ExtractSeries(run.Windows))
 	if err != nil {
@@ -232,9 +232,9 @@ func TestPredictRealTraces(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 3, 40, 8)
 	p := app.Pair{Component: "DB", Resource: app.CPU}
 	usage := testutil.FocusPairs(run.Usage, p)
-	m, err := Train(run.Windows, usage, testConfig())
+	m, _, err := TrainWarm(run.Windows, usage, testConfig(), nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 	est, err := m.PredictVectors(m.Space.ExtractSeries(run.Windows))
 	if err != nil {
@@ -253,9 +253,9 @@ func TestPredictRealTraces(t *testing.T) {
 func TestVariableDurationQueries(t *testing.T) {
 	cluster, _, run := testutil.ToyTelemetry(t, 3, 40, 9)
 	p := app.Pair{Component: "Service", Resource: app.CPU}
-	m, err := Train(run.Windows, testutil.FocusPairs(run.Usage, p), testConfig())
+	m, _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), testConfig(), nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 	for _, days := range []float64{0.25, 1, 3} {
 		n := int(days * float64(testutil.ToyDay))
@@ -334,9 +334,9 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 		series := append([]float64(nil), usage[bad]...)
 		series[7] = v
 		usage[bad] = series
-		m, err := Train(run.Windows, usage, cfg)
+		m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
 		if err == nil || !strings.Contains(err.Error(), bad.String()) || !strings.Contains(err.Error(), "non-finite") {
-			t.Fatalf("Train with a %v sample: model %v, err %v; want a non-finite loss naming %s", v, m != nil, err, bad)
+			t.Fatalf("TrainWarm with a %v sample: model %v, err %v; want a non-finite loss naming %s", v, m != nil, err, bad)
 		}
 	}
 

@@ -31,7 +31,7 @@ func TestTrainParallelismDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 4} {
 		runtime.GOMAXPROCS(par)
-		m, err := Train(run.Windows, usage, cfg)
+		m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -61,7 +61,7 @@ func TestTrainWarmSeedsMatchingExperts(t *testing.T) {
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24
 
-	src, err := Train(run.Windows, testutil.FocusPairs(run.Usage, p, q), cfg)
+	src, _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p, q), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,9 @@ func TestProgressHook(t *testing.T) {
 		mu.Unlock()
 	}
 
-	m, err := Train(run.Windows, run.Usage, cfg)
+	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
+		t.Fatalf("TrainWarm: %v", err)
 	}
 
 	nPairs := len(m.Pairs)

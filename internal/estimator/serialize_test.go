@@ -26,9 +26,9 @@ func toyStream(tb testing.TB) (*Model, []byte) {
 	)
 	cfg := DefaultConfig()
 	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 2, 1, 24
-	m, err := Train(run.Windows, usage, cfg)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
 	if err != nil {
-		tb.Fatalf("Train: %v", err)
+		tb.Fatalf("TrainWarm: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -179,7 +179,7 @@ func TestSaveAllocatesPerExpertNotPerModel(t *testing.T) {
 	run := socialDay(t)
 	cfg := DefaultConfig()
 	cfg.Hidden, cfg.Epochs, cfg.AttentionEpochs = 32, 0, 0
-	m, err := Train(run.Windows, run.Usage, cfg)
+	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

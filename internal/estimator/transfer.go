@@ -14,13 +14,15 @@ import (
 // similar parameters). It is the one way a model adapts: the
 // continuous-learning pipeline retrains every generation through it.
 
-// TrainWarm is Train resumed from prev, a model trained earlier on the same
-// application: every fresh expert whose pair prev learned starts from prev's
-// weights instead of its random initialisation, when both models number the
-// same invocation paths in the same order and are equally wide. The
-// attention weights α are copied only over an equal peer list; anything
-// prev cannot match starts cold. seeded counts the experts that started
-// from prev. A nil prev is Train.
+// TrainWarm learns a DeepRest model from application-learning telemetry —
+// the windows of trace batches and the aligned utilization series per pair —
+// resumed from prev, a model trained earlier on the same application, when
+// prev is not nil: every fresh expert whose pair prev learned starts from
+// prev's weights instead of its random initialisation, when both models
+// number the same invocation paths in the same order and are equally wide.
+// The attention weights α are copied only over an equal peer list; anything
+// prev cannot match starts cold. seeded counts the experts that started from
+// prev. A nil prev trains every expert cold.
 func TrainWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config, prev *Model) (m *Model, seeded int, err error) {
 	m, x, targets, err := buildModel(windows, usage, cfg)
 	if err != nil {

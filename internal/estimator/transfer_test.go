@@ -19,7 +19,7 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 	_, _, srcRun := testutil.ToyTelemetry(t, 3, 40, 31)
 	srcCfg := testConfig()
 	srcCfg.Epochs = 20
-	src, err := Train(srcRun.Windows, testutil.FocusPairs(srcRun.Usage, p), srcCfg)
+	src, _, err := TrainWarm(srcRun.Windows, testutil.FocusPairs(srcRun.Usage, p), srcCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 	tinyCfg.AttentionEpochs = 0
 	usage := testutil.FocusPairs(tgtRun.Usage, p)
 
-	cold, err := Train(tgtRun.Windows, usage, tinyCfg)
+	cold, _, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestUpdateAdaptsToDrift(t *testing.T) {
 
 	_, _, oldRun := testutil.ToyTelemetry(t, 3, 40, 34)
 	cfg := testConfig()
-	m, err := Train(oldRun.Windows, testutil.FocusPairs(oldRun.Usage, p), cfg)
+	m, _, err := TrainWarm(oldRun.Windows, testutil.FocusPairs(oldRun.Usage, p), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

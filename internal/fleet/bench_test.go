@@ -14,7 +14,7 @@ import (
 // them round-robin. Against the single-tenant EstimateConcurrent benchmark
 // this exposes the cost of the tenant dimension itself — path routing, the
 // tenant table read lock, per-tenant admission, and 16 independent estimate
-// caches and singleflights sharing one process.
+// tables sharing one process.
 func BenchmarkFleetEstimate(b *testing.B) {
 	const tenants = 16
 	const clients = 4

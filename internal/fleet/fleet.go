@@ -9,8 +9,8 @@
 // Ownership model — everything a tenant touches is owned by that tenant:
 //
 //   - each Tenant wraps one service.Server, which owns its telemetry ring,
-//     per-generation feature cache, model registry, shadow scorer, estimate
-//     cache, and singleflight; no per-tenant state is reachable from another
+//     per-generation feature cache, model registry, shadow scorer and
+//     estimate table; no per-tenant state is reachable from another
 //     tenant, so retiring a tenant can never free a neighbour's rings or
 //     inference engine;
 //   - shared process-wide resources are explicitly label-partitioned: the

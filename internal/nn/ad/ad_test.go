@@ -148,9 +148,10 @@ func TestPinballQuantileConvergence(t *testing.T) {
 		BindGrads(nil, []*Param{p})
 		p.Data[0] = 0.5
 		lr := 0.01
+		tape := NewTape()
 		for epoch := 0; epoch < 60; epoch++ {
 			for _, y := range samples {
-				tape := NewTape()
+				tape.Reset()
 				l := tape.Pinball(tape.Use(p), []float64{y}, []float64{q})
 				tape.Backward(l)
 				p.Data[0] -= lr * p.Grad[0]

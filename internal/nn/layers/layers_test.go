@@ -157,3 +157,38 @@ func TestFlatParamsLength(t *testing.T) {
 		t.Fatalf("FlatParams len = %d, want 36", got)
 	}
 }
+
+// TestTrajectoryZeroesReusedPadding: a Slab Reset for a shorter series keeps
+// the longer series' states in its buffer, and Trajectory must leave every
+// padding lane of the rows it writes +0, as the Slab layout promises. Hidden
+// 5 over a last block of 3 windows pads each row from 15 floats to 16, over
+// memory the first series filled with states.
+func TestTrajectoryZeroesReusedPadding(t *testing.T) {
+	const in, hidden, experts, blockLen = 3, 5, 2, 8
+	rng := rand.New(rand.NewSource(7))
+	cells := []*GRUCell{NewGRUCell("a", in, hidden, rng), NewGRUCell("b", in, hidden, rng)}
+	var s Slab
+	var b GRUBlock
+	for _, steps := range []int{20, 11} {
+		s.Reset(experts, steps, in, hidden, blockLen)
+		for w := 0; w < steps; w++ {
+			col, stride := s.Window(w)
+			for k := 0; k < in; k++ {
+				col[k*stride] = rng.NormFloat64()
+			}
+		}
+		for i, g := range cells {
+			b.Trajectory(&s, i, g, nil, nil)
+		}
+		for b0 := 0; b0 < steps; b0 += blockLen {
+			rows, n, stride := s.Block(b0)
+			for i := range cells {
+				for l, v := range rows[i*stride:][hidden*n : stride] {
+					if v != 0 || math.Signbit(v) {
+						t.Fatalf("%d windows: expert %d, block at %d: padding lane %d = %v, want +0", steps, i, b0, hidden*n+l, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -28,9 +28,9 @@ func newTokenBucket(rate, burst float64) *tokenBucket {
 	return &tokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// take spends one token. On refusal it returns the wait until one token
-// accrues — the Retry-After the shed response carries.
-func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
+// take spends one token. On refusal it returns the whole seconds until one
+// token accrues, rounded up — the Retry-After the shed response carries.
+func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.last.IsZero() {
@@ -45,5 +45,5 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 		return true, 0
 	}
 	deficit := 1 - b.tokens
-	return false, time.Duration(math.Ceil(deficit / b.rate * float64(time.Second)))
+	return false, int(math.Ceil(deficit / b.rate))
 }

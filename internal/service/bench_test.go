@@ -123,7 +123,7 @@ func BenchmarkEstimateWarm(b *testing.B) {
 
 // BenchmarkEstimateConcurrent hammers /v1/estimate from 64 concurrent
 // clients, every request a distinct body (never a cache hit), so the
-// measured path is decode → singleflight → one engine pass per request,
+// measured path is decode → estimate table → one engine pass per request,
 // all fanning over the shared worker pool. Besides ns/op it reports the
 // client-observed p99 latency.
 func BenchmarkEstimateConcurrent(b *testing.B) {

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -18,20 +21,25 @@ import (
 	"repro/internal/workload"
 )
 
-// estFlights is the singleflight in front of /v1/estimate cache misses: an
-// arriving request identical to one already computing (same generation,
-// same canonical body) joins that flight instead of computing again, so a
-// thundering herd of identical queries pays once. Distinct requests each
-// compute on a goroutine of their own and fan their expert passes straight
-// onto the shared inference pool. A flight is pinned to the generation its
-// first caller read, so a response can never mix experts from two
-// generations.
-type estFlights struct {
+// estimateTable is the one place /v1/estimate decides request identity. It
+// maps predKey(version, bytes) to the call filed under those bytes: a call is
+// filed when it starts, so a lookup finds it done (a hit: its body is the
+// answer), running (a join: a herd of identical queries pays once) or not at
+// all. Estimates are deterministic per generation — trace synthesis is seeded
+// and inference is pure — so a done call answers every later read of the
+// same (generation, traffic). A call is filed under its request's canonical
+// form and, for a client that spells the request otherwise, under that
+// spelling too; both keys point at one call. Keys embed the generation
+// version, so a publish or rollback invalidates by no longer asking for them.
+// The table holds at most estimateCacheSize keys, running or done, and
+// forgets the oldest first; a forgotten key's call runs on for the callers
+// that hold it.
+type estimateTable struct {
 	mu    sync.Mutex
-	calls map[uint64]*estCall
+	calls map[uint64]estEntry
+	order []uint64 // the keys of calls, oldest first
 
-	cache     *predCache // filled once per flight, on completion
-	dedupHits *obs.Counter
+	hits, misses, joins *obs.Counter
 
 	// Where a miss's time goes (see run); both nil-safe. The request-side
 	// stages of the same histogram are observed by handleEstimate.
@@ -39,39 +47,108 @@ type estFlights struct {
 	stageSeconds *obs.HistogramVec
 }
 
-// estCall is one in-flight computation; waiters block on done.
-type estCall struct {
-	canon string
-	gen   *pipeline.Generation
-	done  chan struct{}
-	body  []byte // encoded response (with trailing newline) on success
-	err   error
+// estEntry is one key of the table: the bytes it hashes (so a hash collision
+// can never serve the wrong estimate) and the call they name.
+type estEntry struct {
+	req  string
+	call *estCall
 }
 
-func newEstFlights(cache *predCache, dedupHits *obs.Counter, tracer *obs.SpanTracer, metrics *obs.Registry) *estFlights {
-	return &estFlights{calls: make(map[uint64]*estCall), cache: cache, dedupHits: dedupHits, tracer: tracer,
+// estCall is one computation of an estimate. Waiters block on done; a call
+// in the table with done closed succeeded.
+type estCall struct {
+	done chan struct{}
+	body []byte // encoded response (with trailing newline) on success
+	err  error
+}
+
+func newEstimateTable(tracer *obs.SpanTracer, metrics *obs.Registry) *estimateTable {
+	return &estimateTable{calls: make(map[uint64]estEntry, estimateCacheSize), tracer: tracer,
+		hits: metrics.Counter("deeprest_estimate_cache_hits_total",
+			"Estimate requests answered by a completed call in the estimate table."),
+		misses: metrics.Counter("deeprest_estimate_cache_misses_total",
+			"Estimate requests that had to run the full synthesize-extract-predict path."),
+		joins: metrics.Counter("deeprest_estimate_cache_dedup_hits_total",
+			"Estimate requests answered by joining an identical call still computing (dedup)."),
 		stageSeconds: metrics.HistogramVec("deeprest_estimate_stage_duration_seconds",
-			"Wall-clock duration of one stage of answering an estimate. Every request: read (the body) and lookup (the response cache, by the bytes as they arrived). A spelling the cache has not seen: decode (JSON decode, validation, canonical re-marshal) and wait (on the flight computing the answer, first caller or joined). Once per flight: synthesize (trace synthesis and feature extraction), predict (the inference engine), encode (JSON response).",
+			"Wall-clock duration of one stage of answering an estimate. Every request: read (the body) and lookup (the estimate table, by the bytes as they arrived). A spelling the table has not filed: decode (JSON decode, validation, canonical re-marshal). A request whose answer is still computing: wait (on the flight, first caller or joined). Once per flight: synthesize (trace synthesis and feature extraction), predict (the inference engine), encode (JSON response).",
 			obs.DurationBuckets, "stage")}
 }
 
-// do computes (or joins) the estimate for one request and returns the
-// marshaled response body. ctx bounds only this caller's wait: a flight
-// every caller has abandoned still completes, so joiners and the response
-// cache get their result.
-func (f *estFlights) do(ctx context.Context, gen *pipeline.Generation, traffic *workload.Traffic, key uint64, canon []byte) ([]byte, error) {
-	f.mu.Lock()
-	c, ok := f.calls[key]
-	if ok && c.canon == string(canon) && c.gen == gen {
-		f.dedupHits.Inc()
-	} else {
-		c = &estCall{canon: string(canon), gen: gen, done: make(chan struct{})}
-		f.calls[key] = c
-		// The flight outlives a caller that gives up: it keeps the request's
-		// span lineage, not its cancellation.
-		go f.run(context.WithoutCancel(ctx), c, key, traffic)
+// predSeed keys the hash for the life of the process; keys never leave it.
+var predSeed = maphash.MakeSeed()
+
+// predKey hashes a generation version and a request body — canonical, or as
+// it arrived (see handleEstimate). It runs on every read, hits included, so
+// it allocates nothing and hashes at memory speed.
+func predKey(version int, req []byte) uint64 {
+	return maphash.Bytes(predSeed, req) ^ uint64(version)*0x9e3779b97f4a7c15
+}
+
+// find returns the call filed under (key, req), or nil, and whether it is
+// done, counting a hit or a join.
+func (t *estimateTable) find(key uint64, req []byte) (*estCall, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.findLocked(key, req)
+}
+
+func (t *estimateTable) findLocked(key uint64, req []byte) (*estCall, bool) {
+	e, ok := t.calls[key]
+	if !ok || e.req != string(req) {
+		return nil, false
 	}
-	f.mu.Unlock()
+	select {
+	case <-e.call.done:
+		t.hits.Inc()
+		return e.call, true
+	default:
+		t.misses.Inc()
+		t.joins.Inc()
+		return e.call, false
+	}
+}
+
+// start returns the call for the canonical request canon under gen, and
+// whether it is done: the one filed, or a new flight over traffic, filed
+// before it runs. A raw spelling other than canon is filed as a second key
+// to the same call. A flight is pinned to gen, so a response never mixes
+// experts from two generations. It outlives a caller that gives up: it keeps
+// ctx's span lineage, not its cancellation, so joiners and later reads get
+// its result.
+func (t *estimateTable) start(ctx context.Context, gen *pipeline.Generation, traffic *workload.Traffic, canon, raw []byte) (*estCall, bool) {
+	key := predKey(gen.Version, canon)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, done := t.findLocked(key, canon)
+	if c == nil {
+		t.misses.Inc()
+		c = &estCall{done: make(chan struct{})}
+		t.file(key, canon, c)
+		go t.run(context.WithoutCancel(ctx), c, gen, traffic)
+	}
+	if !bytes.Equal(raw, canon) {
+		t.file(predKey(gen.Version, raw), raw, c)
+	}
+	return c, done
+}
+
+// file puts c under key, first forgetting the oldest keys beyond the
+// table's capacity. The caller holds t.mu.
+func (t *estimateTable) file(key uint64, req []byte, c *estCall) {
+	if _, ok := t.calls[key]; !ok {
+		for len(t.calls) >= estimateCacheSize {
+			delete(t.calls, t.order[0])
+			t.order = t.order[1:]
+		}
+		t.order = append(t.order, key)
+	}
+	t.calls[key] = estEntry{req: string(req), call: c}
+}
+
+// wait returns the call's response body once it is done, or ctx's error
+// first; ctx bounds only this caller's wait.
+func (c *estCall) wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-c.done:
 		return c.body, c.err
@@ -80,17 +157,19 @@ func (f *estFlights) do(ctx context.Context, gen *pipeline.Generation, traffic *
 	}
 }
 
-// run computes the flight's estimate, caches the encoded body, retires
-// the singleflight entry and releases every waiter. It is the one place a
-// miss is computed, so it is where a miss is timed: a service.estimate span
-// with one child per stage, each stage also observed into
-// deeprest_estimate_stage_duration_seconds (obs.SpanTracer.Stages, as a learn
-// does) — "why was that estimate slow" reads off /debug/spans and /metrics.
-func (f *estFlights) run(ctx context.Context, c *estCall, key uint64, traffic *workload.Traffic) {
-	ctx, span := f.tracer.Start(ctx, "service.estimate")
+// run computes the call's estimate and releases every waiter. Success leaves
+// the table as it is: the call is already filed. A failed call first removes
+// every key that points at it, so a refusal is never served from the table.
+// It is the one place a miss is computed, so it is where a miss is timed: a
+// service.estimate span with one child per stage, each stage also observed
+// into deeprest_estimate_stage_duration_seconds (obs.SpanTracer.Stages, as a
+// learn does) — "why was that estimate slow" reads off /debug/spans and
+// /metrics.
+func (t *estimateTable) run(ctx context.Context, c *estCall, gen *pipeline.Generation, traffic *workload.Traffic) {
+	ctx, span := t.tracer.Start(ctx, "service.estimate")
 	span.SetWindows(traffic.NumWindows())
-	stage := f.tracer.Stages(ctx, f.stageSeconds)
-	sys := c.gen.System
+	stage := t.tracer.Stages(ctx, t.stageSeconds)
+	sys := gen.System
 	end := stage("core.synthesize_features", "synthesize")
 	series, err := sys.SynthesizeFeatures(traffic)
 	end()
@@ -102,20 +181,18 @@ func (f *estFlights) run(ctx context.Context, c *estCall, key uint64, traffic *w
 	}
 	if err == nil {
 		end = stage("service.encode", "encode")
-		c.body, err = encodeEstimate(c.gen.Version, est)
+		c.body, err = encodeEstimate(gen.Version, est)
 		end()
-		if err == nil {
-			f.cache.put(key, c.canon, c.body)
-		}
 	}
 	c.err = err
 	span.SetErr(err)
 	span.End()
-	f.mu.Lock()
-	if f.calls[key] == c {
-		delete(f.calls, key)
+	if err != nil {
+		t.mu.Lock()
+		maps.DeleteFunc(t.calls, func(_ uint64, e estEntry) bool { return e.call == c })
+		t.order = slices.DeleteFunc(t.order, func(k uint64) bool { _, ok := t.calls[k]; return !ok })
+		t.mu.Unlock()
 	}
-	f.mu.Unlock()
 	close(c.done)
 }
 
@@ -126,7 +203,7 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // encodeEstimate writes the /v1/estimate response for the generation's
 // version and its estimates, and a newline: the bytes json.Marshal makes of
 // {"version", "estimates": {pair: {"exp", "low", "up", "unit"}}}, pair keys
-// sorted, in a buffer exactly as long, since the response cache keeps it. A
+// sorted, in a buffer exactly as long, since the estimate table keeps it. A
 // non-finite estimate is an error, as it is to json.Marshal.
 func encodeEstimate(version int, est map[app.Pair]estimator.Estimate) ([]byte, error) {
 	type entry struct {

@@ -49,7 +49,7 @@ func toEstimateResponse(version int, est map[app.Pair]estimator.Estimate) estima
 
 // learnedFlightFixture trains one generation on an instrumented server and
 // returns it with its handler, ready for HTTP requests or direct
-// s.flights.do calls.
+// s.estimates.start calls.
 func learnedFlightFixture(t *testing.T) (*Server, http.Handler, *pipeline.Generation) {
 	t.Helper()
 	opts := quickServiceOpts()
@@ -96,13 +96,10 @@ func wantBody(t *testing.T, gen *pipeline.Generation, traffic *workload.Traffic)
 	return append(body, '\n')
 }
 
-// waitRetired blocks until the flight registered under key, if any, has
-// completed (a flight leaves the index before it releases its waiters).
-func waitRetired(t *testing.T, f *estFlights, key uint64) {
+// waitRetired blocks until the call filed under key, if any, has completed.
+func waitRetired(t *testing.T, tab *estimateTable, key uint64) {
 	t.Helper()
-	f.mu.Lock()
-	c := f.calls[key]
-	f.mu.Unlock()
+	c := tab.filed(key)
 	if c == nil {
 		return
 	}
@@ -113,48 +110,60 @@ func waitRetired(t *testing.T, f *estFlights, key uint64) {
 	}
 }
 
-// TestBatcherDedupJoinsInflightCall pins singleflight: a request identical
-// to one already in flight joins it (counted as a dedup hit) instead of
-// starting a second computation.
-func TestBatcherDedupJoinsInflightCall(t *testing.T) {
+// plant files, under canon's key, a call that runs nothing, so a join is
+// deterministic; the test releases it.
+func plant(s *Server, gen *pipeline.Generation, canon []byte) *estCall {
+	c := &estCall{done: make(chan struct{})}
+	s.estimates.mu.Lock()
+	s.estimates.file(predKey(gen.Version, canon), canon, c)
+	s.estimates.mu.Unlock()
+	return c
+}
+
+// startAndWait is what handleEstimate does with a canonical body the table
+// has not filed.
+func startAndWait(ctx context.Context, tab *estimateTable, gen *pipeline.Generation, traffic *workload.Traffic, canon []byte) ([]byte, error) {
+	c, _ := tab.start(ctx, gen, traffic, canon, canon)
+	return c.wait(ctx)
+}
+
+// TestFlightDedupJoinsRunningCall: a request identical to one already in
+// flight joins it (counted as a dedup hit) instead of starting a second
+// computation.
+func TestFlightDedupJoinsRunningCall(t *testing.T) {
 	s, _, gen := learnedFlightFixture(t)
-	f := s.flights
+	f := s.estimates
 	canon := []byte(`{"windows":[{"/read":10}]}`)
-	key := predKey(gen.Version, canon)
 
 	// Plant an in-flight call by hand so the join is deterministic, then
 	// release it from another goroutine.
-	c := &estCall{canon: string(canon), gen: gen, done: make(chan struct{})}
-	f.mu.Lock()
-	f.calls[key] = c
-	f.mu.Unlock()
+	c := plant(s, gen, canon)
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		c.body = []byte("joined")
 		close(c.done)
 	}()
 
-	body, err := f.do(context.Background(), gen, testTraffic(10), key, canon)
+	body, err := startAndWait(context.Background(), f, gen, testTraffic(10), canon)
 	if err != nil {
-		t.Fatalf("do: %v", err)
+		t.Fatalf("start: %v", err)
 	}
 	if string(body) != "joined" {
 		t.Fatalf("joined call returned %q, want the in-flight result", body)
 	}
-	if got := f.dedupHits.Value(); got != 1 {
+	if got := f.joins.Value(); got != 1 {
 		t.Fatalf("dedup hits = %d, want 1", got)
 	}
-	if s.estCache.len() != 0 {
-		t.Fatal("a joiner filled the cache; only the flight's completion may")
+	if f.len() != 1 {
+		t.Fatal("a joiner filed a key; only the call's first caller may")
 	}
 }
 
-// TestBatcherDistinctMissesRunIndependently (successor of
-// TestBatcherCoalescesDistinctRequests): N concurrent distinct misses each
+// TestFlightDistinctMissesRunIndependently: N concurrent distinct misses each
 // get exactly the body the sequential path produces, and none joins another.
-func TestBatcherDistinctMissesRunIndependently(t *testing.T) {
+func TestFlightDistinctMissesRunIndependently(t *testing.T) {
 	s, _, gen := learnedFlightFixture(t)
-	f := s.flights
+	f := s.estimates
 	const n = 4
 	bodies := make([][]byte, n)
 	errs := make([]error, n)
@@ -164,7 +173,7 @@ func TestBatcherDistinctMissesRunIndependently(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			canon := []byte(fmt.Sprintf(`{"windows":[{"/read":%d}]}`, 10+i))
-			bodies[i], errs[i] = f.do(context.Background(), gen, testTraffic(10+i), predKey(gen.Version, canon), canon)
+			bodies[i], errs[i] = startAndWait(context.Background(), f, gen, testTraffic(10+i), canon)
 		}(i)
 	}
 	wg.Wait()
@@ -176,18 +185,18 @@ func TestBatcherDistinctMissesRunIndependently(t *testing.T) {
 			t.Fatalf("request %d: concurrent body diverges from the sequential path", i)
 		}
 	}
-	if got := f.dedupHits.Value(); got != 0 {
+	if got := f.joins.Value(); got != 0 {
 		t.Fatalf("distinct requests counted %d dedup hits", got)
 	}
-	if got := s.estCache.len(); got != n {
-		t.Fatalf("%d cache entries after %d distinct flights", got, n)
+	if got := f.len(); got != n {
+		t.Fatalf("%d table keys after %d distinct flights", got, n)
 	}
 }
 
-// TestBatcherGenerationsNeverJoin (successor of TestBatcherSplitsGenerations):
-// the same canonical body pinned to two generations runs as two flights, and
-// each body carries the version of the generation it pinned.
-func TestBatcherGenerationsNeverJoin(t *testing.T) {
+// TestFlightGenerationsNeverJoin: the same canonical body pinned to two
+// generations runs as two flights, and each body carries the version of the
+// generation it pinned.
+func TestFlightGenerationsNeverJoin(t *testing.T) {
 	s, _, gen1 := learnedFlightFixture(t)
 	gen2, err := s.Pipeline().TrainOnce(0, 0, nil, "manual")
 	if err != nil {
@@ -196,7 +205,7 @@ func TestBatcherGenerationsNeverJoin(t *testing.T) {
 	if gen1.Version == gen2.Version {
 		t.Fatal("expected two distinct generations")
 	}
-	f := s.flights
+	f := s.estimates
 	canon := []byte(`{"windows":[{"/read":10}]}`)
 	gens := []*pipeline.Generation{gen1, gen2}
 	bodies := make([][]byte, len(gens))
@@ -206,7 +215,7 @@ func TestBatcherGenerationsNeverJoin(t *testing.T) {
 		wg.Add(1)
 		go func(i int, gen *pipeline.Generation) {
 			defer wg.Done()
-			bodies[i], errs[i] = f.do(context.Background(), gen, testTraffic(10), predKey(gen.Version, canon), canon)
+			bodies[i], errs[i] = startAndWait(context.Background(), f, gen, testTraffic(10), canon)
 		}(i, gen)
 	}
 	wg.Wait()
@@ -222,8 +231,56 @@ func TestBatcherGenerationsNeverJoin(t *testing.T) {
 			t.Fatalf("call %d answered by version %d, want %d", i, resp.Version, gen.Version)
 		}
 	}
-	if got := f.dedupHits.Value(); got != 0 {
+	if got := f.joins.Value(); got != 0 {
 		t.Fatalf("flights of different generations joined (%d dedup hits)", got)
+	}
+}
+
+// TestFlightTableForgetsOldestKeys: the table holds estimateCacheSize keys,
+// running or done, and forgets the oldest first; a caller holding the call of
+// a forgotten key still gets its result.
+func TestFlightTableForgetsOldestKeys(t *testing.T) {
+	s, _, gen := learnedFlightFixture(t)
+	req := func(i int) []byte { return []byte(fmt.Sprintf(`{"windows":[{"/read":%d}]}`, i)) }
+	first := plant(s, gen, req(0))
+	for i := 1; i <= estimateCacheSize; i++ {
+		plant(s, gen, req(i))
+	}
+	if got := s.estimates.len(); got != estimateCacheSize {
+		t.Fatalf("%d keys after %d filed, want %d", got, estimateCacheSize+1, estimateCacheSize)
+	}
+	if s.estimates.filed(predKey(gen.Version, req(0))) != nil || s.estimates.filed(predKey(gen.Version, req(1))) == nil {
+		t.Fatal("the table did not forget exactly its oldest key")
+	}
+	first.body = []byte("kept\n")
+	close(first.done)
+	if body, err := first.wait(context.Background()); err != nil || string(body) != "kept\n" {
+		t.Fatalf("the forgotten key's call answered %q, %v", body, err)
+	}
+}
+
+// TestFailedFlightTakesEveryKey: a call that fails removes its canonical key
+// and every spelling filed to it before it releases a waiter, so the table
+// holds nothing of it.
+func TestFailedFlightTakesEveryKey(t *testing.T) {
+	s, h, gen := learnedFlightFixture(t)
+	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(`{"windows":[{"/read":3}]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("estimate = %d: %s", rec.Code, rec.Body)
+	}
+	bias := gen.System.Model().Experts[gen.System.Pairs()[0]].Head.B.Data
+	saved := bias[0]
+	bias[0] = math.NaN()
+	defer func() { bias[0] = saved }()
+	respelled := `{ "windows": [ {"/read": 7} ] }`
+	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(respelled)); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("NaN estimate = %d: %s", rec.Code, rec.Body)
+	}
+	tab := s.estimates
+	tab.mu.Lock()
+	keys, order := len(tab.calls), len(tab.order)
+	tab.mu.Unlock()
+	if keys != 1 || order != 1 {
+		t.Fatalf("after a failed call the table holds %d keys in a FIFO of %d, want the one good key", keys, order)
 	}
 }
 
@@ -243,9 +300,9 @@ func longDay(attempt int) estimateRequest {
 	return req
 }
 
-// TestBatcherWaiterHonorsContext checks an abandoned caller unblocks on its
+// TestFlightWaiterHonorsContext checks an abandoned caller unblocks on its
 // own context while the flight itself still completes.
-func TestBatcherWaiterHonorsContext(t *testing.T) {
+func TestFlightWaiterHonorsContext(t *testing.T) {
 	s, _, gen := learnedFlightFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -254,8 +311,8 @@ func TestBatcherWaiterHonorsContext(t *testing.T) {
 		canon, _ := json.Marshal(req)
 		key := predKey(gen.Version, canon)
 		traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: 60, WindowsPerDay: len(req.Windows)}
-		_, err := s.flights.do(ctx, gen, traffic, key, canon)
-		waitRetired(t, s.flights, key)
+		_, err := startAndWait(ctx, s.estimates, gen, traffic, canon)
+		waitRetired(t, s.estimates, key)
 		if err == context.Canceled {
 			return
 		}
@@ -275,7 +332,7 @@ func TestAbandonedEstimateFillsCache(t *testing.T) {
 	cancel()
 	for attempt := 0; attempt < abandonAttempts; attempt++ {
 		canon, _ := json.Marshal(longDay(attempt))
-		missesBefore := s.estCacheMisses.Value()
+		missesBefore := s.estimates.misses.Value()
 
 		req := httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(canon)).WithContext(ctx)
 		rec := httptest.NewRecorder()
@@ -286,7 +343,7 @@ func TestAbandonedEstimateFillsCache(t *testing.T) {
 		if rec.Code != http.StatusGatewayTimeout {
 			t.Fatalf("abandoned estimate = %d, want 504: %s", rec.Code, rec.Body)
 		}
-		waitRetired(t, s.flights, predKey(gen.Version, canon))
+		waitRetired(t, s.estimates, predKey(gen.Version, canon))
 
 		retry := do(t, h, "POST", "/v1/estimate", bytes.NewBuffer(canon))
 		if retry.Code != http.StatusOK {
@@ -295,7 +352,7 @@ func TestAbandonedEstimateFillsCache(t *testing.T) {
 		if got := retry.Header().Get("X-DeepRest-Cache"); got != "hit" {
 			t.Fatalf("retry after an abandoned flight not served from cache (header %q)", got)
 		}
-		if got := s.estCacheMisses.Value() - missesBefore; got != 1 {
+		if got := s.estimates.misses.Value() - missesBefore; got != 1 {
 			t.Fatalf("cache misses rose by %d, want exactly 1", got)
 		}
 		return
@@ -542,21 +599,26 @@ func TestNaNEstimateAnswers422Uncached(t *testing.T) {
 	saved := bias[0]
 	bias[0] = math.NaN()
 	body := `{"windows":[{"/read":7}]}`
-	misses := s.estCacheMisses.Value()
+	misses := s.estimates.misses.Value()
 	for i := 0; i < 2; i++ {
 		rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(body))
 		if rec.Code != http.StatusUnprocessableEntity || rec.Header().Get("X-DeepRest-Cache") != "" {
 			t.Fatalf("NaN estimate, read %d: %d (cache %q) %s, want an uncached 422", i, rec.Code, rec.Header().Get("X-DeepRest-Cache"), rec.Body)
 		}
 	}
-	if got := s.estCacheMisses.Value() - misses; got != 2 {
+	if got := s.estimates.misses.Value() - misses; got != 2 {
 		t.Fatalf("two reads of a NaN estimate were %d misses, want 2", got)
 	}
 	bias[0] = saved
 	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(body)); rec.Code != http.StatusOK {
 		t.Fatalf("restored: %d %s", rec.Code, rec.Body)
 	}
-	cached, ok := s.estCache.get(predKey(gen.Version, []byte(body)), []byte(body))
+	c := s.estimates.filed(predKey(gen.Version, []byte(body)))
+	ok := c != nil && c.err == nil
+	var cached []byte
+	if ok {
+		cached = c.body
+	}
 	if !ok || cap(cached) != len(cached) {
 		t.Fatalf("cached body: found %v, %d bytes in a %d-byte buffer", ok, len(cached), cap(cached))
 	}

@@ -61,7 +61,7 @@ func TestEstimateSpellings(t *testing.T) {
 	if first.Code != http.StatusOK || first.Header().Get("X-DeepRest-Cache") != "" {
 		t.Fatalf("first estimate = %d (cache %q), want a computed 200", first.Code, first.Header().Get("X-DeepRest-Cache"))
 	}
-	misses := s.estCacheMisses.Value()
+	misses := s.estimates.misses.Value()
 	for i, c := range []struct{ name, body string }{
 		{"canonical", canon},
 		{"extra whitespace", "{ \"windows\" : [ {\"/read\": 10, \"/write\": 4},\n\t{\"/read\": 20, \"/write\": 6} ], \"windows_per_day\": 2 }\n"},
@@ -79,11 +79,11 @@ func TestEstimateSpellings(t *testing.T) {
 			t.Errorf("%s: a repeated read allocates %.0f times, want <= %d", c.name, n, hitAllocBound)
 		}
 		// One entry for the canonical request, one per other spelling.
-		if got := s.estCache.len(); got != 1+i {
-			t.Errorf("%s: %d cache entries, want %d", c.name, got, 1+i)
+		if got := s.estimates.len(); got != 1+i {
+			t.Errorf("%s: %d table keys, want %d", c.name, got, 1+i)
 		}
 	}
-	if got := s.estCacheMisses.Value(); got != misses {
+	if got := s.estimates.misses.Value(); got != misses {
 		t.Errorf("re-spelled reads counted %d misses", got-misses)
 	}
 	if got := s.stageDecode.Count(); got != 4 {
@@ -91,25 +91,24 @@ func TestEstimateSpellings(t *testing.T) {
 	}
 }
 
-// TestRespelledEstimateJoinsFlight: the singleflight's identity is the
-// canonical form, so a re-spelled request arriving while the canonical one
-// computes joins it, and is remembered under its own spelling afterwards.
+// TestRespelledEstimateJoinsFlight: a call is started under the canonical
+// form, so a re-spelled request arriving while the canonical one computes
+// joins it, and is remembered under its own spelling afterwards.
 func TestRespelledEstimateJoinsFlight(t *testing.T) {
 	s, h, gen := learnedFlightFixture(t)
 	canon := []byte(`{"windows":[{"/read":10}]}`)
-	key := predKey(gen.Version, canon)
-	c := &estCall{canon: string(canon), gen: gen, done: make(chan struct{})}
-	s.flights.mu.Lock()
-	s.flights.calls[key] = c
-	s.flights.mu.Unlock()
+	c := plant(s, gen, canon)
 
 	respelled := `{"windows": [{"/read": 10}]}`
 	got := make(chan *httptest.ResponseRecorder)
 	go func() { got <- do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(respelled)) }()
-	for deadline := time.Now().Add(5 * time.Second); s.estDedupHits.Value() == 0; runtime.Gosched() {
+	for deadline := time.Now().Add(5 * time.Second); s.estimates.joins.Value() == 0; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatal("the re-spelled request never joined the canonical flight")
 		}
+	}
+	if s.estimates.filed(predKey(gen.Version, []byte(respelled))) != c {
+		t.Fatal("the joiner's spelling was not filed at once as a key to the running call")
 	}
 	c.body = []byte("joined\n")
 	close(c.done)
@@ -117,7 +116,7 @@ func TestRespelledEstimateJoinsFlight(t *testing.T) {
 	if rec.Code != http.StatusOK || rec.Body.String() != "joined\n" {
 		t.Fatalf("re-spelled request = %d %q, want the in-flight result", rec.Code, rec.Body)
 	}
-	if d, p := s.estDedupHits.Value(), s.flights.stageSeconds.With("predict").Count(); d != 1 || p != 0 {
+	if d, p := s.estimates.joins.Value(), s.estimates.stageSeconds.With("predict").Count(); d != 1 || p != 0 {
 		t.Fatalf("dedup hits = %d, engine passes = %d, want 1 and 0", d, p)
 	}
 	if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(respelled)); rec.Header().Get("X-DeepRest-Cache") != "hit" || rec.Body.String() != "joined\n" {
@@ -125,7 +124,7 @@ func TestRespelledEstimateJoinsFlight(t *testing.T) {
 	}
 }
 
-// TestHitNeverServesWhatAMissRefuses: the cache is asked before the body is
+// TestHitNeverServesWhatAMissRefuses: the table is asked before the body is
 // decoded, so nothing may be in it that validation would refuse — a cached
 // body with garbage behind it is different bytes and a 400, and an invalid
 // body is a 400 however often it is repeated.
@@ -137,7 +136,7 @@ func TestHitNeverServesWhatAMissRefuses(t *testing.T) {
 			t.Fatalf("estimate = %d: %s", rec.Code, rec.Body)
 		}
 	}
-	entries := s.estCache.len()
+	entries := s.estimates.len()
 	for _, bad := range []string{good + " junk", good + good, `{"windows":[]}`, `{"windows":[{"/read":-1}]}`, `{"windows":`} {
 		for attempt := 0; attempt < 3; attempt++ {
 			if rec := do(t, h, "POST", "/v1/estimate", bytes.NewBufferString(bad)); rec.Code != http.StatusBadRequest {
@@ -145,8 +144,8 @@ func TestHitNeverServesWhatAMissRefuses(t *testing.T) {
 			}
 		}
 	}
-	if got := s.estCache.len(); got != entries {
-		t.Errorf("refused requests changed the cache: %d entries, was %d", got, entries)
+	if got := s.estimates.len(); got != entries {
+		t.Errorf("refused requests changed the table: %d entries, was %d", got, entries)
 	}
 }
 
@@ -280,9 +279,16 @@ func TestEstimateStatesItsLength(t *testing.T) {
 	}
 }
 
-// len reports the number of cached responses.
-func (c *predCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// len reports the number of keys in the table.
+func (t *estimateTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.calls)
+}
+
+// filed returns the call filed under key, or nil, counting nothing.
+func (t *estimateTable) filed(key uint64) *estCall {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.calls[key].call
 }

@@ -95,8 +95,7 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 			return
 		}
 		if s.bucket != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/telemetry" {
-			if ok, retry := s.bucket.take(time.Now()); !ok {
-				secs := int(retry/time.Second) + 1
+			if ok, secs := s.bucket.take(time.Now()); !ok {
 				s.shedRate.Inc()
 				w.Header().Set("Retry-After", strconv.Itoa(secs))
 				writeErr(w, http.StatusTooManyRequests, "ingest rate exceeded, retry in %ds", secs)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/nn/ad"
 	"repro/internal/obs"
@@ -345,5 +346,48 @@ func TestUninstrumentedServiceServes(t *testing.T) {
 	}
 	if rec := do(t, h, "GET", "/metrics", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("metrics without registry = %d, want 404", rec.Code)
+	}
+}
+
+// TestRetryAfterIsTheWaitRoundedUp: a refused push says how many whole
+// seconds remain until a token accrues, rounded up once — driven at fixed
+// instants through take, then through the handler at rates 1 and 0.5 with a
+// drained one-token bucket (a token 1 s and 2 s away).
+func TestRetryAfterIsTheWaitRoundedUp(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	for _, c := range []struct {
+		rate  float64
+		steps []time.Duration // offsets from t0; the first take spends the token
+		want  []int           // Retry-After of each later take, 0 = admitted
+	}{
+		{1, []time.Duration{0, 0, 250 * time.Millisecond, time.Second}, []int{1, 1, 0}},
+		{0.5, []time.Duration{0, 0, 500 * time.Millisecond, time.Second, 2 * time.Second}, []int{2, 2, 1, 0}},
+		{4, []time.Duration{0, 0, 100 * time.Millisecond, 300 * time.Millisecond}, []int{1, 1, 0}},
+	} {
+		b := newTokenBucket(c.rate, 1)
+		for i, at := range c.steps {
+			ok, secs := b.take(t0.Add(at))
+			want := 0
+			if i > 0 {
+				want = c.want[i-1]
+			}
+			if ok != (want == 0) || secs != want {
+				t.Errorf("rate %v, take at +%v: admitted %v, Retry-After %d; want %d", c.rate, at, ok, secs, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		rate float64
+		want string
+	}{{1, "1"}, {0.5, "2"}} {
+		s, err := New(quickServiceOpts(), pipeline.DefaultConfig(), Config{IngestRate: c.rate, IngestBurst: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.bucket.take(time.Now())
+		rec := do(t, s.Handler(), "POST", "/v1/telemetry", bytes.NewBufferString(""))
+		if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != c.want {
+			t.Errorf("rate %v, drained bucket: %d with Retry-After %q, want 429 with %q", c.rate, rec.Code, rec.Header().Get("Retry-After"), c.want)
+		}
 	}
 }

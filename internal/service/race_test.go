@@ -74,10 +74,10 @@ func TestPredictRaceUnderGenerationSwaps(t *testing.T) {
 		}
 	}()
 
-	// Readers: HTTP predictions (cache → singleflight → compiled engine),
+	// Readers: HTTP predictions (estimate table → compiled engine),
 	// direct model reads, and direct engine-path estimates, concurrently
-	// with the swaps above. The rotating request bodies defeat the response
-	// cache so the miss path and engine stay hot across generation flips
+	// with the swaps above. The rotating request bodies defeat the estimate
+	// table so the miss path and engine stay hot across generation flips
 	// while generations retire from the registry mid-read.
 	for g := 0; g < readers; g++ {
 		wg.Add(1)

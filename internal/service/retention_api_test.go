@@ -11,7 +11,7 @@ import (
 )
 
 // TestEstimateCacheHit: a repeated identical /v1/estimate against the same
-// model generation is served from the prediction cache — byte-identical
+// model generation is served from the estimate table — byte-identical
 // body, marked with the cache header — and publishing a new generation
 // invalidates (the version is part of the key).
 func TestEstimateCacheHit(t *testing.T) {

@@ -135,7 +135,7 @@ func (c Config) validate() error {
 	return nil
 }
 
-// estimateCacheSize bounds the /v1/estimate response cache (entries).
+// estimateCacheSize bounds the /v1/estimate table (keys, running or done).
 const estimateCacheSize = 512
 
 // Server is the HTTP facade over one DeepRest instance.
@@ -150,11 +150,7 @@ type Server struct {
 	pipe    *pipeline.Pipeline
 	quality *quality.Scorer
 
-	estCache       *predCache
-	flights        *estFlights
-	estCacheHits   *obs.Counter
-	estCacheMisses *obs.Counter
-	estDedupHits   *obs.Counter
+	estimates *estimateTable
 	// The request-side stages of deeprest_estimate_stage_duration_seconds,
 	// resolved once so a hit pays no label lookup (see handleEstimate).
 	stageRead, stageLookup, stageDecode, stageWait *obs.Histogram
@@ -196,7 +192,7 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{opts: opts, cfg: cfg, log: opts.Logger, reqPrefix: newRequestPrefix(),
-		estCache: newPredCache(estimateCacheSize), store: telemetry.NewServer(0)}
+		store: telemetry.NewServer(0)}
 	s.store.SetRetention(cfg.Retention)
 	s.store.Instrument(opts.Metrics)
 	s.store.SetTracer(opts.Tracer)
@@ -213,12 +209,6 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 			"Requests shed at admission, by reason: ingest_rate (429, ingest token bucket empty) or inflight (503, in-flight bound reached).",
 			"reason")
 		s.shedRate, s.shedInflight = shed.With("ingest_rate"), shed.With("inflight")
-		s.estCacheHits = m.Counter("deeprest_estimate_cache_hits_total",
-			"Estimate requests answered from the prediction cache.")
-		s.estCacheMisses = m.Counter("deeprest_estimate_cache_misses_total",
-			"Estimate requests that had to run the full synthesize-extract-predict path.")
-		s.estDedupHits = m.Counter("deeprest_estimate_cache_dedup_hits_total",
-			"Estimate requests answered by joining an identical in-flight computation (singleflight dedup).")
 		// One counter per process (root view), whichever tenant's download
 		// failed; the warning in the log names the generation.
 		s.modelDownloadFails = m.Root().Counter("deeprest_model_download_failures_total",
@@ -226,8 +216,8 @@ func New(opts core.Options, pcfg pipeline.Config, cfg Config) (*Server, error) {
 	}
 	buildinfo.Register(opts.Metrics)
 	obs.RegisterRuntime(opts.Metrics)
-	s.flights = newEstFlights(s.estCache, s.estDedupHits, opts.Tracer, opts.Metrics)
-	stages := s.flights.stageSeconds
+	s.estimates = newEstimateTable(opts.Tracer, opts.Metrics)
+	stages := s.estimates.stageSeconds
 	s.stageRead, s.stageLookup, s.stageDecode, s.stageWait = stages.With("read"), stages.With("lookup"), stages.With("decode"), stages.With("wait")
 	s.sanityStages = opts.Metrics.HistogramVec("deeprest_sanity_stage_duration_seconds",
 		"Wall-clock duration of one stage of a sanity check: features (the range's cached feature vectors), metrics (its measured utilization), predict (the inference engine), detect (the anomaly detector), encode (JSON response).",
@@ -481,14 +471,15 @@ func (req *estimateRequest) validate() error {
 }
 
 // handleEstimate answers a Mode-1 query. Estimates are deterministic per
-// generation, so the response cache is asked first, by the body's bytes as
-// they arrived: a repeated read is answered with no JSON work at all. Only
-// a spelling the cache has not seen is decoded, validated and re-marshaled
-// to its canonical form (field order, sorted keys, no whitespace) — the
-// identity the stored entry and the singleflight keep — and, where the
-// spelling is not itself canonical, remembered as a second key to the same
-// response bytes. An entry therefore exists only behind a body that decoded,
-// validated and computed: a hit never serves what a miss would refuse.
+// generation, so the estimate table is asked first, by the body's bytes as
+// they arrived: a repeated read is answered, or joins the flight computing
+// it, with no JSON work at all. Only a spelling the table has not filed is
+// decoded, validated and re-marshaled to its canonical form (field order,
+// sorted keys, no whitespace), the identity a call is started under; a
+// spelling that is not canonical is filed as a second key to the same call.
+// A key therefore exists only behind a body that decoded and validated, and
+// a failed call takes its keys with it: a hit never serves what a miss would
+// refuse.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	raw, ok := readBody(w, r)
@@ -499,62 +490,46 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.stageRead.Observe(readDone.Sub(start).Seconds())
 	// RCU read: one atomic load pins the generation for the whole query.
 	gen := s.pipe.Active()
-	var key uint64
+	var c *estCall
+	var done bool
 	if gen != nil {
-		key = predKey(gen.Version, raw)
-		body, ok := s.estCache.get(key, raw)
+		c, done = s.estimates.find(predKey(gen.Version, raw), raw)
 		s.stageLookup.Observe(time.Since(readDone).Seconds())
-		if ok {
-			s.estCacheHits.Inc()
-			writeEstimate(w, body, true)
+	}
+	if c == nil {
+		decoding := time.Now()
+		var req estimateRequest
+		var canon []byte
+		err := decodeJSON(raw, &req)
+		if err == nil {
+			err = req.validate()
+		}
+		if err == nil {
+			canon, _ = json.Marshal(req)
+		}
+		s.stageDecode.Observe(time.Since(decoding).Seconds())
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-	}
-
-	decoding := time.Now()
-	var req estimateRequest
-	var canon []byte
-	err := decodeJSON(raw, &req)
-	if err == nil {
-		err = req.validate()
-	}
-	if err == nil {
-		canon, _ = json.Marshal(req)
-	}
-	s.stageDecode.Observe(time.Since(decoding).Seconds())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if gen == nil {
-		writeErr(w, http.StatusPreconditionFailed, "not learned yet")
-		return
-	}
-	// A spelling that is not the canonical one becomes a second key to the
-	// same response: the same body slice, not a copy.
-	rawKey, respelled := key, !bytes.Equal(canon, raw)
-	if respelled {
-		key = predKey(gen.Version, canon)
-		if body, ok := s.estCache.get(key, canon); ok {
-			s.estCache.put(rawKey, string(raw), body)
-			s.estCacheHits.Inc()
-			writeEstimate(w, body, true)
+		if gen == nil {
+			writeErr(w, http.StatusPreconditionFailed, "not learned yet")
 			return
 		}
+		wpd := req.WindowsPerDay
+		if wpd == 0 {
+			wpd = len(req.Windows)
+		}
+		traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: s.store.WindowSeconds(), WindowsPerDay: wpd}
+		c, done = s.estimates.start(r.Context(), gen, traffic, canon, raw)
 	}
-	s.estCacheMisses.Inc()
-
-	wpd := req.WindowsPerDay
-	if wpd == 0 {
-		wpd = len(req.Windows)
+	if done {
+		writeEstimate(w, c.body, true)
+		return
 	}
-	traffic := &workload.Traffic{Windows: req.Windows, WindowSeconds: s.store.WindowSeconds(), WindowsPerDay: wpd}
 
-	// A miss is one flight (synthesize, predict, encode); identical in-flight
-	// requests join it, and its completion — not this caller — fills the
-	// cache.
 	waiting := time.Now()
-	body, err := s.flights.do(r.Context(), gen, traffic, key, canon)
+	body, err := c.wait(r.Context())
 	s.stageWait.Observe(time.Since(waiting).Seconds())
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -563,9 +538,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeErr(w, http.StatusUnprocessableEntity, "estimate: %v", err)
 		return
-	}
-	if respelled {
-		s.estCache.put(rawKey, string(raw), body)
 	}
 	writeEstimate(w, body, false)
 }

@@ -83,7 +83,6 @@ var testOnlyAllowed = map[string]string{
 	"obs.Lint":                 "oracle: the exposition grammar six packages' tests hold every /metrics scrape to",
 	"sim.Fingerprint":          "oracle: bit-identity of two runs as one string compare (the sim and topo goldens)",
 	"app.Toy":                  "fixture: the three-component application every package's tests train on",
-	"estimator.Train":          "fixture: a cold TrainWarm, the model the estimator, engine and root tests (goldens among them) train",
 	"sim.WithMeasurementNoise": "determinism knob: exactness tests switch scrape noise off",
 	"sim.WithQueueFactor":      "determinism knob: accounting tests switch queuing inflation off, the queuing test sets it",
 	"faults.MustParse":         "test helper: Parse for constant specs, shared by three packages' tests",
