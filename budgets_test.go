@@ -13,10 +13,10 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 21938 // non-test Go lines outside bench/
-	designBytesBudget      = 43725
-	changesBytesBudget     = 26541
-	readmeBytesBudget      = 34753
+	goLinesBudget          = 22280 // non-test Go lines outside bench/
+	designBytesBudget      = 45846
+	changesBytesBudget     = 31331
+	readmeBytesBudget      = 35183
 	experimentsBytesBudget = 23277
 )
 

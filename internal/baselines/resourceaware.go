@@ -102,7 +102,8 @@ func trainRAExpert(ws *layers.Workspace, p app.Pair, series []float64, wpd int, 
 	rows := make([][]float64, 0, cfg.ChunkLen)
 	var h *ad.Value
 	from := 0
-	err := ws.Train(append(e.cell.Params(), e.head.Params()...), rng, layers.Chunks{
+	run := layers.Run{Name: p.String(), Params: append(e.cell.Params(), e.head.Params()...), Rng: rng}
+	err := ws.Train([]layers.Run{run}, layers.Chunks{
 		Windows: len(e.scaled) - wpd, Len: cfg.ChunkLen, Epochs: cfg.Epochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
 		Loss: func(tape *ad.Tape, t int, first bool) *ad.Value {
 			t += wpd
@@ -122,7 +123,7 @@ func trainRAExpert(ws *layers.Workspace, p app.Pair, series []float64, wpd int, 
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("baselines: %s: %w", p, err)
+		return nil, fmt.Errorf("baselines: %w", err)
 	}
 	return e, nil
 }

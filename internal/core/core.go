@@ -235,7 +235,7 @@ func trainProgress(reg *obs.Registry) func(estimator.ProgressEvent) {
 		"Mean pinball loss of the most recent completed epoch, per expert.",
 		"pair")
 	dur := reg.Histogram("deeprest_train_epoch_duration_seconds",
-		"Wall-clock duration of one training epoch of one expert.",
+		"Wall-clock duration of one training epoch of one expert; a phase-B epoch is a panel's, its time shared evenly by the panel's experts.",
 		obs.DurationBuckets)
 	return func(ev estimator.ProgressEvent) {
 		epochs.With(ev.Phase).Inc()

@@ -45,25 +45,48 @@ type Expert struct {
 	UseMask, UseAttention, UseBypass bool
 }
 
-// newExpert builds an expert for pair with the given dimensions and peers.
+// newExpert builds an expert for pair with the given dimensions and peers,
+// its parameters carved from one allocation (expertShapes) and its matrices
+// Glorot-initialised from rng in Params order.
 func newExpert(pair app.Pair, inDim, hidden int, peers []string, cfg Config, rng *rand.Rand) *Expert {
-	name := pair.String()
-	e := &Expert{
-		Pair:   pair,
-		InDim:  inDim,
-		Hidden: hidden,
-		Mask:   layers.NewAPIMask(name, inDim),
-		Cell:   layers.NewGRUCell(name, inDim, hidden, rng),
-		Attn:   layers.NewAttention(name, peers),
-		Head:   layers.NewDense(name+".V", 2*hidden, 3, rng),
-		Bypass: layers.NewDense(name+".S", inDim, 3, rng),
-
-		UseMask:      cfg.UseMask,
-		UseAttention: cfg.UseAttention,
-		UseBypass:    cfg.LinearBypass,
+	ps := ad.Carve(expertShapes(pair.String(), inDim, hidden, len(peers)))
+	for _, j := range [...]int{1, 2, 4, 5, 7, 8, 11, 13} { // W·, U·, V, S
+		ps[j].InitGlorot(rng)
 	}
-	ad.Pack(e.Params())
-	return e
+	return expertOf(pair, inDim, hidden, peers, ps, cfg.UseMask, cfg.UseAttention, cfg.LinearBypass)
+}
+
+// expertShapes lists the parameters of an expert named name, in Params
+// order: the mask, the cell's three gates (W·, U·, b·), α, the head V and the
+// bypass S.
+func expertShapes(name string, in, hid, peers int) []ad.Shape {
+	return []ad.Shape{
+		{Name: name + ".mask", Rows: in, Cols: 1},
+		{Name: name + ".Wz", Rows: hid, Cols: in}, {Name: name + ".Uz", Rows: hid, Cols: hid}, {Name: name + ".bz", Rows: hid, Cols: 1},
+		{Name: name + ".Wk", Rows: hid, Cols: in}, {Name: name + ".Uk", Rows: hid, Cols: hid}, {Name: name + ".bk", Rows: hid, Cols: 1},
+		{Name: name + ".Wh", Rows: hid, Cols: in}, {Name: name + ".Uh", Rows: hid, Cols: hid}, {Name: name + ".bh", Rows: hid, Cols: 1},
+		{Name: name + ".alpha", Rows: peers, Cols: 1},
+		{Name: name + ".V.W", Rows: 3, Cols: 2 * hid}, {Name: name + ".V.b", Rows: 3, Cols: 1},
+		{Name: name + ".S.W", Rows: 3, Cols: in}, {Name: name + ".S.b", Rows: 3, Cols: 1},
+	}
+}
+
+// expertOf assembles an expert around its parameters ps, in expertShapes'
+// order and shapes — how newExpert and Load build one.
+func expertOf(pair app.Pair, in, hid int, peers []string, ps []*ad.Param, useMask, useAttention, useBypass bool) *Expert {
+	return &Expert{
+		Pair:         pair,
+		InDim:        in,
+		Hidden:       hid,
+		Mask:         &layers.APIMask{M: ps[0]},
+		Cell:         layers.GRUCellOf(in, hid, ps[1:10]),
+		Attn:         &layers.Attention{Alpha: ps[10], Peers: peers},
+		Head:         &layers.Dense{In: 2 * hid, Out: 3, W: ps[11], B: ps[12]},
+		Bypass:       &layers.Dense{In: in, Out: 3, W: ps[13], B: ps[14]},
+		UseMask:      useMask,
+		UseAttention: useAttention,
+		UseBypass:    useBypass,
+	}
 }
 
 // Params returns every trainable parameter of the expert.

@@ -49,6 +49,9 @@ type Engine struct {
 	hidden    int // GRU width, uniform across experts
 	scalerMax []float64
 	experts   []expertView
+	// heads are the experts' pass-two operands, in expert order: a head
+	// attends when its row of attn is formed; otherwise its context stays +0.
+	heads []layers.PanelExpert
 	// attn is the P×P attention matrix: row i holds expert i's α at its
 	// peers' columns and +0 everywhere else, its own column included; nil
 	// when no expert attends.
@@ -67,13 +70,10 @@ type Engine struct {
 // expertView is one expert's kernel operands: all but mask are the expert's
 // own layers or the Data of its Params.
 type expertView struct {
-	mask    []float64 // σ(m) gate, dim floats of one engine-owned slab; nil when the mask is off
-	cell    *layers.GRUCell
-	attends bool          // its row of Engine.attn is formed; otherwise its context stays +0
-	headW   []float64     // 3 × 2·hidden
-	headB   []float64     // 3
-	bypass  *layers.Dense // nil when the bypass is off
-	scale   estimator.TargetScale
+	mask   []float64 // σ(m) gate, dim floats of one engine-owned slab; nil when the mask is off
+	cell   *layers.GRUCell
+	bypass *layers.Dense // nil when the bypass is off
+	scale  estimator.TargetScale
 }
 
 // predictScratch is the per-call mutable state, recycled through
@@ -83,20 +83,13 @@ type predictScratch struct {
 	triples [][3]float64 // P×T scaled output triples
 }
 
-// panelExperts is how many experts' outputs one pass-two task computes: the
-// attention contexts of a panel are one ad.WindowDots product, whose kernel
-// takes the matrix's rows four at a time.
-const panelExperts = 4
-
 // workArea is what one running task needs beyond the request's scratch; it
 // comes from Engine.work, so there are as many as tasks in flight, not as
-// experts. A trajectory task uses its block's operands, a pass-two task the
-// other fields.
+// experts. A trajectory task uses its block's operands, a pass-two task its
+// pass's.
 type workArea struct {
 	block layers.GRUBlock
-	ctx   []float64 // panelExperts rows of a block's stride: the panel's attention contexts
-	cat   []float64 // 2·hidden rows of a block's lanes: a_t ∥ h_t of its windows
-	head  []float64 // 3 rows of a block's lanes: the head's products
+	pass  layers.Pass
 }
 
 // getWork takes a work area off the free list, or makes one; putWork returns
@@ -146,6 +139,7 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		dim:       dim,
 		scalerMax: append([]float64(nil), m.FeatScaler.Max...),
 		experts:   make([]expertView, P),
+		heads:     make([]layers.PanelExpert, P),
 		pool:      SharedPool(),
 		work:      make(chan *workArea, 2*runtime.GOMAXPROCS(0)),
 	}
@@ -197,7 +191,7 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		}
 		view.scale = *ts
 		view.cell = ex.Cell
-		view.headW, view.headB = ex.Head.W.Data, ex.Head.B.Data
+		e.heads[i] = layers.PanelExpert{Row: i, HeadW: ex.Head.W.Data, HeadB: ex.Head.B.Data, Bypass: ex.UseBypass}
 		if attnActive && ex.UseAttention {
 			if ex.Attn == nil || len(ex.Attn.Peers) != P-1 || len(ex.Attn.Alpha.Data) != P-1 {
 				return nil, fmt.Errorf("infer: %s: attention weights are not one per other pair", p)
@@ -218,7 +212,7 @@ func Compile(m *estimator.Model) (*Engine, error) {
 				e.attn = make([]float64, P*P)
 			}
 			ad.AttentionRow(e.attn[i*P:(i+1)*P], ex.Attn.Alpha.Data, i)
-			view.attends = true
+			e.heads[i].Attends = true
 		}
 	}
 	return e, nil
@@ -268,66 +262,24 @@ func (e *Engine) trajectory(i int, sc *predictScratch) {
 }
 
 // panels is how many pass-two tasks a series takes.
-func (e *Engine) panels() int { return (len(e.experts) + panelExperts - 1) / panelExperts }
+func (e *Engine) panels() int {
+	return (len(e.experts) + layers.PanelExperts - 1) / layers.PanelExperts
+}
 
 // outputs computes the scaled output triples of panel k's experts from the
-// slab, a block of windows at a time: the attention contexts of each run of
-// attending experts as one product of their rows of the attention matrix with
-// the block's trajectories (ad.WindowDots, a lane per window and unit; each
-// context starts at +0 and adds the peers in order, the tape's
-// WeightedSumConst sum); then per expert its a_t ∥ h_t, copied row by row
-// from the window-minor blocks into a series as WindowDots reads one, and the
-// head over every window in one WindowDots, which sums each as the tape's
-// MatVec does; then the bias and the bypass output, in Expert.stepOutput's
-// operation order.
+// slab, a block of windows at a time, with layers.Pass.Outputs — the pass
+// phase B fits the heads with.
 func (e *Engine) outputs(k, T int, sc *predictScratch) {
-	P, hid := len(e.experts), e.hidden
-	i0, i1 := k*panelExperts, min((k+1)*panelExperts, P)
+	P := len(e.experts)
+	i0, i1 := k*layers.PanelExperts, min((k+1)*layers.PanelExperts, P)
 	wa := e.getWork()
 	defer e.putWork(wa)
-	_, widest, stride := sc.slab.Block(0)
-	wa.ctx = layers.Resize(wa.ctx, panelExperts*stride)
-	wa.cat = layers.Resize(wa.cat, 2*hid*layers.Lanes(widest))
-	wa.head = layers.Resize(wa.head, 3*layers.Lanes(widest))
+	var attn []float64
+	if e.attn != nil {
+		attn = e.attn[i0*P:]
+	}
 	for b0 := 0; b0 < T; b0 += sc.slab.BlockLen {
-		rows, n, ts := sc.slab.Block(b0)
-		for a := i0; a < i1; {
-			b := a
-			for b < i1 && e.experts[b].attends {
-				b++
-			}
-			if b > a {
-				ad.WindowDots(wa.ctx[(a-i0)*ts:], e.attn[a*P:], rows, b-a, P, ts)
-			}
-			a = b + 1
-		}
-		tp := layers.Lanes(n)
-		cat := wa.cat[:2*hid*tp] // unit u of a_t at u·tp+t, of h_t at (hid+u)·tp+t
-		clear(cat)               // the padding lanes stay zero
-		for i := i0; i < i1; i++ {
-			ex := &e.experts[i]
-			if !ex.attends {
-				clear(cat[:hid*tp]) // the context stays +0
-			}
-			for u := 0; u < hid; u++ {
-				if ex.attends {
-					copy(cat[u*tp:][:n], wa.ctx[(i-i0)*ts+u*n:])
-				}
-				copy(cat[(hid+u)*tp:][:n], rows[i*ts+u*n:])
-			}
-			ad.WindowDots(wa.head, ex.headW, cat, 3, 2*hid, tp)
-			byp := sc.slab.Bypass(i)[3*b0:]
-			for t := 0; t < n; t++ {
-				tr := &sc.triples[i*T+b0+t]
-				for j := 0; j < 3; j++ {
-					y := wa.head[j*tp+t] + ex.headB[j]
-					if ex.bypass != nil {
-						y += byp[3*t+j]
-					}
-					tr[j] = y
-				}
-			}
-		}
+		wa.pass.Outputs(&sc.slab, b0, e.heads[i0:i1], attn, sc.triples[i0*T+b0:], T, nil)
 	}
 }
 

@@ -47,8 +47,8 @@ func TestEngineHoldsOneCopyOfWeights(t *testing.T) {
 				t.Errorf("%s %s: the engine steps a GRU that is not the expert's", name, p)
 			}
 			for what, pair := range map[string][2][]float64{
-				"head W":   {view.headW, ex.Head.W.Data},
-				"head b":   {view.headB, ex.Head.B.Data},
+				"head W":   {eng.heads[i].HeadW, ex.Head.W.Data},
+				"head b":   {eng.heads[i].HeadB, ex.Head.B.Data},
 				"bypass W": {view.bypass.W.Data, ex.Bypass.W.Data},
 				"bypass b": {view.bypass.B.Data, ex.Bypass.B.Data},
 			} {

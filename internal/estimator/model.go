@@ -105,7 +105,9 @@ type ProgressEvent struct {
 	// Loss is the mean pinball loss across the epoch's chunks, in the
 	// expert's unit target scale.
 	Loss float64
-	// Duration is the wall-clock time the epoch took.
+	// Duration is the wall-clock time the epoch took. Phase B trains a
+	// panel of experts in lockstep, and each reports the panel's epoch time
+	// over the panel's size: the durations still add up to the time spent.
 	Duration time.Duration
 }
 
@@ -326,10 +328,7 @@ func (m *Model) train(x [][]float64, targets map[app.Pair][]float64, cfg Config)
 			return err
 		}
 		end = stage(StageAttention)
-		err = layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
-			p := m.Pairs[i]
-			return trainExpertHead(ws, m.Experts[p], targets[p], &peerStates{hidden, i}, cfg, cfg.AttentionEpochs, q, cfg.Seed+1000+int64(i))
-		})
+		err = m.trainAttention(hidden, targets, cfg, q)
 		end()
 		if err != nil {
 			return err
@@ -390,16 +389,23 @@ func (m *Model) allHiddenStates(x [][]float64, blockLen int) (*layers.Slab, erro
 }
 
 // trainExpert runs truncated-BPTT training of one expert for the given
-// number of epochs, with a zero attention context (phase A).
+// number of epochs, with a zero attention context (phase A): the shared
+// chunk loop (layers.Workspace.Train), its chunk order drawn from seed, with
+// window t's loss the pinball loss of the output triple against target[t],
+// one ProgressEvent per epoch, and the refusal of a non-finite loss or
+// gradient named after the expert. Failing the expert fails the generation,
+// so the previous one keeps serving.
 func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float64, cfg Config, epochs int, q []float64, seed int64) error {
 	if len(x) != len(target) {
 		return fmt.Errorf("estimator: %s: %d inputs vs %d targets", e.Pair, len(x), len(target))
 	}
 	zero := make([]float64, e.Hidden) // the state a chunk starts from, and the attention context
+	tgt := make([]float64, len(q))    // Pinball copies the targets onto the tape, so one triple serves
 	var h, xt *ad.Value
 	from := 0
-	return trainChunks(ws, e, PhaseTrain, e.Params(), target, cfg, epochs, q, seed,
-		func(tape *ad.Tape, t int, first bool) *ad.Value {
+	c := layers.Chunks{
+		Windows: len(target), Len: cfg.ChunkLen, Epochs: epochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
+		Loss: func(tape *ad.Tape, t int, first bool) *ad.Value {
 			if first {
 				// A chunk is a block, formed under the weights the previous
 				// chunk's Adam step left.
@@ -408,75 +414,77 @@ func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float6
 				ws.Block.Form(e.Cell, e.mask(), x[t:min(t+cfg.ChunkLen, len(x))])
 			}
 			h, xt = e.step(ws, tape, x[t], t-from, h)
-			return e.stepOutput(tape, xt, h, tape.Const(zero))
-		},
-		func() { e.addRegularizationGrads(cfg) })
-}
-
-// trainChunks is how both phases train: the shared truncated-BPTT loop
-// (layers.Workspace.Train) over params, its chunk order drawn from seed, with
-// window t's loss the pinball loss of out's triple against target[t], one
-// ProgressEvent per epoch, and the refusal of a non-finite loss named after
-// the expert. Failing the expert fails the generation, so the previous one
-// keeps serving.
-func trainChunks(ws *layers.Workspace, e *Expert, phase string, params []*ad.Param, target []float64, cfg Config, epochs int, q []float64, seed int64,
-	out func(tape *ad.Tape, t int, first bool) *ad.Value, afterBackward func()) error {
-	// Pinball copies the targets onto the tape, so one triple serves.
-	tgt := make([]float64, len(q))
-	c := layers.Chunks{
-		Windows: len(target), Len: cfg.ChunkLen, Epochs: epochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
-		Loss: func(tape *ad.Tape, t int, first bool) *ad.Value {
-			y := out(tape, t, first)
 			for j := range tgt {
 				tgt[j] = target[t]
 			}
-			return tape.Pinball(y, tgt, q)
+			return tape.Pinball(e.stepOutput(tape, xt, h, tape.Const(zero)), tgt, q)
 		},
-		AfterBackward: afterBackward,
+		AfterBackward: func() { e.addRegularizationGrads(cfg) },
+		Epoch:         progress(cfg, PhaseTrain, epochs, func(int) app.Pair { return e.Pair }),
 	}
-	if cfg.Progress != nil {
-		c.Epoch = func(epoch int, loss float64, took time.Duration) {
-			cfg.Progress(ProgressEvent{
-				Pair: e.Pair.String(), Phase: phase,
-				Epoch: epoch, Epochs: epochs,
-				Loss: loss, Duration: took,
-			})
-		}
-	}
-	if err := ws.Train(params, rand.New(rand.NewSource(seed)), c); err != nil {
-		return fmt.Errorf("estimator: %s: %w", e.Pair, err)
+	run := layers.Run{Name: e.Pair.String(), Params: e.Params(), Rng: rand.New(rand.NewSource(seed))}
+	if err := ws.Train([]layers.Run{run}, c); err != nil {
+		return fmt.Errorf("estimator: %w", err)
 	}
 	return nil
 }
 
-// trainExpertHead runs phase B for one expert: with the recurrent trunk,
-// mask, and bypass frozen, it fits only the attention weights α and the
-// output head V against the (now fixed) own and peer hidden states.
-func trainExpertHead(ws *layers.Workspace, e *Expert, target []float64, peers *peerStates, cfg Config, epochs int, q []float64, seed int64) error {
-	if !e.UseAttention || len(e.Attn.Peers) == 0 {
+// progress returns the Chunks.Epoch hook that reports run r's epochs of
+// phase as ProgressEvents of the expert pair(r), or nil without a Progress
+// hook.
+func progress(cfg Config, phase string, epochs int, pair func(r int) app.Pair) func(r, epoch int, loss float64, took time.Duration) {
+	if cfg.Progress == nil {
 		return nil
 	}
-	// The frozen parts, the expert's own hidden trajectory and bypass
-	// output, are already in the slab, cut at the chunk length.
-	bypass := peers.Bypass(peers.self)
-	h := make([]float64, e.Hidden)
-	var ctx *ad.Value
-	from := 0
-	return trainChunks(ws, e, PhaseAttention, append(e.Head.Params(), e.Attn.Params()...), target, cfg, epochs, q, seed,
-		func(tape *ad.Tape, t int, first bool) *ad.Value {
-			if first {
-				// One op forms the chunk's contexts, and its backward the
-				// gradient of α for all of them.
-				ctx, from = peers.attend(tape, e.Attn, t), t
-			}
-			peers.State(h, peers.self, t)
-			y := e.Head.Apply(tape, tape.Concat(tape.Column(ctx, t-from), tape.Const(h)))
-			if e.UseBypass {
-				y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
-			}
-			return y
-		},
-		nil)
+	return func(r, epoch int, loss float64, took time.Duration) {
+		cfg.Progress(ProgressEvent{
+			Pair: pair(r).String(), Phase: phase,
+			Epoch: epoch, Epochs: epochs,
+			Loss: loss, Duration: took,
+		})
+	}
+}
+
+// trainAttention runs phase B over the frozen trajectories in slab: the
+// experts that attend, in training order, cut into panels of
+// layers.PanelExperts, one ForEach job each.
+func (m *Model) trainAttention(slab *layers.Slab, targets map[app.Pair][]float64, cfg Config, q []float64) error {
+	var attend []int
+	for i, p := range m.Pairs {
+		if e := m.Experts[p]; e.UseAttention && len(e.Attn.Peers) > 0 {
+			attend = append(attend, i)
+		}
+	}
+	panels := (len(attend) + layers.PanelExperts - 1) / layers.PanelExperts
+	return layers.ForEach(panels, func(k int, ws *layers.Workspace) error {
+		return m.trainHeads(ws, attend[k*layers.PanelExperts:min((k+1)*layers.PanelExperts, len(attend))], slab, targets, cfg, q)
+	})
+}
+
+// trainHeads runs phase B for a panel of experts, the ones at idx in training
+// order: with the recurrent trunks, masks and bypasses frozen — their
+// trajectories and bypass outputs already in the slab, cut at the chunk
+// length — it fits only each one's attention weights α and output head V,
+// the panel in lockstep (layers.Workspace.FitHeads), expert i's chunk order
+// drawn from cfg.Seed+1000+i.
+func (m *Model) trainHeads(ws *layers.Workspace, idx []int, slab *layers.Slab, targets map[app.Pair][]float64, cfg Config, q []float64) error {
+	heads := make([]layers.Head, len(idx))
+	for j, i := range idx {
+		p := m.Pairs[i]
+		e := m.Experts[p]
+		heads[j] = layers.Head{
+			Name: p.String(), Rng: rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i))), Row: i,
+			Alpha: e.Attn.Alpha, W: e.Head.W, B: e.Head.B, Bypass: e.UseBypass, Target: targets[p],
+		}
+	}
+	c := layers.Chunks{
+		Epochs: cfg.AttentionEpochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
+		Epoch: progress(cfg, PhaseAttention, cfg.AttentionEpochs, func(r int) app.Pair { return m.Pairs[idx[r]] }),
+	}
+	if err := ws.FitHeads(slab, q, heads, c); err != nil {
+		return fmt.Errorf("estimator: %w", err)
+	}
+	return nil
 }
 
 // addRegularizationGrads adds the L1 attribution penalties' gradients on

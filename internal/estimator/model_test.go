@@ -304,7 +304,7 @@ func TestPeerStatesReadSlabInTrainingOrder(t *testing.T) {
 		if ps.State(own, ps.self, 1); own[0] != rows[tc.self*4+1] {
 			t.Fatalf("expert %d: own state at step 1 = %v", tc.self, own[0])
 		}
-		attn := layers.NewAttention("x", []string{"p", "q"})
+		attn := &layers.Attention{Alpha: ad.NewParam("x.alpha", 2, 1), Peers: []string{"p", "q"}}
 		for step, want := range tc.want {
 			for k := range want {
 				// A one-hot α picks peer k's state out of the context.
@@ -352,7 +352,8 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 	rows[stride+3] = math.NaN() // expert 1 is expert 0's only peer: its first unit at window 3
 	q := loss.Quantiles(cfg.Delta)
 	before := append([]float64(nil), m.Experts[m.Pairs[0]].Head.W.Data...)
-	err = trainExpertHead(newWorkspace(), m.Experts[m.Pairs[0]], targets[m.Pairs[0]], &peerStates{hidden, 0}, cfg, 1, q[:], 1)
+	cfg.AttentionEpochs, cfg.Seed = 1, 1-1000 // expert 0's chunk order from seed 1
+	err = m.trainHeads(newWorkspace(), []int{0}, hidden, targets, cfg, q[:])
 	if err == nil || !strings.Contains(err.Error(), m.Pairs[0].String()) {
 		t.Fatalf("phase B over a NaN peer state: err = %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/features"
 	"repro/internal/nn/ad"
-	"repro/internal/nn/layers"
 )
 
 // The serialized form is an explicit snapshot rather than the live object
@@ -110,10 +109,10 @@ func (m *Model) Save(w io.Writer) error {
 // peer list that is not "every other pair, in order", a non-finite weight
 // or scale are all errors — what Load returns compiles (infer.Compile) and
 // predicts the same on the tape and the engine. Nothing is sized from a
-// number the header states: every parameter is the slice gob decoded — which
-// gob bounds by the bytes actually present — checked against the header's
-// shape before the expert is built around it, so a header claiming more than
-// the stream holds is refused at its first expert.
+// number the header states: every parameter is what gob decoded — which gob
+// bounds by the bytes actually present — checked against the header's shape
+// before an expert is carved for it, so a header claiming more than the
+// stream holds is refused at its first expert.
 func Load(r io.Reader) (*Model, error) {
 	dec := gob.NewDecoder(r)
 	var h modelHeader
@@ -154,6 +153,7 @@ func Load(r io.Reader) (*Model, error) {
 		Experts:      make(map[app.Pair]*Expert, len(h.Pairs)),
 		TargetScales: make(map[app.Pair]*TargetScale, len(h.Pairs)),
 	}
+	var eg expertGob
 	for i, p := range h.Pairs {
 		if _, dup := m.Experts[p]; dup {
 			return nil, fmt.Errorf("estimator: corrupt snapshot: pair %s listed twice", p)
@@ -162,9 +162,15 @@ func Load(r io.Reader) (*Model, error) {
 		if (sc.Kind != int(kindLevel) && sc.Kind != int(kindDelta)) || !(sc.Scale > 0 && finite(sc.Scale) && finite(sc.Base)) {
 			return nil, fmt.Errorf("estimator: corrupt snapshot: %s: target scale %+v", p, sc)
 		}
-		// A fresh value per expert: gob decodes into a slice that has room,
-		// and two experts must not share parameter memory.
-		var eg expertGob
+		// One value for every expert: gob decodes into a slice that has room,
+		// so the parameters' values land in the previous expert's buffers,
+		// which expert copies out of. Every field is reset first — gob leaves
+		// a field the stream does not carry as it was — and Peers is fresh,
+		// the expert keeps it.
+		for j := range eg.Params {
+			eg.Params[j] = paramGob{Data: eg.Params[j].Data[:0]}
+		}
+		eg = expertGob{Params: eg.Params}
 		if err := dec.Decode(&eg); err != nil {
 			return nil, fmt.Errorf("estimator: decode expert %d of %d: %w", i+1, len(h.Pairs), err)
 		}
@@ -205,24 +211,16 @@ func fills(n, rows, cols int) bool {
 }
 
 // expert rebuilds the expert from the decoded parameter slices, each checked
-// against the shape an expert of these dimensions has.
+// against the shape an expert of these dimensions has, and copied into
+// parameters carved from one allocation, as newExpert's are.
 func (eg *expertGob) expert() (*Expert, error) {
 	in, hid := eg.InDim, eg.Hidden
-	shapes := [...][2]int{
-		{in, 1},                         // mask
-		{hid, in}, {hid, hid}, {hid, 1}, // z
-		{hid, in}, {hid, hid}, {hid, 1}, // k
-		{hid, in}, {hid, hid}, {hid, 1}, // h̃
-		{len(eg.Peers), 1},   // α
-		{3, 2 * hid}, {3, 1}, // head
-		{3, in}, {3, 1}, // bypass
-	}
+	shapes := expertShapes("", in, hid, len(eg.Peers))
 	if len(eg.Params) != len(shapes) {
 		return nil, fmt.Errorf("snapshot has %d params, expected %d", len(eg.Params), len(shapes))
 	}
-	ps := make([]*ad.Param, len(shapes))
 	for j, pg := range eg.Params {
-		rows, cols := shapes[j][0], shapes[j][1]
+		rows, cols := shapes[j].Rows, shapes[j].Cols
 		if pg.Rows != rows || pg.Cols != cols || !fills(len(pg.Data), rows, cols) {
 			return nil, fmt.Errorf("param %s: shape %dx%d with %d values in snapshot, expected %dx%d",
 				pg.Name, pg.Rows, pg.Cols, len(pg.Data), rows, cols)
@@ -232,22 +230,13 @@ func (eg *expertGob) expert() (*Expert, error) {
 				return nil, fmt.Errorf("param %s: non-finite value %v", pg.Name, v)
 			}
 		}
-		ps[j] = &ad.Param{Name: pg.Name, Rows: rows, Cols: cols, Data: pg.Data}
+		shapes[j].Name = pg.Name
 	}
-	ad.Pack(ps) // as newExpert does; the decoded slices are garbage an expert at a time
-	return &Expert{
-		Pair:         eg.Pair,
-		InDim:        in,
-		Hidden:       hid,
-		Mask:         &layers.APIMask{M: ps[0]},
-		Cell:         layers.GRUCellOf(in, hid, ps[1:10]),
-		Attn:         &layers.Attention{Alpha: ps[10], Peers: eg.Peers},
-		Head:         &layers.Dense{In: 2 * hid, Out: 3, W: ps[11], B: ps[12]},
-		Bypass:       &layers.Dense{In: in, Out: 3, W: ps[13], B: ps[14]},
-		UseMask:      eg.UseMask,
-		UseAttention: eg.UseAttention,
-		UseBypass:    eg.UseBypass,
-	}, nil
+	ps := ad.Carve(shapes)
+	for j, pg := range eg.Params {
+		copy(ps[j].Data, pg.Data)
+	}
+	return expertOf(eg.Pair, in, hid, eg.Peers, ps, eg.UseMask, eg.UseAttention, eg.UseBypass), nil
 }
 
 // finite reports whether v is neither NaN nor ±Inf: v−v is 0 for every

@@ -60,17 +60,31 @@ func NewParam(name string, rows, cols int) *Param {
 	}
 }
 
-// Pack moves the parameters' values into one allocation, consecutive in
-// params order. An expert's tensors are otherwise fifteen objects rounded up
-// one by one — a fifth more memory than their values on matrices just past a
-// size class (16×257 floats: 32.1 KB in a 40 KB span) — and scattered; packed
-// they round up once and lie in the order a forward pass reads them.
-func Pack(params []*Param) {
-	block := make([]float64, totalSize(params))
-	for _, p := range params {
-		n := copy(block, p.Data)
-		p.Data, block = block[:n:n], block[n:]
+// Shape names a parameter and gives its dimensions.
+type Shape struct {
+	Name       string
+	Rows, Cols int
+}
+
+// Carve returns zero parameters of the given shapes whose values are
+// consecutive runs, in shapes order, of one allocation. A model's tensors
+// are otherwise allocated one by one, each rounded up to its size class — a
+// fifth more memory than their values on matrices just past one (16×257
+// floats: 32.1 KB in a 40 KB span) — and scattered; carved they round up
+// once and lie in the order a forward pass reads them.
+func Carve(shapes []Shape) []*Param {
+	n := 0
+	for _, s := range shapes {
+		n += s.Rows * s.Cols
 	}
+	block, params := make([]float64, n), make([]Param, len(shapes))
+	out := make([]*Param, len(shapes))
+	for i, s := range shapes {
+		k := s.Rows * s.Cols
+		params[i] = Param{Name: s.Name, Rows: s.Rows, Cols: s.Cols, Data: block[:k:k]}
+		block, out[i] = block[k:], &params[i]
+	}
+	return out
 }
 
 // BindGrads lends every parameter a zeroed gradient: consecutive runs, in
@@ -112,11 +126,17 @@ func UnbindGrads(params []*Param) {
 // NewParamInit allocates a parameter with Glorot-uniform initialisation.
 func NewParamInit(name string, rows, cols int, rng *rand.Rand) *Param {
 	p := NewParam(name, rows, cols)
-	scale := math.Sqrt(6.0 / float64(rows+cols))
+	p.InitGlorot(rng)
+	return p
+}
+
+// InitGlorot overwrites p's values with Glorot-uniform draws from rng, one
+// per value in order.
+func (p *Param) InitGlorot(rng *rand.Rand) {
+	scale := math.Sqrt(6.0 / float64(p.Rows+p.Cols))
 	for i := range p.Data {
 		p.Data[i] = (2*rng.Float64() - 1) * scale
 	}
-	return p
 }
 
 // Size returns the number of scalar elements.
@@ -516,7 +536,7 @@ func peerRows(base []float64, rows, stride, n int) []float64 {
 // per window, windows descending — the order in which Backward would visit
 // one-window ops recorded window by window — so a chunk's block has the
 // gradient bits of its windows' ops, and is formed in one pass over the
-// experts' rows (peerDots) instead of one per window.
+// experts' rows (AttentionGrads, with one block) instead of one per window.
 func (t *Tape) WeightedSumConst(alpha *Value, self int, base []float64, stride, hidden, windows int) *Value {
 	P := alpha.Rows + 1
 	if alpha.Cols != 1 || P < 2 || self < 0 || self >= P || hidden <= 0 || windows <= 0 {
@@ -670,12 +690,8 @@ func (t *Tape) backstep(v *Value) {
 			m.Grad[j*m.Cols+v.stride] += g
 		}
 	case opWeightedSumConst:
-		n, P := v.Cols, v.a.Rows+1
-		dots := t.scratchBuf(P * n)
-		peerDots(dots, v.Grad, v.aux, P, v.stride, n)
-		// Self's dot is formed with the others' and dropped.
-		addDots(v.a.Grad[:v.self], dots[:v.self*n], n)
-		addDots(v.a.Grad[v.self:], dots[(v.self+1)*n:], n)
+		n := v.Cols
+		AttentionGrads([][]float64{v.a.Grad}, []int{v.self}, v.Grad, v.aux, v.stride, n, t.scratchBuf((v.a.Rows+1)*n))
 	case opPinball:
 		pred := v.a
 		n := len(v.aux) / 2

@@ -3,6 +3,7 @@ package ad
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -320,26 +321,28 @@ func TestBindGradsLendsOneBuffer(t *testing.T) {
 	NewTape().Use(a)
 }
 
-// TestPackKeepsValuesInOneAllocation: packing changes where the values live,
-// not what they are; afterwards they are consecutive and cannot grow into
-// one another.
-func TestPackKeepsValuesInOneAllocation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a, b, empty := NewParamInit("a", 3, 5, rng), NewParamInit("b", 7, 1, rng), NewParam("e", 0, 1)
-	wantA, wantB := append([]float64(nil), a.Data...), append([]float64(nil), b.Data...)
-	Pack([]*Param{a, empty, b})
-	for i, v := range wantA {
-		if a.Data[i] != v {
-			t.Fatalf("a[%d] = %v after Pack, want %v", i, a.Data[i], v)
+// TestCarveKeepsValuesInOneAllocation: carved parameters have their shapes
+// and names, start at zero, and their values are consecutive runs of one
+// allocation that cannot grow into one another.
+func TestCarveKeepsValuesInOneAllocation(t *testing.T) {
+	ps := Carve([]Shape{{"a", 3, 5}, {"e", 0, 1}, {"b", 7, 1}})
+	a, empty, b := ps[0], ps[1], ps[2]
+	if a.Name != "a" || a.Rows != 3 || a.Cols != 5 || b.Name != "b" || b.Rows != 7 || b.Cols != 1 || empty.Size() != 0 {
+		t.Fatalf("carved %+v %+v %+v", *a, *empty, *b)
+	}
+	for _, p := range ps {
+		for i, v := range p.Data {
+			if v != 0 {
+				t.Fatalf("%s[%d] = %v, want 0", p.Name, i, v)
+			}
 		}
 	}
-	for i, v := range wantB {
-		if b.Data[i] != v {
-			t.Fatalf("b[%d] = %v after Pack, want %v", i, b.Data[i], v)
-		}
-	}
-	if len(a.Data) != 15 || cap(a.Data) != 15 || len(empty.Data) != 0 ||
+	if len(a.Data) != 15 || cap(a.Data) != 15 || len(b.Data) != 7 ||
 		uintptr(unsafe.Pointer(&b.Data[0]))-uintptr(unsafe.Pointer(&a.Data[0])) != 15*8 {
-		t.Fatalf("packed values are not consecutive runs of one allocation (len %d cap %d)", len(a.Data), cap(a.Data))
+		t.Fatalf("carved values are not consecutive runs of one allocation (len %d cap %d)", len(a.Data), cap(a.Data))
+	}
+	rng, want := rand.New(rand.NewSource(9)), NewParamInit("a", 3, 5, rand.New(rand.NewSource(9)))
+	if a.InitGlorot(rng); !slices.Equal(a.Data, want.Data) {
+		t.Fatalf("InitGlorot = %v, NewParamInit = %v", a.Data, want.Data)
 	}
 }

@@ -71,39 +71,68 @@ func outerSums(wGrad []float64, terms []outer) {
 	}
 }
 
-// peerDots is the adjoint of WeightedSumConst's sum over a block of windows
-// with respect to its row, before it is added: for every one of the rows
-// rows of base, stride floats apart, and every window t of the window-minor
-// blocks (n windows a unit, len(g)/n units), dots[k*n+t] =
-// Σ_j g[j*n+t]·base[k*stride+j*n+t], each a single accumulator that starts at
-// +0 and walks the units upwards. With AVX2 the assembly (peerDotsAVX2) takes
-// the n&^3 windows of full lane groups, windows in the lanes, four rows at a
-// time, the last rows%4 as a quad that overlaps the one before it (whose dots
-// it forms again, the same bits); the Go loop takes the other windows, and
-// every window of fewer than four rows.
-func peerDots(dots, g, base []float64, rows, stride, n int) {
-	base = peerRows(base, rows, stride, len(g))
-	dots = dots[:rows*n]
-	hidden := len(g) / n
+// peerDots is the adjoint of the attention sum over a block of n windows
+// with respect to the rows of the attention matrix, before it is added, for
+// several blocks of context gradients at once: g holds blocks consecutive
+// window-minor blocks of hidden×n floats (hidden = len(g)/blocks/n), and for
+// every block b, every one of the rows rows of base, stride floats apart, and
+// every window t, dots[(b*rows+k)*n+t] = Σ_j g_b[j*n+t]·base[k*stride+j*n+t],
+// each a single accumulator that starts at +0 and walks the units upwards.
+// base is walked once: each quad of its rows serves every block while it is
+// in cache. With AVX2 the assembly (peerDotsAVX2) takes the n&^3 windows of
+// full lane groups, windows in the lanes, a quad of rows per call, the last
+// rows%4 as a quad that overlaps the one before it (whose dots it forms
+// again, the same bits); the Go loop takes the other windows, and every
+// window of fewer than four rows.
+func peerDots(dots, g, base []float64, blocks, rows, stride, n int) {
+	gl := len(g) / blocks
+	base = peerRows(base, rows, stride, gl)
+	dots = dots[:blocks*rows*n]
+	hidden := gl / n
 	w := 0
 	if useAVX2 && n >= 4 && rows >= 4 && hidden > 0 {
 		w = n &^ 3
-		peerDotsAVX2(&dots[0], &g[0], n, hidden, rows&^3, &base[0], stride)
-		if r := rows - 4; rows%4 != 0 {
-			peerDotsAVX2(&dots[r*n], &g[0], n, hidden, 4, &base[r*stride], stride)
+		for r := 0; r < rows; r += 4 {
+			q := min(r, rows-4)
+			for b := 0; b < blocks; b++ {
+				peerDotsAVX2(&dots[(b*rows+q)*n], &g[b*gl], n, hidden, 4, &base[q*stride], stride)
+			}
 		}
 	}
 	if w == n {
 		return
 	}
 	for k := range rows {
-		d, h := dots[k*n+w:(k+1)*n], base[k*stride:][:len(g)]
-		clear(d)
-		for j := w; j < len(g); j += n {
-			for t, x := range h[j:][:len(d)] {
-				d[t] += g[j+t] * x
+		h := base[k*stride:][:gl]
+		for b := range blocks {
+			d, gb := dots[(b*rows+k)*n+w:(b*rows+k+1)*n], g[b*gl:][:gl]
+			clear(d)
+			for j := w; j < gl; j += n {
+				for t, x := range h[j:][:len(d)] {
+					d[t] += gb[j+t] * x
+				}
 			}
 		}
+	}
+}
+
+// AttentionGrads adds to the α gradients of a panel of experts the adjoint
+// of their attention contexts over one block of n windows: grads[b] is expert
+// selves[b]'s gradient (P−1 floats), g holds the experts' context gradients,
+// len(grads) consecutive window-minor blocks of hidden×n floats, base all P
+// experts' rows, stride floats apart, as the contexts were formed from, and
+// dots is len(grads)·P·n floats of scratch. One pass over base forms every
+// expert's dots (peerDots); each gradient then gets its own, self's dropped,
+// as addDots adds them. Tape.WeightedSumConst's backward is this with one
+// block, so an expert's gradient has the same bits in a panel as alone.
+func AttentionGrads(grads [][]float64, selves []int, g, base []float64, stride, n int, dots []float64) {
+	P := len(grads[0]) + 1
+	peerDots(dots, g, base, len(grads), P, stride, n)
+	for b, grad := range grads {
+		// Self's dot is formed with the others' and dropped.
+		d, self := dots[b*P*n:][:P*n], selves[b]
+		addDots(grad[:self], d[:self*n], n)
+		addDots(grad[self:], d[(self+1)*n:], n)
 	}
 }
 

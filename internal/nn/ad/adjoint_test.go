@@ -123,25 +123,29 @@ func checkColumnKernels(t *testing.T, rows, cols, off int, rng *rand.Rand, vals 
 		// rows experts' blocks of cols floats — units by windows, for each
 		// window count that divides cols — in contiguous rows padded to four
 		// lanes, as phase B's slab holds them. peerDots forms every row's
-		// dots; the op drops its own expert's (TestWeightedSumConstMatchesLoop).
+		// dots for each of three gradient blocks, a panel's; the op drops its
+		// own expert's (TestWeightedSumConstMatchesLoop).
+		const blocks = 3
 		stride := (cols + 3) &^ 3
 		base := fillAt(rows*stride, off, rng, vals, oneIn)
-		g := fillAt(cols, off+1, rng, vals, oneIn)
+		g := fillAt(blocks*cols, off+1, rng, vals, oneIn)
 		for n := 1; n <= cols; n++ {
 			if cols%n != 0 {
 				continue
 			}
-			dots := fillAt(rows*n, off+2, rng, nil, 0) // stale values peerDots must overwrite
-			peerDots(dots, g, base, rows, stride, n)
-			for k := 0; k < rows; k++ {
-				for w := 0; w < n; w++ {
-					var col, gw []float64
-					for j := w; j < cols; j += n {
-						col, gw = append(col, base[k*stride+j]), append(gw, g[j])
+			dots := fillAt(blocks*rows*n, off+2, rng, nil, 0) // stale values peerDots must overwrite
+			peerDots(dots, g, base, blocks, rows, stride, n)
+			for b := 0; b < blocks; b++ {
+				for k := 0; k < rows; k++ {
+					for w := 0; w < n; w++ {
+						var col, gw []float64
+						for j := w; j < cols; j += n {
+							col, gw = append(col, base[k*stride+j]), append(gw, g[b*cols+j])
+						}
+						want := []float64{0}
+						weightedSumAdjointLoop(want, gw, [][]float64{col})
+						requireSame(t, fmt.Sprintf("%s row dots ×%d windows, block %d row %d window %d", what, n, b, k, w), dots[(b*rows+k)*n+w:][:1], want)
 					}
-					want := []float64{0}
-					weightedSumAdjointLoop(want, gw, [][]float64{col})
-					requireSame(t, fmt.Sprintf("%s row dots ×%d windows, row %d window %d", what, n, k, w), dots[k*n+w:][:1], want)
 				}
 			}
 		}
@@ -577,7 +581,7 @@ func TestWeightedSumConstRejectsShortBase(t *testing.T) {
 						tape.WeightedSumConst(tape.Use(alpha), 2, make([]float64, 5*(2*windows+1)), 2*windows+1, 2, windows)
 					}},
 					{"adjoint", func() {
-						peerDots(make([]float64, 5*windows), make([]float64, 2*windows), make([]float64, 4*stride+3), 5, stride, windows)
+						peerDots(make([]float64, 5*windows), make([]float64, 2*windows), make([]float64, 4*stride+3), 1, 5, stride, windows)
 					}},
 				} {
 					func() {
@@ -654,33 +658,35 @@ func BenchmarkAdamStep(b *testing.B) {
 	}
 }
 
-// BenchmarkPeerAdjoint times the attention adjoint of one all-expert epoch at
-// the two shapes the repo benchmark trains (experts × windows × hidden): each
-// of P experts fits α over its P−1 peers in one chunk of T windows, so an op
-// is the backward of P chunk-wide WeightedSumConst nodes, on each
-// implementation (BenchmarkPeerContexts times their forward).
+// BenchmarkPeerAdjoint times the α gradients of one phase-B epoch of one
+// chunk of T windows: every panel of four experts' AttentionGrads — one pass
+// over the P experts' trajectories for the panel's four blocks of context
+// gradients — on each implementation, at
+// the two shapes the repo benchmark trains (BenchmarkPeerContexts times the
+// contexts).
 func BenchmarkPeerAdjoint(b *testing.B) {
-	for _, d := range []struct{ P, T, hid int }{{399, 24, 16}, {76, 48, 128}} {
+	for _, d := range peerShapes {
 		for _, impl := range impls() {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.P, d.T, d.hid, impl), func(b *testing.B) {
 				setImpl(b, impl)
 				rng := rand.New(rand.NewSource(1))
-				blocks := fillAt(d.P*d.hid*d.T, 0, rng, nil, 0)
-				tape := NewTape()
-				nodes := make([]*Value, d.P)
-				for i := range nodes {
-					alpha := &Param{Rows: d.P - 1, Cols: 1, Data: fillAt(d.P-1, 0, rng, nil, 0), Grad: make([]float64, d.P-1)}
-					nodes[i] = tape.WeightedSumConst(tape.Use(alpha), i, blocks, d.hid*d.T, d.hid, d.T)
-					copy(nodes[i].Grad, fillAt(d.hid*d.T, 0, rng, nil, 0))
-				}
+				stride := d.hid * d.T
+				rows := fillAt(d.P*stride, 0, rng, nil, 0)
+				g := fillAt(4*d.hid*d.T, 0, rng, nil, 0)
+				grads, selves := make([][]float64, 4), make([]int, 4)
+				dots := make([]float64, 4*d.P*d.T)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					for _, v := range nodes {
-						tape.backstep(v)
+					for i := 0; i < d.P; i += 4 {
+						m := min(4, d.P-i)
+						for e := range m {
+							grads[e], selves[e] = make([]float64, d.P-1), i+e
+						}
+						AttentionGrads(grads[:m], selves[:m], g[:m*d.hid*d.T], rows, stride, d.T, dots)
 					}
 				}
-				benchSink = nodes[0].a.Grad[0]
+				benchSink = dots[0]
 			})
 		}
 	}

@@ -788,39 +788,39 @@ func BenchmarkWindowDots(b *testing.B) {
 	}
 }
 
-// BenchmarkPeerContexts times phase B's chunk-wide attention contexts, the
-// forward of Tape.WeightedSumConst: each of P experts' contexts over its P−1
-// peers for one chunk of T windows, hidden×T floats in one op, on each
-// implementation, at the two shapes the repo benchmark trains (experts ×
-// windows × hidden; BenchmarkPeerAdjoint times the same nodes' backward).
-// Serving forms every expert's contexts as one product (BenchmarkWindowDots).
+// BenchmarkPeerContexts times the attention contexts of one phase-B epoch
+// of one chunk of T windows (the forward of layers.Pass.Outputs, which the
+// engine's pass two runs too): every panel of four experts' contexts over the
+// P experts' trajectories, hidden×T floats each, as one WindowDots of its
+// four attention rows, on each implementation, at the two shapes the repo
+// benchmark trains (experts × windows × hidden; BenchmarkPeerAdjoint times
+// the same epoch's α gradients).
 func BenchmarkPeerContexts(b *testing.B) {
-	for _, d := range []struct{ P, T, hid int }{{399, 24, 16}, {76, 48, 128}} {
+	for _, d := range peerShapes {
 		for _, impl := range impls() {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", d.P, d.T, d.hid, impl), func(b *testing.B) {
 				setImpl(b, impl)
 				rng := rand.New(rand.NewSource(1))
-				blocks := fillAt(d.P*d.hid*d.T, 0, rng, nil, 0)
-				alpha := &Param{Rows: d.P - 1, Cols: 1, Data: fillAt(d.P-1, 0, rng, nil, 0)}
-				tape := NewEvalTape()
-				var ctx *Value
-				epoch := func() {
-					tape.Reset()
-					for i := 0; i < d.P; i++ {
-						ctx = tape.WeightedSumConst(tape.Use(alpha), i, blocks, d.hid*d.T, d.hid, d.T)
-					}
-				}
-				epoch() // grows the tape's arena
+				stride := d.hid * d.T
+				rows := fillAt(d.P*stride, 0, rng, nil, 0)
+				attn := fillAt(d.P*d.P, 0, rng, nil, 0)
+				ctx := make([]float64, 4*stride)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					epoch()
+					for i := 0; i < d.P; i += 4 {
+						WindowDots(ctx, attn[i*d.P:], rows, min(4, d.P-i), d.P, stride)
+					}
 				}
-				benchSink = ctx.Data[0]
+				benchSink = ctx[0]
 			})
 		}
 	}
 }
+
+// peerShapes are the repo benchmark's two phase-B shapes: experts × windows
+// × hidden.
+var peerShapes = []struct{ P, T, hid int }{{399, 24, 16}, {76, 48, 128}}
 
 // BenchmarkGateRows times the mask gate σ(m) ⊙ x of one expert's block of
 // windows (features × windows), on each implementation: the paper-width

@@ -129,7 +129,7 @@ func TestGRUBlockMatchesReference(t *testing.T) {
 		const in, steps, block = 6, 11, 5
 		rng := rand.New(rand.NewSource(int64(hid)))
 		g := NewGRUCell("block", in, hid, rng)
-		mask := NewAPIMask("block", in)
+		mask := &APIMask{M: ad.NewParam("block.mask", in, 1)}
 		for i := range mask.M.Data {
 			mask.M.Data[i] = rng.NormFloat64()
 		}

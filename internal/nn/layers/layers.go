@@ -41,16 +41,11 @@ func (d *Dense) Apply(t *ad.Tape, x *ad.Value) *ad.Value {
 // APIMask is the paper's learnable API-aware mask m (Equation 1): the input
 // feature vector is gated element-wise by σ(m), letting each expert discover
 // which invocation paths are relevant to the resource it estimates. The
-// learned σ(m) is also the interpretability artifact behind Figure 22.
+// learned σ(m) is also the interpretability artifact behind Figure 22. A mask
+// starts at zero, every feature half-open (σ(0) = 0.5).
 type APIMask struct {
 	// M is the raw (pre-sigmoid) mask parameter.
 	M *ad.Param
-}
-
-// NewAPIMask returns a mask over dim features, initialised at zero so every
-// feature starts half-open (σ(0) = 0.5).
-func NewAPIMask(name string, dim int) *APIMask {
-	return &APIMask{M: ad.NewParam(name+".mask", dim, 1)}
 }
 
 // Params returns the trainable parameters.
@@ -316,21 +311,13 @@ func (g *GRUCell) FlatParams() []float64 {
 
 // Attention holds the trainable cross-component attention weights α of the
 // paper's Equation 3: one scalar per peer expert, controlling how much of
-// that peer's hidden state is blended into this expert's context vector.
+// that peer's hidden state is blended into this expert's context vector. The
+// weights start at zero ("listen to nobody"), which training adjusts.
 type Attention struct {
 	// Alpha is the K-vector of peer weights.
 	Alpha *ad.Param
 	// Peers names the peer experts, aligned with Alpha.
 	Peers []string
-}
-
-// NewAttention returns zero-initialised attention over the named peers
-// (zero weights mean "listen to nobody", which training adjusts).
-func NewAttention(name string, peers []string) *Attention {
-	return &Attention{
-		Alpha: ad.NewParam(name+".alpha", len(peers), 1),
-		Peers: append([]string(nil), peers...),
-	}
 }
 
 // Params returns the trainable parameters.

@@ -34,7 +34,7 @@ func TestDenseZeroIsZero(t *testing.T) {
 }
 
 func TestAPIMaskInitialGate(t *testing.T) {
-	m := NewAPIMask("m", 4)
+	m := &APIMask{M: ad.NewParam("m.mask", 4, 1)}
 	tape := ad.NewEvalTape()
 	x := tape.Const([]float64{2, 4, 6, 8})
 	y := m.Apply(tape, x)
@@ -134,7 +134,7 @@ func TestGRULearnsMovingAverage(t *testing.T) {
 }
 
 func TestAttentionApply(t *testing.T) {
-	a := NewAttention("a", []string{"p0", "p1", "p2"})
+	a := &Attention{Alpha: ad.NewParam("a.alpha", 3, 1), Peers: []string{"p0", "p1", "p2"}}
 	a.Alpha.Data[0] = 0.1
 	a.Alpha.Data[1] = -2
 	a.Alpha.Data[2] = 0.5

@@ -10,7 +10,8 @@ import (
 )
 
 // ClipGradNorm scales all gradients so their global L2 norm does not exceed
-// maxNorm, and returns the pre-clip norm. A non-positive maxNorm is a no-op.
+// maxNorm, and returns the pre-clip norm. A non-positive maxNorm is a no-op,
+// and so is a non-finite norm: the scale maxNorm/Inf is 0, and Inf·0 is NaN.
 func ClipGradNorm(params []*ad.Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
@@ -19,7 +20,7 @@ func ClipGradNorm(params []*ad.Param, maxNorm float64) float64 {
 		}
 	}
 	norm := math.Sqrt(total)
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
+	if maxNorm <= 0 || norm <= maxNorm || norm == 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
 		return norm
 	}
 	scale := maxNorm / norm
@@ -84,11 +85,17 @@ func (o *Adam) Reset(params []*ad.Param) {
 	}
 }
 
-// Step applies one update. The update itself is ad.AdamUpdate — the
-// arithmetic of Kingma & Ba's Algorithm 1 with both bias corrections — which
-// also zeroes the gradients.
-func (o *Adam) Step() {
-	ClipGradNorm(o.params, o.ClipNorm)
+// Step applies one update and returns the gradients' global norm before
+// clipping. The update itself is ad.AdamUpdate — the arithmetic of Kingma &
+// Ba's Algorithm 1 with both bias corrections — which also zeroes the
+// gradients. A non-finite norm, a NaN or ±Inf in some gradient, updates
+// nothing: one such step writes NaN into every parameter it touches, so the
+// caller refuses it instead.
+func (o *Adam) Step() (norm float64) {
+	norm = ClipGradNorm(o.params, o.ClipNorm)
+	if math.IsInf(norm, 0) || math.IsNaN(norm) {
+		return norm
+	}
 	o.step++
 	h := ad.AdamHyper{
 		Beta1: o.Beta1, Beta2: o.Beta2,
@@ -99,4 +106,5 @@ func (o *Adam) Step() {
 	for i, p := range o.params {
 		ad.AdamUpdate(p.Data, p.Grad, o.m[i], o.v[i], h)
 	}
+	return norm
 }

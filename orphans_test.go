@@ -89,6 +89,8 @@ var testOnlyAllowed = map[string]string{
 
 	"nn/layers.GRUCell.StepReference": "oracle: the primitive-op chain the fused GRU step and its adjoint are held to bit for bit",
 	"nn/ad.Tape.NumNodes":             "probe: the arena and fused-step tests count the nodes a tape recorded",
+	"nn/ad.Tape.Column":               "oracle: phase B's tape reference (estimator's phaseb_test.go) records it",
+	"nn/layers.Slab.State":            "probe: tests and phase B's tape reference read one trajectory's state at a window",
 	"obs.Histogram.Count":             "probe: tests read what a histogram observed without scraping /metrics",
 	"obs.Histogram.Sum":               "probe: tests read what a histogram observed without scraping /metrics",
 	"telemetry.Server.ExtractorGen":   "probe: the pipeline and service tests check which generation's extractor a store holds",
