@@ -362,8 +362,9 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 // --- ablations (DESIGN.md §4) ---
 
 // benchAblation trains the social write-IOps expert under a modified
-// configuration and reports the read-dominated-query MAPE — the metric the
-// attribution-sensitive design choices exist to improve.
+// configuration and reports its MAPE on the learning traffic's first day, in
+// sample (the query's traces synthesized from its API counts) — the metric
+// the attribution-sensitive design choices exist to improve.
 func benchAblation(b *testing.B, mod func(*estimator.Config)) {
 	r := runner(b)
 	l, err := r.Social()

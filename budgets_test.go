@@ -13,11 +13,11 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22280 // non-test Go lines outside bench/
-	designBytesBudget      = 45846
-	changesBytesBudget     = 31331
-	readmeBytesBudget      = 35183
-	experimentsBytesBudget = 23277
+	goLinesBudget          = 22249 // non-test Go lines outside bench/
+	designBytesBudget      = 46511
+	changesBytesBudget     = 36058
+	readmeBytesBudget      = 35386
+	experimentsBytesBudget = 23400
 )
 
 // TestBudgets holds the tree to the budgets above: the lines of non-test Go

@@ -2,8 +2,10 @@ package estimator
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -170,6 +172,12 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream must fail to load")
+	}
+	// The stream ends with the last expert's last weight.
+	_, stream := toyStream(t)
+	binary.LittleEndian.PutUint64(stream[len(stream)-8:], math.Float64bits(math.Inf(1)))
+	if _, err := Load(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "non-finite value +Inf") {
+		t.Errorf("a +Inf weight: %v", err)
 	}
 }
 

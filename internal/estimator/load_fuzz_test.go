@@ -2,6 +2,7 @@ package estimator_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -35,6 +36,14 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])
 	f.Add(stream[:len(stream)-1])
+	// The experts' raw bits end the stream: a NaN for the first weight, and
+	// a cut 3 bytes into the second expert's first float.
+	first := 8 * m.Experts[m.Pairs[0]].NumParams()
+	header := len(stream) - len(m.Pairs)*first
+	nan := bytes.Clone(stream)
+	binary.LittleEndian.PutUint64(nan[header:], math.Float64bits(math.NaN()))
+	f.Add(nan)
+	f.Add(stream[:header+first+3])
 	windows := run.Windows[:4]
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -284,12 +284,16 @@ func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Confi
 	for i, p := range pairs {
 		m.TargetScales[p] = FitTargetScale(p, usage[p])
 		targets[p] = m.TargetScales[p].Scaled(usage[p])
-		// An expert attends to every other expert, in training order.
-		peers := append(append(make([]string, 0, len(pairs)-1), names[:i]...), names[i+1:]...)
-		m.Experts[p] = newExpert(p, space.Dim(), cfg.Hidden, peers, cfg, rng)
+		m.Experts[p] = newExpert(p, space.Dim(), cfg.Hidden, peersOf(names, i), cfg, rng)
 	}
 
 	return m, x, targets, nil
+}
+
+// peersOf lists the experts that expert i of names attends to: every other
+// pair, in training order. Training and Load wire every expert by it.
+func peersOf(names []string, i int) []string {
+	return append(append(make([]string, 0, len(names)-1), names[:i]...), names[i+1:]...)
 }
 
 // train runs the two training phases over a freshly built (or warm-started)

@@ -1,9 +1,13 @@
 package estimator
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/features"
@@ -13,26 +17,13 @@ import (
 // The serialized form is an explicit snapshot rather than the live object
 // graph: it pins the layout (so refactoring internals never silently breaks
 // saved models), drops volatile state (loggers, training knobs), and
-// rebuilds the expert wiring on load. It is a stream of gob values on one
-// encoder — a modelHeader, then one expertGob per pair in header order — so
-// neither side ever holds more than one expert's encoding, and a reader that
-// was cut short knows it: the header states how many experts follow.
-
-type paramGob struct {
-	Name       string
-	Rows, Cols int
-	Data       []float64
-}
-
-type expertGob struct {
-	Pair          app.Pair
-	InDim, Hidden int
-	Peers         []string
-	Params        []paramGob
-	UseMask       bool
-	UseAttention  bool
-	UseBypass     bool
-}
+// rebuilds the expert wiring on load. It is a gob modelHeader, which states
+// every fact but the weights once — feature paths, pairs in training order,
+// width, switches, target scales — then, per pair in header order, the
+// little-endian float64 bits of the expert's parameters in Params order,
+// unframed: each expert's shapes, parameter names and peers follow from the
+// header. Neither side ever holds more than one expert's bytes, and a reader
+// that was cut short knows it: the header states how many experts follow.
 
 type targetScaleGob struct {
 	Kind  int
@@ -54,11 +45,14 @@ type modelHeader struct {
 }
 
 // snapshotVersion guards the serialized layout. Version 1 was one gob value
-// holding every expert; its header fields decode here, so a v1 stream is
-// refused by number.
-const snapshotVersion = 2
+// holding every expert, version 2 one gob value per expert; both headers
+// decode here, so either is refused by number.
+const snapshotVersion = 3
 
-// Save writes the trained model to w as a gob stream, one expert at a time.
+// loadPiece bounds, in values, what Load reads from the stream at a time.
+const loadPiece = 512
+
+// Save writes the trained model to w: the header, then one expert at a time.
 func (m *Model) Save(w io.Writer) error {
 	h := modelHeader{
 		Version:      snapshotVersion,
@@ -75,29 +69,20 @@ func (m *Model) Save(w io.Writer) error {
 		ts := m.TargetScales[p]
 		h.Scales = append(h.Scales, targetScaleGob{Kind: int(ts.Kind), Scale: ts.Scale, Base: ts.Base})
 	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(h); err != nil {
+	if err := gob.NewEncoder(w).Encode(h); err != nil {
 		return fmt.Errorf("estimator: encode model header: %w", err)
 	}
-	var params []paramGob
+	var buf []byte
 	for _, p := range m.Pairs {
 		e := m.Experts[p]
-		params = params[:0]
+		buf = slices.Grow(buf[:0], 8*e.NumParams())
 		for _, par := range e.Params() {
-			params = append(params, paramGob{Name: par.Name, Rows: par.Rows, Cols: par.Cols, Data: par.Data})
+			for _, v := range par.Data {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
 		}
-		err := enc.Encode(expertGob{
-			Pair:         e.Pair,
-			InDim:        e.InDim,
-			Hidden:       e.Hidden,
-			Peers:        e.Attn.Peers,
-			Params:       params,
-			UseMask:      e.UseMask,
-			UseAttention: e.UseAttention,
-			UseBypass:    e.UseBypass,
-		})
-		if err != nil {
-			return fmt.Errorf("estimator: encode expert %s: %w", p, err)
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("estimator: write expert %s: %w", p, err)
 		}
 	}
 	return nil
@@ -105,18 +90,26 @@ func (m *Model) Save(w io.Writer) error {
 
 // Load reads a model previously written by Save. It reads checkpoint files
 // and downloaded bodies, so it trusts nothing: a stream that ends before
-// the header's last expert, an expert whose shape is not the header's, a
-// peer list that is not "every other pair, in order", a non-finite weight
-// or scale are all errors — what Load returns compiles (infer.Compile) and
-// predicts the same on the tape and the engine. Nothing is sized from a
-// number the header states: every parameter is what gob decoded — which gob
-// bounds by the bytes actually present — checked against the header's shape
-// before an expert is carved for it, so a header claiming more than the
-// stream holds is refused at its first expert.
+// the header's last expert, a non-finite weight or scale, a header whose
+// parts disagree are all errors — what Load returns compiles (infer.Compile)
+// and predicts the same on the tape and the engine. Nothing is sized from a
+// number the header states, nor from the product of two: an expert is read
+// whole rows (or one row's part) at a time, at most loadPiece values per
+// read, into a buffer that grows with the bytes actually present, and is
+// carved only once it is all there — so a header claiming more than the
+// stream holds fails at its first short read. An io.ByteReader (a
+// checkpoint's, whose digest follows the model) is read no further than the
+// model's last byte; any other reader is buffered.
 func Load(r io.Reader) (*Model, error) {
-	dec := gob.NewDecoder(r)
+	in, ok := r.(interface {
+		io.Reader
+		io.ByteReader
+	})
+	if !ok {
+		in = bufio.NewReader(r)
+	}
 	var h modelHeader
-	if err := dec.Decode(&h); err != nil {
+	if err := gob.NewDecoder(in).Decode(&h); err != nil {
 		return nil, fmt.Errorf("estimator: decode model: %w", err)
 	}
 	if h.Version != snapshotVersion {
@@ -153,7 +146,8 @@ func Load(r io.Reader) (*Model, error) {
 		Experts:      make(map[app.Pair]*Expert, len(h.Pairs)),
 		TargetScales: make(map[app.Pair]*TargetScale, len(h.Pairs)),
 	}
-	var eg expertGob
+	var piece [8 * loadPiece]byte
+	var vals []float64 // one expert's values, until it is carved
 	for i, p := range h.Pairs {
 		if _, dup := m.Experts[p]; dup {
 			return nil, fmt.Errorf("estimator: corrupt snapshot: pair %s listed twice", p)
@@ -162,81 +156,40 @@ func Load(r io.Reader) (*Model, error) {
 		if (sc.Kind != int(kindLevel) && sc.Kind != int(kindDelta)) || !(sc.Scale > 0 && finite(sc.Scale) && finite(sc.Base)) {
 			return nil, fmt.Errorf("estimator: corrupt snapshot: %s: target scale %+v", p, sc)
 		}
-		// One value for every expert: gob decodes into a slice that has room,
-		// so the parameters' values land in the previous expert's buffers,
-		// which expert copies out of. Every field is reset first — gob leaves
-		// a field the stream does not carry as it was — and Peers is fresh,
-		// the expert keeps it.
-		for j := range eg.Params {
-			eg.Params[j] = paramGob{Data: eg.Params[j].Data[:0]}
-		}
-		eg = expertGob{Params: eg.Params}
-		if err := dec.Decode(&eg); err != nil {
-			return nil, fmt.Errorf("estimator: decode expert %d of %d: %w", i+1, len(h.Pairs), err)
-		}
-		if eg.Pair != p || eg.InDim != dim || eg.Hidden != h.Hidden {
-			return nil, fmt.Errorf("estimator: corrupt snapshot: expert %d is %s (%d→%d), header says %s (%d→%d)",
-				i+1, eg.Pair, eg.InDim, eg.Hidden, p, dim, h.Hidden)
-		}
-		if len(eg.Peers) != len(names)-1 {
-			return nil, fmt.Errorf("estimator: expert %s: %d peers among %d experts", p, len(eg.Peers), len(names))
-		}
-		for k, peer := range eg.Peers {
-			want := names[k]
-			if k >= i {
-				want = names[k+1]
+		peers := peersOf(names, i)
+		shapes := expertShapes(names[i], dim, h.Hidden, len(peers))
+		vals = vals[:0]
+		for _, s := range shapes {
+			// A piece is as many whole rows as fit in loadPiece values, or
+			// one row in parts when one does not: min(·)·Cols ≤ loadPiece
+			// unless it is one row.
+			per := max(1, loadPiece/s.Cols)
+			for rows := s.Rows; rows > 0; rows -= per {
+				for left := min(rows, per) * s.Cols; left > 0; left -= loadPiece {
+					b := piece[:8*min(left, loadPiece)]
+					if _, err := io.ReadFull(in, b); err != nil {
+						return nil, fmt.Errorf("estimator: decode expert %d of %d: %w", i+1, len(h.Pairs), err)
+					}
+					for k := 0; k < len(b); k += 8 {
+						v := math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))
+						if !finite(v) {
+							return nil, fmt.Errorf("estimator: expert %s: param %s: non-finite value %v", p, s.Name, v)
+						}
+						vals = append(vals, v)
+					}
+				}
 			}
-			if peer != want {
-				return nil, fmt.Errorf("estimator: expert %s: peer %d is %q, want %q", p, k, peer, want)
-			}
-			eg.Peers[k] = want // one copy of each name per model, not one per expert
 		}
-		e, err := eg.expert()
-		if err != nil {
-			return nil, fmt.Errorf("estimator: expert %s: %w", p, err)
+		// Every shape was read in full, so its size is bounded by the stream.
+		ps := ad.Carve(shapes)
+		off := 0
+		for _, par := range ps {
+			off += copy(par.Data, vals[off:])
 		}
-		m.Experts[p] = e
+		m.Experts[p] = expertOf(p, dim, h.Hidden, peers, ps, h.UseMask, h.UseAttention, h.LinearBypass)
 		m.TargetScales[p] = &TargetScale{Kind: targetKind(sc.Kind), Scale: sc.Scale, Base: sc.Base}
 	}
 	return m, nil
-}
-
-// fills reports whether n values fill a rows×cols matrix, without forming
-// the product of two dimensions read from the stream.
-func fills(n, rows, cols int) bool {
-	if rows <= 0 || cols <= 0 {
-		return n == 0 && rows >= 0 && cols >= 0
-	}
-	return n%rows == 0 && n/rows == cols
-}
-
-// expert rebuilds the expert from the decoded parameter slices, each checked
-// against the shape an expert of these dimensions has, and copied into
-// parameters carved from one allocation, as newExpert's are.
-func (eg *expertGob) expert() (*Expert, error) {
-	in, hid := eg.InDim, eg.Hidden
-	shapes := expertShapes("", in, hid, len(eg.Peers))
-	if len(eg.Params) != len(shapes) {
-		return nil, fmt.Errorf("snapshot has %d params, expected %d", len(eg.Params), len(shapes))
-	}
-	for j, pg := range eg.Params {
-		rows, cols := shapes[j].Rows, shapes[j].Cols
-		if pg.Rows != rows || pg.Cols != cols || !fills(len(pg.Data), rows, cols) {
-			return nil, fmt.Errorf("param %s: shape %dx%d with %d values in snapshot, expected %dx%d",
-				pg.Name, pg.Rows, pg.Cols, len(pg.Data), rows, cols)
-		}
-		for _, v := range pg.Data {
-			if !finite(v) {
-				return nil, fmt.Errorf("param %s: non-finite value %v", pg.Name, v)
-			}
-		}
-		shapes[j].Name = pg.Name
-	}
-	ps := ad.Carve(shapes)
-	for j, pg := range eg.Params {
-		copy(ps[j].Data, pg.Data)
-	}
-	return expertOf(eg.Pair, in, hid, eg.Peers, ps, eg.UseMask, eg.UseAttention, eg.UseBypass), nil
 }
 
 // finite reports whether v is neither NaN nor ±Inf: v−v is 0 for every

@@ -3,6 +3,7 @@ package estimator
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -93,53 +94,84 @@ func TestLoadRefusesEveryProperPrefix(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesVersion1 pins the migration story: a stream in the old
-// one-value layout is refused by its version number.
-func TestLoadRefusesVersion1(t *testing.T) {
+// The layouts before format 3, as they were written: version 1 was one gob
+// value holding every expert, version 2 a header and one gob value per
+// expert, each naming its pair, shapes, peers and switches.
+type paramV2 struct {
+	Name       string
+	Rows, Cols int
+	Data       []float64
+}
+
+type expertV2 struct {
+	Pair                             app.Pair
+	InDim, Hidden                    int
+	Peers                            []string
+	Params                           []paramV2
+	UseMask, UseAttention, UseBypass bool
+}
+
+// TestLoadRefusesOldVersions pins the migration story: a stream in either
+// older layout is refused by its version number.
+func TestLoadRefusesOldVersions(t *testing.T) {
+	m, stream := toyStream(t)
+	var h modelHeader
+	if err := gob.NewDecoder(bytes.NewReader(stream)).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
 	type modelGobV1 struct {
 		Version int
 		Hidden  int
 		Paths   []string
 		Pairs   []app.Pair
-		Experts []expertGob
+		Experts []expertV2
 	}
-	var buf bytes.Buffer
-	v1 := modelGobV1{Version: 1, Hidden: 4, Paths: []string{"a"}, Pairs: []app.Pair{{Component: "c", Resource: app.CPU}}, Experts: make([]expertGob, 1)}
-	if err := gob.NewEncoder(&buf).Encode(v1); err != nil {
-		t.Fatal(err)
+	h.Version = 2
+	v1 := modelGobV1{Version: 1, Hidden: h.Hidden, Paths: h.Paths, Pairs: h.Pairs}
+	v2 := []any{h}
+	for _, p := range m.Pairs {
+		e := m.Experts[p]
+		eg := expertV2{Pair: p, InDim: e.InDim, Hidden: e.Hidden, Peers: e.Attn.Peers,
+			UseMask: e.UseMask, UseAttention: e.UseAttention, UseBypass: e.UseBypass}
+		for _, par := range e.Params() {
+			eg.Params = append(eg.Params, paramV2{Name: par.Name, Rows: par.Rows, Cols: par.Cols, Data: par.Data})
+		}
+		v1.Experts = append(v1.Experts, eg)
+		v2 = append(v2, eg)
 	}
-	_, err := Load(&buf)
-	if err == nil || !strings.Contains(err.Error(), "unsupported model version 1 (want 2)") {
-		t.Fatalf("Load of a v1 stream: %v", err)
+	for version, values := range map[int][]any{1: {v1}, 2: v2} {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		for _, v := range values {
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := fmt.Sprintf("unsupported model version %d (want 3)", version)
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Load of a v%d stream: %v, want %q", version, err, want)
+		}
 	}
 }
 
-// reheader re-encodes a serialized model with an edited header and the
-// experts it had.
+// reheader re-encodes a serialized model's header with an edit and copies
+// the experts' bytes after it.
 func reheader(tb testing.TB, stream []byte, edit func(*modelHeader)) []byte {
 	tb.Helper()
-	dec := gob.NewDecoder(bytes.NewReader(stream))
+	r := bytes.NewReader(stream) // an io.ByteReader: gob reads the header and no further
 	var h modelHeader
-	if err := dec.Decode(&h); err != nil {
+	if err := gob.NewDecoder(r).Decode(&h); err != nil {
 		tb.Fatal(err)
 	}
 	edit(&h)
 	var out bytes.Buffer
-	enc := gob.NewEncoder(&out)
-	if err := enc.Encode(h); err != nil {
+	if err := gob.NewEncoder(&out).Encode(h); err != nil {
 		tb.Fatal(err)
 	}
-	for {
-		var eg expertGob
-		if err := dec.Decode(&eg); err == io.EOF {
-			return out.Bytes()
-		} else if err != nil {
-			tb.Fatal(err)
-		}
-		if err := enc.Encode(eg); err != nil {
-			tb.Fatal(err)
-		}
+	if _, err := r.WriteTo(&out); err != nil {
+		tb.Fatal(err)
 	}
+	return out.Bytes()
 }
 
 // TestLoadRefusesHeaderLargerThanStream: a header may claim any width and

@@ -223,6 +223,12 @@ var ErrDuplicate = fmt.Errorf("fleet: tenant id already exists")
 // ErrAtCapacity reports a create beyond the MaxTenants bound.
 var ErrAtCapacity = fmt.Errorf("fleet: tenant capacity reached")
 
+// ErrSetup reports a create that failed on the daemon's side, not in the
+// request: a checkpoint root in the single-app layout, a service that
+// could not be built or bootstrapped, a recovery with no readable
+// checkpoint.
+var ErrSetup = fmt.Errorf("fleet: tenant setup failed")
+
 // reserve claims an id slot under the lock so the slow build runs unlocked.
 func (f *Fleet) reserve(id string) error {
 	f.mu.Lock()
@@ -261,9 +267,9 @@ func (f *Fleet) build(ts TenantSpec) (*Tenant, error) {
 		glob := filepath.Join(root, "gen-*.ckpt")
 		if stray, _ := filepath.Glob(glob); len(stray) > 0 {
 			adopt := filepath.Join(root, "default")
-			return nil, fmt.Errorf("fleet: checkpoint dir %s holds %d un-nested gen-*.ckpt file(s) (the single-app layout); "+
+			return nil, fmt.Errorf("%w: checkpoint dir %s holds %d un-nested gen-*.ckpt file(s) (the single-app layout); "+
 				"tenants checkpoint under <dir>/<tenant>/ — move them first: mkdir -p %s && mv %s %s/",
-				root, len(stray), adopt, glob, adopt)
+				ErrSetup, root, len(stray), adopt, glob, adopt)
 		}
 		// ValidateID excluded separators and dots, so this join can never
 		// escape the fleet's checkpoint root.
@@ -286,7 +292,7 @@ func (f *Fleet) build(ts TenantSpec) (*Tenant, error) {
 	}
 	srv, err := service.New(opts, pcfg, scfg)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: tenant %q: %w", ts.App, err)
+		return nil, fmt.Errorf("%w: tenant %q: %w", ErrSetup, ts.App, err)
 	}
 	// Bootstrap before recovery: a recovered model's trace synthesizer is
 	// re-learned from the windows the store holds at that moment.
@@ -296,12 +302,12 @@ func (f *Fleet) build(ts TenantSpec) (*Tenant, error) {
 			return nil, fmt.Errorf("fleet: tenant %q: bootstrap: %w", ts.App, err)
 		}
 		if err := srv.Bootstrap(run); err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q: %w", ts.App, err)
+			return nil, fmt.Errorf("%w: tenant %q: %w", ErrSetup, ts.App, err)
 		}
 	}
 	if pcfg.CheckpointDir != "" {
 		if _, err := srv.Pipeline().Recover(); err != nil {
-			return nil, fmt.Errorf("fleet: tenant %q: recover: %w", ts.App, err)
+			return nil, fmt.Errorf("%w: tenant %q: recover: %w", ErrSetup, ts.App, err)
 		}
 	}
 	return &Tenant{ID: ts.App, Spec: ts.Spec, CreatedAt: time.Now(), srv: srv}, nil

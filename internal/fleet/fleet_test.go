@@ -431,6 +431,37 @@ func TestRestartServesIdenticalEstimates(t *testing.T) {
 	}
 }
 
+// TestCreateOverUnreadableCheckpointIs500: a tenant whose only checkpoint
+// cannot be read fails on the daemon's side, not in the request: 500 naming
+// the file. Recovery quarantined it, so a retry starts the tenant cold.
+func TestCreateOverUnreadableCheckpointIs500(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "a"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a", "gen-000001.ckpt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pcfg := pipeline.DefaultConfig()
+	pcfg.CheckpointDir = dir
+	fl := New(Config{Opts: quickOpts(), Pipeline: pcfg})
+	t.Cleanup(fl.Close)
+	h := fl.Handler()
+	rec := do(t, h, "POST", "/v1/tenants", bytes.NewBufferString(`{"app":"a"}`))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "gen-000001.ckpt") {
+		t.Fatalf("create over an unreadable checkpoint = %d %s, want 500 naming the file", rec.Code, rec.Body)
+	}
+	if rec := do(t, h, "POST", "/v1/tenants", bytes.NewBufferString(`{"app":"a"}`)); rec.Code != http.StatusCreated {
+		t.Fatalf("retry = %d %s, want 201", rec.Code, rec.Body)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a", "gen-000001.ckpt.corrupt")); err != nil {
+		t.Errorf("the unreadable checkpoint was not quarantined: %v", err)
+	}
+	if st := do(t, h, "GET", "/v1/t/a/v1/models", nil); st.Code != http.StatusOK || strings.Contains(st.Body.String(), `"version"`) {
+		t.Errorf("the retried tenant is not cold: %d %s", st.Code, st.Body)
+	}
+}
+
 // TestCreateRefusesStrayCheckpointsAndBadBounds: Create itself enforces the
 // spec bounds, and refuses a checkpoint root that holds un-nested
 // checkpoints (the pre-fleet single-app layout) instead of starting cold

@@ -94,6 +94,8 @@ const maxCreateBytes = 64 << 10
 // handleCreate registers a tenant from a TenantSpec body. The decoder is as
 // strict as the manifest parser: unknown fields are rejected. A remote client
 // may not name a file on the daemon's host, so an @FILE spec is refused.
+// An error in the request (id, bounds, spec) is 400; one on the daemon's
+// side (ErrSetup) is 500.
 func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBytes))
 	dec.DisallowUnknownFields()
@@ -122,6 +124,8 @@ func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrAtCapacity):
 			w.Header().Set("Retry-After", "60")
 			writeErr(w, http.StatusServiceUnavailable, "%v", err)
+		case errors.Is(err, ErrSetup):
+			writeErr(w, http.StatusInternalServerError, "%v", err)
 		default:
 			writeErr(w, http.StatusBadRequest, "%v", err)
 		}

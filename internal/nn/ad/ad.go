@@ -25,10 +25,11 @@
 // Tapes come in two modes. NewTape records for training: every node gets a
 // gradient vector and a backward opcode. NewEvalTape is the gradient-free
 // lane: no gradient memory is allocated and no backward bookkeeping is kept,
-// making pure forward evaluation (training's peer-state precompute,
-// occlusion probes, the oracle the compiled inference engine is held to)
-// substantially cheaper. Estimates are served by that engine, not by a tape.
-// Backward on an eval tape panics.
+// making pure forward evaluation substantially cheaper. It has two jobs: the
+// occlusion probes (Model.APIInfluence) and the oracle the compiled
+// inference engine is held to (Model.PredictVectors). Estimates are served
+// by that engine, and training's frozen peer states are formed off the tape
+// (layers.GRUBlock.Trajectory). Backward on an eval tape panics.
 package ad
 
 import (

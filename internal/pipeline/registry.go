@@ -217,8 +217,8 @@ func (r *Registry) versionsLocked() []int {
 // --- checkpointing ---
 
 // A checkpoint file is a stream: a checkpointMeta gob value, the estimator
-// snapshot exactly as Model.Save streams it (a header, then one value per
-// expert), and a trailing gob uint64 — the FNV-64a digest of every byte
+// snapshot exactly as Model.Save streams it (a header, then each expert's
+// weights as raw bits), and a trailing gob uint64 — the FNV-64a digest of every byte
 // before it, which guards against silent disk corruption that gob would
 // happily decode into a garbage model. Writer and reader hash what passes
 // through them, so neither ever holds a serialized model.
@@ -233,8 +233,9 @@ type checkpointMeta struct {
 	TrainedAt time.Time
 }
 
-// checkpointFormat guards the file layout above.
-const checkpointFormat = 2
+// checkpointFormat guards the file layout above, the model stream's format
+// included: an older file is refused here by name, before Load reads it.
+const checkpointFormat = 3
 
 // sumReader hashes what is read through it. It is an io.ByteReader so that
 // a gob.Decoder reads it directly, message by message: the decoders that

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -267,10 +268,11 @@ func TestCorruptCheckpointFailsLoudly(t *testing.T) {
 	})
 }
 
-// TestFormat1CheckpointRefusedByName pins the migration story: a checkpoint
-// in the old layout — one gob value with the model nested as bytes — is
+// TestOldFormatCheckpointRefusedByName pins the migration story: a
+// checkpoint in an old layout — format 1, one gob value with the model
+// nested as bytes, or format 2, whose model is one gob value per expert — is
 // refused with an error that names its format, not as generic corruption.
-func TestFormat1CheckpointRefusedByName(t *testing.T) {
+func TestOldFormatCheckpointRefusedByName(t *testing.T) {
 	type checkpointV1 struct {
 		Version     int
 		Trigger     string
@@ -278,19 +280,25 @@ func TestFormat1CheckpointRefusedByName(t *testing.T) {
 		Checksum    uint64
 		Checksummed bool
 	}
-	path := filepath.Join(t.TempDir(), "gen-000001.ckpt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(checkpointV1{Version: 1, Trigger: "manual", Model: make([]byte, 4096), Checksummed: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = readCheckpoint(path, nil)
-	if err == nil || !strings.Contains(err.Error(), "gen-000001.ckpt has format 1, this build reads format 2") {
-		t.Fatalf("a format-1 checkpoint: %v", err)
+	for format, meta := range map[int]any{
+		1: checkpointV1{Version: 1, Trigger: "manual", Model: make([]byte, 4096), Checksummed: true},
+		2: checkpointMeta{Format: 2, Version: 1, Trigger: "manual"},
+	} {
+		path := filepath.Join(t.TempDir(), "gen-000001.ckpt")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = readCheckpoint(path, nil)
+		want := fmt.Sprintf("gen-000001.ckpt has format %d, this build reads format 3", format)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("a format-%d checkpoint: %v, want %q", format, err, want)
+		}
 	}
 }
