@@ -184,7 +184,7 @@ func BenchmarkScalabilityTrainExpert(b *testing.B) {
 	usage := map[app.Pair][]float64{p: run.Usage[p]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := estimator.TrainWarm(run.Windows, usage, benchCfg(), nil); err != nil {
+		if _, _, err := estimator.TrainWarm(run.Windows, usage, benchCfg(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func BenchmarkScalabilityInference(b *testing.B) {
 	run := toyTelemetry(b, 3)
 	p := app.Pair{Component: "Service", Resource: app.CPU}
 	usage := map[app.Pair][]float64{p: run.Usage[p]}
-	m, _, err := estimator.TrainWarm(run.Windows, usage, benchCfg(), nil)
+	m, _, err := estimator.TrainWarm(run.Windows, usage, benchCfg(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func BenchmarkScalabilityInputDim(b *testing.B) {
 			usage := map[app.Pair][]float64{p: run.Usage[p]}
 			cfg := benchCfg()
 			cfg.Epochs = 2
-			m, _, err := estimator.TrainWarm(dim, usage, cfg, nil)
+			m, _, err := estimator.TrainWarm(dim, usage, cfg, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -290,7 +290,7 @@ func BenchmarkTrainParallelism(b *testing.B) {
 			cfg := benchCfg()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil); err != nil {
+				if _, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,7 +310,7 @@ func BenchmarkScalabilityModelSize(b *testing.B) {
 	var m *estimator.Model
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, _, err = estimator.TrainWarm(run.Windows, usage, cfg, nil)
+		m, _, err = estimator.TrainWarm(run.Windows, usage, cfg, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func benchAblation(b *testing.B, mod func(*estimator.Config)) {
 	var mape float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := estimator.TrainWarm(l.LearnRun.Windows, usage, cfg, nil)
+		m, _, err := estimator.TrainWarm(l.LearnRun.Windows, usage, cfg, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func BenchmarkAblationAttention(b *testing.B) {
 			if attn {
 				cfg.AttentionEpochs = 3
 			}
-			m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
+			m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

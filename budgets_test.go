@@ -13,11 +13,11 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22249 // non-test Go lines outside bench/
-	designBytesBudget      = 46511
-	changesBytesBudget     = 36058
-	readmeBytesBudget      = 35386
-	experimentsBytesBudget = 23400
+	goLinesBudget          = 22474 // non-test Go lines outside bench/
+	designBytesBudget      = 50067
+	changesBytesBudget     = 49276
+	readmeBytesBudget      = 35877
+	experimentsBytesBudget = 25594
 )
 
 // TestBudgets holds the tree to the budgets above: the lines of non-test Go

@@ -115,7 +115,7 @@ func trainRAExpert(ws *layers.Workspace, p app.Pair, series []float64, wpd int, 
 					rows = append(rows, e.input(e.scaled, u))
 				}
 				ws.Block.Panels.Reset(cfg.Hidden)
-				ws.Block.Form(e.cell, nil, rows)
+				ws.Block.Form(e.cell, nil, nil, rows)
 			}
 			h = ws.Block.Step(tape, e.cell, t-from, tape.Const(rows[t-from]), h)
 			tgt[0] = e.scaled[t]
@@ -163,7 +163,7 @@ func (e *raExpert) forecast(horizon int) []float64 {
 		for t := b0; t < min(b0+e.wpd, end); t++ {
 			rows = append(rows, e.input(buf, t))
 		}
-		blk.Form(e.cell, nil, rows)
+		blk.Form(e.cell, nil, nil, rows)
 		for j, row := range rows {
 			h := blk.Step(tape, e.cell, j, tape.Const(row), tape.Const(hbuf))
 			copy(hbuf, h.Data)

@@ -194,7 +194,11 @@ func learn(windows [][]trace.Batch, usage map[app.Pair][]float64, opts Options, 
 		stage := trainStages(ctx, opts)
 		opts.Estimator.Stage = func(name string) func() { return stage("estimator."+name, name) }
 	}
-	model, seeded, err := estimator.TrainWarm(windows, usage, opts.Estimator, prev)
+	var spell func(string) string // the spans' names for the pairs' components
+	if s.hasher != nil {
+		spell = s.hasher.Hash
+	}
+	model, seeded, err := estimator.TrainWarm(windows, usage, opts.Estimator, prev, spell)
 	span.SetErr(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: train estimator: %w", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -302,6 +304,80 @@ func TestLearnsThirdApplication(t *testing.T) {
 			t.Errorf("%s: MAPE %.2f%% too high on the third application", p, mape)
 		}
 	}
+}
+
+// TestAnonymizedLearnRestrictsAsPlain: the spans of an anonymized learn carry
+// hashed names while its pairs keep their real ones, so each expert finds the
+// paths that visit its component by the component's hash — and reads exactly
+// the paths the plain learn's expert reads, not none. A component whose name
+// holds a ":" (the hash holds none) restricts alike.
+func TestAnonymizedLearnRestrictsAsPlain(t *testing.T) {
+	_, _, run := testutil.ToyTelemetry(t, 1, 30, 71)
+	for _, tc := range []struct {
+		name string
+		db   string // the name the DB component goes by
+	}{{"toy", "DB"}, {"component with a colon", "db:5432"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			windows, usage := renameComponent(run.Windows, run.Usage, "DB", tc.db)
+			plain, anon := testOptions(), testOptions()
+			plain.Estimator.Epochs, plain.Estimator.AttentionEpochs = 1, 0
+			anon.Estimator = plain.Estimator
+			anon.Anonymize, anon.HashSalt = true, "salt"
+			a, err := LearnFromData(windows, usage, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := LearnFromData(windows, usage, anon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dim, narrowed := a.Model().Space.Dim(), 0
+			for _, p := range a.Pairs() {
+				pe, ae := a.Model().Experts[p], b.Model().Experts[p]
+				if !slices.Equal(pe.Inputs, ae.Inputs) {
+					t.Fatalf("%s reads paths %v plain, %v anonymized", p, pe.Inputs, ae.Inputs)
+				}
+				if ae.Component == p.Component {
+					t.Fatalf("%s: the anonymized expert spells its component in plain text", p)
+				}
+				if len(pe.Inputs) == 0 {
+					t.Fatalf("%s reads no path, though every request visits it", p)
+				}
+				if len(pe.Inputs) < dim {
+					narrowed++
+				}
+			}
+			if narrowed == 0 {
+				t.Fatal("no expert reads a strict subset of the paths: the fixture tests nothing")
+			}
+		})
+	}
+}
+
+// renameComponent returns copies of windows and usage in which component
+// from is named to.
+func renameComponent(windows [][]trace.Batch, usage map[app.Pair][]float64, from, to string) ([][]trace.Batch, map[app.Pair][]float64) {
+	outW := make([][]trace.Batch, len(windows))
+	for i, batches := range windows {
+		outW[i] = make([]trace.Batch, len(batches))
+		for j, b := range batches {
+			root := b.Trace.Root.Clone()
+			root.Walk(func(s *trace.Span, _ []string) {
+				if s.Component == from {
+					s.Component = to
+				}
+			})
+			outW[i][j] = trace.Batch{Trace: trace.Trace{API: b.Trace.API, Root: root}, Count: b.Count}
+		}
+	}
+	outU := make(map[app.Pair][]float64, len(usage))
+	for p, series := range usage {
+		if p.Component == from {
+			p.Component = to
+		}
+		outU[p] = series
+	}
+	return outW, outU
 }
 
 // TestAnonymizationIsLossless verifies the paper's privacy claim sharply:

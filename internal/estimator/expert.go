@@ -13,6 +13,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/nn/ad"
 	"repro/internal/nn/layers"
+	"repro/internal/trace"
 )
 
 // Expert is the dedicated estimator F^{c,r} for one resource r of one
@@ -20,9 +21,18 @@ import (
 type Expert struct {
 	// Pair identifies the estimation target.
 	Pair app.Pair
-	// InDim is the feature-space dimensionality, Hidden the GRU width.
+	// Component is Pair.Component as the feature paths spell it: the name
+	// itself, or its trace.Hasher token in a model learned from anonymized
+	// telemetry, whose pairs keep their real names.
+	Component string
+	// Inputs lists, ascending, the features the expert reads: the
+	// invocation paths that visit its component (visits). It is derived
+	// from the feature space and Component, when the expert is built and
+	// when it is loaded, and never stored.
+	Inputs []int
+	// InDim is the number of inputs, len(Inputs); Hidden the GRU width.
 	InDim, Hidden int
-	// Mask is the API-aware input mask (Equation 1).
+	// Mask is the API-aware input mask (Equation 1) over the inputs.
 	Mask *layers.APIMask
 	// Cell is the recurrent core (Equation 2).
 	Cell *layers.GRUCell
@@ -43,17 +53,76 @@ type Expert struct {
 	// UseMask and UseAttention mirror the training configuration so a
 	// loaded model predicts exactly as trained.
 	UseMask, UseAttention, UseBypass bool
+	// rate is the multiple of the learning rate the mask and the bypass's
+	// W step at: the dense feature count over InDim (inputRate).
+	rate float64
 }
 
-// newExpert builds an expert for pair with the given dimensions and peers,
-// its parameters carved from one allocation (expertShapes) and its matrices
-// Glorot-initialised from rng in Params order.
-func newExpert(pair app.Pair, inDim, hidden int, peers []string, cfg Config, rng *rand.Rand) *Expert {
-	ps := ad.Carve(expertShapes(pair.String(), inDim, hidden, len(peers)))
-	for _, j := range [...]int{1, 2, 4, 5, 7, 8, 11, 13} { // W·, U·, V, S
-		ps[j].InitGlorot(rng)
+// allPaths, set, makes every expert read every feature: the dense model, the
+// reference the restriction is held to. Only tests set it.
+var allPaths bool
+
+// visits lists, ascending, the features of paths whose path visits
+// component c (trace.PathVisits). Every feature when allPaths is set. The
+// list is never nil: an expert that no path visits reads nothing.
+func visits(paths []string, c string) []int {
+	out := []int{}
+	for i, path := range paths {
+		if allPaths || trace.PathVisits(path, c) {
+			out = append(out, i)
+		}
 	}
-	return expertOf(pair, inDim, hidden, peers, ps, cfg.UseMask, cfg.UseAttention, cfg.LinearBypass)
+	return out
+}
+
+// newExpert builds an expert for pair, whose component the feature paths
+// spell component, reading the features inputs of a dense-wide space, with
+// the given width and peers, its parameters carved from one allocation
+// (expertShapes) and its matrices Glorot-initialised from rng in Params
+// order: W· and S draw the dense matrices' values, at their fan-in, and keep
+// the inputs' columns, so an expert draws what the all-paths expert draws.
+func newExpert(pair app.Pair, component string, inputs []int, dense, hidden int, peers []string, cfg Config, rng *rand.Rand) *Expert {
+	ps := ad.Carve(expertShapes(pair.String(), len(inputs), hidden, len(peers)))
+	for _, j := range [...]int{1, 2, 4, 5, 7, 8, 11, 13} { // W·, U·, V, S
+		switch j {
+		case 1, 4, 7, 13: // over the inputs
+			ps[j].InitGlorotCols(rng, dense, inputs)
+		default:
+			ps[j].InitGlorot(rng)
+		}
+	}
+	return expertOf(pair, component, inputs, dense, hidden, peers, ps, cfg.UseMask, cfg.UseAttention, cfg.LinearBypass)
+}
+
+// inputRate is the multiple of the learning rate at which an expert reading
+// in of dense features steps its mask and its bypass's W. Both act on the
+// inputs linearly, and Adam moves each weight by about the learning rate a
+// step, so a bypass output's step grows with the number of columns it
+// reads: at dense/in the restricted expert's bypass moves as far a step as
+// the all-paths expert's did. The GRU's input weights feed saturating gates
+// and keep the base rate. 1 for an expert that reads every feature or none.
+func inputRate(dense, in int) float64 {
+	if in == 0 {
+		return 1
+	}
+	return float64(dense) / float64(in)
+}
+
+// rates lists the learning-rate multiple of each of Params: rate for the
+// mask and the bypass's W, 1 for the rest; nil when every one is 1.
+func (e *Expert) rates() []float64 {
+	if e.rate == 1 {
+		return nil
+	}
+	params := e.Params()
+	out := make([]float64, len(params))
+	for i, p := range params {
+		out[i] = 1
+		if p == e.Mask.M || p == e.Bypass.W {
+			out[i] = e.rate
+		}
+	}
+	return out
 }
 
 // expertShapes lists the parameters of an expert named name, in Params
@@ -71,11 +140,15 @@ func expertShapes(name string, in, hid, peers int) []ad.Shape {
 	}
 }
 
-// expertOf assembles an expert around its parameters ps, in expertShapes'
-// order and shapes — how newExpert and Load build one.
-func expertOf(pair app.Pair, in, hid int, peers []string, ps []*ad.Param, useMask, useAttention, useBypass bool) *Expert {
+// expertOf assembles an expert reading inputs of dense features around its
+// parameters ps, in expertShapes' order and shapes — how newExpert and Load
+// build one.
+func expertOf(pair app.Pair, component string, inputs []int, dense, hid int, peers []string, ps []*ad.Param, useMask, useAttention, useBypass bool) *Expert {
+	in := len(inputs)
 	return &Expert{
 		Pair:         pair,
+		Component:    component,
+		Inputs:       inputs,
 		InDim:        in,
 		Hidden:       hid,
 		Mask:         &layers.APIMask{M: ps[0]},
@@ -86,6 +159,7 @@ func expertOf(pair app.Pair, in, hid int, peers []string, ps []*ad.Param, useMas
 		UseMask:      useMask,
 		UseAttention: useAttention,
 		UseBypass:    useBypass,
+		rate:         inputRate(dense, in),
 	}
 }
 
@@ -109,9 +183,10 @@ func (e *Expert) NumParams() int {
 	return n
 }
 
-// maskedInput places x on the tape and applies the API-aware mask.
+// maskedInput places the inputs of the window x on the tape and applies the
+// API-aware mask.
 func (e *Expert) maskedInput(t *ad.Tape, x []float64) *ad.Value {
-	in := t.Const(x)
+	in := t.ConstAt(x, e.Inputs)
 	if e.UseMask {
 		return e.Mask.Apply(t, in)
 	}
@@ -156,7 +231,7 @@ func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt 
 	for i, row := range x {
 		col := i % layers.BlockWindows
 		if col == 0 {
-			ws.Block.Form(e.Cell, e.mask(), x[i:min(i+layers.BlockWindows, len(x))])
+			ws.Block.Form(e.Cell, e.Inputs, e.mask(), x[i:min(i+layers.BlockWindows, len(x))])
 		}
 		t.Reset()
 		h, xt := e.step(ws, t, row, col, t.Const(hPrev))
@@ -173,7 +248,7 @@ func (e *Expert) trajectory(ws *layers.Workspace, s *layers.Slab, i int) {
 	if e.UseBypass {
 		bypass = e.Bypass
 	}
-	ws.Block.Trajectory(s, i, e.Cell, ws.Block.Gate(e.mask()), bypass)
+	ws.Block.Trajectory(s, i, e.Cell, e.Inputs, ws.Block.Gate(e.mask()), bypass)
 }
 
 // forward runs the full forward pass over a scaled feature series on the

@@ -16,7 +16,11 @@ import (
 
 func newTestExpert(cfg Config, inDim int, peers []string) *Expert {
 	rng := rand.New(rand.NewSource(1))
-	return newExpert(app.Pair{Component: "C", Resource: app.CPU}, inDim, cfg.Hidden, peers, cfg, rng)
+	every := make([]int, inDim)
+	for k := range every {
+		every[k] = k
+	}
+	return newExpert(app.Pair{Component: "C", Resource: app.CPU}, "C", every, inDim, cfg.Hidden, peers, cfg, rng)
 }
 
 func seriesOf(dim, steps int) [][]float64 {
@@ -233,7 +237,7 @@ func TestModelSummaryAndReports(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 3
 	cfg.AttentionEpochs = 1
-	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func goldenRun(t *testing.T, hidden int, pairs []app.Pair) (map[string][]float64
 	rec := newLossRecorder()
 	cfg := goldenConfig(hidden)
 	cfg.Progress = rec.hook
-	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -113,32 +113,38 @@ func TestGoldenDeterminismCapture(t *testing.T) {
 	for _, g := range []struct {
 		hidden int
 		pairs  []app.Pair
-	}{{4, goldenPairs()}, {7, goldenPairs()}, {20, goldenPairs()}, {7, nil}} {
-		t.Logf("Hidden=%d, %d pairs (0: all)", g.hidden, len(g.pairs))
-		losses, preds := goldenRun(t, g.hidden, g.pairs)
-		keys := make([]string, 0, len(losses))
-		for k := range losses {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			line := fmt.Sprintf("%q: {", k)
-			for i, v := range losses[k] {
-				if i > 0 {
-					line += ", "
-				}
-				line += fmt.Sprintf("0x%016x", math.Float64bits(v))
+		dense  bool
+	}{{4, goldenPairs(), true}, {7, goldenPairs(), true}, {20, goldenPairs(), true}, {7, nil, true}, {7, nil, false}} {
+		t.Run(fmt.Sprintf("hidden%d_pairs%d_dense%v", g.hidden, len(g.pairs), g.dense), func(t *testing.T) {
+			t.Logf("Hidden=%d, %d pairs (0: all), all paths %v", g.hidden, len(g.pairs), g.dense)
+			if g.dense {
+				denseModels(t)
 			}
-			t.Logf("%s},", line)
-		}
-		pk := make([]string, 0, len(preds))
-		for k := range preds {
-			pk = append(pk, k)
-		}
-		sort.Strings(pk)
-		for _, k := range pk {
-			t.Logf("%q: 0x%016x,", k, preds[k])
-		}
+			losses, preds := goldenRun(t, g.hidden, g.pairs)
+			keys := make([]string, 0, len(losses))
+			for k := range losses {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				line := fmt.Sprintf("%q: {", k)
+				for i, v := range losses[k] {
+					if i > 0 {
+						line += ", "
+					}
+					line += fmt.Sprintf("0x%016x", math.Float64bits(v))
+				}
+				t.Logf("%s},", line)
+			}
+			pk := make([]string, 0, len(preds))
+			for k := range preds {
+				pk = append(pk, k)
+			}
+			sort.Strings(pk)
+			for _, k := range pk {
+				t.Logf("%q: 0x%016x,", k, preds[k])
+			}
+		})
 	}
 }
 
@@ -319,7 +325,84 @@ func TestGoldenDeterminismPeers(t *testing.T) {
 	checkGolden(t, 7, nil, goldenLossesPeers, goldenPredictionsPeers)
 }
 
+// goldenLossesVisits and goldenPredictionsVisits are the toy app's every pair
+// at Hidden=7, as goldenLossesPeers, under the visiting rule: each expert
+// reads the paths that visit its component (2 of the toy's 6 for DB, 4 for
+// Service, all 6 for Gateway, whose losses are therefore the dense ones),
+// captured when the rule landed.
+var goldenLossesVisits = map[string][]uint64{
+	"DB/cpu|attention":         {0x3fa7c9da63838c70, 0x3fa1873f70762c99},
+	"DB/cpu|train":             {0x3fd4a7bffe63c851, 0x3fb857cdc76679ea, 0x3fa9aa2eaaf897ad},
+	"DB/disk_usage|attention":  {0x3fc909d10e8b3bc2, 0x3fc7b01a0b168046},
+	"DB/disk_usage|train":      {0x3fdb5e901d39f63b, 0x3fd136e0319a99c7, 0x3fcb2f0d37e86512},
+	"DB/memory|attention":      {0x3fc2bb14499a4718, 0x3fc0a99b1eea7708},
+	"DB/memory|train":          {0x3fe7e66f3ed6cacf, 0x3fd66bc100989061, 0x3fca2c6f46b62694},
+	"DB/write_iops|attention":  {0x3fb99eba2e0027e0, 0x3fb50acfdd0e1ab4},
+	"DB/write_iops|train":      {0x3fcd5d6693d10f4e, 0x3fbf3ce2d3723530, 0x3fbe0a5664050430},
+	"DB/write_tput|attention":  {0x3fbea7869bb4b075, 0x3fb8dfc13b7bfce2},
+	"DB/write_tput|train":      {0x3fd3f47ba5c5d396, 0x3fc279747fdbb790, 0x3fc1ca2271291fde},
+	"Gateway/cpu|attention":    {0x3fc1e8ec81c30ca0, 0x3fb5bc1049d23a12},
+	"Gateway/cpu|train":        {0x3fef3445339c796a, 0x3fe1b676758ef12e, 0x3fcf9b59c62b8fb2},
+	"Gateway/memory|attention": {0x3faaf5337534cb11, 0x3fa9891dcc1dd264},
+	"Gateway/memory|train":     {0x3fdb1d242857e10c, 0x3fbe02b7d5f7baf1, 0x3fac86593bff8d74},
+	"Service/cpu|attention":    {0x3fba60f795ec63a8, 0x3fb858900ffbc4fe},
+	"Service/cpu|train":        {0x3fde9863e29d5498, 0x3fd07646b26d759a, 0x3fc1cc255a0238be},
+	"Service/memory|attention": {0x3fb4e29f1997e14a, 0x3fb1e2d7ae45dced},
+	"Service/memory|train":     {0x3fda2a52f96ce1c3, 0x3fba6a54b290e87e, 0x3fb8986c4d7c1e1a},
+}
+
+var goldenPredictionsVisits = map[string]uint64{
+	"DB/cpu|exp":         0x4959196007bf582d,
+	"DB/cpu|low":         0x266602bd28049f8f,
+	"DB/cpu|up":          0x962e21d879309a32,
+	"DB/disk_usage|exp":  0x56d58205cefd0d1c,
+	"DB/disk_usage|low":  0x7b3d1ef3f666d81b,
+	"DB/disk_usage|up":   0x74c2ca6fcee3bd42,
+	"DB/memory|exp":      0x6e5312c22a2483c3,
+	"DB/memory|low":      0x0a3cef805849b7e4,
+	"DB/memory|up":       0xdb965c291a9000e6,
+	"DB/write_iops|exp":  0xf9d027d3bc545eaf,
+	"DB/write_iops|low":  0x9ffb0f34a1d334b9,
+	"DB/write_iops|up":   0x425d2e8f6954ced0,
+	"DB/write_tput|exp":  0xb065daf83aa88dbf,
+	"DB/write_tput|low":  0xb3690747796cc654,
+	"DB/write_tput|up":   0x62fd1dc47425400e,
+	"Gateway/cpu|exp":    0xbe469b1e2afbff77,
+	"Gateway/cpu|low":    0x12408872e8412f4c,
+	"Gateway/cpu|up":     0x79349f0d544c2537,
+	"Gateway/memory|exp": 0xd732364cba63b8b5,
+	"Gateway/memory|low": 0x449ac9b8781302fc,
+	"Gateway/memory|up":  0x52ec5983aa1257ae,
+	"Service/cpu|exp":    0xa9354b34c1b82a27,
+	"Service/cpu|low":    0x5b981ef559295a0a,
+	"Service/cpu|up":     0x02e6beea461e66a4,
+	"Service/memory|exp": 0xfb51d26ca71db06c,
+	"Service/memory|low": 0x8f77e23dbc73aa92,
+	"Service/memory|up":  0x020d49b705d88fdf,
+}
+
+// TestGoldenDeterminismVisits is TestGoldenDeterminismPeers under the
+// visiting rule: the restricted model's training and estimates, pinned.
+func TestGoldenDeterminismVisits(t *testing.T) {
+	checkGoldenRun(t, 7, nil, goldenLossesVisits, goldenPredictionsVisits)
+}
+
+// checkGolden holds the dense model — every expert reading every path, the
+// all-paths rule — to goldens recorded before experts read only the paths
+// that visit their component: the restriction moved no dense arithmetic.
 func checkGolden(t *testing.T, hidden int, pairs []app.Pair, goldenLosses map[string][]uint64, goldenPredictions map[string]uint64) {
+	t.Helper()
+	denseModels(t)
+	checkGoldenRun(t, hidden, pairs, goldenLosses, goldenPredictions)
+}
+
+// denseModels sets the all-paths rule for the rest of the test.
+func denseModels(t testing.TB) {
+	allPaths = true
+	t.Cleanup(func() { allPaths = false })
+}
+
+func checkGoldenRun(t *testing.T, hidden int, pairs []app.Pair, goldenLosses map[string][]uint64, goldenPredictions map[string]uint64) {
 	t.Helper()
 	losses, preds := goldenRun(t, hidden, pairs)
 

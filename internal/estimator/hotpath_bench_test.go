@@ -26,7 +26,7 @@ func benchFixture(b *testing.B, pairs ...app.Pair) (*Model, [][]float64, map[app
 	}
 	cfg := DefaultConfig()
 	cfg.ChunkLen = 24
-	m, x, targets, err := buildModel(run.Windows, usage, cfg)
+	m, x, targets, err := buildModel(run.Windows, usage, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkModelPredict(b *testing.B) {
 	cfg.Epochs = 2
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24
-	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func benchTrain(b *testing.B, run *sim.Run, cfg Config) {
 	b.ResetTimer()
 	cpu0 := processCPU()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil); err != nil {
+		if _, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

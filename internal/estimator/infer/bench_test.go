@@ -23,7 +23,7 @@ func benchEngine(b *testing.B) (*infer.Engine, []features.Vector, int) {
 	cfg.Epochs = 2
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24
-	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -68,9 +68,10 @@ type Engine struct {
 }
 
 // expertView is one expert's kernel operands: all but mask are the expert's
-// own layers or the Data of its Params.
+// own layers, inputs or the Data of its Params.
 type expertView struct {
-	mask   []float64 // σ(m) gate, dim floats of one engine-owned slab; nil when the mask is off
+	inputs []int     // the features the expert reads (estimator.Expert.Inputs)
+	mask   []float64 // σ(m) gate, one float an input, of one engine-owned slab; nil when the mask is off
 	cell   *layers.GRUCell
 	bypass *layers.Dense // nil when the bypass is off
 	scale  estimator.TargetScale
@@ -149,7 +150,13 @@ func Compile(m *estimator.Model) (*Engine, error) {
 	// Nothing is copied — a compiled model is immutable, so there is nothing
 	// to decouple from; only the σ(m) gates and the attention matrix are new
 	// values.
-	var masks []float64
+	gates := 0
+	for _, p := range m.Pairs {
+		if ex := m.Experts[p]; ex != nil && ex.UseMask {
+			gates += len(ex.Inputs)
+		}
+	}
+	masks := make([]float64, 0, gates)
 	for i, p := range m.Pairs {
 		ex := m.Experts[p]
 		view := &e.experts[i]
@@ -157,8 +164,13 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		if ex == nil || ts == nil {
 			return nil, fmt.Errorf("infer: %s: missing expert or target scale", p)
 		}
-		if ex.InDim != dim || ex.Cell == nil || ex.Cell.In != dim {
+		if ex.InDim != len(ex.Inputs) || ex.Cell == nil || ex.Cell.In != ex.InDim {
 			return nil, fmt.Errorf("infer: %s: input dim mismatch", p)
+		}
+		for k, f := range ex.Inputs {
+			if f < 0 || f >= dim || k > 0 && f <= ex.Inputs[k-1] {
+				return nil, fmt.Errorf("infer: %s: input %d is feature %d, not an ascending one of %d", p, k, f, dim)
+			}
 		}
 		if i == 0 {
 			e.hidden = ex.Hidden
@@ -170,27 +182,25 @@ func Compile(m *estimator.Model) (*Engine, error) {
 			return nil, fmt.Errorf("infer: %s: unexpected head shape", p)
 		}
 		if ex.UseMask {
-			if ex.Mask == nil || len(ex.Mask.M.Data) != dim {
+			if ex.Mask == nil || len(ex.Mask.M.Data) != ex.InDim {
 				return nil, fmt.Errorf("infer: %s: unexpected mask shape", p)
 			}
-			if masks == nil {
-				masks = make([]float64, P*dim)
-			}
-			view.mask = masks[i*dim : (i+1)*dim : (i+1)*dim]
-			for j, v := range ex.Mask.M.Data {
+			at := len(masks)
+			for _, v := range ex.Mask.M.Data {
 				// The tape recomputes σ(m) every step; the values are
 				// identical, so computing the gate once is bit-safe.
-				view.mask[j] = ad.Logistic(v)
+				masks = append(masks, ad.Logistic(v))
 			}
+			view.mask = masks[at:len(masks):len(masks)]
 		}
 		if ex.UseBypass {
-			if ex.Bypass == nil || ex.Bypass.In != dim || ex.Bypass.Out != 3 {
+			if ex.Bypass == nil || ex.Bypass.In != ex.InDim || ex.Bypass.Out != 3 {
 				return nil, fmt.Errorf("infer: %s: unexpected bypass shape", p)
 			}
 			view.bypass = ex.Bypass
 		}
 		view.scale = *ts
-		view.cell = ex.Cell
+		view.inputs, view.cell = ex.Inputs, ex.Cell
 		e.heads[i] = layers.PanelExpert{Row: i, HeadW: ex.Head.W.Data, HeadB: ex.Head.B.Data, Bypass: ex.UseBypass}
 		if attnActive && ex.UseAttention {
 			if ex.Attn == nil || len(ex.Attn.Peers) != P-1 || len(ex.Attn.Alpha.Data) != P-1 {
@@ -258,7 +268,7 @@ func (e *Engine) trajectory(i int, sc *predictScratch) {
 	ex := &e.experts[i]
 	wa := e.getWork()
 	defer e.putWork(wa)
-	wa.block.Trajectory(&sc.slab, i, ex.cell, ex.mask, ex.bypass)
+	wa.block.Trajectory(&sc.slab, i, ex.cell, ex.inputs, ex.mask, ex.bypass)
 }
 
 // panels is how many pass-two tasks a series takes.

@@ -19,7 +19,7 @@ func TestEngineHoldsOneCopyOfWeights(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 5)
 	cfg := estimator.DefaultConfig()
 	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 2, 1, 24
-	trained, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
+	trained, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCompileRowsAreAttentionRows(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 1, 30, 5)
 	cfg := estimator.DefaultConfig()
 	cfg.Epochs, cfg.AttentionEpochs = 0, 0
-	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil)
+	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

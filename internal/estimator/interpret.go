@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,8 +25,15 @@ import (
 // when attribution is shared between the mask, the recurrent weights, and
 // the linear bypass. A path's API is identified by its root
 // (component:operation) token; in a hashed deployment the tokens are opaque
-// but still group correctly.
+// but still group correctly. An API none of whose paths the expert reads
+// cannot move its estimate: its influence is 0, and it is not probed.
 func (m *Model) APIInfluence(pair app.Pair, series []features.Vector) (map[string]float64, error) {
+	return m.influence(pair, series, true)
+}
+
+// influence is APIInfluence, which skips the probes of APIs the expert does
+// not read when skip is set.
+func (m *Model) influence(pair app.Pair, series []features.Vector, skip bool) (map[string]float64, error) {
 	e, ok := m.Experts[pair]
 	if !ok {
 		return nil, fmt.Errorf("estimator: no expert for %s", pair)
@@ -47,9 +55,17 @@ func (m *Model) APIInfluence(pair app.Pair, series []features.Vector) (map[strin
 		cols[root] = append(cols[root], i)
 	}
 
+	reads := make([]bool, m.Space.Dim())
+	for _, k := range e.Inputs {
+		reads[k] = true
+	}
 	out := make(map[string]float64, len(cols))
 	max := 0.0
 	for root, idxs := range cols {
+		if skip && !slices.ContainsFunc(idxs, func(k int) bool { return reads[k] }) {
+			out[root] = 0
+			continue
+		}
 		occluded := occlude(x, idxs)
 		probe, err := e.forward(ws, occluded, nil)
 		if err != nil {
@@ -139,11 +155,29 @@ type PeerWeight struct {
 
 // ExpertVector flattens the application-independent recurrent parameters of
 // an expert (its GRU cell) into one vector, the representation the paper
-// projects with PCA in Figure 21 to show MongoDB experts clustering.
+// projects with PCA in Figure 21 to show MongoDB experts clustering. The
+// experts read different paths, so each W· is scattered back into the whole
+// feature space first: column k of a row lands on feature Inputs[k], and a
+// path the expert does not read is 0.
 func (m *Model) ExpertVector(pair app.Pair) []float64 {
 	e, ok := m.Experts[pair]
 	if !ok {
 		return nil
 	}
-	return e.Cell.FlatParams()
+	flat := e.Cell.FlatParams() // per gate: W· (hidden × inputs), U·, b·
+	hid, in, dim := e.Hidden, e.InDim, m.Space.Dim()
+	gate := hid*in + hid*hid + hid
+	out := make([]float64, 0, 3*(hid*dim+hid*hid+hid))
+	for g := range 3 {
+		w := flat[g*gate:][:hid*in]
+		for r := range hid {
+			row := make([]float64, dim)
+			for k, f := range e.Inputs {
+				row[f] = w[r*in+k]
+			}
+			out = append(out, row...)
+		}
+		out = append(out, flat[g*gate+hid*in:][:hid*hid+hid]...)
+	}
+	return out
 }

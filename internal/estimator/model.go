@@ -234,8 +234,10 @@ func (m *Model) WeightBytes() int {
 }
 
 // buildModel constructs the feature space, scalers, and freshly initialised
-// experts, returning the scaled inputs and targets ready for training.
-func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config) (*Model, [][]float64, map[app.Pair][]float64, error) {
+// experts, returning the scaled inputs and targets ready for training. spell
+// maps a pair's component to its spelling in the windows' paths; nil when
+// they spell it as the pair does.
+func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config, spell func(string) string) (*Model, [][]float64, map[app.Pair][]float64, error) {
 	if len(windows) == 0 {
 		return nil, nil, nil, fmt.Errorf("estimator: no learning windows")
 	}
@@ -281,10 +283,15 @@ func buildModel(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Confi
 		names[i] = p.String()
 	}
 	targets := make(map[app.Pair][]float64, len(pairs))
+	paths := space.Paths()
 	for i, p := range pairs {
 		m.TargetScales[p] = FitTargetScale(p, usage[p])
 		targets[p] = m.TargetScales[p].Scaled(usage[p])
-		m.Experts[p] = newExpert(p, space.Dim(), cfg.Hidden, peersOf(names, i), cfg, rng)
+		c := p.Component
+		if spell != nil {
+			c = spell(c)
+		}
+		m.Experts[p] = newExpert(p, c, visits(paths, c), len(paths), cfg.Hidden, peersOf(names, i), cfg, rng)
 	}
 
 	return m, x, targets, nil
@@ -378,13 +385,13 @@ func newSlab(x [][]float64, experts, in, hidden, blockLen int) *layers.Slab {
 // output over x, in parallel, each into its own rows of one slab cut into
 // blocks of blockLen windows.
 func (m *Model) allHiddenStates(x [][]float64, blockLen int) (*layers.Slab, error) {
-	in, hid := m.Experts[m.Pairs[0]].InDim, m.Cfg.Hidden
+	in, hid := m.Space.Dim(), m.Cfg.Hidden
 	s := newSlab(x, len(m.Pairs), in, hid, blockLen)
 	err := layers.ForEach(len(m.Pairs), func(i int, ws *layers.Workspace) error {
 		p := m.Pairs[i]
 		e := m.Experts[p]
-		if e.Hidden != hid || e.InDim != in {
-			return fmt.Errorf("estimator: %s: %d→%d expert in a %d→%d model", p, e.InDim, e.Hidden, in, hid)
+		if e.Hidden != hid {
+			return fmt.Errorf("estimator: %s: a %d-wide expert in a %d-wide model", p, e.Hidden, hid)
 		}
 		e.trajectory(ws, s, i)
 		return nil
@@ -415,7 +422,7 @@ func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float6
 				// chunk's Adam step left.
 				h, from = tape.Const(zero), t
 				ws.Block.Panels.Reset(e.Hidden)
-				ws.Block.Form(e.Cell, e.mask(), x[t:min(t+cfg.ChunkLen, len(x))])
+				ws.Block.Form(e.Cell, e.Inputs, e.mask(), x[t:min(t+cfg.ChunkLen, len(x))])
 			}
 			h, xt = e.step(ws, tape, x[t], t-from, h)
 			for j := range tgt {
@@ -426,7 +433,7 @@ func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float6
 		AfterBackward: func() { e.addRegularizationGrads(cfg) },
 		Epoch:         progress(cfg, PhaseTrain, epochs, func(int) app.Pair { return e.Pair }),
 	}
-	run := layers.Run{Name: e.Pair.String(), Params: e.Params(), Rng: rand.New(rand.NewSource(seed))}
+	run := layers.Run{Name: e.Pair.String(), Params: e.Params(), Rates: e.rates(), Rng: rand.New(rand.NewSource(seed))}
 	if err := ws.Train([]layers.Run{run}, c); err != nil {
 		return fmt.Errorf("estimator: %w", err)
 	}

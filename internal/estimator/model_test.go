@@ -32,7 +32,7 @@ func testConfig() Config {
 func TestTrainPredictEndToEnd(t *testing.T) {
 	cluster, _, run := testutil.ToyTelemetry(t, 3, 40, 1)
 
-	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil)
+	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestTrainPredictEndToEnd(t *testing.T) {
 // TestIntervalOrdering asserts low ≤ exp ≤ up everywhere.
 func TestIntervalOrdering(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 2, 30, 2)
-	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil)
+	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestIntervalOrdering(t *testing.T) {
 // measurements for a representative resource.
 func TestIntervalCoverage(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 3, 40, 3)
-	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil)
+	m, _, err := TrainWarm(run.Windows, run.Usage, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 3
 	cfg.AttentionEpochs = 1
-	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -178,21 +178,21 @@ func TestTrainValidation(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 2, 20, 5)
 	cfg := testConfig()
 
-	if _, _, err := TrainWarm(nil, run.Usage, cfg, nil); err == nil {
+	if _, _, err := TrainWarm(nil, run.Usage, cfg, nil, nil); err == nil {
 		t.Error("Train with no windows should fail")
 	}
-	if _, _, err := TrainWarm(run.Windows, nil, cfg, nil); err == nil {
+	if _, _, err := TrainWarm(run.Windows, nil, cfg, nil, nil); err == nil {
 		t.Error("Train with no usage should fail")
 	}
 	bad := map[app.Pair][]float64{
 		{Component: "Service", Resource: app.CPU}: make([]float64, 3),
 	}
-	if _, _, err := TrainWarm(run.Windows, bad, cfg, nil); err == nil {
+	if _, _, err := TrainWarm(run.Windows, bad, cfg, nil, nil); err == nil {
 		t.Error("Train with misaligned series should fail")
 	}
 	badCfg := cfg
 	badCfg.Hidden = 0
-	if _, _, err := TrainWarm(run.Windows, run.Usage, badCfg, nil); err == nil {
+	if _, _, err := TrainWarm(run.Windows, run.Usage, badCfg, nil, nil); err == nil {
 		t.Error("Train with zero hidden should fail")
 	}
 }
@@ -207,7 +207,7 @@ func TestMaskInterpretation(t *testing.T) {
 	)
 	cfg := testConfig()
 	cfg.Epochs = 12
-	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -226,13 +226,50 @@ func TestMaskInterpretation(t *testing.T) {
 	}
 }
 
+// TestInfluenceSkipsUnreadAPIs: an API none of whose paths an expert reads
+// cannot move its estimate, so APIInfluence runs no probe for it, and the
+// report is the one every probe run gives, bit for bit.
+func TestInfluenceSkipsUnreadAPIs(t *testing.T) {
+	run := socialDay(t)
+	pairs := []app.Pair{{Component: "PostStorageMongoDB", Resource: app.WriteIOps}, {Component: "UserTimelineService", Resource: app.CPU}}
+	cfg := testConfig()
+	cfg.Epochs, cfg.AttentionEpochs = 2, 1
+	m, _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, pairs...), cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := m.Space.ExtractSeries(run.Windows)
+	for _, p := range pairs {
+		skipped, err := m.APIInfluence(p, series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probed, err := m.influence(p, series, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unread := 0
+		for root, v := range probed {
+			if w, ok := skipped[root]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+				t.Fatalf("%s: %s influence %v skipping, %v probing", p, root, w, v)
+			}
+			if v == 0 {
+				unread++
+			}
+		}
+		if len(skipped) != len(probed) || unread == 0 || unread == len(probed) {
+			t.Fatalf("%s: %d of %d APIs unread (skipped report has %d): the fixture tests nothing", p, unread, len(probed), len(skipped))
+		}
+	}
+}
+
 // TestPredictRealTraces checks sanity-check mode: predicting on the real
 // traces of the training period reproduces the training utilization.
 func TestPredictRealTraces(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 3, 40, 8)
 	p := app.Pair{Component: "DB", Resource: app.CPU}
 	usage := testutil.FocusPairs(run.Usage, p)
-	m, _, err := TrainWarm(run.Windows, usage, testConfig(), nil)
+	m, _, err := TrainWarm(run.Windows, usage, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -253,7 +290,7 @@ func TestPredictRealTraces(t *testing.T) {
 func TestVariableDurationQueries(t *testing.T) {
 	cluster, _, run := testutil.ToyTelemetry(t, 3, 40, 9)
 	p := app.Pair{Component: "Service", Resource: app.CPU}
-	m, _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), testConfig(), nil)
+	m, _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), testConfig(), nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}
@@ -334,13 +371,13 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 		series := append([]float64(nil), usage[bad]...)
 		series[7] = v
 		usage[bad] = series
-		m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
+		m, _, err := TrainWarm(run.Windows, usage, cfg, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), bad.String()) || !strings.Contains(err.Error(), "non-finite") {
 			t.Fatalf("TrainWarm with a %v sample: model %v, err %v; want a non-finite loss naming %s", v, m != nil, err, bad)
 		}
 	}
 
-	m, x, targets, err := buildModel(run.Windows, testutil.FocusPairs(run.Usage, good, bad), cfg)
+	m, x, targets, err := buildModel(run.Windows, testutil.FocusPairs(run.Usage, good, bad), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +413,7 @@ func TestLearnAllocatesPerExpertNotPerChunk(t *testing.T) {
 	run := socialDay(t)
 	cfg := DefaultConfig()
 	cfg.Hidden, cfg.ChunkLen = 64, 24
-	m, x, targets, err := buildModel(run.Windows, run.Usage, cfg)
+	m, x, targets, err := buildModel(run.Windows, run.Usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestTrainParallelismDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 4} {
 		runtime.GOMAXPROCS(par)
-		m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
+		m, _, err := TrainWarm(run.Windows, usage, cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -61,7 +61,7 @@ func TestTrainWarmSeedsMatchingExperts(t *testing.T) {
 	cfg.AttentionEpochs = 1
 	cfg.ChunkLen = 24
 
-	src, _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p, q), cfg, nil)
+	src, _, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p, q), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTrainWarmSeedsMatchingExperts(t *testing.T) {
 	c.Epochs, c.AttentionEpochs = 0, 0
 	check := func(name string, usage map[app.Pair][]float64, wantSeeded int, alphaCopied bool) {
 		t.Helper()
-		warm, seeded, err := TrainWarm(run.Windows, usage, c, src)
+		warm, seeded, err := TrainWarm(run.Windows, usage, c, src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,12 +97,12 @@ func TestTrainWarmSeedsMatchingExperts(t *testing.T) {
 
 	// A nil source, a source of another width, and one over another path
 	// set of the same size seed nothing.
-	if _, n, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), c, nil); err != nil || n != 0 {
+	if _, n, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), c, nil, nil); err != nil || n != 0 {
 		t.Errorf("nil source: seeded %d, err %v", n, err)
 	}
 	wide := c
 	wide.Hidden = 2 * cfg.Hidden
-	if _, n, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), wide, src); err != nil || n != 0 {
+	if _, n, err := TrainWarm(run.Windows, testutil.FocusPairs(run.Usage, p), wide, src, nil); err != nil || n != 0 {
 		t.Errorf("other width: seeded %d, err %v", n, err)
 	}
 	h := trace.NewHasher("other")
@@ -112,7 +112,7 @@ func TestTrainWarmSeedsMatchingExperts(t *testing.T) {
 			hashed[w] = append(hashed[w], trace.Batch{Trace: h.AnonymizeTrace(b.Trace), Count: b.Count})
 		}
 	}
-	m, n, err := TrainWarm(hashed, testutil.FocusPairs(run.Usage, p), c, src)
+	m, n, err := TrainWarm(hashed, testutil.FocusPairs(run.Usage, p), c, src, nil)
 	if err != nil || n != 0 || m.Space.Dim() != src.Space.Dim() {
 		t.Errorf("other paths: seeded %d of a %d-wide space (source %d), err %v", n, m.Space.Dim(), src.Space.Dim(), err)
 	}

@@ -60,11 +60,11 @@ func phaseBFixture(t *testing.T, pairs int, cfg Config) (tape, panel *Model, sla
 		t.Fatalf("the toy run has %d pairs, want %d", len(all), pairs)
 	}
 	usage := testutil.FocusPairs(run.Usage, all[:pairs]...)
-	tape, x, targets, err := buildModel(run.Windows, usage, cfg)
+	tape, x, targets, err := buildModel(run.Windows, usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	panel, _, _, err = buildModel(run.Windows, usage, cfg)
+	panel, _, _, err = buildModel(run.Windows, usage, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

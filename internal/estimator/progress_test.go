@@ -29,7 +29,7 @@ func TestProgressHook(t *testing.T) {
 		mu.Unlock()
 	}
 
-	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("TrainWarm: %v", err)
 	}

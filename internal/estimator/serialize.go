@@ -18,12 +18,14 @@ import (
 // graph: it pins the layout (so refactoring internals never silently breaks
 // saved models), drops volatile state (loggers, training knobs), and
 // rebuilds the expert wiring on load. It is a gob modelHeader, which states
-// every fact but the weights once — feature paths, pairs in training order,
-// width, switches, target scales — then, per pair in header order, the
-// little-endian float64 bits of the expert's parameters in Params order,
-// unframed: each expert's shapes, parameter names and peers follow from the
-// header. Neither side ever holds more than one expert's bytes, and a reader
-// that was cut short knows it: the header states how many experts follow.
+// every fact but the weights once — feature paths, pairs in training order
+// with their components as the paths spell them, width, switches, target
+// scales — then, per pair in header order, the little-endian float64 bits of
+// the expert's parameters in Params order, unframed: each expert's inputs
+// (the paths that visit its component), shapes, parameter names and peers
+// follow from the header. Neither side ever holds more than one expert's
+// bytes, and a reader that was cut short knows it: the header states how
+// many experts follow.
 
 type targetScaleGob struct {
 	Kind  int
@@ -41,13 +43,15 @@ type modelHeader struct {
 	Paths        []string
 	ScalerMax    []float64
 	Pairs        []app.Pair
+	Components   []string // per pair, Expert.Component
 	Scales       []targetScaleGob
 }
 
 // snapshotVersion guards the serialized layout. Version 1 was one gob value
-// holding every expert, version 2 one gob value per expert; both headers
-// decode here, so either is refused by number.
-const snapshotVersion = 3
+// holding every expert, version 2 one gob value per expert, version 3 this
+// stream with every expert reading every path; their headers decode here, so
+// each is refused by number.
+const snapshotVersion = 4
 
 // loadPiece bounds, in values, what Load reads from the stream at a time.
 const loadPiece = 512
@@ -67,6 +71,7 @@ func (m *Model) Save(w io.Writer) error {
 	}
 	for _, p := range m.Pairs {
 		ts := m.TargetScales[p]
+		h.Components = append(h.Components, m.Experts[p].Component)
 		h.Scales = append(h.Scales, targetScaleGob{Kind: int(ts.Kind), Scale: ts.Scale, Base: ts.Base})
 	}
 	if err := gob.NewEncoder(w).Encode(h); err != nil {
@@ -92,12 +97,13 @@ func (m *Model) Save(w io.Writer) error {
 // and downloaded bodies, so it trusts nothing: a stream that ends before
 // the header's last expert, a non-finite weight or scale, a header whose
 // parts disagree are all errors — what Load returns compiles (infer.Compile)
-// and predicts the same on the tape and the engine. Nothing is sized from a
-// number the header states, nor from the product of two: an expert is read
-// whole rows (or one row's part) at a time, at most loadPiece values per
-// read, into a buffer that grows with the bytes actually present, and is
-// carved only once it is all there — so a header claiming more than the
-// stream holds fails at its first short read. An io.ByteReader (a
+// and predicts the same on the tape and the engine. Every expert's widths
+// follow from the header alone: its inputs are the header's paths that visit
+// its component. Nothing is sized from a number the header states, nor from
+// the product of two: an expert is read whole rows (or one row's part) at a
+// time, at most loadPiece values per read, into a buffer that grows with the
+// bytes actually present, and is carved only once it is all there — so a
+// header claiming more than the stream holds fails at its first short read. An io.ByteReader (a
 // checkpoint's, whose digest follows the model) is read no further than the
 // model's last byte; any other reader is buffered.
 func Load(r io.Reader) (*Model, error) {
@@ -117,10 +123,10 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	space := features.RestoreSpace(h.Paths)
 	dim := space.Dim()
-	if len(h.Pairs) == 0 || len(h.Scales) != len(h.Pairs) || h.Hidden <= 0 ||
+	if len(h.Pairs) == 0 || len(h.Scales) != len(h.Pairs) || len(h.Components) != len(h.Pairs) || h.Hidden <= 0 ||
 		dim == 0 || dim != len(h.Paths) || len(h.ScalerMax) != dim {
-		return nil, fmt.Errorf("estimator: corrupt snapshot: %d pairs, %d scales, hidden %d, %d paths (%d distinct), %d scaler maxima",
-			len(h.Pairs), len(h.Scales), h.Hidden, len(h.Paths), dim, len(h.ScalerMax))
+		return nil, fmt.Errorf("estimator: corrupt snapshot: %d pairs, %d components, %d scales, hidden %d, %d paths (%d distinct), %d scaler maxima",
+			len(h.Pairs), len(h.Components), len(h.Scales), h.Hidden, len(h.Paths), dim, len(h.ScalerMax))
 	}
 	for _, v := range h.ScalerMax {
 		if !(v > 0 && finite(v)) {
@@ -156,13 +162,16 @@ func Load(r io.Reader) (*Model, error) {
 		if (sc.Kind != int(kindLevel) && sc.Kind != int(kindDelta)) || !(sc.Scale > 0 && finite(sc.Scale) && finite(sc.Base)) {
 			return nil, fmt.Errorf("estimator: corrupt snapshot: %s: target scale %+v", p, sc)
 		}
-		peers := peersOf(names, i)
-		shapes := expertShapes(names[i], dim, h.Hidden, len(peers))
+		peers, inputs := peersOf(names, i), visits(h.Paths, h.Components[i])
+		shapes := expertShapes(names[i], len(inputs), h.Hidden, len(peers))
 		vals = vals[:0]
 		for _, s := range shapes {
 			// A piece is as many whole rows as fit in loadPiece values, or
 			// one row in parts when one does not: min(·)·Cols ≤ loadPiece
-			// unless it is one row.
+			// unless it is one row. A matrix over no inputs has no values.
+			if s.Cols == 0 {
+				continue
+			}
 			per := max(1, loadPiece/s.Cols)
 			for rows := s.Rows; rows > 0; rows -= per {
 				for left := min(rows, per) * s.Cols; left > 0; left -= loadPiece {
@@ -186,7 +195,7 @@ func Load(r io.Reader) (*Model, error) {
 		for _, par := range ps {
 			off += copy(par.Data, vals[off:])
 		}
-		m.Experts[p] = expertOf(p, dim, h.Hidden, peers, ps, h.UseMask, h.UseAttention, h.LinearBypass)
+		m.Experts[p] = expertOf(p, h.Components[i], inputs, len(h.Paths), h.Hidden, peers, ps, h.UseMask, h.UseAttention, h.LinearBypass)
 		m.TargetScales[p] = &TargetScale{Kind: targetKind(sc.Kind), Scale: sc.Scale, Base: sc.Base}
 	}
 	return m, nil

@@ -27,7 +27,7 @@ func toyStream(tb testing.TB) (*Model, []byte) {
 	)
 	cfg := DefaultConfig()
 	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 2, 1, 24
-	m, _, err := TrainWarm(run.Windows, usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, usage, cfg, nil, nil)
 	if err != nil {
 		tb.Fatalf("TrainWarm: %v", err)
 	}
@@ -111,8 +111,9 @@ type expertV2 struct {
 	UseMask, UseAttention, UseBypass bool
 }
 
-// TestLoadRefusesOldVersions pins the migration story: a stream in either
-// older layout is refused by its version number.
+// TestLoadRefusesOldVersions pins the migration story: a stream in any older
+// layout is refused by its version number, format 3 — this stream, every
+// expert reading every path — among them.
 func TestLoadRefusesOldVersions(t *testing.T) {
 	m, stream := toyStream(t)
 	var h modelHeader
@@ -126,6 +127,8 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 		Pairs   []app.Pair
 		Experts []expertV2
 	}
+	h3 := h
+	h3.Version, h3.Components = 3, nil
 	h.Version = 2
 	v1 := modelGobV1{Version: 1, Hidden: h.Hidden, Paths: h.Paths, Pairs: h.Pairs}
 	v2 := []any{h}
@@ -139,7 +142,7 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 		v1.Experts = append(v1.Experts, eg)
 		v2 = append(v2, eg)
 	}
-	for version, values := range map[int][]any{1: {v1}, 2: v2} {
+	for version, values := range map[int][]any{1: {v1}, 2: v2, 3: {h3}} {
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)
 		for _, v := range values {
@@ -147,7 +150,7 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := fmt.Sprintf("unsupported model version %d (want 3)", version)
+		want := fmt.Sprintf("unsupported model version %d (want 4)", version)
 		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Load of a v%d stream: %v, want %q", version, err, want)
 		}
@@ -184,6 +187,7 @@ func TestLoadRefusesHeaderLargerThanStream(t *testing.T) {
 		"hidden wraps": func(h *modelHeader) { h.Hidden = math.MaxInt },
 		"more experts": func(h *modelHeader) {
 			h.Pairs = append(h.Pairs, app.Pair{Component: "X", Resource: app.CPU})
+			h.Components = append(h.Components, h.Components[0])
 			h.Scales = append(h.Scales, h.Scales[0])
 		},
 		"scaler length": func(h *modelHeader) { h.ScalerMax = h.ScalerMax[:1] },
@@ -211,7 +215,7 @@ func TestSaveAllocatesPerExpertNotPerModel(t *testing.T) {
 	run := socialDay(t)
 	cfg := DefaultConfig()
 	cfg.Hidden, cfg.Epochs, cfg.AttentionEpochs = 32, 0, 0
-	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil)
+	m, _, err := TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

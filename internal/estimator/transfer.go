@@ -16,15 +16,19 @@ import (
 
 // TrainWarm learns a DeepRest model from application-learning telemetry —
 // the windows of trace batches and the aligned utilization series per pair —
-// resumed from prev, a model trained earlier on the same application, when
-// prev is not nil: every fresh expert whose pair prev learned starts from
+// each expert reading the invocation paths that visit its component, resumed
+// from prev, a model trained earlier on the same application, when prev is
+// not nil: every fresh expert whose pair prev learned starts from
 // prev's weights instead of its random initialisation, when both models
 // number the same invocation paths in the same order and are equally wide.
 // The attention weights α are copied only over an equal peer list; anything
 // prev cannot match starts cold. seeded counts the experts that started from
-// prev. A nil prev trains every expert cold.
-func TrainWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config, prev *Model) (m *Model, seeded int, err error) {
-	m, x, targets, err := buildModel(windows, usage, cfg)
+// prev. A nil prev trains every expert cold. spell maps a pair's component to
+// the name the windows' spans carry — trace.Hasher.Hash when they were
+// anonymized, while the pairs keep their real names — and is nil when the
+// spans carry the pairs' names.
+func TrainWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config, prev *Model, spell func(string) string) (m *Model, seeded int, err error) {
+	m, x, targets, err := buildModel(windows, usage, cfg, spell)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -43,9 +47,10 @@ func TrainWarm(windows [][]trace.Batch, usage map[app.Pair][]float64, cfg Config
 
 // seedFrom copies src's weights into the freshly built e over the same
 // feature space, and reports whether it did: a missing src or one of another
-// width leaves e cold, and α stays zero unless src attended to the same peers.
+// width or other inputs leaves e cold, and α stays zero unless src attended
+// to the same peers.
 func (e *Expert) seedFrom(src *Expert) bool {
-	if src == nil || src.Hidden != e.Hidden {
+	if src == nil || src.Hidden != e.Hidden || !slices.Equal(src.Inputs, e.Inputs) {
 		return false
 	}
 	sp, dp := src.Params(), e.Params()

@@ -19,7 +19,7 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 	_, _, srcRun := testutil.ToyTelemetry(t, 3, 40, 31)
 	srcCfg := testConfig()
 	srcCfg.Epochs = 20
-	src, _, err := TrainWarm(srcRun.Windows, testutil.FocusPairs(srcRun.Usage, p), srcCfg, nil)
+	src, _, err := TrainWarm(srcRun.Windows, testutil.FocusPairs(srcRun.Usage, p), srcCfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestTransferAcceleratesConvergence(t *testing.T) {
 	tinyCfg.AttentionEpochs = 0
 	usage := testutil.FocusPairs(tgtRun.Usage, p)
 
-	cold, _, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, nil)
+	cold, _, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, src)
+	warm, _, err := TrainWarm(tgtRun.Windows, usage, tinyCfg, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestUpdateAdaptsToDrift(t *testing.T) {
 
 	_, _, oldRun := testutil.ToyTelemetry(t, 3, 40, 34)
 	cfg := testConfig()
-	m, _, err := TrainWarm(oldRun.Windows, testutil.FocusPairs(oldRun.Usage, p), cfg, nil)
+	m, _, err := TrainWarm(oldRun.Windows, testutil.FocusPairs(oldRun.Usage, p), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestUpdateAdaptsToDrift(t *testing.T) {
 	}
 	before := eval.MAPE(est[p].Exp, newUsage[p])
 
-	adapted, seeded, err := TrainWarm(newRun.Windows, newUsage, cfg, m)
+	adapted, seeded, err := TrainWarm(newRun.Windows, newUsage, cfg, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,12 +229,15 @@ var ErrAtCapacity = fmt.Errorf("fleet: tenant capacity reached")
 // checkpoint.
 var ErrSetup = fmt.Errorf("fleet: tenant setup failed")
 
+// ErrClosed reports a create on a fleet that is shutting down.
+var ErrClosed = fmt.Errorf("fleet: closed")
+
 // reserve claims an id slot under the lock so the slow build runs unlocked.
 func (f *Fleet) reserve(id string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return fmt.Errorf("fleet: closed")
+		return ErrClosed
 	}
 	if _, ok := f.tenants[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicate, id)

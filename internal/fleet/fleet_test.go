@@ -431,6 +431,18 @@ func TestRestartServesIdenticalEstimates(t *testing.T) {
 	}
 }
 
+// TestCreateOnClosedFleetIs503: a fleet that is shutting down refuses a
+// create on its side, not the request's: 503.
+func TestCreateOnClosedFleetIs503(t *testing.T) {
+	fl := New(Config{Opts: quickOpts()})
+	h := fl.Handler()
+	fl.Close()
+	rec := do(t, h, "POST", "/v1/tenants", bytes.NewBufferString(`{"app":"a","spec":"gen:seed=8,components=10"}`))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "closed") {
+		t.Fatalf("create on a closed fleet = %d %s, want 503", rec.Code, rec.Body)
+	}
+}
+
 // TestCreateOverUnreadableCheckpointIs500: a tenant whose only checkpoint
 // cannot be read fails on the daemon's side, not in the request: 500 naming
 // the file. Recovery quarantined it, so a retry starts the tenant cold.

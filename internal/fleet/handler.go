@@ -95,7 +95,7 @@ const maxCreateBytes = 64 << 10
 // strict as the manifest parser: unknown fields are rejected. A remote client
 // may not name a file on the daemon's host, so an @FILE spec is refused.
 // An error in the request (id, bounds, spec) is 400; one on the daemon's
-// side (ErrSetup) is 500.
+// side (ErrSetup) is 500; a fleet at capacity or shutting down is 503.
 func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBytes))
 	dec.DisallowUnknownFields()
@@ -123,6 +123,8 @@ func (f *Fleet) handleCreate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusConflict, "%v", err)
 		case errors.Is(err, ErrAtCapacity):
 			w.Header().Set("Retry-After", "60")
+			writeErr(w, http.StatusServiceUnavailable, "%v", err)
+		case errors.Is(err, ErrClosed):
 			writeErr(w, http.StatusServiceUnavailable, "%v", err)
 		case errors.Is(err, ErrSetup):
 			writeErr(w, http.StatusInternalServerError, "%v", err)

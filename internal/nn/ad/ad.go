@@ -133,10 +133,24 @@ func NewParamInit(name string, rows, cols int, rng *rand.Rand) *Param {
 
 // InitGlorot overwrites p's values with Glorot-uniform draws from rng, one
 // per value in order.
-func (p *Param) InitGlorot(rng *rand.Rand) {
-	scale := math.Sqrt(6.0 / float64(p.Rows+p.Cols))
-	for i := range p.Data {
-		p.Data[i] = (2*rng.Float64() - 1) * scale
+func (p *Param) InitGlorot(rng *rand.Rand) { p.InitGlorotCols(rng, p.Cols, nil) }
+
+// InitGlorotCols overwrites p's values with columns cols (ascending; every
+// column when nil) of a Glorot-uniform Rows×dense matrix drawn from rng: one
+// draw per value of the dense matrix, row by row, at its fan-in's scale, the
+// draws of the other columns dropped as they are made.
+func (p *Param) InitGlorotCols(rng *rand.Rand, dense int, cols []int) {
+	scale := math.Sqrt(6.0 / float64(p.Rows+dense))
+	i := 0
+	for range p.Rows {
+		next := 0 // the index into cols of the next column kept
+		for c := range dense {
+			v := (2*rng.Float64() - 1) * scale
+			if cols == nil || next < len(cols) && cols[next] == c {
+				p.Data[i] = v
+				i, next = i+1, next+1
+			}
+		}
 	}
 }
 
@@ -310,6 +324,16 @@ func (t *Tape) newValue(rows, cols int) *Value {
 func (t *Tape) Const(data []float64) *Value {
 	v := t.newValue(len(data), 1)
 	copy(v.Data, data)
+	return t.record(v)
+}
+
+// ConstAt is Const of the vector whose k-th value is data[idx[k]]: the
+// features of a window that an expert reads.
+func (t *Tape) ConstAt(data []float64, idx []int) *Value {
+	v := t.newValue(len(idx), 1)
+	for k, i := range idx {
+		v.Data[k] = data[i]
+	}
 	return t.record(v)
 }
 

@@ -1,5 +1,7 @@
 package ad
 
+import "fmt"
+
 // This file exports the fused-kernel math for the tape-free inference
 // engine (internal/estimator/infer). The engine replays the forward pass
 // over a trained model's parameters without recording tape nodes; sharing
@@ -92,16 +94,23 @@ func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out [
 }
 
 // InputProducts writes a block's input products Wz·x, Wk·x and Wh·x, gate
-// after gate, hidden rows of tp floats, to wx for the windows of xT (In rows
-// of tp, time-minor; see WindowDots), each gated first, x̃[k] = gate[k]·x[k]
-// (the mask's σ(m) ⊙ x, gateRows), into xm when gate is not empty; xm may be
-// xT. tp must be a multiple of four. It returns the input the products read.
-func (g *GRUParams) InputProducts(wx, xm, xT, gate []float64, tp int) []float64 {
+// after gate, hidden rows of tp floats, to wx for the windows of xT (rows of
+// tp floats, time-minor; see WindowDots). The cell's input k is row rows[k]
+// of xT: the rows are gathered into xm and each gated there, x̃[k] =
+// gate[k]·x[k] (the mask's σ(m) ⊙ x), in one pass (gateRows); with no row
+// list the products read xT's first In rows where they lie, ungated. tp must
+// be a multiple of four. It returns the input the products read. A cell of
+// no inputs gets +0 products: the sum of nothing.
+func (g *GRUParams) InputProducts(wx, xm, xT []float64, rows []int, gate []float64, tp int) []float64 {
 	hid, in := g.Wz.Rows, g.Wz.Cols
-	if len(gate) > 0 {
-		gateRows(xm, gate[:in], xT, tp)
-		xT = xm[:in*tp]
+	if rows == nil && len(gate) > 0 || rows != nil && len(rows) != in {
+		panic(fmt.Sprintf("ad: InputProducts: %d rows and %d gates for a cell of %d inputs", len(rows), len(gate), in))
 	}
+	if rows != nil {
+		gateRows(xm, gate, xT, rows, tp)
+		xT = xm
+	}
+	xT = xT[:in*tp]
 	for i, w := range [...]*Param{g.Wz, g.Wk, g.Wh} {
 		WindowDots(wx[i*hid*tp:], w.Data, xT, hid, in, tp)
 	}

@@ -77,7 +77,7 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 				var up Panels
 				if block {
 					wx = make([]float64, 3*hid*tp)
-					p.InputProducts(wx, make([]float64, in*tp), xT, gate, tp)
+					p.InputProducts(wx, make([]float64, in*tp), xT, every(in), gate, tp)
 					up.Reset(hid)
 				}
 				h := make([]float64, hid)
@@ -117,7 +117,7 @@ func TestGRUKernelMatchesTapeStep(t *testing.T) {
 					// panels every step reads U where it lies, with them the
 					// first step packs U and the other ten read it.
 					wx := make([]float64, 3*hid*tp)
-					p.InputProducts(wx, make([]float64, in*tp), xT, gate, tp)
+					p.InputProducts(wx, make([]float64, in*tp), xT, every(in), gate, tp)
 					for _, up := range []*Panels{nil, new(Panels)} {
 						if up != nil {
 							up.Reset(hid)
@@ -189,7 +189,7 @@ func TestChunkStepMatchesChain(t *testing.T) {
 								xT[k*tp+s] = v
 							}
 						}
-						g.InputProducts(wx, nil, xT, nil, tp)
+						g.InputProducts(wx, nil, xT, nil, nil, tp)
 						up.Reset(hid)
 					}
 					for _, p := range params {
@@ -551,39 +551,47 @@ func TestMatVecMatchesRowDots(t *testing.T) {
 	}
 }
 
-// checkGateRows holds gateRows, on the selected implementation, to the loop
-// it replaced in GRUParams.InputProducts — x̃[k·tp+t] = gate[k]·x[k·tp+t] —
-// bit for bit, out of place and in place, over rows of T windows padded to
-// the lanes, and requires a window count off the lanes to panic.
+// checkGateRows holds gateRows, on the selected implementation, to its loop
+// — x̃[k·tp+t] = gate[k]·x[r_k·tp+t], r_k row k's source — bit for bit, over
+// every row in order and every other row backwards, with and without a gate,
+// over rows of T windows padded to the lanes, and requires a window count
+// off the lanes to panic.
 func checkGateRows(t *testing.T, rows, T, off int, rng *rand.Rand, vals []float64, oneIn int) {
 	t.Helper()
 	tp := (T + 3) &^ 3
 	gate := fillAt(rows, off, rng, vals, oneIn)
 	xT := fillAt(rows*tp, off+1, rng, vals, oneIn)
-	want := make([]float64, rows*tp)
-	for k, m := range gate {
-		for i, x := range xT[k*tp : (k+1)*tp] {
-			want[k*tp+i] = m * x
-		}
+	var picked []int // every other row, last first
+	for r := rows - 1; r >= 0; r -= 2 {
+		picked = append(picked, r)
 	}
 	what := fmt.Sprintf("%s gateRows %d rows × %d windows +%d", KernelImpl(), rows, T, off)
-	// dst sits between four guard floats a side.
-	buf := fillAt(rows*tp+8, off+2, rng, nil, 0)
-	stale := cloneAt(buf, 0)
-	gateRows(buf[4:len(buf)-4], gate, xT, tp)
-	for i, g := range buf {
-		if i < 4 || i >= len(buf)-4 {
-			if math.Float64bits(g) != math.Float64bits(stale[i]) {
-				t.Fatalf("%s: wrote outside its rows×tp floats (guard %d)", what, i)
+	for _, c := range []struct {
+		name string
+		src  []int
+		gate []float64
+	}{{"every row", every(rows), gate}, {"gathered", picked, gate[:len(picked)]}, {"gathered ungated", picked, nil}} {
+		want := make([]float64, len(c.src)*tp)
+		for k, r := range c.src {
+			for i, x := range xT[r*tp : (r+1)*tp] {
+				if c.gate != nil {
+					x = c.gate[k] * x
+				}
+				want[k*tp+i] = x
 			}
-		} else if !sameFloat(g, want[i-4]) {
-			t.Fatalf("%s: float %d: %x, want %x", what, i-4, math.Float64bits(g), math.Float64bits(want[i-4]))
 		}
-	}
-	gateRows(xT, gate, xT, tp)
-	for i, g := range xT {
-		if !sameFloat(g, want[i]) {
-			t.Fatalf("%s in place: float %d: %x, want %x", what, i, math.Float64bits(g), math.Float64bits(want[i]))
+		// dst sits between four guard floats a side.
+		buf := fillAt(len(want)+8, off+2, rng, nil, 0)
+		stale := cloneAt(buf, 0)
+		gateRows(buf[4:len(buf)-4], c.gate, xT, c.src, tp)
+		for i, g := range buf {
+			if i < 4 || i >= len(buf)-4 {
+				if math.Float64bits(g) != math.Float64bits(stale[i]) {
+					t.Fatalf("%s %s: wrote outside its rows×tp floats (guard %d)", what, c.name, i)
+				}
+			} else if !sameFloat(g, want[i-4]) {
+				t.Fatalf("%s %s: float %d: %x, want %x", what, c.name, i-4, math.Float64bits(g), math.Float64bits(want[i-4]))
+			}
 		}
 	}
 	if rows == 0 {
@@ -594,19 +602,28 @@ func checkGateRows(t *testing.T, rows, T, off int, rng *rand.Rand, vals []float6
 			t.Fatalf("%s: a window count off the lanes did not panic", what)
 		}
 	}()
-	gateRows(xT, gate, xT, tp-1)
+	gateRows(make([]float64, len(xT)), gate, xT, every(rows), tp-1)
+}
+
+// every lists 0, 1, …, n−1: a cell that reads every row.
+func every(n int) []int {
+	out := make([]int, n)
+	for k := range out {
+		out[k] = k
+	}
+	return out
 }
 
 // TestGateRowsMatchesLoop runs checkGateRows on every implementation over
 // the feature widths the repo benchmark runs (67, 257), the toy's and a few
-// small ones, each over series that fill one lane group, leave padding lanes,
-// take more than one sixteen-window step, or a whole block.
+// small ones, each over series that are empty, fill one lane group, leave
+// padding lanes, take more than one sixteen-window step, or a whole block.
 func TestGateRowsMatchesLoop(t *testing.T) {
 	for _, impl := range impls() {
 		t.Run(impl, func(t *testing.T) {
 			setImpl(t, impl)
 			for _, rows := range []int{0, 1, 2, 9, 67, 257} {
-				for _, T := range []int{1, 4, 5, 6, 12, 13, 16, 17, 48} {
+				for _, T := range []int{0, 1, 4, 5, 6, 12, 13, 16, 17, 48} {
 					for set, e := range edgeSets {
 						checkGateRows(t, rows, T, 1+2*set, rand.New(rand.NewSource(int64(rows*100+T))), e.vals, e.oneIn)
 					}
@@ -836,13 +853,54 @@ func BenchmarkGateRows(b *testing.B) {
 				gate := fillAt(d.rows, 0, rng, nil, 0)
 				xT := fillAt(d.rows*tp, 0, rng, nil, 0)
 				dst := make([]float64, d.rows*tp)
+				rows := every(d.rows)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					gateRows(dst, gate, xT, tp)
+					gateRows(dst, gate, xT, rows, tp)
 				}
 				benchSink = dst[0]
 			})
 		}
+	}
+}
+
+// TestInputProductsOfNoInputs: a cell that reads no input — an expert no
+// path visits — gets +0 products, as the dense sum of ±0 terms is, whatever
+// the buffer held, with and without a gate, on every implementation; and its
+// tape step and backward run with no empty matrix reaching the assembly.
+func TestInputProductsOfNoInputs(t *testing.T) {
+	const hid, tp = 5, 8
+	for _, impl := range impls() {
+		t.Run(impl, func(t *testing.T) {
+			setImpl(t, impl)
+			rng := rand.New(rand.NewSource(3))
+			g := newTestGRU(0, hid, rng)
+			xT := fillAt(3*tp, 0, rng, nil, 0) // three features the cell does not read
+			for _, gate := range [][]float64{nil, {}} {
+				wx := make([]float64, 3*hid*tp)
+				for i := range wx {
+					wx[i] = math.Copysign(math.NaN(), -1)
+				}
+				if in := g.InputProducts(wx, nil, xT, []int{}, gate, tp); len(in) != 0 {
+					t.Fatalf("the products read %d floats of input", len(in))
+				}
+				for i, v := range wx {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("gate %v: product %d is %v, want +0", gate, i, v)
+					}
+				}
+			}
+			tape := NewTape()
+			wx := make([]float64, 3*hid*tp)
+			g.InputProducts(wx, nil, xT, []int{}, nil, tp)
+			var up Panels
+			up.Reset(hid)
+			h := tape.GRUStepAt(g, tape.ConstAt(xT, nil), tape.Const(make([]float64, hid)), wx, tp, 0, &up)
+			tape.Backward(tape.SquaredError(h, []float64{1, 1, 1, 1, 1}))
+			if len(g.Wz.Grad) != 0 || g.Bz.Grad[0] == 0 && g.Bh.Grad[0] == 0 {
+				t.Fatalf("backward over no inputs: Wz grad %v, bias grads %v %v", g.Wz.Grad, g.Bz.Grad, g.Bh.Grad)
+			}
+		})
 	}
 }

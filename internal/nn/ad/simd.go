@@ -140,23 +140,32 @@ func WindowDots(dst, w, xT []float64, rows, cols, tp int) {
 	}
 }
 
-// gateRows writes dst[k*tp+t] = gate[k]·xT[k*tp+t] for every row k of gate:
-// the mask's σ(m) ⊙ x over a block of windows laid out as WindowDots reads
-// them, tp a multiple of four. dst may be xT. Each float is one product, so
-// the bits are the same on either implementation.
-func gateRows(dst, gate, xT []float64, tp int) {
+// gateRows gathers rows of a block of windows laid out as WindowDots reads
+// them, tp a multiple of four: row k of dst is row rows[k] of xT times
+// gate[k] — the mask's σ(m) ⊙ x — or as it is when gate is empty. Each float
+// is one product or none, so the bits are the same on either implementation.
+func gateRows(dst, gate, xT []float64, rows []int, tp int) {
 	if tp%4 != 0 {
 		panic("ad: gateRows: window count not padded to a multiple of four")
 	}
-	n := len(gate) * tp
-	dst, xT = dst[:n], xT[:n]
-	if useAVX2 && n > 0 {
-		gateRowsAVX2(&dst[0], &gate[0], &xT[0], len(gate), tp)
-		return
+	n := len(rows)
+	dst = dst[:n*tp]
+	for _, r := range rows {
+		_ = xT[r*tp:][:tp] // the assembly takes bare pointers: a row past xT panics here
 	}
-	for k, m := range gate {
-		for t, x := range xT[k*tp : (k+1)*tp] {
-			dst[k*tp+t] = m * x
+	switch {
+	case len(gate) == 0:
+		for k, r := range rows {
+			copy(dst[k*tp:][:tp], xT[r*tp:][:tp])
+		}
+	case useAVX2 && n*tp > 0:
+		gateRowsAVX2(&dst[0], &gate[:n][0], &xT[0], &rows[0], n, tp)
+	default:
+		for k, r := range rows {
+			m := gate[k]
+			for t, x := range xT[r*tp:][:tp] {
+				dst[k*tp+t] = m * x
+			}
 		}
 	}
 }

@@ -21,7 +21,7 @@ func rowDots4PackedAVX2(dst, w, x *float64, cols int)
 func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int)
 
 //go:noescape
-func gateRowsAVX2(dst, gate, xT *float64, rows, tp int)
+func gateRowsAVX2(dst, gate, xT *float64, rows *int, n, tp int)
 
 //go:noescape
 func colSumsAVX2(acc, w, d *float64, rows, cols int)

@@ -580,22 +580,29 @@ wdDone:
 	VZEROUPPER
 	RET
 
-// func gateRowsAVX2(dst, gate, xT *float64, rows, tp int)
+// func gateRowsAVX2(dst, gate, xT *float64, rows *int, n, tp int)
 //
-// dst[r*tp+t] = gate[r]·xT[r*tp+t] for r in [0,rows) and t in [0,tp), tp a
-// multiple of four: the mask's σ(m) ⊙ x over a block of windows laid out as
-// the window kernel reads it. A row's gate is one broadcast and the first
-// source of the VMULPD, as m is of the Go loop's m*x; one rounding either
-// way. Sixteen windows a step, then four. dst may be xT: a step loads before
-// it stores.
-TEXT ·gateRowsAVX2(SB), NOSPLIT, $0-40
+// dst[k*tp+t] = gate[k]·xT[rows[k]*tp+t] for k in [0,n) and t in [0,tp), tp
+// a multiple of four: the mask's σ(m) ⊙ x over the rows of a block of
+// windows, laid out as the window kernel reads it, that an expert reads. A
+// row's gate is one broadcast and the first source of the VMULPD, as m is of
+// the Go loop's m*x; one rounding either way. Sixteen windows a step, then
+// four.
+TEXT ·gateRowsAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ gate+8(FP), SI
-	MOVQ xT+16(FP), DX
-	MOVQ rows+24(FP), R8
-	MOVQ tp+32(FP), R9
+	MOVQ xT+16(FP), BX
+	MOVQ rows+24(FP), R10
+	MOVQ n+32(FP), R8
+	MOVQ tp+40(FP), R9
+	MOVQ R9, R11
+	SHLQ $3, R11 // a row's bytes
 
 gateRow:
+	MOVQ  (R10), AX
+	IMULQ R11, AX
+	LEAQ  (BX)(AX*1), DX
+	ADDQ  $8, R10
 	VBROADCASTSD (SI), Y0
 	MOVQ R9, CX
 

@@ -18,7 +18,7 @@ func rowDots4PackedAVX2(dst, w, x *float64, cols int)  { panic("ad: no AVX2 kern
 func windowDotsAVX2(dst, w, xT *float64, rows, cols, tp int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
-func gateRowsAVX2(dst, gate, xT *float64, rows, tp int) {
+func gateRowsAVX2(dst, gate, xT *float64, rows *int, n, tp int) {
 	panic("ad: no AVX2 kernels on this platform")
 }
 func colSumsAVX2(acc, w, d *float64, rows, cols int) {

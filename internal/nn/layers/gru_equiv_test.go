@@ -15,7 +15,7 @@ import (
 func (g *GRUCell) Step(t *ad.Tape, x, hPrev *ad.Value) *ad.Value {
 	var b GRUBlock
 	b.Panels.Reset(g.Hidden)
-	b.Form(g, nil, [][]float64{x.Data})
+	b.Form(g, nil, nil, [][]float64{x.Data})
 	return b.Step(t, g, 0, x, hPrev)
 }
 
@@ -159,7 +159,7 @@ func TestGRUBlockMatchesReference(t *testing.T) {
 				x := mask.Apply(tape, tape.Const(row))
 				if useBlock {
 					if i%block == 0 {
-						blk.Form(g, mask, rows[i:min(i+block, len(rows))])
+						blk.Form(g, []int{0, 1, 2, 3, 4, 5}, mask, rows[i:min(i+block, len(rows))])
 					}
 					h = blk.Step(tape, g, i%block, x, h)
 				} else {

@@ -114,9 +114,9 @@ func (g *GRUCell) Params() []*ad.Param {
 // (ad.GRUParams.InputProducts) and U's panels, which the caller Resets at the
 // trajectory's start and after each optimizer step.
 type GRUBlock struct {
-	xT, gate, wx, gs, prod, h []float64
-	tp                        int // the block's length padded to WindowDots' lanes
-	Panels                    ad.Panels
+	x, xT, gate, wx, gs, prod, h []float64
+	tp                           int // the block's length padded to WindowDots' lanes
+	Panels                       ad.Panels
 }
 
 // BlockWindows is how many windows an off-tape trajectory outside training
@@ -151,22 +151,29 @@ func (b *GRUBlock) Gate(mask *APIMask) []float64 {
 }
 
 // Form forms g's input products for the block of windows rows under its
-// current weights, each window gated by σ(m) first when mask is not nil, as
-// APIMask.Apply gates it. The weights must not change before the block's
-// last Step. It returns the gated block the products read, as WindowDots
-// reads a series (feature k of window t at k*tp+t, tp = len/g.In, the
-// padding zero), which the next Form overwrites.
-func (b *GRUBlock) Form(g *GRUCell, mask *APIMask, rows [][]float64) []float64 {
+// current weights: it lays the rows out as WindowDots reads a series (feature
+// k of window t at k*tp+t, the padding zero) and hands them to
+// ad.GRUParams.InputProducts, which reads the features inputs names, each
+// gated by σ(m) first when mask is not nil, as APIMask.Apply gates it — or,
+// with neither, the rows as they are. The weights must not change before the
+// block's last Step. It returns the block the products read, which the next
+// Form overwrites.
+func (b *GRUBlock) Form(g *GRUCell, inputs []int, mask *APIMask, rows [][]float64) []float64 {
 	b.tp = Lanes(len(rows))
+	width := g.In
+	if inputs != nil && len(rows) > 0 {
+		width = len(rows[0])
+	}
+	b.x = Resize(b.x, width*b.tp)
 	b.xT = Resize(b.xT, g.In*b.tp)
 	b.wx = Resize(b.wx, 3*g.Hidden*b.tp)
-	clear(b.xT)
+	clear(b.x)
 	for t, row := range rows {
-		for k, v := range row[:g.In] {
-			b.xT[k*b.tp+t] = v
+		for k, v := range row[:width] {
+			b.x[k*b.tp+t] = v
 		}
 	}
-	return g.InputProducts(b.wx, b.xT, b.xT, b.Gate(mask), b.tp)
+	return g.InputProducts(b.wx, b.xT, b.x, inputs, b.Gate(mask), b.tp)
 }
 
 // Step records g's step on t for window col of the block from x, the tape's
@@ -179,13 +186,14 @@ func (b *GRUBlock) Step(t *ad.Tape, g *GRUCell, col int, x, hPrev *ad.Value) *ad
 
 // Trajectory is the one off-tape trajectory: it writes the states of g over
 // s's series from a zero state into row i of s, and, when bypass is not nil,
-// the bypass output S·x̃ + b. Per block of s it gates the block's input by
-// gate (σ(m); empty when the mask is off) once, forms the three gates' input
-// products and the bypass products over it, one ad.WindowDots pass each, and
-// runs the block's steps with ad.GRUParams.Step, which touches only U: the
-// first step packs U into b's panels, later ones read them. Form and Step on
-// a tape give the same bits, window by window, at any block length.
-func (b *GRUBlock) Trajectory(s *Slab, i int, g *GRUCell, gate []float64, bypass *Dense) {
+// the bypass output S·x̃ + b. Per block of s it gathers the features inputs
+// names and gates them by gate (σ(m); empty when the mask is off) once —
+// with neither, it reads s's first g.In features as they are — forms the three gates' input products
+// and the bypass products over them, one ad.WindowDots pass each, and runs
+// the block's steps with ad.GRUParams.Step, which touches only U: the first
+// step packs U into b's panels, later ones read them. Form and Step on a tape
+// give the same bits, window by window, at any block length.
+func (b *GRUBlock) Trajectory(s *Slab, i int, g *GRUCell, inputs []int, gate []float64, bypass *Dense) {
 	hid := g.Hidden
 	b.h = Resize(b.h, 2*hid)
 	b.gs = Resize(b.gs, 3*hid)
@@ -196,7 +204,7 @@ func (b *GRUBlock) Trajectory(s *Slab, i int, g *GRUCell, gate []float64, bypass
 		x, n, tp := s.input(b0)
 		b.xT = Resize(b.xT, g.In*tp)
 		b.wx = Resize(b.wx, 3*hid*tp)
-		in := g.InputProducts(b.wx, b.xT, x, gate, tp)
+		in := g.InputProducts(b.wx, b.xT, x, inputs, gate, tp)
 		if bypass != nil {
 			b.prod = Resize(b.prod, 3*tp)
 			ad.WindowDots(b.prod, bypass.W.Data, in, 3, g.In, tp)
@@ -297,10 +305,11 @@ func (g *GRUCell) StepReference(t *ad.Tape, x, hPrev *ad.Value) *ad.Value {
 	return t.Add(t.Mul(z, hPrev), t.Mul(t.OneMinus(z), cand))
 }
 
-// FlatParams concatenates all recurrent parameters into one vector — the
-// representation projected by PCA in the paper's Figure 21 to show that
-// experts for similar components (e.g. the MongoDBs) learn to
-// remember/forget in similar ways.
+// FlatParams concatenates all recurrent parameters into one vector, in
+// Params order — the cell's part of the representation projected by PCA in
+// the paper's Figure 21 (estimator.Model.ExpertVector) to show that experts
+// for similar components (e.g. the MongoDBs) learn to remember/forget in
+// similar ways.
 func (g *GRUCell) FlatParams() []float64 {
 	var out []float64
 	for _, p := range g.Params() {

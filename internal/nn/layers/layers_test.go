@@ -178,7 +178,7 @@ func TestTrajectoryZeroesReusedPadding(t *testing.T) {
 			}
 		}
 		for i, g := range cells {
-			b.Trajectory(&s, i, g, nil, nil)
+			b.Trajectory(&s, i, g, nil, nil, nil)
 		}
 		for b0 := 0; b0 < steps; b0 += blockLen {
 			rows, n, stride := s.Block(b0)

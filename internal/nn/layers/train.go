@@ -71,9 +71,12 @@ func ForEach(n int, fn func(i int, ws *Workspace) error) error {
 
 // Run is one fit Workspace.Train steps: the name its refusals carry, the
 // parameters it fits, and the generator its chunk order is drawn from.
+// Rates, when set, holds one multiple of Chunks.LR per parameter
+// (opt.Adam.Rates); nil steps every one at LR.
 type Run struct {
 	Name   string
 	Params []*ad.Param
+	Rates  []float64
 	Rng    *rand.Rand
 }
 
@@ -128,7 +131,7 @@ func (ws *Workspace) Train(runs []Run, c Chunks) error {
 	}
 	for i, r := range runs {
 		ws.adams[i].Reset(r.Params)
-		ws.adams[i].LR, ws.adams[i].ClipNorm = c.LR, c.ClipNorm
+		ws.adams[i].LR, ws.adams[i].ClipNorm, ws.adams[i].Rates = c.LR, c.ClipNorm, r.Rates
 	}
 
 	nChunks := (c.Windows + c.Len - 1) / c.Len

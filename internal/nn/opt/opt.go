@@ -44,6 +44,9 @@ type Adam struct {
 	Eps float64
 	// ClipNorm bounds the global gradient norm per step; 0 disables.
 	ClipNorm float64
+	// Rates, when set, holds one multiple of LR per parameter, in the
+	// order Reset took them: parameter i steps at LR·Rates[i].
+	Rates []float64
 
 	params  []*ad.Param
 	moments []float64   // every m, then every v, in params order
@@ -104,6 +107,9 @@ func (o *Adam) Step() (norm float64) {
 		LR: o.LR, Eps: o.Eps,
 	}
 	for i, p := range o.params {
+		if o.Rates != nil {
+			h.LR = o.LR * o.Rates[i]
+		}
 		ad.AdamUpdate(p.Data, p.Grad, o.m[i], o.v[i], h)
 	}
 	return norm

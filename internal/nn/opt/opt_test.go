@@ -82,6 +82,24 @@ func TestAdamFirstStepSize(t *testing.T) {
 	}
 }
 
+// TestAdamRates: a parameter steps at LR times its rate, and a rate of 1
+// steps exactly as no rates do.
+func TestAdamRates(t *testing.T) {
+	a, b, c := boundParam(1), boundParam(1), boundParam(1)
+	a.Grad[0], b.Grad[0], c.Grad[0] = 1, 1, 1
+	o := NewAdam([]*ad.Param{a, b}, 0.01)
+	o.Rates = []float64{1, 3}
+	o.Step()
+	plain := NewAdam([]*ad.Param{c}, 0.01)
+	plain.Step()
+	if math.Float64bits(a.Data[0]) != math.Float64bits(c.Data[0]) {
+		t.Fatalf("rate 1 stepped to %v, no rates to %v", a.Data[0], c.Data[0])
+	}
+	if math.Abs(b.Data[0]-3*a.Data[0]) > 1e-12 {
+		t.Fatalf("rate 3 stepped to %v, rate 1 to %v", b.Data[0], a.Data[0])
+	}
+}
+
 // adamReference is Adam.Step as it was written before the update moved into
 // ad.AdamUpdate: the scalar loop, kept as the oracle for the wiring (bias
 // corrections, clipping before the update, gradients zeroed after it).

@@ -18,10 +18,14 @@ import (
 var cpuPair = app.Pair{Component: "Service", Resource: app.CPU}
 
 // quickOpts keeps training fast enough for race-enabled tests.
+// Five epochs are the fewest at which a model covers at least half of its
+// own toy windows with its interval, as the drift verdict's tests assume:
+// after four (eight Adam steps) the heads of an expert reading few paths
+// have not yet spread apart.
 func quickOpts() core.Options {
 	opts := core.DefaultOptions()
 	opts.Estimator.Hidden = 3
-	opts.Estimator.Epochs = 4
+	opts.Estimator.Epochs = 5
 	opts.Estimator.AttentionEpochs = 0
 	opts.Estimator.ChunkLen = 24
 	return opts

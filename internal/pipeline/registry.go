@@ -235,7 +235,7 @@ type checkpointMeta struct {
 
 // checkpointFormat guards the file layout above, the model stream's format
 // included: an older file is refused here by name, before Load reads it.
-const checkpointFormat = 3
+const checkpointFormat = 4
 
 // sumReader hashes what is read through it. It is an io.ByteReader so that
 // a gob.Decoder reads it directly, message by message: the decoders that

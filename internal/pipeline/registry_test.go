@@ -270,8 +270,9 @@ func TestCorruptCheckpointFailsLoudly(t *testing.T) {
 
 // TestOldFormatCheckpointRefusedByName pins the migration story: a
 // checkpoint in an old layout — format 1, one gob value with the model
-// nested as bytes, or format 2, whose model is one gob value per expert — is
-// refused with an error that names its format, not as generic corruption.
+// nested as bytes, format 2, whose model is one gob value per expert, or
+// format 3, whose experts read every path — is refused with an error that
+// names its format, not as generic corruption.
 func TestOldFormatCheckpointRefusedByName(t *testing.T) {
 	type checkpointV1 struct {
 		Version     int
@@ -283,6 +284,7 @@ func TestOldFormatCheckpointRefusedByName(t *testing.T) {
 	for format, meta := range map[int]any{
 		1: checkpointV1{Version: 1, Trigger: "manual", Model: make([]byte, 4096), Checksummed: true},
 		2: checkpointMeta{Format: 2, Version: 1, Trigger: "manual"},
+		3: checkpointMeta{Format: 3, Version: 1, Trigger: "manual"},
 	} {
 		path := filepath.Join(t.TempDir(), "gen-000001.ckpt")
 		f, err := os.Create(path)
@@ -296,7 +298,7 @@ func TestOldFormatCheckpointRefusedByName(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = readCheckpoint(path, nil)
-		want := fmt.Sprintf("gen-000001.ckpt has format %d, this build reads format 3", format)
+		want := fmt.Sprintf("gen-000001.ckpt has format %d, this build reads format 4", format)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("a format-%d checkpoint: %v, want %q", format, err, want)
 		}

@@ -16,10 +16,14 @@ import (
 
 // quickServiceOpts mirrors newTestService but trains even faster, for tests
 // that run many generations (possibly under -race).
+// Five epochs are the fewest at which a model covers at least half of its
+// own toy windows with its interval, as the drift verdict's tests assume:
+// after four (eight Adam steps) the heads of an expert reading few paths
+// have not yet spread apart.
 func quickServiceOpts() core.Options {
 	opts := core.DefaultOptions()
 	opts.Estimator.Hidden = 3
-	opts.Estimator.Epochs = 4
+	opts.Estimator.Epochs = 5
 	opts.Estimator.AttentionEpochs = 0
 	opts.Estimator.ChunkLen = 24
 	return opts

@@ -142,6 +142,22 @@ func PathKey(ids []string) string {
 	return strings.Join(ids, "→")
 }
 
+// PathVisits reports whether the path key visits component: whether one of
+// its "→"-separated span IDs is an operation of component (begins with
+// component + ":"). A component name may itself hold a ":" (cache:6379),
+// so the ID is matched by that prefix.
+func PathVisits(path, component string) bool {
+	prefix := component + ":"
+	for path != "" {
+		id, rest, _ := strings.Cut(path, "→")
+		if strings.HasPrefix(id, prefix) {
+			return true
+		}
+		path = rest
+	}
+	return false
+}
+
 // Hasher anonymises component and operation names before they are ingested
 // by DeepRest, as required by the paper's privacy-preserving design: when
 // DeepRest runs as a shared service, the application owner should not leak

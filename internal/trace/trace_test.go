@@ -57,6 +57,27 @@ func TestWalkVisitsAllWithPaths(t *testing.T) {
 	}
 }
 
+// TestPathVisits: a path visits a component when one of its span IDs is an
+// operation of it, whatever the component's name holds — a ":" included.
+func TestPathVisits(t *testing.T) {
+	key := PathKey([]string{NewSpan("Gateway", "read").ID(), NewSpan("cache:6379", "get").ID()})
+	for _, tc := range []struct {
+		component string
+		want      bool
+	}{
+		{"Gateway", true},
+		{"cache:6379", true},
+		{"cache:63", false},
+		{"read", false},
+		{"Gate", false},
+		{"", false},
+	} {
+		if got := PathVisits(key, tc.component); got != tc.want {
+			t.Errorf("PathVisits(%q, %q) = %v, want %v", key, tc.component, got, tc.want)
+		}
+	}
+}
+
 func TestWalkPathReuseSafety(t *testing.T) {
 	// The contract says the path slice is reused; verify keys derived
 	// inside the callback stay correct even so.
