@@ -13,10 +13,10 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22474 // non-test Go lines outside bench/
-	designBytesBudget      = 50067
-	changesBytesBudget     = 49276
-	readmeBytesBudget      = 35877
+	goLinesBudget          = 22597 // non-test Go lines outside bench/
+	designBytesBudget      = 51366
+	changesBytesBudget     = 56062
+	readmeBytesBudget      = 36037
 	experimentsBytesBudget = 25594
 )
 

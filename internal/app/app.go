@@ -13,6 +13,7 @@ package app
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -263,6 +264,24 @@ type Pair struct {
 
 // String renders the pair as "Component/resource".
 func (p Pair) String() string { return p.Component + "/" + p.Resource.String() }
+
+// SortByName sorts ps by name (String) and returns the names in that order.
+func SortByName(ps []Pair) []string {
+	type named struct {
+		name string
+		p    Pair
+	}
+	ns := make([]named, len(ps))
+	for i, p := range ps {
+		ns[i] = named{p.String(), p}
+	}
+	slices.SortFunc(ns, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	names := make([]string, len(ps))
+	for i, n := range ns {
+		ps[i], names[i] = n.p, n.name
+	}
+	return names
+}
 
 // Validate checks internal consistency of the spec: component parameters are
 // finite and non-negative, template probabilities sum to 1 per API, every

@@ -66,6 +66,9 @@ func TestMetricsScrapeFleet(t *testing.T) {
 		`deeprest_telemetry_evicted_total{app="idle"} 0`,
 		`deeprest_telemetry_resident_windows{app="idle"} 0`,
 		`deeprest_telemetry_feature_extractions_total{app="idle"} 0`,
+		`deeprest_estimate_cache_bytes{app="idle"} 0`,
+		`deeprest_estimate_cache_bytes{app="north"} `,
+		`deeprest_estimate_cache_bytes{app="south"} `,
 		// Fleet-level families.
 		"deeprest_fleet_tenants 3",
 		`deeprest_fleet_tenant_ops_total{op="create",result="ok"} 3`,

@@ -137,18 +137,21 @@ func (p *Param) InitGlorot(rng *rand.Rand) { p.InitGlorotCols(rng, p.Cols, nil) 
 
 // InitGlorotCols overwrites p's values with columns cols (ascending; every
 // column when nil) of a Glorot-uniform Rows×dense matrix drawn from rng: one
-// draw per value of the dense matrix, row by row, at its fan-in's scale, the
-// draws of the other columns dropped as they are made.
+// draw per value of the dense matrix, row by row, at its fan-in's scale. A
+// draw of another column is dropped: it only advances rng, as Float64 would,
+// whose one resample is an Int63 that rounds to 1<<63.
 func (p *Param) InitGlorotCols(rng *rand.Rand, dense int, cols []int) {
 	scale := math.Sqrt(6.0 / float64(p.Rows+dense))
 	i := 0
 	for range p.Rows {
 		next := 0 // the index into cols of the next column kept
 		for c := range dense {
-			v := (2*rng.Float64() - 1) * scale
 			if cols == nil || next < len(cols) && cols[next] == c {
-				p.Data[i] = v
+				p.Data[i] = (2*rng.Float64() - 1) * scale
 				i, next = i+1, next+1
+				continue
+			}
+			for float64(rng.Int63()) == 1<<63 {
 			}
 		}
 	}

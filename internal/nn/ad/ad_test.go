@@ -346,3 +346,49 @@ func TestCarveKeepsValuesInOneAllocation(t *testing.T) {
 		t.Fatalf("InitGlorot = %v, NewParamInit = %v", a.Data, want.Data)
 	}
 }
+
+// roundingSource is a rand.Source whose every seventh Int63 rounds to 1<<63
+// as a float64: the one value rand.Float64 draws again.
+type roundingSource struct {
+	rand.Source
+	n int
+}
+
+func (s *roundingSource) Int63() int64 {
+	if s.n++; s.n%7 == 0 {
+		return 1<<63 - 1
+	}
+	return s.Source.Int63()
+}
+
+// TestInitGlorotColsKeepsDenseDraws: the kept columns hold the dense
+// matrix's draws at their positions, bit for bit, and the generator ends
+// where the dense draw leaves it, also when dropped draws are Float64's
+// resamples.
+func TestInitGlorotColsKeepsDenseDraws(t *testing.T) {
+	const rows, dense = 4, 9
+	cols := []int{0, 3, 4, 8}
+	for _, rounding := range []bool{false, true} {
+		newRand := func() *rand.Rand {
+			var src rand.Source = rand.NewSource(3)
+			if rounding {
+				src = &roundingSource{Source: src}
+			}
+			return rand.New(src)
+		}
+		full, fullRng := NewParam("full", rows, dense), newRand()
+		full.InitGlorot(fullRng)
+		kept, keptRng := NewParam("kept", rows, len(cols)), newRand()
+		kept.InitGlorotCols(keptRng, dense, cols)
+		for r := range rows {
+			for j, c := range cols {
+				if got, want := kept.Data[r*len(cols)+j], full.Data[r*dense+c]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("rounding %v: kept[%d][%d] = %v, dense column %d drew %v", rounding, r, j, got, c, want)
+				}
+			}
+		}
+		if got, want := keptRng.Int63(), fullRng.Int63(); got != want {
+			t.Fatalf("rounding %v: the generator's next value is %d after the kept draw, %d after the dense one", rounding, got, want)
+		}
+	}
+}

@@ -83,6 +83,7 @@ func TestPipelineMetrics(t *testing.T) {
 	regressed := reg.Gauge("deeprest_quality_regressed",
 		"1 while the last early-retrain verdict on the active generation tripped, else 0.")
 	st := p.Status()
+	gens := 1 // checkpointed: the manual generation, and a drift retrain's
 	switch {
 	case st.LastDrift != nil:
 		if st.LastDrift.Windows != quality.MinVerdictWindows || st.LastDrift.Reason != "" || regressed.Value() != 0 {
@@ -90,6 +91,8 @@ func TestPipelineMetrics(t *testing.T) {
 		}
 	case genOK.With("drift", "ok").Value() != 1 || regressed.Value() != 1:
 		t.Fatalf("no verdict in the status and no drift retrain (regressed gauge %v)", regressed.Value())
+	default:
+		gens = 2
 	}
 
 	// A failing run (unknown pair) counts as an error, not a publish.
@@ -110,19 +113,19 @@ func TestPipelineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, err := p2.Recover()
-	if err != nil || n != 1 {
-		t.Fatalf("Recover = %d, %v; want 1 generation", n, err)
+	if err != nil || n != gens {
+		t.Fatalf("Recover = %d, %v; want %d generations", n, err, gens)
 	}
 	ckpt2 := reg2.CounterVec("deeprest_checkpoint_ops_total",
 		"Model checkpoint operations by kind (write, recover) and result (ok, error).",
 		"op", "result")
-	if got := ckpt2.With("recover", "ok").Value(); got != 1 {
-		t.Fatalf("checkpoint_ops_total{recover,ok} = %d, want 1", got)
+	if got := ckpt2.With("recover", "ok").Value(); got != uint64(gens) {
+		t.Fatalf("checkpoint_ops_total{recover,ok} = %d, want %d", got, gens)
 	}
 	active2 := reg2.Gauge("deeprest_active_generation",
 		"Version of the model generation currently serving queries (0 before the first publish).")
-	if got := active2.Value(); got != 1 {
-		t.Fatalf("recovered active_generation = %v, want 1", got)
+	if got := active2.Value(); got != float64(gens) {
+		t.Fatalf("recovered active_generation = %v, want %d", got, gens)
 	}
 }
 

@@ -10,12 +10,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/faults"
@@ -41,10 +43,27 @@ type Generation struct {
 	TrainedAt time.Time
 	// System is the learned DeepRest instance serving this generation.
 	System *core.System
+
+	// pairs and names are System's pairs sorted by name, filled by the
+	// first SortedPairs.
+	sortOnce sync.Once
+	pairs    []app.Pair
+	names    []string
 }
 
 // Model is a convenience accessor for the generation's estimator.
 func (g *Generation) Model() *estimator.Model { return g.System.Model() }
+
+// SortedPairs returns the generation's pairs sorted by name, and the names:
+// the order an estimate response lists them in. Only the first call sorts;
+// every call returns the same slices, which the caller must not modify.
+func (g *Generation) SortedPairs() ([]app.Pair, []string) {
+	g.sortOnce.Do(func() {
+		g.pairs = slices.Clone(g.System.Pairs())
+		g.names = app.SortByName(g.pairs)
+	})
+	return g.pairs, g.names
+}
 
 // Experts returns the number of trained experts.
 func (g *Generation) Experts() int { return len(g.System.Pairs()) }

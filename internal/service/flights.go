@@ -2,12 +2,10 @@ package service
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -31,15 +29,22 @@ import (
 // form and, for a client that spells the request otherwise, under that
 // spelling too; both keys point at one call. Keys embed the generation
 // version, so a publish or rollback invalidates by no longer asking for them.
-// The table holds at most estimateCacheSize keys, running or done, and
-// forgets the oldest first; a forgotten key's call runs on for the callers
-// that hold it.
+//
+// The table holds at most estimateCacheSize keys and estimateCacheBytes: a
+// key is charged its request bytes, and a call that succeeded its body once,
+// however many keys name it, for as long as one does. Filing a key and
+// completing a call forget keys oldest first until both bounds hold. A
+// forgotten key's call runs on for the callers that hold it; an entry larger
+// than the whole budget answers them too, but is never retained and forgets
+// nothing.
 type estimateTable struct {
 	mu    sync.Mutex
 	calls map[uint64]estEntry
 	order []uint64 // the keys of calls, oldest first
+	bytes int      // retained: every key's request, every filed success's body
 
 	hits, misses, joins *obs.Counter
+	retained            *obs.Gauge // bytes
 
 	// Where a miss's time goes (see run); both nil-safe. The request-side
 	// stages of the same histogram are observed by handleEstimate.
@@ -60,6 +65,10 @@ type estCall struct {
 	done chan struct{}
 	body []byte // encoded response (with trailing newline) on success
 	err  error
+	// Under the table's mu: the keys filed to the call, and whether it
+	// succeeded with a body the table may retain (charged while keys > 0).
+	keys int
+	ok   bool
 }
 
 func newEstimateTable(tracer *obs.SpanTracer, metrics *obs.Registry) *estimateTable {
@@ -70,6 +79,8 @@ func newEstimateTable(tracer *obs.SpanTracer, metrics *obs.Registry) *estimateTa
 			"Estimate requests that had to run the full synthesize-extract-predict path."),
 		joins: metrics.Counter("deeprest_estimate_cache_dedup_hits_total",
 			"Estimate requests answered by joining an identical call still computing (dedup)."),
+		retained: metrics.Gauge("deeprest_estimate_cache_bytes",
+			"Bytes the estimate table retains: each key's request and each completed call's response once."),
 		stageSeconds: metrics.HistogramVec("deeprest_estimate_stage_duration_seconds",
 			"Wall-clock duration of one stage of answering an estimate. Every request: read (the body) and lookup (the estimate table, by the bytes as they arrived). A spelling the table has not filed: decode (JSON decode, validation, canonical re-marshal). A request whose answer is still computing: wait (on the flight, first caller or joined). Once per flight: synthesize (trace synthesis and feature extraction), predict (the inference engine), encode (JSON response).",
 			obs.DurationBuckets, "stage")}
@@ -133,17 +144,53 @@ func (t *estimateTable) start(ctx context.Context, gen *pipeline.Generation, tra
 	return c, done
 }
 
-// file puts c under key, first forgetting the oldest keys beyond the
-// table's capacity. The caller holds t.mu.
+// file puts c under key, first forgetting keys (evictOldest) until the table
+// has room for it under both bounds. A key already filed keeps its entry (a
+// hash collision keeps the first), and an entry over the whole byte budget
+// alone — its request, and its call's body once that succeeded — is not
+// filed and forgets nothing. The caller holds t.mu.
 func (t *estimateTable) file(key uint64, req []byte, c *estCall) {
-	if _, ok := t.calls[key]; !ok {
-		for len(t.calls) >= estimateCacheSize {
-			delete(t.calls, t.order[0])
-			t.order = t.order[1:]
-		}
-		t.order = append(t.order, key)
+	full := len(req)
+	if c.ok {
+		full += len(c.body)
 	}
+	if _, ok := t.calls[key]; ok || full > estimateCacheBytes {
+		return
+	}
+	for len(t.calls) >= estimateCacheSize || t.bytes+t.charge(req, c) > estimateCacheBytes {
+		t.evictOldest()
+	}
+	t.bytes += t.charge(req, c)
+	c.keys++
+	t.order = append(t.order, key)
 	t.calls[key] = estEntry{req: string(req), call: c}
+	t.retained.Set(float64(t.bytes))
+}
+
+// charge is what filing req to c adds: its bytes, and c's body if the table
+// does not already hold it.
+func (t *estimateTable) charge(req []byte, c *estCall) int {
+	if c.ok && c.keys == 0 {
+		return len(req) + len(c.body)
+	}
+	return len(req)
+}
+
+// evictOldest forgets the oldest key. The caller holds t.mu.
+func (t *estimateTable) evictOldest() {
+	t.drop(t.order[0])
+	t.order = t.order[1:]
+}
+
+// drop deletes key from the map and returns its charge, and with the call's
+// last key its body's; the caller takes the key out of order.
+func (t *estimateTable) drop(key uint64) {
+	e := t.calls[key]
+	delete(t.calls, key)
+	t.bytes -= len(e.req)
+	if e.call.keys--; e.call.keys == 0 && e.call.ok {
+		t.bytes -= len(e.call.body)
+	}
 }
 
 // wait returns the call's response body once it is done, or ctx's error
@@ -157,10 +204,8 @@ func (c *estCall) wait(ctx context.Context) ([]byte, error) {
 	}
 }
 
-// run computes the call's estimate and releases every waiter. Success leaves
-// the table as it is: the call is already filed. A failed call first removes
-// every key that points at it, so a refusal is never served from the table.
-// It is the one place a miss is computed, so it is where a miss is timed: a
+// run computes the call's estimate and settles it (complete). It is the one
+// place a miss is computed, so it is where a miss is timed: a
 // service.estimate span with one child per stage, each stage also observed
 // into deeprest_estimate_stage_duration_seconds (obs.SpanTracer.Stages, as a
 // learn does) — "why was that estimate slow" reads off /debug/spans and
@@ -181,18 +226,42 @@ func (t *estimateTable) run(ctx context.Context, c *estCall, gen *pipeline.Gener
 	}
 	if err == nil {
 		end = stage("service.encode", "encode")
-		c.body, err = encodeEstimate(gen.Version, est)
+		pairs, names := gen.SortedPairs()
+		c.body, err = encodeSorted(gen.Version, pairs, names, est)
 		end()
 	}
 	c.err = err
 	span.SetErr(err)
 	span.End()
-	if err != nil {
-		t.mu.Lock()
-		maps.DeleteFunc(t.calls, func(_ uint64, e estEntry) bool { return e.call == c })
+	t.complete(c)
+}
+
+// complete settles the call, its body and err set, in the table and then
+// releases its waiters. Success charges the body, and the table forgets keys
+// (evictOldest) until it is within its byte budget again. A failed call, and
+// one whose body alone is over the budget, first removes every key that
+// points at it and forgets no other, so a refusal is never served from the
+// table.
+func (t *estimateTable) complete(c *estCall) {
+	t.mu.Lock()
+	if c.err == nil && len(c.body) <= estimateCacheBytes {
+		c.ok = true
+		if c.keys > 0 {
+			t.bytes += len(c.body)
+			for t.bytes > estimateCacheBytes {
+				t.evictOldest()
+			}
+		}
+	} else {
+		for k, e := range t.calls {
+			if e.call == c {
+				t.drop(k)
+			}
+		}
 		t.order = slices.DeleteFunc(t.order, func(k uint64) bool { _, ok := t.calls[k]; return !ok })
-		t.mu.Unlock()
 	}
+	t.retained.Set(float64(t.bytes))
+	t.mu.Unlock()
 	close(c.done)
 }
 
@@ -206,35 +275,41 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // sorted, in a buffer exactly as long, since the estimate table keeps it. A
 // non-finite estimate is an error, as it is to json.Marshal.
 func encodeEstimate(version int, est map[app.Pair]estimator.Estimate) ([]byte, error) {
-	type entry struct {
-		key string
-		p   app.Pair
-	}
-	keys := make([]entry, 0, len(est))
+	pairs := make([]app.Pair, 0, len(est))
 	for p := range est {
-		keys = append(keys, entry{p.String(), p})
+		pairs = append(pairs, p)
 	}
-	slices.SortFunc(keys, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+	return encodeSorted(version, pairs, app.SortByName(pairs), est)
+}
 
+// encodeSorted is encodeEstimate over est's pairs already sorted, and their
+// names; est must hold exactly those pairs.
+func encodeSorted(version int, pairs []app.Pair, names []string, est map[app.Pair]estimator.Estimate) ([]byte, error) {
+	if len(est) != len(pairs) {
+		return nil, fmt.Errorf("%d estimates for %d pairs", len(est), len(pairs))
+	}
 	buf := encodeBufs.Get().(*[]byte)
 	b := append((*buf)[:0], `{"version":`...)
 	defer func() { *buf = b; encodeBufs.Put(buf) }()
 	b = strconv.AppendInt(b, int64(version), 10)
 	b = append(b, `,"estimates":{`...)
 	var ok bool
-	for n, k := range keys {
+	for n, p := range pairs {
 		if n > 0 {
 			b = append(b, ',')
 		}
-		e := est[k.p]
-		b = append(appendJSONString(b, k.key), ':')
+		e, found := est[p]
+		if !found {
+			return nil, fmt.Errorf("no estimate for %s", names[n])
+		}
+		b = append(appendJSONString(b, names[n]), ':')
 		for i, s := range [3][]float64{e.Exp, e.Low, e.Up} {
 			b = append(b, [3]string{`{"exp":`, `,"low":`, `,"up":`}[i]...)
 			if b, ok = appendFloats(b, s); !ok {
-				return nil, fmt.Errorf("%s: a non-finite estimate", k.key)
+				return nil, fmt.Errorf("%s: a non-finite estimate", names[n])
 			}
 		}
-		b = append(appendJSONString(append(b, `,"unit":`...), k.p.Resource.Unit()), '}')
+		b = append(appendJSONString(append(b, `,"unit":`...), p.Resource.Unit()), '}')
 	}
 	b = append(b, "}}\n"...)
 	return append(make([]byte, 0, len(b)), b...), nil

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -256,6 +258,220 @@ func TestFlightTableForgetsOldestKeys(t *testing.T) {
 	close(first.done)
 	if body, err := first.wait(context.Background()); err != nil || string(body) != "kept\n" {
 		t.Fatalf("the forgotten key's call answered %q, %v", body, err)
+	}
+}
+
+// bytesTable is an estimate table with metrics and no generation: the byte
+// tests file calls by hand (fileReq) and settle them (settle).
+func bytesTable() *estimateTable { return newEstimateTable(nil, obs.NewRegistry()) }
+
+// fileReq files req to c, a new call when c is nil, as start does, and
+// returns the call.
+func fileReq(tab *estimateTable, req string, c *estCall) *estCall {
+	if c == nil {
+		c = &estCall{done: make(chan struct{})}
+	}
+	tab.mu.Lock()
+	tab.file(predKey(1, []byte(req)), []byte(req), c)
+	tab.mu.Unlock()
+	return c
+}
+
+// settle completes c with an n-byte body, as run does.
+func settle(tab *estimateTable, c *estCall, n int) {
+	c.body = make([]byte, n)
+	tab.complete(c)
+}
+
+func isFiled(tab *estimateTable, req string) bool { return tab.filed(predKey(1, []byte(req))) != nil }
+
+// checkTableBytes recounts what the table retains — every key's request, and
+// every success's body once however many keys name it — and fails unless
+// that is the table's own count and its gauge's, both bounds hold, and the
+// FIFO lists exactly the filed keys. It returns the count.
+func checkTableBytes(t *testing.T, tab *estimateTable, what string) int {
+	t.Helper()
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	n, bodies := 0, map[*estCall]bool{}
+	for _, e := range tab.calls {
+		n += len(e.req)
+		if e.call.ok && !bodies[e.call] {
+			bodies[e.call] = true
+			n += len(e.call.body)
+		}
+	}
+	listed := map[uint64]bool{}
+	for _, k := range tab.order {
+		if _, ok := tab.calls[k]; !ok || listed[k] {
+			t.Fatalf("%s: the FIFO lists key %x unfiled or twice", what, k)
+		}
+		listed[k] = true
+	}
+	switch {
+	case n != tab.bytes || tab.retained.Value() != float64(n):
+		t.Fatalf("%s: the table counts %d bytes and its gauge %v, its keys hold %d", what, tab.bytes, tab.retained.Value(), n)
+	case n > estimateCacheBytes || len(tab.calls) > estimateCacheSize:
+		t.Fatalf("%s: %d bytes under %d keys, over the bounds %d and %d", what, n, len(tab.calls), estimateCacheBytes, estimateCacheSize)
+	case len(listed) != len(tab.calls):
+		t.Fatalf("%s: the FIFO lists %d of %d keys", what, len(listed), len(tab.calls))
+	}
+	return n
+}
+
+// TestFlightTableBoundsBytes: over a seeded mix of new calls, second
+// spellings, hits, successes with bodies from empty to over the whole budget,
+// and failures, the table's count is what its keys hold, and that never
+// exceeds estimateCacheBytes after any file or completion.
+func TestFlightTableBoundsBytes(t *testing.T) {
+	const kb, mb = 1 << 10, 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	tab := bytesTable()
+	var running, done []*estCall
+	var reqs []string
+	pick := func(cs []*estCall) (*estCall, []*estCall) {
+		i := rng.Intn(len(cs))
+		c := cs[i]
+		return c, append(cs[:i], cs[i+1:]...)
+	}
+	peak := 0
+	for i := range 300 {
+		req := fmt.Sprintf("%d:%s", i, strings.Repeat("x", rng.Intn(16*kb)))
+		switch op := rng.Intn(5); {
+		case op == 0 || len(running) == 0:
+			running = append(running, fileReq(tab, req, nil))
+			reqs = append(reqs, req)
+		case op == 1 && len(done) > 0:
+			fileReq(tab, req, done[rng.Intn(len(done))])
+			reqs = append(reqs, req)
+		case op == 2:
+			fileReq(tab, req, running[rng.Intn(len(running))])
+			reqs = append(reqs, req)
+		case op == 3:
+			r := reqs[rng.Intn(len(reqs))]
+			tab.find(predKey(1, []byte(r)), []byte(r))
+		default:
+			var c *estCall
+			c, running = pick(running)
+			switch rng.Intn(8) {
+			case 0:
+				c.err = errors.New("refused")
+				tab.complete(c)
+			case 1:
+				settle(tab, c, estimateCacheBytes+1+rng.Intn(kb))
+			default:
+				settle(tab, c, rng.Intn(2*mb))
+				done = append(done, c)
+			}
+			if len(done) > 16 {
+				_, done = pick(done)
+			}
+		}
+		if len(reqs) > 64 {
+			reqs = reqs[1:]
+		}
+		peak = max(peak, checkTableBytes(t, tab, fmt.Sprintf("op %d", i)))
+	}
+	if peak <= estimateCacheBytes-2*mb {
+		t.Fatalf("the table peaked at %d bytes: the byte bound was never pressed", peak)
+	}
+}
+
+// TestFlightTableChargesBodiesOnceOldestFirst: a call's body is charged once
+// for its two spellings, whether the second is filed while it runs or once
+// it is done, and a completion over the budget forgets the oldest keys, as
+// many as it takes.
+func TestFlightTableChargesBodiesOnceOldestFirst(t *testing.T) {
+	const mb = 1 << 20
+	tab := bytesTable()
+	a := fileReq(tab, "a", nil)
+	fileReq(tab, "a respelled", a)
+	settle(tab, a, 3*mb)
+	fileReq(tab, "a done", a)
+	if got, want := checkTableBytes(t, tab, "a"), len("a")+len("a respelled")+len("a done")+3*mb; got != want {
+		t.Fatalf("one call under three spellings retains %d bytes, want %d", got, want)
+	}
+	settle(tab, fileReq(tab, "b", nil), 3*mb)
+	settle(tab, fileReq(tab, "c", nil), 3*mb)
+	for _, r := range []string{"a", "a respelled", "a done", "b", "c"} {
+		if isFiled(tab, r) != (r == "b" || r == "c") {
+			t.Fatalf("after a third 3 MiB body %s is filed %v; want only a's keys forgotten", r, isFiled(tab, r))
+		}
+	}
+	if got, want := checkTableBytes(t, tab, "c"), len("bc")+6*mb; got != want {
+		t.Fatalf("after a third 3 MiB body the table holds %d bytes, want %d", got, want)
+	}
+}
+
+// TestFlightTableFailedCallReturnsBytes: a failed call's keys, both
+// spellings, leave the table with their bytes, and nothing else goes.
+func TestFlightTableFailedCallReturnsBytes(t *testing.T) {
+	tab := bytesTable()
+	settle(tab, fileReq(tab, "kept", nil), 1<<20)
+	before := checkTableBytes(t, tab, "kept")
+	c := fileReq(tab, "refused", nil)
+	fileReq(tab, "refused respelled", c)
+	c.err = errors.New("refused")
+	tab.complete(c)
+	if got := checkTableBytes(t, tab, "refused"); got != before || isFiled(tab, "refused") || isFiled(tab, "refused respelled") || !isFiled(tab, "kept") {
+		t.Fatalf("after a failed call the table holds %d bytes, want %d and only the kept key", got, before)
+	}
+}
+
+// TestFlightTableBytesConcurrent: workers filing, respelling, settling and
+// hitting calls at once, with bodies that press the byte bound, leave the
+// table's count what its keys hold (and give the race detector every path of
+// the accounting).
+func TestFlightTableBytesConcurrent(t *testing.T) {
+	tab := bytesTable()
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 16 {
+				req := fmt.Sprintf("%d/%d", w, i)
+				c := fileReq(tab, req, nil)
+				fileReq(tab, req+" respelled", c)
+				if i%5 == 4 {
+					c.err = errors.New("refused")
+					tab.complete(c)
+				} else {
+					settle(tab, c, 1<<19)
+				}
+				if body, err := c.wait(context.Background()); (err == nil) != (i%5 != 4) || len(body) != len(c.body) {
+					t.Errorf("%s answered %d bytes, %v", req, len(body), err)
+				}
+				tab.find(predKey(1, []byte(req)), []byte(req))
+			}
+		}()
+	}
+	wg.Wait()
+	if n := checkTableBytes(t, tab, "after the workers"); n <= estimateCacheBytes-1<<20 {
+		t.Fatalf("the table ends at %d bytes: the byte bound was never pressed", n)
+	}
+}
+
+// TestFlightTableOverBudgetBodyAnswers: a body larger than the whole budget
+// answers its waiter but is not retained and forgets no other key; neither
+// is a request larger than the budget.
+func TestFlightTableOverBudgetBodyAnswers(t *testing.T) {
+	tab := bytesTable()
+	settle(tab, fileReq(tab, "a", nil), 1<<20)
+	settle(tab, fileReq(tab, "b", nil), 1<<20)
+	before := checkTableBytes(t, tab, "a, b")
+	c := fileReq(tab, "big", nil)
+	settle(tab, c, estimateCacheBytes+1)
+	if body, err := c.wait(context.Background()); err != nil || len(body) != estimateCacheBytes+1 {
+		t.Fatalf("the over-budget call answered %d bytes, %v", len(body), err)
+	}
+	if got := checkTableBytes(t, tab, "big body"); got != before || isFiled(tab, "big") || !isFiled(tab, "a") || !isFiled(tab, "b") {
+		t.Fatalf("after an over-budget body the table holds %d bytes, want %d and a and b filed", got, before)
+	}
+	huge := strings.Repeat("x", estimateCacheBytes+1)
+	fileReq(tab, huge, nil)
+	if got := checkTableBytes(t, tab, "big request"); got != before || isFiled(tab, huge) || !isFiled(tab, "a") || !isFiled(tab, "b") {
+		t.Fatalf("after an over-budget request the table holds %d bytes, want %d and a and b filed", got, before)
 	}
 }
 
@@ -512,6 +728,59 @@ func TestInfluenceStagesAreSpansAndOneHistogram(t *testing.T) {
 	}
 	stageCounts(t, h, "after the refused query", "deeprest_influence_stage_duration_seconds",
 		map[string]int{"features": 2, "probe": 2, "encode": 1})
+}
+
+// TestMissEncodesInNameOrder: misses on a generation whose pairs are not in
+// name order serve exactly json.Marshal's bytes, so the order the generation
+// sorts once (SortedPairs) names each estimate with its own pair.
+func TestMissEncodesInNameOrder(t *testing.T) {
+	s, err := NewWithConfig(quickServiceOpts(), pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 7)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["DB/memory","DB/disk_usage","Gateway/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+	gen := s.Pipeline().Active()
+	if ps := gen.System.Pairs(); slices.IsSortedFunc(ps, func(a, b app.Pair) int { return strings.Compare(a.String(), b.String()) }) {
+		t.Fatalf("the generation's pairs %v are in name order: nothing to sort", ps)
+	}
+	for i := range 2 {
+		canon := []byte(fmt.Sprintf(`{"windows":[{"/read":%d}]}`, 10+i))
+		body, err := startAndWait(context.Background(), s.estimates, gen, testTraffic(10+i), canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := wantBody(t, gen, testTraffic(10+i)); !bytes.Equal(body, want) {
+			t.Fatalf("miss %d served\n%s\nwant\n%s", i, body, want)
+		}
+	}
+}
+
+// TestEncodeSortedRefusesOtherPairs: an estimate map that lacks one of the
+// generation's sorted pairs, or holds one more, is an error, never a
+// response with a zero estimate in it or a pair left out.
+func TestEncodeSortedRefusesOtherPairs(t *testing.T) {
+	a := app.Pair{Component: "A", Resource: app.AllResources[0]}
+	b := app.Pair{Component: "B", Resource: app.AllResources[0]}
+	e := estimator.Estimate{Exp: []float64{1}, Low: []float64{0}, Up: []float64{2}}
+	pairs := []app.Pair{a}
+	names := app.SortByName(pairs)
+	for what, est := range map[string]map[app.Pair]estimator.Estimate{
+		"another pair": {b: e},
+		"one more":     {a: e, b: e},
+	} {
+		if body, err := encodeSorted(1, pairs, names, est); err == nil {
+			t.Errorf("%s: encoded %q", what, body)
+		}
+	}
+	if _, err := encodeSorted(1, pairs, names, map[app.Pair]estimator.Estimate{a: e}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestEncodeEstimateMatchesMarshal is the encoder's byte wall: for random

@@ -135,8 +135,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-// estimateCacheSize bounds the /v1/estimate table (keys, running or done).
-const estimateCacheSize = 512
+// The /v1/estimate table's two bounds, per tenant: estimateCacheSize keys,
+// running or done, and estimateCacheBytes retained (each key's request, each
+// completed call's response once). The first bounds the map when answers are
+// tiny; the second bounds the heap when they are not, as a gen150 read of a
+// week's windows answers ~50 MB.
+const (
+	estimateCacheSize  = 512
+	estimateCacheBytes = 8 << 20
+)
 
 // Server is the HTTP facade over one DeepRest instance.
 type Server struct {

@@ -86,6 +86,7 @@ var testOnlyAllowed = map[string]string{
 	"sim.WithMeasurementNoise": "determinism knob: exactness tests switch scrape noise off",
 	"sim.WithQueueFactor":      "determinism knob: accounting tests switch queuing inflation off, the queuing test sets it",
 	"faults.MustParse":         "test helper: Parse for constant specs, shared by three packages' tests",
+	"service.encodeEstimate":   "oracle entry: encodeSorted with its own sort, the encoder's byte wall (TestEncodeEstimateMatchesMarshal) calls it",
 
 	"nn/layers.GRUCell.StepReference": "oracle: the primitive-op chain the fused GRU step and its adjoint are held to bit for bit",
 	"nn/ad.Tape.NumNodes":             "probe: the arena and fused-step tests count the nodes a tape recorded",
