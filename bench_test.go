@@ -359,77 +359,11 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	b.ReportMetric(float64(space.Dim()), "feature-dim")
 }
 
-// --- ablations (DESIGN.md §4) ---
+// --- ablations (DESIGN.md §4; the pinned ones are in internal/estimator) ---
 
-// benchAblation trains the social write-IOps expert under a modified
-// configuration and reports its MAPE on the learning traffic's first day, in
-// sample (the query's traces synthesized from its API counts) — the metric
-// the attribution-sensitive design choices exist to improve.
-func benchAblation(b *testing.B, mod func(*estimator.Config)) {
-	r := runner(b)
-	l, err := r.Social()
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := app.Pair{Component: "PostStorageMongoDB", Resource: app.WriteIOps}
-	usage := map[app.Pair][]float64{target: l.LearnRun.Usage[target]}
-	cfg := estimator.DefaultConfig()
-	cfg.Hidden = 4
-	cfg.Epochs = 30
-	cfg.AttentionEpochs = 0
-	cfg.ChunkLen = 24
-	mod(&cfg)
-
-	query := l.LearnTraffic.Slice(0, l.WPD) // reuse geometry for a query day
-	synthetic, err := l.System.Synthesizer().Synthesize(query, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	truth := l.LearnRun.Slice(0, l.WPD)
-
-	var mape float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, _, err := estimator.TrainWarm(l.LearnRun.Windows, usage, cfg, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		series := m.Space.ExtractSeries(synthetic)
-		b.StartTimer()
-		est, err := compiled(b, m).Predict(series)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mape = eval.MAPE(est[target].Exp, truth.Usage[target])
-	}
-	b.ReportMetric(mape, "MAPE%")
-}
-
-func BenchmarkAblationFull(b *testing.B) {
-	benchAblation(b, func(c *estimator.Config) {})
-}
-
-func BenchmarkAblationNoMask(b *testing.B) {
-	benchAblation(b, func(c *estimator.Config) { c.UseMask = false; c.MaskL1 = 0 })
-}
-
-func BenchmarkAblationNoBypass(b *testing.B) {
-	benchAblation(b, func(c *estimator.Config) { c.LinearBypass = false })
-}
-
-func BenchmarkAblationNoL1(b *testing.B) {
-	benchAblation(b, func(c *estimator.Config) { c.MaskL1 = 0; c.BypassL1 = 0 })
-}
-
-func BenchmarkAblationMSEInsteadOfQuantile(b *testing.B) {
-	// Approximated by collapsing the interval: δ→0 trains all three
-	// heads toward the median, so the intervals lose calibration.
-	benchAblation(b, func(c *estimator.Config) { c.Delta = 0.0 })
-}
-
-// BenchmarkAblationAttention compares full-model prediction cost and
-// accuracy with and without the cross-component attention stage.
+// BenchmarkAblationAttention compares the full model's in-sample accuracy
+// with and without phase B: without it α stays at +0, so every attention
+// context is +0, and a read costs the same either way.
 func BenchmarkAblationAttention(b *testing.B) {
 	run := toyTelemetry(b, 3)
 	for _, attn := range []bool{true, false} {
@@ -439,7 +373,6 @@ func BenchmarkAblationAttention(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := benchCfg()
-			cfg.UseAttention = attn
 			if attn {
 				cfg.AttentionEpochs = 3
 			}

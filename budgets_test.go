@@ -13,11 +13,11 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22597 // non-test Go lines outside bench/
-	designBytesBudget      = 51366
-	changesBytesBudget     = 56062
-	readmeBytesBudget      = 36037
-	experimentsBytesBudget = 25594
+	goLinesBudget          = 22536 // non-test Go lines outside bench/
+	designBytesBudget      = 52303
+	changesBytesBudget     = 61572
+	readmeBytesBudget      = 36052
+	experimentsBytesBudget = 25623
 )
 
 // TestBudgets holds the tree to the budgets above: the lines of non-test Go

@@ -9,6 +9,7 @@ package estimator
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/nn/ad"
@@ -47,15 +48,20 @@ type Expert struct {
 	// model could not extrapolate to the paper's "3× more users than
 	// ever" queries; the bypass carries the (locally linear) traffic →
 	// utilization component while the recurrent path models queuing,
-	// caches, and temporal effects. Disable via Config.LinearBypass for
-	// the ablation study.
+	// caches, and temporal effects.
 	Bypass *layers.Dense
-	// UseMask and UseAttention mirror the training configuration so a
-	// loaded model predicts exactly as trained.
-	UseMask, UseAttention, UseBypass bool
+	// UseAttention reports whether the expert has peers to attend to: every
+	// expert of a model of more than one pair does. It is derived, never
+	// set, and nothing here reads it; the benchmark harness does
+	// (bench/trace.go).
+	UseAttention bool
 	// rate is the multiple of the learning rate the mask and the bypass's
 	// W step at: the dense feature count over InDim (inputRate).
 	rate float64
+	// frozen lists parameters phase A leaves as they are, out of its Adam
+	// steps and its clip norm. Only tests set it: an ablation is this
+	// architecture with some parameters pinned before training.
+	frozen []*ad.Param
 }
 
 // allPaths, set, makes every expert read every feature: the dense model, the
@@ -91,7 +97,7 @@ func newExpert(pair app.Pair, component string, inputs []int, dense, hidden int,
 			ps[j].InitGlorot(rng)
 		}
 	}
-	return expertOf(pair, component, inputs, dense, hidden, peers, ps, cfg.UseMask, cfg.UseAttention, cfg.LinearBypass)
+	return expertOf(pair, component, inputs, dense, hidden, peers, ps)
 }
 
 // inputRate is the multiple of the learning rate at which an expert reading
@@ -108,21 +114,22 @@ func inputRate(dense, in int) float64 {
 	return float64(dense) / float64(in)
 }
 
-// rates lists the learning-rate multiple of each of Params: rate for the
-// mask and the bypass's W, 1 for the rest; nil when every one is 1.
-func (e *Expert) rates() []float64 {
+// trained lists the parameters phase A steps, Params less the frozen ones,
+// and the learning-rate multiple of each: rate for the mask and the bypass's
+// W, 1 for the rest; the multiples are nil when every one is 1.
+func (e *Expert) trained() (params []*ad.Param, rates []float64) {
+	params = slices.DeleteFunc(e.Params(), func(p *ad.Param) bool { return slices.Contains(e.frozen, p) })
 	if e.rate == 1 {
-		return nil
+		return params, nil
 	}
-	params := e.Params()
-	out := make([]float64, len(params))
+	rates = make([]float64, len(params))
 	for i, p := range params {
-		out[i] = 1
+		rates[i] = 1
 		if p == e.Mask.M || p == e.Bypass.W {
-			out[i] = e.rate
+			rates[i] = e.rate
 		}
 	}
-	return out
+	return params, rates
 }
 
 // expertShapes lists the parameters of an expert named name, in Params
@@ -143,7 +150,7 @@ func expertShapes(name string, in, hid, peers int) []ad.Shape {
 // expertOf assembles an expert reading inputs of dense features around its
 // parameters ps, in expertShapes' order and shapes — how newExpert and Load
 // build one.
-func expertOf(pair app.Pair, component string, inputs []int, dense, hid int, peers []string, ps []*ad.Param, useMask, useAttention, useBypass bool) *Expert {
+func expertOf(pair app.Pair, component string, inputs []int, dense, hid int, peers []string, ps []*ad.Param) *Expert {
 	in := len(inputs)
 	return &Expert{
 		Pair:         pair,
@@ -156,9 +163,7 @@ func expertOf(pair app.Pair, component string, inputs []int, dense, hid int, pee
 		Attn:         &layers.Attention{Alpha: ps[10], Peers: peers},
 		Head:         &layers.Dense{In: 2 * hid, Out: 3, W: ps[11], B: ps[12]},
 		Bypass:       &layers.Dense{In: in, Out: 3, W: ps[13], B: ps[14]},
-		UseMask:      useMask,
-		UseAttention: useAttention,
-		UseBypass:    useBypass,
+		UseAttention: len(peers) > 0,
 		rate:         inputRate(dense, in),
 	}
 }
@@ -186,19 +191,7 @@ func (e *Expert) NumParams() int {
 // maskedInput places the inputs of the window x on the tape and applies the
 // API-aware mask.
 func (e *Expert) maskedInput(t *ad.Tape, x []float64) *ad.Value {
-	in := t.ConstAt(x, e.Inputs)
-	if e.UseMask {
-		return e.Mask.Apply(t, in)
-	}
-	return in
-}
-
-// mask returns e's API mask, nil when it is off.
-func (e *Expert) mask() *layers.APIMask {
-	if e.UseMask {
-		return e.Mask
-	}
-	return nil
+	return e.Mask.Apply(t, t.ConstAt(x, e.Inputs))
 }
 
 // step records e's GRU step on t for window col of the workspace's block,
@@ -212,11 +205,7 @@ func (e *Expert) step(ws *layers.Workspace, t *ad.Tape, row []float64, col int, 
 // stepOutput computes the output triple at one time step from the masked
 // input, the new hidden state, and the attention context.
 func (e *Expert) stepOutput(t *ad.Tape, xt, h, attn *ad.Value) *ad.Value {
-	out := e.Head.Apply(t, t.Concat(attn, h))
-	if e.UseBypass {
-		out = t.Add(out, e.Bypass.Apply(t, xt))
-	}
-	return out
+	return t.Add(e.Head.Apply(t, t.Concat(attn, h)), e.Bypass.Apply(t, xt))
 }
 
 // walk runs e's recurrence over a scaled feature series x from a zero state
@@ -231,7 +220,7 @@ func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt 
 	for i, row := range x {
 		col := i % layers.BlockWindows
 		if col == 0 {
-			ws.Block.Form(e.Cell, e.Inputs, e.mask(), x[i:min(i+layers.BlockWindows, len(x))])
+			ws.Block.Form(e.Cell, e.Inputs, ws.Block.Gate(e.Mask), x[i:min(i+layers.BlockWindows, len(x))])
 		}
 		t.Reset()
 		h, xt := e.step(ws, t, row, col, t.Const(hPrev))
@@ -241,14 +230,10 @@ func (e *Expert) walk(ws *layers.Workspace, x [][]float64, fn func(i int, h, xt 
 }
 
 // trajectory writes e's frozen trajectory over s's series into row i of s,
-// and its bypass output when it uses one (layers.GRUBlock.Trajectory):
-// walk's states and Dense.Apply's outputs, bit for bit.
+// and its bypass output (layers.GRUBlock.Trajectory): walk's states and
+// Dense.Apply's outputs, bit for bit.
 func (e *Expert) trajectory(ws *layers.Workspace, s *layers.Slab, i int) {
-	var bypass *layers.Dense
-	if e.UseBypass {
-		bypass = e.Bypass
-	}
-	ws.Block.Trajectory(s, i, e.Cell, e.Inputs, ws.Block.Gate(e.mask()), bypass)
+	ws.Block.Trajectory(s, i, e.Cell, e.Inputs, ws.Block.Gate(e.Mask), e.Bypass)
 }
 
 // forward runs the full forward pass over a scaled feature series on the
@@ -264,7 +249,7 @@ func (e *Expert) forward(ws *layers.Workspace, x [][]float64, peers *peerStates)
 	t := ws.Eval
 	attn := make([]float64, e.Hidden) // a window's context; zero without peers
 	var ctx []float64                 // the contexts of every block, each laid out as the op forms it
-	if e.UseAttention && len(e.Attn.Peers) > 0 && peers != nil {
+	if len(e.Attn.Peers) > 0 && peers != nil {
 		ctx = make([]float64, len(x)*e.Hidden)
 		for from := 0; from < len(x); from += peers.BlockLen {
 			t.Reset()

@@ -71,45 +71,37 @@ func TestExpertHiddenStatesShape(t *testing.T) {
 // TestFrozenPassesMatchTape: the off-tape trajectory (Expert.trajectory, the
 // one pass the engine, phase B and the oracle's peer states run, each at its
 // own block length) must keep the bits of the tape recurrence walk records
-// and of Dense.Apply on each masked input — at every block length, with the
-// mask and the bypass each on and off, over a series that crosses the
-// boundaries of every block length but the longest.
+// and of Dense.Apply on each masked input — at every block length, over a
+// series that crosses the boundaries of every block length but the longest.
 func TestFrozenPassesMatchTape(t *testing.T) {
 	x := seriesOf(7, 2*layers.BlockWindows+6)
 	blockLens := []int{1, 3, 4, layers.BlockWindows, DefaultConfig().ChunkLen, len(x), len(x) + 5}
-	for _, useMask := range []bool{true, false} {
-		for _, useBypass := range []bool{true, false} {
-			cfg := DefaultConfig()
-			cfg.Hidden, cfg.UseMask, cfg.LinearBypass = 5, useMask, useBypass
-			e := newTestExpert(cfg, 7, nil)
-			for i := range e.Mask.M.Data {
-				e.Mask.M.Data[i] = float64(i%3) - 1
+	cfg := DefaultConfig()
+	cfg.Hidden = 5
+	e := newTestExpert(cfg, 7, nil)
+	for i := range e.Mask.M.Data {
+		e.Mask.M.Data[i] = float64(i%3) - 1
+	}
+	copy(e.Bypass.B.Data, []float64{0.1, -0.2, 0.3})
+	ws := newWorkspace()
+	for _, blockLen := range blockLens {
+		s := newSlab(x, 1, 7, cfg.Hidden, blockLen)
+		e.trajectory(ws, s, 0)
+		traj := make([]float64, cfg.Hidden)
+		e.walk(ws, x, func(i int, h, xt *ad.Value) {
+			s.State(traj, 0, i)
+			for j := range h.Data {
+				if math.Float64bits(traj[j]) != math.Float64bits(h.Data[j]) {
+					t.Fatalf("blocks of %d, window %d: state %d = %v, the tape's %v", blockLen, i, j, traj[j], h.Data[j])
+				}
 			}
-			copy(e.Bypass.B.Data, []float64{0.1, -0.2, 0.3})
-			ws := newWorkspace()
-			for _, blockLen := range blockLens {
-				s := newSlab(x, 1, 7, cfg.Hidden, blockLen)
-				e.trajectory(ws, s, 0)
-				traj := make([]float64, cfg.Hidden)
-				e.walk(ws, x, func(i int, h, xt *ad.Value) {
-					s.State(traj, 0, i)
-					for j := range h.Data {
-						if math.Float64bits(traj[j]) != math.Float64bits(h.Data[j]) {
-							t.Fatalf("mask %v bypass %v blocks of %d, window %d: state %d = %v, the tape's %v", useMask, useBypass, blockLen, i, j, traj[j], h.Data[j])
-						}
-					}
-					if !useBypass {
-						return
-					}
-					want := e.Bypass.Apply(ws.Eval, xt).Data
-					for j, got := range s.Bypass(0)[3*i : 3*i+3] {
-						if math.Float64bits(got) != math.Float64bits(want[j]) {
-							t.Fatalf("mask %v blocks of %d, window %d: bypass %d = %v, Dense.Apply's %v", useMask, blockLen, i, j, got, want[j])
-						}
-					}
-				})
+			want := e.Bypass.Apply(ws.Eval, xt).Data
+			for j, got := range s.Bypass(0)[3*i : 3*i+3] {
+				if math.Float64bits(got) != math.Float64bits(want[j]) {
+					t.Fatalf("blocks of %d, window %d: bypass %d = %v, Dense.Apply's %v", blockLen, i, j, got, want[j])
+				}
 			}
-		}
+		})
 	}
 }
 

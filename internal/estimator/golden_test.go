@@ -104,8 +104,9 @@ func goldenRun(t *testing.T, hidden int, pairs []app.Pair) (map[string][]float64
 }
 
 // TestGoldenDeterminismCapture prints the current loss bits and prediction
-// hashes in the literal form embedded below; run with -v to refresh the
-// goldens after an intentional numeric change.
+// hashes in the literal form embedded below (and the pinned ablations', in
+// pinned_test.go); run with -v to refresh the goldens after an intentional
+// numeric change.
 func TestGoldenDeterminismCapture(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("capture helper; run with -v to print goldens")
@@ -121,30 +122,41 @@ func TestGoldenDeterminismCapture(t *testing.T) {
 				denseModels(t)
 			}
 			losses, preds := goldenRun(t, g.hidden, g.pairs)
-			keys := make([]string, 0, len(losses))
-			for k := range losses {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				line := fmt.Sprintf("%q: {", k)
-				for i, v := range losses[k] {
-					if i > 0 {
-						line += ", "
-					}
-					line += fmt.Sprintf("0x%016x", math.Float64bits(v))
-				}
-				t.Logf("%s},", line)
-			}
-			pk := make([]string, 0, len(preds))
-			for k := range preds {
-				pk = append(pk, k)
-			}
-			sort.Strings(pk)
-			for _, k := range pk {
-				t.Logf("%q: 0x%016x,", k, preds[k])
-			}
+			logGoldens(t, losses, preds)
 		})
+	}
+	for _, a := range pinnedAblations {
+		t.Run(a.name, func(t *testing.T) {
+			losses, preds := pinnedRun(t, a.cfg, a.pin, a.pinned)
+			logGoldens(t, losses, preds)
+		})
+	}
+}
+
+// logGoldens logs a run's losses and hashes as Go literals.
+func logGoldens(t *testing.T, losses map[string][]float64, preds map[string]uint64) {
+	keys := make([]string, 0, len(losses))
+	for k := range losses {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		line := fmt.Sprintf("%q: {", k)
+		for i, v := range losses[k] {
+			if i > 0 {
+				line += ", "
+			}
+			line += fmt.Sprintf("0x%016x", math.Float64bits(v))
+		}
+		t.Logf("%s},", line)
+	}
+	pk := make([]string, 0, len(preds))
+	for k := range preds {
+		pk = append(pk, k)
+	}
+	sort.Strings(pk)
+	for _, k := range pk {
+		t.Logf("%q: 0x%016x,", k, preds[k])
 	}
 }
 
@@ -427,6 +439,13 @@ func checkGoldenRun(t *testing.T, hidden int, pairs []app.Pair, goldenLosses map
 		}
 	}
 
+	compareGoldens(t, losses, preds, goldenLosses, goldenPredictions)
+}
+
+// compareGoldens holds a run's losses and hashes to recorded ones, bit for
+// bit, on amd64.
+func compareGoldens(t *testing.T, losses map[string][]float64, preds map[string]uint64, goldenLosses map[string][]uint64, goldenPredictions map[string]uint64) {
+	t.Helper()
 	// The recorded goldens encode exact amd64 arithmetic; other
 	// architectures may legally differ (e.g. fused multiply-add).
 	if runtime.GOARCH != "amd64" {

@@ -49,12 +49,11 @@ type Engine struct {
 	hidden    int // GRU width, uniform across experts
 	scalerMax []float64
 	experts   []expertView
-	// heads are the experts' pass-two operands, in expert order: a head
-	// attends when its row of attn is formed; otherwise its context stays +0.
+	// heads are the experts' pass-two operands, in expert order.
 	heads []layers.PanelExpert
 	// attn is the P×P attention matrix: row i holds expert i's α at its
 	// peers' columns and +0 everywhere else, its own column included; nil
-	// when no expert attends.
+	// for a model of one expert, which has no peers: its context stays +0.
 	attn []float64
 
 	pool    *Pool
@@ -71,9 +70,9 @@ type Engine struct {
 // own layers, inputs or the Data of its Params.
 type expertView struct {
 	inputs []int     // the features the expert reads (estimator.Expert.Inputs)
-	mask   []float64 // σ(m) gate, one float an input, of one engine-owned slab; nil when the mask is off
+	mask   []float64 // σ(m) gate, one float an input, of one engine-owned slab
 	cell   *layers.GRUCell
-	bypass *layers.Dense // nil when the bypass is off
+	bypass *layers.Dense
 	scale  estimator.TargetScale
 }
 
@@ -133,7 +132,6 @@ func Compile(m *estimator.Model) (*Engine, error) {
 	for i, p := range m.Pairs {
 		names[i] = p.String()
 	}
-	attnActive := m.Cfg.UseAttention && P > 1
 
 	e := &Engine{
 		pairs:     append([]app.Pair(nil), m.Pairs...),
@@ -152,7 +150,7 @@ func Compile(m *estimator.Model) (*Engine, error) {
 	// values.
 	gates := 0
 	for _, p := range m.Pairs {
-		if ex := m.Experts[p]; ex != nil && ex.UseMask {
+		if ex := m.Experts[p]; ex != nil {
 			gates += len(ex.Inputs)
 		}
 	}
@@ -181,28 +179,23 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		if ex.Head == nil || ex.Head.In != 2*e.hidden || ex.Head.Out != 3 {
 			return nil, fmt.Errorf("infer: %s: unexpected head shape", p)
 		}
-		if ex.UseMask {
-			if ex.Mask == nil || len(ex.Mask.M.Data) != ex.InDim {
-				return nil, fmt.Errorf("infer: %s: unexpected mask shape", p)
-			}
-			at := len(masks)
-			for _, v := range ex.Mask.M.Data {
-				// The tape recomputes σ(m) every step; the values are
-				// identical, so computing the gate once is bit-safe.
-				masks = append(masks, ad.Logistic(v))
-			}
-			view.mask = masks[at:len(masks):len(masks)]
+		if ex.Mask == nil || len(ex.Mask.M.Data) != ex.InDim {
+			return nil, fmt.Errorf("infer: %s: unexpected mask shape", p)
 		}
-		if ex.UseBypass {
-			if ex.Bypass == nil || ex.Bypass.In != ex.InDim || ex.Bypass.Out != 3 {
-				return nil, fmt.Errorf("infer: %s: unexpected bypass shape", p)
-			}
-			view.bypass = ex.Bypass
+		if ex.Bypass == nil || ex.Bypass.In != ex.InDim || ex.Bypass.Out != 3 {
+			return nil, fmt.Errorf("infer: %s: unexpected bypass shape", p)
 		}
+		at := len(masks)
+		for _, v := range ex.Mask.M.Data {
+			// The tape recomputes σ(m) every step; the values are
+			// identical, so computing the gate once is bit-safe.
+			masks = append(masks, ad.Logistic(v))
+		}
+		view.mask = masks[at:len(masks):len(masks)]
 		view.scale = *ts
-		view.inputs, view.cell = ex.Inputs, ex.Cell
-		e.heads[i] = layers.PanelExpert{Row: i, HeadW: ex.Head.W.Data, HeadB: ex.Head.B.Data, Bypass: ex.UseBypass}
-		if attnActive && ex.UseAttention {
+		view.inputs, view.cell, view.bypass = ex.Inputs, ex.Cell, ex.Bypass
+		e.heads[i] = layers.PanelExpert{Row: i, HeadW: ex.Head.W.Data, HeadB: ex.Head.B.Data}
+		if P > 1 {
 			if ex.Attn == nil || len(ex.Attn.Peers) != P-1 || len(ex.Attn.Alpha.Data) != P-1 {
 				return nil, fmt.Errorf("infer: %s: attention weights are not one per other pair", p)
 			}
@@ -222,7 +215,6 @@ func Compile(m *estimator.Model) (*Engine, error) {
 				e.attn = make([]float64, P*P)
 			}
 			ad.AttentionRow(e.attn[i*P:(i+1)*P], ex.Attn.Alpha.Data, i)
-			e.heads[i].Attends = true
 		}
 	}
 	return e, nil

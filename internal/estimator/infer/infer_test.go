@@ -267,40 +267,6 @@ func TestCompileRefusesPeersOutOfOrder(t *testing.T) {
 	attn.Peers, attn.Alpha.Data = peers, alpha
 }
 
-// TestEngineMixedAttention: in a hand-assembled model where one expert does
-// not attend, that expert's context stays +0 beside panel neighbours whose
-// contexts are formed, and every float still equals the tape's.
-func TestEngineMixedAttention(t *testing.T) {
-	_, _, run := testutil.ToyTelemetry(t, 1, 30, 13)
-	cfg := estimator.DefaultConfig()
-	cfg.Epochs, cfg.AttentionEpochs, cfg.ChunkLen = 1, 1, 24
-	m, _, err := estimator.TrainWarm(run.Windows, run.Usage, cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Pairs) < 3 {
-		t.Fatalf("need three experts, have %d", len(m.Pairs))
-	}
-	m.Experts[m.Pairs[1]].UseAttention = false
-	eng, err := infer.Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := m.Space.ExtractSeries(run.Windows[:testutil.ToyDay])
-	want, err := m.PredictVectors(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetPool(nil) // one work area serves every expert of the panel in turn
-	for i := 0; i < 2; i++ {
-		got, err := eng.Predict(series)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, fmt.Sprintf("mixed attention, read %d", i), want, got)
-	}
-}
-
 // TestEngineRefusesNonFiniteFeature: a NaN or infinite feature is an error
 // from Predict, PredictInto and PredictBatch alike, never an estimate.
 func TestEngineRefusesNonFiniteFeature(t *testing.T) {
@@ -341,7 +307,7 @@ func TestEngineRefusesNonFiniteFeature(t *testing.T) {
 // bit: GRU widths below, at and between the 4- and 16-row rungs (the toy's
 // 4, the fleet smoke's 6, the golden's 7, 20 = 16 + 4, 39 = 2×16 + 4 + 3,
 // whose U has a column tail too) and the paper's 128, and a one-expert
-// model, whose attention is off and whose context stays zero — each over
+// model, which has no peers and whose context stays zero — each over
 // series on the boundaries of the window kernel's lanes and the engine's
 // blocks: a one-window series packs U's panels and never reads them, a
 // 50-window one reads them across a block boundary. An empty series must
@@ -359,21 +325,18 @@ func TestEngineEdgeShapes(t *testing.T) {
 		name   string
 		hidden int
 		usage  map[app.Pair][]float64
-		bare   bool // no mask, no bypass: the products read the request's input as it lies
 	}{
-		{"hidden=4", 4, run.Usage, false},
-		{"hidden=6", 6, run.Usage, false},
-		{"hidden=7", 7, run.Usage, false},
-		{"hidden=20", 20, run.Usage, false},
-		{"hidden=39", 39, run.Usage, false},
-		{"hidden=128", 128, run.Usage, false},
-		{"one-expert", 16, one, false},
-		{"no-mask-no-bypass", 4, run.Usage, true},
+		{"hidden=4", 4, run.Usage},
+		{"hidden=6", 6, run.Usage},
+		{"hidden=7", 7, run.Usage},
+		{"hidden=20", 20, run.Usage},
+		{"hidden=39", 39, run.Usage},
+		{"hidden=128", 128, run.Usage},
+		{"one-expert", 16, one},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := estimator.DefaultConfig()
 			cfg.Hidden = c.hidden
-			cfg.UseMask, cfg.LinearBypass = !c.bare, !c.bare
 			cfg.Epochs = 1
 			cfg.AttentionEpochs = 1
 			cfg.ChunkLen = 24

@@ -41,8 +41,8 @@ func (j *job) run() {
 	}
 }
 
-// NewPool starts a pool of n workers (n < 1 means GOMAXPROCS). Close stops
-// them.
+// NewPool starts a pool of n workers (n < 1 means GOMAXPROCS). There is no
+// way to stop them: the workers live as long as the process.
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)

@@ -82,6 +82,8 @@ func FuzzLoadModel(f *testing.F) {
 	if err := gob.NewDecoder(r).Decode(&h); err != nil {
 		f.Fatal(err)
 	}
+	off := h
+	off.UseMask = false
 	h.Paths, h.ScalerMax = append(h.Paths, "Gateway:x→Service:y"), append(h.ScalerMax, 1)
 	buf.Reset()
 	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
@@ -92,6 +94,17 @@ func FuzzLoadModel(f *testing.F) {
 	}
 	if _, err := estimator.Load(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "EOF") {
 		f.Fatalf("a header that widens an expert past the stream: %v", err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	// A header from when an expert's mask could be switched off: refused,
+	// naming the flag.
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(off); err != nil {
+		f.Fatal(err)
+	}
+	buf.Write(stream[header:])
+	if _, err := estimator.Load(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "UseMask false") {
+		f.Fatalf("a header with the mask switched off: %v", err)
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
 	windows := run.Windows[:4]

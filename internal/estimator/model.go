@@ -42,14 +42,6 @@ type Config struct {
 	ClipNorm float64
 	// Seed drives parameter initialisation and chunk shuffling.
 	Seed int64
-	// UseMask enables the API-aware mask (ablation: false freezes the
-	// gate fully open).
-	UseMask bool
-	// UseAttention enables the cross-component attention mechanism.
-	UseAttention bool
-	// LinearBypass enables the linear input→output skip connection that
-	// lets the bounded recurrent state extrapolate to unseen scales.
-	LinearBypass bool
 	// MaskL1 penalises open mask gates (λ·Σ σ(m)), pressuring each
 	// expert to admit only the invocation paths that actually explain
 	// its resource. Different APIs share the diurnal shape, so without
@@ -122,9 +114,6 @@ func DefaultConfig() Config {
 		LR:              0.01,
 		ClipNorm:        5,
 		Seed:            1,
-		UseMask:         true,
-		UseAttention:    true,
-		LinearBypass:    true,
 		MaskL1:          0.002,
 		BypassL1:        0.0005,
 	}
@@ -331,7 +320,7 @@ func (m *Model) train(x [][]float64, targets map[app.Pair][]float64, cfg Config)
 	// expert's hidden trajectory — and therefore every peer state — is
 	// exactly what inference will see. (Fine-tuning the trunks here
 	// would invalidate the peer states the attention was fitted to.)
-	if cfg.UseAttention && cfg.AttentionEpochs > 0 && len(m.Pairs) > 1 {
+	if cfg.AttentionEpochs > 0 && len(m.Pairs) > 1 {
 		end = stage(StagePeerStates)
 		hidden, err := m.allHiddenStates(x, cfg.ChunkLen)
 		end()
@@ -422,7 +411,7 @@ func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float6
 				// chunk's Adam step left.
 				h, from = tape.Const(zero), t
 				ws.Block.Panels.Reset(e.Hidden)
-				ws.Block.Form(e.Cell, e.Inputs, e.mask(), x[t:min(t+cfg.ChunkLen, len(x))])
+				ws.Block.Form(e.Cell, e.Inputs, ws.Block.Gate(e.Mask), x[t:min(t+cfg.ChunkLen, len(x))])
 			}
 			h, xt = e.step(ws, tape, x[t], t-from, h)
 			for j := range tgt {
@@ -433,7 +422,10 @@ func trainExpert(ws *layers.Workspace, e *Expert, x [][]float64, target []float6
 		AfterBackward: func() { e.addRegularizationGrads(cfg) },
 		Epoch:         progress(cfg, PhaseTrain, epochs, func(int) app.Pair { return e.Pair }),
 	}
-	run := layers.Run{Name: e.Pair.String(), Params: e.Params(), Rates: e.rates(), Rng: rand.New(rand.NewSource(seed))}
+	params, rates := e.trained()
+	ad.BindGrads(nil, e.frozen) // the tape adds to their gradients; no step reads them
+	defer ad.UnbindGrads(e.frozen)
+	run := layers.Run{Name: e.Pair.String(), Params: params, Rates: rates, Rng: rand.New(rand.NewSource(seed))}
 	if err := ws.Train([]layers.Run{run}, c); err != nil {
 		return fmt.Errorf("estimator: %w", err)
 	}
@@ -457,40 +449,34 @@ func progress(cfg Config, phase string, epochs int, pair func(r int) app.Pair) f
 }
 
 // trainAttention runs phase B over the frozen trajectories in slab: the
-// experts that attend, in training order, cut into panels of
-// layers.PanelExperts, one ForEach job each.
+// experts in training order, cut into panels of layers.PanelExperts, one
+// ForEach job each.
 func (m *Model) trainAttention(slab *layers.Slab, targets map[app.Pair][]float64, cfg Config, q []float64) error {
-	var attend []int
-	for i, p := range m.Pairs {
-		if e := m.Experts[p]; e.UseAttention && len(e.Attn.Peers) > 0 {
-			attend = append(attend, i)
-		}
-	}
-	panels := (len(attend) + layers.PanelExperts - 1) / layers.PanelExperts
+	P := len(m.Pairs)
+	panels := (P + layers.PanelExperts - 1) / layers.PanelExperts
 	return layers.ForEach(panels, func(k int, ws *layers.Workspace) error {
-		return m.trainHeads(ws, attend[k*layers.PanelExperts:min((k+1)*layers.PanelExperts, len(attend))], slab, targets, cfg, q)
+		return m.trainHeads(ws, k*layers.PanelExperts, min((k+1)*layers.PanelExperts, P), slab, targets, cfg, q)
 	})
 }
 
-// trainHeads runs phase B for a panel of experts, the ones at idx in training
-// order: with the recurrent trunks, masks and bypasses frozen — their
+// trainHeads runs phase B for a panel of experts, those from i0 up to i1 in
+// training order: with the recurrent trunks, masks and bypasses frozen — their
 // trajectories and bypass outputs already in the slab, cut at the chunk
 // length — it fits only each one's attention weights α and output head V,
 // the panel in lockstep (layers.Workspace.FitHeads), expert i's chunk order
 // drawn from cfg.Seed+1000+i.
-func (m *Model) trainHeads(ws *layers.Workspace, idx []int, slab *layers.Slab, targets map[app.Pair][]float64, cfg Config, q []float64) error {
-	heads := make([]layers.Head, len(idx))
-	for j, i := range idx {
-		p := m.Pairs[i]
+func (m *Model) trainHeads(ws *layers.Workspace, i0, i1 int, slab *layers.Slab, targets map[app.Pair][]float64, cfg Config, q []float64) error {
+	heads := make([]layers.Head, 0, i1-i0)
+	for i, p := range m.Pairs[i0:i1] {
 		e := m.Experts[p]
-		heads[j] = layers.Head{
-			Name: p.String(), Rng: rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i))), Row: i,
-			Alpha: e.Attn.Alpha, W: e.Head.W, B: e.Head.B, Bypass: e.UseBypass, Target: targets[p],
-		}
+		heads = append(heads, layers.Head{
+			Name: p.String(), Rng: rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i0+i))), Row: i0 + i,
+			Alpha: e.Attn.Alpha, W: e.Head.W, B: e.Head.B, Target: targets[p],
+		})
 	}
 	c := layers.Chunks{
 		Epochs: cfg.AttentionEpochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
-		Epoch: progress(cfg, PhaseAttention, cfg.AttentionEpochs, func(r int) app.Pair { return m.Pairs[idx[r]] }),
+		Epoch: progress(cfg, PhaseAttention, cfg.AttentionEpochs, func(r int) app.Pair { return m.Pairs[i0+r] }),
 	}
 	if err := ws.FitHeads(slab, q, heads, c); err != nil {
 		return fmt.Errorf("estimator: %w", err)
@@ -501,14 +487,14 @@ func (m *Model) trainHeads(ws *layers.Workspace, idx []int, slab *layers.Slab, t
 // addRegularizationGrads adds the L1 attribution penalties' gradients on
 // top of the loss gradients accumulated by backprop.
 func (e *Expert) addRegularizationGrads(cfg Config) {
-	if cfg.MaskL1 > 0 && e.UseMask {
+	if cfg.MaskL1 > 0 {
 		m := e.Mask.M
 		for i, v := range m.Data {
 			s := ad.Logistic(v)
 			m.Grad[i] += cfg.MaskL1 * s * (1 - s)
 		}
 	}
-	if cfg.BypassL1 > 0 && e.UseBypass {
+	if cfg.BypassL1 > 0 {
 		w := e.Bypass.W
 		for i, v := range w.Data {
 			switch {
@@ -531,7 +517,7 @@ func (m *Model) PredictVectors(series []features.Vector) (map[app.Pair]Estimate,
 	raw := features.Matrix(series)
 	x := m.FeatScaler.Apply(raw)
 	var hidden *layers.Slab
-	if m.Cfg.UseAttention && len(m.Pairs) > 1 {
+	if len(m.Pairs) > 1 {
 		var err error
 		hidden, err = m.allHiddenStates(x, layers.BlockWindows)
 		if err != nil {

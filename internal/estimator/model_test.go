@@ -390,7 +390,7 @@ func TestTrainRefusesNonFiniteLoss(t *testing.T) {
 	q := loss.Quantiles(cfg.Delta)
 	before := append([]float64(nil), m.Experts[m.Pairs[0]].Head.W.Data...)
 	cfg.AttentionEpochs, cfg.Seed = 1, 1-1000 // expert 0's chunk order from seed 1
-	err = m.trainHeads(newWorkspace(), []int{0}, hidden, targets, cfg, q[:])
+	err = m.trainHeads(newWorkspace(), 0, 1, hidden, targets, cfg, q[:])
 	if err == nil || !strings.Contains(err.Error(), m.Pairs[0].String()) {
 		t.Fatalf("phase B over a NaN peer state: err = %v", err)
 	}

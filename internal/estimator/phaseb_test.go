@@ -32,9 +32,7 @@ func trainExpertHeadTape(ws *layers.Workspace, e *Expert, target []float64, peer
 			}
 			peers.State(h, peers.self, t)
 			y := e.Head.Apply(tape, tape.Concat(tape.Column(ctx, t-from), tape.Const(h)))
-			if e.UseBypass {
-				y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
-			}
+			y = tape.Add(y, tape.Const(bypass[3*t:3*t+3]))
 			for j := range tgt {
 				tgt[j] = target[t]
 			}

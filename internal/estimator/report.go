@@ -25,7 +25,7 @@ func (m *Model) Summary(w io.Writer) {
 		}
 		open, total := maskOpenness(e)
 		fmt.Fprintf(w, ", mask %d/%d gates open", open, total)
-		if peers := m.AttentionReport(p, 2); len(peers) > 0 && e.UseAttention {
+		if peers := m.AttentionReport(p, 2); len(peers) > 0 {
 			fmt.Fprintf(w, ", listens to")
 			for _, pw := range peers {
 				fmt.Fprintf(w, " %s(%+.3f)", pw.Peer, pw.Alpha)

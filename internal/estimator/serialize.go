@@ -19,8 +19,8 @@ import (
 // saved models), drops volatile state (loggers, training knobs), and
 // rebuilds the expert wiring on load. It is a gob modelHeader, which states
 // every fact but the weights once — feature paths, pairs in training order
-// with their components as the paths spell them, width, switches, target
-// scales — then, per pair in header order, the little-endian float64 bits of
+// with their components as the paths spell them, width, target scales — then,
+// per pair in header order, the little-endian float64 bits of
 // the expert's parameters in Params order, unframed: each expert's inputs
 // (the paths that visit its component), shapes, parameter names and peers
 // follow from the header. Neither side ever holds more than one expert's
@@ -33,6 +33,9 @@ type targetScaleGob struct {
 	Base  float64
 }
 
+// The header's three flags are from when an expert's mask, attention and
+// bypass could each be switched off. There is one architecture now: Save
+// writes them true, and Load refuses a stream that has one false.
 type modelHeader struct {
 	Version      int
 	Hidden       int
@@ -62,9 +65,9 @@ func (m *Model) Save(w io.Writer) error {
 		Version:      snapshotVersion,
 		Hidden:       m.Cfg.Hidden,
 		Delta:        m.Cfg.Delta,
-		UseMask:      m.Cfg.UseMask,
-		UseAttention: m.Cfg.UseAttention,
-		LinearBypass: m.Cfg.LinearBypass,
+		UseMask:      true,
+		UseAttention: true,
+		LinearBypass: true,
 		Paths:        m.Space.Paths(),
 		ScalerMax:    m.FeatScaler.Max,
 		Pairs:        m.Pairs,
@@ -121,6 +124,10 @@ func Load(r io.Reader) (*Model, error) {
 	if h.Version != snapshotVersion {
 		return nil, fmt.Errorf("estimator: unsupported model version %d (want %d)", h.Version, snapshotVersion)
 	}
+	if !h.UseMask || !h.UseAttention || !h.LinearBypass {
+		return nil, fmt.Errorf("estimator: unsupported model: UseMask %v, UseAttention %v, LinearBypass %v (every expert has its mask, attention and bypass)",
+			h.UseMask, h.UseAttention, h.LinearBypass)
+	}
 	space := features.RestoreSpace(h.Paths)
 	dim := space.Dim()
 	if len(h.Pairs) == 0 || len(h.Scales) != len(h.Pairs) || len(h.Components) != len(h.Pairs) || h.Hidden <= 0 ||
@@ -141,9 +148,6 @@ func Load(r io.Reader) (*Model, error) {
 	cfg := DefaultConfig()
 	cfg.Hidden = h.Hidden
 	cfg.Delta = h.Delta
-	cfg.UseMask = h.UseMask
-	cfg.UseAttention = h.UseAttention
-	cfg.LinearBypass = h.LinearBypass
 	m := &Model{
 		Cfg:          cfg,
 		Space:        space,
@@ -195,7 +199,7 @@ func Load(r io.Reader) (*Model, error) {
 		for _, par := range ps {
 			off += copy(par.Data, vals[off:])
 		}
-		m.Experts[p] = expertOf(p, h.Components[i], inputs, len(h.Paths), h.Hidden, peers, ps, h.UseMask, h.UseAttention, h.LinearBypass)
+		m.Experts[p] = expertOf(p, h.Components[i], inputs, len(h.Paths), h.Hidden, peers, ps)
 		m.TargetScales[p] = &TargetScale{Kind: targetKind(sc.Kind), Scale: sc.Scale, Base: sc.Base}
 	}
 	return m, nil

@@ -96,7 +96,7 @@ func TestLoadRefusesEveryProperPrefix(t *testing.T) {
 
 // The layouts before format 3, as they were written: version 1 was one gob
 // value holding every expert, version 2 a header and one gob value per
-// expert, each naming its pair, shapes, peers and switches.
+// expert, each naming its pair, shapes and peers.
 type paramV2 struct {
 	Name       string
 	Rows, Cols int
@@ -104,11 +104,10 @@ type paramV2 struct {
 }
 
 type expertV2 struct {
-	Pair                             app.Pair
-	InDim, Hidden                    int
-	Peers                            []string
-	Params                           []paramV2
-	UseMask, UseAttention, UseBypass bool
+	Pair          app.Pair
+	InDim, Hidden int
+	Peers         []string
+	Params        []paramV2
 }
 
 // TestLoadRefusesOldVersions pins the migration story: a stream in any older
@@ -134,8 +133,7 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 	v2 := []any{h}
 	for _, p := range m.Pairs {
 		e := m.Experts[p]
-		eg := expertV2{Pair: p, InDim: e.InDim, Hidden: e.Hidden, Peers: e.Attn.Peers,
-			UseMask: e.UseMask, UseAttention: e.UseAttention, UseBypass: e.UseBypass}
+		eg := expertV2{Pair: p, InDim: e.InDim, Hidden: e.Hidden, Peers: e.Attn.Peers}
 		for _, par := range e.Params() {
 			eg.Params = append(eg.Params, paramV2{Name: par.Name, Rows: par.Rows, Cols: par.Cols, Data: par.Data})
 		}
@@ -153,6 +151,22 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 		want := fmt.Sprintf("unsupported model version %d (want 4)", version)
 		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Load of a v%d stream: %v, want %q", version, err, want)
+		}
+	}
+}
+
+// TestLoadRefusesSwitchedOffParts: a format-4 header whose mask, attention
+// or bypass flag is false is from when each could be switched off. Every
+// expert has all three now, so such a stream is refused, naming the flag.
+func TestLoadRefusesSwitchedOffParts(t *testing.T) {
+	_, stream := toyStream(t)
+	for flag, edit := range map[string]func(*modelHeader){
+		"UseMask false":      func(h *modelHeader) { h.UseMask = false },
+		"UseAttention false": func(h *modelHeader) { h.UseAttention = false },
+		"LinearBypass false": func(h *modelHeader) { h.LinearBypass = false },
+	} {
+		if _, err := Load(bytes.NewReader(reheader(t, stream, edit))); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("Load of a stream with %s: %v", flag, err)
 		}
 	}
 }

@@ -31,11 +31,10 @@ func TestDiagAttribution(t *testing.T) {
 		mod  func(c *estimator.Config)
 	}{
 		{"default", func(c *estimator.Config) {}},
-		{"noAttn", func(c *estimator.Config) { c.AttentionEpochs = 0; c.UseAttention = false }},
+		{"noAttn", func(c *estimator.Config) { c.AttentionEpochs = 0 }},
 		{"noL1", func(c *estimator.Config) { c.MaskL1 = 0; c.BypassL1 = 0 }},
 		{"strongL1", func(c *estimator.Config) { c.MaskL1 = 0.01; c.BypassL1 = 0.002 }},
 		{"epochs60", func(c *estimator.Config) { c.Epochs = 60 }},
-		{"noGRUskip", func(c *estimator.Config) { c.LinearBypass = false }},
 		{"bypassOnlyIsh", func(c *estimator.Config) { c.Hidden = 4 }},
 	} {
 		l := &Lab{

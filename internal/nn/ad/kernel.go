@@ -98,12 +98,12 @@ func (g *GRUParams) forward(wx []float64, stride, col int, h, z, k, kh, c, out [
 // tp floats, time-minor; see WindowDots). The cell's input k is row rows[k]
 // of xT: the rows are gathered into xm and each gated there, x̃[k] =
 // gate[k]·x[k] (the mask's σ(m) ⊙ x), in one pass (gateRows); with no row
-// list the products read xT's first In rows where they lie, ungated. tp must
-// be a multiple of four. It returns the input the products read. A cell of
-// no inputs gets +0 products: the sum of nothing.
+// list and no gate the products read xT's first In rows where they lie. tp
+// must be a multiple of four. It returns the input the products read. A cell
+// of no inputs gets +0 products: the sum of nothing.
 func (g *GRUParams) InputProducts(wx, xm, xT []float64, rows []int, gate []float64, tp int) []float64 {
 	hid, in := g.Wz.Rows, g.Wz.Cols
-	if rows == nil && len(gate) > 0 || rows != nil && len(rows) != in {
+	if rows == nil && len(gate) > 0 || rows != nil && (len(rows) != in || len(gate) != in) {
 		panic(fmt.Sprintf("ad: InputProducts: %d rows and %d gates for a cell of %d inputs", len(rows), len(gate), in))
 	}
 	if rows != nil {

@@ -553,9 +553,8 @@ func TestMatVecMatchesRowDots(t *testing.T) {
 
 // checkGateRows holds gateRows, on the selected implementation, to its loop
 // — x̃[k·tp+t] = gate[k]·x[r_k·tp+t], r_k row k's source — bit for bit, over
-// every row in order and every other row backwards, with and without a gate,
-// over rows of T windows padded to the lanes, and requires a window count
-// off the lanes to panic.
+// every row in order and every other row backwards, over rows of T windows
+// padded to the lanes, and requires a window count off the lanes to panic.
 func checkGateRows(t *testing.T, rows, T, off int, rng *rand.Rand, vals []float64, oneIn int) {
 	t.Helper()
 	tp := (T + 3) &^ 3
@@ -570,14 +569,11 @@ func checkGateRows(t *testing.T, rows, T, off int, rng *rand.Rand, vals []float6
 		name string
 		src  []int
 		gate []float64
-	}{{"every row", every(rows), gate}, {"gathered", picked, gate[:len(picked)]}, {"gathered ungated", picked, nil}} {
+	}{{"every row", every(rows), gate}, {"gathered", picked, gate[:len(picked)]}} {
 		want := make([]float64, len(c.src)*tp)
 		for k, r := range c.src {
 			for i, x := range xT[r*tp : (r+1)*tp] {
-				if c.gate != nil {
-					x = c.gate[k] * x
-				}
-				want[k*tp+i] = x
+				want[k*tp+i] = c.gate[k] * x
 			}
 		}
 		// dst sits between four guard floats a side.

@@ -142,8 +142,8 @@ func WindowDots(dst, w, xT []float64, rows, cols, tp int) {
 
 // gateRows gathers rows of a block of windows laid out as WindowDots reads
 // them, tp a multiple of four: row k of dst is row rows[k] of xT times
-// gate[k] — the mask's σ(m) ⊙ x — or as it is when gate is empty. Each float
-// is one product or none, so the bits are the same on either implementation.
+// gate[k] — the mask's σ(m) ⊙ x. Each float is one product, so the bits are
+// the same on either implementation.
 func gateRows(dst, gate, xT []float64, rows []int, tp int) {
 	if tp%4 != 0 {
 		panic("ad: gateRows: window count not padded to a multiple of four")
@@ -153,19 +153,14 @@ func gateRows(dst, gate, xT []float64, rows []int, tp int) {
 	for _, r := range rows {
 		_ = xT[r*tp:][:tp] // the assembly takes bare pointers: a row past xT panics here
 	}
-	switch {
-	case len(gate) == 0:
-		for k, r := range rows {
-			copy(dst[k*tp:][:tp], xT[r*tp:][:tp])
-		}
-	case useAVX2 && n*tp > 0:
+	if useAVX2 && n*tp > 0 {
 		gateRowsAVX2(&dst[0], &gate[:n][0], &xT[0], &rows[0], n, tp)
-	default:
-		for k, r := range rows {
-			m := gate[k]
-			for t, x := range xT[r*tp:][:tp] {
-				dst[k*tp+t] = m * x
-			}
+		return
+	}
+	for k, r := range rows {
+		m := gate[k]
+		for t, x := range xT[r*tp:][:tp] {
+			dst[k*tp+t] = m * x
 		}
 	}
 }

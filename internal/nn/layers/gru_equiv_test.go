@@ -159,7 +159,7 @@ func TestGRUBlockMatchesReference(t *testing.T) {
 				x := mask.Apply(tape, tape.Const(row))
 				if useBlock {
 					if i%block == 0 {
-						blk.Form(g, []int{0, 1, 2, 3, 4, 5}, mask, rows[i:min(i+block, len(rows))])
+						blk.Form(g, []int{0, 1, 2, 3, 4, 5}, blk.Gate(mask), rows[i:min(i+block, len(rows))])
 					}
 					h = blk.Step(tape, g, i%block, x, h)
 				} else {

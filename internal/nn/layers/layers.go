@@ -138,14 +138,12 @@ func Resize[E any](s []E, n int) []E {
 	return s[:n]
 }
 
-// Gate returns σ(m) of mask, as APIMask.Apply gates, in b's buffer, or
-// nothing when mask is nil; the next Gate or Form overwrites it.
+// Gate returns σ(m) of mask, as APIMask.Apply gates, in b's buffer; the
+// next Gate overwrites it.
 func (b *GRUBlock) Gate(mask *APIMask) []float64 {
 	b.gate = b.gate[:0]
-	if mask != nil {
-		for _, m := range mask.M.Data {
-			b.gate = append(b.gate, ad.Logistic(m))
-		}
+	for _, m := range mask.M.Data {
+		b.gate = append(b.gate, ad.Logistic(m))
 	}
 	return b.gate
 }
@@ -154,11 +152,11 @@ func (b *GRUBlock) Gate(mask *APIMask) []float64 {
 // current weights: it lays the rows out as WindowDots reads a series (feature
 // k of window t at k*tp+t, the padding zero) and hands them to
 // ad.GRUParams.InputProducts, which reads the features inputs names, each
-// gated by σ(m) first when mask is not nil, as APIMask.Apply gates it — or,
-// with neither, the rows as they are. The weights must not change before the
+// gated by gate (Gate's σ(m)) first, as APIMask.Apply gates it — or, with
+// neither, the rows as they are. The weights must not change before the
 // block's last Step. It returns the block the products read, which the next
 // Form overwrites.
-func (b *GRUBlock) Form(g *GRUCell, inputs []int, mask *APIMask, rows [][]float64) []float64 {
+func (b *GRUBlock) Form(g *GRUCell, inputs []int, gate []float64, rows [][]float64) []float64 {
 	b.tp = Lanes(len(rows))
 	width := g.In
 	if inputs != nil && len(rows) > 0 {
@@ -173,7 +171,7 @@ func (b *GRUBlock) Form(g *GRUCell, inputs []int, mask *APIMask, rows [][]float6
 			b.x[k*b.tp+t] = v
 		}
 	}
-	return g.InputProducts(b.wx, b.xT, b.x, inputs, b.Gate(mask), b.tp)
+	return g.InputProducts(b.wx, b.xT, b.x, inputs, gate, b.tp)
 }
 
 // Step records g's step on t for window col of the block from x, the tape's
@@ -185,10 +183,10 @@ func (b *GRUBlock) Step(t *ad.Tape, g *GRUCell, col int, x, hPrev *ad.Value) *ad
 }
 
 // Trajectory is the one off-tape trajectory: it writes the states of g over
-// s's series from a zero state into row i of s, and, when bypass is not nil,
-// the bypass output S·x̃ + b. Per block of s it gathers the features inputs
-// names and gates them by gate (σ(m); empty when the mask is off) once —
-// with neither, it reads s's first g.In features as they are — forms the three gates' input products
+// s's series from a zero state into row i of s, and the bypass output
+// S·x̃ + b. Per block of s it gathers the features inputs names and gates
+// them by gate (σ(m)) once — with neither, it reads s's first g.In features
+// as they are — forms the three gates' input products
 // and the bypass products over them, one ad.WindowDots pass each, and runs
 // the block's steps with ad.GRUParams.Step, which touches only U: the first
 // step packs U into b's panels, later ones read them. Form and Step on a tape
@@ -205,14 +203,12 @@ func (b *GRUBlock) Trajectory(s *Slab, i int, g *GRUCell, inputs []int, gate []f
 		b.xT = Resize(b.xT, g.In*tp)
 		b.wx = Resize(b.wx, 3*hid*tp)
 		in := g.InputProducts(b.wx, b.xT, x, inputs, gate, tp)
-		if bypass != nil {
-			b.prod = Resize(b.prod, 3*tp)
-			ad.WindowDots(b.prod, bypass.W.Data, in, 3, g.In, tp)
-			out := s.Bypass(i)[3*b0:]
-			for t := 0; t < n; t++ {
-				for j, bj := range bypass.B.Data {
-					out[3*t+j] = b.prod[j*tp+t] + bj
-				}
+		b.prod = Resize(b.prod, 3*tp)
+		ad.WindowDots(b.prod, bypass.W.Data, in, 3, g.In, tp)
+		out := s.Bypass(i)[3*b0:]
+		for t := 0; t < n; t++ {
+			for j, bj := range bypass.B.Data {
+				out[3*t+j] = b.prod[j*tp+t] + bj
 			}
 		}
 		rows, _, stride := s.Block(b0)

@@ -167,6 +167,7 @@ func TestTrajectoryZeroesReusedPadding(t *testing.T) {
 	const in, hidden, experts, blockLen = 3, 5, 2, 8
 	rng := rand.New(rand.NewSource(7))
 	cells := []*GRUCell{NewGRUCell("a", in, hidden, rng), NewGRUCell("b", in, hidden, rng)}
+	bypass := NewDense("S", in, 3, rng)
 	var s Slab
 	var b GRUBlock
 	for _, steps := range []int{20, 11} {
@@ -178,7 +179,7 @@ func TestTrajectoryZeroesReusedPadding(t *testing.T) {
 			}
 		}
 		for i, g := range cells {
-			b.Trajectory(&s, i, g, nil, nil, nil)
+			b.Trajectory(&s, i, g, nil, nil, bypass)
 		}
 		for b0 := 0; b0 < steps; b0 += blockLen {
 			rows, n, stride := s.Block(b0)

@@ -14,14 +14,10 @@ import (
 const PanelExperts = 4
 
 // PanelExpert is one expert's part in pass two: its trajectory's row of the
-// slab, whether it attends (its row of the panel's attention matrix is
-// formed; otherwise its context stays +0), its head's weights (3 × 2·hidden)
-// and bias, and whether the slab's bypass output is added.
+// slab and its head's weights (3 × 2·hidden) and bias.
 type PanelExpert struct {
 	Row          int
-	Attends      bool
 	HeadW, HeadB []float64
-	Bypass       bool
 }
 
 // Pass is the work area of pass two over one block of a slab: a panel's
@@ -32,43 +28,34 @@ type Pass struct {
 
 // Outputs is pass two, the one routine the engine and phase B form outputs
 // with: over the block of s's windows that starts at b0 it forms the
-// attention contexts of each run of attending experts as one product of their
-// rows of attn (P floats each, in experts order) with the block's
-// trajectories (ad.WindowDots, a lane per window and unit; each context
-// starts at +0 and adds the peers in order, Tape.WeightedSumConst's sum);
-// then per expert its a_t ∥ h_t, copied row by row from the window-minor
-// blocks into a series as WindowDots reads one, and the head over every
-// window in one WindowDots, which sums each as the tape's MatVec does; then
-// the bias and the bypass output, in Expert.stepOutput's operation order.
+// experts' attention contexts as one product of their rows of attn (P floats
+// each, in experts order) with the block's trajectories (ad.WindowDots, a
+// lane per window and unit; each context starts at +0 and adds the peers in
+// order, Tape.WeightedSumConst's sum) — or, with attn nil (a model of one
+// expert), leaves every context +0; then per expert its a_t ∥ h_t, copied
+// row by row from the window-minor blocks into a series as WindowDots reads
+// one, and the head over every window in one WindowDots, which sums each as
+// the tape's MatVec does; then the bias and the slab's bypass output, in
+// Expert.stepOutput's operation order.
 // Expert e's window t goes to out[e*stride+t]. each, when not nil, is handed
 // every expert's index and a_t ∥ h_t block (2·hidden rows of tp floats) after
 // its outputs are written, before the next expert overwrites the block.
 func (p *Pass) Outputs(s *Slab, b0 int, experts []PanelExpert, attn []float64, out [][3]float64, stride int, each func(e int, cat []float64, tp int)) {
 	P, hid := s.Experts, s.Hidden
 	rows, n, ts := s.Block(b0)
-	p.ctx = Resize(p.ctx, len(experts)*ts)
-	for a := 0; a < len(experts); {
-		b := a
-		for b < len(experts) && experts[b].Attends {
-			b++
-		}
-		if b > a {
-			ad.WindowDots(p.ctx[a*ts:], attn[a*P:], rows, b-a, P, ts)
-		}
-		a = b + 1
+	if attn != nil {
+		p.ctx = Resize(p.ctx, len(experts)*ts)
+		ad.WindowDots(p.ctx, attn, rows, len(experts), P, ts)
 	}
 	tp := Lanes(n)
 	p.cat = Resize(p.cat, 2*hid*tp) // unit u of a_t at u·tp+t, of h_t at (hid+u)·tp+t
 	p.head = Resize(p.head, 3*tp)
 	cat := p.cat
-	clear(cat) // the padding lanes stay zero
+	clear(cat) // the padding lanes, and without attn the contexts, stay zero
 	for e := range experts {
 		ex := &experts[e]
-		if !ex.Attends {
-			clear(cat[:hid*tp]) // the context stays +0
-		}
 		for u := 0; u < hid; u++ {
-			if ex.Attends {
+			if attn != nil {
 				copy(cat[u*tp:][:n], p.ctx[e*ts+u*n:])
 			}
 			copy(cat[(hid+u)*tp:][:n], rows[ex.Row*ts+u*n:])
@@ -78,11 +65,7 @@ func (p *Pass) Outputs(s *Slab, b0 int, experts []PanelExpert, attn []float64, o
 		for t := 0; t < n; t++ {
 			tr := &out[e*stride+t]
 			for j := 0; j < 3; j++ {
-				y := p.head[j*tp+t] + ex.HeadB[j]
-				if ex.Bypass {
-					y += byp[3*t+j]
-				}
-				tr[j] = y
+				tr[j] = p.head[j*tp+t] + ex.HeadB[j] + byp[3*t+j]
 			}
 		}
 		if each != nil {
@@ -93,14 +76,12 @@ func (p *Pass) Outputs(s *Slab, b0 int, experts []PanelExpert, attn []float64, o
 
 // Head is one expert of a head fit (Workspace.FitHeads): its name and chunk
 // order's generator, its trajectory's row of the slab, the attention weights
-// α and head V = (W, b) that the fit trains, whether the slab's bypass output
-// is added to its outputs, and its scaled target series.
+// α and head V = (W, b) that the fit trains, and its scaled target series.
 type Head struct {
 	Name        string
 	Rng         *rand.Rand
 	Row         int
 	Alpha, W, B *ad.Param
-	Bypass      bool
 	Target      []float64
 }
 
@@ -179,7 +160,7 @@ func (f *headFit) step(b0 int) {
 	for e, r := range f.group {
 		h := &f.heads[r]
 		ad.AttentionRow(f.attn[e*P:(e+1)*P], h.Alpha.Data, h.Row)
-		f.experts = append(f.experts, PanelExpert{Row: h.Row, Attends: true, HeadW: h.W.Data, HeadB: h.B.Data, Bypass: h.Bypass})
+		f.experts = append(f.experts, PanelExpert{Row: h.Row, HeadW: h.W.Data, HeadB: h.B.Data})
 		f.grads, f.selves = append(f.grads, h.Alpha.Grad), append(f.selves, h.Row)
 	}
 	f.ys = Resize(f.ys, m*n)

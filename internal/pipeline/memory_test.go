@@ -111,6 +111,16 @@ func TestWarmRetrainLeavesServingGenerationUntouched(t *testing.T) {
 	store := toyStore(t, 1, 87)
 	opts := quickOpts()
 	opts.Estimator.AttentionEpochs = 1
+	// Generation 2's phase A starts only once the reader below has served:
+	// the overlap the test is about is certain, whatever the scheduler does
+	// (on one CPU the reader would otherwise not run before the learn ends).
+	var overlap chan struct{}
+	opts.Estimator.Stage = func(stage string) func() {
+		if stage == estimator.StageTrunks && overlap != nil {
+			<-overlap
+		}
+		return func() {}
+	}
 	p, err := New(opts, DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -148,15 +158,20 @@ func TestWarmRetrainLeavesServingGenerationUntouched(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	served := 0
+	overlap = make(chan struct{})
+	var once sync.Once
+	started := func() { once.Do(func() { close(overlap) }) }
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer started() // a reader that gives up must not hold the learn
 		for ctx.Err() == nil {
 			if got := serve(); !bytes.Equal(got, wantEst) {
 				t.Error("generation 1's estimate changed while generation 2 trained")
 				return
 			}
 			served++
+			started()
 		}
 	}()
 	g2, err := p.TrainOnce(0, 0, nil, "scheduled")
