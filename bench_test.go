@@ -272,8 +272,9 @@ func renameOps(s *trace.Span, sfx string) {
 	}
 }
 
-// BenchmarkTrainParallelism compares serial and pooled per-expert training
-// over the full multi-expert toy model: the pool has GOMAXPROCS workers.
+// BenchmarkTrainParallelism compares serial and parallel per-expert training
+// over the full multi-expert toy model: layers.ForEach fans the experts out
+// on GOMAXPROCS goroutines, so each leg sets GOMAXPROCS to its worker count.
 // Experts train from per-expert deterministic seeds, so the worker count
 // changes only the wall-clock, never the resulting model (see
 // estimator.TestTrainParallelismDeterministic).
@@ -281,7 +282,7 @@ func BenchmarkTrainParallelism(b *testing.B) {
 	run := toyTelemetry(b, 2)
 	pooled := runtime.GOMAXPROCS(0)
 	if pooled < 2 {
-		pooled = 2 // still exercise the pool on single-core machines
+		pooled = 2 // still exercise the fan-out on single-core machines
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, pooled} {

@@ -13,9 +13,9 @@ import (
 // was last lowered. A change that needs more raises the constant and names
 // the reason in its CHANGES.md entry; one that frees room may lower it.
 const (
-	goLinesBudget          = 22536 // non-test Go lines outside bench/
+	goLinesBudget          = 22471 // non-test Go lines outside bench/
 	designBytesBudget      = 52303
-	changesBytesBudget     = 61572
+	changesBytesBudget     = 66944
 	readmeBytesBudget      = 36052
 	experimentsBytesBudget = 25623
 )

@@ -56,7 +56,7 @@ type ResourceAware struct {
 }
 
 // TrainResourceAware fits one forecaster per pair on the training series,
-// with DeepRest's training loop, worker pool and target scaling, so the two
+// with DeepRest's training loop, fan-out and target scaling, so the two
 // differ only in what they read. windowsPerDay sets the seasonal period.
 func TrainResourceAware(usage map[app.Pair][]float64, windowsPerDay int, cfg RAConfig) (*ResourceAware, error) {
 	if windowsPerDay <= 0 {

@@ -53,7 +53,7 @@ func raGolden(t *testing.T, hidden int) uint64 {
 }
 
 // TestResourceAwareGolden pins the baseline's forecasts bit for bit: its
-// training shares DeepRest's chunk loop, worker pool and target scaling, and
+// training shares DeepRest's chunk loop, fan-out and target scaling, and
 // any change to those that moves a bit shows here as well as in the
 // estimator's goldens.
 func TestResourceAwareGolden(t *testing.T) {

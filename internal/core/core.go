@@ -286,7 +286,7 @@ func (s *System) EstimateTraffic(t *workload.Traffic) (map[app.Pair]estimator.Es
 }
 
 // EstimateTrafficBatch runs Mode-1 queries for several hypothetical
-// traffics as one engine pass: the closed-loop autoscaler asks "what will
+// traffics, one engine read each: the closed-loop autoscaler asks "what will
 // utilization be?" once per scheduling interval over a slightly different
 // hybrid traffic (realized-so-far plus projected-remainder). The result is
 // bit-identical to calling EstimateTraffic per traffic.

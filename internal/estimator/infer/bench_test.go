@@ -14,7 +14,8 @@ import (
 // telemetry, same training configuration, one day of windows) so ns/op and allocs/op are directly
 // comparable: ModelPredict is the eval-tape baseline, InferPredict is the
 // compiled tape-free engine on the identical computation, InferBatched is
-// the multi-series pass core.EstimateTrafficBatch runs for offline forecasts.
+// the series-by-series batch core.EstimateTrafficBatch runs for offline
+// forecasts.
 
 func benchEngine(b *testing.B) (*infer.Engine, []features.Vector, int) {
 	b.Helper()
@@ -95,7 +96,7 @@ func benchInlineRead(b *testing.B, arg string, hidden, windows int) {
 	}
 }
 
-// BenchmarkInferBatched measures one engine pass over 8 day-long series —
+// BenchmarkInferBatched measures one PredictBatch of 8 day-long series —
 // what core.EstimateTrafficBatch runs for the control loop's forecasts —
 // and reports the effective per-request cost.
 func BenchmarkInferBatched(b *testing.B) {

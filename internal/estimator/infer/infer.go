@@ -10,8 +10,8 @@
 // ~1,300 allocations per predict at toy scale). Here the parameters are
 // read in place — the kernels' slices are the model's Param.Data, a
 // published generation holds its weights once — all per-call state lives
-// in sync.Pool-recycled scratch, and expert passes fan out over a shared
-// bounded worker Pool — a warm predict is near-zero-alloc and orders of
+// in sync.Pool-recycled scratch, and expert passes fan out over the cores
+// (layers.Parallel) — a warm predict is near-zero-alloc and orders of
 // magnitude faster. What the engine derives and owns is small: every
 // expert's σ(m) gate, in one slab, and the attention matrix, the size of the
 // peer-index table it replaces.
@@ -56,8 +56,8 @@ type Engine struct {
 	// for a model of one expert, which has no peers: its context stays +0.
 	attn []float64
 
-	pool    *Pool
-	scratch sync.Pool // *predictScratch
+	fan     func(n int, fn func(i int)) // layers.Parallel, or inline
+	scratch sync.Pool                   // *predictScratch
 	// work is a free list of trajectory work areas, twice GOMAXPROCS deep:
 	// more tasks than that are runnable only when requests overlap, and
 	// they allocate their own. A channel rather than a sync.Pool, which
@@ -139,7 +139,7 @@ func Compile(m *estimator.Model) (*Engine, error) {
 		scalerMax: append([]float64(nil), m.FeatScaler.Max...),
 		experts:   make([]expertView, P),
 		heads:     make([]layers.PanelExpert, P),
-		pool:      SharedPool(),
+		fan:       layers.Parallel,
 		work:      make(chan *workArea, 2*runtime.GOMAXPROCS(0)),
 	}
 	e.scratch.New = func() any { return new(predictScratch) }
@@ -220,10 +220,19 @@ func Compile(m *estimator.Model) (*Engine, error) {
 	return e, nil
 }
 
-// SetPool overrides the worker pool (nil runs expert passes inline). Call
-// before the engine starts serving; benches and tests use it to pin
-// parallelism.
-func (e *Engine) SetPool(p *Pool) { e.pool = p }
+// SetPool overrides the fan-out of the expert passes (layers.Parallel; nil
+// runs them inline on the caller). Call before the engine starts serving;
+// benches and tests use it to pin parallelism.
+func (e *Engine) SetPool(fan func(n int, fn func(i int))) {
+	if fan == nil {
+		fan = func(n int, fn func(int)) {
+			for i := range n {
+				fn(i)
+			}
+		}
+	}
+	e.fan = fan
+}
 
 func (e *Engine) getScratch(T int) *predictScratch {
 	sc := e.scratch.Get().(*predictScratch)
@@ -307,8 +316,8 @@ func (e *Engine) PredictInto(series []features.Vector, out map[app.Pair]estimato
 		return err
 	}
 	P := len(e.experts)
-	e.pool.Run(P, func(i int) { e.trajectory(i, sc) })
-	e.pool.Run(e.panels(), func(k int) { e.outputs(k, T, sc) })
+	e.fan(P, func(i int) { e.trajectory(i, sc) })
+	e.fan(e.panels(), func(k int) { e.outputs(k, T, sc) })
 	for i, p := range e.pairs {
 		est := out[p]
 		e.experts[i].scale.DescaleInto(sc.triples[i*T:(i+1)*T], &est)
@@ -317,41 +326,17 @@ func (e *Engine) PredictInto(series []features.Vector, out map[app.Pair]estimato
 	return nil
 }
 
-// PredictBatch runs several independent feature series through the engine
-// as one fanned pass: all (series, expert) tasks of the batch share one
-// trip through the worker pool — two pool dispatches total instead of two
-// per series. Each result is bit-identical to Predict on that series. The
-// tasks share no weights, so a series costs no less inside a batch than
-// alone; the caller is core.EstimateTrafficBatch (offline forecasts).
+// PredictBatch is Predict on each series of batch, in order, and fails with
+// the first series that does. A series costs no less inside a batch than
+// alone, since its expert passes share no work with another's; the caller
+// is core.EstimateTrafficBatch (offline forecasts).
 func (e *Engine) PredictBatch(batch [][]features.Vector) ([]map[app.Pair]estimator.Estimate, error) {
-	B, P := len(batch), len(e.experts)
-	if B == 0 {
-		return nil, nil
-	}
-	scs := make([]*predictScratch, B)
+	out := make([]map[app.Pair]estimator.Estimate, len(batch))
 	for b, series := range batch {
-		scs[b] = e.getScratch(len(series))
-		if err := e.scaleInput(series, scs[b]); err != nil {
-			for _, sc := range scs[:b+1] {
-				e.scratch.Put(sc)
-			}
+		var err error
+		if out[b], err = e.Predict(series); err != nil {
 			return nil, err
 		}
-	}
-	e.pool.Run(B*P, func(k int) { e.trajectory(k%P, scs[k/P]) })
-	np := e.panels()
-	e.pool.Run(B*np, func(k int) { e.outputs(k%np, len(batch[k/np]), scs[k/np]) })
-	out := make([]map[app.Pair]estimator.Estimate, B)
-	for b := range batch {
-		T := len(batch[b])
-		m := make(map[app.Pair]estimator.Estimate, P)
-		for i, p := range e.pairs {
-			var est estimator.Estimate
-			e.experts[i].scale.DescaleInto(scs[b].triples[i*T:(i+1)*T], &est)
-			m[p] = est
-		}
-		out[b] = m
-		e.scratch.Put(scs[b])
 	}
 	return out, nil
 }

@@ -102,7 +102,7 @@ func TestEngineMatchesTapeOnApps(t *testing.T) {
 			}
 			sameBits(t, arg, want, got)
 
-			// The inline (nil-pool) path must agree too: parallel fan-out
+			// The inline (SetPool(nil)) path must agree too: parallel fan-out
 			// cannot change a single bit.
 			eng.SetPool(nil)
 			inline, err := eng.Predict(series)
@@ -114,8 +114,8 @@ func TestEngineMatchesTapeOnApps(t *testing.T) {
 	}
 }
 
-// TestEnginePredictBatchMatchesSingle checks the coalesced batch pass is
-// the same computation as N independent predicts.
+// TestEnginePredictBatchMatchesSingle checks a batch of unequal series
+// answers each as Predict does alone.
 func TestEnginePredictBatchMatchesSingle(t *testing.T) {
 	_, _, run := testutil.ToyTelemetry(t, 2, 35, 13)
 	cfg := estimator.DefaultConfig()

@@ -10,8 +10,8 @@ import (
 	"repro/internal/trace"
 )
 
-// TestTrainParallelismDeterministic: the per-expert worker pool must not
-// change results. Every expert trains from its own deterministic seed
+// TestTrainParallelismDeterministic: the per-expert fan-out (layers.ForEach)
+// must not change results. Every expert trains from its own deterministic seed
 // (cfg.Seed + pair index), so a run at GOMAXPROCS 1 (one worker) and one at
 // GOMAXPROCS 4 (four) produce byte-identical models.
 func TestTrainParallelismDeterministic(t *testing.T) {

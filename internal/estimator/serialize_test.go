@@ -55,6 +55,31 @@ func (s messageSizes) largest() int {
 	return m
 }
 
+// TestLoadDerivesInputRates: the learning-rate multiple of a restricted
+// expert's mask and bypass is not in the stream, so Load derives it from the
+// paths the expert reads: every loaded expert's rate is the trained one's,
+// dense paths over inputs, and at least one of them is not 1.
+func TestLoadDerivesInputRates(t *testing.T) {
+	m, stream := toyStream(t)
+	got, err := Load(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restricted := 0
+	for _, p := range m.Pairs {
+		e, l := m.Experts[p], got.Experts[p]
+		if want := inputRate(m.Space.Dim(), e.InDim); e.rate != want || l.rate != want {
+			t.Errorf("%s: trained rate %v, loaded %v, want %v (%d of %d paths)", p, e.rate, l.rate, want, e.InDim, m.Space.Dim())
+		}
+		if e.rate != 1 {
+			restricted++
+		}
+	}
+	if restricted == 0 {
+		t.Fatal("every expert reads every path: the rates show nothing")
+	}
+}
+
 // TestSaveLoadSaveIsByteIdentical: the stream is a function of the model —
 // what Load rebuilds saves to the same bytes, so a checkpoint, a download
 // and a re-upload of one generation are one file.

@@ -234,8 +234,8 @@ func (r *Runner) closedLoop(l *Lab, ev *Evaluation, realized *workload.Traffic, 
 // a deployed control plane would: at each interval boundary it re-runs the
 // Mode-1 query over a hybrid traffic — realized windows up to now, the
 // operator's projection beyond — and keeps that interval's slice of the
-// answer. All per-interval queries go through the inference engine as one
-// coalesced EstimateTrafficBatch pass.
+// answer. All per-interval queries go through the inference engine in one
+// EstimateTrafficBatch call.
 func closedLoopForecast(l *Lab, realized, projected *workload.Traffic, interval int, components []string) (map[string][]float64, error) {
 	n := realized.NumWindows()
 	if projected.NumWindows() != n {

@@ -3,8 +3,8 @@
 // data-driven resource management run as shared cloud infrastructure: a
 // production estimator serves hundreds of tenants, each with its own
 // telemetry stream, model generations, and quality scoreboard, while the
-// expensive machinery (training workers, inference pool, metrics registry)
-// is shared and bounded.
+// expensive machinery (training workers, metrics registry) is shared and
+// bounded.
 //
 // Ownership model — everything a tenant touches is owned by that tenant:
 //
@@ -28,8 +28,7 @@
 // retire); it is never held across training, bootstrap simulation, or
 // request handling. Tenant liveness is an atomic flag so the scheduler and
 // router skip retired tenants without locks, and the at-most-one-queued
-// training claim per tenant is an atomic compare-and-swap, mirroring the
-// inference pool's claim discipline.
+// training claim per tenant is an atomic compare-and-swap.
 package fleet
 
 import (

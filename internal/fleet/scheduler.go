@@ -12,8 +12,7 @@ import (
 //
 // A goroutine with retrain and drift tickers per tenant gives N background
 // loops that can all decide to train at once — N concurrent gradient
-// descents is exactly the unbounded-concurrency failure the inference pool
-// (internal/estimator/infer) was built to avoid. So a pipeline owns no
+// descents, each fanning its experts over every core. So a pipeline owns no
 // goroutine: this scheduler is the only retrain driver, a daemon with one
 // tenant included, and it dispatches every tenant's ticks onto TrainWorkers
 // persistent workers at the cadence that tenant's pipeline resolved
@@ -25,8 +24,8 @@ import (
 //     when more tenants are due than workers can absorb no fixed tenant
 //     always wins the queue slots;
 //   - at most one tick per tenant is queued or running at a time
-//     (Tenant.trainPending, an atomic compare-and-swap claim exactly like
-//     the inference pool's index claim), so a tenant whose training is slow
+//     (Tenant.trainPending, an atomic compare-and-swap claim), so a tenant
+//     whose training is slow
 //     cannot pile up queue entries and crowd out neighbours;
 //   - a full queue drops the claim and the tenant retries next sweep —
 //     deadline state (nextRetrain/nextDrift) is only advanced when the tick

@@ -2,9 +2,11 @@
 // estimator: the learnable API-aware input mask, the GRU recurrent cell
 // (paper Equation 2), a fully connected layer, and the cross-component
 // attention weights (paper Equation 3); the one off-tape trajectory
-// (GRUBlock.Trajectory) and the Slab it writes; and the training machinery
-// every recurrent model here shares (train.go): the per-worker Workspace,
-// the ForEach fan-out and the truncated-BPTT chunk loop, Workspace.Train.
+// (GRUBlock.Trajectory) and the Slab it writes; the one fan-out of expert
+// passes, Parallel, that training and the inference engine share; and the
+// training machinery every recurrent model here shares (train.go): the
+// per-worker Workspace, ForEach and the truncated-BPTT chunk loop,
+// Workspace.Train.
 package layers
 
 import (

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/nn/ad"
@@ -35,37 +36,74 @@ func NewWorkspace() *Workspace {
 	return &Workspace{Tape: ad.NewTape(), Eval: ad.NewEvalTape()}
 }
 
-// ForEach runs fn for every job index in [0, n) on a pool of up to GOMAXPROCS
-// workers, each with its own Workspace, and returns the first error a job
-// returned (the other jobs still run). Which worker takes which job is not
-// deterministic; the results are when fn derives everything from i, its
-// seed above all, since Train hands every run the same zeroed state.
+// Parallel runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines, the caller's and ones started for this call, each claiming the
+// next index from one counter, and returns when every call has returned. It
+// is the one fan-out of independent expert passes: ForEach's training jobs
+// and the inference engine's two passes. A call's goroutines are its own, so
+// nested and concurrent calls never wait on one another.
+func Parallel(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
+	}
+	f := &fanOut{fn: fn, n: int64(n)}
+	f.wg.Add(workers)
+	run := f.run // one func value for every goroutine: go f.run() allocates one each
+	for range workers - 1 {
+		go run()
+	}
+	f.run()
+	f.wg.Wait()
+}
+
+// fanOut is one Parallel call's state: with run's func value, all it
+// allocates.
+type fanOut struct {
+	fn   func(int)
+	n    int64
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+func (f *fanOut) run() {
+	for i := f.next.Add(1) - 1; i < f.n; i = f.next.Add(1) - 1 {
+		f.fn(int(i))
+	}
+	f.wg.Done()
+}
+
+// ForEach runs fn for every job index in [0, n) through Parallel, each job
+// on a Workspace no other running job holds (there are as many as
+// goroutines), and returns the first error a job returned (the other jobs
+// still run). Which workspace takes which job is not deterministic; the
+// results are when fn derives everything from i, its seed above all, since
+// Train hands every run the same zeroed state.
 func ForEach(n int, fn func(i int, ws *Workspace) error) error {
-	idx := make(chan int, n)
-	for i := range n {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
+	var free []*Workspace
 	var firstErr error
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := NewWorkspace()
-			for i := range idx {
-				if err := fn(i, ws); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	Parallel(n, func(i int) {
+		var ws *Workspace
+		mu.Lock()
+		if k := len(free) - 1; k >= 0 {
+			ws, free = free[k], free[:k]
+		}
+		mu.Unlock()
+		if ws == nil {
+			ws = NewWorkspace()
+		}
+		err := fn(i, ws)
+		mu.Lock()
+		free = append(free, ws)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	})
 	return firstErr
 }
 

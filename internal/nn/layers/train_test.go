@@ -8,25 +8,86 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/nn/ad"
 )
 
+// TestParallelRunsEveryIndexOnce: at one goroutine and at four, every index
+// of an empty, a single, a short and a long index space runs exactly once.
+func TestParallelRunsEveryIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 3, 1000} {
+			runs := make([]atomic.Int32, n)
+			Parallel(n, func(i int) { runs[i].Add(1) })
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("GOMAXPROCS %d, n %d: index %d ran %d times", procs, n, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelNested: a call from inside a call's fn completes, since each
+// call's goroutines are its own.
+func TestParallelNested(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var total atomic.Int32
+	Parallel(8, func(int) {
+		Parallel(8, func(int) { total.Add(1) })
+	})
+	if got := total.Load(); got != 64 {
+		t.Fatalf("nested calls ran %d of 64 indices", got)
+	}
+}
+
+// TestParallelConcurrentCallers: sixteen goroutines calling at once — the
+// serving case, where every in-flight read fans its expert passes out — each
+// see every index of every call run. Run under -race in CI.
+func TestParallelConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	done := make(chan int32)
+	for range 16 {
+		go func() {
+			var local atomic.Int32
+			for range 50 {
+				Parallel(13, func(int) { local.Add(1) })
+			}
+			done <- local.Load()
+		}()
+	}
+	total := 0
+	for range 16 {
+		total += int(<-done)
+	}
+	if want := 16 * 50 * 13; total != want {
+		t.Fatalf("concurrent calls ran %d of %d indices", total, want)
+	}
+}
+
 // TestForEachRunsEveryJobOnce: at one worker and at four, every job index
-// runs exactly once, and a failing job's error comes back while the other
-// jobs still run.
+// runs exactly once on one of at most that many workspaces, and a failing
+// job's error comes back while the other jobs still run.
 func TestForEachRunsEveryJobOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	boom := errors.New("boom")
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		var runs [9]atomic.Int32
+		var mu sync.Mutex
+		seen := map[*Workspace]bool{}
 		err := ForEach(len(runs), func(i int, ws *Workspace) error {
 			if ws == nil || ws.Tape == nil || ws.Eval == nil {
 				t.Error("a job ran without a workspace")
 			}
+			mu.Lock()
+			seen[ws] = true
+			mu.Unlock()
 			runs[i].Add(1)
 			if i == 5 {
 				return boom
@@ -40,6 +101,9 @@ func TestForEachRunsEveryJobOnce(t *testing.T) {
 			if n := runs[i].Load(); n != 1 {
 				t.Fatalf("GOMAXPROCS %d: job %d ran %d times", procs, i, n)
 			}
+		}
+		if len(seen) > procs {
+			t.Fatalf("GOMAXPROCS %d: jobs ran on %d workspaces", procs, len(seen))
 		}
 	}
 	if err := ForEach(0, func(int, *Workspace) error { return boom }); err != nil {

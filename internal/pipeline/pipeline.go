@@ -264,8 +264,9 @@ func (p *Pipeline) Degraded() bool {
 func (p *Pipeline) DriftEvery() time.Duration { return p.cfg.DriftEvery }
 
 // TrainOnce trains and publishes one generation over store windows
-// [from, to); to <= 0 means "up to the newest window". A "manual" trigger
-// records the pair restriction for subsequent scheduled retrains. Only one
+// [from, to); to <= 0 means "up to the newest window". A "manual" generation
+// that publishes records its pair restriction for subsequent scheduled
+// retrains; a failed one leaves the previous restriction. Only one
 // generation trains at a time: concurrent calls fail fast with
 // ErrTrainingInFlight instead of queueing behind a long training run.
 func (p *Pipeline) TrainOnce(from, to int, pairs []app.Pair, trigger string) (*Generation, error) {
@@ -297,9 +298,7 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 	p.inFlight = true
 	p.attempts++
 	attempt := p.attempts
-	if trigger == "manual" {
-		p.pairs = pairs
-	} else if pairs == nil {
+	if trigger != "manual" && pairs == nil {
 		pairs = p.pairs
 	}
 	var prev *estimator.Model
@@ -324,6 +323,9 @@ func (p *Pipeline) TrainOnceCtx(ctx context.Context, from, to int, pairs []app.P
 	} else {
 		p.lastErr = ""
 		p.trainedTo = to
+		if trigger == "manual" {
+			p.pairs = pairs
+		}
 		p.lastDrift = nil // the verdict described the generation before
 		p.consecFails = 0
 	}

@@ -85,6 +85,31 @@ func TestTrainOncePublishesAndWarmStarts(t *testing.T) {
 	}
 }
 
+// TestFailedManualLearnKeepsRestriction: a manual learn that fails after
+// taking the training slot leaves the last published restriction in place,
+// so the next scheduled retrain trains that one expert, not the refused pair.
+func TestFailedManualLearnKeepsRestriction(t *testing.T) {
+	store := toyStore(t, 1, 81)
+	p, err := New(quickOpts(), DefaultConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.TrainOnce(0, 0, []app.Pair{cpuPair}, "manual"); err != nil {
+		t.Fatal(err)
+	}
+	nowhere := app.Pair{Component: "Nowhere", Resource: app.CPU}
+	if _, err := p.TrainOnce(0, 0, []app.Pair{nowhere}, "manual"); err == nil {
+		t.Fatal("a learn of an unrecorded pair published")
+	}
+	g, err := p.TrainOnce(0, 0, nil, "scheduled")
+	if err != nil {
+		t.Fatalf("scheduled retrain after a failed manual learn: %v", err)
+	}
+	if g.Experts() != 1 || g.Version != 2 || p.Degraded() {
+		t.Fatalf("scheduled retrain: version %d, %d experts, degraded %v; want 2, 1, false", g.Version, g.Experts(), p.Degraded())
+	}
+}
+
 // TestRetrainOverOtherPathsStartsCold: a retrain whose window names other
 // invocation paths — here as many, the same telemetry under hashed names —
 // seeds no expert from the serving generation, and says so.

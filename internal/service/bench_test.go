@@ -124,7 +124,8 @@ func BenchmarkEstimateWarm(b *testing.B) {
 // BenchmarkEstimateConcurrent hammers /v1/estimate from 64 concurrent
 // clients, every request a distinct body (never a cache hit), so the
 // measured path is decode → estimate table → one engine pass per request,
-// all fanning over the shared worker pool. Besides ns/op it reports the
+// each fanning its expert passes out on its own goroutines (layers.Parallel).
+// Besides ns/op it reports the
 // client-observed p99 latency.
 func BenchmarkEstimateConcurrent(b *testing.B) {
 	h := benchLearnedService(b)

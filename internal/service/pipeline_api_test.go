@@ -217,6 +217,65 @@ func TestRecoveredGenerationOverEmptyStore(t *testing.T) {
 	check("relearned", "POST", "/v1/estimate", estimate, 200, `"version":2`)
 }
 
+// TestLearnRefusesBadRangeBeforeTraining: a negative window, an empty or
+// reversed range and one past the newest window are 400 before the training
+// slot is taken, so none of them counts as a failed generation.
+func TestLearnRefusesBadRangeBeforeTraining(t *testing.T) {
+	s, err := NewWithConfig(quickServiceOpts(), pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 71)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+	for _, body := range []string{`{"from":50,"to":10}`, `{"from":10,"to":10}`, `{"to":100000}`, `{"to":-5}`, `{"from":-1}`} {
+		if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(body)); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "out of bounds") {
+			t.Errorf("learn %s = %d, want 400 out of bounds: %s", body, rec.Code, rec.Body)
+		}
+	}
+	if st := s.Pipeline().Status(); st.Degraded || st.ConsecutiveFailures != 0 || st.ActiveVersion != 1 || st.Generations != 1 {
+		t.Fatalf("status after refused learns = %+v", st)
+	}
+}
+
+// TestRefusedLearnKeepsPairRestriction: a learn of a well-formed pair the
+// store never recorded is 400 before the slot is taken, and the next
+// scheduled tick on fresh windows still trains the restriction of the last
+// published manual learn.
+func TestRefusedLearnKeepsPairRestriction(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	cfg.DriftEvery = time.Hour
+	s, err := NewWithConfig(quickServiceOpts(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 72)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Service/cpu"]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("learn = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, h, "POST", "/v1/learn", bytes.NewBufferString(`{"pairs":["Nowhere/cpu"]}`)); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "no metric recorded for Nowhere/cpu") {
+		t.Fatalf("learn of an unrecorded pair = %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, h, "POST", "/v1/telemetry", telemetryBody(t, 1, 30, 73)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d", rec.Code)
+	}
+	s.Pipeline().TickScheduled(context.Background())
+	st := s.Pipeline().Status()
+	if st.ActiveVersion != 2 || st.Degraded || st.ConsecutiveFailures != 0 {
+		t.Fatalf("status after a scheduled tick = %+v", st)
+	}
+	if n := s.Pipeline().Active().Experts(); n != 1 {
+		t.Fatalf("scheduled generation has %d experts, want the 1 of the last published restriction", n)
+	}
+}
+
 // TestPipelineStartStopStatus: a server owns no retrain loop — the start/stop
 // endpoints are gone and a scheduler drives the ticks — and
 // /v1/pipeline/status reports what those ticks did.

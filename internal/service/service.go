@@ -354,8 +354,9 @@ type learnRequest struct {
 	From int `json:"from,omitempty"`
 	To   int `json:"to,omitempty"`
 	// Pairs optionally restricts the estimation targets
-	// ("Component/resource" keys). The restriction sticks: scheduled and
-	// drift-triggered retrains train the same pairs.
+	// ("Component/resource" keys). The restriction sticks once the
+	// generation publishes: scheduled and drift-triggered retrains train
+	// the same pairs.
 	Pairs []string `json:"pairs,omitempty"`
 }
 
@@ -372,13 +373,24 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusPreconditionFailed, "no telemetry ingested")
 		return
 	}
+	// A range or pair the store cannot train is refused here, before the
+	// training slot is taken: it is the request's fault, not a failed
+	// generation, so it must not leave the tenant degraded. A from below the
+	// retention horizon is clamped to it, as the pipeline does.
 	to := req.To
 	if to == 0 {
 		to = windows
 	}
+	if from := max(req.From, s.store.OldestWindow()); req.From < 0 || to < 0 || to > windows || from >= to {
+		writeErr(w, http.StatusBadRequest, "learn: window range [%d, %d) out of bounds (windows [%d, %d) resident)", req.From, to, s.store.OldestWindow(), windows)
+		return
+	}
 	var pairs []app.Pair
 	for _, key := range req.Pairs {
 		p, err := app.ParsePair(key)
+		if err == nil {
+			_, err = s.store.Metric(p, to-1, to)
+		}
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
